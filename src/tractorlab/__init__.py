@@ -30,7 +30,6 @@ _EXPORTS = {
     "projective_modify": "affine",
     "rho_connection": "affine",
     "curvature": "affine",
-    "schouten_decompose": "affine",
     "covariant_derivative": "affine",
     "canonical_tau": "affine",
     "defining_density_check": "affine",

@@ -31,7 +31,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import Chart, Geometry, GeometryError, TensorField
-from .jets import Jet, PoleError, jet_apply, jet_det, jet_matrix_inverse, jet_space
+from .jets import (
+    Jet,
+    PoleError,
+    jet_apply,
+    jet_det,
+    jet_einsum,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_space,
+    jet_stack,
+    jet_views,
+)
 
 __all__ = [
     "Connection",
@@ -41,7 +53,6 @@ __all__ = [
     "projective_modify",
     "rho_connection",
     "curvature",
-    "schouten_decompose",
     "covariant_derivative",
     "canonical_tau",
     "defining_density_check",
@@ -53,12 +64,16 @@ Point = Sequence[float]
 #: Pinned sign of the density transport term (see module docstring).
 DENSITY_SIGN = +1.0
 
+#: Einsum letters for the axes of a tensor field ('a' and 'e' are taken).
+_AXES = "ijklmnop"
+
 
 class Connection:
     """An affine connection given by a Christoffel-symbol evaluator.
 
-    ``evaluator(point, order)`` returns an object array ``G`` of jets with
-    ``G[c, a, b] = Gamma^c_ab`` at the requested jet order.
+    ``evaluator(point, order)`` returns the dense jet array ``G`` of shape
+    ``(d, d, d, ncoeff)`` with ``G[c, a, b] = Gamma^c_ab`` at the requested
+    jet order (see module ``jets``).
     """
 
     def __init__(
@@ -67,18 +82,12 @@ class Connection:
         evaluator: Callable[[Point, int], np.ndarray],
         torsion_free: bool = True,
         special: bool = False,
-        provenance: str = "custom",
-        base: "Connection | None" = None,
-        upsilon: Callable[[Point, int], np.ndarray] | None = None,
         exact_boundary: Callable[[Point, int], np.ndarray] | None = None,
     ):
         self.chart = chart
         self._evaluator = evaluator
         self.torsion_free = torsion_free
         self.special = special
-        self.provenance = provenance
-        self.base = base
-        self.upsilon = upsilon
         self.exact_boundary = exact_boundary
         self._cache: dict = {}
 
@@ -86,38 +95,35 @@ class Connection:
     def dim(self) -> int:
         return self.chart.dim
 
-    def christoffels(self, point: Point, order: int) -> np.ndarray:
+    def dense(self, point: Point, order: int) -> np.ndarray:
+        """Memoized (read-only) dense Christoffel jets at a point."""
         key = (tuple(point), order)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = self._evaluator(point, order)
+            hit = self._evaluator(point, order)
+            hit.flags.writeable = False
+            self._cache[key] = hit
         return hit
 
-    #: optional float-only evaluator (point -> (d,d,d) array); the ODE
-    #: integrator goes through this when available.
-    fast_values: Callable[[Point], np.ndarray] | None = None
+    def _peek(self, point: Point, order: int) -> np.ndarray:
+        """Dense Christoffel jets, reusing a memoized array but never storing
+        a new one (the ODE integrator evaluates at thousands of points)."""
+        hit = self._cache.get((tuple(point), order))
+        return hit if hit is not None else self._evaluator(point, order)
+
+    def christoffels(self, point: Point, order: int) -> np.ndarray:
+        return jet_views(self.dense(point, order), jet_space(self.dim, order))
 
     def christoffel_values(self, point: Point, order: int = 0) -> np.ndarray:
-        if self.fast_values is not None and order == 0:
-            return self.fast_values(point)
-        g = self.christoffels(point, order)
-        d = self.dim
-        return np.array(
-            [[[g[c, a, b].value for b in range(d)] for a in range(d)]
-             for c in range(d)]
-        )
+        """Christoffel values (the ``[..., 0]`` slice), never memoized."""
+        return np.array(self._peek(point, order)[..., 0])
+
+    def _trace(self, point: Point, order: int) -> np.ndarray:
+        return np.einsum("eeaz->az", self.dense(point, order))
 
     def trace_gamma(self, point: Point, order: int) -> np.ndarray:
         """The one-form ``Gamma^e_ea`` entering density transport."""
-        g = self.christoffels(point, order)
-        d = self.dim
-        out = np.empty(d, dtype=object)
-        for a in range(d):
-            acc = g[0, 0, a]
-            for e in range(1, d):
-                acc = acc + g[e, e, a]
-            out[a] = acc
-        return out
+        return jet_views(self._trace(point, order), jet_space(self.dim, order))
 
 
 def levi_civita(geom_or_field) -> Connection:
@@ -134,107 +140,46 @@ def levi_civita(geom_or_field) -> Connection:
     d = chart.dim
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        g = gfield.components(point, order + 1)
-        ginv = jet_matrix_inverse(g)
-        dg = np.empty((d, d, d), dtype=object)
-        for a in range(d):
-            for i in range(d):
-                for j in range(i, d):
-                    dg[a, i, j] = dg[a, j, i] = g[i, j].partial(a)
-        out = np.empty((d, d, d), dtype=object)
-        for a in range(d):
-            for b in range(a, d):
-                for c in range(d):
-                    acc = None
-                    for e in range(d):
-                        term = ginv[c, e] * (dg[a, e, b] + dg[b, e, a] - dg[e, a, b])
-                        acc = term if acc is None else acc + term
-                    out[c, a, b] = acc * 0.5
-                    out[c, b, a] = out[c, a, b]
-        return out
+        space, upper = jet_space(d, order), jet_space(d, order + 1)
+        g = jet_stack(gfield.components(point, order + 1), upper)
+        ginv = jet_inverse(g[..., : space.ncoeff], space)
+        dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
+        core = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
 
-    def fast_values(point: Point) -> np.ndarray:
-        g = gfield.components(point, 1)
-        gv = np.empty((d, d))
-        dg = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                jet = g[i, j]
-                gv[i, j] = gv[j, i] = jet.value
-                for a in range(d):
-                    dg[a, i, j] = dg[a, j, i] = jet.partial(a).value
-        ginv = np.linalg.inv(gv)
-        core = (
-            np.einsum("aeb->eab", dg) + np.einsum("bea->eab", dg) - dg
-        )
-        return 0.5 * np.einsum("ce,eab->cab", ginv, core)
-
-    conn = Connection(
-        chart, evaluator, torsion_free=True, special=True, provenance="levi_civita"
-    )
-    conn.fast_values = fast_values
-    return conn
+    return Connection(chart, evaluator, torsion_free=True, special=True)
 
 
 def projective_modify(
     conn: Connection,
     upsilon: Callable[[Point, int], np.ndarray] | TensorField,
-    provenance: str = "custom",
     special: bool | None = None,
 ) -> Connection:
     """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
 
-    Torsion-freeness is preserved.  The modified connection preserves a
-    volume density exactly when the base does and the one-form is closed;
-    pass ``special`` to assert that (``rho_connection`` does), otherwise the
-    flag is dropped.
+    ``upsilon(point, order)`` returns the one-form as an object array of
+    jets (or is a :class:`TensorField`).  Torsion-freeness is preserved.
+    The modified connection preserves a volume density exactly when the
+    base does and the one-form is closed; pass ``special`` to assert that
+    (``rho_connection`` does), otherwise the flag is dropped.
     """
     if not conn.torsion_free:
         raise ValueError("projective modification requires a torsion-free base")
-    if isinstance(upsilon, TensorField):
-        ups_field = upsilon
-        ups = lambda point, order: ups_field.components(point, order)  # noqa: E731
-    else:
-        ups = upsilon
+    ups = upsilon.components if isinstance(upsilon, TensorField) else upsilon
     d = conn.dim
+    eye = np.eye(d)
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        g = conn.christoffels(point, order)
-        u = ups(point, order)
-        out = np.empty((d, d, d), dtype=object)
-        for c in range(d):
-            for a in range(d):
-                for b in range(a, d):
-                    val = g[c, a, b]
-                    if c == a:
-                        val = val + u[b]
-                    if c == b:
-                        val = val + u[a]
-                    out[c, a, b] = val
-                    out[c, b, a] = val
-        return out
+        u = jet_stack(ups(point, order), jet_space(d, order))
+        return (
+            conn._peek(point, order)
+            + np.einsum("ca,bz->cabz", eye, u)
+            + np.einsum("cb,az->cabz", eye, u)
+        )
 
-    out = Connection(
-        conn.chart,
-        evaluator,
-        torsion_free=True,
-        special=bool(special) if special is not None else False,
-        provenance=provenance,
-        base=conn,
-        upsilon=ups,
+    return Connection(
+        conn.chart, evaluator, torsion_free=True, special=bool(special)
     )
-    if conn.fast_values is not None:
-        def fast_values(point: Point) -> np.ndarray:
-            gamma = conn.fast_values(point).copy()
-            u = ups(point, 0)
-            uv = np.array([j.value if isinstance(j, Jet) else float(j) for j in u])
-            eye = np.eye(d)
-            gamma += np.einsum("ca,b->cab", eye, uv)
-            gamma += np.einsum("cb,a->cab", eye, uv)
-            return gamma
-
-        out.fast_values = fast_values
-    return out
 
 
 def rho_upsilon(geom: Geometry) -> Callable[[Point, int], np.ndarray]:
@@ -242,10 +187,10 @@ def rho_upsilon(geom: Geometry) -> Callable[[Point, int], np.ndarray]:
 
     def ups(point: Point, order: int) -> np.ndarray:
         rho = geom.rho_jet(point, order + 1)
-        denom = rho.truncate(order) * geom.alpha
-        return np.array(
-            [rho.partial(a) / denom for a in range(geom.dim)], dtype=object
-        )
+        space = jet_space(geom.dim, order)
+        inv = 1.0 / (rho.truncate(order) * geom.alpha)
+        grad = jet_gradient(rho.coeffs, rho.space)
+        return jet_views(jet_mul(grad, inv.coeffs, space), space)
 
     return ups
 
@@ -261,11 +206,8 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
     """
     if base is None:
         base = levi_civita(geom)
-    conn = projective_modify(
-        base, rho_upsilon(geom), provenance="rho_modified", special=base.special
-    )
+    conn = projective_modify(base, rho_upsilon(geom), special=base.special)
     conn.exact_boundary = geom.exact_hat_christoffels
-    conn.geometry = geom
     return conn
 
 
@@ -275,176 +217,113 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
 class CurvaturePack:
     """Curvature tensors of one connection, evaluated and memoized per point.
 
-    ``riemann`` is always available; the Schouten-family accessors are
-    enabled by :func:`schouten_decompose` (they need dim >= 3).  When the
-    pack knows a metric it also provides the scalar curvature.
+    Every accessor returns jets (object arrays of views onto a memoized,
+    read-only dense array).  The Schouten-family accessors need dim >= 3;
+    when the pack knows a metric it also provides the scalar curvature.
     """
 
     def __init__(self, conn: Connection, metric_field: TensorField | None = None):
         self.conn = conn
         self.metric_field = metric_field
-        self.has_schouten = False
         self._memo: dict = {}
 
     @property
     def dim(self) -> int:
         return self.conn.dim
 
-    def _cached(self, name: str, point: Point, order: int, build):
+    def _dense(self, name: str, point: Point, order: int) -> np.ndarray:
         key = (name, tuple(point), order)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = build()
+            hit = getattr(self, "_build_" + name)(point, order)
+            hit.flags.writeable = False
+            self._memo[key] = hit
         return hit
 
-    def riemann(self, point: Point, order: int) -> np.ndarray:
-        def build():
-            d = self.dim
-            G = self.conn.christoffels(point, order + 1)
-            dG = np.empty((d, d, d, d), dtype=object)
-            for e in range(d):
-                for c in range(d):
-                    for a in range(d):
-                        for b in range(a, d):
-                            dG[e, c, a, b] = dG[e, c, b, a] = G[c, a, b].partial(e)
-            R = np.empty((d, d, d, d), dtype=object)
-            zero = jet_space(d, order).constant(0.0)
-            for a in range(d):
-                R[a, a, :, :] = zero
-                for b in range(a + 1, d):
-                    for c in range(d):
-                        for e in range(d):
-                            acc = dG[a, c, b, e] - dG[b, c, a, e]
-                            for f in range(d):
-                                acc = acc + G[c, a, f] * G[f, b, e]
-                                acc = acc - G[c, b, f] * G[f, a, e]
-                            R[a, b, c, e] = acc
-                            R[b, a, c, e] = -acc
-            return R
+    def _views(self, name: str, point: Point, order: int) -> np.ndarray:
+        return jet_views(self._dense(name, point, order), jet_space(self.dim, order))
 
-        return self._cached("riemann", point, order, build)
+    def _build_riemann(self, point: Point, order: int) -> np.ndarray:
+        d = self.dim
+        G = self.conn.dense(point, order + 1)
+        dG = jet_gradient(G, jet_space(d, order + 1))  # dG[e, c, a, b] = d_e G[c, a, b]
+        # A[a, b, c, e] = d_a G[c, b, e] + G[c, a, f] G[f, b, e]; R = A - A^(ab)
+        A = dG.transpose(0, 2, 1, 3, 4) + jet_einsum(
+            "caf,fbe->abce", G, G, jet_space(d, order)
+        )
+        return A - A.transpose(1, 0, 2, 3, 4)
+
+    def _build_ricci(self, point: Point, order: int) -> np.ndarray:
+        return np.einsum("eaebz->abz", self._dense("riemann", point, order))
+
+    def _build_scalar(self, point: Point, order: int) -> np.ndarray:
+        space = jet_space(self.dim, order)
+        g = jet_stack(self.metric_field.components(point, order), space)
+        ric = self._dense("ricci", point, order)
+        return jet_einsum("ab,ab->", jet_inverse(g, space), ric, space)
+
+    def _build_schouten(self, point: Point, order: int) -> np.ndarray:
+        n = self.dim - 1
+        ric = self._dense("ricci", point, order)
+        ric_t = ric.transpose(1, 0, 2)
+        return (ric + ric_t) * (0.5 / n) + (ric - ric_t) * (0.5 / (n + 2))
+
+    def _build_beta(self, point: Point, order: int) -> np.ndarray:
+        P = self._dense("schouten", point, order)
+        return P.transpose(1, 0, 2) - P
+
+    def _build_weyl(self, point: Point, order: int) -> np.ndarray:
+        eye = np.eye(self.dim)
+        P = self._dense("schouten", point, order)
+        return (
+            self._dense("riemann", point, order)
+            - np.einsum("ca,bez->abcez", eye, P)
+            + np.einsum("cb,aez->abcez", eye, P)
+            - np.einsum("ce,abz->abcez", eye, self._dense("beta", point, order))
+        )
+
+    def _build_schouten_derivative(self, point: Point, order: int) -> np.ndarray:
+        d = self.dim
+        space = jet_space(d, order)
+        P = self._dense("schouten", point, order + 1)
+        G = self.conn.dense(point, order)
+        return (
+            jet_gradient(P, jet_space(d, order + 1))
+            - jet_einsum("eab,ec->abc", G, P, space)
+            - jet_einsum("eac,be->abc", G, P, space)
+        )
+
+    def _build_cotton(self, point: Point, order: int) -> np.ndarray:
+        dP = self._dense("schouten_derivative", point, order)
+        return dP.transpose(1, 0, 2, 3) - dP
+
+    def riemann(self, point: Point, order: int) -> np.ndarray:
+        return self._views("riemann", point, order)
 
     def ricci(self, point: Point, order: int) -> np.ndarray:
-        def build():
-            d = self.dim
-            R = self.riemann(point, order)
-            ric = np.empty((d, d), dtype=object)
-            for a in range(d):
-                for b in range(d):
-                    acc = R[0, a, 0, b]
-                    for e in range(1, d):
-                        acc = acc + R[e, a, e, b]
-                    ric[a, b] = acc
-            return ric
-
-        return self._cached("ricci", point, order, build)
+        return self._views("ricci", point, order)
 
     def scalar(self, point: Point, order: int) -> Jet:
         if self.metric_field is None:
             raise ValueError("scalar curvature needs a metric")
-
-        def build():
-            d = self.dim
-            ric = self.ricci(point, order)
-            g = self.metric_field.components(point, order)
-            ginv = jet_matrix_inverse(g)
-            acc = None
-            for a in range(d):
-                for b in range(d):
-                    term = ginv[a, b] * ric[a, b]
-                    acc = term if acc is None else acc + term
-            return acc
-
-        return self._cached("scalar", point, order, build)
+        return Jet(jet_space(self.dim, order), self._dense("scalar", point, order))
 
     def schouten(self, point: Point, order: int) -> np.ndarray:
-        def build():
-            d = self.dim
-            n = d - 1
-            ric = self.ricci(point, order)
-            P = np.empty((d, d), dtype=object)
-            for a in range(d):
-                for b in range(a, d):
-                    sym = (ric[a, b] + ric[b, a]) * (0.5 / n)
-                    if a == b:
-                        P[a, a] = sym
-                    else:
-                        skew = (ric[a, b] - ric[b, a]) * (0.5 / (n + 2))
-                        P[a, b] = sym + skew
-                        P[b, a] = sym - skew
-            return P
-
-        return self._cached("schouten", point, order, build)
+        return self._views("schouten", point, order)
 
     def beta(self, point: Point, order: int) -> np.ndarray:
-        def build():
-            d = self.dim
-            P = self.schouten(point, order)
-            out = np.empty((d, d), dtype=object)
-            for a in range(d):
-                for b in range(d):
-                    out[a, b] = P[b, a] - P[a, b]
-            return out
-
-        return self._cached("beta", point, order, build)
+        return self._views("beta", point, order)
 
     def weyl(self, point: Point, order: int) -> np.ndarray:
-        def build():
-            d = self.dim
-            R = self.riemann(point, order)
-            P = self.schouten(point, order)
-            beta = self.beta(point, order)
-            C = np.empty((d, d, d, d), dtype=object)
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        for e in range(d):
-                            val = R[a, b, c, e]
-                            if c == a:
-                                val = val - P[b, e]
-                            if c == b:
-                                val = val + P[a, e]
-                            if c == e:
-                                val = val - beta[a, b]
-                            C[a, b, c, e] = val
-            return C
-
-        return self._cached("weyl", point, order, build)
+        return self._views("weyl", point, order)
 
     def schouten_derivative(self, point: Point, order: int) -> np.ndarray:
         """``nabla_a P_bc`` of this connection (array indexed [a, b, c])."""
-
-        def build():
-            d = self.dim
-            P = self.schouten(point, order + 1)
-            G = self.conn.christoffels(point, order)
-            out = np.empty((d, d, d), dtype=object)
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        acc = P[b, c].partial(a)
-                        for e in range(d):
-                            acc = acc - G[e, a, b] * P[e, c]
-                            acc = acc - G[e, a, c] * P[b, e]
-                        out[a, b, c] = acc
-            return out
-
-        return self._cached("dP", point, order, build)
+        return self._views("schouten_derivative", point, order)
 
     def cotton(self, point: Point, order: int) -> np.ndarray:
         """``Y[a,b,c] = nabla_b P_ac - nabla_a P_bc`` (see module docstring)."""
-
-        def build():
-            d = self.dim
-            dP = self.schouten_derivative(point, order)
-            out = np.empty((d, d, d), dtype=object)
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        out[a, b, c] = dP[b, a, c] - dP[a, b, c]
-            return out
-
-        return self._cached("cotton", point, order, build)
+        return self._views("cotton", point, order)
 
 
 def curvature(conn: Connection, metric_field: TensorField | None = None) -> CurvaturePack:
@@ -453,23 +332,11 @@ def curvature(conn: Connection, metric_field: TensorField | None = None) -> Curv
     return CurvaturePack(conn, metric_field)
 
 
-def schouten_decompose(conn: Connection, pack: CurvaturePack) -> CurvaturePack:
-    """Enable the projective decomposition accessors (P, beta, Weyl, Cotton)."""
-    if pack.conn is not conn:
-        raise ValueError("pack does not belong to this connection")
-    if conn.dim < 3:
-        raise ValueError("the projective decomposition needs dimension >= 3")
-    pack.has_schouten = True
-    return pack
-
-
 def geometry_curvature(geom: Geometry, conn: Connection | None = None) -> CurvaturePack:
     """Convenience: curvature pack of a metric geometry with scalar enabled."""
     if conn is None:
         conn = levi_civita(geom)
-    pack = CurvaturePack(conn, geom.metric_field())
-    pack.has_schouten = True
-    return pack
+    return CurvaturePack(conn, geom.metric_field())
 
 
 # -- weighted covariant derivative ------------------------------------------
@@ -492,33 +359,23 @@ def covariant_derivative(
     d = chart.dim
     variance = field.variance
     w = field.weight
+    idx = _AXES[: len(variance)]
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        comps = field.components(point, order + 1)
-        G = conn.christoffels(point, order)
-        out = np.empty((d,) + comps.shape, dtype=object)
-        weight_term = None
+        space, upper = jet_space(d, order), jet_space(d, order + 1)
+        comps = jet_stack(field.components(point, order + 1), upper)
+        G = conn.dense(point, order)
+        out = jet_gradient(comps, upper)
+        for slot, var in enumerate(variance):
+            moved = idx[:slot] + "e" + idx[slot + 1:]
+            if var == "u":
+                out = out + jet_einsum(f"{idx[slot]}ae,{moved}->a{idx}", G, comps, space)
+            else:
+                out = out - jet_einsum(f"ea{idx[slot]},{moved}->a{idx}", G, comps, space)
         if w != 0.0:
-            tg = conn.trace_gamma(point, order)
-            weight_term = [tg[a] * (sign * w / (d + 1)) for a in range(d)]
-        it = np.nditer(np.zeros(comps.shape), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            base = comps[idx]
-            for a in range(d):
-                acc = base.partial(a)
-                for slot, var in enumerate(variance):
-                    i_s = idx[slot]
-                    for e in range(d):
-                        other = comps[idx[:slot] + (e,) + idx[slot + 1:]]
-                        if var == "u":
-                            acc = acc + G[i_s, a, e] * other
-                        else:
-                            acc = acc - G[e, a, i_s] * other
-                if weight_term is not None:
-                    acc = acc + weight_term[a] * base
-                out[(a,) + idx] = acc
-        return out
+            tg = conn._trace(point, order) * (sign * w / (d + 1))
+            out = out + jet_einsum(f"a,{idx}->a{idx}", tg, comps, space)
+        return jet_views(out, space)
 
     return TensorField(
         chart,

@@ -34,7 +34,7 @@ from .extrapolate import (
     richardson_limit,
 )
 from .fields import Geometry, GeometryError
-from .jets import jet_space
+from .jets import jet_space, jet_values
 from .tractor import (
     TractorCalculus,
     TractorConnection,
@@ -95,13 +95,8 @@ def extended_christoffels(
     raises :class:`BoundaryExtensionError` (the projectively-noncompact
     controls end up here).
     """
-    d = geom.dim
     if conn.exact_boundary is not None:
-        G = conn.exact_boundary(y, 0)
-        return np.array(
-            [[[G[c, a, b].value for b in range(d)] for a in range(d)]
-             for c in range(d)]
-        )
+        return jet_values(conn.exact_boundary(y, 0))
     est = boundary_limit(
         lambda p: conn.christoffel_values(p, 0), geom, y, direction,
         eps0=eps0, levels=levels,
@@ -150,12 +145,7 @@ def rho_connection_extension(
             slope = float(np.polyfit(np.log(eps), np.log(norms + 1e-300), 1)[0])
         gap = None
         if conn.exact_boundary is not None and not est.diverged:
-            G = conn.exact_boundary(y, 0)
-            d = geom.dim
-            exact = np.array(
-                [[[G[c, a, b].value for b in range(d)] for a in range(d)]
-                 for c in range(d)]
-            )
+            exact = jet_values(conn.exact_boundary(y, 0))
             gap = float(np.max(np.abs(exact - est.value)))
         out.append(
             ExtensionReport(tuple(y), est.diverged, slope, est.error, gap)
@@ -212,7 +202,7 @@ class TransversalCurve:
             val = rho.value - eps
             if abs(val) <= 1e-14 * (1 + eps):
                 break
-            grad = np.array([rho.partial(i).value for i in range(self.geom.dim)])
+            grad = rho.gradient()
             h = self.ts[k + 1] - self.ts[k]
             slope = float(grad @ v) * h
             s -= val / slope
@@ -314,31 +304,30 @@ class CollarSample:
 
 
 def collar_sample(
-    geom: Geometry,
-    grid: Sequence[Point],
+    curves: Sequence[TransversalCurve],
     ts: Sequence[float] | None = None,
-    step: float = 1e-3,
-    horizon: float = 0.2,
 ) -> CollarSample:
-    """Sample the collar map over a grid of boundary points.
+    """Sample the collar map on transversals that are already integrated.
 
-    Injectivity is checked pairwise on the sampled rows; a collision (for
-    example a duplicated grid point) raises with the offending pair.
+    ``ts`` defaults to five equally spaced parameters across the shortest
+    curve; each row takes the nearest RK4 sample.  Injectivity is checked
+    pairwise on the sampled rows; a collision (for example a duplicated
+    boundary point) raises with the offending pair.
     """
     if ts is None:
+        horizon = min(float(c.ts[-1]) for c in curves)
         ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * horizon
     ts = np.asarray(ts, dtype=float)
     rows = []
-    for y in grid:
-        curve = geodetic_transversal(geom, y, step=step, horizon=float(ts.max()) or horizon)
+    for curve in curves:
+        step = curve.ts[1] - curve.ts[0]
         for t in ts:
             if t == 0.0:
-                pt = np.asarray(y, dtype=float)
+                pt = np.asarray(curve.y, dtype=float)
             else:
-                k = int(round(t / step))
-                k = min(k, len(curve.ts) - 1)
+                k = min(int(round(t / step)), len(curve.ts) - 1)
                 pt = curve.points[k]
-            rows.append((tuple(y), float(t), pt))
+            rows.append((curve.y, float(t), pt))
     min_sep = math.inf
     worst_pair = None
     for i in range(len(rows)):
@@ -351,7 +340,7 @@ def collar_sample(
         raise GeometryError(
             f"collar is not injective: rows {worst_pair[0]} and {worst_pair[1]} collide"
         )
-    return CollarSample(list(grid), ts, rows, min_sep)
+    return CollarSample([c.y for c in curves], ts, rows, min_sep)
 
 
 # -- projective second fundamental form ---------------------------------------
@@ -463,7 +452,7 @@ def second_fundamental_form(
     rho_new = ef * rho_jet
     dn = np.array([rho_new.partial(a) for a in range(d)])
     # new class connection: Gamma + (delta df + delta df)/alpha
-    df = np.array([f_jet.partial(a).value for a in range(d)])
+    df = f_jet.gradient()
     gamma_new = gamma0.copy()
     for c in range(d):
         for a in range(d):
@@ -551,10 +540,9 @@ def asymptotic_h(
     gfield = geom.metric_field()
 
     def h_at(p):
-        g = gfield.components(p, 0)
+        gv = jet_values(gfield.components(p, 0))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(a).value for a in range(d)])
-        gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
+        grad = rho.gradient()
         return rho.value * gv - (C / rho.value) * np.outer(grad, grad)
 
     h_limits, h_errors, min_eigs = [], [], []
@@ -641,29 +629,19 @@ def einstein_asymptotics(
     gfield = geom.metric_field()
 
     def tracefree_ricci(p):
-        ric = pack.ricci(p, 0)
-        g = gfield.components(p, 0)
-        return np.array(
-            [[ric[a, b].value - s_boundary / (n + 1) * g[a, b].value
-              for b in range(d)]
-             for a in range(d)]
-        )
+        g = jet_values(gfield.components(p, 0))
+        return jet_values(pack.ricci(p, 0)) - s_boundary / (n + 1) * g
 
     def pointwise_tracefree(p):
-        ric = pack.ricci(p, 0)
         S = pack.scalar(p, 0).value
-        g = gfield.components(p, 0)
-        return np.array(
-            [[ric[a, b].value - S / (n + 1) * g[a, b].value for b in range(d)]
-             for a in range(d)]
-        )
+        g = jet_values(gfield.components(p, 0))
+        return jet_values(pack.ricci(p, 0)) - S / (n + 1) * g
 
     def tail(p):
-        R = pack.riemann(p, 0)
+        R = jet_values(pack.riemann(p, 0))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(a).value for a in range(d)])
-        g = gfield.components(p, 0)
-        gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
+        grad = rho.gradient()
+        gv = jet_values(gfield.components(p, 0))
         rv = rho.value
         hv = rv * gv - (C / rv) * np.outer(grad, grad)
         out = np.zeros((d, d, d, d))
@@ -671,7 +649,7 @@ def einstein_asymptotics(
             for b in range(d):
                 for c in range(d):
                     for e in range(d):
-                        val = R[a, b, c, e].value
+                        val = R[a, b, c, e]
                         val += (
                             ((c == a) * grad[b] - (c == b) * grad[a])
                             * grad[e] / (4.0 * rv**2)
@@ -768,13 +746,8 @@ def boundary_frame(
     n = d - 1
     m = d + 1
     y = tuple(float(v) for v in y)
-
-    def gram_at(p):
-        G = l_tau(calc, p, 0, calc.reference).components
-        return np.array([[G[i, j].value for j in range(m)] for i in range(m)])
-
     ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-    grams = [gram_at(p) for _, p in ladder]
+    grams = [l_tau(calc, p, 0, calc.reference).values() for _, p in ladder]
     est_gram = richardson_limit(grams)
     est_tau = richardson_limit(
         [calc.tau.value(p) / eps for eps, p in ladder]
@@ -950,20 +923,11 @@ def curvature_blocks(
     ``-2 tauhat V_ij^k gamma_kl``.
     """
     geom = calc.geom
-    d = geom.dim
-    n = d - 1
-    m = d + 1
+    n = geom.dim - 1
     tc = connection or metric_tractor_connection(calc)
 
-    def kappa_values(p):
-        kap = tc.curvature(p, 0).components
-        out = np.zeros((d, d, m, m))
-        for idx in np.ndindex(d, d, m, m):
-            out[idx] = kap[idx].value
-        return out
-
     ladder = boundary_ladder(geom, frame.point, eps0=eps0, levels=levels)
-    est = richardson_limit([kappa_values(p) for _, p in ladder])
+    est = richardson_limit([tc.curvature(p, 0).values() for _, p in ladder])
     if est.diverged:
         raise BoundaryExtensionError(
             f"metric tractor curvature diverges at {frame.point}"
@@ -1121,21 +1085,12 @@ def asymptotically_parallel_check(
     gfield = geom.metric_field()
 
     def bottom_slot(p):
-        dP = pack.schouten_derivative(p, 0)
-        tau = calc.tau.value(p)
-        return tau * np.array(
-            [[[dP[a, b, c].value for c in range(d)] for b in range(d)]
-             for a in range(d)]
-        )
+        return calc.tau.value(p) * jet_values(pack.schouten_derivative(p, 0))
 
     def tracefree(p):
-        ric = pack.ricci(p, 0)
         S = pack.scalar(p, 0).value
-        g = gfield.components(p, 0)
-        return np.array(
-            [[ric[a, b].value - S / (n + 1) * g[a, b].value for b in range(d)]
-             for a in range(d)]
-        )
+        g = jet_values(gfield.components(p, 0))
+        return jet_values(pack.ricci(p, 0)) - S / (n + 1) * g
 
     est_h = boundary_limit(bottom_slot, geom, y, eps0=eps0, levels=levels)
     est_tf = boundary_limit(tracefree, geom, y, eps0=eps0, levels=levels)
@@ -1151,17 +1106,10 @@ def asymptotically_parallel_check(
         )
 
     frame = boundary_frame(calc, y, eps0=eps0, levels=levels)
-    m = d + 1
-
-    def kappa_values(p):
-        kap = tractor_curvature(calc, calc.reference, p, 0).components
-        out = np.zeros((d, d, m, m))
-        for idx in np.ndindex(d, d, m, m):
-            out[idx] = kap[idx].value
-        return out
-
     ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-    est = richardson_limit([kappa_values(p) for _, p in ladder])
+    est = richardson_limit(
+        [tractor_curvature(calc, calc.reference, p, 0).values() for _, p in ladder]
+    )
     kappa_split = frame.tangential_kappa(np.asarray(est.value))
     W = kappa_split[:, :, 1:n + 1, 1:n + 1]
     scale = 1.0 + float(np.max(np.abs(kappa_split)))

@@ -26,7 +26,7 @@ from . import boundary as bdy
 from .affine import geometry_curvature
 from .extrapolate import boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
-from .jets import JetError, PoleError
+from .jets import JetError, PoleError, jet_values
 from .tractor import TractorCalculus, l_tau
 from .verify import SamplingPlan, run_suite
 
@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--boundary-points", type=int, default=5)
         p.add_argument("--ode-step", type=float, default=1e-3)
         p.add_argument("--ode-horizon", type=float, default=0.2)
-        p.add_argument("--jet-order", type=int, default=6)
 
     pv = sub.add_parser("verify", help="run proposition-level checks")
     common(pv)
@@ -134,16 +133,18 @@ def _make_plan(args) -> SamplingPlan:
             raise ConfigError(
                 f"TRACTORLAB_SEED must be an integer, got {env_seed!r}"
             ) from None
-    return SamplingPlan(
-        seed=seed,
-        interior_points=args.points,
-        boundary_points=args.boundary_points,
-        eps0=args.eps0,
-        levels=args.levels,
-        ode_step=args.ode_step,
-        ode_horizon=args.ode_horizon,
-        jet_order=args.jet_order,
-    )
+    try:
+        return SamplingPlan(
+            seed=seed,
+            interior_points=args.points,
+            boundary_points=args.boundary_points,
+            eps0=args.eps0,
+            levels=args.levels,
+            ode_step=args.ode_step,
+            ode_horizon=args.ode_horizon,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,8 +155,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
-    geom = _make_geometry(args)
     plan = _make_plan(args)
+    geom = _make_geometry(args)
     ids = "all" if args.checks == "all" else [
         c.strip() for c in args.checks.split(",") if c.strip()
     ]
@@ -165,7 +166,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(err)) from err
     docs = [r.to_doc() for r in reports]
     if args.format == "json":
-        _emit(json.dumps(docs, indent=2, default=_json_default), args.out)
+        text = json.dumps(_finite(docs), indent=2, default=_json_default,
+                          allow_nan=False)
+        _emit(text, args.out)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -192,9 +195,21 @@ def _json_default(value):
         return float(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return repr(value)
     raise TypeError(f"not serializable: {type(value)}")
+
+
+def _finite(value):
+    """A report document with every NaN or infinity replaced by None, so it
+    encodes as strict JSON (a skip's residual is NaN, an error's inf)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return _finite(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _parse_point(text: str, dim: int) -> tuple:
@@ -212,7 +227,6 @@ def _parse_point(text: str, dim: int) -> tuple:
 def _eval_quantity(geom, args, plan):
     """Return (value, extrapolation_error | None) for the named quantity."""
     d = geom.dim
-    n = d - 1
     quantity = args.quantity
     pack = geometry_curvature(geom)
     gfield = geom.metric_field()
@@ -227,53 +241,33 @@ def _eval_quantity(geom, args, plan):
         return c
 
     def gamma_at(p):
-        P = pack.schouten(p, 0)
-        Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+        Pv = jet_values(pack.schouten(p, 0))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(d)])
+        grad = rho.gradient()
         return rho.value * Pv + np.outer(grad, grad) / (4.0 * rho.value)
 
     def t_at(p):
-        P = pack.schouten(p, 0)
-        Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+        Pv = jet_values(pack.schouten(p, 0))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(d)])
-        return -np.linalg.inv(Pv) @ grad / (4.0 * rho.value**2)
+        return -np.linalg.inv(Pv) @ rho.gradient() / (4.0 * rho.value**2)
 
     def h_at(p):
         C = constructor_c()
-        g = gfield.components(p, 0)
-        gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
+        gv = jet_values(gfield.components(p, 0))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(d)])
+        grad = rho.gradient()
         return rho.value * gv - (C / rho.value) * np.outer(grad, grad)
 
     def pointwise(p):
         if quantity == "scalar_curvature":
             return pack.scalar(p, 0).value
-        if quantity == "schouten":
-            P = pack.schouten(p, 0)
-            return np.array([[P[a, b].value for b in range(d)] for a in range(d)])
-        if quantity == "weyl":
-            C = pack.weyl(p, 0)
-            return np.array(
-                [[[[C[a, b, c, e].value for e in range(d)] for c in range(d)]
-                  for b in range(d)] for a in range(d)]
-            )
-        if quantity == "cotton":
-            Y = pack.cotton(p, 0)
-            return np.array(
-                [[[Y[a, b, c].value for c in range(d)] for b in range(d)]
-                 for a in range(d)]
-            )
+        if quantity in ("schouten", "weyl", "cotton"):
+            return jet_values(getattr(pack, quantity)(p, 0))
         if quantity == "h_asymptotic":
             return h_at(p)
         if quantity == "l_tau":
             calc = TractorCalculus(geom)
-            G = l_tau(calc, p, 0, calc.reference).components
-            return np.array(
-                [[G[i, j].value for j in range(d + 1)] for i in range(d + 1)]
-            )
+            return l_tau(calc, p, 0, calc.reference).values()
         if quantity == "gamma":
             return gamma_at(p)
         if quantity == "t_vector":
@@ -324,8 +318,8 @@ def _eval_quantity(geom, args, plan):
 
 
 def cmd_eval(args) -> int:
-    geom = _make_geometry(args)
     plan = _make_plan(args)
+    geom = _make_geometry(args)
     value, err = _eval_quantity(geom, args, plan)
     doc = {
         "geometry": geom.name,
@@ -340,7 +334,13 @@ def cmd_eval(args) -> int:
         doc["value"] = _listify(value)
     if err is not None:
         doc["extrapolation_error"] = float(err)
-    _emit(json.dumps(doc, indent=2, default=_json_default), args.out)
+    try:
+        text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise ConfigError(
+            f"{args.quantity} at {doc['point']} is not finite; no value to report"
+        ) from None
+    _emit(text, args.out)
     return 0
 
 

@@ -23,14 +23,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .jets import DEFAULT_ORDER, Jet, jet_space
+from .jets import DEFAULT_ORDER, Jet, jet_space, jet_values
 
 __all__ = [
     "Chart",
     "TensorField",
     "Geometry",
     "GeometryError",
-    "eval_field",
     "builtin_geometry",
     "load_geometry",
     "BUILTIN_NAMES",
@@ -185,9 +184,7 @@ class TensorField:
                 out[idx] = out[canon]
             return out
 
-        f = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
-        f.exprs = arr
-        return f
+        return cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
 
     def symmetry_defect(self, point: Point, order: int = 1) -> float:
         """Max deviation from the declared symmetries at one point."""
@@ -203,11 +200,6 @@ class TensorField:
                     float(np.max(np.abs(comps[idx].coeffs - comps[canon].coeffs))),
                 )
         return worst
-
-
-def eval_field(f: TensorField, point: Point, order: int | None = None) -> np.ndarray:
-    """Evaluate a tensor field at a point; each component is a jet."""
-    return f.components(point, order)
 
 
 # -- geometries ----------------------------------------------------------
@@ -257,8 +249,7 @@ class Geometry:
 
     def drho(self, point: Point) -> np.ndarray:
         """Components of d(rho) at a point, as floats."""
-        j = self.rho_jet(point, 1)
-        return np.array([j.partial(i).value for i in range(self.dim)])
+        return self.rho_jet(point, 1).gradient()
 
     def is_boundary_point(self, point: Point, tol: float = BOUNDARY_TOL) -> bool:
         return abs(self.rho_value(point)) <= tol
@@ -354,17 +345,12 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     gfield = geom.metric_field()
     pts = geom.interior_points(3, rng)
     for p in pts:
-        g = raw.components(p, 0)
-        gval = np.array([[g[i, j].value for j in range(geom.dim)]
-                         for i in range(geom.dim)])
+        gval = jet_values(raw.components(p, 0))
         if np.max(np.abs(gval - gval.T)) > 1e-12 * (1 + np.max(np.abs(gval))):
             raise GeometryError(f"metric of {geom.name!r} is asymmetric at {p}")
         if abs(np.linalg.det(gval)) < 1e-12:
             raise GeometryError(f"metric of {geom.name!r} is singular at {p}")
-    evals = np.linalg.eigvalsh(
-        np.array([[gfield.components(pts[0], 0)[i, j].value
-                   for j in range(geom.dim)] for i in range(geom.dim)])
-    )
+    evals = np.linalg.eigvalsh(jet_values(gfield.components(pts[0], 0)))
     geom.signature = (int(np.sum(evals > 0)), int(np.sum(evals < 0)))
     if geom.boundary_sampler is not None:
         for y in geom.boundary_points(3, rng):
@@ -381,11 +367,7 @@ def _tangential_h_check(geom: Geometry, h_exprs: np.ndarray,
     chart = geom.chart
     hfield = TensorField.from_exprs(chart, h_exprs, "dd", name="h", sym=((0, 1),))
     for y in geom.boundary_points(3, rng):
-        h = hfield.components(y, 0)
-        tang = np.array(
-            [[h[i, j].value for j in range(1, geom.dim)]
-             for i in range(1, geom.dim)]
-        )
+        tang = jet_values(hfield.components(y, 0))[1:, 1:]
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(
                 f"boundary data h of {geom.name!r} degenerate tangentially at {y}"

@@ -21,6 +21,14 @@ in the rest of the package rely on that signal to detect genuine ``1/rho``
 singularities, so the error is first class and never replaced by ``inf`` or
 ``nan``.
 
+A tensor of jets is stored densely as one float array of shape
+``(*tensor_shape, ncoeff)`` over a :class:`JetSpace`: the last axis holds
+the coefficients of each component, so ``[..., 0]`` are the values.
+Partials are one gather through ``partial_tables``; products and tensor
+contractions pair coefficients through ``mul_table`` and sum each output
+coefficient's segment (``jet_mul``, ``jet_einsum``).  :func:`jet_views`
+wraps the rows of such an array as scalar :class:`Jet` objects.
+
 All jets are immutable values and all operations are pure, so evaluation at
 distinct points may proceed concurrently without shared state.
 """
@@ -43,12 +51,18 @@ __all__ = [
     "jet_space",
     "jet_constant",
     "jet_variable",
-    "jet_arith",
     "jet_apply",
     "jet_partial",
     "APPLY_FUNCTIONS",
     "jet_matrix_inverse",
     "jet_det",
+    "jet_values",
+    "jet_stack",
+    "jet_views",
+    "jet_gradient",
+    "jet_mul",
+    "jet_einsum",
+    "jet_inverse",
 ]
 
 #: Magnitudes below this count as an exact zero for pole/domain detection.
@@ -111,6 +125,7 @@ class JetSpace:
         }
         self.degrees = np.array([sum(m) for m in self.multis], dtype=np.int64)
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._mul_starts: np.ndarray | None = None
         self._partial_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -118,7 +133,8 @@ class JetSpace:
 
     @property
     def mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index triples (i, j, k) with multis[i] + multis[j] = multis[k]."""
+        """Index triples (i, j, k) with multis[i] + multis[j] = multis[k],
+        sorted by k (stably, so each k keeps its pairs in (i, j) order)."""
         if self._mul_table is None:
             ii: list[int] = []
             jj: list[int] = []
@@ -132,12 +148,21 @@ class JetSpace:
                     ii.append(i)
                     jj.append(j)
                     kk.append(k)
+            perm = np.argsort(kk, kind="stable")
             self._mul_table = (
-                np.array(ii, dtype=np.intp),
-                np.array(jj, dtype=np.intp),
-                np.array(kk, dtype=np.intp),
+                np.array(ii, dtype=np.intp)[perm],
+                np.array(jj, dtype=np.intp)[perm],
+                np.array(kk, dtype=np.intp)[perm],
             )
         return self._mul_table
+
+    @property
+    def mul_starts(self) -> np.ndarray:
+        """Start of each output coefficient's segment in ``mul_table``."""
+        if self._mul_starts is None:
+            kk = self.mul_table[2]
+            self._mul_starts = np.searchsorted(kk, np.arange(self.ncoeff))
+        return self._mul_starts
 
     @property
     def partial_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -248,6 +273,12 @@ class Jet:
             return self
         target = jet_space(self.dim, order)
         return Jet(target, self.coeffs[: target.ncoeff].copy())
+
+    def gradient(self) -> np.ndarray:
+        """First partials at the base point (the degree-one coefficients)."""
+        if self.order == 0:
+            raise JetError("an order-0 jet has no gradient")
+        return self.coeffs[1 : 1 + self.dim].copy()
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.coeffs)))
@@ -483,19 +514,6 @@ def jet_variable(i: int, base_value: float, dim: int, order: int) -> Jet:
     return jet_space(dim, order).variable(i, base_value)
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Binary arithmetic by name; ``op`` in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
 def jet_apply(f: str, a: Jet, param: float | None = None) -> Jet:
     """Compose an elementary function with a jet, exact through the order.
 
@@ -523,12 +541,6 @@ def jet_partial(a: Jet, i: int) -> Jet:
 
 
 # -- linear algebra over jets ------------------------------------------
-
-
-def _as_jet_array(values) -> np.ndarray:
-    arr = np.empty(np.shape(values), dtype=object)
-    arr[...] = values
-    return arr
 
 
 def jet_det(mat: np.ndarray) -> Jet:
@@ -560,39 +572,96 @@ def jet_det(mat: np.ndarray) -> Jet:
 
 
 def jet_matrix_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square object array of jets via Gauss-Jordan.
-
-    Raises :class:`PoleError` when the value part of the matrix is singular
-    (all candidate pivots below the pole tolerance).
-    """
-    a = np.array(mat, dtype=object, copy=True)
-    m = a.shape[0]
-    if a.shape != (m, m):
+    """Inverse of a square object array of jets (see :func:`jet_inverse`)."""
+    mat = np.asarray(mat, dtype=object)
+    m = mat.shape[0]
+    if mat.shape != (m, m):
         raise ValueError("jet_matrix_inverse expects a square matrix")
-    space = a[0, 0].space
-    vscale = max(abs(a[r, c].value) for r in range(m) for c in range(m))
-    inv = np.empty((m, m), dtype=object)
-    for r in range(m):
-        for c in range(m):
-            inv[r, c] = space.constant(1.0 if r == c else 0.0)
+    space = jet_space(mat[0, 0].dim, min(j.order for j in mat.flat))
+    return jet_views(jet_inverse(jet_stack(mat, space), space), space)
+
+
+# -- dense tensors of jets ----------------------------------------------
+
+
+def jet_values(arr) -> np.ndarray:
+    """Constant terms of an object array of jets, as a float array."""
+    arr = np.asarray(arr, dtype=object)
+    return np.array([j.coeffs[0] for j in arr.flat]).reshape(arr.shape)
+
+
+def jet_stack(arr, space: JetSpace) -> np.ndarray:
+    """Dense ``(*shape, ncoeff)`` array of an object array of jets, each
+    truncated to the order of ``space``."""
+    arr = np.asarray(arr, dtype=object)
+    n = space.ncoeff
+    return np.array([j.coeffs[:n] for j in arr.flat]).reshape(arr.shape + (n,))
+
+
+def jet_views(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Object array of :class:`Jet` views onto the rows of a dense array."""
+    out = np.empty(dense.shape[:-1], dtype=object)
+    flat = out.reshape(-1)
+    for k, row in enumerate(dense.reshape(-1, space.ncoeff)):
+        flat[k] = Jet(space, row)
+    return out
+
+
+def jet_gradient(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """All first partials of a dense array, one order lower; the derivative
+    index comes first: ``out[i, ...] = d_i dense[...]``."""
+    if space.order == 0:
+        raise JetError("cannot differentiate an order-0 jet")
+    tables = space.partial_tables
+    src = np.stack([t[0] for t in tables])
+    fac = np.stack([t[1] for t in tables])
+    return np.moveaxis(dense[..., src] * fac, -2, 0)
+
+
+def jet_mul(a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Componentwise jet product of two dense arrays (numpy broadcasting)."""
+    ii, jj, _ = space.mul_table
+    return np.add.reduceat(a[..., ii] * b[..., jj], space.mul_starts, axis=-1)
+
+
+def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Tensor contraction ``np.einsum(spec)`` of two dense arrays with jet
+    products; ``spec`` names the tensor axes only (lower-case letters)."""
+    ii, jj, _ = space.mul_table
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a[..., ii], b[..., jj])
+    return np.add.reduceat(prod, space.mul_starts, axis=-1)
+
+
+def _check_pivots(a0: np.ndarray) -> None:
+    """Raise :class:`PoleError` when partial-pivot elimination of the value
+    matrix meets a pivot below the pole tolerance (relative to its size)."""
+    u = np.array(a0, dtype=float)
+    m = u.shape[0]
+    tol = POLE_TOL * float(np.max(np.abs(u)))
     for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r, col].value))
-        if abs(a[piv, col].value) <= POLE_TOL * vscale:
+        piv = col + int(np.argmax(np.abs(u[col:, col])))
+        if abs(u[piv, col]) <= tol:
             raise PoleError("singular jet matrix (no usable pivot)")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        pivot = a[col, col]
-        for c in range(m):
-            a[col, c] = a[col, c] / pivot
-            inv[col, c] = inv[col, c] / pivot
-        for r in range(m):
-            if r == col:
-                continue
-            factor = a[r, col]
-            if abs(factor.value) == 0.0 and not np.any(factor.coeffs):
-                continue
-            for c in range(m):
-                a[r, c] = a[r, c] - factor * a[col, c]
-                inv[r, c] = inv[r, c] - factor * inv[col, c]
-    return inv
+        u[[col, piv]] = u[[piv, col]]
+        u[col + 1 :, col:] -= np.outer(u[col + 1 :, col] / u[col, col], u[col, col:])
+
+
+def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Inverse of a dense ``(m, m, ncoeff)`` jet matrix.
+
+    With ``A = A0 + N`` (``N`` without constant term) the Neumann series
+    ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
+    Raises :class:`PoleError` when the value matrix is singular.
+    """
+    a0 = dense[..., 0]
+    _check_pivots(a0)
+    inv0 = np.zeros(a0.shape + (space.ncoeff,))
+    inv0[..., 0] = np.linalg.inv(a0)
+    step = np.einsum("ij,jkz->ikz", -inv0[..., 0], dense[..., : space.ncoeff])
+    step[..., 0] = 0.0
+    out = inv0
+    for _ in range(space.order):
+        out = inv0 + jet_einsum("ij,jk->ik", step, out, space)
+    return out

@@ -49,7 +49,7 @@ from .affine import (
     rho_upsilon,
 )
 from .fields import Geometry, TensorField
-from .jets import Jet, jet_matrix_inverse, jet_space
+from .jets import Jet, jet_matrix_inverse, jet_space, jet_values
 
 __all__ = [
     "Splitting",
@@ -58,7 +58,6 @@ __all__ = [
     "TractorConnection",
     "change_splitting",
     "std_tractor_derivative",
-    "induced_tractor_derivative",
     "bgg_split_metricity",
     "l_tau",
     "tractor_metric_inverse",
@@ -114,10 +113,7 @@ class TractorValue:
         return int(min(j.order for j in self.components.flat))
 
     def values(self) -> np.ndarray:
-        out = np.empty(self.components.shape)
-        for idx in np.ndindex(self.components.shape):
-            out[idx] = self.components[idx].value
-        return out
+        return jet_values(self.components)
 
     def copy(self) -> "TractorValue":
         return TractorValue(
@@ -218,9 +214,7 @@ class TractorCalculus:
         if label is None:
             label = f"custom-{next(self._counter)}"
         s = Splitting(label, upsilon)
-        self._connections[label] = projective_modify(
-            self.hat, upsilon, provenance=f"splitting:{label}"
-        )
+        self._connections[label] = projective_modify(self.hat, upsilon)
         return s
 
     def splitting_from_lc(
@@ -239,9 +233,7 @@ class TractorCalculus:
             label = f"customlc-{next(self._counter)}"
         s = Splitting(label, offset)
         base = self._connections["levi_civita"]
-        self._connections[label] = projective_modify(
-            base, upsilon_from_lc, provenance=f"splitting:{label}"
-        )
+        self._connections[label] = projective_modify(base, upsilon_from_lc)
         return s
 
     def connection_of(self, s: Splitting) -> Connection:
@@ -252,7 +244,6 @@ class TractorCalculus:
         if pack is None:
             metric = self.geom.metric_field() if self.geom.metric is not None else None
             pack = self._packs[s.label] = CurvaturePack(self.connection_of(s), metric)
-            pack.has_schouten = True
         return pack
 
     def upsilon_jets(self, s: Splitting, point: Point, order: int) -> np.ndarray:
@@ -380,10 +371,6 @@ def std_tractor_derivative(
                 da = da - _contract_axis(omega[a].T, tv.components, axis)
         out[a] = da
     return TractorValue(out, tv.tvariance, tv.n_form + 1, tv.splitting)
-
-
-#: The induced connection on any tractor bundle is the same Leibniz rule.
-induced_tractor_derivative = std_tractor_derivative
 
 
 # -- the BGG splitting operator on S^2 T ----------------------------------
@@ -545,13 +532,13 @@ def metricity_residual(
     middle = 0.0
     scale = 0.0
     for p in points:
-        dg = dg_field.components(p, 0)
-        compat = max(compat, float(max(abs(j.value) for j in dg.flat)))
-        g = gfield.components(p, 0)
-        scale = max(scale, float(max(abs(j.value) for j in g.flat)))
+        dg = jet_values(dg_field.components(p, 0))
+        compat = max(compat, float(np.max(np.abs(dg))))
+        g = jet_values(gfield.components(p, 0))
+        scale = max(scale, float(np.max(np.abs(g))))
         lifted = bgg_split_metricity(calc, sigma, s, p, order)
         _, nu, _ = s2t_slots(lifted)
-        middle = max(middle, float(max(abs(j.value) for j in nu)))
+        middle = max(middle, float(np.max(np.abs(jet_values(nu)))))
     total = compat / (1.0 + scale) + middle
     return {
         "residual": total,

@@ -31,7 +31,7 @@ from .affine import (
 )
 from .extrapolate import boundary_ladder, boundary_limit, richardson_limit
 from .fields import Geometry
-from .jets import jet_space
+from .jets import jet_matrix_inverse, jet_space, jet_values
 from .tractor import (
     TractorCalculus,
     bgg_split_metricity,
@@ -60,7 +60,22 @@ class SamplingPlan:
     levels: int = 6
     ode_step: float = 1e-3
     ode_horizon: float = 0.2
-    jet_order: int = 6
+
+    def __post_init__(self):
+        valid = {
+            "eps0": self.eps0 > 0,
+            "levels": self.levels >= 2,
+            "ode_step": self.ode_step > 0,
+            "ode_horizon": self.ode_horizon > 0,
+            "interior_points": self.interior_points >= 1,
+            "boundary_points": self.boundary_points >= 1,
+        }
+        bad = [f"{k} = {getattr(self, k)!r}" for k, ok in valid.items() if not ok]
+        if bad:
+            raise ValueError(
+                "invalid sampling plan (" + ", ".join(bad) + "): eps0, ode_step "
+                "and ode_horizon must be > 0, levels >= 2 and the point counts >= 1"
+            )
 
 
 @dataclass
@@ -127,9 +142,7 @@ class _Session:
             rng = np.random.default_rng(self.plan.seed)
             p = self.geom.interior_points(1, rng)[0]
             pack = geometry_curvature(self.geom)
-            P = pack.schouten(p, 0)
-            d = self.geom.dim
-            Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+            Pv = jet_values(pack.schouten(p, 0))
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
             hit = (ok, "" if ok else "degenerate boundary geometry")
@@ -193,10 +206,6 @@ def _needs(
     return applicable
 
 
-def _vmax(jets) -> float:
-    return float(max(abs(j.value) for j in np.asarray(jets, dtype=object).flat))
-
-
 def _scaled(residual: float, scale: float) -> float:
     return residual / (1.0 + scale)
 
@@ -242,14 +251,11 @@ def _run_dense(geom, plan, rng, session):
     gfield = geom.metric_field()
 
     def slots(p):
-        g = gfield.components(p, 0)
-        gv = np.array([[g[a, b].value for b in range(d)] for a in range(d)])
-        ginv = np.linalg.inv(gv)
-        P = pack.schouten(p, 0)
-        Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+        ginv = np.linalg.inv(jet_values(gfield.components(p, 0)))
+        Pv = jet_values(pack.schouten(p, 0))
         rho = geom.rho_jet(p, 1)
         rv = rho.value
-        grad = np.array([rho.partial(i).value for i in range(d)])
+        grad = rho.gradient()
         f1 = ginv / rv
         f2 = ginv @ grad / rv**2
         f3 = float(np.sum(ginv * Pv)) / (n + 1) + float(grad @ ginv @ grad) / (
@@ -284,13 +290,10 @@ def _run_prop23_h(geom, plan, rng, session):
     gfield = geom.metric_field()
 
     def h23(p):
-        g = gfield.components(p, 0)
-        gv = np.array([[g[a, b].value for b in range(d)] for a in range(d)])
-        P = pack.schouten(p, 0)
-        Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
-        gP = float(np.sum(np.linalg.inv(gv) * Pv))
+        gv = jet_values(gfield.components(p, 0))
+        gP = float(np.sum(np.linalg.inv(gv) * jet_values(pack.schouten(p, 0))))
         rho = geom.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(d)])
+        grad = rho.gradient()
         return rho.value * gv + (n + 1) / (4 * rho.value * gP) * np.outer(grad, grad)
 
     residual = 0.0
@@ -321,11 +324,13 @@ def _run_transversal(geom, plan, rng, session):
     ys = session.boundary(rng, min(plan.boundary_points, 4))
     residual = 0.0
     details = []
+    curves = []
     for y in ys:
         curve = bd.geodetic_transversal(
             geom, y, step=plan.ode_step, horizon=plan.ode_horizon,
             eps0=plan.eps0, levels=plan.levels,
         )
+        curves.append(curve)
         pairing = abs(float(geom.drho(np.asarray(y)) @ curve.mu0) - 1.0)
         res = curve.geodesic_residual()
         residual = max(residual, pairing / 1e-2, res)  # pairing tol 1e-10
@@ -334,9 +339,7 @@ def _run_transversal(geom, plan, rng, session):
             "drho_pairing_defect": pairing,
             "geodesic_residual": res,
         })
-    collar = bd.collar_sample(
-        geom, ys, step=plan.ode_step, horizon=plan.ode_horizon
-    )
+    collar = bd.collar_sample(curves)
     t0_defect = 0.0
     for (y, t, p) in collar.rows:
         if t == 0.0:
@@ -368,8 +371,7 @@ def _run_mu(geom, plan, rng, session):
 
         def qty_at(k):
             p, v = curve.points[k], curve.mus[k]
-            g = gfield.components(p, 0)
-            gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
+            gv = jet_values(gfield.components(p, 0))
             return geom.rho_value(p) ** 2 * float(v @ gv @ v)
 
         samples = [qty_at(k) for k in range(5, len(curve.ts), 10)]
@@ -379,17 +381,13 @@ def _run_mu(geom, plan, rng, session):
         for k in range(plan.levels):
             eps = plan.eps0 * 0.5**k
             p, v = curve.at_rho(eps)
-            g = gfield.components(p, 0)
-            gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
+            gv = jet_values(gfield.components(p, 0))
             ladder_vals.append(geom.rho_value(p) ** 2 * float(v @ gv @ v))
         est = richardson_limit(ladder_vals)
 
         def rhs(p):
-            P = pack.schouten(p, 0)
-            g = gfield.components(p, 0)
-            gv = np.array([[g[i, j].value for j in range(d)] for i in range(d)])
-            Pv = np.array([[P[i, j].value for j in range(d)] for i in range(d)])
-            gP = float(np.sum(np.linalg.inv(gv) * Pv))
+            gv = jet_values(gfield.components(p, 0))
+            gP = float(np.sum(np.linalg.inv(gv) * jet_values(pack.schouten(p, 0))))
             return -(n + 1) / (4.0 * gP)
 
         est_rhs = boundary_limit(rhs, geom, y, eps0=plan.eps0, levels=plan.levels)
@@ -460,7 +458,6 @@ def _run_thm25_c(geom, plan, rng, session):
 
 
 def _run_pff(geom, plan, rng, session):
-    d = geom.dim
     alpha = geom.alpha
     pack = geometry_curvature(geom)
     conn = rho_connection(geom)
@@ -473,10 +470,9 @@ def _run_pff(geom, plan, rng, session):
         )
 
         def lhs(p):
-            P = pack.schouten(p, 0)
-            Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+            Pv = jet_values(pack.schouten(p, 0))
             rho = geom.rho_jet(p, 1)
-            grad = np.array([rho.partial(i).value for i in range(d)])
+            grad = rho.gradient()
             return rho.value * Pv + (alpha - 1) / alpha**2 / rho.value * np.outer(
                 grad, grad
             )
@@ -550,12 +546,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     details = []
     for y in ys:
         def scaled_riemann(p):
-            R = pack.riemann(p, 0)
-            rv = geom.rho_value(p) ** power
-            out = np.zeros((d, d, d, d))
-            for idx in np.ndindex(d, d, d, d):
-                out[idx] = rv * R[idx].value
-            return out
+            return geom.rho_value(p) ** power * jet_values(pack.riemann(p, 0))
 
         est = boundary_limit(
             scaled_riemann, geom, y, eps0=plan.eps0, levels=plan.levels
@@ -647,8 +638,6 @@ def _run_splitids(geom, plan, rng, session):
     for p in pts:
         pack = calc.pack_of(calc.levi_civita_splitting)
         P = pack.schouten(p, order)
-        from .jets import jet_matrix_inverse
-
         Pinv = jet_matrix_inverse(P)
         rho = geom.rho_jet(p, order + 1)
         grad = np.array([rho.partial(a) for a in range(d)], dtype=object)
@@ -705,10 +694,9 @@ def _run_splitids(geom, plan, rng, session):
     for y in ys:
         def t_dot(pt):
             pk = calc.pack_of(calc.levi_civita_splitting)
-            P = pk.schouten(pt, 0)
-            Pv = np.array([[P[a, b].value for b in range(d)] for a in range(d)])
+            Pv = jet_values(pk.schouten(pt, 0))
             rho = geom.rho_jet(pt, 1)
-            grad = np.array([rho.partial(a).value for a in range(d)])
+            grad = rho.gradient()
             tv = -np.linalg.inv(Pv) @ grad / (4 * rho.value**2)
             return float(tv @ grad)
 
@@ -873,7 +861,7 @@ def _run_thm43_metric(geom, plan, rng, session):
                 )
                 gap = max(gap, abs((lhs - rhs.truncate(lhs.order)).value))
             pairs += 1
-        scale = _vmax(G)
+        scale = float(np.max(np.abs(jet_values(G))))
         residual = max(residual, _scaled(gap, scale))
         details.append({"point": list(p), "compatibility_residual": gap,
                         "pairs": pairs})
@@ -882,29 +870,17 @@ def _run_thm43_metric(geom, plan, rng, session):
 
 def _run_thm43_torsion(geom, plan, rng, session):
     calc = session.calc
-    d = geom.dim
-    m = d + 1
     tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
     residual = 0.0
     details = []
     for p in pts:
-        kap = tc.curvature(p, 0)
-        blocks = metric_tractor_curvature_blocks(calc, p, 0)
-        scale = _vmax(kap.components)
-        torsion = 0.0
-        corner = 0.0
-        for a in range(d):
-            for b in range(d):
-                corner = max(corner, abs(kap.components[a, b, 0, 0].value))
-                for c in range(d):
-                    torsion = max(
-                        torsion, abs(kap.components[a, b, 1 + c, 0].value)
-                    )
-        block_gap = max(
-            abs((kap.components[idx] - blocks[idx]).value)
-            for idx in np.ndindex(d, d, m, m)
-        )
+        kap = tc.curvature(p, 0).values()
+        blocks = jet_values(metric_tractor_curvature_blocks(calc, p, 0))
+        scale = float(np.max(np.abs(kap)))
+        torsion = float(np.max(np.abs(kap[:, :, 1:, 0])))
+        corner = float(np.max(np.abs(kap[:, :, 0, 0])))
+        block_gap = float(np.max(np.abs(kap - blocks)))
         residual = max(
             residual, _scaled(torsion, scale), _scaled(corner, scale),
             _scaled(block_gap, scale),
@@ -957,51 +933,32 @@ def _run_thm44(geom, plan, rng, session):
 
 def _run_weyl_traces(geom, plan, rng, session):
     pack = geometry_curvature(geom)
-    d = geom.dim
+    eye = np.eye(geom.dim)
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
     for p in pts:
-        C = pack.weyl(p, 0)
-        R = pack.riemann(p, 0)
-        P = pack.schouten(p, 0)
-        beta = pack.beta(p, 0)
-        scale = _vmax(R)
-        tr1 = tr2 = reassembly = 0.0
-        for a in range(d):
-            for b in range(d):
-                acc1 = sum(C[e, a, e, b].value for e in range(d))
-                acc2 = sum(C[a, b, e, e].value for e in range(d))
-                tr1 = max(tr1, abs(acc1))
-                tr2 = max(tr2, abs(acc2))
-                for c in range(d):
-                    for e in range(d):
-                        back = C[a, b, c, e].value + (c == a) * P[b, e].value \
-                            - (c == b) * P[a, e].value + (c == e) * beta[a, b].value
-                        reassembly = max(reassembly, abs(back - R[a, b, c, e].value))
-        residual = max(residual, _scaled(max(tr1, tr2, reassembly), scale))
+        C = jet_values(pack.weyl(p, 0))
+        R = jet_values(pack.riemann(p, 0))
+        P = jet_values(pack.schouten(p, 0))
+        beta = jet_values(pack.beta(p, 0))
+        traces = np.concatenate([np.einsum("eaeb->ab", C), np.einsum("abee->ab", C)])
+        back = (
+            C + np.einsum("ca,be->abce", eye, P) - np.einsum("cb,ae->abce", eye, P)
+            + np.einsum("ce,ab->abce", eye, beta)
+        )
+        worst = max(float(np.max(np.abs(traces))), float(np.max(np.abs(back - R))))
+        residual = max(residual, _scaled(worst, float(np.max(np.abs(R)))))
     return residual, len(pts), [{"points": len(pts)}]
 
 
 def _run_bianchi(geom, plan, rng, session):
     pack = geometry_curvature(geom)
-    d = geom.dim
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
     for p in pts:
-        R = pack.riemann(p, 0)
-        scale = _vmax(R)
-        worst = 0.0
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        cyc = (
-                            R[a, b, c, e].value
-                            + R[b, e, c, a].value
-                            + R[e, a, c, b].value
-                        )
-                        worst = max(worst, abs(cyc))
-        residual = max(residual, _scaled(worst, scale))
+        R = jet_values(pack.riemann(p, 0))
+        cyc = R + np.einsum("beca->abce", R) + np.einsum("eacb->abce", R)
+        residual = max(residual, _scaled(float(np.max(np.abs(cyc))), float(np.max(np.abs(R)))))
     return residual, len(pts), [{"points": len(pts)}]
 
 
@@ -1036,13 +993,7 @@ def _run_equivariance(geom, plan, rng, session):
             route2 = std_tractor_derivative(
                 calc, calc.in_splitting(tv, target, p), p
             )
-            gap = max(
-                gap,
-                max(
-                    abs((route1.components[idx] - route2.components[idx]).value)
-                    for idx in np.ndindex(route1.components.shape)
-                ),
-            )
+            gap = max(gap, float(np.max(np.abs(route1.values() - route2.values()))))
         # instance matches: the closed-form components of L(tau), the
         # metricity tractor and its inverse (the inverse needs a
         # nondegenerate Schouten tensor, so the flat control skips it)
@@ -1055,8 +1006,6 @@ def _run_equivariance(geom, plan, rng, session):
 
 def _instance_matches(calc: TractorCalculus, p) -> float:
     """Closed-form component checks of the three splitting-change instances."""
-    from .jets import jet_matrix_inverse
-
     geom = calc.geom
     d = geom.dim
     n = d - 1
@@ -1128,21 +1077,16 @@ def _instance_matches(calc: TractorCalculus, p) -> float:
 
 def _run_curv_consistency(geom, plan, rng, session):
     calc = session.calc
-    d = geom.dim
-    m = d + 1
     pts = session.interior(rng, 3)
     residual = 0.0
     details = []
     for p in pts:
         gap = 0.0
         for s in (calc.reference, calc.levi_civita_splitting):
-            kap = tractor_curvature(calc, s, p, 0)
-            blocks = standard_curvature_blocks(calc, s, p, 0)
-            scale = _vmax(kap.components) + _vmax(blocks)
-            g = max(
-                abs((kap.components[idx] - blocks[idx]).value)
-                for idx in np.ndindex(d, d, m, m)
-            )
+            kap = tractor_curvature(calc, s, p, 0).values()
+            blocks = jet_values(standard_curvature_blocks(calc, s, p, 0))
+            scale = float(np.max(np.abs(kap))) + float(np.max(np.abs(blocks)))
+            g = float(np.max(np.abs(kap - blocks)))
             gap = max(gap, _scaled(g, scale))
         residual = max(residual, gap)
         details.append({"point": list(p), "commutator_vs_blocks": gap})

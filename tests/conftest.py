@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tractorlab.fields import builtin_geometry
+from tractorlab.jets import jet_values
 
 
 @pytest.fixture(scope="session")
@@ -37,14 +38,6 @@ def poincare3():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260809)
-
-
-def jet_values(arr):
-    """Constant terms of an object array of jets, as a float array."""
-    out = np.empty(np.shape(arr))
-    for idx in np.ndindex(np.shape(arr)):
-        out[idx] = arr[idx].value
-    return out
 
 
 def max_value(arr):

@@ -210,6 +210,24 @@ def test_flat_curvature_vanishes(flat3):
     assert max_value(pack.cotton(p, 0)) == 0.0
 
 
+def test_riemann_matches_scalar_jet_formula(af2, rng):
+    # reference: R[a,b,c,e] = d_a G[c,b,e] - d_b G[c,a,e] + G[c,a,f] G[f,b,e]
+    # - G[c,b,f] G[f,a,e] with scalar Jet arithmetic, at jet order 1
+    conn = rho_connection(af2)
+    pack = geometry_curvature(af2, conn)
+    p = af2.interior_points(1, rng)[0]
+    G = conn.christoffels(p, 2)
+    R = pack.riemann(p, 1)
+    worst = scale = 0.0
+    for a, b, c, e in np.ndindex(4, 4, 4, 4):
+        ref = G[c, b, e].partial(a) - G[c, a, e].partial(b)
+        for f in range(4):
+            ref = ref + G[c, a, f] * G[f, b, e] - G[c, b, f] * G[f, a, e]
+        worst = max(worst, float(np.max(np.abs(R[a, b, c, e].coeffs - ref.coeffs))))
+        scale = max(scale, float(np.max(np.abs(ref.coeffs))))
+    assert worst < 1e-13 * (1 + scale)
+
+
 def test_klein_constant_curvature(klein3, rng):
     pack = geometry_curvature(klein3)
     gfield = klein3.metric_field()

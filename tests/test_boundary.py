@@ -112,7 +112,7 @@ def test_poincare_transversal_fails(poincare3):
 
 def test_collar_rows_and_injectivity(klein3, rng):
     grid = klein3.boundary_points(3, rng)
-    collar = bd.collar_sample(klein3, grid)
+    collar = bd.collar_sample([bd.geodetic_transversal(klein3, y) for y in grid])
     assert collar.min_separation > 0
     for y, t, p in collar.rows:
         if t == 0.0:
@@ -120,9 +120,9 @@ def test_collar_rows_and_injectivity(klein3, rng):
 
 
 def test_collar_duplicate_grid_collides(klein3):
-    y = (1.0, 0.0, 0.0)
+    curve = bd.geodetic_transversal(klein3, (1.0, 0.0, 0.0))
     with pytest.raises(GeometryError) as err:
-        bd.collar_sample(klein3, [y, y])
+        bd.collar_sample([curve, curve])
     assert "injective" in str(err.value)
 
 

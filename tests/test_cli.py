@@ -1,9 +1,19 @@
 import csv
 import json
+import math
 
 import pytest
 
 from tractorlab.cli import main
+
+
+def _reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_loads(text):
+    """Parse a report as strict JSON (NaN and Infinity are rejected)."""
+    return json.loads(text, parse_constant=_reject)
 
 
 def test_eval_scalar_curvature(capsys):
@@ -12,7 +22,7 @@ def test_eval_scalar_curvature(capsys):
         "--quantity", "scalar_curvature", "--point", "0,0,0",
     ])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(-6.0, abs=1e-12)
 
 
@@ -22,7 +32,7 @@ def test_eval_gamma_at_boundary(capsys):
         "--boundary-point", "1,0,0", "--extrapolate",
     ])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     assert len(doc["tangential"]) == 2
     assert doc["tangential"][0][0] == pytest.approx(-1.0, abs=1e-6)
     assert doc["extrapolation_error"] < 1e-8
@@ -63,7 +73,7 @@ def test_verify_subset_json(tmp_path, capsys):
         "--out", str(out),
     ])
     assert code == 0
-    docs = json.loads(out.read_text())
+    docs = strict_loads(out.read_text())
     assert [d["id"] for d in docs] == ["prop-3.2-i", "weyl-traces", "bianchi"]
     assert all(d["status"] == "pass" for d in docs)
 
@@ -89,7 +99,7 @@ def test_verify_poincare_exits_one(tmp_path):
         "--points", "4", "--boundary-points", "2", "--out", str(out),
     ])
     assert code == 1
-    docs = {d["id"]: d for d in json.loads(out.read_text())}
+    docs = {d["id"]: d for d in strict_loads(out.read_text())}
     assert docs["defining-density"]["status"] == "fail"
     assert docs["rho-connection-extends"]["status"] == "fail"
     assert docs["weyl-traces"]["status"] == "pass"
@@ -124,5 +134,46 @@ def test_geometry_document_loading(tmp_path, capsys):
         "--point", "0.5,0.1,0.2,0.3",
     ])
     assert code == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_loads(capsys.readouterr().out)
     assert out["geometry"] == "asymptotic_form"
+
+
+def test_skipped_check_residual_is_null(tmp_path):
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--geometry", "af1_generic", "--dim", "4",
+        "--checks", "prop-2.2-dense", "--out", str(out),
+    ])
+    assert code == 0
+    (doc,) = strict_loads(out.read_text())
+    assert doc["status"] == "skip" and doc["max_residual"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--eps0", "-0.05"],
+    ["verify", "--points", "0"],
+    ["verify", "--boundary-points", "0"],
+    ["verify", "--levels", "1"],
+    ["verify", "--ode-step", "0"],
+    ["verify", "--ode-horizon", "0"],
+    ["eval", "--levels", "1", "--quantity", "gamma",
+     "--boundary-point", "1,0,0", "--extrapolate"],
+])
+def test_invalid_sampling_plan_exits_two(argv, capsys):
+    code = main(argv[:1] + ["--geometry", "klein", "--dim", "3"] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid sampling plan" in err and "Traceback" not in err
+
+
+def test_eval_non_finite_value_exits_two(monkeypatch, capsys):
+    import tractorlab.cli as cli
+
+    monkeypatch.setattr(cli, "_eval_quantity", lambda geom, args, plan: (math.nan, None))
+    code = main([
+        "eval", "--geometry", "klein", "--dim", "3",
+        "--quantity", "scalar_curvature", "--point", "0,0,0",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not finite" in captured.err

@@ -9,13 +9,19 @@ from tractorlab.jets import (
     DomainError,
     PoleError,
     jet_apply,
-    jet_arith,
     jet_constant,
-    jet_matrix_inverse,
     jet_det,
+    jet_einsum,
+    jet_gradient,
+    jet_inverse,
+    jet_matrix_inverse,
+    jet_mul,
     jet_partial,
     jet_space,
+    jet_stack,
+    jet_values,
     jet_variable,
+    jet_views,
 )
 
 
@@ -46,7 +52,7 @@ def test_polynomial_arithmetic():
 def test_reciprocal_series():
     s = jet_space(1, 3)
     x = s.variable(0, 0.0)
-    g = jet_arith(s.constant(1.0), 1 - x, "div")
+    g = s.constant(1.0) / (1 - x)
     assert np.allclose(g.coeffs, [1.0, 1.0, 1.0, 1.0])
 
 
@@ -211,3 +217,48 @@ def test_graded_lex_order_is_documented_layout():
 def test_coefficient_count_is_binomial():
     for dim, order in ((2, 2), (3, 4), (4, 6)):
         assert jet_space(dim, order).ncoeff == math.comb(dim + order, order)
+
+
+def _random_jets(space, shape, rng):
+    xs = space.point(rng.uniform(-0.5, 0.5, space.dim))
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        v = space.constant(float(rng.normal()))
+        for i in range(space.dim):
+            v = v + float(rng.normal()) * xs[i] * (1 + float(rng.normal()) * xs[-1 - i])
+        out[idx] = v
+    return out
+
+
+def test_dense_kernel_matches_scalar_jets():
+    # reference: the same contractions with scalar Jet arithmetic in loops
+    rng = np.random.default_rng(3)
+    s = jet_space(3, 2)
+    a = _random_jets(s, (3, 2), rng)
+    b = _random_jets(s, (2, 3), rng)
+    prod = jet_views(jet_einsum("ij,jk->ik", jet_stack(a, s), jet_stack(b, s), s), s)
+    elem = jet_views(jet_mul(jet_stack(a, s), jet_stack(b.T, s), s), s)
+    grad = jet_views(jet_gradient(jet_stack(a, s), s), jet_space(3, 1))
+    for i in range(3):
+        for k in range(3):
+            ref = a[i, 0] * b[0, k] + a[i, 1] * b[1, k]
+            assert np.max(np.abs(prod[i, k].coeffs - ref.coeffs)) < 1e-13
+        for j in range(2):
+            ref = a[i, j] * b[j, i]
+            assert np.max(np.abs(elem[i, j].coeffs - ref.coeffs)) < 1e-13
+            for e in range(3):
+                assert np.array_equal(grad[e, i, j].coeffs, a[i, j].partial(e).coeffs)
+    assert np.array_equal(jet_values(a), [[j.value for j in row] for row in a])
+
+
+def test_dense_inverse_is_exact_through_the_order():
+    rng = np.random.default_rng(4)
+    s = jet_space(2, 3)
+    m = _random_jets(s, (3, 3), rng)
+    for i in range(3):
+        m[i, i] = m[i, i] + 4.0
+    inv = jet_inverse(jet_stack(m, s), s)
+    eye = jet_einsum("ij,jk->ik", jet_stack(m, s), inv, s)
+    expected = np.zeros((3, 3, s.ncoeff))
+    expected[..., 0] = np.eye(3)
+    assert np.max(np.abs(eye - expected)) < 1e-13

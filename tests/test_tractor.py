@@ -8,7 +8,6 @@ from tractorlab.tractor import (
     TractorValue,
     bgg_split_metricity,
     change_splitting,
-    induced_tractor_derivative,
     l_tau,
     metric_tractor_curvature_blocks,
     metricity_contorsion,
@@ -192,7 +191,7 @@ def test_end_connection_block_formula(calc_af2, rng):
             val = val + c[1 + i] * (xs[i] - p[i])
         M[idx] = val
     tv = TractorValue(M, "ud", 0, calc.reference)
-    D = induced_tractor_derivative(calc, tv, p)
+    D = std_tractor_derivative(calc, tv, p)
 
     conn = calc.connection_of(calc.reference)
     pack = calc.pack_of(calc.reference)
@@ -255,7 +254,7 @@ def test_product_rule(calc3, rng):
         for j in range(4):
             prod[i, j] = s1.components[i] * s2.components[j]
     tv = TractorValue(prod, "uu", 0, calc3.reference)
-    D = induced_tractor_derivative(calc3, tv, p)
+    D = std_tractor_derivative(calc3, tv, p)
     D1 = std_tractor_derivative(calc3, s1, p)
     D2 = std_tractor_derivative(calc3, s2, p)
     gap = 0.0
