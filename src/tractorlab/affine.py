@@ -40,8 +40,8 @@ from .jets import (
     jet_gradient,
     jet_inverse,
     jet_mul,
+    jet_reciprocal,
     jet_space,
-    jet_stack,
     jet_views,
 )
 
@@ -141,7 +141,7 @@ def levi_civita(geom_or_field) -> Connection:
 
     def evaluator(point: Point, order: int) -> np.ndarray:
         space, upper = jet_space(d, order), jet_space(d, order + 1)
-        g = jet_stack(gfield.components(point, order + 1), upper)
+        g = gfield.dense(point, order + 1)
         ginv = jet_inverse(g[..., : space.ncoeff], space)
         dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
         core = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
@@ -158,19 +158,20 @@ def projective_modify(
     """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
 
     ``upsilon(point, order)`` returns the one-form as an object array of
-    jets (or is a :class:`TensorField`).  Torsion-freeness is preserved.
+    jets or a dense jet array (or is a :class:`TensorField`).
+    Torsion-freeness is preserved.
     The modified connection preserves a volume density exactly when the
     base does and the one-form is closed; pass ``special`` to assert that
     (``rho_connection`` does), otherwise the flag is dropped.
     """
     if not conn.torsion_free:
         raise ValueError("projective modification requires a torsion-free base")
-    ups = upsilon.components if isinstance(upsilon, TensorField) else upsilon
-    d = conn.dim
-    eye = np.eye(d)
+    if not isinstance(upsilon, TensorField):
+        upsilon = TensorField(conn.chart, "d", upsilon)
+    eye = np.eye(conn.dim)
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        u = jet_stack(ups(point, order), jet_space(d, order))
+        u = upsilon.dense(point, order)
         return (
             conn._peek(point, order)
             + np.einsum("ca,bz->cabz", eye, u)
@@ -182,15 +183,19 @@ def projective_modify(
     )
 
 
+def _rho_upsilon_dense(geom: Geometry, point: Point, order: int) -> np.ndarray:
+    rho = geom.rho_jet(point, order + 1)
+    space = jet_space(geom.dim, order)
+    inv = jet_reciprocal(rho.coeffs[: space.ncoeff] * geom.alpha, space)
+    return jet_mul(jet_gradient(rho.coeffs, rho.space), inv, space)
+
+
 def rho_upsilon(geom: Geometry) -> Callable[[Point, int], np.ndarray]:
     """The one-form d(rho)/(alpha rho) as an evaluator."""
 
     def ups(point: Point, order: int) -> np.ndarray:
-        rho = geom.rho_jet(point, order + 1)
-        space = jet_space(geom.dim, order)
-        inv = 1.0 / (rho.truncate(order) * geom.alpha)
-        grad = jet_gradient(rho.coeffs, rho.space)
-        return jet_views(jet_mul(grad, inv.coeffs, space), space)
+        return jet_views(_rho_upsilon_dense(geom, point, order),
+                         jet_space(geom.dim, order))
 
     return ups
 
@@ -206,7 +211,11 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
     """
     if base is None:
         base = levi_civita(geom)
-    conn = projective_modify(base, rho_upsilon(geom), special=base.special)
+    conn = projective_modify(
+        base,
+        lambda point, order: _rho_upsilon_dense(geom, point, order),
+        special=base.special,
+    )
     conn.exact_boundary = geom.exact_hat_christoffels
     return conn
 
@@ -258,7 +267,7 @@ class CurvaturePack:
 
     def _build_scalar(self, point: Point, order: int) -> np.ndarray:
         space = jet_space(self.dim, order)
-        g = jet_stack(self.metric_field.components(point, order), space)
+        g = self.metric_field.dense(point, order)
         ric = self._dense("ricci", point, order)
         return jet_einsum("ab,ab->", jet_inverse(g, space), ric, space)
 
@@ -363,7 +372,7 @@ def covariant_derivative(
 
     def evaluator(point: Point, order: int) -> np.ndarray:
         space, upper = jet_space(d, order), jet_space(d, order + 1)
-        comps = jet_stack(field.components(point, order + 1), upper)
+        comps = field.dense(point, order + 1)
         G = conn.dense(point, order)
         out = jet_gradient(comps, upper)
         for slot, var in enumerate(variance):
@@ -375,7 +384,7 @@ def covariant_derivative(
         if w != 0.0:
             tg = conn._trace(point, order) * (sign * w / (d + 1))
             out = out + jet_einsum(f"a,{idx}->a{idx}", tg, comps, space)
-        return jet_views(out, space)
+        return out
 
     return TensorField(
         chart,

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import boundary as bdy
 from .affine import geometry_curvature
+from .expr import ExprError
 from .extrapolate import boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
 from .jets import JetError, PoleError, jet_values
@@ -108,14 +109,14 @@ def _make_geometry(args) -> Geometry:
     if source in BUILTIN_NAMES:
         try:
             return builtin_geometry(source, args.dim, **_parse_params(args.param))
-        except GeometryError as err:
+        except (GeometryError, ExprError) as err:
             raise ConfigError(str(err)) from err
     path = Path(source)
     if path.exists():
         try:
             doc = json.loads(path.read_text())
             return load_geometry(doc)
-        except (GeometryError, json.JSONDecodeError) as err:
+        except (GeometryError, ExprError, json.JSONDecodeError) as err:
             raise ConfigError(f"could not load geometry {source!r}: {err}") from err
     raise ConfigError(
         f"unknown geometry {source!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "
@@ -249,7 +250,13 @@ def _eval_quantity(geom, args, plan):
     def t_at(p):
         Pv = jet_values(pack.schouten(p, 0))
         rho = geom.rho_jet(p, 1)
-        return -np.linalg.inv(Pv) @ rho.gradient() / (4.0 * rho.value**2)
+        try:
+            Pinv = np.linalg.inv(Pv)
+        except np.linalg.LinAlgError:
+            raise ConfigError(
+                f"the Schouten tensor is singular at {p}, so t_vector is undefined"
+            ) from None
+        return -Pinv @ rho.gradient() / (4.0 * rho.value**2)
 
     def h_at(p):
         C = constructor_c()
@@ -304,16 +311,15 @@ def _eval_quantity(geom, args, plan):
         )
         rep = bdy.normalize_boundary_connection(blocks)
         return rep.phi, blocks.extrapolation_error
-    if quantity == "gamma":
-        est = boundary_limit(gamma_at, geom, y, eps0=plan.eps0, levels=plan.levels)
-        E = bdy.tangential_basis(geom, y)
-        tangential = E.T @ np.asarray(est.value) @ E
-        return {"full": np.asarray(est.value), "tangential": tangential}, est.error
     est = boundary_limit(pointwise, geom, y, eps0=plan.eps0, levels=plan.levels)
     if est.diverged:
         raise ConfigError(
             f"{quantity} diverges along the ray into {y}; no boundary value"
         )
+    if quantity == "gamma":
+        E = bdy.tangential_basis(geom, y)
+        tangential = E.T @ np.asarray(est.value) @ E
+        return {"full": np.asarray(est.value), "tangential": tangential}, est.error
     return est.value, est.error
 
 

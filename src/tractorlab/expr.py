@@ -14,18 +14,28 @@ numeric literals, so every expression is smooth on its domain by
 construction -- there are no conditionals or piecewise definitions.
 
 ``parse_expr`` and ``expr_to_source`` are mutually inverse on ASTs, which is
-what makes geometry files diffable.  Evaluation is generic over the value
-algebra: passing jets yields jets, passing floats (or mpmath numbers in the
-test oracles) yields plain values.
+what makes geometry files diffable.
+
+Jets of expressions come from a compiled :class:`Tape`: ``compile_tape``
+turns a list of ASTs into one flat instruction list in which identical
+subtrees share a slot, integer powers are products and constant subtrees are
+folded to floats (a fold without a finite real value raises
+:class:`ExprError`).  The tape runs on dense jet rows with the kernels of
+module ``jets``; fields and the defining function of a geometry are
+evaluated this way.  :func:`evaluate` is the generic-algebra reference:
+passing floats (or mpmath numbers in the test oracles) yields plain values,
+passing scalar jets yields jets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .jets import Jet, jet_apply
+import numpy as np
+
+from .jets import Jet, JetSpace, jet_apply, jet_function, jet_mul, jet_reciprocal
 
 __all__ = [
     "Expr",
@@ -44,6 +54,8 @@ __all__ = [
     "expr_to_source",
     "evaluate",
     "expr_variables",
+    "Tape",
+    "compile_tape",
 ]
 
 FUNCTION_NAMES = ("exp", "log", "sqrt", "sin", "cos", "tan", "atan")
@@ -168,10 +180,28 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
 # -- recursive-descent parser --------------------------------------------
 
 
+#: Deepest nesting of parentheses, calls and unary minus the parser accepts;
+#: each level costs a few Python frames of the recursive descent.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, offset: int) -> Expr:
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ExprError(
+                f"expression nested deeper than {MAX_NESTING} levels", offset
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -212,7 +242,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "sym" and value == "-":
             self.next()
-            arg = self.parse_factor()
+            arg = self.nested(self.parse_factor, offset)
             # Fold unary minus into literals so printing round trips.
             if isinstance(arg, Num):
                 return Num(-arg.value)
@@ -232,19 +262,19 @@ class _Parser:
         if kind == "num":
             return Num(float(value))
         if kind == "sym" and value == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, offset)
             self.expect_sym(")")
             return inner
         if kind == "ident":
             nkind, nvalue, _ = self.peek()
             if nkind == "sym" and nvalue == "(":
                 self.next()
-                args = [self.parse_expr()]
+                args = [self.nested(self.parse_expr, offset)]
                 while True:
                     k2, v2, o2 = self.peek()
                     if k2 == "sym" and v2 == ",":
                         self.next()
-                        args.append(self.parse_expr())
+                        args.append(self.nested(self.parse_expr, o2))
                     else:
                         break
                 self.expect_sym(")")
@@ -341,18 +371,27 @@ def expr_to_source(e: Expr) -> str:
 # -- evaluation ----------------------------------------------------------
 
 
-def expr_variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (Num,)):
-        return set()
-    if isinstance(e, Neg):
-        return expr_variables(e.arg)
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
     if isinstance(e, Pow):
-        return expr_variables(e.base)
-    if isinstance(e, Call):
-        return expr_variables(e.arg)
-    return expr_variables(e.left) | expr_variables(e.right)
+        return (e.base,)
+    return ()
+
+
+def expr_variables(e: Expr) -> set[str]:
+    """Names of the variables an expression uses (iterative, so a sum of
+    thousands of terms is fine)."""
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return names
 
 
 def _jet_call(func: str, value):
@@ -394,3 +433,234 @@ def evaluate(
     if isinstance(e, Call):
         return call(e.func, evaluate(e.arg, env, call))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# -- compiled tapes --------------------------------------------------------
+
+
+def _fold(op: str, *args: float, param: float | None = None) -> float:
+    """Value of an operation on constants; a result that is not a finite
+    real number raises :class:`ExprError`."""
+    try:
+        if op == "neg":
+            value = -args[0]
+        elif op == "add":
+            value = args[0] + args[1]
+        elif op == "sub":
+            value = args[0] - args[1]
+        elif op == "mul":
+            value = args[0] * args[1]
+        elif op == "div":
+            value = args[0] / args[1]
+        elif op == "pow":
+            value = args[0] ** param
+        else:
+            value = getattr(math, op)(args[0])
+    except (ArithmeticError, ValueError) as err:
+        value, reason = None, str(err)
+    else:
+        reason = "not a finite real number"
+    if not isinstance(value, float) or not math.isfinite(value):
+        shown = ", ".join(_format_number(a) for a in args)
+        if param is not None:
+            shown += f", {_format_number(param)}"
+        raise ExprError(f"constant subexpression {op}({shown}): {reason}")
+    return value
+
+
+class _TapeBuilder:
+    """Emits instructions with hash-consing on ``(op, operands, literal)``.
+
+    A compiled subtree is either a ``float`` (a constant, folded at compile
+    time and given a slot only where a jet operation needs one) or an
+    ``int`` slot index.
+    """
+
+    def __init__(self, variables: Sequence[str]):
+        self.variables = tuple(variables)
+        self.code: list[tuple] = []
+        self.consts: dict[float, int] = {}
+        self.memo: dict[tuple, int] = {}
+        self.n_slots = len(self.variables)
+
+    def op(self, op: str, a: int, b: int | None = None, param=None) -> int:
+        if op in ("add", "mul") and b < a:
+            a, b = b, a
+        key = (op, a, b, param)
+        slot = self.memo.get(key)
+        if slot is None:
+            slot = self.memo[key] = self.n_slots
+            self.n_slots += 1
+            self.code.append((op, slot, a, b, param))
+        return slot
+
+    def slot(self, v: float | int) -> int:
+        if isinstance(v, int):
+            return v
+        slot = self.consts.get(v)
+        if slot is None:
+            slot = self.consts[v] = self.n_slots
+            self.n_slots += 1
+        return slot
+
+    def scale(self, a: int, c: float) -> int:
+        return a if c == 1.0 else self.op("scale", a, param=c)
+
+    def power(self, a: int, n: int) -> int:
+        """``a^n`` for an integer ``n >= 1`` by binary powering."""
+        result = None
+        while n:
+            if n & 1:
+                result = a if result is None else self.op("mul", result, a)
+            n >>= 1
+            if n:
+                a = self.op("mul", a, a)
+        return result
+
+    def emit(self, e: Expr, args: list) -> float | int:
+        """Compile one node whose operands are already compiled."""
+        if isinstance(e, Num):
+            return float(e.value)
+        if isinstance(e, Var):
+            try:
+                return self.variables.index(e.name)
+            except ValueError:
+                raise ExprError(f"unknown identifier {e.name!r}") from None
+        consts = all(isinstance(v, float) for v in args)
+        if isinstance(e, Neg):
+            return _fold("neg", *args) if consts else self.op("neg", args[0])
+        if isinstance(e, Pow):
+            return self.emit_pow(args[0], e.exponent)
+        if isinstance(e, Call):
+            return _fold(e.func, *args) if consts else self.op(e.func, args[0])
+        a, b = args
+        name = type(e).__name__.lower()
+        if consts:
+            return _fold(name, a, b)
+        if isinstance(e, (Add, Sub)):
+            return self.op(name, self.slot(a), self.slot(b))
+        if isinstance(e, Mul):
+            if isinstance(a, float):
+                return self.scale(b, a)
+            if isinstance(b, float):
+                return self.scale(a, b)
+            return self.op("mul", a, b)
+        # division
+        if isinstance(b, float):
+            return self.scale(a, _fold("div", 1.0, b))
+        inv = self.op("recip", b)
+        return self.scale(inv, a) if isinstance(a, float) else self.op("mul", a, inv)
+
+    def emit_pow(self, a: float | int, p: float) -> float | int:
+        p = float(p)
+        if isinstance(a, float):
+            return _fold("pow", a, param=p)
+        if not p.is_integer():
+            return self.op("pow", a, param=p)
+        n = int(p)
+        if n == 0:
+            return 1.0
+        if n < 0:
+            return self.op("recip", self.power(a, -n))
+        return self.power(a, n)
+
+
+class Tape:
+    """Expressions compiled to one flat instruction list over jet slots.
+
+    Slots ``0 .. len(variables) - 1`` hold the coordinate jets, then come
+    constants and instruction results.  Identical subtrees share a slot,
+    integer powers are products (or the reciprocal of products), and
+    constant subtrees are folded to floats.  Instructions are grouped by
+    dependency level and operation, so :meth:`run` makes one call of a
+    ``jets`` kernel per group on a dense ``(k, ncoeff)`` block of slots.
+    """
+
+    def __init__(self, builder: _TapeBuilder, outputs: list[int]):
+        self.outputs = np.array(outputs, dtype=np.intp)
+        self.variables = builder.variables
+        self.code = tuple(builder.code)
+        self.n_slots = builder.n_slots
+        self.const_slots = np.array(list(builder.consts.values()), dtype=np.intp)
+        self.const_values = np.array(list(builder.consts), dtype=float)
+        self.steps = self._schedule()
+
+    def _schedule(self) -> list[tuple]:
+        """``(op, out, a, b, param)`` index arrays per (level, op) group; the
+        scale factors of a ``scale`` group form a column."""
+        level = [0] * self.n_slots
+        groups: dict[tuple, list] = {}
+        for op, out, a, b, param in self.code:
+            level[out] = 1 + max(level[a], 0 if b is None else level[b])
+            key = (level[out], op, None if op == "scale" else param)
+            groups.setdefault(key, []).append((out, a, b, param))
+        steps = []
+        for (_, op, param), rows in sorted(groups.items(), key=lambda kv: kv[0][0]):
+            out, a, b, params = zip(*rows)
+            steps.append((
+                op,
+                np.array(out, dtype=np.intp),
+                np.array(a, dtype=np.intp),
+                None if b[0] is None else np.array(b, dtype=np.intp),
+                np.array(params)[:, None] if op == "scale" else param,
+            ))
+        return steps
+
+    def __len__(self) -> int:
+        """Number of instructions."""
+        return len(self.code)
+
+    def run(self, point: Sequence[float], space: JetSpace) -> np.ndarray:
+        """Dense jets ``(n_outputs, ncoeff)`` of the outputs at a point whose
+        coordinates follow ``variables`` (``space.dim`` of them)."""
+        n = len(self.variables)
+        slots = np.zeros((self.n_slots, space.ncoeff))
+        slots[:n, 0] = point
+        if space.order >= 1:
+            slots[:n, 1 : n + 1] = np.eye(n)
+        slots[self.const_slots, 0] = self.const_values
+        for op, out, a, b, param in self.steps:
+            x = slots[a]
+            if op == "mul":
+                slots[out] = jet_mul(x, slots[b], space)
+            elif op == "add":
+                slots[out] = x + slots[b]
+            elif op == "sub":
+                slots[out] = x - slots[b]
+            elif op == "scale":
+                slots[out] = x * param
+            elif op == "recip":
+                slots[out] = jet_reciprocal(x, space)
+            elif op == "neg":
+                slots[out] = -x
+            else:
+                slots[out] = jet_function(op, x, space, param)
+        return slots[self.outputs]
+
+
+def compile_tape(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
+    """Compile expressions in the named variables into one :class:`Tape`.
+
+    Raises :class:`ExprError` for an unknown variable and for a constant
+    subexpression without a finite real value, such as ``(0-1)^0.5``,
+    ``log(0-1)`` or ``1/0``.
+    """
+    builder = _TapeBuilder(variables)
+    done: dict[int, float | int] = {}
+    for root in exprs:
+        # iterative post-order walk, so deep trees never hit the recursion
+        # limit; ``done`` is keyed by node identity
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in done:
+                stack.pop()
+                continue
+            kids = _children(node)
+            pending = [k for k in kids if id(k) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            done[id(node)] = builder.emit(node, [done[id(k)] for k in kids])
+    return Tape(builder, [builder.slot(done[id(root)]) for root in exprs])

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .jets import DEFAULT_ORDER, Jet, jet_space, jet_values
+from .jets import DEFAULT_ORDER, Jet, jet_space, jet_stack, jet_values, jet_views
 
 __all__ = [
     "Chart",
@@ -62,17 +62,13 @@ class Chart:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def env(self, point: Point, order: int) -> dict[str, Jet]:
-        """Coordinate jets at a point, keyed by coordinate name."""
-        space = jet_space(self.dim, order)
+    def coords(self, point: Point) -> np.ndarray:
+        """Coordinates of a point as floats, checked against the chart."""
         if len(point) != self.dim:
             raise GeometryError(
                 f"point has {len(point)} coordinates, chart has {self.dim}"
             )
-        return {
-            name: space.variable(i, float(point[i]))
-            for i, name in enumerate(self.coord_names)
-        }
+        return np.asarray(point, dtype=float)
 
 
 def _canonical_index(idx: tuple[int, ...], sym: tuple[tuple[int, int], ...]):
@@ -89,13 +85,15 @@ def _canonical_index(idx: tuple[int, ...], sym: tuple[tuple[int, int], ...]):
 
 
 class TensorField:
-    """A tensor field given by per-component evaluators producing jets.
+    """A tensor field given by an evaluator producing jets.
 
     ``variance`` is one letter per index: ``"u"`` upper, ``"d"`` lower; the
     component array axes follow the same order.  ``weight`` is the projective
     density weight.  ``sym`` lists axis pairs in which the field is declared
     symmetric; evaluation only touches a canonical representative per orbit,
-    so declared symmetries hold exactly.
+    so declared symmetries hold exactly.  ``evaluator(point, order)`` returns
+    either an object array of jets of shape ``(dim,) * rank`` or the dense
+    jet array of shape ``(dim,) * rank + (ncoeff,)`` (module ``jets``).
     """
 
     def __init__(
@@ -126,21 +124,33 @@ class TensorField:
     def rank(self) -> int:
         return len(self.variance)
 
+    def _evaluate(self, point: Point, order: int | None):
+        if order is None:
+            order = DEFAULT_ORDER
+        space = jet_space(self.chart.dim, order)
+        out = np.asarray(self._evaluator(point, order))
+        dense = out.dtype != object
+        expected = (self.chart.dim,) * self.rank + ((space.ncoeff,) if dense else ())
+        if out.shape != expected:
+            raise GeometryError(
+                f"field {self.name!r} produced shape {out.shape}, "
+                f"expected {expected}"
+            )
+        return out, dense, space
+
     def components(self, point: Point, order: int | None = None) -> np.ndarray:
         """Evaluate every component as a jet; shape is (dim,) * rank.
 
         ``order`` defaults to the package-wide truncation degree.
         """
-        if order is None:
-            order = DEFAULT_ORDER
-        out = self._evaluator(point, order)
-        expected = (self.chart.dim,) * self.rank
-        if np.shape(out) != expected:
-            raise GeometryError(
-                f"field {self.name!r} produced shape {np.shape(out)}, "
-                f"expected {expected}"
-            )
-        return out
+        out, dense, space = self._evaluate(point, order)
+        return jet_views(out, space) if dense else out
+
+    def dense(self, point: Point, order: int | None = None) -> np.ndarray:
+        """Every component as one dense jet array, shape
+        ``(dim,) * rank + (ncoeff,)``."""
+        out, dense, space = self._evaluate(point, order)
+        return out if dense else jet_stack(out, space)
 
     @classmethod
     def from_exprs(
@@ -152,12 +162,17 @@ class TensorField:
         name: str = "",
         sym: tuple[tuple[int, int], ...] = (),
     ) -> "TensorField":
-        """Field whose components are expressions in the chart coordinates."""
-        arr = np.empty((chart.dim,) * len(variance), dtype=object)
-        it = np.nditer(np.zeros(arr.shape), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            node = exprs[idx] if arr.ndim else exprs
+        """Field whose components are expressions in the chart coordinates.
+
+        The canonical component of each symmetric orbit is compiled once
+        into an :class:`~tractorlab.expr.Tape`; evaluation runs the tape and
+        copies each orbit's row to its members.
+        """
+        shape = (chart.dim,) * len(variance)
+        symt = tuple(tuple(p) for p in sym)
+        nodes = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            node = exprs[idx] if shape else exprs
             if isinstance(node, str):
                 node = ex.parse_expr(node, variables=chart.coord_names)
             unknown = ex.expr_variables(node) - set(chart.coord_names)
@@ -165,24 +180,16 @@ class TensorField:
                 raise GeometryError(
                     f"component {idx} of {name!r} uses unknown names {sorted(unknown)}"
                 )
-            arr[idx] = node
-        symt = tuple(tuple(p) for p in sym)
+            nodes[idx] = node
+        canon = [_canonical_index(idx, symt) for idx in np.ndindex(shape)]
+        rows = {c: k for k, c in enumerate(dict.fromkeys(canon))}
+        tape = ex.compile_tape([nodes[c] for c in rows], chart.coord_names)
+        scatter = [rows[c] for c in canon]
 
         def evaluator(point: Point, order: int) -> np.ndarray:
-            env = chart.env(point, order)
             space = jet_space(chart.dim, order)
-            out = np.empty(arr.shape, dtype=object)
-            it = np.nditer(np.zeros(arr.shape), flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                canon = _canonical_index(idx, symt)
-                if out[canon] is None:
-                    val = ex.evaluate(arr[canon], env)
-                    if not isinstance(val, Jet):
-                        val = space.constant(float(val))
-                    out[canon] = val
-                out[idx] = out[canon]
-            return out
+            out = tape.run(chart.coords(point), space)[scatter]
+            return out.reshape(shape + (space.ncoeff,))
 
         return cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
 
@@ -230,6 +237,7 @@ class Geometry:
             raise GeometryError("geometry needs a metric or explicit christoffels")
         if not 0 < self.alpha <= 2:
             raise GeometryError(f"alpha must lie in (0, 2], got {self.alpha}")
+        self._rho_tape = ex.compile_tape([self.rho], self.chart.coord_names)
 
     @property
     def dim(self) -> int:
@@ -238,14 +246,12 @@ class Geometry:
     # -- scalar rho ----------------------------------------------------
 
     def rho_jet(self, point: Point, order: int) -> Jet:
-        val = ex.evaluate(self.rho, self.chart.env(point, order))
-        if not isinstance(val, Jet):
-            val = jet_space(self.dim, order).constant(float(val))
-        return val
+        space = jet_space(self.dim, order)
+        return Jet(space, self._rho_tape.run(self.chart.coords(point), space)[0])
 
     def rho_value(self, point: Point) -> float:
-        j = self.rho_jet(point, 0)
-        return j.value if isinstance(j, Jet) else float(j)
+        space = jet_space(self.dim, 0)
+        return float(self._rho_tape.run(self.chart.coords(point), space)[0, 0])
 
     def drho(self, point: Point) -> np.ndarray:
         """Components of d(rho) at a point, as floats."""
@@ -653,8 +659,7 @@ def load_geometry(doc: Mapping) -> Geometry:
             for j in range(dim):
                 metric[i, j] = ex.parse_expr(str(metric_doc[i, j]), coords)
         if "interior_box" in doc:
-            box = np.array(doc["interior_box"], dtype=float)
-            interior_box = (box[0], box[1])
+            interior_box = _interior_box(doc["interior_box"], dim)
         else:
             interior_box = (np.full(dim, -0.55), np.full(dim, 0.55))
         geom = Geometry(
@@ -668,6 +673,21 @@ def load_geometry(doc: Mapping) -> Geometry:
         geom.boundary_sampler = _make_ray_boundary_sampler(geom)
     _validate_metric_geometry(geom, rng)
     return geom
+
+
+def _interior_box(doc_box, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[lower corner, upper corner]`` of a document's interior box."""
+    try:
+        box = np.array(doc_box, dtype=float)
+    except (TypeError, ValueError):
+        box = None
+    if box is None or box.shape != (2, dim) or not np.all(np.isfinite(box)):
+        raise GeometryError(
+            f"interior_box must be two finite corners of {dim} numbers each"
+        )
+    if np.any(box[0] >= box[1]):
+        raise GeometryError("interior_box lower corner must lie below the upper one")
+    return box[0], box[1]
 
 
 def _make_ray_boundary_sampler(geom: Geometry):

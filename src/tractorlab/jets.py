@@ -26,8 +26,11 @@ A tensor of jets is stored densely as one float array of shape
 the coefficients of each component, so ``[..., 0]`` are the values.
 Partials are one gather through ``partial_tables``; products and tensor
 contractions pair coefficients through ``mul_table`` and sum each output
-coefficient's segment (``jet_mul``, ``jet_einsum``).  :func:`jet_views`
-wraps the rows of such an array as scalar :class:`Jet` objects.
+coefficient's segment (``jet_mul``, ``jet_einsum``).  Reciprocals (with the
+pole test) and elementary functions compose a univariate series with each
+jet (``jet_reciprocal``, ``jet_function``, ``jet_compose``); the scalar
+:class:`Jet` methods call the same kernels.  :func:`jet_views` wraps the
+rows of such an array as scalar :class:`Jet` objects.
 
 All jets are immutable values and all operations are pure, so evaluation at
 distinct points may proceed concurrently without shared state.
@@ -62,6 +65,9 @@ __all__ = [
     "jet_gradient",
     "jet_mul",
     "jet_einsum",
+    "jet_compose",
+    "jet_reciprocal",
+    "jet_function",
     "jet_inverse",
 ]
 
@@ -127,6 +133,7 @@ class JetSpace:
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._mul_starts: np.ndarray | None = None
         self._partial_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._gradient_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JetSpace(dim={self.dim}, order={self.order})"
@@ -188,6 +195,17 @@ class JetSpace:
                 )
             self._partial_tables = tables
         return self._partial_tables
+
+    @property
+    def gradient_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``partial_tables`` stacked over the variables: (source, factor)
+        arrays of shape ``(dim, ncoeff of order K-1)``."""
+        if self._gradient_table is None:
+            tables = self.partial_tables
+            self._gradient_table = (
+                np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
+            )
+        return self._gradient_table
 
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.ncoeff)
@@ -362,43 +380,26 @@ class Jet:
         return other * self._reciprocal()
 
     def _reciprocal(self) -> "Jet":
-        a0 = self.value
-        # A pole means the value vanishes relative to the jet's *gradient*
-        # (rho at a boundary point: value ~ 1e-16, gradient ~ 1).  Comparing
-        # against the full coefficient vector would misfire on legitimately
-        # invertible jets whose Taylor radius is small (1/rho^2 deep in a
-        # ladder has top coefficients ~ rho^-(2+K)); comparing against
-        # nothing would misfire on uniformly tiny jets like rho^4 near the
-        # boundary.  Jets with a vanishing gradient fall back to the full
-        # coefficient scale (catching the jet of x^2 at x = 0).
-        grad_scale = float(np.max(np.abs(self.coeffs[1 : 1 + self.dim]))) \
-            if self.order >= 1 else 0.0
-        scale = grad_scale if grad_scale > 0.0 else float(np.max(np.abs(self.coeffs)))
-        if abs(a0) <= POLE_TOL * scale or scale == 0.0:
-            raise PoleError(
-                f"reciprocal of a jet with vanishing value ({a0:.3e}); "
-                "this usually means evaluation at a boundary pole"
-            )
-        k = self.order
-        coeffs = np.array([(-1.0) ** m / a0 ** (m + 1) for m in range(k + 1)])
-        return _compose(self, coeffs)
+        return Jet(self.space, jet_reciprocal(self.coeffs, self.space))
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)) or (
             isinstance(p, float) and p.is_integer()
         ):
             p = int(p)
-            if p >= 0:
-                result = self.space.constant(1.0)
-                base = self
-                e = p
-                while e:
-                    if e & 1:
-                        result = result * base
+            if p == 0:
+                return self.space.constant(1.0)
+            if p < 0:
+                return self.__pow__(-p)._reciprocal()
+            result = None
+            base = self
+            while p:
+                if p & 1:
+                    result = base if result is None else result * base
+                p >>= 1
+                if p:
                     base = base * base
-                    e >>= 1
-                return result
-            return self.space.constant(1.0) / self.__pow__(-p)
+            return result
         return jet_apply("pow", self, param=float(p))
 
     def partial(self, i: int) -> "Jet":
@@ -413,17 +414,6 @@ class Jet:
 
 
 # -- elementary functions ---------------------------------------------
-
-
-def _compose(a: Jet, series: np.ndarray) -> Jet:
-    """Horner evaluation of sum_m series[m] * (a - a.value)^m."""
-    da_coeffs = a.coeffs.copy()
-    da_coeffs[0] = 0.0
-    da = Jet(a.space, da_coeffs)
-    result = a.space.constant(float(series[-1]))
-    for m in range(len(series) - 2, -1, -1):
-        result = result * da + float(series[m])
-    return result
 
 
 def _series_exp(a0: float, k: int, _p) -> np.ndarray:
@@ -527,12 +517,7 @@ def jet_apply(f: str, a: Jet, param: float | None = None) -> Jet:
         return a if a.value > 0 else -a
     if f == "pow_const":
         f = "pow"
-    try:
-        builder = _SERIES[f]
-    except KeyError:
-        raise ValueError(f"unknown function {f!r} for jet_apply") from None
-    series = builder(a.value, a.order, param)
-    return _compose(a, series)
+    return Jet(a.space, jet_function(f, a.coeffs, a.space, param))
 
 
 def jet_partial(a: Jet, i: int) -> Jet:
@@ -612,10 +597,10 @@ def jet_gradient(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     index comes first: ``out[i, ...] = d_i dense[...]``."""
     if space.order == 0:
         raise JetError("cannot differentiate an order-0 jet")
-    tables = space.partial_tables
-    src = np.stack([t[0] for t in tables])
-    fac = np.stack([t[1] for t in tables])
-    return np.moveaxis(dense[..., src] * fac, -2, 0)
+    src, fac = space.gradient_table
+    out = dense[..., src] * fac
+    nd = out.ndim
+    return out.transpose((nd - 2, *range(nd - 2), nd - 1))
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
@@ -632,6 +617,64 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.n
     sa, sb = operands.split(",")
     prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, space.mul_starts, axis=-1)
+
+
+def jet_compose(dense: np.ndarray, series: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Horner evaluation of ``sum_m series[..., m] * (a - a.value)^m`` for
+    every jet ``a`` of a dense array (``series`` has ``order + 1`` terms)."""
+    k = space.order
+    if k == 0:
+        return series.copy()
+    da = dense.copy()
+    da[..., 0] = 0.0
+    out = series[..., k, None] * da
+    out[..., 0] += series[..., k - 1]
+    for m in range(k - 2, -1, -1):
+        out = jet_mul(out, da, space)
+        out[..., 0] += series[..., m]
+    return out
+
+
+def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """``1/a`` for every jet ``a`` of a dense array.
+
+    A pole means the value vanishes relative to the jet's *gradient* (rho
+    at a boundary point: value ~ 1e-16, gradient ~ 1).  Comparing against
+    the full coefficient vector would misfire on legitimately invertible
+    jets whose Taylor radius is small (1/rho^2 deep in a ladder has top
+    coefficients ~ rho^-(2+K)); comparing against nothing would misfire on
+    uniformly tiny jets like rho^4 near the boundary.  Jets with a vanishing
+    gradient fall back to the full coefficient scale (catching the jet of
+    x^2 at x = 0).
+    """
+    a0 = dense[..., 0]
+    mag = np.abs(dense)
+    scale = mag.max(axis=-1)
+    if space.order >= 1:
+        grad = mag[..., 1 : 1 + space.dim].max(axis=-1)
+        scale = np.where(grad > 0.0, grad, scale)
+    pole = (mag[..., 0] <= POLE_TOL * scale) | (scale == 0.0)
+    if pole.any():
+        raise PoleError(
+            f"reciprocal of a jet with vanishing value ({a0[pole].flat[0]:.3e}); "
+            "this usually means evaluation at a boundary pole"
+        )
+    m = np.arange(space.order + 1)
+    return jet_compose(dense, (-1.0) ** m / a0[..., None] ** (m + 1), space)
+
+
+def jet_function(
+    f: str, dense: np.ndarray, space: JetSpace, param: float | None = None
+) -> np.ndarray:
+    """Elementary function ``f`` (see :func:`jet_apply`; not ``abs_smooth``)
+    of every jet of a dense array, by series composition."""
+    try:
+        builder = _SERIES[f]
+    except KeyError:
+        raise ValueError(f"unknown function {f!r} for jet_apply") from None
+    a0 = dense[..., 0]
+    series = [builder(float(v), space.order, param) for v in a0.flat]
+    return jet_compose(dense, np.reshape(series, a0.shape + (-1,)), space)
 
 
 def _check_pivots(a0: np.ndarray) -> None:

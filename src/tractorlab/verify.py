@@ -154,6 +154,7 @@ class _Session:
         if hit is None:
             rng = np.random.default_rng(self.plan.seed)
             y = self.geom.boundary_points(1, rng)[0]
+            reason = "geometry fails the projective-compactness probes"
             try:
                 conn = rho_connection(self.geom)
                 reps = bd.rho_connection_extension(
@@ -166,12 +167,10 @@ class _Session:
                     eps0=self.plan.eps0, levels=self.plan.levels,
                 )
                 ok = (not reps[0].diverged) and dd.passed
-            except Exception:
+            except Exception as err:  # any failure means "not compact"
                 ok = False
-            hit = (
-                ok,
-                "" if ok else "geometry fails the projective-compactness probes",
-            )
+                reason += f" ({type(err).__name__}: {err})"
+            hit = (ok, "" if ok else reason)
             self._probe["compact"] = hit
         return hit
 

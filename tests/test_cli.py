@@ -177,3 +177,64 @@ def test_eval_non_finite_value_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("quantity", ["gamma", "t_vector"])
+def test_eval_without_boundary_value_exits_two(quantity, capsys):
+    # on the flat control gamma diverges and the Schouten tensor is singular
+    code = main([
+        "eval", "--geometry", "flat", "--dim", "3", "--quantity", quantity,
+        "--boundary-point", "1,0.2,0.1", "--extrapolate",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def _klein_doc():
+    rho = "1 - (x0^2 + x1^2 + x2^2)"
+    metric = [[(f"1/({rho}) + " if i == j else "") + f"x{i}*x{j}/({rho})^2"
+               for j in range(3)] for i in range(3)]
+    return {"name": "klein-doc", "dim": 3, "coords": ["x0", "x1", "x2"],
+            "rho": rho, "alpha": 2.0, "metric": metric}
+
+
+def _bad_box(doc):
+    doc["interior_box"] = [[-0.5]]
+
+
+def _complex_constant(doc):
+    doc["metric"][0][0] += " + (0-1)^0.5"
+
+
+def _nested(doc):
+    doc["metric"][0][0] = "(" * 2000 + doc["metric"][0][0] + ")" * 2000
+
+
+def _syntax(doc):
+    doc["metric"][1][1] = "1 +* x0"
+
+
+def _long_sum(doc):
+    doc["metric"][0][0] += " + 0*x1" * 3000
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (_bad_box, 2), (_complex_constant, 2), (_nested, 2), (_syntax, 2),
+    (_long_sum, 0),
+])
+def test_geometry_document_contracts(edit, expected, tmp_path, capsys):
+    doc = _klein_doc()
+    edit(doc)
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--geometry", str(path), "--checks", "bianchi",
+                 "--points", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == expected and "Traceback" not in err
+    if expected == 2:
+        assert "could not load geometry" in err
+    else:
+        (report,) = strict_loads(out.read_text())
+        assert report["status"] == "pass"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tractorlab import expr as ex
-from tractorlab.jets import jet_space
+from tractorlab.affine import rho_connection
+from tractorlab.fields import builtin_geometry
+from tractorlab.jets import DomainError, PoleError, jet_space
 
 
 def test_basic_ast_shape():
@@ -125,9 +127,122 @@ def test_jet_evaluation_matches_floats():
         except (ValueError, ZeroDivisionError, OverflowError):
             continue
         env = {k: space.variable(i, v) for i, (k, v) in enumerate(pt.items())}
+        tape = ex.compile_tape([e], ("x", "y"))
         try:
             j = ex.evaluate(e, env)
         except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                tape.run((0.31, 0.47), space)
             continue
         value = j.value if hasattr(j, "value") else j
         assert value == pytest.approx(f, rel=1e-12, abs=1e-12)
+        ref = j.coeffs if hasattr(j, "coeffs") else space.constant(j).coeffs
+        got = tape.run((0.31, 0.47), space)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# -- compiled tapes ------------------------------------------------------------
+
+CATALOG = [("klein", 3), ("klein", 4), ("af2_generic", 4), ("af1_generic", 4),
+           ("flat", 3), ("poincare_control", 3)]
+
+
+def _metric_and_rho(geom):
+    """The canonical (upper-triangular) metric components and rho as ASTs."""
+    d = geom.dim
+    roots = [geom.metric[i, j] for i in range(d) for j in range(i, d)]
+    roots = [ex.parse_expr(r, geom.chart.coord_names) if isinstance(r, str) else r
+             for r in roots]
+    return roots + [geom.rho]
+
+
+@pytest.mark.parametrize("name,dim", CATALOG)
+def test_tape_matches_evaluate_on_catalog_geometries(name, dim):
+    # reference: the recursive interpreter on scalar Jets
+    geom = builtin_geometry(name, dim)
+    roots = _metric_and_rho(geom)
+    tape = ex.compile_tape(roots, geom.chart.coord_names)
+    rng = np.random.default_rng(17)
+    for p in geom.interior_points(3, rng):
+        for order in range(4):
+            space = jet_space(dim, order)
+            env = dict(zip(geom.chart.coord_names, space.point(p)))
+            got = tape.run(p, space)
+            field = geom.metric_field().dense(p, order)
+            for k, root in enumerate(roots):
+                ref = ex.evaluate(root, env)
+                ref = ref.coeffs if hasattr(ref, "coeffs") else space.constant(ref).coeffs
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got[k] - ref)) <= 1e-12 * scale, (name, k, order)
+            iu = np.triu_indices(dim)
+            assert np.array_equal(field[iu], got[:-1])
+            assert np.array_equal(field, field.transpose(1, 0, 2))
+            assert np.array_equal(geom.rho_jet(p, order).coeffs, got[-1])
+
+
+def test_klein_tape_shares_subexpressions():
+    geom = builtin_geometry("klein", 3)
+    roots = _metric_and_rho(geom)
+    sources = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        sources.append(ex.expr_to_source(node))
+        stack.extend(ex._children(node))
+    assert (len(sources), len(set(sources))) == (139, 27)
+    assert len(ex.compile_tape(roots, geom.chart.coord_names)) <= 27
+
+
+def test_tape_integer_powers_are_products():
+    x_ = ex.Var("x")
+    tape = ex.compile_tape([ex.Pow(x_, 4.0), ex.Pow(x_, -3.0)], ("x",))
+    assert [op for op, *_ in tape.code] == ["mul", "mul", "mul", "recip"]
+    space = jet_space(1, 3)
+    got = tape.run((0.5,), space)
+    x = space.variable(0, 0.5)
+    assert np.allclose(got[0], (x * x * x * x).coeffs, rtol=1e-14, atol=0)
+    assert np.allclose(got[1], (1.0 / (x * x * x)).coeffs, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("src", ["(0-1)^0.5", "log(0-1)", "1/0", "x/(2-2)",
+                                 "exp(1000)", "sqrt(0-4)*x"])
+def test_tape_constant_fold_must_be_real_and_finite(src):
+    with pytest.raises(ex.ExprError):
+        ex.compile_tape([ex.parse_expr(src)], ("x",))
+
+
+def test_tape_unknown_variable():
+    with pytest.raises(ex.ExprError):
+        ex.compile_tape([ex.parse_expr("x + z")], ("x", "y"))
+
+
+def test_tape_raises_pole_and_domain_errors():
+    space = jet_space(1, 2)
+    with pytest.raises(PoleError):
+        ex.compile_tape([ex.parse_expr("1/(1 - x^2)")], ("x",)).run((1.0,), space)
+    with pytest.raises(DomainError):
+        ex.compile_tape([ex.parse_expr("sqrt(x - 1)")], ("x",)).run((0.5,), space)
+
+
+@pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
+def test_direct_evaluation_at_boundary_raises_pole(name, dim):
+    geom = builtin_geometry(name, dim)
+    y = geom.boundary_points(1, np.random.default_rng(1))[0]
+    with pytest.raises(PoleError):
+        geom.metric_field().dense(y, 1)
+    with pytest.raises(PoleError):
+        rho_connection(geom).christoffel_values(y, 0)
+
+
+def test_deep_expressions():
+    # a long sum compiles and evaluates without recursion; deep nesting is
+    # a parse error, not a RecursionError
+    src = " + ".join(["x"] * 3000)
+    e = ex.parse_expr(src)
+    assert ex.expr_variables(e) == {"x"}
+    got = ex.compile_tape([e], ("x",)).run((0.5,), jet_space(1, 1))
+    assert np.allclose(got[0], [1500.0, 3000.0])
+    with pytest.raises(ex.ExprError):
+        ex.parse_expr("(" * 2000 + "x" + ")" * 2000)
+    with pytest.raises(ex.ExprError):
+        ex.parse_expr("-" * 2000 + "x")

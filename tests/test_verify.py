@@ -126,3 +126,17 @@ def test_lorentzian_asymptotic_form():
     r = by_id["thm-2.5-C"]
     assert r.status == "pass"
     assert r.details[0]["C"] == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_compactness_probe_keeps_the_exception(monkeypatch):
+    import tractorlab.verify as verify
+
+    def explode(geom):
+        raise RuntimeError("tau exploded")
+
+    monkeypatch.setattr(verify, "canonical_tau", explode)
+    geom = builtin_geometry("klein", 3)
+    (report,) = run_suite(geom, ["thm-2.5-S-const"], FAST_PLAN)
+    assert report.status == "skip"
+    assert report.reason == ("geometry fails the projective-compactness probes "
+                             "(RuntimeError: tau exploded)")
