@@ -183,21 +183,16 @@ def projective_modify(
     )
 
 
-def _rho_upsilon_dense(geom: Geometry, point: Point, order: int) -> np.ndarray:
-    rho = geom.rho_jet(point, order + 1)
-    space = jet_space(geom.dim, order)
-    inv = jet_reciprocal(rho.coeffs[: space.ncoeff] * geom.alpha, space)
-    return jet_mul(jet_gradient(rho.coeffs, rho.space), inv, space)
+def rho_one_form(geom: Geometry) -> TensorField:
+    """The one-form ``d(rho)/(alpha rho)`` of the rho-modified connection."""
 
+    def evaluator(point: Point, order: int) -> np.ndarray:
+        rho = geom.rho_jet(point, order + 1)
+        space = jet_space(geom.dim, order)
+        inv = jet_reciprocal(rho.coeffs[: space.ncoeff] * geom.alpha, space)
+        return jet_mul(jet_gradient(rho.coeffs, rho.space), inv, space)
 
-def rho_upsilon(geom: Geometry) -> Callable[[Point, int], np.ndarray]:
-    """The one-form d(rho)/(alpha rho) as an evaluator."""
-
-    def ups(point: Point, order: int) -> np.ndarray:
-        return jet_views(_rho_upsilon_dense(geom, point, order),
-                         jet_space(geom.dim, order))
-
-    return ups
+    return TensorField(geom.chart, "d", evaluator, name="d(rho)/(alpha rho)")
 
 
 def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection:
@@ -211,11 +206,7 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
     """
     if base is None:
         base = levi_civita(geom)
-    conn = projective_modify(
-        base,
-        lambda point, order: _rho_upsilon_dense(geom, point, order),
-        special=base.special,
-    )
+    conn = projective_modify(base, rho_one_form(geom), special=base.special)
     conn.exact_boundary = geom.exact_hat_christoffels
     return conn
 
@@ -240,7 +231,9 @@ class CurvaturePack:
     def dim(self) -> int:
         return self.conn.dim
 
-    def _dense(self, name: str, point: Point, order: int) -> np.ndarray:
+    def dense(self, name: str, point: Point, order: int) -> np.ndarray:
+        """Memoized (read-only) dense jets of the tensor ``name`` (``riemann``,
+        ``ricci``, ``schouten``, ...) at a point."""
         key = (name, tuple(point), order)
         hit = self._memo.get(key)
         if hit is None:
@@ -250,7 +243,7 @@ class CurvaturePack:
         return hit
 
     def _views(self, name: str, point: Point, order: int) -> np.ndarray:
-        return jet_views(self._dense(name, point, order), jet_space(self.dim, order))
+        return jet_views(self.dense(name, point, order), jet_space(self.dim, order))
 
     def _build_riemann(self, point: Point, order: int) -> np.ndarray:
         d = self.dim
@@ -263,38 +256,38 @@ class CurvaturePack:
         return A - A.transpose(1, 0, 2, 3, 4)
 
     def _build_ricci(self, point: Point, order: int) -> np.ndarray:
-        return np.einsum("eaebz->abz", self._dense("riemann", point, order))
+        return np.einsum("eaebz->abz", self.dense("riemann", point, order))
 
     def _build_scalar(self, point: Point, order: int) -> np.ndarray:
         space = jet_space(self.dim, order)
         g = self.metric_field.dense(point, order)
-        ric = self._dense("ricci", point, order)
+        ric = self.dense("ricci", point, order)
         return jet_einsum("ab,ab->", jet_inverse(g, space), ric, space)
 
     def _build_schouten(self, point: Point, order: int) -> np.ndarray:
         n = self.dim - 1
-        ric = self._dense("ricci", point, order)
+        ric = self.dense("ricci", point, order)
         ric_t = ric.transpose(1, 0, 2)
         return (ric + ric_t) * (0.5 / n) + (ric - ric_t) * (0.5 / (n + 2))
 
     def _build_beta(self, point: Point, order: int) -> np.ndarray:
-        P = self._dense("schouten", point, order)
+        P = self.dense("schouten", point, order)
         return P.transpose(1, 0, 2) - P
 
     def _build_weyl(self, point: Point, order: int) -> np.ndarray:
         eye = np.eye(self.dim)
-        P = self._dense("schouten", point, order)
+        P = self.dense("schouten", point, order)
         return (
-            self._dense("riemann", point, order)
+            self.dense("riemann", point, order)
             - np.einsum("ca,bez->abcez", eye, P)
             + np.einsum("cb,aez->abcez", eye, P)
-            - np.einsum("ce,abz->abcez", eye, self._dense("beta", point, order))
+            - np.einsum("ce,abz->abcez", eye, self.dense("beta", point, order))
         )
 
     def _build_schouten_derivative(self, point: Point, order: int) -> np.ndarray:
         d = self.dim
         space = jet_space(d, order)
-        P = self._dense("schouten", point, order + 1)
+        P = self.dense("schouten", point, order + 1)
         G = self.conn.dense(point, order)
         return (
             jet_gradient(P, jet_space(d, order + 1))
@@ -303,7 +296,7 @@ class CurvaturePack:
         )
 
     def _build_cotton(self, point: Point, order: int) -> np.ndarray:
-        dP = self._dense("schouten_derivative", point, order)
+        dP = self.dense("schouten_derivative", point, order)
         return dP.transpose(1, 0, 2, 3) - dP
 
     def riemann(self, point: Point, order: int) -> np.ndarray:
@@ -315,7 +308,7 @@ class CurvaturePack:
     def scalar(self, point: Point, order: int) -> Jet:
         if self.metric_field is None:
             raise ValueError("scalar curvature needs a metric")
-        return Jet(jet_space(self.dim, order), self._dense("scalar", point, order))
+        return Jet(jet_space(self.dim, order), self.dense("scalar", point, order))
 
     def schouten(self, point: Point, order: int) -> np.ndarray:
         return self._views("schouten", point, order)

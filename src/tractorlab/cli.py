@@ -116,7 +116,8 @@ def _make_geometry(args) -> Geometry:
         try:
             doc = json.loads(path.read_text())
             return load_geometry(doc)
-        except (GeometryError, ExprError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, GeometryError,
+                ExprError) as err:
             raise ConfigError(f"could not load geometry {source!r}: {err}") from err
     raise ConfigError(
         f"unknown geometry {source!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "
@@ -304,11 +305,16 @@ def _eval_quantity(geom, args, plan):
             "the 1/rho pole)"
         )
     if quantity == "phi":
+        if d < 4:
+            raise ConfigError("phi needs a boundary of dimension >= 3 (--dim >= 4)")
         calc = TractorCalculus(geom)
-        frame = bdy.boundary_frame(calc, y, eps0=plan.eps0, levels=plan.levels)
-        blocks = bdy.curvature_blocks(
-            calc, frame, eps0=plan.eps0, levels=plan.levels
-        )
+        try:
+            frame = bdy.boundary_frame(calc, y, eps0=plan.eps0, levels=plan.levels)
+            blocks = bdy.curvature_blocks(
+                calc, frame, eps0=plan.eps0, levels=plan.levels
+            )
+        except bdy.BoundaryExtensionError as err:
+            raise ConfigError(f"phi has no boundary value: {err}") from None
         rep = bdy.normalize_boundary_connection(blocks)
         return rep.phi, blocks.extrapolation_error
     est = boundary_limit(pointwise, geom, y, eps0=plan.eps0, levels=plan.levels)

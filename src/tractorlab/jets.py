@@ -57,7 +57,6 @@ __all__ = [
     "jet_apply",
     "jet_partial",
     "APPLY_FUNCTIONS",
-    "jet_matrix_inverse",
     "jet_det",
     "jet_values",
     "jet_stack",
@@ -554,16 +553,6 @@ def jet_det(mat: np.ndarray) -> Jet:
     for p in pivots[1:]:
         det = det * p
     return det * sign if sign < 0 else det
-
-
-def jet_matrix_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square object array of jets (see :func:`jet_inverse`)."""
-    mat = np.asarray(mat, dtype=object)
-    m = mat.shape[0]
-    if mat.shape != (m, m):
-        raise ValueError("jet_matrix_inverse expects a square matrix")
-    space = jet_space(mat[0, 0].dim, min(j.order for j in mat.flat))
-    return jet_views(jet_inverse(jet_stack(mat, space), space), space)
 
 
 # -- dense tensors of jets ----------------------------------------------

@@ -25,6 +25,13 @@ tensoriality.  That map is derived once from the endomorphism change law by
 conjugation and is locked by instance tests on the metricity tractor, its
 inverse and the defining-density tractor.
 
+Every tractor quantity is a dense jet array (module ``jets``) of shape
+``(d,)*n_form + (n+2,)*n_tractor + (ncoeff,)``: spacetime form axes first
+(derivative index outermost), then the tractor axes in fiber layout, then
+the Taylor coefficients.  The connection matrices are ``(d, n+2, n+2,
+ncoeff)`` arrays indexed ``[a, i, j]``; curvatures are ``(d, d, n+2, n+2,
+ncoeff)``.
+
 The reference splitting of a geometry is the one of the rho-modified
 connection (smooth up to the boundary); the Levi-Civita splitting is the
 derived view with offset ``-d(rho)/(alpha rho)``.
@@ -46,10 +53,20 @@ from .affine import (
     levi_civita,
     projective_modify,
     rho_connection,
-    rho_upsilon,
+    rho_one_form,
 )
 from .fields import Geometry, TensorField
-from .jets import Jet, jet_matrix_inverse, jet_space, jet_values
+from .jets import (
+    Jet,
+    JetSpace,
+    jet_einsum,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_reciprocal,
+    jet_space,
+    jet_views,
+)
 
 __all__ = [
     "Splitting",
@@ -73,18 +90,21 @@ __all__ = [
 
 Point = Sequence[float]
 
+#: Einsum letters for the axes of a tractor value ('a', 'x', 'y' are taken).
+_AXES = "bcdefghijk"
+
 
 @dataclass(frozen=True)
 class Splitting:
     """A splitting of the tractor bundle, tagged by its offset one-form.
 
-    ``upsilon(point, order)`` is the offset of the splitting connection from
-    the geometry's reference connection (the rho-modified one); ``None``
-    denotes the reference splitting itself.
+    ``upsilon`` is the offset of the splitting connection from the
+    geometry's reference connection (the rho-modified one) as a one-form
+    field; ``None`` denotes the reference splitting itself.
     """
 
     label: str
-    upsilon: Callable[[Point, int], np.ndarray] | None = None
+    upsilon: TensorField | None = None
 
     def __hash__(self):
         return hash(self.label)
@@ -95,56 +115,45 @@ class Splitting:
 
 @dataclass
 class TractorValue:
-    """A pointwise tractor tensor with jet components.
+    """A pointwise tractor tensor: one dense jet array over ``space``.
 
-    ``components`` has shape ``(d,)*n_form + (n+2,)*len(tvariance)``: the
-    spacetime form axes come first, then the tractor axes, whose variance is
-    one letter each (``u`` upper, ``d`` lower).  Form axes are plain
-    covariant spacetime slots that change-of-splitting leaves alone.
+    ``data`` has shape ``(d,)*n_form + (n+2,)*len(tvariance) + (ncoeff,)``:
+    the spacetime form axes come first, then the tractor axes, whose
+    variance is one letter each (``u`` upper, ``d`` lower).  Form axes are
+    plain covariant spacetime slots that change-of-splitting leaves alone.
     """
 
-    components: np.ndarray
+    data: np.ndarray
+    space: JetSpace
     tvariance: str
     n_form: int
     splitting: Splitting
 
     @property
     def order(self) -> int:
-        return int(min(j.order for j in self.components.flat))
+        return self.space.order
+
+    @property
+    def components(self) -> np.ndarray:
+        """Object array of :class:`Jet` views onto ``data``."""
+        return jet_views(self.data, self.space)
 
     def values(self) -> np.ndarray:
-        return jet_values(self.components)
-
-    def copy(self) -> "TractorValue":
-        return TractorValue(
-            self.components.copy(), self.tvariance, self.n_form, self.splitting
-        )
+        return self.data[..., 0]
 
 
-def _contract_axis(mat: np.ndarray, comps: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, comps, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _on_axis(
+    mat_spec: str, mat: np.ndarray, data: np.ndarray, axis: int, space: JetSpace
+) -> np.ndarray:
+    """Contract the fiber matrix ``mat`` with one axis of ``data``.
 
-
-def _change_matrices(upsilon: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:
-    """The fiber change map S (upper slots) and its inverse transpose."""
-    d = len(upsilon)
-    m = d + 1
-    one = space.constant(1.0)
-    zero = space.constant(0.0)
-    S = np.empty((m, m), dtype=object)
-    T = np.empty((m, m), dtype=object)
-    S[...] = zero
-    T[...] = zero
-    S[0, 0] = one
-    T[0, 0] = one
-    for a in range(d):
-        S[1 + a, 1 + a] = one
-        T[1 + a, 1 + a] = one
-        u = upsilon[a] if isinstance(upsilon[a], Jet) else space.constant(upsilon[a])
-        S[0, 1 + a] = -u
-        T[1 + a, 0] = u
-    return S, T
+    In ``mat_spec`` the letter ``y`` is summed against the axis and ``x``
+    takes its place; any other letter leads the output."""
+    idx = _AXES[: data.ndim - 1]
+    lead = mat_spec.replace("x", "").replace("y", "")
+    src = idx[:axis] + "y" + idx[axis + 1:]
+    dst = idx[:axis] + "x" + idx[axis + 1:]
+    return jet_einsum(f"{mat_spec},{src}->{lead}{dst}", mat, data, space)
 
 
 def change_splitting(
@@ -155,22 +164,24 @@ def change_splitting(
     """Re-express a tractor tensor in the splitting offset by ``upsilon``.
 
     ``upsilon`` is the one-form of the *change* (target offset minus source
-    offset), given as jets or floats at the point.  All
-
-    tractor axes are transformed by the single fiber map; this is a group
+    offset), a dense ``(d, ncoeff)`` jet array of at least the value's
+    order.  All tractor axes are transformed by the single fiber map ``S``
+    (upper axes) or its inverse transpose (lower axes); this is a group
     action: composing changes by Y1 then Y2 equals one change by Y1 + Y2.
     """
-    sample = next(iter(tv.components.flat))
-    space = sample.space
-    S, T = _change_matrices(np.asarray(upsilon, dtype=object), space)
-    comps = tv.components
+    space = tv.space
+    u = upsilon[..., : space.ncoeff]
+    m = u.shape[0] + 1
+    eye = np.zeros((m, m, space.ncoeff))
+    eye[np.arange(m), np.arange(m), 0] = 1.0
+    S, T = eye, eye.copy()
+    S[0, 1:] = -u
+    T[1:, 0] = u
+    data = tv.data
     for k, var in enumerate(tv.tvariance):
-        axis = tv.n_form + k
-        comps = _contract_axis(S if var == "u" else T, comps, axis)
+        data = _on_axis("xy", S if var == "u" else T, data, tv.n_form + k, space)
     return TractorValue(
-        comps,
-        tv.tvariance,
-        tv.n_form,
+        data, space, tv.tvariance, tv.n_form,
         new_splitting if new_splitting is not None else tv.splitting,
     )
 
@@ -191,12 +202,16 @@ class TractorCalculus:
         self.hat = rho_connection(geom, base=self.lc)
         self.tau = canonical_tau(geom)
         self.reference = Splitting("reference", None)
-        ups_hat = rho_upsilon(geom)
-
-        def minus_hat(point, order):
-            return np.array([-u for u in ups_hat(point, order)], dtype=object)
-
-        self.levi_civita_splitting = Splitting("levi_civita", minus_hat)
+        # Closures here capture locals, never ``self``: a reference cycle
+        # would keep every calculus and its memoized arrays alive until a
+        # full garbage collection.
+        rho_form = self._rho_form = rho_one_form(geom)
+        self.levi_civita_splitting = Splitting(
+            "levi_civita",
+            TensorField(
+                geom.chart, "d", lambda point, order: -rho_form.dense(point, order)
+            ),
+        )
         self._connections: dict[str, Connection] = {
             "reference": self.hat,
             "levi_civita": self.lc,
@@ -207,34 +222,39 @@ class TractorCalculus:
 
     # -- splittings -----------------------------------------------------
 
+    def _one_form(self, upsilon) -> TensorField:
+        if isinstance(upsilon, TensorField):
+            return upsilon
+        return TensorField(self.geom.chart, "d", upsilon)
+
     def splitting(
-        self, upsilon: Callable[[Point, int], np.ndarray], label: str | None = None
+        self,
+        upsilon: Callable[[Point, int], np.ndarray] | TensorField,
+        label: str | None = None,
     ) -> Splitting:
         """A splitting with the given offset one-form from the reference."""
         if label is None:
             label = f"custom-{next(self._counter)}"
-        s = Splitting(label, upsilon)
-        self._connections[label] = projective_modify(self.hat, upsilon)
-        return s
+        ups = self._one_form(upsilon)
+        self._connections[label] = projective_modify(self.hat, ups)
+        return Splitting(label, ups)
 
     def splitting_from_lc(
-        self, upsilon_from_lc: Callable[[Point, int], np.ndarray],
+        self,
+        upsilon_from_lc: Callable[[Point, int], np.ndarray] | TensorField,
         label: str | None = None,
     ) -> Splitting:
         """A splitting offset from the Levi-Civita connection instead."""
-        ups_hat = rho_upsilon(self.geom)
-
-        def offset(point, order):
-            u = upsilon_from_lc(point, order)
-            h = ups_hat(point, order)
-            return np.array([u[a] - h[a] for a in range(self.dim)], dtype=object)
-
+        ups = self._one_form(upsilon_from_lc)
+        rho_form = self._rho_form
+        offset = TensorField(
+            self.geom.chart, "d",
+            lambda point, order: ups.dense(point, order) - rho_form.dense(point, order),
+        )
         if label is None:
             label = f"customlc-{next(self._counter)}"
-        s = Splitting(label, offset)
-        base = self._connections["levi_civita"]
-        self._connections[label] = projective_modify(base, upsilon_from_lc)
-        return s
+        self._connections[label] = projective_modify(self.lc, ups)
+        return Splitting(label, offset)
 
     def connection_of(self, s: Splitting) -> Connection:
         return self._connections[s.label]
@@ -247,19 +267,17 @@ class TractorCalculus:
         return pack
 
     def upsilon_jets(self, s: Splitting, point: Point, order: int) -> np.ndarray:
+        """Dense ``(d, ncoeff)`` offset of ``s`` from the reference."""
         if s.upsilon is None:
-            space = jet_space(self.dim, order)
-            return np.array(
-                [space.constant(0.0) for _ in range(self.dim)], dtype=object
-            )
-        return s.upsilon(point, order)
+            return np.zeros((self.dim, jet_space(self.dim, order).ncoeff))
+        return s.upsilon.dense(point, order)
 
     def change_upsilon(
         self, source: Splitting, target: Splitting, point: Point, order: int
     ) -> np.ndarray:
-        us = self.upsilon_jets(source, point, order)
-        ut = self.upsilon_jets(target, point, order)
-        return np.array([ut[a] - us[a] for a in range(self.dim)], dtype=object)
+        return self.upsilon_jets(target, point, order) - self.upsilon_jets(
+            source, point, order
+        )
 
     def in_splitting(self, tv: TractorValue, target: Splitting, point: Point):
         if tv.splitting == target:
@@ -279,21 +297,17 @@ class TractorCalculus:
     def metricity_field(self) -> TensorField:
         """The metricity-equation candidate ``tau^-1 g^ab`` (weight -2)."""
         if not hasattr(self, "_sigma_field"):
-            geom = self.geom
-            gfield = geom.metric_field()
-            tau = self.tau
+            gfield = self.geom.metric_field()
+            dim, tau = self.dim, self.tau
 
             def evaluator(point, order):
-                g = gfield.components(point, order)
-                ginv = jet_matrix_inverse(g)
-                inv_tau = 1.0 / tau.jet(point, order)
-                out = np.empty_like(ginv)
-                for idx in np.ndindex(ginv.shape):
-                    out[idx] = ginv[idx] * inv_tau
-                return out
+                space = jet_space(dim, order)
+                ginv = jet_inverse(gfield.dense(point, order), space)
+                inv_tau = jet_reciprocal(tau.jet(point, order).coeffs, space)
+                return jet_mul(ginv, inv_tau, space)
 
             self._sigma_field = TensorField(
-                geom.chart, "uu", evaluator, weight=-2.0,
+                self.geom.chart, "uu", evaluator, weight=-2.0,
                 name="metricity", sym=((0, 1),),
             )
         return self._sigma_field
@@ -301,32 +315,26 @@ class TractorCalculus:
     # -- connection matrices ----------------------------------------------
 
     def connection_matrices(self, s: Splitting, point: Point, order: int) -> np.ndarray:
-        """``Omega_a`` of the standard tractor connection in splitting ``s``."""
+        """``Omega_a`` of the standard tractor connection in splitting ``s``,
+        a memoized read-only ``(d, n+2, n+2, ncoeff)`` array."""
         key = (s.label, tuple(point), order)
         hit = self._matrices.get(key)
         if hit is not None:
             return hit
         d = self.dim
         conn = self.connection_of(s)
-        pack = self.pack_of(s)
-        G = conn.christoffels(point, order)
-        P = pack.schouten(point, order)
-        tg = conn.trace_gamma(point, order)
-        space = jet_space(d, order)
-        zero = space.constant(0.0)
-        one = space.constant(1.0)
-        omega = np.empty((d, d + 1, d + 1), dtype=object)
-        for a in range(d):
-            gamma_a = tg[a] / (d + 1.0)
-            omega[a, 0, 0] = -gamma_a
-            for b in range(d):
-                omega[a, 0, 1 + b] = -P[a, b]
-                omega[a, 1 + b, 0] = one if a == b else zero
-                for e in range(d):
-                    val = G[b, a, e]
-                    if b == e:
-                        val = val - gamma_a
-                    omega[a, 1 + b, 1 + e] = val
+        G = conn.dense(point, order)
+        P = self.pack_of(s).dense("schouten", point, order)
+        gamma = conn._trace(point, order) / (d + 1.0)
+        eye = np.eye(d)
+        omega = np.zeros((d, d + 1, d + 1, G.shape[-1]))
+        omega[:, 0, 0] = -gamma
+        omega[:, 0, 1:] = -P
+        omega[:, 1:, 0, 0] = eye
+        omega[:, 1:, 1:] = G.transpose(1, 0, 2, 3) - np.einsum(
+            "be,az->abez", eye, gamma
+        )
+        omega.flags.writeable = False
         self._matrices[key] = omega
         return omega
 
@@ -351,26 +359,19 @@ def std_tractor_derivative(
     k = tv.order
     if k < 1:
         raise ValueError("need jets of order >= 1 to differentiate")
-    d = calc.dim
     if contorsion is not None:
         omega = contorsion.matrices(point, k - 1)
     else:
         omega = calc.connection_matrices(tv.splitting, point, k - 1)
-    shape = tv.components.shape
-    out = np.empty((d,) + shape, dtype=object)
-    for a in range(d):
-        # partial derivative of every component
-        da = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            da[idx] = tv.components[idx].partial(a)
-        for kax, var in enumerate(tv.tvariance):
-            axis = tv.n_form + kax
-            if var == "u":
-                da = da + _contract_axis(omega[a], tv.components, axis)
-            else:
-                da = da - _contract_axis(omega[a].T, tv.components, axis)
-        out[a] = da
-    return TractorValue(out, tv.tvariance, tv.n_form + 1, tv.splitting)
+    lower = jet_space(calc.dim, k - 1)
+    out = jet_gradient(tv.data, tv.space)
+    for kax, var in enumerate(tv.tvariance):
+        axis = tv.n_form + kax
+        if var == "u":
+            out = out + _on_axis("axy", omega, tv.data, axis, lower)
+        else:
+            out = out - _on_axis("ayx", omega, tv.data, axis, lower)
+    return TractorValue(out, lower, tv.tvariance, tv.n_form + 1, tv.splitting)
 
 
 # -- the BGG splitting operator on S^2 T ----------------------------------
@@ -389,58 +390,29 @@ def bgg_split_metricity(
     slots are ``(sigma^ab; -D_d sigma^dc/(n+2);
     D_d D_e sigma^de/((n+1)(n+2)) + P_de sigma^de/(n+1))``.
     """
-    d = calc.dim
     n = calc.n
+    space = jet_space(calc.dim, order)
     conn = calc.connection_of(s)
-    pack = calc.pack_of(s)
-    sigma = sigma_field.components(point, order)
+    sigma = sigma_field.dense(point, order)
     dsig_field = covariant_derivative(sigma_field, conn)
-    dsig = dsig_field.components(point, order)
-
-    def trace_eval(pt, k):
-        ds = dsig_field.components(pt, k)
-        out = np.empty(d, dtype=object)
-        for c in range(d):
-            acc = ds[0, 0, c]
-            for e in range(1, d):
-                acc = acc + ds[e, e, c]
-            out[c] = acc
-        return out
-
     trace_field = TensorField(
-        sigma_field.chart, "u", trace_eval, weight=sigma_field.weight,
-        name="div(sigma)",
+        sigma_field.chart, "u",
+        lambda pt, k: np.einsum("eecz->cz", dsig_field.dense(pt, k)),
+        weight=sigma_field.weight, name="div(sigma)",
     )
-    ddiv = covariant_derivative(trace_field, conn).components(point, order)
-    P = pack.schouten(point, order)
+    ddiv = covariant_derivative(trace_field, conn).dense(point, order)
+    P = calc.pack_of(s).dense("schouten", point, order)
 
-    middle = np.empty(d, dtype=object)
-    for c in range(d):
-        acc = dsig[0, 0, c]
-        for e in range(1, d):
-            acc = acc + dsig[e, e, c]
-        middle[c] = acc * (-1.0 / (n + 2))
-    bottom = None
-    for e in range(d):
-        term = ddiv[e, e]
-        bottom = term if bottom is None else bottom + term
-    bottom = bottom * (1.0 / ((n + 1) * (n + 2)))
-    psig = None
-    for a in range(d):
-        for b in range(d):
-            term = P[a, b] * sigma[a, b]
-            psig = term if psig is None else psig + term
-    bottom = bottom + psig * (1.0 / (n + 1))
-
-    m = d + 1
-    H = np.empty((m, m), dtype=object)
+    middle = np.einsum("eecz->cz", dsig_field.dense(point, order)) * (-1.0 / (n + 2))
+    bottom = np.einsum("eez->z", ddiv) * (1.0 / ((n + 1) * (n + 2))) + jet_einsum(
+        "ab,ab->", P, sigma, space
+    ) * (1.0 / (n + 1))
+    H = np.empty((calc.dim + 1,) * 2 + (space.ncoeff,))
     H[0, 0] = bottom
-    for a in range(d):
-        H[0, 1 + a] = middle[a]
-        H[1 + a, 0] = middle[a]
-        for b in range(d):
-            H[1 + a, 1 + b] = sigma[a, b]
-    return TractorValue(H, "uu", 0, s)
+    H[0, 1:] = middle
+    H[1:, 0] = middle
+    H[1:, 1:] = sigma
+    return TractorValue(H, space, "uu", 0, s)
 
 
 def l_tau(
@@ -455,20 +427,13 @@ def l_tau(
     other splitting is reached by the change map.  The Schouten tensor of a
     special connection is symmetric, so this is a bundle metric.
     """
-    d = calc.dim
-    tau = calc.tau_jet(point, order)
-    P = calc.pack_of(calc.levi_civita_splitting).schouten(point, order)
-    space = jet_space(d, order)
-    zero = space.constant(0.0)
-    m = d + 1
-    G = np.empty((m, m), dtype=object)
+    space = jet_space(calc.dim, order)
+    tau = calc.tau_jet(point, order).coeffs
+    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", point, order)
+    G = np.zeros((calc.dim + 1,) * 2 + (space.ncoeff,))
     G[0, 0] = tau
-    for a in range(d):
-        G[0, 1 + a] = zero
-        G[1 + a, 0] = zero
-        for b in range(d):
-            G[1 + a, 1 + b] = P[a, b] * tau
-    tv = TractorValue(G, "dd", 0, calc.levi_civita_splitting)
+    G[1:, 1:] = jet_mul(P, tau, space)
+    tv = TractorValue(G, space, "dd", 0, calc.levi_civita_splitting)
     if s is not None and s != calc.levi_civita_splitting:
         tv = calc.in_splitting(tv, s, point)
     return tv
@@ -483,23 +448,25 @@ def tractor_metric_inverse(tv: TractorValue) -> TractorValue:
     """
     if tv.n_form != 0 or len(tv.tvariance) != 2:
         raise ValueError("tractor_metric_inverse expects a pure two-tensor")
-    inv = jet_matrix_inverse(tv.components)
     flip = {"u": "d", "d": "u"}
     return TractorValue(
-        inv, flip[tv.tvariance[0]] + flip[tv.tvariance[1]], 0, tv.splitting
+        jet_inverse(tv.data, tv.space), tv.space,
+        flip[tv.tvariance[0]] + flip[tv.tvariance[1]], 0, tv.splitting,
     )
 
 
-def s2t_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, Jet]:
-    """(top sigma^ab, middle nu^a, bottom scalar) of an S^2 T value."""
-    H = tv.components
-    return H[1:, 1:], H[0, 1:].copy(), H[0, 0]
+def s2t_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(top sigma^ab, middle nu^a, bottom scalar) of an S^2 T value, as
+    dense jet arrays."""
+    H = tv.data
+    return H[1:, 1:], H[0, 1:], H[0, 0]
 
 
-def s2tstar_slots(tv: TractorValue) -> tuple[Jet, np.ndarray, np.ndarray]:
-    """(top scalar, middle lambda_a, bottom Phi_ab) of an S^2 T* value."""
-    G = tv.components
-    return G[0, 0], G[0, 1:].copy(), G[1:, 1:]
+def s2tstar_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(top scalar, middle lambda_a, bottom Phi_ab) of an S^2 T* value, as
+    dense jet arrays."""
+    G = tv.data
+    return G[0, 0], G[0, 1:], G[1:, 1:]
 
 
 # -- metricity residual ----------------------------------------------------
@@ -507,7 +474,7 @@ def s2tstar_slots(tv: TractorValue) -> tuple[Jet, np.ndarray, np.ndarray]:
 
 def metricity_residual(
     calc: TractorCalculus,
-    upsilon_from_lc: Callable[[Point, int], np.ndarray] | None,
+    upsilon_from_lc: Callable[[Point, int], np.ndarray] | TensorField | None,
     points: Sequence[Point],
     order: int = 1,
 ) -> dict:
@@ -532,13 +499,10 @@ def metricity_residual(
     middle = 0.0
     scale = 0.0
     for p in points:
-        dg = jet_values(dg_field.components(p, 0))
-        compat = max(compat, float(np.max(np.abs(dg))))
-        g = jet_values(gfield.components(p, 0))
-        scale = max(scale, float(np.max(np.abs(g))))
-        lifted = bgg_split_metricity(calc, sigma, s, p, order)
-        _, nu, _ = s2t_slots(lifted)
-        middle = max(middle, float(np.max(np.abs(jet_values(nu)))))
+        compat = max(compat, float(np.max(np.abs(dg_field.dense(p, 0)[..., 0]))))
+        scale = max(scale, float(np.max(np.abs(gfield.dense(p, 0)[..., 0]))))
+        _, nu, _ = s2t_slots(bgg_split_metricity(calc, sigma, s, p, order))
+        middle = max(middle, float(np.max(np.abs(nu[..., 0]))))
     total = compat / (1.0 + scale) + middle
     return {
         "residual": total,
@@ -549,6 +513,11 @@ def metricity_residual(
 
 
 # -- curvature ---------------------------------------------------------------
+
+
+def _skew(x: np.ndarray) -> np.ndarray:
+    """``x[a, b, ...] - x[b, a, ...]``, exactly antisymmetric."""
+    return x - x.swapaxes(0, 1)
 
 
 def tractor_curvature(
@@ -571,25 +540,10 @@ def tractor_curvature(
         omega = contorsion.matrices(point, order + 1)
     else:
         omega = calc.connection_matrices(s, point, order + 1)
-    m = d + 1
-    zero = jet_space(d, order).constant(0.0)
-    kappa = np.empty((d, d, m, m), dtype=object)
-    domega = np.empty((d, d, m, m), dtype=object)
-    for a in range(d):
-        for i in range(m):
-            for j in range(m):
-                for b in range(d):
-                    domega[b, a, i, j] = omega[a, i, j].partial(b)
-    for a in range(d):
-        kappa[a, a, :, :] = zero
-        for b in range(a + 1, d):
-            comm = np.tensordot(omega[a], omega[b], axes=([1], [0])) - np.tensordot(
-                omega[b], omega[a], axes=([1], [0])
-            )
-            block = domega[a, b] - domega[b, a] + comm
-            kappa[a, b] = block
-            kappa[b, a] = -block
-    return TractorValue(kappa, "ud", 2, s)
+    space = jet_space(d, order)
+    domega = jet_gradient(omega, jet_space(d, order + 1))  # d_a Omega_b
+    prod = jet_einsum("aij,bjk->abik", omega, omega, space)  # Omega_a Omega_b
+    return TractorValue(_skew(domega) + _skew(prod), space, "ud", 2, s)
 
 
 def standard_curvature_blocks(
@@ -600,24 +554,15 @@ def standard_curvature_blocks(
     The endomorphism block is the projective Weyl tensor, the bottom-left
     slot the Cotton tensor (in the sign convention of module ``affine``),
     the diagonal scalar the Ricci antisymmetry ``beta`` (zero for special
-    connections), and the top-right slot vanishes.
+    connections), and the top-right slot vanishes.  Returns the dense
+    ``(d, d, n+2, n+2, ncoeff)`` array.
     """
     d = calc.dim
     pack = calc.pack_of(s)
-    C = pack.weyl(point, order)
-    Y = pack.cotton(point, order)
-    beta = pack.beta(point, order)
-    zero = jet_space(d, order).constant(0.0)
-    m = d + 1
-    kappa = np.empty((d, d, m, m), dtype=object)
-    for a in range(d):
-        for b in range(d):
-            kappa[a, b, 0, 0] = beta[a, b]
-            for c in range(d):
-                kappa[a, b, 1 + c, 0] = zero
-                kappa[a, b, 0, 1 + c] = Y[a, b, c]
-                for e in range(d):
-                    kappa[a, b, 1 + c, 1 + e] = C[a, b, c, e]
+    kappa = np.zeros((d, d, d + 1, d + 1, jet_space(d, order).ncoeff))
+    kappa[:, :, 0, 0] = pack.dense("beta", point, order)
+    kappa[:, :, 0, 1:] = pack.dense("cotton", point, order)
+    kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order)
     return kappa
 
 
@@ -642,17 +587,13 @@ class TractorConnection:
         omega = self.calc.connection_matrices(self.splitting, point, order)
         if self.contorsion is None:
             return omega
-        psi = self.contorsion(point, order)
-        return omega + psi
+        return omega + self.contorsion(point, order)
 
     def contorsion_matrices(self, point: Point, order: int) -> np.ndarray:
-        d = self.calc.dim
         if self.contorsion is not None:
             return self.contorsion(point, order)
-        zero = jet_space(d, order).constant(0.0)
-        psi = np.empty((d, d + 1, d + 1), dtype=object)
-        psi[...] = zero
-        return psi
+        d = self.calc.dim
+        return np.zeros((d, d + 1, d + 1, jet_space(d, order).ncoeff))
 
     def derivative(self, tv: TractorValue, point: Point) -> TractorValue:
         if tv.splitting != self.splitting:
@@ -672,29 +613,19 @@ def contorsion_slots_lc(
 
     ``A_a^b_c = P^bd (D_a P_dc + D_c P_da - D_d P_ac) / 2`` in the
     Levi-Civita scale: the Koszul-type correction built from the Schouten
-    tensor, symmetric in the lower pair.  The sign is pinned by metric
-    compatibility of the resulting connection for L(tau) (flipping it gives
-    a compatibility defect of exactly twice the derivative of L(tau)).
+    tensor, symmetric in the lower pair (symmetrized exactly, since the
+    Schouten jets are symmetric only up to rounding).  The sign is pinned by
+    metric compatibility of the resulting connection for L(tau) (flipping it
+    gives a compatibility defect of exactly twice the derivative of L(tau)).
+    Returns the dense ``(d, d, d, ncoeff)`` array ``A[a, b, c]``.
     """
-    d = calc.dim
+    space = jet_space(calc.dim, order)
     pack = calc.pack_of(calc.levi_civita_splitting)
-    P = pack.schouten(point, order)
-    dP = pack.schouten_derivative(point, order)
-    Pinv = jet_matrix_inverse(P)
-    A = np.empty((d, d, d), dtype=object)
-    for a in range(d):
-        for c in range(a, d):
-            combo = np.empty(d, dtype=object)
-            for e in range(d):
-                combo[e] = dP[a, e, c] + dP[c, e, a] - dP[e, a, c]
-            for b in range(d):
-                acc = None
-                for e in range(d):
-                    term = Pinv[b, e] * combo[e]
-                    acc = term if acc is None else acc + term
-                A[a, b, c] = acc * 0.5
-                A[c, b, a] = A[a, b, c]
-    return A
+    Pinv = jet_inverse(pack.dense("schouten", point, order), space)
+    dP = pack.dense("schouten_derivative", point, order)  # dP[a, e, c] = D_a P_ec
+    combo = dP + dP.transpose(2, 1, 0, 3) - dP.transpose(1, 0, 2, 3)
+    A = jet_einsum("be,aec->abc", Pinv, combo, space)
+    return 0.25 * (A + A.transpose(2, 1, 0, 3))
 
 
 def metricity_contorsion(
@@ -713,18 +644,11 @@ def metricity_contorsion(
     d = calc.dim
 
     def psi_matrices(point: Point, order: int) -> np.ndarray:
-        A = contorsion_slots_lc(calc, point, order)
-        m = d + 1
-        zero = jet_space(d, order).constant(0.0)
-        psi = np.empty((d, m, m), dtype=object)
-        psi[...] = zero
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    psi[a, 1 + b, 1 + c] = A[a, b, c]
-        tv = TractorValue(psi, "ud", 1, calc.levi_civita_splitting)
-        tv = calc.in_splitting(tv, s, point)
-        return tv.components
+        space = jet_space(d, order)
+        psi = np.zeros((d, d + 1, d + 1, space.ncoeff))
+        psi[:, 1:, 1:] = contorsion_slots_lc(calc, point, order)
+        tv = TractorValue(psi, space, "ud", 1, calc.levi_civita_splitting)
+        return calc.in_splitting(tv, s, point).data
 
     return TractorConnection(calc, s, psi_matrices, name="metric-tractor")
 
@@ -740,80 +664,44 @@ def metric_tractor_curvature_blocks(
     connection, the endomorphism block is
     ``C + 2 D_[a A_b] - 2 psi_d[a delta_b] + 2 A_e^c_[a A_b]^e_d`` and the
     bottom slot ``Y + 2 D_[a psi_b] - 2 P_e[a A_b]^e_d + 2 psi_e[a A_b]^e_d``;
-    the right column vanishes (torsion freeness).
+    the right column vanishes (torsion freeness).  Returns the dense
+    ``(d, d, n+2, n+2, ncoeff)`` array.
     """
     d = calc.dim
     s = calc.reference
+    space, upper = jet_space(d, order), jet_space(d, order + 1)
     pack = calc.pack_of(s)
-    conn = calc.connection_of(s)
-    C = pack.weyl(point, order)
-    Y = pack.cotton(point, order)
-    Phat = pack.schouten(point, order)
+    G = calc.connection_of(s).dense(point, order)
 
-    tc = metricity_contorsion(calc, s)
-    psi_raw = tc.contorsion_matrices(point, order + 1)
-    A = np.empty((d, d, d), dtype=object)
-    psi = np.empty((d, d), dtype=object)
-    for a in range(d):
-        for c in range(d):
-            psi[a, c] = psi_raw[a, 0, 1 + c]
-            for b in range(d):
-                A[a, b, c] = psi_raw[a, 1 + b, 1 + c]
+    psi_raw = metricity_contorsion(calc, s).contorsion_matrices(point, order + 1)
+    A = psi_raw[:, 1:, 1:]  # A[a, b, c]
+    psi = psi_raw[:, 0, 1:]  # psi[a, c]
 
-    # Coupled covariant derivatives of A (valence [form d, u, d]) and psi.
-    G = conn.christoffels(point, order)
-    dA = np.empty((d, d, d, d), dtype=object)
-    for e in range(d):
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    acc = A[a, b, c].partial(e)
-                    for f in range(d):
-                        acc = acc - G[f, e, a] * A[f, b, c]
-                        acc = acc + G[b, e, f] * A[a, f, c]
-                        acc = acc - G[f, e, c] * A[a, b, f]
-                    dA[e, a, b, c] = acc
-    dpsi = np.empty((d, d, d), dtype=object)
-    for e in range(d):
-        for a in range(d):
-            for c in range(d):
-                acc = psi[a, c].partial(e)
-                for f in range(d):
-                    acc = acc - G[f, e, a] * psi[f, c]
-                    acc = acc - G[f, e, c] * psi[a, f]
-                dpsi[e, a, c] = acc
+    # Coupled covariant derivatives (derivative index first) of A, psi.
+    dA = (
+        jet_gradient(A, upper)
+        - jet_einsum("fea,fbc->eabc", G, A, space)
+        + jet_einsum("bef,afc->eabc", G, A, space)
+        - jet_einsum("fec,abf->eabc", G, A, space)
+    )
+    dpsi = (
+        jet_gradient(psi, upper)
+        - jet_einsum("fea,fc->eac", G, psi, space)
+        - jet_einsum("fec,af->eac", G, psi, space)
+    )
+    A, psi = A[..., : space.ncoeff], psi[..., : space.ncoeff]
+    # psi_b^e delta_a^c and A_a^c_f A_b^f_e, before antisymmetrizing in ab
+    psi_delta = np.einsum("ca,bez->abcez", np.eye(d), psi)
+    AA = jet_einsum("acf,bfe->abce", A, A, space)
+    # (psi_a^f - P_f^a) A_b^f_e
+    PA = jet_einsum(
+        "af,bfe->abe", psi - pack.dense("schouten", point, order).swapaxes(0, 1),
+        A, space,
+    )
 
-    m = d + 1
-    zero = jet_space(d, order).constant(0.0)
-    kappa = np.empty((d, d, m, m), dtype=object)
-    for a in range(d):
-        for b in range(d):
-            kappa[a, b, 0, 0] = zero
-            for c in range(d):
-                kappa[a, b, 1 + c, 0] = zero
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(d):
-                for e in range(d):
-                    val = C[a, b, c, e] + dA[a, b, c, e] - dA[b, a, c, e]
-                    if c == a:
-                        val = val + psi[b, e]
-                    if c == b:
-                        val = val - psi[a, e]
-                    for f in range(d):
-                        val = val + A[a, c, f] * A[b, f, e]
-                        val = val - A[b, c, f] * A[a, f, e]
-                    kappa[a, b, 1 + c, 1 + e] = val
-                    if a != b:
-                        kappa[b, a, 1 + c, 1 + e] = -val
-            for e in range(d):
-                val = Y[a, b, e] + dpsi[a, b, e] - dpsi[b, a, e]
-                for f in range(d):
-                    val = val - Phat[f, a] * A[b, f, e] + Phat[f, b] * A[a, f, e]
-                    val = val + psi[a, f] * A[b, f, e] - psi[b, f] * A[a, f, e]
-                kappa[a, b, 0, 1 + e] = val
-                if a != b:
-                    kappa[b, a, 0, 1 + e] = -val
+    kappa = np.zeros((d, d, d + 1, d + 1, space.ncoeff))
+    kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order) + _skew(dA + psi_delta + AA)
+    kappa[:, :, 0, 1:] = pack.dense("cotton", point, order) + _skew(dpsi + PA)
     return kappa
 
 
@@ -828,19 +716,19 @@ def polynomial_tractor_section(
     s: Splitting | None = None,
     degree: int = 2,
 ) -> TractorValue:
-    """A random polynomial section of T, as jets at one point."""
+    """A random polynomial section of T, as jets at one point.
+
+    Each slot is ``c + c_i x^i + c_ij x^i x^j`` (``i <= j``) in coordinates
+    ``x`` centred at the point, with ``c, c_i`` uniform in [-1, 1) and
+    ``c_ij`` in [-0.5, 0.5), drawn slot by slot in that order.
+    """
     d = calc.dim
-    s = s or calc.reference
     space = jet_space(d, order)
-    xs = [space.variable(i, float(point[i])) - float(point[i]) for i in range(d)]
-    comps = np.empty(d + 1, dtype=object)
-    for slot in range(d + 1):
-        val = space.constant(float(rng.uniform(-1, 1)))
-        for i in range(d):
-            val = val + float(rng.uniform(-1, 1)) * xs[i]
-        if degree >= 2:
-            for i in range(d):
-                for j in range(i, d):
-                    val = val + float(rng.uniform(-0.5, 0.5)) * xs[i] * xs[j]
-        comps[slot] = val
-    return TractorValue(comps, "u", 0, s)
+    iu, ju = np.triu_indices(d if degree >= 2 else 0)
+    draws = rng.random((d + 1, 1 + d + len(iu)))
+    coef = np.hstack([-1.0 + 2.0 * draws[:, : 1 + d], -0.5 + draws[:, 1 + d :]])
+    x = np.zeros((d, space.ncoeff))  # the coordinates centred at the point
+    x[:, 1 : 1 + d] = np.eye(d)[:, : space.ncoeff - 1]
+    xx = jet_mul(x[:, None], x[None, :], space)[iu, ju]
+    basis = np.vstack([np.eye(1, space.ncoeff), x, xx])
+    return TractorValue(coef @ basis, space, "u", 0, s or calc.reference)

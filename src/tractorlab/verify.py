@@ -31,7 +31,7 @@ from .affine import (
 )
 from .extrapolate import boundary_ladder, boundary_limit, richardson_limit
 from .fields import Geometry
-from .jets import jet_matrix_inverse, jet_space, jet_values
+from .jets import jet_einsum, jet_gradient, jet_inverse, jet_space, jet_values
 from .tractor import (
     TractorCalculus,
     bgg_split_metricity,
@@ -63,10 +63,11 @@ class SamplingPlan:
 
     def __post_init__(self):
         valid = {
-            "eps0": self.eps0 > 0,
+            "seed": self.seed >= 0,
+            "eps0": 0 < self.eps0 < math.inf,
             "levels": self.levels >= 2,
-            "ode_step": self.ode_step > 0,
-            "ode_horizon": self.ode_horizon > 0,
+            "ode_step": 0 < self.ode_step < math.inf,
+            "ode_horizon": 0 < self.ode_horizon < math.inf,
             "interior_points": self.interior_points >= 1,
             "boundary_points": self.boundary_points >= 1,
         }
@@ -74,7 +75,8 @@ class SamplingPlan:
         if bad:
             raise ValueError(
                 "invalid sampling plan (" + ", ".join(bad) + "): eps0, ode_step "
-                "and ode_horizon must be > 0, levels >= 2 and the point counts >= 1"
+                "and ode_horizon must be finite and > 0, levels >= 2, the point "
+                "counts >= 1 and the seed >= 0"
             )
 
 
@@ -629,71 +631,45 @@ def _run_bundle(geom, plan, rng, session):
 
 def _run_splitids(geom, plan, rng, session):
     calc = session.calc
-    d = geom.dim
     pts = session.interior(rng, min(plan.interior_points, 10))
     residual = 0.0
     details = []
     order = 1
+    space = jet_space(geom.dim, order)
+    eye = np.eye(geom.dim)
+    pack = calc.pack_of(calc.levi_civita_splitting)
     for p in pts:
-        pack = calc.pack_of(calc.levi_civita_splitting)
-        P = pack.schouten(p, order)
-        Pinv = jet_matrix_inverse(P)
-        rho = geom.rho_jet(p, order + 1)
-        grad = np.array([rho.partial(a) for a in range(d)], dtype=object)
-        rho = rho.truncate(order)
-        Lt = l_tau(calc, p, order, calc.reference)
-        Linv = tractor_metric_inverse(Lt)
-        tau_hat = calc.tau_hat_jet(p, order)
-        top, mid, bot = s2t_slots(Linv)
+        # The identities compare values, and the value of a jet product is
+        # the product of the values: evaluate the closed forms on [..., 0].
+        P_jets = pack.dense("schouten", p, order)
+        P, Pinv = P_jets[..., 0], jet_inverse(P_jets, space)[..., 0]
+        rho_jet = geom.rho_jet(p, order + 1)
+        rho, grad = rho_jet.value, rho_jet.gradient()
+        Linv = tractor_metric_inverse(l_tau(calc, p, order, calc.reference))
+        tau_hat = calc.tau_hat_jet(p, order).value
+        top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
         # slot identifications of the inverse tractor metric
-        t_vec = np.empty(d, dtype=object)
-        gap = 0.0
-        for a in range(d):
-            t_formula = None
-            for b in range(d):
-                term = Pinv[a, b] * grad[b]
-                t_formula = term if t_formula is None else t_formula + term
-            t_formula = t_formula * (-0.25) / (rho * rho)
-            t_vec[a] = tau_hat * mid[a] * 0.5
-            gap = max(gap, abs((t_vec[a] - t_formula).value))
-            for b in range(d):
-                lhs = tau_hat * top[a, b]
-                rhs = Pinv[a, b] / rho
-                gap = max(gap, abs((lhs - rhs).value) / (1 + abs(rhs.value)))
+        t_vec = tau_hat * mid * 0.5
+        t_formula = (Pinv @ grad) * (-0.25) / (rho * rho)
+        gap = max(
+            float(np.max(np.abs(t_vec - t_formula))),
+            float(np.max(np.abs(tau_hat * top - Pinv / rho) / (1 + np.abs(Pinv / rho)))),
+        )
         psi = tau_hat * bot
         # the three splitting identities
-        gamma = np.empty((d, d), dtype=object)
-        for a in range(d):
-            for b in range(d):
-                gamma[a, b] = rho * P[a, b] + grad[a] * grad[b] / (4.0 * rho)
-        id1 = None
-        for a in range(d):
-            term = t_vec[a] * grad[a]
-            id1 = term if id1 is None else id1 + term
-        id1 = id1 - (1.0 - rho * psi)
-        gap = max(gap, abs(id1.value))
-        for b in range(d):
-            acc = None
-            for a in range(d):
-                term = t_vec[a] * gamma[a, b]
-                acc = term if acc is None else acc + term
-            acc = acc + 0.25 * psi * grad[b]
-            gap = max(gap, abs(acc.value))
-            for a in range(d):
-                acc2 = t_vec[a] * grad[b]
-                for c in range(d):
-                    acc2 = acc2 + (Pinv[a, c] / rho) * gamma[c, b]
-                if a == b:
-                    acc2 = acc2 - 1.0
-                gap = max(gap, abs(acc2.value))
+        gamma = rho * P + np.outer(grad, grad) / (4.0 * rho)
+        id1 = t_vec @ grad - (1.0 - rho * psi)
+        id2 = t_vec @ gamma + 0.25 * psi * grad
+        id3 = np.outer(t_vec, grad) + (Pinv / rho) @ gamma - eye
+        gap = max(gap, abs(float(id1)), float(np.max(np.abs(id2))),
+                  float(np.max(np.abs(id3))))
         residual = max(residual, gap)
         details.append({"point": list(p), "identity_residual": gap})
     # boundary limit of t.drho -> 1 (tolerance 1e-5 vs headline 1e-8)
     ys = session.boundary(rng, 2)
     for y in ys:
         def t_dot(pt):
-            pk = calc.pack_of(calc.levi_civita_splitting)
-            Pv = jet_values(pk.schouten(pt, 0))
+            Pv = pack.dense("schouten", pt, 0)[..., 0]
             rho = geom.rho_jet(pt, 1)
             grad = rho.gradient()
             tv = -np.linalg.inv(Pv) @ grad / (4 * rho.value**2)
@@ -828,39 +804,30 @@ def _run_thm41a(geom, plan, rng, session):
 
 def _run_thm43_metric(geom, plan, rng, session):
     calc = session.calc
-    d = geom.dim
     tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
+    lower = jet_space(geom.dim, 2)
     residual = 0.0
     details = []
     for p in pts:
         L = l_tau(calc, p, 3, calc.reference)
-        G = L.components
+        G = L.data
         pairs = 0
         gap = 0.0
         for _ in range(7):
             s1 = polynomial_tractor_section(calc, p, 3, rng)
             s2 = polynomial_tractor_section(calc, p, 3, rng)
-            Ds1 = tc.derivative(s1, p)
-            Ds2 = tc.derivative(s2, p)
-
-            def pair(u, v):
-                acc = None
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        t = G[i, j] * u[i] * v[j]
-                        acc = t if acc is None else acc + t
-                return acc
-
-            val = pair(s1.components, s2.components)
-            for a in range(d):
-                lhs = val.partial(a)
-                rhs = pair(Ds1.components[a], s2.components) + pair(
-                    s1.components, Ds2.components[a]
-                )
-                gap = max(gap, abs((lhs - rhs.truncate(lhs.order)).value))
+            Ds1 = tc.derivative(s1, p).data
+            Ds2 = tc.derivative(s2, p).data
+            # d_a L(s1, s2) against L(D_a s1, s2) + L(s1, D_a s2)
+            Ls1 = jet_einsum("ij,i->j", G, s1.data, L.space)
+            lhs = jet_gradient(jet_einsum("j,j->", Ls1, s2.data, L.space), L.space)
+            rhs = jet_einsum(
+                "aj,j->a", jet_einsum("ij,ai->aj", G, Ds1, lower), s2.data, lower
+            ) + jet_einsum("j,aj->a", Ls1, Ds2, lower)
+            gap = max(gap, float(np.max(np.abs(lhs[..., 0] - rhs[..., 0]))))
             pairs += 1
-        scale = float(np.max(np.abs(jet_values(G))))
+        scale = float(np.max(np.abs(L.values())))
         residual = max(residual, _scaled(gap, scale))
         details.append({"point": list(p), "compatibility_residual": gap,
                         "pairs": pairs})
@@ -875,7 +842,7 @@ def _run_thm43_torsion(geom, plan, rng, session):
     details = []
     for p in pts:
         kap = tc.curvature(p, 0).values()
-        blocks = jet_values(metric_tractor_curvature_blocks(calc, p, 0))
+        blocks = metric_tractor_curvature_blocks(calc, p, 0)[..., 0]
         scale = float(np.max(np.abs(kap)))
         torsion = float(np.max(np.abs(kap[:, :, 1:, 0])))
         corner = float(np.max(np.abs(kap[:, :, 0, 0])))
@@ -968,14 +935,11 @@ def _run_equivariance(geom, plan, rng, session):
     coef = rng.uniform(-0.5, 0.5, size=(d, d + 1))
 
     def ups(point, order):
-        space = jet_space(d, order)
-        xs = [space.variable(i, float(point[i])) for i in range(d)]
-        out = np.empty(d, dtype=object)
-        for a in range(d):
-            v = space.constant(coef[a, 0])
-            for i in range(d):
-                v = v + coef[a, 1 + i] * xs[i]
-            out[a] = v
+        # the affine one-form coef[:, 0] + coef[:, 1:] x as dense jets
+        out = np.zeros((d, jet_space(d, order).ncoeff))
+        out[:, 0] = coef[:, 0] + coef[:, 1:] @ np.asarray(point, dtype=float)
+        if order >= 1:
+            out[:, 1 : 1 + d] = coef[:, 1:]
         return out
 
     s3 = calc.splitting(ups, "equivariance-probe")
@@ -1004,74 +968,57 @@ def _run_equivariance(geom, plan, rng, session):
 
 
 def _instance_matches(calc: TractorCalculus, p) -> float:
-    """Closed-form component checks of the three splitting-change instances."""
+    """Closed-form component checks of the three splitting-change instances.
+
+    The gaps compare values, and the value of a jet product is the product
+    of the values, so the closed forms are evaluated on the ``[..., 0]``
+    slices of the order-1 tractor quantities.
+    """
     geom = calc.geom
-    d = geom.dim
-    n = d - 1
+    n = geom.dim - 1
     order = 1
-    rho_full = geom.rho_jet(p, order + 1)
-    grad = np.array([rho_full.partial(a) for a in range(d)], dtype=object)
-    rho = rho_full.truncate(order)
-    tau_hat = calc.tau_hat_jet(p, order)
-    tau = calc.tau_jet(p, order)
-    P = calc.pack_of(calc.levi_civita_splitting).schouten(p, order)
-    g = geom.metric_jets(p, order)
-    ginv = jet_matrix_inverse(g)
-    gap = 0.0
+    rho_jet = geom.rho_jet(p, order + 1)
+    rho, grad = rho_jet.value, rho_jet.gradient()
+    tau_hat = calc.tau_hat_jet(p, order).value
+    tau = calc.tau_jet(p, order).value
+    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, order)[..., 0]
+    g_jets = geom.metric_field().dense(p, order)
+    g = g_jets[..., 0]
+    ginv = jet_inverse(g_jets, jet_space(geom.dim, order))[..., 0]
+    grad2 = np.outer(grad, grad)
+
+    def worst(x):
+        return float(np.max(np.abs(x)))
 
     # L(tau) in the reference splitting
-    G = l_tau(calc, p, order, calc.reference).components
-    gap = max(gap, abs((G[0, 0] - rho * tau_hat).value))
-    for a in range(d):
-        gap = max(gap, abs((G[0, 1 + a] - 0.5 * grad[a] * tau_hat).value))
-        for b in range(d):
-            expect = P[a, b] * rho * tau_hat + grad[a] * grad[b] * tau_hat / (
-                4.0 * rho
-            )
-            gap = max(gap, abs((G[1 + a, 1 + b] - expect).value))
+    G = l_tau(calc, p, order, calc.reference).values()
+    gap = max(
+        float(abs(G[0, 0] - rho * tau_hat)),
+        worst(G[0, 1:] - 0.5 * grad * tau_hat),
+        worst(G[1:, 1:] - (P * rho * tau_hat + grad2 * tau_hat / (4.0 * rho))),
+    )
 
     # the metricity tractor in the reference splitting
-    sigma = calc.metricity_field()
-    H = bgg_split_metricity(calc, sigma, calc.reference, p, order)
-    top, mid, bot = s2t_slots(H)
-    inv_tau = 1.0 / tau
-    gP = None
-    for i in range(d):
-        for j in range(d):
-            term = ginv[i, j] * P[i, j]
-            gP = term if gP is None else gP + term
-    for c in range(d):
-        acc = None
-        for i in range(d):
-            term = ginv[c, i] * grad[i]
-            acc = term if acc is None else acc + term
-        expect = acc * (-0.5) / rho * inv_tau
-        gap = max(gap, abs((mid[c] - expect).value))
-    gq = None
-    for i in range(d):
-        for j in range(d):
-            term = ginv[i, j] * grad[i] * grad[j]
-            gq = term if gq is None else gq + term
-    expect_bot = gP * inv_tau * (1.0 / (n + 1)) + gq * inv_tau / (4.0 * rho * rho)
-    gap = max(gap, abs((bot - expect_bot).value))
+    H = bgg_split_metricity(calc, calc.metricity_field(), calc.reference, p, order)
+    top, mid, bot = (x[..., 0] for x in s2t_slots(H))
+    gP = float(np.sum(ginv * P))
+    gq = float(grad @ ginv @ grad)
+    expect_bot = gP / tau * (1.0 / (n + 1)) + gq / tau / (4.0 * rho * rho)
+    gap = max(
+        gap,
+        worst(mid - (ginv @ grad) * (-0.5) / rho / tau),
+        float(abs(bot - expect_bot)),
+    )
 
     # its inverse (the boundary metric tractor of the interior metric)
-    Phi = tractor_metric_inverse(H)
-    Gp = Phi.components
-    inv_gP = 1.0 / gP
-    gap = max(gap, abs((Gp[0, 0] - tau_hat * rho * (n + 1) * inv_gP).value))
-    for a in range(d):
-        expect = tau_hat * (0.5 * (n + 1)) * inv_gP * grad[a]
-        gap = max(gap, abs((Gp[0, 1 + a] - expect).value))
-        for b in range(d):
-            expect = tau_hat * (
-                rho * g[a, b]
-                + (n + 1) / (4.0 * rho) * inv_gP * grad[a] * grad[b]
-            )
-            gap = max(
-                gap, abs((Gp[1 + a, 1 + b] - expect).value) / (1 + abs(expect.value))
-            )
-    return gap
+    Gp = tractor_metric_inverse(H).values()
+    expect = tau_hat * (rho * g + (n + 1) / (4.0 * rho) / gP * grad2)
+    return max(
+        gap,
+        float(abs(Gp[0, 0] - tau_hat * rho * (n + 1) / gP)),
+        worst(Gp[0, 1:] - tau_hat * (0.5 * (n + 1)) / gP * grad),
+        worst((Gp[1:, 1:] - expect) / (1 + np.abs(expect))),
+    )
 
 
 def _run_curv_consistency(geom, plan, rng, session):
@@ -1083,7 +1030,7 @@ def _run_curv_consistency(geom, plan, rng, session):
         gap = 0.0
         for s in (calc.reference, calc.levi_civita_splitting):
             kap = tractor_curvature(calc, s, p, 0).values()
-            blocks = jet_values(standard_curvature_blocks(calc, s, p, 0))
+            blocks = standard_curvature_blocks(calc, s, p, 0)[..., 0]
             scale = float(np.max(np.abs(kap))) + float(np.max(np.abs(blocks)))
             g = float(np.max(np.abs(kap - blocks)))
             gap = max(gap, _scaled(g, scale))

@@ -179,12 +179,21 @@ def test_eval_non_finite_value_exits_two(monkeypatch, capsys):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("quantity", ["gamma", "t_vector"])
-def test_eval_without_boundary_value_exits_two(quantity, capsys):
+_NO_BOUNDARY_VALUE = {
     # on the flat control gamma diverges and the Schouten tensor is singular
+    "gamma": ("flat", "1,0.2,0.1"),
+    "t_vector": ("flat", "1,0.2,0.1"),
+    # on klein-4 the metric tractor curvature diverges along the diagonal
+    "phi": ("klein", "0.5,0.5,0.5,0.5"),
+}
+
+
+@pytest.mark.parametrize("quantity", list(_NO_BOUNDARY_VALUE))
+def test_eval_without_boundary_value_exits_two(quantity, capsys):
+    geometry, point = _NO_BOUNDARY_VALUE[quantity]
     code = main([
-        "eval", "--geometry", "flat", "--dim", "3", "--quantity", quantity,
-        "--boundary-point", "1,0.2,0.1", "--extrapolate",
+        "eval", "--geometry", geometry, "--dim", str(point.count(",") + 1),
+        "--quantity", quantity, f"--boundary-point={point}", "--extrapolate",
     ])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

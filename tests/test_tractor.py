@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import jet_values, max_value
-from tractorlab.jets import PoleError, jet_space
+from conftest import max_value
+from tractorlab.jets import PoleError, jet_inverse, jet_space, jet_stack, jet_views
 from tractorlab.tractor import (
     TractorCalculus,
     TractorValue,
     bgg_split_metricity,
     change_splitting,
+    contorsion_slots_lc,
     l_tau,
     metric_tractor_curvature_blocks,
     metricity_contorsion,
@@ -66,7 +67,7 @@ def test_flat_structure_derivative(flat3):
     comps[0] = space.variable(0, p[0])  # sigma = x0
     for a in range(3):
         comps[1 + a] = space.constant(0.0)
-    tv = TractorValue(comps, "u", 0, calc.levi_civita_splitting)
+    tv = TractorValue(jet_stack(comps, space), space, "u", 0, calc.levi_civita_splitting)
     D = std_tractor_derivative(calc, tv, p)
     for a in range(3):
         # nu-slot: sigma delta^b_a
@@ -86,7 +87,7 @@ def test_constant_upper_section_on_flat(flat3):
     comps[0] = space.constant(0.0)
     for a in range(3):
         comps[1 + a] = space.variable(a, 0.0)
-    tv = TractorValue(comps, "u", 0, calc.levi_civita_splitting)
+    tv = TractorValue(jet_stack(comps, space), space, "u", 0, calc.levi_civita_splitting)
     D = std_tractor_derivative(calc, tv, p)
     for a in range(3):
         assert D.components[a, 0].value == pytest.approx(0.0, abs=1e-14)
@@ -102,13 +103,12 @@ def test_constant_upper_section_on_flat(flat3):
 def test_change_splitting_identity_and_group_action(calc3, rng):
     p = (0.2, -0.1, 0.3)
     tv = l_tau(calc3, p, 2)
-    ident = change_splitting(tv, np.zeros(3))
+    ident = change_splitting(tv, np.zeros((3, tv.space.ncoeff)))
     assert tv_gap(ident, tv) == 0.0
-    u1 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
-    u2 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
+    u1 = jet_stack(linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2), tv.space)
+    u2 = jet_stack(linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2), tv.space)
     two = change_splitting(change_splitting(tv, u1), u2)
-    u12 = np.array([u1[a] + u2[a] for a in range(3)], dtype=object)
-    one = change_splitting(tv, u12)
+    one = change_splitting(tv, u1 + u2)
     assert tv_gap(two, one) < 1e-10
 
 
@@ -124,10 +124,10 @@ def test_endomorphism_change_is_conjugation(calc3, rng):
     for idx in np.ndindex(d + 1, d + 1):
         M[idx] = space.constant(vals[idx])
     uvals = rng.uniform(-0.7, 0.7, size=d)
-    ups = np.array([space.constant(v) for v in uvals], dtype=object)
-    tv = TractorValue(M, "ud", 0, calc3.reference)
+    ups = jet_stack([space.constant(v) for v in uvals], space)
+    tv = TractorValue(jet_stack(M, space), space, "ud", 0, calc3.reference)
     out = change_splitting(tv, ups)
-    got = jet_values(out.components)
+    got = out.values()
 
     A = vals[1:, 1:]
     xi = vals[1:, 0]
@@ -190,7 +190,7 @@ def test_end_connection_block_formula(calc_af2, rng):
         for i in range(d):
             val = val + c[1 + i] * (xs[i] - p[i])
         M[idx] = val
-    tv = TractorValue(M, "ud", 0, calc.reference)
+    tv = TractorValue(jet_stack(M, space), space, "ud", 0, calc.reference)
     D = std_tractor_derivative(calc, tv, p)
 
     conn = calc.connection_of(calc.reference)
@@ -253,7 +253,7 @@ def test_product_rule(calc3, rng):
     for i in range(4):
         for j in range(4):
             prod[i, j] = s1.components[i] * s2.components[j]
-    tv = TractorValue(prod, "uu", 0, calc3.reference)
+    tv = TractorValue(jet_stack(prod, s1.space), s1.space, "uu", 0, calc3.reference)
     D = std_tractor_derivative(calc3, tv, p)
     D1 = std_tractor_derivative(calc3, s1, p)
     D2 = std_tractor_derivative(calc3, s2, p)
@@ -326,10 +326,10 @@ def test_bgg_parallel_klein(calc3):
     sigma = calc3.metricity_field()
     lifted = bgg_split_metricity(calc3, sigma, calc3.levi_civita_splitting, p, 1)
     top, mid, bot = s2t_slots(lifted)
-    assert max(abs(j.value) for j in mid) < 1e-12
+    assert np.max(np.abs(mid[..., 0])) < 1e-12
     rho = calc3.geom.rho_value(p)
     # bottom slot: g^ij P_ij tau^-1/(n+1) with g^ij P_ij = -(n+1)
-    assert bot.value == pytest.approx(-1.0 / rho, rel=1e-12)
+    assert bot[0] == pytest.approx(-1.0 / rho, rel=1e-12)
 
 
 def test_bgg_flat_bottom_slot(flat3):
@@ -338,8 +338,8 @@ def test_bgg_flat_bottom_slot(flat3):
     sigma = calc.metricity_field()
     lifted = bgg_split_metricity(calc, sigma, calc.levi_civita_splitting, p, 1)
     top, mid, bot = s2t_slots(lifted)
-    assert max(abs(j.value) for j in mid) < 1e-13
-    assert abs(bot.value) < 1e-13
+    assert np.max(np.abs(mid[..., 0])) < 1e-13
+    assert abs(bot[0]) < 1e-13
 
 
 def test_bgg_equivariance(calc_af2):
@@ -376,11 +376,11 @@ def test_klein_t_vector_and_psi(calc3, klein3):
     L = l_tau(calc3, p, 1, calc3.reference)
     inv = tractor_metric_inverse(L)
     top, mid, bot = s2t_slots(inv)
-    tau_hat = calc3.tau_hat_jet(p, 1)
+    tau_hat = calc3.tau_hat_jet(p, 1).value
     for a in range(3):
-        t_a = (tau_hat * mid[a] * 0.5).value
+        t_a = tau_hat * mid[a, 0] * 0.5
         assert t_a == pytest.approx(-p[a] / 2, abs=1e-11)
-    assert (tau_hat * bot).value == pytest.approx(1.0, abs=1e-10)
+    assert tau_hat * bot[0] == pytest.approx(1.0, abs=1e-10)
 
 
 # -- metricity residual -------------------------------------------------------------
@@ -429,11 +429,7 @@ def test_af2_curvature_consistency(calc_af2):
     for s in (calc_af2.reference, calc_af2.levi_civita_splitting):
         kap = tractor_curvature(calc_af2, s, p, 0)
         blocks = standard_curvature_blocks(calc_af2, s, p, 0)
-        gap = max(
-            abs((kap.components[idx] - blocks[idx]).value)
-            for idx in np.ndindex(4, 4, 5, 5)
-        )
-        assert gap < 1e-7
+        assert np.max(np.abs(kap.values() - blocks[..., 0])) < 1e-7
 
 
 def test_curvature_by_repeated_derivative(calc_af2, rng):
@@ -464,11 +460,7 @@ def test_metric_tractor_connection_properties(calc_af2, rng):
     assert max_value(DL.components) < 1e-10
     kap = tc.curvature(p, 1)
     blocks = metric_tractor_curvature_blocks(calc_af2, p, 1)
-    gap = max(
-        abs((kap.components[idx] - blocks[idx]).value)
-        for idx in np.ndindex(4, 4, 5, 5)
-    )
-    assert gap < 1e-12
+    assert np.max(np.abs(kap.values() - blocks[..., 0])) < 1e-12
     torsion = max(
         abs(kap.components[a, b, 1 + c, 0].value)
         for a in range(4) for b in range(4) for c in range(4)
@@ -481,4 +473,188 @@ def test_klein_contorsion_vanishes(calc3, rng):
     tc = metricity_contorsion(calc3, calc3.reference)
     p = calc3.geom.interior_points(1, rng)[0]
     psi = tc.contorsion_matrices(p, 1)
-    assert max_value(psi) < 1e-10
+    assert np.max(np.abs(psi[..., 0])) < 1e-10
+
+
+# -- dense kernels against the scalar-jet loop formulas ------------------------------
+
+
+def omega_reference(calc, s, point, order):
+    """Connection matrices assembled component by component."""
+    d = calc.dim
+    conn = calc.connection_of(s)
+    G = conn.christoffels(point, order)
+    P = calc.pack_of(s).schouten(point, order)
+    tg = conn.trace_gamma(point, order)
+    space = jet_space(d, order)
+    omega = np.empty((d, d + 1, d + 1), dtype=object)
+    for a in range(d):
+        gamma_a = tg[a] / (d + 1.0)
+        omega[a, 0, 0] = -gamma_a
+        for b in range(d):
+            omega[a, 0, 1 + b] = -P[a, b]
+            omega[a, 1 + b, 0] = space.constant(1.0 if a == b else 0.0)
+            for e in range(d):
+                val = G[b, a, e]
+                if b == e:
+                    val = val - gamma_a
+                omega[a, 1 + b, 1 + e] = val
+    return omega
+
+
+def change_reference(comps, tvariance, n_form, upsilon, space):
+    """The fiber change map S (upper axes) and its inverse transpose T
+    (lower axes) contracted axis by axis on object arrays."""
+    d = len(upsilon)
+    S = np.empty((d + 1, d + 1), dtype=object)
+    S[...] = space.constant(0.0)
+    T = S.copy()
+    S[0, 0] = T[0, 0] = space.constant(1.0)
+    for a in range(d):
+        S[1 + a, 1 + a] = T[1 + a, 1 + a] = space.constant(1.0)
+        S[0, 1 + a] = -upsilon[a]
+        T[1 + a, 0] = upsilon[a]
+    for k, var in enumerate(tvariance):
+        axis = n_form + k
+        out = np.tensordot(S if var == "u" else T, comps, axes=([1], [axis]))
+        comps = np.moveaxis(out, 0, axis)
+    return comps
+
+
+def curvature_reference(omega, d, order):
+    """``d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b]`` from order + 1
+    object connection matrices."""
+    m = d + 1
+    kappa = np.empty((d, d, m, m), dtype=object)
+    for a in range(d):
+        kappa[a, a] = jet_space(d, order).constant(0.0)
+        for b in range(a + 1, d):
+            comm = np.tensordot(omega[a], omega[b], axes=([1], [0])) - np.tensordot(
+                omega[b], omega[a], axes=([1], [0])
+            )
+            for i in range(m):
+                for j in range(m):
+                    block = (omega[b, i, j].partial(a) - omega[a, i, j].partial(b)
+                             + comm[i, j])
+                    kappa[a, b, i, j] = block
+                    kappa[b, a, i, j] = -block
+    return kappa
+
+
+def contorsion_reference(calc, point, order):
+    """``A_a^b_c = P^be (D_a P_ec + D_c P_ea - D_e P_ac) / 2``."""
+    d = calc.dim
+    space = jet_space(d, order)
+    pack = calc.pack_of(calc.levi_civita_splitting)
+    P = pack.schouten(point, order)
+    dP = pack.schouten_derivative(point, order)
+    Pinv = jet_views(jet_inverse(jet_stack(P, space), space), space)
+    A = np.empty((d, d, d), dtype=object)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                acc = space.constant(0.0)
+                for e in range(d):
+                    acc = acc + Pinv[b, e] * (dP[a, e, c] + dP[c, e, a] - dP[e, a, c])
+                A[a, b, c] = acc * 0.5
+    return A
+
+
+def metric_blocks_reference(calc, point, order):
+    """The metric-tractor curvature block formula, component by component,
+    from the contorsion matrices of the reference splitting."""
+    d = calc.dim
+    s = calc.reference
+    pack = calc.pack_of(s)
+    C = pack.weyl(point, order)
+    Y = pack.cotton(point, order)
+    Phat = pack.schouten(point, order)
+    G = calc.connection_of(s).christoffels(point, order)
+    raw = metricity_contorsion(calc, s).contorsion_matrices(point, order + 1)
+    psi_raw = jet_views(raw, jet_space(d, order + 1))
+    A = psi_raw[:, 1:, 1:]
+    psi = psi_raw[:, 0, 1:]
+    dA = np.empty((d, d, d, d), dtype=object)
+    dpsi = np.empty((d, d, d), dtype=object)
+    for e in range(d):
+        for a in range(d):
+            for c in range(d):
+                acc = psi[a, c].partial(e)
+                for f in range(d):
+                    acc = acc - G[f, e, a] * psi[f, c] - G[f, e, c] * psi[a, f]
+                dpsi[e, a, c] = acc
+                for b in range(d):
+                    acc = A[a, b, c].partial(e)
+                    for f in range(d):
+                        acc = acc - G[f, e, a] * A[f, b, c]
+                        acc = acc + G[b, e, f] * A[a, f, c]
+                        acc = acc - G[f, e, c] * A[a, b, f]
+                    dA[e, a, b, c] = acc
+    zero = jet_space(d, order).constant(0.0)
+    kappa = np.empty((d, d, d + 1, d + 1), dtype=object)
+    kappa[...] = zero
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for e in range(d):
+                    val = C[a, b, c, e] + dA[a, b, c, e] - dA[b, a, c, e]
+                    if c == a:
+                        val = val + psi[b, e]
+                    if c == b:
+                        val = val - psi[a, e]
+                    for f in range(d):
+                        val = val + A[a, c, f] * A[b, f, e] - A[b, c, f] * A[a, f, e]
+                    kappa[a, b, 1 + c, 1 + e] = val
+            for e in range(d):
+                val = Y[a, b, e] + dpsi[a, b, e] - dpsi[b, a, e]
+                for f in range(d):
+                    val = val - Phat[f, a] * A[b, f, e] + Phat[f, b] * A[a, f, e]
+                    val = val + psi[a, f] * A[b, f, e] - psi[b, f] * A[a, f, e]
+                kappa[a, b, 0, 1 + e] = val
+    return kappa
+
+
+def assert_close(dense, reference, space):
+    """Every coefficient within 1e-12 relative to the reference's size."""
+    ref = jet_stack(reference, space)
+    assert dense.shape == ref.shape
+    assert np.max(np.abs(dense - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("calc_name,point", [
+    ("calc_af2", (0.4, 0.2, -0.3, 0.1)),
+    ("calc3", (0.2, -0.1, 0.3)),
+])
+@pytest.mark.parametrize("order", [1, 2])
+def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, request, rng):
+    calc = request.getfixturevalue(calc_name)
+    d = calc.dim
+    space = jet_space(d, order)
+    for s in (calc.reference, calc.levi_civita_splitting):
+        omega = calc.connection_matrices(s, point, order)
+        assert not omega.flags.writeable
+        assert calc.connection_matrices(s, point, order) is omega
+        assert_close(omega, omega_reference(calc, s, point, order), space)
+        kappa = tractor_curvature(calc, s, point, order)
+        ref = curvature_reference(omega_reference(calc, s, point, order + 1), d, order)
+        assert_close(kappa.data, ref, space)
+
+    ups = linear_upsilon(d, rng.uniform(-0.5, 0.5, (d, d + 1)))(point, order)
+    kappa = tractor_curvature(calc, calc.reference, point, order)
+    for tv in (
+        l_tau(calc, point, order),
+        polynomial_tractor_section(calc, point, order, rng),
+        kappa,
+    ):
+        changed = change_splitting(tv, jet_stack(ups, space))
+        ref = change_reference(tv.components, tv.tvariance, tv.n_form, ups, space)
+        assert_close(changed.data, ref, space)
+
+    assert_close(
+        contorsion_slots_lc(calc, point, order),
+        contorsion_reference(calc, point, order), space,
+    )
+    assert_close(
+        metric_tractor_curvature_blocks(calc, point, order),
+        metric_blocks_reference(calc, point, order), space,
+    )
