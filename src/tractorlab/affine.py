@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Chart, Geometry, GeometryError, TensorField
+from .fields import Chart, Geometry, GeometryError, TensorField, is_batch
 from .jets import (
     Jet,
     PoleError,
@@ -73,7 +73,8 @@ class Connection:
 
     ``evaluator(point, order)`` returns the dense jet array ``G`` of shape
     ``(d, d, d, ncoeff)`` with ``G[c, a, b] = Gamma^c_ab`` at the requested
-    jet order (see module ``jets``).
+    jet order (see module ``jets``), or ``(d, d, d, B, ncoeff)`` at a batch
+    of points ``(B, d)``.
     """
 
     def __init__(
@@ -105,17 +106,22 @@ class Connection:
             self._cache[key] = hit
         return hit
 
-    def _peek(self, point: Point, order: int) -> np.ndarray:
+    def _peek(self, point: Point | np.ndarray, order: int) -> np.ndarray:
         """Dense Christoffel jets, reusing a memoized array but never storing
-        a new one (the ODE integrator evaluates at thousands of points)."""
-        hit = self._cache.get((tuple(point), order))
-        return hit if hit is not None else self._evaluator(point, order)
+        a new one (the ODE integrator evaluates at thousands of points); a
+        batch of points ``(B, d)`` is always evaluated."""
+        if not is_batch(point):
+            hit = self._cache.get((tuple(point), order))
+            if hit is not None:
+                return hit
+        return self._evaluator(point, order)
 
     def christoffels(self, point: Point, order: int) -> np.ndarray:
         return jet_views(self.dense(point, order), jet_space(self.dim, order))
 
-    def christoffel_values(self, point: Point, order: int = 0) -> np.ndarray:
-        """Christoffel values (the ``[..., 0]`` slice), never memoized."""
+    def christoffel_values(self, point: Point | np.ndarray, order: int = 0) -> np.ndarray:
+        """Christoffel values (the ``[..., 0]`` slice), never memoized:
+        ``(d, d, d)`` at a point, ``(d, d, d, B)`` at a batch ``(B, d)``."""
         return np.array(self._peek(point, order)[..., 0])
 
     def _trace(self, point: Point, order: int) -> np.ndarray:
@@ -144,7 +150,7 @@ def levi_civita(geom_or_field) -> Connection:
         g = gfield.dense(point, order + 1)
         ginv = jet_inverse(g[..., : space.ncoeff], space)
         dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
-        core = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
         return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
 
     return Connection(chart, evaluator, torsion_free=True, special=True)
@@ -174,8 +180,8 @@ def projective_modify(
         u = upsilon.dense(point, order)
         return (
             conn._peek(point, order)
-            + np.einsum("ca,bz->cabz", eye, u)
-            + np.einsum("cb,az->cabz", eye, u)
+            + np.einsum("ca,b...->cab...", eye, u)
+            + np.einsum("cb,a...->cab...", eye, u)
         )
 
     return Connection(
@@ -187,10 +193,10 @@ def rho_one_form(geom: Geometry) -> TensorField:
     """The one-form ``d(rho)/(alpha rho)`` of the rho-modified connection."""
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        rho = geom.rho_jet(point, order + 1)
-        space = jet_space(geom.dim, order)
-        inv = jet_reciprocal(rho.coeffs[: space.ncoeff] * geom.alpha, space)
-        return jet_mul(jet_gradient(rho.coeffs, rho.space), inv, space)
+        space, upper = jet_space(geom.dim, order), jet_space(geom.dim, order + 1)
+        rho = geom.rho_dense(point, order + 1)
+        inv = jet_reciprocal(rho[..., : space.ncoeff] * geom.alpha, space)
+        return jet_mul(jet_gradient(rho, upper), inv, space)
 
     return TensorField(geom.chart, "d", evaluator, name="d(rho)/(alpha rho)")
 

@@ -9,6 +9,11 @@ boundary" to Richardson extrapolation of X along inward rays (module
 extension of its rho-modified connection) their agreement is part of the
 report.
 
+Geodetic transversals are integrated by fixed-step RK4.  All curves of one
+call share one ``(B, d)`` state, so each RK4 stage is one batched evaluation
+of rho and of the Christoffel symbols over the point axis of the dense jet
+kernels (module ``jets``) rather than one evaluation per curve.
+
 The conformal data at a boundary point lives in the fiber splitting
 
     (beta; xi^i; sigma)  =  (E(1); T dM (-1); E(-1))
@@ -54,6 +59,7 @@ __all__ = [
     "extended_christoffels",
     "rho_connection_extension",
     "geodetic_transversal",
+    "geodetic_transversals",
     "collar_sample",
     "second_fundamental_form",
     "asymptotic_h",
@@ -211,15 +217,96 @@ class TransversalCurve:
 
     def geodesic_residual(self) -> float:
         """Max norm of d(mu)/dt + Gamma(mu, mu) via 4th-order differences."""
-        worst = 0.0
         h = self.ts[1] - self.ts[0]
-        for k in range(2, len(self.ts) - 2):
-            dmu = (
-                -self.mus[k + 2] + 8 * self.mus[k + 1]
-                - 8 * self.mus[k - 1] + self.mus[k - 2]
-            ) / (12 * h)
-            worst = max(worst, float(np.max(np.abs(dmu - self.accs[k]))))
-        return worst
+        mu = self.mus
+        dmu = (-mu[4:] + 8 * mu[3:-1] - 8 * mu[1:-3] + mu[:-4]) / (12 * h)
+        return float(np.max(np.abs(dmu - self.accs[2:-2]), initial=0.0))
+
+
+def geodetic_transversals(
+    geom: Geometry,
+    ys: Sequence[Point],
+    mu0s: Sequence[np.ndarray] | None = None,
+    conn=None,
+    step: float = 1e-3,
+    horizon: float = 0.2,
+    eps0: float = 0.05,
+    levels: int = 6,
+) -> list[TransversalCurve]:
+    """Integrate the rho-connection geodesics from boundary points ``ys``,
+    each with ``d(rho)(mu0) = 1``; one curve per point, in order.
+
+    ``mu0s`` defaults to the inward directions.  The boundary value of the
+    connection comes from its smooth extension, computed for every point
+    before integration starts.  The curves are then integrated together by
+    classical fixed-step RK4 on one ``(B, d)`` state (the curves are short,
+    collar scale): each stage makes one batched rho evaluation and one
+    batched Christoffel evaluation, and rows still on the boundary
+    (``|rho| <= 1e-12``) take their own point's extended value.  When curves
+    leave the chart domain, :class:`GeometryError` names the one that leaves
+    at the earliest step; among curves leaving at the same step, the one
+    with the lowest index.
+    """
+    from .affine import rho_connection
+
+    ys = geom.chart.coords(np.array(ys, dtype=float))
+    if conn is None:
+        conn = rho_connection(geom)
+    if mu0s is None:
+        mu0s = [geom.inward_direction(y) for y in ys]
+    mu0s = np.array(mu0s, dtype=float)
+    for y, mu0 in zip(ys, mu0s):
+        pairing = float(geom.drho(y) @ mu0)
+        if abs(pairing - 1.0) > 1e-10:
+            raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
+    gamma_boundary = np.stack([
+        extended_christoffels(conn, geom, y, direction=mu0, eps0=eps0, levels=levels)
+        for y, mu0 in zip(ys, mu0s)
+    ], axis=-1)  # (d, d, d, B), the layout of a batched christoffel_values
+
+    def acc(x: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        inside = np.abs(rho) > 1e-12
+        G = gamma_boundary.copy()
+        if inside.any():
+            G[..., inside] = conn.christoffel_values(x[inside], 0)
+        return -np.einsum("cabn,na,nb->nc", G, v, v)
+
+    def acc_at(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return acc(x, v, geom.rho_dense(x, 0)[:, 0])
+
+    n_steps = int(round(horizon / step))
+    n_curves, d = ys.shape
+    ts = np.arange(n_steps + 1) * step
+    xs = np.zeros((n_curves, n_steps + 1, d))
+    vs = np.zeros((n_curves, n_steps + 1, d))
+    accs = np.zeros((n_curves, n_steps + 1, d))
+    rhos = np.zeros((n_curves, n_steps + 1))
+    x, v = ys.copy(), mu0s.copy()
+    rho = geom.rho_dense(x, 0)[:, 0]
+    a = acc(x, v, rho)
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho
+    for k in range(n_steps):
+        # the acceleration at the step's start is the previous step's end
+        k1x, k1v = v, a
+        k2x, k2v = v + 0.5 * step * k1v, acc_at(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+        k3x, k3v = v + 0.5 * step * k2v, acc_at(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+        k4x, k4v = v + step * k3v, acc_at(x + step * k3x, v + step * k3v)
+        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        rho = geom.rho_dense(x, 0)[:, 0]
+        left = (rho < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
+        if left.any():
+            i = int(np.argmax(left))
+            raise GeometryError(
+                f"transversal from {tuple(ys[i].tolist())} left the chart domain "
+                f"at t={ts[k + 1]:g}"
+            )
+        a = acc(x, v, rho)
+        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho
+    return [
+        TransversalCurve(geom, tuple(ys[i]), mu0s[i], ts, xs[i], vs[i], accs[i], rhos[i])
+        for i in range(n_curves)
+    ]
 
 
 def geodetic_transversal(
@@ -232,65 +319,11 @@ def geodetic_transversal(
     eps0: float = 0.05,
     levels: int = 6,
 ) -> TransversalCurve:
-    """Integrate the rho-connection geodesic with ``d(rho)(mu0) = 1``.
-
-    The initial point is on the boundary, where the connection value comes
-    from its smooth extension; classical fixed-step RK4 is used since the
-    curves are short (collar scale).
-    """
-    from .affine import rho_connection
-
-    d = geom.dim
-    y = np.asarray(y, dtype=float)
-    if conn is None:
-        conn = rho_connection(geom)
-    if mu0 is None:
-        mu0 = geom.inward_direction(y)
-    mu0 = np.asarray(mu0, dtype=float)
-    pairing = float(geom.drho(y) @ mu0)
-    if abs(pairing - 1.0) > 1e-10:
-        raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
-
-    gamma_boundary = extended_christoffels(
-        conn, geom, y, direction=mu0, eps0=eps0, levels=levels
-    )
-
-    def gamma_at(x: np.ndarray) -> np.ndarray:
-        if abs(geom.rho_value(x)) <= 1e-12:
-            return gamma_boundary
-        return conn.christoffel_values(x, 0)
-
-    def acc(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        G = gamma_at(x)
-        return -np.einsum("cab,a,b->c", G, v, v)
-
-    n_steps = int(round(horizon / step))
-    ts = np.zeros(n_steps + 1)
-    xs = np.zeros((n_steps + 1, d))
-    vs = np.zeros((n_steps + 1, d))
-    accs = np.zeros((n_steps + 1, d))
-    rhos = np.zeros(n_steps + 1)
-    xs[0], vs[0] = y, mu0
-    accs[0] = acc(y, mu0)
-    rhos[0] = geom.rho_value(y)
-    x, v = y.copy(), mu0.copy()
-    for k in range(n_steps):
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * step * k1v, acc(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
-        k3x, k3v = v + 0.5 * step * k2v, acc(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
-        k4x, k4v = v + step * k3v, acc(x + step * k3x, v + step * k3v)
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ts[k + 1] = (k + 1) * step
-        xs[k + 1], vs[k + 1] = x, v
-        accs[k + 1] = acc(x, v)
-        rho = geom.rho_value(x)
-        rhos[k + 1] = rho
-        if rho < -1e-8 or np.max(np.abs(x)) > 1e6:
-            raise GeometryError(
-                f"transversal from {tuple(y)} left the chart domain at t={ts[k+1]:g}"
-            )
-    return TransversalCurve(geom, tuple(y), mu0, ts, xs, vs, accs, rhos)
+    """The transversal from one boundary point (see
+    :func:`geodetic_transversals`)."""
+    return geodetic_transversals(
+        geom, [y], None if mu0 is None else [mu0], conn, step, horizon, eps0, levels
+    )[0]
 
 
 @dataclass
@@ -540,7 +573,7 @@ def asymptotic_h(
     gfield = geom.metric_field()
 
     def h_at(p):
-        gv = jet_values(gfield.components(p, 0))
+        gv = gfield.dense(p, 0)[..., 0]
         rho = geom.rho_jet(p, 1)
         grad = rho.gradient()
         return rho.value * gv - (C / rho.value) * np.outer(grad, grad)
@@ -566,6 +599,8 @@ def asymptotic_h(
 
 
 def _constructor_c(geom: Geometry) -> float | None:
+    """The constant C the geometry was built with, at the origin of the
+    chart; None when it has none or it does not parse or evaluate."""
     src = geom.params.get("C")
     if src is None:
         if geom.name == "klein":
@@ -577,7 +612,7 @@ def _constructor_c(geom: Geometry) -> float | None:
         node = ex.parse_expr(str(src))
         return float(ex.evaluate(node, {c: 0.0 for c in geom.chart.coord_names},
                                  call=lambda f, v: getattr(math, f)(v)))
-    except Exception:
+    except (ex.ExprError, ArithmeticError, ValueError, KeyError):
         return None
 
 

@@ -21,10 +21,10 @@ turns a list of ASTs into one flat instruction list in which identical
 subtrees share a slot, integer powers are products and constant subtrees are
 folded to floats (a fold without a finite real value raises
 :class:`ExprError`).  The tape runs on dense jet rows with the kernels of
-module ``jets``; fields and the defining function of a geometry are
-evaluated this way.  :func:`evaluate` is the generic-algebra reference:
-passing floats (or mpmath numbers in the test oracles) yields plain values,
-passing scalar jets yields jets.
+module ``jets``, at one point or at a batch of points; fields and the
+defining function of a geometry are evaluated this way.  :func:`evaluate`
+is the generic-algebra reference: passing floats (or mpmath numbers in the
+test oracles) yields plain values, passing scalar jets yields jets.
 """
 
 from __future__ import annotations
@@ -582,12 +582,15 @@ class Tape:
         self.code = tuple(builder.code)
         self.n_slots = builder.n_slots
         self.const_slots = np.array(list(builder.consts.values()), dtype=np.intp)
-        self.const_values = np.array(list(builder.consts), dtype=float)
+        # slot blocks carry a batch axis: (n_slots, B, ncoeff), B = 1 for a point
+        self.const_values = np.array(list(builder.consts), dtype=float)[:, None]
         self.steps = self._schedule()
+        self._eye = np.eye(len(self.variables))[:, None, :]
 
     def _schedule(self) -> list[tuple]:
         """``(op, out, a, b, param)`` index arrays per (level, op) group; the
-        scale factors of a ``scale`` group form a column."""
+        scale factors of a ``scale`` group broadcast over the batch and
+        coefficient axes."""
         level = [0] * self.n_slots
         groups: dict[tuple, list] = {}
         for op, out, a, b, param in self.code:
@@ -602,7 +605,7 @@ class Tape:
                 np.array(out, dtype=np.intp),
                 np.array(a, dtype=np.intp),
                 None if b[0] is None else np.array(b, dtype=np.intp),
-                np.array(params)[:, None] if op == "scale" else param,
+                np.array(params)[:, None, None] if op == "scale" else param,
             ))
         return steps
 
@@ -610,15 +613,18 @@ class Tape:
         """Number of instructions."""
         return len(self.code)
 
-    def run(self, point: Sequence[float], space: JetSpace) -> np.ndarray:
+    def run(self, point: Sequence[float] | np.ndarray, space: JetSpace) -> np.ndarray:
         """Dense jets ``(n_outputs, ncoeff)`` of the outputs at a point whose
-        coordinates follow ``variables`` (``space.dim`` of them)."""
+        coordinates follow ``variables`` (``space.dim`` of them), or
+        ``(n_outputs, B, ncoeff)`` at a batch of points ``(B, n)``."""
+        pts = np.asarray(point, dtype=float)
         n = len(self.variables)
-        slots = np.zeros((self.n_slots, space.ncoeff))
-        slots[:n, 0] = point
+        rows = pts.reshape(-1, n)  # one point per row
+        slots = np.zeros((self.n_slots, len(rows), space.ncoeff))
+        slots[:n, :, 0] = rows.T
         if space.order >= 1:
-            slots[:n, 1 : n + 1] = np.eye(n)
-        slots[self.const_slots, 0] = self.const_values
+            slots[:n, :, 1 : n + 1] = self._eye
+        slots[self.const_slots, :, 0] = self.const_values
         for op, out, a, b, param in self.steps:
             x = slots[a]
             if op == "mul":
@@ -635,7 +641,8 @@ class Tape:
                 slots[out] = -x
             else:
                 slots[out] = jet_function(op, x, space, param)
-        return slots[self.outputs]
+        out = slots[self.outputs]
+        return out if pts.ndim == 2 else out[:, 0]
 
 
 def compile_tape(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:

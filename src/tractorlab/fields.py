@@ -42,6 +42,11 @@ Point = Sequence[float]
 BOUNDARY_TOL = 1e-10
 
 
+def is_batch(point) -> bool:
+    """True for a batch of points: a ``(B, dim)`` array."""
+    return isinstance(point, np.ndarray) and point.ndim == 2
+
+
 class GeometryError(ValueError):
     """Schema violations, parse errors and geometry validation failures."""
 
@@ -62,8 +67,16 @@ class Chart:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def coords(self, point: Point) -> np.ndarray:
-        """Coordinates of a point as floats, checked against the chart."""
+    def coords(self, point: Point | np.ndarray) -> np.ndarray:
+        """Coordinates of a point, or of a batch of points ``(B, dim)``, as
+        floats, checked against the chart."""
+        if is_batch(point):
+            point = point.astype(float, copy=False)
+            if point.shape[1] != self.dim:
+                raise GeometryError(
+                    f"points have {point.shape[1]} coordinates, chart has {self.dim}"
+                )
+            return point
         if len(point) != self.dim:
             raise GeometryError(
                 f"point has {len(point)} coordinates, chart has {self.dim}"
@@ -94,6 +107,9 @@ class TensorField:
     so declared symmetries hold exactly.  ``evaluator(point, order)`` returns
     either an object array of jets of shape ``(dim,) * rank`` or the dense
     jet array of shape ``(dim,) * rank + (ncoeff,)`` (module ``jets``).
+    Dense evaluators may also take a batch of points ``(B, dim)`` and return
+    ``(dim,) * rank + (B, ncoeff)``; :meth:`dense` passes such a batch
+    through.
     """
 
     def __init__(
@@ -130,7 +146,10 @@ class TensorField:
         space = jet_space(self.chart.dim, order)
         out = np.asarray(self._evaluator(point, order))
         dense = out.dtype != object
-        expected = (self.chart.dim,) * self.rank + ((space.ncoeff,) if dense else ())
+        batch = point.shape[:1] if is_batch(point) else ()
+        expected = (self.chart.dim,) * self.rank + (
+            batch + (space.ncoeff,) if dense else ()
+        )
         if out.shape != expected:
             raise GeometryError(
                 f"field {self.name!r} produced shape {out.shape}, "
@@ -146,9 +165,10 @@ class TensorField:
         out, dense, space = self._evaluate(point, order)
         return jet_views(out, space) if dense else out
 
-    def dense(self, point: Point, order: int | None = None) -> np.ndarray:
+    def dense(self, point: Point | np.ndarray, order: int | None = None) -> np.ndarray:
         """Every component as one dense jet array, shape
-        ``(dim,) * rank + (ncoeff,)``."""
+        ``(dim,) * rank + (ncoeff,)``; at a batch of points ``(B, dim)`` the
+        shape is ``(dim,) * rank + (B, ncoeff)``."""
         out, dense, space = self._evaluate(point, order)
         return out if dense else jet_stack(out, space)
 
@@ -189,7 +209,7 @@ class TensorField:
         def evaluator(point: Point, order: int) -> np.ndarray:
             space = jet_space(chart.dim, order)
             out = tape.run(chart.coords(point), space)[scatter]
-            return out.reshape(shape + (space.ncoeff,))
+            return out.reshape(shape + out.shape[1:])
 
         return cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
 
@@ -245,13 +265,17 @@ class Geometry:
 
     # -- scalar rho ----------------------------------------------------
 
-    def rho_jet(self, point: Point, order: int) -> Jet:
+    def rho_dense(self, points: Point | np.ndarray, order: int) -> np.ndarray:
+        """Dense rho jets ``(ncoeff,)`` at a point, ``(B, ncoeff)`` at a
+        batch of points ``(B, dim)``."""
         space = jet_space(self.dim, order)
-        return Jet(space, self._rho_tape.run(self.chart.coords(point), space)[0])
+        return self._rho_tape.run(self.chart.coords(points), space)[0]
+
+    def rho_jet(self, point: Point, order: int) -> Jet:
+        return Jet(jet_space(self.dim, order), self.rho_dense(point, order))
 
     def rho_value(self, point: Point) -> float:
-        space = jet_space(self.dim, 0)
-        return float(self._rho_tape.run(self.chart.coords(point), space)[0, 0])
+        return float(self.rho_dense(point, 0)[0])
 
     def drho(self, point: Point) -> np.ndarray:
         """Components of d(rho) at a point, as floats."""

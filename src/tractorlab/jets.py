@@ -23,7 +23,11 @@ singularities, so the error is first class and never replaced by ``inf`` or
 
 A tensor of jets is stored densely as one float array of shape
 ``(*tensor_shape, ncoeff)`` over a :class:`JetSpace`: the last axis holds
-the coefficients of each component, so ``[..., 0]`` are the values.
+the coefficients of each component, so ``[..., 0]`` are the values.  The
+same tensor at a batch of ``B`` points is ``(*tensor_shape, B, ncoeff)``:
+the batch axis sits just before the coefficient axis, and every kernel
+below takes it (``jet_mul``, ``jet_gradient`` and the series kernels by
+broadcasting, ``jet_einsum`` and ``jet_inverse`` explicitly).
 Partials are one gather through ``partial_tables``; products and tensor
 contractions pair coefficients through ``mul_table`` and sum each output
 coefficient's segment (``jet_mul``, ``jet_einsum``).  Reciprocals (with the
@@ -129,6 +133,9 @@ class JetSpace:
             m: k for k, m in enumerate(self.multis)
         }
         self.degrees = np.array([sum(m) for m in self.multis], dtype=np.int64)
+        m = np.arange(order + 1)
+        #: signs and powers of the reciprocal series sum_m (-1)^m t^m / a0^(m+1)
+        self.reciprocal_terms = ((-1.0) ** m, m + 1)
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._mul_starts: np.ndarray | None = None
         self._partial_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -600,11 +607,12 @@ def jet_mul(a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
     """Tensor contraction ``np.einsum(spec)`` of two dense arrays with jet
-    products; ``spec`` names the tensor axes only (lower-case letters)."""
+    products; ``spec`` names the tensor axes only (lower-case letters), and
+    a batch axis before the coefficients broadcasts."""
     ii, jj, _ = space.mul_table
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
-    prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a[..., ii], b[..., jj])
+    prod = np.einsum(f"{sa}...Z,{sb}...Z->{out}...Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, space.mul_starts, axis=-1)
 
 
@@ -648,8 +656,8 @@ def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
             f"reciprocal of a jet with vanishing value ({a0[pole].flat[0]:.3e}); "
             "this usually means evaluation at a boundary pole"
         )
-    m = np.arange(space.order + 1)
-    return jet_compose(dense, (-1.0) ** m / a0[..., None] ** (m + 1), space)
+    signs, powers = space.reciprocal_terms
+    return jet_compose(dense, signs / a0[..., None] ** powers, space)
 
 
 def jet_function(
@@ -667,31 +675,42 @@ def jet_function(
 
 
 def _check_pivots(a0: np.ndarray) -> None:
-    """Raise :class:`PoleError` when partial-pivot elimination of the value
-    matrix meets a pivot below the pole tolerance (relative to its size)."""
-    u = np.array(a0, dtype=float)
-    m = u.shape[0]
-    tol = POLE_TOL * float(np.max(np.abs(u)))
+    """Raise :class:`PoleError` when partial-pivot elimination of a value
+    matrix ``(m, m)``, or of any matrix of a batch ``(m, m, B)``, meets a
+    pivot below the pole tolerance (relative to that matrix's size)."""
+    m = a0.shape[0]
+    u = a0.reshape(m, m, -1).astype(float)
+    tol = POLE_TOL * abs(u).max(axis=(0, 1))
+    batch = np.arange(u.shape[2])
     for col in range(m):
-        piv = col + int(np.argmax(np.abs(u[col:, col])))
-        if abs(u[piv, col]) <= tol:
+        piv = abs(u[col:, col]).argmax(axis=0)
+        piv += col
+        prow = u[piv, :, batch].T  # pivot row of each matrix
+        if (abs(prow[col]) <= tol).any():
             raise PoleError("singular jet matrix (no usable pivot)")
-        u[[col, piv]] = u[[piv, col]]
-        u[col + 1 :, col:] -= np.outer(u[col + 1 :, col] / u[col, col], u[col, col:])
+        if col == m - 1:  # the last pivot has no rows below it
+            break
+        # swap: row col is finished, so only the pivot row's slot is written
+        u[piv, :, batch] = u[col].T
+        below = u[col + 1 :, col:]
+        below -= (below[:, 0] / prow[col])[:, None] * prow[col:]
 
 
 def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
-    """Inverse of a dense ``(m, m, ncoeff)`` jet matrix.
+    """Inverse of a dense ``(m, m, ncoeff)`` jet matrix, or of each matrix
+    of a batch ``(m, m, B, ncoeff)``.
 
     With ``A = A0 + N`` (``N`` without constant term) the Neumann series
     ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
-    Raises :class:`PoleError` when the value matrix is singular.
+    Raises :class:`PoleError` when a value matrix is singular.
     """
     a0 = dense[..., 0]
+    m = a0.shape[0]
     _check_pivots(a0)
     inv0 = np.zeros(a0.shape + (space.ncoeff,))
-    inv0[..., 0] = np.linalg.inv(a0)
-    step = np.einsum("ij,jkz->ikz", -inv0[..., 0], dense[..., : space.ncoeff])
+    stacked = a0.reshape(m, m, -1).transpose(2, 0, 1)
+    inv0[..., 0] = np.linalg.inv(stacked).transpose(1, 2, 0).reshape(a0.shape)
+    step = np.einsum("ij...,jk...z->ik...z", -inv0[..., 0], dense[..., : space.ncoeff])
     step[..., 0] = 0.0
     out = inv0
     for _ in range(space.order):

@@ -252,8 +252,8 @@ def _run_dense(geom, plan, rng, session):
     gfield = geom.metric_field()
 
     def slots(p):
-        ginv = np.linalg.inv(jet_values(gfield.components(p, 0)))
-        Pv = jet_values(pack.schouten(p, 0))
+        ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
+        Pv = pack.dense("schouten", p, 0)[..., 0]
         rho = geom.rho_jet(p, 1)
         rv = rho.value
         grad = rho.gradient()
@@ -291,8 +291,8 @@ def _run_prop23_h(geom, plan, rng, session):
     gfield = geom.metric_field()
 
     def h23(p):
-        gv = jet_values(gfield.components(p, 0))
-        gP = float(np.sum(np.linalg.inv(gv) * jet_values(pack.schouten(p, 0))))
+        gv = gfield.dense(p, 0)[..., 0]
+        gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
         rho = geom.rho_jet(p, 1)
         grad = rho.gradient()
         return rho.value * gv + (n + 1) / (4 * rho.value * gP) * np.outer(grad, grad)
@@ -325,13 +325,11 @@ def _run_transversal(geom, plan, rng, session):
     ys = session.boundary(rng, min(plan.boundary_points, 4))
     residual = 0.0
     details = []
-    curves = []
-    for y in ys:
-        curve = bd.geodetic_transversal(
-            geom, y, step=plan.ode_step, horizon=plan.ode_horizon,
-            eps0=plan.eps0, levels=plan.levels,
-        )
-        curves.append(curve)
+    curves = bd.geodetic_transversals(
+        geom, ys, step=plan.ode_step, horizon=plan.ode_horizon,
+        eps0=plan.eps0, levels=plan.levels,
+    )
+    for y, curve in zip(ys, curves):
         pairing = abs(float(geom.drho(np.asarray(y)) @ curve.mu0) - 1.0)
         res = curve.geodesic_residual()
         residual = max(residual, pairing / 1e-2, res)  # pairing tol 1e-10
@@ -364,15 +362,14 @@ def _run_mu(geom, plan, rng, session):
     extrapolated = []
     residual = 0.0
     details = []
-    for y in ys:
-        curve = bd.geodetic_transversal(
-            geom, y, step=plan.ode_step, horizon=plan.ode_horizon,
-            eps0=plan.eps0, levels=plan.levels,
-        )
-
+    curves = bd.geodetic_transversals(
+        geom, ys, step=plan.ode_step, horizon=plan.ode_horizon,
+        eps0=plan.eps0, levels=plan.levels,
+    )
+    for y, curve in zip(ys, curves):
         def qty_at(k):
             p, v = curve.points[k], curve.mus[k]
-            gv = jet_values(gfield.components(p, 0))
+            gv = gfield.dense(p, 0)[..., 0]
             return geom.rho_value(p) ** 2 * float(v @ gv @ v)
 
         samples = [qty_at(k) for k in range(5, len(curve.ts), 10)]
@@ -382,13 +379,13 @@ def _run_mu(geom, plan, rng, session):
         for k in range(plan.levels):
             eps = plan.eps0 * 0.5**k
             p, v = curve.at_rho(eps)
-            gv = jet_values(gfield.components(p, 0))
+            gv = gfield.dense(p, 0)[..., 0]
             ladder_vals.append(geom.rho_value(p) ** 2 * float(v @ gv @ v))
         est = richardson_limit(ladder_vals)
 
         def rhs(p):
-            gv = jet_values(gfield.components(p, 0))
-            gP = float(np.sum(np.linalg.inv(gv) * jet_values(pack.schouten(p, 0))))
+            gv = gfield.dense(p, 0)[..., 0]
+            gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
             return -(n + 1) / (4.0 * gP)
 
         est_rhs = boundary_limit(rhs, geom, y, eps0=plan.eps0, levels=plan.levels)
@@ -634,19 +631,18 @@ def _run_splitids(geom, plan, rng, session):
     pts = session.interior(rng, min(plan.interior_points, 10))
     residual = 0.0
     details = []
-    order = 1
-    space = jet_space(geom.dim, order)
+    space = jet_space(geom.dim, 0)
     eye = np.eye(geom.dim)
     pack = calc.pack_of(calc.levi_civita_splitting)
     for p in pts:
-        # The identities compare values, and the value of a jet product is
-        # the product of the values: evaluate the closed forms on [..., 0].
-        P_jets = pack.dense("schouten", p, order)
+        # The identities compare values, so the tractor quantities are
+        # evaluated at jet order 0; only rho needs its gradient.
+        P_jets = pack.dense("schouten", p, 0)
         P, Pinv = P_jets[..., 0], jet_inverse(P_jets, space)[..., 0]
-        rho_jet = geom.rho_jet(p, order + 1)
+        rho_jet = geom.rho_jet(p, 1)
         rho, grad = rho_jet.value, rho_jet.gradient()
-        Linv = tractor_metric_inverse(l_tau(calc, p, order, calc.reference))
-        tau_hat = calc.tau_hat_jet(p, order).value
+        Linv = tractor_metric_inverse(l_tau(calc, p, 0, calc.reference))
+        tau_hat = calc.tau_hat_jet(p, 0).value
         top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
         # slot identifications of the inverse tractor metric
         t_vec = tau_hat * mid * 0.5
@@ -970,14 +966,14 @@ def _run_equivariance(geom, plan, rng, session):
 def _instance_matches(calc: TractorCalculus, p) -> float:
     """Closed-form component checks of the three splitting-change instances.
 
-    The gaps compare values, and the value of a jet product is the product
-    of the values, so the closed forms are evaluated on the ``[..., 0]``
-    slices of the order-1 tractor quantities.
+    The gaps compare values, so the tractor quantities are evaluated at jet
+    order 0 and the closed forms on their ``[..., 0]`` slices; only rho
+    needs its gradient.
     """
     geom = calc.geom
     n = geom.dim - 1
-    order = 1
-    rho_jet = geom.rho_jet(p, order + 1)
+    order = 0
+    rho_jet = geom.rho_jet(p, 1)
     rho, grad = rho_jet.value, rho_jet.gradient()
     tau_hat = calc.tau_hat_jet(p, order).value
     tau = calc.tau_jet(p, order).value

@@ -5,7 +5,7 @@ from conftest import jet_values
 from tractorlab import boundary as bd
 from tractorlab.affine import geometry_curvature, rho_connection
 from tractorlab.extrapolate import boundary_ladder, boundary_limit, richardson_limit
-from tractorlab.fields import GeometryError
+from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.tractor import TractorCalculus, metricity_contorsion
 
 
@@ -85,6 +85,19 @@ def test_klein_transversal_is_radial(klein3):
     # straight radius: x1 = x2 = 0 along the whole curve
     assert np.max(np.abs(curve.points[:, 1:])) < 1e-12
     assert curve.geodesic_residual() < 1e-8
+
+
+def test_geodesic_residual_matches_stepwise_differences(klein3):
+    curve = bd.geodetic_transversal(klein3, (0.0, 0.6, 0.8), horizon=0.05)
+    h = curve.ts[1] - curve.ts[0]
+    worst = 0.0
+    for k in range(2, len(curve.ts) - 2):
+        dmu = (
+            -curve.mus[k + 2] + 8 * curve.mus[k + 1]
+            - 8 * curve.mus[k - 1] + curve.mus[k - 2]
+        ) / (12 * h)
+        worst = max(worst, float(np.max(np.abs(dmu - curve.accs[k]))))
+    assert curve.geodesic_residual() == worst
 
 
 def test_transversal_requires_normalized_mu(klein3):
@@ -184,6 +197,14 @@ def test_asymptotic_h_af2_recovers_constructor(af2):
     rep = bd.asymptotic_h(af2, [(0.0, 0.3, -0.2, 0.4), (0.0, -0.1, 0.2, 0.3)])
     assert rep.status == "ok"
     assert rep.C == pytest.approx(rep.constructor_C, abs=1e-6)
+
+
+@pytest.mark.parametrize("src", ["0.25 +", "log(0 - 1)", "1/0", "1/z", "sqrt(rho - 1)"])
+def test_malformed_constructor_c_gives_none(src):
+    geom = builtin_geometry("af2_generic", 3)
+    assert bd._constructor_c(geom) == pytest.approx(0.25)
+    geom.params["C"] = src
+    assert bd._constructor_c(geom) is None
 
 
 def test_asymptotic_h_poincare_fails(poincare3):
