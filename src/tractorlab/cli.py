@@ -109,7 +109,7 @@ def _make_geometry(args) -> Geometry:
     if source in BUILTIN_NAMES:
         try:
             return builtin_geometry(source, args.dim, **_parse_params(args.param))
-        except (GeometryError, ExprError) as err:
+        except (GeometryError, ExprError, JetError) as err:
             raise ConfigError(str(err)) from err
     path = Path(source)
     if path.exists():
@@ -117,7 +117,7 @@ def _make_geometry(args) -> Geometry:
             doc = json.loads(path.read_text())
             return load_geometry(doc)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, GeometryError,
-                ExprError) as err:
+                ExprError, JetError) as err:
             raise ConfigError(f"could not load geometry {source!r}: {err}") from err
     raise ConfigError(
         f"unknown geometry {source!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "

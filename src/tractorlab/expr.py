@@ -190,6 +190,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.names: set[str] = set()  # variables met so far
 
     def nested(self, parse, offset: int) -> Expr:
         """Run ``parse`` one nesting level deeper."""
@@ -288,6 +289,7 @@ class _Parser:
                 return Call(str(value), args[0])
             if value == "pi":
                 return Num(math.pi)
+            self.names.add(value)
             return Var(str(value))
         raise ExprError("expected a number, name or parenthesized expression", offset)
 
@@ -305,7 +307,7 @@ def parse_expr(src: str, variables: tuple[str, ...] | None = None) -> Expr:
     if kind != "end":
         raise ExprError("trailing input after expression", offset)
     if variables is not None:
-        unknown = expr_variables(node) - set(variables)
+        unknown = parser.names.difference(variables)
         if unknown:
             raise ExprError(f"unknown identifier(s) {sorted(unknown)}")
     return node

@@ -16,6 +16,7 @@ the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -127,6 +128,7 @@ class TensorField:
         self.name = name
         self.sym = tuple(tuple(p) for p in sym)
         self._evaluator = evaluator
+        self.tape: ex.Tape | None = None  # set by from_exprs
 
     @property
     def n_upper(self) -> int:
@@ -184,34 +186,41 @@ class TensorField:
     ) -> "TensorField":
         """Field whose components are expressions in the chart coordinates.
 
-        The canonical component of each symmetric orbit is compiled once
-        into an :class:`~tractorlab.expr.Tape`; evaluation runs the tape and
-        copies each orbit's row to its members.
+        Every component is compiled into one :class:`~tractorlab.expr.Tape`
+        (kept as ``field.tape``, one row per component in index order); the
+        tape shares identical subexpressions, so a symmetric pair written
+        alike costs one row of work.  Evaluation runs the tape and copies
+        the canonical row of each symmetric orbit to its members.  String
+        components are parsed against the chart coordinates; AST components
+        are checked for unknown names.
         """
         shape = (chart.dim,) * len(variance)
         symt = tuple(tuple(p) for p in sym)
-        nodes = np.empty(shape, dtype=object)
+        nodes = []
         for idx in np.ndindex(shape):
             node = exprs[idx] if shape else exprs
             if isinstance(node, str):
                 node = ex.parse_expr(node, variables=chart.coord_names)
-            unknown = ex.expr_variables(node) - set(chart.coord_names)
-            if unknown:
-                raise GeometryError(
-                    f"component {idx} of {name!r} uses unknown names {sorted(unknown)}"
-                )
-            nodes[idx] = node
-        canon = [_canonical_index(idx, symt) for idx in np.ndindex(shape)]
-        rows = {c: k for k, c in enumerate(dict.fromkeys(canon))}
-        tape = ex.compile_tape([nodes[c] for c in rows], chart.coord_names)
-        scatter = [rows[c] for c in canon]
+            else:
+                unknown = ex.expr_variables(node) - set(chart.coord_names)
+                if unknown:
+                    raise GeometryError(
+                        f"component {idx} of {name!r} uses unknown names "
+                        f"{sorted(unknown)}"
+                    )
+            nodes.append(node)
+        tape = ex.compile_tape(nodes, chart.coord_names)
+        flat = np.arange(len(nodes)).reshape(shape)
+        scatter = [flat[_canonical_index(idx, symt)] for idx in np.ndindex(shape)]
 
         def evaluator(point: Point, order: int) -> np.ndarray:
             space = jet_space(chart.dim, order)
             out = tape.run(chart.coords(point), space)[scatter]
             return out.reshape(shape + out.shape[1:])
 
-        return cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
+        field = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
+        field.tape = tape
+        return field
 
     def symmetry_defect(self, point: Point, order: int = 1) -> float:
         """Max deviation from the declared symmetries at one point."""
@@ -367,20 +376,24 @@ def _delta_src(i: int, j: int) -> str:
 def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     """Shared construction checks: symmetry, invertibility, d(rho) != 0.
 
-    Symmetry is checked on the raw declared components (the working metric
-    field evaluates a canonical representative per symmetric orbit, which
-    would mask an asymmetric document).
+    The metric is compiled once: ``metric_field().tape`` has one row per
+    declared component, ``g[i, j]`` and ``g[j, i]`` alike, and the field
+    copies the upper row of each pair to both.  The checks read that tape's
+    rows, in one order-0 run at the sample points, so an asymmetric
+    document is caught; a pair written alike shares one row and is
+    symmetric by construction.
     """
-    raw = TensorField.from_exprs(geom.chart, geom.metric, "dd", name="g-raw")
+    d = geom.dim
     gfield = geom.metric_field()
     pts = geom.interior_points(3, rng)
-    for p in pts:
-        gval = jet_values(raw.components(p, 0))
+    rows = gfield.tape.run(np.array(pts), jet_space(d, 0))  # (d * d, 3, 1)
+    gvals = rows[..., 0].T.reshape(len(pts), d, d)
+    for p, gval in zip(pts, gvals):
         if np.max(np.abs(gval - gval.T)) > 1e-12 * (1 + np.max(np.abs(gval))):
             raise GeometryError(f"metric of {geom.name!r} is asymmetric at {p}")
         if abs(np.linalg.det(gval)) < 1e-12:
             raise GeometryError(f"metric of {geom.name!r} is singular at {p}")
-    evals = np.linalg.eigvalsh(jet_values(gfield.components(pts[0], 0)))
+    evals = np.linalg.eigvalsh(gvals[0], UPLO="U")  # the rows the field reads
     geom.signature = (int(np.sum(evals > 0)), int(np.sum(evals < 0)))
     if geom.boundary_sampler is not None:
         for y in geom.boundary_points(3, rng):
@@ -638,6 +651,16 @@ GEOMETRY_DOC_SCHEMA = {
 }
 
 
+@functools.cache
+def _doc_validator():
+    """The validator of :data:`GEOMETRY_DOC_SCHEMA`, built on first use (the
+    schema is constant, so it is not checked against the metaschema per
+    document; a test does that once)."""
+    from jsonschema.validators import validator_for
+
+    return validator_for(GEOMETRY_DOC_SCHEMA)(GEOMETRY_DOC_SCHEMA)
+
+
 def load_geometry(doc: Mapping) -> Geometry:
     """Build a validated geometry from a configuration document (JSON shape).
 
@@ -645,17 +668,20 @@ def load_geometry(doc: Mapping) -> Geometry:
     expression parsing (errors carry source offsets), then numeric checks at
     sampled points.
     """
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(doc, GEOMETRY_DOC_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = best_match(_doc_validator().iter_errors(doc))
+    if err is not None:
         raise GeometryError(f"geometry document rejected: {err.message}") from err
 
     dim = int(doc["dim"])
     rng = np.random.default_rng(20260809)
     if doc.get("kind") == "asymptotic_form":
-        coords = tuple(doc.get("coords", _af_coords(dim)))
+        coords = _doc_coords(doc.get("coords", _af_coords(dim)), dim)
+        if coords[0] != "rho":
+            raise GeometryError(
+                f"asymptotic-form coords must start with 'rho', got {coords[0]!r}"
+            )
         h = np.array(doc["h"], dtype=object)
         if h.shape != (dim, dim):
             raise GeometryError(f"h must be {dim}x{dim}, got {h.shape}")
@@ -665,13 +691,11 @@ def load_geometry(doc: Mapping) -> Geometry:
             dim, float(doc["alpha"]), c_src, h,
             doc.get("name", "asymptotic_form"), coords,
         )
+        if "interior_box" in doc:
+            geom.interior_box = _interior_box(doc["interior_box"], dim)
         _tangential_h_check(geom, h, rng)
     else:
-        coords = tuple(doc["coords"])
-        if len(coords) != dim:
-            raise GeometryError(
-                f"got {len(coords)} coordinate names for dim {dim}"
-            )
+        coords = _doc_coords(doc["coords"], dim)
         metric_doc = np.array(doc["metric"], dtype=object)
         if metric_doc.shape != (dim, dim):
             raise GeometryError(
@@ -697,6 +721,13 @@ def load_geometry(doc: Mapping) -> Geometry:
         geom.boundary_sampler = _make_ray_boundary_sampler(geom)
     _validate_metric_geometry(geom, rng)
     return geom
+
+
+def _doc_coords(names, dim: int) -> tuple[str, ...]:
+    """A document's coordinate names, one per dimension."""
+    if len(names) != dim:
+        raise GeometryError(f"got {len(names)} coordinate names for dim {dim}")
+    return tuple(names)
 
 
 def _interior_box(doc_box, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -736,6 +767,8 @@ def _make_ray_boundary_sampler(geom: Geometry):
                 continue
             for _ in range(80):
                 mid = 0.5 * (s_in + s_out)
+                if mid == s_in or mid == s_out:
+                    break  # adjacent floats: no later step changes either end
                 if geom.rho_value(center + mid * v) > 0:
                     s_in = mid
                 else:

@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import jet_values
+from tractorlab import expr as ex
 from tractorlab.extrapolate import boundary_ladder, richardson_limit
 from tractorlab.fields import (
+    GEOMETRY_DOC_SCHEMA,
     Chart,
     GeometryError,
     TensorField,
@@ -200,3 +203,197 @@ def test_interior_sampler_stays_interior(af1):
     rng = np.random.default_rng(0)
     for p in af1.interior_points(10, rng):
         assert af1.rho_value(p) > 0.05
+
+
+# -- loader contracts -------------------------------------------------------
+
+
+def _af_doc(**changes):
+    doc = {
+        "kind": "asymptotic_form",
+        "dim": 3,
+        "alpha": 2.0,
+        "C": 0.25,
+        "h": [["1" if i == j else "0" for j in range(3)] for i in range(3)],
+    }
+    doc.update(changes)
+    return doc
+
+
+def _klein_doc(dim):
+    coords = [f"u{i}" for i in range(1, dim + 1)]
+    rho = "1 - (" + " + ".join(f"{c}^2" for c in coords) + ")"
+    metric = [[(f"1/({rho}) + " if i == j else "") + f"{ci}*{cj}/({rho})^2"
+               for j, cj in enumerate(coords)] for i, ci in enumerate(coords)]
+    return {"dim": dim, "coords": coords, "rho": rho, "alpha": 2.0,
+            "metric": metric}
+
+
+def test_geometry_doc_schema_is_valid():
+    from jsonschema.validators import validator_for
+
+    validator_for(GEOMETRY_DOC_SCHEMA).check_schema(GEOMETRY_DOC_SCHEMA)
+
+
+def test_load_geometry_schema_messages_match_jsonschema():
+    import jsonschema
+    from test_cli_fuzz import DOCUMENTS
+
+    docs = []
+    for text, _ in DOCUMENTS.values():
+        try:
+            docs.append(json.loads(text))
+        except json.JSONDecodeError:
+            continue
+    docs += [
+        None,
+        "klein",
+        {},
+        dict(KLEIN3_DOC, dim="3"),
+        dict(KLEIN3_DOC, extra=1),
+        dict(KLEIN3_DOC, metric=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        dict(KLEIN3_DOC, coords="x0"),
+        _af_doc(C=[0.25]),
+        _af_doc(kind="asymptotic"),
+        _af_doc(dim=2),
+        {k: v for k, v in _af_doc().items() if k != "h"},
+    ]
+    rejected = 0
+    for doc in docs:
+        try:
+            jsonschema.validate(doc, GEOMETRY_DOC_SCHEMA)
+        except jsonschema.ValidationError as expected:
+            rejected += 1
+            with pytest.raises(GeometryError) as err:
+                load_geometry(doc)
+            assert str(err.value) == f"geometry document rejected: {expected.message}"
+    assert rejected >= 12
+
+
+def test_load_geometry_symmetric_pair_written_differently():
+    doc = _klein_doc(3)
+    doc["metric"][0][1] = "u1*u2"
+    doc["metric"][1][0] = "u2*u1"
+    geom = load_geometry(doc)
+    # the pair shares one tape row, so the full tape is no longer than one
+    # compiled from the upper triangle alone
+    upper = [ex.parse_expr(doc["metric"][i][j], geom.chart.coord_names)
+             for i in range(3) for j in range(i, 3)]
+    assert len(geom.metric_field().tape) == len(
+        ex.compile_tape(upper, geom.chart.coord_names))
+    doc["metric"][1][0] = "u2*u1 + u3"
+    with pytest.raises(GeometryError, match="asymmetric"):
+        load_geometry(doc)
+
+
+def test_load_geometry_asymptotic_form_interior_box():
+    box = [[0.2, -0.3, -0.3], [0.8, 0.3, 0.3]]
+    geom = load_geometry(_af_doc(interior_box=box))
+    assert np.array_equal(np.array(geom.interior_box), box)
+    for p in geom.interior_points(20, np.random.default_rng(0)):
+        assert np.all(np.array(p) >= box[0]) and np.all(np.array(p) <= box[1])
+    with pytest.raises(GeometryError, match="interior_box must be two finite"):
+        load_geometry(_af_doc(interior_box=[[0, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("coords, message", [
+    (["y1", "rho", "y2"], "must start with 'rho', got 'y1'"),
+    (["rho", "y1"], "got 2 coordinate names for dim 3"),
+    (["rho", "y1", "y2", "y3"], "got 4 coordinate names for dim 3"),
+])
+def test_load_geometry_asymptotic_form_coords(coords, message):
+    with pytest.raises(GeometryError, match=message):
+        load_geometry(_af_doc(coords=coords))
+
+
+@pytest.mark.parametrize("changes", [
+    {"interior_box": [[0, 0], [1, 1]]},
+    {"coords": ["y1", "rho", "y2"]},
+    {"coords": ["rho", "y1"]},
+])
+def test_cli_rejects_bad_asymptotic_form_documents(tmp_path, capsys, changes):
+    from tractorlab.cli import main
+
+    path = tmp_path / "af.json"
+    path.write_text(json.dumps(_af_doc(**changes)))
+    code = main(["eval", "--geometry", str(path), "--quantity", "schouten",
+                 "--point=0.5,0.1,0.1"])
+    assert code == 2
+    assert "could not load geometry" in capsys.readouterr().err
+
+
+# -- work done per geometry build --------------------------------------------
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (lambda: builtin_geometry("klein", 4), [1, 16]),            # rho, g
+    (lambda: builtin_geometry("af2_generic", 4), [1, 16, 16]),  # rho, h, g
+    (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [1, 9]),
+])
+def test_one_metric_compile_per_build(monkeypatch, build, sizes):
+    compiled = []
+    real = ex.compile_tape
+
+    def counting(exprs, variables):
+        tape = real(exprs, variables)
+        compiled.append((len(exprs), tape))
+        return tape
+
+    monkeypatch.setattr(ex, "compile_tape", counting)
+    geom = build()
+    assert [n for n, _ in compiled] == sizes
+    assert geom.metric_field().tape is compiled[-1][1]
+    assert len(compiled) == len(sizes)  # reading the field compiles nothing
+
+
+def _reference_ray_point(geom, rng):
+    """The ray search with all 80 bisection steps."""
+    lo, hi = geom.interior_box
+    center = (np.asarray(lo) + np.asarray(hi)) / 2.0
+    while True:
+        v = rng.normal(size=geom.dim)
+        v /= math.sqrt(float(v @ v))
+        s_in, s_out, s = 0.0, None, 0.05
+        for _ in range(400):
+            if geom.rho_value(center + s * v) <= 0:
+                s_out = s
+                break
+            s_in = s
+            s += 0.05
+        if s_out is None:
+            continue
+        for _ in range(80):
+            mid = 0.5 * (s_in + s_out)
+            if geom.rho_value(center + mid * v) > 0:
+                s_in = mid
+            else:
+                s_out = mid
+        return center + 0.5 * (s_in + s_out) * v
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_ray_sampler_matches_full_bisection(monkeypatch, dim):
+    geom = load_geometry(_klein_doc(dim))
+    calls = []
+    rho_value = geom.rho_value
+    monkeypatch.setattr(geom, "rho_value", lambda p: calls.append(1) or rho_value(p))
+    got = geom.boundary_points(5, np.random.default_rng(7))
+    n_calls = len(calls)
+    rng = np.random.default_rng(7)
+    want = [_reference_ray_point(geom, rng) for _ in range(5)]
+    assert np.array_equal(np.array(got), np.array(want))
+    # the search stops once the interval is two adjacent floats
+    assert n_calls < len(calls) - n_calls
+
+
+def test_cli_rejects_metric_with_interior_pole(tmp_path, capsys):
+    from tractorlab.cli import main
+
+    doc = json.loads(json.dumps(KLEIN3_DOC))
+    doc["metric"][0][0] = "1/(x0 - x0)"
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--geometry", str(path), "--quantity", "schouten",
+                 "--point=0.1,0.2,-0.1"])
+    assert code == 2
+    assert "vanishing value" in capsys.readouterr().err
