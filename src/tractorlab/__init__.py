@@ -11,7 +11,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "Jet": "jets",
     "JetError": "jets",
     "PoleError": "jets",
     "DomainError": "jets",

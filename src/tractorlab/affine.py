@@ -32,17 +32,15 @@ import numpy as np
 
 from .fields import Chart, Geometry, GeometryError, TensorField, is_batch
 from .jets import (
-    Jet,
     PoleError,
-    jet_apply,
-    jet_det,
+    jet_determinant,
     jet_einsum,
+    jet_function,
     jet_gradient,
     jet_inverse,
     jet_mul,
     jet_reciprocal,
     jet_space,
-    jet_views,
 )
 
 __all__ = [
@@ -116,20 +114,15 @@ class Connection:
                 return hit
         return self._evaluator(point, order)
 
-    def christoffels(self, point: Point, order: int) -> np.ndarray:
-        return jet_views(self.dense(point, order), jet_space(self.dim, order))
-
     def christoffel_values(self, point: Point | np.ndarray, order: int = 0) -> np.ndarray:
         """Christoffel values (the ``[..., 0]`` slice), never memoized:
         ``(d, d, d)`` at a point, ``(d, d, d, B)`` at a batch ``(B, d)``."""
         return np.array(self._peek(point, order)[..., 0])
 
-    def _trace(self, point: Point, order: int) -> np.ndarray:
-        return np.einsum("eeaz->az", self.dense(point, order))
-
     def trace_gamma(self, point: Point, order: int) -> np.ndarray:
-        """The one-form ``Gamma^e_ea`` entering density transport."""
-        return jet_views(self._trace(point, order), jet_space(self.dim, order))
+        """Dense jets ``(d, ncoeff)`` of the one-form ``Gamma^e_ea`` entering
+        density transport."""
+        return np.einsum("eeaz->az", self.dense(point, order))
 
 
 def levi_civita(geom_or_field) -> Connection:
@@ -163,8 +156,8 @@ def projective_modify(
 ) -> Connection:
     """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
 
-    ``upsilon(point, order)`` returns the one-form as an object array of
-    jets or a dense jet array (or is a :class:`TensorField`).
+    ``upsilon(point, order)`` returns the one-form as a dense ``(d, ncoeff)``
+    jet array (or is a :class:`TensorField`).
     Torsion-freeness is preserved.
     The modified connection preserves a volume density exactly when the
     base does and the one-form is closed; pass ``special`` to assert that
@@ -223,9 +216,12 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
 class CurvaturePack:
     """Curvature tensors of one connection, evaluated and memoized per point.
 
-    Every accessor returns jets (object arrays of views onto a memoized,
-    read-only dense array).  The Schouten-family accessors need dim >= 3;
-    when the pack knows a metric it also provides the scalar curvature.
+    :meth:`dense` returns the memoized, read-only dense jet array of a
+    tensor by name: ``riemann`` ``R[a, b, c, d]``, ``ricci``, ``schouten``,
+    ``beta``, ``weyl``, ``schouten_derivative`` ``nabla_a P_bc`` (indexed
+    ``[a, b, c]``), ``cotton`` ``Y[a, b, c] = nabla_b P_ac - nabla_a P_bc``
+    (see the module docstring) and, when the pack knows a metric, the
+    scalar curvature ``scalar``.  The Schouten family needs dim >= 3.
     """
 
     def __init__(self, conn: Connection, metric_field: TensorField | None = None):
@@ -248,9 +244,6 @@ class CurvaturePack:
             self._memo[key] = hit
         return hit
 
-    def _views(self, name: str, point: Point, order: int) -> np.ndarray:
-        return jet_views(self.dense(name, point, order), jet_space(self.dim, order))
-
     def _build_riemann(self, point: Point, order: int) -> np.ndarray:
         d = self.dim
         G = self.conn.dense(point, order + 1)
@@ -265,6 +258,8 @@ class CurvaturePack:
         return np.einsum("eaebz->abz", self.dense("riemann", point, order))
 
     def _build_scalar(self, point: Point, order: int) -> np.ndarray:
+        if self.metric_field is None:
+            raise ValueError("scalar curvature needs a metric")
         space = jet_space(self.dim, order)
         g = self.metric_field.dense(point, order)
         ric = self.dense("ricci", point, order)
@@ -306,32 +301,9 @@ class CurvaturePack:
         return dP.transpose(1, 0, 2, 3) - dP
 
     def riemann(self, point: Point, order: int) -> np.ndarray:
-        return self._views("riemann", point, order)
-
-    def ricci(self, point: Point, order: int) -> np.ndarray:
-        return self._views("ricci", point, order)
-
-    def scalar(self, point: Point, order: int) -> Jet:
-        if self.metric_field is None:
-            raise ValueError("scalar curvature needs a metric")
-        return Jet(jet_space(self.dim, order), self.dense("scalar", point, order))
-
-    def schouten(self, point: Point, order: int) -> np.ndarray:
-        return self._views("schouten", point, order)
-
-    def beta(self, point: Point, order: int) -> np.ndarray:
-        return self._views("beta", point, order)
-
-    def weyl(self, point: Point, order: int) -> np.ndarray:
-        return self._views("weyl", point, order)
-
-    def schouten_derivative(self, point: Point, order: int) -> np.ndarray:
-        """``nabla_a P_bc`` of this connection (array indexed [a, b, c])."""
-        return self._views("schouten_derivative", point, order)
-
-    def cotton(self, point: Point, order: int) -> np.ndarray:
-        """``Y[a,b,c] = nabla_b P_ac - nabla_a P_bc`` (see module docstring)."""
-        return self._views("cotton", point, order)
+        """``dense("riemann", point, order)``; kept as a method because the
+        benchmark tracer (``perfbench/tracer.py``) counts its calls."""
+        return self.dense("riemann", point, order)
 
 
 def curvature(conn: Connection, metric_field: TensorField | None = None) -> CurvaturePack:
@@ -381,7 +353,7 @@ def covariant_derivative(
             else:
                 out = out - jet_einsum(f"ea{idx[slot]},{moved}->a{idx}", G, comps, space)
         if w != 0.0:
-            tg = conn._trace(point, order) * (sign * w / (d + 1))
+            tg = conn.trace_gamma(point, order) * (sign * w / (d + 1))
             out = out + jet_einsum(f"a,{idx}->a{idx}", tg, comps, space)
         return out
 
@@ -400,33 +372,26 @@ def covariant_derivative(
 
 @dataclass
 class Density:
-    """A projective density: weight w section in a chart trivialization."""
+    """A projective density: weight w section in a chart trivialization.
+
+    ``component(point, order)`` returns its dense ``(ncoeff,)`` jet.
+    """
 
     chart: Chart
     weight: float
-    component: Callable[[Point, int], Jet]
+    component: Callable[[Point, int], np.ndarray]
     name: str = ""
 
-    def jet(self, point: Point, order: int) -> Jet:
+    def dense(self, point: Point, order: int) -> np.ndarray:
         return self.component(point, order)
 
     def value(self, point: Point) -> float:
-        return self.jet(point, 0).value
+        return float(self.component(point, 0)[0])
 
     def as_field(self) -> TensorField:
         return TensorField(
-            self.chart,
-            "",
-            lambda point, order: _scalar_array(self.component(point, order)),
-            weight=self.weight,
-            name=self.name,
+            self.chart, "", self.component, weight=self.weight, name=self.name
         )
-
-
-def _scalar_array(j: Jet) -> np.ndarray:
-    arr = np.empty((), dtype=object)
-    arr[()] = j
-    return arr
 
 
 def canonical_tau(geom: Geometry) -> Density:
@@ -435,17 +400,19 @@ def canonical_tau(geom: Geometry) -> Density:
     It is parallel for the Levi-Civita connection and satisfies
     ``|tau^(-n-2) det(g^ab)| = 1`` identically.  For a geometry that really
     is projectively compact of order 2 it extends by zero to a defining
-    density, i.e. ``tau/rho`` has a finite nonzero boundary limit.
+    density, i.e. ``tau/rho`` has a finite nonzero boundary limit.  A
+    numerically singular metric has a zero determinant, and its power
+    raises :class:`~tractorlab.jets.DomainError`.
     """
     if geom.metric is None:
         raise GeometryError("canonical tau needs a metric")
     gfield = geom.metric_field()
     power = -1.0 / (geom.dim + 1)
 
-    def component(point: Point, order: int) -> Jet:
-        g = gfield.components(point, order)
-        det = jet_det(g)
-        return jet_apply("pow", jet_apply("abs_smooth", det), param=power)
+    def component(point: Point, order: int) -> np.ndarray:
+        space = jet_space(geom.dim, order)
+        det = jet_determinant(gfield.dense(point, order), space)
+        return jet_function("pow", det * np.sign(det[..., :1]), space, power)
 
     return Density(geom.chart, 2.0, component, name="tau")
 

@@ -39,7 +39,7 @@ from .extrapolate import (
     richardson_limit,
 )
 from .fields import Geometry, GeometryError
-from .jets import jet_space, jet_values
+from .jets import jet_function, jet_gradient, jet_mul, jet_space
 from .tractor import (
     TractorCalculus,
     TractorConnection,
@@ -102,7 +102,7 @@ def extended_christoffels(
     controls end up here).
     """
     if conn.exact_boundary is not None:
-        return jet_values(conn.exact_boundary(y, 0))
+        return conn.exact_boundary(y, 0)[..., 0]
     est = boundary_limit(
         lambda p: conn.christoffel_values(p, 0), geom, y, direction,
         eps0=eps0, levels=levels,
@@ -151,7 +151,7 @@ def rho_connection_extension(
             slope = float(np.polyfit(np.log(eps), np.log(norms + 1e-300), 1)[0])
         gap = None
         if conn.exact_boundary is not None and not est.diverged:
-            exact = jet_values(conn.exact_boundary(y, 0))
+            exact = conn.exact_boundary(y, 0)[..., 0]
             gap = float(np.max(np.abs(exact - est.value)))
         out.append(
             ExtensionReport(tuple(y), est.diverged, slope, est.error, gap)
@@ -204,11 +204,10 @@ class TransversalCurve:
         s = 0.5
         for _ in range(60):
             x, v = self._hermite(k, s)
-            rho = self.geom.rho_jet(x, 1)
-            val = rho.value - eps
+            rho, grad = self.geom.rho_and_drho(x)
+            val = rho - eps
             if abs(val) <= 1e-14 * (1 + eps):
                 break
-            grad = rho.gradient()
             h = self.ts[k + 1] - self.ts[k]
             slope = float(grad @ v) * h
             s -= val / slope
@@ -408,17 +407,16 @@ def tangential_basis(geom: Geometry, y: Point) -> np.ndarray:
 
 def hessian_of_rho(geom: Geometry, y: Point, gamma_values: np.ndarray) -> np.ndarray:
     """Value matrix of the covariant Hessian of rho at a boundary point."""
-    d = geom.dim
-    rho = geom.rho_jet(y, 2)
-    grad = np.array([rho.partial(a) for a in range(d)])
-    out = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            val = grad[a].partial(b).value
-            for e in range(d):
-                val -= gamma_values[e, a, b] * grad[e].value
-            out[a, b] = val
-    return out
+    return _covariant_hessian(geom.rho_dense(y, 2), gamma_values)
+
+
+def _covariant_hessian(rho2: np.ndarray, gamma_values: np.ndarray) -> np.ndarray:
+    """``d_a d_b rho - Gamma^e_ab d_e rho`` (values) from the order-2 dense
+    jet of rho."""
+    d = len(gamma_values)
+    grad = jet_gradient(rho2, jet_space(d, 2))
+    hess = jet_gradient(grad, jet_space(d, 1))[..., 0]
+    return hess - np.einsum("eab,e->ab", gamma_values, grad[:, 0])
 
 
 @dataclass
@@ -462,44 +460,29 @@ def second_fundamental_form(
     tang = E.T @ full @ E
     scale = float(np.max(np.abs(tang))) + 1e-30
 
+    def modified(one_form):
+        # Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a
+        eye = np.eye(d)
+        return gamma0 + (
+            np.einsum("ca,b->cab", eye, one_form) + np.einsum("cb,a->cab", eye, one_form)
+        )
+
     # (a) projective invariance of the tangential restriction
     ups = rng.uniform(-0.8, 0.8, size=d)
-    gamma_proj = gamma0.copy()
-    for c in range(d):
-        for a in range(d):
-            for b in range(d):
-                gamma_proj[c, a, b] += (c == a) * ups[b] + (c == b) * ups[a]
-    tang_proj = E.T @ hessian_of_rho(geom, y, gamma_proj) @ E
+    tang_proj = E.T @ hessian_of_rho(geom, y, modified(ups)) @ E
     proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
 
-    # (b) conformal covariance under rho -> exp(f) rho with linear f
+    # (b) conformal covariance under rho -> exp(f) rho with linear f; the
+    # class connection changes by df/alpha
     fcoef = rng.uniform(-0.4, 0.4, size=d + 1)
     space2 = jet_space(d, 2)
-    f_jet = space2.constant(fcoef[0])
-    for i in range(d):
-        f_jet = f_jet + fcoef[1 + i] * space2.variable(i, y[i])
-    from .jets import jet_apply
-
-    ef = jet_apply("exp", f_jet)
-    rho_jet = geom.rho_jet(y, 2)
-    rho_new = ef * rho_jet
-    dn = np.array([rho_new.partial(a) for a in range(d)])
-    # new class connection: Gamma + (delta df + delta df)/alpha
-    df = f_jet.gradient()
-    gamma_new = gamma0.copy()
-    for c in range(d):
-        for a in range(d):
-            for b in range(d):
-                gamma_new[c, a, b] += ((c == a) * df[b] + (c == b) * df[a]) / geom.alpha
-    hess_new = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            val = dn[a].partial(b).value
-            for e in range(d):
-                val -= gamma_new[e, a, b] * dn[e].value
-            hess_new[a, b] = val
+    f = np.zeros(space2.ncoeff)
+    f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
+    f[1 : 1 + d] = fcoef[1:]
+    rho_new = jet_mul(jet_function("exp", f, space2), geom.rho_dense(y, 2), space2)
+    hess_new = _covariant_hessian(rho_new, modified(fcoef[1:] / geom.alpha))
     tang_new = E.T @ hess_new @ E
-    factor = math.exp(f_jet.value)
+    factor = math.exp(f[0])
     conf_defect = float(np.max(np.abs(tang_new - factor * tang))) / (
         scale * max(factor, 1.0)
     )
@@ -551,7 +534,7 @@ def asymptotic_h(
     s_limits, s_errors = [], []
     for y in ys:
         est = boundary_limit(
-            lambda p: pack.scalar(p, 0).value, geom, y, eps0=eps0, levels=levels
+            lambda p: pack.dense("scalar", p, 0)[0], geom, y, eps0=eps0, levels=levels
         )
         if est.diverged:
             return AsymptoticHReport(
@@ -574,9 +557,8 @@ def asymptotic_h(
 
     def h_at(p):
         gv = gfield.dense(p, 0)[..., 0]
-        rho = geom.rho_jet(p, 1)
-        grad = rho.gradient()
-        return rho.value * gv - (C / rho.value) * np.outer(grad, grad)
+        rho, grad = geom.rho_and_drho(p)
+        return rho * gv - (C / rho) * np.outer(grad, grad)
 
     h_limits, h_errors, min_eigs = [], [], []
     diverged = False
@@ -610,10 +592,15 @@ def _constructor_c(geom: Geometry) -> float | None:
 
     try:
         node = ex.parse_expr(str(src))
-        return float(ex.evaluate(node, {c: 0.0 for c in geom.chart.coord_names},
-                                 call=lambda f, v: getattr(math, f)(v)))
+        return float(ex.evaluate(node, {c: 0.0 for c in geom.chart.coord_names}))
     except (ex.ExprError, ArithmeticError, ValueError, KeyError):
         return None
+
+
+def _delta_wedge(x: np.ndarray) -> np.ndarray:
+    """``delta^c_a x_be - delta^c_b x_ae``, indexed ``[a, b, c, e]``."""
+    eye = np.eye(len(x))
+    return np.einsum("ca,be->abce", eye, x) - np.einsum("cb,ae->abce", eye, x)
 
 
 @dataclass
@@ -664,37 +651,24 @@ def einstein_asymptotics(
     gfield = geom.metric_field()
 
     def tracefree_ricci(p):
-        g = jet_values(gfield.components(p, 0))
-        return jet_values(pack.ricci(p, 0)) - s_boundary / (n + 1) * g
+        g = gfield.dense(p, 0)[..., 0]
+        return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
 
     def pointwise_tracefree(p):
-        S = pack.scalar(p, 0).value
-        g = jet_values(gfield.components(p, 0))
-        return jet_values(pack.ricci(p, 0)) - S / (n + 1) * g
+        S = pack.dense("scalar", p, 0)[0]
+        g = gfield.dense(p, 0)[..., 0]
+        return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
 
     def tail(p):
-        R = jet_values(pack.riemann(p, 0))
-        rho = geom.rho_jet(p, 1)
-        grad = rho.gradient()
-        gv = jet_values(gfield.components(p, 0))
-        rv = rho.value
+        R = pack.riemann(p, 0)[..., 0]
+        rv, grad = geom.rho_and_drho(p)
+        gv = gfield.dense(p, 0)[..., 0]
         hv = rv * gv - (C / rv) * np.outer(grad, grad)
-        out = np.zeros((d, d, d, d))
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        val = R[a, b, c, e]
-                        val += (
-                            ((c == a) * grad[b] - (c == b) * grad[a])
-                            * grad[e] / (4.0 * rv**2)
-                        )
-                        val += (
-                            ((c == a) * hv[b, e] - (c == b) * hv[a, e])
-                            / (4.0 * C * rv)
-                        )
-                        out[a, b, c, e] = val
-        return out
+        return (
+            R
+            + _delta_wedge(np.outer(grad, grad)) / (4.0 * rv**2)
+            + _delta_wedge(hv) / (4.0 * C * rv)
+        )
 
     tf_limits, tf_errors, tail_errors = [], [], []
     diverged = False
@@ -811,7 +785,7 @@ def boundary_frame(
     drho = geom.drho(y)
 
     pack = calc.pack_of(calc.levi_civita_splitting)
-    est_S = richardson_limit([pack.scalar(p, 0).value for _, p in ladder])
+    est_S = richardson_limit([pack.dense("scalar", p, 0)[0] for _, p in ladder])
     scalar = float(est_S.value)
     C = -n * (n + 1) / (4.0 * scalar) if abs(scalar) > 1e-10 else math.nan
 
@@ -1120,12 +1094,12 @@ def asymptotically_parallel_check(
     gfield = geom.metric_field()
 
     def bottom_slot(p):
-        return calc.tau.value(p) * jet_values(pack.schouten_derivative(p, 0))
+        return calc.tau.value(p) * pack.dense("schouten_derivative", p, 0)[..., 0]
 
     def tracefree(p):
-        S = pack.scalar(p, 0).value
-        g = jet_values(gfield.components(p, 0))
-        return jet_values(pack.ricci(p, 0)) - S / (n + 1) * g
+        S = pack.dense("scalar", p, 0)[0]
+        g = gfield.dense(p, 0)[..., 0]
+        return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
 
     est_h = boundary_limit(bottom_slot, geom, y, eps0=eps0, levels=levels)
     est_tf = boundary_limit(tracefree, geom, y, eps0=eps0, levels=levels)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from .affine import geometry_curvature
 from .expr import ExprError
 from .extrapolate import boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
-from .jets import JetError, PoleError, jet_values
+from .jets import JetError
 from .tractor import TractorCalculus, l_tau
 from .verify import SamplingPlan, run_suite
 
@@ -48,7 +49,10 @@ class ConfigError(Exception):
     """User-facing configuration problem; maps to exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (parsing keeps no
+    state in it)."""
     parser = argparse.ArgumentParser(
         prog="tractorlab",
         description="numerical projective tractor calculus with boundary "
@@ -243,34 +247,32 @@ def _eval_quantity(geom, args, plan):
         return c
 
     def gamma_at(p):
-        Pv = jet_values(pack.schouten(p, 0))
-        rho = geom.rho_jet(p, 1)
-        grad = rho.gradient()
-        return rho.value * Pv + np.outer(grad, grad) / (4.0 * rho.value)
+        Pv = pack.dense("schouten", p, 0)[..., 0]
+        rho, grad = geom.rho_and_drho(p)
+        return rho * Pv + np.outer(grad, grad) / (4.0 * rho)
 
     def t_at(p):
-        Pv = jet_values(pack.schouten(p, 0))
-        rho = geom.rho_jet(p, 1)
+        Pv = pack.dense("schouten", p, 0)[..., 0]
+        rho, grad = geom.rho_and_drho(p)
         try:
             Pinv = np.linalg.inv(Pv)
         except np.linalg.LinAlgError:
             raise ConfigError(
                 f"the Schouten tensor is singular at {p}, so t_vector is undefined"
             ) from None
-        return -Pinv @ rho.gradient() / (4.0 * rho.value**2)
+        return -Pinv @ grad / (4.0 * rho**2)
 
     def h_at(p):
         C = constructor_c()
-        gv = jet_values(gfield.components(p, 0))
-        rho = geom.rho_jet(p, 1)
-        grad = rho.gradient()
-        return rho.value * gv - (C / rho.value) * np.outer(grad, grad)
+        gv = gfield.dense(p, 0)[..., 0]
+        rho, grad = geom.rho_and_drho(p)
+        return rho * gv - (C / rho) * np.outer(grad, grad)
 
     def pointwise(p):
         if quantity == "scalar_curvature":
-            return pack.scalar(p, 0).value
+            return pack.dense("scalar", p, 0)[0]
         if quantity in ("schouten", "weyl", "cotton"):
-            return jet_values(getattr(pack, quantity)(p, 0))
+            return pack.dense(quantity, p, 0)[..., 0]
         if quantity == "h_asymptotic":
             return h_at(p)
         if quantity == "l_tau":
@@ -288,7 +290,7 @@ def _eval_quantity(geom, args, plan):
             raise ConfigError("phi lives on the boundary; use --boundary-point")
         try:
             return pointwise(p), None
-        except (PoleError, JetError) as err:
+        except JetError as err:
             raise ConfigError(
                 f"pole at {p}; evaluate at a boundary point with --extrapolate "
                 f"({err})"

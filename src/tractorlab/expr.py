@@ -23,8 +23,9 @@ folded to floats (a fold without a finite real value raises
 :class:`ExprError`).  The tape runs on dense jet rows with the kernels of
 module ``jets``, at one point or at a batch of points; fields and the
 defining function of a geometry are evaluated this way.  :func:`evaluate`
-is the generic-algebra reference: passing floats (or mpmath numbers in the
-test oracles) yields plain values, passing scalar jets yields jets.
+is the generic-algebra reference: over floats it yields plain values; any
+other algebra (mpmath numbers, scalar jets) comes with its own ``call``
+for the function applications.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import Jet, JetSpace, jet_apply, jet_function, jet_mul, jet_reciprocal
+from .jets import JetSpace, jet_function, jet_mul, jet_reciprocal
 
 __all__ = [
     "Expr",
@@ -396,22 +397,19 @@ def expr_variables(e: Expr) -> set[str]:
     return names
 
 
-def _jet_call(func: str, value):
-    if isinstance(value, Jet):
-        return jet_apply(func, value)
-    # constant subtrees evaluate to plain numbers
+def _math_call(func: str, value: float) -> float:
     return getattr(math, func)(value)
 
 
 def evaluate(
     e: Expr,
     env: Mapping[str, object],
-    call: Callable[[str, object], object] = _jet_call,
+    call: Callable[[str, object], object] = _math_call,
 ):
     """Evaluate an AST over any algebra with +, -, *, /, ** operators.
 
     ``env`` maps variable names to values; ``call`` dispatches function
-    applications and defaults to jet composition.
+    applications and defaults to the float functions of :mod:`math`.
     """
     if isinstance(e, Num):
         return e.value
@@ -457,7 +455,7 @@ def _fold(op: str, *args: float, param: float | None = None) -> float:
         elif op == "pow":
             value = args[0] ** param
         else:
-            value = getattr(math, op)(args[0])
+            value = _math_call(op, args[0])
     except (ArithmeticError, ValueError) as err:
         value, reason = None, str(err)
     else:

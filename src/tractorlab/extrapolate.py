@@ -112,13 +112,11 @@ def boundary_ladder(
         s = eps  # first guess: d(rho)(direction) ~ 1 near the boundary
         for _ in range(60):
             p = y + s * direction
-            rho = geom.rho_jet(p, 1)
-            val = rho.value - eps
+            rho, grad = geom.rho_and_drho(p)
+            val = rho - eps
             if abs(val) <= 1e-14 * (1.0 + eps):
                 break
-            slope = sum(
-                rho.partial(i).value * direction[i] for i in range(geom.dim)
-            )
+            slope = float(grad @ direction)
             if abs(slope) < 1e-12:
                 raise GeometryError(
                     f"ray from {tuple(y)} became tangent to the rho levels"

@@ -4,8 +4,8 @@ of model geometries.
 A :class:`Geometry` is one coordinate chart carrying a metric (or an explicit
 connection), a boundary defining function ``rho`` (interior where
 ``rho > 0``, boundary at ``rho = 0``) and the compactness order ``alpha``.
-Fields evaluate to jets, so every derivative needed downstream comes out of
-one evaluation.
+Fields evaluate to dense jet arrays (module ``jets``), so every derivative
+needed downstream comes out of one evaluation.
 
 Boundary points are represented in-chart with ``rho`` numerically zero.
 Fields with ``1/rho`` factors are never evaluated there -- jets raise
@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .jets import DEFAULT_ORDER, Jet, jet_space, jet_stack, jet_values, jet_views
+from .jets import jet_space
 
 __all__ = [
     "Chart",
@@ -99,17 +99,16 @@ def _canonical_index(idx: tuple[int, ...], sym: tuple[tuple[int, int], ...]):
 
 
 class TensorField:
-    """A tensor field given by an evaluator producing jets.
+    """A tensor field given by an evaluator producing dense jet arrays.
 
     ``variance`` is one letter per index: ``"u"`` upper, ``"d"`` lower; the
     component array axes follow the same order.  ``weight`` is the projective
     density weight.  ``sym`` lists axis pairs in which the field is declared
     symmetric; evaluation only touches a canonical representative per orbit,
     so declared symmetries hold exactly.  ``evaluator(point, order)`` returns
-    either an object array of jets of shape ``(dim,) * rank`` or the dense
-    jet array of shape ``(dim,) * rank + (ncoeff,)`` (module ``jets``).
-    Dense evaluators may also take a batch of points ``(B, dim)`` and return
-    ``(dim,) * rank + (B, ncoeff)``; :meth:`dense` passes such a batch
+    the dense jet array of shape ``(dim,) * rank + (ncoeff,)`` (module
+    ``jets``); evaluators may also take a batch of points ``(B, dim)`` and
+    return ``(dim,) * rank + (B, ncoeff)``, which :meth:`dense` passes
     through.
     """
 
@@ -142,37 +141,21 @@ class TensorField:
     def rank(self) -> int:
         return len(self.variance)
 
-    def _evaluate(self, point: Point, order: int | None):
-        if order is None:
-            order = DEFAULT_ORDER
-        space = jet_space(self.chart.dim, order)
-        out = np.asarray(self._evaluator(point, order))
-        dense = out.dtype != object
-        batch = point.shape[:1] if is_batch(point) else ()
-        expected = (self.chart.dim,) * self.rank + (
-            batch + (space.ncoeff,) if dense else ()
-        )
-        if out.shape != expected:
-            raise GeometryError(
-                f"field {self.name!r} produced shape {out.shape}, "
-                f"expected {expected}"
-            )
-        return out, dense, space
-
-    def components(self, point: Point, order: int | None = None) -> np.ndarray:
-        """Evaluate every component as a jet; shape is (dim,) * rank.
-
-        ``order`` defaults to the package-wide truncation degree.
-        """
-        out, dense, space = self._evaluate(point, order)
-        return jet_views(out, space) if dense else out
-
-    def dense(self, point: Point | np.ndarray, order: int | None = None) -> np.ndarray:
+    def dense(self, point: Point | np.ndarray, order: int) -> np.ndarray:
         """Every component as one dense jet array, shape
         ``(dim,) * rank + (ncoeff,)``; at a batch of points ``(B, dim)`` the
         shape is ``(dim,) * rank + (B, ncoeff)``."""
-        out, dense, space = self._evaluate(point, order)
-        return out if dense else jet_stack(out, space)
+        out = np.asarray(self._evaluator(point, order))
+        batch = point.shape[:1] if is_batch(point) else ()
+        expected = (self.chart.dim,) * self.rank + batch + (
+            jet_space(self.chart.dim, order).ncoeff,
+        )
+        if out.dtype == object or out.shape != expected:
+            raise GeometryError(
+                f"field {self.name!r} produced a {out.dtype} array of shape "
+                f"{out.shape}, expected a dense jet array of shape {expected}"
+            )
+        return out
 
     @classmethod
     def from_exprs(
@@ -224,17 +207,12 @@ class TensorField:
 
     def symmetry_defect(self, point: Point, order: int = 1) -> float:
         """Max deviation from the declared symmetries at one point."""
-        comps = self.components(point, order)
+        comps = self.dense(point, order)
         worst = 0.0
-        it = np.nditer(np.zeros(comps.shape), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(comps.shape[:-1]):
             canon = _canonical_index(idx, self.sym)
             if canon != idx:
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(comps[idx].coeffs - comps[canon].coeffs))),
-                )
+                worst = max(worst, float(np.max(np.abs(comps[idx] - comps[canon]))))
         return worst
 
 
@@ -280,15 +258,17 @@ class Geometry:
         space = jet_space(self.dim, order)
         return self._rho_tape.run(self.chart.coords(points), space)[0]
 
-    def rho_jet(self, point: Point, order: int) -> Jet:
-        return Jet(jet_space(self.dim, order), self.rho_dense(point, order))
-
     def rho_value(self, point: Point) -> float:
         return float(self.rho_dense(point, 0)[0])
 
+    def rho_and_drho(self, point: Point) -> tuple[float, np.ndarray]:
+        """rho and the components of d(rho) at a point, as floats."""
+        rho = self.rho_dense(point, 1)
+        return float(rho[0]), rho[1 : 1 + self.dim]
+
     def drho(self, point: Point) -> np.ndarray:
         """Components of d(rho) at a point, as floats."""
-        return self.rho_jet(point, 1).gradient()
+        return self.rho_and_drho(point)[1]
 
     def is_boundary_point(self, point: Point, tol: float = BOUNDARY_TOL) -> bool:
         return abs(self.rho_value(point)) <= tol
@@ -311,9 +291,6 @@ class Geometry:
                 self.chart, self.metric, "dd", name="g", sym=((0, 1),)
             )
         return self._metric_field
-
-    def metric_jets(self, point: Point, order: int) -> np.ndarray:
-        return self.metric_field().components(point, order)
 
     # -- sampling -------------------------------------------------------
 
@@ -410,7 +387,7 @@ def _tangential_h_check(geom: Geometry, h_exprs: np.ndarray,
     chart = geom.chart
     hfield = TensorField.from_exprs(chart, h_exprs, "dd", name="h", sym=((0, 1),))
     for y in geom.boundary_points(3, rng):
-        tang = jet_values(hfield.components(y, 0))[1:, 1:]
+        tang = hfield.dense(y, 0)[1:, 1:, 0]
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(
                 f"boundary data h of {geom.name!r} degenerate tangentially at {y}"
@@ -430,11 +407,7 @@ def _make_klein(dim: int) -> Geometry:
 
     def flat_hats(point, order):
         # The rho-modified connection of the Klein metric is the flat one.
-        space = jet_space(dim, order)
-        zero = space.constant(0.0)
-        out = np.empty((dim, dim, dim), dtype=object)
-        out[...] = zero
-        return out
+        return np.zeros((dim,) * 3 + (jet_space(dim, order).ncoeff,))
 
     return Geometry(
         name="klein",
@@ -526,8 +499,7 @@ def _make_asymptotic_form(
         c_src = repr(float(C))
     else:
         c_src = ex.expr_to_source(C)
-    c_val = ex.evaluate(ex.parse_expr(c_src, coords),
-                        {c: 0.0 for c in coords}, call=_float_call)
+    c_val = ex.evaluate(ex.parse_expr(c_src, coords), {c: 0.0 for c in coords})
     if abs(float(c_val)) < 1e-12:
         raise GeometryError("asymptotic-form constant C must be nonzero")
     p = 2.0 / alpha  # rho power of the tangential part; transversal uses 2p
@@ -558,10 +530,6 @@ def _make_asymptotic_form(
 
 def _expr_src(node) -> str:
     return node if isinstance(node, str) else ex.expr_to_source(node)
-
-
-def _float_call(func: str, value):
-    return getattr(math, func)(value)
 
 
 def builtin_geometry(name: str, dim: int, **params) -> Geometry:

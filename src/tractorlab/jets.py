@@ -1,10 +1,10 @@
 """Truncated multivariate Taylor arithmetic ("jets").
 
-A :class:`Jet` holds the Taylor coefficients of a smooth real function at a
-point, one coefficient per multi-index ``m`` with total degree ``|m| <= K``.
-The coefficient stored for ``m`` is the Taylor coefficient
-``(1/m!) * d^m f``, so ``value`` (the coefficient of the zero multi-index)
-is the function value and first-order coefficients are first partials.
+A jet holds the Taylor coefficients of a smooth real function at a point,
+one coefficient per multi-index ``m`` with total degree ``|m| <= K``.  The
+coefficient stored for ``m`` is the Taylor coefficient ``(1/m!) * d^m f``,
+so the coefficient of the zero multi-index is the function value and the
+first-order coefficients are the first partials.
 
 Coefficients are laid out in graded lexicographic order: multi-indices are
 sorted by total degree first, and within a degree the variable ``x0`` is
@@ -13,28 +13,31 @@ does not depend on the truncation degree, so a jet of order ``K`` truncates
 to order ``K' < K`` by keeping its leading coefficients.  Serialized
 coefficient vectors are therefore comparable across runs and orders.
 
-Arithmetic is exact through the truncation degree: ``mul`` is the graded
-convolution, ``div`` goes through the Taylor reciprocal, and elementary
-functions are applied by univariate composition.  Division by a jet whose
-value is (numerically) zero raises :class:`PoleError`; the boundary checks
-in the rest of the package rely on that signal to detect genuine ``1/rho``
-singularities, so the error is first class and never replaced by ``inf`` or
-``nan``.
+Arithmetic is exact through the truncation degree: products are the graded
+convolution, division goes through the Taylor reciprocal, and elementary
+functions are applied by univariate composition.  A reciprocal of a jet
+whose value is (numerically) zero raises :class:`PoleError`; the boundary
+checks in the rest of the package rely on that signal to detect genuine
+``1/rho`` singularities, so the error is first class and never replaced by
+``inf`` or ``nan``.
 
-A tensor of jets is stored densely as one float array of shape
+Every tensor of jets in the package is one dense float array of shape
 ``(*tensor_shape, ncoeff)`` over a :class:`JetSpace`: the last axis holds
 the coefficients of each component, so ``[..., 0]`` are the values.  The
 same tensor at a batch of ``B`` points is ``(*tensor_shape, B, ncoeff)``:
 the batch axis sits just before the coefficient axis, and every kernel
 below takes it (``jet_mul``, ``jet_gradient`` and the series kernels by
-broadcasting, ``jet_einsum`` and ``jet_inverse`` explicitly).
-Partials are one gather through ``partial_tables``; products and tensor
-contractions pair coefficients through ``mul_table`` and sum each output
-coefficient's segment (``jet_mul``, ``jet_einsum``).  Reciprocals (with the
-pole test) and elementary functions compose a univariate series with each
-jet (``jet_reciprocal``, ``jet_function``, ``jet_compose``); the scalar
-:class:`Jet` methods call the same kernels.  :func:`jet_views` wraps the
-rows of such an array as scalar :class:`Jet` objects.
+broadcasting, ``jet_einsum``, ``jet_inverse`` and ``jet_determinant``
+explicitly).  Partials are one gather through ``partial_tables``; products
+and tensor contractions pair coefficients through ``mul_table`` and sum
+each output coefficient's segment (``jet_mul``, ``jet_einsum``).
+Reciprocals (with the pole test) and elementary functions compose a
+univariate series with each jet (``jet_reciprocal``, ``jet_function``,
+``jet_compose``).
+
+:class:`Jet` is one scalar jet with operator arithmetic on the same
+kernels.  The package itself never builds one: it is the scalar reference
+the tests compare the dense kernels against.
 
 All jets are immutable values and all operations are pure, so evaluation at
 distinct points may proceed concurrently without shared state.
@@ -49,22 +52,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ORDER",
     "Jet",
     "JetError",
     "PoleError",
     "DomainError",
     "JetSpace",
     "jet_space",
-    "jet_constant",
-    "jet_variable",
-    "jet_apply",
-    "jet_partial",
-    "APPLY_FUNCTIONS",
-    "jet_det",
-    "jet_values",
-    "jet_stack",
-    "jet_views",
     "jet_gradient",
     "jet_mul",
     "jet_einsum",
@@ -72,18 +65,13 @@ __all__ = [
     "jet_reciprocal",
     "jet_function",
     "jet_inverse",
+    "jet_determinant",
 ]
 
 #: Magnitudes below this count as an exact zero for pole/domain detection.
 #: Boundary defining functions evaluate to ~1e-16 at floating-point boundary
 #: points; legitimate interior divisors in this package stay above ~1e-3.
 POLE_TOL = 1e-13
-
-#: Default truncation degree for user-facing field evaluation.  The deepest
-#: derivative chain in the calculus consumes four orders of the metric
-#: (connection, its curvature trace, that trace's derivative, and one more
-#: for the contorsion's derivative); two spare orders guard extrapolation.
-DEFAULT_ORDER = 6
 
 
 class JetError(ArithmeticError):
@@ -230,12 +218,6 @@ class JetSpace:
             coeffs[self.index[unit]] = 1.0
         return Jet(self, coeffs)
 
-    def point(self, coords: Sequence[float]) -> list["Jet"]:
-        """Coordinate jets of a point, one variable jet per coordinate."""
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return [self.variable(i, x) for i, x in enumerate(coords)]
-
 
 _SPACES: dict[tuple[int, int], JetSpace] = {}
 
@@ -250,7 +232,8 @@ def jet_space(dim: int, order: int) -> JetSpace:
 
 
 class Jet:
-    """One truncated Taylor expansion; see the module docstring."""
+    """One scalar jet with operator arithmetic (see the module docstring):
+    the reference the tests compare the dense kernels against."""
 
     __slots__ = ("space", "coeffs")
 
@@ -406,7 +389,7 @@ class Jet:
                 if p:
                     base = base * base
             return result
-        return jet_apply("pow", self, param=float(p))
+        return Jet(self.space, jet_function("pow", self.coeffs, self.space, float(p)))
 
     def partial(self, i: int) -> "Jet":
         """Jet of the i-th partial derivative, one order lower."""
@@ -467,8 +450,10 @@ def _series_tan(a0: float, k: int, _p) -> np.ndarray:
     if abs(math.cos(a0)) <= POLE_TOL:
         raise DomainError(f"tan at a pole of cosine, argument {a0:.6g}")
     # Univariate jet division sin(t)/cos(t) around a0 yields the series.
-    t = jet_space(1, k).variable(0, a0)
-    return (jet_apply("sin", t) / jet_apply("cos", t)).coeffs.copy()
+    space = jet_space(1, k)
+    t = _univariate(a0, space)
+    cos = jet_function("cos", t, space)
+    return jet_mul(jet_function("sin", t, space), jet_reciprocal(cos, space), space)
 
 
 def _series_atan(a0: float, k: int, _p) -> np.ndarray:
@@ -476,11 +461,20 @@ def _series_atan(a0: float, k: int, _p) -> np.ndarray:
     out = np.empty(k + 1)
     out[0] = math.atan(a0)
     if k >= 1:
-        t = jet_space(1, k - 1).variable(0, a0)
-        g = 1.0 / (1.0 + t * t)
-        for m in range(1, k + 1):
-            out[m] = g.coeffs[m - 1] / m
+        space = jet_space(1, k - 1)
+        t = _univariate(a0, space)
+        one_plus = jet_mul(t, t, space)
+        one_plus[0] += 1.0
+        out[1:] = jet_reciprocal(one_plus, space) / np.arange(1, k + 1)
     return out
+
+
+def _univariate(a0: float, space: JetSpace) -> np.ndarray:
+    """Dense jet of the variable ``t`` at ``t = a0`` in a 1-dim space."""
+    t = np.zeros(space.ncoeff)
+    t[0] = a0
+    t[1:2] = 1.0
+    return t
 
 
 _SERIES: dict[str, Callable[[float, int, float | None], np.ndarray]] = {
@@ -494,98 +488,7 @@ _SERIES: dict[str, Callable[[float, int, float | None], np.ndarray]] = {
     "atan": _series_atan,
 }
 
-#: Names accepted by :func:`jet_apply`.
-APPLY_FUNCTIONS = tuple(_SERIES) + ("abs_smooth",)
-
-
-# -- module-level operations -------------------------------------------
-
-
-def jet_constant(value: float, dim: int, order: int) -> Jet:
-    return jet_space(dim, order).constant(value)
-
-
-def jet_variable(i: int, base_value: float, dim: int, order: int) -> Jet:
-    """Jet of the coordinate function x^i at the base point."""
-    return jet_space(dim, order).variable(i, base_value)
-
-
-def jet_apply(f: str, a: Jet, param: float | None = None) -> Jet:
-    """Compose an elementary function with a jet, exact through the order.
-
-    ``f`` is one of ``exp, log, sqrt, pow, sin, cos, tan, atan, abs_smooth``;
-    ``pow`` takes the exponent through ``param``.  ``abs_smooth`` is the
-    absolute value away from zero (``sign(a) * a``), which is smooth there.
-    """
-    if f == "abs_smooth":
-        if abs(a.value) <= POLE_TOL:
-            raise DomainError("abs_smooth at a (numerical) zero crossing")
-        return a if a.value > 0 else -a
-    if f == "pow_const":
-        f = "pow"
-    return Jet(a.space, jet_function(f, a.coeffs, a.space, param))
-
-
-def jet_partial(a: Jet, i: int) -> Jet:
-    """Jet of df/dx^i; the result has order one lower."""
-    return a.partial(i)
-
-
-# -- linear algebra over jets ------------------------------------------
-
-
-def jet_det(mat: np.ndarray) -> Jet:
-    """Determinant of a square object array of jets (LU, partial pivoting)."""
-    a = np.array(mat, dtype=object, copy=True)
-    m = a.shape[0]
-    if a.shape != (m, m):
-        raise ValueError("jet_det expects a square matrix")
-    sign = 1.0
-    vscale = max(abs(a[r, c].value) for r in range(m) for c in range(m))
-    pivots: list[Jet] = []
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r, col].value))
-        if abs(a[piv, col].value) <= POLE_TOL * vscale:
-            zero = a[0, 0].space.constant(0.0)
-            return zero
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        pivots.append(a[col, col])
-        for r in range(col + 1, m):
-            factor = a[r, col] / a[col, col]
-            for c in range(col + 1, m):
-                a[r, c] = a[r, c] - factor * a[col, c]
-    det = pivots[0]
-    for p in pivots[1:]:
-        det = det * p
-    return det * sign if sign < 0 else det
-
-
 # -- dense tensors of jets ----------------------------------------------
-
-
-def jet_values(arr) -> np.ndarray:
-    """Constant terms of an object array of jets, as a float array."""
-    arr = np.asarray(arr, dtype=object)
-    return np.array([j.coeffs[0] for j in arr.flat]).reshape(arr.shape)
-
-
-def jet_stack(arr, space: JetSpace) -> np.ndarray:
-    """Dense ``(*shape, ncoeff)`` array of an object array of jets, each
-    truncated to the order of ``space``."""
-    arr = np.asarray(arr, dtype=object)
-    n = space.ncoeff
-    return np.array([j.coeffs[:n] for j in arr.flat]).reshape(arr.shape + (n,))
-
-
-def jet_views(dense: np.ndarray, space: JetSpace) -> np.ndarray:
-    """Object array of :class:`Jet` views onto the rows of a dense array."""
-    out = np.empty(dense.shape[:-1], dtype=object)
-    flat = out.reshape(-1)
-    for k, row in enumerate(dense.reshape(-1, space.ncoeff)):
-        flat[k] = Jet(space, row)
-    return out
 
 
 def jet_gradient(dense: np.ndarray, space: JetSpace) -> np.ndarray:
@@ -663,12 +566,17 @@ def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
 def jet_function(
     f: str, dense: np.ndarray, space: JetSpace, param: float | None = None
 ) -> np.ndarray:
-    """Elementary function ``f`` (see :func:`jet_apply`; not ``abs_smooth``)
-    of every jet of a dense array, by series composition."""
+    """Elementary function ``f`` of every jet of a dense array, exact through
+    the order by series composition.
+
+    ``f`` is one of ``exp, log, sqrt, pow, sin, cos, tan, atan``; ``pow``
+    takes the exponent through ``param``.  Arguments outside a function's
+    domain raise :class:`DomainError`.
+    """
     try:
         builder = _SERIES[f]
     except KeyError:
-        raise ValueError(f"unknown function {f!r} for jet_apply") from None
+        raise ValueError(f"unknown jet function {f!r}") from None
     a0 = dense[..., 0]
     series = [builder(float(v), space.order, param) for v in a0.flat]
     return jet_compose(dense, np.reshape(series, a0.shape + (-1,)), space)
@@ -716,3 +624,42 @@ def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     for _ in range(space.order):
         out = inv0 + jet_einsum("ij,jk->ik", step, out, space)
     return out
+
+
+def jet_determinant(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Determinant of a dense ``(m, m, ncoeff)`` jet matrix, or of each
+    matrix of a batch ``(m, m, B, ncoeff)``, as ``(ncoeff,)`` or
+    ``(B, ncoeff)``.
+
+    LU elimination with partial pivoting on the values; each column
+    eliminates all rows below its pivot at once.  A matrix whose pivot value
+    falls to ``POLE_TOL`` times its largest value entry is numerically
+    singular and gets the zero jet.
+    """
+    m = dense.shape[0]
+    n = space.ncoeff
+    a = dense[..., :n].reshape(m, m, -1, n).copy()
+    batch = np.arange(a.shape[2])
+    tol = POLE_TOL * abs(a[..., 0]).max(axis=(0, 1))
+    singular = np.zeros(len(batch), dtype=bool)
+    sign = np.ones(len(batch))
+    unit = np.eye(1, n)[0]
+    det = None
+    for col in range(m):
+        piv = col + abs(a[col:, col, :, 0]).argmax(axis=0)
+        singular |= abs(a[piv, col, batch, 0]) <= tol
+        sign[piv != col] *= -1.0
+        rows = a[piv, :, batch]
+        a[piv, :, batch] = a[col, :, batch]
+        a[col, :, batch] = rows
+        # a singular matrix keeps eliminating with a unit pivot; its
+        # determinant is zeroed below
+        pivot = np.where(singular[:, None], unit, a[col, col])
+        det = pivot if det is None else jet_mul(det, pivot, space)
+        if col + 1 < m:
+            factor = jet_mul(a[col + 1 :, col], jet_reciprocal(pivot, space), space)
+            a[col + 1 :, col + 1 :] -= jet_mul(
+                factor[:, None], a[col, None, col + 1 :], space
+            )
+    det = np.where(singular[:, None], 0.0, det * sign[:, None])
+    return det.reshape(dense.shape[2:-1] + (n,))

@@ -57,7 +57,6 @@ from .affine import (
 )
 from .fields import Geometry, TensorField
 from .jets import (
-    Jet,
     JetSpace,
     jet_einsum,
     jet_gradient,
@@ -65,7 +64,6 @@ from .jets import (
     jet_mul,
     jet_reciprocal,
     jet_space,
-    jet_views,
 )
 
 __all__ = [
@@ -132,11 +130,6 @@ class TractorValue:
     @property
     def order(self) -> int:
         return self.space.order
-
-    @property
-    def components(self) -> np.ndarray:
-        """Object array of :class:`Jet` views onto ``data``."""
-        return jet_views(self.data, self.space)
 
     def values(self) -> np.ndarray:
         return self.data[..., 0]
@@ -287,12 +280,12 @@ class TractorCalculus:
 
     # -- scalar data ------------------------------------------------------
 
-    def tau_jet(self, point: Point, order: int) -> Jet:
-        return self.tau.jet(point, order)
-
-    def tau_hat_jet(self, point: Point, order: int) -> Jet:
-        """tau / rho at an interior point (smooth up to the boundary)."""
-        return self.tau.jet(point, order) / self.geom.rho_jet(point, order)
+    def tau_hat_dense(self, point: Point, order: int) -> np.ndarray:
+        """Dense jet of tau / rho at an interior point (smooth up to the
+        boundary)."""
+        space = jet_space(self.dim, order)
+        inv_rho = jet_reciprocal(self.geom.rho_dense(point, order), space)
+        return jet_mul(self.tau.dense(point, order), inv_rho, space)
 
     def metricity_field(self) -> TensorField:
         """The metricity-equation candidate ``tau^-1 g^ab`` (weight -2)."""
@@ -303,7 +296,7 @@ class TractorCalculus:
             def evaluator(point, order):
                 space = jet_space(dim, order)
                 ginv = jet_inverse(gfield.dense(point, order), space)
-                inv_tau = jet_reciprocal(tau.jet(point, order).coeffs, space)
+                inv_tau = jet_reciprocal(tau.dense(point, order), space)
                 return jet_mul(ginv, inv_tau, space)
 
             self._sigma_field = TensorField(
@@ -325,7 +318,7 @@ class TractorCalculus:
         conn = self.connection_of(s)
         G = conn.dense(point, order)
         P = self.pack_of(s).dense("schouten", point, order)
-        gamma = conn._trace(point, order) / (d + 1.0)
+        gamma = conn.trace_gamma(point, order) / (d + 1.0)
         eye = np.eye(d)
         omega = np.zeros((d, d + 1, d + 1, G.shape[-1]))
         omega[:, 0, 0] = -gamma
@@ -428,7 +421,7 @@ def l_tau(
     special connection is symmetric, so this is a bundle metric.
     """
     space = jet_space(calc.dim, order)
-    tau = calc.tau_jet(point, order).coeffs
+    tau = calc.tau.dense(point, order)
     P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", point, order)
     G = np.zeros((calc.dim + 1,) * 2 + (space.ncoeff,))
     G[0, 0] = tau

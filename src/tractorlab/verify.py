@@ -30,8 +30,8 @@ from .affine import (
     rho_connection,
 )
 from .extrapolate import boundary_ladder, boundary_limit, richardson_limit
-from .fields import Geometry
-from .jets import jet_einsum, jet_gradient, jet_inverse, jet_space, jet_values
+from .fields import Geometry, TensorField
+from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
 from .tractor import (
     TractorCalculus,
     bgg_split_metricity,
@@ -144,7 +144,7 @@ class _Session:
             rng = np.random.default_rng(self.plan.seed)
             p = self.geom.interior_points(1, rng)[0]
             pack = geometry_curvature(self.geom)
-            Pv = jet_values(pack.schouten(p, 0))
+            Pv = pack.dense("schouten", p, 0)[..., 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
             hit = (ok, "" if ok else "degenerate boundary geometry")
@@ -223,7 +223,7 @@ def _run_extend(geom, plan, rng, session):
     ys = session.boundary(rng, min(plan.boundary_points, 3))
     for y in ys:
         est_s = boundary_limit(
-            lambda p: pack.scalar(p, 0).value, geom, y,
+            lambda p: pack.dense("scalar", p, 0)[0], geom, y,
             eps0=plan.eps0, levels=plan.levels,
         )
         r = math.inf if est_s.diverged else est_s.scaled_error()
@@ -254,9 +254,7 @@ def _run_dense(geom, plan, rng, session):
     def slots(p):
         ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
         Pv = pack.dense("schouten", p, 0)[..., 0]
-        rho = geom.rho_jet(p, 1)
-        rv = rho.value
-        grad = rho.gradient()
+        rv, grad = geom.rho_and_drho(p)
         f1 = ginv / rv
         f2 = ginv @ grad / rv**2
         f3 = float(np.sum(ginv * Pv)) / (n + 1) + float(grad @ ginv @ grad) / (
@@ -293,9 +291,8 @@ def _run_prop23_h(geom, plan, rng, session):
     def h23(p):
         gv = gfield.dense(p, 0)[..., 0]
         gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
-        rho = geom.rho_jet(p, 1)
-        grad = rho.gradient()
-        return rho.value * gv + (n + 1) / (4 * rho.value * gP) * np.outer(grad, grad)
+        rho, grad = geom.rho_and_drho(p)
+        return rho * gv + (n + 1) / (4 * rho * gP) * np.outer(grad, grad)
 
     residual = 0.0
     details = []
@@ -413,7 +410,7 @@ def _run_s_const(geom, plan, rng, session):
     details = []
     for y in ys:
         est = boundary_limit(
-            lambda p: pack.scalar(p, 0).value, geom, y,
+            lambda p: pack.dense("scalar", p, 0)[0], geom, y,
             eps0=plan.eps0, levels=plan.levels,
         )
         if est.diverged:
@@ -468,12 +465,9 @@ def _run_pff(geom, plan, rng, session):
         )
 
         def lhs(p):
-            Pv = jet_values(pack.schouten(p, 0))
-            rho = geom.rho_jet(p, 1)
-            grad = rho.gradient()
-            return rho.value * Pv + (alpha - 1) / alpha**2 / rho.value * np.outer(
-                grad, grad
-            )
+            Pv = pack.dense("schouten", p, 0)[..., 0]
+            rho, grad = geom.rho_and_drho(p)
+            return rho * Pv + (alpha - 1) / alpha**2 / rho * np.outer(grad, grad)
 
         est = boundary_limit(lhs, geom, y, eps0=plan.eps0, levels=plan.levels)
         if est.diverged:
@@ -534,7 +528,6 @@ def _run_h_vs_sff(geom, plan, rng, session):
 
 
 def _run_prop33(geom, plan, rng, session, *, order_one: bool):
-    d = geom.dim
     alpha = geom.alpha
     pack = geometry_curvature(geom)
     conn = rho_connection(geom)
@@ -544,7 +537,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     details = []
     for y in ys:
         def scaled_riemann(p):
-            return geom.rho_value(p) ** power * jet_values(pack.riemann(p, 0))
+            return geom.rho_value(p) ** power * pack.riemann(p, 0)[..., 0]
 
         est = boundary_limit(
             scaled_riemann, geom, y, eps0=plan.eps0, levels=plan.levels
@@ -553,30 +546,16 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
             residual = math.inf
             details.append({"point": list(y), "diverged": True})
             continue
-        grad = geom.drho(y)
-        target = np.zeros((d, d, d, d))
         if order_one:
-            hess = bd.hessian_of_rho(
+            x = bd.hessian_of_rho(
                 geom, y,
                 bd.extended_christoffels(conn, geom, y,
                                          eps0=plan.eps0, levels=plan.levels),
             )
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        for e in range(d):
-                            target[a, b, c, e] = (
-                                (c == a) * hess[b, e] - (c == b) * hess[a, e]
-                            )
         else:
-            coeff = (1 - alpha) / alpha**2
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        for e in range(d):
-                            target[a, b, c, e] = coeff * (
-                                (c == a) * grad[b] - (c == b) * grad[a]
-                            ) * grad[e]
+            grad = geom.drho(y)
+            x = np.outer((1 - alpha) / alpha**2 * grad, grad)
+        target = bd._delta_wedge(x)
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
         residual = max(residual, _scaled(gap, scale))
@@ -639,10 +618,9 @@ def _run_splitids(geom, plan, rng, session):
         # evaluated at jet order 0; only rho needs its gradient.
         P_jets = pack.dense("schouten", p, 0)
         P, Pinv = P_jets[..., 0], jet_inverse(P_jets, space)[..., 0]
-        rho_jet = geom.rho_jet(p, 1)
-        rho, grad = rho_jet.value, rho_jet.gradient()
+        rho, grad = geom.rho_and_drho(p)
         Linv = tractor_metric_inverse(l_tau(calc, p, 0, calc.reference))
-        tau_hat = calc.tau_hat_jet(p, 0).value
+        tau_hat = calc.tau_hat_dense(p, 0)[0]
         top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
         # slot identifications of the inverse tractor metric
         t_vec = tau_hat * mid * 0.5
@@ -666,9 +644,8 @@ def _run_splitids(geom, plan, rng, session):
     for y in ys:
         def t_dot(pt):
             Pv = pack.dense("schouten", pt, 0)[..., 0]
-            rho = geom.rho_jet(pt, 1)
-            grad = rho.gradient()
-            tv = -np.linalg.inv(Pv) @ grad / (4 * rho.value**2)
+            rho, grad = geom.rho_and_drho(pt)
+            tv = -np.linalg.inv(Pv) @ grad / (4 * rho**2)
             return float(tv @ grad)
 
         est = boundary_limit(t_dot, geom, y, eps0=plan.eps0, levels=plan.levels)
@@ -676,6 +653,32 @@ def _run_splitids(geom, plan, rng, session):
         residual = max(residual, gap * 1e-3)  # 1e-5 facet in 1e-8 headline
         details.append({"point": list(y), "t_dot_drho_limit": float(est.value)})
     return residual, len(pts), details
+
+
+def _prop43_terms(rho, grad, Phat, dPhat, hess2):
+    """The right-hand side of ``rho grad_a P_bc`` in Proposition 4.3, term by
+    term (values indexed ``[a, b, c]``): the Hessian of rho and the Schouten
+    data of the rho-modified connection."""
+    half = 0.5 * grad
+    return (
+        0.5 * hess2,
+        grad[:, None, None] * Phat[None],
+        half[None, :, None] * Phat[:, None],
+        half[None, None, :] * Phat[:, :, None],
+        rho * dPhat,
+    )
+
+
+def _prop43_lc_terms(rho, grad, phi, dphi, g, dS, n):
+    """The Levi-Civita variant: ``phi`` is the trace-adjusted Schouten tensor
+    ``P - S g/(n(n+1))`` and ``dS`` the gradient of the scalar curvature."""
+    half = 0.5 * grad
+    return (
+        grad[:, None, None] * phi[None],
+        half[None, :, None] * phi[:, None],
+        half[None, None, :] * phi.T[:, :, None],
+        rho * (dphi + g[None] * dS[:, None, None] * (1.0 / (n * (n + 1)))),
+    )
 
 
 def _run_prop43(geom, plan, rng, session):
@@ -687,77 +690,38 @@ def _run_prop43(geom, plan, rng, session):
     hat_pack = calc.pack_of(calc.reference)
     hat_conn = calc.connection_of(calc.reference)
     gfield = geom.metric_field()
-    order = 0
     residual = 0.0
     details = []
-    from .fields import TensorField
 
-    drho_field = TensorField(
-        geom.chart, "d",
-        lambda pt, k: np.array(
-            [geom.rho_jet(pt, k + 1).partial(a) for a in range(d)], dtype=object
-        ),
-        name="drho",
-    )
-    hess_field = covariant_derivative(drho_field, hat_conn)
+    def drho_eval(pt, k):
+        return jet_gradient(geom.rho_dense(pt, k + 1), jet_space(d, k + 1))
 
     def phi_eval(pt, k):
-        P = lc_pack.schouten(pt, k)
-        S = lc_pack.scalar(pt, k)
-        g = gfield.components(pt, k)
-        out = np.empty((d, d), dtype=object)
-        for a in range(d):
-            for b in range(d):
-                out[a, b] = P[a, b] - S * g[a, b] * (1.0 / (n * (n + 1)))
-        return out
+        Sg = jet_mul(lc_pack.dense("scalar", pt, k), gfield.dense(pt, k), jet_space(d, k))
+        return lc_pack.dense("schouten", pt, k) - Sg * (1.0 / (n * (n + 1)))
 
+    drho_field = TensorField(geom.chart, "d", drho_eval, name="drho")
+    hess2_field = covariant_derivative(covariant_derivative(drho_field, hat_conn), hat_conn)
     phi_field = TensorField(geom.chart, "dd", phi_eval, name="phi", sym=((0, 1),))
     dphi_field = covariant_derivative(phi_field, hat_conn)
 
     for p in pts:
-        dP = lc_pack.schouten_derivative(p, order)
-        Phat = hat_pack.schouten(p, order)
-        dPhat = hat_pack.schouten_derivative(p, order)
-        hess2 = covariant_derivative(hess_field, hat_conn).components(p, order)
-        rho = geom.rho_jet(p, order + 1)
-        grad = [rho.partial(a) for a in range(d)]
-        rho = rho.truncate(order)
-        gap = 0.0
-        scale = 0.0
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    lhs = rho * dP[a, b, c]
-                    rhs = (
-                        0.5 * hess2[a, b, c]
-                        + grad[a] * Phat[b, c]
-                        + 0.5 * grad[b] * Phat[a, c]
-                        + 0.5 * grad[c] * Phat[a, b]
-                        + rho * dPhat[a, b, c]
-                    )
-                    gap = max(gap, abs((lhs - rhs).value))
-                    scale = max(scale, abs(lhs.value))
+        rho, grad = geom.rho_and_drho(p)
+        lhs = rho * lc_pack.dense("schouten_derivative", p, 0)[..., 0]
+        rhs = sum(_prop43_terms(
+            rho, grad, hat_pack.dense("schouten", p, 0)[..., 0],
+            hat_pack.dense("schouten_derivative", p, 0)[..., 0],
+            hess2_field.dense(p, 0)[..., 0],
+        ))
+        gap = float(np.max(np.abs(lhs - rhs)))
+        scale = float(np.max(np.abs(lhs)))
         residual = max(residual, _scaled(gap, scale))
 
-        # Levi-Civita variant with the trace-adjusted Schouten tensor
-        phi = phi_field.components(p, order)
-        dphi = dphi_field.components(p, order)
-        S = lc_pack.scalar(p, order + 1)
-        g = gfield.components(p, order)
-        gap2 = 0.0
-        for a in range(d):
-            dS_a = S.partial(a)
-            for b in range(d):
-                for c in range(d):
-                    lhs = rho * dP[a, b, c]
-                    rhs = (
-                        grad[a] * phi[b, c]
-                        + 0.5 * grad[b] * phi[a, c]
-                        + 0.5 * grad[c] * phi[b, a]
-                        + rho * (dphi[a, b, c]
-                                 + g[b, c] * dS_a * (1.0 / (n * (n + 1))))
-                    )
-                    gap2 = max(gap2, abs((lhs - rhs).value))
+        rhs2 = sum(_prop43_lc_terms(
+            rho, grad, phi_field.dense(p, 0)[..., 0], dphi_field.dense(p, 0)[..., 0],
+            gfield.dense(p, 0)[..., 0], lc_pack.dense("scalar", p, 1)[1 : 1 + d], n,
+        ))
+        gap2 = float(np.max(np.abs(lhs - rhs2)))
         residual = max(residual, _scaled(gap2, scale))
         details.append({"point": list(p), "identity_residual": gap,
                         "variant_residual": gap2})
@@ -899,10 +863,9 @@ def _run_weyl_traces(geom, plan, rng, session):
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
     for p in pts:
-        C = jet_values(pack.weyl(p, 0))
-        R = jet_values(pack.riemann(p, 0))
-        P = jet_values(pack.schouten(p, 0))
-        beta = jet_values(pack.beta(p, 0))
+        C, R, P, beta = (
+            pack.dense(name, p, 0)[..., 0] for name in ("weyl", "riemann", "schouten", "beta")
+        )
         traces = np.concatenate([np.einsum("eaeb->ab", C), np.einsum("abee->ab", C)])
         back = (
             C + np.einsum("ca,be->abce", eye, P) - np.einsum("cb,ae->abce", eye, P)
@@ -918,7 +881,7 @@ def _run_bianchi(geom, plan, rng, session):
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
     for p in pts:
-        R = jet_values(pack.riemann(p, 0))
+        R = pack.riemann(p, 0)[..., 0]
         cyc = R + np.einsum("beca->abce", R) + np.einsum("eacb->abce", R)
         residual = max(residual, _scaled(float(np.max(np.abs(cyc))), float(np.max(np.abs(R)))))
     return residual, len(pts), [{"points": len(pts)}]
@@ -973,10 +936,9 @@ def _instance_matches(calc: TractorCalculus, p) -> float:
     geom = calc.geom
     n = geom.dim - 1
     order = 0
-    rho_jet = geom.rho_jet(p, 1)
-    rho, grad = rho_jet.value, rho_jet.gradient()
-    tau_hat = calc.tau_hat_jet(p, order).value
-    tau = calc.tau_jet(p, order).value
+    rho, grad = geom.rho_and_drho(p)
+    tau_hat = calc.tau_hat_dense(p, order)[0]
+    tau = calc.tau.value(p)
     P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, order)[..., 0]
     g_jets = geom.metric_field().dense(p, order)
     g = g_jets[..., 0]

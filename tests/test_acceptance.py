@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from jet_reference import jet_call
 from tractorlab import boundary as bd
 from tractorlab import expr as ex
 from tractorlab.fields import builtin_geometry
@@ -125,7 +126,7 @@ def test_criterion_01_jet_kernel_oracle():
             "u": space.variable(0, base[0]),
             "v": space.variable(1, base[1]),
         }
-        jet = ex.evaluate(tree, env_jet)
+        jet = ex.evaluate(tree, env_jet, jet_call)
 
         def f_mp(du, dv):
             env = {"u": mp.mpf(base[0]) + du, "v": mp.mpf(base[1]) + dv}

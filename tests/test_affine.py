@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import jet_values, max_value
+from conftest import max_value
+from jet_reference import jet_apply, jet_det, jet_views
 from tractorlab import expr as ex
 from tractorlab.affine import (
     canonical_tau,
@@ -14,23 +15,20 @@ from tractorlab.affine import (
     projective_modify,
     rho_connection,
 )
-from tractorlab.fields import Chart, TensorField, builtin_geometry
-from tractorlab.jets import jet_space
+from tractorlab.fields import Chart, Geometry, TensorField, builtin_geometry
+from tractorlab.jets import DomainError, jet_mul, jet_reciprocal, jet_space
 
 
 def linear_one_form(chart, coeffs):
-    """Upsilon_a = c_a0 + sum_i c_ai x^i as an evaluator."""
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator."""
     d = chart.dim
+    coeffs = np.asarray(coeffs, dtype=float)
 
     def ups(point, order):
-        space = jet_space(d, order)
-        xs = [space.variable(i, float(point[i])) for i in range(d)]
-        out = np.empty(d, dtype=object)
-        for a in range(d):
-            val = space.constant(coeffs[a][0])
-            for i in range(d):
-                val = val + coeffs[a][1 + i] * xs[i]
-            out[a] = val
+        out = np.zeros((d, jet_space(d, order).ncoeff))
+        out[:, 0] = coeffs[:, 0] + coeffs[:, 1:] @ np.asarray(point, dtype=float)
+        if order >= 1:
+            out[:, 1 : 1 + d] = coeffs[:, 1:]
         return out
 
     return ups
@@ -41,7 +39,7 @@ def linear_one_form(chart, coeffs):
 
 def test_flat_christoffels_vanish(flat3):
     conn = levi_civita(flat3)
-    G = conn.christoffels((0.3, 0.2, 0.1), 1)
+    G = conn.dense((0.3, 0.2, 0.1), 1)
     assert max_value(G) == 0.0
 
 
@@ -52,7 +50,7 @@ def test_koszul_against_finite_differences():
     gfield = TensorField.from_exprs(chart, exprs, "dd", name="g", sym=((0, 1),))
     conn = levi_civita(gfield)
     p = (0.21, -0.4)
-    G = conn.christoffels(p, 0)
+    G = conn.dense(p, 0)
 
     h = 1e-5
 
@@ -72,13 +70,13 @@ def test_koszul_against_finite_differences():
         ginv,
         np.einsum("aeb->eab", dg) + np.einsum("bea->eab", dg) - dg,
     )
-    got = jet_values(G)
+    got = G[..., 0]
     assert np.max(np.abs(got - expected)) < 1e-8
 
 
 def test_klein_christoffels_at_origin(klein3):
     conn = levi_civita(klein3)
-    assert max_value(conn.christoffels((0.0, 0.0, 0.0), 0)) < 1e-14
+    assert max_value(conn.dense((0.0, 0.0, 0.0), 0)) < 1e-14
 
 
 # -- projective modification -------------------------------------------------
@@ -89,8 +87,8 @@ def test_modify_by_zero_is_identity(klein3, rng):
     zero = linear_one_form(klein3.chart, np.zeros((3, 4)))
     mod = projective_modify(conn, zero)
     p = klein3.interior_points(1, rng)[0]
-    a = jet_values(conn.christoffels(p, 1))
-    b = jet_values(mod.christoffels(p, 1))
+    a = conn.dense(p, 1)
+    b = mod.dense(p, 1)
     assert np.max(np.abs(a - b)) == 0.0
 
 
@@ -99,7 +97,7 @@ def test_modify_flat_by_dx0(flat3):
     coeffs = np.zeros((3, 4))
     coeffs[0][0] = 1.0  # Upsilon = dx^0
     mod = projective_modify(conn, linear_one_form(flat3.chart, coeffs))
-    G = jet_values(mod.christoffels((0.1, 0.2, 0.3), 0))
+    G = mod.dense((0.1, 0.2, 0.3), 0)[..., 0]
     assert G[0, 0, 0] == pytest.approx(2.0)
     for i in (1, 2):
         assert G[i, 0, i] == pytest.approx(1.0)
@@ -173,7 +171,7 @@ def test_projective_modification_preserves_unparametrized_geodesics(klein3, rng)
 def test_klein_rho_connection_is_flat(klein3, rng):
     hat = rho_connection(klein3)
     for p in klein3.interior_points(3, rng):
-        assert max_value(hat.christoffels(p, 1)) < 1e-12
+        assert max_value(hat.dense(p, 1)) < 1e-12
 
 
 def test_flat_rho_connection_is_not_bounded(flat3):
@@ -204,10 +202,8 @@ def test_poincare_rho_connection_slope(poincare3):
 def test_flat_curvature_vanishes(flat3):
     pack = geometry_curvature(flat3)
     p = (0.2, -0.1, 0.4)
-    assert max_value(pack.riemann(p, 0)) == 0.0
-    assert max_value(pack.schouten(p, 0)) == 0.0
-    assert max_value(pack.weyl(p, 0)) == 0.0
-    assert max_value(pack.cotton(p, 0)) == 0.0
+    for name in ("riemann", "schouten", "weyl", "cotton"):
+        assert max_value(pack.dense(name, p, 0)) == 0.0
 
 
 def test_riemann_matches_scalar_jet_formula(af2, rng):
@@ -216,8 +212,8 @@ def test_riemann_matches_scalar_jet_formula(af2, rng):
     conn = rho_connection(af2)
     pack = geometry_curvature(af2, conn)
     p = af2.interior_points(1, rng)[0]
-    G = conn.christoffels(p, 2)
-    R = pack.riemann(p, 1)
+    G = jet_views(conn.dense(p, 2), jet_space(4, 2))
+    R = jet_views(pack.riemann(p, 1), jet_space(4, 1))
     worst = scale = 0.0
     for a, b, c, e in np.ndindex(4, 4, 4, 4):
         ref = G[c, b, e].partial(a) - G[c, a, e].partial(b)
@@ -232,8 +228,8 @@ def test_klein_constant_curvature(klein3, rng):
     pack = geometry_curvature(klein3)
     gfield = klein3.metric_field()
     for p in klein3.interior_points(20, rng):
-        R = jet_values(pack.riemann(p, 0))
-        g = jet_values(gfield.components(p, 0))
+        R = pack.riemann(p, 0)[..., 0]
+        g = gfield.dense(p, 0)[..., 0]
         expected = np.zeros((3, 3, 3, 3))
         for a in range(3):
             for b in range(3):
@@ -243,28 +239,22 @@ def test_klein_constant_curvature(klein3, rng):
                             (c == a) * g[b, e] - (c == b) * g[a, e]
                         )
         assert np.max(np.abs(R - expected)) < 1e-8
-        assert pack.scalar(p, 0).value == pytest.approx(-6.0, abs=1e-10)
+        assert pack.dense("scalar", p, 0)[0] == pytest.approx(-6.0, abs=1e-10)
 
 
 def test_klein_schouten_weyl_cotton(klein3, rng):
     pack = geometry_curvature(klein3)
     gfield = klein3.metric_field()
     p = klein3.interior_points(1, rng)[0]
-    P = jet_values(pack.schouten(p, 0))
-    g = jet_values(gfield.components(p, 0))
+    P = pack.dense("schouten", p, 0)[..., 0]
+    g = gfield.dense(p, 0)[..., 0]
     assert np.max(np.abs(P + g)) < 1e-12
-    assert max_value(pack.beta(p, 0)) < 1e-12
-    C = pack.weyl(p, 0)
-    tr1 = max(
-        abs(sum(C[e, a, e, b].value for e in range(3)))
-        for a in range(3) for b in range(3)
-    )
-    tr2 = max(
-        abs(sum(C[a, b, e, e].value for e in range(3)))
-        for a in range(3) for b in range(3)
-    )
+    assert max_value(pack.dense("beta", p, 0)) < 1e-12
+    C = pack.dense("weyl", p, 0)[..., 0]
+    tr1 = np.max(np.abs(np.einsum("eaeb->ab", C)))
+    tr2 = np.max(np.abs(np.einsum("abee->ab", C)))
     assert max(tr1, tr2) < 1e-9
-    assert max_value(pack.cotton(p, 0)) < 1e-12
+    assert max_value(pack.dense("cotton", p, 0)) < 1e-12
 
 
 # -- covariant derivative -----------------------------------------------------
@@ -278,7 +268,7 @@ def test_metric_is_parallel(name, dim):
     dg = covariant_derivative(geom.metric_field(), conn)
     rng = np.random.default_rng(1)
     for p in geom.interior_points(3, rng):
-        assert max_value(dg.components(p, 0)) < 1e-9
+        assert max_value(dg.dense(p, 0)) < 1e-9
 
 
 def test_tau_is_parallel_and_equals_rho(klein3, rng):
@@ -286,7 +276,43 @@ def test_tau_is_parallel_and_equals_rho(klein3, rng):
     p = klein3.interior_points(1, rng)[0]
     assert tau.value(p) == pytest.approx(klein3.rho_value(p), abs=1e-14)
     dtau = covariant_derivative(tau.as_field(), levi_civita(klein3))
-    assert max_value(dtau.components(p, 1)) < 1e-9
+    assert max_value(dtau.dense(p, 1)) < 1e-9
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_canonical_tau_matches_scalar_reference(klein3, af2, order):
+    # reference: |det g|^(-1/(n+2)) through the object LU and scalar jets
+    for geom in (klein3, af2):
+        tau = canonical_tau(geom)
+        pts = geom.interior_points(3, np.random.default_rng(order))
+        space = jet_space(geom.dim, order)
+        batch = tau.dense(np.array(pts), order)
+        assert batch.shape == (3, space.ncoeff)
+        for k, p in enumerate(pts):
+            g = jet_views(geom.metric_field().dense(p, order), space)
+            det = jet_apply("abs_smooth", jet_det(g))
+            ref = jet_apply("pow", det, param=-1.0 / (geom.dim + 1)).coeffs
+            got = tau.dense(p, order)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+            assert np.array_equal(batch[k], got)
+
+
+@pytest.mark.parametrize("metric", [
+    [["1", "1"], ["1", "1"]],  # rank one everywhere
+    [["x0^2", "0"], ["0", "1"]],  # singular on x0 = 0
+])
+def test_canonical_tau_of_singular_metric_raises(metric):
+    chart = Chart(("x0", "x1"))
+    geom = Geometry("singular", chart, ex.parse_expr("1 - x0", chart.coord_names),
+                    2.0, metric=np.array(metric, dtype=object))
+    tau = canonical_tau(geom)
+    p = (0.0, 0.3)
+    for order in range(3):
+        g = jet_views(geom.metric_field().dense(p, order), jet_space(2, order))
+        with pytest.raises(DomainError):  # the scalar reference
+            jet_apply("abs_smooth", jet_det(g))
+        with pytest.raises(DomainError):
+            tau.dense(p, order)
 
 
 def test_density_sign_is_pinned(klein3, rng):
@@ -295,7 +321,7 @@ def test_density_sign_is_pinned(klein3, rng):
     p = klein3.interior_points(1, rng)[0]
     wrong = covariant_derivative(tau.as_field(), levi_civita(klein3),
                                  density_sign=-1.0)
-    assert max_value(wrong.components(p, 0)) > 1e-2
+    assert max_value(wrong.dense(p, 0)) > 1e-2
 
 
 def test_tau_hat_parallel_for_rho_connection(klein3, rng):
@@ -305,14 +331,16 @@ def test_tau_hat_parallel_for_rho_connection(klein3, rng):
     tau = canonical_tau(geom)
 
     def tau_hat_component(point, order):
-        return tau.jet(point, order) / geom.rho_jet(point, order)
+        space = jet_space(geom.dim, order)
+        inv_rho = jet_reciprocal(geom.rho_dense(point, order), space)
+        return jet_mul(tau.dense(point, order), inv_rho, space)
 
     from tractorlab.affine import Density
 
     tau_hat = Density(geom.chart, 2.0, tau_hat_component, name="tauhat")
     field = covariant_derivative(tau_hat.as_field(), hat)
     for p in geom.interior_points(3, rng):
-        assert max_value(field.components(p, 0)) < 1e-9
+        assert max_value(field.dense(p, 0)) < 1e-9
 
 
 def test_schouten_change_law(klein3, rng):
@@ -327,10 +355,10 @@ def test_schouten_change_law(klein3, rng):
     ups_field = TensorField(geom.chart, "d", lambda p, k: ups(p, k), name="Y")
     dups = covariant_derivative(ups_field, hat)
     for p in geom.interior_points(3, rng):
-        P = jet_values(pack.schouten(p, 0))
-        Ph = jet_values(pack_hat.schouten(p, 0))
-        du = jet_values(dups.components(p, 0))
-        u = np.array([j.value for j in ups(p, 0)])
+        P = pack.dense("schouten", p, 0)[..., 0]
+        Ph = pack_hat.dense("schouten", p, 0)[..., 0]
+        du = dups.dense(p, 0)[..., 0]
+        u = ups(p, 0)[:, 0]
         assert np.max(np.abs(P - (Ph + du + np.outer(u, u)))) < 1e-8
 
 
@@ -376,8 +404,7 @@ def test_special_flag_via_density_transport(klein3):
     w = geom.dim + 1  # weight n+2
 
     def trace_gamma_values(p):
-        tg = conn.trace_gamma(p, 0)
-        return np.array([t.value for t in tg])
+        return conn.trace_gamma(p, 0)[:, 0]
 
     # straight segment inside the ball
     x0 = np.array([0.1, -0.2, 0.05])
@@ -397,7 +424,7 @@ def test_special_flag_via_density_transport(klein3):
         x += h * v
     # parallel density of weight n+2: |det g|^(-1/2) up to normalization
     def closed(p):
-        g = jet_values(geom.metric_field().components(p, 0))
+        g = geom.metric_field().dense(p, 0)[..., 0]
         return abs(np.linalg.det(g)) ** (-0.5)
 
     expected = closed(x) / closed(x0)
@@ -408,5 +435,5 @@ def test_torsion_free_symmetry_at_samples(af2, rng):
     conn = rho_connection(af2)
     assert conn.torsion_free
     for p in af2.interior_points(3, rng):
-        G = jet_values(conn.christoffels(p, 1))
+        G = conn.dense(p, 1)[..., 0]
         assert np.max(np.abs(G - G.transpose(0, 2, 1))) < 1e-12

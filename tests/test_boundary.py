@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import jet_values
 from tractorlab import boundary as bd
 from tractorlab.affine import geometry_curvature, rho_connection
 from tractorlab.extrapolate import boundary_ladder, boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
+from tractorlab.jets import Jet, jet_space
 from tractorlab.tractor import TractorCalculus, metricity_contorsion
 
 
@@ -49,7 +49,7 @@ def test_richardson_simple(klein3):
 def test_richardson_scalar_curvature(klein3):
     pack = geometry_curvature(klein3)
     est = boundary_limit(
-        lambda p: pack.scalar(p, 0).value, klein3, (0.0, 0.0, 1.0)
+        lambda p: pack.dense("scalar", p, 0)[0], klein3, (0.0, 0.0, 1.0)
     )
     assert est.value == pytest.approx(-6.0, abs=1e-6)
 
@@ -59,7 +59,7 @@ def test_poincare_rho_s_anomaly(poincare3):
     # compactification would give
     pack = geometry_curvature(poincare3)
     est = boundary_limit(
-        lambda p: poincare3.rho_value(p) * pack.scalar(p, 0).value,
+        lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[0],
         poincare3, (1.0, 0.0, 0.0),
     )
     assert abs(float(est.value)) < 1e-6
@@ -111,7 +111,7 @@ def test_rho2_g_mu_mu_constant_and_quarter(klein3):
     vals = []
     for k in range(5, len(curve.ts), 20):
         p, v = curve.points[k], curve.mus[k]
-        g = jet_values(gfield.components(p, 0))
+        g = gfield.dense(p, 0)[..., 0]
         vals.append(klein3.rho_value(p) ** 2 * float(v @ g @ v))
     vals = np.array(vals)
     assert vals.max() - vals.min() < 1e-6
@@ -158,10 +158,9 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
     sff = bd.second_fundamental_form(klein3, y)
 
     def gamma_full(p):
-        P = jet_values(pack.schouten(p, 0))
-        rho = klein3.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(3)])
-        return rho.value * P + np.outer(grad, grad) / (4 * rho.value)
+        P = pack.dense("schouten", p, 0)[..., 0]
+        rho, grad = klein3.rho_and_drho(p)
+        return rho * P + np.outer(grad, grad) / (4 * rho)
 
     est = boundary_limit(gamma_full, klein3, y)
     E = sff.basis
@@ -234,16 +233,11 @@ def test_prop22_slot_limits(klein3):
     y = (0.6, 0.8, 0.0)
 
     def slots(p):
-        g = jet_values(gfield.components(p, 0))
-        ginv = np.linalg.inv(g)
-        P = jet_values(pack.schouten(p, 0))
-        rho = klein3.rho_jet(p, 1)
-        grad = np.array([rho.partial(i).value for i in range(d)])
-        f3 = float(np.sum(ginv * P)) / (n + 1) + float(
-            grad @ ginv @ grad
-        ) / (4 * rho.value**2)
-        return np.concatenate([(ginv / rho.value).ravel(),
-                               ginv @ grad / rho.value**2, [f3]])
+        ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
+        P = pack.dense("schouten", p, 0)[..., 0]
+        rho, grad = klein3.rho_and_drho(p)
+        f3 = float(np.sum(ginv * P)) / (n + 1) + float(grad @ ginv @ grad) / (4 * rho**2)
+        return np.concatenate([(ginv / rho).ravel(), ginv @ grad / rho**2, [f3]])
 
     est = boundary_limit(slots, klein3, y)
     assert not est.diverged
@@ -260,12 +254,7 @@ def test_klein_rho2_riemann_limit(klein3):
     d = 3
 
     def scaled(p):
-        R = pack.riemann(p, 0)
-        r2 = klein3.rho_value(p) ** 2
-        return np.array(
-            [[[[r2 * R[a, b, c, e].value for e in range(d)] for c in range(d)]
-              for b in range(d)] for a in range(d)]
-        )
+        return klein3.rho_value(p) ** 2 * pack.riemann(p, 0)[..., 0]
 
     est = boundary_limit(scaled, klein3, y)
     grad = klein3.drho(y)
@@ -287,12 +276,7 @@ def test_af1_rho_riemann_limit(af1):
     d = 4
 
     def scaled(p):
-        R = pack.riemann(p, 0)
-        r = af1.rho_value(p)
-        return np.array(
-            [[[[r * R[a, b, c, e].value for e in range(d)] for c in range(d)]
-              for b in range(d)] for a in range(d)]
-        )
+        return af1.rho_value(p) * pack.riemann(p, 0)[..., 0]
 
     est = boundary_limit(scaled, af1, y)
     hess = bd.hessian_of_rho(af1, y, bd.extended_christoffels(conn, af1, y))
@@ -419,3 +403,21 @@ def test_klein_dual_path_extension_agreement(klein3):
     reps = bd.rho_connection_extension(conn, klein3, [(1.0, 0.0, 0.0)])
     assert not reps[0].diverged
     assert reps[0].dual_path_gap is not None and reps[0].dual_path_gap < 1e-6
+
+
+def test_hessian_of_rho_matches_scalar_jet_loops(klein3, af2):
+    # reference: the covariant Hessian entry by entry on scalar jets
+    for geom, y in ((klein3, (0.6, 0.0, 0.8)), (af2, (0.0, 0.3, -0.2, 0.4))):
+        d = geom.dim
+        gamma = np.random.default_rng(d).uniform(-1, 1, size=(d, d, d))
+        rho = Jet(jet_space(d, 2), geom.rho_dense(y, 2))
+        grad = [rho.partial(a) for a in range(d)]
+        ref = np.zeros((d, d))
+        for a in range(d):
+            for b in range(d):
+                val = grad[a].partial(b).value
+                for e in range(d):
+                    val -= gamma[e, a, b] * grad[e].value
+                ref[a, b] = val
+        got = bd.hessian_of_rho(geom, y, gamma)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))

@@ -247,3 +247,25 @@ def test_geometry_document_contracts(edit, expected, tmp_path, capsys):
     else:
         (report,) = strict_loads(out.read_text())
         assert report["status"] == "pass"
+
+
+def test_parser_is_built_once_and_calls_do_not_share_params(capsys):
+    from tractorlab import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    parser = cli._build_parser()
+    assert parser.parse_args(
+        ["eval", "--geometry", "klein", "--quantity", "weyl", "--param", "C=0.5"]
+    ).param == ["C=0.5"]
+    assert parser.parse_args(["eval", "--geometry", "klein", "--quantity", "weyl"]).param == []
+
+    argv = ["eval", "--geometry", "af2_generic", "--dim", "4",
+            "--quantity", "schouten", "--point", "0.4,0.2,-0.3,0.1"]
+    outputs = []
+    for params in (["C=0.5"], ["C=0.25"], [], ["C"], []):
+        code = main(argv + [a for p in params for a in ("--param", p)])
+        outputs.append((code, capsys.readouterr().out))
+    codes = [code for code, _ in outputs]
+    assert codes == [0, 0, 0, 2, 0]
+    assert outputs[0][1] != outputs[1][1]
+    assert outputs[1][1] == outputs[2][1] == outputs[4][1]  # C defaults to 0.25

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jet_reference import jet_call, point_jets
 from tractorlab import expr as ex
 from tractorlab.affine import rho_connection
 from tractorlab.fields import builtin_geometry
@@ -48,13 +49,19 @@ def test_syntax_error_offset():
 
 def test_precedence():
     env = {"x": 3.0}
-    call = lambda f, v: getattr(math, f)(v)  # noqa: E731
-    assert ex.evaluate(ex.parse_expr("-x^2"), env, call) == -9.0
-    assert ex.evaluate(ex.parse_expr("2*x + 1"), env, call) == 7.0
-    assert ex.evaluate(ex.parse_expr("1 - 2 - 3"), env, call) == -4.0
-    assert ex.evaluate(ex.parse_expr("12/2/3"), env, call) == 2.0
-    assert ex.evaluate(ex.parse_expr("pi"), env, call) == math.pi
-    assert ex.evaluate(ex.parse_expr("2e-2 + 1.5"), env, call) == 1.52
+    assert ex.evaluate(ex.parse_expr("-x^2"), env) == -9.0
+    assert ex.evaluate(ex.parse_expr("2*x + 1"), env) == 7.0
+    assert ex.evaluate(ex.parse_expr("1 - 2 - 3"), env) == -4.0
+    assert ex.evaluate(ex.parse_expr("12/2/3"), env) == 2.0
+    assert ex.evaluate(ex.parse_expr("pi"), env) == math.pi
+    assert ex.evaluate(ex.parse_expr("2e-2 + 1.5"), env) == 1.52
+
+
+def test_evaluate_calls_math_functions_by_default():
+    env = {"x": 0.3}
+    for name in ex.FUNCTION_NAMES:
+        got = ex.evaluate(ex.parse_expr(f"{name}(x + 1)"), env)
+        assert got == getattr(math, name)(1.3)
 
 
 def test_negative_literal_folding():
@@ -166,18 +173,18 @@ def test_tape_matches_evaluate_on_catalog_geometries(name, dim):
     for p in geom.interior_points(3, rng):
         for order in range(4):
             space = jet_space(dim, order)
-            env = dict(zip(geom.chart.coord_names, space.point(p)))
+            env = dict(zip(geom.chart.coord_names, point_jets(space, p)))
             got = tape.run(p, space)
             field = geom.metric_field().dense(p, order)
             for k, root in enumerate(roots):
-                ref = ex.evaluate(root, env)
+                ref = ex.evaluate(root, env, jet_call)
                 ref = ref.coeffs if hasattr(ref, "coeffs") else space.constant(ref).coeffs
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(got[k] - ref)) <= 1e-12 * scale, (name, k, order)
             iu = np.triu_indices(dim)
             assert np.array_equal(field[iu], got[:-1])
             assert np.array_equal(field, field.transpose(1, 0, 2))
-            assert np.array_equal(geom.rho_jet(p, order).coeffs, got[-1])
+            assert np.array_equal(geom.rho_dense(p, order), got[-1])
 
 
 def test_klein_tape_shares_subexpressions():

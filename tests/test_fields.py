@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import jet_values
+from jet_reference import jet_views
 from tractorlab import expr as ex
 from tractorlab.extrapolate import boundary_ladder, richardson_limit
 from tractorlab.fields import (
@@ -15,22 +15,22 @@ from tractorlab.fields import (
     builtin_geometry,
     load_geometry,
 )
-from tractorlab.jets import PoleError
+from tractorlab.jets import PoleError, jet_space
 
 
 def test_flat_metric_is_identity(flat3):
-    g = flat3.metric_field().components((0.2, 0.1, -0.3), 1)
-    assert np.allclose(jet_values(g), np.eye(3))
+    g = flat3.metric_field().dense((0.2, 0.1, -0.3), 1)
+    assert np.allclose(g[..., 0], np.eye(3))
 
 
 def test_klein_metric_at_origin(klein3):
-    g = klein3.metric_field().components((0.0, 0.0, 0.0), 2)
-    assert np.allclose(jet_values(g), np.eye(3))
+    g = klein3.metric_field().dense((0.0, 0.0, 0.0), 2)
+    assert np.allclose(g[..., 0], np.eye(3))
 
 
 def test_klein_pole_at_boundary(klein3):
     with pytest.raises(PoleError):
-        klein3.metric_field().components((1.0, 0.0, 0.0), 1)
+        klein3.metric_field().dense((1.0, 0.0, 0.0), 1)
 
 
 def test_klein_closed_form(klein3):
@@ -38,8 +38,8 @@ def test_klein_closed_form(klein3):
     x = np.array(p)
     rho = 1 - x @ x
     expected = np.eye(3) / rho + np.outer(x, x) / rho**2
-    g = klein3.metric_field().components(p, 0)
-    assert np.max(np.abs(jet_values(g) - expected)) < 1e-14
+    g = klein3.metric_field().dense(p, 0)[..., 0]
+    assert np.max(np.abs(g - expected)) < 1e-14
 
 
 def test_symmetry_is_exact(af2, rng):
@@ -60,7 +60,7 @@ def test_af2_matches_klein_leading_asymptotics(klein3):
     geom = klein3
     rng = np.random.default_rng(5)
     for p in geom.interior_points(5, rng):
-        g = jet_values(geom.metric_field().components(p, 0))
+        g = geom.metric_field().dense(p, 0)[..., 0]
         rho = geom.rho_value(p)
         grad = geom.drho(p)
         rem = rho * g - np.eye(3) - 0.25 * np.outer(grad, grad) / rho
@@ -70,7 +70,7 @@ def test_af2_matches_klein_leading_asymptotics(klein3):
                      dtype=object)
     af = builtin_geometry("af2_generic", 4, h=delta)
     for p in af.interior_points(5, rng):
-        g = jet_values(af.metric_field().components(p, 0))
+        g = af.metric_field().dense(p, 0)[..., 0]
         rho = af.rho_value(p)
         grad = af.drho(p)
         rem = rho * g - np.eye(4) - 0.25 * np.outer(grad, grad) / rho
@@ -84,7 +84,7 @@ def test_poincare_volume_law_fails(poincare3, klein3):
 
     def scaled_det(geom):
         def f(p):
-            g = jet_values(geom.metric_field().components(p, 0))
+            g = geom.metric_field().dense(p, 0)[..., 0]
             return geom.rho_value(p) ** (geom.dim + 1) * abs(np.linalg.det(g))
 
         ladder = boundary_ladder(geom, y)
@@ -102,7 +102,7 @@ def test_klein_radial_boundedness(klein3):
     vals = []
     for s in (0.9, 0.99, 0.999):
         p = (s, 0.0, 0.0)
-        g = jet_values(geom.metric_field().components(p, 0))
+        g = geom.metric_field().dense(p, 0)[..., 0]
         mu = np.array([1.0, 0.0, 0.0])
         vals.append(geom.rho_value(p) ** 2 * float(mu @ g @ mu))
     assert max(vals) < 10.0
@@ -139,8 +139,8 @@ def test_load_geometry_roundtrip(klein3):
     geom = load_geometry(doc)
     rng = np.random.default_rng(2)
     for p in klein3.interior_points(10, rng):
-        a = jet_values(geom.metric_field().components(p, 1))
-        b = jet_values(klein3.metric_field().components(p, 1))
+        a = geom.metric_field().dense(p, 1)[..., 0]
+        b = klein3.metric_field().dense(p, 1)[..., 0]
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -171,7 +171,7 @@ def test_load_geometry_asymptotic_form(af2):
     assert geom.alpha == 2.0
     rng = np.random.default_rng(3)
     p = geom.interior_points(1, rng)[0]
-    g = jet_values(geom.metric_field().components(p, 0))
+    g = geom.metric_field().dense(p, 0)[..., 0]
     rho = geom.rho_value(p)
     expected = np.eye(4) / rho
     expected[0, 0] += 0.25 / rho**2
@@ -185,10 +185,19 @@ def test_af_boundary_h_degeneracy_rejected():
         builtin_geometry("af2_generic", 4, h=h)
 
 
-def test_tensor_field_shape_validation(klein3):
-    bad = TensorField(Chart(("a", "b")), "d", lambda p, k: np.empty(3, dtype=object))
-    with pytest.raises(GeometryError):
-        bad.components((0.0, 0.0), 1)
+def test_tensor_field_shape_validation():
+    outputs = [
+        np.empty(3, dtype=object),
+        np.zeros((3, 3)),
+        # an object array of scalar jets with the field's tensor shape
+        jet_views(np.zeros((2, 3)), jet_space(2, 1)),
+        # an object array with the dense shape
+        np.zeros((2, 3)).astype(object),
+    ]
+    for output in outputs:
+        bad = TensorField(Chart(("a", "b")), "d", lambda p, k: output)
+        with pytest.raises(GeometryError):
+            bad.dense((0.0, 0.0), 1)
 
 
 def test_boundary_samplers(klein3, af2, flat3):

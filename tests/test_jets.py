@@ -5,22 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractorlab.jets import (
-    DomainError,
-    PoleError,
+from jet_reference import (
     jet_apply,
     jet_constant,
     jet_det,
-    jet_einsum,
-    jet_gradient,
-    jet_inverse,
-    jet_mul,
     jet_partial,
-    jet_space,
     jet_stack,
     jet_values,
     jet_variable,
     jet_views,
+    point_jets,
+)
+from tractorlab.jets import (
+    DomainError,
+    PoleError,
+    jet_determinant,
+    jet_einsum,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_space,
 )
 
 
@@ -218,7 +222,7 @@ def test_coefficient_count_is_binomial():
 
 
 def _random_jets(space, shape, rng):
-    xs = space.point(rng.uniform(-0.5, 0.5, space.dim))
+    xs = point_jets(space, rng.uniform(-0.5, 0.5, space.dim))
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         v = space.constant(float(rng.normal()))
@@ -260,3 +264,34 @@ def test_dense_inverse_is_exact_through_the_order():
     expected = np.zeros((3, 3, s.ncoeff))
     expected[..., 0] = np.eye(3)
     assert np.max(np.abs(eye - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_dense_determinant_matches_scalar_lu(order):
+    rng = np.random.default_rng(40 + order)
+    s = jet_space(3, order)
+    mats = [_random_jets(s, (4, 4), rng) for _ in range(3)]
+    batch = jet_determinant(np.stack([jet_stack(m, s) for m in mats], axis=2), s)
+    assert batch.shape == (3, s.ncoeff)
+    for b, m in enumerate(mats):
+        ref = jet_det(m).coeffs
+        single = jet_determinant(jet_stack(m, s), s)
+        assert single.shape == (s.ncoeff,)
+        assert np.max(np.abs(single - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        assert np.array_equal(batch[b], single)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_dense_determinant_of_singular_matrix_is_zero(order):
+    # a row that is twice another row as jets: singular at every order
+    rng = np.random.default_rng(50 + order)
+    s = jet_space(2, order)
+    regular = _random_jets(s, (3, 3), rng)
+    singular = regular.copy()
+    singular[2] = singular[0] * 2.0
+    assert not jet_det(singular).coeffs.any()
+    assert not jet_determinant(jet_stack(singular, s), s).any()
+    pair = np.stack([jet_stack(regular, s), jet_stack(singular, s)], axis=2)
+    both = jet_determinant(pair, s)
+    assert np.array_equal(both[0], jet_determinant(jet_stack(regular, s), s))
+    assert not both[1].any()

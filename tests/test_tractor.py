@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import max_value
-from tractorlab.jets import PoleError, jet_inverse, jet_space, jet_stack, jet_views
+from jet_reference import jet_stack, jet_views
+from tractorlab.jets import (
+    Jet,
+    PoleError,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_reciprocal,
+    jet_space,
+)
 from tractorlab.tractor import (
     TractorCalculus,
     TractorValue,
@@ -23,25 +32,36 @@ from tractorlab.tractor import (
 
 
 def linear_upsilon(dim, coeffs):
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator."""
+    coeffs = np.asarray(coeffs, dtype=float)
+
     def ups(point, order):
-        space = jet_space(dim, order)
-        xs = [space.variable(i, float(point[i])) for i in range(dim)]
-        out = np.empty(dim, dtype=object)
-        for a in range(dim):
-            val = space.constant(coeffs[a][0])
-            for i in range(dim):
-                val = val + coeffs[a][1 + i] * xs[i]
-            out[a] = val
+        out = np.zeros((dim, jet_space(dim, order).ncoeff))
+        out[:, 0] = coeffs[:, 0] + coeffs[:, 1:] @ np.asarray(point, dtype=float)
+        if order >= 1:
+            out[:, 1 : 1 + dim] = coeffs[:, 1:]
         return out
 
     return ups
 
 
+def jets_of(tv):
+    """Scalar-jet views of a tractor value's components."""
+    return jet_views(tv.data, tv.space)
+
+
+def pack_jets(pack, name, point, order):
+    """Scalar-jet views of a curvature pack tensor."""
+    return jet_views(pack.dense(name, point, order), jet_space(pack.dim, order))
+
+
+def conn_jets(conn, point, order):
+    """Scalar-jet views of a connection's Christoffel symbols."""
+    return jet_views(conn.dense(point, order), jet_space(conn.dim, order))
+
+
 def tv_gap(a, b):
-    return max(
-        abs((a.components[idx] - b.components[idx]).value)
-        for idx in np.ndindex(a.components.shape)
-    )
+    return float(np.max(np.abs(a.values() - b.values())))
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +93,9 @@ def test_flat_structure_derivative(flat3):
         # nu-slot: sigma delta^b_a
         for b in range(3):
             expect = p[0] if a == b else 0.0
-            assert D.components[a, 1 + b].value == pytest.approx(expect, abs=1e-14)
+            assert jets_of(D)[a, 1 + b].value == pytest.approx(expect, abs=1e-14)
         # sigma-slot: partial_a sigma
-        assert D.components[a, 0].value == pytest.approx(1.0 if a == 0 else 0.0,
+        assert jets_of(D)[a, 0].value == pytest.approx(1.0 if a == 0 else 0.0,
                                                          abs=1e-14)
 
 
@@ -90,9 +110,9 @@ def test_constant_upper_section_on_flat(flat3):
     tv = TractorValue(jet_stack(comps, space), space, "u", 0, calc.levi_civita_splitting)
     D = std_tractor_derivative(calc, tv, p)
     for a in range(3):
-        assert D.components[a, 0].value == pytest.approx(0.0, abs=1e-14)
+        assert jets_of(D)[a, 0].value == pytest.approx(0.0, abs=1e-14)
         for b in range(3):
-            assert D.components[a, 1 + b].value == pytest.approx(
+            assert jets_of(D)[a, 1 + b].value == pytest.approx(
                 1.0 if a == b else 0.0, abs=1e-14
             )
 
@@ -105,8 +125,8 @@ def test_change_splitting_identity_and_group_action(calc3, rng):
     tv = l_tau(calc3, p, 2)
     ident = change_splitting(tv, np.zeros((3, tv.space.ncoeff)))
     assert tv_gap(ident, tv) == 0.0
-    u1 = jet_stack(linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2), tv.space)
-    u2 = jet_stack(linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2), tv.space)
+    u1 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
+    u2 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
     two = change_splitting(change_splitting(tv, u1), u2)
     one = change_splitting(tv, u1 + u2)
     assert tv_gap(two, one) < 1e-10
@@ -145,12 +165,12 @@ def test_l_tau_hatform_instance(calc3, klein3):
     p = (0.25, -0.1, 0.3)
     order = 2
     Lh = calc3.in_splitting(l_tau(calc3, p, order), calc3.reference, p)
-    rho_full = klein3.rho_jet(p, order + 1)
+    rho_full = Jet(jet_space(3, order + 1), klein3.rho_dense(p, order + 1))
     grad = [rho_full.partial(a) for a in range(3)]
     rho = rho_full.truncate(order)
-    tau_hat = calc3.tau_hat_jet(p, order)
-    P = calc3.pack_of(calc3.levi_civita_splitting).schouten(p, order)
-    G = Lh.components
+    tau_hat = Jet(jet_space(3, order), calc3.tau_hat_dense(p, order))
+    P = pack_jets(calc3.pack_of(calc3.levi_civita_splitting), "schouten", p, order)
+    G = jets_of(Lh)
     gap = np.max(np.abs((G[0, 0] - rho * tau_hat).coeffs))
     for a in range(3):
         gap = max(gap, np.max(np.abs((G[0, 1 + a] - 0.5 * grad[a] * tau_hat).coeffs)))
@@ -165,7 +185,7 @@ def test_l_tau_boundary_slot_structure(calc3, klein3):
     y = np.array([1.0, 0.0, 0.0])
     for eps in (1e-2, 1e-3):
         p = tuple(y * np.sqrt(1 - eps))
-        G = calc3.in_splitting(l_tau(calc3, p, 0), calc3.reference, p).components
+        G = jets_of(calc3.in_splitting(l_tau(calc3, p, 0), calc3.reference, p))
         assert abs(G[0, 0].value) < 2 * eps
         mid = np.array([G[0, 1 + a].value for a in range(3)])
         assert np.linalg.norm(mid - 0.5 * klein3.drho(p)) < 2 * eps
@@ -195,8 +215,8 @@ def test_end_connection_block_formula(calc_af2, rng):
 
     conn = calc.connection_of(calc.reference)
     pack = calc.pack_of(calc.reference)
-    P = pack.schouten(p, order)
-    G = conn.christoffels(p, order)
+    P = pack_jets(pack, "schouten", p, order)
+    G = conn_jets(conn, p, order)
     A = M[1:, 1:]
     xi = M[1:, 0]
     psi = M[0, 1:]
@@ -229,19 +249,19 @@ def test_end_connection_block_formula(calc_af2, rng):
             for c in range(d):
                 expect = dA[a, b, c] + psi[c] * (1.0 if a == b else 0.0) \
                     + P[a, c] * xi[b]
-                gap = max(gap, abs((D.components[a, 1 + b, 1 + c] - expect).value))
+                gap = max(gap, abs((jets_of(D)[a, 1 + b, 1 + c] - expect).value))
             expect = dxi[a, b] + (lam if a == b else 0.0 * lam) - A[b, a]
-            gap = max(gap, abs((D.components[a, 1 + b, 0] - expect).value))
+            gap = max(gap, abs((jets_of(D)[a, 1 + b, 0] - expect).value))
         for c in range(d):
             acc = dpsi[a, c] + lam * P[a, c]
             for e in range(d):
                 acc = acc - P[a, e] * A[e, c]
-            gap = max(gap, abs((D.components[a, 0, 1 + c] - acc).value))
+            gap = max(gap, abs((jets_of(D)[a, 0, 1 + c] - acc).value))
         acc = dlam[a]
         for e in range(d):
             acc = acc - P[a, e] * xi[e]
         acc = acc - psi[a]
-        gap = max(gap, abs((D.components[a, 0, 0] - acc).value))
+        gap = max(gap, abs((jets_of(D)[a, 0, 0] - acc).value))
     assert gap < 1e-10
 
 
@@ -252,7 +272,7 @@ def test_product_rule(calc3, rng):
     prod = np.empty((4, 4), dtype=object)
     for i in range(4):
         for j in range(4):
-            prod[i, j] = s1.components[i] * s2.components[j]
+            prod[i, j] = jets_of(s1)[i] * jets_of(s2)[j]
     tv = TractorValue(jet_stack(prod, s1.space), s1.space, "uu", 0, calc3.reference)
     D = std_tractor_derivative(calc3, tv, p)
     D1 = std_tractor_derivative(calc3, s1, p)
@@ -262,10 +282,10 @@ def test_product_rule(calc3, rng):
         for i in range(4):
             for j in range(4):
                 expect = (
-                    D1.components[a, i] * s2.components[j].truncate(2)
-                    + s1.components[i].truncate(2) * D2.components[a, j]
+                    jets_of(D1)[a, i] * jets_of(s2)[j].truncate(2)
+                    + jets_of(s1)[i].truncate(2) * jets_of(D2)[a, j]
                 )
-                gap = max(gap, abs((D.components[a, i, j] - expect).value))
+                gap = max(gap, abs((jets_of(D)[a, i, j] - expect).value))
     assert gap < 1e-10
 
 
@@ -274,7 +294,7 @@ def test_l_tau_parallel_for_einstein(calc3, rng):
     p = (0.2, -0.1, 0.25)
     L = l_tau(calc3, p, 3, calc3.reference)
     D = std_tractor_derivative(calc3, L, p)
-    assert max_value(D.components) < 1e-9
+    assert max_value(D.data) < 1e-9
 
 
 def test_derivative_of_l_tau_slot_structure(calc_af2):
@@ -283,20 +303,20 @@ def test_derivative_of_l_tau_slot_structure(calc_af2):
     p = (0.4, 0.2, -0.3, 0.1)
     d = 4
     pack = calc_af2.pack_of(calc_af2.levi_civita_splitting)
-    dP = pack.schouten_derivative(p, 2)
-    tau = calc_af2.tau_jet(p, 2)
+    dP = pack_jets(pack, "schouten_derivative", p, 2)
+    tau = Jet(jet_space(d, 2), calc_af2.tau.dense(p, 2))
     for s in (calc_af2.levi_civita_splitting, calc_af2.reference):
         L = l_tau(calc_af2, p, 3, s)
         D = std_tractor_derivative(calc_af2, L, p)
-        top = max(abs(D.components[a, 0, 0].value) for a in range(d))
+        top = max(abs(jets_of(D)[a, 0, 0].value) for a in range(d))
         mid = max(
-            abs(D.components[a, 0, 1 + b].value)
+            abs(jets_of(D)[a, 0, 1 + b].value)
             for a in range(d) for b in range(d)
         )
         assert max(top, mid) < 1e-9
         if s == calc_af2.levi_civita_splitting:
             gap = max(
-                abs((D.components[a, 1 + b, 1 + c] - tau * dP[a, b, c]).value)
+                abs((jets_of(D)[a, 1 + b, 1 + c] - tau * dP[a, b, c]).value)
                 for a in range(d) for b in range(d) for c in range(d)
             )
             assert gap < 1e-9
@@ -307,9 +327,9 @@ def test_einstein_trace_adjusted_schouten_vanishes(calc3, rng):
     geom = calc3.geom
     pack = calc3.pack_of(calc3.levi_civita_splitting)
     p = geom.interior_points(1, rng)[0]
-    P = pack.schouten(p, 0)
-    S = pack.scalar(p, 0)
-    g = geom.metric_jets(p, 0)
+    P = pack_jets(pack, "schouten", p, 0)
+    S = Jet(jet_space(3, 0), pack.dense("scalar", p, 0))
+    g = jet_views(geom.metric_field().dense(p, 0), jet_space(3, 0))
     n = 2
     gap = max(
         abs((P[a, b] - S * g[a, b] * (1.0 / (n * (n + 1)))).value)
@@ -376,7 +396,7 @@ def test_klein_t_vector_and_psi(calc3, klein3):
     L = l_tau(calc3, p, 1, calc3.reference)
     inv = tractor_metric_inverse(L)
     top, mid, bot = s2t_slots(inv)
-    tau_hat = calc3.tau_hat_jet(p, 1).value
+    tau_hat = calc3.tau_hat_dense(p, 1)[0]
     for a in range(3):
         t_a = tau_hat * mid[a, 0] * 0.5
         assert t_a == pytest.approx(-p[a] / 2, abs=1e-11)
@@ -400,9 +420,10 @@ def test_metricity_residual_positive_for_modifications(calc3, rng):
 
     def rho_ups(point, order):
         geom = calc3.geom
-        rho = geom.rho_jet(point, order + 1)
-        denom = rho.truncate(order) * 2.0
-        return np.array([rho.partial(a) / denom for a in range(3)], dtype=object)
+        space, upper = jet_space(3, order), jet_space(3, order + 1)
+        rho = geom.rho_dense(point, order + 1)
+        inv = jet_reciprocal(rho[: space.ncoeff] * 2.0, space)
+        return jet_mul(jet_gradient(rho, upper), inv, space)
 
     rep2 = metricity_residual(calc3, rho_ups, pts)
     assert rep2["residual"] > 0.01
@@ -414,14 +435,10 @@ def test_metricity_residual_positive_for_modifications(calc3, rng):
 def test_flat_and_klein_curvature_vanish(flat3, calc3):
     calcf = TractorCalculus(flat3)
     p = (0.2, 0.1, -0.1)
-    assert max_value(tractor_curvature(calcf, calcf.reference, p, 0).components) < 1e-12
-    assert max_value(tractor_curvature(calc3, calc3.reference, p, 0).components) < 1e-8
-    assert (
-        max_value(
-            tractor_curvature(calc3, calc3.levi_civita_splitting, p, 0).components
-        )
-        < 1e-8
-    )
+    assert max_value(tractor_curvature(calcf, calcf.reference, p, 0).data) < 1e-12
+    assert max_value(tractor_curvature(calc3, calc3.reference, p, 0).data) < 1e-8
+    lc = calc3.levi_civita_splitting
+    assert max_value(tractor_curvature(calc3, lc, p, 0).data) < 1e-8
 
 
 def test_af2_curvature_consistency(calc_af2):
@@ -443,10 +460,10 @@ def test_curvature_by_repeated_derivative(calc_af2, rng):
     for a in range(4):
         for b in range(4):
             for i in range(5):
-                acc = DDs.components[a, b, i] - DDs.components[b, a, i]
+                acc = jets_of(DDs)[a, b, i] - jets_of(DDs)[b, a, i]
                 kap_s = None
                 for j in range(5):
-                    term = kap.components[a, b, i, j] * s.components[j].truncate(1)
+                    term = jets_of(kap)[a, b, i, j] * jets_of(s)[j].truncate(1)
                     kap_s = term if kap_s is None else kap_s + term
                 gap = max(gap, abs((acc - kap_s).value))
     assert gap < 1e-9
@@ -457,12 +474,12 @@ def test_metric_tractor_connection_properties(calc_af2, rng):
     tc = metricity_contorsion(calc_af2, calc_af2.reference)
     L = l_tau(calc_af2, p, 3, calc_af2.reference)
     DL = std_tractor_derivative(calc_af2, L, p, contorsion=tc)
-    assert max_value(DL.components) < 1e-10
+    assert max_value(DL.data) < 1e-10
     kap = tc.curvature(p, 1)
     blocks = metric_tractor_curvature_blocks(calc_af2, p, 1)
     assert np.max(np.abs(kap.values() - blocks[..., 0])) < 1e-12
     torsion = max(
-        abs(kap.components[a, b, 1 + c, 0].value)
+        abs(jets_of(kap)[a, b, 1 + c, 0].value)
         for a in range(4) for b in range(4) for c in range(4)
     )
     assert torsion < 1e-13
@@ -483,10 +500,10 @@ def omega_reference(calc, s, point, order):
     """Connection matrices assembled component by component."""
     d = calc.dim
     conn = calc.connection_of(s)
-    G = conn.christoffels(point, order)
-    P = calc.pack_of(s).schouten(point, order)
-    tg = conn.trace_gamma(point, order)
     space = jet_space(d, order)
+    G = conn_jets(conn, point, order)
+    P = pack_jets(calc.pack_of(s), "schouten", point, order)
+    tg = jet_views(conn.trace_gamma(point, order), space)
     omega = np.empty((d, d + 1, d + 1), dtype=object)
     for a in range(d):
         gamma_a = tg[a] / (d + 1.0)
@@ -546,8 +563,8 @@ def contorsion_reference(calc, point, order):
     d = calc.dim
     space = jet_space(d, order)
     pack = calc.pack_of(calc.levi_civita_splitting)
-    P = pack.schouten(point, order)
-    dP = pack.schouten_derivative(point, order)
+    P = pack_jets(pack, "schouten", point, order)
+    dP = pack_jets(pack, "schouten_derivative", point, order)
     Pinv = jet_views(jet_inverse(jet_stack(P, space), space), space)
     A = np.empty((d, d, d), dtype=object)
     for a in range(d):
@@ -566,10 +583,10 @@ def metric_blocks_reference(calc, point, order):
     d = calc.dim
     s = calc.reference
     pack = calc.pack_of(s)
-    C = pack.weyl(point, order)
-    Y = pack.cotton(point, order)
-    Phat = pack.schouten(point, order)
-    G = calc.connection_of(s).christoffels(point, order)
+    C = pack_jets(pack, "weyl", point, order)
+    Y = pack_jets(pack, "cotton", point, order)
+    Phat = pack_jets(pack, "schouten", point, order)
+    G = conn_jets(calc.connection_of(s), point, order)
     raw = metricity_contorsion(calc, s).contorsion_matrices(point, order + 1)
     psi_raw = jet_views(raw, jet_space(d, order + 1))
     A = psi_raw[:, 1:, 1:]
@@ -646,8 +663,10 @@ def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, reque
         polynomial_tractor_section(calc, point, order, rng),
         kappa,
     ):
-        changed = change_splitting(tv, jet_stack(ups, space))
-        ref = change_reference(tv.components, tv.tvariance, tv.n_form, ups, space)
+        changed = change_splitting(tv, ups)
+        ref = change_reference(
+            jets_of(tv), tv.tvariance, tv.n_form, jet_views(ups, space), space
+        )
         assert_close(changed.data, ref, space)
 
     assert_close(

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from tractorlab import verify
 from tractorlab.fields import builtin_geometry
 from tractorlab.verify import SamplingPlan, registry, run_suite
 
@@ -140,3 +142,32 @@ def test_compactness_probe_keeps_the_exception(monkeypatch):
     assert report.status == "skip"
     assert report.reason == ("geometry fails the projective-compactness probes "
                              "(RuntimeError: tau exploded)")
+
+
+@pytest.mark.parametrize("terms,count", [("_prop43_terms", 5), ("_prop43_lc_terms", 4)])
+def test_prop43_identity_fails_when_a_term_is_wrong(af2, monkeypatch, terms, count):
+    # mutation test: flipping the sign of any term of either identity, or
+    # dropping it, must fail the check
+    check = next(c for c in registry() if c.id == "prop-4.3-identity")
+    plan = SamplingPlan(interior_points=2)
+    session = verify._Session(af2, plan)
+
+    def residual():
+        res, _, _ = check.run(af2, plan, np.random.default_rng(0), session)
+        return res
+
+    assert residual() <= check.tolerance
+    original = getattr(verify, terms)
+    for k in range(count):
+        for kind in ("flip", "drop"):
+            def mutated(*args, k=k, kind=kind):
+                out = list(original(*args))
+                assert len(out) == count
+                if kind == "flip":
+                    out[k] = -out[k]
+                else:
+                    del out[k]
+                return out
+
+            monkeypatch.setattr(verify, terms, mutated)
+            assert residual() > check.tolerance, (terms, k, kind)
