@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .extrapolate import Ladder, richardson_limit
 from .fields import Chart, Geometry, GeometryError, TensorField, is_batch
 from .jets import (
     PoleError,
@@ -430,14 +431,10 @@ class DefiningDensityReport:
 
 
 def defining_density_check(
-    tau: Density,
-    geom: Geometry,
-    boundary_points: Sequence[Point] | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
-    rng: np.random.Generator | None = None,
+    tau: Density, geom: Geometry, ladders: Sequence[Ladder]
 ) -> DefiningDensityReport:
-    """Verify that tau/rho^(2/alpha) extends to the boundary, nonzero.
+    """Verify that tau/rho^(2/alpha) extends, nonzero, to the ladders'
+    boundary points.
 
     This is the numerical form of the statement that the parallel weight-2
     density extends by zero to a defining density precisely when the volume
@@ -445,21 +442,17 @@ def defining_density_check(
     literally tau/rho).  Divergence (flat control) and a zero limit
     (conformally compact control) both fail.
     """
-    from .extrapolate import boundary_ladder, richardson_limit
-
     power = 2.0 / geom.alpha
-    if boundary_points is None:
-        rng = rng or np.random.default_rng(0)
-        boundary_points = geom.boundary_points(3, rng)
     limits: list[float] = []
     errors: list[float] = []
     diverged: list[bool] = []
     ok = True
     reason = ""
-    for y in boundary_points:
+    for ladder in ladders:
         try:
-            ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-            values = [tau.value(p) / eps**power for eps, p in ladder]
+            values = [
+                tau.value(p) / eps**power for eps, p in zip(ladder.eps, ladder.points)
+            ]
         except PoleError:
             ok, reason = False, "pole while approaching the boundary"
             limits.append(float("nan"))
@@ -477,5 +470,5 @@ def defining_density_check(
         elif abs(est.value) < 1e-3:
             ok, reason = False, "tau/rho has zero boundary limit"
     return DefiningDensityReport(
-        list(boundary_points), limits, errors, diverged, ok, reason
+        [ladder.y for ladder in ladders], limits, errors, diverged, ok, reason
     )

@@ -5,9 +5,11 @@ conformal boundary tractor pipeline.
 Everything here reduces a statement "X admits a smooth extension to the
 boundary" to Richardson extrapolation of X along inward rays (module
 ``extrapolate``), or evaluates closed forms that are manifestly smooth at
-``rho = 0``.  Where both routes exist (the Klein model carries an exact
-extension of its rho-modified connection) their agreement is part of the
-report.
+``rho = 0``.  Every routine takes the boundary points as placed
+:class:`~tractorlab.extrapolate.Ladder` values, so one ladder serves every
+limit at its point and no routine chooses ``rho`` levels of its own.  Where
+both routes exist (the Klein model carries an exact extension of its
+rho-modified connection) their agreement is part of the report.
 
 Geodetic transversals are integrated by fixed-step RK4.  All curves of one
 call share one ``(B, d)`` state, so each RK4 stage is one batched evaluation
@@ -33,11 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .affine import CurvaturePack
-from .extrapolate import (
-    boundary_ladder,
-    boundary_limit,
-    richardson_limit,
-)
+from .extrapolate import Ladder, boundary_limit, richardson_limit
 from .fields import Geometry, GeometryError
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
 from .tractor import (
@@ -58,7 +56,6 @@ __all__ = [
     "boundary_limit",
     "extended_christoffels",
     "rho_connection_extension",
-    "geodetic_transversal",
     "geodetic_transversals",
     "collar_sample",
     "second_fundamental_form",
@@ -86,30 +83,21 @@ class DegenerateBoundaryError(RuntimeError):
 # -- connection extension ----------------------------------------------------
 
 
-def extended_christoffels(
-    conn,
-    geom: Geometry,
-    y: Point,
-    direction: np.ndarray | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> np.ndarray:
-    """Boundary values of a connection that extends smoothly to ``rho = 0``.
+def extended_christoffels(conn, ladder: Ladder) -> np.ndarray:
+    """Boundary values at ``ladder.y`` of a connection that extends smoothly
+    to ``rho = 0``.
 
     Uses the exact closed-form extension when the geometry provides one,
-    otherwise Richardson extrapolation along the inward ray.  Divergence
-    raises :class:`BoundaryExtensionError` (the projectively-noncompact
-    controls end up here).
+    otherwise Richardson extrapolation along the ladder.  Divergence raises
+    :class:`BoundaryExtensionError` (the projectively-noncompact controls end
+    up here).
     """
     if conn.exact_boundary is not None:
-        return conn.exact_boundary(y, 0)[..., 0]
-    est = boundary_limit(
-        lambda p: conn.christoffel_values(p, 0), geom, y, direction,
-        eps0=eps0, levels=levels,
-    )
+        return conn.exact_boundary(ladder.y, 0)[..., 0]
+    est = boundary_limit(lambda p: conn.christoffel_values(p, 0), ladder)
     if est.diverged:
         raise BoundaryExtensionError(
-            f"connection does not extend to the boundary at {tuple(y)}"
+            f"connection does not extend to the boundary at {ladder.y}"
         )
     return np.asarray(est.value)
 
@@ -125,14 +113,9 @@ class ExtensionReport:
     dual_path_gap: float | None
 
 
-def rho_connection_extension(
-    conn,
-    geom: Geometry,
-    ys: Sequence[Point],
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> list[ExtensionReport]:
-    """Check that the rho-modified connection extends at boundary points.
+def rho_connection_extension(conn, ladders: Sequence[Ladder]) -> list[ExtensionReport]:
+    """Check that the rho-modified connection extends at the ladders'
+    boundary points.
 
     On divergence the report carries the slope of ``log |Gamma|`` against
     ``log rho`` (a slope <= -0.9 is the 1/rho signature of a missing
@@ -140,22 +123,19 @@ def rho_connection_extension(
     closed-form extension, the gap between the two paths is reported.
     """
     out = []
-    for y in ys:
-        ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-        values = [conn.christoffel_values(p, 0) for _, p in ladder]
+    for ladder in ladders:
+        # the samples stay at hand for the divergence slope
+        values = [conn.christoffel_values(p, 0) for p in ladder.points]
         est = richardson_limit(values)
         slope = None
         if est.diverged:
             norms = np.array([float(np.max(np.abs(v))) for v in values])
-            eps = np.array([e for e, _ in ladder])
-            slope = float(np.polyfit(np.log(eps), np.log(norms + 1e-300), 1)[0])
+            slope = float(np.polyfit(np.log(ladder.eps), np.log(norms + 1e-300), 1)[0])
         gap = None
         if conn.exact_boundary is not None and not est.diverged:
-            exact = conn.exact_boundary(y, 0)[..., 0]
+            exact = conn.exact_boundary(ladder.y, 0)[..., 0]
             gap = float(np.max(np.abs(exact - est.value)))
-        out.append(
-            ExtensionReport(tuple(y), est.diverged, slope, est.error, gap)
-        )
+        out.append(ExtensionReport(ladder.y, est.diverged, slope, est.error, gap))
     return out
 
 
@@ -224,20 +204,18 @@ class TransversalCurve:
 
 def geodetic_transversals(
     geom: Geometry,
-    ys: Sequence[Point],
-    mu0s: Sequence[np.ndarray] | None = None,
+    ladders: Sequence[Ladder],
     conn=None,
     step: float = 1e-3,
     horizon: float = 0.2,
-    eps0: float = 0.05,
-    levels: int = 6,
 ) -> list[TransversalCurve]:
-    """Integrate the rho-connection geodesics from boundary points ``ys``,
-    each with ``d(rho)(mu0) = 1``; one curve per point, in order.
+    """Integrate the rho-connection geodesics from the ladders' boundary
+    points, each launched along its ladder's direction ``mu0``, which must
+    satisfy ``d(rho)(mu0) = 1``; one curve per ladder, in order.
 
-    ``mu0s`` defaults to the inward directions.  The boundary value of the
-    connection comes from its smooth extension, computed for every point
-    before integration starts.  The curves are then integrated together by
+    The boundary value of the connection comes from its smooth extension
+    along each ladder, computed for every point before integration starts.
+    The curves are then integrated together by
     classical fixed-step RK4 on one ``(B, d)`` state (the curves are short,
     collar scale): each stage makes one batched rho evaluation and one
     batched Christoffel evaluation, and rows still on the boundary
@@ -248,19 +226,16 @@ def geodetic_transversals(
     """
     from .affine import rho_connection
 
-    ys = geom.chart.coords(np.array(ys, dtype=float))
+    ys = np.array([ladder.y for ladder in ladders])
+    directions = np.array([ladder.direction for ladder in ladders])
     if conn is None:
         conn = rho_connection(geom)
-    if mu0s is None:
-        mu0s = [geom.inward_direction(y) for y in ys]
-    mu0s = np.array(mu0s, dtype=float)
-    for y, mu0 in zip(ys, mu0s):
+    for y, mu0 in zip(ys, directions):
         pairing = float(geom.drho(y) @ mu0)
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
     gamma_boundary = np.stack([
-        extended_christoffels(conn, geom, y, direction=mu0, eps0=eps0, levels=levels)
-        for y, mu0 in zip(ys, mu0s)
+        extended_christoffels(conn, ladder) for ladder in ladders
     ], axis=-1)  # (d, d, d, B), the layout of a batched christoffel_values
 
     def acc(x: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -280,7 +255,7 @@ def geodetic_transversals(
     vs = np.zeros((n_curves, n_steps + 1, d))
     accs = np.zeros((n_curves, n_steps + 1, d))
     rhos = np.zeros((n_curves, n_steps + 1))
-    x, v = ys.copy(), mu0s.copy()
+    x, v = ys.copy(), directions.copy()
     rho = geom.rho_dense(x, 0)[:, 0]
     a = acc(x, v, rho)
     xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho
@@ -303,33 +278,17 @@ def geodetic_transversals(
         a = acc(x, v, rho)
         xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho
     return [
-        TransversalCurve(geom, tuple(ys[i]), mu0s[i], ts, xs[i], vs[i], accs[i], rhos[i])
-        for i in range(n_curves)
+        TransversalCurve(
+            geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i]
+        )
+        for i, ladder in enumerate(ladders)
     ]
-
-
-def geodetic_transversal(
-    geom: Geometry,
-    y: Point,
-    mu0: np.ndarray | None = None,
-    conn=None,
-    step: float = 1e-3,
-    horizon: float = 0.2,
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> TransversalCurve:
-    """The transversal from one boundary point (see
-    :func:`geodetic_transversals`)."""
-    return geodetic_transversals(
-        geom, [y], None if mu0 is None else [mu0], conn, step, horizon, eps0, levels
-    )[0]
 
 
 @dataclass
 class CollarSample:
     """The product structure (boundary point, collar parameter) -> point."""
 
-    grid: list
     ts: np.ndarray
     rows: list  # (y, t, point)
     min_separation: float
@@ -372,7 +331,7 @@ def collar_sample(
         raise GeometryError(
             f"collar is not injective: rows {worst_pair[0]} and {worst_pair[1]} collide"
         )
-    return CollarSample([c.y for c in curves], ts, rows, min_sep)
+    return CollarSample(ts, rows, min_sep)
 
 
 # -- projective second fundamental form ---------------------------------------
@@ -434,13 +393,12 @@ class SecondFundamentalForm:
 
 def second_fundamental_form(
     geom: Geometry,
-    y: Point,
+    ladder: Ladder,
     conn=None,
-    eps0: float = 0.05,
-    levels: int = 6,
     rng: np.random.Generator | None = None,
 ) -> SecondFundamentalForm:
-    """The tangential Hessian of rho w.r.t. the extended class connection.
+    """The tangential Hessian of rho at ``ladder.y`` w.r.t. the class
+    connection extended along the ladder.
 
     Also verifies the two well-definedness properties numerically: a
     projective change of the connection leaves the tangential restriction
@@ -453,8 +411,8 @@ def second_fundamental_form(
     rng = rng or np.random.default_rng(11)
     if conn is None:
         conn = rho_connection(geom)
-    y = tuple(float(v) for v in y)
-    gamma0 = extended_christoffels(conn, geom, y, eps0=eps0, levels=levels)
+    y = ladder.y
+    gamma0 = extended_christoffels(conn, ladder)
     full = hessian_of_rho(geom, y, gamma0)
     E = tangential_basis(geom, y)
     tang = E.T @ full @ E
@@ -500,7 +458,6 @@ def second_fundamental_form(
 class AsymptoticHReport:
     points: list
     scalar_limits: list[float]
-    scalar_errors: list[float]
     scalar_spread: float
     C: float
     constructor_C: float | None
@@ -511,14 +468,29 @@ class AsymptoticHReport:
     status: str
 
 
+def _h_form(geom: Geometry, gfield, C: float, p) -> np.ndarray:
+    """``rho g - (C/rho) d(rho) d(rho)`` at an interior point: the tensor
+    ``h`` of the asymptotic form for the constant ``C``."""
+    gv = gfield.dense(p, 0)[..., 0]
+    rho, grad = geom.rho_and_drho(p)
+    return rho * gv - (C / rho) * np.outer(grad, grad)
+
+
+def _pointwise_tracefree_ricci(pack: CurvaturePack, gfield, n: int, p) -> np.ndarray:
+    """``Ric - (S/(n+1)) g`` with the scalar curvature ``S`` at the point
+    itself."""
+    S = pack.dense("scalar", p, 0)[0]
+    g = gfield.dense(p, 0)[..., 0]
+    return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
+
+
 def asymptotic_h(
     geom: Geometry,
-    ys: Sequence[Point],
+    ladders: Sequence[Ladder],
     pack: CurvaturePack | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
 ) -> AsymptoticHReport:
-    """Recover the order-2 asymptotic form ``g = h/rho + C d(rho)^2/rho^2``.
+    """Recover the order-2 asymptotic form ``g = h/rho + C d(rho)^2/rho^2``
+    at the ladders' boundary points.
 
     The constant is ``C = -n(n+1)/(4 S_0)`` with ``S_0`` the extrapolated
     boundary scalar curvature (required locally constant and nonzero); the
@@ -531,51 +503,43 @@ def asymptotic_h(
     d = geom.dim
     n = d - 1
     pack = pack or geometry_curvature(geom)
-    s_limits, s_errors = [], []
-    for y in ys:
-        est = boundary_limit(
-            lambda p: pack.dense("scalar", p, 0)[0], geom, y, eps0=eps0, levels=levels
-        )
+    ys = [ladder.y for ladder in ladders]
+    s_limits = []
+    for ladder in ladders:
+        est = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
         if est.diverged:
             return AsymptoticHReport(
-                list(ys), [], [], math.inf, math.nan, geom.params.get("C"),
+                ys, [], math.inf, math.nan, geom.params.get("C"),
                 [], [], True, [], "scalar curvature diverges at the boundary",
             )
         s_limits.append(float(est.value))
-        s_errors.append(est.error)
     spread = max(s_limits) - min(s_limits)
     s0 = float(np.mean(s_limits))
     if abs(s0) < 1e-6:
         return AsymptoticHReport(
-            list(ys), s_limits, s_errors, spread, math.nan,
+            ys, s_limits, spread, math.nan,
             _constructor_c(geom), [], [], False, [],
             "boundary scalar curvature vanishes; no order-2 metric form",
         )
     C = -n * (n + 1) / (4.0 * s0)
 
     gfield = geom.metric_field()
-
-    def h_at(p):
-        gv = gfield.dense(p, 0)[..., 0]
-        rho, grad = geom.rho_and_drho(p)
-        return rho * gv - (C / rho) * np.outer(grad, grad)
-
     h_limits, h_errors, min_eigs = [], [], []
     diverged = False
-    for y in ys:
-        est = boundary_limit(h_at, geom, y, eps0=eps0, levels=levels)
+    for ladder in ladders:
+        est = boundary_limit(lambda p: _h_form(geom, gfield, C, p), ladder)
         diverged = diverged or est.diverged
         h_limits.append(np.asarray(est.value))
         h_errors.append(est.error)
         if not est.diverged:
-            E = tangential_basis(geom, y)
+            E = tangential_basis(geom, ladder.y)
             tang = E.T @ np.asarray(est.value) @ E
             min_eigs.append(float(np.min(np.abs(np.linalg.eigvalsh(tang)))))
     status = "ok"
     if diverged:
         status = "h does not extend to the boundary"
     return AsymptoticHReport(
-        list(ys), s_limits, s_errors, spread, C, _constructor_c(geom),
+        ys, s_limits, spread, C, _constructor_c(geom),
         h_limits, h_errors, diverged, min_eigs, status,
     )
 
@@ -606,7 +570,6 @@ def _delta_wedge(x: np.ndarray) -> np.ndarray:
 @dataclass
 class EinsteinAsymptoticsReport:
     points: list
-    tracefree_limits: list[np.ndarray]
     tracefree_errors: list[float]
     tail_errors: list[float]
     pointwise_tracefree_diverges: bool
@@ -615,12 +578,10 @@ class EinsteinAsymptoticsReport:
 
 
 def einstein_asymptotics(
-    geom: Geometry,
-    ys: Sequence[Point],
-    eps0: float = 0.05,
-    levels: int = 6,
+    geom: Geometry, ladders: Sequence[Ladder]
 ) -> EinsteinAsymptoticsReport:
-    """Asymptotic Einstein property of an order-2 projectively compact metric.
+    """Asymptotic Einstein property of an order-2 projectively compact metric
+    at the ladders' boundary points.
 
     Checks that the Einstein-type trace adjustment of the Ricci tensor,
     ``Ric_ab - (S0/(n+1)) g_ab`` with ``S0`` the (locally constant) boundary
@@ -641,10 +602,10 @@ def einstein_asymptotics(
     d = geom.dim
     n = d - 1
     pack = geometry_curvature(geom)
-    hrep = asymptotic_h(geom, ys, pack=pack, eps0=eps0, levels=levels)
+    hrep = asymptotic_h(geom, ladders, pack=pack)
     if hrep.status != "ok":
         return EinsteinAsymptoticsReport(
-            list(ys), [], [], [], True, True, f"no asymptotic form: {hrep.status}"
+            hrep.points, [], [], True, True, f"no asymptotic form: {hrep.status}"
         )
     C = hrep.C
     s_boundary = float(np.mean(hrep.scalar_limits))
@@ -654,37 +615,31 @@ def einstein_asymptotics(
         g = gfield.dense(p, 0)[..., 0]
         return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
 
-    def pointwise_tracefree(p):
-        S = pack.dense("scalar", p, 0)[0]
-        g = gfield.dense(p, 0)[..., 0]
-        return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
-
     def tail(p):
         R = pack.riemann(p, 0)[..., 0]
         rv, grad = geom.rho_and_drho(p)
-        gv = gfield.dense(p, 0)[..., 0]
-        hv = rv * gv - (C / rv) * np.outer(grad, grad)
         return (
             R
             + _delta_wedge(np.outer(grad, grad)) / (4.0 * rv**2)
-            + _delta_wedge(hv) / (4.0 * C * rv)
+            + _delta_wedge(_h_form(geom, gfield, C, p)) / (4.0 * C * rv)
         )
 
-    tf_limits, tf_errors, tail_errors = [], [], []
+    tf_errors, tail_errors = [], []
     diverged = False
     pointwise_diverges = False
-    for y in ys:
-        est = boundary_limit(tracefree_ricci, geom, y, eps0=eps0, levels=levels)
+    for ladder in ladders:
+        est = boundary_limit(tracefree_ricci, ladder)
         diverged = diverged or est.diverged
-        tf_limits.append(np.asarray(est.value))
         tf_errors.append(est.scaled_error())
-        est2 = boundary_limit(tail, geom, y, eps0=eps0, levels=levels)
+        est2 = boundary_limit(tail, ladder)
         diverged = diverged or est2.diverged
         tail_errors.append(est2.scaled_error())
-        est3 = boundary_limit(pointwise_tracefree, geom, y, eps0=eps0, levels=levels)
+        est3 = boundary_limit(
+            lambda p: _pointwise_tracefree_ricci(pack, gfield, n, p), ladder
+        )
         pointwise_diverges = pointwise_diverges or est3.diverged
     return EinsteinAsymptoticsReport(
-        list(ys), tf_limits, tf_errors, tail_errors, pointwise_diverges,
+        hrep.points, tf_errors, tail_errors, pointwise_diverges,
         diverged, "ok" if not diverged else "curvature tail diverges",
     )
 
@@ -702,7 +657,7 @@ class BoundaryFrame:
     basis, and the fiber map into the (beta; xi; sigma) splitting.
     """
 
-    point: tuple
+    ladder: Ladder
     drho: np.ndarray
     basis: np.ndarray  # (d, n) tangent columns
     t_vec: np.ndarray
@@ -720,6 +675,10 @@ class BoundaryFrame:
     split_map_inv: np.ndarray
     gram_split: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def point(self) -> tuple:
+        return self.ladder.y
 
     @property
     def dim(self) -> int:
@@ -743,23 +702,18 @@ class BoundaryFrame:
         return out
 
 
-def boundary_frame(
-    calc: TractorCalculus,
-    y: Point,
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> BoundaryFrame:
-    """Assemble the boundary tractor data at one point by extrapolation."""
+def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
+    """Assemble the boundary tractor data at ``ladder.y`` by extrapolation
+    along the ladder."""
     geom = calc.geom
     d = geom.dim
     n = d - 1
     m = d + 1
-    y = tuple(float(v) for v in y)
-    ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-    grams = [l_tau(calc, p, 0, calc.reference).values() for _, p in ladder]
+    y = ladder.y
+    grams = [l_tau(calc, p, 0, calc.reference).values() for p in ladder.points]
     est_gram = richardson_limit(grams)
     est_tau = richardson_limit(
-        [calc.tau.value(p) / eps for eps, p in ladder]
+        [calc.tau.value(p) / eps for eps, p in zip(ladder.eps, ladder.points)]
     )
     if est_gram.diverged or est_tau.diverged:
         raise BoundaryExtensionError(
@@ -785,7 +739,7 @@ def boundary_frame(
     drho = geom.drho(y)
 
     pack = calc.pack_of(calc.levi_civita_splitting)
-    est_S = richardson_limit([pack.dense("scalar", p, 0)[0] for _, p in ladder])
+    est_S = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
     scalar = float(est_S.value)
     C = -n * (n + 1) / (4.0 * scalar) if abs(scalar) > 1e-10 else math.nan
 
@@ -821,7 +775,7 @@ def boundary_frame(
         "det_scaled": det_scaled,
     }
     return BoundaryFrame(
-        y, drho, E, t_vec, tau_hat, psi, scalar, C, gram, gram_inv,
+        ladder, drho, E, t_vec, tau_hat, psi, scalar, C, gram, gram_inv,
         gamma_full, q_full, gamma_t, gamma_t_inv, B, Binv, gram_split,
         diagnostics,
     )
@@ -852,13 +806,10 @@ class ConformalTractorData:
 
 
 def boundary_tractor_bundle(
-    calc: TractorCalculus,
-    ys: Sequence[Point],
-    eps0: float = 0.05,
-    levels: int = 6,
+    calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> ConformalTractorData:
-    """Assemble and verify the conformal standard tractor bundle on the
-    boundary: isotropy of the distinguished line, agreement of the induced
+    """Assemble and verify the conformal standard tractor bundle at the
+    ladders' boundary points: isotropy of the distinguished line, agreement of the induced
     quotient metric with the second fundamental form, the block form of the
     tractor metric in the (beta; xi; sigma) splitting, and the signature
     bookkeeping (gamma's signature plus one hyperbolic plane)."""
@@ -868,8 +819,8 @@ def boundary_tractor_bundle(
     sff_agree = []
     signature_ok = []
     isotropy = []
-    for y in ys:
-        frame = boundary_frame(calc, y, eps0=eps0, levels=levels)
+    for ladder in ladders:
+        frame = boundary_frame(calc, ladder)
         frames.append(frame)
         isotropy.append(frame.diagnostics["isotropy_T1"])
         expected = expected_gram_split(frame)
@@ -877,7 +828,7 @@ def boundary_tractor_bundle(
         gram_defects.append(
             float(np.max(np.abs(frame.gram_split - expected))) / scale
         )
-        sff = second_fundamental_form(geom, y, eps0=eps0, levels=levels)
+        sff = second_fundamental_form(geom, ladder)
         half_hess = 0.5 * (sff.basis.T @ sff.full @ sff.basis)
         scale = 1.0 + float(np.max(np.abs(half_hess)))
         sff_agree.append(
@@ -920,23 +871,19 @@ def curvature_blocks(
     calc: TractorCalculus,
     frame: BoundaryFrame,
     connection: TractorConnection | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
 ) -> CurvatureBlocks:
     """Extrapolate the curvature of the metric tractor connection to the
-    boundary, restrict its form indices tangentially, and extract the
-    (V, W) blocks in the (beta; xi; sigma) splitting.
+    boundary along the frame's ladder, restrict its form indices
+    tangentially, and extract the (V, W) blocks in the (beta; xi; sigma)
+    splitting.
 
     Asserts the zero pattern (first row, last column and the corner), the
     gamma-skewness of W, and that the bottom-middle block is
     ``-2 tauhat V_ij^k gamma_kl``.
     """
-    geom = calc.geom
-    n = geom.dim - 1
+    n = frame.n
     tc = connection or metric_tractor_connection(calc)
-
-    ladder = boundary_ladder(geom, frame.point, eps0=eps0, levels=levels)
-    est = richardson_limit([tc.curvature(p, 0).values() for _, p in ladder])
+    est = boundary_limit(lambda p: tc.curvature(p, 0).values(), frame.ladder)
     if est.diverged:
         raise BoundaryExtensionError(
             f"metric tractor curvature diverges at {frame.point}"
@@ -977,8 +924,7 @@ class NormalizationReport:
 
     frame: BoundaryFrame
     phi: np.ndarray
-    psi_tilde: np.ndarray  # (n, m, m) lower-triangular contorsion blocks
-    skew_defect: float  # psi_tilde must be gram-skew (metricity of nabla^0)
+    skew_defect: float  # the contorsion must be gram-skew (metricity of nabla^0)
     t1_preservation_defect: float
     ricci_residual: float
     quotient_action: np.ndarray
@@ -1051,7 +997,7 @@ def normalize_boundary_connection(
     ricci = np.einsum("kjkl->jl", quotient)
     scale = 1.0 + float(np.max(np.abs(W)))
     return NormalizationReport(
-        frame, phi, psi_tilde, skew, t1,
+        frame, phi, skew, t1,
         float(np.max(np.abs(ricci))) / scale, quotient,
     )
 
@@ -1068,10 +1014,7 @@ class AsymptoticallyParallelReport:
 
 
 def asymptotically_parallel_check(
-    calc: TractorCalculus,
-    y: Point,
-    eps0: float = 0.05,
-    levels: int = 6,
+    calc: TractorCalculus, ladder: Ladder
 ) -> AsymptoticallyParallelReport:
     """When the tractor derivative of L(tau) vanishes along the boundary,
     the restricted *standard* connection is already the normal conformal
@@ -1096,13 +1039,10 @@ def asymptotically_parallel_check(
     def bottom_slot(p):
         return calc.tau.value(p) * pack.dense("schouten_derivative", p, 0)[..., 0]
 
-    def tracefree(p):
-        S = pack.dense("scalar", p, 0)[0]
-        g = gfield.dense(p, 0)[..., 0]
-        return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
-
-    est_h = boundary_limit(bottom_slot, geom, y, eps0=eps0, levels=levels)
-    est_tf = boundary_limit(tracefree, geom, y, eps0=eps0, levels=levels)
+    est_h = boundary_limit(bottom_slot, ladder)
+    est_tf = boundary_limit(
+        lambda p: _pointwise_tracefree_ricci(pack, gfield, n, p), ladder
+    )
     hyp = float(np.max(np.abs(est_h.value))) if not est_h.diverged else math.inf
     tf = float(np.max(np.abs(est_tf.value))) if not est_tf.diverged else math.inf
     equivalence = (hyp <= 1e-5) == (tf <= 1e-5)
@@ -1114,10 +1054,9 @@ def asymptotically_parallel_check(
             hyp, tf, equivalence, math.nan, math.nan,
         )
 
-    frame = boundary_frame(calc, y, eps0=eps0, levels=levels)
-    ladder = boundary_ladder(geom, y, eps0=eps0, levels=levels)
-    est = richardson_limit(
-        [tractor_curvature(calc, calc.reference, p, 0).values() for _, p in ladder]
+    frame = boundary_frame(calc, ladder)
+    est = boundary_limit(
+        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(), ladder
     )
     kappa_split = frame.tangential_kappa(np.asarray(est.value))
     W = kappa_split[:, :, 1:n + 1, 1:n + 1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -26,7 +27,7 @@ import numpy as np
 from . import boundary as bdy
 from .affine import geometry_curvature
 from .expr import ExprError
-from .extrapolate import boundary_limit
+from .extrapolate import boundary_ladder, boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
 from .jets import JetError
 from .tractor import TractorCalculus, l_tau
@@ -59,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "asymptotics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    plan = {f.name: f.default for f in dataclasses.fields(SamplingPlan)}
 
     def common(p):
         p.add_argument("--geometry", required=True,
@@ -67,14 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="chart dimension for builtin geometries")
         p.add_argument("--param", action="append", default=[],
                        metavar="K=V", help="geometry parameter (repeatable)")
-        p.add_argument("--eps0", type=float, default=0.05)
-        p.add_argument("--levels", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--points", type=int, default=20,
+        p.add_argument("--eps0", type=float, default=plan["eps0"])
+        p.add_argument("--levels", type=int, default=plan["levels"])
+        p.add_argument("--seed", type=int, default=plan["seed"])
+        p.add_argument("--points", type=int, default=plan["interior_points"],
                        help="interior sample point count")
-        p.add_argument("--boundary-points", type=int, default=5)
-        p.add_argument("--ode-step", type=float, default=1e-3)
-        p.add_argument("--ode-horizon", type=float, default=0.2)
+        p.add_argument("--boundary-points", type=int,
+                       default=plan["boundary_points"])
+        p.add_argument("--ode-step", type=float, default=plan["ode_step"])
+        p.add_argument("--ode-horizon", type=float, default=plan["ode_horizon"])
 
     pv = sub.add_parser("verify", help="run proposition-level checks")
     common(pv)
@@ -306,20 +309,18 @@ def _eval_quantity(geom, args, plan):
             "boundary evaluation needs --extrapolate (direct evaluation hits "
             "the 1/rho pole)"
         )
+    if quantity == "phi" and d < 4:
+        raise ConfigError("phi needs a boundary of dimension >= 3 (--dim >= 4)")
+    ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
     if quantity == "phi":
-        if d < 4:
-            raise ConfigError("phi needs a boundary of dimension >= 3 (--dim >= 4)")
         calc = TractorCalculus(geom)
         try:
-            frame = bdy.boundary_frame(calc, y, eps0=plan.eps0, levels=plan.levels)
-            blocks = bdy.curvature_blocks(
-                calc, frame, eps0=plan.eps0, levels=plan.levels
-            )
+            blocks = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, ladder))
         except bdy.BoundaryExtensionError as err:
             raise ConfigError(f"phi has no boundary value: {err}") from None
         rep = bdy.normalize_boundary_connection(blocks)
         return rep.phi, blocks.extrapolation_error
-    est = boundary_limit(pointwise, geom, y, eps0=plan.eps0, levels=plan.levels)
+    est = boundary_limit(pointwise, ladder)
     if est.diverged:
         raise ConfigError(
             f"{quantity} diverges along the ray into {y}; no boundary value"

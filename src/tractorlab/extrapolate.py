@@ -5,6 +5,11 @@ is realized numerically the same way: a quantity is evaluated at interior
 points with ``rho = eps0 * 2^-k`` on a ray hitting a boundary point, and the
 limit is extrapolated assuming smoothness in rho.  Divergent ladders are
 flagged instead of extrapolated -- the negative controls rely on that.
+
+A ladder is placed once per boundary point (:func:`boundary_ladder`, with
+``eps0`` and ``levels`` from the sampling plan) and the resulting
+:class:`Ladder` value is passed to every boundary routine that extrapolates
+at that point.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from .fields import Geometry, GeometryError
 
 __all__ = [
+    "Ladder",
     "LimitEstimate",
     "richardson_limit",
     "boundary_ladder",
@@ -40,7 +46,6 @@ class LimitEstimate:
     value: np.ndarray | float
     error: float
     diverged: bool
-    samples: list
 
     def scaled_error(self) -> float:
         scale = 1.0 + float(np.max(np.abs(self.value)))
@@ -82,21 +87,33 @@ def richardson_limit(
             ]
         )
     best = rows[-1][0]
-    second = rows[-2][-1] if len(rows) >= 2 else vals[-1]
-    error = float(np.max(np.abs(best - second)))
+    error = float(np.max(np.abs(best - rows[-2][-1])))
     value = best if best.shape else float(best)
-    return LimitEstimate(value, error, diverged, [np.asarray(s) for s in samples])
+    return LimitEstimate(value, error, diverged)
+
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """Interior points approaching the boundary point ``y`` along the ray
+    ``direction``: ``points[k]`` has ``rho`` equal to ``eps[k]``.  Ladders
+    compare by identity, since ``direction`` is an array."""
+
+    y: tuple
+    direction: np.ndarray
+    eps: tuple
+    points: tuple
 
 
 def boundary_ladder(
     geom: Geometry,
     y: Point,
     direction: np.ndarray | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> list[tuple[float, tuple]]:
-    """Interior points on the inward ray from ``y`` with ``rho`` exactly on
-    the dyadic ladder ``eps0 * 2^-k``.
+    *,
+    eps0: float,
+    levels: int,
+) -> Ladder:
+    """Place the interior points on the inward ray from ``y`` with ``rho``
+    exactly on the dyadic ladder ``eps0 * 2^-k``, ``k < levels``.
 
     The ray leaves ``y`` along ``direction`` (default: the chart gradient
     direction normalized so ``d(rho) = 1``); each ladder point is Newton
@@ -106,15 +123,15 @@ def boundary_ladder(
     if direction is None:
         direction = geom.inward_direction(y)
     direction = np.asarray(direction, dtype=float)
-    out: list[tuple[float, tuple]] = []
-    for k in range(levels):
-        eps = eps0 * 0.5**k
-        s = eps  # first guess: d(rho)(direction) ~ 1 near the boundary
+    eps = tuple(eps0 * 0.5**k for k in range(levels))
+    points = []
+    for target in eps:
+        s = target  # first guess: d(rho)(direction) ~ 1 near the boundary
         for _ in range(60):
             p = y + s * direction
             rho, grad = geom.rho_and_drho(p)
-            val = rho - eps
-            if abs(val) <= 1e-14 * (1.0 + eps):
+            val = rho - target
+            if abs(val) <= 1e-14 * (1.0 + target):
                 break
             slope = float(grad @ direction)
             if abs(slope) < 1e-12:
@@ -124,24 +141,16 @@ def boundary_ladder(
             s -= val / slope
         else:
             raise GeometryError(
-                f"could not place a ladder point at rho={eps:g} from {tuple(y)}"
+                f"could not place a ladder point at rho={target:g} from {tuple(y)}"
             )
-        out.append((eps, tuple(float(v) for v in (y + s * direction))))
-    return out
+        points.append(tuple(float(v) for v in (y + s * direction)))
+    return Ladder(tuple(float(v) for v in y), direction, eps, tuple(points))
 
 
-def boundary_limit(
-    f: Callable[[Point], object],
-    geom: Geometry,
-    y: Point,
-    direction: np.ndarray | None = None,
-    eps0: float = 0.05,
-    levels: int = 6,
-) -> LimitEstimate:
-    """Extrapolate a point function along the inward ray from ``y``.
+def boundary_limit(f: Callable[[Point], object], ladder: Ladder) -> LimitEstimate:
+    """Extrapolate a point function along a placed ladder.
 
     ``f`` maps an interior point to a float or ndarray; divergence along the
     ladder is reported in the estimate rather than raised.
     """
-    ladder = boundary_ladder(geom, y, direction, eps0=eps0, levels=levels)
-    return richardson_limit([f(p) for _, p in ladder])
+    return richardson_limit([f(p) for p in ladder.points])

@@ -29,7 +29,7 @@ from .affine import (
     geometry_curvature,
     rho_connection,
 )
-from .extrapolate import boundary_ladder, boundary_limit, richardson_limit
+from .extrapolate import Ladder, boundary_ladder, boundary_limit, richardson_limit
 from .fields import Geometry, TensorField
 from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
 from .tractor import (
@@ -125,6 +125,7 @@ class _Session:
         self.plan = plan
         self._calc: TractorCalculus | None = None
         self._probe: dict[str, tuple[bool, str]] = {}
+        self._ladders: dict[tuple, Ladder] = {}
 
     @property
     def calc(self) -> TractorCalculus:
@@ -135,8 +136,22 @@ class _Session:
     def interior(self, rng, count=None):
         return self.geom.interior_points(count or self.plan.interior_points, rng)
 
-    def boundary(self, rng, count=None):
-        return self.geom.boundary_points(count or self.plan.boundary_points, rng)
+    def ladders(self, rng, count=None):
+        """Sample boundary points and return the plan's ladder at each."""
+        return [self.ladder(y) for y in self.geom.boundary_points(
+            count or self.plan.boundary_points, rng)]
+
+    def ladder(self, y: tuple):
+        """The plan's ladder at a boundary point, placed once per session:
+        every limit taken at the point runs on it, whichever check (or
+        probe) samples the point."""
+        hit = self._ladders.get(y)
+        if hit is None:
+            hit = boundary_ladder(
+                self.geom, y, eps0=self.plan.eps0, levels=self.plan.levels
+            )
+            self._ladders[y] = hit
+        return hit
 
     def probe_nondegenerate(self) -> tuple[bool, str]:
         hit = self._probe.get("nondegenerate")
@@ -158,16 +173,9 @@ class _Session:
             y = self.geom.boundary_points(1, rng)[0]
             reason = "geometry fails the projective-compactness probes"
             try:
-                conn = rho_connection(self.geom)
-                reps = bd.rho_connection_extension(
-                    conn, self.geom, [y],
-                    eps0=self.plan.eps0, levels=self.plan.levels,
-                )
-                tau = canonical_tau(self.geom)
-                dd = defining_density_check(
-                    tau, self.geom, [y],
-                    eps0=self.plan.eps0, levels=self.plan.levels,
-                )
+                ladders = [self.ladder(y)]
+                reps = bd.rho_connection_extension(rho_connection(self.geom), ladders)
+                dd = defining_density_check(canonical_tau(self.geom), self.geom, ladders)
                 ok = (not reps[0].diverged) and dd.passed
             except Exception as err:  # any failure means "not compact"
                 ok = False
@@ -220,29 +228,24 @@ def _run_extend(geom, plan, rng, session):
     pack = geometry_curvature(geom)
     residual = 0.0
     details = []
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    for y in ys:
-        est_s = boundary_limit(
-            lambda p: pack.dense("scalar", p, 0)[0], geom, y,
-            eps0=plan.eps0, levels=plan.levels,
-        )
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    for ladder in ladders:
+        est_s = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
         r = math.inf if est_s.diverged else est_s.scaled_error()
         residual = max(residual, r)
-        ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
-        slots = []
-        for _, p in ladder:
-            tv = bgg_split_metricity(calc, sigma, calc.reference, p, 0)
-            slots.append(tv.values())
-        est_t = richardson_limit(slots)
+        est_t = boundary_limit(
+            lambda p: bgg_split_metricity(calc, sigma, calc.reference, p, 0).values(),
+            ladder,
+        )
         r2 = math.inf if est_t.diverged else est_t.scaled_error()
         residual = max(residual, r2)
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "scalar_limit": None if est_s.diverged else float(est_s.value),
             "scalar_extrapolation_error": r,
             "metricity_tractor_extrapolation_error": r2,
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_dense(geom, plan, rng, session):
@@ -264,22 +267,22 @@ def _run_dense(geom, plan, rng, session):
 
     residual = 0.0
     details = []
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    for y in ys:
-        est = boundary_limit(slots, geom, y, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    for ladder in ladders:
+        est = boundary_limit(slots, ladder)
         if est.diverged:
             residual = math.inf
-            details.append({"point": list(y), "diverged": True})
+            details.append({"point": list(ladder.y), "diverged": True})
             continue
         vals = np.asarray(est.value)
         f3_limit = abs(float(vals[-1]))
         residual = max(residual, est.scaled_error(), f3_limit)
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "extrapolation_error": est.scaled_error(),
             "vanishing_combination_limit": float(vals[-1]),
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_prop23_h(geom, plan, rng, session):
@@ -296,14 +299,14 @@ def _run_prop23_h(geom, plan, rng, session):
 
     residual = 0.0
     details = []
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    for y in ys:
-        est = boundary_limit(h23, geom, y, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    for ladder in ladders:
+        est = boundary_limit(h23, ladder)
         if est.diverged:
             residual = math.inf
-            details.append({"point": list(y), "diverged": True})
+            details.append({"point": list(ladder.y), "diverged": True})
             continue
-        E = bd.tangential_basis(geom, y)
+        E = bd.tangential_basis(geom, ladder.y)
         tang = E.T @ np.asarray(est.value) @ E
         min_eig = float(np.min(np.abs(np.linalg.eigvalsh(tang))))
         r = est.scaled_error()
@@ -311,27 +314,26 @@ def _run_prop23_h(geom, plan, rng, session):
             r = max(r, math.inf)
         residual = max(residual, r)
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "extrapolation_error": est.scaled_error(),
             "tangential_min_eig": min_eig,
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_transversal(geom, plan, rng, session):
-    ys = session.boundary(rng, min(plan.boundary_points, 4))
+    ladders = session.ladders(rng, min(plan.boundary_points, 4))
     residual = 0.0
     details = []
     curves = bd.geodetic_transversals(
-        geom, ys, step=plan.ode_step, horizon=plan.ode_horizon,
-        eps0=plan.eps0, levels=plan.levels,
+        geom, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
-    for y, curve in zip(ys, curves):
-        pairing = abs(float(geom.drho(np.asarray(y)) @ curve.mu0) - 1.0)
+    for curve in curves:
+        pairing = abs(float(geom.drho(np.asarray(curve.y)) @ curve.mu0) - 1.0)
         res = curve.geodesic_residual()
         residual = max(residual, pairing / 1e-2, res)  # pairing tol 1e-10
         details.append({
-            "point": list(y),
+            "point": list(curve.y),
             "drho_pairing_defect": pairing,
             "geodesic_residual": res,
         })
@@ -347,7 +349,7 @@ def _run_transversal(geom, plan, rng, session):
     })
     if collar.min_separation <= 0:
         residual = math.inf
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_mu(geom, plan, rng, session):
@@ -355,15 +357,14 @@ def _run_mu(geom, plan, rng, session):
     n = d - 1
     gfield = geom.metric_field()
     pack = geometry_curvature(geom)
-    ys = session.boundary(rng, min(plan.boundary_points, 4))
+    ladders = session.ladders(rng, min(plan.boundary_points, 4))
     extrapolated = []
     residual = 0.0
     details = []
     curves = bd.geodetic_transversals(
-        geom, ys, step=plan.ode_step, horizon=plan.ode_horizon,
-        eps0=plan.eps0, levels=plan.levels,
+        geom, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
-    for y, curve in zip(ys, curves):
+    for ladder, curve in zip(ladders, curves):
         def qty_at(k):
             p, v = curve.points[k], curve.mus[k]
             gv = gfield.dense(p, 0)[..., 0]
@@ -373,8 +374,7 @@ def _run_mu(geom, plan, rng, session):
         variation = max(samples) - min(samples)
 
         ladder_vals = []
-        for k in range(plan.levels):
-            eps = plan.eps0 * 0.5**k
+        for eps in ladder.eps:
             p, v = curve.at_rho(eps)
             gv = gfield.dense(p, 0)[..., 0]
             ladder_vals.append(geom.rho_value(p) ** 2 * float(v @ gv @ v))
@@ -385,13 +385,13 @@ def _run_mu(geom, plan, rng, session):
             gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
             return -(n + 1) / (4.0 * gP)
 
-        est_rhs = boundary_limit(rhs, geom, y, eps0=plan.eps0, levels=plan.levels)
+        est_rhs = boundary_limit(rhs, ladder)
         value_defect = abs(float(est.value) - float(est_rhs.value))
         # variation facet tolerance 1e-6 vs check tolerance 1e-5
         residual = max(residual, variation * 10.0, est.error, value_defect)
         extrapolated.append(float(est.value))
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "variation_along_curve": variation,
             "extrapolated_value": float(est.value),
             "schouten_trace_prediction": float(est_rhs.value),
@@ -399,39 +399,36 @@ def _run_mu(geom, plan, rng, session):
     cross = (max(extrapolated) - min(extrapolated)) if extrapolated else 0.0
     residual = max(residual, cross / 10.0)  # cross-transversal tol 1e-4
     details.append({"cross_transversal_variation": cross})
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_s_const(geom, plan, rng, session):
     pack = geometry_curvature(geom)
-    ys = session.boundary(rng, max(plan.boundary_points, 5))
+    ladders = session.ladders(rng, max(plan.boundary_points, 5))
     limits = []
     residual = 0.0
     details = []
-    for y in ys:
-        est = boundary_limit(
-            lambda p: pack.dense("scalar", p, 0)[0], geom, y,
-            eps0=plan.eps0, levels=plan.levels,
-        )
+    for ladder in ladders:
+        est = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
         if est.diverged:
             residual = math.inf
-            details.append({"point": list(y), "diverged": True})
+            details.append({"point": list(ladder.y), "diverged": True})
             continue
         limits.append(float(est.value))
         residual = max(residual, est.scaled_error())
-        details.append({"point": list(y), "scalar_limit": float(est.value)})
+        details.append({"point": list(ladder.y), "scalar_limit": float(est.value)})
     if limits:
         spread = max(limits) - min(limits)
         residual = max(residual, _scaled(spread, abs(np.mean(limits))))
         if abs(np.mean(limits)) < 1e-6:
             residual = math.inf
         details.append({"spread": spread, "mean": float(np.mean(limits))})
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_thm25_c(geom, plan, rng, session):
-    ys = session.boundary(rng, max(plan.boundary_points, 3))
-    rep = bd.asymptotic_h(geom, ys, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, max(plan.boundary_points, 3))
+    rep = bd.asymptotic_h(geom, ladders)
     details = [{
         "C": rep.C,
         "constructor_C": rep.constructor_C,
@@ -440,7 +437,7 @@ def _run_thm25_c(geom, plan, rng, session):
         "status": rep.status,
     }]
     if rep.status != "ok" or rep.h_diverged:
-        return math.inf, len(ys), details
+        return math.inf, len(ladders), details
     residual = max(rep.h_errors) if rep.h_errors else 0.0
     residual = max(residual, rep.scalar_spread)
     if rep.constructor_C is not None:
@@ -449,30 +446,28 @@ def _run_thm25_c(geom, plan, rng, session):
     if min(rep.tangential_min_eigs) < 0.5:
         residual = math.inf
         details.append({"reason": "tangential h below the nondegeneracy floor"})
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_pff(geom, plan, rng, session):
     alpha = geom.alpha
     pack = geometry_curvature(geom)
     conn = rho_connection(geom)
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
     residual = 0.0
     details = []
-    for y in ys:
-        sff = bd.second_fundamental_form(
-            geom, y, conn=conn, eps0=plan.eps0, levels=plan.levels, rng=rng
-        )
+    for ladder in ladders:
+        sff = bd.second_fundamental_form(geom, ladder, conn=conn, rng=rng)
 
         def lhs(p):
             Pv = pack.dense("schouten", p, 0)[..., 0]
             rho, grad = geom.rho_and_drho(p)
             return rho * Pv + (alpha - 1) / alpha**2 / rho * np.outer(grad, grad)
 
-        est = boundary_limit(lhs, geom, y, eps0=plan.eps0, levels=plan.levels)
+        est = boundary_limit(lhs, ladder)
         if est.diverged:
             residual = math.inf
-            details.append({"point": list(y), "diverged": True})
+            details.append({"point": list(ladder.y), "diverged": True})
             continue
         target = sff.full / alpha
         scale = float(np.max(np.abs(target)))
@@ -485,46 +480,42 @@ def _run_pff(geom, plan, rng, session):
             sff.projective_change_defect * 10.0,
         )
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "schouten_asymptotics_gap": gap,
             "conformal_factor_defect": sff.conformal_factor_defect,
             "projective_change_defect": sff.projective_change_defect,
             "tangential_min_abs_eig": sff.min_abs_eigenvalue,
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_totally_geodesic(geom, plan, rng, session):
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
     residual = 0.0
     details = []
-    for y in ys:
-        sff = bd.second_fundamental_form(
-            geom, y, eps0=plan.eps0, levels=plan.levels, rng=rng
-        )
+    for ladder in ladders:
+        sff = bd.second_fundamental_form(geom, ladder, rng=rng)
         r = float(np.max(np.abs(sff.tangential)))
         residual = max(residual, r)
-        details.append({"point": list(y), "tangential_sff_norm": r})
-    return residual, len(ys), details
+        details.append({"point": list(ladder.y), "tangential_sff_norm": r})
+    return residual, len(ladders), details
 
 
 def _run_h_vs_sff(geom, plan, rng, session):
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    rep = bd.asymptotic_h(geom, ys, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    rep = bd.asymptotic_h(geom, ladders)
     if rep.status != "ok":
-        return math.inf, len(ys), [{"status": rep.status}]
+        return math.inf, len(ladders), [{"status": rep.status}]
     residual = 0.0
     details = []
-    for y, h_lim in zip(ys, rep.h_limits):
-        sff = bd.second_fundamental_form(
-            geom, y, eps0=plan.eps0, levels=plan.levels, rng=rng
-        )
+    for ladder, h_lim in zip(ladders, rep.h_limits):
+        sff = bd.second_fundamental_form(geom, ladder, rng=rng)
         target = -2.0 * rep.C * sff.full
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(h_lim - target)))
         residual = max(residual, _scaled(gap, scale))
-        details.append({"point": list(y), "h_vs_minus_2C_hessian": gap})
-    return residual, len(ys), details
+        details.append({"point": list(ladder.y), "h_vs_minus_2C_hessian": gap})
+    return residual, len(ladders), details
 
 
 def _run_prop33(geom, plan, rng, session, *, order_one: bool):
@@ -532,40 +523,37 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     pack = geometry_curvature(geom)
     conn = rho_connection(geom)
     power = 1 if order_one else 2
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
     residual = 0.0
     details = []
-    for y in ys:
-        def scaled_riemann(p):
-            return geom.rho_value(p) ** power * pack.riemann(p, 0)[..., 0]
 
-        est = boundary_limit(
-            scaled_riemann, geom, y, eps0=plan.eps0, levels=plan.levels
-        )
+    def scaled_riemann(p):
+        return geom.rho_value(p) ** power * pack.riemann(p, 0)[..., 0]
+
+    for ladder in ladders:
+        est = boundary_limit(scaled_riemann, ladder)
         if est.diverged:
             residual = math.inf
-            details.append({"point": list(y), "diverged": True})
+            details.append({"point": list(ladder.y), "diverged": True})
             continue
         if order_one:
             x = bd.hessian_of_rho(
-                geom, y,
-                bd.extended_christoffels(conn, geom, y,
-                                         eps0=plan.eps0, levels=plan.levels),
+                geom, ladder.y, bd.extended_christoffels(conn, ladder)
             )
         else:
-            grad = geom.drho(y)
+            grad = geom.drho(ladder.y)
             x = np.outer((1 - alpha) / alpha**2 * grad, grad)
         target = bd._delta_wedge(x)
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
         residual = max(residual, _scaled(gap, scale))
-        details.append({"point": list(y), "curvature_asymptotics_gap": gap})
-    return residual, len(ys), details
+        details.append({"point": list(ladder.y), "curvature_asymptotics_gap": gap})
+    return residual, len(ladders), details
 
 
 def _run_einstein(geom, plan, rng, session):
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    rep = bd.einstein_asymptotics(geom, ys, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    rep = bd.einstein_asymptotics(geom, ladders)
     details = [{
         "status": rep.status,
         "tracefree_errors": rep.tracefree_errors,
@@ -573,15 +561,15 @@ def _run_einstein(geom, plan, rng, session):
         "pointwise_tracefree_diverges": rep.pointwise_tracefree_diverges,
     }]
     if rep.diverged:
-        return math.inf, len(ys), details
+        return math.inf, len(ladders), details
     residual = max(rep.tracefree_errors + rep.tail_errors)
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_bundle(geom, plan, rng, session):
     calc = session.calc
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    data = bd.boundary_tractor_bundle(calc, ys, eps0=plan.eps0, levels=plan.levels)
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    data = bd.boundary_tractor_bundle(calc, ladders)
     residual = 0.0
     details = []
     for frame, gram_defect, sff_gap, sig_ok, iso in zip(
@@ -602,7 +590,7 @@ def _run_bundle(geom, plan, rng, session):
             "gamma_min_singular_value":
                 frame.diagnostics["gamma_min_singular_value"],
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_splitids(geom, plan, rng, session):
@@ -640,18 +628,17 @@ def _run_splitids(geom, plan, rng, session):
         residual = max(residual, gap)
         details.append({"point": list(p), "identity_residual": gap})
     # boundary limit of t.drho -> 1 (tolerance 1e-5 vs headline 1e-8)
-    ys = session.boundary(rng, 2)
-    for y in ys:
-        def t_dot(pt):
-            Pv = pack.dense("schouten", pt, 0)[..., 0]
-            rho, grad = geom.rho_and_drho(pt)
-            tv = -np.linalg.inv(Pv) @ grad / (4 * rho**2)
-            return float(tv @ grad)
+    def t_dot(pt):
+        Pv = pack.dense("schouten", pt, 0)[..., 0]
+        rho, grad = geom.rho_and_drho(pt)
+        tv = -np.linalg.inv(Pv) @ grad / (4 * rho**2)
+        return float(tv @ grad)
 
-        est = boundary_limit(t_dot, geom, y, eps0=plan.eps0, levels=plan.levels)
+    for ladder in session.ladders(rng, 2):
+        est = boundary_limit(t_dot, ladder)
         gap = abs(float(est.value) - 1.0)
         residual = max(residual, gap * 1e-3)  # 1e-5 facet in 1e-8 headline
-        details.append({"point": list(y), "t_dot_drho_limit": float(est.value)})
+        details.append({"point": list(ladder.y), "t_dot_drho_limit": float(est.value)})
     return residual, len(pts), details
 
 
@@ -730,17 +717,15 @@ def _run_prop43(geom, plan, rng, session):
 
 def _run_thm41a(geom, plan, rng, session):
     calc = session.calc
-    ys = session.boundary(rng, 2)
+    ladders = session.ladders(rng, 2)
     residual = 0.0
     details = []
     skipped = 0
-    for y in ys:
-        rep = bd.asymptotically_parallel_check(
-            calc, y, eps0=plan.eps0, levels=plan.levels
-        )
+    for ladder in ladders:
+        rep = bd.asymptotically_parallel_check(calc, ladder)
         if not rep.applicable:
             skipped += 1
-            details.append({"point": list(y), "skipped": rep.reason,
+            details.append({"point": list(ladder.y), "skipped": rep.reason,
                             "equivalence_ok": rep.equivalence_ok})
             if not rep.equivalence_ok:
                 residual = math.inf
@@ -750,16 +735,16 @@ def _run_thm41a(geom, plan, rng, session):
             0.0 if rep.equivalence_ok else math.inf,
         )
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "hypothesis_norm": rep.hypothesis_norm,
             "tracefree_ricci_norm": rep.tracefree_ricci_norm,
             "t1_defect": rep.t1_defect,
             "normality_residual": rep.ricci_residual,
             "equivalence_ok": rep.equivalence_ok,
         })
-    if skipped == len(ys):
+    if skipped == len(ladders):
         raise _SkipCheck(details[0]["skipped"])
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_thm43_metric(geom, plan, rng, session):
@@ -822,15 +807,13 @@ def _run_thm43_torsion(geom, plan, rng, session):
 
 def _run_thm44(geom, plan, rng, session):
     calc = session.calc
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
     tc = metricity_contorsion(calc, calc.reference)
     residual = 0.0
     details = []
-    for y in ys:
-        frame = bd.boundary_frame(calc, y, eps0=plan.eps0, levels=plan.levels)
-        blocks = bd.curvature_blocks(
-            calc, frame, connection=tc, eps0=plan.eps0, levels=plan.levels
-        )
+    for ladder in ladders:
+        frame = bd.boundary_frame(calc, ladder)
+        blocks = bd.curvature_blocks(calc, frame, connection=tc)
         rep = bd.normalize_boundary_connection(blocks)
         fault = bd.normalize_boundary_connection(blocks, w_perturbation=1.0)
         detector_fired = fault.ricci_residual > 0.1
@@ -845,7 +828,7 @@ def _run_thm44(geom, plan, rng, session):
             0.0 if detector_fired else math.inf,
         )
         details.append({
-            "point": list(y),
+            "point": list(ladder.y),
             "zero_pattern": blocks.zero_pattern_defect,
             "gamma_skewness": blocks.gamma_skew_defect,
             "bottom_middle_block": blocks.bottom_middle_defect,
@@ -854,7 +837,7 @@ def _run_thm44(geom, plan, rng, session):
             "t1_preservation": rep.t1_preservation_defect,
             "fault_detector_residual": fault.ricci_residual,
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_weyl_traces(geom, plan, rng, session):
@@ -998,11 +981,8 @@ def _run_curv_consistency(geom, plan, rng, session):
 
 
 def _run_defining_density(geom, plan, rng, session):
-    tau = canonical_tau(geom)
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    rep = defining_density_check(
-        tau, geom, ys, eps0=plan.eps0, levels=plan.levels
-    )
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    rep = defining_density_check(canonical_tau(geom), geom, ladders)
     details = [{
         "points": [list(y) for y in rep.points],
         "limits": rep.limits,
@@ -1014,15 +994,12 @@ def _run_defining_density(geom, plan, rng, session):
         residual = max(
             e / (1 + abs(v)) for e, v in zip(rep.errors, rep.limits)
         )
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 def _run_rho_extends(geom, plan, rng, session):
-    conn = rho_connection(geom)
-    ys = session.boundary(rng, min(plan.boundary_points, 3))
-    reps = bd.rho_connection_extension(
-        conn, geom, ys, eps0=plan.eps0, levels=plan.levels
-    )
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    reps = bd.rho_connection_extension(rho_connection(geom), ladders)
     residual = 0.0
     details = []
     for rep in reps:
@@ -1041,7 +1018,7 @@ def _run_rho_extends(geom, plan, rng, session):
             "extrapolation_error": rep.error,
             "dual_path_gap": rep.dual_path_gap,
         })
-    return residual, len(ys), details
+    return residual, len(ladders), details
 
 
 class _SkipCheck(Exception):

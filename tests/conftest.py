@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from tractorlab.extrapolate import boundary_ladder
 from tractorlab.fields import builtin_geometry
+from tractorlab.verify import SamplingPlan
+
+#: The sampling plan whose ladder settings the tests extrapolate with.
+PLAN = SamplingPlan()
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +47,12 @@ def rng():
 def max_value(dense):
     """Largest absolute value (constant term) in a dense jet array."""
     return float(np.max(np.abs(dense[..., 0])))
+
+
+def ladder(geom, y, direction=None):
+    """The default plan's ladder at the boundary point ``y``."""
+    return boundary_ladder(geom, y, direction, eps0=PLAN.eps0, levels=PLAN.levels)
+
+
+def ladders(geom, ys):
+    return [ladder(geom, y) for y in ys]

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import ladder, ladders
 from jet_reference import jet_call
 from tractorlab import boundary as bd
 from tractorlab import expr as ex
@@ -182,12 +183,12 @@ def test_criterion_03_asymptotic_form(geoms):
     rng = np.random.default_rng(12)
     klein = geoms[("klein", 3)]
     ys = klein.boundary_points(5, rng)
-    rep = bd.asymptotic_h(klein, ys)
+    rep = bd.asymptotic_h(klein, ladders(klein, ys))
     s_ok = all(abs(s + 6.0) <= 1e-5 for s in rep.scalar_limits)
     c_ok = abs(rep.C - 0.25) <= 1e-6
     eig_ok = min(rep.tangential_min_eigs) >= 0.5
     af2 = geoms[("af2_generic", 4)]
-    rep2 = bd.asymptotic_h(af2, af2.boundary_points(3, rng))
+    rep2 = bd.asymptotic_h(af2, ladders(af2, af2.boundary_points(3, rng)))
     c2_ok = abs(rep2.C - rep2.constructor_C) <= 1e-6
     elapsed = time.perf_counter() - start
     _TIMES["3"] = elapsed
@@ -378,7 +379,9 @@ def test_criterion_10_boundary_normalization(geoms):
 def test_criterion_11_asymptotically_parallel(geoms):
     start = time.perf_counter()
     calc = TractorCalculus(geoms[("klein", 4)])
-    rep = bd.asymptotically_parallel_check(calc, (0.0, 1.0, 0.0, 0.0))
+    rep = bd.asymptotically_parallel_check(
+        calc, ladder(calc.geom, (0.0, 1.0, 0.0, 0.0))
+    )
     ok = (
         rep.applicable
         and rep.hypothesis_norm <= 1e-6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import max_value
+from conftest import ladders, max_value
 from jet_reference import jet_apply, jet_det, jet_views
 from tractorlab import expr as ex
 from tractorlab.affine import (
@@ -367,30 +367,30 @@ def test_schouten_change_law(klein3, rng):
 
 def test_defining_density_klein(klein3):
     rep = defining_density_check(canonical_tau(klein3), klein3,
-                                 [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+                                 ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))
     assert rep.passed
     assert rep.limits == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_defining_density_af2(af2):
     rep = defining_density_check(canonical_tau(af2), af2,
-                                 [(0.0, 0.3, -0.2, 0.4)])
+                                 ladders(af2, [(0.0, 0.3, -0.2, 0.4)]))
     assert rep.passed
     assert rep.limits[0] > 0.1
 
 
 def test_defining_density_af1_uses_order(af1):
     rep = defining_density_check(canonical_tau(af1), af1,
-                                 [(0.0, 0.3, -0.2, 0.4)])
+                                 ladders(af1, [(0.0, 0.3, -0.2, 0.4)]))
     assert rep.passed
 
 
 def test_defining_density_controls(poincare3, flat3):
     rep = defining_density_check(canonical_tau(poincare3), poincare3,
-                                 [(1.0, 0.0, 0.0)])
+                                 ladders(poincare3, [(1.0, 0.0, 0.0)]))
     assert not rep.passed
     rep2 = defining_density_check(canonical_tau(flat3), flat3,
-                                  [(1.0, 0.2, 0.1)])
+                                  ladders(flat3, [(1.0, 0.2, 0.1)]))
     assert not rep2.passed
     assert rep2.diverged[0]
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import ladder, ladders
 from tractorlab import boundary as bd
 from tractorlab.affine import geometry_curvature, rho_connection
-from tractorlab.extrapolate import boundary_ladder, boundary_limit, richardson_limit
+from tractorlab.extrapolate import boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import Jet, jet_space
 from tractorlab.tractor import TractorCalculus, metricity_contorsion
@@ -26,7 +27,7 @@ def calc_af2(af2):
 
 @pytest.fixture(scope="module")
 def af2_frame(calc_af2):
-    return bd.boundary_frame(calc_af2, (0.0, 0.3, -0.2, 0.4))
+    return bd.boundary_frame(calc_af2, ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4)))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def af2_blocks(calc_af2, af2_frame):
 
 def test_richardson_simple(klein3):
     est = boundary_limit(
-        lambda p: 3.0 + klein3.rho_value(p) ** 2, klein3, (1.0, 0.0, 0.0)
+        lambda p: 3.0 + klein3.rho_value(p) ** 2, ladder(klein3, (1.0, 0.0, 0.0))
     )
     assert est.value == pytest.approx(3.0, abs=1e-10)
     assert not est.diverged
@@ -49,7 +50,7 @@ def test_richardson_simple(klein3):
 def test_richardson_scalar_curvature(klein3):
     pack = geometry_curvature(klein3)
     est = boundary_limit(
-        lambda p: pack.dense("scalar", p, 0)[0], klein3, (0.0, 0.0, 1.0)
+        lambda p: pack.dense("scalar", p, 0)[0], ladder(klein3, (0.0, 0.0, 1.0))
     )
     assert est.value == pytest.approx(-6.0, abs=1e-6)
 
@@ -60,13 +61,15 @@ def test_poincare_rho_s_anomaly(poincare3):
     pack = geometry_curvature(poincare3)
     est = boundary_limit(
         lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[0],
-        poincare3, (1.0, 0.0, 0.0),
+        ladder(poincare3, (1.0, 0.0, 0.0)),
     )
     assert abs(float(est.value)) < 1e-6
 
 
 def test_ladder_hits_exact_rho_levels(af2):
-    for eps, p in boundary_ladder(af2, (0.0, 0.1, 0.2, -0.1)):
+    lad = ladder(af2, (0.0, 0.1, 0.2, -0.1))
+    assert len(lad.points) == len(lad.eps) == 6
+    for eps, p in zip(lad.eps, lad.points):
         assert af2.rho_value(p) == pytest.approx(eps, rel=1e-12)
 
 
@@ -79,8 +82,12 @@ def test_divergence_flag():
 # -- transversals and collars -----------------------------------------------------
 
 
+def _transversal(geom, y, direction=None, **opts):
+    return bd.geodetic_transversals(geom, [ladder(geom, y, direction)], **opts)[0]
+
+
 def test_klein_transversal_is_radial(klein3):
-    curve = bd.geodetic_transversal(klein3, (1.0, 0.0, 0.0))
+    curve = _transversal(klein3, (1.0, 0.0, 0.0))
     assert np.allclose(curve.mu0, [-0.5, 0.0, 0.0])
     # straight radius: x1 = x2 = 0 along the whole curve
     assert np.max(np.abs(curve.points[:, 1:])) < 1e-12
@@ -88,7 +95,7 @@ def test_klein_transversal_is_radial(klein3):
 
 
 def test_geodesic_residual_matches_stepwise_differences(klein3):
-    curve = bd.geodetic_transversal(klein3, (0.0, 0.6, 0.8), horizon=0.05)
+    curve = _transversal(klein3, (0.0, 0.6, 0.8), horizon=0.05)
     h = curve.ts[1] - curve.ts[0]
     worst = 0.0
     for k in range(2, len(curve.ts) - 2):
@@ -101,12 +108,13 @@ def test_geodesic_residual_matches_stepwise_differences(klein3):
 
 
 def test_transversal_requires_normalized_mu(klein3):
+    # a ladder placed along an inward direction with d(rho)(mu0) = 2
     with pytest.raises(ValueError):
-        bd.geodetic_transversal(klein3, (1.0, 0.0, 0.0), mu0=(-1.0, 0.0, 0.0))
+        _transversal(klein3, (1.0, 0.0, 0.0), direction=(-1.0, 0.0, 0.0))
 
 
 def test_rho2_g_mu_mu_constant_and_quarter(klein3):
-    curve = bd.geodetic_transversal(klein3, (0.0, 1.0, 0.0))
+    curve = _transversal(klein3, (0.0, 1.0, 0.0))
     gfield = klein3.metric_field()
     vals = []
     for k in range(5, len(curve.ts), 20):
@@ -120,12 +128,12 @@ def test_rho2_g_mu_mu_constant_and_quarter(klein3):
 
 def test_poincare_transversal_fails(poincare3):
     with pytest.raises(bd.BoundaryExtensionError):
-        bd.geodetic_transversal(poincare3, (1.0, 0.0, 0.0))
+        _transversal(poincare3, (1.0, 0.0, 0.0))
 
 
 def test_collar_rows_and_injectivity(klein3, rng):
     grid = klein3.boundary_points(3, rng)
-    collar = bd.collar_sample([bd.geodetic_transversal(klein3, y) for y in grid])
+    collar = bd.collar_sample(bd.geodetic_transversals(klein3, ladders(klein3, grid)))
     assert collar.min_separation > 0
     for y, t, p in collar.rows:
         if t == 0.0:
@@ -133,7 +141,7 @@ def test_collar_rows_and_injectivity(klein3, rng):
 
 
 def test_collar_duplicate_grid_collides(klein3):
-    curve = bd.geodetic_transversal(klein3, (1.0, 0.0, 0.0))
+    curve = _transversal(klein3, (1.0, 0.0, 0.0))
     with pytest.raises(GeometryError) as err:
         bd.collar_sample([curve, curve])
     assert "injective" in str(err.value)
@@ -143,7 +151,7 @@ def test_collar_duplicate_grid_collides(klein3):
 
 
 def test_klein_sff(klein3):
-    sff = bd.second_fundamental_form(klein3, (1.0, 0.0, 0.0))
+    sff = bd.second_fundamental_form(klein3, ladder(klein3, (1.0, 0.0, 0.0)))
     assert np.allclose(sff.tangential, -2 * np.eye(2), atol=1e-9)
     assert sff.conformal_factor_defect < 1e-6
     assert sff.projective_change_defect < 1e-6
@@ -153,30 +161,30 @@ def test_klein_sff(klein3):
 def test_klein_sff_vs_schouten_asymptotics(klein3):
     # boundary limit of rho P + d(rho)d(rho)/(4 rho), tangentially, equals
     # half the Hessian representative
-    y = (0.0, 0.0, 1.0)
+    lad = ladder(klein3, (0.0, 0.0, 1.0))
     pack = geometry_curvature(klein3)
-    sff = bd.second_fundamental_form(klein3, y)
+    sff = bd.second_fundamental_form(klein3, lad)
 
     def gamma_full(p):
         P = pack.dense("schouten", p, 0)[..., 0]
         rho, grad = klein3.rho_and_drho(p)
         return rho * P + np.outer(grad, grad) / (4 * rho)
 
-    est = boundary_limit(gamma_full, klein3, y)
+    est = boundary_limit(gamma_full, lad)
     E = sff.basis
     got = E.T @ np.asarray(est.value) @ E
     assert np.max(np.abs(got - 0.5 * sff.tangential)) < 1e-5
 
 
 def test_af1_totally_geodesic(af1):
-    sff = bd.second_fundamental_form(af1, (0.0, 0.3, -0.2, 0.4))
+    sff = bd.second_fundamental_form(af1, ladder(af1, (0.0, 0.3, -0.2, 0.4)))
     assert np.max(np.abs(sff.tangential)) < 1e-5
 
 
 def test_af2_h_equals_minus_2C_hessian(af2):
-    y = (0.0, 0.3, -0.2, 0.4)
-    rep = bd.asymptotic_h(af2, [y])
-    sff = bd.second_fundamental_form(af2, y)
+    lad = ladder(af2, (0.0, 0.3, -0.2, 0.4))
+    rep = bd.asymptotic_h(af2, [lad])
+    sff = bd.second_fundamental_form(af2, lad)
     assert np.max(np.abs(rep.h_limits[0] - (-2 * rep.C) * sff.full)) < 1e-5
 
 
@@ -185,7 +193,7 @@ def test_af2_h_equals_minus_2C_hessian(af2):
 
 def test_asymptotic_h_klein(klein3):
     ys = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)]
-    rep = bd.asymptotic_h(klein3, ys)
+    rep = bd.asymptotic_h(klein3, ladders(klein3, ys))
     assert rep.status == "ok"
     assert rep.C == pytest.approx(0.25, abs=1e-6)
     assert rep.scalar_spread < 1e-5
@@ -193,7 +201,8 @@ def test_asymptotic_h_klein(klein3):
 
 
 def test_asymptotic_h_af2_recovers_constructor(af2):
-    rep = bd.asymptotic_h(af2, [(0.0, 0.3, -0.2, 0.4), (0.0, -0.1, 0.2, 0.3)])
+    ys = [(0.0, 0.3, -0.2, 0.4), (0.0, -0.1, 0.2, 0.3)]
+    rep = bd.asymptotic_h(af2, ladders(af2, ys))
     assert rep.status == "ok"
     assert rep.C == pytest.approx(rep.constructor_C, abs=1e-6)
 
@@ -207,19 +216,19 @@ def test_malformed_constructor_c_gives_none(src):
 
 
 def test_asymptotic_h_poincare_fails(poincare3):
-    rep = bd.asymptotic_h(poincare3, [(1.0, 0.0, 0.0)])
+    rep = bd.asymptotic_h(poincare3, ladders(poincare3, [(1.0, 0.0, 0.0)]))
     assert rep.status != "ok"
 
 
 def test_einstein_asymptotics(klein3, af2, poincare3):
-    repk = bd.einstein_asymptotics(klein3, [(1.0, 0.0, 0.0)])
+    repk = bd.einstein_asymptotics(klein3, ladders(klein3, [(1.0, 0.0, 0.0)]))
     assert repk.status == "ok" and not repk.pointwise_tracefree_diverges
-    repa = bd.einstein_asymptotics(af2, [(0.0, 0.3, -0.2, 0.4)])
+    repa = bd.einstein_asymptotics(af2, ladders(af2, [(0.0, 0.3, -0.2, 0.4)]))
     assert repa.status == "ok"
     assert max(repa.tracefree_errors + repa.tail_errors) < 1e-5
     # the pointwise trace-free Ricci genuinely fails to extend here
     assert repa.pointwise_tracefree_diverges
-    repp = bd.einstein_asymptotics(poincare3, [(1.0, 0.0, 0.0)])
+    repp = bd.einstein_asymptotics(poincare3, ladders(poincare3, [(1.0, 0.0, 0.0)]))
     assert repp.diverged
 
 
@@ -239,7 +248,7 @@ def test_prop22_slot_limits(klein3):
         f3 = float(np.sum(ginv * P)) / (n + 1) + float(grad @ ginv @ grad) / (4 * rho**2)
         return np.concatenate([(ginv / rho).ravel(), ginv @ grad / rho**2, [f3]])
 
-    est = boundary_limit(slots, klein3, y)
+    est = boundary_limit(slots, ladder(klein3, y))
     assert not est.diverged
     assert est.scaled_error() < 1e-6
     assert abs(np.asarray(est.value)[-1]) < 1e-6
@@ -256,7 +265,7 @@ def test_klein_rho2_riemann_limit(klein3):
     def scaled(p):
         return klein3.rho_value(p) ** 2 * pack.riemann(p, 0)[..., 0]
 
-    est = boundary_limit(scaled, klein3, y)
+    est = boundary_limit(scaled, ladder(klein3, y))
     grad = klein3.drho(y)
     expected = np.zeros((d, d, d, d))
     for a in range(d):
@@ -278,8 +287,9 @@ def test_af1_rho_riemann_limit(af1):
     def scaled(p):
         return af1.rho_value(p) * pack.riemann(p, 0)[..., 0]
 
-    est = boundary_limit(scaled, af1, y)
-    hess = bd.hessian_of_rho(af1, y, bd.extended_christoffels(conn, af1, y))
+    lad = ladder(af1, y)
+    est = boundary_limit(scaled, lad)
+    hess = bd.hessian_of_rho(af1, y, bd.extended_christoffels(conn, lad))
     expected = np.zeros((d, d, d, d))
     for a in range(d):
         for b in range(d):
@@ -294,7 +304,7 @@ def test_af1_rho_riemann_limit(af1):
 
 
 def test_boundary_frame_klein(calc3):
-    frame = bd.boundary_frame(calc3, (1.0, 0.0, 0.0))
+    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
     assert frame.tau_hat == pytest.approx(1.0, abs=1e-10)
     assert frame.psi == pytest.approx(1.0, abs=1e-9)
     assert frame.scalar == pytest.approx(-6.0, abs=1e-8)
@@ -306,7 +316,7 @@ def test_boundary_frame_klein(calc3):
 
 def test_boundary_bundle_klein(calc3, rng):
     ys = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
-    data = bd.boundary_tractor_bundle(calc3, ys)
+    data = bd.boundary_tractor_bundle(calc3, ladders(calc3.geom, ys))
     assert max(data.gram_split_defects) < 1e-7
     assert max(data.sff_agreement) < 1e-5
     assert all(data.signature_ok)
@@ -316,7 +326,7 @@ def test_boundary_bundle_klein(calc3, rng):
 def test_boundary_bundle_flat_degenerate(flat3):
     calc = TractorCalculus(flat3)
     with pytest.raises((bd.DegenerateBoundaryError, bd.BoundaryExtensionError)):
-        bd.boundary_frame(calc, (1.0, 0.2, 0.1))
+        bd.boundary_frame(calc, ladder(flat3, (1.0, 0.2, 0.1)))
 
 
 def test_af2_boundary_frame_and_gram(af2_frame):
@@ -334,7 +344,7 @@ def test_af2_contorsion_bounded_at_boundary(calc_af2, af2_frame):
     def psi_values(p):
         return tc.contorsion_matrices(p, 0)[..., 0]
 
-    est = boundary_limit(psi_values, calc_af2.geom, af2_frame.point)
+    est = boundary_limit(psi_values, af2_frame.ladder)
     assert not est.diverged
     assert est.scaled_error() < 1e-5
 
@@ -350,7 +360,7 @@ def test_af2_curvature_blocks(af2_blocks, af2_frame):
 
 
 def test_klein_curvature_blocks_vanish(calc3):
-    frame = bd.boundary_frame(calc3, (0.0, 1.0, 0.0))
+    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (0.0, 1.0, 0.0)))
     blocks = bd.curvature_blocks(calc3, frame)
     assert np.max(np.abs(blocks.kappa_split)) < 1e-7
 
@@ -367,7 +377,7 @@ def test_normalization_af2(af2_blocks):
 
 
 def test_normalization_klein_phi_vanishes(calc4):
-    frame = bd.boundary_frame(calc4, (1.0, 0.0, 0.0, 0.0))
+    frame = bd.boundary_frame(calc4, ladder(calc4.geom, (1.0, 0.0, 0.0, 0.0)))
     blocks = bd.curvature_blocks(calc4, frame)
     rep = bd.normalize_boundary_connection(blocks)
     assert np.max(np.abs(rep.phi)) < 1e-6
@@ -375,14 +385,16 @@ def test_normalization_klein_phi_vanishes(calc4):
 
 
 def test_normalization_dimension_guard(calc3):
-    frame = bd.boundary_frame(calc3, (1.0, 0.0, 0.0))
+    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
     blocks = bd.curvature_blocks(calc3, frame)
     with pytest.raises(ValueError):
         bd.normalize_boundary_connection(blocks)
 
 
 def test_asymptotically_parallel_klein4(calc4):
-    rep = bd.asymptotically_parallel_check(calc4, (0.0, 0.0, 1.0, 0.0))
+    rep = bd.asymptotically_parallel_check(
+        calc4, ladder(calc4.geom, (0.0, 0.0, 1.0, 0.0))
+    )
     assert rep.applicable
     assert rep.hypothesis_norm < 1e-6
     assert rep.tracefree_ricci_norm < 1e-5
@@ -392,7 +404,9 @@ def test_asymptotically_parallel_klein4(calc4):
 
 
 def test_asymptotically_parallel_af2_skips(calc_af2):
-    rep = bd.asymptotically_parallel_check(calc_af2, (0.0, 0.3, -0.2, 0.4))
+    rep = bd.asymptotically_parallel_check(
+        calc_af2, ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4))
+    )
     assert not rep.applicable
     assert "vanish" in rep.reason
     assert rep.equivalence_ok  # both sides nonzero
@@ -400,7 +414,7 @@ def test_asymptotically_parallel_af2_skips(calc_af2):
 
 def test_klein_dual_path_extension_agreement(klein3):
     conn = rho_connection(klein3)
-    reps = bd.rho_connection_extension(conn, klein3, [(1.0, 0.0, 0.0)])
+    reps = bd.rho_connection_extension(conn, ladders(klein3, [(1.0, 0.0, 0.0)]))
     assert not reps[0].diverged
     assert reps[0].dual_path_gap is not None and reps[0].dual_path_gap < 1e-6
 

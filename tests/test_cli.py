@@ -269,3 +269,12 @@ def test_parser_is_built_once_and_calls_do_not_share_params(capsys):
     assert codes == [0, 0, 0, 2, 0]
     assert outputs[0][1] != outputs[1][1]
     assert outputs[1][1] == outputs[2][1] == outputs[4][1]  # C defaults to 0.25
+
+
+def test_plan_flags_default_to_the_sampling_plan(monkeypatch):
+    from tractorlab import cli
+    from tractorlab.verify import SamplingPlan
+
+    monkeypatch.delenv("TRACTORLAB_SEED", raising=False)
+    args = cli._build_parser().parse_args(["verify", "--geometry", "klein"])
+    assert cli._make_plan(args) == SamplingPlan()

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ladder
 from jet_reference import jet_views
 from tractorlab import expr as ex
-from tractorlab.extrapolate import boundary_ladder, richardson_limit
+from tractorlab.extrapolate import boundary_limit
 from tractorlab.fields import (
     GEOMETRY_DOC_SCHEMA,
     Chart,
@@ -87,8 +88,7 @@ def test_poincare_volume_law_fails(poincare3, klein3):
             g = geom.metric_field().dense(p, 0)[..., 0]
             return geom.rho_value(p) ** (geom.dim + 1) * abs(np.linalg.det(g))
 
-        ladder = boundary_ladder(geom, y)
-        return richardson_limit([f(p) for _, p in ladder])
+        return boundary_limit(f, ladder(geom, y))
 
     assert scaled_det(poincare3).diverged
     est = scaled_det(klein3)

@@ -1,6 +1,12 @@
-"""The package computes with dense jet arrays only: the scalar ``Jet`` class
-lives in ``tractorlab/jets.py`` as the reference the tests compare against,
-and no other module may use it or the helpers of the removed scalar path."""
+"""Source layout rules of the package.
+
+It computes with dense jet arrays only: the scalar ``Jet`` class lives in
+``tractorlab/jets.py`` as the reference the tests compare against, and no
+other module may use it or the helpers of the removed scalar path.  Boundary
+ladders are placed once per boundary point and passed as values, so the
+ladder settings ``eps0`` and ``levels`` are named only where a ladder is
+placed (``extrapolate``) and where a sampling plan sets them (``verify``,
+``cli``)."""
 
 import ast
 from pathlib import Path
@@ -10,20 +16,31 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "tractorlab"
 MODULES = sorted(SRC.glob("*.py"))
 
-#: Helpers and accessors of the scalar-jet object path that left the package.
+#: Helpers and accessors of the scalar-jet object path, and the per-call
+#: ladder options of the transversal integrator, that left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
     "DEFAULT_ORDER", "_jet_call", "_scalar_array", "_float_call",
     "rho_jet", "tau_jet", "tau_hat_jet", "metric_jets", "components",
+    "geodetic_transversal", "mu0s",
 }
+
+#: The modules that place ladders or set their sampling plan.
+LADDER_SETTINGS = {"eps0", "levels"}
+LADDER_MODULES = {"extrapolate.py", "verify.py", "cli.py"}
 
 
 def _names(tree):
-    """Every identifier a module binds, reads, imports or quotes."""
+    """Every identifier a module binds, reads, imports or quotes, including
+    parameters and keyword arguments."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
+        elif isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
@@ -53,3 +70,12 @@ def test_scalar_path_helpers_stay_removed(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     found = sorted({(name, line) for name, line in _names(tree) if name in REMOVED})
     assert not found, f"{module.name} uses {found}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_ladder_modules_name_the_ladder_settings(module):
+    if module.name in LADDER_MODULES:
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = sorted({(n, line) for n, line in _names(tree) if n in LADDER_SETTINGS})
+    assert not found, f"{module.name} names {found}"

@@ -171,3 +171,27 @@ def test_prop43_identity_fails_when_a_term_is_wrong(af2, monkeypatch, terms, cou
 
             monkeypatch.setattr(verify, terms, mutated)
             assert residual() > check.tolerance, (terms, k, kind)
+
+
+@pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
+def test_each_boundary_point_gets_one_ladder(name, dim, monkeypatch):
+    import importlib
+    import pkgutil
+
+    import tractorlab
+    from tractorlab import extrapolate
+
+    original = extrapolate.boundary_ladder
+    placed = []
+
+    def counting(geom, y, direction=None, *, eps0, levels):
+        placed.append((tuple(y), eps0, levels))
+        return original(geom, y, direction, eps0=eps0, levels=levels)
+
+    for info in pkgutil.iter_modules(tractorlab.__path__):
+        module = importlib.import_module(f"tractorlab.{info.name}")
+        if getattr(module, "boundary_ladder", None) is original:
+            monkeypatch.setattr(module, "boundary_ladder", counting)
+    run_suite(builtin_geometry(name, dim), "all", SamplingPlan(seed=0))
+    assert placed
+    assert len(placed) == len(set(placed))
