@@ -28,7 +28,6 @@ _EXPORTS = {
     "levi_civita": "affine",
     "projective_modify": "affine",
     "rho_connection": "affine",
-    "curvature": "affine",
     "covariant_derivative": "affine",
     "canonical_tau": "affine",
     "defining_density_check": "affine",

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extrapolate import Ladder, richardson_limit
-from .fields import Chart, Geometry, GeometryError, TensorField, is_batch
+from .fields import Chart, Geometry, TensorField, is_batch
 from .jets import (
     PoleError,
     jet_determinant,
@@ -51,7 +51,6 @@ __all__ = [
     "levi_civita",
     "projective_modify",
     "rho_connection",
-    "curvature",
     "covariant_derivative",
     "canonical_tau",
     "defining_density_check",
@@ -195,8 +194,9 @@ def rho_one_form(geom: Geometry) -> TensorField:
     return TensorField(geom.chart, "d", evaluator, name="d(rho)/(alpha rho)")
 
 
-def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection:
-    """The distinguished modification ``nabla + d(rho)/(alpha rho)``.
+def rho_connection(geom: Geometry, base: Connection) -> Connection:
+    """The distinguished modification ``nabla + d(rho)/(alpha rho)`` of the
+    Levi-Civita connection ``base``.
 
     For a projectively compact geometry of order alpha this connection is
     smooth up to the boundary; its Christoffel evaluator raises a pole error
@@ -204,8 +204,6 @@ def rho_connection(geom: Geometry, base: Connection | None = None) -> Connection
     machinery in module ``boundary`` (or from an exact closed form attached
     to the geometry, as for the Klein model).
     """
-    if base is None:
-        base = levi_civita(geom)
     conn = projective_modify(base, rho_one_form(geom), special=base.special)
     conn.exact_boundary = geom.exact_hat_christoffels
     return conn
@@ -307,19 +305,6 @@ class CurvaturePack:
         return self.dense("riemann", point, order)
 
 
-def curvature(conn: Connection, metric_field: TensorField | None = None) -> CurvaturePack:
-    """Curvature evaluator pack for a connection (Riemann/Ricci, plus the
-    scalar curvature when a metric is supplied)."""
-    return CurvaturePack(conn, metric_field)
-
-
-def geometry_curvature(geom: Geometry, conn: Connection | None = None) -> CurvaturePack:
-    """Convenience: curvature pack of a metric geometry with scalar enabled."""
-    if conn is None:
-        conn = levi_civita(geom)
-    return CurvaturePack(conn, geom.metric_field())
-
-
 # -- weighted covariant derivative ------------------------------------------
 
 
@@ -405,8 +390,6 @@ def canonical_tau(geom: Geometry) -> Density:
     numerically singular metric has a zero determinant, and its power
     raises :class:`~tractorlab.jets.DomainError`.
     """
-    if geom.metric is None:
-        raise GeometryError("canonical tau needs a metric")
     gfield = geom.metric_field()
     power = -1.0 / (geom.dim + 1)
 

@@ -7,7 +7,9 @@ boundary" to Richardson extrapolation of X along inward rays (module
 ``extrapolate``), or evaluates closed forms that are manifestly smooth at
 ``rho = 0``.  Every routine takes the boundary points as placed
 :class:`~tractorlab.extrapolate.Ladder` values, so one ladder serves every
-limit at its point and no routine chooses ``rho`` levels of its own.  Where
+limit at its point and no routine chooses ``rho`` levels of its own; the
+routines that need a connection, a curvature pack or tau take the run's
+:class:`~tractorlab.tractor.TractorCalculus` and read them from it.  Where
 both routes exist (the Klein model carries an exact extension of its
 rho-modified connection) their agreement is part of the report.
 
@@ -38,13 +40,7 @@ from .affine import CurvaturePack
 from .extrapolate import Ladder, boundary_limit, richardson_limit
 from .fields import Geometry, GeometryError
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
-from .tractor import (
-    TractorCalculus,
-    TractorConnection,
-    l_tau,
-    metricity_contorsion,
-    tractor_curvature,
-)
+from .tractor import TractorCalculus, l_tau, metricity_contorsion, tractor_curvature
 
 __all__ = [
     "BoundaryExtensionError",
@@ -63,7 +59,6 @@ __all__ = [
     "einstein_asymptotics",
     "boundary_frame",
     "boundary_tractor_bundle",
-    "metric_tractor_connection",
     "curvature_blocks",
     "normalize_boundary_connection",
     "asymptotically_parallel_check",
@@ -203,15 +198,15 @@ class TransversalCurve:
 
 
 def geodetic_transversals(
-    geom: Geometry,
+    calc: TractorCalculus,
     ladders: Sequence[Ladder],
-    conn=None,
     step: float = 1e-3,
     horizon: float = 0.2,
 ) -> list[TransversalCurve]:
-    """Integrate the rho-connection geodesics from the ladders' boundary
-    points, each launched along its ladder's direction ``mu0``, which must
-    satisfy ``d(rho)(mu0) = 1``; one curve per ladder, in order.
+    """Integrate the geodesics of the rho-modified connection ``calc.hat``
+    from the ladders' boundary points, each launched along its ladder's
+    direction ``mu0``, which must satisfy ``d(rho)(mu0) = 1``; one curve per
+    ladder, in order.
 
     The boundary value of the connection comes from its smooth extension
     along each ladder, computed for every point before integration starts.
@@ -224,12 +219,9 @@ def geodetic_transversals(
     at the earliest step; among curves leaving at the same step, the one
     with the lowest index.
     """
-    from .affine import rho_connection
-
+    geom, conn = calc.geom, calc.hat
     ys = np.array([ladder.y for ladder in ladders])
     directions = np.array([ladder.direction for ladder in ladders])
-    if conn is None:
-        conn = rho_connection(geom)
     for y, mu0 in zip(ys, directions):
         pairing = float(geom.drho(y) @ mu0)
         if abs(pairing - 1.0) > 1e-10:
@@ -392,27 +384,23 @@ class SecondFundamentalForm:
 
 
 def second_fundamental_form(
-    geom: Geometry,
+    calc: TractorCalculus,
     ladder: Ladder,
-    conn=None,
     rng: np.random.Generator | None = None,
 ) -> SecondFundamentalForm:
     """The tangential Hessian of rho at ``ladder.y`` w.r.t. the class
-    connection extended along the ladder.
+    connection ``calc.hat`` extended along the ladder.
 
     Also verifies the two well-definedness properties numerically: a
     projective change of the connection leaves the tangential restriction
     unchanged, and replacing rho by ``exp(f) rho`` rescales it by the
     conformal factor ``exp(f(y))``.
     """
-    from .affine import rho_connection
-
+    geom = calc.geom
     d = geom.dim
     rng = rng or np.random.default_rng(11)
-    if conn is None:
-        conn = rho_connection(geom)
     y = ladder.y
-    gamma0 = extended_christoffels(conn, ladder)
+    gamma0 = extended_christoffels(calc.hat, ladder)
     full = hessian_of_rho(geom, y, gamma0)
     E = tangential_basis(geom, y)
     tang = E.T @ full @ E
@@ -485,9 +473,7 @@ def _pointwise_tracefree_ricci(pack: CurvaturePack, gfield, n: int, p) -> np.nda
 
 
 def asymptotic_h(
-    geom: Geometry,
-    ladders: Sequence[Ladder],
-    pack: CurvaturePack | None = None,
+    calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> AsymptoticHReport:
     """Recover the order-2 asymptotic form ``g = h/rho + C d(rho)^2/rho^2``
     at the ladders' boundary points.
@@ -498,11 +484,9 @@ def asymptotic_h(
     with its tangential nondegeneracy, and flags divergence for geometries
     that are not projectively compact of order two.
     """
-    from .affine import geometry_curvature
-
-    d = geom.dim
-    n = d - 1
-    pack = pack or geometry_curvature(geom)
+    geom = calc.geom
+    n = geom.dim - 1
+    pack = calc.pack_of(calc.levi_civita_splitting)
     ys = [ladder.y for ladder in ladders]
     s_limits = []
     for ladder in ladders:
@@ -578,7 +562,7 @@ class EinsteinAsymptoticsReport:
 
 
 def einstein_asymptotics(
-    geom: Geometry, ladders: Sequence[Ladder]
+    calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> EinsteinAsymptoticsReport:
     """Asymptotic Einstein property of an order-2 projectively compact metric
     at the ladders' boundary points.
@@ -597,12 +581,10 @@ def einstein_asymptotics(
     stronger (Einstein-like) case and its divergence is reported separately
     as a diagnostic.
     """
-    from .affine import geometry_curvature
-
-    d = geom.dim
-    n = d - 1
-    pack = geometry_curvature(geom)
-    hrep = asymptotic_h(geom, ladders, pack=pack)
+    geom = calc.geom
+    n = geom.dim - 1
+    pack = calc.pack_of(calc.levi_civita_splitting)
+    hrep = asymptotic_h(calc, ladders)
     if hrep.status != "ok":
         return EinsteinAsymptoticsReport(
             hrep.points, [], [], True, True, f"no asymptotic form: {hrep.status}"
@@ -813,7 +795,6 @@ def boundary_tractor_bundle(
     quotient metric with the second fundamental form, the block form of the
     tractor metric in the (beta; xi; sigma) splitting, and the signature
     bookkeeping (gamma's signature plus one hyperbolic plane)."""
-    geom = calc.geom
     frames = []
     gram_defects = []
     sff_agree = []
@@ -828,7 +809,7 @@ def boundary_tractor_bundle(
         gram_defects.append(
             float(np.max(np.abs(frame.gram_split - expected))) / scale
         )
-        sff = second_fundamental_form(geom, ladder)
+        sff = second_fundamental_form(calc, ladder)
         half_hess = 0.5 * (sff.basis.T @ sff.full @ sff.basis)
         scale = 1.0 + float(np.max(np.abs(half_hess)))
         sff_agree.append(
@@ -847,12 +828,6 @@ def boundary_tractor_bundle(
 # -- the metric tractor connection and its boundary normalization -------------
 
 
-def metric_tractor_connection(calc: TractorCalculus) -> TractorConnection:
-    """The torsion-free modification of the tractor connection that is
-    metric for L(tau), in the reference splitting (see module tractor)."""
-    return metricity_contorsion(calc, calc.reference)
-
-
 @dataclass
 class CurvatureBlocks:
     """Boundary curvature of the metric tractor connection, split form."""
@@ -867,22 +842,19 @@ class CurvatureBlocks:
     extrapolation_error: float
 
 
-def curvature_blocks(
-    calc: TractorCalculus,
-    frame: BoundaryFrame,
-    connection: TractorConnection | None = None,
-) -> CurvatureBlocks:
-    """Extrapolate the curvature of the metric tractor connection to the
-    boundary along the frame's ladder, restrict its form indices
-    tangentially, and extract the (V, W) blocks in the (beta; xi; sigma)
-    splitting.
+def curvature_blocks(calc: TractorCalculus, frame: BoundaryFrame) -> CurvatureBlocks:
+    """Extrapolate the curvature of the metric tractor connection (the
+    torsion-free modification of the tractor connection that is metric for
+    L(tau), in the reference splitting) to the boundary along the frame's
+    ladder, restrict its form indices tangentially, and extract the (V, W)
+    blocks in the (beta; xi; sigma) splitting.
 
     Asserts the zero pattern (first row, last column and the corner), the
     gamma-skewness of W, and that the bottom-middle block is
     ``-2 tauhat V_ij^k gamma_kl``.
     """
     n = frame.n
-    tc = connection or metric_tractor_connection(calc)
+    tc = metricity_contorsion(calc, calc.reference)
     est = boundary_limit(lambda p: tc.curvature(p, 0).values(), frame.ladder)
     if est.diverged:
         raise BoundaryExtensionError(

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary as bdy
-from .affine import geometry_curvature
 from .expr import ExprError
 from .extrapolate import boundary_ladder, boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
@@ -237,7 +236,8 @@ def _eval_quantity(geom, args, plan):
     """Return (value, extrapolation_error | None) for the named quantity."""
     d = geom.dim
     quantity = args.quantity
-    pack = geometry_curvature(geom)
+    calc = TractorCalculus(geom)
+    pack = calc.pack_of(calc.levi_civita_splitting)
     gfield = geom.metric_field()
 
     def constructor_c():
@@ -279,7 +279,6 @@ def _eval_quantity(geom, args, plan):
         if quantity == "h_asymptotic":
             return h_at(p)
         if quantity == "l_tau":
-            calc = TractorCalculus(geom)
             return l_tau(calc, p, 0, calc.reference).values()
         if quantity == "gamma":
             return gamma_at(p)
@@ -313,7 +312,6 @@ def _eval_quantity(geom, args, plan):
         raise ConfigError("phi needs a boundary of dimension >= 3 (--dim >= 4)")
     ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
     if quantity == "phi":
-        calc = TractorCalculus(geom)
         try:
             blocks = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, ladder))
         except bdy.BoundaryExtensionError as err:

@@ -2,7 +2,7 @@
 
 Every "admits a smooth extension to the boundary" statement in this package
 is realized numerically the same way: a quantity is evaluated at interior
-points with ``rho = eps0 * 2^-k`` on a ray hitting a boundary point, and the
+points with ``rho = eps0 / RATIO^k`` on a ray hitting a boundary point, and the
 limit is extrapolated assuming smoothness in rho.  Divergent ladders are
 flagged instead of extrapolated -- the negative controls rely on that.
 
@@ -31,6 +31,13 @@ __all__ = [
 
 Point = Sequence[float]
 
+#: The ratio of consecutive ``rho`` levels of every ladder.  A power of two,
+#: so each level is ``eps0`` scaled exactly.
+RATIO = 2.0
+
+#: Sample magnitudes below this never flag a ladder as divergent.
+DIVERGENCE_FLOOR = 1e-4
+
 
 @dataclass
 class LimitEstimate:
@@ -52,16 +59,15 @@ class LimitEstimate:
         return self.error / scale
 
 
-def richardson_limit(
-    samples: Sequence, ratio: float = 2.0, divergence_floor: float = 1e-4
-) -> LimitEstimate:
-    """Extrapolate ``f(eps_k) -> f(0)`` for a geometric ladder of eps.
+def richardson_limit(samples: Sequence) -> LimitEstimate:
+    """Extrapolate ``f(eps_k) -> f(0)`` for a ladder ``eps_k = eps0 /
+    RATIO^k``.
 
-    ``samples[k]`` is ``f(eps0 / ratio^k)`` (scalars or arrays).  Assumes a
+    ``samples[k]`` is ``f(eps_k)`` (scalars or arrays).  Assumes a
     polynomial model ``f(eps) = c0 + c1 eps + c2 eps^2 + ...``; each
     Richardson stage removes one power.  Ladders whose magnitudes grow by
     more than a decade are flagged divergent; magnitudes below
-    ``divergence_floor`` never trip the flag (growing rounding noise in a
+    ``DIVERGENCE_FLOOR`` never trip the flag (growing rounding noise in a
     quantity that is identically zero is not a divergence).
     """
     vals = [np.asarray(s, dtype=float) for s in samples]
@@ -74,12 +80,12 @@ def richardson_limit(
     diverged = (not finite) or (
         growing
         and mags[-1] > 10.0 * max(mags[0], 1e-12)
-        and mags[-1] > divergence_floor
+        and mags[-1] > DIVERGENCE_FLOOR
     )
     rows = [vals]
     for j in range(1, len(vals)):
         prev = rows[-1]
-        factor = ratio**j
+        factor = RATIO**j
         rows.append(
             [
                 (factor * prev[k + 1] - prev[k]) / (factor - 1.0)
@@ -113,7 +119,7 @@ def boundary_ladder(
     levels: int,
 ) -> Ladder:
     """Place the interior points on the inward ray from ``y`` with ``rho``
-    exactly on the dyadic ladder ``eps0 * 2^-k``, ``k < levels``.
+    exactly on the dyadic ladder ``eps0 / RATIO^k``, ``k < levels``.
 
     The ray leaves ``y`` along ``direction`` (default: the chart gradient
     direction normalized so ``d(rho) = 1``); each ladder point is Newton
@@ -123,7 +129,7 @@ def boundary_ladder(
     if direction is None:
         direction = geom.inward_direction(y)
     direction = np.asarray(direction, dtype=float)
-    eps = tuple(eps0 * 0.5**k for k in range(levels))
+    eps = tuple(eps0 / RATIO**k for k in range(levels))
     points = []
     for target in eps:
         s = target  # first guess: d(rho)(direction) ~ 1 near the boundary

@@ -130,14 +130,6 @@ class TensorField:
         self.tape: ex.Tape | None = None  # set by from_exprs
 
     @property
-    def n_upper(self) -> int:
-        return self.variance.count("u")
-
-    @property
-    def n_lower(self) -> int:
-        return self.variance.count("d")
-
-    @property
     def rank(self) -> int:
         return len(self.variance)
 
@@ -221,7 +213,7 @@ class TensorField:
 
 @dataclass
 class Geometry:
-    """A chart-with-boundary plus metric (or connection) data.
+    """A chart-with-boundary plus metric data.
 
     ``alpha`` is the projective compactness order the geometry is meant to
     have; the verification suite treats it as a claim to test, not a fact.
@@ -231,8 +223,7 @@ class Geometry:
     chart: Chart
     rho: ex.Expr
     alpha: float
-    metric: np.ndarray | None = None  # (dim, dim) object array of Expr
-    christoffels: Callable | None = None  # explicit-connection alternative
+    metric: np.ndarray  # (dim, dim) object array of Expr
     params: dict = field(default_factory=dict)
     interior_box: tuple[np.ndarray, np.ndarray] | None = None
     boundary_sampler: Callable | None = None
@@ -240,8 +231,6 @@ class Geometry:
     signature: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.metric is None and self.christoffels is None:
-            raise GeometryError("geometry needs a metric or explicit christoffels")
         if not 0 < self.alpha <= 2:
             raise GeometryError(f"alpha must lie in (0, 2], got {self.alpha}")
         self._rho_tape = ex.compile_tape([self.rho], self.chart.coord_names)
@@ -284,8 +273,6 @@ class Geometry:
     # -- metric --------------------------------------------------------
 
     def metric_field(self) -> TensorField:
-        if self.metric is None:
-            raise GeometryError(f"geometry {self.name!r} has no metric")
         if not hasattr(self, "_metric_field"):
             self._metric_field = TensorField.from_exprs(
                 self.chart, self.metric, "dd", name="g", sym=((0, 1),)

@@ -77,7 +77,6 @@ __all__ = [
     "l_tau",
     "tractor_metric_inverse",
     "s2t_slots",
-    "s2tstar_slots",
     "metricity_residual",
     "tractor_curvature",
     "standard_curvature_blocks",
@@ -182,9 +181,13 @@ def change_splitting(
 class TractorCalculus:
     """Tractor-calculus context for one geometry.
 
-    Owns the Levi-Civita and rho-modified connections with their curvature
-    packs, the canonical density tau, the named splittings, and the
-    splitting-dependent tractor connection matrices (memoized per point).
+    Owns the Levi-Civita and rho-modified connections (``lc``, ``hat``) with
+    their curvature packs (:meth:`pack_of`), the canonical density ``tau``,
+    the named splittings, and the splitting-dependent tractor connection
+    matrices (memoized per point).  It is the only builder of these objects:
+    a suite session or a CLI evaluation makes one calculus and every check,
+    boundary routine and probe reads from it, so each memo has one owner per
+    run.  Nothing caches a calculus on its ``Geometry``.
     """
 
     def __init__(self, geom: Geometry):
@@ -255,8 +258,9 @@ class TractorCalculus:
     def pack_of(self, s: Splitting) -> CurvaturePack:
         pack = self._packs.get(s.label)
         if pack is None:
-            metric = self.geom.metric_field() if self.geom.metric is not None else None
-            pack = self._packs[s.label] = CurvaturePack(self.connection_of(s), metric)
+            pack = self._packs[s.label] = CurvaturePack(
+                self.connection_of(s), self.geom.metric_field()
+            )
         return pack
 
     def upsilon_jets(self, s: Splitting, point: Point, order: int) -> np.ndarray:
@@ -453,13 +457,6 @@ def s2t_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dense jet arrays."""
     H = tv.data
     return H[1:, 1:], H[0, 1:], H[0, 0]
-
-
-def s2tstar_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(top scalar, middle lambda_a, bottom Phi_ab) of an S^2 T* value, as
-    dense jet arrays."""
-    G = tv.data
-    return G[0, 0], G[0, 1:], G[1:, 1:]
 
 
 # -- metricity residual ----------------------------------------------------

@@ -22,13 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import boundary as bd
-from .affine import (
-    canonical_tau,
-    covariant_derivative,
-    defining_density_check,
-    geometry_curvature,
-    rho_connection,
-)
+from .affine import covariant_derivative, defining_density_check
 from .extrapolate import Ladder, boundary_ladder, boundary_limit, richardson_limit
 from .fields import Geometry, TensorField
 from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
@@ -118,20 +112,16 @@ class Check:
 
 
 class _Session:
-    """Per-geometry caches shared between checks of one suite run."""
+    """Per-geometry state shared between checks of one suite run: the one
+    :class:`TractorCalculus` every check reads its connections, curvature
+    packs and tau from, the placed ladders and the probe verdicts."""
 
     def __init__(self, geom: Geometry, plan: SamplingPlan):
         self.geom = geom
         self.plan = plan
-        self._calc: TractorCalculus | None = None
+        self.calc = TractorCalculus(geom)
         self._probe: dict[str, tuple[bool, str]] = {}
         self._ladders: dict[tuple, Ladder] = {}
-
-    @property
-    def calc(self) -> TractorCalculus:
-        if self._calc is None:
-            self._calc = TractorCalculus(self.geom)
-        return self._calc
 
     def interior(self, rng, count=None):
         return self.geom.interior_points(count or self.plan.interior_points, rng)
@@ -158,7 +148,7 @@ class _Session:
         if hit is None:
             rng = np.random.default_rng(self.plan.seed)
             p = self.geom.interior_points(1, rng)[0]
-            pack = geometry_curvature(self.geom)
+            pack = self.calc.pack_of(self.calc.levi_civita_splitting)
             Pv = pack.dense("schouten", p, 0)[..., 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
@@ -174,8 +164,8 @@ class _Session:
             reason = "geometry fails the projective-compactness probes"
             try:
                 ladders = [self.ladder(y)]
-                reps = bd.rho_connection_extension(rho_connection(self.geom), ladders)
-                dd = defining_density_check(canonical_tau(self.geom), self.geom, ladders)
+                reps = bd.rho_connection_extension(self.calc.hat, ladders)
+                dd = defining_density_check(self.calc.tau, self.geom, ladders)
                 ok = (not reps[0].diverged) and dd.passed
             except Exception as err:  # any failure means "not compact"
                 ok = False
@@ -189,15 +179,12 @@ class _Session:
 
 
 def _needs(
-    metric: bool = True,
     alpha: float | None = None,
     min_dim: int = 3,
     nondegenerate: bool = False,
     compact: bool = False,
 ):
     def applicable(geom: Geometry, session: _Session) -> tuple[bool, str]:
-        if metric and geom.metric is None:
-            return False, "requires a metric geometry"
         if alpha is not None and abs(geom.alpha - alpha) > 1e-12:
             return False, f"requires alpha = {alpha:g}, geometry has {geom.alpha:g}"
         if geom.dim < min_dim:
@@ -225,7 +212,7 @@ def _scaled(residual: float, scale: float) -> float:
 def _run_extend(geom, plan, rng, session):
     calc = session.calc
     sigma = calc.metricity_field()
-    pack = geometry_curvature(geom)
+    pack = calc.pack_of(calc.levi_civita_splitting)
     residual = 0.0
     details = []
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
@@ -251,7 +238,7 @@ def _run_extend(geom, plan, rng, session):
 def _run_dense(geom, plan, rng, session):
     d = geom.dim
     n = d - 1
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     gfield = geom.metric_field()
 
     def slots(p):
@@ -288,7 +275,7 @@ def _run_dense(geom, plan, rng, session):
 def _run_prop23_h(geom, plan, rng, session):
     d = geom.dim
     n = d - 1
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     gfield = geom.metric_field()
 
     def h23(p):
@@ -326,7 +313,7 @@ def _run_transversal(geom, plan, rng, session):
     residual = 0.0
     details = []
     curves = bd.geodetic_transversals(
-        geom, ladders, step=plan.ode_step, horizon=plan.ode_horizon
+        session.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
     for curve in curves:
         pairing = abs(float(geom.drho(np.asarray(curve.y)) @ curve.mu0) - 1.0)
@@ -356,13 +343,13 @@ def _run_mu(geom, plan, rng, session):
     d = geom.dim
     n = d - 1
     gfield = geom.metric_field()
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 4))
     extrapolated = []
     residual = 0.0
     details = []
     curves = bd.geodetic_transversals(
-        geom, ladders, step=plan.ode_step, horizon=plan.ode_horizon
+        session.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
     for ladder, curve in zip(ladders, curves):
         def qty_at(k):
@@ -403,7 +390,7 @@ def _run_mu(geom, plan, rng, session):
 
 
 def _run_s_const(geom, plan, rng, session):
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, max(plan.boundary_points, 5))
     limits = []
     residual = 0.0
@@ -428,7 +415,7 @@ def _run_s_const(geom, plan, rng, session):
 
 def _run_thm25_c(geom, plan, rng, session):
     ladders = session.ladders(rng, max(plan.boundary_points, 3))
-    rep = bd.asymptotic_h(geom, ladders)
+    rep = bd.asymptotic_h(session.calc, ladders)
     details = [{
         "C": rep.C,
         "constructor_C": rep.constructor_C,
@@ -451,13 +438,12 @@ def _run_thm25_c(geom, plan, rng, session):
 
 def _run_pff(geom, plan, rng, session):
     alpha = geom.alpha
-    pack = geometry_curvature(geom)
-    conn = rho_connection(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     residual = 0.0
     details = []
     for ladder in ladders:
-        sff = bd.second_fundamental_form(geom, ladder, conn=conn, rng=rng)
+        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
 
         def lhs(p):
             Pv = pack.dense("schouten", p, 0)[..., 0]
@@ -494,7 +480,7 @@ def _run_totally_geodesic(geom, plan, rng, session):
     residual = 0.0
     details = []
     for ladder in ladders:
-        sff = bd.second_fundamental_form(geom, ladder, rng=rng)
+        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
         r = float(np.max(np.abs(sff.tangential)))
         residual = max(residual, r)
         details.append({"point": list(ladder.y), "tangential_sff_norm": r})
@@ -503,13 +489,13 @@ def _run_totally_geodesic(geom, plan, rng, session):
 
 def _run_h_vs_sff(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    rep = bd.asymptotic_h(geom, ladders)
+    rep = bd.asymptotic_h(session.calc, ladders)
     if rep.status != "ok":
         return math.inf, len(ladders), [{"status": rep.status}]
     residual = 0.0
     details = []
     for ladder, h_lim in zip(ladders, rep.h_limits):
-        sff = bd.second_fundamental_form(geom, ladder, rng=rng)
+        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
         target = -2.0 * rep.C * sff.full
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(h_lim - target)))
@@ -520,8 +506,7 @@ def _run_h_vs_sff(geom, plan, rng, session):
 
 def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     alpha = geom.alpha
-    pack = geometry_curvature(geom)
-    conn = rho_connection(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     power = 1 if order_one else 2
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     residual = 0.0
@@ -538,7 +523,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
             continue
         if order_one:
             x = bd.hessian_of_rho(
-                geom, ladder.y, bd.extended_christoffels(conn, ladder)
+                geom, ladder.y, bd.extended_christoffels(session.calc.hat, ladder)
             )
         else:
             grad = geom.drho(ladder.y)
@@ -553,7 +538,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
 
 def _run_einstein(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    rep = bd.einstein_asymptotics(geom, ladders)
+    rep = bd.einstein_asymptotics(session.calc, ladders)
     details = [{
         "status": rep.status,
         "tracefree_errors": rep.tracefree_errors,
@@ -808,12 +793,11 @@ def _run_thm43_torsion(geom, plan, rng, session):
 def _run_thm44(geom, plan, rng, session):
     calc = session.calc
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    tc = metricity_contorsion(calc, calc.reference)
     residual = 0.0
     details = []
     for ladder in ladders:
         frame = bd.boundary_frame(calc, ladder)
-        blocks = bd.curvature_blocks(calc, frame, connection=tc)
+        blocks = bd.curvature_blocks(calc, frame)
         rep = bd.normalize_boundary_connection(blocks)
         fault = bd.normalize_boundary_connection(blocks, w_perturbation=1.0)
         detector_fired = fault.ricci_residual > 0.1
@@ -841,7 +825,7 @@ def _run_thm44(geom, plan, rng, session):
 
 
 def _run_weyl_traces(geom, plan, rng, session):
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     eye = np.eye(geom.dim)
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
@@ -860,7 +844,7 @@ def _run_weyl_traces(geom, plan, rng, session):
 
 
 def _run_bianchi(geom, plan, rng, session):
-    pack = geometry_curvature(geom)
+    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     pts = session.interior(rng, plan.interior_points)
     residual = 0.0
     for p in pts:
@@ -982,7 +966,7 @@ def _run_curv_consistency(geom, plan, rng, session):
 
 def _run_defining_density(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    rep = defining_density_check(canonical_tau(geom), geom, ladders)
+    rep = defining_density_check(session.calc.tau, geom, ladders)
     details = [{
         "points": [list(y) for y in rep.points],
         "limits": rep.limits,
@@ -999,7 +983,7 @@ def _run_defining_density(geom, plan, rng, session):
 
 def _run_rho_extends(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    reps = bd.rho_connection_extension(rho_connection(geom), ladders)
+    reps = bd.rho_connection_extension(session.calc.hat, ladders)
     residual = 0.0
     details = []
     for rep in reps:

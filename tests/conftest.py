@@ -3,6 +3,7 @@ import pytest
 
 from tractorlab.extrapolate import boundary_ladder
 from tractorlab.fields import builtin_geometry
+from tractorlab.tractor import TractorCalculus
 from tractorlab.verify import SamplingPlan
 
 #: The sampling plan whose ladder settings the tests extrapolate with.
@@ -56,3 +57,9 @@ def ladder(geom, y, direction=None):
 
 def ladders(geom, ys):
     return [ladder(geom, y) for y in ys]
+
+
+def lc_pack(geom):
+    """The Levi-Civita curvature pack of a geometry, from a calculus."""
+    calc = TractorCalculus(geom)
+    return calc.pack_of(calc.levi_civita_splitting)

@@ -183,12 +183,14 @@ def test_criterion_03_asymptotic_form(geoms):
     rng = np.random.default_rng(12)
     klein = geoms[("klein", 3)]
     ys = klein.boundary_points(5, rng)
-    rep = bd.asymptotic_h(klein, ladders(klein, ys))
+    rep = bd.asymptotic_h(TractorCalculus(klein), ladders(klein, ys))
     s_ok = all(abs(s + 6.0) <= 1e-5 for s in rep.scalar_limits)
     c_ok = abs(rep.C - 0.25) <= 1e-6
     eig_ok = min(rep.tangential_min_eigs) >= 0.5
     af2 = geoms[("af2_generic", 4)]
-    rep2 = bd.asymptotic_h(af2, ladders(af2, af2.boundary_points(3, rng)))
+    rep2 = bd.asymptotic_h(
+        TractorCalculus(af2), ladders(af2, af2.boundary_points(3, rng))
+    )
     c2_ok = abs(rep2.C - rep2.constructor_C) <= 1e-6
     elapsed = time.perf_counter() - start
     _TIMES["3"] = elapsed

@@ -7,10 +7,10 @@ from conftest import ladders, max_value
 from jet_reference import jet_apply, jet_det, jet_views
 from tractorlab import expr as ex
 from tractorlab.affine import (
+    CurvaturePack,
     canonical_tau,
     covariant_derivative,
     defining_density_check,
-    geometry_curvature,
     levi_civita,
     projective_modify,
     rho_connection,
@@ -169,13 +169,13 @@ def test_projective_modification_preserves_unparametrized_geodesics(klein3, rng)
 
 
 def test_klein_rho_connection_is_flat(klein3, rng):
-    hat = rho_connection(klein3)
+    hat = rho_connection(klein3, levi_civita(klein3))
     for p in klein3.interior_points(3, rng):
         assert max_value(hat.dense(p, 1)) < 1e-12
 
 
 def test_flat_rho_connection_is_not_bounded(flat3):
-    hat = rho_connection(flat3)
+    hat = rho_connection(flat3, levi_civita(flat3))
     norms = []
     for s in (1e-1, 1e-2, 1e-3):
         p = (1.0 - s, 0.1, 0.2)
@@ -186,7 +186,7 @@ def test_flat_rho_connection_is_not_bounded(flat3):
 
 
 def test_poincare_rho_connection_slope(poincare3):
-    hat = rho_connection(poincare3)
+    hat = rho_connection(poincare3, levi_civita(poincare3))
     eps = np.array([0.05 * 2.0**-k for k in range(6)])
     norms = []
     for e in eps:
@@ -200,7 +200,7 @@ def test_poincare_rho_connection_slope(poincare3):
 
 
 def test_flat_curvature_vanishes(flat3):
-    pack = geometry_curvature(flat3)
+    pack = CurvaturePack(levi_civita(flat3), flat3.metric_field())
     p = (0.2, -0.1, 0.4)
     for name in ("riemann", "schouten", "weyl", "cotton"):
         assert max_value(pack.dense(name, p, 0)) == 0.0
@@ -209,8 +209,8 @@ def test_flat_curvature_vanishes(flat3):
 def test_riemann_matches_scalar_jet_formula(af2, rng):
     # reference: R[a,b,c,e] = d_a G[c,b,e] - d_b G[c,a,e] + G[c,a,f] G[f,b,e]
     # - G[c,b,f] G[f,a,e] with scalar Jet arithmetic, at jet order 1
-    conn = rho_connection(af2)
-    pack = geometry_curvature(af2, conn)
+    conn = rho_connection(af2, levi_civita(af2))
+    pack = CurvaturePack(conn, af2.metric_field())
     p = af2.interior_points(1, rng)[0]
     G = jet_views(conn.dense(p, 2), jet_space(4, 2))
     R = jet_views(pack.riemann(p, 1), jet_space(4, 1))
@@ -225,7 +225,7 @@ def test_riemann_matches_scalar_jet_formula(af2, rng):
 
 
 def test_klein_constant_curvature(klein3, rng):
-    pack = geometry_curvature(klein3)
+    pack = CurvaturePack(levi_civita(klein3), klein3.metric_field())
     gfield = klein3.metric_field()
     for p in klein3.interior_points(20, rng):
         R = pack.riemann(p, 0)[..., 0]
@@ -243,7 +243,7 @@ def test_klein_constant_curvature(klein3, rng):
 
 
 def test_klein_schouten_weyl_cotton(klein3, rng):
-    pack = geometry_curvature(klein3)
+    pack = CurvaturePack(levi_civita(klein3), klein3.metric_field())
     gfield = klein3.metric_field()
     p = klein3.interior_points(1, rng)[0]
     P = pack.dense("schouten", p, 0)[..., 0]
@@ -327,7 +327,7 @@ def test_density_sign_is_pinned(klein3, rng):
 def test_tau_hat_parallel_for_rho_connection(klein3, rng):
     # tau = rho tauhat with tauhat parallel for the rho-modified connection
     geom = klein3
-    hat = rho_connection(geom)
+    hat = rho_connection(geom, levi_civita(geom))
     tau = canonical_tau(geom)
 
     def tau_hat_component(point, order):
@@ -350,8 +350,8 @@ def test_schouten_change_law(klein3, rng):
     coeffs = rng.uniform(-0.5, 0.5, size=(3, 4))
     ups = linear_one_form(geom.chart, coeffs)
     hat = projective_modify(conn, ups)
-    pack = geometry_curvature(geom)
-    pack_hat = geometry_curvature(geom, hat)
+    pack = CurvaturePack(levi_civita(geom), geom.metric_field())
+    pack_hat = CurvaturePack(hat, geom.metric_field())
     ups_field = TensorField(geom.chart, "d", lambda p, k: ups(p, k), name="Y")
     dups = covariant_derivative(ups_field, hat)
     for p in geom.interior_points(3, rng):
@@ -432,7 +432,7 @@ def test_special_flag_via_density_transport(klein3):
 
 
 def test_torsion_free_symmetry_at_samples(af2, rng):
-    conn = rho_connection(af2)
+    conn = rho_connection(af2, levi_civita(af2))
     assert conn.torsion_free
     for p in af2.interior_points(3, rng):
         G = conn.dense(p, 1)[..., 0]

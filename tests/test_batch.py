@@ -8,9 +8,9 @@ import pytest
 from conftest import ladder, ladders
 from tractorlab import boundary as bd
 from tractorlab import expr as ex
-from tractorlab.affine import rho_connection
 from tractorlab.fields import GeometryError
 from tractorlab.jets import PoleError, jet_einsum, jet_inverse, jet_space
+from tractorlab.tractor import TractorCalculus
 
 
 @pytest.fixture(params=["klein3", "af2"])
@@ -67,7 +67,7 @@ def test_einsum_and_inverse_batch_match_points(geom, order):
 
 
 def test_christoffel_values_batch_matches_points(geom):
-    conn = rho_connection(geom)
+    conn = TractorCalculus(geom).hat
     pts = _points(geom)
     got = conn.christoffel_values(pts)
     assert got.shape == (geom.dim,) * 3 + (len(pts),)
@@ -88,10 +88,11 @@ def test_singular_row_in_a_batch_raises(klein3):
 def test_batched_transversals_match_single_runs(klein3):
     ys = klein3.boundary_points(4, np.random.default_rng(3))
     opts = dict(step=1e-3, horizon=0.05)
-    batch = bd.geodetic_transversals(klein3, ladders(klein3, ys), **opts)
+    calc = TractorCalculus(klein3)
+    batch = bd.geodetic_transversals(calc, ladders(klein3, ys), **opts)
     assert len(batch) == 4
     for y, curve in zip(ys, batch):
-        single = bd.geodetic_transversals(klein3, [ladder(klein3, y)], **opts)[0]
+        single = bd.geodetic_transversals(calc, [ladder(klein3, y)], **opts)[0]
         assert curve.y == single.y
         assert np.array_equal(curve.ts, single.ts)
         for got, ref in [(curve.points, single.points), (curve.mus, single.mus),
@@ -102,7 +103,7 @@ def test_batched_transversals_match_single_runs(klein3):
 def test_batched_transversals_poincare_point_raises(poincare3):
     ys = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     with pytest.raises(bd.BoundaryExtensionError):
-        bd.geodetic_transversals(poincare3, ladders(poincare3, ys))
+        bd.geodetic_transversals(TractorCalculus(poincare3), ladders(poincare3, ys))
 
 
 def test_domain_exit_names_the_lowest_index_among_ties(klein3):
@@ -112,7 +113,7 @@ def test_domain_exit_names_the_lowest_index_among_ties(klein3):
     for order in (ys, ys[::-1]):
         with pytest.raises(GeometryError) as err:
             bd.geodetic_transversals(
-                klein3, ladders(klein3, order), step=0.03, horizon=4.5
+                TractorCalculus(klein3), ladders(klein3, order), step=0.03, horizon=4.5
             )
         assert f"from {tuple(order[0])}" in str(err.value)
         assert "t=4.02" in str(err.value)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ladder, ladders
+from conftest import ladder, ladders, lc_pack
 from tractorlab import boundary as bd
-from tractorlab.affine import geometry_curvature, rho_connection
 from tractorlab.extrapolate import boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import Jet, jet_space
@@ -32,8 +31,7 @@ def af2_frame(calc_af2):
 
 @pytest.fixture(scope="module")
 def af2_blocks(calc_af2, af2_frame):
-    tc = metricity_contorsion(calc_af2, calc_af2.reference)
-    return bd.curvature_blocks(calc_af2, af2_frame, connection=tc)
+    return bd.curvature_blocks(calc_af2, af2_frame)
 
 
 # -- extrapolation primitives ---------------------------------------------------
@@ -48,7 +46,7 @@ def test_richardson_simple(klein3):
 
 
 def test_richardson_scalar_curvature(klein3):
-    pack = geometry_curvature(klein3)
+    pack = lc_pack(klein3)
     est = boundary_limit(
         lambda p: pack.dense("scalar", p, 0)[0], ladder(klein3, (0.0, 0.0, 1.0))
     )
@@ -58,7 +56,7 @@ def test_richardson_scalar_curvature(klein3):
 def test_poincare_rho_s_anomaly(poincare3):
     # rho * S tends to zero, not to the nonzero constant an order-2
     # compactification would give
-    pack = geometry_curvature(poincare3)
+    pack = lc_pack(poincare3)
     est = boundary_limit(
         lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[0],
         ladder(poincare3, (1.0, 0.0, 0.0)),
@@ -71,6 +69,8 @@ def test_ladder_hits_exact_rho_levels(af2):
     assert len(lad.points) == len(lad.eps) == 6
     for eps, p in zip(lad.eps, lad.points):
         assert af2.rho_value(p) == pytest.approx(eps, rel=1e-12)
+    # the levels are eps0 scaled by exact powers of two
+    assert lad.eps == tuple(0.05 * 0.5**k for k in range(6))
 
 
 def test_divergence_flag():
@@ -83,7 +83,8 @@ def test_divergence_flag():
 
 
 def _transversal(geom, y, direction=None, **opts):
-    return bd.geodetic_transversals(geom, [ladder(geom, y, direction)], **opts)[0]
+    lad = ladder(geom, y, direction)
+    return bd.geodetic_transversals(TractorCalculus(geom), [lad], **opts)[0]
 
 
 def test_klein_transversal_is_radial(klein3):
@@ -131,9 +132,11 @@ def test_poincare_transversal_fails(poincare3):
         _transversal(poincare3, (1.0, 0.0, 0.0))
 
 
-def test_collar_rows_and_injectivity(klein3, rng):
-    grid = klein3.boundary_points(3, rng)
-    collar = bd.collar_sample(bd.geodetic_transversals(klein3, ladders(klein3, grid)))
+def test_collar_rows_and_injectivity(calc3, rng):
+    grid = calc3.geom.boundary_points(3, rng)
+    collar = bd.collar_sample(
+        bd.geodetic_transversals(calc3, ladders(calc3.geom, grid))
+    )
     assert collar.min_separation > 0
     for y, t, p in collar.rows:
         if t == 0.0:
@@ -150,8 +153,8 @@ def test_collar_duplicate_grid_collides(klein3):
 # -- second fundamental form --------------------------------------------------------
 
 
-def test_klein_sff(klein3):
-    sff = bd.second_fundamental_form(klein3, ladder(klein3, (1.0, 0.0, 0.0)))
+def test_klein_sff(calc3):
+    sff = bd.second_fundamental_form(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
     assert np.allclose(sff.tangential, -2 * np.eye(2), atol=1e-9)
     assert sff.conformal_factor_defect < 1e-6
     assert sff.projective_change_defect < 1e-6
@@ -162,8 +165,8 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
     # boundary limit of rho P + d(rho)d(rho)/(4 rho), tangentially, equals
     # half the Hessian representative
     lad = ladder(klein3, (0.0, 0.0, 1.0))
-    pack = geometry_curvature(klein3)
-    sff = bd.second_fundamental_form(klein3, lad)
+    pack = lc_pack(klein3)
+    sff = bd.second_fundamental_form(TractorCalculus(klein3), lad)
 
     def gamma_full(p):
         P = pack.dense("schouten", p, 0)[..., 0]
@@ -177,14 +180,16 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
 
 
 def test_af1_totally_geodesic(af1):
-    sff = bd.second_fundamental_form(af1, ladder(af1, (0.0, 0.3, -0.2, 0.4)))
+    lad = ladder(af1, (0.0, 0.3, -0.2, 0.4))
+    sff = bd.second_fundamental_form(TractorCalculus(af1), lad)
     assert np.max(np.abs(sff.tangential)) < 1e-5
 
 
 def test_af2_h_equals_minus_2C_hessian(af2):
     lad = ladder(af2, (0.0, 0.3, -0.2, 0.4))
-    rep = bd.asymptotic_h(af2, [lad])
-    sff = bd.second_fundamental_form(af2, lad)
+    calc = TractorCalculus(af2)
+    rep = bd.asymptotic_h(calc, [lad])
+    sff = bd.second_fundamental_form(calc, lad)
     assert np.max(np.abs(rep.h_limits[0] - (-2 * rep.C) * sff.full)) < 1e-5
 
 
@@ -193,7 +198,7 @@ def test_af2_h_equals_minus_2C_hessian(af2):
 
 def test_asymptotic_h_klein(klein3):
     ys = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)]
-    rep = bd.asymptotic_h(klein3, ladders(klein3, ys))
+    rep = bd.asymptotic_h(TractorCalculus(klein3), ladders(klein3, ys))
     assert rep.status == "ok"
     assert rep.C == pytest.approx(0.25, abs=1e-6)
     assert rep.scalar_spread < 1e-5
@@ -202,7 +207,7 @@ def test_asymptotic_h_klein(klein3):
 
 def test_asymptotic_h_af2_recovers_constructor(af2):
     ys = [(0.0, 0.3, -0.2, 0.4), (0.0, -0.1, 0.2, 0.3)]
-    rep = bd.asymptotic_h(af2, ladders(af2, ys))
+    rep = bd.asymptotic_h(TractorCalculus(af2), ladders(af2, ys))
     assert rep.status == "ok"
     assert rep.C == pytest.approx(rep.constructor_C, abs=1e-6)
 
@@ -216,19 +221,23 @@ def test_malformed_constructor_c_gives_none(src):
 
 
 def test_asymptotic_h_poincare_fails(poincare3):
-    rep = bd.asymptotic_h(poincare3, ladders(poincare3, [(1.0, 0.0, 0.0)]))
+    lads = ladders(poincare3, [(1.0, 0.0, 0.0)])
+    rep = bd.asymptotic_h(TractorCalculus(poincare3), lads)
     assert rep.status != "ok"
 
 
 def test_einstein_asymptotics(klein3, af2, poincare3):
-    repk = bd.einstein_asymptotics(klein3, ladders(klein3, [(1.0, 0.0, 0.0)]))
+    def einstein(geom, y):
+        return bd.einstein_asymptotics(TractorCalculus(geom), ladders(geom, [y]))
+
+    repk = einstein(klein3, (1.0, 0.0, 0.0))
     assert repk.status == "ok" and not repk.pointwise_tracefree_diverges
-    repa = bd.einstein_asymptotics(af2, ladders(af2, [(0.0, 0.3, -0.2, 0.4)]))
+    repa = einstein(af2, (0.0, 0.3, -0.2, 0.4))
     assert repa.status == "ok"
     assert max(repa.tracefree_errors + repa.tail_errors) < 1e-5
     # the pointwise trace-free Ricci genuinely fails to extend here
     assert repa.pointwise_tracefree_diverges
-    repp = bd.einstein_asymptotics(poincare3, ladders(poincare3, [(1.0, 0.0, 0.0)]))
+    repp = einstein(poincare3, (1.0, 0.0, 0.0))
     assert repp.diverged
 
 
@@ -237,7 +246,7 @@ def test_einstein_asymptotics(klein3, af2, poincare3):
 
 def test_prop22_slot_limits(klein3):
     d, n = 3, 2
-    pack = geometry_curvature(klein3)
+    pack = lc_pack(klein3)
     gfield = klein3.metric_field()
     y = (0.6, 0.8, 0.0)
 
@@ -258,7 +267,7 @@ def test_prop22_slot_limits(klein3):
 
 
 def test_klein_rho2_riemann_limit(klein3):
-    pack = geometry_curvature(klein3)
+    pack = lc_pack(klein3)
     y = (0.0, 1.0, 0.0)
     d = 3
 
@@ -279,8 +288,8 @@ def test_klein_rho2_riemann_limit(klein3):
 
 
 def test_af1_rho_riemann_limit(af1):
-    pack = geometry_curvature(af1)
-    conn = rho_connection(af1)
+    pack = lc_pack(af1)
+    conn = TractorCalculus(af1).hat
     y = (0.0, 0.3, -0.2, 0.4)
     d = 4
 
@@ -413,7 +422,7 @@ def test_asymptotically_parallel_af2_skips(calc_af2):
 
 
 def test_klein_dual_path_extension_agreement(klein3):
-    conn = rho_connection(klein3)
+    conn = TractorCalculus(klein3).hat
     reps = bd.rho_connection_extension(conn, ladders(klein3, [(1.0, 0.0, 0.0)]))
     assert not reps[0].diverged
     assert reps[0].dual_path_gap is not None and reps[0].dual_path_gap < 1e-6

@@ -5,9 +5,9 @@ import pytest
 
 from jet_reference import jet_call, point_jets
 from tractorlab import expr as ex
-from tractorlab.affine import rho_connection
 from tractorlab.fields import builtin_geometry
 from tractorlab.jets import DomainError, PoleError, jet_space
+from tractorlab.tractor import TractorCalculus
 
 
 def test_basic_ast_shape():
@@ -238,7 +238,7 @@ def test_direct_evaluation_at_boundary_raises_pole(name, dim):
     with pytest.raises(PoleError):
         geom.metric_field().dense(y, 1)
     with pytest.raises(PoleError):
-        rho_connection(geom).christoffel_values(y, 0)
+        TractorCalculus(geom).hat.christoffel_values(y, 0)
 
 
 def test_deep_expressions():

@@ -6,25 +6,36 @@ other module may use it or the helpers of the removed scalar path.  Boundary
 ladders are placed once per boundary point and passed as values, so the
 ladder settings ``eps0`` and ``levels`` are named only where a ladder is
 placed (``extrapolate``) and where a sampling plan sets them (``verify``,
-``cli``)."""
+``cli``).  A run's connections, curvature packs and tau are built by its
+``TractorCalculus`` alone, so only ``tractor`` calls their builders."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import tractorlab
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "tractorlab"
 MODULES = sorted(SRC.glob("*.py"))
 
-#: Helpers and accessors of the scalar-jet object path, and the per-call
-#: ladder options of the transversal integrator, that left the package.
+#: Helpers and accessors of the scalar-jet object path, the per-call
+#: ladder options of the transversal integrator, the builders that bypassed
+#: the calculus, and unused names, that left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
     "DEFAULT_ORDER", "_jet_call", "_scalar_array", "_float_call",
     "rho_jet", "tau_jet", "tau_hat_jet", "metric_jets", "components",
     "geodetic_transversal", "mu0s",
+    "geometry_curvature", "metric_tractor_connection", "christoffels",
+    "s2tstar_slots", "n_upper", "n_lower", "divergence_floor",
 }
+
+#: The builders of the connections, curvature packs and tau of a geometry;
+#: only the calculus (``tractor.py``) calls them.
+BUILDERS = {"levi_civita", "rho_connection", "canonical_tau", "CurvaturePack"}
 
 #: The modules that place ladders or set their sampling plan.
 LADDER_SETTINGS = {"eps0", "levels"}
@@ -79,3 +90,26 @@ def test_only_ladder_modules_name_the_ladder_settings(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     found = sorted({(n, line) for n, line in _names(tree) if n in LADDER_SETTINGS})
     assert not found, f"{module.name} names {found}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_the_calculus_builds_connections_packs_and_tau(module):
+    if module.name == "tractor.py":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in BUILDERS:
+                found.append((name, node.lineno))
+    assert not found, f"{module.name} calls {sorted(found)}"
+
+
+def test_every_export_resolves():
+    for name, module in tractorlab._EXPORTS.items():
+        assert getattr(tractorlab, name) is getattr(
+            importlib.import_module(f"tractorlab.{module}"), name
+        )
+    assert "curvature" not in tractorlab._EXPORTS
+    assert not hasattr(importlib.import_module("tractorlab.affine"), "curvature")

@@ -133,10 +133,11 @@ def test_lorentzian_asymptotic_form():
 def test_compactness_probe_keeps_the_exception(monkeypatch):
     import tractorlab.verify as verify
 
-    def explode(geom):
+    def explode(tau, geom, ladders):
         raise RuntimeError("tau exploded")
 
-    monkeypatch.setattr(verify, "canonical_tau", explode)
+    # the probe's defining-density test reads the session calculus's tau
+    monkeypatch.setattr(verify, "defining_density_check", explode)
     geom = builtin_geometry("klein", 3)
     (report,) = run_suite(geom, ["thm-2.5-S-const"], FAST_PLAN)
     assert report.status == "skip"
@@ -195,3 +196,25 @@ def test_each_boundary_point_gets_one_ladder(name, dim, monkeypatch):
     run_suite(builtin_geometry(name, dim), "all", SamplingPlan(seed=0))
     assert placed
     assert len(placed) == len(set(placed))
+
+
+@pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
+def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
+    # every check, probe and boundary routine reads the session's calculus:
+    # the Levi-Civita and rho-modified connections, the splitting of
+    # splitting-equivariance, and one curvature pack for each
+    from tractorlab.affine import Connection, CurvaturePack
+    from tractorlab.tractor import TractorCalculus
+
+    built = {}
+    for cls in (TractorCalculus, Connection, CurvaturePack):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    reports = run_suite(builtin_geometry(name, dim), "all", SamplingPlan(seed=0))
+    assert not [r.check_id for r in reports if r.status == "error"]
+    assert built["TractorCalculus"] == 1
+    assert built["Connection"] <= 3
+    assert built["CurvaturePack"] <= 3
