@@ -47,7 +47,6 @@ from .jets import (
 __all__ = [
     "Connection",
     "CurvaturePack",
-    "Density",
     "levi_civita",
     "projective_modify",
     "rho_connection",
@@ -356,32 +355,9 @@ def covariant_derivative(
 # -- densities ---------------------------------------------------------------
 
 
-@dataclass
-class Density:
-    """A projective density: weight w section in a chart trivialization.
-
-    ``component(point, order)`` returns its dense ``(ncoeff,)`` jet.
-    """
-
-    chart: Chart
-    weight: float
-    component: Callable[[Point, int], np.ndarray]
-    name: str = ""
-
-    def dense(self, point: Point, order: int) -> np.ndarray:
-        return self.component(point, order)
-
-    def value(self, point: Point) -> float:
-        return float(self.component(point, 0)[0])
-
-    def as_field(self) -> TensorField:
-        return TensorField(
-            self.chart, "", self.component, weight=self.weight, name=self.name
-        )
-
-
-def canonical_tau(geom: Geometry) -> Density:
-    """The canonical weight-2 density of a metric: ``|det g|^(-1/(n+2))``.
+def canonical_tau(geom: Geometry) -> TensorField:
+    """The canonical weight-2 density of a metric: ``|det g|^(-1/(n+2))``,
+    a rank-0 field of weight 2.
 
     It is parallel for the Levi-Civita connection and satisfies
     ``|tau^(-n-2) det(g^ab)| = 1`` identically.  For a geometry that really
@@ -398,7 +374,7 @@ def canonical_tau(geom: Geometry) -> Density:
         det = jet_determinant(gfield.dense(point, order), space)
         return jet_function("pow", det * np.sign(det[..., :1]), space, power)
 
-    return Density(geom.chart, 2.0, component, name="tau")
+    return TensorField(geom.chart, "", component, weight=2.0, name="tau")
 
 
 @dataclass
@@ -414,7 +390,7 @@ class DefiningDensityReport:
 
 
 def defining_density_check(
-    tau: Density, geom: Geometry, ladders: Sequence[Ladder]
+    tau: TensorField, geom: Geometry, ladders: Sequence[Ladder]
 ) -> DefiningDensityReport:
     """Verify that tau/rho^(2/alpha) extends, nonzero, to the ladders'
     boundary points.
@@ -434,7 +410,8 @@ def defining_density_check(
     for ladder in ladders:
         try:
             values = [
-                tau.value(p) / eps**power for eps, p in zip(ladder.eps, ladder.points)
+                tau.dense(p, 0)[0] / eps**power
+                for eps, p in zip(ladder.eps, ladder.points)
             ]
         except PoleError:
             ok, reason = False, "pole while approaching the boundary"

@@ -11,7 +11,9 @@ limit at its point and no routine chooses ``rho`` levels of its own; the
 routines that need a connection, a curvature pack or tau take the run's
 :class:`~tractorlab.tractor.TractorCalculus` and read them from it.  Where
 both routes exist (the Klein model carries an exact extension of its
-rho-modified connection) their agreement is part of the report.
+rho-modified connection) their agreement is part of the report.  Each
+boundary quantity has one point function here (``POINT_QUANTITIES``), which
+the checks and ``tractorlab eval`` extrapolate alike.
 
 Geodetic transversals are integrated by fixed-step RK4.  All curves of one
 call share one ``(B, d)`` state, so each RK4 stage is one batched evaluation
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .affine import CurvaturePack
 from .extrapolate import Ladder, boundary_limit, richardson_limit
 from .fields import Geometry, GeometryError
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
@@ -49,7 +50,14 @@ __all__ = [
     "CollarSample",
     "BoundaryFrame",
     "ConformalTractorData",
+    "POINT_QUANTITIES",
     "boundary_limit",
+    "scalar_curvature",
+    "schouten_trace",
+    "tracefree_ricci",
+    "gamma_form",
+    "t_vector",
+    "h_form",
     "extended_christoffels",
     "rho_connection_extension",
     "geodetic_transversals",
@@ -171,7 +179,9 @@ class TransversalCurve:
         return x, v
 
     def at_rho(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point and velocity on the curve where rho equals ``eps``."""
+        """Point and velocity on the curve where rho equals ``eps``; raises
+        :class:`GeometryError` when Newton does not bring rho within
+        tolerance of ``eps``."""
         if eps <= 0 or eps > float(self.rhos.max()):
             raise ValueError(f"rho={eps:g} is not reached by this transversal")
         k = int(np.searchsorted(self.rhos, eps)) - 1
@@ -187,6 +197,10 @@ class TransversalCurve:
             slope = float(grad @ v) * h
             s -= val / slope
             s = min(max(s, -0.5), 1.5)
+        else:
+            raise GeometryError(
+                f"could not locate rho={eps:g} on the transversal from {self.y}"
+            )
         return x, v
 
     def geodesic_residual(self) -> float:
@@ -439,6 +453,79 @@ def second_fundamental_form(
     )
 
 
+# -- point functions of the boundary quantities -------------------------------
+#
+# Each is the value at an interior point whose boundary limit a check or
+# ``tractorlab eval`` extrapolates; checks, boundary routines and the command
+# line all call these, so a quantity and the check that judges it share one
+# formula.
+
+
+def scalar_curvature(calc: TractorCalculus, p) -> float:
+    """The scalar curvature of the metric (Thm 2.5)."""
+    return calc.pack_of(calc.levi_civita_splitting).dense("scalar", p, 0)[0]
+
+
+def schouten_trace(calc: TractorCalculus, p) -> float:
+    """``g^ij P_ij``, the metric trace of the Schouten tensor."""
+    gv = calc.geom.metric_field().dense(p, 0)[..., 0]
+    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    return float(np.sum(np.linalg.inv(gv) * Pv))
+
+
+def tracefree_ricci(calc: TractorCalculus, p) -> np.ndarray:
+    """``Ric - (S/(n+1)) g`` with the scalar curvature ``S`` at the point
+    itself."""
+    g = calc.geom.metric_field().dense(p, 0)[..., 0]
+    ricci = calc.pack_of(calc.levi_civita_splitting).dense("ricci", p, 0)[..., 0]
+    return ricci - scalar_curvature(calc, p) / (calc.n + 1) * g
+
+
+def gamma_form(calc: TractorCalculus, p) -> np.ndarray:
+    """``gamma = rho P + d(rho)^2 / (4 rho)`` (Prop 4.2); its tangential
+    boundary value is the metric of the conformal infinity."""
+    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    rho, grad = calc.geom.rho_and_drho(p)
+    return rho * Pv + np.outer(grad, grad) / (4.0 * rho)
+
+
+def t_vector(calc: TractorCalculus, p) -> np.ndarray:
+    """``t^a = -P^ab rho_b / (4 rho^2)`` (Prop 4.2); raises
+    ``numpy.linalg.LinAlgError`` where the Schouten tensor is singular."""
+    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    rho, grad = calc.geom.rho_and_drho(p)
+    return -np.linalg.inv(Pv) @ grad / (4.0 * rho**2)
+
+
+def h_form(calc: TractorCalculus, C: float, p) -> np.ndarray:
+    """``h = rho g - (C/rho) d(rho) d(rho)``: the tensor ``h`` of the
+    asymptotic form ``g = h/rho + C d(rho)^2/rho^2`` (Thm 2.5)."""
+    gv = calc.geom.metric_field().dense(p, 0)[..., 0]
+    rho, grad = calc.geom.rho_and_drho(p)
+    return rho * gv - (C / rho) * np.outer(grad, grad)
+
+
+def _lc_curvature(name: str) -> Callable:
+    def value(calc: TractorCalculus, p) -> np.ndarray:
+        return calc.pack_of(calc.levi_civita_splitting).dense(name, p, 0)[..., 0]
+
+    return value
+
+
+#: The point function ``f(calc, p)`` of each quantity ``tractorlab eval``
+#: evaluates pointwise; ``h_asymptotic`` also needs its constant and is
+#: :func:`h_form`.
+POINT_QUANTITIES: dict[str, Callable] = {
+    "scalar_curvature": scalar_curvature,
+    "schouten": _lc_curvature("schouten"),
+    "weyl": _lc_curvature("weyl"),
+    "cotton": _lc_curvature("cotton"),
+    "l_tau": lambda calc, p: l_tau(calc, p, 0, calc.reference).values(),
+    "gamma": gamma_form,
+    "t_vector": t_vector,
+}
+
+
 # -- asymptotic form of the metric ---------------------------------------------
 
 
@@ -456,22 +543,6 @@ class AsymptoticHReport:
     status: str
 
 
-def _h_form(geom: Geometry, gfield, C: float, p) -> np.ndarray:
-    """``rho g - (C/rho) d(rho) d(rho)`` at an interior point: the tensor
-    ``h`` of the asymptotic form for the constant ``C``."""
-    gv = gfield.dense(p, 0)[..., 0]
-    rho, grad = geom.rho_and_drho(p)
-    return rho * gv - (C / rho) * np.outer(grad, grad)
-
-
-def _pointwise_tracefree_ricci(pack: CurvaturePack, gfield, n: int, p) -> np.ndarray:
-    """``Ric - (S/(n+1)) g`` with the scalar curvature ``S`` at the point
-    itself."""
-    S = pack.dense("scalar", p, 0)[0]
-    g = gfield.dense(p, 0)[..., 0]
-    return pack.dense("ricci", p, 0)[..., 0] - S / (n + 1) * g
-
-
 def asymptotic_h(
     calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> AsymptoticHReport:
@@ -486,11 +557,10 @@ def asymptotic_h(
     """
     geom = calc.geom
     n = geom.dim - 1
-    pack = calc.pack_of(calc.levi_civita_splitting)
     ys = [ladder.y for ladder in ladders]
     s_limits = []
     for ladder in ladders:
-        est = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
+        est = boundary_limit(lambda p: scalar_curvature(calc, p), ladder)
         if est.diverged:
             return AsymptoticHReport(
                 ys, [], math.inf, math.nan, geom.params.get("C"),
@@ -507,11 +577,10 @@ def asymptotic_h(
         )
     C = -n * (n + 1) / (4.0 * s0)
 
-    gfield = geom.metric_field()
     h_limits, h_errors, min_eigs = [], [], []
     diverged = False
     for ladder in ladders:
-        est = boundary_limit(lambda p: _h_form(geom, gfield, C, p), ladder)
+        est = boundary_limit(lambda p: h_form(calc, C, p), ladder)
         diverged = diverged or est.diverged
         h_limits.append(np.asarray(est.value))
         h_errors.append(est.error)
@@ -593,7 +662,7 @@ def einstein_asymptotics(
     s_boundary = float(np.mean(hrep.scalar_limits))
     gfield = geom.metric_field()
 
-    def tracefree_ricci(p):
+    def adjusted_ricci(p):
         g = gfield.dense(p, 0)[..., 0]
         return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
 
@@ -603,22 +672,20 @@ def einstein_asymptotics(
         return (
             R
             + _delta_wedge(np.outer(grad, grad)) / (4.0 * rv**2)
-            + _delta_wedge(_h_form(geom, gfield, C, p)) / (4.0 * C * rv)
+            + _delta_wedge(h_form(calc, C, p)) / (4.0 * C * rv)
         )
 
     tf_errors, tail_errors = [], []
     diverged = False
     pointwise_diverges = False
     for ladder in ladders:
-        est = boundary_limit(tracefree_ricci, ladder)
+        est = boundary_limit(adjusted_ricci, ladder)
         diverged = diverged or est.diverged
         tf_errors.append(est.scaled_error())
         est2 = boundary_limit(tail, ladder)
         diverged = diverged or est2.diverged
         tail_errors.append(est2.scaled_error())
-        est3 = boundary_limit(
-            lambda p: _pointwise_tracefree_ricci(pack, gfield, n, p), ladder
-        )
+        est3 = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)
         pointwise_diverges = pointwise_diverges or est3.diverged
     return EinsteinAsymptoticsReport(
         hrep.points, tf_errors, tail_errors, pointwise_diverges,
@@ -633,24 +700,16 @@ def einstein_asymptotics(
 class BoundaryFrame:
     """Extrapolated tractor data of one boundary point.
 
-    Carries the boundary values of the tractor metric L(tau) and its
-    inverse in the reference splitting, the derived conformal data
-    (tauhat, t^a, psi, gamma and its tangential inverse), the tangential
-    basis, and the fiber map into the (beta; xi; sigma) splitting.
+    Carries the conformal data derived from the boundary value of the
+    tractor metric L(tau) (tauhat, psi, the tangential gamma and its
+    inverse), the tangential basis, the fiber map into the
+    (beta; xi; sigma) splitting and L(tau) in that splitting.
     """
 
     ladder: Ladder
-    drho: np.ndarray
     basis: np.ndarray  # (d, n) tangent columns
-    t_vec: np.ndarray
     tau_hat: float
     psi: float
-    scalar: float
-    C: float
-    gram: np.ndarray  # L(tau) values at the boundary, reference splitting
-    gram_inv: np.ndarray
-    gamma_full: np.ndarray
-    q_full: np.ndarray  # boundary value of P^ab / rho
     gamma_t: np.ndarray  # tangential gamma in the basis
     gamma_t_inv: np.ndarray
     split_map: np.ndarray  # fiber map (sigma; nu) -> (beta; xi; sigma)
@@ -664,7 +723,7 @@ class BoundaryFrame:
 
     @property
     def dim(self) -> int:
-        return len(self.drho)
+        return len(self.ladder.y)
 
     @property
     def n(self) -> int:
@@ -695,7 +754,7 @@ def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
     grams = [l_tau(calc, p, 0, calc.reference).values() for p in ladder.points]
     est_gram = richardson_limit(grams)
     est_tau = richardson_limit(
-        [calc.tau.value(p) / eps for eps, p in zip(ladder.eps, ladder.points)]
+        [calc.tau.dense(p, 0)[0] / eps for eps, p in zip(ladder.eps, ladder.points)]
     )
     if est_gram.diverged or est_tau.diverged:
         raise BoundaryExtensionError(
@@ -714,16 +773,10 @@ def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
             f"inverse tractor metric diverges at boundary point {y}"
         )
     gram_inv = np.asarray(est_inv.value)
-    q_full = tau_hat * gram_inv[1:, 1:]
     t_vec = tau_hat * gram_inv[0, 1:] / 2.0
     psi = tau_hat * gram_inv[0, 0]
     gamma_full = gram[1:, 1:] / tau_hat
     drho = geom.drho(y)
-
-    pack = calc.pack_of(calc.levi_civita_splitting)
-    est_S = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
-    scalar = float(est_S.value)
-    C = -n * (n + 1) / (4.0 * scalar) if abs(scalar) > 1e-10 else math.nan
 
     E = tangential_basis(geom, y)
     gamma_t = E.T @ gamma_full @ E
@@ -739,26 +792,18 @@ def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
     Binv = np.linalg.inv(B)
     gram_split = Binv.T @ gram @ Binv
 
+    # the boundary value of P^ab / rho is tau_hat times the gram_inv block
+    dual = (tau_hat * gram_inv[1:, 1:]) @ gamma_full + np.outer(t_vec, drho)
     diagnostics = {
-        "gram_error": est_gram.scaled_error(),
-        "tau_hat_error": est_tau.error,
-        "scalar_error": est_S.error,
         "isotropy_T1": abs(gram[0, 0]) / tau_hat,
-        "middle_slot_defect": float(
-            np.max(np.abs(gram[0, 1:] / tau_hat - 0.5 * drho))
-        ),
         "t_dot_drho": float(t_vec @ drho),
-        "dual_gamma_defect": float(
-            np.max(np.abs(q_full @ gamma_full + np.outer(t_vec, drho) - np.eye(d)))
-        ),
+        "dual_gamma_defect": float(np.max(np.abs(dual - np.eye(d)))),
         "gamma_min_singular_value": float(
             np.min(np.abs(np.linalg.svd(gamma_t, compute_uv=False)))
         ),
-        "det_scaled": det_scaled,
     }
     return BoundaryFrame(
-        ladder, drho, E, t_vec, tau_hat, psi, scalar, C, gram, gram_inv,
-        gamma_full, q_full, gamma_t, gamma_t_inv, B, Binv, gram_split,
+        ladder, E, tau_hat, psi, gamma_t, gamma_t_inv, B, Binv, gram_split,
         diagnostics,
     )
 
@@ -1006,15 +1051,12 @@ def asymptotically_parallel_check(
             False, math.nan, math.nan,
         )
     pack = calc.pack_of(calc.levi_civita_splitting)
-    gfield = geom.metric_field()
 
     def bottom_slot(p):
-        return calc.tau.value(p) * pack.dense("schouten_derivative", p, 0)[..., 0]
+        return calc.tau.dense(p, 0)[0] * pack.dense("schouten_derivative", p, 0)[..., 0]
 
     est_h = boundary_limit(bottom_slot, ladder)
-    est_tf = boundary_limit(
-        lambda p: _pointwise_tracefree_ricci(pack, gfield, n, p), ladder
-    )
+    est_tf = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)
     hyp = float(np.max(np.abs(est_h.value))) if not est_h.diverged else math.inf
     tf = float(np.max(np.abs(est_tf.value))) if not est_tf.diverged else math.inf
     equivalence = (hyp <= 1e-5) == (tf <= 1e-5)

@@ -29,7 +29,7 @@ from .expr import ExprError
 from .extrapolate import boundary_ladder, boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
 from .jets import JetError
-from .tractor import TractorCalculus, l_tau
+from .tractor import TractorCalculus
 from .verify import SamplingPlan, run_suite
 
 EVAL_QUANTITIES = (
@@ -237,8 +237,6 @@ def _eval_quantity(geom, args, plan):
     d = geom.dim
     quantity = args.quantity
     calc = TractorCalculus(geom)
-    pack = calc.pack_of(calc.levi_civita_splitting)
-    gfield = geom.metric_field()
 
     def constructor_c():
         c = bdy._constructor_c(geom)
@@ -249,42 +247,15 @@ def _eval_quantity(geom, args, plan):
             )
         return c
 
-    def gamma_at(p):
-        Pv = pack.dense("schouten", p, 0)[..., 0]
-        rho, grad = geom.rho_and_drho(p)
-        return rho * Pv + np.outer(grad, grad) / (4.0 * rho)
-
-    def t_at(p):
-        Pv = pack.dense("schouten", p, 0)[..., 0]
-        rho, grad = geom.rho_and_drho(p)
+    def pointwise(p):
+        if quantity == "h_asymptotic":
+            return bdy.h_form(calc, constructor_c(), p)
         try:
-            Pinv = np.linalg.inv(Pv)
+            return bdy.POINT_QUANTITIES[quantity](calc, p)
         except np.linalg.LinAlgError:
             raise ConfigError(
-                f"the Schouten tensor is singular at {p}, so t_vector is undefined"
+                f"the Schouten tensor is singular at {p}, so {quantity} is undefined"
             ) from None
-        return -Pinv @ grad / (4.0 * rho**2)
-
-    def h_at(p):
-        C = constructor_c()
-        gv = gfield.dense(p, 0)[..., 0]
-        rho, grad = geom.rho_and_drho(p)
-        return rho * gv - (C / rho) * np.outer(grad, grad)
-
-    def pointwise(p):
-        if quantity == "scalar_curvature":
-            return pack.dense("scalar", p, 0)[0]
-        if quantity in ("schouten", "weyl", "cotton"):
-            return pack.dense(quantity, p, 0)[..., 0]
-        if quantity == "h_asymptotic":
-            return h_at(p)
-        if quantity == "l_tau":
-            return l_tau(calc, p, 0, calc.reference).values()
-        if quantity == "gamma":
-            return gamma_at(p)
-        if quantity == "t_vector":
-            return t_at(p)
-        raise ConfigError(f"quantity {quantity!r} needs a boundary point")
 
     if args.point is not None:
         p = _parse_point(args.point, d)

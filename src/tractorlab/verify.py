@@ -206,18 +206,37 @@ def _scaled(residual: float, scale: float) -> float:
     return residual / (1.0 + scale)
 
 
+def _per_ladder(ladders, f, judge):
+    """Extrapolate the point function ``f`` along each ladder and judge each
+    finite limit: ``judge(k, est)`` gets the ladder's index and its estimate
+    and returns ``(residual, detail)``.  A diverged limit makes the residual
+    infinite and its detail ``{"point", "diverged": True}``.  Returns the
+    worst residual and the per-ladder details, each led by its point."""
+    residual = 0.0
+    details = []
+    for k, ladder in enumerate(ladders):
+        est = boundary_limit(f, ladder)
+        if est.diverged:
+            residual = math.inf
+            details.append({"point": list(ladder.y), "diverged": True})
+            continue
+        r, detail = judge(k, est)
+        residual = max(residual, r)
+        details.append({"point": list(ladder.y), **detail})
+    return residual, details
+
+
 # -- check runners ---------------------------------------------------------------
 
 
 def _run_extend(geom, plan, rng, session):
     calc = session.calc
     sigma = calc.metricity_field()
-    pack = calc.pack_of(calc.levi_civita_splitting)
     residual = 0.0
     details = []
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     for ladder in ladders:
-        est_s = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
+        est_s = boundary_limit(lambda p: bd.scalar_curvature(calc, p), ladder)
         r = math.inf if est_s.diverged else est_s.scaled_error()
         residual = max(residual, r)
         est_t = boundary_limit(
@@ -236,75 +255,56 @@ def _run_extend(geom, plan, rng, session):
 
 
 def _run_dense(geom, plan, rng, session):
-    d = geom.dim
-    n = d - 1
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    n = geom.dim - 1
+    calc = session.calc
     gfield = geom.metric_field()
 
     def slots(p):
         ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
-        Pv = pack.dense("schouten", p, 0)[..., 0]
         rv, grad = geom.rho_and_drho(p)
         f1 = ginv / rv
         f2 = ginv @ grad / rv**2
-        f3 = float(np.sum(ginv * Pv)) / (n + 1) + float(grad @ ginv @ grad) / (
+        f3 = bd.schouten_trace(calc, p) / (n + 1) + float(grad @ ginv @ grad) / (
             4 * rv**2
         )
         return np.concatenate([f1.ravel(), f2, [f3]])
 
-    residual = 0.0
-    details = []
-    ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    for ladder in ladders:
-        est = boundary_limit(slots, ladder)
-        if est.diverged:
-            residual = math.inf
-            details.append({"point": list(ladder.y), "diverged": True})
-            continue
+    def judge(k, est):
         vals = np.asarray(est.value)
-        f3_limit = abs(float(vals[-1]))
-        residual = max(residual, est.scaled_error(), f3_limit)
-        details.append({
-            "point": list(ladder.y),
+        r = max(est.scaled_error(), abs(float(vals[-1])))
+        return r, {
             "extrapolation_error": est.scaled_error(),
             "vanishing_combination_limit": float(vals[-1]),
-        })
+        }
+
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    residual, details = _per_ladder(ladders, slots, judge)
     return residual, len(ladders), details
 
 
 def _run_prop23_h(geom, plan, rng, session):
-    d = geom.dim
-    n = d - 1
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    n = geom.dim - 1
+    calc = session.calc
     gfield = geom.metric_field()
 
     def h23(p):
         gv = gfield.dense(p, 0)[..., 0]
-        gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
+        gP = bd.schouten_trace(calc, p)
         rho, grad = geom.rho_and_drho(p)
         return rho * gv + (n + 1) / (4 * rho * gP) * np.outer(grad, grad)
 
-    residual = 0.0
-    details = []
-    ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    for ladder in ladders:
-        est = boundary_limit(h23, ladder)
-        if est.diverged:
-            residual = math.inf
-            details.append({"point": list(ladder.y), "diverged": True})
-            continue
-        E = bd.tangential_basis(geom, ladder.y)
+    def judge(k, est):
+        E = bd.tangential_basis(geom, ladders[k].y)
         tang = E.T @ np.asarray(est.value) @ E
         min_eig = float(np.min(np.abs(np.linalg.eigvalsh(tang))))
-        r = est.scaled_error()
-        if min_eig < 1e-6:
-            r = max(r, math.inf)
-        residual = max(residual, r)
-        details.append({
-            "point": list(ladder.y),
+        r = est.scaled_error() if min_eig >= 1e-6 else math.inf
+        return r, {
             "extrapolation_error": est.scaled_error(),
             "tangential_min_eig": min_eig,
-        })
+        }
+
+    ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    residual, details = _per_ladder(ladders, h23, judge)
     return residual, len(ladders), details
 
 
@@ -340,16 +340,15 @@ def _run_transversal(geom, plan, rng, session):
 
 
 def _run_mu(geom, plan, rng, session):
-    d = geom.dim
-    n = d - 1
+    n = geom.dim - 1
+    calc = session.calc
     gfield = geom.metric_field()
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 4))
     extrapolated = []
     residual = 0.0
     details = []
     curves = bd.geodetic_transversals(
-        session.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
+        calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
     for ladder, curve in zip(ladders, curves):
         def qty_at(k):
@@ -367,12 +366,9 @@ def _run_mu(geom, plan, rng, session):
             ladder_vals.append(geom.rho_value(p) ** 2 * float(v @ gv @ v))
         est = richardson_limit(ladder_vals)
 
-        def rhs(p):
-            gv = gfield.dense(p, 0)[..., 0]
-            gP = float(np.sum(np.linalg.inv(gv) * pack.dense("schouten", p, 0)[..., 0]))
-            return -(n + 1) / (4.0 * gP)
-
-        est_rhs = boundary_limit(rhs, ladder)
+        est_rhs = boundary_limit(
+            lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladder
+        )
         value_defect = abs(float(est.value) - float(est_rhs.value))
         # variation facet tolerance 1e-6 vs check tolerance 1e-5
         residual = max(residual, variation * 10.0, est.error, value_defect)
@@ -390,20 +386,17 @@ def _run_mu(geom, plan, rng, session):
 
 
 def _run_s_const(geom, plan, rng, session):
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    calc = session.calc
     ladders = session.ladders(rng, max(plan.boundary_points, 5))
     limits = []
-    residual = 0.0
-    details = []
-    for ladder in ladders:
-        est = boundary_limit(lambda p: pack.dense("scalar", p, 0)[0], ladder)
-        if est.diverged:
-            residual = math.inf
-            details.append({"point": list(ladder.y), "diverged": True})
-            continue
+
+    def judge(k, est):
         limits.append(float(est.value))
-        residual = max(residual, est.scaled_error())
-        details.append({"point": list(ladder.y), "scalar_limit": float(est.value)})
+        return est.scaled_error(), {"scalar_limit": float(est.value)}
+
+    residual, details = _per_ladder(
+        ladders, lambda p: bd.scalar_curvature(calc, p), judge
+    )
     if limits:
         spread = max(limits) - min(limits)
         residual = max(residual, _scaled(spread, abs(np.mean(limits))))
@@ -440,38 +433,33 @@ def _run_pff(geom, plan, rng, session):
     alpha = geom.alpha
     pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    residual = 0.0
-    details = []
-    for ladder in ladders:
-        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
+    # every form draws from rng before any limit, diverged ladders included
+    sffs = [bd.second_fundamental_form(session.calc, lad, rng=rng) for lad in ladders]
 
-        def lhs(p):
-            Pv = pack.dense("schouten", p, 0)[..., 0]
-            rho, grad = geom.rho_and_drho(p)
-            return rho * Pv + (alpha - 1) / alpha**2 / rho * np.outer(grad, grad)
+    def lhs(p):
+        Pv = pack.dense("schouten", p, 0)[..., 0]
+        rho, grad = geom.rho_and_drho(p)
+        return rho * Pv + (alpha - 1) / alpha**2 / rho * np.outer(grad, grad)
 
-        est = boundary_limit(lhs, ladder)
-        if est.diverged:
-            residual = math.inf
-            details.append({"point": list(ladder.y), "diverged": True})
-            continue
+    def judge(k, est):
+        sff = sffs[k]
         target = sff.full / alpha
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
-        residual = max(residual, _scaled(gap, scale))
         # conformal/projective invariance facets carry tolerance 1e-6
-        residual = max(
-            residual,
+        r = max(
+            _scaled(gap, scale),
             sff.conformal_factor_defect * 10.0,
             sff.projective_change_defect * 10.0,
         )
-        details.append({
-            "point": list(ladder.y),
+        return r, {
             "schouten_asymptotics_gap": gap,
             "conformal_factor_defect": sff.conformal_factor_defect,
             "projective_change_defect": sff.projective_change_defect,
             "tangential_min_abs_eig": sff.min_abs_eigenvalue,
-        })
+        }
+
+    residual, details = _per_ladder(ladders, lhs, judge)
     return residual, len(ladders), details
 
 
@@ -509,18 +497,12 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     power = 1 if order_one else 2
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    residual = 0.0
-    details = []
 
     def scaled_riemann(p):
         return geom.rho_value(p) ** power * pack.riemann(p, 0)[..., 0]
 
-    for ladder in ladders:
-        est = boundary_limit(scaled_riemann, ladder)
-        if est.diverged:
-            residual = math.inf
-            details.append({"point": list(ladder.y), "diverged": True})
-            continue
+    def judge(k, est):
+        ladder = ladders[k]
         if order_one:
             x = bd.hessian_of_rho(
                 geom, ladder.y, bd.extended_christoffels(session.calc.hat, ladder)
@@ -531,8 +513,9 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         target = bd._delta_wedge(x)
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
-        residual = max(residual, _scaled(gap, scale))
-        details.append({"point": list(ladder.y), "curvature_asymptotics_gap": gap})
+        return _scaled(gap, scale), {"curvature_asymptotics_gap": gap}
+
+    residual, details = _per_ladder(ladders, scaled_riemann, judge)
     return residual, len(ladders), details
 
 
@@ -589,22 +572,20 @@ def _run_splitids(geom, plan, rng, session):
     for p in pts:
         # The identities compare values, so the tractor quantities are
         # evaluated at jet order 0; only rho needs its gradient.
-        P_jets = pack.dense("schouten", p, 0)
-        P, Pinv = P_jets[..., 0], jet_inverse(P_jets, space)[..., 0]
+        Pinv = jet_inverse(pack.dense("schouten", p, 0), space)[..., 0]
         rho, grad = geom.rho_and_drho(p)
         Linv = tractor_metric_inverse(l_tau(calc, p, 0, calc.reference))
         tau_hat = calc.tau_hat_dense(p, 0)[0]
         top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
         # slot identifications of the inverse tractor metric
         t_vec = tau_hat * mid * 0.5
-        t_formula = (Pinv @ grad) * (-0.25) / (rho * rho)
         gap = max(
-            float(np.max(np.abs(t_vec - t_formula))),
+            float(np.max(np.abs(t_vec - bd.t_vector(calc, p)))),
             float(np.max(np.abs(tau_hat * top - Pinv / rho) / (1 + np.abs(Pinv / rho)))),
         )
         psi = tau_hat * bot
         # the three splitting identities
-        gamma = rho * P + np.outer(grad, grad) / (4.0 * rho)
+        gamma = bd.gamma_form(calc, p)
         id1 = t_vec @ grad - (1.0 - rho * psi)
         id2 = t_vec @ gamma + 0.25 * psi * grad
         id3 = np.outer(t_vec, grad) + (Pinv / rho) @ gamma - eye
@@ -614,10 +595,7 @@ def _run_splitids(geom, plan, rng, session):
         details.append({"point": list(p), "identity_residual": gap})
     # boundary limit of t.drho -> 1 (tolerance 1e-5 vs headline 1e-8)
     def t_dot(pt):
-        Pv = pack.dense("schouten", pt, 0)[..., 0]
-        rho, grad = geom.rho_and_drho(pt)
-        tv = -np.linalg.inv(Pv) @ grad / (4 * rho**2)
-        return float(tv @ grad)
+        return float(bd.t_vector(calc, pt) @ geom.drho(pt))
 
     for ladder in session.ladders(rng, 2):
         est = boundary_limit(t_dot, ladder)
@@ -905,7 +883,7 @@ def _instance_matches(calc: TractorCalculus, p) -> float:
     order = 0
     rho, grad = geom.rho_and_drho(p)
     tau_hat = calc.tau_hat_dense(p, order)[0]
-    tau = calc.tau.value(p)
+    tau = calc.tau.dense(p, order)[0]
     P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, order)[..., 0]
     g_jets = geom.metric_field().dense(p, order)
     g = g_jets[..., 0]
@@ -926,7 +904,7 @@ def _instance_matches(calc: TractorCalculus, p) -> float:
     # the metricity tractor in the reference splitting
     H = bgg_split_metricity(calc, calc.metricity_field(), calc.reference, p, order)
     top, mid, bot = (x[..., 0] for x in s2t_slots(H))
-    gP = float(np.sum(ginv * P))
+    gP = bd.schouten_trace(calc, p)
     gq = float(grad @ ginv @ grad)
     expect_bot = gP / tau * (1.0 / (n + 1)) + gq / tau / (4.0 * rho * rho)
     gap = max(

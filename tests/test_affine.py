@@ -274,8 +274,8 @@ def test_metric_is_parallel(name, dim):
 def test_tau_is_parallel_and_equals_rho(klein3, rng):
     tau = canonical_tau(klein3)
     p = klein3.interior_points(1, rng)[0]
-    assert tau.value(p) == pytest.approx(klein3.rho_value(p), abs=1e-14)
-    dtau = covariant_derivative(tau.as_field(), levi_civita(klein3))
+    assert tau.dense(p, 0)[0] == pytest.approx(klein3.rho_value(p), abs=1e-14)
+    dtau = covariant_derivative(tau, levi_civita(klein3))
     assert max_value(dtau.dense(p, 1)) < 1e-9
 
 
@@ -319,7 +319,7 @@ def test_density_sign_is_pinned(klein3, rng):
     # the opposite transport sign does not preserve tau
     tau = canonical_tau(klein3)
     p = klein3.interior_points(1, rng)[0]
-    wrong = covariant_derivative(tau.as_field(), levi_civita(klein3),
+    wrong = covariant_derivative(tau, levi_civita(klein3),
                                  density_sign=-1.0)
     assert max_value(wrong.dense(p, 0)) > 1e-2
 
@@ -335,10 +335,8 @@ def test_tau_hat_parallel_for_rho_connection(klein3, rng):
         inv_rho = jet_reciprocal(geom.rho_dense(point, order), space)
         return jet_mul(tau.dense(point, order), inv_rho, space)
 
-    from tractorlab.affine import Density
-
-    tau_hat = Density(geom.chart, 2.0, tau_hat_component, name="tauhat")
-    field = covariant_derivative(tau_hat.as_field(), hat)
+    tau_hat = TensorField(geom.chart, "", tau_hat_component, weight=2.0, name="tauhat")
+    field = covariant_derivative(tau_hat, hat)
     for p in geom.interior_points(3, rng):
         assert max_value(field.dense(p, 0)) < 1e-9
 

@@ -127,6 +127,26 @@ def test_rho2_g_mu_mu_constant_and_quarter(klein3):
     assert vals.mean() == pytest.approx(0.25, abs=1e-5)
 
 
+def test_at_rho_raises_when_newton_cannot_reach_the_level(flat3):
+    # rho = 1 - x0 on flat3; the stored rhos claim the step spans rho in
+    # [0, 0.1], but the positions run along x0 from 0.5 to 0.4, where rho is
+    # 0.5..0.6, and the clamped Hermite parameter keeps Newton above 0.45
+    curve = bd.TransversalCurve(
+        flat3, (1.0, 0.2, 0.1), np.array([-1.0, 0.0, 0.0]),
+        ts=np.array([0.0, 0.1]),
+        points=np.array([[0.5, 0.2, 0.1], [0.4, 0.2, 0.1]]),
+        mus=np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        accs=np.zeros((2, 3)),
+        rhos=np.array([0.0, 0.1]),
+    )
+    with pytest.raises(GeometryError, match="rho=0.05"):
+        curve.at_rho(0.05)
+    # the same step with consistent rhos locates the level
+    curve.rhos = np.array([0.5, 0.6])
+    x, _ = curve.at_rho(0.55)
+    assert flat3.rho_value(x) == pytest.approx(0.55, abs=1e-14)
+
+
 def test_poincare_transversal_fails(poincare3):
     with pytest.raises(bd.BoundaryExtensionError):
         _transversal(poincare3, (1.0, 0.0, 0.0))
@@ -316,7 +336,8 @@ def test_boundary_frame_klein(calc3):
     frame = bd.boundary_frame(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
     assert frame.tau_hat == pytest.approx(1.0, abs=1e-10)
     assert frame.psi == pytest.approx(1.0, abs=1e-9)
-    assert frame.scalar == pytest.approx(-6.0, abs=1e-8)
+    scalar = boundary_limit(lambda p: bd.scalar_curvature(calc3, p), frame.ladder)
+    assert scalar.value == pytest.approx(-6.0, abs=1e-8)
     assert np.allclose(frame.gamma_t, -np.eye(2), atol=1e-9)
     assert frame.diagnostics["isotropy_T1"] < 1e-8
     assert frame.diagnostics["t_dot_drho"] == pytest.approx(1.0, abs=1e-6)
@@ -338,10 +359,12 @@ def test_boundary_bundle_flat_degenerate(flat3):
         bd.boundary_frame(calc, ladder(flat3, (1.0, 0.2, 0.1)))
 
 
-def test_af2_boundary_frame_and_gram(af2_frame):
+def test_af2_boundary_frame_and_gram(calc_af2, af2_frame):
     frame = af2_frame
-    assert frame.scalar == pytest.approx(-12.0, abs=1e-5)
-    assert frame.C == pytest.approx(0.25, abs=1e-6)
+    scalar = boundary_limit(lambda p: bd.scalar_curvature(calc_af2, p), frame.ladder)
+    assert scalar.value == pytest.approx(-12.0, abs=1e-5)
+    n = frame.n
+    assert -n * (n + 1) / (4.0 * scalar.value) == pytest.approx(0.25, abs=1e-6)
     expected = bd.expected_gram_split(frame)
     assert np.max(np.abs(frame.gram_split - expected)) < 1e-7
 

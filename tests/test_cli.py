@@ -2,9 +2,15 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from tractorlab.cli import main
+from tractorlab.boundary import POINT_QUANTITIES
+from tractorlab.cli import EVAL_QUANTITIES, main
+from tractorlab.extrapolate import boundary_ladder, boundary_limit
+from tractorlab.fields import builtin_geometry
+from tractorlab.tractor import TractorCalculus
+from tractorlab.verify import SamplingPlan
 
 
 def _reject(name):
@@ -198,6 +204,33 @@ def test_eval_without_boundary_value_exits_two(quantity, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("geometry,dim,y", [
+    ("klein", 3, (0.6, 0.0, 0.8)),
+    ("af2_generic", 4, (0.0, 0.3, -0.2, 0.4)),
+])
+@pytest.mark.parametrize("quantity", ["scalar_curvature", "gamma", "t_vector"])
+def test_eval_extrapolates_the_table_point_function(geometry, dim, y, quantity, capsys):
+    # eval and the checks share one point function per quantity: the eval's
+    # boundary value is, float for float, the limit of the table entry
+    code = main([
+        "eval", "--geometry", geometry, "--dim", str(dim), "--quantity", quantity,
+        "--boundary-point=" + ",".join(map(str, y)), "--extrapolate",
+    ])
+    assert code == 0
+    doc = strict_loads(capsys.readouterr().out)
+    calc = TractorCalculus(builtin_geometry(geometry, dim))
+    plan = SamplingPlan()
+    lad = boundary_ladder(calc.geom, y, eps0=plan.eps0, levels=plan.levels)
+    est = boundary_limit(lambda p: POINT_QUANTITIES[quantity](calc, p), lad)
+    value = doc["full"] if quantity == "gamma" else doc["value"]
+    assert value == np.asarray(est.value).tolist()
+    assert doc["extrapolation_error"] == est.error
+
+
+def test_point_quantities_cover_the_pointwise_eval_quantities():
+    assert set(POINT_QUANTITIES) == set(EVAL_QUANTITIES) - {"h_asymptotic", "phi"}
 
 
 def _klein_doc():

@@ -7,7 +7,9 @@ ladders are placed once per boundary point and passed as values, so the
 ladder settings ``eps0`` and ``levels`` are named only where a ladder is
 placed (``extrapolate``) and where a sampling plan sets them (``verify``,
 ``cli``).  A run's connections, curvature packs and tau are built by its
-``TractorCalculus`` alone, so only ``tractor`` calls their builders."""
+``TractorCalculus`` alone, so only ``tractor`` calls their builders.  The
+point functions of the boundary quantities live in ``boundary``, so the
+command line evaluates no tensor, curvature pack or inverse of its own."""
 
 import ast
 import importlib
@@ -31,11 +33,16 @@ REMOVED = {
     "geodetic_transversal", "mu0s",
     "geometry_curvature", "metric_tractor_connection", "christoffels",
     "s2tstar_slots", "n_upper", "n_lower", "divergence_floor",
+    "gamma_at", "t_at", "h_at", "_h_form", "_pointwise_tracefree_ricci",
+    "Density", "q_full",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;
 #: only the calculus (``tractor.py``) calls them.
 BUILDERS = {"levi_civita", "rho_connection", "canonical_tau", "CurvaturePack"}
+
+#: Calls ``cli.py`` leaves to the point functions of ``boundary``.
+CLI_FORBIDDEN = {"dense", "pack_of", "np.linalg.inv"}
 
 #: The modules that place ladders or set their sampling plan.
 LADDER_SETTINGS = {"eps0", "levels"}
@@ -113,3 +120,14 @@ def test_every_export_resolves():
         )
     assert "curvature" not in tractorlab._EXPORTS
     assert not hasattr(importlib.import_module("tractorlab.affine"), "curvature")
+
+
+def test_cli_evaluates_through_the_boundary_point_functions():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in CLI_FORBIDDEN or name.rsplit(".", 1)[-1] in CLI_FORBIDDEN:
+                found.append((name, node.lineno))
+    assert not found, f"cli.py calls {sorted(found)}"
