@@ -78,14 +78,10 @@ class Connection:
         self,
         chart: Chart,
         evaluator: Callable[[Point, int], np.ndarray],
-        torsion_free: bool = True,
-        special: bool = False,
         exact_boundary: Callable[[Point, int], np.ndarray] | None = None,
     ):
         self.chart = chart
         self._evaluator = evaluator
-        self.torsion_free = torsion_free
-        self.special = special
         self.exact_boundary = exact_boundary
         self._cache: dict = {}
 
@@ -145,25 +141,20 @@ def levi_civita(geom_or_field) -> Connection:
         core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
         return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
 
-    return Connection(chart, evaluator, torsion_free=True, special=True)
+    return Connection(chart, evaluator)
 
 
 def projective_modify(
     conn: Connection,
     upsilon: Callable[[Point, int], np.ndarray] | TensorField,
-    special: bool | None = None,
 ) -> Connection:
     """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
 
     ``upsilon(point, order)`` returns the one-form as a dense ``(d, ncoeff)``
-    jet array (or is a :class:`TensorField`).
-    Torsion-freeness is preserved.
-    The modified connection preserves a volume density exactly when the
-    base does and the one-form is closed; pass ``special`` to assert that
-    (``rho_connection`` does), otherwise the flag is dropped.
+    jet array (or is a :class:`TensorField`).  The change keeps a
+    torsion-free base torsion free, and a special one (preserving a volume
+    density) special when the one-form is closed.
     """
-    if not conn.torsion_free:
-        raise ValueError("projective modification requires a torsion-free base")
     if not isinstance(upsilon, TensorField):
         upsilon = TensorField(conn.chart, "d", upsilon)
     eye = np.eye(conn.dim)
@@ -176,9 +167,7 @@ def projective_modify(
             + np.einsum("cb,a...->cab...", eye, u)
         )
 
-    return Connection(
-        conn.chart, evaluator, torsion_free=True, special=bool(special)
-    )
+    return Connection(conn.chart, evaluator)
 
 
 def rho_one_form(geom: Geometry) -> TensorField:
@@ -203,7 +192,7 @@ def rho_connection(geom: Geometry, base: Connection) -> Connection:
     machinery in module ``boundary`` (or from an exact closed form attached
     to the geometry, as for the Klein model).
     """
-    conn = projective_modify(base, rho_one_form(geom), special=base.special)
+    conn = projective_modify(base, rho_one_form(geom))
     conn.exact_boundary = geom.exact_hat_christoffels
     return conn
 

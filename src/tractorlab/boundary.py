@@ -563,7 +563,7 @@ def asymptotic_h(
         est = boundary_limit(lambda p: scalar_curvature(calc, p), ladder)
         if est.diverged:
             return AsymptoticHReport(
-                ys, [], math.inf, math.nan, geom.params.get("C"),
+                ys, [], math.inf, math.nan, _constructor_c(geom),
                 [], [], True, [], "scalar curvature diverges at the boundary",
             )
         s_limits.append(float(est.value))
@@ -599,19 +599,10 @@ def asymptotic_h(
 
 def _constructor_c(geom: Geometry) -> float | None:
     """The constant C the geometry was built with, at the origin of the
-    chart; None when it has none or it does not parse or evaluate."""
-    src = geom.params.get("C")
-    if src is None:
-        if geom.name == "klein":
-            return 0.25
-        return None
-    from . import expr as ex
-
-    try:
-        node = ex.parse_expr(str(src))
-        return float(ex.evaluate(node, {c: 0.0 for c in geom.chart.coord_names}))
-    except (ex.ExprError, ArithmeticError, ValueError, KeyError):
-        return None
+    chart (1/4 for the Klein model, by name); None when it has none."""
+    if geom.constructor_C is None and geom.name == "klein":
+        return 0.25
+    return geom.constructor_C
 
 
 def _delta_wedge(x: np.ndarray) -> np.ndarray:

@@ -16,23 +16,21 @@ construction -- there are no conditionals or piecewise definitions.
 ``parse_expr`` and ``expr_to_source`` are mutually inverse on ASTs, which is
 what makes geometry files diffable.
 
-Jets of expressions come from a compiled :class:`Tape`: ``compile_tape``
-turns a list of ASTs into one flat instruction list in which identical
-subtrees share a slot, integer powers are products and constant subtrees are
-folded to floats (a fold without a finite real value raises
-:class:`ExprError`).  The tape runs on dense jet rows with the kernels of
-module ``jets``, at one point or at a batch of points; fields and the
-defining function of a geometry are evaluated this way.  :func:`evaluate`
-is the generic-algebra reference: over floats it yields plain values; any
-other algebra (mpmath numbers, scalar jets) comes with its own ``call``
-for the function applications.
+Expressions are evaluated only through a compiled :class:`Tape`:
+``compile_tape`` turns a list of ASTs into one flat instruction list in
+which identical subtrees share a slot, integer powers are products and
+constant subtrees are folded to floats (a fold without a finite real value
+raises :class:`ExprError`).  The tape runs on dense jet rows with the
+kernels of module ``jets``, at one point or at a batch of points; fields,
+the defining function and the asymptotic-form constant ``C`` of a geometry
+are evaluated this way, the last as an order-0 jet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -53,7 +51,6 @@ __all__ = [
     "FUNCTION_NAMES",
     "parse_expr",
     "expr_to_source",
-    "evaluate",
     "expr_variables",
     "Tape",
     "compile_tape",
@@ -371,7 +368,7 @@ def expr_to_source(e: Expr) -> str:
     return _to_source(e, 0)
 
 
-# -- evaluation ----------------------------------------------------------
+# -- traversal -----------------------------------------------------------
 
 
 def _children(e: Expr) -> tuple:
@@ -397,45 +394,11 @@ def expr_variables(e: Expr) -> set[str]:
     return names
 
 
+# -- compiled tapes --------------------------------------------------------
+
+
 def _math_call(func: str, value: float) -> float:
     return getattr(math, func)(value)
-
-
-def evaluate(
-    e: Expr,
-    env: Mapping[str, object],
-    call: Callable[[str, object], object] = _math_call,
-):
-    """Evaluate an AST over any algebra with +, -, *, /, ** operators.
-
-    ``env`` maps variable names to values; ``call`` dispatches function
-    applications and defaults to the float functions of :mod:`math`.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"unknown identifier {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env, call)
-    if isinstance(e, Add):
-        return evaluate(e.left, env, call) + evaluate(e.right, env, call)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env, call) - evaluate(e.right, env, call)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env, call) * evaluate(e.right, env, call)
-    if isinstance(e, Div):
-        return evaluate(e.left, env, call) / evaluate(e.right, env, call)
-    if isinstance(e, Pow):
-        return evaluate(e.base, env, call) ** e.exponent
-    if isinstance(e, Call):
-        return call(e.func, evaluate(e.arg, env, call))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# -- compiled tapes --------------------------------------------------------
 
 
 def _fold(op: str, *args: float, param: float | None = None) -> float:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .jets import jet_space
+from .jets import JetError, jet_space
 
 __all__ = [
     "Chart",
@@ -224,7 +224,7 @@ class Geometry:
     rho: ex.Expr
     alpha: float
     metric: np.ndarray  # (dim, dim) object array of Expr
-    params: dict = field(default_factory=dict)
+    constructor_C: float | None = None  # an asymptotic form's C at the origin
     interior_box: tuple[np.ndarray, np.ndarray] | None = None
     boundary_sampler: Callable | None = None
     exact_hat_christoffels: Callable | None = None
@@ -368,11 +368,10 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
                 )
 
 
-def _tangential_h_check(geom: Geometry, h_exprs: np.ndarray,
+def _tangential_h_check(geom: Geometry, h: np.ndarray,
                         rng: np.random.Generator) -> None:
     """The asymptotic-form data h must be nondegenerate tangentially at rho=0."""
-    chart = geom.chart
-    hfield = TensorField.from_exprs(chart, h_exprs, "dd", name="h", sym=((0, 1),))
+    hfield = TensorField.from_exprs(geom.chart, h, "dd", name="h", sym=((0, 1),))
     for y in geom.boundary_points(3, rng):
         tang = hfield.dense(y, 0)[1:, 1:, 0]
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
@@ -452,71 +451,91 @@ def _af_coords(dim: int) -> tuple[str, ...]:
 
 
 def _default_h_exprs(dim: int, coords: tuple[str, ...]) -> np.ndarray:
-    h = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                h[i, j] = "0"
-            elif i == 0:
-                h[i, j] = "1"
-            else:
-                h[i, j] = f"1 + rho*{coords[i]}^2"
+    h = np.full((dim, dim), "0", dtype=object)
+    h[0, 0] = "1"
+    for i in range(1, dim):
+        h[i, i] = f"1 + rho*{coords[i]}^2"
     return h
+
+
+def _source_expr(source, coords: tuple[str, ...], what: str) -> ex.Expr:
+    """One asymptotic-form source as an AST in the chart coordinates: text
+    is parsed, a number is a literal and an AST is checked for unknown
+    names."""
+    if isinstance(source, str):
+        return ex.parse_expr(source, coords)
+    if isinstance(source, (int, float)):
+        return ex.Num(float(source))
+    if isinstance(source, ex.Expr):
+        unknown = ex.expr_variables(source) - set(coords)
+        if unknown:
+            raise ex.ExprError(f"unknown identifier(s) {sorted(unknown)}")
+        return source
+    raise GeometryError(f"{what} must be an expression, got {source!r}")
 
 
 def _make_asymptotic_form(
     dim: int,
     alpha: float,
     C,
-    h_exprs: np.ndarray | None,
+    h,
     name: str,
+    rng: np.random.Generator,
     coords: tuple[str, ...] | None = None,
 ) -> Geometry:
+    """``g = h/rho^p + C d(rho)^2/rho^(2p)`` with ``p = 2/alpha``.
+
+    ``C`` and the entries of the ``dim x dim`` matrix ``h`` (default
+    ``h_00 = 1``, ``h_ii = 1 + rho y_i^2``) are source text, numbers or
+    ASTs; each is parsed once, and the metric is built from the parsed
+    ASTs.  ``C`` must have a finite nonzero value at the chart origin, kept
+    as ``constructor_C``, and ``h`` must be nondegenerate tangentially at
+    ``rho = 0``.
+    """
     if coords is None:
         coords = _af_coords(dim)
+    h = _default_h_exprs(dim, coords) if h is None else np.array(h, dtype=object)
+    if h.shape != (dim, dim):
+        raise GeometryError(f"h must be {dim}x{dim}, got {h.shape}")
     if abs(round(2.0 / alpha) - 2.0 / alpha) > 1e-12:
         raise GeometryError(
             f"asymptotic form needs 2/alpha integral, got alpha={alpha}"
         )
-    if h_exprs is None:
-        h_exprs = _default_h_exprs(dim, coords)
-    if isinstance(C, str):
-        c_src = C
-    elif isinstance(C, (int, float)):
-        c_src = repr(float(C))
-    else:
-        c_src = ex.expr_to_source(C)
-    c_val = ex.evaluate(ex.parse_expr(c_src, coords), {c: 0.0 for c in coords})
-    if abs(float(c_val)) < 1e-12:
-        raise GeometryError("asymptotic-form constant C must be nonzero")
+    c_node = _source_expr(C, coords, "C")
+    try:
+        tape = ex.compile_tape([c_node], coords)
+        c_val = float(tape.run(np.zeros(dim), jet_space(dim, 0))[0, 0])
+    except (ex.ExprError, JetError) as err:
+        raise GeometryError(
+            f"asymptotic-form constant C has no value at the chart origin: {err}"
+        ) from err
+    if not 1e-12 <= abs(c_val) < math.inf:
+        raise GeometryError(
+            f"asymptotic-form constant C must be finite and nonzero, got {c_val}"
+        )
+    for idx in np.ndindex(h.shape):
+        h[idx] = _source_expr(h[idx], coords, f"h{list(idx)}")
     p = 2.0 / alpha  # rho power of the tangential part; transversal uses 2p
-    pow1 = f"rho^{int(p)}" if p.is_integer() else f"rho^{p}"
-    pow2 = f"rho^{int(2 * p)}" if p.is_integer() else f"rho^{2 * p}"
+    rho = ex.Var(coords[0])
     g = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            base = f"({_expr_src(h_exprs[i, j])})/{pow1}"
-            if i == 0 and j == 0:
-                base += f" + ({c_src})/{pow2}"
-            g[i, j] = base
+    for idx in np.ndindex(g.shape):
+        g[idx] = ex.Div(h[idx], ex.Pow(rho, p))
+    g[0, 0] = ex.Add(g[0, 0], ex.Div(c_node, ex.Pow(rho, 2 * p)))
     lo = np.full(dim, -0.6)
     hi = np.full(dim, 0.6)
     lo[0], hi[0] = 0.15, 0.85
     geom = Geometry(
         name=name,
         chart=Chart(coords),
-        rho=ex.parse_expr("rho", coords),
+        rho=rho,
         alpha=alpha,
         metric=g,
-        params={"C": c_src, "h": h_exprs},
+        constructor_C=c_val,
         interior_box=(lo, hi),
         boundary_sampler=_half_space_sampler(dim, 0.0),
     )
+    _tangential_h_check(geom, h, rng)
     return geom
-
-
-def _expr_src(node) -> str:
-    return node if isinstance(node, str) else ex.expr_to_source(node)
 
 
 def builtin_geometry(name: str, dim: int, **params) -> Geometry:
@@ -535,9 +554,23 @@ def builtin_geometry(name: str, dim: int, **params) -> Geometry:
     poincare_control
         Conformally compact ball model; *not* projectively compact, used as
         the negative control.
+
+    Only the asymptotic-form families take keyword parameters (``C`` and
+    ``h``); any other keyword raises :class:`GeometryError`.
     """
     if dim < 3:
         raise GeometryError(f"builtin geometries need dim >= 3, got {dim}")
+    if name not in BUILTIN_NAMES:
+        raise GeometryError(
+            f"unknown geometry {name!r}; builtins are {BUILTIN_NAMES}"
+        )
+    accepted = ("C", "h") if name in ("af2_generic", "af1_generic") else ()
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise GeometryError(
+            f"geometry {name!r} takes no parameter {', '.join(unknown)}; "
+            f"it accepts {', '.join(accepted) if accepted else 'none'}"
+        )
     rng = np.random.default_rng(20260809)
     if name == "klein":
         geom = _make_klein(dim)
@@ -545,19 +578,10 @@ def builtin_geometry(name: str, dim: int, **params) -> Geometry:
         geom = _make_flat(dim)
     elif name == "poincare_control":
         geom = _make_poincare(dim)
-    elif name == "af2_generic":
-        geom = _make_asymptotic_form(
-            dim, 2.0, params.get("C", 0.25), params.get("h"), "af2_generic"
-        )
-        _tangential_h_check(geom, geom.params["h"], rng)
-    elif name == "af1_generic":
-        geom = _make_asymptotic_form(
-            dim, 1.0, params.get("C", 0.25), params.get("h"), "af1_generic"
-        )
-        _tangential_h_check(geom, geom.params["h"], rng)
     else:
-        raise GeometryError(
-            f"unknown geometry {name!r}; builtins are {BUILTIN_NAMES}"
+        alpha = 2.0 if name == "af2_generic" else 1.0
+        geom = _make_asymptotic_form(
+            dim, alpha, params.get("C", 0.25), params.get("h"), name, rng
         )
     _validate_metric_geometry(geom, rng)
     return geom
@@ -637,18 +661,12 @@ def load_geometry(doc: Mapping) -> Geometry:
             raise GeometryError(
                 f"asymptotic-form coords must start with 'rho', got {coords[0]!r}"
             )
-        h = np.array(doc["h"], dtype=object)
-        if h.shape != (dim, dim):
-            raise GeometryError(f"h must be {dim}x{dim}, got {h.shape}")
-        c_doc = doc["C"]
-        c_src = c_doc if isinstance(c_doc, str) else repr(float(c_doc))
         geom = _make_asymptotic_form(
-            dim, float(doc["alpha"]), c_src, h,
-            doc.get("name", "asymptotic_form"), coords,
+            dim, float(doc["alpha"]), doc["C"], doc["h"],
+            doc.get("name", "asymptotic_form"), rng, coords,
         )
         if "interior_box" in doc:
             geom.interior_box = _interior_box(doc["interior_box"], dim)
-        _tangential_h_check(geom, h, rng)
     else:
         coords = _doc_coords(doc["coords"], dim)
         metric_doc = np.array(doc["metric"], dtype=object)

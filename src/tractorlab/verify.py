@@ -369,6 +369,10 @@ def _run_mu(geom, plan, rng, session):
         est_rhs = boundary_limit(
             lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladder
         )
+        if est.diverged or est_rhs.diverged:
+            residual = math.inf
+            details.append({"point": list(ladder.y), "diverged": True})
+            continue
         value_defect = abs(float(est.value) - float(est_rhs.value))
         # variation facet tolerance 1e-6 vs check tolerance 1e-5
         residual = max(residual, variation * 10.0, est.error, value_defect)
@@ -597,12 +601,11 @@ def _run_splitids(geom, plan, rng, session):
     def t_dot(pt):
         return float(bd.t_vector(calc, pt) @ geom.drho(pt))
 
-    for ladder in session.ladders(rng, 2):
-        est = boundary_limit(t_dot, ladder)
-        gap = abs(float(est.value) - 1.0)
-        residual = max(residual, gap * 1e-3)  # 1e-5 facet in 1e-8 headline
-        details.append({"point": list(ladder.y), "t_dot_drho_limit": float(est.value)})
-    return residual, len(pts), details
+    def judge(k, est):  # a 1e-5 facet in the 1e-8 headline
+        return abs(float(est.value) - 1.0) * 1e-3, {"t_dot_drho_limit": float(est.value)}
+
+    limit_residual, limit_details = _per_ladder(session.ladders(rng, 2), t_dot, judge)
+    return max(residual, limit_residual), len(pts), details + limit_details
 
 
 def _prop43_terms(rho, grad, Phat, dPhat, hess2):

@@ -42,8 +42,8 @@ def jet_apply(f, a, param=None):
 
 
 def jet_call(func, value):
-    """``call`` of ``expr.evaluate`` over scalar jets: jets are composed with
-    the function, constant subtrees stay floats."""
+    """``call`` of ``expr_reference.evaluate`` over scalar jets: jets are
+    composed with the function, constant subtrees stay floats."""
     if isinstance(value, Jet):
         return jet_apply(func, value)
     return getattr(math, func)(value)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder, ladders
+from expr_reference import evaluate
 from jet_reference import jet_call
 from tractorlab import boundary as bd
 from tractorlab import expr as ex
@@ -127,11 +128,11 @@ def test_criterion_01_jet_kernel_oracle():
             "u": space.variable(0, base[0]),
             "v": space.variable(1, base[1]),
         }
-        jet = ex.evaluate(tree, env_jet, jet_call)
+        jet = evaluate(tree, env_jet, jet_call)
 
         def f_mp(du, dv):
             env = {"u": mp.mpf(base[0]) + du, "v": mp.mpf(base[1]) + dv}
-            return ex.evaluate(tree, env, mp_call)
+            return evaluate(tree, env, mp_call)
 
         for m in multis:
             got = jet.derivative(m)

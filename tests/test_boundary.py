@@ -3,6 +3,7 @@ import pytest
 
 from conftest import ladder, ladders, lc_pack
 from tractorlab import boundary as bd
+from tractorlab.expr import ExprError
 from tractorlab.extrapolate import boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import Jet, jet_space
@@ -233,11 +234,35 @@ def test_asymptotic_h_af2_recovers_constructor(af2):
 
 
 @pytest.mark.parametrize("src", ["0.25 +", "log(0 - 1)", "1/0", "1/z", "sqrt(rho - 1)"])
-def test_malformed_constructor_c_gives_none(src):
-    geom = builtin_geometry("af2_generic", 3)
-    assert bd._constructor_c(geom) == pytest.approx(0.25)
-    geom.params["C"] = src
-    assert bd._constructor_c(geom) is None
+def test_malformed_constructor_c_is_rejected_at_build(src):
+    # a C without a finite value at the chart origin never makes a geometry
+    with pytest.raises((GeometryError, ExprError)):
+        builtin_geometry("af2_generic", 3, C=src)
+
+
+def test_constructor_c_is_the_value_stored_at_build(klein3):
+    geom = builtin_geometry("af2_generic", 3, C="0.5")
+    assert bd._constructor_c(geom) == geom.constructor_C == 0.5
+    assert bd._constructor_c(klein3) == 0.25  # the Klein model, by name
+    assert bd._constructor_c(builtin_geometry("flat", 3)) is None
+
+
+@pytest.mark.parametrize("name, dim, y", [
+    ("af2_generic", 4, (0.0, 0.3, -0.2, 0.4)),
+    ("klein", 3, (1.0, 0.0, 0.0)),
+])
+def test_asymptotic_h_reports_constructor_c_as_a_float_when_diverged(
+    monkeypatch, name, dim, y
+):
+    geom = builtin_geometry(name, dim)
+    real = bd.scalar_curvature
+    monkeypatch.setattr(
+        bd, "scalar_curvature",
+        lambda calc, p: real(calc, p) / calc.geom.rho_value(p) ** 3,
+    )
+    rep = bd.asymptotic_h(TractorCalculus(geom), ladders(geom, [y]))
+    assert rep.status == "scalar curvature diverges at the boundary"
+    assert type(rep.constructor_C) is float and rep.constructor_C == 0.25
 
 
 def test_asymptotic_h_poincare_fails(poincare3):

@@ -311,3 +311,49 @@ def test_plan_flags_default_to_the_sampling_plan(monkeypatch):
     monkeypatch.delenv("TRACTORLAB_SEED", raising=False)
     args = cli._build_parser().parse_args(["verify", "--geometry", "klein"])
     assert cli._make_plan(args) == SamplingPlan()
+
+
+# -- geometry parameters and the asymptotic-form constant ----------------------
+
+SCHOUTEN_AT = ["--quantity", "schouten", "--point=0.5,0.1,0.2"]
+
+
+@pytest.mark.parametrize("params, message", [
+    (["C=1/y1"], "no value at the chart origin"),
+    (["C=log(y1)"], "no value at the chart origin"),
+    (["C=sqrt(0-1)"], "no value at the chart origin"),
+    (["C=(0-1)^0.5"], "no value at the chart origin"),
+    (["C=rho"], "must be finite and nonzero"),
+    (["h=1"], "h must be 3x3"),
+    (["c=0.5"], "takes no parameter c; it accepts C, h"),
+    (["C=0.5", "scale=2"], "takes no parameter scale; it accepts C, h"),
+])
+def test_bad_builtin_parameters_exit_2(capsys, params, message):
+    argv = ["eval", "--geometry", "af2_generic", "--dim", "3", *SCHOUTEN_AT]
+    code = main(argv + [a for p in params for a in ("--param", p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["klein", "flat", "poincare_control"])
+def test_builtins_without_parameters_reject_any(capsys, name):
+    code = main(["eval", "--geometry", name, "--dim", "3", "--param", "C=0.5",
+                 "--quantity", "schouten", "--point=0.1,0.2,0.3"])
+    assert code == 2
+    assert f"geometry '{name}' takes no parameter C; it accepts none" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("C", ["1/y1", "log(y1)", "sqrt(0-1)", "(0-1)^0.5", 0])
+def test_asymptotic_form_document_without_a_finite_c_exits_2(tmp_path, capsys, C):
+    doc = {"kind": "asymptotic_form", "dim": 3, "alpha": 2.0, "C": C,
+           "h": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}
+    path = tmp_path / "af.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--geometry", str(path), *SCHOUTEN_AT])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "asymptotic-form constant C" in err and "Traceback" not in err
+

@@ -3,10 +3,11 @@
 Whatever the arguments and the geometry document, ``tractorlab`` exits 0, 1
 or 2 and never with a traceback, and every invalid configuration exits 2.
 Half of the drawn configurations are valid; the others have one or more
-invalid parts (plan options, geometry, check ids, eval points).  The
-geometries are the cheap three-dimensional ones, and the ODE checks (a few
-seconds each) are left out of ``--checks``; they read the same validated
-options.
+invalid parts (plan options, geometry and its parameters, check ids, eval
+points).  The geometries are the cheap three-dimensional ones, given by
+name, as explicit-metric documents or as asymptotic-form documents, and
+the ODE checks (a few seconds each) are left out of ``--checks``; they read
+the same validated options.
 """
 
 import contextlib
@@ -51,6 +52,14 @@ def _metric_entry(i, j, text):
     return json.dumps(doc)
 
 
+def _af_doc(C=0.25, h=None):
+    """An asymptotic-form document, ``g = h/rho + C d(rho)^2/rho^2``."""
+    if h is None:
+        h = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    return json.dumps({"kind": "asymptotic_form", "name": "af-doc", "dim": 3,
+                       "alpha": 2.0, "C": C, "h": h})
+
+
 #: File name -> (content, valid).
 DOCUMENTS = {
     "klein.json": (json.dumps(_klein_doc()), True),
@@ -69,6 +78,11 @@ DOCUMENTS = {
     "unknown-name.json": (_metric_entry(2, 2, "1 + y"), False),
     "complex.json": (_metric_entry(0, 0, "1 + (0-1)^0.5"), False),
     "pole.json": (_metric_entry(0, 0, "1/0"), False),
+    "af.json": (_af_doc(), True),
+    "af-c-pole.json": (_af_doc(C="1/y1"), False),
+    "af-c-log.json": (_af_doc(C="log(y1)"), False),
+    "af-c-complex.json": (_af_doc(C="(0-1)^0.5"), False),
+    "af-h-shape.json": (_af_doc(h=[["1", "0", "0"], ["0", "1", "0"]]), False),
     "list.json": ("[1, 2]", False),
     "truncated.json": ('{"dim": 3', False),
     "empty.json": ("", False),
@@ -100,6 +114,10 @@ _GEOMETRY = (  # (valid, invalid)
             ["--geometry", "klein", "--dim", "three"],
             ["--geometry", "no-such-geometry"],
             ["--geometry", "af2_generic", "--dim", "3", "--param", "C"],
+            ["--geometry", "af2_generic", "--dim", "3", "--param", "C=1/y1"],
+            ["--geometry", "af2_generic", "--dim", "3", "--param", "h=1"],
+            ["--geometry", "af2_generic", "--dim", "3", "--param", "c=0.5"],
+            ["--geometry", "klein", "--dim", "3", "--param", "C=0.5"],
         ]),
         st.sampled_from(
             [n for n, (_, ok) in DOCUMENTS.items() if not ok] + [BINARY, "."]
@@ -177,3 +195,12 @@ def test_cli_exit_contract(doc_dir, config):
         assert code == 2, (argv, err.getvalue())
     elif code != 2 and argv[0] == "verify" and "json" in argv:
         json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_each_document_loads_as_declared(doc_dir, name, capsys):
+    # the fuzzer draws from these by their flag; a valid one evaluates at
+    # an interior point, an invalid one exits 2
+    code = main(["eval", "--geometry", str(doc_dir / name),
+                 "--quantity", "schouten", "--point", INTERIOR])
+    assert code == (0 if DOCUMENTS[name][1] else 2), capsys.readouterr().err

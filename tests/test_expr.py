@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expr_reference import evaluate
 from jet_reference import jet_call, point_jets
 from tractorlab import expr as ex
 from tractorlab.fields import builtin_geometry
@@ -49,18 +50,18 @@ def test_syntax_error_offset():
 
 def test_precedence():
     env = {"x": 3.0}
-    assert ex.evaluate(ex.parse_expr("-x^2"), env) == -9.0
-    assert ex.evaluate(ex.parse_expr("2*x + 1"), env) == 7.0
-    assert ex.evaluate(ex.parse_expr("1 - 2 - 3"), env) == -4.0
-    assert ex.evaluate(ex.parse_expr("12/2/3"), env) == 2.0
-    assert ex.evaluate(ex.parse_expr("pi"), env) == math.pi
-    assert ex.evaluate(ex.parse_expr("2e-2 + 1.5"), env) == 1.52
+    assert evaluate(ex.parse_expr("-x^2"), env) == -9.0
+    assert evaluate(ex.parse_expr("2*x + 1"), env) == 7.0
+    assert evaluate(ex.parse_expr("1 - 2 - 3"), env) == -4.0
+    assert evaluate(ex.parse_expr("12/2/3"), env) == 2.0
+    assert evaluate(ex.parse_expr("pi"), env) == math.pi
+    assert evaluate(ex.parse_expr("2e-2 + 1.5"), env) == 1.52
 
 
 def test_evaluate_calls_math_functions_by_default():
     env = {"x": 0.3}
     for name in ex.FUNCTION_NAMES:
-        got = ex.evaluate(ex.parse_expr(f"{name}(x + 1)"), env)
+        got = evaluate(ex.parse_expr(f"{name}(x + 1)"), env)
         assert got == getattr(math, name)(1.3)
 
 
@@ -130,13 +131,13 @@ def test_jet_evaluation_matches_floats():
         e = _random_ast(rng, ("x", "y"), 3)
         pt = {"x": 0.31, "y": 0.47}
         try:
-            f = ex.evaluate(e, pt, lambda fn, v: getattr(math, fn)(v))
+            f = evaluate(e, pt, lambda fn, v: getattr(math, fn)(v))
         except (ValueError, ZeroDivisionError, OverflowError):
             continue
         env = {k: space.variable(i, v) for i, (k, v) in enumerate(pt.items())}
         tape = ex.compile_tape([e], ("x", "y"))
         try:
-            j = ex.evaluate(e, env)
+            j = evaluate(e, env)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
                 tape.run((0.31, 0.47), space)
@@ -177,7 +178,7 @@ def test_tape_matches_evaluate_on_catalog_geometries(name, dim):
             got = tape.run(p, space)
             field = geom.metric_field().dense(p, order)
             for k, root in enumerate(roots):
-                ref = ex.evaluate(root, env, jet_call)
+                ref = evaluate(root, env, jet_call)
                 ref = ref.coeffs if hasattr(ref, "coeffs") else space.constant(ref).coeffs
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(got[k] - ref)) <= 1e-12 * scale, (name, k, order)

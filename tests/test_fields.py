@@ -336,7 +336,7 @@ def test_cli_rejects_bad_asymptotic_form_documents(tmp_path, capsys, changes):
 
 @pytest.mark.parametrize("build, sizes", [
     (lambda: builtin_geometry("klein", 4), [1, 16]),            # rho, g
-    (lambda: builtin_geometry("af2_generic", 4), [1, 16, 16]),  # rho, h, g
+    (lambda: builtin_geometry("af2_generic", 4), [1, 1, 16, 16]),  # C, rho, h, g
     (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [1, 9]),
 ])
 def test_one_metric_compile_per_build(monkeypatch, build, sizes):
@@ -406,3 +406,48 @@ def test_cli_rejects_metric_with_interior_pole(tmp_path, capsys):
                  "--point=0.1,0.2,-0.1"])
     assert code == 2
     assert "vanishing value" in capsys.readouterr().err
+
+
+def test_c_is_read_from_the_tape_at_the_chart_origin():
+    # C may depend on the coordinates; the geometry keeps its origin value
+    geom = builtin_geometry("af2_generic", 4, C="0.25*exp(y1) + rho*y2")
+    assert geom.constructor_C == 0.25
+    h = np.array([["1" if i == j else "0" for j in range(3)] for i in range(3)])
+    assert builtin_geometry("af1_generic", 3, C=-1.0, h=h).constructor_C == -1.0
+
+
+def test_asymptotic_form_sources_are_parsed_once(monkeypatch):
+    parsed = []
+    real = ex.parse_expr
+
+    def counting(src, variables=None):
+        parsed.append(src)
+        return real(src, variables)
+
+    monkeypatch.setattr(ex, "parse_expr", counting)
+    geom = builtin_geometry("af2_generic", 4, C="0.25 + y1")
+    assert parsed.count("0.25 + y1") == 1
+    assert len(parsed) == 1 + 16  # C and each entry of h; no metric text
+    geom.metric_field()
+    assert len(parsed) == 17
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("af2_generic", 4), ("af2_generic", 5), ("af1_generic", 4), ("af1_generic", 5),
+])
+def test_asymptotic_form_metric_compiles_as_its_source_text(name, dim):
+    # the metric ASTs compile to the same tape as the written-out form
+    # (h_ij)/rho^p + [i = j = 0] (C)/rho^(2p)
+    geom = builtin_geometry(name, dim)
+    p = round(2.0 / geom.alpha)
+    coords = geom.chart.coord_names
+    text = np.empty((dim, dim), dtype=object)
+    for i in range(dim):
+        for j in range(dim):
+            h = "0" if i != j else "1" if i == 0 else f"1 + rho*{coords[i]}^2"
+            text[i, j] = f"({h})/rho^{p}" + (f" + (0.25)/rho^{2 * p}" if i == j == 0 else "")
+    want = TensorField.from_exprs(geom.chart, text, "dd", sym=((0, 1),)).tape
+    got = geom.metric_field().tape
+    assert got.code == want.code
+    assert np.array_equal(got.const_values, want.const_values)
+    assert np.array_equal(got.outputs, want.outputs)

@@ -9,7 +9,9 @@ placed (``extrapolate``) and where a sampling plan sets them (``verify``,
 ``cli``).  A run's connections, curvature packs and tau are built by its
 ``TractorCalculus`` alone, so only ``tractor`` calls their builders.  The
 point functions of the boundary quantities live in ``boundary``, so the
-command line evaluates no tensor, curvature pack or inverse of its own."""
+command line evaluates no tensor, curvature pack or inverse of its own.
+Expressions are evaluated only through compiled tapes: the recursive
+interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``)."""
 
 import ast
 import importlib
@@ -24,7 +26,8 @@ MODULES = sorted(SRC.glob("*.py"))
 
 #: Helpers and accessors of the scalar-jet object path, the per-call
 #: ladder options of the transversal integrator, the builders that bypassed
-#: the calculus, and unused names, that left the package.
+#: the calculus, the second expression evaluator, and unused names, that
+#: left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -35,6 +38,7 @@ REMOVED = {
     "s2tstar_slots", "n_upper", "n_lower", "divergence_floor",
     "gamma_at", "t_at", "h_at", "_h_form", "_pointwise_tracefree_ricci",
     "Density", "q_full",
+    "evaluate", "_expr_src", "torsion_free",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -218,3 +219,48 @@ def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
     assert built["TractorCalculus"] == 1
     assert built["Connection"] <= 3
     assert built["CurvaturePack"] <= 3
+
+
+def _run_check(check_id, geom, plan):
+    check = next(c for c in registry() if c.id == check_id)
+    return check.run(geom, plan, np.random.default_rng(0), verify._Session(geom, plan))
+
+
+def _times_rho_power(real, k):
+    """The point function ``real`` times ``rho^k``."""
+    return lambda calc, p: real(calc, p) * calc.geom.rho_value(p) ** k
+
+
+def test_mu_check_never_uses_a_diverged_prediction(klein3, monkeypatch):
+    # the prediction -(n+1)/(4 g^ij P_ij) grows like rho^-3 along the ladder
+    from tractorlab import boundary as bd
+
+    monkeypatch.setattr(bd, "schouten_trace", _times_rho_power(bd.schouten_trace, 3))
+    residual, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
+    assert residual == math.inf
+    assert details[0] == {"point": details[0]["point"], "diverged": True}
+
+
+def test_mu_check_never_uses_a_diverged_curve_limit(klein3, monkeypatch):
+    # the along-curve samples grow a thousandfold per ladder level
+    real = verify.richardson_limit
+    monkeypatch.setattr(
+        verify, "richardson_limit",
+        lambda samples: real([s * 1e3**k for k, s in enumerate(samples)]),
+    )
+    residual, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
+    assert residual == math.inf
+    assert details[0] == {"point": details[0]["point"], "diverged": True}
+
+
+def test_splitids_check_never_uses_a_diverged_limit(klein3, monkeypatch):
+    # t.d(rho) grows like rho^-3 along the ladder instead of tending to 1
+    from tractorlab import boundary as bd
+
+    monkeypatch.setattr(bd, "t_vector", _times_rho_power(bd.t_vector, -3))
+    residual, _, details = _run_check(
+        "prop-4.2-splitids", klein3, SamplingPlan(interior_points=1)
+    )
+    assert residual == math.inf
+    assert [set(d) for d in details[-2:]] == [{"point", "diverged"}] * 2
+    assert all(d["diverged"] is True for d in details[-2:])
