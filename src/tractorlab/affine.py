@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extrapolate import Ladder, richardson_limit
-from .fields import Chart, Geometry, TensorField, is_batch
+from .extrapolate import Ladder, ladder_samples, richardson_limit
+from .fields import Chart, Geometry, TensorField, is_batch, point_key
 from .jets import (
     PoleError,
     jet_determinant,
@@ -89,9 +89,10 @@ class Connection:
     def dim(self) -> int:
         return self.chart.dim
 
-    def dense(self, point: Point, order: int) -> np.ndarray:
-        """Memoized (read-only) dense Christoffel jets at a point."""
-        key = (tuple(point), order)
+    def dense(self, point: Point | np.ndarray, order: int) -> np.ndarray:
+        """Memoized (read-only) dense Christoffel jets at a point, or at a
+        batch of points (keyed by its rows)."""
+        key = (point_key(point), order)
         hit = self._cache.get(key)
         if hit is None:
             hit = self._evaluator(point, order)
@@ -114,10 +115,10 @@ class Connection:
         ``(d, d, d)`` at a point, ``(d, d, d, B)`` at a batch ``(B, d)``."""
         return np.array(self._peek(point, order)[..., 0])
 
-    def trace_gamma(self, point: Point, order: int) -> np.ndarray:
-        """Dense jets ``(d, ncoeff)`` of the one-form ``Gamma^e_ea`` entering
-        density transport."""
-        return np.einsum("eeaz->az", self.dense(point, order))
+    def trace_gamma(self, point: Point | np.ndarray, order: int) -> np.ndarray:
+        """Dense jets ``(d, ncoeff)`` (``(d, B, ncoeff)`` at a batch) of the
+        one-form ``Gamma^e_ea`` entering density transport."""
+        return np.einsum("eea...->a...", self.dense(point, order))
 
 
 def levi_civita(geom_or_field) -> Connection:
@@ -201,14 +202,17 @@ def rho_connection(geom: Geometry, base: Connection) -> Connection:
 
 
 class CurvaturePack:
-    """Curvature tensors of one connection, evaluated and memoized per point.
+    """Curvature tensors of one connection, evaluated and memoized per point
+    or per batch of points (keyed by its rows).
 
     :meth:`dense` returns the memoized, read-only dense jet array of a
     tensor by name: ``riemann`` ``R[a, b, c, d]``, ``ricci``, ``schouten``,
     ``beta``, ``weyl``, ``schouten_derivative`` ``nabla_a P_bc`` (indexed
     ``[a, b, c]``), ``cotton`` ``Y[a, b, c] = nabla_b P_ac - nabla_a P_bc``
     (see the module docstring) and, when the pack knows a metric, the
-    scalar curvature ``scalar``.  The Schouten family needs dim >= 3.
+    scalar curvature ``scalar``.  The Schouten family needs dim >= 3.  At a
+    batch of points ``(B, d)`` every array carries the batch axis just
+    before the coefficients.
     """
 
     def __init__(self, conn: Connection, metric_field: TensorField | None = None):
@@ -220,10 +224,10 @@ class CurvaturePack:
     def dim(self) -> int:
         return self.conn.dim
 
-    def dense(self, name: str, point: Point, order: int) -> np.ndarray:
+    def dense(self, name: str, point: Point | np.ndarray, order: int) -> np.ndarray:
         """Memoized (read-only) dense jets of the tensor ``name`` (``riemann``,
-        ``ricci``, ``schouten``, ...) at a point."""
-        key = (name, tuple(point), order)
+        ``ricci``, ``schouten``, ...) at a point or a batch of points."""
+        key = (name, point_key(point), order)
         hit = self._memo.get(key)
         if hit is None:
             hit = getattr(self, "_build_" + name)(point, order)
@@ -236,13 +240,17 @@ class CurvaturePack:
         G = self.conn.dense(point, order + 1)
         dG = jet_gradient(G, jet_space(d, order + 1))  # dG[e, c, a, b] = d_e G[c, a, b]
         # A[a, b, c, e] = d_a G[c, b, e] + G[c, a, f] G[f, b, e]; R = A - A^(ab)
-        A = dG.transpose(0, 2, 1, 3, 4) + jet_einsum(
-            "caf,fbe->abce", G, G, jet_space(d, order)
-        )
-        return A - A.transpose(1, 0, 2, 3, 4)
+        A = dG.swapaxes(1, 2) + jet_einsum("caf,fbe->abce", G, G, jet_space(d, order))
+        return A - A.swapaxes(0, 1)
 
     def _build_ricci(self, point: Point, order: int) -> np.ndarray:
-        return np.einsum("eaebz->abz", self.dense("riemann", point, order))
+        # Above order 0 the Riemann jets have no reader but this build, whose
+        # result is memoized, so they are built without being stored.
+        if order == 0:
+            R = self.dense("riemann", point, 0)
+        else:
+            R = self._build_riemann(point, order)
+        return np.einsum("eaeb...->ab...", R)
 
     def _build_scalar(self, point: Point, order: int) -> np.ndarray:
         if self.metric_field is None:
@@ -255,21 +263,21 @@ class CurvaturePack:
     def _build_schouten(self, point: Point, order: int) -> np.ndarray:
         n = self.dim - 1
         ric = self.dense("ricci", point, order)
-        ric_t = ric.transpose(1, 0, 2)
+        ric_t = ric.swapaxes(0, 1)
         return (ric + ric_t) * (0.5 / n) + (ric - ric_t) * (0.5 / (n + 2))
 
     def _build_beta(self, point: Point, order: int) -> np.ndarray:
         P = self.dense("schouten", point, order)
-        return P.transpose(1, 0, 2) - P
+        return P.swapaxes(0, 1) - P
 
     def _build_weyl(self, point: Point, order: int) -> np.ndarray:
         eye = np.eye(self.dim)
         P = self.dense("schouten", point, order)
         return (
             self.dense("riemann", point, order)
-            - np.einsum("ca,bez->abcez", eye, P)
-            + np.einsum("cb,aez->abcez", eye, P)
-            - np.einsum("ce,abz->abcez", eye, self.dense("beta", point, order))
+            - np.einsum("ca,be...->abce...", eye, P)
+            + np.einsum("cb,ae...->abce...", eye, P)
+            - np.einsum("ce,ab...->abce...", eye, self.dense("beta", point, order))
         )
 
     def _build_schouten_derivative(self, point: Point, order: int) -> np.ndarray:
@@ -285,7 +293,7 @@ class CurvaturePack:
 
     def _build_cotton(self, point: Point, order: int) -> np.ndarray:
         dP = self.dense("schouten_derivative", point, order)
-        return dP.transpose(1, 0, 2, 3) - dP
+        return dP.swapaxes(0, 1) - dP
 
     def riemann(self, point: Point, order: int) -> np.ndarray:
         """``dense("riemann", point, order)``; kept as a method because the
@@ -397,11 +405,9 @@ def defining_density_check(
     ok = True
     reason = ""
     for ladder in ladders:
+        scale = np.float_power(ladder.eps, power)
         try:
-            values = [
-                tau.dense(p, 0)[0] / eps**power
-                for eps, p in zip(ladder.eps, ladder.points)
-            ]
+            values = ladder_samples(lambda p: tau.dense(p, 0)[..., 0] / scale, ladder)
         except PoleError:
             ok, reason = False, "pole while approaching the boundary"
             limits.append(float("nan"))

@@ -38,8 +38,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extrapolate import Ladder, boundary_limit, richardson_limit
-from .fields import Geometry, GeometryError
+from .extrapolate import Ladder, boundary_limit, ladder_samples, richardson_limit
+from .fields import (
+    Geometry,
+    GeometryError,
+    value_inv,
+    value_matvec,
+    value_outer,
+    value_trace_product,
+)
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
 from .tractor import TractorCalculus, l_tau, metricity_contorsion, tractor_curvature
 
@@ -128,7 +135,7 @@ def rho_connection_extension(conn, ladders: Sequence[Ladder]) -> list[ExtensionR
     out = []
     for ladder in ladders:
         # the samples stay at hand for the divergence slope
-        values = [conn.christoffel_values(p, 0) for p in ladder.points]
+        values = ladder_samples(lambda p: conn.christoffel_values(p, 0), ladder)
         est = richardson_limit(values)
         slope = None
         if est.diverged:
@@ -458,19 +465,21 @@ def second_fundamental_form(
 # Each is the value at an interior point whose boundary limit a check or
 # ``tractorlab eval`` extrapolates; checks, boundary routines and the command
 # line all call these, so a quantity and the check that judges it share one
-# formula.
+# formula.  Each takes a point or a batch of points ``(B, d)`` (a whole
+# ladder) and returns the value with its tensor axes first and the batch
+# axis last, the layout of a dense jet array's ``[..., 0]`` slice.
 
 
-def scalar_curvature(calc: TractorCalculus, p) -> float:
+def scalar_curvature(calc: TractorCalculus, p) -> np.ndarray:
     """The scalar curvature of the metric (Thm 2.5)."""
-    return calc.pack_of(calc.levi_civita_splitting).dense("scalar", p, 0)[0]
+    return calc.pack_of(calc.levi_civita_splitting).dense("scalar", p, 0)[..., 0]
 
 
-def schouten_trace(calc: TractorCalculus, p) -> float:
+def schouten_trace(calc: TractorCalculus, p) -> np.ndarray:
     """``g^ij P_ij``, the metric trace of the Schouten tensor."""
     gv = calc.geom.metric_field().dense(p, 0)[..., 0]
     Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
-    return float(np.sum(np.linalg.inv(gv) * Pv))
+    return value_trace_product(value_inv(gv), Pv)
 
 
 def tracefree_ricci(calc: TractorCalculus, p) -> np.ndarray:
@@ -486,7 +495,7 @@ def gamma_form(calc: TractorCalculus, p) -> np.ndarray:
     boundary value is the metric of the conformal infinity."""
     Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
-    return rho * Pv + np.outer(grad, grad) / (4.0 * rho)
+    return rho * Pv + value_outer(grad) / (4.0 * rho)
 
 
 def t_vector(calc: TractorCalculus, p) -> np.ndarray:
@@ -494,7 +503,7 @@ def t_vector(calc: TractorCalculus, p) -> np.ndarray:
     ``numpy.linalg.LinAlgError`` where the Schouten tensor is singular."""
     Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
-    return -np.linalg.inv(Pv) @ grad / (4.0 * rho**2)
+    return value_matvec(-value_inv(Pv), grad) / (4.0 * np.float_power(rho, 2))
 
 
 def h_form(calc: TractorCalculus, C: float, p) -> np.ndarray:
@@ -502,7 +511,7 @@ def h_form(calc: TractorCalculus, C: float, p) -> np.ndarray:
     asymptotic form ``g = h/rho + C d(rho)^2/rho^2`` (Thm 2.5)."""
     gv = calc.geom.metric_field().dense(p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
-    return rho * gv - (C / rho) * np.outer(grad, grad)
+    return rho * gv - (C / rho) * value_outer(grad)
 
 
 def _lc_curvature(name: str) -> Callable:
@@ -606,9 +615,11 @@ def _constructor_c(geom: Geometry) -> float | None:
 
 
 def _delta_wedge(x: np.ndarray) -> np.ndarray:
-    """``delta^c_a x_be - delta^c_b x_ae``, indexed ``[a, b, c, e]``."""
+    """``delta^c_a x_be - delta^c_b x_ae``, indexed ``[a, b, c, e, ...]``."""
     eye = np.eye(len(x))
-    return np.einsum("ca,be->abce", eye, x) - np.einsum("cb,ae->abce", eye, x)
+    return (
+        np.einsum("ca,be...->abce...", eye, x) - np.einsum("cb,ae...->abce...", eye, x)
+    )
 
 
 @dataclass
@@ -658,11 +669,11 @@ def einstein_asymptotics(
         return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
 
     def tail(p):
-        R = pack.riemann(p, 0)[..., 0]
+        R = pack.dense("riemann", p, 0)[..., 0]
         rv, grad = geom.rho_and_drho(p)
         return (
             R
-            + _delta_wedge(np.outer(grad, grad)) / (4.0 * rv**2)
+            + _delta_wedge(value_outer(grad)) / (4.0 * np.float_power(rv, 2))
             + _delta_wedge(h_form(calc, C, p)) / (4.0 * C * rv)
         )
 
@@ -742,11 +753,10 @@ def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
     n = d - 1
     m = d + 1
     y = ladder.y
-    grams = [l_tau(calc, p, 0, calc.reference).values() for p in ladder.points]
+    grams = ladder_samples(lambda p: l_tau(calc, p, 0, calc.reference).values(), ladder)
     est_gram = richardson_limit(grams)
-    est_tau = richardson_limit(
-        [calc.tau.dense(p, 0)[0] / eps for eps, p in zip(ladder.eps, ladder.points)]
-    )
+    eps = np.array(ladder.eps)
+    est_tau = boundary_limit(lambda p: calc.tau.dense(p, 0)[..., 0] / eps, ladder)
     if est_gram.diverged or est_tau.diverged:
         raise BoundaryExtensionError(
             f"tractor metric data diverges at boundary point {y}"
@@ -758,7 +768,7 @@ def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
         raise DegenerateBoundaryError(
             f"degenerate boundary geometry at {y}: |det L(tau)| = {abs(det_scaled):.2e}"
         )
-    est_inv = richardson_limit([np.linalg.inv(g) for g in grams])
+    est_inv = richardson_limit(np.linalg.inv(grams))
     if est_inv.diverged:
         raise BoundaryExtensionError(
             f"inverse tractor metric diverges at boundary point {y}"
@@ -1044,7 +1054,8 @@ def asymptotically_parallel_check(
     pack = calc.pack_of(calc.levi_civita_splitting)
 
     def bottom_slot(p):
-        return calc.tau.dense(p, 0)[0] * pack.dense("schouten_derivative", p, 0)[..., 0]
+        tau = calc.tau.dense(p, 0)[..., 0]
+        return tau * pack.dense("schouten_derivative", p, 0)[..., 0]
 
     est_h = boundary_limit(bottom_slot, ladder)
     est_tf = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)

@@ -10,10 +10,18 @@ A ladder is placed once per boundary point (:func:`boundary_ladder`, with
 ``eps0`` and ``levels`` from the sampling plan) and the resulting
 :class:`Ladder` value is passed to every boundary routine that extrapolates
 at that point.
+
+A ladder is evaluated as one batch: a point function takes the ``(levels,
+d)`` array ``Ladder.batch`` and returns its values with the batch axis last,
+``(*shape, levels)``, as the dense jet arrays of the curvature and tractor
+layers carry it (:func:`ladder_samples`, :func:`boundary_limit`).  This
+module is the only one that iterates a ladder's levels: to place them, and
+to name the failing level when a batched evaluation raises.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +35,7 @@ __all__ = [
     "richardson_limit",
     "boundary_ladder",
     "boundary_limit",
+    "ladder_samples",
 ]
 
 Point = Sequence[float]
@@ -101,13 +110,20 @@ def richardson_limit(samples: Sequence) -> LimitEstimate:
 @dataclass(frozen=True, eq=False)
 class Ladder:
     """Interior points approaching the boundary point ``y`` along the ray
-    ``direction``: ``points[k]`` has ``rho`` equal to ``eps[k]``.  Ladders
+    ``direction``: ``points[k]`` has ``rho`` equal to ``eps[k]``, and
+    ``batch`` holds the same points as one ``(levels, d)`` array.  Ladders
     compare by identity, since ``direction`` is an array."""
 
     y: tuple
     direction: np.ndarray
     eps: tuple
     points: tuple
+
+    @functools.cached_property
+    def batch(self) -> np.ndarray:
+        out = np.array(self.points)
+        out.flags.writeable = False
+        return out
 
 
 def boundary_ladder(
@@ -122,41 +138,75 @@ def boundary_ladder(
     exactly on the dyadic ladder ``eps0 / RATIO^k``, ``k < levels``.
 
     The ray leaves ``y`` along ``direction`` (default: the chart gradient
-    direction normalized so ``d(rho) = 1``); each ladder point is Newton
-    corrected along the ray until its rho value matches the target.
+    direction normalized so ``d(rho) = 1``); every level is Newton
+    corrected along the ray until its rho value matches the target.  The
+    levels share one Newton: each iteration evaluates rho on the levels
+    still open, and a level is frozen once it converges, so it takes the
+    same steps it would take alone.  A level that fails raises the error of
+    the lowest such level.
     """
     y = np.asarray(y, dtype=float)
     if direction is None:
         direction = geom.inward_direction(y)
     direction = np.asarray(direction, dtype=float)
     eps = tuple(eps0 / RATIO**k for k in range(levels))
-    points = []
-    for target in eps:
-        s = target  # first guess: d(rho)(direction) ~ 1 near the boundary
-        for _ in range(60):
-            p = y + s * direction
-            rho, grad = geom.rho_and_drho(p)
-            val = rho - target
-            if abs(val) <= 1e-14 * (1.0 + target):
-                break
-            slope = float(grad @ direction)
+    target = np.array(eps)
+    s = target.copy()  # first guess: d(rho)(direction) ~ 1 near the boundary
+    open_ = np.ones(levels, dtype=bool)
+    tangent = np.zeros(levels, dtype=bool)
+    for _ in range(60):
+        rows = np.flatnonzero(open_)
+        if not rows.size:
+            break
+        rho, grad = geom.rho_and_drho(y + s[rows, None] * direction)
+        val = rho - target[rows]
+        done = np.abs(val) <= 1e-14 * (1.0 + target[rows])
+        open_[rows[done]] = False
+        for k, v, g in zip(rows[~done], val[~done], grad.T[~done]):
+            slope = float(g @ direction)  # the 1-D dot a single level makes
             if abs(slope) < 1e-12:
-                raise GeometryError(
-                    f"ray from {tuple(y)} became tangent to the rho levels"
-                )
-            s -= val / slope
-        else:
+                tangent[k], open_[k] = True, False
+                continue
+            s[k] -= v / slope
+    failed = np.flatnonzero(open_ | tangent)
+    if failed.size:
+        k = failed[0]
+        if tangent[k]:
             raise GeometryError(
-                f"could not place a ladder point at rho={target:g} from {tuple(y)}"
+                f"ray from {tuple(y)} became tangent to the rho levels"
             )
-        points.append(tuple(float(v) for v in (y + s * direction)))
-    return Ladder(tuple(float(v) for v in y), direction, eps, tuple(points))
+        raise GeometryError(
+            f"could not place a ladder point at rho={eps[k]:g} from {tuple(y)}"
+        )
+    points = tuple(tuple(float(v) for v in y + sk * direction) for sk in s)
+    return Ladder(tuple(float(v) for v in y), direction, eps, points)
 
 
-def boundary_limit(f: Callable[[Point], object], ladder: Ladder) -> LimitEstimate:
+def ladder_samples(f: Callable[[np.ndarray], object], ladder: Ladder) -> np.ndarray:
+    """The samples of a point function along a placed ladder, level first.
+
+    ``f`` is called once, on the ``(levels, d)`` array ``ladder.batch``, and
+    returns its values with the batch axis last (the layout of a dense jet
+    array's ``[..., 0]`` slice); the batch axis is moved to the front.  When
+    the batched call raises, the levels are called one at a time, in order,
+    only to raise the first failing level's own error, which names that
+    level's point where the point function names one.
+    """
+    try:
+        values = np.asarray(f(ladder.batch), dtype=float)
+    except Exception:
+        for p in ladder.points:
+            f(p)
+        raise
+    return np.moveaxis(values, -1, 0)
+
+
+def boundary_limit(f: Callable[[np.ndarray], object], ladder: Ladder) -> LimitEstimate:
     """Extrapolate a point function along a placed ladder.
 
-    ``f`` maps an interior point to a float or ndarray; divergence along the
-    ladder is reported in the estimate rather than raised.
+    ``f`` maps a batch of interior points ``(B, d)`` to its values with the
+    batch axis last, ``(*shape, B)`` (see :func:`ladder_samples`); it is
+    evaluated once per ladder, on all levels together, and divergence along
+    the ladder is reported in the estimate rather than raised.
     """
-    return richardson_limit([f(p) for p in ladder.points])
+    return richardson_limit(ladder_samples(f, ladder))

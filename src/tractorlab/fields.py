@@ -48,6 +48,64 @@ def is_batch(point) -> bool:
     return isinstance(point, np.ndarray) and point.ndim == 2
 
 
+def point_key(point) -> tuple | bytes:
+    """Memo key of a point (its coordinates) or of a batch of points (the
+    bytes of its rows), so that every evaluation on the same rows shares one
+    entry."""
+    if is_batch(point):
+        return np.ascontiguousarray(point, dtype=float).tobytes()
+    return tuple(point)
+
+
+# -- values at a point or a batch ---------------------------------------------
+#
+# A value array is the ``[..., 0]`` slice of a dense jet array: the tensor
+# axes, then the batch axis of a batch of points.  These helpers do the
+# linear algebra of such arrays one matrix at a time, through the same
+# LAPACK and BLAS calls a single point makes, so a batch gives each row
+# bit for bit what its point gives.
+
+
+def _stack(x: np.ndarray, rank: int) -> np.ndarray:
+    """The leading ``rank`` tensor axes of a value array moved last, as one
+    contiguous stack over the batch."""
+    return np.ascontiguousarray(np.moveaxis(x, range(rank), range(-rank, 0)))
+
+
+def _unstack(x: np.ndarray, rank: int) -> np.ndarray:
+    return np.moveaxis(x, range(-rank, 0), range(rank))
+
+
+def value_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of a value matrix ``(d, d)``, or of each of ``(d, d, B)``."""
+    return _unstack(np.linalg.inv(_stack(m, 2)), 2)
+
+
+def value_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a value matrix ``(d, d, ...)`` and vector ``(d, ...)``."""
+    return _unstack((_stack(m, 2) @ _stack(v, 1)[..., None])[..., 0], 1)
+
+
+def value_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` for a value vector ``(d, ...)`` and matrix ``(d, d, ...)``."""
+    return _unstack((_stack(v, 1)[..., None, :] @ _stack(m, 2))[..., 0, :], 1)
+
+
+def value_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
+    """``u @ v`` for value vectors ``(d, ...)``."""
+    return (_stack(u, 1)[..., None, :] @ _stack(v, 1)[..., None])[..., 0, 0]
+
+
+def value_trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """``sum_ij a_ij b_ij`` for value matrices ``(d, d, ...)``."""
+    return np.sum(_stack(a * b, 2), axis=(-2, -1))
+
+
+def value_outer(u: np.ndarray) -> np.ndarray:
+    """``u_i u_j`` for a value vector ``(d, ...)``."""
+    return u[:, None] * u[None, :]
+
+
 class GeometryError(ValueError):
     """Schema violations, parse errors and geometry validation failures."""
 
@@ -247,13 +305,18 @@ class Geometry:
         space = jet_space(self.dim, order)
         return self._rho_tape.run(self.chart.coords(points), space)[0]
 
-    def rho_value(self, point: Point) -> float:
-        return float(self.rho_dense(point, 0)[0])
+    def rho_value(self, point: Point | np.ndarray):
+        """rho at a point as a float; at a batch of points, the values
+        ``(B,)``."""
+        rho = self.rho_dense(point, 0)[..., 0]
+        return rho if is_batch(point) else float(rho)
 
-    def rho_and_drho(self, point: Point) -> tuple[float, np.ndarray]:
-        """rho and the components of d(rho) at a point, as floats."""
+    def rho_and_drho(self, point: Point | np.ndarray) -> tuple:
+        """rho and the components of d(rho) at a point, as floats; at a
+        batch of points ``(B, dim)``, the values ``(B,)`` and ``(dim, B)``."""
         rho = self.rho_dense(point, 1)
-        return float(rho[0]), rho[1 : 1 + self.dim]
+        grad = np.moveaxis(rho[..., 1 : 1 + self.dim], -1, 0)
+        return (rho[..., 0] if is_batch(point) else float(rho[0])), grad
 
     def drho(self, point: Point) -> np.ndarray:
         """Components of d(rho) at a point, as floats."""

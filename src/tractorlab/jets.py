@@ -511,10 +511,19 @@ def jet_mul(a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
     """Tensor contraction ``np.einsum(spec)`` of two dense arrays with jet
     products; ``spec`` names the tensor axes only (lower-case letters), and
-    a batch axis before the coefficients broadcasts."""
+    a batch axis before the coefficients broadcasts.
+
+    A full contraction (no output axes) of two batches runs row by row:
+    numpy sums the contraction of one point with another kernel, in another
+    order, than the rows of a batch, and each row must equal its point."""
     ii, jj, _ = space.mul_table
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
+    if not out and a.ndim == len(sa) + 2 and b.ndim == len(sb) + 2:
+        return np.stack([
+            jet_einsum(spec, a[..., k, :], b[..., k, :], space)
+            for k in range(a.shape[-2])
+        ])
     prod = np.einsum(f"{sa}...Z,{sb}...Z->{out}...Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, space.mul_starts, axis=-1)
 

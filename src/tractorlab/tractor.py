@@ -30,7 +30,9 @@ Every tractor quantity is a dense jet array (module ``jets``) of shape
 (derivative index outermost), then the tractor axes in fiber layout, then
 the Taylor coefficients.  The connection matrices are ``(d, n+2, n+2,
 ncoeff)`` arrays indexed ``[a, i, j]``; curvatures are ``(d, d, n+2, n+2,
-ncoeff)``.
+ncoeff)``.  At a batch of points ``(B, d)`` every array carries the batch
+axis just before the coefficients, as in module ``jets``, and the same code
+serves both.
 
 The reference splitting of a geometry is the one of the rho-modified
 connection (smooth up to the boundary); the Levi-Civita splitting is the
@@ -55,7 +57,7 @@ from .affine import (
     rho_connection,
     rho_one_form,
 )
-from .fields import Geometry, TensorField
+from .fields import Geometry, TensorField, is_batch, point_key
 from .jets import (
     JetSpace,
     jet_einsum,
@@ -116,8 +118,9 @@ class TractorValue:
 
     ``data`` has shape ``(d,)*n_form + (n+2,)*len(tvariance) + (ncoeff,)``:
     the spacetime form axes come first, then the tractor axes, whose
-    variance is one letter each (``u`` upper, ``d`` lower).  Form axes are
-    plain covariant spacetime slots that change-of-splitting leaves alone.
+    variance is one letter each (``u`` upper, ``d`` lower), then the batch
+    axis of a batch of points, if any.  Form axes are plain covariant
+    spacetime slots that change-of-splitting leaves alone.
     """
 
     data: np.ndarray
@@ -130,18 +133,24 @@ class TractorValue:
     def order(self) -> int:
         return self.space.order
 
+    @property
+    def rank(self) -> int:
+        return self.n_form + len(self.tvariance)
+
     def values(self) -> np.ndarray:
         return self.data[..., 0]
 
 
 def _on_axis(
-    mat_spec: str, mat: np.ndarray, data: np.ndarray, axis: int, space: JetSpace
+    mat_spec: str, mat: np.ndarray, data: np.ndarray, axis: int, rank: int,
+    space: JetSpace,
 ) -> np.ndarray:
-    """Contract the fiber matrix ``mat`` with one axis of ``data``.
+    """Contract the fiber matrix ``mat`` with one of the ``rank`` tensor axes
+    of ``data``.
 
     In ``mat_spec`` the letter ``y`` is summed against the axis and ``x``
     takes its place; any other letter leads the output."""
-    idx = _AXES[: data.ndim - 1]
+    idx = _AXES[:rank]
     lead = mat_spec.replace("x", "").replace("y", "")
     src = idx[:axis] + "y" + idx[axis + 1:]
     dst = idx[:axis] + "x" + idx[axis + 1:]
@@ -164,14 +173,15 @@ def change_splitting(
     space = tv.space
     u = upsilon[..., : space.ncoeff]
     m = u.shape[0] + 1
-    eye = np.zeros((m, m, space.ncoeff))
-    eye[np.arange(m), np.arange(m), 0] = 1.0
+    eye = np.zeros((m, m) + u.shape[1:])
+    eye[np.arange(m), np.arange(m), ..., 0] = 1.0
     S, T = eye, eye.copy()
     S[0, 1:] = -u
     T[1:, 0] = u
     data = tv.data
     for k, var in enumerate(tv.tvariance):
-        data = _on_axis("xy", S if var == "u" else T, data, tv.n_form + k, space)
+        mat = S if var == "u" else T
+        data = _on_axis("xy", mat, data, tv.n_form + k, tv.rank, space)
     return TractorValue(
         data, space, tv.tvariance, tv.n_form,
         new_splitting if new_splitting is not None else tv.splitting,
@@ -184,10 +194,10 @@ class TractorCalculus:
     Owns the Levi-Civita and rho-modified connections (``lc``, ``hat``) with
     their curvature packs (:meth:`pack_of`), the canonical density ``tau``,
     the named splittings, and the splitting-dependent tractor connection
-    matrices (memoized per point).  It is the only builder of these objects:
-    a suite session or a CLI evaluation makes one calculus and every check,
-    boundary routine and probe reads from it, so each memo has one owner per
-    run.  Nothing caches a calculus on its ``Geometry``.
+    matrices (memoized per point or batch).  It is the only builder of these
+    objects: a suite session or a CLI evaluation makes one calculus and
+    every check, boundary routine and probe reads from it, so each memo has
+    one owner per run.  Nothing caches a calculus on its ``Geometry``.
     """
 
     def __init__(self, geom: Geometry):
@@ -264,9 +274,11 @@ class TractorCalculus:
         return pack
 
     def upsilon_jets(self, s: Splitting, point: Point, order: int) -> np.ndarray:
-        """Dense ``(d, ncoeff)`` offset of ``s`` from the reference."""
+        """Dense ``(d, ncoeff)`` offset of ``s`` from the reference
+        (``(d, B, ncoeff)`` at a batch of points)."""
         if s.upsilon is None:
-            return np.zeros((self.dim, jet_space(self.dim, order).ncoeff))
+            batch = point.shape[:1] if is_batch(point) else ()
+            return np.zeros((self.dim,) + batch + (jet_space(self.dim, order).ncoeff,))
         return s.upsilon.dense(point, order)
 
     def change_upsilon(
@@ -311,10 +323,11 @@ class TractorCalculus:
 
     # -- connection matrices ----------------------------------------------
 
-    def connection_matrices(self, s: Splitting, point: Point, order: int) -> np.ndarray:
+    def omega(self, s: Splitting, point: Point | np.ndarray, order: int) -> np.ndarray:
         """``Omega_a`` of the standard tractor connection in splitting ``s``,
-        a memoized read-only ``(d, n+2, n+2, ncoeff)`` array."""
-        key = (s.label, tuple(point), order)
+        a memoized read-only ``(d, n+2, n+2, ncoeff)`` array, or ``(d, n+2,
+        n+2, B, ncoeff)`` at a batch of points (keyed by its rows)."""
+        key = (s.label, point_key(point), order)
         hit = self._matrices.get(key)
         if hit is not None:
             return hit
@@ -324,16 +337,19 @@ class TractorCalculus:
         P = self.pack_of(s).dense("schouten", point, order)
         gamma = conn.trace_gamma(point, order) / (d + 1.0)
         eye = np.eye(d)
-        omega = np.zeros((d, d + 1, d + 1, G.shape[-1]))
+        omega = np.zeros((d, d + 1, d + 1) + G.shape[3:])
         omega[:, 0, 0] = -gamma
         omega[:, 0, 1:] = -P
-        omega[:, 1:, 0, 0] = eye
-        omega[:, 1:, 1:] = G.transpose(1, 0, 2, 3) - np.einsum(
-            "be,az->abez", eye, gamma
-        )
+        omega[:, 1:, 0, ..., 0] = eye.reshape(eye.shape + (1,) * (G.ndim - 4))
+        omega[:, 1:, 1:] = G.swapaxes(0, 1) - np.einsum("be,a...->abe...", eye, gamma)
         omega.flags.writeable = False
         self._matrices[key] = omega
         return omega
+
+    def connection_matrices(self, s: Splitting, point: Point, order: int) -> np.ndarray:
+        """:meth:`omega` at one point; kept as a method because the benchmark
+        tracer (``perfbench/tracer.py``) counts its calls by point."""
+        return self.omega(s, point, order)
 
 
 # -- derivatives --------------------------------------------------------
@@ -365,9 +381,9 @@ def std_tractor_derivative(
     for kax, var in enumerate(tv.tvariance):
         axis = tv.n_form + kax
         if var == "u":
-            out = out + _on_axis("axy", omega, tv.data, axis, lower)
+            out = out + _on_axis("axy", omega, tv.data, axis, tv.rank, lower)
         else:
-            out = out - _on_axis("ayx", omega, tv.data, axis, lower)
+            out = out - _on_axis("ayx", omega, tv.data, axis, tv.rank, lower)
     return TractorValue(out, lower, tv.tvariance, tv.n_form + 1, tv.splitting)
 
 
@@ -394,17 +410,19 @@ def bgg_split_metricity(
     dsig_field = covariant_derivative(sigma_field, conn)
     trace_field = TensorField(
         sigma_field.chart, "u",
-        lambda pt, k: np.einsum("eecz->cz", dsig_field.dense(pt, k)),
+        lambda pt, k: np.einsum("eec...->c...", dsig_field.dense(pt, k)),
         weight=sigma_field.weight, name="div(sigma)",
     )
     ddiv = covariant_derivative(trace_field, conn).dense(point, order)
     P = calc.pack_of(s).dense("schouten", point, order)
 
-    middle = np.einsum("eecz->cz", dsig_field.dense(point, order)) * (-1.0 / (n + 2))
-    bottom = np.einsum("eez->z", ddiv) * (1.0 / ((n + 1) * (n + 2))) + jet_einsum(
+    middle = np.einsum("eec...->c...", dsig_field.dense(point, order)) * (
+        -1.0 / (n + 2)
+    )
+    bottom = np.einsum("ee...->...", ddiv) * (1.0 / ((n + 1) * (n + 2))) + jet_einsum(
         "ab,ab->", P, sigma, space
     ) * (1.0 / (n + 1))
-    H = np.empty((calc.dim + 1,) * 2 + (space.ncoeff,))
+    H = np.empty((calc.dim + 1,) * 2 + sigma.shape[2:])
     H[0, 0] = bottom
     H[0, 1:] = middle
     H[1:, 0] = middle
@@ -427,7 +445,7 @@ def l_tau(
     space = jet_space(calc.dim, order)
     tau = calc.tau.dense(point, order)
     P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", point, order)
-    G = np.zeros((calc.dim + 1,) * 2 + (space.ncoeff,))
+    G = np.zeros((calc.dim + 1,) * 2 + tau.shape)
     G[0, 0] = tau
     G[1:, 1:] = jet_mul(P, tau, space)
     tv = TractorValue(G, space, "dd", 0, calc.levi_civita_splitting)
@@ -529,7 +547,7 @@ def tractor_curvature(
     if contorsion is not None:
         omega = contorsion.matrices(point, order + 1)
     else:
-        omega = calc.connection_matrices(s, point, order + 1)
+        omega = calc.omega(s, point, order + 1)
     space = jet_space(d, order)
     domega = jet_gradient(omega, jet_space(d, order + 1))  # d_a Omega_b
     prod = jet_einsum("aij,bjk->abik", omega, omega, space)  # Omega_a Omega_b
@@ -574,7 +592,7 @@ class TractorConnection:
     name: str = "tractor-connection"
 
     def matrices(self, point: Point, order: int) -> np.ndarray:
-        omega = self.calc.connection_matrices(self.splitting, point, order)
+        omega = self.calc.omega(self.splitting, point, order)
         if self.contorsion is None:
             return omega
         return omega + self.contorsion(point, order)
@@ -613,9 +631,9 @@ def contorsion_slots_lc(
     pack = calc.pack_of(calc.levi_civita_splitting)
     Pinv = jet_inverse(pack.dense("schouten", point, order), space)
     dP = pack.dense("schouten_derivative", point, order)  # dP[a, e, c] = D_a P_ec
-    combo = dP + dP.transpose(2, 1, 0, 3) - dP.transpose(1, 0, 2, 3)
+    combo = dP + dP.swapaxes(0, 2) - dP.swapaxes(0, 1)
     A = jet_einsum("be,aec->abc", Pinv, combo, space)
-    return 0.25 * (A + A.transpose(2, 1, 0, 3))
+    return 0.25 * (A + A.swapaxes(0, 2))
 
 
 def metricity_contorsion(
@@ -635,8 +653,9 @@ def metricity_contorsion(
 
     def psi_matrices(point: Point, order: int) -> np.ndarray:
         space = jet_space(d, order)
-        psi = np.zeros((d, d + 1, d + 1, space.ncoeff))
-        psi[:, 1:, 1:] = contorsion_slots_lc(calc, point, order)
+        A = contorsion_slots_lc(calc, point, order)
+        psi = np.zeros((d, d + 1, d + 1) + A.shape[3:])
+        psi[:, 1:, 1:] = A
         tv = TractorValue(psi, space, "ud", 1, calc.levi_civita_splitting)
         return calc.in_splitting(tv, s, point).data
 

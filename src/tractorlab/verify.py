@@ -24,7 +24,15 @@ import numpy as np
 from . import boundary as bd
 from .affine import covariant_derivative, defining_density_check
 from .extrapolate import Ladder, boundary_ladder, boundary_limit, richardson_limit
-from .fields import Geometry, TensorField
+from .fields import (
+    Geometry,
+    TensorField,
+    value_dot,
+    value_inv,
+    value_matvec,
+    value_outer,
+    value_vecmat,
+)
 from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
 from .tractor import (
     TractorCalculus,
@@ -260,14 +268,17 @@ def _run_dense(geom, plan, rng, session):
     gfield = geom.metric_field()
 
     def slots(p):
-        ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
+        ginv = value_inv(gfield.dense(p, 0)[..., 0])
         rv, grad = geom.rho_and_drho(p)
+        rv2 = np.float_power(rv, 2)
         f1 = ginv / rv
-        f2 = ginv @ grad / rv**2
-        f3 = bd.schouten_trace(calc, p) / (n + 1) + float(grad @ ginv @ grad) / (
-            4 * rv**2
+        f2 = value_matvec(ginv, grad) / rv2
+        f3 = bd.schouten_trace(calc, p) / (n + 1) + value_dot(
+            value_vecmat(grad, ginv), grad
+        ) / (4 * rv2)
+        return np.concatenate(
+            [f1.reshape((-1,) + f2.shape[1:]), f2, np.asarray(f3)[None]]
         )
-        return np.concatenate([f1.ravel(), f2, [f3]])
 
     def judge(k, est):
         vals = np.asarray(est.value)
@@ -291,7 +302,7 @@ def _run_prop23_h(geom, plan, rng, session):
         gv = gfield.dense(p, 0)[..., 0]
         gP = bd.schouten_trace(calc, p)
         rho, grad = geom.rho_and_drho(p)
-        return rho * gv + (n + 1) / (4 * rho * gP) * np.outer(grad, grad)
+        return rho * gv + (n + 1) / (4 * rho * gP) * value_outer(grad)
 
     def judge(k, est):
         E = bd.tangential_basis(geom, ladders[k].y)
@@ -350,21 +361,22 @@ def _run_mu(geom, plan, rng, session):
     curves = bd.geodetic_transversals(
         calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
+
+    def quantity(points, mus):
+        """``rho^2 g(mu, mu)`` at each row of a batch of curve points."""
+        gv = gfield.dense(points, 0)[..., 0]
+        rho2 = np.float_power(geom.rho_value(points), 2)
+        return rho2 * value_dot(value_vecmat(mus.T, gv), mus.T)
+
     for ladder, curve in zip(ladders, curves):
-        def qty_at(k):
-            p, v = curve.points[k], curve.mus[k]
-            gv = gfield.dense(p, 0)[..., 0]
-            return geom.rho_value(p) ** 2 * float(v @ gv @ v)
+        ks = np.arange(5, len(curve.ts), 10)
+        samples = quantity(curve.points[ks], curve.mus[ks])
+        variation = float(samples.max() - samples.min())
 
-        samples = [qty_at(k) for k in range(5, len(curve.ts), 10)]
-        variation = max(samples) - min(samples)
-
-        ladder_vals = []
-        for eps in ladder.eps:
-            p, v = curve.at_rho(eps)
-            gv = gfield.dense(p, 0)[..., 0]
-            ladder_vals.append(geom.rho_value(p) ** 2 * float(v @ gv @ v))
-        est = richardson_limit(ladder_vals)
+        located = [curve.at_rho(eps) for eps in ladder.eps]
+        est = richardson_limit(quantity(
+            np.array([x for x, _ in located]), np.array([v for _, v in located])
+        ))
 
         est_rhs = boundary_limit(
             lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladder
@@ -443,7 +455,7 @@ def _run_pff(geom, plan, rng, session):
     def lhs(p):
         Pv = pack.dense("schouten", p, 0)[..., 0]
         rho, grad = geom.rho_and_drho(p)
-        return rho * Pv + (alpha - 1) / alpha**2 / rho * np.outer(grad, grad)
+        return rho * Pv + (alpha - 1) / alpha**2 / rho * value_outer(grad)
 
     def judge(k, est):
         sff = sffs[k]
@@ -503,7 +515,8 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
 
     def scaled_riemann(p):
-        return geom.rho_value(p) ** power * pack.riemann(p, 0)[..., 0]
+        rho_power = np.float_power(geom.rho_value(p), power)
+        return rho_power * pack.dense("riemann", p, 0)[..., 0]
 
     def judge(k, est):
         ladder = ladders[k]
@@ -599,7 +612,7 @@ def _run_splitids(geom, plan, rng, session):
         details.append({"point": list(p), "identity_residual": gap})
     # boundary limit of t.drho -> 1 (tolerance 1e-5 vs headline 1e-8)
     def t_dot(pt):
-        return float(bd.t_vector(calc, pt) @ geom.drho(pt))
+        return value_dot(bd.t_vector(calc, pt), geom.drho(pt))
 
     def judge(k, est):  # a 1e-5 facet in the 1e-8 headline
         return abs(float(est.value) - 1.0) * 1e-3, {"t_dot_drho_limit": float(est.value)}

@@ -49,7 +49,7 @@ def test_richardson_simple(klein3):
 def test_richardson_scalar_curvature(klein3):
     pack = lc_pack(klein3)
     est = boundary_limit(
-        lambda p: pack.dense("scalar", p, 0)[0], ladder(klein3, (0.0, 0.0, 1.0))
+        lambda p: pack.dense("scalar", p, 0)[..., 0], ladder(klein3, (0.0, 0.0, 1.0))
     )
     assert est.value == pytest.approx(-6.0, abs=1e-6)
 
@@ -59,7 +59,7 @@ def test_poincare_rho_s_anomaly(poincare3):
     # compactification would give
     pack = lc_pack(poincare3)
     est = boundary_limit(
-        lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[0],
+        lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[..., 0],
         ladder(poincare3, (1.0, 0.0, 0.0)),
     )
     assert abs(float(est.value)) < 1e-6
@@ -192,7 +192,7 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
     def gamma_full(p):
         P = pack.dense("schouten", p, 0)[..., 0]
         rho, grad = klein3.rho_and_drho(p)
-        return rho * P + np.outer(grad, grad) / (4 * rho)
+        return rho * P + grad[:, None] * grad[None, :] / (4 * rho)
 
     est = boundary_limit(gamma_full, lad)
     E = sff.basis
@@ -296,11 +296,19 @@ def test_prop22_slot_limits(klein3):
     y = (0.6, 0.8, 0.0)
 
     def slots(p):
-        ginv = np.linalg.inv(gfield.dense(p, 0)[..., 0])
-        P = pack.dense("schouten", p, 0)[..., 0]
+        # a ladder batch: values (..., B), matrices stacked as (B, d, d)
+        ginv = np.linalg.inv(np.moveaxis(gfield.dense(p, 0)[..., 0], -1, 0))
+        P = np.moveaxis(pack.dense("schouten", p, 0)[..., 0], -1, 0)
         rho, grad = klein3.rho_and_drho(p)
-        f3 = float(np.sum(ginv * P)) / (n + 1) + float(grad @ ginv @ grad) / (4 * rho**2)
-        return np.concatenate([(ginv / rho).ravel(), ginv @ grad / rho**2, [f3]])
+        ginv_grad = np.einsum("bij,jb->ib", ginv, grad)
+        f3 = np.sum(ginv * P, axis=(1, 2)) / (n + 1) + np.einsum(
+            "ib,ib->b", grad, ginv_grad
+        ) / (4 * rho**2)
+        return np.concatenate([
+            np.moveaxis(ginv, 0, -1).reshape(d * d, -1) / rho,
+            ginv_grad / rho**2,
+            f3[None],
+        ])
 
     est = boundary_limit(slots, ladder(klein3, y))
     assert not est.diverged

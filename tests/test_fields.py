@@ -86,7 +86,8 @@ def test_poincare_volume_law_fails(poincare3, klein3):
     def scaled_det(geom):
         def f(p):
             g = geom.metric_field().dense(p, 0)[..., 0]
-            return geom.rho_value(p) ** (geom.dim + 1) * abs(np.linalg.det(g))
+            det = np.linalg.det(np.moveaxis(g, -1, 0))  # g at a ladder batch
+            return geom.rho_value(p) ** (geom.dim + 1) * abs(det)
 
         return boundary_limit(f, ladder(geom, y))
 

@@ -11,7 +11,9 @@ placed (``extrapolate``) and where a sampling plan sets them (``verify``,
 point functions of the boundary quantities live in ``boundary``, so the
 command line evaluates no tensor, curvature pack or inverse of its own.
 Expressions are evaluated only through compiled tapes: the recursive
-interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``)."""
+interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
+A ladder is evaluated as one batch of points, so only ``extrapolate``
+iterates a ladder's levels."""
 
 import ast
 import importlib
@@ -135,3 +137,38 @@ def test_cli_evaluates_through_the_boundary_point_functions():
             if name in CLI_FORBIDDEN or name.rsplit(".", 1)[-1] in CLI_FORBIDDEN:
                 found.append((name, node.lineno))
     assert not found, f"cli.py calls {sorted(found)}"
+
+
+def _iterates_ladder_levels(tree):
+    """Lines of ``for`` loops and comprehensions that iterate the levels of
+    a ladder: their iterable reads ``.points`` or ``.batch`` of a value
+    named like a ladder (``ladder``, ``lad``, ``frame.ladder``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            for sub in ast.walk(node.iter):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr in ("points", "batch")
+                    and "lad" in ast.unparse(sub.value)
+                ):
+                    yield sub.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_extrapolate_iterates_ladder_levels(module):
+    if module.name == "extrapolate.py":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = sorted(set(_iterates_ladder_levels(tree)))
+    assert not found, f"{module.name} iterates ladder levels on lines {found}"
+
+
+def test_the_ladder_loop_rule_sees_per_level_loops():
+    for src in (
+        "values = [f(p) for p in ladder.points]",
+        "for eps, p in zip(ladder.eps, ladder.points):\n    pass",
+        "for k in range(len(frame.ladder.points)):\n    pass",
+        "rows = [g(r) for r in lad.batch]",
+    ):
+        assert list(_iterates_ladder_levels(ast.parse(src))), src
+    assert not list(_iterates_ladder_levels(ast.parse("ys = [y for y in rep.points]")))
