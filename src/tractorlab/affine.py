@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extrapolate import Ladder, ladder_samples, richardson_limit
-from .fields import Chart, Geometry, TensorField, is_batch, point_key
+from .fields import Chart, Geometry, TensorField, point_key
 from .jets import (
     PoleError,
     jet_determinant,
@@ -101,14 +101,11 @@ class Connection:
         return hit
 
     def _peek(self, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """Dense Christoffel jets, reusing a memoized array but never storing
-        a new one (the ODE integrator evaluates at thousands of points); a
-        batch of points ``(B, d)`` is always evaluated."""
-        if not is_batch(point):
-            hit = self._cache.get((tuple(point), order))
-            if hit is not None:
-                return hit
-        return self._evaluator(point, order)
+        """Dense Christoffel jets at a point or a batch of points, reusing a
+        memoized array but never storing a new one (the ODE integrator
+        evaluates at thousands of points)."""
+        hit = self._cache.get((point_key(point), order))
+        return self._evaluator(point, order) if hit is None else hit
 
     def christoffel_values(self, point: Point | np.ndarray, order: int = 0) -> np.ndarray:
         """Christoffel values (the ``[..., 0]`` slice), never memoized:

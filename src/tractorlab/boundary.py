@@ -42,6 +42,7 @@ from .extrapolate import Ladder, boundary_limit, ladder_samples, richardson_limi
 from .fields import (
     Geometry,
     GeometryError,
+    value_dot,
     value_inv,
     value_matvec,
     value_outer,
@@ -171,44 +172,52 @@ class TransversalCurve:
     accs: np.ndarray  # (N, d)
     rhos: np.ndarray  # (N,)
 
-    def _hermite(self, k: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolate (x, mu) between samples k and k+1; s in [0,1]."""
-        h = self.ts[k + 1] - self.ts[k]
+    def _hermite(self, k: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolate (x, mu) between samples k and k+1, s in [0, 1], for
+        each entry of the arrays ``k`` and ``s``: ``(len(k), d)`` each."""
+        h = (self.ts[k + 1] - self.ts[k])[:, None]
         x0, x1 = self.points[k], self.points[k + 1]
         v0, v1 = self.mus[k], self.mus[k + 1]
         a0, a1 = self.accs[k], self.accs[k + 1]
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
+        s2, s3 = np.float_power(s, 2)[:, None], np.float_power(s, 3)[:, None]
+        h00 = 2 * s3 - 3 * s2 + 1
+        h10 = s3 - 2 * s2 + s[:, None]
+        h01 = -2 * s3 + 3 * s2
+        h11 = s3 - s2
         x = h00 * x0 + h10 * h * v0 + h01 * x1 + h11 * h * v1
         v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
         return x, v
 
-    def at_rho(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point and velocity on the curve where rho equals ``eps``; raises
-        :class:`GeometryError` when Newton does not bring rho within
-        tolerance of ``eps``."""
-        if eps <= 0 or eps > float(self.rhos.max()):
-            raise ValueError(f"rho={eps:g} is not reached by this transversal")
-        k = int(np.searchsorted(self.rhos, eps)) - 1
-        k = max(0, min(k, len(self.ts) - 2))
-        s = 0.5
+    def at_rho(self, eps) -> tuple[np.ndarray, np.ndarray]:
+        """Point and velocity on the curve where rho equals ``eps``; at an
+        array of levels, the points and velocities ``(len(eps), d)``.
+
+        The levels share one Newton, each on its own Hermite step, and a
+        level keeps its parameter once it converges, so it takes the steps
+        it would take alone.  Raises :class:`GeometryError` when Newton does
+        not bring rho within tolerance of a level (naming the lowest)."""
+        targets = np.atleast_1d(np.asarray(eps, dtype=float))
+        unreached = (targets <= 0) | (targets > float(self.rhos.max()))
+        if unreached.any():
+            raise ValueError(
+                f"rho={targets[unreached][0]:g} is not reached by this transversal"
+            )
+        k = np.clip(np.searchsorted(self.rhos, targets) - 1, 0, len(self.ts) - 2)
+        h = self.ts[k + 1] - self.ts[k]
+        s = np.full(len(targets), 0.5)
         for _ in range(60):
             x, v = self._hermite(k, s)
             rho, grad = self.geom.rho_and_drho(x)
-            val = rho - eps
-            if abs(val) <= 1e-14 * (1 + eps):
-                break
-            h = self.ts[k + 1] - self.ts[k]
-            slope = float(grad @ v) * h
-            s -= val / slope
-            s = min(max(s, -0.5), 1.5)
-        else:
-            raise GeometryError(
-                f"could not locate rho={eps:g} on the transversal from {self.y}"
-            )
-        return x, v
+            val = rho - targets
+            open_ = ~(np.abs(val) <= 1e-14 * (1 + targets))
+            if not open_.any():
+                return (x, v) if np.ndim(eps) else (x[0], v[0])
+            slope = value_dot(grad, v.T) * h
+            s[open_] = np.clip(s[open_] - val[open_] / slope[open_], -0.5, 1.5)
+        raise GeometryError(
+            f"could not locate rho={targets[open_][0]:g} on the transversal "
+            f"from {self.y}"
+        )
 
     def geodesic_residual(self) -> float:
         """Max norm of d(mu)/dt + Gamma(mu, mu) via 4th-order differences."""

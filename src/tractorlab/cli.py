@@ -313,9 +313,9 @@ def cmd_eval(args) -> int:
         "extrapolated": args.boundary_point is not None,
     }
     if isinstance(value, dict):
-        doc.update({k: _listify(v) for k, v in value.items()})
+        doc.update(value)
     else:
-        doc["value"] = _listify(value)
+        doc["value"] = value
     if err is not None:
         doc["extrapolation_error"] = float(err)
     try:
@@ -326,14 +326,6 @@ def cmd_eval(args) -> int:
         ) from None
     _emit(text, args.out)
     return 0
-
-
-def _listify(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
 
 
 def main(argv=None) -> int:

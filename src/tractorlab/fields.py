@@ -86,6 +86,11 @@ def value_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _unstack((_stack(m, 2) @ _stack(v, 1)[..., None])[..., 0], 1)
 
 
+def value_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for value matrices ``(d, d, ...)``."""
+    return _unstack(_stack(a, 2) @ _stack(b, 2), 2)
+
+
 def value_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``v @ m`` for a value vector ``(d, ...)`` and matrix ``(d, d, ...)``."""
     return _unstack((_stack(v, 1)[..., None, :] @ _stack(m, 2))[..., 0, :], 1)

@@ -297,8 +297,8 @@ class TractorCalculus:
     # -- scalar data ------------------------------------------------------
 
     def tau_hat_dense(self, point: Point, order: int) -> np.ndarray:
-        """Dense jet of tau / rho at an interior point (smooth up to the
-        boundary)."""
+        """Dense jet ``(ncoeff,)`` of tau / rho at an interior point, or
+        ``(B, ncoeff)`` at a batch of points (smooth up to the boundary)."""
         space = jet_space(self.dim, order)
         inv_rho = jet_reciprocal(self.geom.rho_dense(point, order), space)
         return jet_mul(self.tau.dense(point, order), inv_rho, space)
@@ -375,7 +375,7 @@ def std_tractor_derivative(
     if contorsion is not None:
         omega = contorsion.matrices(point, k - 1)
     else:
-        omega = calc.connection_matrices(tv.splitting, point, k - 1)
+        omega = calc.omega(tv.splitting, point, k - 1)
     lower = jet_space(calc.dim, k - 1)
     out = jet_gradient(tv.data, tv.space)
     for kax, var in enumerate(tv.tvariance):
@@ -563,12 +563,14 @@ def standard_curvature_blocks(
     slot the Cotton tensor (in the sign convention of module ``affine``),
     the diagonal scalar the Ricci antisymmetry ``beta`` (zero for special
     connections), and the top-right slot vanishes.  Returns the dense
-    ``(d, d, n+2, n+2, ncoeff)`` array.
+    ``(d, d, n+2, n+2, ncoeff)`` array (``(d, d, n+2, n+2, B, ncoeff)`` at a
+    batch of points).
     """
     d = calc.dim
     pack = calc.pack_of(s)
-    kappa = np.zeros((d, d, d + 1, d + 1, jet_space(d, order).ncoeff))
-    kappa[:, :, 0, 0] = pack.dense("beta", point, order)
+    beta = pack.dense("beta", point, order)
+    kappa = np.zeros((d, d, d + 1, d + 1) + beta.shape[2:])
+    kappa[:, :, 0, 0] = beta
     kappa[:, :, 0, 1:] = pack.dense("cotton", point, order)
     kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order)
     return kappa
@@ -579,29 +581,21 @@ def standard_curvature_blocks(
 
 @dataclass
 class TractorConnection:
-    """A tractor connection: base splitting plus an optional contorsion.
+    """The standard tractor connection of a splitting modified by a
+    contorsion ``Psi``.
 
     ``matrices(point, order)`` returns the full connection matrices
-    ``Omega + Psi`` in the base splitting; the standard connection has
-    ``Psi = 0``.
+    ``Omega + Psi`` in the base splitting, at a point or a batch of points.
     """
 
     calc: TractorCalculus
     splitting: Splitting
-    contorsion: Callable[[Point, int], np.ndarray] | None = None
-    name: str = "tractor-connection"
+    contorsion: Callable[[Point, int], np.ndarray]
 
     def matrices(self, point: Point, order: int) -> np.ndarray:
-        omega = self.calc.omega(self.splitting, point, order)
-        if self.contorsion is None:
-            return omega
-        return omega + self.contorsion(point, order)
-
-    def contorsion_matrices(self, point: Point, order: int) -> np.ndarray:
-        if self.contorsion is not None:
-            return self.contorsion(point, order)
-        d = self.calc.dim
-        return np.zeros((d, d + 1, d + 1, jet_space(d, order).ncoeff))
+        return self.calc.omega(self.splitting, point, order) + self.contorsion(
+            point, order
+        )
 
     def derivative(self, tv: TractorValue, point: Point) -> TractorValue:
         if tv.splitting != self.splitting:
@@ -659,7 +653,7 @@ def metricity_contorsion(
         tv = TractorValue(psi, space, "ud", 1, calc.levi_civita_splitting)
         return calc.in_splitting(tv, s, point).data
 
-    return TractorConnection(calc, s, psi_matrices, name="metric-tractor")
+    return TractorConnection(calc, s, psi_matrices)
 
 
 def metric_tractor_curvature_blocks(
@@ -674,7 +668,8 @@ def metric_tractor_curvature_blocks(
     ``C + 2 D_[a A_b] - 2 psi_d[a delta_b] + 2 A_e^c_[a A_b]^e_d`` and the
     bottom slot ``Y + 2 D_[a psi_b] - 2 P_e[a A_b]^e_d + 2 psi_e[a A_b]^e_d``;
     the right column vanishes (torsion freeness).  Returns the dense
-    ``(d, d, n+2, n+2, ncoeff)`` array.
+    ``(d, d, n+2, n+2, ncoeff)`` array (``(d, d, n+2, n+2, B, ncoeff)`` at a
+    batch of points).
     """
     d = calc.dim
     s = calc.reference
@@ -682,7 +677,7 @@ def metric_tractor_curvature_blocks(
     pack = calc.pack_of(s)
     G = calc.connection_of(s).dense(point, order)
 
-    psi_raw = metricity_contorsion(calc, s).contorsion_matrices(point, order + 1)
+    psi_raw = metricity_contorsion(calc, s).contorsion(point, order + 1)
     A = psi_raw[:, 1:, 1:]  # A[a, b, c]
     psi = psi_raw[:, 0, 1:]  # psi[a, c]
 
@@ -700,7 +695,7 @@ def metric_tractor_curvature_blocks(
     )
     A, psi = A[..., : space.ncoeff], psi[..., : space.ncoeff]
     # psi_b^e delta_a^c and A_a^c_f A_b^f_e, before antisymmetrizing in ab
-    psi_delta = np.einsum("ca,bez->abcez", np.eye(d), psi)
+    psi_delta = np.einsum("ca,be...->abce...", np.eye(d), psi)
     AA = jet_einsum("acf,bfe->abce", A, A, space)
     # (psi_a^f - P_f^a) A_b^f_e
     PA = jet_einsum(
@@ -708,7 +703,7 @@ def metric_tractor_curvature_blocks(
         A, space,
     )
 
-    kappa = np.zeros((d, d, d + 1, d + 1, space.ncoeff))
+    kappa = np.zeros((d, d, d + 1, d + 1) + A.shape[3:])
     kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order) + _skew(dA + psi_delta + AA)
     kappa[:, :, 0, 1:] = pack.dense("cotton", point, order) + _skew(dpsi + PA)
     return kappa
@@ -719,25 +714,33 @@ def metric_tractor_curvature_blocks(
 
 def polynomial_tractor_section(
     calc: TractorCalculus,
-    point: Point,
+    point: Point | np.ndarray,
     order: int,
     rng: np.random.Generator,
     s: Splitting | None = None,
     degree: int = 2,
 ) -> TractorValue:
-    """A random polynomial section of T, as jets at one point.
+    """A random polynomial section of T, as jets at one point or at each
+    point of a batch ``(B, d)``.
 
     Each slot is ``c + c_i x^i + c_ij x^i x^j`` (``i <= j``) in coordinates
     ``x`` centred at the point, with ``c, c_i`` uniform in [-1, 1) and
-    ``c_ij`` in [-0.5, 0.5), drawn slot by slot in that order.
+    ``c_ij`` in [-0.5, 0.5), drawn slot by slot in that order; a batch draws
+    its points' sections one after the other, as calls point by point do.
     """
     d = calc.dim
     space = jet_space(d, order)
+    batch = point.shape[:1] if is_batch(point) else ()
     iu, ju = np.triu_indices(d if degree >= 2 else 0)
-    draws = rng.random((d + 1, 1 + d + len(iu)))
-    coef = np.hstack([-1.0 + 2.0 * draws[:, : 1 + d], -0.5 + draws[:, 1 + d :]])
+    draws = rng.random(batch + (d + 1, 1 + d + len(iu)))
+    coef = np.concatenate(
+        [-1.0 + 2.0 * draws[..., : 1 + d], -0.5 + draws[..., 1 + d :]], axis=-1
+    )
     x = np.zeros((d, space.ncoeff))  # the coordinates centred at the point
     x[:, 1 : 1 + d] = np.eye(d)[:, : space.ncoeff - 1]
     xx = jet_mul(x[:, None], x[None, :], space)[iu, ju]
     basis = np.vstack([np.eye(1, space.ncoeff), x, xx])
-    return TractorValue(coef @ basis, space, "u", 0, s or calc.reference)
+    data = coef @ basis  # (*batch, n+2, ncoeff)
+    if batch:
+        data = np.ascontiguousarray(data.swapaxes(0, 1))
+    return TractorValue(data, space, "u", 0, s or calc.reference)

@@ -3,13 +3,17 @@ them over a geometry and a sampling plan.
 
 Each check evaluates residuals at seeded sample points (interior identities
 are jet-exact and carry tight tolerances; extrapolated boundary limits get
-looser ones).  A check that does not apply to a geometry is skipped with a
-reason; runtime failures are captured as error reports, never thrown, so a
-suite always completes -- the negative controls rely on that.  Residuals are
-scale-normalized by operand norms (``|residual| / (1 + |operands|)``) so the
-same tolerances work across geometries.  When a check combines facets with
-different tolerances, each facet's residual is rescaled into the check's
-headline tolerance; the raw numbers stay in the details.
+looser ones).  An interior check draws its points as one ``(N, d)`` batch
+and evaluates each quantity once on it, as a boundary check evaluates each
+ladder once; its per-point residuals are maxima over the tensor axes
+(``_row_max``), and no runner loops over its points.  A check that does not
+apply to a geometry is skipped with a reason; runtime failures are captured
+as error reports, never thrown, so a suite always completes -- the negative
+controls rely on that.  Residuals are scale-normalized by operand norms
+(``|residual| / (1 + |operands|)``) so the same tolerances work across
+geometries.  When a check combines facets with different tolerances, each
+facet's residual is rescaled into the check's headline tolerance; the raw
+numbers stay in the details.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .fields import (
     TensorField,
     value_dot,
     value_inv,
+    value_matmul,
     value_matvec,
     value_outer,
     value_vecmat,
@@ -36,6 +41,7 @@ from .fields import (
 from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
 from .tractor import (
     TractorCalculus,
+    TractorValue,
     bgg_split_metricity,
     l_tau,
     metric_tractor_curvature_blocks,
@@ -131,8 +137,12 @@ class _Session:
         self._probe: dict[str, tuple[bool, str]] = {}
         self._ladders: dict[tuple, Ladder] = {}
 
-    def interior(self, rng, count=None):
-        return self.geom.interior_points(count or self.plan.interior_points, rng)
+    def interior(self, rng, count=None) -> np.ndarray:
+        """Sample interior points as one ``(N, d)`` batch: an interior
+        check evaluates each quantity once, on all its points together."""
+        return np.array(
+            self.geom.interior_points(count or self.plan.interior_points, rng)
+        )
 
     def ladders(self, rng, count=None):
         """Sample boundary points and return the plan's ladder at each."""
@@ -212,6 +222,24 @@ def _needs(
 
 def _scaled(residual: float, scale: float) -> float:
     return residual / (1.0 + scale)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """The largest ``|x|`` over the tensor axes of a value array at a batch
+    of points (batch axis last): one number per point."""
+    x = np.abs(x)
+    return x.reshape(-1, x.shape[-1]).max(axis=0)
+
+
+def _point_details(pts: np.ndarray, **columns) -> list[dict]:
+    """One detail per point of the batch ``pts``: the point, then its entry
+    of each column (an array with one entry per point, or one value for
+    all)."""
+    rows = {k: np.broadcast_to(v, len(pts)).tolist() for k, v in columns.items()}
+    return [
+        {"point": p, **{k: v[i] for k, v in rows.items()}}
+        for i, p in enumerate(pts.tolist())
+    ]
 
 
 def _per_ladder(ladders, f, judge):
@@ -373,10 +401,7 @@ def _run_mu(geom, plan, rng, session):
         samples = quantity(curve.points[ks], curve.mus[ks])
         variation = float(samples.max() - samples.min())
 
-        located = [curve.at_rho(eps) for eps in ladder.eps]
-        est = richardson_limit(quantity(
-            np.array([x for x, _ in located]), np.array([v for _, v in located])
-        ))
+        est = richardson_limit(quantity(*curve.at_rho(np.array(ladder.eps))))
 
         est_rhs = boundary_limit(
             lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladder
@@ -581,35 +606,29 @@ def _run_bundle(geom, plan, rng, session):
 def _run_splitids(geom, plan, rng, session):
     calc = session.calc
     pts = session.interior(rng, min(plan.interior_points, 10))
-    residual = 0.0
-    details = []
-    space = jet_space(geom.dim, 0)
-    eye = np.eye(geom.dim)
     pack = calc.pack_of(calc.levi_civita_splitting)
-    for p in pts:
-        # The identities compare values, so the tractor quantities are
-        # evaluated at jet order 0; only rho needs its gradient.
-        Pinv = jet_inverse(pack.dense("schouten", p, 0), space)[..., 0]
-        rho, grad = geom.rho_and_drho(p)
-        Linv = tractor_metric_inverse(l_tau(calc, p, 0, calc.reference))
-        tau_hat = calc.tau_hat_dense(p, 0)[0]
-        top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
-        # slot identifications of the inverse tractor metric
-        t_vec = tau_hat * mid * 0.5
-        gap = max(
-            float(np.max(np.abs(t_vec - bd.t_vector(calc, p)))),
-            float(np.max(np.abs(tau_hat * top - Pinv / rho) / (1 + np.abs(Pinv / rho)))),
-        )
-        psi = tau_hat * bot
-        # the three splitting identities
-        gamma = bd.gamma_form(calc, p)
-        id1 = t_vec @ grad - (1.0 - rho * psi)
-        id2 = t_vec @ gamma + 0.25 * psi * grad
-        id3 = np.outer(t_vec, grad) + (Pinv / rho) @ gamma - eye
-        gap = max(gap, abs(float(id1)), float(np.max(np.abs(id2))),
-                  float(np.max(np.abs(id3))))
-        residual = max(residual, gap)
-        details.append({"point": list(p), "identity_residual": gap})
+    # The identities compare values, so the tractor quantities are
+    # evaluated at jet order 0; only rho needs its gradient.
+    Pinv = jet_inverse(pack.dense("schouten", pts, 0), jet_space(geom.dim, 0))[..., 0]
+    rho, grad = geom.rho_and_drho(pts)
+    Linv = tractor_metric_inverse(l_tau(calc, pts, 0, calc.reference))
+    tau_hat = calc.tau_hat_dense(pts, 0)[..., 0]
+    top, mid, bot = (x[..., 0] for x in s2t_slots(Linv))
+    # slot identifications of the inverse tractor metric
+    t_vec = tau_hat * mid * 0.5
+    psi = tau_hat * bot
+    # the three splitting identities
+    gamma = bd.gamma_form(calc, pts)
+    gap = np.max([
+        _row_max(t_vec - bd.t_vector(calc, pts)),
+        _row_max(np.abs(tau_hat * top - Pinv / rho) / (1 + np.abs(Pinv / rho))),
+        np.abs(value_dot(t_vec, grad) - (1.0 - rho * psi)),
+        _row_max(value_vecmat(t_vec, gamma) + 0.25 * psi * grad),
+        _row_max(
+            t_vec[:, None] * grad[None] + value_matmul(Pinv / rho, gamma)
+            - np.eye(geom.dim)[..., None]
+        ),
+    ], axis=0)
     # boundary limit of t.drho -> 1 (tolerance 1e-5 vs headline 1e-8)
     def t_dot(pt):
         return value_dot(bd.t_vector(calc, pt), geom.drho(pt))
@@ -618,7 +637,8 @@ def _run_splitids(geom, plan, rng, session):
         return abs(float(est.value) - 1.0) * 1e-3, {"t_dot_drho_limit": float(est.value)}
 
     limit_residual, limit_details = _per_ladder(session.ladders(rng, 2), t_dot, judge)
-    return max(residual, limit_residual), len(pts), details + limit_details
+    details = _point_details(pts, identity_residual=gap) + limit_details
+    return max(float(np.max(gap)), limit_residual), len(pts), details
 
 
 def _prop43_terms(rho, grad, Phat, dPhat, hess2):
@@ -642,7 +662,7 @@ def _prop43_lc_terms(rho, grad, phi, dphi, g, dS, n):
     return (
         grad[:, None, None] * phi[None],
         half[None, :, None] * phi[:, None],
-        half[None, None, :] * phi.T[:, :, None],
+        half[None, None, :] * phi.swapaxes(0, 1)[:, :, None],
         rho * (dphi + g[None] * dS[:, None, None] * (1.0 / (n * (n + 1)))),
     )
 
@@ -656,8 +676,6 @@ def _run_prop43(geom, plan, rng, session):
     hat_pack = calc.pack_of(calc.reference)
     hat_conn = calc.connection_of(calc.reference)
     gfield = geom.metric_field()
-    residual = 0.0
-    details = []
 
     def drho_eval(pt, k):
         return jet_gradient(geom.rho_dense(pt, k + 1), jet_space(d, k + 1))
@@ -671,26 +689,23 @@ def _run_prop43(geom, plan, rng, session):
     phi_field = TensorField(geom.chart, "dd", phi_eval, name="phi", sym=((0, 1),))
     dphi_field = covariant_derivative(phi_field, hat_conn)
 
-    for p in pts:
-        rho, grad = geom.rho_and_drho(p)
-        lhs = rho * lc_pack.dense("schouten_derivative", p, 0)[..., 0]
-        rhs = sum(_prop43_terms(
-            rho, grad, hat_pack.dense("schouten", p, 0)[..., 0],
-            hat_pack.dense("schouten_derivative", p, 0)[..., 0],
-            hess2_field.dense(p, 0)[..., 0],
-        ))
-        gap = float(np.max(np.abs(lhs - rhs)))
-        scale = float(np.max(np.abs(lhs)))
-        residual = max(residual, _scaled(gap, scale))
-
-        rhs2 = sum(_prop43_lc_terms(
-            rho, grad, phi_field.dense(p, 0)[..., 0], dphi_field.dense(p, 0)[..., 0],
-            gfield.dense(p, 0)[..., 0], lc_pack.dense("scalar", p, 1)[1 : 1 + d], n,
-        ))
-        gap2 = float(np.max(np.abs(lhs - rhs2)))
-        residual = max(residual, _scaled(gap2, scale))
-        details.append({"point": list(p), "identity_residual": gap,
-                        "variant_residual": gap2})
+    rho, grad = geom.rho_and_drho(pts)
+    lhs = rho * lc_pack.dense("schouten_derivative", pts, 0)[..., 0]
+    scale = _row_max(lhs)
+    rhs = sum(_prop43_terms(
+        rho, grad, hat_pack.dense("schouten", pts, 0)[..., 0],
+        hat_pack.dense("schouten_derivative", pts, 0)[..., 0],
+        hess2_field.dense(pts, 0)[..., 0],
+    ))
+    gap = _row_max(lhs - rhs)
+    dS = np.moveaxis(lc_pack.dense("scalar", pts, 1)[..., 1 : 1 + d], -1, 0)
+    rhs2 = sum(_prop43_lc_terms(
+        rho, grad, phi_field.dense(pts, 0)[..., 0], dphi_field.dense(pts, 0)[..., 0],
+        gfield.dense(pts, 0)[..., 0], dS, n,
+    ))
+    gap2 = _row_max(lhs - rhs2)
+    residual = float(np.max(np.maximum(_scaled(gap, scale), _scaled(gap2, scale))))
+    details = _point_details(pts, identity_residual=gap, variant_residual=gap2)
     return residual, len(pts), details
 
 
@@ -730,31 +745,31 @@ def _run_thm43_metric(geom, plan, rng, session):
     calc = session.calc
     tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
+    # seven section pairs (s1, s2) at each point, drawn point by point: a
+    # section does not depend on its point, so they come from one batch that
+    # repeats each point 14 times, whose row 14 i + 2 j + k is section k of
+    # pair j at point i
+    drawn = polynomial_tractor_section(calc, np.repeat(pts, 14, axis=0), 3, rng).data
+    pairs = np.ascontiguousarray(
+        drawn.reshape(drawn.shape[:1] + (len(pts), 7, 2, -1)).transpose(2, 3, 0, 1, 4)
+    )
+    L = l_tau(calc, pts, 3, calc.reference)
+    G = L.data
     lower = jet_space(geom.dim, 2)
-    residual = 0.0
-    details = []
-    for p in pts:
-        L = l_tau(calc, p, 3, calc.reference)
-        G = L.data
-        pairs = 0
-        gap = 0.0
-        for _ in range(7):
-            s1 = polynomial_tractor_section(calc, p, 3, rng)
-            s2 = polynomial_tractor_section(calc, p, 3, rng)
-            Ds1 = tc.derivative(s1, p).data
-            Ds2 = tc.derivative(s2, p).data
-            # d_a L(s1, s2) against L(D_a s1, s2) + L(s1, D_a s2)
-            Ls1 = jet_einsum("ij,i->j", G, s1.data, L.space)
-            lhs = jet_gradient(jet_einsum("j,j->", Ls1, s2.data, L.space), L.space)
-            rhs = jet_einsum(
-                "aj,j->a", jet_einsum("ij,ai->aj", G, Ds1, lower), s2.data, lower
-            ) + jet_einsum("j,aj->a", Ls1, Ds2, lower)
-            gap = max(gap, float(np.max(np.abs(lhs[..., 0] - rhs[..., 0]))))
-            pairs += 1
-        scale = float(np.max(np.abs(L.values())))
-        residual = max(residual, _scaled(gap, scale))
-        details.append({"point": list(p), "compatibility_residual": gap,
-                        "pairs": pairs})
+    gap = 0.0
+    for pair in pairs:
+        s1, s2 = (TractorValue(x, L.space, "u", 0, calc.reference) for x in pair)
+        Ds1 = tc.derivative(s1, pts).data
+        Ds2 = tc.derivative(s2, pts).data
+        # d_a L(s1, s2) against L(D_a s1, s2) + L(s1, D_a s2)
+        Ls1 = jet_einsum("ij,i->j", G, s1.data, L.space)
+        lhs = jet_gradient(jet_einsum("j,j->", Ls1, s2.data, L.space), L.space)
+        rhs = jet_einsum(
+            "aj,j->a", jet_einsum("ij,ai->aj", G, Ds1, lower), s2.data, lower
+        ) + jet_einsum("j,aj->a", Ls1, Ds2, lower)
+        gap = np.maximum(gap, _row_max(lhs[..., 0] - rhs[..., 0]))
+    residual = float(np.max(_scaled(gap, _row_max(L.values()))))
+    details = _point_details(pts, compatibility_residual=gap, pairs=len(pairs))
     return residual, len(pts), details
 
 
@@ -762,25 +777,19 @@ def _run_thm43_torsion(geom, plan, rng, session):
     calc = session.calc
     tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
-    residual = 0.0
-    details = []
-    for p in pts:
-        kap = tc.curvature(p, 0).values()
-        blocks = metric_tractor_curvature_blocks(calc, p, 0)[..., 0]
-        scale = float(np.max(np.abs(kap)))
-        torsion = float(np.max(np.abs(kap[:, :, 1:, 0])))
-        corner = float(np.max(np.abs(kap[:, :, 0, 0])))
-        block_gap = float(np.max(np.abs(kap - blocks)))
-        residual = max(
-            residual, _scaled(torsion, scale), _scaled(corner, scale),
-            _scaled(block_gap, scale),
-        )
-        details.append({
-            "point": list(p),
-            "torsion_block": torsion,
-            "scalar_block": corner,
-            "block_formula_vs_commutator": block_gap,
-        })
+    kap = tc.curvature(pts, 0).values()
+    blocks = metric_tractor_curvature_blocks(calc, pts, 0)[..., 0]
+    scale = _row_max(kap)
+    torsion = _row_max(kap[:, :, 1:, 0])
+    corner = _row_max(kap[:, :, 0, 0])
+    block_gap = _row_max(kap - blocks)
+    residual = float(np.max([
+        _scaled(torsion, scale), _scaled(corner, scale), _scaled(block_gap, scale)
+    ]))
+    details = _point_details(
+        pts, torsion_block=torsion, scalar_block=corner,
+        block_formula_vs_commutator=block_gap,
+    )
     return residual, len(pts), details
 
 
@@ -822,29 +831,24 @@ def _run_weyl_traces(geom, plan, rng, session):
     pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     eye = np.eye(geom.dim)
     pts = session.interior(rng, plan.interior_points)
-    residual = 0.0
-    for p in pts:
-        C, R, P, beta = (
-            pack.dense(name, p, 0)[..., 0] for name in ("weyl", "riemann", "schouten", "beta")
-        )
-        traces = np.concatenate([np.einsum("eaeb->ab", C), np.einsum("abee->ab", C)])
-        back = (
-            C + np.einsum("ca,be->abce", eye, P) - np.einsum("cb,ae->abce", eye, P)
-            + np.einsum("ce,ab->abce", eye, beta)
-        )
-        worst = max(float(np.max(np.abs(traces))), float(np.max(np.abs(back - R))))
-        residual = max(residual, _scaled(worst, float(np.max(np.abs(R)))))
-    return residual, len(pts), [{"points": len(pts)}]
+    C, R, P, beta = (
+        pack.dense(name, pts, 0)[..., 0] for name in ("weyl", "riemann", "schouten", "beta")
+    )
+    traces = np.concatenate([np.einsum("eaeb...->ab...", C), np.einsum("abee...->ab...", C)])
+    back = (
+        C + np.einsum("ca,be...->abce...", eye, P) - np.einsum("cb,ae...->abce...", eye, P)
+        + np.einsum("ce,ab...->abce...", eye, beta)
+    )
+    worst = np.maximum(_row_max(traces), _row_max(back - R))
+    return float(np.max(_scaled(worst, _row_max(R)))), len(pts), [{"points": len(pts)}]
 
 
 def _run_bianchi(geom, plan, rng, session):
     pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     pts = session.interior(rng, plan.interior_points)
-    residual = 0.0
-    for p in pts:
-        R = pack.riemann(p, 0)[..., 0]
-        cyc = R + np.einsum("beca->abce", R) + np.einsum("eacb->abce", R)
-        residual = max(residual, _scaled(float(np.max(np.abs(cyc))), float(np.max(np.abs(R)))))
+    R = pack.dense("riemann", pts, 0)[..., 0]
+    cyc = R + np.einsum("beca...->abce...", R) + np.einsum("eacb...->abce...", R)
+    residual = float(np.max(_scaled(_row_max(cyc), _row_max(R))))
     return residual, len(pts), [{"points": len(pts)}]
 
 
@@ -854,41 +858,35 @@ def _run_equivariance(geom, plan, rng, session):
     pts = session.interior(rng, 3)
     coef = rng.uniform(-0.5, 0.5, size=(d, d + 1))
 
-    def ups(point, order):
-        # the affine one-form coef[:, 0] + coef[:, 1:] x as dense jets
-        out = np.zeros((d, jet_space(d, order).ncoeff))
-        out[:, 0] = coef[:, 0] + coef[:, 1:] @ np.asarray(point, dtype=float)
+    def ups(points, order):
+        # the affine one-form coef[:, 0] + coef[:, 1:] x as dense jets at a
+        # batch of points
+        out = np.zeros((d, len(points), jet_space(d, order).ncoeff))
+        out[..., 0] = coef[:, :1] + value_matvec(coef[:, 1:], points.T)
         if order >= 1:
-            out[:, 1 : 1 + d] = coef[:, 1:]
+            out[..., 1 : 1 + d] = coef[:, None, 1:]
         return out
 
     s3 = calc.splitting(ups, "equivariance-probe")
-    residual = 0.0
-    details = []
     nondegenerate, _ = session.probe_nondegenerate()
-    for p in pts:
-        tv = polynomial_tractor_section(calc, p, 3, rng, s=calc.reference)
-        gap = 0.0
-        for target in (calc.levi_civita_splitting, s3):
-            route1 = calc.in_splitting(
-                std_tractor_derivative(calc, tv, p), target, p
-            )
-            route2 = std_tractor_derivative(
-                calc, calc.in_splitting(tv, target, p), p
-            )
-            gap = max(gap, float(np.max(np.abs(route1.values() - route2.values()))))
-        # instance matches: the closed-form components of L(tau), the
-        # metricity tractor and its inverse (the inverse needs a
-        # nondegenerate Schouten tensor, so the flat control skips it)
-        gap_inst = _instance_matches(calc, p) if nondegenerate else 0.0
-        residual = max(residual, gap, gap_inst)
-        details.append({"point": list(p), "equivariance_gap": gap,
-                        "instance_gap": gap_inst})
+    tv = polynomial_tractor_section(calc, pts, 3, rng, s=calc.reference)
+    gap = 0.0
+    for target in (calc.levi_civita_splitting, s3):
+        route1 = calc.in_splitting(std_tractor_derivative(calc, tv, pts), target, pts)
+        route2 = std_tractor_derivative(calc, calc.in_splitting(tv, target, pts), pts)
+        gap = np.maximum(gap, _row_max(route1.values() - route2.values()))
+    # instance matches: the closed-form components of L(tau), the
+    # metricity tractor and its inverse (the inverse needs a
+    # nondegenerate Schouten tensor, so the flat control skips it)
+    gap_inst = _instance_matches(calc, pts) if nondegenerate else 0.0
+    residual = float(np.max(np.maximum(gap, gap_inst)))
+    details = _point_details(pts, equivariance_gap=gap, instance_gap=gap_inst)
     return residual, len(pts), details
 
 
-def _instance_matches(calc: TractorCalculus, p) -> float:
-    """Closed-form component checks of the three splitting-change instances.
+def _instance_matches(calc: TractorCalculus, pts: np.ndarray) -> np.ndarray:
+    """Closed-form component checks of the three splitting-change instances,
+    one gap per point of the batch ``pts``.
 
     The gaps compare values, so the tractor quantities are evaluated at jet
     order 0 and the closed forms on their ``[..., 0]`` slices; only rho
@@ -897,65 +895,56 @@ def _instance_matches(calc: TractorCalculus, p) -> float:
     geom = calc.geom
     n = geom.dim - 1
     order = 0
-    rho, grad = geom.rho_and_drho(p)
-    tau_hat = calc.tau_hat_dense(p, order)[0]
-    tau = calc.tau.dense(p, order)[0]
-    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, order)[..., 0]
-    g_jets = geom.metric_field().dense(p, order)
+    rho, grad = geom.rho_and_drho(pts)
+    tau_hat = calc.tau_hat_dense(pts, order)[..., 0]
+    tau = calc.tau.dense(pts, order)[..., 0]
+    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", pts, order)[..., 0]
+    g_jets = geom.metric_field().dense(pts, order)
     g = g_jets[..., 0]
     ginv = jet_inverse(g_jets, jet_space(geom.dim, order))[..., 0]
-    grad2 = np.outer(grad, grad)
-
-    def worst(x):
-        return float(np.max(np.abs(x)))
+    grad2 = value_outer(grad)
 
     # L(tau) in the reference splitting
-    G = l_tau(calc, p, order, calc.reference).values()
-    gap = max(
-        float(abs(G[0, 0] - rho * tau_hat)),
-        worst(G[0, 1:] - 0.5 * grad * tau_hat),
-        worst(G[1:, 1:] - (P * rho * tau_hat + grad2 * tau_hat / (4.0 * rho))),
-    )
+    G = l_tau(calc, pts, order, calc.reference).values()
+    gaps = [
+        np.abs(G[0, 0] - rho * tau_hat),
+        _row_max(G[0, 1:] - 0.5 * grad * tau_hat),
+        _row_max(G[1:, 1:] - (P * rho * tau_hat + grad2 * tau_hat / (4.0 * rho))),
+    ]
 
     # the metricity tractor in the reference splitting
-    H = bgg_split_metricity(calc, calc.metricity_field(), calc.reference, p, order)
-    top, mid, bot = (x[..., 0] for x in s2t_slots(H))
-    gP = bd.schouten_trace(calc, p)
-    gq = float(grad @ ginv @ grad)
+    H = bgg_split_metricity(calc, calc.metricity_field(), calc.reference, pts, order)
+    _, mid, bot = (x[..., 0] for x in s2t_slots(H))
+    gP = bd.schouten_trace(calc, pts)
+    gq = value_dot(value_vecmat(grad, ginv), grad)
     expect_bot = gP / tau * (1.0 / (n + 1)) + gq / tau / (4.0 * rho * rho)
-    gap = max(
-        gap,
-        worst(mid - (ginv @ grad) * (-0.5) / rho / tau),
-        float(abs(bot - expect_bot)),
-    )
+    gaps += [
+        _row_max(mid - value_matvec(ginv, grad) * (-0.5) / rho / tau),
+        np.abs(bot - expect_bot),
+    ]
 
     # its inverse (the boundary metric tractor of the interior metric)
     Gp = tractor_metric_inverse(H).values()
     expect = tau_hat * (rho * g + (n + 1) / (4.0 * rho) / gP * grad2)
-    return max(
-        gap,
-        float(abs(Gp[0, 0] - tau_hat * rho * (n + 1) / gP)),
-        worst(Gp[0, 1:] - tau_hat * (0.5 * (n + 1)) / gP * grad),
-        worst((Gp[1:, 1:] - expect) / (1 + np.abs(expect))),
-    )
+    gaps += [
+        np.abs(Gp[0, 0] - tau_hat * rho * (n + 1) / gP),
+        _row_max(Gp[0, 1:] - tau_hat * (0.5 * (n + 1)) / gP * grad),
+        _row_max((Gp[1:, 1:] - expect) / (1 + np.abs(expect))),
+    ]
+    return np.max(gaps, axis=0)
 
 
 def _run_curv_consistency(geom, plan, rng, session):
     calc = session.calc
     pts = session.interior(rng, 3)
-    residual = 0.0
-    details = []
-    for p in pts:
-        gap = 0.0
-        for s in (calc.reference, calc.levi_civita_splitting):
-            kap = tractor_curvature(calc, s, p, 0).values()
-            blocks = standard_curvature_blocks(calc, s, p, 0)[..., 0]
-            scale = float(np.max(np.abs(kap))) + float(np.max(np.abs(blocks)))
-            g = float(np.max(np.abs(kap - blocks)))
-            gap = max(gap, _scaled(g, scale))
-        residual = max(residual, gap)
-        details.append({"point": list(p), "commutator_vs_blocks": gap})
-    return residual, len(pts), details
+    gap = 0.0
+    for s in (calc.reference, calc.levi_civita_splitting):
+        kap = tractor_curvature(calc, s, pts, 0).values()
+        blocks = standard_curvature_blocks(calc, s, pts, 0)[..., 0]
+        scale = _row_max(kap) + _row_max(blocks)
+        gap = np.maximum(gap, _scaled(_row_max(kap - blocks), scale))
+    details = _point_details(pts, commutator_vs_blocks=gap)
+    return float(np.max(gap)), len(pts), details
 
 
 def _run_defining_density(geom, plan, rng, session):

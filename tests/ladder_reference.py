@@ -1,8 +1,9 @@
-"""Reference placement of a boundary ladder, one level at a time.
+"""Reference placement of ladder levels, one level at a time.
 
 ``tractorlab.extrapolate.boundary_ladder`` runs one Newton over all levels
-of a ladder at once.  The tests compare it against this per-level Newton,
-which evaluates rho at one point per iteration.
+of a ladder at once, and ``TransversalCurve.at_rho`` one Newton over all the
+levels it locates on a transversal.  The tests compare them against these
+per-level Newtons, which evaluate rho at one point per iteration.
 """
 
 import numpy as np
@@ -37,3 +38,34 @@ def place_levels(geom, y, direction, eps0, levels):
             )
         points.append(tuple(float(v) for v in (y + s * direction)))
     return tuple(points)
+
+
+def locate_on_curve(curve, eps):
+    """The point and velocity on a transversal where rho equals ``eps``:
+    a Newton of its own on the cubic Hermite step that brackets the level,
+    with one single-point rho evaluation per iteration."""
+    if eps <= 0 or eps > float(curve.rhos.max()):
+        raise ValueError(f"rho={eps:g} is not reached by this transversal")
+    k = int(np.searchsorted(curve.rhos, eps)) - 1
+    k = max(0, min(k, len(curve.ts) - 2))
+    h = curve.ts[k + 1] - curve.ts[k]
+    x0, x1 = curve.points[k], curve.points[k + 1]
+    v0, v1 = curve.mus[k], curve.mus[k + 1]
+    a0, a1 = curve.accs[k], curve.accs[k + 1]
+    s = 0.5
+    for _ in range(60):
+        h00 = 2 * s**3 - 3 * s**2 + 1
+        h10 = s**3 - 2 * s**2 + s
+        h01 = -2 * s**3 + 3 * s**2
+        h11 = s**3 - s**2
+        x = h00 * x0 + h10 * h * v0 + h01 * x1 + h11 * h * v1
+        v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
+        rho, grad = curve.geom.rho_and_drho(x)
+        val = rho - eps
+        if abs(val) <= 1e-14 * (1 + eps):
+            return x, v
+        s -= val / (float(grad @ v) * h)
+        s = min(max(s, -0.5), 1.5)
+    raise GeometryError(
+        f"could not locate rho={eps:g} on the transversal from {curve.y}"
+    )

@@ -1,21 +1,20 @@
 """The batch axis over points: the dense jet kernels, the expression tape,
 the Christoffel evaluators, the curvature and tractor layers, the point
-functions of the boundary quantities and the transversal integrator give,
-row by row, what one call per point gives.
+functions of the boundary quantities, the transversal integrator and the
+Newton that locates levels on a transversal give, row by row, bit for bit
+what one call per point gives.
 
-A batch gives each row bit for bit what its point gives, with one
-exception: the order-1 jets of ``bgg_split_metricity``, whose slots take
-traces of covariant derivatives that numpy sums in another order for a
-batch than for one point.  They agree to 1e-13 relative; on klein-3 one
-coefficient moves by about 1e-23.  (A full contraction such as the scalar
-curvature's ``jet_einsum("ab,ab->")`` runs row by row for this reason.)
+numpy sums a contraction over the last axis of both operands as a dot
+product at one point, in another order than the rows of a batch, so
+``jet_einsum`` runs such a contraction row by row; the tests below pin that
+every contraction shape gives each row its point's bits.
 """
 
 import numpy as np
 import pytest
 
 from conftest import PLAN, ladder, ladders
-from ladder_reference import place_levels
+from ladder_reference import locate_on_curve, place_levels
 from tractorlab import boundary as bd
 from tractorlab import cli
 from tractorlab import expr as ex
@@ -27,6 +26,11 @@ from tractorlab.tractor import (
     TractorCalculus,
     bgg_split_metricity,
     l_tau,
+    metric_tractor_curvature_blocks,
+    metricity_contorsion,
+    polynomial_tractor_section,
+    standard_curvature_blocks,
+    std_tractor_derivative,
     tractor_curvature,
 )
 
@@ -141,9 +145,6 @@ def test_domain_exit_names_the_lowest_index_among_ties(klein3):
 
 BUILTINS = ["klein3", "af2", "af1", "flat3", "poincare3"]
 
-#: Quantities a batch gives to 1e-13 relative (module docstring).
-TOLERANT = {"bgg_split_metricity"}
-
 PACK_NAMES = ["riemann", "ricci", "scalar", "schouten", "beta", "weyl",
               "schouten_derivative", "cotton"]
 
@@ -162,7 +163,7 @@ def _ladder_batch(geom):
 
 def _assert_rows_match(name, batch_fn, point_fn, pts):
     """``batch_fn(pts)`` (batch axis last) against ``point_fn`` at each row:
-    the same error, or the same values (to 1e-13 for ``TOLERANT``)."""
+    the same error, or the same values bit for bit."""
     try:
         ref = np.stack([np.asarray(point_fn(p)) for p in pts], axis=-1)
     except (np.linalg.LinAlgError, PoleError) as err:
@@ -171,11 +172,7 @@ def _assert_rows_match(name, batch_fn, point_fn, pts):
         return
     got = np.asarray(batch_fn(pts))
     assert got.shape == ref.shape, name
-    if name in TOLERANT:
-        scale = max(float(np.max(np.abs(ref))), 1.0)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * scale, name
-    else:
-        assert np.array_equal(got, ref), name
+    assert np.array_equal(got, ref), name
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -219,6 +216,75 @@ def test_tractor_layer_batch_matches_points(any_geom, order):
     }
     for name, f in tractor.items():
         _assert_rows_match(name, lambda b: np.moveaxis(f(b), -2, -1), f, pts)
+
+
+#: Contractions over the last axis of both operands (the first five, which
+#: ``jet_einsum`` runs row by row) and over other axes.
+EINSUM_SPECS = ["axy,y->ax", "xy,by->bx", "aj,j->a", "j,aj->a", "ab,ab->",
+                "ayx,y->ax", "ij,ai->aj", "ce,eab->cab", "caf,fbe->abce"]
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("spec", EINSUM_SPECS)
+def test_every_contraction_batch_matches_points(spec, order):
+    space = jet_space(3, order)
+    rng = np.random.default_rng(4)
+    sa, sb = spec.split("->")[0].split(",")
+    a, b = (rng.standard_normal((3,) * len(s) + (6, space.ncoeff)) for s in (sa, sb))
+    _assert_rows_match(
+        spec,
+        lambda _: np.moveaxis(jet_einsum(spec, a, b, space), -2, -1),
+        lambda k: jet_einsum(spec, a[..., k, :].copy(), b[..., k, :].copy(), space),
+        range(6),
+    )
+
+
+# -- the tractor layer on the interior points of a check ----------------------
+
+
+def _interior_batch(geom):
+    return np.array(geom.interior_points(3, np.random.default_rng(9)))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_curvature_blocks_batch_match_points(any_geom, order):
+    calc = TractorCalculus(any_geom)
+    blocks = {
+        "standard_curvature_blocks": lambda p: standard_curvature_blocks(
+            calc, calc.levi_civita_splitting, p, order
+        ),
+        "metric_tractor_curvature_blocks": lambda p: metric_tractor_curvature_blocks(
+            calc, p, order
+        ),
+        "metric tractor curvature": lambda p: metricity_contorsion(calc).curvature(
+            p, order
+        ).data,
+    }
+    for name, f in blocks.items():
+        _assert_rows_match(
+            name, lambda b: np.moveaxis(f(b), -2, -1), f, _interior_batch(any_geom)
+        )
+
+
+def test_sections_and_their_derivatives_batch_match_points(any_geom):
+    calc = TractorCalculus(any_geom)
+    pts = _interior_batch(any_geom)
+    sections = polynomial_tractor_section(calc, pts, 3, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    each = [polynomial_tractor_section(calc, p, 3, rng) for p in pts]
+    assert np.array_equal(sections.data, np.stack([s.data for s in each], axis=-2))
+    derivatives = {
+        "std_tractor_derivative": lambda tv, p: std_tractor_derivative(calc, tv, p),
+        "metric tractor derivative": metricity_contorsion(calc).derivative,
+    }
+    for name, f in derivatives.items():
+        rows = iter(each)
+        _assert_rows_match(
+            name,
+            lambda b: np.moveaxis(f(sections, b).data, -2, -1),
+            lambda p: f(next(rows), p).data,
+            pts,
+        )
 
 
 def test_a_singular_level_names_its_point(klein3, monkeypatch, capsys):
@@ -275,6 +341,40 @@ def test_batched_newton_places_the_per_level_points(any_geom, eps0, levels):
         direction = any_geom.inward_direction(y)
         assert lad.points == place_levels(any_geom, y, direction, eps0, levels)
         assert np.array_equal(lad.batch, np.array(lad.points))
+
+
+def test_batched_at_rho_locates_the_per_level_points(geom):
+    y = geom.boundary_points(1, np.random.default_rng(6))[0]
+    lad = ladder(geom, y)
+    curve = bd.geodetic_transversals(TractorCalculus(geom), [lad])[0]
+    x, v = curve.at_rho(np.array(lad.eps))
+    ref = [locate_on_curve(curve, eps) for eps in lad.eps]
+    assert np.array_equal(x, np.array([r[0] for r in ref]))
+    assert np.array_equal(v, np.array([r[1] for r in ref]))
+    xs, vs = curve.at_rho(lad.eps[2])
+    assert xs.shape == (geom.dim,)
+    assert np.array_equal(xs, ref[2][0]) and np.array_equal(vs, ref[2][1])
+
+
+def test_batched_at_rho_raises_the_lowest_failing_levels_error(flat3):
+    # the stored rhos claim rho in [0, 0.1] while the positions have rho in
+    # [0.5, 0.6]: no level below 0.1 is reachable
+    curve = bd.TransversalCurve(
+        flat3, (1.0, 0.2, 0.1), np.array([-1.0, 0.0, 0.0]),
+        ts=np.array([0.0, 0.1]),
+        points=np.array([[0.5, 0.2, 0.1], [0.4, 0.2, 0.1]]),
+        mus=np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        accs=np.zeros((2, 3)),
+        rhos=np.array([0.0, 0.1]),
+    )
+    with pytest.raises(GeometryError) as ref:
+        locate_on_curve(curve, 0.04)
+    with pytest.raises(GeometryError) as got:
+        curve.at_rho(np.array([0.08, 0.04, 0.02]))
+    assert "rho=0.08" in str(got.value)
+    with pytest.raises(GeometryError) as got:
+        curve.at_rho(np.array([0.04, 0.02]))
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("rho, direction", [

@@ -407,7 +407,7 @@ def test_af2_contorsion_bounded_at_boundary(calc_af2, af2_frame):
     tc = metricity_contorsion(calc_af2, calc_af2.reference)
 
     def psi_values(p):
-        return tc.contorsion_matrices(p, 0)[..., 0]
+        return tc.contorsion(p, 0)[..., 0]
 
     est = boundary_limit(psi_values, af2_frame.ladder)
     assert not est.diverged

@@ -13,7 +13,8 @@ command line evaluates no tensor, curvature pack or inverse of its own.
 Expressions are evaluated only through compiled tapes: the recursive
 interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
 A ladder is evaluated as one batch of points, so only ``extrapolate``
-iterates a ladder's levels."""
+iterates a ladder's levels; likewise an interior check evaluates its
+sample points as one batch, so no ``verify`` runner loops over them."""
 
 import ast
 import importlib
@@ -141,14 +142,14 @@ def test_cli_evaluates_through_the_boundary_point_functions():
 
 def _iterates_ladder_levels(tree):
     """Lines of ``for`` loops and comprehensions that iterate the levels of
-    a ladder: their iterable reads ``.points`` or ``.batch`` of a value
-    named like a ladder (``ladder``, ``lad``, ``frame.ladder``)."""
+    a ladder: their iterable reads ``.points``, ``.batch`` or ``.eps`` of a
+    value named like a ladder (``ladder``, ``lad``, ``frame.ladder``)."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.For, ast.comprehension)):
             for sub in ast.walk(node.iter):
                 if (
                     isinstance(sub, ast.Attribute)
-                    and sub.attr in ("points", "batch")
+                    and sub.attr in ("points", "batch", "eps")
                     and "lad" in ast.unparse(sub.value)
                 ):
                     yield sub.lineno
@@ -169,6 +170,57 @@ def test_the_ladder_loop_rule_sees_per_level_loops():
         "for eps, p in zip(ladder.eps, ladder.points):\n    pass",
         "for k in range(len(frame.ladder.points)):\n    pass",
         "rows = [g(r) for r in lad.batch]",
+        "located = [curve.at_rho(eps) for eps in ladder.eps]",
     ):
         assert list(_iterates_ladder_levels(ast.parse(src))), src
     assert not list(_iterates_ladder_levels(ast.parse("ys = [y for y in rep.points]")))
+
+
+def _is_interior_call(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".interior")
+
+
+def _loops_over_interior_points(tree):
+    """Lines of ``for`` loops and comprehensions, in a function, whose
+    iterable reads the points a ``session.interior(...)`` call returned: the
+    call itself, or a name the function bound to an expression holding it."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            and any(_is_interior_call(sub) for sub in ast.walk(node.value))
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, (ast.For, ast.comprehension)) and any(
+                _is_interior_call(sub) or (isinstance(sub, ast.Name) and sub.id in names)
+                for sub in ast.walk(node.iter)
+            ):
+                yield node.iter.lineno
+
+
+def test_no_verify_runner_loops_over_its_interior_points():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    found = sorted(set(_loops_over_interior_points(tree)))
+    assert not found, f"verify.py loops over interior points on lines {found}"
+
+
+def test_the_interior_loop_rule_sees_per_point_loops():
+    head = "def run(geom, plan, rng, session):\n"
+    for body in (
+        "    pts = session.interior(rng, 3)\n    for p in pts:\n        pass",
+        "    pts = np.array(session.interior(rng))\n    return [f(p) for p in pts]",
+        "    for k, p in enumerate(session.interior(rng)):\n        pass",
+        "    pts = session.interior(rng)\n    for p, q in zip(pts, qs):\n        pass",
+        "    pts = session.interior(rng)\n    def f():\n        return [g(p) for p in pts]",
+    ):
+        assert list(_loops_over_interior_points(ast.parse(head + body))), body
+    for body in (
+        "    pts = session.interior(rng)\n    for pair in pairs:\n        f(pair, pts)",
+        "    for lad in session.ladders(rng):\n        pass",
+    ):
+        assert not list(_loops_over_interior_points(ast.parse(head + body))), body

@@ -489,7 +489,7 @@ def test_klein_contorsion_vanishes(calc3, rng):
     # Einstein: grad P = 0 so A = 0 identically
     tc = metricity_contorsion(calc3, calc3.reference)
     p = calc3.geom.interior_points(1, rng)[0]
-    psi = tc.contorsion_matrices(p, 1)
+    psi = tc.contorsion(p, 1)
     assert np.max(np.abs(psi[..., 0])) < 1e-10
 
 
@@ -587,7 +587,7 @@ def metric_blocks_reference(calc, point, order):
     Y = pack_jets(pack, "cotton", point, order)
     Phat = pack_jets(pack, "schouten", point, order)
     G = conn_jets(calc.connection_of(s), point, order)
-    raw = metricity_contorsion(calc, s).contorsion_matrices(point, order + 1)
+    raw = metricity_contorsion(calc, s).contorsion(point, order + 1)
     psi_raw = jet_views(raw, jet_space(d, order + 1))
     A = psi_raw[:, 1:, 1:]
     psi = psi_raw[:, 0, 1:]
