@@ -22,6 +22,7 @@ to name the failing level when a batched evaluation raises.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,6 +65,10 @@ class LimitEstimate:
     diverged: bool
 
     def scaled_error(self) -> float:
+        """``error / (1 + max|value|)``; infinite for a diverged estimate,
+        whose value is not meaningful."""
+        if self.diverged:
+            return math.inf
         scale = 1.0 + float(np.max(np.abs(self.value)))
         return self.error / scale
 

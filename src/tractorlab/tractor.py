@@ -359,7 +359,7 @@ def std_tractor_derivative(
     calc: TractorCalculus,
     tv: TractorValue,
     point: Point,
-    contorsion: "TractorConnection | None" = None,
+    omega: np.ndarray | None = None,
 ) -> TractorValue:
     """Coupled tractor covariant derivative in the value's own splitting.
 
@@ -367,14 +367,15 @@ def std_tractor_derivative(
     ``+Omega``, lower axes ``-Omega^T``); existing spacetime form axes ride
     along uncoupled, which is the right bookkeeping for curvature by
     commutators along coordinate directions.  The new form axis is axis 0
-    and the output order drops by one.
+    and the output order drops by one.  ``omega`` gives the connection
+    matrices at the value's order minus one, e.g. a contorsioned
+    connection's :meth:`TractorConnection.matrices` built once for several
+    values; by default they are the standard ones of the value's splitting.
     """
     k = tv.order
     if k < 1:
         raise ValueError("need jets of order >= 1 to differentiate")
-    if contorsion is not None:
-        omega = contorsion.matrices(point, k - 1)
-    else:
+    if omega is None:
         omega = calc.omega(tv.splitting, point, k - 1)
     lower = jet_space(calc.dim, k - 1)
     out = jet_gradient(tv.data, tv.space)
@@ -596,11 +597,6 @@ class TractorConnection:
         return self.calc.omega(self.splitting, point, order) + self.contorsion(
             point, order
         )
-
-    def derivative(self, tv: TractorValue, point: Point) -> TractorValue:
-        if tv.splitting != self.splitting:
-            raise ValueError("value is expressed in a different splitting")
-        return std_tractor_derivative(self.calc, tv, point, contorsion=self)
 
     def curvature(self, point: Point, order: int) -> TractorValue:
         return tractor_curvature(

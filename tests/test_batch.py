@@ -273,9 +273,12 @@ def test_sections_and_their_derivatives_batch_match_points(any_geom):
     rng = np.random.default_rng(2)
     each = [polynomial_tractor_section(calc, p, 3, rng) for p in pts]
     assert np.array_equal(sections.data, np.stack([s.data for s in each], axis=-2))
+    tc = metricity_contorsion(calc)
     derivatives = {
         "std_tractor_derivative": lambda tv, p: std_tractor_derivative(calc, tv, p),
-        "metric tractor derivative": metricity_contorsion(calc).derivative,
+        "metric tractor derivative": lambda tv, p: std_tractor_derivative(
+            calc, tv, p, tc.matrices(p, tv.order - 1)
+        ),
     }
     for name, f in derivatives.items():
         rows = iter(each)

@@ -111,6 +111,20 @@ def test_verify_poincare_exits_one(tmp_path):
     assert docs["weyl-traces"]["status"] == "pass"
 
 
+def test_verify_stderr_names_the_failed_facet(tmp_path, capsys):
+    code = main([
+        "verify", "--geometry", "poincare_control", "--dim", "3",
+        "--checks", "rho-connection-extends", "--boundary-points", "2",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.split(None, 2) == [
+        "rho-connection-extends", "fail",
+        "(diverged: residual inf against tolerance 1e-05)",
+    ]
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

@@ -14,10 +14,14 @@ Expressions are evaluated only through compiled tapes: the recursive
 interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
 A ladder is evaluated as one batch of points, so only ``extrapolate``
 iterates a ladder's levels; likewise an interior check evaluates its
-sample points as one batch, so no ``verify`` runner loops over them."""
+sample points as one batch, so no ``verify`` runner loops over them.  A
+runner returns its facets by name and ``run_suite`` alone turns them into a
+verdict, so no other code of ``verify`` writes an infinite residual or
+rescales a residual by a tolerance ratio."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -224,3 +228,74 @@ def test_the_interior_loop_rule_sees_per_point_loops():
         "    for lad in session.ladders(rng):\n        pass",
     ):
         assert not list(_loops_over_interior_points(ast.parse(head + body))), body
+
+
+#: The functions of ``verify.py`` that may name infinity: the sampling plan's
+#: validation and the verdict of ``run_suite``.
+VERDICT_EXEMPT = {"__post_init__", "run_suite"}
+
+
+def _is_power_of_ten(node):
+    """A numeric literal ``10^k`` with ``k != 0`` (a tolerance ratio)."""
+    if not isinstance(node, ast.Constant) or type(node.value) not in (int, float):
+        return False
+    exponent = math.log10(abs(node.value)) if node.value else 0.0
+    return exponent != 0 and exponent == round(exponent)
+
+
+def _verdict_forms(tree):
+    """Lines, outside the exempt functions, that name infinity (``math.inf``,
+    ``np.inf``, ``inf``, ``float("inf")``) or multiply or divide by a
+    power-of-ten literal."""
+    exempt = {
+        id(sub)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in VERDICT_EXEMPT
+        for sub in ast.walk(func)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        infinite = (
+            (isinstance(node, ast.Attribute) and node.attr == "inf")
+            or (isinstance(node, ast.Name) and node.id == "inf")
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.strip().lower() in ("inf", "infinity"))
+        )
+        rescaled = (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Mult, ast.Div))
+            and (_is_power_of_ten(node.left) or _is_power_of_ten(node.right))
+        )
+        if infinite or rescaled:
+            yield node.lineno
+
+
+def test_verify_leaves_the_verdict_to_run_suite():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    found = sorted(set(_verdict_forms(tree)))
+    assert not found, f"verify.py writes a verdict outside run_suite on lines {found}"
+
+
+def test_the_verdict_rule_sees_infinite_and_rescaled_residuals():
+    head = "def _run_x(geom, plan, rng, session):\n"
+    for body in (
+        "    residual = max(residual, rep.skew_defect * 10.0)",
+        "    residual = max(residual, pairing / 1e-2)",
+        "    r = 0.0 if sig_ok else math.inf",
+        "    return abs(float(est.value) - 1.0) * 1e-3, {}",
+        "    r = max(r, iso * 1e3, gram_defect * 1e2)",
+        "    r = max(r, cross / 10.0)",
+        "    r = float('inf')",
+        "    r = np.inf",
+        "    def judge(k, est):\n        return math.inf, {}",
+    ):
+        assert list(_verdict_forms(ast.parse(head + body))), body
+    for body in (
+        "    x = 0.5 * grad + (n + 1) / (4 * rho) + g * (1.0 / (n * (n + 1)))",
+        "    r = _scaled(gap, scale)",
+        "    return {'tangentially_degenerate': min_eig < 1e-6}, {}",
+    ):
+        assert not list(_verdict_forms(ast.parse(head + body))), body
+    exempt = "def run_suite(geom):\n    return math.inf * (1e-5 / 1e-6)"
+    assert not list(_verdict_forms(ast.parse(exempt)))

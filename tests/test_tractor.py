@@ -473,7 +473,7 @@ def test_metric_tractor_connection_properties(calc_af2, rng):
     p = (0.4, 0.2, -0.3, 0.1)
     tc = metricity_contorsion(calc_af2, calc_af2.reference)
     L = l_tau(calc_af2, p, 3, calc_af2.reference)
-    DL = std_tractor_derivative(calc_af2, L, p, contorsion=tc)
+    DL = std_tractor_derivative(calc_af2, L, p, tc.matrices(p, 2))
     assert max_value(DL.data) < 1e-10
     kap = tc.curvature(p, 1)
     blocks = metric_tractor_curvature_blocks(calc_af2, p, 1)

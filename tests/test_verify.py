@@ -1,5 +1,5 @@
+import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -68,8 +68,7 @@ def test_poincare_fails_compactness_and_completes():
     geom = builtin_geometry("poincare_control", 3)
     reports = run_suite(geom, "all", FAST_PLAN)
     by_id = {r.check_id: r for r in reports}
-    assert by_id["defining-density"].status == "fail"
-    assert by_id["rho-connection-extends"].status == "fail"
+    _assert_fails_for_its_stated_reasons(by_id)
     assert len(reports) == len(registry())
     # pure fiber identities still hold on the control
     assert by_id["weyl-traces"].status == "pass"
@@ -80,9 +79,20 @@ def test_flat_suite_completes_with_failures():
     geom = builtin_geometry("flat", 3)
     reports = run_suite(geom, "all", FAST_PLAN)
     statuses = {r.check_id: r.status for r in reports}
-    assert statuses["defining-density"] == "fail"
-    assert statuses["rho-connection-extends"] == "fail"
+    _assert_fails_for_its_stated_reasons({r.check_id: r for r in reports})
     assert "error" not in set(statuses.values())
+
+
+def _assert_fails_for_its_stated_reasons(by_id):
+    """A negative control fails the defining-density check with the reason
+    in its details, and the rho-connection check on a diverged limit; each
+    report's reason names that facet."""
+    density, extends = by_id["defining-density"], by_id["rho-connection-extends"]
+    assert density.status == extends.status == "fail"
+    assert density.details[0]["reason"]
+    assert density.reason == "not_a_defining_density: residual inf against tolerance 1e-05"
+    assert any(d["diverged"] for d in extends.details)
+    assert extends.reason == "diverged: residual inf against tolerance 1e-05"
 
 
 def test_report_invariant_pass_iff_within_tolerance():
@@ -146,6 +156,10 @@ def test_compactness_probe_keeps_the_exception(monkeypatch):
                              "(RuntimeError: tau exploded)")
 
 
+#: the facet of prop-4.3-identity that each list of terms sums into
+PROP43_FACETS = {"_prop43_terms": "identity_residual", "_prop43_lc_terms": "variant_residual"}
+
+
 @pytest.mark.parametrize("terms,count", [("_prop43_terms", 5), ("_prop43_lc_terms", 4)])
 def test_prop43_identity_fails_when_a_term_is_wrong(af2, monkeypatch, terms, count):
     # mutation test: flipping the sign of any term of either identity, or
@@ -155,8 +169,8 @@ def test_prop43_identity_fails_when_a_term_is_wrong(af2, monkeypatch, terms, cou
     session = verify._Session(af2, plan)
 
     def residual():
-        res, _, _ = check.run(af2, plan, np.random.default_rng(0), session)
-        return res
+        facets, _, _ = check.run(af2, plan, np.random.default_rng(0), session)
+        return float(np.max(facets[PROP43_FACETS[terms]]))
 
     assert residual() <= check.tolerance
     original = getattr(verify, terms)
@@ -221,6 +235,68 @@ def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
     assert built["CurvaturePack"] <= 3
 
 
+@pytest.mark.parametrize("terms", sorted(PROP43_FACETS))
+def test_prop43_failure_reason_names_the_wrong_identity(af2, monkeypatch, terms):
+    original = getattr(verify, terms)
+    monkeypatch.setattr(verify, terms, lambda *args: [-t for t in original(*args)])
+    (report,) = run_suite(af2, ["prop-4.3-identity"], SamplingPlan(interior_points=2))
+    assert report.status == "fail"
+    assert report.reason.startswith(f"{PROP43_FACETS[terms]}: residual ")
+    assert report.reason.endswith(" against tolerance 1e-08")
+
+
+def test_a_facet_is_held_to_its_own_tolerance(monkeypatch):
+    # a rho-connection dual-path gap of 2e-6 is inside the headline 1e-5 but
+    # fails its own 1e-6 tolerance, and reads 2e-5 in headline units
+    real = verify.bd.rho_connection_extension
+
+    def widened(conn, ladders):
+        return [dataclasses.replace(rep, dual_path_gap=2e-6) for rep in real(conn, ladders)]
+
+    monkeypatch.setattr(verify.bd, "rho_connection_extension", widened)
+    (report,) = run_suite(builtin_geometry("klein", 3), ["rho-connection-extends"], FAST_PLAN)
+    assert report.status == "fail"
+    assert report.max_residual == pytest.approx(2e-5, rel=1e-12)
+    assert report.reason == "dual_path_gap: residual 2e-06 against tolerance 1e-06"
+
+
+def test_registry_facet_tolerances_name_returned_facets(af2):
+    # a misspelt facet name would silently fall back to the headline
+    # tolerance: every name given its own tolerance is one its runner
+    # returns on af2_generic-4
+    plan = SamplingPlan(interior_points=2, boundary_points=1)
+    session = verify._Session(af2, plan)
+    for check in registry():
+        if check.facet_tolerances:
+            facets, _, _ = check.run(af2, plan, np.random.default_rng(0), session)
+            assert set(check.facet_tolerances) <= set(facets), check.id
+            assert check.tolerance not in check.facet_tolerances.values(), check.id
+
+
+#: the seed-0 geometries of the alone-versus-suite test, and the controls
+#: that also run at seeds 1 and 2
+ALONE_CASES = [
+    (name, dim, 0) for name, dim in (
+        ("klein", 3), ("klein", 4), ("af2_generic", 4), ("af1_generic", 4),
+        ("flat", 3), ("poincare_control", 3),
+    )
+] + [(name, 3, seed) for name in ("flat", "poincare_control") for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("name,dim,seed", ALONE_CASES)
+def test_a_check_run_alone_reports_as_in_the_full_suite(name, dim, seed):
+    # each check draws from an rng seeded by its registry index, so
+    # `verify --checks X` reproduces X's entry of `--checks all`
+    geom = builtin_geometry(name, dim)
+    plan = SamplingPlan(seed=seed)
+    full = run_suite(geom, "all", plan)
+    for report in full:
+        (alone,) = run_suite(geom, [report.check_id], plan)
+        assert json.dumps(alone.to_doc(), sort_keys=True) == json.dumps(
+            report.to_doc(), sort_keys=True
+        ), report.check_id
+
+
 def _run_check(check_id, geom, plan):
     check = next(c for c in registry() if c.id == check_id)
     return check.run(geom, plan, np.random.default_rng(0), verify._Session(geom, plan))
@@ -236,8 +312,8 @@ def test_mu_check_never_uses_a_diverged_prediction(klein3, monkeypatch):
     from tractorlab import boundary as bd
 
     monkeypatch.setattr(bd, "schouten_trace", _times_rho_power(bd.schouten_trace, 3))
-    residual, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
-    assert residual == math.inf
+    facets, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
+    assert facets["diverged"] is True
     assert details[0] == {"point": details[0]["point"], "diverged": True}
 
 
@@ -248,8 +324,8 @@ def test_mu_check_never_uses_a_diverged_curve_limit(klein3, monkeypatch):
         verify, "richardson_limit",
         lambda samples: real([s * 1e3**k for k, s in enumerate(samples)]),
     )
-    residual, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
-    assert residual == math.inf
+    facets, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
+    assert facets["diverged"] is True
     assert details[0] == {"point": details[0]["point"], "diverged": True}
 
 
@@ -258,9 +334,9 @@ def test_splitids_check_never_uses_a_diverged_limit(klein3, monkeypatch):
     from tractorlab import boundary as bd
 
     monkeypatch.setattr(bd, "t_vector", _times_rho_power(bd.t_vector, -3))
-    residual, _, details = _run_check(
+    facets, _, details = _run_check(
         "prop-4.2-splitids", klein3, SamplingPlan(interior_points=1)
     )
-    assert residual == math.inf
+    assert facets["diverged"] is True
     assert [set(d) for d in details[-2:]] == [{"point", "diverged"}] * 2
     assert all(d["diverged"] is True for d in details[-2:])
