@@ -393,24 +393,25 @@ def defining_density_check(
     density extends by zero to a defining density precisely when the volume
     growth matches the compactness order (for order 2 the quotient is
     literally tau/rho).  Divergence (flat control) and a zero limit
-    (conformally compact control) both fail.
+    (conformally compact control) both fail, as does a pole on any ladder,
+    which leaves every limit and error NaN.
     """
-    power = 2.0 / geom.alpha
+    ys = [ladder.y for ladder in ladders]
+    scale = np.float_power(np.concatenate([lad.eps for lad in ladders]), 2.0 / geom.alpha)
+    try:
+        samples = ladder_samples(lambda p: tau.dense(p, 0)[..., 0] / scale, ladders)
+    except PoleError:
+        nan = float("nan")
+        return DefiningDensityReport(
+            ys, [nan] * len(ys), [nan] * len(ys), [True] * len(ys), False,
+            "pole while approaching the boundary",
+        )
     limits: list[float] = []
     errors: list[float] = []
     diverged: list[bool] = []
     ok = True
     reason = ""
-    for ladder in ladders:
-        scale = np.float_power(ladder.eps, power)
-        try:
-            values = ladder_samples(lambda p: tau.dense(p, 0)[..., 0] / scale, ladder)
-        except PoleError:
-            ok, reason = False, "pole while approaching the boundary"
-            limits.append(float("nan"))
-            errors.append(float("nan"))
-            diverged.append(True)
-            continue
+    for values in samples:
         est = richardson_limit(values)
         limits.append(float(est.value))
         errors.append(est.error)
@@ -421,6 +422,4 @@ def defining_density_check(
             ok, reason = False, "tau/rho does not extrapolate smoothly"
         elif abs(est.value) < 1e-3:
             ok, reason = False, "tau/rho has zero boundary limit"
-    return DefiningDensityReport(
-        [ladder.y for ladder in ladders], limits, errors, diverged, ok, reason
-    )
+    return DefiningDensityReport(ys, limits, errors, diverged, ok, reason)

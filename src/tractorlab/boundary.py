@@ -7,10 +7,12 @@ boundary" to Richardson extrapolation of X along inward rays (module
 ``extrapolate``), or evaluates closed forms that are manifestly smooth at
 ``rho = 0``.  Every routine takes the boundary points as placed
 :class:`~tractorlab.extrapolate.Ladder` values, so one ladder serves every
-limit at its point and no routine chooses ``rho`` levels of its own; the
-routines that need a connection, a curvature pack or tau take the run's
-:class:`~tractorlab.tractor.TractorCalculus` and read them from it.  Where
-both routes exist (the Klein model carries an exact extension of its
+limit at its point and no routine chooses ``rho`` levels of its own.  A
+routine takes all the ladders (or frames) of a check, evaluates each
+quantity once on their stacked levels, then judges and raises ladder by
+ladder in order.  The routines that need a connection, a curvature pack or
+tau read them from the check's :class:`~tractorlab.tractor.TractorCalculus`.
+Where both routes exist (the Klein model carries an exact extension of its
 rho-modified connection) their agreement is part of the report.  Each
 boundary quantity has one point function here (``POINT_QUANTITIES``), which
 the checks and ``tractorlab eval`` extrapolate alike.
@@ -33,7 +35,7 @@ gamma_ij xi1^i xi2^j - (psi/(4 tauhat)) beta1 beta2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,23 +96,24 @@ class DegenerateBoundaryError(RuntimeError):
 # -- connection extension ----------------------------------------------------
 
 
-def extended_christoffels(conn, ladder: Ladder) -> np.ndarray:
-    """Boundary values at ``ladder.y`` of a connection that extends smoothly
-    to ``rho = 0``.
+def extended_christoffels(conn, ladders: Sequence[Ladder]) -> list[np.ndarray]:
+    """Boundary values at the ladders' points of a connection that extends
+    smoothly to ``rho = 0``, one per ladder.
 
     Uses the exact closed-form extension when the geometry provides one,
-    otherwise Richardson extrapolation along the ladder.  Divergence raises
-    :class:`BoundaryExtensionError` (the projectively-noncompact controls end
-    up here).
+    otherwise Richardson extrapolation along the ladders.  Divergence raises
+    :class:`BoundaryExtensionError` for the first diverged ladder (the
+    projectively-noncompact controls end up here).
     """
     if conn.exact_boundary is not None:
-        return conn.exact_boundary(ladder.y, 0)[..., 0]
-    est = boundary_limit(lambda p: conn.christoffel_values(p, 0), ladder)
-    if est.diverged:
-        raise BoundaryExtensionError(
-            f"connection does not extend to the boundary at {ladder.y}"
-        )
-    return np.asarray(est.value)
+        return [conn.exact_boundary(ladder.y, 0)[..., 0] for ladder in ladders]
+    ests = boundary_limit(lambda p: conn.christoffel_values(p, 0), ladders)
+    for ladder, est in zip(ladders, ests):
+        if est.diverged:
+            raise BoundaryExtensionError(
+                f"connection does not extend to the boundary at {ladder.y}"
+            )
+    return [np.asarray(est.value) for est in ests]
 
 
 @dataclass
@@ -134,9 +137,9 @@ def rho_connection_extension(conn, ladders: Sequence[Ladder]) -> list[ExtensionR
     closed-form extension, the gap between the two paths is reported.
     """
     out = []
-    for ladder in ladders:
-        # the samples stay at hand for the divergence slope
-        values = ladder_samples(lambda p: conn.christoffel_values(p, 0), ladder)
+    # the samples stay at hand for the divergence slope
+    samples = ladder_samples(lambda p: conn.christoffel_values(p, 0), ladders)
+    for ladder, values in zip(ladders, samples):
         est = richardson_limit(values)
         slope = None
         if est.diverged:
@@ -256,9 +259,8 @@ def geodetic_transversals(
         pairing = float(geom.drho(y) @ mu0)
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
-    gamma_boundary = np.stack([
-        extended_christoffels(conn, ladder) for ladder in ladders
-    ], axis=-1)  # (d, d, d, B), the layout of a batched christoffel_values
+    # (d, d, d, B), the layout of a batched christoffel_values
+    gamma_boundary = np.stack(extended_christoffels(conn, ladders), axis=-1)
 
     def acc(x: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
         inside = np.abs(rho) > 1e-12
@@ -415,58 +417,62 @@ class SecondFundamentalForm:
 
 def second_fundamental_form(
     calc: TractorCalculus,
-    ladder: Ladder,
+    ladders: Sequence[Ladder],
     rng: np.random.Generator | None = None,
-) -> SecondFundamentalForm:
-    """The tangential Hessian of rho at ``ladder.y`` w.r.t. the class
-    connection ``calc.hat`` extended along the ladder.
+) -> list[SecondFundamentalForm]:
+    """The tangential Hessian of rho at each ladder's point w.r.t. the class
+    connection ``calc.hat`` extended along the ladders, one form per ladder.
 
     Also verifies the two well-definedness properties numerically: a
     projective change of the connection leaves the tangential restriction
     unchanged, and replacing rho by ``exp(f) rho`` rescales it by the
-    conformal factor ``exp(f(y))``.
+    conformal factor ``exp(f(y))``.  The forms draw their test changes from
+    ``rng`` in ladder order.
     """
     geom = calc.geom
     d = geom.dim
     rng = rng or np.random.default_rng(11)
-    y = ladder.y
-    gamma0 = extended_christoffels(calc.hat, ladder)
-    full = hessian_of_rho(geom, y, gamma0)
-    E = tangential_basis(geom, y)
-    tang = E.T @ full @ E
-    scale = float(np.max(np.abs(tang))) + 1e-30
 
-    def modified(one_form):
+    def modified(gamma0, one_form):
         # Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a
         eye = np.eye(d)
         return gamma0 + (
             np.einsum("ca,b->cab", eye, one_form) + np.einsum("cb,a->cab", eye, one_form)
         )
 
-    # (a) projective invariance of the tangential restriction
-    ups = rng.uniform(-0.8, 0.8, size=d)
-    tang_proj = E.T @ hessian_of_rho(geom, y, modified(ups)) @ E
-    proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
+    forms = []
+    for ladder, gamma0 in zip(ladders, extended_christoffels(calc.hat, ladders)):
+        y = ladder.y
+        full = hessian_of_rho(geom, y, gamma0)
+        E = tangential_basis(geom, y)
+        tang = E.T @ full @ E
+        scale = float(np.max(np.abs(tang))) + 1e-30
 
-    # (b) conformal covariance under rho -> exp(f) rho with linear f; the
-    # class connection changes by df/alpha
-    fcoef = rng.uniform(-0.4, 0.4, size=d + 1)
-    space2 = jet_space(d, 2)
-    f = np.zeros(space2.ncoeff)
-    f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
-    f[1 : 1 + d] = fcoef[1:]
-    rho_new = jet_mul(jet_function("exp", f, space2), geom.rho_dense(y, 2), space2)
-    hess_new = _covariant_hessian(rho_new, modified(fcoef[1:] / geom.alpha))
-    tang_new = E.T @ hess_new @ E
-    factor = math.exp(f[0])
-    conf_defect = float(np.max(np.abs(tang_new - factor * tang))) / (
-        scale * max(factor, 1.0)
-    )
+        # (a) projective invariance of the tangential restriction
+        ups = rng.uniform(-0.8, 0.8, size=d)
+        tang_proj = E.T @ hessian_of_rho(geom, y, modified(gamma0, ups)) @ E
+        proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
 
-    eigs = np.linalg.eigvalsh(0.5 * (tang + tang.T))
-    return SecondFundamentalForm(
-        y, full, tang, E, conf_defect, proj_defect, float(np.min(np.abs(eigs)))
-    )
+        # (b) conformal covariance under rho -> exp(f) rho with linear f; the
+        # class connection changes by df/alpha
+        fcoef = rng.uniform(-0.4, 0.4, size=d + 1)
+        space2 = jet_space(d, 2)
+        f = np.zeros(space2.ncoeff)
+        f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
+        f[1 : 1 + d] = fcoef[1:]
+        rho_new = jet_mul(jet_function("exp", f, space2), geom.rho_dense(y, 2), space2)
+        hess_new = _covariant_hessian(rho_new, modified(gamma0, fcoef[1:] / geom.alpha))
+        tang_new = E.T @ hess_new @ E
+        factor = math.exp(f[0])
+        conf_defect = float(np.max(np.abs(tang_new - factor * tang))) / (
+            scale * max(factor, 1.0)
+        )
+
+        eigs = np.linalg.eigvalsh(0.5 * (tang + tang.T))
+        forms.append(SecondFundamentalForm(
+            y, full, tang, E, conf_defect, proj_defect, float(np.min(np.abs(eigs)))
+        ))
+    return forms
 
 
 # -- point functions of the boundary quantities -------------------------------
@@ -474,9 +480,9 @@ def second_fundamental_form(
 # Each is the value at an interior point whose boundary limit a check or
 # ``tractorlab eval`` extrapolates; checks, boundary routines and the command
 # line all call these, so a quantity and the check that judges it share one
-# formula.  Each takes a point or a batch of points ``(B, d)`` (a whole
-# ladder) and returns the value with its tensor axes first and the batch
-# axis last, the layout of a dense jet array's ``[..., 0]`` slice.
+# formula.  Each takes a point or a batch of points ``(B, d)`` (the stacked
+# ladders of a check) and returns the value with its tensor axes first and
+# the batch axis last, the layout of a dense jet array's ``[..., 0]`` slice.
 
 
 def scalar_curvature(calc: TractorCalculus, p) -> np.ndarray:
@@ -576,15 +582,13 @@ def asymptotic_h(
     geom = calc.geom
     n = geom.dim - 1
     ys = [ladder.y for ladder in ladders]
-    s_limits = []
-    for ladder in ladders:
-        est = boundary_limit(lambda p: scalar_curvature(calc, p), ladder)
-        if est.diverged:
-            return AsymptoticHReport(
-                ys, [], math.inf, math.nan, _constructor_c(geom),
-                [], [], True, [], "scalar curvature diverges at the boundary",
-            )
-        s_limits.append(float(est.value))
+    s_ests = boundary_limit(lambda p: scalar_curvature(calc, p), ladders)
+    if any(est.diverged for est in s_ests):
+        return AsymptoticHReport(
+            ys, [], math.inf, math.nan, _constructor_c(geom),
+            [], [], True, [], "scalar curvature diverges at the boundary",
+        )
+    s_limits = [float(est.value) for est in s_ests]
     spread = max(s_limits) - min(s_limits)
     s0 = float(np.mean(s_limits))
     if abs(s0) < 1e-6:
@@ -595,20 +599,17 @@ def asymptotic_h(
         )
     C = -n * (n + 1) / (4.0 * s0)
 
-    h_limits, h_errors, min_eigs = [], [], []
-    diverged = False
-    for ladder in ladders:
-        est = boundary_limit(lambda p: h_form(calc, C, p), ladder)
-        diverged = diverged or est.diverged
-        h_limits.append(np.asarray(est.value))
-        h_errors.append(est.error)
+    h_ests = boundary_limit(lambda p: h_form(calc, C, p), ladders)
+    h_limits = [np.asarray(est.value) for est in h_ests]
+    min_eigs = []
+    for ladder, est in zip(ladders, h_ests):
         if not est.diverged:
             E = tangential_basis(geom, ladder.y)
             tang = E.T @ np.asarray(est.value) @ E
             min_eigs.append(float(np.min(np.abs(np.linalg.eigvalsh(tang)))))
-    status = "ok"
-    if diverged:
-        status = "h does not extend to the boundary"
+    h_errors = [est.error for est in h_ests]
+    diverged = any(est.diverged for est in h_ests)
+    status = "h does not extend to the boundary" if diverged else "ok"
     return AsymptoticHReport(
         ys, s_limits, spread, C, _constructor_c(geom),
         h_limits, h_errors, diverged, min_eigs, status,
@@ -686,18 +687,13 @@ def einstein_asymptotics(
             + _delta_wedge(h_form(calc, C, p)) / (4.0 * C * rv)
         )
 
-    tf_errors, tail_errors = [], []
-    diverged = False
-    pointwise_diverges = False
-    for ladder in ladders:
-        est = boundary_limit(adjusted_ricci, ladder)
-        diverged = diverged or est.diverged
-        tf_errors.append(est.scaled_error())
-        est2 = boundary_limit(tail, ladder)
-        diverged = diverged or est2.diverged
-        tail_errors.append(est2.scaled_error())
-        est3 = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)
-        pointwise_diverges = pointwise_diverges or est3.diverged
+    tf_ests = boundary_limit(adjusted_ricci, ladders)
+    tail_ests = boundary_limit(tail, ladders)
+    pointwise = boundary_limit(lambda p: tracefree_ricci(calc, p), ladders)
+    diverged = any(est.diverged for est in tf_ests + tail_ests)
+    pointwise_diverges = any(est.diverged for est in pointwise)
+    tf_errors = [est.scaled_error() for est in tf_ests]
+    tail_errors = [est.scaled_error() for est in tail_ests]
     return EinsteinAsymptoticsReport(
         hrep.points, tf_errors, tail_errors, pointwise_diverges,
         diverged, "ok" if not diverged else "curvature tail diverges",
@@ -754,68 +750,73 @@ class BoundaryFrame:
         return out
 
 
-def boundary_frame(calc: TractorCalculus, ladder: Ladder) -> BoundaryFrame:
-    """Assemble the boundary tractor data at ``ladder.y`` by extrapolation
-    along the ladder."""
+def boundary_frame(
+    calc: TractorCalculus, ladders: Sequence[Ladder]
+) -> list[BoundaryFrame]:
+    """Assemble the boundary tractor data at the ladders' points by
+    extrapolation along the ladders, one frame per ladder."""
     geom = calc.geom
     d = geom.dim
     n = d - 1
     m = d + 1
-    y = ladder.y
-    grams = ladder_samples(lambda p: l_tau(calc, p, 0, calc.reference).values(), ladder)
-    est_gram = richardson_limit(grams)
-    eps = np.array(ladder.eps)
-    est_tau = boundary_limit(lambda p: calc.tau.dense(p, 0)[..., 0] / eps, ladder)
-    if est_gram.diverged or est_tau.diverged:
-        raise BoundaryExtensionError(
-            f"tractor metric data diverges at boundary point {y}"
-        )
-    gram = np.asarray(est_gram.value)
-    tau_hat = float(est_tau.value)
-    det_scaled = float(np.linalg.det(gram / tau_hat))
-    if abs(det_scaled) < 1e-8:
-        raise DegenerateBoundaryError(
-            f"degenerate boundary geometry at {y}: |det L(tau)| = {abs(det_scaled):.2e}"
-        )
-    est_inv = richardson_limit(np.linalg.inv(grams))
-    if est_inv.diverged:
-        raise BoundaryExtensionError(
-            f"inverse tractor metric diverges at boundary point {y}"
-        )
-    gram_inv = np.asarray(est_inv.value)
-    t_vec = tau_hat * gram_inv[0, 1:] / 2.0
-    psi = tau_hat * gram_inv[0, 0]
-    gamma_full = gram[1:, 1:] / tau_hat
-    drho = geom.drho(y)
+    samples = ladder_samples(lambda p: l_tau(calc, p, 0, calc.reference).values(), ladders)
+    eps = np.concatenate([ladder.eps for ladder in ladders])
+    est_taus = boundary_limit(lambda p: calc.tau.dense(p, 0)[..., 0] / eps, ladders)
+    frames = []
+    for ladder, grams, est_tau in zip(ladders, samples, est_taus):
+        y = ladder.y
+        est_gram = richardson_limit(grams)
+        if est_gram.diverged or est_tau.diverged:
+            raise BoundaryExtensionError(
+                f"tractor metric data diverges at boundary point {y}"
+            )
+        gram = np.asarray(est_gram.value)
+        tau_hat = float(est_tau.value)
+        det_scaled = float(np.linalg.det(gram / tau_hat))
+        if abs(det_scaled) < 1e-8:
+            raise DegenerateBoundaryError(
+                f"degenerate boundary geometry at {y}: "
+                f"|det L(tau)| = {abs(det_scaled):.2e}"
+            )
+        est_inv = richardson_limit(np.linalg.inv(grams))
+        if est_inv.diverged:
+            raise BoundaryExtensionError(
+                f"inverse tractor metric diverges at boundary point {y}"
+            )
+        gram_inv = np.asarray(est_inv.value)
+        t_vec = tau_hat * gram_inv[0, 1:] / 2.0
+        psi = tau_hat * gram_inv[0, 0]
+        gamma_full = gram[1:, 1:] / tau_hat
+        drho = geom.drho(y)
 
-    E = tangential_basis(geom, y)
-    gamma_t = E.T @ gamma_full @ E
-    gamma_t_inv = np.linalg.inv(gamma_t)
+        E = tangential_basis(geom, y)
+        gamma_t = E.T @ gamma_full @ E
+        gamma_t_inv = np.linalg.inv(gamma_t)
 
-    full_basis = np.column_stack([E, t_vec])
-    theta = np.linalg.inv(full_basis)
-    B = np.zeros((m, m))
-    B[0, 1:] = tau_hat * drho
-    for i in range(n):
-        B[1 + i, 1:] = theta[i]
-    B[n + 1, 0] = 1.0
-    Binv = np.linalg.inv(B)
-    gram_split = Binv.T @ gram @ Binv
+        full_basis = np.column_stack([E, t_vec])
+        theta = np.linalg.inv(full_basis)
+        B = np.zeros((m, m))
+        B[0, 1:] = tau_hat * drho
+        B[1 : n + 1, 1:] = theta[:n]
+        B[n + 1, 0] = 1.0
+        Binv = np.linalg.inv(B)
+        gram_split = Binv.T @ gram @ Binv
 
-    # the boundary value of P^ab / rho is tau_hat times the gram_inv block
-    dual = (tau_hat * gram_inv[1:, 1:]) @ gamma_full + np.outer(t_vec, drho)
-    diagnostics = {
-        "isotropy_T1": abs(gram[0, 0]) / tau_hat,
-        "t_dot_drho": float(t_vec @ drho),
-        "dual_gamma_defect": float(np.max(np.abs(dual - np.eye(d)))),
-        "gamma_min_singular_value": float(
-            np.min(np.abs(np.linalg.svd(gamma_t, compute_uv=False)))
-        ),
-    }
-    return BoundaryFrame(
-        ladder, E, tau_hat, psi, gamma_t, gamma_t_inv, B, Binv, gram_split,
-        diagnostics,
-    )
+        # the boundary value of P^ab / rho is tau_hat times the gram_inv block
+        dual = (tau_hat * gram_inv[1:, 1:]) @ gamma_full + np.outer(t_vec, drho)
+        diagnostics = {
+            "isotropy_T1": abs(gram[0, 0]) / tau_hat,
+            "t_dot_drho": float(t_vec @ drho),
+            "dual_gamma_defect": float(np.max(np.abs(dual - np.eye(d)))),
+            "gamma_min_singular_value": float(
+                np.min(np.abs(np.linalg.svd(gamma_t, compute_uv=False)))
+            ),
+        }
+        frames.append(BoundaryFrame(
+            ladder, E, tau_hat, psi, gamma_t, gamma_t_inv, B, Binv, gram_split,
+            diagnostics,
+        ))
+    return frames
 
 
 def expected_gram_split(frame: BoundaryFrame) -> np.ndarray:
@@ -850,21 +851,15 @@ def boundary_tractor_bundle(
     quotient metric with the second fundamental form, the block form of the
     tractor metric in the (beta; xi; sigma) splitting, and the signature
     bookkeeping (gamma's signature plus one hyperbolic plane)."""
-    frames = []
-    gram_defects = []
-    sff_agree = []
-    signature_ok = []
-    isotropy = []
-    for ladder in ladders:
-        frame = boundary_frame(calc, ladder)
-        frames.append(frame)
-        isotropy.append(frame.diagnostics["isotropy_T1"])
+    frames = boundary_frame(calc, ladders)
+    isotropy = [frame.diagnostics["isotropy_T1"] for frame in frames]
+    gram_defects, sff_agree, signature_ok = [], [], []
+    for frame, sff in zip(frames, second_fundamental_form(calc, ladders)):
         expected = expected_gram_split(frame)
         scale = 1.0 + float(np.max(np.abs(expected)))
         gram_defects.append(
             float(np.max(np.abs(frame.gram_split - expected))) / scale
         )
-        sff = second_fundamental_form(calc, ladder)
         half_hess = 0.5 * (sff.basis.T @ sff.full @ sff.basis)
         scale = 1.0 + float(np.max(np.abs(half_hess)))
         sff_agree.append(
@@ -897,52 +892,59 @@ class CurvatureBlocks:
     extrapolation_error: float
 
 
-def curvature_blocks(calc: TractorCalculus, frame: BoundaryFrame) -> CurvatureBlocks:
+def curvature_blocks(
+    calc: TractorCalculus, frames: Sequence[BoundaryFrame]
+) -> list[CurvatureBlocks]:
     """Extrapolate the curvature of the metric tractor connection (the
     torsion-free modification of the tractor connection that is metric for
-    L(tau), in the reference splitting) to the boundary along the frame's
-    ladder, restrict its form indices tangentially, and extract the (V, W)
-    blocks in the (beta; xi; sigma) splitting.
+    L(tau), in the reference splitting) to the boundary along the frames'
+    ladders, restrict its form indices tangentially, and extract the (V, W)
+    blocks in the (beta; xi; sigma) splitting, one set per frame.
 
     Asserts the zero pattern (first row, last column and the corner), the
     gamma-skewness of W, and that the bottom-middle block is
     ``-2 tauhat V_ij^k gamma_kl``.
     """
-    n = frame.n
     tc = metricity_contorsion(calc, calc.reference)
-    est = boundary_limit(lambda p: tc.curvature(p, 0).values(), frame.ladder)
-    if est.diverged:
-        raise BoundaryExtensionError(
-            f"metric tractor curvature diverges at {frame.point}"
-        )
-    kappa0 = np.asarray(est.value)
-    kappa_split = frame.tangential_kappa(kappa0)
+    ests = boundary_limit(
+        lambda p: tc.curvature(p, 0).values(), [frame.ladder for frame in frames]
+    )
+    out = []
+    for frame, est in zip(frames, ests):
+        n = frame.n
+        if est.diverged:
+            raise BoundaryExtensionError(
+                f"metric tractor curvature diverges at {frame.point}"
+            )
+        kappa0 = np.asarray(est.value)
+        kappa_split = frame.tangential_kappa(kappa0)
 
-    V = kappa_split[:, :, 1:n + 1, 0].copy()
-    W = kappa_split[:, :, 1:n + 1, 1:n + 1].copy()
-    scale = 1.0 + float(np.max(np.abs(kappa_split)))
-    zero = 0.0
-    zero = max(zero, float(np.max(np.abs(kappa_split[:, :, 0, :]))))  # beta row
-    zero = max(zero, float(np.max(np.abs(kappa_split[:, :, :, n + 1]))))  # sigma col
-    zero = max(zero, float(np.max(np.abs(kappa_split[:, :, n + 1, 0]))))  # corner
-    skew = float(
-        np.max(
-            np.abs(
-                np.einsum("ijrl,kr->ijkl", W, frame.gamma_t)
-                + np.einsum("ijrk,lr->ijkl", W, frame.gamma_t)
+        V = kappa_split[:, :, 1:n + 1, 0].copy()
+        W = kappa_split[:, :, 1:n + 1, 1:n + 1].copy()
+        scale = 1.0 + float(np.max(np.abs(kappa_split)))
+        zero = 0.0
+        zero = max(zero, float(np.max(np.abs(kappa_split[:, :, 0, :]))))  # beta row
+        zero = max(zero, float(np.max(np.abs(kappa_split[:, :, :, n + 1]))))  # sigma col
+        zero = max(zero, float(np.max(np.abs(kappa_split[:, :, n + 1, 0]))))  # corner
+        skew = float(
+            np.max(
+                np.abs(
+                    np.einsum("ijrl,kr->ijkl", W, frame.gamma_t)
+                    + np.einsum("ijrk,lr->ijkl", W, frame.gamma_t)
+                )
             )
         )
-    )
-    bottom_expected = -2.0 * frame.tau_hat * np.einsum(
-        "ijk,kl->ijl", V, frame.gamma_t
-    )
-    bottom = float(
-        np.max(np.abs(kappa_split[:, :, n + 1, 1:n + 1] - bottom_expected))
-    )
-    return CurvatureBlocks(
-        frame, kappa_split, V, W,
-        zero / scale, skew / scale, bottom / scale, est.scaled_error(),
-    )
+        bottom_expected = -2.0 * frame.tau_hat * np.einsum(
+            "ijk,kl->ijl", V, frame.gamma_t
+        )
+        bottom = float(
+            np.max(np.abs(kappa_split[:, :, n + 1, 1:n + 1] - bottom_expected))
+        )
+        out.append(CurvatureBlocks(
+            frame, kappa_split, V, W,
+            zero / scale, skew / scale, bottom / scale, est.scaled_error(),
+        ))
+    return out
 
 
 @dataclass
@@ -1041,11 +1043,12 @@ class AsymptoticallyParallelReport:
 
 
 def asymptotically_parallel_check(
-    calc: TractorCalculus, ladder: Ladder
-) -> AsymptoticallyParallelReport:
+    calc: TractorCalculus, ladders: Sequence[Ladder]
+) -> list[AsymptoticallyParallelReport]:
     """When the tractor derivative of L(tau) vanishes along the boundary,
     the restricted *standard* connection is already the normal conformal
-    tractor connection; verify normality directly in that case.
+    tractor connection; verify normality directly in that case, at each
+    ladder's point (one report per ladder).
 
     The hypothesis is checked by extrapolating ``tau grad_a P_bc`` (the only
     slot of the derivative); it is equivalent to the vanishing of the
@@ -1056,38 +1059,44 @@ def asymptotically_parallel_check(
     d = geom.dim
     n = d - 1
     if d < 4:
-        return AsymptoticallyParallelReport(
+        return [AsymptoticallyParallelReport(
             False, f"needs dimension >= 4, got {d}", math.nan, math.nan,
             False, math.nan, math.nan,
-        )
+        ) for _ in ladders]
     pack = calc.pack_of(calc.levi_civita_splitting)
 
     def bottom_slot(p):
         tau = calc.tau.dense(p, 0)[..., 0]
         return tau * pack.dense("schouten_derivative", p, 0)[..., 0]
 
-    est_h = boundary_limit(bottom_slot, ladder)
-    est_tf = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)
-    hyp = float(np.max(np.abs(est_h.value))) if not est_h.diverged else math.inf
-    tf = float(np.max(np.abs(est_tf.value))) if not est_tf.diverged else math.inf
-    equivalence = (hyp <= 1e-5) == (tf <= 1e-5)
-    if hyp > 1e-6:
-        return AsymptoticallyParallelReport(
-            False,
-            f"derivative of L(tau) does not vanish at the boundary "
-            f"(|tau grad P| ~ {hyp:.2e})",
-            hyp, tf, equivalence, math.nan, math.nan,
-        )
+    def norms(ests):
+        return [math.inf if e.diverged else float(np.max(np.abs(e.value))) for e in ests]
 
-    frame = boundary_frame(calc, ladder)
-    est = boundary_limit(
-        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(), ladder
+    reports = [AsymptoticallyParallelReport(
+        False,
+        f"derivative of L(tau) does not vanish at the boundary "
+        f"(|tau grad P| ~ {hyp:.2e})",
+        hyp, tf, (hyp <= 1e-5) == (tf <= 1e-5), math.nan, math.nan,
+    ) for hyp, tf in zip(
+        norms(boundary_limit(bottom_slot, ladders)),
+        norms(boundary_limit(lambda p: tracefree_ricci(calc, p), ladders)),
+    )]
+    # normality at the ladders where the hypothesis holds
+    held = [k for k, rep in enumerate(reports) if rep.hypothesis_norm <= 1e-6]
+    if not held:
+        return reports
+    frames = boundary_frame(calc, [ladders[k] for k in held])
+    ests = boundary_limit(
+        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(),
+        [frame.ladder for frame in frames],
     )
-    kappa_split = frame.tangential_kappa(np.asarray(est.value))
-    W = kappa_split[:, :, 1:n + 1, 1:n + 1]
-    scale = 1.0 + float(np.max(np.abs(kappa_split)))
-    t1 = float(np.max(np.abs(kappa_split[:, :, :, n + 1]))) / scale
-    ricci = float(np.max(np.abs(np.einsum("kjkl->jl", W)))) / scale
-    return AsymptoticallyParallelReport(
-        True, "", hyp, tf, equivalence, t1, ricci
-    )
+    for k, frame, est in zip(held, frames, ests):
+        kappa_split = frame.tangential_kappa(np.asarray(est.value))
+        W = kappa_split[:, :, 1:n + 1, 1:n + 1]
+        scale = 1.0 + float(np.max(np.abs(kappa_split)))
+        t1 = float(np.max(np.abs(kappa_split[:, :, :, n + 1]))) / scale
+        ricci = float(np.max(np.abs(np.einsum("kjkl->jl", W)))) / scale
+        reports[k] = replace(
+            reports[k], applicable=True, reason="", t1_defect=t1, ricci_residual=ricci
+        )
+    return reports

@@ -284,12 +284,12 @@ def _eval_quantity(geom, args, plan):
     ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
     if quantity == "phi":
         try:
-            blocks = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, ladder))
+            (blocks,) = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, [ladder]))
         except bdy.BoundaryExtensionError as err:
             raise ConfigError(f"phi has no boundary value: {err}") from None
         rep = bdy.normalize_boundary_connection(blocks)
         return rep.phi, blocks.extrapolation_error
-    est = boundary_limit(pointwise, ladder)
+    (est,) = boundary_limit(pointwise, [ladder])
     if est.diverged:
         raise ConfigError(
             f"{quantity} diverges along the ray into {y}; no boundary value"

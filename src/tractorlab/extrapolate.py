@@ -11,12 +11,13 @@ A ladder is placed once per boundary point (:func:`boundary_ladder`, with
 :class:`Ladder` value is passed to every boundary routine that extrapolates
 at that point.
 
-A ladder is evaluated as one batch: a point function takes the ``(levels,
-d)`` array ``Ladder.batch`` and returns its values with the batch axis last,
-``(*shape, levels)``, as the dense jet arrays of the curvature and tractor
-layers carry it (:func:`ladder_samples`, :func:`boundary_limit`).  This
-module is the only one that iterates a ladder's levels: to place them, and
-to name the failing level when a batched evaluation raises.
+A check's ladders are evaluated as one batch: a point function takes their
+``Ladder.batch`` rows stacked in order, ``(L·levels, d)``, and returns its
+values with the batch axis last, as the dense jet arrays of the curvature
+and tractor layers carry it; samples and limits come back one per ladder
+(:func:`ladder_samples`, :func:`boundary_limit`).  This module is the only
+one that iterates a ladder's levels: to place them, and to name the failing
+level when a stacked evaluation raises.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 Point = Sequence[float]
+PointFunction = Callable[[np.ndarray], object]
 
 #: The ratio of consecutive ``rho`` levels of every ladder.  A power of two,
 #: so each level is ``eps0`` scaled exactly.
@@ -187,31 +189,38 @@ def boundary_ladder(
     return Ladder(tuple(float(v) for v in y), direction, eps, points)
 
 
-def ladder_samples(f: Callable[[np.ndarray], object], ladder: Ladder) -> np.ndarray:
-    """The samples of a point function along a placed ladder, level first.
+def ladder_samples(f: PointFunction, ladders: Sequence[Ladder]) -> list[np.ndarray]:
+    """The samples of a point function along placed ladders, one array per
+    ladder, level first.
 
-    ``f`` is called once, on the ``(levels, d)`` array ``ladder.batch``, and
-    returns its values with the batch axis last (the layout of a dense jet
-    array's ``[..., 0]`` slice); the batch axis is moved to the front.  When
-    the batched call raises, the levels are called one at a time, in order,
-    only to raise the first failing level's own error, which names that
-    level's point where the point function names one.
+    ``f`` is called once, on the ladders' ``batch`` rows stacked in order,
+    and returns its values with the batch axis last (the layout of a dense
+    jet array's ``[..., 0]`` slice); the batch axis is moved to the front
+    and split at the ladders.  When the stacked call raises, the ladders
+    are rerun one at a time, level by level, only to raise the first
+    failing level's own error, which names that level's point where the
+    point function names one.
     """
+    if not ladders:
+        return []
+    batch = np.concatenate([lad.batch for lad in ladders])
     try:
-        values = np.asarray(f(ladder.batch), dtype=float)
+        values = np.asarray(f(batch), dtype=float)
     except Exception:
-        for p in ladder.points:
-            f(p)
+        for ladder in ladders:
+            for p in ladder.points:
+                f(p)
         raise
-    return np.moveaxis(values, -1, 0)
+    ends = np.cumsum([len(lad.points) for lad in ladders])[:-1]
+    return np.split(np.moveaxis(values, -1, 0), ends)
 
 
-def boundary_limit(f: Callable[[np.ndarray], object], ladder: Ladder) -> LimitEstimate:
-    """Extrapolate a point function along a placed ladder.
+def boundary_limit(f: PointFunction, ladders: Sequence[Ladder]) -> list[LimitEstimate]:
+    """Extrapolate a point function along placed ladders, one estimate each.
 
     ``f`` maps a batch of interior points ``(B, d)`` to its values with the
     batch axis last, ``(*shape, B)`` (see :func:`ladder_samples`); it is
-    evaluated once per ladder, on all levels together, and divergence along
-    the ladder is reported in the estimate rather than raised.
+    evaluated once, on the levels of all ladders together, and divergence
+    along a ladder is reported in its estimate rather than raised.
     """
-    return richardson_limit(ladder_samples(f, ladder))
+    return [richardson_limit(samples) for samples in ladder_samples(f, ladders)]

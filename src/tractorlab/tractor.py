@@ -57,7 +57,7 @@ from .affine import (
     rho_connection,
     rho_one_form,
 )
-from .fields import Geometry, TensorField, is_batch, point_key
+from .fields import Geometry, TensorField, is_batch
 from .jets import (
     JetSpace,
     jet_einsum,
@@ -194,10 +194,10 @@ class TractorCalculus:
     Owns the Levi-Civita and rho-modified connections (``lc``, ``hat``) with
     their curvature packs (:meth:`pack_of`), the canonical density ``tau``,
     the named splittings, and the splitting-dependent tractor connection
-    matrices (memoized per point or batch).  It is the only builder of these
-    objects: a suite session or a CLI evaluation makes one calculus and
-    every check, boundary routine and probe reads from it, so each memo has
-    one owner per run.  Nothing caches a calculus on its ``Geometry``.
+    matrices (:meth:`omega`, built on each call).  It is the only builder of
+    these objects: a suite session makes one for each check it runs and one
+    for its probes, and a CLI evaluation makes one, so each memo has one
+    owner and ends with it.  Nothing caches a calculus on its ``Geometry``.
     """
 
     def __init__(self, geom: Geometry):
@@ -223,7 +223,6 @@ class TractorCalculus:
             "levi_civita": self.lc,
         }
         self._packs: dict[str, CurvaturePack] = {}
-        self._matrices: dict = {}
         self._counter = itertools.count()
 
     # -- splittings -----------------------------------------------------
@@ -325,12 +324,8 @@ class TractorCalculus:
 
     def omega(self, s: Splitting, point: Point | np.ndarray, order: int) -> np.ndarray:
         """``Omega_a`` of the standard tractor connection in splitting ``s``,
-        a memoized read-only ``(d, n+2, n+2, ncoeff)`` array, or ``(d, n+2,
-        n+2, B, ncoeff)`` at a batch of points (keyed by its rows)."""
-        key = (s.label, point_key(point), order)
-        hit = self._matrices.get(key)
-        if hit is not None:
-            return hit
+        a ``(d, n+2, n+2, ncoeff)`` array, or ``(d, n+2, n+2, B, ncoeff)`` at
+        a batch of points."""
         d = self.dim
         conn = self.connection_of(s)
         G = conn.dense(point, order)
@@ -342,8 +337,6 @@ class TractorCalculus:
         omega[:, 0, 1:] = -P
         omega[:, 1:, 0, ..., 0] = eye.reshape(eye.shape + (1,) * (G.ndim - 4))
         omega[:, 1:, 1:] = G.swapaxes(0, 1) - np.einsum("be,a...->abe...", eye, gamma)
-        omega.flags.writeable = False
-        self._matrices[key] = omega
         return omega
 
     def connection_matrices(self, s: Splitting, point: Point, order: int) -> np.ndarray:
@@ -493,7 +486,8 @@ def metricity_residual(
     connection by the given one-form.  The residual combines the metric
     compatibility defect ``|D' g|`` with the middle slot of the metricity
     tractor expressed in the candidate's splitting; both vanish exactly when
-    the candidate is the Levi-Civita connection itself.
+    the candidate is the Levi-Civita connection itself.  The points are
+    evaluated as one batch.
     """
     if upsilon_from_lc is None:
         s = calc.levi_civita_splitting
@@ -503,15 +497,11 @@ def metricity_residual(
         conn = calc.connection_of(s)
     gfield = calc.geom.metric_field()
     dg_field = covariant_derivative(gfield, conn)
-    sigma = calc.metricity_field()
-    compat = 0.0
-    middle = 0.0
-    scale = 0.0
-    for p in points:
-        compat = max(compat, float(np.max(np.abs(dg_field.dense(p, 0)[..., 0]))))
-        scale = max(scale, float(np.max(np.abs(gfield.dense(p, 0)[..., 0]))))
-        _, nu, _ = s2t_slots(bgg_split_metricity(calc, sigma, s, p, order))
-        middle = max(middle, float(np.max(np.abs(nu[..., 0]))))
+    pts = np.array(points, dtype=float)
+    compat = float(np.max(np.abs(dg_field.dense(pts, 0)[..., 0])))
+    scale = float(np.max(np.abs(gfield.dense(pts, 0)[..., 0])))
+    _, nu, _ = s2t_slots(bgg_split_metricity(calc, calc.metricity_field(), s, pts, order))
+    middle = float(np.max(np.abs(nu[..., 0])))
     total = compat / (1.0 + scale) + middle
     return {
         "residual": total,

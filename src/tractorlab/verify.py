@@ -5,16 +5,16 @@ Each check evaluates residuals at seeded sample points (interior identities
 are jet-exact and carry tight tolerances; extrapolated boundary limits get
 looser ones).  An interior check draws its points as one ``(N, d)`` batch
 and evaluates each quantity once on it, as a boundary check evaluates each
-ladder once; its per-point residuals are maxima over the tensor axes
-(``_row_max``), and no runner loops over its points.  A check that does not
-apply to a geometry is skipped with a reason; runtime failures are captured
-as error reports, never thrown, so a suite always completes -- the negative
-controls rely on that.  Residuals are scale-normalized by operand norms
-(``|residual| / (1 + |operands|)``) so the same tolerances work across
-geometries.  A runner returns the facets of its statement by name, as raw
-residuals or as fault flags (``diverged``), and the registry gives a facet
-its own tolerance where it differs from the check's headline one;
-:func:`run_suite` alone turns the facets into the headline residual and
+quantity once on its stacked ladders; per-point residuals are maxima over
+the tensor axes (``_row_max``), and no runner loops over its points.  A
+check that does not apply to a geometry is skipped with a reason; runtime
+failures are captured as error reports, never thrown, so a suite always
+completes -- the negative controls rely on that.  Residuals are scaled by
+operand norms (``|residual| / (1 + |operands|)``) so the same tolerances
+work across geometries.  A runner returns the facets of its statement by
+name, as raw residuals or as fault flags (``diverged``), and the registry
+gives a facet its own tolerance where it differs from the check's headline
+one; :func:`run_suite` alone turns the facets into the headline residual and
 names the worst one in a failed check's reason.
 """
 
@@ -134,14 +134,14 @@ class Check:
 
 
 class _Session:
-    """Per-geometry state shared between checks of one suite run: the one
-    :class:`TractorCalculus` every check reads its connections, curvature
-    packs and tau from, the placed ladders and the probe verdicts."""
+    """Per-geometry state shared between checks of one suite run: the placed
+    ladders, the probe verdicts and ``calc``, the :class:`TractorCalculus` of
+    the running check (:func:`run_suite` gives each check its own)."""
 
     def __init__(self, geom: Geometry, plan: SamplingPlan):
         self.geom = geom
         self.plan = plan
-        self.calc = TractorCalculus(geom)
+        self.calc = self._probe_calc = TractorCalculus(geom)
         self._probe: dict[str, tuple[bool, str]] = {}
         self._ladders: dict[tuple, Ladder] = {}
 
@@ -174,8 +174,8 @@ class _Session:
         if hit is None:
             rng = np.random.default_rng(self.plan.seed)
             p = self.geom.interior_points(1, rng)[0]
-            pack = self.calc.pack_of(self.calc.levi_civita_splitting)
-            Pv = pack.dense("schouten", p, 0)[..., 0]
+            calc = self._probe_calc
+            Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
             hit = (ok, "" if ok else "degenerate boundary geometry")
@@ -190,8 +190,8 @@ class _Session:
             reason = "geometry fails the projective-compactness probes"
             try:
                 ladders = [self.ladder(y)]
-                reps = bd.rho_connection_extension(self.calc.hat, ladders)
-                dd = defining_density_check(self.calc.tau, self.geom, ladders)
+                reps = bd.rho_connection_extension(self._probe_calc.hat, ladders)
+                dd = defining_density_check(self._probe_calc.tau, self.geom, ladders)
                 ok = (not reps[0].diverged) and dd.passed
             except Exception as err:  # any failure means "not compact"
                 ok = False
@@ -255,17 +255,16 @@ def _columns(details: list[dict], *keys: str) -> dict:
     return {k: [d[k] for d in details if k in d] for k in keys}
 
 
-def _per_ladder(ladders, f, judge):
-    """Extrapolate the point function ``f`` along each ladder and judge each
-    finite limit: ``judge(k, est)`` gets the ladder's index and its estimate
-    and returns ``(facets, detail)``.  Returns the facets, each with one
-    value per judged ladder and led by the fault flag ``diverged``, and the
-    per-ladder details, each led by its point; a diverged ladder's detail is
-    ``{"point", "diverged": True}``."""
+def _per_ladder(ladders, ests, judge):
+    """Judge each finite limit of the estimates ``ests``, one per ladder (a
+    :func:`boundary_limit` of the ladders): ``judge(k, est)`` gets the
+    ladder's index and its estimate and returns ``(facets, detail)``.
+    Returns the facets, each with one value per judged ladder and led by the
+    fault flag ``diverged``, and the per-ladder details, each led by its
+    point; a diverged ladder's detail is ``{"point", "diverged": True}``."""
     facets = {"diverged": False}
     details = []
-    for k, ladder in enumerate(ladders):
-        est = boundary_limit(f, ladder)
+    for k, (ladder, est) in enumerate(zip(ladders, ests)):
         if est.diverged:
             facets["diverged"] = True
             details.append({"point": list(ladder.y), "diverged": True})
@@ -283,22 +282,19 @@ def _per_ladder(ladders, f, judge):
 def _run_extend(geom, plan, rng, session):
     calc = session.calc
     sigma = calc.metricity_field()
-    diverged = False
-    details = []
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    for ladder in ladders:
-        est_s = boundary_limit(lambda p: bd.scalar_curvature(calc, p), ladder)
-        est_t = boundary_limit(
-            lambda p: bgg_split_metricity(calc, sigma, calc.reference, p, 0).values(),
-            ladder,
-        )
-        diverged = diverged or est_s.diverged or est_t.diverged
-        details.append({
-            "point": list(ladder.y),
-            "scalar_limit": None if est_s.diverged else float(est_s.value),
-            "scalar_extrapolation_error": est_s.scaled_error(),
-            "metricity_tractor_extrapolation_error": est_t.scaled_error(),
-        })
+    scalar = boundary_limit(lambda p: bd.scalar_curvature(calc, p), ladders)
+    metricity = boundary_limit(
+        lambda p: bgg_split_metricity(calc, sigma, calc.reference, p, 0).values(),
+        ladders,
+    )
+    details = [{
+        "point": list(ladder.y),
+        "scalar_limit": None if est_s.diverged else float(est_s.value),
+        "scalar_extrapolation_error": est_s.scaled_error(),
+        "metricity_tractor_extrapolation_error": est_t.scaled_error(),
+    } for ladder, est_s, est_t in zip(ladders, scalar, metricity)]
+    diverged = any(est.diverged for est in scalar + metricity)
     facets = {"diverged": diverged, **_columns(
         details, "scalar_extrapolation_error", "metricity_tractor_extrapolation_error"
     )}
@@ -329,7 +325,7 @@ def _run_dense(geom, plan, rng, session):
         return {**detail, "vanishing_combination_limit": abs(limit)}, detail
 
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    facets, details = _per_ladder(ladders, slots, judge)
+    facets, details = _per_ladder(ladders, boundary_limit(slots, ladders), judge)
     return facets, len(ladders), details
 
 
@@ -354,7 +350,7 @@ def _run_prop23_h(geom, plan, rng, session):
         }
 
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    facets, details = _per_ladder(ladders, h23, judge)
+    facets, details = _per_ladder(ladders, boundary_limit(h23, ladders), judge)
     return facets, len(ladders), details
 
 
@@ -387,28 +383,30 @@ def _run_mu(geom, plan, rng, session):
     calc = session.calc
     gfield = geom.metric_field()
     ladders = session.ladders(rng, min(plan.boundary_points, 4))
-    diverged, errors, defects, extrapolated = False, [], [], []
-    details = []
+    diverged, errors, defects, extrapolated, details = False, [], [], [], []
     curves = bd.geodetic_transversals(
         calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
 
-    def quantity(points, mus):
-        """``rho^2 g(mu, mu)`` at each row of a batch of curve points."""
-        gv = gfield.dense(points, 0)[..., 0]
-        rho2 = np.float_power(geom.rho_value(points), 2)
-        return rho2 * value_dot(value_vecmat(mus.T, gv), mus.T)
-
-    for ladder, curve in zip(ladders, curves):
-        ks = np.arange(5, len(curve.ts), 10)
-        samples = quantity(curve.points[ks], curve.mus[ks])
+    # rho^2 g(mu, mu) at every tenth RK4 sample of each curve and at the
+    # points where it meets its ladder's levels, all curves in one batch
+    located = [curve.at_rho(lad.eps) for lad, curve in zip(ladders, curves)]
+    ks = np.arange(5, len(curves[0].ts), 10)
+    points = np.concatenate([c.points[ks] for c in curves] + [x for x, _ in located])
+    mus = np.concatenate([c.mus[ks] for c in curves] + [v for _, v in located])
+    gv = gfield.dense(points, 0)[..., 0]
+    rho2 = np.float_power(geom.rho_value(points), 2)
+    values = rho2 * value_dot(value_vecmat(mus.T, gv), mus.T)
+    along = values[: len(curves) * len(ks)].reshape(len(curves), len(ks))
+    located_values = np.split(values[len(curves) * len(ks):], len(curves))
+    predictions = boundary_limit(
+        lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladders
+    )
+    for ladder, samples, at_levels, est_rhs in zip(
+        ladders, along, located_values, predictions
+    ):
         variation = float(samples.max() - samples.min())
-
-        est = richardson_limit(quantity(*curve.at_rho(np.array(ladder.eps))))
-
-        est_rhs = boundary_limit(
-            lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladder
-        )
+        est = richardson_limit(at_levels)
         if est.diverged or est_rhs.diverged:
             diverged = True
             details.append({"point": list(ladder.y), "diverged": True})
@@ -438,9 +436,8 @@ def _run_s_const(geom, plan, rng, session):
     def judge(k, est):
         return {"extrapolation_error": est.scaled_error()}, {"scalar_limit": float(est.value)}
 
-    facets, details = _per_ladder(
-        ladders, lambda p: bd.scalar_curvature(calc, p), judge
-    )
+    ests = boundary_limit(lambda p: bd.scalar_curvature(calc, p), ladders)
+    facets, details = _per_ladder(ladders, ests, judge)
     limits = _columns(details, "scalar_limit")["scalar_limit"]
     if limits:
         spread = max(limits) - min(limits)
@@ -479,7 +476,7 @@ def _run_pff(geom, plan, rng, session):
     pack = session.calc.pack_of(session.calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     # every form draws from rng before any limit, diverged ladders included
-    sffs = [bd.second_fundamental_form(session.calc, lad, rng=rng) for lad in ladders]
+    sffs = bd.second_fundamental_form(session.calc, ladders, rng=rng)
 
     def lhs(p):
         Pv = pack.dense("schouten", p, 0)[..., 0]
@@ -501,17 +498,17 @@ def _run_pff(geom, plan, rng, session):
             "tangential_min_abs_eig": sff.min_abs_eigenvalue,
         }
 
-    facets, details = _per_ladder(ladders, lhs, judge)
+    facets, details = _per_ladder(ladders, boundary_limit(lhs, ladders), judge)
     return facets, len(ladders), details
 
 
 def _run_totally_geodesic(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    details = []
-    for ladder in ladders:
-        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
-        r = float(np.max(np.abs(sff.tangential)))
-        details.append({"point": list(ladder.y), "tangential_sff_norm": r})
+    sffs = bd.second_fundamental_form(session.calc, ladders, rng)
+    details = [
+        {"point": list(lad.y), "tangential_sff_norm": float(np.abs(sff.tangential).max())}
+        for lad, sff in zip(ladders, sffs)
+    ]
     return _columns(details, "tangential_sff_norm"), len(ladders), details
 
 
@@ -520,10 +517,9 @@ def _run_h_vs_sff(geom, plan, rng, session):
     rep = bd.asymptotic_h(session.calc, ladders)
     if rep.status != "ok":
         return {"asymptotic_form_fails": True}, len(ladders), [{"status": rep.status}]
-    gaps = []
-    details = []
-    for ladder, h_lim in zip(ladders, rep.h_limits):
-        sff = bd.second_fundamental_form(session.calc, ladder, rng=rng)
+    gaps, details = [], []
+    sffs = bd.second_fundamental_form(session.calc, ladders, rng)
+    for ladder, h_lim, sff in zip(ladders, rep.h_limits, sffs):
         target = -2.0 * rep.C * sff.full
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(h_lim - target)))
@@ -542,12 +538,16 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         rho_power = np.float_power(geom.rho_value(p), power)
         return rho_power * pack.dense("riemann", p, 0)[..., 0]
 
+    ests = boundary_limit(scaled_riemann, ladders)
+    if order_one:
+        # the extended connection at the ladders whose limit is judged
+        judged = [lad for lad, est in zip(ladders, ests) if not est.diverged]
+        gammas = dict(zip(judged, bd.extended_christoffels(session.calc.hat, judged)))
+
     def judge(k, est):
         ladder = ladders[k]
         if order_one:
-            x = bd.hessian_of_rho(
-                geom, ladder.y, bd.extended_christoffels(session.calc.hat, ladder)
-            )
+            x = bd.hessian_of_rho(geom, ladder.y, gammas[ladder])
         else:
             grad = geom.drho(ladder.y)
             x = np.outer((1 - alpha) / alpha**2 * grad, grad)
@@ -557,7 +557,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         key = "curvature_asymptotics_gap"
         return {key: _scaled(gap, scale)}, {key: gap}
 
-    facets, details = _per_ladder(ladders, scaled_riemann, judge)
+    facets, details = _per_ladder(ladders, ests, judge)
     return facets, len(ladders), details
 
 
@@ -631,7 +631,9 @@ def _run_splitids(geom, plan, rng, session):
             {"t_dot_drho_limit": float(est.value)},
         )
 
-    limit_facets, limit_details = _per_ladder(session.ladders(rng, 2), t_dot, judge)
+    ladders = session.ladders(rng, 2)
+    limits = boundary_limit(t_dot, ladders)
+    limit_facets, limit_details = _per_ladder(ladders, limits, judge)
     details = _point_details(pts, identity_residual=gap) + limit_details
     return {"identity_residual": gap, **limit_facets}, len(pts), details
 
@@ -708,27 +710,21 @@ def _run_prop43(geom, plan, rng, session):
 
 
 def _run_thm41a(geom, plan, rng, session):
-    calc = session.calc
     ladders = session.ladders(rng, 2)
-    details = []
-    skipped = 0
-    for ladder in ladders:
-        rep = bd.asymptotically_parallel_check(calc, ladder)
-        if not rep.applicable:
-            skipped += 1
-            details.append({"point": list(ladder.y), "skipped": rep.reason,
-                            "equivalence_ok": rep.equivalence_ok})
-            continue
-        details.append({
-            "point": list(ladder.y),
-            "hypothesis_norm": rep.hypothesis_norm,
-            "tracefree_ricci_norm": rep.tracefree_ricci_norm,
-            "t1_defect": rep.t1_defect,
-            "normality_residual": rep.ricci_residual,
-            "equivalence_ok": rep.equivalence_ok,
-        })
-    if skipped == len(ladders):
-        raise _SkipCheck(details[0]["skipped"])
+    reps = bd.asymptotically_parallel_check(session.calc, ladders)
+    if not any(rep.applicable for rep in reps):
+        raise _SkipCheck(reps[0].reason)
+    details = [{
+        "point": list(ladder.y),
+        "hypothesis_norm": rep.hypothesis_norm,
+        "tracefree_ricci_norm": rep.tracefree_ricci_norm,
+        "t1_defect": rep.t1_defect,
+        "normality_residual": rep.ricci_residual,
+        "equivalence_ok": rep.equivalence_ok,
+    } if rep.applicable else {
+        "point": list(ladder.y), "skipped": rep.reason,
+        "equivalence_ok": rep.equivalence_ok,
+    } for ladder, rep in zip(ladders, reps)]
     facets = _columns(details, "hypothesis_norm", "t1_defect", "normality_residual")
     facets["equivalence_fails"] = not all(d["equivalence_ok"] for d in details)
     return facets, len(ladders), details
@@ -792,12 +788,10 @@ def _run_thm43_torsion(geom, plan, rng, session):
 
 
 def _run_thm44(geom, plan, rng, session):
-    calc = session.calc
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    frames = bd.boundary_frame(session.calc, ladders)
     details = []
-    for ladder in ladders:
-        frame = bd.boundary_frame(calc, ladder)
-        blocks = bd.curvature_blocks(calc, frame)
+    for ladder, blocks in zip(ladders, bd.curvature_blocks(session.calc, frames)):
         rep = bd.normalize_boundary_connection(blocks)
         fault = bd.normalize_boundary_connection(blocks, w_perturbation=1.0)
         details.append({
@@ -815,9 +809,7 @@ def _run_thm44(geom, plan, rng, session):
         "contorsion_gram_skewness", "normality_residual", "t1_preservation",
     )
     # the detector must fire on the injected fault at every point
-    facets["detector_silent"] = not all(
-        d["fault_detector_residual"] > 0.1 for d in details
-    )
+    facets["detector_silent"] = not all(d["fault_detector_residual"] > 0.1 for d in details)
     return facets, len(ladders), details
 
 
@@ -1212,6 +1204,7 @@ def run_suite(
                 # seeded by the registry index, so a check samples the same
                 # points alone as in the full suite
                 rng = np.random.default_rng([plan.seed, index])
+                session.calc = TractorCalculus(geom)  # its memos end with the check
                 facets, n_points, details = check.run(geom, plan, rng, session)
                 # each facet's worst value in units of its own tolerance,
                 # times the headline one; a set fault flag or a NaN is inf

@@ -382,8 +382,8 @@ def test_criterion_10_boundary_normalization(geoms):
 def test_criterion_11_asymptotically_parallel(geoms):
     start = time.perf_counter()
     calc = TractorCalculus(geoms[("klein", 4)])
-    rep = bd.asymptotically_parallel_check(
-        calc, ladder(calc.geom, (0.0, 1.0, 0.0, 0.0))
+    (rep,) = bd.asymptotically_parallel_check(
+        calc, [ladder(calc.geom, (0.0, 1.0, 0.0, 0.0))]
     )
     ok = (
         rep.applicable

@@ -16,7 +16,7 @@ from tractorlab.affine import (
     rho_connection,
 )
 from tractorlab.fields import Chart, Geometry, TensorField, builtin_geometry
-from tractorlab.jets import DomainError, jet_mul, jet_reciprocal, jet_space
+from tractorlab.jets import DomainError, PoleError, jet_mul, jet_reciprocal, jet_space
 
 
 def linear_one_form(chart, coeffs):
@@ -391,6 +391,28 @@ def test_defining_density_controls(poincare3, flat3):
                                   ladders(flat3, [(1.0, 0.2, 0.1)]))
     assert not rep2.passed
     assert rep2.diverged[0]
+
+
+def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypatch):
+    # the ladders are evaluated as one batch: a pole on the rows of one
+    # ladder fails the check, and no ladder then has a limit
+    lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    bad = set(lads[1].points)
+    tau = canonical_tau(klein3)
+    real = tau.dense
+
+    def dense(point, order):
+        if bad & {tuple(row) for row in np.atleast_2d(point).tolist()}:
+            raise PoleError("pole on the second ladder")
+        return real(point, order)
+
+    monkeypatch.setattr(tau, "dense", dense)
+    rep = defining_density_check(tau, klein3, lads)
+    assert rep.passed is False
+    assert rep.reason == "pole while approaching the boundary"
+    assert np.isnan(rep.limits).all() and np.isnan(rep.errors).all()
+    assert rep.diverged == [True] * 3
+    assert rep.points == [lad.y for lad in lads]
 
 
 def test_special_flag_via_density_transport(klein3):

@@ -2,7 +2,8 @@
 the Christoffel evaluators, the curvature and tractor layers, the point
 functions of the boundary quantities, the transversal integrator and the
 Newton that locates levels on a transversal give, row by row, bit for bit
-what one call per point gives.
+what one call per point gives; and a check's ladders evaluated as one
+stacked batch give each ladder the bits of its own evaluation.
 
 numpy sums a contraction over the last axis of both operands as a dot
 product at one point, in another order than the rows of a batch, so
@@ -19,7 +20,7 @@ from tractorlab import boundary as bd
 from tractorlab import cli
 from tractorlab import expr as ex
 from tractorlab.affine import CurvaturePack
-from tractorlab.extrapolate import boundary_ladder, boundary_limit
+from tractorlab.extrapolate import boundary_ladder, boundary_limit, ladder_samples
 from tractorlab.fields import Chart, Geometry, GeometryError
 from tractorlab.jets import PoleError, jet_einsum, jet_inverse, jet_space
 from tractorlab.tractor import (
@@ -330,8 +331,90 @@ def test_a_pole_level_raises_its_own_error(klein3):
         return klein3.rho_value(p)
 
     with pytest.raises(PoleError) as err:
-        boundary_limit(f, lad)
+        boundary_limit(f, [lad])
     assert str(err.value) == f"pole at {bad[0]}"
+
+
+# -- a check's ladders, stacked -----------------------------------------------
+
+#: Point functions ``f(calc, rows, eps)`` that checks extrapolate along their
+#: ladders; ``eps`` holds the rho level of each row.
+LADDER_QUANTITIES = {
+    **{
+        name: lambda calc, p, eps, f=f: f(calc, p)
+        for name, f in bd.POINT_QUANTITIES.items()
+    },
+    "h_form": lambda calc, p, eps: bd.h_form(calc, 0.25, p),
+    "schouten_trace": lambda calc, p, eps: bd.schouten_trace(calc, p),
+    "tracefree_ricci": lambda calc, p, eps: bd.tracefree_ricci(calc, p),
+    "bgg_split_metricity": lambda calc, p, eps: bgg_split_metricity(
+        calc, calc.metricity_field(), calc.reference, p, 0
+    ).values(),
+    "rho-connection Christoffels": lambda calc, p, eps: calc.hat.christoffel_values(p, 0),
+    "tau/eps": lambda calc, p, eps: calc.tau.dense(p, 0)[..., 0] / eps,
+    "standard tractor curvature": lambda calc, p, eps: tractor_curvature(
+        calc, calc.reference, p, 0
+    ).values(),
+    "metric tractor curvature": lambda calc, p, eps: metricity_contorsion(
+        calc, calc.reference
+    ).curvature(p, 0).values(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_QUANTITIES))
+def test_stacked_ladders_match_per_ladder_evaluation(any_geom, name):
+    # each ladder's samples from one stacked call equal, bit for bit, those
+    # of its own call (each side with a fresh calculus, so no memo is shared)
+    f = LADDER_QUANTITIES[name]
+    lads = ladders(any_geom, any_geom.boundary_points(3, np.random.default_rng(13)))
+    each_calc = TractorCalculus(any_geom)
+    try:
+        ref = [
+            ladder_samples(lambda p, lad=lad: f(each_calc, p, np.array(lad.eps)), [lad])[0]
+            for lad in lads
+        ]
+    except (np.linalg.LinAlgError, PoleError) as err:
+        # the stacked call raises the first failing ladder's error
+        calc, eps = TractorCalculus(any_geom), np.concatenate([lad.eps for lad in lads])
+        with pytest.raises(type(err)) as got:
+            ladder_samples(lambda p: f(calc, p, eps), lads)
+        assert str(got.value) == str(err)
+        return
+    calc, eps = TractorCalculus(any_geom), np.concatenate([lad.eps for lad in lads])
+    got = ladder_samples(lambda p: f(calc, p, eps), lads)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.array_equal(g, r)
+
+
+def test_a_raise_on_one_ladder_names_that_ladders_first_failing_level(klein3):
+    # ladder 2 of 3 has two pole levels: the stacked evaluation raises, and
+    # the error that leaves is the one of ladder 2's first failing level
+    lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    bad = lads[1].points[2:4]
+    calls = []
+
+    def f(p):
+        calls.append(np.ndim(p))
+        for row in np.atleast_2d(p).tolist():
+            if tuple(row) in bad:
+                raise PoleError(f"pole at {p}" if np.ndim(p) == 1 else "pole")
+        return klein3.rho_value(p)
+
+    with pytest.raises(PoleError) as err:
+        boundary_limit(f, lads)
+    assert str(err.value) == f"pole at {bad[0]}"
+    # one stacked call, then ladder 1's levels and ladder 2's up to the pole
+    assert calls == [2] + [1] * (len(lads[0].points) + 3)
+
+
+def test_a_ladder_list_gives_one_estimate_per_ladder(klein3):
+    lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8)])
+    ests = boundary_limit(lambda p: 3.0 + klein3.rho_value(p), lads)
+    assert len(ests) == 2
+    assert all(est.value == pytest.approx(3.0, abs=1e-10) for est in ests)
+    assert boundary_limit(lambda p: klein3.rho_value(p), []) == []
 
 
 # -- ladder placement ---------------------------------------------------------

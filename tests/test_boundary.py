@@ -27,20 +27,22 @@ def calc_af2(af2):
 
 @pytest.fixture(scope="module")
 def af2_frame(calc_af2):
-    return bd.boundary_frame(calc_af2, ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4)))
+    (frame,) = bd.boundary_frame(calc_af2, [ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4))])
+    return frame
 
 
 @pytest.fixture(scope="module")
 def af2_blocks(calc_af2, af2_frame):
-    return bd.curvature_blocks(calc_af2, af2_frame)
+    (blocks,) = bd.curvature_blocks(calc_af2, [af2_frame])
+    return blocks
 
 
 # -- extrapolation primitives ---------------------------------------------------
 
 
 def test_richardson_simple(klein3):
-    est = boundary_limit(
-        lambda p: 3.0 + klein3.rho_value(p) ** 2, ladder(klein3, (1.0, 0.0, 0.0))
+    (est,) = boundary_limit(
+        lambda p: 3.0 + klein3.rho_value(p) ** 2, [ladder(klein3, (1.0, 0.0, 0.0))]
     )
     assert est.value == pytest.approx(3.0, abs=1e-10)
     assert not est.diverged
@@ -48,8 +50,8 @@ def test_richardson_simple(klein3):
 
 def test_richardson_scalar_curvature(klein3):
     pack = lc_pack(klein3)
-    est = boundary_limit(
-        lambda p: pack.dense("scalar", p, 0)[..., 0], ladder(klein3, (0.0, 0.0, 1.0))
+    (est,) = boundary_limit(
+        lambda p: pack.dense("scalar", p, 0)[..., 0], [ladder(klein3, (0.0, 0.0, 1.0))]
     )
     assert est.value == pytest.approx(-6.0, abs=1e-6)
 
@@ -58,9 +60,9 @@ def test_poincare_rho_s_anomaly(poincare3):
     # rho * S tends to zero, not to the nonzero constant an order-2
     # compactification would give
     pack = lc_pack(poincare3)
-    est = boundary_limit(
+    (est,) = boundary_limit(
         lambda p: poincare3.rho_value(p) * pack.dense("scalar", p, 0)[..., 0],
-        ladder(poincare3, (1.0, 0.0, 0.0)),
+        [ladder(poincare3, (1.0, 0.0, 0.0))],
     )
     assert abs(float(est.value)) < 1e-6
 
@@ -175,7 +177,7 @@ def test_collar_duplicate_grid_collides(klein3):
 
 
 def test_klein_sff(calc3):
-    sff = bd.second_fundamental_form(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
+    (sff,) = bd.second_fundamental_form(calc3, [ladder(calc3.geom, (1.0, 0.0, 0.0))])
     assert np.allclose(sff.tangential, -2 * np.eye(2), atol=1e-9)
     assert sff.conformal_factor_defect < 1e-6
     assert sff.projective_change_defect < 1e-6
@@ -187,14 +189,14 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
     # half the Hessian representative
     lad = ladder(klein3, (0.0, 0.0, 1.0))
     pack = lc_pack(klein3)
-    sff = bd.second_fundamental_form(TractorCalculus(klein3), lad)
+    (sff,) = bd.second_fundamental_form(TractorCalculus(klein3), [lad])
 
     def gamma_full(p):
         P = pack.dense("schouten", p, 0)[..., 0]
         rho, grad = klein3.rho_and_drho(p)
         return rho * P + grad[:, None] * grad[None, :] / (4 * rho)
 
-    est = boundary_limit(gamma_full, lad)
+    (est,) = boundary_limit(gamma_full, [lad])
     E = sff.basis
     got = E.T @ np.asarray(est.value) @ E
     assert np.max(np.abs(got - 0.5 * sff.tangential)) < 1e-5
@@ -202,7 +204,7 @@ def test_klein_sff_vs_schouten_asymptotics(klein3):
 
 def test_af1_totally_geodesic(af1):
     lad = ladder(af1, (0.0, 0.3, -0.2, 0.4))
-    sff = bd.second_fundamental_form(TractorCalculus(af1), lad)
+    (sff,) = bd.second_fundamental_form(TractorCalculus(af1), [lad])
     assert np.max(np.abs(sff.tangential)) < 1e-5
 
 
@@ -210,7 +212,7 @@ def test_af2_h_equals_minus_2C_hessian(af2):
     lad = ladder(af2, (0.0, 0.3, -0.2, 0.4))
     calc = TractorCalculus(af2)
     rep = bd.asymptotic_h(calc, [lad])
-    sff = bd.second_fundamental_form(calc, lad)
+    (sff,) = bd.second_fundamental_form(calc, [lad])
     assert np.max(np.abs(rep.h_limits[0] - (-2 * rep.C) * sff.full)) < 1e-5
 
 
@@ -310,7 +312,7 @@ def test_prop22_slot_limits(klein3):
             f3[None],
         ])
 
-    est = boundary_limit(slots, ladder(klein3, y))
+    (est,) = boundary_limit(slots, [ladder(klein3, y)])
     assert not est.diverged
     assert est.scaled_error() < 1e-6
     assert abs(np.asarray(est.value)[-1]) < 1e-6
@@ -327,7 +329,7 @@ def test_klein_rho2_riemann_limit(klein3):
     def scaled(p):
         return klein3.rho_value(p) ** 2 * pack.riemann(p, 0)[..., 0]
 
-    est = boundary_limit(scaled, ladder(klein3, y))
+    (est,) = boundary_limit(scaled, [ladder(klein3, y)])
     grad = klein3.drho(y)
     expected = np.zeros((d, d, d, d))
     for a in range(d):
@@ -350,8 +352,9 @@ def test_af1_rho_riemann_limit(af1):
         return af1.rho_value(p) * pack.riemann(p, 0)[..., 0]
 
     lad = ladder(af1, y)
-    est = boundary_limit(scaled, lad)
-    hess = bd.hessian_of_rho(af1, y, bd.extended_christoffels(conn, lad))
+    (est,) = boundary_limit(scaled, [lad])
+    (gamma,) = bd.extended_christoffels(conn, [lad])
+    hess = bd.hessian_of_rho(af1, y, gamma)
     expected = np.zeros((d, d, d, d))
     for a in range(d):
         for b in range(d):
@@ -366,10 +369,10 @@ def test_af1_rho_riemann_limit(af1):
 
 
 def test_boundary_frame_klein(calc3):
-    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
+    (frame,) = bd.boundary_frame(calc3, [ladder(calc3.geom, (1.0, 0.0, 0.0))])
     assert frame.tau_hat == pytest.approx(1.0, abs=1e-10)
     assert frame.psi == pytest.approx(1.0, abs=1e-9)
-    scalar = boundary_limit(lambda p: bd.scalar_curvature(calc3, p), frame.ladder)
+    (scalar,) = boundary_limit(lambda p: bd.scalar_curvature(calc3, p), [frame.ladder])
     assert scalar.value == pytest.approx(-6.0, abs=1e-8)
     assert np.allclose(frame.gamma_t, -np.eye(2), atol=1e-9)
     assert frame.diagnostics["isotropy_T1"] < 1e-8
@@ -389,12 +392,12 @@ def test_boundary_bundle_klein(calc3, rng):
 def test_boundary_bundle_flat_degenerate(flat3):
     calc = TractorCalculus(flat3)
     with pytest.raises((bd.DegenerateBoundaryError, bd.BoundaryExtensionError)):
-        bd.boundary_frame(calc, ladder(flat3, (1.0, 0.2, 0.1)))
+        bd.boundary_frame(calc, [ladder(flat3, (1.0, 0.2, 0.1))])
 
 
 def test_af2_boundary_frame_and_gram(calc_af2, af2_frame):
     frame = af2_frame
-    scalar = boundary_limit(lambda p: bd.scalar_curvature(calc_af2, p), frame.ladder)
+    (scalar,) = boundary_limit(lambda p: bd.scalar_curvature(calc_af2, p), [frame.ladder])
     assert scalar.value == pytest.approx(-12.0, abs=1e-5)
     n = frame.n
     assert -n * (n + 1) / (4.0 * scalar.value) == pytest.approx(0.25, abs=1e-6)
@@ -409,7 +412,7 @@ def test_af2_contorsion_bounded_at_boundary(calc_af2, af2_frame):
     def psi_values(p):
         return tc.contorsion(p, 0)[..., 0]
 
-    est = boundary_limit(psi_values, af2_frame.ladder)
+    (est,) = boundary_limit(psi_values, [af2_frame.ladder])
     assert not est.diverged
     assert est.scaled_error() < 1e-5
 
@@ -425,8 +428,8 @@ def test_af2_curvature_blocks(af2_blocks, af2_frame):
 
 
 def test_klein_curvature_blocks_vanish(calc3):
-    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (0.0, 1.0, 0.0)))
-    blocks = bd.curvature_blocks(calc3, frame)
+    frames = bd.boundary_frame(calc3, [ladder(calc3.geom, (0.0, 1.0, 0.0))])
+    (blocks,) = bd.curvature_blocks(calc3, frames)
     assert np.max(np.abs(blocks.kappa_split)) < 1e-7
 
 
@@ -442,23 +445,23 @@ def test_normalization_af2(af2_blocks):
 
 
 def test_normalization_klein_phi_vanishes(calc4):
-    frame = bd.boundary_frame(calc4, ladder(calc4.geom, (1.0, 0.0, 0.0, 0.0)))
-    blocks = bd.curvature_blocks(calc4, frame)
+    frames = bd.boundary_frame(calc4, [ladder(calc4.geom, (1.0, 0.0, 0.0, 0.0))])
+    (blocks,) = bd.curvature_blocks(calc4, frames)
     rep = bd.normalize_boundary_connection(blocks)
     assert np.max(np.abs(rep.phi)) < 1e-6
     assert rep.ricci_residual < 1e-6
 
 
 def test_normalization_dimension_guard(calc3):
-    frame = bd.boundary_frame(calc3, ladder(calc3.geom, (1.0, 0.0, 0.0)))
-    blocks = bd.curvature_blocks(calc3, frame)
+    frames = bd.boundary_frame(calc3, [ladder(calc3.geom, (1.0, 0.0, 0.0))])
+    (blocks,) = bd.curvature_blocks(calc3, frames)
     with pytest.raises(ValueError):
         bd.normalize_boundary_connection(blocks)
 
 
 def test_asymptotically_parallel_klein4(calc4):
-    rep = bd.asymptotically_parallel_check(
-        calc4, ladder(calc4.geom, (0.0, 0.0, 1.0, 0.0))
+    (rep,) = bd.asymptotically_parallel_check(
+        calc4, [ladder(calc4.geom, (0.0, 0.0, 1.0, 0.0))]
     )
     assert rep.applicable
     assert rep.hypothesis_norm < 1e-6
@@ -469,8 +472,8 @@ def test_asymptotically_parallel_klein4(calc4):
 
 
 def test_asymptotically_parallel_af2_skips(calc_af2):
-    rep = bd.asymptotically_parallel_check(
-        calc_af2, ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4))
+    (rep,) = bd.asymptotically_parallel_check(
+        calc_af2, [ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4))]
     )
     assert not rep.applicable
     assert "vanish" in rep.reason

@@ -237,7 +237,7 @@ def test_eval_extrapolates_the_table_point_function(geometry, dim, y, quantity, 
     calc = TractorCalculus(builtin_geometry(geometry, dim))
     plan = SamplingPlan()
     lad = boundary_ladder(calc.geom, y, eps0=plan.eps0, levels=plan.levels)
-    est = boundary_limit(lambda p: POINT_QUANTITIES[quantity](calc, p), lad)
+    (est,) = boundary_limit(lambda p: POINT_QUANTITIES[quantity](calc, p), [lad])
     value = doc["full"] if quantity == "gamma" else doc["value"]
     assert value == np.asarray(est.value).tolist()
     assert doc["extrapolation_error"] == est.error

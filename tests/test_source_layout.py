@@ -13,8 +13,10 @@ command line evaluates no tensor, curvature pack or inverse of its own.
 Expressions are evaluated only through compiled tapes: the recursive
 interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
 A ladder is evaluated as one batch of points, so only ``extrapolate``
-iterates a ladder's levels; likewise an interior check evaluates its
-sample points as one batch, so no ``verify`` runner loops over them.  A
+iterates a ladder's levels, and a check's ladders are evaluated as one
+stacked batch, so no routine calls a ladder evaluator in a loop over them;
+likewise an interior check evaluates its sample points as one batch, so no
+``verify`` runner loops over them.  A
 runner returns its facets by name and ``run_suite`` alone turns them into a
 verdict, so no other code of ``verify`` writes an infinite residual or
 rescales a residual by a tolerance ratio."""
@@ -178,6 +180,81 @@ def test_the_ladder_loop_rule_sees_per_level_loops():
     ):
         assert list(_iterates_ladder_levels(ast.parse(src))), src
     assert not list(_iterates_ladder_levels(ast.parse("ys = [y for y in rep.points]")))
+
+
+#: The routines that evaluate all the ladders (or frames) of a check at once.
+LADDER_EVALUATORS = {
+    "boundary_limit", "ladder_samples", "extended_christoffels",
+    "boundary_frame", "curvature_blocks",
+}
+
+
+def _evaluates_ladders_in_a_loop(tree):
+    """Lines of calls of a ladder evaluator that run once per iteration: in
+    the body of a ``for`` or ``while`` loop (or a ``while`` test), or in a
+    comprehension other than its first iterable, which runs once."""
+    repeated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated += node.body + node.orelse
+        elif isinstance(node, ast.While):
+            repeated += [node.test] + node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            repeated += [getattr(node, a) for a in ("elt", "key", "value") if hasattr(node, a)]
+            repeated += node.generators[0].ifs
+            repeated += node.generators[1:]
+    for part in repeated:
+        for sub in ast.walk(part):
+            if (
+                isinstance(sub, ast.Call)
+                and ast.unparse(sub.func).rsplit(".", 1)[-1] in LADDER_EVALUATORS
+            ):
+                yield sub.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_ladder_evaluator_runs_per_ladder(module):
+    if module.name == "extrapolate.py":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = sorted(set(_evaluates_ladders_in_a_loop(tree)))
+    assert not found, f"{module.name} evaluates ladders in a loop on lines {found}"
+
+
+def test_the_ladder_evaluator_rule_sees_per_ladder_evaluation():
+    for src in (
+        # the per-ladder forms of _per_ladder, asymptotic_h,
+        # einstein_asymptotics and _run_thm44
+        "for k, ladder in enumerate(ladders):\n"
+        "    est = boundary_limit(f, ladder)\n"
+        "    if est.diverged:\n"
+        "        continue\n"
+        "    found, detail = judge(k, est)",
+        "for ladder in ladders:\n"
+        "    est = boundary_limit(lambda p: scalar_curvature(calc, p), ladder)\n"
+        "    if est.diverged:\n"
+        "        return report\n"
+        "    s_limits.append(float(est.value))",
+        "for ladder in ladders:\n"
+        "    est = boundary_limit(adjusted_ricci, ladder)\n"
+        "    est2 = boundary_limit(tail, ladder)\n"
+        "    est3 = boundary_limit(lambda p: tracefree_ricci(calc, p), ladder)",
+        "for ladder in ladders:\n"
+        "    frame = bd.boundary_frame(calc, ladder)\n"
+        "    blocks = bd.curvature_blocks(calc, frame)",
+        "gamma = np.stack([extended_christoffels(conn, lad) for lad in ladders])",
+        "while todo:\n    values = ladder_samples(f, todo.pop())",
+        "ests = {k: boundary_limit(f, [lad]) for k, lad in enumerate(ladders)}",
+        "x = [y for lad in ladders for y in boundary_limit(f, [lad])]",
+    ):
+        assert list(_evaluates_ladders_in_a_loop(ast.parse(src))), src
+    for src in (
+        "ests = boundary_limit(f, ladders)\nfor ladder, est in zip(ladders, ests):\n    pass",
+        "for ladder, est in zip(ladders, boundary_limit(f, ladders)):\n    pass",
+        "limits = [est.value for est in boundary_limit(f, ladders)]",
+        "frames = bd.boundary_frame(calc, ladders)\nfor frame in frames:\n    pass",
+    ):
+        assert not list(_evaluates_ladders_in_a_loop(ast.parse(src))), src
 
 
 def _is_interior_call(node):

@@ -32,14 +32,16 @@ from tractorlab.tractor import (
 
 
 def linear_upsilon(dim, coeffs):
-    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator."""
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator, at a point or
+    at a batch of points."""
     coeffs = np.asarray(coeffs, dtype=float)
 
     def ups(point, order):
-        out = np.zeros((dim, jet_space(dim, order).ncoeff))
-        out[:, 0] = coeffs[:, 0] + coeffs[:, 1:] @ np.asarray(point, dtype=float)
+        x = np.asarray(point, dtype=float)
+        out = np.zeros((dim,) + x.shape[:-1] + (jet_space(dim, order).ncoeff,))
+        out[..., 0] = np.moveaxis(x @ coeffs[:, 1:].T + coeffs[:, 0], -1, 0)
         if order >= 1:
-            out[:, 1 : 1 + dim] = coeffs[:, 1:]
+            out[..., 1 : 1 + dim] = np.expand_dims(coeffs[:, 1:], tuple(range(1, x.ndim)))
         return out
 
     return ups
@@ -422,7 +424,7 @@ def test_metricity_residual_positive_for_modifications(calc3, rng):
         geom = calc3.geom
         space, upper = jet_space(3, order), jet_space(3, order + 1)
         rho = geom.rho_dense(point, order + 1)
-        inv = jet_reciprocal(rho[: space.ncoeff] * 2.0, space)
+        inv = jet_reciprocal(rho[..., : space.ncoeff] * 2.0, space)
         return jet_mul(jet_gradient(rho, upper), inv, space)
 
     rep2 = metricity_residual(calc3, rho_ups, pts)
@@ -649,8 +651,6 @@ def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, reque
     space = jet_space(d, order)
     for s in (calc.reference, calc.levi_civita_splitting):
         omega = calc.connection_matrices(s, point, order)
-        assert not omega.flags.writeable
-        assert calc.connection_matrices(s, point, order) is omega
         assert_close(omega, omega_reference(calc, s, point, order), space)
         kappa = tractor_curvature(calc, s, point, order)
         ref = curvature_reference(omega_reference(calc, s, point, order + 1), d, order)

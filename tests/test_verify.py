@@ -215,24 +215,42 @@ def test_each_boundary_point_gets_one_ladder(name, dim, monkeypatch):
 
 @pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
 def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
-    # every check, probe and boundary routine reads the session's calculus:
-    # the Levi-Civita and rho-modified connections, the splitting of
+    # every check run reads a calculus of its own and the probes share one
+    # more, so a check's memos end with it; each calculus owns the
+    # Levi-Civita and rho-modified connections, the splitting of
     # splitting-equivariance, and one curvature pack for each
-    from tractorlab.affine import Connection, CurvaturePack
+    from tractorlab.affine import Connection
     from tractorlab.tractor import TractorCalculus
 
-    built = {}
-    for cls in (TractorCalculus, Connection, CurvaturePack):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
-            built[_name] = built.get(_name, 0) + 1
+    built, used = [], []
+    connections = [0]
+    for cls, record in ((TractorCalculus, built.append), (Connection, None)):
+        def recording(self, *args, _init=cls.__init__, _record=record, **kw):
             _init(self, *args, **kw)
+            if _record is None:
+                connections[0] += 1
+            else:
+                _record(self)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    def reading(check):
+        def run(geom, plan, rng, session):
+            used.append(session.calc)
+            return check.run(geom, plan, rng, session)
+
+        return dataclasses.replace(check, run=run)
+
+    real = verify.registry
+    monkeypatch.setattr(verify, "registry", lambda: [reading(c) for c in real()])
     reports = run_suite(builtin_geometry(name, dim), "all", SamplingPlan(seed=0))
     assert not [r.check_id for r in reports if r.status == "error"]
-    assert built["TractorCalculus"] == 1
-    assert built["Connection"] <= 3
-    assert built["CurvaturePack"] <= 3
+    assert len(built) == len(used) + 1
+    assert len({id(calc) for calc in used}) == len(used)
+    assert built[0] not in used  # the probes' calculus
+    assert connections[0] == sum(len(calc._connections) for calc in built)
+    assert all(len(calc._connections) <= 3 for calc in built)
+    assert all(len(calc._packs) <= 3 for calc in built)
 
 
 @pytest.mark.parametrize("terms", sorted(PROP43_FACETS))
