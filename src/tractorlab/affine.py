@@ -33,6 +33,7 @@ import numpy as np
 from .extrapolate import Ladder, ladder_samples, richardson_limit
 from .fields import Chart, Geometry, TensorField, point_key
 from .jets import (
+    JetSpace,
     PoleError,
     jet_determinant,
     jet_einsum,
@@ -155,27 +156,36 @@ def projective_modify(
     """
     if not isinstance(upsilon, TensorField):
         upsilon = TensorField(conn.chart, "d", upsilon)
-    eye = np.eye(conn.dim)
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        u = upsilon.dense(point, order)
-        return (
-            conn._peek(point, order)
-            + np.einsum("ca,b...->cab...", eye, u)
-            + np.einsum("cb,a...->cab...", eye, u)
-        )
+        return projective_change(conn._peek(point, order), upsilon.dense(point, order))
 
     return Connection(conn.chart, evaluator)
+
+
+def projective_change(G: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``G^c_ab + delta^c_a u_b + delta^c_b u_a`` for Christoffel jets
+    ``G`` and one-form jets ``u`` with the same trailing axes (or the value
+    slices of both)."""
+    eye = np.eye(G.shape[0])
+    return G + np.einsum("ca,b...->cab...", eye, u) + np.einsum("cb,a...->cab...", eye, u)
+
+
+def rho_log_gradient(rho: np.ndarray, alpha: float, space: JetSpace) -> np.ndarray:
+    """Dense jets over ``space`` of the one-form ``d(rho)/(alpha rho)``, from
+    the dense rho jets one order higher: ``(d, ncoeff)`` from ``(ncoeff',)``,
+    ``(d, B, ncoeff)`` from rho jets at a batch of points ``(B, ncoeff')``."""
+    upper = jet_space(space.dim, space.order + 1)
+    inv = jet_reciprocal(rho[..., : space.ncoeff] * alpha, space)
+    return jet_mul(jet_gradient(rho, upper), inv, space)
 
 
 def rho_one_form(geom: Geometry) -> TensorField:
     """The one-form ``d(rho)/(alpha rho)`` of the rho-modified connection."""
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        space, upper = jet_space(geom.dim, order), jet_space(geom.dim, order + 1)
-        rho = geom.rho_dense(point, order + 1)
-        inv = jet_reciprocal(rho[..., : space.ncoeff] * geom.alpha, space)
-        return jet_mul(jet_gradient(rho, upper), inv, space)
+        space = jet_space(geom.dim, order)
+        return rho_log_gradient(geom.rho_dense(point, order + 1), geom.alpha, space)
 
     return TensorField(geom.chart, "d", evaluator, name="d(rho)/(alpha rho)")
 

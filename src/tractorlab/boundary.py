@@ -245,14 +245,16 @@ def geodetic_transversals(
     along each ladder, computed for every point before integration starts.
     The curves are then integrated together by
     classical fixed-step RK4 on one ``(B, d)`` state (the curves are short,
-    collar scale): each stage makes one batched rho evaluation and one
-    batched Christoffel evaluation, and rows still on the boundary
-    (``|rho| <= 1e-12``) take their own point's extended value.  When curves
-    leave the chart domain, :class:`GeometryError` names the one that leaves
-    at the earliest step; among curves leaving at the same step, the one
-    with the lowest index.
+    collar scale): each stage makes one batched order-1 rho evaluation,
+    whose values give the inside mask (and at a step's end the domain exit
+    test) and whose jets give the rho one-form of ``calc.hat``, and one
+    batched metric evaluation for its Levi-Civita part; rows still on the
+    boundary (``|rho| <= 1e-12``) take their own point's extended value.
+    When curves leave the chart domain, :class:`GeometryError` names the one
+    that leaves at the earliest step; among curves leaving at the same step,
+    the one with the lowest index.
     """
-    geom, conn = calc.geom, calc.hat
+    geom = calc.geom
     ys = np.array([ladder.y for ladder in ladders])
     directions = np.array([ladder.direction for ladder in ladders])
     for y, mu0 in zip(ys, directions):
@@ -260,17 +262,19 @@ def geodetic_transversals(
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
     # (d, d, d, B), the layout of a batched christoffel_values
-    gamma_boundary = np.stack(extended_christoffels(conn, ladders), axis=-1)
+    gamma_boundary = np.stack(extended_christoffels(calc.hat, ladders), axis=-1)
 
     def acc(x: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        inside = np.abs(rho) > 1e-12
+        """The acceleration at the state ``(x, v)``, given the order-1 rho
+        jets ``rho`` at ``x``."""
+        inside = np.abs(rho[:, 0]) > 1e-12
         G = gamma_boundary.copy()
         if inside.any():
-            G[..., inside] = conn.christoffel_values(x[inside], 0)
+            G[..., inside] = calc.hat_christoffel_values(x[inside], rho[inside])
         return -np.einsum("cabn,na,nb->nc", G, v, v)
 
     def acc_at(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return acc(x, v, geom.rho_dense(x, 0)[:, 0])
+        return acc(x, v, geom.rho_dense(x, 1))
 
     n_steps = int(round(horizon / step))
     n_curves, d = ys.shape
@@ -280,9 +284,9 @@ def geodetic_transversals(
     accs = np.zeros((n_curves, n_steps + 1, d))
     rhos = np.zeros((n_curves, n_steps + 1))
     x, v = ys.copy(), directions.copy()
-    rho = geom.rho_dense(x, 0)[:, 0]
+    rho = geom.rho_dense(x, 1)
     a = acc(x, v, rho)
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho[:, 0]
     for k in range(n_steps):
         # the acceleration at the step's start is the previous step's end
         k1x, k1v = v, a
@@ -291,8 +295,8 @@ def geodetic_transversals(
         k4x, k4v = v + step * k3v, acc_at(x + step * k3x, v + step * k3v)
         x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        rho = geom.rho_dense(x, 0)[:, 0]
-        left = (rho < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
+        rho = geom.rho_dense(x, 1)
+        left = (rho[:, 0] < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
         if left.any():
             i = int(np.argmax(left))
             raise GeometryError(
@@ -300,7 +304,7 @@ def geodetic_transversals(
                 f"at t={ts[k + 1]:g}"
             )
         a = acc(x, v, rho)
-        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho
+        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho[:, 0]
     return [
         TransversalCurve(
             geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i]

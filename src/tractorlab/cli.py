@@ -220,11 +220,18 @@ def _finite(value):
     return value
 
 
-def _parse_point(text: str, dim: int) -> tuple:
+def _numbers(text: str) -> tuple | None:
+    """The comma-separated numbers of ``text``, or None if one does not parse."""
     try:
-        coords = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad point {text!r}") from None
+        return None
+
+
+def _parse_point(text: str, dim: int) -> tuple:
+    coords = _numbers(text)
+    if coords is None:
+        raise ConfigError(f"bad point {text!r}")
     if len(coords) != dim:
         raise ConfigError(
             f"point {text!r} has {len(coords)} coordinates, geometry needs {dim}"
@@ -328,9 +335,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+#: The options whose value is a comma-separated list of coordinates.
+POINT_OPTIONS = ("--point", "--boundary-point")
+
+
+def _attach_coordinates(argv: list[str]) -> list[str]:
+    """``argv`` with each number list that follows a point option joined to
+    it (``--point -0.1,0.2,0`` becomes ``--point=-0.1,0.2,0``): argparse
+    reads a separate value with a leading ``-`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in POINT_OPTIONS and _numbers(arg) is not None:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coordinates(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return cmd_verify(args)

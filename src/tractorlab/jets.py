@@ -73,6 +73,10 @@ __all__ = [
 #: points; legitimate interior divisors in this package stay above ~1e-3.
 POLE_TOL = 1e-13
 
+#: Safety factor of the condition bound that lets :func:`jet_inverse` skip
+#: its exact pivot loop (see there).
+PIVOT_MARGIN = 1e3
+
 
 class JetError(ArithmeticError):
     """Base class for jet arithmetic failures."""
@@ -621,14 +625,35 @@ def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
 
     With ``A = A0 + N`` (``N`` without constant term) the Neumann series
     ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
-    Raises :class:`PoleError` when a value matrix is singular.
+    Raises :class:`PoleError` when a value matrix is singular: when partial
+    pivot elimination meets a pivot ``|u_kk| <= POLE_TOL * max|A0|``
+    (:func:`_check_pivots`).
+
+    The values are inverted first, and the exact pivot loop runs only when
+    ``np.linalg.inv`` raises, or when some matrix of the batch fails the
+    gate ``max|A0| * ||A0^-1||_inf < 1 / (m * POLE_TOL * PIVOT_MARGIN)``
+    (a NaN or inf bound fails it too).  The gate is sound: partial pivoting
+    gives ``P A0 = L U`` with ``|l_ij| <= 1``, so ``||L||_inf <= m``, and
+    ``U^-1 = A0^-1 P^T L`` bounds ``1/|u_kk| <= ||U^-1||_inf <= m
+    ||A0^-1||_inf``; a pivot at the tolerance therefore forces the product
+    to at least ``1/(m * POLE_TOL)``.  ``PIVOT_MARGIN`` covers the rounding
+    of both the computed inverse and the loop's own elimination.
     """
     a0 = dense[..., 0]
     m = a0.shape[0]
-    _check_pivots(a0)
-    inv0 = np.zeros(a0.shape + (space.ncoeff,))
     stacked = a0.reshape(m, m, -1).transpose(2, 0, 1)
-    inv0[..., 0] = np.linalg.inv(stacked).transpose(1, 2, 0).reshape(a0.shape)
+    try:
+        inv = np.linalg.inv(stacked)
+    except np.linalg.LinAlgError:
+        _check_pivots(a0)
+        raise
+    bound = abs(stacked).max(axis=(1, 2)) * abs(inv).sum(axis=2).max(axis=1)
+    if not (bound < 1.0 / (m * POLE_TOL * PIVOT_MARGIN)).all():
+        _check_pivots(a0)
+    inv0 = np.zeros(a0.shape + (space.ncoeff,))
+    inv0[..., 0] = inv.transpose(1, 2, 0).reshape(a0.shape)
+    if space.order == 0:
+        return inv0
     step = np.einsum("ij...,jk...z->ik...z", -inv0[..., 0], dense[..., : space.ncoeff])
     step[..., 0] = 0.0
     out = inv0

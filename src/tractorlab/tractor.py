@@ -53,8 +53,10 @@ from .affine import (
     canonical_tau,
     covariant_derivative,
     levi_civita,
+    projective_change,
     projective_modify,
     rho_connection,
+    rho_log_gradient,
     rho_one_form,
 )
 from .fields import Geometry, TensorField, is_batch
@@ -260,6 +262,14 @@ class TractorCalculus:
             label = f"customlc-{next(self._counter)}"
         self._connections[label] = projective_modify(self.lc, ups)
         return Splitting(label, offset)
+
+    def hat_christoffel_values(self, points: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Christoffel values ``(d, d, d, B)`` of ``hat`` at a batch of
+        interior points ``(B, d)``, given the order-1 rho jets ``(B, ncoeff)``
+        there: bit for bit ``hat.christoffel_values(points)``, without its
+        second run of the rho tape."""
+        u = rho_log_gradient(rho, self.geom.alpha, jet_space(self.dim, 0))
+        return projective_change(self.lc.christoffel_values(points, 0), u[..., 0])
 
     def connection_of(self, s: Splitting) -> Connection:
         return self._connections[s.label]

@@ -98,6 +98,16 @@ def test_christoffel_values_batch_matches_points(geom):
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1", "flat3", "poincare3"])
+def test_hat_values_from_given_rho_jets_match_the_connection(request, name):
+    # the integrator hands its order-1 rho jets to the calculus
+    geom = request.getfixturevalue(name)
+    calc = TractorCalculus(geom)
+    pts = np.array(geom.interior_points(6, np.random.default_rng(11)))
+    got = calc.hat_christoffel_values(pts, geom.rho_dense(pts, 1))
+    assert np.array_equal(got, calc.hat.christoffel_values(pts))
+
+
 def test_singular_row_in_a_batch_raises(klein3):
     space = jet_space(3, 1)
     g = np.array(klein3.metric_field().dense(_points(klein3), 1))

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ladder, ladders, lc_pack
 from tractorlab import boundary as bd
-from tractorlab.expr import ExprError
+from tractorlab.expr import ExprError, Tape
 from tractorlab.extrapolate import boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import Jet, jet_space
@@ -115,6 +115,44 @@ def test_transversal_requires_normalized_mu(klein3):
     # a ladder placed along an inward direction with d(rho)(mu0) = 2
     with pytest.raises(ValueError):
         _transversal(klein3, (1.0, 0.0, 0.0), direction=(-1.0, 0.0, 0.0))
+
+
+def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch):
+    ys = klein3.boundary_points(3, np.random.default_rng(5))
+    calc = TractorCalculus(klein3)
+    lads = ladders(klein3, ys)
+    rho_tape, metric_tape = klein3._rho_tape, klein3.metric_field().tape
+    runs = {"rho": 0, "metric": 0}
+    real = Tape.run
+
+    def counted(self, point, space):
+        # the integrator's state has one row per curve; ladder evaluations
+        # have a row per level, and the launch test one point per curve
+        if np.ndim(point) == 2 and len(point) <= len(ys):
+            if self is rho_tape:
+                runs["rho"] += 1
+            elif self is metric_tape:
+                runs["metric"] += 1
+        return real(self, point, space)
+
+    monkeypatch.setattr(Tape, "run", counted)
+    step, horizon = 1e-3, 0.01
+    bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
+    n_steps = round(horizon / step)
+    # four evaluations per step and one at the launch, where every row is on
+    # the boundary and takes its extended value without a metric run
+    assert runs == {"rho": 4 * n_steps + 1, "metric": 4 * n_steps}
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("klein", 3), ("klein", 4), ("klein", 5), ("af2_generic", 4), ("af2_generic", 5),
+    ("af1_generic", 4), ("flat", 3), ("poincare_control", 3),
+])
+def test_order_one_rho_values_equal_the_order_zero_run(name, dim):
+    # the integrator reads rho's values from its order-1 run
+    geom = builtin_geometry(name, dim)
+    pts = np.array(geom.interior_points(50, np.random.default_rng(dim)))
+    assert np.array_equal(geom.rho_dense(pts, 1)[..., 0], geom.rho_dense(pts, 0)[..., 0])
 
 
 def test_rho2_g_mu_mu_constant_and_quarter(klein3):

@@ -52,6 +52,35 @@ def test_eval_pole_without_extrapolate():
     assert code == 2
 
 
+@pytest.mark.parametrize("option, coords, extra", [
+    ("--point", "-0.1,0.2,0", ["--quantity", "schouten"]),
+    ("--point", "-1e-1,-0.2,-0", ["--quantity", "scalar_curvature"]),
+    ("--boundary-point", "-1,0,0", ["--quantity", "gamma", "--extrapolate"]),
+])
+def test_negative_coordinates_print_the_same_bytes_in_both_spellings(
+    capsys, option, coords, extra
+):
+    head = ["eval", "--geometry", "klein", "--dim", "3"] + extra
+    outputs = []
+    for spelling in ([option, coords], [f"{option}={coords}"]):
+        assert main(head + spelling) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert strict_loads(outputs[0])["point"] == coords
+
+
+@pytest.mark.parametrize("value", ["-0.1,zz,0", "-x", "-0.1,,0"])
+def test_unparsable_point_values_still_exit_two(capsys, value):
+    try:
+        code = main([
+            "eval", "--geometry", "klein", "--dim", "3", "--quantity", "schouten",
+            "--point", value,
+        ])
+    except SystemExit as exc:  # argparse reads the value as an option
+        code = exc.code
+    assert code == 2
+
+
 def test_eval_unknown_quantity_rejected(capsys):
     with pytest.raises(SystemExit):
         main([

@@ -16,6 +16,7 @@ from jet_reference import (
     jet_views,
     point_jets,
 )
+from tractorlab import jets
 from tractorlab.jets import (
     DomainError,
     PoleError,
@@ -295,3 +296,139 @@ def test_dense_determinant_of_singular_matrix_is_zero(order):
     both = jet_determinant(pair, s)
     assert np.array_equal(both[0], jet_determinant(jet_stack(regular, s), s))
     assert not both[1].any()
+
+
+# -- the pivot gate of jet_inverse ------------------------------------------
+
+
+def _orthogonal(m, rng):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
+def _jet_batch(values, space, rng):
+    """Dense ``(m, m, B, ncoeff)`` jets with the given value matrices
+    ``(B, m, m)`` and random higher coefficients."""
+    values = np.asarray(values, dtype=float)
+    dense = rng.standard_normal(values.shape[1:] + values.shape[:1] + (space.ncoeff,))
+    dense[..., 0] = values.transpose(1, 2, 0)
+    return dense
+
+
+def _raises_pole(fn):
+    try:
+        fn()
+    except PoleError:
+        return True
+    return False
+
+
+def _last_pivot(a):
+    """``|u_mm| / max|A|`` of partial-pivot elimination of ``a``."""
+    u = np.array(a, dtype=float)
+    m = len(u)
+    for col in range(m - 1):
+        piv = col + int(np.abs(u[col:, col]).argmax())
+        u[[col, piv]] = u[[piv, col]]
+        u[col + 1:] -= np.outer(u[col + 1:, col] / u[col, col], u[col])
+    return abs(u[-1, -1]) / np.abs(a).max()
+
+
+def _nearly_singular(m, rng, factor=0.5):
+    """``Q1 diag(1, ..., 1, delta) Q2`` whose last pivot is ``factor`` times
+    the pole tolerance relative to its largest entry (the pivot is linear
+    in ``delta``)."""
+    q1, q2 = _orthogonal(m, rng), _orthogonal(m, rng)
+
+    def mixed(delta):
+        return q1 @ np.diag([1.0] * (m - 1) + [delta]) @ q2
+
+    per_delta = _last_pivot(mixed(1e-3)) / 1e-3
+    return mixed(factor * jets.POLE_TOL / per_delta)
+
+
+def _count_exact_runs(monkeypatch):
+    calls = []
+    real = jets._check_pivots
+
+    def counted(a0):
+        calls.append(a0.shape)
+        return real(a0)
+
+    monkeypatch.setattr(jets, "_check_pivots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_singular_and_nearly_singular_matrices_in_a_batch_raise(order):
+    rng = np.random.default_rng(60 + order)
+    s = jet_space(2, order)
+    regular = _orthogonal(3, rng) @ np.diag([3.0, 1.0, 0.5]) @ _orthogonal(3, rng)
+    singular = regular.copy()
+    singular[2] = singular[0] * 2.0
+    nearly = _nearly_singular(3, rng, factor=0.9)
+    # the pivot sits just under the tolerance: just over it, none raises
+    assert _raises_pole(lambda: jets._check_pivots(nearly))
+    assert not _raises_pole(lambda: jets._check_pivots(_nearly_singular(3, rng, 1.1)))
+    assert not _raises_pole(lambda: jets._check_pivots(regular))
+    for mats in ([singular, nearly, regular], [regular, nearly], [singular, regular]):
+        with pytest.raises(PoleError, match="singular jet matrix"):
+            jet_inverse(_jet_batch(mats, s, rng), s)
+    for one in (singular, nearly):
+        with pytest.raises(PoleError):
+            jet_inverse(_jet_batch([one], s, rng)[:, :, 0], s)
+    dense = _jet_batch([regular, regular.T], s, rng)
+    inv = jet_inverse(dense, s)
+    eye = jet_einsum("ij,jk->ik", dense, inv, s)
+    assert np.allclose(eye[..., 0], np.eye(3)[..., None], atol=1e-13)
+
+
+def test_a_well_conditioned_batch_skips_the_exact_pivot_loop(monkeypatch):
+    calls = _count_exact_runs(monkeypatch)
+    rng = np.random.default_rng(70)
+    s = jet_space(3, 1)
+    mats = [_orthogonal(4, rng) @ np.diag([1e3, 1.0, 1e-3, 1e-4]) for _ in range(5)]
+    jet_inverse(_jet_batch(mats, s, rng), s)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_nan_or_inf_entry_takes_the_exact_path(monkeypatch, bad):
+    calls = _count_exact_runs(monkeypatch)
+    rng = np.random.default_rng(71)
+    s = jet_space(2, 1)
+    mats = np.stack([np.eye(3) * 2.0, np.eye(3) * 3.0])
+    mats[1, 0, 2] = bad
+    dense = _jet_batch(mats, s, rng)
+    expect_pole = _raises_pole(lambda: jets._check_pivots(dense[..., 0]))
+    calls.clear()
+    try:
+        jet_inverse(dense, s)
+        raised = None
+    except (PoleError, np.linalg.LinAlgError) as err:
+        raised = type(err)
+    assert calls, "the gate skipped the exact loop on a non-finite matrix"
+    assert (raised is PoleError) == expect_pole
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-2.0, max_value=8.0),
+    st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_the_gated_inverse_raises_exactly_when_the_pivot_loop_does(m, seed, log_factor, log_scale):
+    # the smallest singular direction sits at 10^log_factor times the pole
+    # tolerance, from well under it to past the gate's margin
+    rng = np.random.default_rng(seed)
+    s = jet_space(2, 1)
+    a = _nearly_singular(m, rng, factor=10.0**log_factor) * 10.0**log_scale
+    mats = np.stack([a, _orthogonal(m, rng)])
+    dense = _jet_batch(mats, s, rng)
+    exact = _raises_pole(lambda: jets._check_pivots(dense[..., 0]))
+    try:
+        gated = _raises_pole(lambda: jet_inverse(dense, s))
+    except np.linalg.LinAlgError:
+        gated = False
+    assert gated == exact
