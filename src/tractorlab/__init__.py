@@ -30,7 +30,6 @@ _EXPORTS = {
     "rho_connection": "affine",
     "covariant_derivative": "affine",
     "canonical_tau": "affine",
-    "defining_density_check": "affine",
     "TractorCalculus": "tractor",
     "SamplingPlan": "verify",
     "run_suite": "verify",

@@ -25,16 +25,13 @@ Conventions (fixed here and used everywhere downstream):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .extrapolate import Ladder, ladder_samples, richardson_limit
 from .fields import Chart, Geometry, TensorField, point_key
 from .jets import (
     JetSpace,
-    PoleError,
     jet_determinant,
     jet_einsum,
     jet_function,
@@ -53,7 +50,6 @@ __all__ = [
     "rho_connection",
     "covariant_derivative",
     "canonical_tau",
-    "defining_density_check",
     "DENSITY_SIGN",
 ]
 
@@ -379,57 +375,3 @@ def canonical_tau(geom: Geometry) -> TensorField:
         return jet_function("pow", det * np.sign(det[..., :1]), space, power)
 
     return TensorField(geom.chart, "", component, weight=2.0, name="tau")
-
-
-@dataclass
-class DefiningDensityReport:
-    """Outcome of the order-2 defining-density (volume growth) criterion."""
-
-    points: list
-    limits: list[float]
-    errors: list[float]
-    diverged: list[bool]
-    passed: bool
-    reason: str = ""
-
-
-def defining_density_check(
-    tau: TensorField, geom: Geometry, ladders: Sequence[Ladder]
-) -> DefiningDensityReport:
-    """Verify that tau/rho^(2/alpha) extends, nonzero, to the ladders'
-    boundary points.
-
-    This is the numerical form of the statement that the parallel weight-2
-    density extends by zero to a defining density precisely when the volume
-    growth matches the compactness order (for order 2 the quotient is
-    literally tau/rho).  Divergence (flat control) and a zero limit
-    (conformally compact control) both fail, as does a pole on any ladder,
-    which leaves every limit and error NaN.
-    """
-    ys = [ladder.y for ladder in ladders]
-    scale = np.float_power(np.concatenate([lad.eps for lad in ladders]), 2.0 / geom.alpha)
-    try:
-        samples = ladder_samples(lambda p: tau.dense(p, 0)[..., 0] / scale, ladders)
-    except PoleError:
-        nan = float("nan")
-        return DefiningDensityReport(
-            ys, [nan] * len(ys), [nan] * len(ys), [True] * len(ys), False,
-            "pole while approaching the boundary",
-        )
-    limits: list[float] = []
-    errors: list[float] = []
-    diverged: list[bool] = []
-    ok = True
-    reason = ""
-    for values in samples:
-        est = richardson_limit(values)
-        limits.append(float(est.value))
-        errors.append(est.error)
-        diverged.append(est.diverged)
-        if est.diverged:
-            ok, reason = False, "tau/rho diverges at the boundary"
-        elif est.error > 1e-5 * (1.0 + abs(est.value)):
-            ok, reason = False, "tau/rho does not extrapolate smoothly"
-        elif abs(est.value) < 1e-3:
-            ok, reason = False, "tau/rho has zero boundary limit"
-    return DefiningDensityReport(ys, limits, errors, diverged, ok, reason)

@@ -1,6 +1,7 @@
-"""Boundary asymptotics: geodetic transversals, extension checks, the
-projective second fundamental form, asymptotic metric forms, and the
-conformal boundary tractor pipeline.
+"""Boundary asymptotics: geodetic transversals, the projective second
+fundamental form, the asymptotic metric form, the boundary tractor frames
+and the normalization of the boundary tractor connection, and the point
+functions of the boundary quantities.
 
 Everything here reduces a statement "X admits a smooth extension to the
 boundary" to Richardson extrapolation of X along inward rays (module
@@ -12,8 +13,8 @@ routine takes all the ladders (or frames) of a check, evaluates each
 quantity once on their stacked levels, then judges and raises ladder by
 ladder in order.  The routines that need a connection, a curvature pack or
 tau read them from the check's :class:`~tractorlab.tractor.TractorCalculus`.
-Where both routes exist (the Klein model carries an exact extension of its
-rho-modified connection) their agreement is part of the report.  Each
+Only routines that several checks share live here: a computation that
+serves one check is part of that check's runner in ``verify``.  Each
 boundary quantity has one point function here (``POINT_QUANTITIES``), which
 the checks and ``tractorlab eval`` extrapolate alike.
 
@@ -35,7 +36,7 @@ gamma_ij xi1^i xi2^j - (psi/(4 tauhat)) beta1 beta2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,15 +52,13 @@ from .fields import (
     value_trace_product,
 )
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
-from .tractor import TractorCalculus, l_tau, metricity_contorsion, tractor_curvature
+from .tractor import TractorCalculus, l_tau, metricity_contorsion
 
 __all__ = [
     "BoundaryExtensionError",
     "DegenerateBoundaryError",
     "TransversalCurve",
-    "CollarSample",
     "BoundaryFrame",
-    "ConformalTractorData",
     "POINT_QUANTITIES",
     "boundary_limit",
     "scalar_curvature",
@@ -69,17 +68,12 @@ __all__ = [
     "t_vector",
     "h_form",
     "extended_christoffels",
-    "rho_connection_extension",
     "geodetic_transversals",
-    "collar_sample",
     "second_fundamental_form",
     "asymptotic_h",
-    "einstein_asymptotics",
     "boundary_frame",
-    "boundary_tractor_bundle",
     "curvature_blocks",
     "normalize_boundary_connection",
-    "asymptotically_parallel_check",
 ]
 
 Point = Sequence[float]
@@ -114,43 +108,6 @@ def extended_christoffels(conn, ladders: Sequence[Ladder]) -> list[np.ndarray]:
                 f"connection does not extend to the boundary at {ladder.y}"
             )
     return [np.asarray(est.value) for est in ests]
-
-
-@dataclass
-class ExtensionReport:
-    """Per-point outcome of the rho-connection extension check."""
-
-    point: tuple
-    diverged: bool
-    loglog_slope: float | None
-    error: float
-    dual_path_gap: float | None
-
-
-def rho_connection_extension(conn, ladders: Sequence[Ladder]) -> list[ExtensionReport]:
-    """Check that the rho-modified connection extends at the ladders'
-    boundary points.
-
-    On divergence the report carries the slope of ``log |Gamma|`` against
-    ``log rho`` (a slope <= -0.9 is the 1/rho signature of a missing
-    projective compactification).  When the geometry also has an exact
-    closed-form extension, the gap between the two paths is reported.
-    """
-    out = []
-    # the samples stay at hand for the divergence slope
-    samples = ladder_samples(lambda p: conn.christoffel_values(p, 0), ladders)
-    for ladder, values in zip(ladders, samples):
-        est = richardson_limit(values)
-        slope = None
-        if est.diverged:
-            norms = np.array([float(np.max(np.abs(v))) for v in values])
-            slope = float(np.polyfit(np.log(ladder.eps), np.log(norms + 1e-300), 1)[0])
-        gap = None
-        if conn.exact_boundary is not None and not est.diverged:
-            exact = conn.exact_boundary(ladder.y, 0)[..., 0]
-            gap = float(np.max(np.abs(exact - est.value)))
-        out.append(ExtensionReport(ladder.y, est.diverged, slope, est.error, gap))
-    return out
 
 
 # -- geodetic transversals -----------------------------------------------------
@@ -311,55 +268,6 @@ def geodetic_transversals(
         )
         for i, ladder in enumerate(ladders)
     ]
-
-
-@dataclass
-class CollarSample:
-    """The product structure (boundary point, collar parameter) -> point."""
-
-    ts: np.ndarray
-    rows: list  # (y, t, point)
-    min_separation: float
-
-
-def collar_sample(
-    curves: Sequence[TransversalCurve],
-    ts: Sequence[float] | None = None,
-) -> CollarSample:
-    """Sample the collar map on transversals that are already integrated.
-
-    ``ts`` defaults to five equally spaced parameters across the shortest
-    curve; each row takes the nearest RK4 sample.  Injectivity is checked
-    pairwise on the sampled rows; a collision (for example a duplicated
-    boundary point) raises with the offending pair.
-    """
-    if ts is None:
-        horizon = min(float(c.ts[-1]) for c in curves)
-        ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * horizon
-    ts = np.asarray(ts, dtype=float)
-    rows = []
-    for curve in curves:
-        step = curve.ts[1] - curve.ts[0]
-        for t in ts:
-            if t == 0.0:
-                pt = np.asarray(curve.y, dtype=float)
-            else:
-                k = min(int(round(t / step)), len(curve.ts) - 1)
-                pt = curve.points[k]
-            rows.append((curve.y, float(t), pt))
-    min_sep = math.inf
-    worst_pair = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            dist = float(np.max(np.abs(rows[i][2] - rows[j][2])))
-            if dist < min_sep:
-                min_sep = dist
-                worst_pair = (rows[i][:2], rows[j][:2])
-    if min_sep <= 0.0:
-        raise GeometryError(
-            f"collar is not injective: rows {worst_pair[0]} and {worst_pair[1]} collide"
-        )
-    return CollarSample(ts, rows, min_sep)
 
 
 # -- projective second fundamental form ---------------------------------------
@@ -559,14 +467,12 @@ POINT_QUANTITIES: dict[str, Callable] = {
 
 @dataclass
 class AsymptoticHReport:
-    points: list
     scalar_limits: list[float]
     scalar_spread: float
     C: float
     constructor_C: float | None
     h_limits: list[np.ndarray]
     h_errors: list[float]
-    h_diverged: bool
     tangential_min_eigs: list[float]
     status: str
 
@@ -585,20 +491,18 @@ def asymptotic_h(
     """
     geom = calc.geom
     n = geom.dim - 1
-    ys = [ladder.y for ladder in ladders]
     s_ests = boundary_limit(lambda p: scalar_curvature(calc, p), ladders)
     if any(est.diverged for est in s_ests):
         return AsymptoticHReport(
-            ys, [], math.inf, math.nan, _constructor_c(geom),
-            [], [], True, [], "scalar curvature diverges at the boundary",
+            [], math.inf, math.nan, _constructor_c(geom),
+            [], [], [], "scalar curvature diverges at the boundary",
         )
     s_limits = [float(est.value) for est in s_ests]
     spread = max(s_limits) - min(s_limits)
     s0 = float(np.mean(s_limits))
     if abs(s0) < 1e-6:
         return AsymptoticHReport(
-            ys, s_limits, spread, math.nan,
-            _constructor_c(geom), [], [], False, [],
+            s_limits, spread, math.nan, _constructor_c(geom), [], [], [],
             "boundary scalar curvature vanishes; no order-2 metric form",
         )
     C = -n * (n + 1) / (4.0 * s0)
@@ -615,8 +519,7 @@ def asymptotic_h(
     diverged = any(est.diverged for est in h_ests)
     status = "h does not extend to the boundary" if diverged else "ok"
     return AsymptoticHReport(
-        ys, s_limits, spread, C, _constructor_c(geom),
-        h_limits, h_errors, diverged, min_eigs, status,
+        s_limits, spread, C, _constructor_c(geom), h_limits, h_errors, min_eigs, status,
     )
 
 
@@ -633,74 +536,6 @@ def _delta_wedge(x: np.ndarray) -> np.ndarray:
     eye = np.eye(len(x))
     return (
         np.einsum("ca,be...->abce...", eye, x) - np.einsum("cb,ae...->abce...", eye, x)
-    )
-
-
-@dataclass
-class EinsteinAsymptoticsReport:
-    points: list
-    tracefree_errors: list[float]
-    tail_errors: list[float]
-    pointwise_tracefree_diverges: bool
-    diverged: bool
-    status: str
-
-
-def einstein_asymptotics(
-    calc: TractorCalculus, ladders: Sequence[Ladder]
-) -> EinsteinAsymptoticsReport:
-    """Asymptotic Einstein property of an order-2 projectively compact metric
-    at the ladders' boundary points.
-
-    Checks that the Einstein-type trace adjustment of the Ricci tensor,
-    ``Ric_ab - (S0/(n+1)) g_ab`` with ``S0`` the (locally constant) boundary
-    value of the scalar curvature, extends smoothly, and that the curvature
-    minus its universal singular part
-    ``-(1/(2 rho^2)) delta^c_[a rho_b] rho_d - (1/(2 C rho)) delta^c_[a h_b]d``
-    extends as well.
-
-    The *pointwise* trace-free Ricci ``Ric - (S(x)/(n+1)) g`` differs from
-    the combination above by ``(S0 - S(x)) g/(n+1)``, whose transversal slot
-    grows like ``1/rho`` whenever the transversal derivative of S is nonzero
-    at the boundary; it therefore extends only in the asymptotically
-    stronger (Einstein-like) case and its divergence is reported separately
-    as a diagnostic.
-    """
-    geom = calc.geom
-    n = geom.dim - 1
-    pack = calc.pack_of(calc.levi_civita_splitting)
-    hrep = asymptotic_h(calc, ladders)
-    if hrep.status != "ok":
-        return EinsteinAsymptoticsReport(
-            hrep.points, [], [], True, True, f"no asymptotic form: {hrep.status}"
-        )
-    C = hrep.C
-    s_boundary = float(np.mean(hrep.scalar_limits))
-    gfield = geom.metric_field()
-
-    def adjusted_ricci(p):
-        g = gfield.dense(p, 0)[..., 0]
-        return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
-
-    def tail(p):
-        R = pack.dense("riemann", p, 0)[..., 0]
-        rv, grad = geom.rho_and_drho(p)
-        return (
-            R
-            + _delta_wedge(value_outer(grad)) / (4.0 * np.float_power(rv, 2))
-            + _delta_wedge(h_form(calc, C, p)) / (4.0 * C * rv)
-        )
-
-    tf_ests = boundary_limit(adjusted_ricci, ladders)
-    tail_ests = boundary_limit(tail, ladders)
-    pointwise = boundary_limit(lambda p: tracefree_ricci(calc, p), ladders)
-    diverged = any(est.diverged for est in tf_ests + tail_ests)
-    pointwise_diverges = any(est.diverged for est in pointwise)
-    tf_errors = [est.scaled_error() for est in tf_ests]
-    tail_errors = [est.scaled_error() for est in tail_ests]
-    return EinsteinAsymptoticsReport(
-        hrep.points, tf_errors, tail_errors, pointwise_diverges,
-        diverged, "ok" if not diverged else "curvature tail diverges",
     )
 
 
@@ -821,62 +656,6 @@ def boundary_frame(
             diagnostics,
         ))
     return frames
-
-
-def expected_gram_split(frame: BoundaryFrame) -> np.ndarray:
-    """The boundary tractor metric in the (beta; xi; sigma) splitting:
-    hyperbolic beta-sigma pairing, tangential gamma block, and the
-    ``-psi/(4 tauhat)`` correction on the beta line."""
-    n = frame.n
-    m = frame.dim + 1
-    G = np.zeros((m, m))
-    G[0, n + 1] = G[n + 1, 0] = 0.5
-    G[0, 0] = -0.25 * frame.psi / frame.tau_hat
-    G[1:n + 1, 1:n + 1] = frame.tau_hat * frame.gamma_t
-    return G
-
-
-@dataclass
-class ConformalTractorData:
-    """Boundary tractor bundle data over a set of boundary points."""
-
-    frames: list[BoundaryFrame]
-    gram_split_defects: list[float]
-    sff_agreement: list[float]
-    signature_ok: list[bool]
-    isotropy: list[float]
-
-
-def boundary_tractor_bundle(
-    calc: TractorCalculus, ladders: Sequence[Ladder]
-) -> ConformalTractorData:
-    """Assemble and verify the conformal standard tractor bundle at the
-    ladders' boundary points: isotropy of the distinguished line, agreement of the induced
-    quotient metric with the second fundamental form, the block form of the
-    tractor metric in the (beta; xi; sigma) splitting, and the signature
-    bookkeeping (gamma's signature plus one hyperbolic plane)."""
-    frames = boundary_frame(calc, ladders)
-    isotropy = [frame.diagnostics["isotropy_T1"] for frame in frames]
-    gram_defects, sff_agree, signature_ok = [], [], []
-    for frame, sff in zip(frames, second_fundamental_form(calc, ladders)):
-        expected = expected_gram_split(frame)
-        scale = 1.0 + float(np.max(np.abs(expected)))
-        gram_defects.append(
-            float(np.max(np.abs(frame.gram_split - expected))) / scale
-        )
-        half_hess = 0.5 * (sff.basis.T @ sff.full @ sff.basis)
-        scale = 1.0 + float(np.max(np.abs(half_hess)))
-        sff_agree.append(
-            float(np.max(np.abs(frame.gamma_t - half_hess))) / scale
-        )
-        eigs_gamma = np.linalg.eigvalsh(frame.gamma_t)
-        sig_gamma = (int(np.sum(eigs_gamma > 0)), int(np.sum(eigs_gamma < 0)))
-        eigs_gram = np.linalg.eigvalsh(frame.gram_split)
-        sig_gram = (int(np.sum(eigs_gram > 0)), int(np.sum(eigs_gram < 0)))
-        signature_ok.append(
-            sig_gram == (sig_gamma[0] + 1, sig_gamma[1] + 1)
-        )
-    return ConformalTractorData(frames, gram_defects, sff_agree, signature_ok, isotropy)
 
 
 # -- the metric tractor connection and its boundary normalization -------------
@@ -1033,74 +812,3 @@ def normalize_boundary_connection(
         frame, phi, skew, t1,
         float(np.max(np.abs(ricci))) / scale, quotient,
     )
-
-
-@dataclass
-class AsymptoticallyParallelReport:
-    applicable: bool
-    reason: str
-    hypothesis_norm: float
-    tracefree_ricci_norm: float
-    equivalence_ok: bool
-    t1_defect: float
-    ricci_residual: float
-
-
-def asymptotically_parallel_check(
-    calc: TractorCalculus, ladders: Sequence[Ladder]
-) -> list[AsymptoticallyParallelReport]:
-    """When the tractor derivative of L(tau) vanishes along the boundary,
-    the restricted *standard* connection is already the normal conformal
-    tractor connection; verify normality directly in that case, at each
-    ladder's point (one report per ladder).
-
-    The hypothesis is checked by extrapolating ``tau grad_a P_bc`` (the only
-    slot of the derivative); it is equivalent to the vanishing of the
-    boundary trace-free Ricci tensor, and both norms are reported so the
-    equivalence itself is testable.
-    """
-    geom = calc.geom
-    d = geom.dim
-    n = d - 1
-    if d < 4:
-        return [AsymptoticallyParallelReport(
-            False, f"needs dimension >= 4, got {d}", math.nan, math.nan,
-            False, math.nan, math.nan,
-        ) for _ in ladders]
-    pack = calc.pack_of(calc.levi_civita_splitting)
-
-    def bottom_slot(p):
-        tau = calc.tau.dense(p, 0)[..., 0]
-        return tau * pack.dense("schouten_derivative", p, 0)[..., 0]
-
-    def norms(ests):
-        return [math.inf if e.diverged else float(np.max(np.abs(e.value))) for e in ests]
-
-    reports = [AsymptoticallyParallelReport(
-        False,
-        f"derivative of L(tau) does not vanish at the boundary "
-        f"(|tau grad P| ~ {hyp:.2e})",
-        hyp, tf, (hyp <= 1e-5) == (tf <= 1e-5), math.nan, math.nan,
-    ) for hyp, tf in zip(
-        norms(boundary_limit(bottom_slot, ladders)),
-        norms(boundary_limit(lambda p: tracefree_ricci(calc, p), ladders)),
-    )]
-    # normality at the ladders where the hypothesis holds
-    held = [k for k, rep in enumerate(reports) if rep.hypothesis_norm <= 1e-6]
-    if not held:
-        return reports
-    frames = boundary_frame(calc, [ladders[k] for k in held])
-    ests = boundary_limit(
-        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(),
-        [frame.ladder for frame in frames],
-    )
-    for k, frame, est in zip(held, frames, ests):
-        kappa_split = frame.tangential_kappa(np.asarray(est.value))
-        W = kappa_split[:, :, 1:n + 1, 1:n + 1]
-        scale = 1.0 + float(np.max(np.abs(kappa_split)))
-        t1 = float(np.max(np.abs(kappa_split[:, :, :, n + 1]))) / scale
-        ricci = float(np.max(np.abs(np.einsum("kjkl->jl", W)))) / scale
-        reports[k] = replace(
-            reports[k], applicable=True, reason="", t1_defect=t1, ricci_residual=ricci
-        )
-    return reports

@@ -66,13 +66,18 @@ class LimitEstimate:
     error: float
     diverged: bool
 
-    def scaled_error(self) -> float:
-        """``error / (1 + max|value|)``; infinite for a diverged estimate,
-        whose value is not meaningful."""
+    def norm(self) -> float:
+        """``max|value|``; infinite for a diverged estimate, whose value is
+        not meaningful."""
         if self.diverged:
             return math.inf
-        scale = 1.0 + float(np.max(np.abs(self.value)))
-        return self.error / scale
+        return float(np.max(np.abs(self.value)))
+
+    def scaled_error(self) -> float:
+        """``error / (1 + max|value|)``; infinite for a diverged estimate."""
+        if self.diverged:
+            return math.inf
+        return self.error / (1.0 + self.norm())
 
 
 def richardson_limit(samples: Sequence) -> LimitEstimate:

@@ -291,9 +291,6 @@ class Jet:
             raise JetError("an order-0 jet has no gradient")
         return self.coeffs[1 : 1 + self.dim].copy()
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
-
     def __repr__(self) -> str:
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
 

@@ -81,7 +81,6 @@ __all__ = [
     "l_tau",
     "tractor_metric_inverse",
     "s2t_slots",
-    "metricity_residual",
     "tractor_curvature",
     "standard_curvature_blocks",
     "metricity_contorsion",
@@ -213,7 +212,7 @@ class TractorCalculus:
         # Closures here capture locals, never ``self``: a reference cycle
         # would keep every calculus and its memoized arrays alive until a
         # full garbage collection.
-        rho_form = self._rho_form = rho_one_form(geom)
+        rho_form = rho_one_form(geom)
         self.levi_civita_splitting = Splitting(
             "levi_civita",
             TensorField(
@@ -245,23 +244,6 @@ class TractorCalculus:
         ups = self._one_form(upsilon)
         self._connections[label] = projective_modify(self.hat, ups)
         return Splitting(label, ups)
-
-    def splitting_from_lc(
-        self,
-        upsilon_from_lc: Callable[[Point, int], np.ndarray] | TensorField,
-        label: str | None = None,
-    ) -> Splitting:
-        """A splitting offset from the Levi-Civita connection instead."""
-        ups = self._one_form(upsilon_from_lc)
-        rho_form = self._rho_form
-        offset = TensorField(
-            self.geom.chart, "d",
-            lambda point, order: ups.dense(point, order) - rho_form.dense(point, order),
-        )
-        if label is None:
-            label = f"customlc-{next(self._counter)}"
-        self._connections[label] = projective_modify(self.lc, ups)
-        return Splitting(label, offset)
 
     def hat_christoffel_values(self, points: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Christoffel values ``(d, d, d, B)`` of ``hat`` at a batch of
@@ -479,46 +461,6 @@ def s2t_slots(tv: TractorValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dense jet arrays."""
     H = tv.data
     return H[1:, 1:], H[0, 1:], H[0, 0]
-
-
-# -- metricity residual ----------------------------------------------------
-
-
-def metricity_residual(
-    calc: TractorCalculus,
-    upsilon_from_lc: Callable[[Point, int], np.ndarray] | TensorField | None,
-    points: Sequence[Point],
-    order: int = 1,
-) -> dict:
-    """How far a candidate connection is from being the metric one.
-
-    The candidate is the projective modification of the Levi-Civita
-    connection by the given one-form.  The residual combines the metric
-    compatibility defect ``|D' g|`` with the middle slot of the metricity
-    tractor expressed in the candidate's splitting; both vanish exactly when
-    the candidate is the Levi-Civita connection itself.  The points are
-    evaluated as one batch.
-    """
-    if upsilon_from_lc is None:
-        s = calc.levi_civita_splitting
-        conn = calc.lc
-    else:
-        s = calc.splitting_from_lc(upsilon_from_lc)
-        conn = calc.connection_of(s)
-    gfield = calc.geom.metric_field()
-    dg_field = covariant_derivative(gfield, conn)
-    pts = np.array(points, dtype=float)
-    compat = float(np.max(np.abs(dg_field.dense(pts, 0)[..., 0])))
-    scale = float(np.max(np.abs(gfield.dense(pts, 0)[..., 0])))
-    _, nu, _ = s2t_slots(bgg_split_metricity(calc, calc.metricity_field(), s, pts, order))
-    middle = float(np.max(np.abs(nu[..., 0])))
-    total = compat / (1.0 + scale) + middle
-    return {
-        "residual": total,
-        "compatibility_defect": compat,
-        "middle_slot": middle,
-        "splitting": s.label,
-    }
 
 
 # -- curvature ---------------------------------------------------------------

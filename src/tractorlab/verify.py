@@ -15,7 +15,11 @@ work across geometries.  A runner returns the facets of its statement by
 name, as raw residuals or as fault flags (``diverged``), and the registry
 gives a facet its own tolerance where it differs from the check's headline
 one; :func:`run_suite` alone turns the facets into the headline residual and
-names the worst one in a failed check's reason.
+names the worst one in a failed check's reason.  A boundary runner computes
+its statement's limits itself and writes its facets and details directly;
+it calls ``boundary`` only for what several checks share (frames,
+curvature blocks, transversals, the second fundamental form, the
+asymptotic metric form and the point functions).
 """
 
 from __future__ import annotations
@@ -28,10 +32,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import boundary as bd
-from .affine import covariant_derivative, defining_density_check
-from .extrapolate import Ladder, boundary_ladder, boundary_limit, richardson_limit
+from .affine import covariant_derivative
+from .extrapolate import (
+    Ladder,
+    boundary_ladder,
+    boundary_limit,
+    ladder_samples,
+    richardson_limit,
+)
 from .fields import (
     Geometry,
+    GeometryError,
     TensorField,
     value_dot,
     value_inv,
@@ -40,7 +51,7 @@ from .fields import (
     value_outer,
     value_vecmat,
 )
-from .jets import jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
+from .jets import PoleError, jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
 from .tractor import (
     TractorCalculus,
     TractorValue,
@@ -188,11 +199,12 @@ class _Session:
             rng = np.random.default_rng(self.plan.seed)
             y = self.geom.boundary_points(1, rng)[0]
             reason = "geometry fails the projective-compactness probes"
+            calc = self._probe_calc
             try:
                 ladders = [self.ladder(y)]
-                reps = bd.rho_connection_extension(self._probe_calc.hat, ladders)
-                dd = defining_density_check(self._probe_calc.tau, self.geom, ladders)
-                ok = (not reps[0].diverged) and dd.passed
+                (est,) = boundary_limit(lambda p: calc.hat.christoffel_values(p, 0), ladders)
+                facets, _ = _defining_density(calc, ladders)
+                ok = (not est.diverged) and not facets["not_a_defining_density"]
             except Exception as err:  # any failure means "not compact"
                 ok = False
                 reason += f" ({type(err).__name__}: {err})"
@@ -365,17 +377,27 @@ def _run_transversal(geom, plan, rng, session):
             abs(float(geom.drho(np.asarray(curve.y)) @ curve.mu0) - 1.0),
         "geodesic_residual": curve.geodesic_residual(),
     } for curve in curves]
-    facets = _columns(details, "drho_pairing_defect", "geodesic_residual")
-    collar = bd.collar_sample(curves)
-    facets["t0_row_defect"] = [
-        float(np.max(np.abs(np.asarray(y) - p))) for (y, t, p) in collar.rows if t == 0.0
-    ]
-    facets["collar_not_injective"] = collar.min_separation <= 0
-    details.append({
-        "collar_min_separation": collar.min_separation,
-        "t0_row_defect": max(facets["t0_row_defect"], default=0.0),
-    })
-    return facets, len(ladders), details
+    # the collar map (boundary point, t) -> point at five parameters across
+    # the curves, each at its nearest RK4 sample, must be injective on them
+    ts = curves[0].ts
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * ts[-1]
+    ks = [min(int(round(t / (ts[1] - ts[0]))), len(ts) - 1) for t in grid]
+    rows = np.concatenate([curve.points[ks] for curve in curves])
+    pairs = np.triu_indices(len(rows), 1)
+    gaps = np.max(np.abs(rows[pairs[0]] - rows[pairs[1]]), axis=-1)
+    separation = float(np.nanmin(gaps))
+    if separation <= 0.0:
+
+        def row(r):  # the (boundary point, t) of a row
+            return curves[r // len(grid)].y, float(grid[r % len(grid)])
+
+        first = int(np.nanargmin(gaps))
+        raise GeometryError(
+            f"collar is not injective: rows {row(pairs[0][first])} and "
+            f"{row(pairs[1][first])} collide"
+        )
+    details.append({"collar_min_separation": separation})
+    return _columns(details, "drho_pairing_defect", "geodesic_residual"), len(ladders), details
 
 
 def _run_mu(geom, plan, rng, session):
@@ -562,34 +584,101 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
 
 
 def _run_einstein(geom, plan, rng, session):
+    """The Einstein-type adjustment ``Ric - (S0/(n+1)) g`` of the Ricci
+    tensor, with ``S0`` the (locally constant) boundary scalar curvature,
+    extends, and so does the curvature minus its universal singular part
+    ``-(1/(2 rho^2)) delta^c_[a rho_b] rho_d - (1/(2 C rho)) delta^c_[a h_b]d``.
+
+    The pointwise trace-free Ricci ``Ric - (S(x)/(n+1)) g`` differs from the
+    adjustment by ``(S0 - S(x)) g/(n+1)``, whose transversal slot grows like
+    ``1/rho`` wherever S has a transversal derivative at the boundary; it
+    extends only in the Einstein-like case, so its divergence is a detail,
+    not a facet.
+    """
+    calc = session.calc
+    n = geom.dim - 1
+    pack = calc.pack_of(calc.levi_civita_splitting)
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    rep = bd.einstein_asymptotics(session.calc, ladders)
+    hrep = bd.asymptotic_h(calc, ladders)
+    if hrep.status != "ok":
+        return {"diverged": True}, len(ladders), [{
+            "status": f"no asymptotic form: {hrep.status}", "tracefree_errors": [],
+            "tail_errors": [], "pointwise_tracefree_diverges": True,
+        }]
+    C = hrep.C
+    s_boundary = float(np.mean(hrep.scalar_limits))
+    gfield = geom.metric_field()
+
+    def adjusted_ricci(p):
+        g = gfield.dense(p, 0)[..., 0]
+        return pack.dense("ricci", p, 0)[..., 0] - s_boundary / (n + 1) * g
+
+    def tail(p):
+        R = pack.dense("riemann", p, 0)[..., 0]
+        rv, grad = geom.rho_and_drho(p)
+        return (
+            R
+            + bd._delta_wedge(value_outer(grad)) / (4.0 * np.float_power(rv, 2))
+            + bd._delta_wedge(bd.h_form(calc, C, p)) / (4.0 * C * rv)
+        )
+
+    tf_ests = boundary_limit(adjusted_ricci, ladders)
+    tail_ests = boundary_limit(tail, ladders)
+    pointwise = boundary_limit(lambda p: bd.tracefree_ricci(calc, p), ladders)
+    diverged = any(est.diverged for est in tf_ests + tail_ests)
+    facets = {
+        "diverged": diverged,
+        "tracefree_errors": [est.scaled_error() for est in tf_ests],
+        "tail_errors": [est.scaled_error() for est in tail_ests],
+    }
     details = [{
-        "status": rep.status,
-        "tracefree_errors": rep.tracefree_errors,
-        "tail_errors": rep.tail_errors,
-        "pointwise_tracefree_diverges": rep.pointwise_tracefree_diverges,
+        "status": "curvature tail diverges" if diverged else "ok",
+        "tracefree_errors": facets["tracefree_errors"],
+        "tail_errors": facets["tail_errors"],
+        "pointwise_tracefree_diverges": any(est.diverged for est in pointwise),
     }]
-    facets = {"diverged": rep.diverged, "tracefree_errors": rep.tracefree_errors,
-              "tail_errors": rep.tail_errors}
     return facets, len(ladders), details
 
 
+def _signature(x: np.ndarray) -> tuple[int, int]:
+    """The numbers of positive and negative eigenvalues of a symmetric
+    matrix."""
+    eigs = np.linalg.eigvalsh(x)
+    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+
+
 def _run_bundle(geom, plan, rng, session):
+    """The boundary tractor bundle at each ladder's point: the distinguished
+    line is isotropic, the quotient metric gamma is half the second
+    fundamental form, the tractor metric takes its block form in the
+    (beta; xi; sigma) splitting, and its signature is gamma's plus one
+    hyperbolic plane."""
     calc = session.calc
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    data = bd.boundary_tractor_bundle(calc, ladders)
-    details = [{
-        "point": list(frame.point),
-        "isotropy_T1": iso,
-        "tract_met_split_defect": gram_defect,
-        "quotient_vs_sff": sff_gap,
-        "signature_ok": sig_ok,
-        "gamma_min_singular_value": frame.diagnostics["gamma_min_singular_value"],
-    } for frame, gram_defect, sff_gap, sig_ok, iso in zip(
-        data.frames, data.gram_split_defects, data.sff_agreement,
-        data.signature_ok, data.isotropy,
-    )]
+    frames = bd.boundary_frame(calc, ladders)
+    details = []
+    for frame, sff in zip(frames, bd.second_fundamental_form(calc, ladders)):
+        # hyperbolic beta-sigma pairing, tangential gamma block and the
+        # -psi/(4 tauhat) correction on the beta line
+        n = frame.n
+        expected = np.zeros((n + 2, n + 2))
+        expected[0, n + 1] = expected[n + 1, 0] = 0.5
+        expected[0, 0] = -0.25 * frame.psi / frame.tau_hat
+        expected[1:n + 1, 1:n + 1] = frame.tau_hat * frame.gamma_t
+        scale = 1.0 + float(np.max(np.abs(expected)))
+        gram_defect = float(np.max(np.abs(frame.gram_split - expected))) / scale
+        half_hess = 0.5 * (sff.basis.T @ sff.full @ sff.basis)
+        scale = 1.0 + float(np.max(np.abs(half_hess)))
+        sff_gap = float(np.max(np.abs(frame.gamma_t - half_hess))) / scale
+        pos, neg = _signature(frame.gamma_t)
+        details.append({
+            "point": list(frame.point),
+            "isotropy_T1": frame.diagnostics["isotropy_T1"],
+            "tract_met_split_defect": gram_defect,
+            "quotient_vs_sff": sff_gap,
+            "signature_ok": _signature(frame.gram_split) == (pos + 1, neg + 1),
+            "gamma_min_singular_value": frame.diagnostics["gamma_min_singular_value"],
+        })
     facets = _columns(details, "isotropy_T1", "tract_met_split_defect", "quotient_vs_sff")
     facets["signature_wrong"] = not all(d["signature_ok"] for d in details)
     return facets, len(ladders), details
@@ -709,22 +798,62 @@ def _run_prop43(geom, plan, rng, session):
     return facets, len(pts), details
 
 
+def _not_parallel(hyp: float) -> str:
+    return f"derivative of L(tau) does not vanish at the boundary (|tau grad P| ~ {hyp:.2e})"
+
+
 def _run_thm41a(geom, plan, rng, session):
+    """Where the tractor derivative of L(tau) vanishes along the boundary,
+    the restricted standard tractor connection is already normal: normality
+    is judged at the ladders where the hypothesis holds, and the check skips
+    when it holds at none.
+
+    The hypothesis is the vanishing of the limit of ``tau grad_a P_bc``, the
+    derivative's only slot; it is equivalent to the vanishing of the
+    boundary trace-free Ricci tensor, and both norms are reported so the
+    equivalence itself is tested.
+    """
+    calc = session.calc
+    n = geom.dim - 1
+    pack = calc.pack_of(calc.levi_civita_splitting)
     ladders = session.ladders(rng, 2)
-    reps = bd.asymptotically_parallel_check(session.calc, ladders)
-    if not any(rep.applicable for rep in reps):
-        raise _SkipCheck(reps[0].reason)
-    details = [{
-        "point": list(ladder.y),
-        "hypothesis_norm": rep.hypothesis_norm,
-        "tracefree_ricci_norm": rep.tracefree_ricci_norm,
-        "t1_defect": rep.t1_defect,
-        "normality_residual": rep.ricci_residual,
-        "equivalence_ok": rep.equivalence_ok,
-    } if rep.applicable else {
-        "point": list(ladder.y), "skipped": rep.reason,
-        "equivalence_ok": rep.equivalence_ok,
-    } for ladder, rep in zip(ladders, reps)]
+
+    def bottom_slot(p):
+        tau = calc.tau.dense(p, 0)[..., 0]
+        return tau * pack.dense("schouten_derivative", p, 0)[..., 0]
+
+    hyps = [est.norm() for est in boundary_limit(bottom_slot, ladders)]
+    tfs = [est.norm() for est in boundary_limit(lambda p: bd.tracefree_ricci(calc, p), ladders)]
+    # normality at the ladders where the hypothesis holds: (t1, Ricci) by ladder
+    held = [lad for lad, hyp in zip(ladders, hyps) if hyp <= 1e-6]
+    if not held:
+        raise _SkipCheck(_not_parallel(hyps[0]))
+    frames = bd.boundary_frame(calc, held)
+    kappas = boundary_limit(
+        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(), held
+    )
+    normal = {}
+    for frame, est in zip(frames, kappas):
+        kappa_split = frame.tangential_kappa(np.asarray(est.value))
+        W = kappa_split[:, :, 1:n + 1, 1:n + 1]
+        scale = 1.0 + float(np.max(np.abs(kappa_split)))
+        t1 = float(np.max(np.abs(kappa_split[:, :, :, n + 1]))) / scale
+        ricci = float(np.max(np.abs(np.einsum("kjkl->jl", W)))) / scale
+        normal[frame.ladder] = t1, ricci
+    details = []
+    for ladder, hyp, tf in zip(ladders, hyps, tfs):
+        equivalence_ok = (hyp <= 1e-5) == (tf <= 1e-5)
+        if ladder in normal:
+            t1, ricci = normal[ladder]
+            details.append({
+                "point": list(ladder.y), "hypothesis_norm": hyp, "tracefree_ricci_norm": tf,
+                "t1_defect": t1, "normality_residual": ricci, "equivalence_ok": equivalence_ok,
+            })
+        else:
+            details.append({
+                "point": list(ladder.y), "skipped": _not_parallel(hyp),
+                "equivalence_ok": equivalence_ok,
+            })
     facets = _columns(details, "hypothesis_norm", "t1_defect", "normality_residual")
     facets["equivalence_fails"] = not all(d["equivalence_ok"] for d in details)
     return facets, len(ladders), details
@@ -935,40 +1064,87 @@ def _run_curv_consistency(geom, plan, rng, session):
     return {"commutator_vs_blocks": gap}, len(pts), details
 
 
+def _defining_density(calc: TractorCalculus, ladders) -> tuple[dict, list]:
+    """The facets and details of ``tau/rho^(2/alpha)`` extending, nonzero,
+    to the ladders' points: the numerical form of the parallel weight-2
+    density extending by zero to a defining density precisely when the
+    volume growth matches the compactness order (for order 2 the quotient is
+    literally tau/rho).  Divergence (the flat control), a rough
+    extrapolation (the conformally compact control, on the default plan)
+    and a zero limit set the flag ``not_a_defining_density``, and so does a
+    pole on any ladder, which leaves every limit and error NaN; the detail's
+    reason names the last such fault."""
+    scale = np.float_power(
+        np.concatenate([lad.eps for lad in ladders]), 2.0 / calc.geom.alpha
+    )
+    limits, errors, reason = [], [], ""
+    try:
+        samples = ladder_samples(lambda p: calc.tau.dense(p, 0)[..., 0] / scale, ladders)
+    except PoleError:
+        samples = []
+        limits = errors = [float("nan")] * len(ladders)
+        reason = "pole while approaching the boundary"
+    for values in samples:
+        est = richardson_limit(values)
+        limits.append(float(est.value))
+        errors.append(est.error)
+        if est.diverged:
+            reason = "tau/rho diverges at the boundary"
+        elif est.error / (1.0 + abs(est.value)) > 1e-5:
+            reason = "tau/rho does not extrapolate smoothly"
+        elif abs(est.value) < 1e-3:
+            reason = "tau/rho has zero boundary limit"
+    facets = {
+        "not_a_defining_density": bool(reason),
+        "extrapolation_error": [e / (1 + abs(v)) for e, v in zip(errors, limits)],
+    }
+    details = [{
+        "points": [list(lad.y) for lad in ladders],
+        "limits": limits,
+        "errors": errors,
+        "reason": reason,
+    }]
+    return facets, details
+
+
 def _run_defining_density(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    rep = defining_density_check(session.calc.tau, geom, ladders)
-    details = [{
-        "points": [list(y) for y in rep.points],
-        "limits": rep.limits,
-        "errors": rep.errors,
-        "reason": rep.reason,
-    }]
-    facets = {
-        "not_a_defining_density": not rep.passed,
-        "extrapolation_error": [e / (1 + abs(v)) for e, v in zip(rep.errors, rep.limits)],
-    }
+    facets, details = _defining_density(session.calc, ladders)
     return facets, len(ladders), details
 
 
 def _run_rho_extends(geom, plan, rng, session):
+    """The rho-modified connection extends at each ladder's point.  A
+    diverged ladder carries the slope of ``log |Gamma|`` against ``log rho``
+    (a slope <= -0.9 is the 1/rho signature of a missing projective
+    compactification) and has no limit to judge; where the geometry has an
+    exact closed-form extension, the gap between the two paths is a facet.
+    """
+    hat = session.calc.hat
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    reps = bd.rho_connection_extension(session.calc.hat, ladders)
-    details = [{
-        "point": list(rep.point),
-        "diverged": rep.diverged,
-        "loglog_slope": rep.loglog_slope,
-        "extrapolation_error": rep.error,
-        "dual_path_gap": rep.dual_path_gap,
-    } for rep in reps]
-    # a diverged ladder has no limit to judge, and a dual-path gap only
-    # where the geometry has an exact extension
+    # the samples stay at hand for the divergence slope
+    samples = ladder_samples(lambda p: hat.christoffel_values(p, 0), ladders)
+    details = []
+    for ladder, values in zip(ladders, samples):
+        est = richardson_limit(values)
+        slope = gap = None
+        if est.diverged:
+            norms = np.abs(values).reshape(len(values), -1).max(axis=1)
+            slope = float(np.polyfit(np.log(ladder.eps), np.log(norms + 1e-300), 1)[0])
+        elif hat.exact_boundary is not None:
+            exact = hat.exact_boundary(ladder.y, 0)[..., 0]
+            gap = float(np.max(np.abs(exact - est.value)))
+        details.append({
+            "point": list(ladder.y),
+            "diverged": est.diverged,
+            "loglog_slope": slope,
+            "extrapolation_error": est.error,
+            "dual_path_gap": gap,
+        })
     facets = {
-        "diverged": any(rep.diverged for rep in reps),
-        "extrapolation_error": [rep.error for rep in reps if not rep.diverged],
-        "dual_path_gap": [
-            rep.dual_path_gap for rep in reps if rep.dual_path_gap is not None
-        ],
+        "diverged": any(d["diverged"] for d in details),
+        "extrapolation_error": [d["extrapolation_error"] for d in details if not d["diverged"]],
+        "dual_path_gap": [d["dual_path_gap"] for d in details if d["dual_path_gap"] is not None],
     }
     return facets, len(ladders), details
 

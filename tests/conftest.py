@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,14 @@ def ladder(geom, y, direction=None):
 
 def ladders(geom, ys):
     return [ladder(geom, y) for y in ys]
+
+
+def at_boundary_points(geom, *ys):
+    """``geom`` with a boundary sampler that yields the points ``ys`` in
+    turn, cycling, so a check run on it samples its boundary points from
+    ``ys`` (a compactness probe draws one of them first)."""
+    points = itertools.cycle(ys)
+    return dataclasses.replace(geom, boundary_sampler=lambda rng: next(points))
 
 
 def lc_pack(geom):

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ladders, max_value
+from conftest import at_boundary_points, ladders, max_value
 from jet_reference import jet_apply, jet_det, jet_views
 from tractorlab import expr as ex
 from tractorlab.affine import (
     CurvaturePack,
     canonical_tau,
     covariant_derivative,
-    defining_density_check,
     levi_civita,
     projective_modify,
     rho_connection,
 )
 from tractorlab.fields import Chart, Geometry, TensorField, builtin_geometry
 from tractorlab.jets import DomainError, PoleError, jet_mul, jet_reciprocal, jet_space
+from tractorlab.tractor import TractorCalculus
+from tractorlab.verify import SamplingPlan, _defining_density, run_suite
 
 
 def linear_one_form(chart, coeffs):
@@ -363,34 +364,41 @@ def test_schouten_change_law(klein3, rng):
 # -- densities at the boundary ---------------------------------------------------
 
 
+def defining_density(geom, *ys):
+    """The defining-density check of the suite at the boundary points
+    ``ys``: whether it passed, and its detail."""
+    (report,) = run_suite(
+        at_boundary_points(geom, *ys), ["defining-density"],
+        SamplingPlan(boundary_points=len(ys)),
+    )
+    (detail,) = report.details
+    assert sorted(detail["points"]) == sorted(map(list, ys))
+    return report.status == "pass", detail
+
+
 def test_defining_density_klein(klein3):
-    rep = defining_density_check(canonical_tau(klein3), klein3,
-                                 ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))
-    assert rep.passed
-    assert rep.limits == pytest.approx([1.0, 1.0], abs=1e-10)
+    passed, rep = defining_density(klein3, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert passed
+    assert rep["limits"] == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_defining_density_af2(af2):
-    rep = defining_density_check(canonical_tau(af2), af2,
-                                 ladders(af2, [(0.0, 0.3, -0.2, 0.4)]))
-    assert rep.passed
-    assert rep.limits[0] > 0.1
+    passed, rep = defining_density(af2, (0.0, 0.3, -0.2, 0.4))
+    assert passed
+    assert rep["limits"][0] > 0.1
 
 
 def test_defining_density_af1_uses_order(af1):
-    rep = defining_density_check(canonical_tau(af1), af1,
-                                 ladders(af1, [(0.0, 0.3, -0.2, 0.4)]))
-    assert rep.passed
+    passed, _ = defining_density(af1, (0.0, 0.3, -0.2, 0.4))
+    assert passed
 
 
 def test_defining_density_controls(poincare3, flat3):
-    rep = defining_density_check(canonical_tau(poincare3), poincare3,
-                                 ladders(poincare3, [(1.0, 0.0, 0.0)]))
-    assert not rep.passed
-    rep2 = defining_density_check(canonical_tau(flat3), flat3,
-                                  ladders(flat3, [(1.0, 0.2, 0.1)]))
-    assert not rep2.passed
-    assert rep2.diverged[0]
+    passed, _ = defining_density(poincare3, (1.0, 0.0, 0.0))
+    assert not passed
+    passed2, rep2 = defining_density(flat3, (1.0, 0.2, 0.1))
+    assert not passed2
+    assert rep2["reason"] == "tau/rho diverges at the boundary"
 
 
 def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypatch):
@@ -398,7 +406,8 @@ def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypa
     # ladder fails the check, and no ladder then has a limit
     lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     bad = set(lads[1].points)
-    tau = canonical_tau(klein3)
+    calc = TractorCalculus(klein3)
+    tau = calc.tau
     real = tau.dense
 
     def dense(point, order):
@@ -407,12 +416,13 @@ def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypa
         return real(point, order)
 
     monkeypatch.setattr(tau, "dense", dense)
-    rep = defining_density_check(tau, klein3, lads)
-    assert rep.passed is False
-    assert rep.reason == "pole while approaching the boundary"
-    assert np.isnan(rep.limits).all() and np.isnan(rep.errors).all()
-    assert rep.diverged == [True] * 3
-    assert rep.points == [lad.y for lad in lads]
+    facets, (rep,) = _defining_density(calc, lads)
+    assert facets["not_a_defining_density"] is True
+    assert rep["reason"] == "pole while approaching the boundary"
+    assert np.isnan(rep["limits"]).all() and np.isnan(rep["errors"]).all()
+    assert len(rep["limits"]) == len(rep["errors"]) == 3
+    assert np.isnan(facets["extrapolation_error"]).all()
+    assert rep["points"] == [list(lad.y) for lad in lads]
 
 
 def test_special_flag_via_density_transport(klein3):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import ladder, ladders, lc_pack
+from conftest import at_boundary_points, ladder, ladders, lc_pack
 from tractorlab import boundary as bd
+from tractorlab import verify
 from tractorlab.expr import ExprError, Tape
 from tractorlab.extrapolate import boundary_limit, richardson_limit
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import Jet, jet_space
 from tractorlab.tractor import TractorCalculus, metricity_contorsion
+from tractorlab.verify import SamplingPlan, registry, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -195,20 +197,35 @@ def test_poincare_transversal_fails(poincare3):
 
 def test_collar_rows_and_injectivity(calc3, rng):
     grid = calc3.geom.boundary_points(3, rng)
-    collar = bd.collar_sample(
-        bd.geodetic_transversals(calc3, ladders(calc3.geom, grid))
+    # reference: the collar rows at five parameters across each curve, each
+    # its nearest RK4 sample, and their smallest separation pair by pair
+    rows = []
+    for curve in bd.geodetic_transversals(calc3, ladders(calc3.geom, grid)):
+        assert np.allclose(curve.points[0], curve.y)  # the t = 0 row
+        step = curve.ts[1] - curve.ts[0]
+        for t in np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * curve.ts[-1]:
+            rows.append(curve.points[min(int(round(t / step)), len(curve.ts) - 1)])
+    separation = min(
+        float(np.max(np.abs(rows[i] - rows[j])))
+        for i in range(len(rows)) for j in range(i + 1, len(rows))
     )
-    assert collar.min_separation > 0
-    for y, t, p in collar.rows:
-        if t == 0.0:
-            assert np.allclose(p, y)
+    (report,) = run_suite(
+        at_boundary_points(calc3.geom, *grid), ["lem-2.4-transversal"],
+        SamplingPlan(boundary_points=3),
+    )
+    assert sorted(d["point"] for d in report.details[:-1]) == sorted(map(list, grid))
+    assert report.details[-1]["collar_min_separation"] > 0
+    assert report.details[-1]["collar_min_separation"] == separation
 
 
 def test_collar_duplicate_grid_collides(klein3):
-    curve = _transversal(klein3, (1.0, 0.0, 0.0))
-    with pytest.raises(GeometryError) as err:
-        bd.collar_sample([curve, curve])
-    assert "injective" in str(err.value)
+    (report,) = run_suite(
+        at_boundary_points(klein3, (1.0, 0.0, 0.0)), ["lem-2.4-transversal"],
+        SamplingPlan(boundary_points=2),
+    )
+    assert report.status == "error"
+    assert report.reason.startswith("GeometryError: ")
+    assert "injective" in report.reason
 
 
 # -- second fundamental form --------------------------------------------------------
@@ -313,17 +330,24 @@ def test_asymptotic_h_poincare_fails(poincare3):
 
 def test_einstein_asymptotics(klein3, af2, poincare3):
     def einstein(geom, y):
-        return bd.einstein_asymptotics(TractorCalculus(geom), ladders(geom, [y]))
+        # the runner itself: the suite skips the Poincare control, which
+        # fails the compactness probe
+        geom = at_boundary_points(geom, y)
+        plan = SamplingPlan(boundary_points=1)
+        (check,) = [c for c in registry() if c.id == "thm-3.3-einstein"]
+        session = verify._Session(geom, plan)
+        facets, _, (detail,) = check.run(geom, plan, np.random.default_rng(0), session)
+        return facets, detail
 
-    repk = einstein(klein3, (1.0, 0.0, 0.0))
-    assert repk.status == "ok" and not repk.pointwise_tracefree_diverges
-    repa = einstein(af2, (0.0, 0.3, -0.2, 0.4))
-    assert repa.status == "ok"
-    assert max(repa.tracefree_errors + repa.tail_errors) < 1e-5
+    _, repk = einstein(klein3, (1.0, 0.0, 0.0))
+    assert repk["status"] == "ok" and not repk["pointwise_tracefree_diverges"]
+    _, repa = einstein(af2, (0.0, 0.3, -0.2, 0.4))
+    assert repa["status"] == "ok"
+    assert max(repa["tracefree_errors"] + repa["tail_errors"]) < 1e-5
     # the pointwise trace-free Ricci genuinely fails to extend here
-    assert repa.pointwise_tracefree_diverges
-    repp = einstein(poincare3, (1.0, 0.0, 0.0))
-    assert repp.diverged
+    assert repa["pointwise_tracefree_diverges"]
+    facets, _ = einstein(poincare3, (1.0, 0.0, 0.0))
+    assert facets["diverged"]
 
 
 # -- prop 2.2 slot limits -----------------------------------------------------------
@@ -418,13 +442,18 @@ def test_boundary_frame_klein(calc3):
     assert frame.diagnostics["dual_gamma_defect"] < 1e-9
 
 
-def test_boundary_bundle_klein(calc3, rng):
+def test_boundary_bundle_klein(calc3):
     ys = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
-    data = bd.boundary_tractor_bundle(calc3, ladders(calc3.geom, ys))
-    assert max(data.gram_split_defects) < 1e-7
-    assert max(data.sff_agreement) < 1e-5
-    assert all(data.signature_ok)
-    assert max(data.isotropy) < 1e-8
+    (report,) = run_suite(
+        at_boundary_points(calc3.geom, *ys), ["prop-4.1-bundle"],
+        SamplingPlan(boundary_points=2),
+    )
+    details = report.details
+    assert sorted(d["point"] for d in details) == sorted(map(list, ys))
+    assert max(d["tract_met_split_defect"] for d in details) < 1e-7
+    assert max(d["quotient_vs_sff"] for d in details) < 1e-5
+    assert all(d["signature_ok"] for d in details)
+    assert max(d["isotropy_T1"] for d in details) < 1e-8
 
 
 def test_boundary_bundle_flat_degenerate(flat3):
@@ -439,7 +468,12 @@ def test_af2_boundary_frame_and_gram(calc_af2, af2_frame):
     assert scalar.value == pytest.approx(-12.0, abs=1e-5)
     n = frame.n
     assert -n * (n + 1) / (4.0 * scalar.value) == pytest.approx(0.25, abs=1e-6)
-    expected = bd.expected_gram_split(frame)
+    # the block form in the (beta; xi; sigma) splitting: hyperbolic
+    # beta-sigma pairing, tangential gamma block, -psi/(4 tauhat) on beta
+    expected = np.zeros((n + 2, n + 2))
+    expected[0, n + 1] = expected[n + 1, 0] = 0.5
+    expected[0, 0] = -0.25 * frame.psi / frame.tau_hat
+    expected[1:n + 1, 1:n + 1] = frame.tau_hat * frame.gamma_t
     assert np.max(np.abs(frame.gram_split - expected)) < 1e-7
 
 
@@ -498,31 +532,42 @@ def test_normalization_dimension_guard(calc3):
 
 
 def test_asymptotically_parallel_klein4(calc4):
-    (rep,) = bd.asymptotically_parallel_check(
-        calc4, [ladder(calc4.geom, (0.0, 0.0, 1.0, 0.0))]
-    )
-    assert rep.applicable
-    assert rep.hypothesis_norm < 1e-6
-    assert rep.tracefree_ricci_norm < 1e-5
-    assert rep.equivalence_ok
-    assert rep.t1_defect < 1e-6
-    assert rep.ricci_residual < 1e-6
+    geom = at_boundary_points(calc4.geom, (0.0, 0.0, 1.0, 0.0))
+    (report,) = run_suite(geom, ["thm-4.1a-normal"])
+    rep = report.details[0]
+    assert "skipped" not in rep  # the hypothesis holds, so normality is judged
+    assert rep["hypothesis_norm"] < 1e-6
+    assert rep["tracefree_ricci_norm"] < 1e-5
+    assert rep["equivalence_ok"]
+    assert rep["t1_defect"] < 1e-6
+    assert rep["normality_residual"] < 1e-6
 
 
 def test_asymptotically_parallel_af2_skips(calc_af2):
-    (rep,) = bd.asymptotically_parallel_check(
-        calc_af2, [ladder(calc_af2.geom, (0.0, 0.3, -0.2, 0.4))]
+    y = (0.0, 0.3, -0.2, 0.4)
+    (report,) = run_suite(at_boundary_points(calc_af2.geom, y), ["thm-4.1a-normal"])
+    assert report.status == "skip"
+    assert "vanish" in report.reason
+    # both sides of the equivalence nonzero: the limits of tau grad P and of
+    # the trace-free Ricci tensor
+    calc = calc_af2
+    pack = calc.pack_of(calc.levi_civita_splitting)
+    (hyp,) = boundary_limit(
+        lambda p: calc.tau.dense(p, 0)[..., 0] * pack.dense("schouten_derivative", p, 0)[..., 0],
+        [ladder(calc.geom, y)],
     )
-    assert not rep.applicable
-    assert "vanish" in rep.reason
-    assert rep.equivalence_ok  # both sides nonzero
+    (tf,) = boundary_limit(lambda p: bd.tracefree_ricci(calc, p), [ladder(calc.geom, y)])
+    assert (hyp.norm() <= 1e-5) == (tf.norm() <= 1e-5)
 
 
 def test_klein_dual_path_extension_agreement(klein3):
-    conn = TractorCalculus(klein3).hat
-    reps = bd.rho_connection_extension(conn, ladders(klein3, [(1.0, 0.0, 0.0)]))
-    assert not reps[0].diverged
-    assert reps[0].dual_path_gap is not None and reps[0].dual_path_gap < 1e-6
+    (report,) = run_suite(
+        at_boundary_points(klein3, (1.0, 0.0, 0.0)), ["rho-connection-extends"],
+        SamplingPlan(boundary_points=1),
+    )
+    (rep,) = report.details
+    assert not rep["diverged"]
+    assert rep["dual_path_gap"] is not None and rep["dual_path_gap"] < 1e-6
 
 
 def test_hessian_of_rho_matches_scalar_jet_loops(klein3, af2):

@@ -10,6 +10,8 @@ placed (``extrapolate``) and where a sampling plan sets them (``verify``,
 ``TractorCalculus`` alone, so only ``tractor`` calls their builders.  The
 point functions of the boundary quantities live in ``boundary``, so the
 command line evaluates no tensor, curvature pack or inverse of its own.
+A check's own computation lives in its ``verify`` runner, so the boundary
+routines and report classes that served one check stay removed.
 Expressions are evaluated only through compiled tapes: the recursive
 interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
 A ladder is evaluated as one batch of points, so only ``extrapolate``
@@ -35,8 +37,10 @@ MODULES = sorted(SRC.glob("*.py"))
 
 #: Helpers and accessors of the scalar-jet object path, the per-call
 #: ladder options of the transversal integrator, the builders that bypassed
-#: the calculus, the second expression evaluator, and unused names, that
-#: left the package.
+#: the calculus, the second expression evaluator, the single-use boundary
+#: routines and report classes that the verify runners absorbed, the two
+#: lem-2.4 facets that could not fire, and unused names, that left the
+#: package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -48,6 +52,12 @@ REMOVED = {
     "gamma_at", "t_at", "h_at", "_h_form", "_pointwise_tracefree_ricci",
     "Density", "q_full",
     "evaluate", "_expr_src", "torsion_free",
+    "ExtensionReport", "CollarSample", "EinsteinAsymptoticsReport",
+    "ConformalTractorData", "AsymptoticallyParallelReport", "DefiningDensityReport",
+    "rho_connection_extension", "collar_sample", "einstein_asymptotics",
+    "boundary_tractor_bundle", "expected_gram_split", "asymptotically_parallel_check",
+    "defining_density_check", "metricity_residual", "splitting_from_lc", "is_finite",
+    "h_diverged", "t0_row_defect", "collar_not_injective",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;

@@ -3,15 +3,7 @@ import pytest
 
 from conftest import max_value
 from jet_reference import jet_stack, jet_views
-from tractorlab.jets import (
-    Jet,
-    PoleError,
-    jet_gradient,
-    jet_inverse,
-    jet_mul,
-    jet_reciprocal,
-    jet_space,
-)
+from tractorlab.jets import Jet, PoleError, jet_inverse, jet_space
 from tractorlab.tractor import (
     TractorCalculus,
     TractorValue,
@@ -21,7 +13,6 @@ from tractorlab.tractor import (
     l_tau,
     metric_tractor_curvature_blocks,
     metricity_contorsion,
-    metricity_residual,
     polynomial_tractor_section,
     s2t_slots,
     standard_curvature_blocks,
@@ -403,32 +394,6 @@ def test_klein_t_vector_and_psi(calc3, klein3):
         t_a = tau_hat * mid[a, 0] * 0.5
         assert t_a == pytest.approx(-p[a] / 2, abs=1e-11)
     assert tau_hat * bot[0] == pytest.approx(1.0, abs=1e-10)
-
-
-# -- metricity residual -------------------------------------------------------------
-
-
-def test_metricity_residual_zero_for_levi_civita(calc3, rng):
-    pts = calc3.geom.interior_points(3, rng)
-    rep = metricity_residual(calc3, None, pts)
-    assert rep["residual"] < 1e-12
-
-
-def test_metricity_residual_positive_for_modifications(calc3, rng):
-    pts = calc3.geom.interior_points(3, rng)
-    coeffs = rng.uniform(-0.5, 0.5, (3, 4))
-    rep = metricity_residual(calc3, linear_upsilon(3, coeffs), pts)
-    assert rep["residual"] > 0.01
-
-    def rho_ups(point, order):
-        geom = calc3.geom
-        space, upper = jet_space(3, order), jet_space(3, order + 1)
-        rho = geom.rho_dense(point, order + 1)
-        inv = jet_reciprocal(rho[..., : space.ncoeff] * 2.0, space)
-        return jet_mul(jet_gradient(rho, upper), inv, space)
-
-    rep2 = metricity_residual(calc3, rho_ups, pts)
-    assert rep2["residual"] > 0.01
 
 
 # -- tractor curvature ----------------------------------------------------------------

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import at_boundary_points
 from tractorlab import verify
 from tractorlab.fields import builtin_geometry
+from tractorlab.jets import jet_space
 from tractorlab.verify import SamplingPlan, registry, run_suite
 
 FAST_PLAN = SamplingPlan(seed=3, interior_points=4, boundary_points=2)
@@ -144,11 +146,11 @@ def test_lorentzian_asymptotic_form():
 def test_compactness_probe_keeps_the_exception(monkeypatch):
     import tractorlab.verify as verify
 
-    def explode(tau, geom, ladders):
+    def explode(calc, ladders):
         raise RuntimeError("tau exploded")
 
-    # the probe's defining-density test reads the session calculus's tau
-    monkeypatch.setattr(verify, "defining_density_check", explode)
+    # the probe runs the defining-density check's own computation
+    monkeypatch.setattr(verify, "_defining_density", explode)
     geom = builtin_geometry("klein", 3)
     (report,) = run_suite(geom, ["thm-2.5-S-const"], FAST_PLAN)
     assert report.status == "skip"
@@ -263,16 +265,20 @@ def test_prop43_failure_reason_names_the_wrong_identity(af2, monkeypatch, terms)
     assert report.reason.endswith(" against tolerance 1e-08")
 
 
-def test_a_facet_is_held_to_its_own_tolerance(monkeypatch):
+def test_a_facet_is_held_to_its_own_tolerance():
     # a rho-connection dual-path gap of 2e-6 is inside the headline 1e-5 but
-    # fails its own 1e-6 tolerance, and reads 2e-5 in headline units
-    real = verify.bd.rho_connection_extension
+    # fails its own 1e-6 tolerance, and reads 2e-5 in headline units.  The
+    # gap is made by offsetting one component of the Klein model's exact
+    # extension (which is zero) by 2e-6: at (1, 0, 0) the extrapolated
+    # component is exactly zero, and every other one is below 1e-12.
+    def offset(point, order):
+        out = np.zeros((3, 3, 3, jet_space(3, order).ncoeff))
+        out[2, 2, 2, 0] = 2e-6
+        return out
 
-    def widened(conn, ladders):
-        return [dataclasses.replace(rep, dual_path_gap=2e-6) for rep in real(conn, ladders)]
-
-    monkeypatch.setattr(verify.bd, "rho_connection_extension", widened)
-    (report,) = run_suite(builtin_geometry("klein", 3), ["rho-connection-extends"], FAST_PLAN)
+    geom = at_boundary_points(builtin_geometry("klein", 3), (1.0, 0.0, 0.0))
+    geom = dataclasses.replace(geom, exact_hat_christoffels=offset)
+    (report,) = run_suite(geom, ["rho-connection-extends"], FAST_PLAN)
     assert report.status == "fail"
     assert report.max_residual == pytest.approx(2e-5, rel=1e-12)
     assert report.reason == "dual_path_gap: residual 2e-06 against tolerance 1e-06"
