@@ -405,6 +405,24 @@ def _delta_src(i: int, j: int) -> str:
     return "1" if i == j else "0"
 
 
+def _row_reader(f: Callable, points: np.ndarray) -> Callable[[int], object]:
+    """``f`` at the rows of a batch of points ``(B, dim)``, read by row index;
+    ``f`` maps a batch to its values with the batch axis first.
+
+    One batched call gives every row.  When it raises (a row the caller
+    never reads may lie outside the domain of rho), each row is evaluated
+    only when read, alone, as a batch of one; so a caller that reads rows
+    in order and stops early raises, or returns, exactly what evaluating
+    its points one at a time would.  A batch gives each row the bits of
+    its point, so either way the values are the point's.
+    """
+    try:
+        values = f(points)
+    except (ArithmeticError, ValueError):  # jet errors, float overflow, math domain
+        return lambda i: f(points[i : i + 1])[0]
+    return values.__getitem__
+
+
 def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     """Shared construction checks: symmetry, invertibility, d(rho) != 0.
 
@@ -428,8 +446,12 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     evals = np.linalg.eigvalsh(gvals[0], UPLO="U")  # the rows the field reads
     geom.signature = (int(np.sum(evals > 0)), int(np.sum(evals < 0)))
     if geom.boundary_sampler is not None:
-        for y in geom.boundary_points(3, rng):
-            grad = geom.drho(y)
+        ys = geom.boundary_points(3, rng)
+        drho = _row_reader(
+            lambda p: np.ascontiguousarray(geom.rho_and_drho(p)[1].T), np.array(ys)
+        )
+        for k, y in enumerate(ys):
+            grad = drho(k)
             if math.sqrt(float(grad @ grad)) < 1e-8:
                 raise GeometryError(
                     f"d(rho) of {geom.name!r} degenerate at boundary point {y}"
@@ -440,8 +462,12 @@ def _tangential_h_check(geom: Geometry, h: np.ndarray,
                         rng: np.random.Generator) -> None:
     """The asymptotic-form data h must be nondegenerate tangentially at rho=0."""
     hfield = TensorField.from_exprs(geom.chart, h, "dd", name="h", sym=((0, 1),))
-    for y in geom.boundary_points(3, rng):
-        tang = hfield.dense(y, 0)[1:, 1:, 0]
+    ys = geom.boundary_points(3, rng)
+    tangential = _row_reader(
+        lambda p: np.moveaxis(hfield.dense(p, 0)[1:, 1:, :, 0], -1, 0), np.array(ys)
+    )
+    for k, y in enumerate(ys):
+        tang = tangential(k)
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(
                 f"boundary data h of {geom.name!r} degenerate tangentially at {y}"
@@ -786,34 +812,103 @@ def _interior_box(doc_box, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return box[0], box[1]
 
 
+#: March steps in the first batched run of the boundary ray search; each
+#: later run of the same ray takes twice as many, so a march evaluates at
+#: most about twice as far as the boundary lies.
+_MARCH_ROWS = 8
+#: Bisection steps per batched run of the boundary ray search: one run
+#: evaluates every midpoint the next ``_TREE_DEPTH`` steps can reach, a tree
+#: of ``2**_TREE_DEPTH - 1`` rows.
+_TREE_DEPTH = 6
+
+
+def _bisection_tree(s_in: float, s_out: float, depth: int) -> list[list[float]]:
+    """The midpoints ``depth`` bisection steps from ``(s_in, s_out)`` can
+    reach, one ascending list per step.  Step ``l`` splits ``[s_in, s_out]``
+    into ``2**l`` brackets, whose ends are the earlier steps' midpoints, and
+    takes ``0.5 * (lo + hi)`` of each: the bracket of entry ``j`` of step
+    ``l`` halves into entries ``2j`` (below its midpoint) and ``2j + 1``
+    (above it) of step ``l + 1``."""
+    ends = [s_in, s_out]
+    tree = []
+    for _ in range(depth):
+        mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
+        tree.append(mids)
+        ends = [s for pair in zip(ends, mids) for s in pair] + [s_out]
+    return tree
+
+
 def _make_ray_boundary_sampler(geom: Geometry):
-    """Boundary points by marching rays from the interior-box center."""
+    """Boundary points by marching rays from the interior-box center.
+
+    A ray in a random direction ``v`` is marched in steps of 0.05 until rho
+    is no longer positive, then its last bracket is bisected until its ends
+    are adjacent floats (at most 80 steps); after 400 steps without leaving
+    the interior the ray is dropped for a new one, and after 64 dropped rays
+    the search raises :class:`GeometryError`.
+
+    The search makes a few batched rho evaluations per ray instead of one
+    per probe: the march evaluates its steps in runs of ``_MARCH_ROWS``,
+    doubling, and the bisection evaluates a tree of every midpoint the next
+    ``_TREE_DEPTH`` steps can reach (:func:`_bisection_tree`) and then walks
+    down it.  The march values and each tree midpoint are computed by the
+    same float operations as in a search that probes one point at a time,
+    and a batch gives each row its point's bits, so the points returned and
+    the RNG draws are that search's.  A batch holds points the one-at-a-time
+    search never evaluates; when its run raises, its rows are evaluated one
+    at a time in the search's order (:func:`_row_reader`), so the search
+    returns, or raises, what the one-at-a-time search does.
+    """
     lo, hi = geom.interior_box
     center = (np.asarray(lo) + np.asarray(hi)) / 2.0
+
+    def rho_along(v: np.ndarray, s: np.ndarray) -> Callable[[int], float]:
+        return _row_reader(geom.rho_value, center + s[:, None] * v)
+
+    def march(v: np.ndarray) -> tuple[float, float | None]:
+        s_in, s = 0.0, 0.05
+        left, rows = 400, _MARCH_ROWS
+        while left:
+            steps = []
+            for _ in range(min(rows, left)):
+                steps.append(s)
+                s += 0.05
+            rho = rho_along(v, np.array(steps))
+            for k, s_k in enumerate(steps):
+                if rho(k) <= 0:
+                    return s_in, s_k
+                s_in = s_k
+            left -= len(steps)
+            rows *= 2
+        return s_in, None
+
+    def bisect(v: np.ndarray, s_in: float, s_out: float) -> tuple[float, float]:
+        left = 80
+        while left:
+            if 0.5 * (s_in + s_out) in (s_in, s_out):
+                break  # adjacent floats: no later step changes either end
+            tree = _bisection_tree(s_in, s_out, min(_TREE_DEPTH, left))
+            rho = rho_along(v, np.concatenate(tree))
+            j = 0
+            for step, mids in enumerate(tree):
+                mid = mids[j]
+                if mid == s_in or mid == s_out:
+                    return s_in, s_out
+                if rho(2**step - 1 + j) > 0:  # the row of entry j of this step
+                    s_in, j = mid, 2 * j + 1
+                else:
+                    s_out, j = mid, 2 * j
+            left -= len(tree)
+        return s_in, s_out
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         for _ in range(64):
             v = rng.normal(size=geom.dim)
             v /= math.sqrt(float(v @ v))
-            s_in, s_out = 0.0, None
-            s = 0.05
-            for _ in range(400):
-                val = geom.rho_value(center + s * v)
-                if val <= 0:
-                    s_out = s
-                    break
-                s_in = s
-                s += 0.05
+            s_in, s_out = march(v)
             if s_out is None:
                 continue
-            for _ in range(80):
-                mid = 0.5 * (s_in + s_out)
-                if mid == s_in or mid == s_out:
-                    break  # adjacent floats: no later step changes either end
-                if geom.rho_value(center + mid * v) > 0:
-                    s_in = mid
-                else:
-                    s_out = mid
+            s_in, s_out = bisect(v, s_in, s_out)
             return center + 0.5 * (s_in + s_out) * v
         raise GeometryError(
             f"could not find boundary points for {geom.name!r} by ray search"

@@ -547,8 +547,8 @@ def jet_compose(dense: np.ndarray, series: np.ndarray, space: JetSpace) -> np.nd
     return out
 
 
-def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
-    """``1/a`` for every jet ``a`` of a dense array.
+def _check_poles(dense: np.ndarray, space: JetSpace) -> None:
+    """Raise :class:`PoleError` when a jet of a dense array has a pole.
 
     A pole means the value vanishes relative to the jet's *gradient* (rho
     at a boundary point: value ~ 1e-16, gradient ~ 1).  Comparing against
@@ -571,6 +571,21 @@ def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
             f"reciprocal of a jet with vanishing value ({a0[pole].flat[0]:.3e}); "
             "this usually means evaluation at a boundary pole"
         )
+
+
+def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """``1/a`` for every jet ``a`` of a dense array; raises
+    :class:`PoleError` at a pole (:func:`_check_poles`).
+
+    The pole test runs only where it can fire: its scale is at most the
+    largest coefficient, so ``|a0| > POLE_TOL * max|coeff|`` for every jet
+    rules a pole out.  A NaN or inf coefficient fails this gate and takes
+    the test.
+    """
+    a0 = dense[..., 0]
+    mag = np.abs(dense)
+    if not (mag[..., 0] > POLE_TOL * mag.max(axis=-1)).all():
+        _check_poles(dense, space)
     signs, powers = space.reciprocal_terms
     return jet_compose(dense, signs / a0[..., None] ** powers, space)
 

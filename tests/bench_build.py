@@ -1,0 +1,140 @@
+"""Time the geometry builds that every one-shot ``tractorlab eval`` repeats.
+
+Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
+in, and pytest does not collect it)::
+
+    python tests/bench_build.py                       # print the table
+    python tests/bench_build.py --column after --out BENCH_cold_build.json
+
+Layers:
+
+* ``build.klein-3-document``: ``load_geometry`` of the explicit-metric
+  Beltrami-Klein document at dim 3 (its boundary points come from the ray
+  search);
+* ``build.klein-4`` / ``build.af2_generic-4``: ``builtin_geometry`` builds
+  (closed-form boundary samplers, no search);
+* ``boundary_points.klein-3-document``: ``boundary_points(3, rng)`` on the
+  loaded document geometry, the ray search alone;
+* ``tape_runs.*``: ``expr.Tape.run`` calls made by one build of each
+  geometry (a count, the same on every run).
+
+Times are the fastest of ``--repeat`` blocks, in milliseconds per call: on
+a shared host the other blocks measure the neighbours as well.  With
+``--out`` the run is appended to one named column of a JSON file, next to
+the columns already there, and the column's ``median`` over its runs is
+refreshed; so two trees fill one file, best with their runs alternating::
+
+    for i in 1 2 3 4 5; do
+      python before/tests/bench_build.py --column before --out BENCH_cold_build.json
+      python after/tests/bench_build.py --column after --out BENCH_cold_build.json
+    done
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tractorlab import expr as ex  # noqa: E402
+from tractorlab.fields import builtin_geometry, load_geometry  # noqa: E402
+
+
+def klein_document(dim: int) -> dict:
+    """The Beltrami-Klein ball as an explicit-metric geometry document."""
+    coords = [f"u{i}" for i in range(1, dim + 1)]
+    rho = "1 - (" + " + ".join(f"{c}^2" for c in coords) + ")"
+    metric = [
+        [(f"1/({rho}) + " if i == j else "") + f"{ci}*{cj}/({rho})^2"
+         for j, cj in enumerate(coords)]
+        for i, ci in enumerate(coords)
+    ]
+    return {"name": "klein", "dim": dim, "coords": coords, "rho": rho,
+            "alpha": 2.0, "metric": metric}
+
+
+BUILDS = {
+    "klein-3-document": lambda: load_geometry(klein_document(3)),
+    "klein-4": lambda: builtin_geometry("klein", 4),
+    "af2_generic-4": lambda: builtin_geometry("af2_generic", 4),
+}
+
+
+def _per_call_ms(fn, calls: int, repeat: int) -> float:
+    blocks = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        blocks.append((time.perf_counter() - start) / calls)
+    return min(blocks) * 1e3
+
+
+def _tape_runs(build) -> int:
+    runs = []
+    real = ex.Tape.run
+
+    def counted(self, point, space):
+        runs.append(1)
+        return real(self, point, space)
+
+    ex.Tape.run = counted
+    try:
+        build()
+    finally:
+        ex.Tape.run = real
+    return len(runs)
+
+
+def measure(calls: int, repeat: int) -> dict[str, float]:
+    out = {f"build.{name}": _per_call_ms(build, calls, repeat)
+           for name, build in BUILDS.items()}
+    geom = BUILDS["klein-3-document"]()
+    out["boundary_points.klein-3-document"] = _per_call_ms(
+        lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
+    )
+    out.update({f"tape_runs.{name}": _tape_runs(build) for name, build in BUILDS.items()})
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--calls", type=int, default=20, help="calls per block")
+    parser.add_argument("--repeat", type=int, default=7, help="blocks per layer")
+    parser.add_argument("--column", default="this tree", help="column of --out to add the run to")
+    parser.add_argument("--out", default=None, help="JSON file of columns")
+    args = parser.parse_args(argv)
+    column = measure(args.calls, args.repeat)
+    for layer, value in column.items():
+        unit = "runs" if layer.startswith("tape_runs.") else "ms"
+        print(f"{layer:36s} {value:9.3f} {unit}")
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc.setdefault("unit", "ms per call, fastest block; tape_runs.* are counts per build")
+        entry = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
+        entry["runs"].append(column)
+        entry["median"] = {
+            layer: float(np.median([run[layer] for run in entry["runs"]]))
+            for layer in column
+        }
+        entry["environment"] = {
+            "nproc": os.cpu_count(),
+            "cpu": platform.processor() or platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

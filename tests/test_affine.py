@@ -425,6 +425,21 @@ def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypa
     assert rep["points"] == [list(lad.y) for lad in lads]
 
 
+def test_defining_density_flags_a_zero_limit(klein3):
+    # a density vanishing to second order, tau = rho^2, makes tau/rho = rho:
+    # it extrapolates smoothly, to 0, which a defining density may not do
+    lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 0.6, -0.8)])
+    calc = TractorCalculus(klein3)
+    calc.tau = TensorField.from_exprs(
+        klein3.chart, "(1 - (x0^2 + x1^2 + x2^2))^2", "", weight=2.0, name="tau"
+    )
+    facets, (rep,) = _defining_density(calc, lads)
+    assert facets["not_a_defining_density"] is True
+    assert rep["reason"] == "tau/rho has zero boundary limit"
+    assert np.abs(rep["limits"]).max() < 1e-8
+    assert max(facets["extrapolation_error"]) <= 1e-5
+
+
 def test_special_flag_via_density_transport(klein3):
     # a special connection admits a nowhere-zero parallel weight-(n+2)
     # density along curves: transport it and compare with the closed form

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -11,12 +12,14 @@ from tractorlab.extrapolate import boundary_limit
 from tractorlab.fields import (
     GEOMETRY_DOC_SCHEMA,
     Chart,
+    Geometry,
     GeometryError,
     TensorField,
+    _make_ray_boundary_sampler,
     builtin_geometry,
     load_geometry,
 )
-from tractorlab.jets import PoleError, jet_space
+from tractorlab.jets import JetError, PoleError, jet_space
 
 
 def test_flat_metric_is_identity(flat3):
@@ -395,6 +398,150 @@ def test_ray_sampler_matches_full_bisection(monkeypatch, dim):
     assert np.array_equal(np.array(got), np.array(want))
     # the search stops once the interval is two adjacent floats
     assert n_calls < len(calls) - n_calls
+
+
+def _sequential_ray_point(geom, rng):
+    """The ray search probing one point at a time: the reference the
+    batched search must match bit for bit, draws and errors included."""
+    lo, hi = geom.interior_box
+    center = (np.asarray(lo) + np.asarray(hi)) / 2.0
+    for _ in range(64):
+        v = rng.normal(size=geom.dim)
+        v /= math.sqrt(float(v @ v))
+        s_in, s_out, s = 0.0, None, 0.05
+        for _ in range(400):
+            if geom.rho_value(center + s * v) <= 0:
+                s_out = s
+                break
+            s_in = s
+            s += 0.05
+        if s_out is None:
+            continue
+        for _ in range(80):
+            mid = 0.5 * (s_in + s_out)
+            if mid == s_in or mid == s_out:
+                break
+            if geom.rho_value(center + mid * v) > 0:
+                s_in = mid
+            else:
+                s_out = mid
+        return center + 0.5 * (s_in + s_out) * v
+    raise GeometryError(f"could not find boundary points for {geom.name!r} by ray search")
+
+
+def _ball_doc(rho, box=None):
+    doc = _klein_doc(3)
+    doc["rho"] = rho
+    doc["metric"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    if box is not None:
+        doc["interior_box"] = box
+    return doc
+
+
+def _search_outcome(search, seed, count=4):
+    """The points a search gives from a seeded RNG (or the error it raises)
+    and the RNG state after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        got = np.array([search(rng) for _ in range(count)]).tobytes()
+    except (GeometryError, JetError) as err:
+        got = f"{type(err).__name__}: {err}"
+    return got, rng.bit_generator.state
+
+
+R2 = "(u1^2 + u2^2 + u3^2)"
+
+
+@pytest.mark.parametrize("rho, box", [
+    ("1 - " + R2, None),
+    # off-centre ellipsoid in an off-centre box
+    ("1 - ((u1 - 0.2)^2/0.8 + (u2 + 0.1)^2*1.5 + u3^2*1.2)",
+     [[-0.3, -0.5, -0.4], [0.6, 0.3, 0.5]]),
+    # log is undefined past |u| = sqrt(2), where the march never goes
+    (f"log(2 - {R2})", None),
+    # a batched march run reaches |u| > 1, where sqrt is undefined: the
+    # run raises and its rows are evaluated one at a time
+    (f"sqrt(1 - {R2}) - 0.5", None),
+    # the one-at-a-time search itself meets the undefined sqrt at |u| = 1
+    (f"sqrt(1 - {R2}) + 0.1", None),
+    # rays along -u1 never leave the half space and are drawn again
+    ("0.5 - u1", None),
+    # the centre lies outside: every midpoint does too, and the bisection
+    # closes in on s = 0 until its 80-step cap
+    (f"{R2} - 0.5", None),
+])
+def test_ray_search_matches_the_sequential_search(rho, box):
+    # the geometry is not validated, so a rho that fails to load is searched
+    coords = ("u1", "u2", "u3")
+    lo, hi = np.array(box if box else [[-0.55] * 3, [0.55] * 3], dtype=float)
+    geom = Geometry(name="ball", chart=Chart(coords), rho=ex.parse_expr(rho, coords),
+                    alpha=2.0, metric=np.eye(3), interior_box=(lo, hi))
+    search = _make_ray_boundary_sampler(geom)
+    for seed in range(6):
+        got = _search_outcome(search, seed)
+        want = _search_outcome(functools.partial(_sequential_ray_point, geom), seed)
+        assert got == want
+
+
+def test_a_batch_past_the_domain_of_rho_falls_back_to_single_points(monkeypatch):
+    doc = _ball_doc(f"sqrt(1 - {R2}) - 0.5")
+    geom = load_geometry(doc)
+    rows = []
+    real = ex.Tape.run
+
+    def run(self, point, space):
+        rows.append(len(np.atleast_2d(point)))
+        return real(self, point, space)
+
+    monkeypatch.setattr(ex.Tape, "run", run)
+    got = _search_outcome(geom.boundary_sampler, 3)
+    assert rows.count(1) > 10  # the march runs that raised were rerun point by point
+    monkeypatch.setattr(ex.Tape, "run", real)
+    assert got == _search_outcome(functools.partial(_sequential_ray_point, geom), 3)
+
+
+def test_log_document_loads_with_the_sequential_points():
+    geom = load_geometry(_ball_doc(f"log(2 - {R2})"))
+    for seed in range(3):
+        got = _search_outcome(geom.boundary_sampler, seed)
+        assert got == _search_outcome(functools.partial(_sequential_ray_point, geom), seed)
+        assert isinstance(got[0], bytes)
+
+
+def test_rho_positive_on_every_ray_fails_to_load(tmp_path, capsys):
+    from tractorlab.cli import main
+
+    doc = _ball_doc("2 + u1^2")
+    with pytest.raises(GeometryError, match="could not find boundary points .* by ray search"):
+        load_geometry(doc)
+    path = tmp_path / "positive.json"
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--geometry", str(path), "--quantity", "schouten",
+                 "--point=0.1,0.2,-0.1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "by ray search" in err and "Traceback" not in err
+
+
+def test_a_centre_near_the_boundary_exits_on_the_first_march_step():
+    # the ball of radius 0.04 about the box centre: every ray leaves it
+    # before the first march step at 0.05, and is bisected from s_in = 0
+    geom = load_geometry(_ball_doc(f"0.16 - 100*{R2}", [[-0.02] * 3, [0.02] * 3]))
+    got = _search_outcome(geom.boundary_sampler, 0)
+    assert got == _search_outcome(functools.partial(_sequential_ray_point, geom), 0)
+    radii = np.linalg.norm(np.frombuffer(got[0]).reshape(-1, 3), axis=1)
+    assert np.allclose(radii, 0.04, rtol=1e-12)
+
+
+def test_a_document_build_makes_few_tape_runs(monkeypatch):
+    runs = []
+    real = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda self, p, s: runs.append(1) or real(self, p, s))
+    load_geometry(_klein_doc(3))
+    # 3 interior rho values, one metric run, one d(rho) run, and for each of
+    # 3 boundary points 2 march runs and 8 bisection trees: 35 runs (211
+    # when the search probes one point at a time)
+    assert len(runs) <= 40
 
 
 def test_cli_rejects_metric_with_interior_pole(tmp_path, capsys):

@@ -432,3 +432,91 @@ def test_the_gated_inverse_raises_exactly_when_the_pivot_loop_does(m, seed, log_
     except np.linalg.LinAlgError:
         gated = False
     assert gated == exact
+
+
+# -- the pole gate of jet_reciprocal ----------------------------------------
+
+
+def _ungated_reciprocal(dense, space):
+    """``jet_reciprocal`` with its exact pole test run on every call."""
+    a0 = dense[..., 0]
+    mag = np.abs(dense)
+    scale = mag.max(axis=-1)
+    if space.order >= 1:
+        grad = mag[..., 1 : 1 + space.dim].max(axis=-1)
+        scale = np.where(grad > 0.0, grad, scale)
+    pole = (mag[..., 0] <= jets.POLE_TOL * scale) | (scale == 0.0)
+    if pole.any():
+        raise PoleError(
+            f"reciprocal of a jet with vanishing value ({a0[pole].flat[0]:.3e}); "
+            "this usually means evaluation at a boundary pole"
+        )
+    signs, powers = space.reciprocal_terms
+    return jets.jet_compose(dense, signs / a0[..., None] ** powers, space)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PoleError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.booleans(),
+    st.sampled_from([None, 0.0, math.nan, math.inf, -math.inf]),
+)
+def test_the_gated_reciprocal_raises_and_computes_as_the_exact_test(
+    order, dim, rows, seed, log_factor, flat, special
+):
+    # the first jet's value sits at 10^log_factor times the pole tolerance
+    # of its largest other coefficient, from under the gate's bound to over
+    # it; a flat gradient makes the exact test fall back to the full scale
+    rng = np.random.default_rng(seed)
+    s = jet_space(dim, order)
+    dense = rng.standard_normal((rows, s.ncoeff)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+    if flat:
+        dense[:, 1 : 1 + dim] = 0.0
+    others = np.abs(dense[0, 1:]).max() if s.ncoeff > 1 else 1.0
+    dense[0, 0] = rng.choice([-1.0, 1.0]) * 10.0**log_factor * jets.POLE_TOL * others
+    if special is not None:
+        dense[rng.integers(rows), rng.integers(s.ncoeff)] = special
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _ungated_reciprocal(dense, s))
+        got = _outcome(lambda: jets.jet_reciprocal(dense, s))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_a_regular_batch_skips_the_exact_pole_test(monkeypatch):
+    calls = []
+    real = jets._check_poles
+    monkeypatch.setattr(jets, "_check_poles", lambda d, s: calls.append(1) or real(d, s))
+    s = jet_space(2, 1)
+    dense = np.array([[2.0, 1.0, -1.0], [1e-3, 5.0, 0.0]])
+    out = jets.jet_reciprocal(dense, s)
+    assert calls == []
+    assert np.array_equal(out, _ungated_reciprocal(dense, s))
+    dense[1, 0] = 1e-15
+    with pytest.raises(PoleError, match="vanishing value"):
+        jets.jet_reciprocal(dense, s)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_nan_or_inf_coefficient_still_meets_the_pole_test(bad):
+    # the value vanishes against the gradient; the bad coefficient sits in
+    # the second order, outside the gradient the exact test compares with
+    s = jet_space(2, 2)
+    dense = np.array([[2.0, 1.0, 0.0, 0.0, 0.0, 0.0], [1e-20, 1.0, 0.0, bad, 0.0, 0.0]])
+    with pytest.raises(PoleError, match="vanishing value"):
+        jets.jet_reciprocal(dense, s)
