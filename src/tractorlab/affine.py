@@ -46,6 +46,7 @@ __all__ = [
     "Connection",
     "CurvaturePack",
     "levi_civita",
+    "levi_civita_jets",
     "projective_modify",
     "rho_connection",
     "covariant_derivative",
@@ -99,8 +100,8 @@ class Connection:
 
     def _peek(self, point: Point | np.ndarray, order: int) -> np.ndarray:
         """Dense Christoffel jets at a point or a batch of points, reusing a
-        memoized array but never storing a new one (the ODE integrator
-        evaluates at thousands of points)."""
+        memoized array but never storing a new one: values-only callers,
+        such as a ladder's limit, evaluate at points no one revisits."""
         hit = self._cache.get((point_key(point), order))
         return self._evaluator(point, order) if hit is None else hit
 
@@ -115,28 +116,36 @@ class Connection:
         return np.einsum("eea...->a...", self.dense(point, order))
 
 
-def levi_civita(geom_or_field) -> Connection:
-    """Levi-Civita connection of a metric geometry (or bare metric field).
+def levi_civita_jets(g: np.ndarray, order: int) -> np.ndarray:
+    """Dense Christoffel jets of the Levi-Civita connection at jet order
+    ``order``, from the dense metric jets ``g`` one order higher:
+    ``(d, d, d, ncoeff)`` from ``(d, d, ncoeff')``, and ``(d, d, d, B,
+    ncoeff)`` from metric jets at a batch of points ``(d, d, B, ncoeff')``.
 
-    ``Gamma^c_ab = (1/2) g^cd (d_a g_db + d_b g_da - d_d g_ab)``; the result
-    is torsion free and preserves the metric volume density.
+    ``Gamma^c_ab = (1/2) g^cd (d_a g_db + d_b g_da - d_d g_ab)``.
+    """
+    d = g.shape[0]
+    space, upper = jet_space(d, order), jet_space(d, order + 1)
+    ginv = jet_inverse(g[..., : space.ncoeff], space)
+    dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
+    core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
+    return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
+
+
+def levi_civita(geom_or_field) -> Connection:
+    """Levi-Civita connection of a metric geometry (or bare metric field),
+    evaluated by :func:`levi_civita_jets`; the result is torsion free and
+    preserves the metric volume density.
     """
     if isinstance(geom_or_field, Geometry):
         gfield = geom_or_field.metric_field()
     else:
         gfield = geom_or_field
-    chart = gfield.chart
-    d = chart.dim
 
     def evaluator(point: Point, order: int) -> np.ndarray:
-        space, upper = jet_space(d, order), jet_space(d, order + 1)
-        g = gfield.dense(point, order + 1)
-        ginv = jet_inverse(g[..., : space.ncoeff], space)
-        dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
-        core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
-        return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
+        return levi_civita_jets(gfield.dense(point, order + 1), order)
 
-    return Connection(chart, evaluator)
+    return Connection(gfield.chart, evaluator)
 
 
 def projective_modify(

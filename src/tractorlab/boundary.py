@@ -19,8 +19,8 @@ boundary quantity has one point function here (``POINT_QUANTITIES``), which
 the checks and ``tractorlab eval`` extrapolate alike.
 
 Geodetic transversals are integrated by fixed-step RK4.  All curves of one
-call share one ``(B, d)`` state, so each RK4 stage is one batched evaluation
-of rho and of the Christoffel symbols over the point axis of the dense jet
+call share one ``(B, d)`` state, so each RK4 stage is one batched run of the
+metric tape, whose last row is rho, over the point axis of the dense jet
 kernels (module ``jets``) rather than one evaluation per curve.
 
 The conformal data at a boundary point lives in the fiber splitting
@@ -200,18 +200,22 @@ def geodetic_transversals(
 
     The boundary value of the connection comes from its smooth extension
     along each ladder, computed for every point before integration starts.
-    The curves are then integrated together by
-    classical fixed-step RK4 on one ``(B, d)`` state (the curves are short,
-    collar scale): each stage makes one batched order-1 rho evaluation,
-    whose values give the inside mask (and at a step's end the domain exit
-    test) and whose jets give the rho one-form of ``calc.hat``, and one
-    batched metric evaluation for its Levi-Civita part; rows still on the
-    boundary (``|rho| <= 1e-12``) take their own point's extended value.
-    When curves leave the chart domain, :class:`GeometryError` names the one
-    that leaves at the earliest step; among curves leaving at the same step,
-    the one with the lowest index.
+    The curves are then integrated together by classical fixed-step RK4 on
+    one ``(B, d)`` state (the curves are short, collar scale).  Each stage
+    makes one batched order-1 run of the metric tape
+    (``Geometry.rho_and_metric``): its rho row gives the domain exit test at
+    a step's end and the rho one-form of ``calc.hat``, its metric rows the
+    Levi-Civita part.  When that run raises, or puts some row on the
+    boundary (``|rho| <= 1e-12``, as at the launch), the stage takes the
+    path that gives those rows their meaning: an order-1 rho run, the exit
+    test, then the metric on the rows off the boundary, while the rows on
+    it take their own point's extended value; so the values and every error
+    are those of that path.  When curves leave the chart domain,
+    :class:`GeometryError` names the one that leaves at the earliest step;
+    among curves leaving at the same step, the one with the lowest index.
     """
     geom = calc.geom
+    gfield = geom.metric_field()
     ys = np.array([ladder.y for ladder in ladders])
     directions = np.array([ladder.direction for ladder in ladders])
     for y, mu0 in zip(ys, directions):
@@ -220,47 +224,64 @@ def geodetic_transversals(
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
     # (d, d, d, B), the layout of a batched christoffel_values
     gamma_boundary = np.stack(extended_christoffels(calc.hat, ladders), axis=-1)
-
-    def acc(x: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """The acceleration at the state ``(x, v)``, given the order-1 rho
-        jets ``rho`` at ``x``."""
-        inside = np.abs(rho[:, 0]) > 1e-12
-        G = gamma_boundary.copy()
-        if inside.any():
-            G[..., inside] = calc.hat_christoffel_values(x[inside], rho[inside])
-        return -np.einsum("cabn,na,nb->nc", G, v, v)
-
-    def acc_at(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return acc(x, v, geom.rho_dense(x, 1))
-
     n_steps = int(round(horizon / step))
-    n_curves, d = ys.shape
     ts = np.arange(n_steps + 1) * step
-    xs = np.zeros((n_curves, n_steps + 1, d))
-    vs = np.zeros((n_curves, n_steps + 1, d))
-    accs = np.zeros((n_curves, n_steps + 1, d))
-    rhos = np.zeros((n_curves, n_steps + 1))
-    x, v = ys.copy(), directions.copy()
-    rho = geom.rho_dense(x, 1)
-    a = acc(x, v, rho)
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho[:, 0]
-    for k in range(n_steps):
-        # the acceleration at the step's start is the previous step's end
-        k1x, k1v = v, a
-        k2x, k2v = v + 0.5 * step * k1v, acc_at(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
-        k3x, k3v = v + 0.5 * step * k2v, acc_at(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
-        k4x, k4v = v + step * k3v, acc_at(x + step * k3x, v + step * k3v)
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        rho = geom.rho_dense(x, 1)
+
+    def exit_test(x: np.ndarray, rho: np.ndarray, k: int) -> None:
         left = (rho[:, 0] < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
         if left.any():
             i = int(np.argmax(left))
             raise GeometryError(
                 f"transversal from {tuple(ys[i].tolist())} left the chart domain "
-                f"at t={ts[k + 1]:g}"
+                f"at t={ts[k]:g}"
             )
-        a = acc(x, v, rho)
+
+    def acc_rows_on_boundary(x: np.ndarray, v: np.ndarray, k: int | None = None):
+        """The acceleration at the state ``(x, v)`` and the order-1 rho jets
+        at ``x``, where rows may lie on the boundary; at the end of step
+        ``k``, after the exit test."""
+        rho = geom.rho_dense(x, 1)
+        if k is not None:
+            exit_test(x, rho, k)
+        inside = np.abs(rho[:, 0]) > 1e-12
+        G = gamma_boundary.copy()
+        if inside.any():
+            G[..., inside] = calc.hat_christoffel_values(
+                rho[inside], gfield.dense(x[inside], 1)
+            )
+        return -np.einsum("cabn,na,nb->nc", G, v, v), rho
+
+    def acc(x: np.ndarray, v: np.ndarray, k: int | None = None):
+        """:func:`acc_rows_on_boundary` from one run of the metric tape."""
+        try:
+            rho, g = geom.rho_and_metric(x, 1)
+        except (ArithmeticError, ValueError):  # jet errors, math domain
+            rho = None
+        # the other path runs outside the handler, so its errors carry no context
+        if rho is None or not (np.abs(rho[:, 0]) > 1e-12).all():
+            return acc_rows_on_boundary(x, v, k)
+        if k is not None:
+            exit_test(x, rho, k)
+        G = calc.hat_christoffel_values(rho, g)
+        return -np.einsum("cabn,na,nb->nc", G, v, v), rho
+
+    n_curves, d = ys.shape
+    xs = np.zeros((n_curves, n_steps + 1, d))
+    vs = np.zeros((n_curves, n_steps + 1, d))
+    accs = np.zeros((n_curves, n_steps + 1, d))
+    rhos = np.zeros((n_curves, n_steps + 1))
+    x, v = ys.copy(), directions.copy()
+    a, rho = acc_rows_on_boundary(x, v)
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho[:, 0]
+    for k in range(n_steps):
+        # the acceleration at the step's start is the previous step's end
+        k1x, k1v = v, a
+        k2x, k2v = v + 0.5 * step * k1v, acc(x + 0.5 * step * k1x, v + 0.5 * step * k1v)[0]
+        k3x, k3v = v + 0.5 * step * k2v, acc(x + 0.5 * step * k2x, v + 0.5 * step * k2v)[0]
+        k4x, k4v = v + step * k3v, acc(x + step * k3x, v + step * k3v)[0]
+        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        a, rho = acc(x, v, k + 1)
         xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho[:, 0]
     return [
         TransversalCurve(

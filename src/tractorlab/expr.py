@@ -551,18 +551,75 @@ class Tape:
         self._eye = np.eye(len(self.variables))[:, None, :]
 
     def _schedule(self) -> list[tuple]:
-        """``(op, out, a, b, param)`` index arrays per (level, op) group; the
-        scale factors of a ``scale`` group broadcast over the batch and
-        coefficient axes."""
-        level = [0] * self.n_slots
-        groups: dict[tuple, list] = {}
-        for op, out, a, b, param in self.code:
-            level[out] = 1 + max(level[a], 0 if b is None else level[b])
-            key = (level[out], op, None if op == "scale" else param)
-            groups.setdefault(key, []).append((out, a, b, param))
+        """Group the instructions into steps and order the steps.
+
+        A step is the instructions of one ``(op, param)`` at one dependency
+        level, run as ``(op, out, a, b, param)`` with index arrays (the
+        scale factors of a ``scale`` step broadcast over the batch and
+        coefficient axes).  Each instruction starts at its ASAP level, one
+        above its deepest operand.  Its window reaches up to one below its
+        shallowest consumer (for an instruction nothing consumes, the
+        deepest level of the tape).  A group whose every member fits the
+        window of another level holding the same ``(op, param)`` moves there
+        whole, and the moves repeat until none fits.  Each move removes a
+        step and keeps every operand on an earlier level, so the tape gets no
+        deeper.  Steps run by level; inside a level, steps and the rows of a
+        step run by ASAP level, then in code order, the order in which
+        grouping by ASAP level alone would run them.
+        """
+        level = [0] * self.n_slots  # of each slot; 0 for inputs and constants
+        users: list[list[int]] = [[] for _ in range(self.n_slots)]  # reader slots
+        groups: dict[tuple, list[tuple]] = {}  # (op, param, level) -> instructions
+        for ins in self.code:
+            op, out, a, b, param = ins
+            level[out] = 1 + (level[a] if b is None else max(level[a], level[b]))
+            users[a].append(out)
+            if b is not None:
+                users[b].append(out)
+            groups.setdefault((op, None if op == "scale" else param, level[out]), []).append(ins)
+        asap = level[:]
+        # every level stays in [asap, alap], so only a group whose members
+        # all have slack can move
+        depth = max(level, default=0)
+        alap = [depth] * self.n_slots
+        for _, out, a, b, _ in reversed(self.code):
+            if alap[out] <= alap[a]:
+                alap[a] = alap[out] - 1
+            if b is not None and alap[out] <= alap[b]:
+                alap[b] = alap[out] - 1
+        movable = []
+        for key, members in groups.items():
+            for ins in members:
+                if alap[ins[1]] == key[2]:
+                    break
+            else:
+                movable.append(key)
+        moved = bool(movable)
+        while moved:
+            moved = False
+            for key in movable:
+                members = groups.get(key)
+                if members is None:  # moved earlier
+                    continue
+                lo, hi = 1, depth
+                for _, out, a, b, _ in members:
+                    lo = max(lo, level[a] + 1, 0 if b is None else level[b] + 1)
+                    for s in users[out]:
+                        hi = min(hi, level[s] - 1)
+                for t in range(lo, hi + 1):
+                    target = groups.get((key[0], key[1], t))
+                    if t != key[2] and target is not None:
+                        target += groups.pop(key)
+                        target.sort(key=lambda ins: (asap[ins[1]], ins[1]))
+                        for ins in members:
+                            level[ins[1]] = t
+                        moved = True
+                        break
         steps = []
-        for (_, op, param), rows in sorted(groups.items(), key=lambda kv: kv[0][0]):
-            out, a, b, params = zip(*rows)
+        for (op, param, _), members in sorted(
+            groups.items(), key=lambda kv: (kv[0][2], asap[kv[1][0][1]], kv[1][0][1])
+        ):
+            _, out, a, b, params = zip(*members)
             steps.append((
                 op,
                 np.array(out, dtype=np.intp),

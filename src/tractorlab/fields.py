@@ -190,7 +190,10 @@ class TensorField:
         self.name = name
         self.sym = tuple(tuple(p) for p in sym)
         self._evaluator = evaluator
-        self.tape: ex.Tape | None = None  # set by from_exprs
+        # set by from_exprs: the compiled tape, and the map from its rows
+        # to the dense component array
+        self.tape: ex.Tape | None = None
+        self.read_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def rank(self) -> int:
@@ -221,16 +224,20 @@ class TensorField:
         weight: float = 0.0,
         name: str = "",
         sym: tuple[tuple[int, int], ...] = (),
+        extra: Sequence[ex.Expr] = (),
     ) -> "TensorField":
         """Field whose components are expressions in the chart coordinates.
 
         Every component is compiled into one :class:`~tractorlab.expr.Tape`
-        (kept as ``field.tape``, one row per component in index order); the
-        tape shares identical subexpressions, so a symmetric pair written
-        alike costs one row of work.  Evaluation runs the tape and copies
-        the canonical row of each symmetric orbit to its members.  String
-        components are parsed against the chart coordinates; AST components
-        are checked for unknown names.
+        (kept as ``field.tape``, one row per component in index order, then
+        one row per expression of ``extra``, which the field never reads);
+        the tape shares identical subexpressions, so a symmetric pair
+        written alike costs one row of work, and so does an extra row that
+        is already a subexpression.  Evaluation runs the tape and copies the
+        canonical row of each symmetric orbit to its members
+        (``field.read_rows`` maps the rows of a run to the dense component
+        array).  String components are parsed against the chart coordinates;
+        AST components are checked for unknown names.
         """
         shape = (chart.dim,) * len(variance)
         symt = tuple(tuple(p) for p in sym)
@@ -247,17 +254,20 @@ class TensorField:
                         f"{sorted(unknown)}"
                     )
             nodes.append(node)
-        tape = ex.compile_tape(nodes, chart.coord_names)
+        tape = ex.compile_tape(nodes + list(extra), chart.coord_names)
         flat = np.arange(len(nodes)).reshape(shape)
         scatter = [flat[_canonical_index(idx, symt)] for idx in np.ndindex(shape)]
 
-        def evaluator(point: Point, order: int) -> np.ndarray:
-            space = jet_space(chart.dim, order)
-            out = tape.run(chart.coords(point), space)[scatter]
+        def read_rows(rows: np.ndarray) -> np.ndarray:
+            out = rows[scatter]
             return out.reshape(shape + out.shape[1:])
+
+        def evaluator(point: Point, order: int) -> np.ndarray:
+            return read_rows(tape.run(chart.coords(point), jet_space(chart.dim, order)))
 
         field = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
         field.tape = tape
+        field.read_rows = read_rows
         return field
 
     def symmetry_defect(self, point: Point, order: int = 1) -> float:
@@ -341,11 +351,25 @@ class Geometry:
     # -- metric --------------------------------------------------------
 
     def metric_field(self) -> TensorField:
+        """The metric, compiled once into a tape whose last row is rho (free
+        where rho is a subexpression of the metric or a coordinate), so one
+        run gives both (:meth:`rho_and_metric`); the field reads the metric
+        rows."""
         if not hasattr(self, "_metric_field"):
             self._metric_field = TensorField.from_exprs(
-                self.chart, self.metric, "dd", name="g", sym=((0, 1),)
+                self.chart, self.metric, "dd", name="g", sym=((0, 1),), extra=(self.rho,)
             )
         return self._metric_field
+
+    def rho_and_metric(self, points: np.ndarray, order: int) -> tuple:
+        """One run of the metric tape at a batch of points ``(B, dim)``: the
+        rho jets ``(B, ncoeff)`` and the metric jets ``(dim, dim, B,
+        ncoeff)``.  The metric rows are bit for bit ``metric_field()``'s;
+        up to order 1 the rho row is bit for bit :meth:`rho_dense`'s (above
+        order 1 a jet product may sum its terms in another order)."""
+        gfield = self.metric_field()
+        rows = gfield.tape.run(self.chart.coords(points), jet_space(self.dim, order))
+        return rows[-1], gfield.read_rows(rows)
 
     # -- sampling -------------------------------------------------------
 
@@ -427,16 +451,16 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     """Shared construction checks: symmetry, invertibility, d(rho) != 0.
 
     The metric is compiled once: ``metric_field().tape`` has one row per
-    declared component, ``g[i, j]`` and ``g[j, i]`` alike, and the field
-    copies the upper row of each pair to both.  The checks read that tape's
-    rows, in one order-0 run at the sample points, so an asymmetric
-    document is caught; a pair written alike shares one row and is
-    symmetric by construction.
+    declared component, ``g[i, j]`` and ``g[j, i]`` alike, then rho, and
+    the field copies the upper row of each pair to both.  The checks read
+    the component rows, in one order-0 run at the sample points, so an
+    asymmetric document is caught; a pair written alike shares one row and
+    is symmetric by construction.
     """
     d = geom.dim
     gfield = geom.metric_field()
     pts = geom.interior_points(3, rng)
-    rows = gfield.tape.run(np.array(pts), jet_space(d, 0))  # (d * d, 3, 1)
+    rows = gfield.tape.run(np.array(pts), jet_space(d, 0))[: d * d]  # (d * d, 3, 1)
     gvals = rows[..., 0].T.reshape(len(pts), d, d)
     for p, gval in zip(pts, gvals):
         if np.max(np.abs(gval - gval.T)) > 1e-12 * (1 + np.max(np.abs(gval))):

@@ -53,6 +53,7 @@ from .affine import (
     canonical_tau,
     covariant_derivative,
     levi_civita,
+    levi_civita_jets,
     projective_change,
     projective_modify,
     rho_connection,
@@ -245,13 +246,15 @@ class TractorCalculus:
         self._connections[label] = projective_modify(self.hat, ups)
         return Splitting(label, ups)
 
-    def hat_christoffel_values(self, points: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def hat_christoffel_values(self, rho: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Christoffel values ``(d, d, d, B)`` of ``hat`` at a batch of
-        interior points ``(B, d)``, given the order-1 rho jets ``(B, ncoeff)``
-        there: bit for bit ``hat.christoffel_values(points)``, without its
-        second run of the rho tape."""
+        interior points, from the order-1 rho jets ``(B, ncoeff)`` and
+        metric jets ``(d, d, B, ncoeff)`` of one run there
+        (``Geometry.rho_and_metric``): bit for bit
+        ``hat.christoffel_values(points)``, without its runs of the rho and
+        metric tapes."""
         u = rho_log_gradient(rho, self.geom.alpha, jet_space(self.dim, 0))
-        return projective_change(self.lc.christoffel_values(points, 0), u[..., 0])
+        return projective_change(levi_civita_jets(g, 0)[..., 0], u[..., 0])
 
     def connection_of(self, s: Splitting) -> Connection:
         return self._connections[s.label]

@@ -93,11 +93,18 @@ class SamplingPlan:
             "boundary_points": self.boundary_points >= 1,
         }
         bad = [f"{k} = {getattr(self, k)!r}" for k, ok in valid.items() if not ok]
+        if valid["ode_step"] and valid["ode_horizon"]:
+            # the 4th-order differences of geodesic_residual and the five
+            # collar parameters of lem-2.4 need 4 RK4 steps
+            steps = self.ode_horizon / self.ode_step
+            if not (math.isfinite(steps) and round(steps) >= 4):
+                bad.append(f"ode_horizon / ode_step = {steps!r}")
         if bad:
             raise ValueError(
                 "invalid sampling plan (" + ", ".join(bad) + "): eps0, ode_step "
-                "and ode_horizon must be finite and > 0, levels >= 2, the point "
-                "counts >= 1 and the seed >= 0"
+                "and ode_horizon must be finite and > 0, ode_horizon / ode_step "
+                "finite and rounding to at least 4 RK4 steps, levels >= 2, the "
+                "point counts >= 1 and the seed >= 0"
             )
 
 

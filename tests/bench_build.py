@@ -18,11 +18,13 @@ Layers:
 * ``tape_runs.*``: ``expr.Tape.run`` calls made by one build of each
   geometry (a count, the same on every run).
 
-Times are the fastest of ``--repeat`` blocks, in milliseconds per call: on
-a shared host the other blocks measure the neighbours as well.  With
-``--out`` the run is appended to one named column of a JSON file, next to
-the columns already there, and the column's ``median`` over its runs is
-refreshed; so two trees fill one file, best with their runs alternating::
+Times are medians of ``--repeat`` blocks, in reference milliseconds per
+call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
+host's measured speed, which on a shared host moves in steps for seconds at
+a time.  With ``--out`` the run is appended to one named column of a JSON
+file, next to the columns already there, and the column's ``median`` over
+its runs is refreshed; so two trees fill one file, best with their runs
+alternating::
 
     for i in 1 2 3 4 5; do
       python before/tests/bench_build.py --column before --out BENCH_cold_build.json
@@ -36,13 +38,17 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from speed import SpeedClock  # noqa: E402
 
 from tractorlab import expr as ex  # noqa: E402
 from tractorlab.fields import builtin_geometry, load_geometry  # noqa: E402
@@ -68,14 +74,17 @@ BUILDS = {
 }
 
 
-def _per_call_ms(fn, calls: int, repeat: int) -> float:
+UNIT = "reference ms per call, median block; tape_runs.* are counts per build"
+
+
+def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
     blocks = []
     for _ in range(repeat):
-        start = time.perf_counter()
+        start = clock.now()
         for _ in range(calls):
             fn()
-        blocks.append((time.perf_counter() - start) / calls)
-    return min(blocks) * 1e3
+        blocks.append((clock.now() - start) / calls)
+    return statistics.median(blocks) * 1e3
 
 
 def _tape_runs(build) -> int:
@@ -94,12 +103,12 @@ def _tape_runs(build) -> int:
     return len(runs)
 
 
-def measure(calls: int, repeat: int) -> dict[str, float]:
-    out = {f"build.{name}": _per_call_ms(build, calls, repeat)
+def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
+    out = {f"build.{name}": _per_call_ms(clock, build, calls, repeat)
            for name, build in BUILDS.items()}
     geom = BUILDS["klein-3-document"]()
     out["boundary_points.klein-3-document"] = _per_call_ms(
-        lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
+        clock, lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
     )
     out.update({f"tape_runs.{name}": _tape_runs(build) for name, build in BUILDS.items()})
     return out
@@ -112,21 +121,24 @@ def main(argv=None) -> int:
     parser.add_argument("--column", default="this tree", help="column of --out to add the run to")
     parser.add_argument("--out", default=None, help="JSON file of columns")
     args = parser.parse_args(argv)
-    column = measure(args.calls, args.repeat)
+    with SpeedClock() as clock:
+        column = measure(clock, args.calls, args.repeat)
     for layer, value in column.items():
-        unit = "runs" if layer.startswith("tape_runs.") else "ms"
+        unit = "runs" if layer.startswith("tape_runs.") else "reference ms"
         print(f"{layer:36s} {value:9.3f} {unit}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
-        doc.setdefault("unit", "ms per call, fastest block; tape_runs.* are counts per build")
-        entry = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
+        entry = doc.setdefault("columns", {}).setdefault(
+            args.column, {"runs": [], "unit": UNIT}
+        )
         entry["runs"].append(column)
         entry["median"] = {
             layer: float(np.median([run[layer] for run in entry["runs"]]))
             for layer in column
         }
         entry["environment"] = {
+            "host_speed": clock.mean_speed(),
             "nproc": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(),

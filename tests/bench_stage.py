@@ -11,16 +11,20 @@ transversals, 50 steps in) of klein-3 and of af2_generic-4:
 
 * ``rho_tape.o0`` / ``rho_tape.o1``: ``Geometry.rho_dense`` at order 0 / 1;
 * ``metric_tape.o1``: the metric jets at order 1 (the Levi-Civita input);
+* ``stage_tape.o1``: ``Geometry.rho_and_metric`` at order 1, the one tape
+  run of a stage (rho and the metric); a tree without it skips the layer;
 * ``jet_inverse.o0``: the order-0 inverse of the metric values;
 * ``hat.christoffel_values``: the rho-modified connection's values;
 * ``stage``: one stage of the integrator, as the time of a 0.2-long run
   minus that of a 0.05-long run, over the 600 stages between them.
 
-Times are the fastest of ``--repeat`` blocks, in microseconds per call: on
-a shared host the other blocks measure the neighbours as well.  With
-``--out`` the run is appended to one named column of a JSON file, next to
-the columns already there, and the column's ``median`` over its runs is
-refreshed; so two trees fill one file, best with their runs alternating::
+Times are medians of ``--repeat`` blocks, in reference microseconds per
+call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
+host's measured speed, which on a shared host moves in steps for seconds at
+a time.  With ``--out`` the run is appended to one named column of a JSON
+file, next to the columns already there, and the column's ``median`` over
+its runs is refreshed; so two trees fill one file, best with their runs
+alternating::
 
     for i in 1 2 3 4 5; do
       python before/tests/bench_stage.py --column before --out BENCH_rk4_stage.json
@@ -34,13 +38,17 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from speed import SpeedClock  # noqa: E402
 
 from tractorlab import boundary as bd  # noqa: E402
 from tractorlab.extrapolate import boundary_ladder  # noqa: E402
@@ -53,19 +61,21 @@ GEOMETRIES = (("klein", 3), ("af2_generic", 4))
 ROWS = 4
 STEP = 1e-3
 SHORT, LONG = 0.05, 0.2
+UNIT = "reference us per call, median block"
 
 
-def _per_call_us(fn, calls: int, repeat: int) -> float:
-    blocks = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        blocks.append((time.perf_counter() - start) / calls)
-    return min(blocks) * 1e6
+def measure(
+    clock: SpeedClock, name: str, dim: int, calls: int, repeat: int
+) -> dict[str, float]:
+    def per_call_us(fn, calls: int = calls) -> float:
+        blocks = []
+        for _ in range(repeat):
+            start = clock.now()
+            for _ in range(calls):
+                fn()
+            blocks.append((clock.now() - start) / calls)
+        return statistics.median(blocks) * 1e6
 
-
-def measure(name: str, dim: int, calls: int, repeat: int) -> dict[str, float]:
     geom = builtin_geometry(name, dim)
     plan = SamplingPlan()
     ys = geom.boundary_points(ROWS, np.random.default_rng(0))
@@ -81,17 +91,18 @@ def measure(name: str, dim: int, calls: int, repeat: int) -> dict[str, float]:
         return lambda: bd.geodetic_transversals(calc, lads, step=STEP, horizon=horizon)
 
     stages = 4 * round((LONG - SHORT) / STEP)
+    layers = {
+        "rho_tape.o0": per_call_us(lambda: geom.rho_dense(x, 0)),
+        "rho_tape.o1": per_call_us(lambda: geom.rho_dense(x, 1)),
+        "metric_tape.o1": per_call_us(lambda: gfield.dense(x, 1)),
+    }
+    if hasattr(geom, "rho_and_metric"):
+        layers["stage_tape.o1"] = per_call_us(lambda: geom.rho_and_metric(x, 1))
     return {
-        "rho_tape.o0": _per_call_us(lambda: geom.rho_dense(x, 0), calls, repeat),
-        "rho_tape.o1": _per_call_us(lambda: geom.rho_dense(x, 1), calls, repeat),
-        "metric_tape.o1": _per_call_us(lambda: gfield.dense(x, 1), calls, repeat),
-        "jet_inverse.o0": _per_call_us(lambda: jet_inverse(g0, space0), calls, repeat),
-        "hat.christoffel_values": _per_call_us(
-            lambda: calc.hat.christoffel_values(x), calls, repeat
-        ),
-        "stage": (
-            _per_call_us(run(LONG), 1, repeat) - _per_call_us(run(SHORT), 1, repeat)
-        ) / stages,
+        **layers,
+        "jet_inverse.o0": per_call_us(lambda: jet_inverse(g0, space0)),
+        "hat.christoffel_values": per_call_us(lambda: calc.hat.christoffel_values(x)),
+        "stage": (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages,
     }
 
 
@@ -102,19 +113,21 @@ def main(argv=None) -> int:
     parser.add_argument("--column", default="this tree", help="column of --out to add the run to")
     parser.add_argument("--out", default=None, help="JSON file of columns")
     args = parser.parse_args(argv)
-    column = {
-        f"{name}-{dim}": measure(name, dim, args.calls, args.repeat)
-        for name, dim in GEOMETRIES
-    }
+    with SpeedClock() as clock:
+        column = {
+            f"{name}-{dim}": measure(clock, name, dim, args.calls, args.repeat)
+            for name, dim in GEOMETRIES
+        }
     for geom, layers in column.items():
         for layer, us in layers.items():
-            print(f"{geom:16s} {layer:24s} {us:9.1f} us")
+            print(f"{geom:16s} {layer:24s} {us:9.1f} reference us")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
-        doc.setdefault("unit", "us per call, fastest block")
         doc.setdefault("rows", ROWS)
-        entry = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
+        entry = doc.setdefault("columns", {}).setdefault(
+            args.column, {"runs": [], "unit": UNIT}
+        )
         entry["runs"].append(column)
         entry["median"] = {
             geom: {
@@ -124,6 +137,7 @@ def main(argv=None) -> int:
             for geom, layers in column.items()
         }
         entry["environment"] = {
+            "host_speed": clock.mean_speed(),
             "nproc": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(),

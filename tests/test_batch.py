@@ -21,8 +21,8 @@ from tractorlab import cli
 from tractorlab import expr as ex
 from tractorlab.affine import CurvaturePack
 from tractorlab.extrapolate import boundary_ladder, boundary_limit, ladder_samples
-from tractorlab.fields import Chart, Geometry, GeometryError
-from tractorlab.jets import PoleError, jet_einsum, jet_inverse, jet_space
+from tractorlab.fields import Chart, Geometry, GeometryError, builtin_geometry, load_geometry
+from tractorlab.jets import DomainError, PoleError, jet_einsum, jet_inverse, jet_space
 from tractorlab.tractor import (
     TractorCalculus,
     bgg_split_metricity,
@@ -98,13 +98,26 @@ def test_christoffel_values_batch_matches_points(geom):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("name", ["klein3", "af2", "af1", "flat3", "poincare3"])
+@pytest.fixture(scope="module")
+def klein5():
+    return builtin_geometry("klein", 5)
+
+
+@pytest.fixture(scope="module")
+def af2_5():
+    return builtin_geometry("af2_generic", 5)
+
+
+@pytest.mark.parametrize(
+    "name", ["klein3", "af2", "af1", "flat3", "poincare3", "klein4", "klein5", "af2_5"]
+)
 def test_hat_values_from_given_rho_jets_match_the_connection(request, name):
-    # the integrator hands its order-1 rho jets to the calculus
+    # each integrator stage hands the order-1 rho and metric jets of one run
+    # of the metric tape to the calculus
     geom = request.getfixturevalue(name)
     calc = TractorCalculus(geom)
     pts = np.array(geom.interior_points(6, np.random.default_rng(11)))
-    got = calc.hat_christoffel_values(pts, geom.rho_dense(pts, 1))
+    got = calc.hat_christoffel_values(*geom.rho_and_metric(pts, 1))
     assert np.array_equal(got, calc.hat.christoffel_values(pts))
 
 
@@ -150,6 +163,107 @@ def test_domain_exit_names_the_lowest_index_among_ties(klein3):
             )
         assert f"from {tuple(order[0])}" in str(err.value)
         assert "t=4.02" in str(err.value)
+
+
+def test_domain_exit_names_the_earliest_curve(klein3):
+    # the chord from (1, 0, 0) along (-1/2, 0.3, 0) leaves the ball at
+    # t = 1/0.34, before the radial chord from (0, 1, 0) does at t = 4
+    radial = ladder(klein3, (0.0, 1.0, 0.0))
+    oblique = ladder(klein3, (1.0, 0.0, 0.0), direction=(-0.5, 0.3, 0.0))
+    calc = TractorCalculus(klein3)
+    opts = dict(step=0.01, horizon=5.0)
+    with pytest.raises(GeometryError) as alone:
+        bd.geodetic_transversals(calc, [oblique], **opts)
+    assert str(alone.value) == (
+        "transversal from (1.0, 0.0, 0.0) left the chart domain at t=2.95"
+    )
+    for order in ([radial, oblique], [oblique, radial]):
+        with pytest.raises(GeometryError) as err:
+            bd.geodetic_transversals(calc, order, **opts)
+        assert str(err.value) == str(alone.value)
+
+
+def _rho_first_stages(monkeypatch):
+    """Make every joint run of the metric tape raise, so each integrator
+    stage takes its rho-first path; returns the list of the errors raised."""
+    raised = []
+
+    def refuse(self, points, order):
+        raised.append(PoleError("refused"))
+        raise raised[-1]
+
+    monkeypatch.setattr(Geometry, "rho_and_metric", refuse)
+    return raised
+
+
+def _assert_same_curves(got, want):
+    for a, b in zip(got, want, strict=True):
+        for field in ("points", "mus", "accs", "rhos"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1", "klein5"])
+def test_joint_stage_runs_give_the_rho_first_paths_bits(request, monkeypatch, name):
+    geom = request.getfixturevalue(name)
+    ys = geom.boundary_points(3, np.random.default_rng(4))
+    calc = TractorCalculus(geom)
+    opts = dict(step=1e-3, horizon=0.03)
+    joint = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
+    raised = _rho_first_stages(monkeypatch)
+    rho_first = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
+    assert len(raised) == 4 * 30
+    _assert_same_curves(joint, rho_first)
+
+
+def test_a_joint_run_with_a_row_on_the_boundary_is_not_used(klein3, monkeypatch):
+    # a stage whose joint run puts a row on the boundary takes the rho-first
+    # path, which gives that row its extended value or, off the boundary,
+    # its own rho and metric runs
+    ys = klein3.boundary_points(3, np.random.default_rng(4))
+    calc = TractorCalculus(klein3)
+    opts = dict(step=1e-3, horizon=0.01)
+    want = bd.geodetic_transversals(calc, ladders(klein3, ys), **opts)
+    real = Geometry.rho_and_metric
+
+    def on_the_boundary(self, points, order):
+        rho, g = real(self, points, order)
+        rho = rho.copy()
+        rho[1, 0] = 1e-13
+        return rho, g
+
+    monkeypatch.setattr(Geometry, "rho_and_metric", on_the_boundary)
+    _assert_same_curves(bd.geodetic_transversals(calc, ladders(klein3, ys), **opts), want)
+
+
+def test_a_metric_that_raises_outside_the_domain_raises_the_rho_first_error(monkeypatch):
+    # Klein's metric plus 0*sqrt(rho): the same values inside, a DomainError
+    # past the boundary, where the joint run raises and the stage falls back
+    rho = "(1 - (x0^2 + x1^2 + x2^2))"
+    metric = [[(f"1/{rho} + 0*sqrt({rho}) + " if i == j else "") + f"x{i}*x{j}/{rho}^2"
+               for j in range(3)] for i in range(3)]
+    geom = load_geometry({"name": "klein-sqrt", "dim": 3, "coords": ["x0", "x1", "x2"],
+                          "rho": rho, "alpha": 2.0, "metric": metric})
+    calc = TractorCalculus(geom)
+    lads = ladders(geom, [(0.0, 1.0, 0.0), (0.6, 0.0, 0.8)])
+    real, raised = Geometry.rho_and_metric, []
+
+    def recording(self, points, order):
+        try:
+            return real(self, points, order)
+        except DomainError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(Geometry, "rho_and_metric", recording)
+    with pytest.raises(Exception) as got:
+        bd.geodetic_transversals(calc, lads, step=0.01, horizon=5.0)
+    assert raised  # the joint run raised, and the stage fell back
+    _rho_first_stages(monkeypatch)
+    with pytest.raises(Exception) as want:
+        bd.geodetic_transversals(calc, lads, step=0.01, horizon=5.0)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.__context__ is None
 
 
 # -- the curvature and tractor layers and the point functions -----------------

@@ -141,9 +141,10 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     step, horizon = 1e-3, 0.01
     bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
     n_steps = round(horizon / step)
-    # four evaluations per step and one at the launch, where every row is on
-    # the boundary and takes its extended value without a metric run
-    assert runs == {"rho": 4 * n_steps + 1, "metric": 4 * n_steps}
+    # four evaluations per step, each one run of the metric tape, whose last
+    # row is rho; the launch, where every row is on the boundary and takes
+    # its extended value, runs rho alone
+    assert runs == {"rho": 1, "metric": 4 * n_steps}
 
 
 @pytest.mark.parametrize("name, dim", [

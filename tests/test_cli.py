@@ -207,6 +207,10 @@ def test_skipped_check_residual_is_null(tmp_path):
     ["verify", "--ode-horizon", "0"],
     ["eval", "--levels", "1", "--quantity", "gamma",
      "--boundary-point", "1,0,0", "--extrapolate"],
+    # fewer than 4 RK4 steps: 2.5 rounds to 2 (two collar parameters would
+    # share a sample), 0.4 to 0 (a transversal of one sample)
+    ["verify", "--ode-step", "0.02", "--ode-horizon", "0.05"],
+    ["verify", "--ode-step", "0.5"],
 ])
 def test_invalid_sampling_plan_exits_two(argv, capsys):
     code = main(argv[:1] + ["--geometry", "klein", "--dim", "3"] + argv[1:])

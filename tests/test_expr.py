@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expr_reference import evaluate
 from jet_reference import jet_call, point_jets
@@ -199,6 +201,90 @@ def test_klein_tape_shares_subexpressions():
         stack.extend(ex._children(node))
     assert (len(sources), len(set(sources))) == (139, 27)
     assert len(ex.compile_tape(roots, geom.chart.coord_names)) <= 27
+
+
+# -- the tape schedule ------------------------------------------------------------
+
+_NAMES = ("x", "y", "z")
+_LEAVES = st.one_of(
+    st.sampled_from([ex.Var(n) for n in _NAMES]),
+    st.sampled_from([ex.Num(v) for v in (0.5, 2.0, -1.5, 3.0)]),
+)
+
+
+def _grow(kids):
+    # denominators and the bases of negative or fractional powers are exp(.)
+    # so no example meets a pole or leaves a domain
+    positive = kids.map(lambda k: ex.Call("exp", k))
+    return st.one_of(
+        st.builds(ex.Add, kids, kids),
+        st.builds(ex.Sub, kids, kids),
+        st.builds(ex.Mul, kids, kids),
+        st.builds(ex.Div, kids, positive),
+        st.builds(ex.Neg, kids),
+        st.builds(ex.Pow, kids, st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0])),
+        st.builds(ex.Pow, positive, st.sampled_from([-2.0, -1.0, 0.5, 1.5])),
+        st.builds(ex.Call, st.sampled_from(["sin", "cos", "atan"]), kids),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _grow, max_leaves=10)
+
+
+def _asap_groups(tape):
+    """Number of steps of a schedule that groups instructions by ASAP level
+    and ``(op, param)``."""
+    level = {}
+    keys = set()
+    for op, out, a, b, param in tape.code:
+        level[out] = 1 + max(level.get(a, 0), level.get(b, 0))
+        keys.add((level[out], op, None if op == "scale" else param))
+    return len(keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(_EXPRS, min_size=1, max_size=4))
+def test_the_schedule_keeps_dependencies_and_values(roots):
+    try:
+        tape = ex.compile_tape(roots, _NAMES)
+    except ex.ExprError:  # a constant subtree without a finite value
+        assume(False)
+    # each step reads only inputs, constants and slots of earlier steps, and
+    # each instruction runs in exactly one step
+    written = set(range(len(_NAMES))) | set(tape.const_slots.tolist())
+    for op, out, a, b, param in tape.steps:
+        reads = set(a.tolist()) | (set() if b is None else set(b.tolist()))
+        assert reads <= written, op
+        written |= set(out.tolist())
+    assert set(tape.outputs.tolist()) <= written
+    outs = np.concatenate([step[1] for step in tape.steps] or [np.array([], int)])
+    assert sorted(outs.tolist()) == sorted(out for _, out, *_ in tape.code)
+    assert len(tape.steps) <= _asap_groups(tape)
+    # and the values are the reference interpreter's
+    space = jet_space(len(_NAMES), 2)
+    point = (0.31, -0.47, 0.23)
+    env = dict(zip(_NAMES, point_jets(space, point)))
+    try:
+        refs = [evaluate(root, env, jet_call) for root in roots]
+    except (ArithmeticError, ValueError):  # float overflow in the reference
+        assume(False)
+    refs = [r.coeffs if hasattr(r, "coeffs") else space.constant(r).coeffs for r in refs]
+    assume(all(np.all(np.isfinite(r)) and np.max(np.abs(r)) < 1e100 for r in refs))
+    got = tape.run(point, space)
+    for k, ref in enumerate(refs):
+        assert np.max(np.abs(got[k] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), k
+
+
+@pytest.mark.parametrize("name, dim, steps", [
+    ("klein", 3, 8), ("klein", 4, 9), ("af2_generic", 4, 7), ("af1_generic", 4, 7),
+])
+def test_the_metric_tape_merges_its_groups(name, dim, steps):
+    # one step per (op, param) and level, where a level-by-level schedule
+    # takes one more on klein (1/rho and 1/rho^2 sit at consecutive levels)
+    # and two more on the asymptotic forms
+    tape = builtin_geometry(name, dim).metric_field().tape
+    assert len(tape.steps) <= steps
+    assert len(tape.steps) < _asap_groups(tape)
 
 
 def test_tape_integer_powers_are_products():

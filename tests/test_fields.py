@@ -340,9 +340,9 @@ def test_cli_rejects_bad_asymptotic_form_documents(tmp_path, capsys, changes):
 
 
 @pytest.mark.parametrize("build, sizes", [
-    (lambda: builtin_geometry("klein", 4), [1, 16]),            # rho, g
-    (lambda: builtin_geometry("af2_generic", 4), [1, 1, 16, 16]),  # C, rho, h, g
-    (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [1, 9]),
+    (lambda: builtin_geometry("klein", 4), [1, 17]),            # rho, (g, rho)
+    (lambda: builtin_geometry("af2_generic", 4), [1, 1, 16, 17]),  # C, rho, h, (g, rho)
+    (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [1, 10]),
 ])
 def test_one_metric_compile_per_build(monkeypatch, build, sizes):
     compiled = []
@@ -595,8 +595,47 @@ def test_asymptotic_form_metric_compiles_as_its_source_text(name, dim):
         for j in range(dim):
             h = "0" if i != j else "1" if i == 0 else f"1 + rho*{coords[i]}^2"
             text[i, j] = f"({h})/rho^{p}" + (f" + (0.25)/rho^{2 * p}" if i == j == 0 else "")
-    want = TensorField.from_exprs(geom.chart, text, "dd", sym=((0, 1),)).tape
+    want = TensorField.from_exprs(
+        geom.chart, text, "dd", sym=((0, 1),), extra=(geom.rho,)
+    ).tape
     got = geom.metric_field().tape
     assert got.code == want.code
     assert np.array_equal(got.const_values, want.const_values)
     assert np.array_equal(got.outputs, want.outputs)
+
+
+def _off_centre_document():
+    """A document whose rho (an off-centre ball) is no subexpression of its
+    metric, so rho adds instructions of its own to the metric tape."""
+    return {"name": "off-centre", "dim": 3, "coords": ["u1", "u2", "u3"],
+            "rho": "0.81 - (u1 - 0.1)^2 - u2^2 - u3^2", "alpha": 2.0,
+            "metric": [["1 + u1^2", "0", "0"], ["0", "1", "0"], ["0", "0", "exp(u2)"]]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_geometry("klein", 3),
+    lambda: builtin_geometry("klein", 4),
+    lambda: builtin_geometry("klein", 5),
+    lambda: builtin_geometry("af2_generic", 4),
+    lambda: builtin_geometry("af2_generic", 5),
+    lambda: builtin_geometry("af1_generic", 4),
+    lambda: builtin_geometry("flat", 3),
+    lambda: builtin_geometry("poincare_control", 3),
+    lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))),
+    lambda: load_geometry(_off_centre_document()),
+], ids=["klein-3", "klein-4", "klein-5", "af2_generic-4", "af2_generic-5",
+        "af1_generic-4", "flat-3", "poincare_control-3", "klein-document",
+        "off-centre-document"])
+def test_the_rho_row_leaves_the_metric_bits_alone(build):
+    # the metric tape carries rho as its last row: its metric rows are a
+    # metric-only tape's at every order, and its rho row is the rho tape's
+    # at the orders the integrator reads
+    geom = build()
+    alone = TensorField.from_exprs(geom.chart, geom.metric, "dd", sym=((0, 1),))
+    pts = np.array(geom.interior_points(5, np.random.default_rng(3)))
+    for order in range(4):
+        rho, g = geom.rho_and_metric(pts, order)
+        assert np.array_equal(g, alone.dense(pts, order)), order
+        assert np.array_equal(g, geom.metric_field().dense(pts, order)), order
+        if order <= 1:
+            assert np.array_equal(rho, geom.rho_dense(pts, order)), order

@@ -364,3 +364,19 @@ def test_splitids_check_never_uses_a_diverged_limit(klein3, monkeypatch):
     assert facets["diverged"] is True
     assert [set(d) for d in details[-2:]] == [{"point", "diverged"}] * 2
     assert all(d["diverged"] is True for d in details[-2:])
+
+
+@pytest.mark.parametrize("step, horizon, valid", [
+    (0.05, 0.2, True),     # 4 steps
+    (0.25, 0.875, True),   # 3.5 rounds to 4
+    (0.02, 0.05, False),   # 2.5 rounds to 2
+    (0.1, 0.35, False),    # 3.4999... rounds to 3
+    (0.5, 0.2, False),     # 0.4 rounds to 0
+    (1e-300, 1e10, False),  # the ratio overflows to inf
+])
+def test_sampling_plan_needs_four_rk4_steps(step, horizon, valid):
+    if valid:
+        SamplingPlan(ode_step=step, ode_horizon=horizon)
+        return
+    with pytest.raises(ValueError, match=r"invalid sampling plan \(ode_horizon / ode_step"):
+        SamplingPlan(ode_step=step, ode_horizon=horizon)
