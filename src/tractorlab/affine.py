@@ -25,7 +25,7 @@ Conventions (fixed here and used everywhere downstream):
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,8 +54,6 @@ __all__ = [
     "DENSITY_SIGN",
 ]
 
-Point = Sequence[float]
-
 #: Pinned sign of the density transport term (see module docstring).
 DENSITY_SIGN = +1.0
 
@@ -66,17 +64,17 @@ _AXES = "ijklmnop"
 class Connection:
     """An affine connection given by a Christoffel-symbol evaluator.
 
-    ``evaluator(point, order)`` returns the dense jet array ``G`` of shape
-    ``(d, d, d, ncoeff)`` with ``G[c, a, b] = Gamma^c_ab`` at the requested
-    jet order (see module ``jets``), or ``(d, d, d, B, ncoeff)`` at a batch
-    of points ``(B, d)``.
+    ``evaluator(points, order)`` returns, at a batch of points ``(B, d)``,
+    the dense jet array ``G`` of shape ``(d, d, d, B, ncoeff)`` with
+    ``G[c, a, b] = Gamma^c_ab`` at the requested jet order (see module
+    ``jets``).
     """
 
     def __init__(
         self,
         chart: Chart,
-        evaluator: Callable[[Point, int], np.ndarray],
-        exact_boundary: Callable[[Point, int], np.ndarray] | None = None,
+        evaluator: Callable[[np.ndarray, int], np.ndarray],
+        exact_boundary: Callable[[np.ndarray, int], np.ndarray] | None = None,
     ):
         self.chart = chart
         self._evaluator = evaluator
@@ -87,40 +85,39 @@ class Connection:
     def dim(self) -> int:
         return self.chart.dim
 
-    def dense(self, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """Memoized (read-only) dense Christoffel jets at a point, or at a
-        batch of points (keyed by its rows)."""
-        key = (point_key(point), order)
+    def dense(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Memoized (read-only) dense Christoffel jets at a batch of points
+        (keyed by its rows)."""
+        key = (point_key(points), order)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._evaluator(point, order)
+            hit = self._evaluator(points, order)
             hit.flags.writeable = False
             self._cache[key] = hit
         return hit
 
-    def _peek(self, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """Dense Christoffel jets at a point or a batch of points, reusing a
-        memoized array but never storing a new one: values-only callers,
-        such as a ladder's limit, evaluate at points no one revisits."""
-        hit = self._cache.get((point_key(point), order))
-        return self._evaluator(point, order) if hit is None else hit
+    def _peek(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Dense Christoffel jets at a batch of points, reusing a memoized
+        array but never storing a new one: values-only callers, such as a
+        ladder's limit, evaluate at points no one revisits."""
+        hit = self._cache.get((point_key(points), order))
+        return self._evaluator(points, order) if hit is None else hit
 
-    def christoffel_values(self, point: Point | np.ndarray, order: int = 0) -> np.ndarray:
-        """Christoffel values (the ``[..., 0]`` slice), never memoized:
-        ``(d, d, d)`` at a point, ``(d, d, d, B)`` at a batch ``(B, d)``."""
-        return np.array(self._peek(point, order)[..., 0])
+    def christoffel_values(self, points: np.ndarray, order: int = 0) -> np.ndarray:
+        """Christoffel values ``(d, d, d, B)`` (the ``[..., 0]`` slice) at a
+        batch of points ``(B, d)``, never memoized."""
+        return np.array(self._peek(points, order)[..., 0])
 
-    def trace_gamma(self, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """Dense jets ``(d, ncoeff)`` (``(d, B, ncoeff)`` at a batch) of the
-        one-form ``Gamma^e_ea`` entering density transport."""
-        return np.einsum("eea...->a...", self.dense(point, order))
+    def trace_gamma(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Dense jets ``(d, B, ncoeff)`` of the one-form ``Gamma^e_ea``
+        entering density transport."""
+        return np.einsum("eea...->a...", self.dense(points, order))
 
 
 def levi_civita_jets(g: np.ndarray, order: int) -> np.ndarray:
-    """Dense Christoffel jets of the Levi-Civita connection at jet order
-    ``order``, from the dense metric jets ``g`` one order higher:
-    ``(d, d, d, ncoeff)`` from ``(d, d, ncoeff')``, and ``(d, d, d, B,
-    ncoeff)`` from metric jets at a batch of points ``(d, d, B, ncoeff')``.
+    """Dense Christoffel jets ``(d, d, d, B, ncoeff)`` of the Levi-Civita
+    connection at jet order ``order``, from the dense metric jets at a batch
+    of points one order higher, ``(d, d, B, ncoeff')``.
 
     ``Gamma^c_ab = (1/2) g^cd (d_a g_db + d_b g_da - d_d g_ab)``.
     """
@@ -142,28 +139,28 @@ def levi_civita(geom_or_field) -> Connection:
     else:
         gfield = geom_or_field
 
-    def evaluator(point: Point, order: int) -> np.ndarray:
-        return levi_civita_jets(gfield.dense(point, order + 1), order)
+    def evaluator(points: np.ndarray, order: int) -> np.ndarray:
+        return levi_civita_jets(gfield.dense(points, order + 1), order)
 
     return Connection(gfield.chart, evaluator)
 
 
 def projective_modify(
     conn: Connection,
-    upsilon: Callable[[Point, int], np.ndarray] | TensorField,
+    upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField,
 ) -> Connection:
     """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
 
-    ``upsilon(point, order)`` returns the one-form as a dense ``(d, ncoeff)``
-    jet array (or is a :class:`TensorField`).  The change keeps a
+    ``upsilon(points, order)`` returns the one-form at a batch of points as
+    a dense ``(d, B, ncoeff)`` jet array (or is a :class:`TensorField`).  The change keeps a
     torsion-free base torsion free, and a special one (preserving a volume
     density) special when the one-form is closed.
     """
     if not isinstance(upsilon, TensorField):
         upsilon = TensorField(conn.chart, "d", upsilon)
 
-    def evaluator(point: Point, order: int) -> np.ndarray:
-        return projective_change(conn._peek(point, order), upsilon.dense(point, order))
+    def evaluator(points: np.ndarray, order: int) -> np.ndarray:
+        return projective_change(conn._peek(points, order), upsilon.dense(points, order))
 
     return Connection(conn.chart, evaluator)
 
@@ -177,9 +174,9 @@ def projective_change(G: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def rho_log_gradient(rho: np.ndarray, alpha: float, space: JetSpace) -> np.ndarray:
-    """Dense jets over ``space`` of the one-form ``d(rho)/(alpha rho)``, from
-    the dense rho jets one order higher: ``(d, ncoeff)`` from ``(ncoeff',)``,
-    ``(d, B, ncoeff)`` from rho jets at a batch of points ``(B, ncoeff')``."""
+    """Dense jets ``(d, B, ncoeff)`` over ``space`` of the one-form
+    ``d(rho)/(alpha rho)``, from the dense rho jets at a batch of points one
+    order higher, ``(B, ncoeff')``."""
     upper = jet_space(space.dim, space.order + 1)
     inv = jet_reciprocal(rho[..., : space.ncoeff] * alpha, space)
     return jet_mul(jet_gradient(rho, upper), inv, space)
@@ -188,9 +185,9 @@ def rho_log_gradient(rho: np.ndarray, alpha: float, space: JetSpace) -> np.ndarr
 def rho_one_form(geom: Geometry) -> TensorField:
     """The one-form ``d(rho)/(alpha rho)`` of the rho-modified connection."""
 
-    def evaluator(point: Point, order: int) -> np.ndarray:
+    def evaluator(points: np.ndarray, order: int) -> np.ndarray:
         space = jet_space(geom.dim, order)
-        return rho_log_gradient(geom.rho_dense(point, order + 1), geom.alpha, space)
+        return rho_log_gradient(geom.rho_dense(points, order + 1), geom.alpha, space)
 
     return TensorField(geom.chart, "d", evaluator, name="d(rho)/(alpha rho)")
 
@@ -214,17 +211,17 @@ def rho_connection(geom: Geometry, base: Connection) -> Connection:
 
 
 class CurvaturePack:
-    """Curvature tensors of one connection, evaluated and memoized per point
-    or per batch of points (keyed by its rows).
+    """Curvature tensors of one connection, evaluated and memoized per batch
+    of points (keyed by its rows).
 
     :meth:`dense` returns the memoized, read-only dense jet array of a
     tensor by name: ``riemann`` ``R[a, b, c, d]``, ``ricci``, ``schouten``,
     ``beta``, ``weyl``, ``schouten_derivative`` ``nabla_a P_bc`` (indexed
     ``[a, b, c]``), ``cotton`` ``Y[a, b, c] = nabla_b P_ac - nabla_a P_bc``
     (see the module docstring) and, when the pack knows a metric, the
-    scalar curvature ``scalar``.  The Schouten family needs dim >= 3.  At a
-    batch of points ``(B, d)`` every array carries the batch axis just
-    before the coefficients.
+    scalar curvature ``scalar``.  The Schouten family needs dim >= 3.  Every
+    array carries the batch axis of its points ``(B, d)`` just before the
+    coefficients.
     """
 
     def __init__(self, conn: Connection, metric_field: TensorField | None = None):
@@ -236,80 +233,81 @@ class CurvaturePack:
     def dim(self) -> int:
         return self.conn.dim
 
-    def dense(self, name: str, point: Point | np.ndarray, order: int) -> np.ndarray:
+    def dense(self, name: str, points: np.ndarray, order: int) -> np.ndarray:
         """Memoized (read-only) dense jets of the tensor ``name`` (``riemann``,
-        ``ricci``, ``schouten``, ...) at a point or a batch of points."""
-        key = (name, point_key(point), order)
+        ``ricci``, ``schouten``, ...) at a batch of points."""
+        key = (name, point_key(points), order)
         hit = self._memo.get(key)
         if hit is None:
-            hit = getattr(self, "_build_" + name)(point, order)
+            hit = getattr(self, "_build_" + name)(points, order)
             hit.flags.writeable = False
             self._memo[key] = hit
         return hit
 
-    def _build_riemann(self, point: Point, order: int) -> np.ndarray:
+    def _build_riemann(self, points: np.ndarray, order: int) -> np.ndarray:
         d = self.dim
-        G = self.conn.dense(point, order + 1)
+        G = self.conn.dense(points, order + 1)
         dG = jet_gradient(G, jet_space(d, order + 1))  # dG[e, c, a, b] = d_e G[c, a, b]
         # A[a, b, c, e] = d_a G[c, b, e] + G[c, a, f] G[f, b, e]; R = A - A^(ab)
         A = dG.swapaxes(1, 2) + jet_einsum("caf,fbe->abce", G, G, jet_space(d, order))
         return A - A.swapaxes(0, 1)
 
-    def _build_ricci(self, point: Point, order: int) -> np.ndarray:
+    def _build_ricci(self, points: np.ndarray, order: int) -> np.ndarray:
         # Above order 0 the Riemann jets have no reader but this build, whose
         # result is memoized, so they are built without being stored.
         if order == 0:
-            R = self.dense("riemann", point, 0)
+            R = self.dense("riemann", points, 0)
         else:
-            R = self._build_riemann(point, order)
+            R = self._build_riemann(points, order)
         return np.einsum("eaeb...->ab...", R)
 
-    def _build_scalar(self, point: Point, order: int) -> np.ndarray:
+    def _build_scalar(self, points: np.ndarray, order: int) -> np.ndarray:
         if self.metric_field is None:
             raise ValueError("scalar curvature needs a metric")
         space = jet_space(self.dim, order)
-        g = self.metric_field.dense(point, order)
-        ric = self.dense("ricci", point, order)
+        g = self.metric_field.dense(points, order)
+        ric = self.dense("ricci", points, order)
         return jet_einsum("ab,ab->", jet_inverse(g, space), ric, space)
 
-    def _build_schouten(self, point: Point, order: int) -> np.ndarray:
+    def _build_schouten(self, points: np.ndarray, order: int) -> np.ndarray:
         n = self.dim - 1
-        ric = self.dense("ricci", point, order)
+        ric = self.dense("ricci", points, order)
         ric_t = ric.swapaxes(0, 1)
         return (ric + ric_t) * (0.5 / n) + (ric - ric_t) * (0.5 / (n + 2))
 
-    def _build_beta(self, point: Point, order: int) -> np.ndarray:
-        P = self.dense("schouten", point, order)
+    def _build_beta(self, points: np.ndarray, order: int) -> np.ndarray:
+        P = self.dense("schouten", points, order)
         return P.swapaxes(0, 1) - P
 
-    def _build_weyl(self, point: Point, order: int) -> np.ndarray:
+    def _build_weyl(self, points: np.ndarray, order: int) -> np.ndarray:
         eye = np.eye(self.dim)
-        P = self.dense("schouten", point, order)
+        P = self.dense("schouten", points, order)
         return (
-            self.dense("riemann", point, order)
+            self.dense("riemann", points, order)
             - np.einsum("ca,be...->abce...", eye, P)
             + np.einsum("cb,ae...->abce...", eye, P)
-            - np.einsum("ce,ab...->abce...", eye, self.dense("beta", point, order))
+            - np.einsum("ce,ab...->abce...", eye, self.dense("beta", points, order))
         )
 
-    def _build_schouten_derivative(self, point: Point, order: int) -> np.ndarray:
+    def _build_schouten_derivative(self, points: np.ndarray, order: int) -> np.ndarray:
         d = self.dim
         space = jet_space(d, order)
-        P = self.dense("schouten", point, order + 1)
-        G = self.conn.dense(point, order)
+        P = self.dense("schouten", points, order + 1)
+        G = self.conn.dense(points, order)
         return (
             jet_gradient(P, jet_space(d, order + 1))
             - jet_einsum("eab,ec->abc", G, P, space)
             - jet_einsum("eac,be->abc", G, P, space)
         )
 
-    def _build_cotton(self, point: Point, order: int) -> np.ndarray:
-        dP = self.dense("schouten_derivative", point, order)
+    def _build_cotton(self, points: np.ndarray, order: int) -> np.ndarray:
+        dP = self.dense("schouten_derivative", points, order)
         return dP.swapaxes(0, 1) - dP
 
-    def riemann(self, point: Point, order: int) -> np.ndarray:
-        """``dense("riemann", point, order)``; kept as a method because the
-        benchmark tracer (``perfbench/tracer.py``) counts its calls."""
+    def riemann(self, point: np.ndarray, order: int) -> np.ndarray:
+        """``dense("riemann", point, order)`` at a batch of points ``point``;
+        kept as a method, with its parameter names, because the benchmark
+        tracer (``perfbench/tracer.py``) counts its calls."""
         return self.dense("riemann", point, order)
 
 
@@ -335,10 +333,10 @@ def covariant_derivative(
     w = field.weight
     idx = _AXES[: len(variance)]
 
-    def evaluator(point: Point, order: int) -> np.ndarray:
+    def evaluator(points: np.ndarray, order: int) -> np.ndarray:
         space, upper = jet_space(d, order), jet_space(d, order + 1)
-        comps = field.dense(point, order + 1)
-        G = conn.dense(point, order)
+        comps = field.dense(points, order + 1)
+        G = conn.dense(points, order)
         out = jet_gradient(comps, upper)
         for slot, var in enumerate(variance):
             moved = idx[:slot] + "e" + idx[slot + 1:]
@@ -347,7 +345,7 @@ def covariant_derivative(
             else:
                 out = out - jet_einsum(f"ea{idx[slot]},{moved}->a{idx}", G, comps, space)
         if w != 0.0:
-            tg = conn.trace_gamma(point, order) * (sign * w / (d + 1))
+            tg = conn.trace_gamma(points, order) * (sign * w / (d + 1))
             out = out + jet_einsum(f"a,{idx}->a{idx}", tg, comps, space)
         return out
 
@@ -378,9 +376,9 @@ def canonical_tau(geom: Geometry) -> TensorField:
     gfield = geom.metric_field()
     power = -1.0 / (geom.dim + 1)
 
-    def component(point: Point, order: int) -> np.ndarray:
+    def component(points: np.ndarray, order: int) -> np.ndarray:
         space = jet_space(geom.dim, order)
-        det = jet_determinant(gfield.dense(point, order), space)
+        det = jet_determinant(gfield.dense(points, order), space)
         return jet_function("pow", det * np.sign(det[..., :1]), space, power)
 
     return TensorField(geom.chart, "", component, weight=2.0, name="tau")

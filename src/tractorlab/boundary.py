@@ -76,8 +76,6 @@ __all__ = [
     "normalize_boundary_connection",
 ]
 
-Point = Sequence[float]
-
 
 class BoundaryExtensionError(RuntimeError):
     """A quantity that should extend to the boundary diverges there."""
@@ -95,12 +93,14 @@ def extended_christoffels(conn, ladders: Sequence[Ladder]) -> list[np.ndarray]:
     smoothly to ``rho = 0``, one per ladder.
 
     Uses the exact closed-form extension when the geometry provides one,
-    otherwise Richardson extrapolation along the ladders.  Divergence raises
+    evaluated once at the ladders' boundary points, otherwise Richardson
+    extrapolation along the ladders.  Divergence raises
     :class:`BoundaryExtensionError` for the first diverged ladder (the
     projectively-noncompact controls end up here).
     """
     if conn.exact_boundary is not None:
-        return [conn.exact_boundary(ladder.y, 0)[..., 0] for ladder in ladders]
+        ys = np.array([ladder.y for ladder in ladders]).reshape(-1, conn.dim)
+        return list(np.moveaxis(conn.exact_boundary(ys, 0)[..., 0], -1, 0))
     ests = boundary_limit(lambda p: conn.christoffel_values(p, 0), ladders)
     for ladder, est in zip(ladders, ests):
         if est.diverged:
@@ -148,15 +148,15 @@ class TransversalCurve:
         v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
         return x, v
 
-    def at_rho(self, eps) -> tuple[np.ndarray, np.ndarray]:
-        """Point and velocity on the curve where rho equals ``eps``; at an
-        array of levels, the points and velocities ``(len(eps), d)``.
+    def at_rho(self, eps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities ``(len(eps), d)`` on the curve where rho
+        equals each level of ``eps``.
 
         The levels share one Newton, each on its own Hermite step, and a
         level keeps its parameter once it converges, so it takes the steps
         it would take alone.  Raises :class:`GeometryError` when Newton does
         not bring rho within tolerance of a level (naming the lowest)."""
-        targets = np.atleast_1d(np.asarray(eps, dtype=float))
+        targets = np.asarray(eps, dtype=float)
         unreached = (targets <= 0) | (targets > float(self.rhos.max()))
         if unreached.any():
             raise ValueError(
@@ -171,7 +171,7 @@ class TransversalCurve:
             val = rho - targets
             open_ = ~(np.abs(val) <= 1e-14 * (1 + targets))
             if not open_.any():
-                return (x, v) if np.ndim(eps) else (x[0], v[0])
+                return x, v
             slope = value_dot(grad, v.T) * h
             s[open_] = np.clip(s[open_] - val[open_] / slope[open_], -0.5, 1.5)
         raise GeometryError(
@@ -218,8 +218,8 @@ def geodetic_transversals(
     gfield = geom.metric_field()
     ys = np.array([ladder.y for ladder in ladders])
     directions = np.array([ladder.direction for ladder in ladders])
-    for y, mu0 in zip(ys, directions):
-        pairing = float(geom.drho(y) @ mu0)
+    for grad, mu0 in zip(geom.rho_and_drho(ys)[1].T, directions):
+        pairing = float(grad @ mu0)  # the 1-D dot, row by row
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
     # (d, d, d, B), the layout of a batched christoffel_values
@@ -294,41 +294,54 @@ def geodetic_transversals(
 # -- projective second fundamental form ---------------------------------------
 
 
-def tangential_basis(geom: Geometry, y: Point) -> np.ndarray:
-    """Euler-chart orthonormal basis of ker d(rho) at a boundary point.
+def tangential_basis(geom: Geometry, ys: np.ndarray) -> list[np.ndarray]:
+    """Euler-chart orthonormal bases of ker d(rho) at a batch of boundary
+    points ``(B, d)``, one ``(d, d-1)`` matrix of tangent columns per point,
+    from one rho run at all of them.
 
     Gram-Schmidt of the coordinate directions against d(rho) in the chart
-    Euclidean inner product; deterministic, so reports diff cleanly.  All
-    downstream assertions are basis-covariant.
+    Euclidean inner product, point by point with 1-D dots; deterministic,
+    so reports diff cleanly.  All downstream assertions are
+    basis-covariant.
     """
     d = geom.dim
-    grad = geom.drho(y)
-    nu = grad / math.sqrt(float(grad @ grad))
-    basis = []
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        v = v - (v @ nu) * nu
-        for e in basis:
-            v = v - (v @ e) * e
-        norm = math.sqrt(float(v @ v))
-        if norm > 0.3:
-            basis.append(v / norm)
-        if len(basis) == d - 1:
-            break
-    if len(basis) != d - 1:
-        raise GeometryError(f"could not build a tangential basis at {tuple(y)}")
-    return np.array(basis).T  # columns are the tangent vectors
+    bases = []
+    for y, grad in zip(ys, geom.rho_and_drho(ys)[1].T):
+        nu = grad / math.sqrt(float(grad @ grad))
+        basis = []
+        for i in range(d):
+            v = np.zeros(d)
+            v[i] = 1.0
+            v = v - (v @ nu) * nu
+            for e in basis:
+                v = v - (v @ e) * e
+            norm = math.sqrt(float(v @ v))
+            if norm > 0.3:
+                basis.append(v / norm)
+            if len(basis) == d - 1:
+                break
+        if len(basis) != d - 1:
+            raise GeometryError(
+                f"could not build a tangential basis at {tuple(y.tolist())}"
+            )
+        bases.append(np.array(basis).T)  # columns are the tangent vectors
+    return bases
 
 
-def hessian_of_rho(geom: Geometry, y: Point, gamma_values: np.ndarray) -> np.ndarray:
-    """Value matrix of the covariant Hessian of rho at a boundary point."""
-    return _covariant_hessian(geom.rho_dense(y, 2), gamma_values)
+def hessian_of_rho(
+    geom: Geometry, ys: np.ndarray, gamma_values: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Value matrices of the covariant Hessian of rho at a batch of boundary
+    points ``(B, d)``, with ``gamma_values[k]`` the connection values at
+    point ``k``; one order-2 rho run serves every point."""
+    rho2 = geom.rho_dense(ys, 2)
+    return [_covariant_hessian(r, gamma) for r, gamma in zip(rho2, gamma_values)]
 
 
 def _covariant_hessian(rho2: np.ndarray, gamma_values: np.ndarray) -> np.ndarray:
-    """``d_a d_b rho - Gamma^e_ab d_e rho`` (values) from the order-2 dense
-    jet of rho."""
+    """``d_a d_b rho - Gamma^e_ab d_e rho`` (values) at one point from its
+    order-2 dense rho jet ``(ncoeff,)`` and connection values ``(d, d,
+    d)``."""
     d = len(gamma_values)
     grad = jet_gradient(rho2, jet_space(d, 2))
     hess = jet_gradient(grad, jet_space(d, 1))[..., 0]
@@ -373,17 +386,19 @@ def second_fundamental_form(
             np.einsum("ca,b->cab", eye, one_form) + np.einsum("cb,a->cab", eye, one_form)
         )
 
+    gammas = extended_christoffels(calc.hat, ladders)
+    ys = np.array([ladder.y for ladder in ladders])
+    rho2s = geom.rho_dense(ys, 2)
     forms = []
-    for ladder, gamma0 in zip(ladders, extended_christoffels(calc.hat, ladders)):
+    for ladder, rho2, gamma0, E in zip(ladders, rho2s, gammas, tangential_basis(geom, ys)):
         y = ladder.y
-        full = hessian_of_rho(geom, y, gamma0)
-        E = tangential_basis(geom, y)
+        full = _covariant_hessian(rho2, gamma0)
         tang = E.T @ full @ E
         scale = float(np.max(np.abs(tang))) + 1e-30
 
         # (a) projective invariance of the tangential restriction
         ups = rng.uniform(-0.8, 0.8, size=d)
-        tang_proj = E.T @ hessian_of_rho(geom, y, modified(gamma0, ups)) @ E
+        tang_proj = E.T @ _covariant_hessian(rho2, modified(gamma0, ups)) @ E
         proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
 
         # (b) conformal covariance under rho -> exp(f) rho with linear f; the
@@ -393,7 +408,7 @@ def second_fundamental_form(
         f = np.zeros(space2.ncoeff)
         f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
         f[1 : 1 + d] = fcoef[1:]
-        rho_new = jet_mul(jet_function("exp", f, space2), geom.rho_dense(y, 2), space2)
+        rho_new = jet_mul(jet_function("exp", f, space2), rho2, space2)
         hess_new = _covariant_hessian(rho_new, modified(gamma0, fcoef[1:] / geom.alpha))
         tang_new = E.T @ hess_new @ E
         factor = math.exp(f[0])
@@ -413,9 +428,10 @@ def second_fundamental_form(
 # Each is the value at an interior point whose boundary limit a check or
 # ``tractorlab eval`` extrapolates; checks, boundary routines and the command
 # line all call these, so a quantity and the check that judges it share one
-# formula.  Each takes a point or a batch of points ``(B, d)`` (the stacked
-# ladders of a check) and returns the value with its tensor axes first and
-# the batch axis last, the layout of a dense jet array's ``[..., 0]`` slice.
+# formula.  Each takes a batch of points ``(B, d)`` (the stacked ladders of
+# a check, or one point as a batch of one) and returns the values with the
+# tensor axes first and the batch axis last, the layout of a dense jet
+# array's ``[..., 0]`` slice.
 
 
 def scalar_curvature(calc: TractorCalculus, p) -> np.ndarray:
@@ -530,10 +546,11 @@ def asymptotic_h(
 
     h_ests = boundary_limit(lambda p: h_form(calc, C, p), ladders)
     h_limits = [np.asarray(est.value) for est in h_ests]
+    judged = [(ladder, est) for ladder, est in zip(ladders, h_ests) if not est.diverged]
     min_eigs = []
-    for ladder, est in zip(ladders, h_ests):
-        if not est.diverged:
-            E = tangential_basis(geom, ladder.y)
+    if judged:
+        ys = np.array([ladder.y for ladder, _ in judged])
+        for (_, est), E in zip(judged, tangential_basis(geom, ys)):
             tang = E.T @ np.asarray(est.value) @ E
             min_eigs.append(float(np.min(np.abs(np.linalg.eigvalsh(tang)))))
     h_errors = [est.error for est in h_ests]
@@ -614,7 +631,8 @@ def boundary_frame(
     calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> list[BoundaryFrame]:
     """Assemble the boundary tractor data at the ladders' points by
-    extrapolation along the ladders, one frame per ladder."""
+    extrapolation along the ladders, one frame per ladder; d(rho) and the
+    tangential bases come from rho runs at all the points together."""
     geom = calc.geom
     d = geom.dim
     n = d - 1
@@ -622,8 +640,12 @@ def boundary_frame(
     samples = ladder_samples(lambda p: l_tau(calc, p, 0, calc.reference).values(), ladders)
     eps = np.concatenate([ladder.eps for ladder in ladders])
     est_taus = boundary_limit(lambda p: calc.tau.dense(p, 0)[..., 0] / eps, ladders)
+    ys = np.array([ladder.y for ladder in ladders])
+    drhos = geom.rho_and_drho(ys)[1].T
     frames = []
-    for ladder, grams, est_tau in zip(ladders, samples, est_taus):
+    for ladder, grams, est_tau, drho, E in zip(
+        ladders, samples, est_taus, drhos, tangential_basis(geom, ys)
+    ):
         y = ladder.y
         est_gram = richardson_limit(grams)
         if est_gram.diverged or est_tau.diverged:
@@ -647,9 +669,6 @@ def boundary_frame(
         t_vec = tau_hat * gram_inv[0, 1:] / 2.0
         psi = tau_hat * gram_inv[0, 0]
         gamma_full = gram[1:, 1:] / tau_hat
-        drho = geom.drho(y)
-
-        E = tangential_basis(geom, y)
         gamma_t = E.T @ gamma_full @ E
         gamma_t_inv = np.linalg.inv(gamma_t)
 

@@ -6,7 +6,7 @@ report; the exit code is 0 only when no check failed (skips do not fail),
 1 when any check failed or errored, 2 on configuration problems.
 
 ``tractorlab eval`` evaluates a single named quantity at a point, either
-directly (interior) or by boundary extrapolation.
+directly (interior, as a batch of one point) or by boundary extrapolation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -64,10 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--geometry", required=True,
                        help="builtin geometry name or path to a JSON document")
-        p.add_argument("--dim", type=int, default=4,
-                       help="chart dimension for builtin geometries")
+        p.add_argument("--dim", type=int, default=None,
+                       help="chart dimension of a builtin geometry (default 4); "
+                       "with a document, it must match the document's dim")
         p.add_argument("--param", action="append", default=[],
-                       metavar="K=V", help="geometry parameter (repeatable)")
+                       metavar="K=V",
+                       help="builtin geometry parameter (repeatable)")
         p.add_argument("--eps0", type=float, default=plan["eps0"])
         p.add_argument("--levels", type=int, default=plan["levels"])
         p.add_argument("--seed", type=int, default=plan["seed"])
@@ -113,18 +114,30 @@ def _parse_params(items) -> dict:
 def _make_geometry(args) -> Geometry:
     source = args.geometry
     if source in BUILTIN_NAMES:
+        dim = 4 if args.dim is None else args.dim
         try:
-            return builtin_geometry(source, args.dim, **_parse_params(args.param))
+            return builtin_geometry(source, dim, **_parse_params(args.param))
         except (GeometryError, ExprError, JetError) as err:
             raise ConfigError(str(err)) from err
     path = Path(source)
     if path.exists():
+        if args.param:
+            raise ConfigError(
+                f"--param applies to builtin geometries only; the document "
+                f"{source!r} defines its own"
+            )
         try:
             doc = json.loads(path.read_text())
-            return load_geometry(doc)
+            geom = load_geometry(doc)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, GeometryError,
                 ExprError, JetError) as err:
             raise ConfigError(f"could not load geometry {source!r}: {err}") from err
+        if args.dim is not None and args.dim != geom.dim:
+            raise ConfigError(
+                f"--dim {args.dim} does not match the dim {geom.dim} of the "
+                f"document {source!r}"
+            )
+        return geom
     raise ConfigError(
         f"unknown geometry {source!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "
         "and not an existing file"
@@ -132,18 +145,9 @@ def _make_geometry(args) -> Geometry:
 
 
 def _make_plan(args) -> SamplingPlan:
-    seed = args.seed
-    env_seed = os.environ.get("TRACTORLAB_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"TRACTORLAB_SEED must be an integer, got {env_seed!r}"
-            ) from None
     try:
         return SamplingPlan(
-            seed=seed,
+            seed=args.seed,
             interior_points=args.points,
             boundary_points=args.boundary_points,
             eps0=args.eps0,
@@ -254,14 +258,15 @@ def _eval_quantity(geom, args, plan):
             )
         return c
 
-    def pointwise(p):
+    def pointwise(points):
         if quantity == "h_asymptotic":
-            return bdy.h_form(calc, constructor_c(), p)
+            return bdy.h_form(calc, constructor_c(), points)
         try:
-            return bdy.POINT_QUANTITIES[quantity](calc, p)
+            return bdy.POINT_QUANTITIES[quantity](calc, points)
         except np.linalg.LinAlgError:
+            where = ", ".join(str(tuple(row)) for row in points.tolist())
             raise ConfigError(
-                f"the Schouten tensor is singular at {p}, so {quantity} is undefined"
+                f"the Schouten tensor is singular at {where}, so {quantity} is undefined"
             ) from None
 
     if args.point is not None:
@@ -269,7 +274,7 @@ def _eval_quantity(geom, args, plan):
         if quantity == "phi":
             raise ConfigError("phi lives on the boundary; use --boundary-point")
         try:
-            return pointwise(p), None
+            return pointwise(np.array([p]))[..., 0], None
         except JetError as err:
             raise ConfigError(
                 f"pole at {p}; evaluate at a boundary point with --extrapolate "
@@ -279,8 +284,9 @@ def _eval_quantity(geom, args, plan):
     if args.boundary_point is None:
         raise ConfigError("need --point or --boundary-point")
     y = _parse_point(args.boundary_point, d)
-    if not geom.is_boundary_point(y, tol=1e-8):
-        raise ConfigError(f"{y} is not on the boundary (rho = {geom.rho_value(y):g})")
+    (rho,) = geom.rho_value(np.array([y]))
+    if not abs(rho) <= 1e-8:
+        raise ConfigError(f"{y} is not on the boundary (rho = {rho:g})")
     if not args.extrapolate:
         raise ConfigError(
             "boundary evaluation needs --extrapolate (direct evaluation hits "
@@ -302,7 +308,7 @@ def _eval_quantity(geom, args, plan):
             f"{quantity} diverges along the ray into {y}; no boundary value"
         )
     if quantity == "gamma":
-        E = bdy.tangential_basis(geom, y)
+        (E,) = bdy.tangential_basis(geom, np.array([y]))
         tangential = E.T @ np.asarray(est.value) @ E
         return {"full": np.asarray(est.value), "tangential": tangential}, est.error
     return est.value, est.error

@@ -21,9 +21,9 @@ Expressions are evaluated only through a compiled :class:`Tape`:
 which identical subtrees share a slot, integer powers are products and
 constant subtrees are folded to floats (a fold without a finite real value
 raises :class:`ExprError`).  The tape runs on dense jet rows with the
-kernels of module ``jets``, at one point or at a batch of points; fields,
-the defining function and the asymptotic-form constant ``C`` of a geometry
-are evaluated this way, the last as an order-0 jet.
+kernels of module ``jets``, at a batch of points ``(B, n)``; fields, the
+defining function and the asymptotic-form constant ``C`` of a geometry are
+evaluated this way, the last as an order-0 jet.
 """
 
 from __future__ import annotations
@@ -633,13 +633,14 @@ class Tape:
         """Number of instructions."""
         return len(self.code)
 
-    def run(self, point: Sequence[float] | np.ndarray, space: JetSpace) -> np.ndarray:
-        """Dense jets ``(n_outputs, ncoeff)`` of the outputs at a point whose
-        coordinates follow ``variables`` (``space.dim`` of them), or
-        ``(n_outputs, B, ncoeff)`` at a batch of points ``(B, n)``."""
-        pts = np.asarray(point, dtype=float)
+    def run(self, points: np.ndarray, space: JetSpace) -> np.ndarray:
+        """Dense jets ``(n_outputs, B, ncoeff)`` of the outputs at a batch of
+        points ``(B, n)`` whose coordinates follow ``variables`` (``space.dim``
+        of them)."""
+        rows = np.asarray(points, dtype=float)
         n = len(self.variables)
-        rows = pts.reshape(-1, n)  # one point per row
+        if rows.shape[1:] != (n,):
+            raise ValueError(f"points must be a (B, {n}) array, got shape {rows.shape}")
         slots = np.zeros((self.n_slots, len(rows), space.ncoeff))
         slots[:n, :, 0] = rows.T
         if space.order >= 1:
@@ -661,8 +662,7 @@ class Tape:
                 slots[out] = -x
             else:
                 slots[out] = jet_function(op, x, space, param)
-        out = slots[self.outputs]
-        return out if pts.ndim == 2 else out[:, 0]
+        return slots[self.outputs]
 
 
 def compile_tape(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:

@@ -12,7 +12,7 @@ A ladder is placed once per boundary point (:func:`boundary_ladder`, with
 at that point.
 
 A check's ladders are evaluated as one batch: a point function takes their
-``Ladder.batch`` rows stacked in order, ``(L·levels, d)``, and returns its
+``Ladder.points`` rows stacked in order, ``(L·levels, d)``, and returns its
 values with the batch axis last, as the dense jet arrays of the curvature
 and tractor layers carry it; samples and limits come back one per ladder
 (:func:`ladder_samples`, :func:`boundary_limit`).  This module is the only
@@ -22,7 +22,6 @@ level when a stacked evaluation raises.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,7 +39,6 @@ __all__ = [
     "ladder_samples",
 ]
 
-Point = Sequence[float]
 PointFunction = Callable[[np.ndarray], object]
 
 #: The ratio of consecutive ``rho`` levels of every ladder.  A power of two,
@@ -122,32 +120,27 @@ def richardson_limit(samples: Sequence) -> LimitEstimate:
 @dataclass(frozen=True, eq=False)
 class Ladder:
     """Interior points approaching the boundary point ``y`` along the ray
-    ``direction``: ``points[k]`` has ``rho`` equal to ``eps[k]``, and
-    ``batch`` holds the same points as one ``(levels, d)`` array.  Ladders
-    compare by identity, since ``direction`` is an array."""
+    ``direction``: ``points`` is a read-only ``(levels, d)`` array whose row
+    ``k`` has ``rho`` equal to ``eps[k]``.  Ladders compare by identity,
+    since ``direction`` and ``points`` are arrays."""
 
     y: tuple
     direction: np.ndarray
     eps: tuple
-    points: tuple
-
-    @functools.cached_property
-    def batch(self) -> np.ndarray:
-        out = np.array(self.points)
-        out.flags.writeable = False
-        return out
+    points: np.ndarray
 
 
 def boundary_ladder(
     geom: Geometry,
-    y: Point,
+    y: Sequence[float],
     direction: np.ndarray | None = None,
     *,
     eps0: float,
     levels: int,
 ) -> Ladder:
-    """Place the interior points on the inward ray from ``y`` with ``rho``
-    exactly on the dyadic ladder ``eps0 / RATIO^k``, ``k < levels``.
+    """Place the interior points on the inward ray from the boundary point
+    ``y`` (its ``d`` coordinates) with ``rho`` exactly on the dyadic ladder
+    ``eps0 / RATIO^k``, ``k < levels``.
 
     The ray leaves ``y`` along ``direction`` (default: the chart gradient
     direction normalized so ``d(rho) = 1``); every level is Newton
@@ -159,7 +152,7 @@ def boundary_ladder(
     """
     y = np.asarray(y, dtype=float)
     if direction is None:
-        direction = geom.inward_direction(y)
+        direction = geom.inward_direction(y[None])[0]
     direction = np.asarray(direction, dtype=float)
     eps = tuple(eps0 / RATIO**k for k in range(levels))
     target = np.array(eps)
@@ -190,7 +183,8 @@ def boundary_ladder(
         raise GeometryError(
             f"could not place a ladder point at rho={eps[k]:g} from {tuple(y)}"
         )
-    points = tuple(tuple(float(v) for v in y + sk * direction) for sk in s)
+    points = y + s[:, None] * direction
+    points.flags.writeable = False
     return Ladder(tuple(float(v) for v in y), direction, eps, points)
 
 
@@ -198,23 +192,23 @@ def ladder_samples(f: PointFunction, ladders: Sequence[Ladder]) -> list[np.ndarr
     """The samples of a point function along placed ladders, one array per
     ladder, level first.
 
-    ``f`` is called once, on the ladders' ``batch`` rows stacked in order,
+    ``f`` is called once, on the ladders' ``points`` rows stacked in order,
     and returns its values with the batch axis last (the layout of a dense
     jet array's ``[..., 0]`` slice); the batch axis is moved to the front
     and split at the ladders.  When the stacked call raises, the ladders
-    are rerun one at a time, level by level, only to raise the first
-    failing level's own error, which names that level's point where the
-    point function names one.
+    are rerun one at a time, level by level, each level as a batch of one,
+    only to raise the first failing level's own error, which names that
+    level's point where the point function names one.
     """
     if not ladders:
         return []
-    batch = np.concatenate([lad.batch for lad in ladders])
+    batch = np.concatenate([lad.points for lad in ladders])
     try:
         values = np.asarray(f(batch), dtype=float)
     except Exception:
         for ladder in ladders:
-            for p in ladder.points:
-                f(p)
+            for k in range(len(ladder.points)):
+                f(ladder.points[k : k + 1])
         raise
     ends = np.cumsum([len(lad.points) for lad in ladders])[:-1]
     return np.split(np.moveaxis(values, -1, 0), ends)

@@ -37,33 +37,20 @@ __all__ = [
     "GEOMETRY_DOC_SCHEMA",
 ]
 
-Point = Sequence[float]
 
-#: |rho| below this counts as "on the boundary" for in-chart points.
-BOUNDARY_TOL = 1e-10
-
-
-def is_batch(point) -> bool:
-    """True for a batch of points: a ``(B, dim)`` array."""
-    return isinstance(point, np.ndarray) and point.ndim == 2
+def point_key(points: np.ndarray) -> bytes:
+    """Memo key of a batch of points ``(B, dim)``: the bytes of its rows, so
+    that every evaluation on the same rows shares one entry."""
+    return np.ascontiguousarray(points, dtype=float).tobytes()
 
 
-def point_key(point) -> tuple | bytes:
-    """Memo key of a point (its coordinates) or of a batch of points (the
-    bytes of its rows), so that every evaluation on the same rows shares one
-    entry."""
-    if is_batch(point):
-        return np.ascontiguousarray(point, dtype=float).tobytes()
-    return tuple(point)
-
-
-# -- values at a point or a batch ---------------------------------------------
+# -- values at a batch of points -----------------------------------------------
 #
 # A value array is the ``[..., 0]`` slice of a dense jet array: the tensor
-# axes, then the batch axis of a batch of points.  These helpers do the
-# linear algebra of such arrays one matrix at a time, through the same
-# LAPACK and BLAS calls a single point makes, so a batch gives each row
-# bit for bit what its point gives.
+# axes, then the batch axis.  These helpers do the linear algebra of such
+# arrays one matrix at a time, through the LAPACK and BLAS calls of a single
+# matrix, so each row gets the same bits in a batch of one as in a larger
+# batch.
 
 
 def _stack(x: np.ndarray, rank: int) -> np.ndarray:
@@ -77,37 +64,37 @@ def _unstack(x: np.ndarray, rank: int) -> np.ndarray:
 
 
 def value_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a value matrix ``(d, d)``, or of each of ``(d, d, B)``."""
+    """Inverse of each value matrix of ``(d, d, B)``."""
     return _unstack(np.linalg.inv(_stack(m, 2)), 2)
 
 
 def value_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m @ v`` for a value matrix ``(d, d, ...)`` and vector ``(d, ...)``."""
+    """``m @ v`` for value matrices ``(d, d, B)`` and vectors ``(d, B)``."""
     return _unstack((_stack(m, 2) @ _stack(v, 1)[..., None])[..., 0], 1)
 
 
 def value_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for value matrices ``(d, d, ...)``."""
+    """``a @ b`` for value matrices ``(d, d, B)``."""
     return _unstack(_stack(a, 2) @ _stack(b, 2), 2)
 
 
 def value_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` for a value vector ``(d, ...)`` and matrix ``(d, d, ...)``."""
+    """``v @ m`` for value vectors ``(d, B)`` and matrices ``(d, d, B)``."""
     return _unstack((_stack(v, 1)[..., None, :] @ _stack(m, 2))[..., 0, :], 1)
 
 
-def value_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
-    """``u @ v`` for value vectors ``(d, ...)``."""
+def value_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u @ v`` for value vectors ``(d, B)``: ``(B,)``."""
     return (_stack(u, 1)[..., None, :] @ _stack(v, 1)[..., None])[..., 0, 0]
 
 
-def value_trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
-    """``sum_ij a_ij b_ij`` for value matrices ``(d, d, ...)``."""
+def value_trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_ij a_ij b_ij`` for value matrices ``(d, d, B)``: ``(B,)``."""
     return np.sum(_stack(a * b, 2), axis=(-2, -1))
 
 
 def value_outer(u: np.ndarray) -> np.ndarray:
-    """``u_i u_j`` for a value vector ``(d, ...)``."""
+    """``u_i u_j`` for value vectors ``(d, B)``."""
     return u[:, None] * u[None, :]
 
 
@@ -131,21 +118,15 @@ class Chart:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def coords(self, point: Point | np.ndarray) -> np.ndarray:
-        """Coordinates of a point, or of a batch of points ``(B, dim)``, as
-        floats, checked against the chart."""
-        if is_batch(point):
-            point = point.astype(float, copy=False)
-            if point.shape[1] != self.dim:
-                raise GeometryError(
-                    f"points have {point.shape[1]} coordinates, chart has {self.dim}"
-                )
-            return point
-        if len(point) != self.dim:
+    def coords(self, points: np.ndarray) -> np.ndarray:
+        """Coordinates of a batch of points ``(B, dim)`` as floats, checked
+        against the chart; one point is a batch of one."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[1:] != (self.dim,):
             raise GeometryError(
-                f"point has {len(point)} coordinates, chart has {self.dim}"
+                f"points must be a (B, {self.dim}) array, got shape {points.shape}"
             )
-        return np.asarray(point, dtype=float)
+        return points
 
 
 def _canonical_index(idx: tuple[int, ...], sym: tuple[tuple[int, int], ...]):
@@ -168,18 +149,17 @@ class TensorField:
     component array axes follow the same order.  ``weight`` is the projective
     density weight.  ``sym`` lists axis pairs in which the field is declared
     symmetric; evaluation only touches a canonical representative per orbit,
-    so declared symmetries hold exactly.  ``evaluator(point, order)`` returns
-    the dense jet array of shape ``(dim,) * rank + (ncoeff,)`` (module
-    ``jets``); evaluators may also take a batch of points ``(B, dim)`` and
-    return ``(dim,) * rank + (B, ncoeff)``, which :meth:`dense` passes
-    through.
+    so declared symmetries hold exactly.  ``evaluator(points, order)`` takes
+    a batch of points ``(B, dim)`` and returns the dense jet array of shape
+    ``(dim,) * rank + (B, ncoeff)`` (module ``jets``), which :meth:`dense`
+    passes through.
     """
 
     def __init__(
         self,
         chart: Chart,
         variance: str,
-        evaluator: Callable[[Point, int], np.ndarray],
+        evaluator: Callable[[np.ndarray, int], np.ndarray],
         weight: float = 0.0,
         name: str = "",
         sym: tuple[tuple[int, int], ...] = (),
@@ -199,14 +179,12 @@ class TensorField:
     def rank(self) -> int:
         return len(self.variance)
 
-    def dense(self, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """Every component as one dense jet array, shape
-        ``(dim,) * rank + (ncoeff,)``; at a batch of points ``(B, dim)`` the
-        shape is ``(dim,) * rank + (B, ncoeff)``."""
-        out = np.asarray(self._evaluator(point, order))
-        batch = point.shape[:1] if is_batch(point) else ()
-        expected = (self.chart.dim,) * self.rank + batch + (
-            jet_space(self.chart.dim, order).ncoeff,
+    def dense(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Every component at a batch of points ``(B, dim)`` as one dense jet
+        array, shape ``(dim,) * rank + (B, ncoeff)``."""
+        out = np.asarray(self._evaluator(points, order))
+        expected = (self.chart.dim,) * self.rank + (
+            len(points), jet_space(self.chart.dim, order).ncoeff,
         )
         if out.dtype == object or out.shape != expected:
             raise GeometryError(
@@ -262,23 +240,13 @@ class TensorField:
             out = rows[scatter]
             return out.reshape(shape + out.shape[1:])
 
-        def evaluator(point: Point, order: int) -> np.ndarray:
-            return read_rows(tape.run(chart.coords(point), jet_space(chart.dim, order)))
+        def evaluator(points: np.ndarray, order: int) -> np.ndarray:
+            return read_rows(tape.run(chart.coords(points), jet_space(chart.dim, order)))
 
         field = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
         field.tape = tape
         field.read_rows = read_rows
         return field
-
-    def symmetry_defect(self, point: Point, order: int = 1) -> float:
-        """Max deviation from the declared symmetries at one point."""
-        comps = self.dense(point, order)
-        worst = 0.0
-        for idx in np.ndindex(comps.shape[:-1]):
-            canon = _canonical_index(idx, self.sym)
-            if canon != idx:
-                worst = max(worst, float(np.max(np.abs(comps[idx] - comps[canon]))))
-        return worst
 
 
 # -- geometries ----------------------------------------------------------
@@ -314,39 +282,32 @@ class Geometry:
 
     # -- scalar rho ----------------------------------------------------
 
-    def rho_dense(self, points: Point | np.ndarray, order: int) -> np.ndarray:
-        """Dense rho jets ``(ncoeff,)`` at a point, ``(B, ncoeff)`` at a
-        batch of points ``(B, dim)``."""
+    def rho_dense(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Dense rho jets ``(B, ncoeff)`` at a batch of points ``(B, dim)``."""
         space = jet_space(self.dim, order)
         return self._rho_tape.run(self.chart.coords(points), space)[0]
 
-    def rho_value(self, point: Point | np.ndarray):
-        """rho at a point as a float; at a batch of points, the values
-        ``(B,)``."""
-        rho = self.rho_dense(point, 0)[..., 0]
-        return rho if is_batch(point) else float(rho)
+    def rho_value(self, points: np.ndarray) -> np.ndarray:
+        """rho at a batch of points ``(B, dim)``: the values ``(B,)``."""
+        return self.rho_dense(points, 0)[:, 0]
 
-    def rho_and_drho(self, point: Point | np.ndarray) -> tuple:
-        """rho and the components of d(rho) at a point, as floats; at a
-        batch of points ``(B, dim)``, the values ``(B,)`` and ``(dim, B)``."""
-        rho = self.rho_dense(point, 1)
-        grad = np.moveaxis(rho[..., 1 : 1 + self.dim], -1, 0)
-        return (rho[..., 0] if is_batch(point) else float(rho[0])), grad
+    def rho_and_drho(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """rho and the components of d(rho) at a batch of points ``(B,
+        dim)``: the values ``(B,)`` and ``(dim, B)``."""
+        rho = self.rho_dense(points, 1)
+        return rho[:, 0], rho[:, 1 : 1 + self.dim].T
 
-    def drho(self, point: Point) -> np.ndarray:
-        """Components of d(rho) at a point, as floats."""
-        return self.rho_and_drho(point)[1]
-
-    def is_boundary_point(self, point: Point, tol: float = BOUNDARY_TOL) -> bool:
-        return abs(self.rho_value(point)) <= tol
-
-    def inward_direction(self, point: Point) -> np.ndarray:
-        """Chart vector v with d(rho)(v) = 1, along the Euclidean gradient."""
-        grad = self.drho(point)
-        norm2 = float(grad @ grad)
-        if norm2 <= 1e-16:
-            raise GeometryError(f"d(rho) vanishes at {tuple(point)}")
-        return grad / norm2
+    def inward_direction(self, points: np.ndarray) -> np.ndarray:
+        """Chart vectors v with d(rho)(v) = 1 along the Euclidean gradient,
+        one row per point of a batch ``(B, dim)``."""
+        grads = self.rho_and_drho(points)[1].T
+        out = np.empty_like(grads)
+        for k, grad in enumerate(grads):
+            norm2 = float(grad @ grad)  # the 1-D dot, row by row
+            if norm2 <= 1e-16:
+                raise GeometryError(f"d(rho) vanishes at {tuple(points[k])}")
+            out[k] = grad / norm2
+        return out
 
     # -- metric --------------------------------------------------------
 
@@ -374,6 +335,8 @@ class Geometry:
     # -- sampling -------------------------------------------------------
 
     def interior_points(self, count: int, rng: np.random.Generator) -> list[tuple]:
+        """``count`` points of the interior box with ``rho > 0.05``, each
+        candidate drawn alone and evaluated as a batch of one."""
         if self.interior_box is None:
             raise GeometryError(f"geometry {self.name!r} has no interior box")
         lo, hi = self.interior_box
@@ -386,7 +349,7 @@ class Geometry:
                     f"could not sample {count} interior points of {self.name!r}"
                 )
             x = rng.uniform(lo, hi)
-            if self.rho_value(x) > 0.05:
+            if self.rho_value(x[None])[0] > 0.05:
                 pts.append(tuple(float(v) for v in x))
         return pts
 
@@ -437,8 +400,8 @@ def _row_reader(f: Callable, points: np.ndarray) -> Callable[[int], object]:
     never reads may lie outside the domain of rho), each row is evaluated
     only when read, alone, as a batch of one; so a caller that reads rows
     in order and stops early raises, or returns, exactly what evaluating
-    its points one at a time would.  A batch gives each row the bits of
-    its point, so either way the values are the point's.
+    its points one at a time would.  A row gets the same bits in a batch of
+    one as in the whole batch, so either way the values are the same.
     """
     try:
         values = f(points)
@@ -509,9 +472,9 @@ def _make_klein(dim: int) -> Geometry:
             g[i, j] = f"1/({rho}) + {cross}" if i == j else cross
     chart = Chart(coords)
 
-    def flat_hats(point, order):
+    def flat_hats(points, order):
         # The rho-modified connection of the Klein metric is the flat one.
-        return np.zeros((dim,) * 3 + (jet_space(dim, order).ncoeff,))
+        return np.zeros((dim,) * 3 + (len(points), jet_space(dim, order).ncoeff))
 
     return Geometry(
         name="klein",
@@ -622,7 +585,7 @@ def _make_asymptotic_form(
     c_node = _source_expr(C, coords, "C")
     try:
         tape = ex.compile_tape([c_node], coords)
-        c_val = float(tape.run(np.zeros(dim), jet_space(dim, 0))[0, 0])
+        c_val = float(tape.run(np.zeros((1, dim)), jet_space(dim, 0))[0, 0, 0])
     except (ex.ExprError, JetError) as err:
         raise GeometryError(
             f"asymptotic-form constant C has no value at the chart origin: {err}"
@@ -877,8 +840,8 @@ def _make_ray_boundary_sampler(geom: Geometry):
     ``_TREE_DEPTH`` steps can reach (:func:`_bisection_tree`) and then walks
     down it.  The march values and each tree midpoint are computed by the
     same float operations as in a search that probes one point at a time,
-    and a batch gives each row its point's bits, so the points returned and
-    the RNG draws are that search's.  A batch holds points the one-at-a-time
+    each as a batch of one, and a row gets the same bits in a larger batch,
+    so the points returned and the RNG draws are that search's.  A batch holds points the one-at-a-time
     search never evaluates; when its run raises, its rows are evaluated one
     at a time in the search's order (:func:`_row_reader`), so the search
     returns, or raises, what the one-at-a-time search does.

@@ -515,9 +515,10 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.n
     a batch axis before the coefficients broadcasts.
 
     A full contraction of two batches, or one that sums the last axis of
-    both operands, runs row by row: at one point numpy sums it with a
-    dot-product kernel, in another order than the rows of a batch, and each
-    row must equal its point."""
+    both operands, runs row by row: numpy sums such a contraction of one
+    row with a dot-product kernel, in another order than the rows of a
+    larger batch, and a row must get the same bits whether it sits in an
+    eval's batch of one or in a check's stacked rows."""
     ii, jj, _ = space.mul_table
     operands, out = spec.split("->")
     sa, sb = operands.split(",")

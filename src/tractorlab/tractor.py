@@ -25,14 +25,13 @@ tensoriality.  That map is derived once from the endomorphism change law by
 conjugation and is locked by instance tests on the metricity tractor, its
 inverse and the defining-density tractor.
 
-Every tractor quantity is a dense jet array (module ``jets``) of shape
-``(d,)*n_form + (n+2,)*n_tractor + (ncoeff,)``: spacetime form axes first
+Every tractor quantity is evaluated at a batch of points ``(B, d)`` (one
+point is a batch of one) as a dense jet array (module ``jets``) of shape
+``(d,)*n_form + (n+2,)*n_tractor + (B, ncoeff)``: spacetime form axes first
 (derivative index outermost), then the tractor axes in fiber layout, then
-the Taylor coefficients.  The connection matrices are ``(d, n+2, n+2,
-ncoeff)`` arrays indexed ``[a, i, j]``; curvatures are ``(d, d, n+2, n+2,
-ncoeff)``.  At a batch of points ``(B, d)`` every array carries the batch
-axis just before the coefficients, as in module ``jets``, and the same code
-serves both.
+the batch axis and the Taylor coefficients.  The connection matrices are
+``(d, n+2, n+2, B, ncoeff)`` arrays indexed ``[a, i, j]``; curvatures are
+``(d, d, n+2, n+2, B, ncoeff)``.
 
 The reference splitting of a geometry is the one of the rho-modified
 connection (smooth up to the boundary); the Levi-Civita splitting is the
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .affine import (
     rho_log_gradient,
     rho_one_form,
 )
-from .fields import Geometry, TensorField, is_batch
+from .fields import Geometry, TensorField
 from .jets import (
     JetSpace,
     jet_einsum,
@@ -89,8 +88,6 @@ __all__ = [
     "polynomial_tractor_section",
 ]
 
-Point = Sequence[float]
-
 #: Einsum letters for the axes of a tractor value ('a', 'x', 'y' are taken).
 _AXES = "bcdefghijk"
 
@@ -118,10 +115,10 @@ class Splitting:
 class TractorValue:
     """A pointwise tractor tensor: one dense jet array over ``space``.
 
-    ``data`` has shape ``(d,)*n_form + (n+2,)*len(tvariance) + (ncoeff,)``:
-    the spacetime form axes come first, then the tractor axes, whose
-    variance is one letter each (``u`` upper, ``d`` lower), then the batch
-    axis of a batch of points, if any.  Form axes are plain covariant
+    ``data`` has shape ``(d,)*n_form + (n+2,)*len(tvariance) + (B,
+    ncoeff)``: the spacetime form axes come first, then the tractor axes,
+    whose variance is one letter each (``u`` upper, ``d`` lower), then the
+    batch axis of its points.  Form axes are plain covariant
     spacetime slots that change-of-splitting leaves alone.
     """
 
@@ -167,7 +164,7 @@ def change_splitting(
     """Re-express a tractor tensor in the splitting offset by ``upsilon``.
 
     ``upsilon`` is the one-form of the *change* (target offset minus source
-    offset), a dense ``(d, ncoeff)`` jet array of at least the value's
+    offset), a dense ``(d, B, ncoeff)`` jet array of at least the value's
     order.  All tractor axes are transformed by the single fiber map ``S``
     (upper axes) or its inverse transpose (lower axes); this is a group
     action: composing changes by Y1 then Y2 equals one change by Y1 + Y2.
@@ -217,7 +214,7 @@ class TractorCalculus:
         self.levi_civita_splitting = Splitting(
             "levi_civita",
             TensorField(
-                geom.chart, "d", lambda point, order: -rho_form.dense(point, order)
+                geom.chart, "d", lambda points, order: -rho_form.dense(points, order)
             ),
         )
         self._connections: dict[str, Connection] = {
@@ -236,7 +233,7 @@ class TractorCalculus:
 
     def splitting(
         self,
-        upsilon: Callable[[Point, int], np.ndarray] | TensorField,
+        upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField,
         label: str | None = None,
     ) -> Splitting:
         """A splitting with the given offset one-form from the reference."""
@@ -267,35 +264,34 @@ class TractorCalculus:
             )
         return pack
 
-    def upsilon_jets(self, s: Splitting, point: Point, order: int) -> np.ndarray:
-        """Dense ``(d, ncoeff)`` offset of ``s`` from the reference
-        (``(d, B, ncoeff)`` at a batch of points)."""
+    def upsilon_jets(self, s: Splitting, points: np.ndarray, order: int) -> np.ndarray:
+        """Dense ``(d, B, ncoeff)`` offset of ``s`` from the reference at a
+        batch of points."""
         if s.upsilon is None:
-            batch = point.shape[:1] if is_batch(point) else ()
-            return np.zeros((self.dim,) + batch + (jet_space(self.dim, order).ncoeff,))
-        return s.upsilon.dense(point, order)
+            return np.zeros((self.dim, len(points), jet_space(self.dim, order).ncoeff))
+        return s.upsilon.dense(points, order)
 
     def change_upsilon(
-        self, source: Splitting, target: Splitting, point: Point, order: int
+        self, source: Splitting, target: Splitting, points: np.ndarray, order: int
     ) -> np.ndarray:
-        return self.upsilon_jets(target, point, order) - self.upsilon_jets(
-            source, point, order
+        return self.upsilon_jets(target, points, order) - self.upsilon_jets(
+            source, points, order
         )
 
-    def in_splitting(self, tv: TractorValue, target: Splitting, point: Point):
+    def in_splitting(self, tv: TractorValue, target: Splitting, points: np.ndarray):
         if tv.splitting == target:
             return tv
-        ups = self.change_upsilon(tv.splitting, target, point, tv.order)
+        ups = self.change_upsilon(tv.splitting, target, points, tv.order)
         return change_splitting(tv, ups, target)
 
     # -- scalar data ------------------------------------------------------
 
-    def tau_hat_dense(self, point: Point, order: int) -> np.ndarray:
-        """Dense jet ``(ncoeff,)`` of tau / rho at an interior point, or
-        ``(B, ncoeff)`` at a batch of points (smooth up to the boundary)."""
+    def tau_hat_dense(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Dense jets ``(B, ncoeff)`` of tau / rho at a batch of interior
+        points (smooth up to the boundary)."""
         space = jet_space(self.dim, order)
-        inv_rho = jet_reciprocal(self.geom.rho_dense(point, order), space)
-        return jet_mul(self.tau.dense(point, order), inv_rho, space)
+        inv_rho = jet_reciprocal(self.geom.rho_dense(points, order), space)
+        return jet_mul(self.tau.dense(points, order), inv_rho, space)
 
     def metricity_field(self) -> TensorField:
         """The metricity-equation candidate ``tau^-1 g^ab`` (weight -2)."""
@@ -303,10 +299,10 @@ class TractorCalculus:
             gfield = self.geom.metric_field()
             dim, tau = self.dim, self.tau
 
-            def evaluator(point, order):
+            def evaluator(points, order):
                 space = jet_space(dim, order)
-                ginv = jet_inverse(gfield.dense(point, order), space)
-                inv_tau = jet_reciprocal(tau.dense(point, order), space)
+                ginv = jet_inverse(gfield.dense(points, order), space)
+                inv_tau = jet_reciprocal(tau.dense(points, order), space)
                 return jet_mul(ginv, inv_tau, space)
 
             self._sigma_field = TensorField(
@@ -317,26 +313,26 @@ class TractorCalculus:
 
     # -- connection matrices ----------------------------------------------
 
-    def omega(self, s: Splitting, point: Point | np.ndarray, order: int) -> np.ndarray:
-        """``Omega_a`` of the standard tractor connection in splitting ``s``,
-        a ``(d, n+2, n+2, ncoeff)`` array, or ``(d, n+2, n+2, B, ncoeff)`` at
-        a batch of points."""
+    def omega(self, s: Splitting, points: np.ndarray, order: int) -> np.ndarray:
+        """``Omega_a`` of the standard tractor connection in splitting ``s``
+        at a batch of points, a ``(d, n+2, n+2, B, ncoeff)`` array."""
         d = self.dim
         conn = self.connection_of(s)
-        G = conn.dense(point, order)
-        P = self.pack_of(s).dense("schouten", point, order)
-        gamma = conn.trace_gamma(point, order) / (d + 1.0)
+        G = conn.dense(points, order)
+        P = self.pack_of(s).dense("schouten", points, order)
+        gamma = conn.trace_gamma(points, order) / (d + 1.0)
         eye = np.eye(d)
         omega = np.zeros((d, d + 1, d + 1) + G.shape[3:])
         omega[:, 0, 0] = -gamma
         omega[:, 0, 1:] = -P
-        omega[:, 1:, 0, ..., 0] = eye.reshape(eye.shape + (1,) * (G.ndim - 4))
+        omega[:, 1:, 0, :, 0] = eye[..., None]
         omega[:, 1:, 1:] = G.swapaxes(0, 1) - np.einsum("be,a...->abe...", eye, gamma)
         return omega
 
-    def connection_matrices(self, s: Splitting, point: Point, order: int) -> np.ndarray:
-        """:meth:`omega` at one point; kept as a method because the benchmark
-        tracer (``perfbench/tracer.py``) counts its calls by point."""
+    def connection_matrices(self, s: Splitting, point: np.ndarray, order: int) -> np.ndarray:
+        """:meth:`omega` at a batch of points ``point``; kept as a method,
+        with its parameter names, because the benchmark tracer
+        (``perfbench/tracer.py``) counts its calls."""
         return self.omega(s, point, order)
 
 
@@ -346,7 +342,7 @@ class TractorCalculus:
 def std_tractor_derivative(
     calc: TractorCalculus,
     tv: TractorValue,
-    point: Point,
+    points: np.ndarray,
     omega: np.ndarray | None = None,
 ) -> TractorValue:
     """Coupled tractor covariant derivative in the value's own splitting.
@@ -364,7 +360,7 @@ def std_tractor_derivative(
     if k < 1:
         raise ValueError("need jets of order >= 1 to differentiate")
     if omega is None:
-        omega = calc.omega(tv.splitting, point, k - 1)
+        omega = calc.omega(tv.splitting, points, k - 1)
     lower = jet_space(calc.dim, k - 1)
     out = jet_gradient(tv.data, tv.space)
     for kax, var in enumerate(tv.tvariance):
@@ -383,7 +379,7 @@ def bgg_split_metricity(
     calc: TractorCalculus,
     sigma_field: TensorField,
     s: Splitting,
-    point: Point,
+    points: np.ndarray,
     order: int,
 ) -> TractorValue:
     """Splitting-operator lift of a symmetric weight -2 section to S^2 T.
@@ -395,17 +391,17 @@ def bgg_split_metricity(
     n = calc.n
     space = jet_space(calc.dim, order)
     conn = calc.connection_of(s)
-    sigma = sigma_field.dense(point, order)
+    sigma = sigma_field.dense(points, order)
     dsig_field = covariant_derivative(sigma_field, conn)
     trace_field = TensorField(
         sigma_field.chart, "u",
         lambda pt, k: np.einsum("eec...->c...", dsig_field.dense(pt, k)),
         weight=sigma_field.weight, name="div(sigma)",
     )
-    ddiv = covariant_derivative(trace_field, conn).dense(point, order)
-    P = calc.pack_of(s).dense("schouten", point, order)
+    ddiv = covariant_derivative(trace_field, conn).dense(points, order)
+    P = calc.pack_of(s).dense("schouten", points, order)
 
-    middle = np.einsum("eec...->c...", dsig_field.dense(point, order)) * (
+    middle = np.einsum("eec...->c...", dsig_field.dense(points, order)) * (
         -1.0 / (n + 2)
     )
     bottom = np.einsum("ee...->...", ddiv) * (1.0 / ((n + 1) * (n + 2))) + jet_einsum(
@@ -421,7 +417,7 @@ def bgg_split_metricity(
 
 def l_tau(
     calc: TractorCalculus,
-    point: Point,
+    points: np.ndarray,
     order: int,
     s: Splitting | None = None,
 ) -> TractorValue:
@@ -432,14 +428,14 @@ def l_tau(
     special connection is symmetric, so this is a bundle metric.
     """
     space = jet_space(calc.dim, order)
-    tau = calc.tau.dense(point, order)
-    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", point, order)
+    tau = calc.tau.dense(points, order)
+    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", points, order)
     G = np.zeros((calc.dim + 1,) * 2 + tau.shape)
     G[0, 0] = tau
     G[1:, 1:] = jet_mul(P, tau, space)
     tv = TractorValue(G, space, "dd", 0, calc.levi_civita_splitting)
     if s is not None and s != calc.levi_civita_splitting:
-        tv = calc.in_splitting(tv, s, point)
+        tv = calc.in_splitting(tv, s, points)
     return tv
 
 
@@ -477,7 +473,7 @@ def _skew(x: np.ndarray) -> np.ndarray:
 def tractor_curvature(
     calc: TractorCalculus,
     s: Splitting,
-    point: Point,
+    points: np.ndarray,
     order: int,
     contorsion: "TractorConnection | None" = None,
 ) -> TractorValue:
@@ -491,9 +487,9 @@ def tractor_curvature(
     """
     d = calc.dim
     if contorsion is not None:
-        omega = contorsion.matrices(point, order + 1)
+        omega = contorsion.matrices(points, order + 1)
     else:
-        omega = calc.omega(s, point, order + 1)
+        omega = calc.omega(s, points, order + 1)
     space = jet_space(d, order)
     domega = jet_gradient(omega, jet_space(d, order + 1))  # d_a Omega_b
     prod = jet_einsum("aij,bjk->abik", omega, omega, space)  # Omega_a Omega_b
@@ -501,7 +497,7 @@ def tractor_curvature(
 
 
 def standard_curvature_blocks(
-    calc: TractorCalculus, s: Splitting, point: Point, order: int
+    calc: TractorCalculus, s: Splitting, points: np.ndarray, order: int
 ) -> np.ndarray:
     """Expected standard tractor curvature assembled from (Weyl, Cotton).
 
@@ -509,16 +505,15 @@ def standard_curvature_blocks(
     slot the Cotton tensor (in the sign convention of module ``affine``),
     the diagonal scalar the Ricci antisymmetry ``beta`` (zero for special
     connections), and the top-right slot vanishes.  Returns the dense
-    ``(d, d, n+2, n+2, ncoeff)`` array (``(d, d, n+2, n+2, B, ncoeff)`` at a
-    batch of points).
+    ``(d, d, n+2, n+2, B, ncoeff)`` array.
     """
     d = calc.dim
     pack = calc.pack_of(s)
-    beta = pack.dense("beta", point, order)
+    beta = pack.dense("beta", points, order)
     kappa = np.zeros((d, d, d + 1, d + 1) + beta.shape[2:])
     kappa[:, :, 0, 0] = beta
-    kappa[:, :, 0, 1:] = pack.dense("cotton", point, order)
-    kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order)
+    kappa[:, :, 0, 1:] = pack.dense("cotton", points, order)
+    kappa[:, :, 1:, 1:] = pack.dense("weyl", points, order)
     return kappa
 
 
@@ -530,27 +525,27 @@ class TractorConnection:
     """The standard tractor connection of a splitting modified by a
     contorsion ``Psi``.
 
-    ``matrices(point, order)`` returns the full connection matrices
-    ``Omega + Psi`` in the base splitting, at a point or a batch of points.
+    ``matrices(points, order)`` returns the full connection matrices
+    ``Omega + Psi`` in the base splitting at a batch of points.
     """
 
     calc: TractorCalculus
     splitting: Splitting
-    contorsion: Callable[[Point, int], np.ndarray]
+    contorsion: Callable[[np.ndarray, int], np.ndarray]
 
-    def matrices(self, point: Point, order: int) -> np.ndarray:
-        return self.calc.omega(self.splitting, point, order) + self.contorsion(
-            point, order
+    def matrices(self, points: np.ndarray, order: int) -> np.ndarray:
+        return self.calc.omega(self.splitting, points, order) + self.contorsion(
+            points, order
         )
 
-    def curvature(self, point: Point, order: int) -> TractorValue:
+    def curvature(self, points: np.ndarray, order: int) -> TractorValue:
         return tractor_curvature(
-            self.calc, self.splitting, point, order, contorsion=self
+            self.calc, self.splitting, points, order, contorsion=self
         )
 
 
 def contorsion_slots_lc(
-    calc: TractorCalculus, point: Point, order: int
+    calc: TractorCalculus, points: np.ndarray, order: int
 ) -> np.ndarray:
     """The endomorphism slot ``A_a^b_c`` of the metricity contorsion.
 
@@ -560,12 +555,12 @@ def contorsion_slots_lc(
     Schouten jets are symmetric only up to rounding).  The sign is pinned by
     metric compatibility of the resulting connection for L(tau) (flipping it
     gives a compatibility defect of exactly twice the derivative of L(tau)).
-    Returns the dense ``(d, d, d, ncoeff)`` array ``A[a, b, c]``.
+    Returns the dense ``(d, d, d, B, ncoeff)`` array ``A[a, b, c]``.
     """
     space = jet_space(calc.dim, order)
     pack = calc.pack_of(calc.levi_civita_splitting)
-    Pinv = jet_inverse(pack.dense("schouten", point, order), space)
-    dP = pack.dense("schouten_derivative", point, order)  # dP[a, e, c] = D_a P_ec
+    Pinv = jet_inverse(pack.dense("schouten", points, order), space)
+    dP = pack.dense("schouten_derivative", points, order)  # dP[a, e, c] = D_a P_ec
     combo = dP + dP.swapaxes(0, 2) - dP.swapaxes(0, 1)
     A = jet_einsum("be,aec->abc", Pinv, combo, space)
     return 0.25 * (A + A.swapaxes(0, 2))
@@ -586,19 +581,19 @@ def metricity_contorsion(
         s = calc.reference
     d = calc.dim
 
-    def psi_matrices(point: Point, order: int) -> np.ndarray:
+    def psi_matrices(points: np.ndarray, order: int) -> np.ndarray:
         space = jet_space(d, order)
-        A = contorsion_slots_lc(calc, point, order)
+        A = contorsion_slots_lc(calc, points, order)
         psi = np.zeros((d, d + 1, d + 1) + A.shape[3:])
         psi[:, 1:, 1:] = A
         tv = TractorValue(psi, space, "ud", 1, calc.levi_civita_splitting)
-        return calc.in_splitting(tv, s, point).data
+        return calc.in_splitting(tv, s, points).data
 
     return TractorConnection(calc, s, psi_matrices)
 
 
 def metric_tractor_curvature_blocks(
-    calc: TractorCalculus, point: Point, order: int
+    calc: TractorCalculus, points: np.ndarray, order: int
 ) -> np.ndarray:
     """Curvature of the metric tractor connection from its block formula.
 
@@ -609,16 +604,15 @@ def metric_tractor_curvature_blocks(
     ``C + 2 D_[a A_b] - 2 psi_d[a delta_b] + 2 A_e^c_[a A_b]^e_d`` and the
     bottom slot ``Y + 2 D_[a psi_b] - 2 P_e[a A_b]^e_d + 2 psi_e[a A_b]^e_d``;
     the right column vanishes (torsion freeness).  Returns the dense
-    ``(d, d, n+2, n+2, ncoeff)`` array (``(d, d, n+2, n+2, B, ncoeff)`` at a
-    batch of points).
+    ``(d, d, n+2, n+2, B, ncoeff)`` array.
     """
     d = calc.dim
     s = calc.reference
     space, upper = jet_space(d, order), jet_space(d, order + 1)
     pack = calc.pack_of(s)
-    G = calc.connection_of(s).dense(point, order)
+    G = calc.connection_of(s).dense(points, order)
 
-    psi_raw = metricity_contorsion(calc, s).contorsion(point, order + 1)
+    psi_raw = metricity_contorsion(calc, s).contorsion(points, order + 1)
     A = psi_raw[:, 1:, 1:]  # A[a, b, c]
     psi = psi_raw[:, 0, 1:]  # psi[a, c]
 
@@ -640,13 +634,13 @@ def metric_tractor_curvature_blocks(
     AA = jet_einsum("acf,bfe->abce", A, A, space)
     # (psi_a^f - P_f^a) A_b^f_e
     PA = jet_einsum(
-        "af,bfe->abe", psi - pack.dense("schouten", point, order).swapaxes(0, 1),
+        "af,bfe->abe", psi - pack.dense("schouten", points, order).swapaxes(0, 1),
         A, space,
     )
 
     kappa = np.zeros((d, d, d + 1, d + 1) + A.shape[3:])
-    kappa[:, :, 1:, 1:] = pack.dense("weyl", point, order) + _skew(dA + psi_delta + AA)
-    kappa[:, :, 0, 1:] = pack.dense("cotton", point, order) + _skew(dpsi + PA)
+    kappa[:, :, 1:, 1:] = pack.dense("weyl", points, order) + _skew(dA + psi_delta + AA)
+    kappa[:, :, 0, 1:] = pack.dense("cotton", points, order) + _skew(dpsi + PA)
     return kappa
 
 
@@ -655,25 +649,25 @@ def metric_tractor_curvature_blocks(
 
 def polynomial_tractor_section(
     calc: TractorCalculus,
-    point: Point | np.ndarray,
+    points: np.ndarray,
     order: int,
     rng: np.random.Generator,
     s: Splitting | None = None,
     degree: int = 2,
 ) -> TractorValue:
-    """A random polynomial section of T, as jets at one point or at each
-    point of a batch ``(B, d)``.
+    """A random polynomial section of T, as jets at each point of a batch
+    ``(B, d)``.
 
     Each slot is ``c + c_i x^i + c_ij x^i x^j`` (``i <= j``) in coordinates
     ``x`` centred at the point, with ``c, c_i`` uniform in [-1, 1) and
-    ``c_ij`` in [-0.5, 0.5), drawn slot by slot in that order; a batch draws
-    its points' sections one after the other, as calls point by point do.
+    ``c_ij`` in [-0.5, 0.5), drawn slot by slot in that order; the points'
+    sections are drawn one after the other, so a batch draws what batches
+    of one, one per point, draw.
     """
     d = calc.dim
     space = jet_space(d, order)
-    batch = point.shape[:1] if is_batch(point) else ()
     iu, ju = np.triu_indices(d if degree >= 2 else 0)
-    draws = rng.random(batch + (d + 1, 1 + d + len(iu)))
+    draws = rng.random((len(points), d + 1, 1 + d + len(iu)))
     coef = np.concatenate(
         [-1.0 + 2.0 * draws[..., : 1 + d], -0.5 + draws[..., 1 + d :]], axis=-1
     )
@@ -681,7 +675,5 @@ def polynomial_tractor_section(
     x[:, 1 : 1 + d] = np.eye(d)[:, : space.ncoeff - 1]
     xx = jet_mul(x[:, None], x[None, :], space)[iu, ju]
     basis = np.vstack([np.eye(1, space.ncoeff), x, xx])
-    data = coef @ basis  # (*batch, n+2, ncoeff)
-    if batch:
-        data = np.ascontiguousarray(data.swapaxes(0, 1))
+    data = np.ascontiguousarray((coef @ basis).swapaxes(0, 1))  # (n+2, B, ncoeff)
     return TractorValue(data, space, "u", 0, s or calc.reference)

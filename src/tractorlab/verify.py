@@ -191,9 +191,9 @@ class _Session:
         hit = self._probe.get("nondegenerate")
         if hit is None:
             rng = np.random.default_rng(self.plan.seed)
-            p = self.geom.interior_points(1, rng)[0]
+            p = np.array(self.geom.interior_points(1, rng))  # a batch of one
             calc = self._probe_calc
-            Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+            Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0, 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
             hit = (ok, "" if ok else "degenerate boundary geometry")
@@ -360,7 +360,7 @@ def _run_prop23_h(geom, plan, rng, session):
         return rho * gv + (n + 1) / (4 * rho * gP) * value_outer(grad)
 
     def judge(k, est):
-        E = bd.tangential_basis(geom, ladders[k].y)
+        E = bases[k]
         tang = E.T @ np.asarray(est.value) @ E
         min_eig = float(np.min(np.abs(np.linalg.eigvalsh(tang))))
         error = {"extrapolation_error": est.scaled_error()}
@@ -369,6 +369,7 @@ def _run_prop23_h(geom, plan, rng, session):
         }
 
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
+    bases = bd.tangential_basis(geom, np.array([ladder.y for ladder in ladders]))
     facets, details = _per_ladder(ladders, boundary_limit(h23, ladders), judge)
     return facets, len(ladders), details
 
@@ -378,12 +379,12 @@ def _run_transversal(geom, plan, rng, session):
     curves = bd.geodetic_transversals(
         session.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
     )
+    grads = geom.rho_and_drho(np.array([curve.y for curve in curves]))[1].T
     details = [{
         "point": list(curve.y),
-        "drho_pairing_defect":
-            abs(float(geom.drho(np.asarray(curve.y)) @ curve.mu0) - 1.0),
+        "drho_pairing_defect": abs(float(grad @ curve.mu0) - 1.0),
         "geodesic_residual": curve.geodesic_residual(),
-    } for curve in curves]
+    } for curve, grad in zip(curves, grads)]
     # the collar map (boundary point, t) -> point at five parameters across
     # the curves, each at its nearest RK4 sample, must be injective on them
     ts = curves[0].ts
@@ -568,18 +569,23 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         return rho_power * pack.dense("riemann", p, 0)[..., 0]
 
     ests = boundary_limit(scaled_riemann, ladders)
+    ys = np.array([ladder.y for ladder in ladders])
     if order_one:
-        # the extended connection at the ladders whose limit is judged
-        judged = [lad for lad, est in zip(ladders, ests) if not est.diverged]
-        gammas = dict(zip(judged, bd.extended_christoffels(session.calc.hat, judged)))
+        # the Hessian with the extended connection at the ladders whose
+        # limit is judged
+        judged = [k for k, est in enumerate(ests) if not est.diverged]
+        gammas = bd.extended_christoffels(session.calc.hat, [ladders[k] for k in judged])
+        hessians = dict(zip(
+            judged, bd.hessian_of_rho(geom, ys[judged], gammas) if judged else []
+        ))
+    else:
+        grads = geom.rho_and_drho(ys)[1].T
 
     def judge(k, est):
-        ladder = ladders[k]
         if order_one:
-            x = bd.hessian_of_rho(geom, ladder.y, gammas[ladder])
+            x = hessians[k]
         else:
-            grad = geom.drho(ladder.y)
-            x = np.outer((1 - alpha) / alpha**2 * grad, grad)
+            x = np.outer((1 - alpha) / alpha**2 * grads[k], grads[k])
         target = bd._delta_wedge(x)
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
@@ -719,7 +725,7 @@ def _run_splitids(geom, plan, rng, session):
     ], axis=0)
     # boundary limit of t.drho -> 1
     def t_dot(pt):
-        return value_dot(bd.t_vector(calc, pt), geom.drho(pt))
+        return value_dot(bd.t_vector(calc, pt), geom.rho_and_drho(pt)[1])
 
     def judge(k, est):
         return (
@@ -1139,7 +1145,7 @@ def _run_rho_extends(geom, plan, rng, session):
             norms = np.abs(values).reshape(len(values), -1).max(axis=1)
             slope = float(np.polyfit(np.log(ladder.eps), np.log(norms + 1e-300), 1)[0])
         elif hat.exact_boundary is not None:
-            exact = hat.exact_boundary(ladder.y, 0)[..., 0]
+            exact = hat.exact_boundary(np.array([ladder.y]), 0)[..., 0, 0]
             gap = float(np.max(np.abs(exact - est.value)))
         details.append({
             "point": list(ladder.y),

@@ -48,6 +48,12 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def one(point):
+    """A single point as a batch of one, ``(1, d)``: every layer takes a
+    batch of points, and a test that means one point passes this."""
+    return np.array([point], dtype=float)
+
+
 def max_value(dense):
     """Largest absolute value (constant term) in a dense jet array."""
     return float(np.max(np.abs(dense[..., 0])))

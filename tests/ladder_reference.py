@@ -3,7 +3,8 @@
 ``tractorlab.extrapolate.boundary_ladder`` runs one Newton over all levels
 of a ladder at once, and ``TransversalCurve.at_rho`` one Newton over all the
 levels it locates on a transversal.  The tests compare them against these
-per-level Newtons, which evaluate rho at one point per iteration.
+per-level Newtons, which evaluate rho at one point, as a batch of one, per
+iteration.
 """
 
 import numpy as np
@@ -22,11 +23,11 @@ def place_levels(geom, y, direction, eps0, levels):
         s = target
         for _ in range(60):
             p = y + s * direction
-            rho, grad = geom.rho_and_drho(p)
-            val = rho - target
+            rho, grad = geom.rho_and_drho(p[None])
+            val = rho[0] - target
             if abs(val) <= 1e-14 * (1.0 + target):
                 break
-            slope = float(grad @ direction)
+            slope = float(grad[:, 0] @ direction)
             if abs(slope) < 1e-12:
                 raise GeometryError(
                     f"ray from {tuple(y)} became tangent to the rho levels"
@@ -36,14 +37,14 @@ def place_levels(geom, y, direction, eps0, levels):
             raise GeometryError(
                 f"could not place a ladder point at rho={target:g} from {tuple(y)}"
             )
-        points.append(tuple(float(v) for v in (y + s * direction)))
-    return tuple(points)
+        points.append(y + s * direction)
+    return np.array(points)
 
 
 def locate_on_curve(curve, eps):
     """The point and velocity on a transversal where rho equals ``eps``:
     a Newton of its own on the cubic Hermite step that brackets the level,
-    with one single-point rho evaluation per iteration."""
+    with one rho evaluation at a batch of one point per iteration."""
     if eps <= 0 or eps > float(curve.rhos.max()):
         raise ValueError(f"rho={eps:g} is not reached by this transversal")
     k = int(np.searchsorted(curve.rhos, eps)) - 1
@@ -60,11 +61,11 @@ def locate_on_curve(curve, eps):
         h11 = s**3 - s**2
         x = h00 * x0 + h10 * h * v0 + h01 * x1 + h11 * h * v1
         v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
-        rho, grad = curve.geom.rho_and_drho(x)
-        val = rho - eps
+        rho, grad = curve.geom.rho_and_drho(x[None])
+        val = rho[0] - eps
         if abs(val) <= 1e-14 * (1 + eps):
             return x, v
-        s -= val / (float(grad @ v) * h)
+        s -= val / (float(grad[:, 0] @ v) * h)
         s = min(max(s, -0.5), 1.5)
     raise GeometryError(
         f"could not locate rho={eps:g} on the transversal from {curve.y}"

@@ -1,10 +1,12 @@
-"""Print a sha1 of each full-suite JSON report of the check catalog.
+"""Print a sha1 of each full-suite JSON report of the check catalog, or of
+the benchmark's one-shot evaluations.
 
 Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
 in, and pytest does not collect it)::
 
     python tests/report_digest.py                  # one line per report
     python tests/report_digest.py --keep reports/  # also keep the reports
+    python tests/report_digest.py --evals          # one line per eval seed
 
 Each report is the document ``tractorlab verify --checks all --geometry G
 --dim D --seed S`` writes, produced through the same command line entry
@@ -12,6 +14,14 @@ point, for the 8 catalog (geometry, dim) pairs at seeds 0-2.  Two trees
 whose lines agree produce byte-identical reports; with ``--keep`` the
 reports are written as ``G-D-sS.json`` so that differing ones can be
 diffed.
+
+With ``--evals`` each line digests the 135 ``tractorlab eval`` calls of the
+benchmark's ``eval-cold`` workload at one seed (0-2): the exit code and the
+standard output of every call, in order.  The calls come from
+``perfbench/workloads.py``, imported without being changed; the temporary
+directory that holds their geometry document is replaced by a fixed name in
+the text that is digested, so two trees agree whatever directory each ran
+in.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from tractorlab.cli import main as cli_main  # noqa: E402
 
@@ -44,10 +55,38 @@ def report(name: str, dim: int, seed: int, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def eval_digest(seed: int) -> str:
+    """The sha1 of the exit codes and standard outputs of the ``eval-cold``
+    calls at ``seed``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    digest = hashlib.sha1()
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = workloads.EvalColdWorkload(seed, Path(scratch))
+        for *_, argv in workload.calls:
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli_main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            text = f"{rc}\n{out.getvalue()}".replace(scratch, "<workdir>")
+            digest.update(text.encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", default=None, help="directory to keep the reports in")
+    parser.add_argument("--evals", action="store_true",
+                        help="digest the benchmark's one-shot evals instead")
     args = parser.parse_args(argv)
+    if args.evals:
+        for seed in SEEDS:
+            print(f"{eval_digest(seed)}  eval-cold-s{seed}", flush=True)
+        return 0
     with tempfile.TemporaryDirectory() as scratch:
         where = Path(args.keep or scratch)
         where.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import at_boundary_points, ladders, max_value
+from conftest import at_boundary_points, ladders, max_value, one
 from jet_reference import jet_apply, jet_det, jet_views
 from tractorlab import expr as ex
 from tractorlab.affine import (
@@ -21,15 +21,16 @@ from tractorlab.verify import SamplingPlan, _defining_density, run_suite
 
 
 def linear_one_form(chart, coeffs):
-    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator."""
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator at a batch of
+    points."""
     d = chart.dim
     coeffs = np.asarray(coeffs, dtype=float)
 
-    def ups(point, order):
-        out = np.zeros((d, jet_space(d, order).ncoeff))
-        out[:, 0] = coeffs[:, 0] + coeffs[:, 1:] @ np.asarray(point, dtype=float)
+    def ups(points, order):
+        out = np.zeros((d, len(points), jet_space(d, order).ncoeff))
+        out[..., 0] = coeffs[:, :1] + coeffs[:, 1:] @ np.asarray(points, dtype=float).T
         if order >= 1:
-            out[:, 1 : 1 + d] = coeffs[:, 1:]
+            out[..., 1 : 1 + d] = coeffs[:, None, 1:]
         return out
 
     return ups
@@ -40,7 +41,7 @@ def linear_one_form(chart, coeffs):
 
 def test_flat_christoffels_vanish(flat3):
     conn = levi_civita(flat3)
-    G = conn.dense((0.3, 0.2, 0.1), 1)
+    G = conn.dense(one((0.3, 0.2, 0.1)), 1)
     assert max_value(G) == 0.0
 
 
@@ -51,7 +52,7 @@ def test_koszul_against_finite_differences():
     gfield = TensorField.from_exprs(chart, exprs, "dd", name="g", sym=((0, 1),))
     conn = levi_civita(gfield)
     p = (0.21, -0.4)
-    G = conn.dense(p, 0)
+    G = conn.dense(one(p), 0)[..., 0, :]
 
     h = 1e-5
 
@@ -77,7 +78,7 @@ def test_koszul_against_finite_differences():
 
 def test_klein_christoffels_at_origin(klein3):
     conn = levi_civita(klein3)
-    assert max_value(conn.dense((0.0, 0.0, 0.0), 0)) < 1e-14
+    assert max_value(conn.dense(one((0.0, 0.0, 0.0)), 0)) < 1e-14
 
 
 # -- projective modification -------------------------------------------------
@@ -87,7 +88,7 @@ def test_modify_by_zero_is_identity(klein3, rng):
     conn = levi_civita(klein3)
     zero = linear_one_form(klein3.chart, np.zeros((3, 4)))
     mod = projective_modify(conn, zero)
-    p = klein3.interior_points(1, rng)[0]
+    p = one(klein3.interior_points(1, rng)[0])
     a = conn.dense(p, 1)
     b = mod.dense(p, 1)
     assert np.max(np.abs(a - b)) == 0.0
@@ -98,7 +99,7 @@ def test_modify_flat_by_dx0(flat3):
     coeffs = np.zeros((3, 4))
     coeffs[0][0] = 1.0  # Upsilon = dx^0
     mod = projective_modify(conn, linear_one_form(flat3.chart, coeffs))
-    G = mod.dense((0.1, 0.2, 0.3), 0)[..., 0]
+    G = mod.dense(one((0.1, 0.2, 0.3)), 0)[..., 0, 0]
     assert G[0, 0, 0] == pytest.approx(2.0)
     for i in (1, 2):
         assert G[i, 0, i] == pytest.approx(1.0)
@@ -112,7 +113,7 @@ def _integrate_geodesic(conn, x0, v0, step, n_steps):
     out = [x.copy()]
 
     def acc(x_, v_):
-        G = conn.christoffel_values(x_, 0)
+        G = conn.christoffel_values(one(x_), 0)[..., 0]
         return -np.einsum("cab,a,b->c", G, v_, v_)
 
     for _ in range(n_steps):
@@ -172,7 +173,7 @@ def test_projective_modification_preserves_unparametrized_geodesics(klein3, rng)
 def test_klein_rho_connection_is_flat(klein3, rng):
     hat = rho_connection(klein3, levi_civita(klein3))
     for p in klein3.interior_points(3, rng):
-        assert max_value(hat.dense(p, 1)) < 1e-12
+        assert max_value(hat.dense(one(p), 1)) < 1e-12
 
 
 def test_flat_rho_connection_is_not_bounded(flat3):
@@ -180,7 +181,7 @@ def test_flat_rho_connection_is_not_bounded(flat3):
     norms = []
     for s in (1e-1, 1e-2, 1e-3):
         p = (1.0 - s, 0.1, 0.2)
-        norms.append(np.max(np.abs(hat.christoffel_values(p))))
+        norms.append(np.max(np.abs(hat.christoffel_values(one(p)))))
     assert norms[2] > 10 * norms[0]
     # the doubled diagonal entry grows exactly like 1/rho
     assert norms[2] == pytest.approx(1 / 1e-3, rel=1e-6)
@@ -192,7 +193,7 @@ def test_poincare_rho_connection_slope(poincare3):
     norms = []
     for e in eps:
         s = math.sqrt(1 - e)
-        norms.append(np.max(np.abs(hat.christoffel_values((s, 0.0, 0.0)))))
+        norms.append(np.max(np.abs(hat.christoffel_values(one((s, 0.0, 0.0))))))
     slope = np.polyfit(np.log(eps), np.log(norms), 1)[0]
     assert slope <= -0.9
 
@@ -202,7 +203,7 @@ def test_poincare_rho_connection_slope(poincare3):
 
 def test_flat_curvature_vanishes(flat3):
     pack = CurvaturePack(levi_civita(flat3), flat3.metric_field())
-    p = (0.2, -0.1, 0.4)
+    p = one((0.2, -0.1, 0.4))
     for name in ("riemann", "schouten", "weyl", "cotton"):
         assert max_value(pack.dense(name, p, 0)) == 0.0
 
@@ -212,9 +213,9 @@ def test_riemann_matches_scalar_jet_formula(af2, rng):
     # - G[c,b,f] G[f,a,e] with scalar Jet arithmetic, at jet order 1
     conn = rho_connection(af2, levi_civita(af2))
     pack = CurvaturePack(conn, af2.metric_field())
-    p = af2.interior_points(1, rng)[0]
-    G = jet_views(conn.dense(p, 2), jet_space(4, 2))
-    R = jet_views(pack.riemann(p, 1), jet_space(4, 1))
+    p = one(af2.interior_points(1, rng)[0])
+    G = jet_views(conn.dense(p, 2)[..., 0, :], jet_space(4, 2))
+    R = jet_views(pack.riemann(p, 1)[..., 0, :], jet_space(4, 1))
     worst = scale = 0.0
     for a, b, c, e in np.ndindex(4, 4, 4, 4):
         ref = G[c, b, e].partial(a) - G[c, a, e].partial(b)
@@ -228,9 +229,9 @@ def test_riemann_matches_scalar_jet_formula(af2, rng):
 def test_klein_constant_curvature(klein3, rng):
     pack = CurvaturePack(levi_civita(klein3), klein3.metric_field())
     gfield = klein3.metric_field()
-    for p in klein3.interior_points(20, rng):
-        R = pack.riemann(p, 0)[..., 0]
-        g = gfield.dense(p, 0)[..., 0]
+    for p in map(one, klein3.interior_points(20, rng)):
+        R = pack.riemann(p, 0)[..., 0, 0]
+        g = gfield.dense(p, 0)[..., 0, 0]
         expected = np.zeros((3, 3, 3, 3))
         for a in range(3):
             for b in range(3):
@@ -240,18 +241,18 @@ def test_klein_constant_curvature(klein3, rng):
                             (c == a) * g[b, e] - (c == b) * g[a, e]
                         )
         assert np.max(np.abs(R - expected)) < 1e-8
-        assert pack.dense("scalar", p, 0)[0] == pytest.approx(-6.0, abs=1e-10)
+        assert pack.dense("scalar", p, 0)[0, 0] == pytest.approx(-6.0, abs=1e-10)
 
 
 def test_klein_schouten_weyl_cotton(klein3, rng):
     pack = CurvaturePack(levi_civita(klein3), klein3.metric_field())
     gfield = klein3.metric_field()
-    p = klein3.interior_points(1, rng)[0]
-    P = pack.dense("schouten", p, 0)[..., 0]
-    g = gfield.dense(p, 0)[..., 0]
+    p = one(klein3.interior_points(1, rng)[0])
+    P = pack.dense("schouten", p, 0)[..., 0, 0]
+    g = gfield.dense(p, 0)[..., 0, 0]
     assert np.max(np.abs(P + g)) < 1e-12
     assert max_value(pack.dense("beta", p, 0)) < 1e-12
-    C = pack.dense("weyl", p, 0)[..., 0]
+    C = pack.dense("weyl", p, 0)[..., 0, 0]
     tr1 = np.max(np.abs(np.einsum("eaeb->ab", C)))
     tr2 = np.max(np.abs(np.einsum("abee->ab", C)))
     assert max(tr1, tr2) < 1e-9
@@ -269,13 +270,13 @@ def test_metric_is_parallel(name, dim):
     dg = covariant_derivative(geom.metric_field(), conn)
     rng = np.random.default_rng(1)
     for p in geom.interior_points(3, rng):
-        assert max_value(dg.dense(p, 0)) < 1e-9
+        assert max_value(dg.dense(one(p), 0)) < 1e-9
 
 
 def test_tau_is_parallel_and_equals_rho(klein3, rng):
     tau = canonical_tau(klein3)
-    p = klein3.interior_points(1, rng)[0]
-    assert tau.dense(p, 0)[0] == pytest.approx(klein3.rho_value(p), abs=1e-14)
+    p = one(klein3.interior_points(1, rng)[0])
+    assert tau.dense(p, 0)[0, 0] == pytest.approx(klein3.rho_value(p)[0], abs=1e-14)
     dtau = covariant_derivative(tau, levi_civita(klein3))
     assert max_value(dtau.dense(p, 1)) < 1e-9
 
@@ -289,11 +290,11 @@ def test_canonical_tau_matches_scalar_reference(klein3, af2, order):
         space = jet_space(geom.dim, order)
         batch = tau.dense(np.array(pts), order)
         assert batch.shape == (3, space.ncoeff)
-        for k, p in enumerate(pts):
-            g = jet_views(geom.metric_field().dense(p, order), space)
+        for k, p in enumerate(map(one, pts)):
+            g = jet_views(geom.metric_field().dense(p, order)[..., 0, :], space)
             det = jet_apply("abs_smooth", jet_det(g))
             ref = jet_apply("pow", det, param=-1.0 / (geom.dim + 1)).coeffs
-            got = tau.dense(p, order)
+            got = tau.dense(p, order)[0]
             assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
             assert np.array_equal(batch[k], got)
 
@@ -307,9 +308,9 @@ def test_canonical_tau_of_singular_metric_raises(metric):
     geom = Geometry("singular", chart, ex.parse_expr("1 - x0", chart.coord_names),
                     2.0, metric=np.array(metric, dtype=object))
     tau = canonical_tau(geom)
-    p = (0.0, 0.3)
+    p = one((0.0, 0.3))
     for order in range(3):
-        g = jet_views(geom.metric_field().dense(p, order), jet_space(2, order))
+        g = jet_views(geom.metric_field().dense(p, order)[..., 0, :], jet_space(2, order))
         with pytest.raises(DomainError):  # the scalar reference
             jet_apply("abs_smooth", jet_det(g))
         with pytest.raises(DomainError):
@@ -319,7 +320,7 @@ def test_canonical_tau_of_singular_metric_raises(metric):
 def test_density_sign_is_pinned(klein3, rng):
     # the opposite transport sign does not preserve tau
     tau = canonical_tau(klein3)
-    p = klein3.interior_points(1, rng)[0]
+    p = one(klein3.interior_points(1, rng)[0])
     wrong = covariant_derivative(tau, levi_civita(klein3),
                                  density_sign=-1.0)
     assert max_value(wrong.dense(p, 0)) > 1e-2
@@ -339,7 +340,7 @@ def test_tau_hat_parallel_for_rho_connection(klein3, rng):
     tau_hat = TensorField(geom.chart, "", tau_hat_component, weight=2.0, name="tauhat")
     field = covariant_derivative(tau_hat, hat)
     for p in geom.interior_points(3, rng):
-        assert max_value(field.dense(p, 0)) < 1e-9
+        assert max_value(field.dense(one(p), 0)) < 1e-9
 
 
 def test_schouten_change_law(klein3, rng):
@@ -353,11 +354,11 @@ def test_schouten_change_law(klein3, rng):
     pack_hat = CurvaturePack(hat, geom.metric_field())
     ups_field = TensorField(geom.chart, "d", lambda p, k: ups(p, k), name="Y")
     dups = covariant_derivative(ups_field, hat)
-    for p in geom.interior_points(3, rng):
-        P = pack.dense("schouten", p, 0)[..., 0]
-        Ph = pack_hat.dense("schouten", p, 0)[..., 0]
-        du = dups.dense(p, 0)[..., 0]
-        u = ups(p, 0)[:, 0]
+    for p in map(one, geom.interior_points(3, rng)):
+        P = pack.dense("schouten", p, 0)[..., 0, 0]
+        Ph = pack_hat.dense("schouten", p, 0)[..., 0, 0]
+        du = dups.dense(p, 0)[..., 0, 0]
+        u = ups(p, 0)[:, 0, 0]
         assert np.max(np.abs(P - (Ph + du + np.outer(u, u)))) < 1e-8
 
 
@@ -405,13 +406,13 @@ def test_defining_density_pole_on_one_ladder_fails_every_ladder(klein3, monkeypa
     # the ladders are evaluated as one batch: a pole on the rows of one
     # ladder fails the check, and no ladder then has a limit
     lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    bad = set(lads[1].points)
+    bad = {tuple(row) for row in lads[1].points.tolist()}
     calc = TractorCalculus(klein3)
     tau = calc.tau
     real = tau.dense
 
     def dense(point, order):
-        if bad & {tuple(row) for row in np.atleast_2d(point).tolist()}:
+        if bad & {tuple(row) for row in point.tolist()}:
             raise PoleError("pole on the second ladder")
         return real(point, order)
 
@@ -448,7 +449,7 @@ def test_special_flag_via_density_transport(klein3):
     w = geom.dim + 1  # weight n+2
 
     def trace_gamma_values(p):
-        return conn.trace_gamma(p, 0)[:, 0]
+        return conn.trace_gamma(one(p), 0)[:, 0, 0]
 
     # straight segment inside the ball
     x0 = np.array([0.1, -0.2, 0.05])
@@ -468,7 +469,7 @@ def test_special_flag_via_density_transport(klein3):
         x += h * v
     # parallel density of weight n+2: |det g|^(-1/2) up to normalization
     def closed(p):
-        g = geom.metric_field().dense(p, 0)[..., 0]
+        g = geom.metric_field().dense(one(p), 0)[..., 0, 0]
         return abs(np.linalg.det(g)) ** (-0.5)
 
     expected = closed(x) / closed(x0)
@@ -478,5 +479,5 @@ def test_special_flag_via_density_transport(klein3):
 def test_torsion_free_symmetry_at_samples(af2, rng):
     conn = rho_connection(af2, levi_civita(af2))
     for p in af2.interior_points(3, rng):
-        G = conn.dense(p, 1)[..., 0]
+        G = conn.dense(one(p), 1)[..., 0, 0]
         assert np.max(np.abs(G - G.transpose(0, 2, 1))) < 1e-12

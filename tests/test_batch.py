@@ -1,14 +1,19 @@
-"""The batch axis over points: the dense jet kernels, the expression tape,
-the Christoffel evaluators, the curvature and tractor layers, the point
-functions of the boundary quantities, the transversal integrator and the
-Newton that locates levels on a transversal give, row by row, bit for bit
-what one call per point gives; and a check's ladders evaluated as one
-stacked batch give each ladder the bits of its own evaluation.
+"""The batch axis over points.  Every layer takes a batch of points ``(B,
+d)``, and one point is a batch of one: the dense jet kernels, the expression
+tape, the Christoffel evaluators, the curvature and tractor layers, the
+point functions of the boundary quantities, the transversal integrator and
+the Newton that locates levels on a transversal give each row of a stacked
+batch, bit for bit, what that row's point gives as a batch of one; and a
+check's ladders evaluated as one stacked batch give each ladder the bits of
+its own evaluation.  ``tractorlab eval --point`` evaluates a batch of one
+and the checks evaluate stacked rows, so this is what makes an eval and a
+check agree.
 
 numpy sums a contraction over the last axis of both operands as a dot
-product at one point, in another order than the rows of a batch, so
-``jet_einsum`` runs such a contraction row by row; the tests below pin that
-every contraction shape gives each row its point's bits.
+product in a batch of one, in another order than the rows of a larger
+batch, so ``jet_einsum`` runs such a contraction row by row; the tests
+below pin that every contraction shape gives each row the bits of its batch
+of one.
 """
 
 import numpy as np
@@ -45,9 +50,10 @@ def _points(geom, count=4):
     return np.array(geom.interior_points(count, np.random.default_rng(5)))
 
 
-def _per_point(fn, pts):
-    """Results of ``fn`` at each point, stacked on the batch axis."""
-    return np.stack([fn(p) for p in pts], axis=-2)
+def _per_point(fn, pts, axis=-2):
+    """Results of ``fn`` at each point as a batch of one, joined on the
+    batch axis (``axis``: -2 for dense jets, -1 for values)."""
+    return np.concatenate([fn(pts[k : k + 1]) for k in range(len(pts))], axis=axis)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -94,7 +100,7 @@ def test_christoffel_values_batch_matches_points(geom):
     pts = _points(geom)
     got = conn.christoffel_values(pts)
     assert got.shape == (geom.dim,) * 3 + (len(pts),)
-    ref = np.stack([conn.christoffel_values(p) for p in pts], axis=-1)
+    ref = _per_point(conn.christoffel_values, pts, axis=-1)
     assert np.array_equal(got, ref)
 
 
@@ -283,19 +289,20 @@ def _ladder_batch(geom):
     """The levels of one default ladder: the batch every boundary limit
     evaluates."""
     y = geom.boundary_points(1, np.random.default_rng(7))[0]
-    return ladder(geom, y).batch
+    return ladder(geom, y).points
 
 
-def _assert_rows_match(name, batch_fn, point_fn, pts):
-    """``batch_fn(pts)`` (batch axis last) against ``point_fn`` at each row:
-    the same error, or the same values bit for bit."""
+def _assert_rows_match(name, fn, pts, axis=-2):
+    """``fn(pts)`` against ``fn`` at each row as a batch of one, joined on
+    the batch axis (``axis``: -2 for dense jets, -1 for values): the same
+    error, or the same values bit for bit."""
     try:
-        ref = np.stack([np.asarray(point_fn(p)) for p in pts], axis=-1)
+        ref = _per_point(lambda p: np.asarray(fn(p)), pts, axis)
     except (np.linalg.LinAlgError, PoleError) as err:
         with pytest.raises(type(err)):
-            batch_fn(pts)
+            fn(pts)
         return
-    got = np.asarray(batch_fn(pts))
+    got = np.asarray(fn(pts))
     assert got.shape == ref.shape, name
     assert np.array_equal(got, ref), name
 
@@ -306,12 +313,7 @@ def test_curvature_pack_batch_matches_points(any_geom, order):
     pack = calc.pack_of(calc.levi_civita_splitting)
     pts = _ladder_batch(any_geom)
     for name in PACK_NAMES:
-        _assert_rows_match(
-            name,
-            lambda b: np.moveaxis(pack.dense(name, b, order), -2, -1),
-            lambda p: pack.dense(name, p, order),
-            pts,
-        )
+        _assert_rows_match(name, lambda b: pack.dense(name, b, order), pts)
 
 
 def test_point_functions_batch_match_points(any_geom):
@@ -322,7 +324,7 @@ def test_point_functions_batch_match_points(any_geom):
     quantities["schouten_trace"] = bd.schouten_trace
     quantities["tracefree_ricci"] = bd.tracefree_ricci
     for name, f in quantities.items():
-        _assert_rows_match(name, lambda b: f(calc, b), lambda p: f(calc, p), pts)
+        _assert_rows_match(name, lambda b: f(calc, b), pts, axis=-1)
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -340,7 +342,7 @@ def test_tractor_layer_batch_matches_points(any_geom, order):
         ).data,
     }
     for name, f in tractor.items():
-        _assert_rows_match(name, lambda b: np.moveaxis(f(b), -2, -1), f, pts)
+        _assert_rows_match(name, f, pts)
 
 
 #: Contractions over the last axis of both operands (the first five, which
@@ -356,11 +358,11 @@ def test_every_contraction_batch_matches_points(spec, order):
     rng = np.random.default_rng(4)
     sa, sb = spec.split("->")[0].split(",")
     a, b = (rng.standard_normal((3,) * len(s) + (6, space.ncoeff)) for s in (sa, sb))
+    # the rows picked by the batch's row indices, each as a batch of one
     _assert_rows_match(
         spec,
-        lambda _: np.moveaxis(jet_einsum(spec, a, b, space), -2, -1),
         lambda k: jet_einsum(spec, a[..., k, :].copy(), b[..., k, :].copy(), space),
-        range(6),
+        np.arange(6),
     )
 
 
@@ -386,9 +388,7 @@ def test_curvature_blocks_batch_match_points(any_geom, order):
         ).data,
     }
     for name, f in blocks.items():
-        _assert_rows_match(
-            name, lambda b: np.moveaxis(f(b), -2, -1), f, _interior_batch(any_geom)
-        )
+        _assert_rows_match(name, f, _interior_batch(any_geom))
 
 
 def test_sections_and_their_derivatives_batch_match_points(any_geom):
@@ -396,8 +396,8 @@ def test_sections_and_their_derivatives_batch_match_points(any_geom):
     pts = _interior_batch(any_geom)
     sections = polynomial_tractor_section(calc, pts, 3, np.random.default_rng(2))
     rng = np.random.default_rng(2)
-    each = [polynomial_tractor_section(calc, p, 3, rng) for p in pts]
-    assert np.array_equal(sections.data, np.stack([s.data for s in each], axis=-2))
+    each = [polynomial_tractor_section(calc, pts[k : k + 1], 3, rng) for k in range(len(pts))]
+    assert np.array_equal(sections.data, np.concatenate([s.data for s in each], axis=-2))
     tc = metricity_contorsion(calc)
     derivatives = {
         "std_tractor_derivative": lambda tv, p: std_tractor_derivative(calc, tv, p),
@@ -405,14 +405,11 @@ def test_sections_and_their_derivatives_batch_match_points(any_geom):
             calc, tv, p, tc.matrices(p, tv.order - 1)
         ),
     }
+    # the section of each batch, looked up by its rows
+    of = {pts[k : k + 1].tobytes(): tv for k, tv in enumerate(each)}
+    of[pts.tobytes()] = sections
     for name, f in derivatives.items():
-        rows = iter(each)
-        _assert_rows_match(
-            name,
-            lambda b: np.moveaxis(f(sections, b).data, -2, -1),
-            lambda p: f(next(rows), p).data,
-            pts,
-        )
+        _assert_rows_match(name, lambda p: f(of[p.tobytes()], p).data, pts)
 
 
 def test_a_singular_level_names_its_point(klein3, monkeypatch, capsys):
@@ -422,16 +419,13 @@ def test_a_singular_level_names_its_point(klein3, monkeypatch, capsys):
     bad = ladder(klein3, y).points[3]
     real = CurvaturePack.dense
 
-    def dense(self, name, point, order):
-        out = real(self, name, point, order)
-        hit = np.all(np.reshape(point, (-1, len(bad))) == bad, axis=1)
+    def dense(self, name, points, order):
+        out = real(self, name, points, order)
+        hit = np.all(points == bad, axis=1)
         if name != "schouten" or not hit.any():
             return out
         out = np.array(out)
-        if np.ndim(point) == 2:
-            out[..., hit, :] = 0.0
-        else:
-            out[...] = 0.0
+        out[..., hit, :] = 0.0
         return out
 
     monkeypatch.setattr(CurvaturePack, "dense", dense)
@@ -440,18 +434,20 @@ def test_a_singular_level_names_its_point(klein3, monkeypatch, capsys):
         "--boundary-point=" + ",".join(map(str, y)), "--extrapolate",
     ])
     assert code == 2
-    assert f"the Schouten tensor is singular at {bad}" in capsys.readouterr().err
+    assert f"the Schouten tensor is singular at {tuple(bad.tolist())}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_a_pole_level_raises_its_own_error(klein3):
     # the batch raises; the error that leaves is the first failing level's
     lad = ladder(klein3, (1.0, 0.0, 0.0))
-    bad = lad.points[2:4]
+    bad = [tuple(row) for row in lad.points[2:4].tolist()]
 
     def f(p):
-        for row in np.atleast_2d(p).tolist():
+        for row in p.tolist():
             if tuple(row) in bad:
-                raise PoleError(f"pole at {p}" if np.ndim(p) == 1 else "pole")
+                raise PoleError(f"pole at {tuple(row)}" if len(p) == 1 else "pole")
         return klein3.rho_value(p)
 
     with pytest.raises(PoleError) as err:
@@ -516,21 +512,22 @@ def test_a_raise_on_one_ladder_names_that_ladders_first_failing_level(klein3):
     # ladder 2 of 3 has two pole levels: the stacked evaluation raises, and
     # the error that leaves is the one of ladder 2's first failing level
     lads = ladders(klein3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    bad = lads[1].points[2:4]
+    bad = [tuple(row) for row in lads[1].points[2:4].tolist()]
     calls = []
 
     def f(p):
-        calls.append(np.ndim(p))
-        for row in np.atleast_2d(p).tolist():
+        calls.append(len(p))
+        for row in p.tolist():
             if tuple(row) in bad:
-                raise PoleError(f"pole at {p}" if np.ndim(p) == 1 else "pole")
+                raise PoleError(f"pole at {tuple(row)}" if len(p) == 1 else "pole")
         return klein3.rho_value(p)
 
     with pytest.raises(PoleError) as err:
         boundary_limit(f, lads)
     assert str(err.value) == f"pole at {bad[0]}"
-    # one stacked call, then ladder 1's levels and ladder 2's up to the pole
-    assert calls == [2] + [1] * (len(lads[0].points) + 3)
+    # one stacked call, then ladder 1's levels and ladder 2's up to the pole,
+    # each level as a batch of one
+    assert calls == [3 * PLAN.levels] + [1] * (len(lads[0].points) + 3)
 
 
 def test_a_ladder_list_gives_one_estimate_per_ladder(klein3):
@@ -548,9 +545,10 @@ def test_a_ladder_list_gives_one_estimate_per_ladder(klein3):
 def test_batched_newton_places_the_per_level_points(any_geom, eps0, levels):
     for y in any_geom.boundary_points(8, np.random.default_rng(11)):
         lad = boundary_ladder(any_geom, y, eps0=eps0, levels=levels)
-        direction = any_geom.inward_direction(y)
-        assert lad.points == place_levels(any_geom, y, direction, eps0, levels)
-        assert np.array_equal(lad.batch, np.array(lad.points))
+        (direction,) = any_geom.inward_direction(np.array([y]))
+        assert np.array_equal(lad.points, place_levels(any_geom, y, direction, eps0, levels))
+        assert lad.points.shape == (levels, any_geom.dim)
+        assert not lad.points.flags.writeable
 
 
 def test_batched_at_rho_locates_the_per_level_points(geom):
@@ -561,9 +559,9 @@ def test_batched_at_rho_locates_the_per_level_points(geom):
     ref = [locate_on_curve(curve, eps) for eps in lad.eps]
     assert np.array_equal(x, np.array([r[0] for r in ref]))
     assert np.array_equal(v, np.array([r[1] for r in ref]))
-    xs, vs = curve.at_rho(lad.eps[2])
-    assert xs.shape == (geom.dim,)
-    assert np.array_equal(xs, ref[2][0]) and np.array_equal(vs, ref[2][1])
+    xs, vs = curve.at_rho(lad.eps[2:3])  # one level
+    assert xs.shape == (1, geom.dim)
+    assert np.array_equal(xs[0], ref[2][0]) and np.array_equal(vs[0], ref[2][1])
 
 
 def test_batched_at_rho_raises_the_lowest_failing_levels_error(flat3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import at_boundary_points, ladder, ladders, lc_pack
+from conftest import at_boundary_points, ladder, ladders, lc_pack, one
 from tractorlab import boundary as bd
 from tractorlab import verify
 from tractorlab.expr import ExprError, Tape
@@ -72,8 +72,8 @@ def test_poincare_rho_s_anomaly(poincare3):
 def test_ladder_hits_exact_rho_levels(af2):
     lad = ladder(af2, (0.0, 0.1, 0.2, -0.1))
     assert len(lad.points) == len(lad.eps) == 6
-    for eps, p in zip(lad.eps, lad.points):
-        assert af2.rho_value(p) == pytest.approx(eps, rel=1e-12)
+    for eps, rho in zip(lad.eps, af2.rho_value(lad.points)):
+        assert rho == pytest.approx(eps, rel=1e-12)
     # the levels are eps0 scaled by exact powers of two
     assert lad.eps == tuple(0.05 * 0.5**k for k in range(6))
 
@@ -127,24 +127,25 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     runs = {"rho": 0, "metric": 0}
     real = Tape.run
 
-    def counted(self, point, space):
+    def counted(self, points, space):
         # the integrator's state has one row per curve; ladder evaluations
-        # have a row per level, and the launch test one point per curve
-        if np.ndim(point) == 2 and len(point) <= len(ys):
+        # have a row per level
+        if len(points) <= len(ys):
             if self is rho_tape:
                 runs["rho"] += 1
             elif self is metric_tape:
                 runs["metric"] += 1
-        return real(self, point, space)
+        return real(self, points, space)
 
     monkeypatch.setattr(Tape, "run", counted)
     step, horizon = 1e-3, 0.01
     bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
     n_steps = round(horizon / step)
     # four evaluations per step, each one run of the metric tape, whose last
-    # row is rho; the launch, where every row is on the boundary and takes
-    # its extended value, runs rho alone
-    assert runs == {"rho": 1, "metric": 4 * n_steps}
+    # row is rho; the pairing test of the launch directions runs rho once at
+    # all the boundary points, and the launch, where every row is on the
+    # boundary and takes its extended value, runs rho alone
+    assert runs == {"rho": 2, "metric": 4 * n_steps}
 
 
 @pytest.mark.parametrize("name, dim", [
@@ -163,9 +164,9 @@ def test_rho2_g_mu_mu_constant_and_quarter(klein3):
     gfield = klein3.metric_field()
     vals = []
     for k in range(5, len(curve.ts), 20):
-        p, v = curve.points[k], curve.mus[k]
-        g = gfield.dense(p, 0)[..., 0]
-        vals.append(klein3.rho_value(p) ** 2 * float(v @ g @ v))
+        p, v = curve.points[k : k + 1], curve.mus[k]
+        g = gfield.dense(p, 0)[..., 0, 0]
+        vals.append(klein3.rho_value(p)[0] ** 2 * float(v @ g @ v))
     vals = np.array(vals)
     assert vals.max() - vals.min() < 1e-6
     assert vals.mean() == pytest.approx(0.25, abs=1e-5)
@@ -184,11 +185,11 @@ def test_at_rho_raises_when_newton_cannot_reach_the_level(flat3):
         rhos=np.array([0.0, 0.1]),
     )
     with pytest.raises(GeometryError, match="rho=0.05"):
-        curve.at_rho(0.05)
+        curve.at_rho([0.05])
     # the same step with consistent rhos locates the level
     curve.rhos = np.array([0.5, 0.6])
-    x, _ = curve.at_rho(0.55)
-    assert flat3.rho_value(x) == pytest.approx(0.55, abs=1e-14)
+    x, _ = curve.at_rho([0.55])
+    assert flat3.rho_value(x)[0] == pytest.approx(0.55, abs=1e-14)
 
 
 def test_poincare_transversal_fails(poincare3):
@@ -393,7 +394,7 @@ def test_klein_rho2_riemann_limit(klein3):
         return klein3.rho_value(p) ** 2 * pack.riemann(p, 0)[..., 0]
 
     (est,) = boundary_limit(scaled, [ladder(klein3, y)])
-    grad = klein3.drho(y)
+    grad = klein3.rho_and_drho(one(y))[1][:, 0]
     expected = np.zeros((d, d, d, d))
     for a in range(d):
         for b in range(d):
@@ -417,7 +418,7 @@ def test_af1_rho_riemann_limit(af1):
     lad = ladder(af1, y)
     (est,) = boundary_limit(scaled, [lad])
     (gamma,) = bd.extended_christoffels(conn, [lad])
-    hess = bd.hessian_of_rho(af1, y, gamma)
+    (hess,) = bd.hessian_of_rho(af1, one(y), [gamma])
     expected = np.zeros((d, d, d, d))
     for a in range(d):
         for b in range(d):
@@ -576,7 +577,7 @@ def test_hessian_of_rho_matches_scalar_jet_loops(klein3, af2):
     for geom, y in ((klein3, (0.6, 0.0, 0.8)), (af2, (0.0, 0.3, -0.2, 0.4))):
         d = geom.dim
         gamma = np.random.default_rng(d).uniform(-1, 1, size=(d, d, d))
-        rho = Jet(jet_space(d, 2), geom.rho_dense(y, 2))
+        rho = Jet(jet_space(d, 2), geom.rho_dense(one(y), 2)[0])
         grad = [rho.partial(a) for a in range(d)]
         ref = np.zeros((d, d))
         for a in range(d):
@@ -585,5 +586,5 @@ def test_hessian_of_rho_matches_scalar_jet_loops(klein3, af2):
                 for e in range(d):
                     val -= gamma[e, a, b] * grad[e].value
                 ref[a, b] = val
-        got = bd.hessian_of_rho(geom, y, gamma)
+        (got,) = bd.hessian_of_rho(geom, one(y), [gamma])
         assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))

@@ -154,18 +154,22 @@ def test_verify_stderr_names_the_failed_facet(tmp_path, capsys):
     ]
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
+def test_the_seed_environment_variable_changes_no_report(tmp_path, monkeypatch):
+    # --seed is the only way to set the seed: TRACTORLAB_SEED, once a second
+    # way that overrode the flag, is ignored
     args = [
         "verify", "--geometry", "af1_generic", "--dim", "4",
-        "--checks", "bianchi", "--points", "3",
+        "--checks", "tractor-curv-consistency",  # its details name its points
     ]
+    outs = {name: tmp_path / f"{name}.json" for name in ("env", "plain", "seed7")}
     monkeypatch.setenv("TRACTORLAB_SEED", "7")
-    main(args + ["--out", str(out_a)])
+    main(args + ["--out", str(outs["env"])])
+    monkeypatch.setenv("TRACTORLAB_SEED", "not a number")
+    assert main(args + ["--seed", "7", "--out", str(outs["seed7"])]) == 0
     monkeypatch.delenv("TRACTORLAB_SEED")
-    main(args + ["--seed", "7", "--out", str(out_b)])
-    assert out_a.read_text() == out_b.read_text()
+    main(args + ["--out", str(outs["plain"])])
+    assert outs["env"].read_text() == outs["plain"].read_text()
+    assert outs["env"].read_text() != outs["seed7"].read_text()
 
 
 def test_geometry_document_loading(tmp_path, capsys):
@@ -185,6 +189,43 @@ def test_geometry_document_loading(tmp_path, capsys):
     assert code == 0
     out = strict_loads(capsys.readouterr().out)
     assert out["geometry"] == "asymptotic_form"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--param", "C=0.5"],
+    ["--param", "C=0.5", "--param", "bogus=1"],
+    ["--dim", "7"],
+    ["--dim", "4", "--param", "C=0.5"],
+])
+def test_a_document_rejects_builtin_flags(flags, tmp_path, capsys):
+    # a document defines its own parameters and dimension: --param, and a
+    # --dim other than the document's, are configuration errors
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps(_klein_doc()))
+    code = main(["eval", "--geometry", str(path), *flags,
+                 "--quantity", "schouten", "--point", "0.1,0.2,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--param" in captured.err or "--dim 7" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_document_takes_its_own_dim(tmp_path, capsys):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps(_klein_doc()))
+    argv = ["eval", "--geometry", str(path), "--quantity", "schouten",
+            "--point", "0.1,0.2,0"]
+    outputs = []
+    for extra in ([], ["--dim", "3"]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert strict_loads(outputs[0])["dim"] == 3
+    # a builtin still defaults to dim 4
+    assert main(["eval", "--geometry", "klein", "--quantity", "schouten",
+                 "--point", "0.1,0.2,0,0"]) == 0
+    assert strict_loads(capsys.readouterr().out)["dim"] == 4
 
 
 def test_skipped_check_residual_is_null(tmp_path):
@@ -355,7 +396,6 @@ def test_plan_flags_default_to_the_sampling_plan(monkeypatch):
     from tractorlab import cli
     from tractorlab.verify import SamplingPlan
 
-    monkeypatch.delenv("TRACTORLAB_SEED", raising=False)
     args = cli._build_parser().parse_args(["verify", "--geometry", "klein"])
     assert cli._make_plan(args) == SamplingPlan()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import one
 from expr_reference import evaluate
 from jet_reference import jet_call, point_jets
 from tractorlab import expr as ex
@@ -142,12 +143,12 @@ def test_jet_evaluation_matches_floats():
             j = evaluate(e, env)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
-                tape.run((0.31, 0.47), space)
+                tape.run(one((0.31, 0.47)), space)
             continue
         value = j.value if hasattr(j, "value") else j
         assert value == pytest.approx(f, rel=1e-12, abs=1e-12)
         ref = j.coeffs if hasattr(j, "coeffs") else space.constant(j).coeffs
-        got = tape.run((0.31, 0.47), space)[0]
+        got = tape.run(one((0.31, 0.47)), space)[0, 0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -177,8 +178,8 @@ def test_tape_matches_evaluate_on_catalog_geometries(name, dim):
         for order in range(4):
             space = jet_space(dim, order)
             env = dict(zip(geom.chart.coord_names, point_jets(space, p)))
-            got = tape.run(p, space)
-            field = geom.metric_field().dense(p, order)
+            got = tape.run(one(p), space)[:, 0]
+            field = geom.metric_field().dense(one(p), order)[..., 0, :]
             for k, root in enumerate(roots):
                 ref = evaluate(root, env, jet_call)
                 ref = ref.coeffs if hasattr(ref, "coeffs") else space.constant(ref).coeffs
@@ -187,7 +188,7 @@ def test_tape_matches_evaluate_on_catalog_geometries(name, dim):
             iu = np.triu_indices(dim)
             assert np.array_equal(field[iu], got[:-1])
             assert np.array_equal(field, field.transpose(1, 0, 2))
-            assert np.array_equal(geom.rho_dense(p, order), got[-1])
+            assert np.array_equal(geom.rho_dense(one(p), order)[0], got[-1])
 
 
 def test_klein_tape_shares_subexpressions():
@@ -270,7 +271,7 @@ def test_the_schedule_keeps_dependencies_and_values(roots):
         assume(False)
     refs = [r.coeffs if hasattr(r, "coeffs") else space.constant(r).coeffs for r in refs]
     assume(all(np.all(np.isfinite(r)) and np.max(np.abs(r)) < 1e100 for r in refs))
-    got = tape.run(point, space)
+    got = tape.run(one(point), space)[:, 0]
     for k, ref in enumerate(refs):
         assert np.max(np.abs(got[k] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), k
 
@@ -292,7 +293,7 @@ def test_tape_integer_powers_are_products():
     tape = ex.compile_tape([ex.Pow(x_, 4.0), ex.Pow(x_, -3.0)], ("x",))
     assert [op for op, *_ in tape.code] == ["mul", "mul", "mul", "recip"]
     space = jet_space(1, 3)
-    got = tape.run((0.5,), space)
+    got = tape.run(one((0.5,)), space)[:, 0]
     x = space.variable(0, 0.5)
     assert np.allclose(got[0], (x * x * x * x).coeffs, rtol=1e-14, atol=0)
     assert np.allclose(got[1], (1.0 / (x * x * x)).coeffs, rtol=1e-14, atol=0)
@@ -313,15 +314,24 @@ def test_tape_unknown_variable():
 def test_tape_raises_pole_and_domain_errors():
     space = jet_space(1, 2)
     with pytest.raises(PoleError):
-        ex.compile_tape([ex.parse_expr("1/(1 - x^2)")], ("x",)).run((1.0,), space)
+        ex.compile_tape([ex.parse_expr("1/(1 - x^2)")], ("x",)).run(one((1.0,)), space)
     with pytest.raises(DomainError):
-        ex.compile_tape([ex.parse_expr("sqrt(x - 1)")], ("x",)).run((0.5,), space)
+        ex.compile_tape([ex.parse_expr("sqrt(x - 1)")], ("x",)).run(one((0.5,)), space)
+
+
+def test_tape_runs_on_a_batch_of_points_only():
+    tape = ex.compile_tape([ex.parse_expr("x*y")], ("x", "y"))
+    space = jet_space(2, 1)
+    assert tape.run(one((2.0, 3.0)), space).shape == (1, 1, space.ncoeff)
+    for bad in ((2.0, 3.0), np.zeros((2, 3)), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match=r"\(B, 2\) array"):
+            tape.run(bad, space)
 
 
 @pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
 def test_direct_evaluation_at_boundary_raises_pole(name, dim):
     geom = builtin_geometry(name, dim)
-    y = geom.boundary_points(1, np.random.default_rng(1))[0]
+    y = one(geom.boundary_points(1, np.random.default_rng(1))[0])
     with pytest.raises(PoleError):
         geom.metric_field().dense(y, 1)
     with pytest.raises(PoleError):
@@ -334,8 +344,8 @@ def test_deep_expressions():
     src = " + ".join(["x"] * 3000)
     e = ex.parse_expr(src)
     assert ex.expr_variables(e) == {"x"}
-    got = ex.compile_tape([e], ("x",)).run((0.5,), jet_space(1, 1))
-    assert np.allclose(got[0], [1500.0, 3000.0])
+    got = ex.compile_tape([e], ("x",)).run(one((0.5,)), jet_space(1, 1))
+    assert np.allclose(got[0, 0], [1500.0, 3000.0])
     with pytest.raises(ex.ExprError):
         ex.parse_expr("(" * 2000 + "x" + ")" * 2000)
     with pytest.raises(ex.ExprError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ladder
+from conftest import ladder, one
 from jet_reference import jet_views
 from tractorlab import expr as ex
 from tractorlab.extrapolate import boundary_limit
@@ -23,18 +23,18 @@ from tractorlab.jets import JetError, PoleError, jet_space
 
 
 def test_flat_metric_is_identity(flat3):
-    g = flat3.metric_field().dense((0.2, 0.1, -0.3), 1)
-    assert np.allclose(g[..., 0], np.eye(3))
+    g = flat3.metric_field().dense(one((0.2, 0.1, -0.3)), 1)
+    assert np.allclose(g[..., 0, 0], np.eye(3))
 
 
 def test_klein_metric_at_origin(klein3):
-    g = klein3.metric_field().dense((0.0, 0.0, 0.0), 2)
-    assert np.allclose(g[..., 0], np.eye(3))
+    g = klein3.metric_field().dense(one((0.0, 0.0, 0.0)), 2)
+    assert np.allclose(g[..., 0, 0], np.eye(3))
 
 
 def test_klein_pole_at_boundary(klein3):
     with pytest.raises(PoleError):
-        klein3.metric_field().dense((1.0, 0.0, 0.0), 1)
+        klein3.metric_field().dense(one((1.0, 0.0, 0.0)), 1)
 
 
 def test_klein_closed_form(klein3):
@@ -42,13 +42,27 @@ def test_klein_closed_form(klein3):
     x = np.array(p)
     rho = 1 - x @ x
     expected = np.eye(3) / rho + np.outer(x, x) / rho**2
-    g = klein3.metric_field().dense(p, 0)[..., 0]
+    g = klein3.metric_field().dense(one(p), 0)[..., 0, 0]
     assert np.max(np.abs(g - expected)) < 1e-14
 
 
+def test_chart_coords_take_a_batch_of_points(klein3):
+    chart = Chart(("a", "b", "c"))
+    assert chart.coords(one((0.1, 0.2, 0.3))).shape == (1, 3)
+    # one point is a batch of one: a bare point is rejected, naming the shape
+    for bad in ((0.1, 0.2, 0.3), np.zeros(3), np.zeros((2, 2)), np.zeros((1, 3, 1))):
+        with pytest.raises(GeometryError, match=r"\(B, 3\) array"):
+            chart.coords(bad)
+    with pytest.raises(GeometryError, match=r"\(B, 3\) array, got shape \(3,\)"):
+        klein3.rho_value(np.zeros(3))
+
+
 def test_symmetry_is_exact(af2, rng):
-    p = af2.interior_points(1, rng)[0]
-    assert af2.metric_field().symmetry_defect(p, 1) == 0.0
+    # the declared symmetry holds bit for bit, at every jet coefficient of
+    # every point of a batch
+    pts = np.array(af2.interior_points(4, rng))
+    g = af2.metric_field().dense(pts, 1)
+    assert np.array_equal(g, g.transpose(1, 0, 2, 3))
 
 
 def test_dim_validation():
@@ -63,20 +77,20 @@ def test_af2_matches_klein_leading_asymptotics(klein3):
     # (h = delta for the Klein ball).
     geom = klein3
     rng = np.random.default_rng(5)
-    for p in geom.interior_points(5, rng):
-        g = geom.metric_field().dense(p, 0)[..., 0]
-        rho = geom.rho_value(p)
-        grad = geom.drho(p)
+    for p in map(one, geom.interior_points(5, rng)):
+        g = geom.metric_field().dense(p, 0)[..., 0, 0]
+        (rho,), grad = geom.rho_and_drho(p)
+        grad = grad[:, 0]
         rem = rho * g - np.eye(3) - 0.25 * np.outer(grad, grad) / rho
         assert np.max(np.abs(rem)) < 1e-12
 
     delta = np.array([["1" if i == j else "0" for j in range(4)] for i in range(4)],
                      dtype=object)
     af = builtin_geometry("af2_generic", 4, h=delta)
-    for p in af.interior_points(5, rng):
-        g = af.metric_field().dense(p, 0)[..., 0]
-        rho = af.rho_value(p)
-        grad = af.drho(p)
+    for p in map(one, af.interior_points(5, rng)):
+        g = af.metric_field().dense(p, 0)[..., 0, 0]
+        (rho,), grad = af.rho_and_drho(p)
+        grad = grad[:, 0]
         rem = rho * g - np.eye(4) - 0.25 * np.outer(grad, grad) / rho
         assert np.max(np.abs(rem)) < 1e-12
 
@@ -106,10 +120,10 @@ def test_klein_radial_boundedness(klein3):
     geom = klein3
     vals = []
     for s in (0.9, 0.99, 0.999):
-        p = (s, 0.0, 0.0)
-        g = geom.metric_field().dense(p, 0)[..., 0]
+        p = one((s, 0.0, 0.0))
+        g = geom.metric_field().dense(p, 0)[..., 0, 0]
         mu = np.array([1.0, 0.0, 0.0])
-        vals.append(geom.rho_value(p) ** 2 * float(mu @ g @ mu))
+        vals.append(geom.rho_value(p)[0] ** 2 * float(mu @ g @ mu))
     assert max(vals) < 10.0
 
 
@@ -143,9 +157,9 @@ def test_load_geometry_roundtrip(klein3):
     doc = json.loads(json.dumps(KLEIN3_DOC))
     geom = load_geometry(doc)
     rng = np.random.default_rng(2)
-    for p in klein3.interior_points(10, rng):
-        a = geom.metric_field().dense(p, 1)[..., 0]
-        b = klein3.metric_field().dense(p, 1)[..., 0]
+    for p in map(one, klein3.interior_points(10, rng)):
+        a = geom.metric_field().dense(p, 1)[..., 0, 0]
+        b = klein3.metric_field().dense(p, 1)[..., 0, 0]
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -175,9 +189,9 @@ def test_load_geometry_asymptotic_form(af2):
     geom = load_geometry(doc)
     assert geom.alpha == 2.0
     rng = np.random.default_rng(3)
-    p = geom.interior_points(1, rng)[0]
-    g = geom.metric_field().dense(p, 0)[..., 0]
-    rho = geom.rho_value(p)
+    p = one(geom.interior_points(1, rng)[0])
+    g = geom.metric_field().dense(p, 0)[..., 0, 0]
+    (rho,) = geom.rho_value(p)
     expected = np.eye(4) / rho
     expected[0, 0] += 0.25 / rho**2
     assert np.max(np.abs(g - expected)) < 1e-12
@@ -194,6 +208,8 @@ def test_tensor_field_shape_validation():
     outputs = [
         np.empty(3, dtype=object),
         np.zeros((3, 3)),
+        # the dense shape without the batch axis
+        np.zeros((2, 3)),
         # an object array of scalar jets with the field's tensor shape
         jet_views(np.zeros((2, 3)), jet_space(2, 1)),
         # an object array with the dense shape
@@ -202,21 +218,22 @@ def test_tensor_field_shape_validation():
     for output in outputs:
         bad = TensorField(Chart(("a", "b")), "d", lambda p, k: output)
         with pytest.raises(GeometryError):
-            bad.dense((0.0, 0.0), 1)
+            bad.dense(one((0.0, 0.0)), 1)
 
 
 def test_boundary_samplers(klein3, af2, flat3):
     rng = np.random.default_rng(0)
     for geom in (klein3, af2, flat3):
-        for y in geom.boundary_points(4, rng):
-            assert abs(geom.rho_value(y)) < 1e-10
-            assert np.linalg.norm(geom.drho(y)) > 1e-8
+        for y in map(one, geom.boundary_points(4, rng)):
+            (rho,), grad = geom.rho_and_drho(y)
+            assert abs(rho) < 1e-10
+            assert np.linalg.norm(grad[:, 0]) > 1e-8
 
 
 def test_interior_sampler_stays_interior(af1):
     rng = np.random.default_rng(0)
     for p in af1.interior_points(10, rng):
-        assert af1.rho_value(p) > 0.05
+        assert af1.rho_value(one(p))[0] > 0.05
 
 
 # -- loader contracts -------------------------------------------------------
@@ -369,7 +386,7 @@ def _reference_ray_point(geom, rng):
         v /= math.sqrt(float(v @ v))
         s_in, s_out, s = 0.0, None, 0.05
         for _ in range(400):
-            if geom.rho_value(center + s * v) <= 0:
+            if geom.rho_value(one(center + s * v))[0] <= 0:
                 s_out = s
                 break
             s_in = s
@@ -378,7 +395,7 @@ def _reference_ray_point(geom, rng):
             continue
         for _ in range(80):
             mid = 0.5 * (s_in + s_out)
-            if geom.rho_value(center + mid * v) > 0:
+            if geom.rho_value(one(center + mid * v))[0] > 0:
                 s_in = mid
             else:
                 s_out = mid
@@ -401,8 +418,9 @@ def test_ray_sampler_matches_full_bisection(monkeypatch, dim):
 
 
 def _sequential_ray_point(geom, rng):
-    """The ray search probing one point at a time: the reference the
-    batched search must match bit for bit, draws and errors included."""
+    """The ray search probing one point at a time, each as a batch of one:
+    the reference the batched search must match bit for bit, draws and
+    errors included."""
     lo, hi = geom.interior_box
     center = (np.asarray(lo) + np.asarray(hi)) / 2.0
     for _ in range(64):
@@ -410,7 +428,7 @@ def _sequential_ray_point(geom, rng):
         v /= math.sqrt(float(v @ v))
         s_in, s_out, s = 0.0, None, 0.05
         for _ in range(400):
-            if geom.rho_value(center + s * v) <= 0:
+            if geom.rho_value(one(center + s * v))[0] <= 0:
                 s_out = s
                 break
             s_in = s
@@ -421,7 +439,7 @@ def _sequential_ray_point(geom, rng):
             mid = 0.5 * (s_in + s_out)
             if mid == s_in or mid == s_out:
                 break
-            if geom.rho_value(center + mid * v) > 0:
+            if geom.rho_value(one(center + mid * v))[0] > 0:
                 s_in = mid
             else:
                 s_out = mid
@@ -489,9 +507,9 @@ def test_a_batch_past_the_domain_of_rho_falls_back_to_single_points(monkeypatch)
     rows = []
     real = ex.Tape.run
 
-    def run(self, point, space):
-        rows.append(len(np.atleast_2d(point)))
-        return real(self, point, space)
+    def run(self, points, space):
+        rows.append(len(points))
+        return real(self, points, space)
 
     monkeypatch.setattr(ex.Tape, "run", run)
     got = _search_outcome(geom.boundary_sampler, 3)

@@ -21,7 +21,10 @@ likewise an interior check evaluates its sample points as one batch, so no
 ``verify`` runner loops over them.  A
 runner returns its facets by name and ``run_suite`` alone turns them into a
 verdict, so no other code of ``verify`` writes an infinite residual or
-rescales a residual by a tolerance ratio."""
+rescales a residual by a tolerance ratio.  Every layer takes a batch of
+points ``(B, d)`` and one point is a batch of one, so no code keeps a
+single-point path beside the batch one: none tests ``is_batch``, annotates
+a ``Point | np.ndarray`` union or branches on the ``ndim`` of a point."""
 
 import ast
 import importlib
@@ -58,6 +61,7 @@ REMOVED = {
     "boundary_tractor_bundle", "expected_gram_split", "asymptotically_parallel_check",
     "defining_density_check", "metricity_residual", "splitting_from_lc", "is_finite",
     "h_diverged", "t0_row_defect", "collar_not_injective",
+    "symmetry_defect", "is_boundary_point",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;
@@ -386,3 +390,74 @@ def test_the_verdict_rule_sees_infinite_and_rescaled_residuals():
         assert not list(_verdict_forms(ast.parse(head + body))), body
     exempt = "def run_suite(geom):\n    return math.inf * (1e-5 / 1e-6)"
     assert not list(_verdict_forms(ast.parse(exempt)))
+
+
+#: Names of values that hold points (or rho levels), on whose ``ndim`` no
+#: code may branch.
+POINT_NAMES = {"point", "points", "pts", "pt", "p", "x", "y", "ys", "eps"}
+
+
+def _names_a_point(node):
+    return any(isinstance(sub, ast.Name) and sub.id in POINT_NAMES for sub in ast.walk(node))
+
+
+def _single_point_paths(tree):
+    """Lines of a single-point path kept beside the batch one: a use of
+    ``is_batch``, a ``Point | ...`` union, a branch (``if``, conditional
+    expression, ``while``) whose test reads the ``ndim`` of a point, or an
+    ``np.atleast_1d`` / ``np.atleast_2d`` of one."""
+    for name, line in _names(tree):
+        if name == "is_batch":
+            yield line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            if "Point" in (ast.unparse(node.left), ast.unparse(node.right)):
+                yield node.lineno
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            for sub in ast.walk(node.test):
+                ndim = (
+                    isinstance(sub, ast.Attribute) and sub.attr == "ndim"
+                    and _names_a_point(sub.value)
+                ) or (
+                    isinstance(sub, ast.Call) and ast.unparse(sub.func) == "np.ndim"
+                    and any(_names_a_point(arg) for arg in sub.args)
+                )
+                if ndim:
+                    yield sub.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("np.atleast_1d", "np.atleast_2d")
+            and any(_names_a_point(arg) for arg in node.args)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_single_point_path(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = sorted(set(_single_point_paths(tree)))
+    assert not found, f"{module.name} keeps a single-point path on lines {found}"
+
+
+def test_the_single_point_rule_sees_the_point_paths():
+    for src in (
+        "def is_batch(point):\n    return point.ndim == 2",
+        "batch = point.shape[:1] if is_batch(point) else ()",
+        "def coords(self, point: Point | np.ndarray) -> np.ndarray:\n    pass",
+        "Evaluator = Callable[[Point | np.ndarray, int], np.ndarray]",
+        "out = slots[outputs]\nreturn out if pts.ndim == 2 else out[:, 0]",
+        "if np.ndim(eps):\n    pass",
+        "while np.asarray(point).ndim < 2:\n    point = [point]",
+        "targets = np.atleast_1d(np.asarray(eps, dtype=float))",
+        "rows = np.atleast_2d(p)",
+    ):
+        assert list(_single_point_paths(ast.parse(src))), src
+    for src in (
+        "def dense(self, points: np.ndarray, order: int) -> np.ndarray:\n    pass",
+        "upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField",
+        "if dot and a.ndim == len(sa) + 2 and b.ndim == len(sb) + 2:\n    pass",
+        "if np.ndim(w_perturbation) == 0:\n    pass",
+        "if points.shape[1:] != (self.dim,):\n    raise GeometryError('shape')",
+        "nd = out.ndim",
+    ):
+        assert not list(_single_point_paths(ast.parse(src))), src

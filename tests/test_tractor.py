@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import max_value
+from conftest import max_value, one
 from jet_reference import jet_stack, jet_views
 from tractorlab.jets import Jet, PoleError, jet_inverse, jet_space
 from tractorlab.tractor import (
@@ -23,34 +23,45 @@ from tractorlab.tractor import (
 
 
 def linear_upsilon(dim, coeffs):
-    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator, at a point or
-    at a batch of points."""
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator at a batch of
+    points."""
     coeffs = np.asarray(coeffs, dtype=float)
 
-    def ups(point, order):
-        x = np.asarray(point, dtype=float)
-        out = np.zeros((dim,) + x.shape[:-1] + (jet_space(dim, order).ncoeff,))
-        out[..., 0] = np.moveaxis(x @ coeffs[:, 1:].T + coeffs[:, 0], -1, 0)
+    def ups(points, order):
+        x = np.asarray(points, dtype=float)
+        out = np.zeros((dim, len(x), jet_space(dim, order).ncoeff))
+        out[..., 0] = (x @ coeffs[:, 1:].T + coeffs[:, 0]).T
         if order >= 1:
-            out[..., 1 : 1 + dim] = np.expand_dims(coeffs[:, 1:], tuple(range(1, x.ndim)))
+            out[..., 1 : 1 + dim] = coeffs[:, None, 1:]
         return out
 
     return ups
 
 
+def row(dense):
+    """The one row of a dense jet array at a batch of one point."""
+    return dense[..., 0, :]
+
+
+def batch_of_one(dense):
+    """A dense jet array with a batch axis of one row added."""
+    return dense[..., None, :]
+
+
 def jets_of(tv):
-    """Scalar-jet views of a tractor value's components."""
-    return jet_views(tv.data, tv.space)
+    """Scalar-jet views of the components of a tractor value at one point."""
+    return jet_views(row(tv.data), tv.space)
 
 
 def pack_jets(pack, name, point, order):
-    """Scalar-jet views of a curvature pack tensor."""
-    return jet_views(pack.dense(name, point, order), jet_space(pack.dim, order))
+    """Scalar-jet views of a curvature pack tensor at a batch of one point."""
+    return jet_views(row(pack.dense(name, point, order)), jet_space(pack.dim, order))
 
 
 def conn_jets(conn, point, order):
-    """Scalar-jet views of a connection's Christoffel symbols."""
-    return jet_views(conn.dense(point, order), jet_space(conn.dim, order))
+    """Scalar-jet views of a connection's Christoffel symbols at a batch of
+    one point."""
+    return jet_views(row(conn.dense(point, order)), jet_space(conn.dim, order))
 
 
 def tv_gap(a, b):
@@ -80,8 +91,10 @@ def test_flat_structure_derivative(flat3):
     comps[0] = space.variable(0, p[0])  # sigma = x0
     for a in range(3):
         comps[1 + a] = space.constant(0.0)
-    tv = TractorValue(jet_stack(comps, space), space, "u", 0, calc.levi_civita_splitting)
-    D = std_tractor_derivative(calc, tv, p)
+    tv = TractorValue(
+        batch_of_one(jet_stack(comps, space)), space, "u", 0, calc.levi_civita_splitting
+    )
+    D = std_tractor_derivative(calc, tv, one(p))
     for a in range(3):
         # nu-slot: sigma delta^b_a
         for b in range(3):
@@ -100,8 +113,10 @@ def test_constant_upper_section_on_flat(flat3):
     comps[0] = space.constant(0.0)
     for a in range(3):
         comps[1 + a] = space.variable(a, 0.0)
-    tv = TractorValue(jet_stack(comps, space), space, "u", 0, calc.levi_civita_splitting)
-    D = std_tractor_derivative(calc, tv, p)
+    tv = TractorValue(
+        batch_of_one(jet_stack(comps, space)), space, "u", 0, calc.levi_civita_splitting
+    )
+    D = std_tractor_derivative(calc, tv, one(p))
     for a in range(3):
         assert jets_of(D)[a, 0].value == pytest.approx(0.0, abs=1e-14)
         for b in range(3):
@@ -114,22 +129,21 @@ def test_constant_upper_section_on_flat(flat3):
 
 
 def test_change_splitting_identity_and_group_action(calc3, rng):
-    p = (0.2, -0.1, 0.3)
+    p = one((0.2, -0.1, 0.3))
     tv = l_tau(calc3, p, 2)
-    ident = change_splitting(tv, np.zeros((3, tv.space.ncoeff)))
+    ident = change_splitting(tv, np.zeros((3, 1, tv.space.ncoeff)))
     assert tv_gap(ident, tv) == 0.0
     u1 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
     u2 = linear_upsilon(3, rng.uniform(-0.5, 0.5, (3, 4)))(p, 2)
     two = change_splitting(change_splitting(tv, u1), u2)
-    one = change_splitting(tv, u1 + u2)
-    assert tv_gap(two, one) < 1e-10
+    once = change_splitting(tv, u1 + u2)
+    assert tv_gap(two, once) < 1e-10
 
 
 def test_endomorphism_change_is_conjugation(calc3, rng):
     # pushing an endomorphism through the fiber change map reproduces the
     # slot change law: xi fixed, A += xi Y, lambda -= Y.xi,
     # psi += -A^T Y + lambda Y - (Y.xi) Y
-    p = (0.15, 0.2, -0.1)
     d = 3
     space = jet_space(d, 1)
     M = np.empty((d + 1, d + 1), dtype=object)
@@ -137,10 +151,10 @@ def test_endomorphism_change_is_conjugation(calc3, rng):
     for idx in np.ndindex(d + 1, d + 1):
         M[idx] = space.constant(vals[idx])
     uvals = rng.uniform(-0.7, 0.7, size=d)
-    ups = jet_stack([space.constant(v) for v in uvals], space)
-    tv = TractorValue(jet_stack(M, space), space, "ud", 0, calc3.reference)
+    ups = batch_of_one(jet_stack([space.constant(v) for v in uvals], space))
+    tv = TractorValue(batch_of_one(jet_stack(M, space)), space, "ud", 0, calc3.reference)
     out = change_splitting(tv, ups)
-    got = out.values()
+    got = out.values()[..., 0]
 
     A = vals[1:, 1:]
     xi = vals[1:, 0]
@@ -155,13 +169,13 @@ def test_endomorphism_change_is_conjugation(calc3, rng):
 
 
 def test_l_tau_hatform_instance(calc3, klein3):
-    p = (0.25, -0.1, 0.3)
+    p = one((0.25, -0.1, 0.3))
     order = 2
     Lh = calc3.in_splitting(l_tau(calc3, p, order), calc3.reference, p)
-    rho_full = Jet(jet_space(3, order + 1), klein3.rho_dense(p, order + 1))
+    rho_full = Jet(jet_space(3, order + 1), klein3.rho_dense(p, order + 1)[0])
     grad = [rho_full.partial(a) for a in range(3)]
     rho = rho_full.truncate(order)
-    tau_hat = Jet(jet_space(3, order), calc3.tau_hat_dense(p, order))
+    tau_hat = Jet(jet_space(3, order), calc3.tau_hat_dense(p, order)[0])
     P = pack_jets(calc3.pack_of(calc3.levi_civita_splitting), "schouten", p, order)
     G = jets_of(Lh)
     gap = np.max(np.abs((G[0, 0] - rho * tau_hat).coeffs))
@@ -177,11 +191,11 @@ def test_l_tau_boundary_slot_structure(calc3, klein3):
     # approaching the boundary: top slot -> 0, middle -> rho_a/2 * tauhat
     y = np.array([1.0, 0.0, 0.0])
     for eps in (1e-2, 1e-3):
-        p = tuple(y * np.sqrt(1 - eps))
+        p = one(y * np.sqrt(1 - eps))
         G = jets_of(calc3.in_splitting(l_tau(calc3, p, 0), calc3.reference, p))
         assert abs(G[0, 0].value) < 2 * eps
         mid = np.array([G[0, 1 + a].value for a in range(3)])
-        assert np.linalg.norm(mid - 0.5 * klein3.drho(p)) < 2 * eps
+        assert np.linalg.norm(mid - 0.5 * klein3.rho_and_drho(p)[1][:, 0]) < 2 * eps
 
 
 # -- induced connection on End(T), product rule ---------------------------------
@@ -203,13 +217,13 @@ def test_end_connection_block_formula(calc_af2, rng):
         for i in range(d):
             val = val + c[1 + i] * (xs[i] - p[i])
         M[idx] = val
-    tv = TractorValue(jet_stack(M, space), space, "ud", 0, calc.reference)
-    D = std_tractor_derivative(calc, tv, p)
+    tv = TractorValue(batch_of_one(jet_stack(M, space)), space, "ud", 0, calc.reference)
+    D = std_tractor_derivative(calc, tv, one(p))
 
     conn = calc.connection_of(calc.reference)
     pack = calc.pack_of(calc.reference)
-    P = pack_jets(pack, "schouten", p, order)
-    G = conn_jets(conn, p, order)
+    P = pack_jets(pack, "schouten", one(p), order)
+    G = conn_jets(conn, one(p), order)
     A = M[1:, 1:]
     xi = M[1:, 0]
     psi = M[0, 1:]
@@ -259,14 +273,16 @@ def test_end_connection_block_formula(calc_af2, rng):
 
 
 def test_product_rule(calc3, rng):
-    p = (0.2, -0.15, 0.1)
+    p = one((0.2, -0.15, 0.1))
     s1 = polynomial_tractor_section(calc3, p, 3, rng)
     s2 = polynomial_tractor_section(calc3, p, 3, rng)
     prod = np.empty((4, 4), dtype=object)
     for i in range(4):
         for j in range(4):
             prod[i, j] = jets_of(s1)[i] * jets_of(s2)[j]
-    tv = TractorValue(jet_stack(prod, s1.space), s1.space, "uu", 0, calc3.reference)
+    tv = TractorValue(
+        batch_of_one(jet_stack(prod, s1.space)), s1.space, "uu", 0, calc3.reference
+    )
     D = std_tractor_derivative(calc3, tv, p)
     D1 = std_tractor_derivative(calc3, s1, p)
     D2 = std_tractor_derivative(calc3, s2, p)
@@ -284,7 +300,7 @@ def test_product_rule(calc3, rng):
 
 def test_l_tau_parallel_for_einstein(calc3, rng):
     # Klein is Einstein: grad P = 0, so L(tau) is parallel everywhere
-    p = (0.2, -0.1, 0.25)
+    p = one((0.2, -0.1, 0.25))
     L = l_tau(calc3, p, 3, calc3.reference)
     D = std_tractor_derivative(calc3, L, p)
     assert max_value(D.data) < 1e-9
@@ -293,11 +309,11 @@ def test_l_tau_parallel_for_einstein(calc3, rng):
 def test_derivative_of_l_tau_slot_structure(calc_af2):
     # in every splitting the derivative of L(tau) sits in the injecting
     # slot only; in the Levi-Civita splitting that slot is tau grad_a P_bc
-    p = (0.4, 0.2, -0.3, 0.1)
+    p = one((0.4, 0.2, -0.3, 0.1))
     d = 4
     pack = calc_af2.pack_of(calc_af2.levi_civita_splitting)
     dP = pack_jets(pack, "schouten_derivative", p, 2)
-    tau = Jet(jet_space(d, 2), calc_af2.tau.dense(p, 2))
+    tau = Jet(jet_space(d, 2), calc_af2.tau.dense(p, 2)[0])
     for s in (calc_af2.levi_civita_splitting, calc_af2.reference):
         L = l_tau(calc_af2, p, 3, s)
         D = std_tractor_derivative(calc_af2, L, p)
@@ -319,10 +335,10 @@ def test_einstein_trace_adjusted_schouten_vanishes(calc3, rng):
     # P - S g/(n(n+1)) is identically zero for the hyperbolic ball
     geom = calc3.geom
     pack = calc3.pack_of(calc3.levi_civita_splitting)
-    p = geom.interior_points(1, rng)[0]
+    p = one(geom.interior_points(1, rng)[0])
     P = pack_jets(pack, "schouten", p, 0)
-    S = Jet(jet_space(3, 0), pack.dense("scalar", p, 0))
-    g = jet_views(geom.metric_field().dense(p, 0), jet_space(3, 0))
+    S = Jet(jet_space(3, 0), pack.dense("scalar", p, 0)[0])
+    g = jet_views(row(geom.metric_field().dense(p, 0)), jet_space(3, 0))
     n = 2
     gap = max(
         abs((P[a, b] - S * g[a, b] * (1.0 / (n * (n + 1)))).value)
@@ -335,28 +351,28 @@ def test_einstein_trace_adjusted_schouten_vanishes(calc3, rng):
 
 
 def test_bgg_parallel_klein(calc3):
-    p = (0.25, -0.1, 0.3)
+    p = one((0.25, -0.1, 0.3))
     sigma = calc3.metricity_field()
     lifted = bgg_split_metricity(calc3, sigma, calc3.levi_civita_splitting, p, 1)
     top, mid, bot = s2t_slots(lifted)
     assert np.max(np.abs(mid[..., 0])) < 1e-12
-    rho = calc3.geom.rho_value(p)
+    (rho,) = calc3.geom.rho_value(p)
     # bottom slot: g^ij P_ij tau^-1/(n+1) with g^ij P_ij = -(n+1)
-    assert bot[0] == pytest.approx(-1.0 / rho, rel=1e-12)
+    assert bot[0, 0] == pytest.approx(-1.0 / rho, rel=1e-12)
 
 
 def test_bgg_flat_bottom_slot(flat3):
     calc = TractorCalculus(flat3)
-    p = (0.2, 0.0, 0.1)
+    p = one((0.2, 0.0, 0.1))
     sigma = calc.metricity_field()
     lifted = bgg_split_metricity(calc, sigma, calc.levi_civita_splitting, p, 1)
     top, mid, bot = s2t_slots(lifted)
     assert np.max(np.abs(mid[..., 0])) < 1e-13
-    assert abs(bot[0]) < 1e-13
+    assert abs(bot[0, 0]) < 1e-13
 
 
 def test_bgg_equivariance(calc_af2):
-    p = (0.4, 0.2, -0.3, 0.1)
+    p = one((0.4, 0.2, -0.3, 0.1))
     sigma = calc_af2.metricity_field()
     direct = bgg_split_metricity(calc_af2, sigma, calc_af2.reference, p, 1)
     in_lc = bgg_split_metricity(
@@ -370,7 +386,7 @@ def test_bgg_equivariance(calc_af2):
 
 
 def test_inverse_of_inverse(calc3):
-    p = (0.3, 0.1, -0.2)
+    p = one((0.3, 0.1, -0.2))
     L = l_tau(calc3, p, 2, calc3.reference)
     back = tractor_metric_inverse(tractor_metric_inverse(L))
     assert tv_gap(back, L) < 1e-10
@@ -378,7 +394,7 @@ def test_inverse_of_inverse(calc3):
 
 def test_flat_l_tau_degenerate(flat3):
     calc = TractorCalculus(flat3)
-    L = l_tau(calc, (0.3, 0.0, 0.0), 1)
+    L = l_tau(calc, one((0.3, 0.0, 0.0)), 1)
     with pytest.raises(PoleError):
         tractor_metric_inverse(L)
 
@@ -386,14 +402,14 @@ def test_flat_l_tau_degenerate(flat3):
 def test_klein_t_vector_and_psi(calc3, klein3):
     # closed forms: t^a = -x^a/2 and psi = 1
     p = (0.3, -0.2, 0.1)
-    L = l_tau(calc3, p, 1, calc3.reference)
+    L = l_tau(calc3, one(p), 1, calc3.reference)
     inv = tractor_metric_inverse(L)
     top, mid, bot = s2t_slots(inv)
-    tau_hat = calc3.tau_hat_dense(p, 1)[0]
+    tau_hat = calc3.tau_hat_dense(one(p), 1)[0, 0]
     for a in range(3):
-        t_a = tau_hat * mid[a, 0] * 0.5
+        t_a = tau_hat * mid[a, 0, 0] * 0.5
         assert t_a == pytest.approx(-p[a] / 2, abs=1e-11)
-    assert tau_hat * bot[0] == pytest.approx(1.0, abs=1e-10)
+    assert tau_hat * bot[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 # -- tractor curvature ----------------------------------------------------------------
@@ -401,7 +417,7 @@ def test_klein_t_vector_and_psi(calc3, klein3):
 
 def test_flat_and_klein_curvature_vanish(flat3, calc3):
     calcf = TractorCalculus(flat3)
-    p = (0.2, 0.1, -0.1)
+    p = one((0.2, 0.1, -0.1))
     assert max_value(tractor_curvature(calcf, calcf.reference, p, 0).data) < 1e-12
     assert max_value(tractor_curvature(calc3, calc3.reference, p, 0).data) < 1e-8
     lc = calc3.levi_civita_splitting
@@ -409,7 +425,7 @@ def test_flat_and_klein_curvature_vanish(flat3, calc3):
 
 
 def test_af2_curvature_consistency(calc_af2):
-    p = (0.4, 0.2, -0.3, 0.1)
+    p = one((0.4, 0.2, -0.3, 0.1))
     for s in (calc_af2.reference, calc_af2.levi_civita_splitting):
         kap = tractor_curvature(calc_af2, s, p, 0)
         blocks = standard_curvature_blocks(calc_af2, s, p, 0)
@@ -418,7 +434,7 @@ def test_af2_curvature_consistency(calc_af2):
 
 def test_curvature_by_repeated_derivative(calc_af2, rng):
     # the matrix commutator route coincides with differentiating twice
-    p = (0.4, 0.2, -0.3, 0.1)
+    p = one((0.4, 0.2, -0.3, 0.1))
     s = polynomial_tractor_section(calc_af2, p, 3, rng)
     Ds = std_tractor_derivative(calc_af2, s, p)
     DDs = std_tractor_derivative(calc_af2, Ds, p)
@@ -437,7 +453,7 @@ def test_curvature_by_repeated_derivative(calc_af2, rng):
 
 
 def test_metric_tractor_connection_properties(calc_af2, rng):
-    p = (0.4, 0.2, -0.3, 0.1)
+    p = one((0.4, 0.2, -0.3, 0.1))
     tc = metricity_contorsion(calc_af2, calc_af2.reference)
     L = l_tau(calc_af2, p, 3, calc_af2.reference)
     DL = std_tractor_derivative(calc_af2, L, p, tc.matrices(p, 2))
@@ -455,7 +471,7 @@ def test_metric_tractor_connection_properties(calc_af2, rng):
 def test_klein_contorsion_vanishes(calc3, rng):
     # Einstein: grad P = 0 so A = 0 identically
     tc = metricity_contorsion(calc3, calc3.reference)
-    p = calc3.geom.interior_points(1, rng)[0]
+    p = one(calc3.geom.interior_points(1, rng)[0])
     psi = tc.contorsion(p, 1)
     assert np.max(np.abs(psi[..., 0])) < 1e-10
 
@@ -470,7 +486,7 @@ def omega_reference(calc, s, point, order):
     space = jet_space(d, order)
     G = conn_jets(conn, point, order)
     P = pack_jets(calc.pack_of(s), "schouten", point, order)
-    tg = jet_views(conn.trace_gamma(point, order), space)
+    tg = jet_views(row(conn.trace_gamma(point, order)), space)
     omega = np.empty((d, d + 1, d + 1), dtype=object)
     for a in range(d):
         gamma_a = tg[a] / (d + 1.0)
@@ -554,7 +570,7 @@ def metric_blocks_reference(calc, point, order):
     Y = pack_jets(pack, "cotton", point, order)
     Phat = pack_jets(pack, "schouten", point, order)
     G = conn_jets(calc.connection_of(s), point, order)
-    raw = metricity_contorsion(calc, s).contorsion(point, order + 1)
+    raw = row(metricity_contorsion(calc, s).contorsion(point, order + 1))
     psi_raw = jet_views(raw, jet_space(d, order + 1))
     A = psi_raw[:, 1:, 1:]
     psi = psi_raw[:, 0, 1:]
@@ -599,8 +615,10 @@ def metric_blocks_reference(calc, point, order):
 
 
 def assert_close(dense, reference, space):
-    """Every coefficient within 1e-12 relative to the reference's size."""
+    """Every coefficient of the one row of ``dense`` within 1e-12 relative
+    to the reference's size."""
     ref = jet_stack(reference, space)
+    dense = row(dense)
     assert dense.shape == ref.shape
     assert np.max(np.abs(dense - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -614,6 +632,7 @@ def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, reque
     calc = request.getfixturevalue(calc_name)
     d = calc.dim
     space = jet_space(d, order)
+    point = one(point)
     for s in (calc.reference, calc.levi_civita_splitting):
         omega = calc.connection_matrices(s, point, order)
         assert_close(omega, omega_reference(calc, s, point, order), space)
@@ -630,7 +649,7 @@ def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, reque
     ):
         changed = change_splitting(tv, ups)
         ref = change_reference(
-            jets_of(tv), tv.tvariance, tv.n_form, jet_views(ups, space), space
+            jets_of(tv), tv.tvariance, tv.n_form, jet_views(row(ups), space), space
         )
         assert_close(changed.data, ref, space)
 

@@ -271,9 +271,9 @@ def test_a_facet_is_held_to_its_own_tolerance():
     # gap is made by offsetting one component of the Klein model's exact
     # extension (which is zero) by 2e-6: at (1, 0, 0) the extrapolated
     # component is exactly zero, and every other one is below 1e-12.
-    def offset(point, order):
-        out = np.zeros((3, 3, 3, jet_space(3, order).ncoeff))
-        out[2, 2, 2, 0] = 2e-6
+    def offset(points, order):
+        out = np.zeros((3, 3, 3, len(points), jet_space(3, order).ncoeff))
+        out[2, 2, 2, :, 0] = 2e-6
         return out
 
     geom = at_boundary_points(builtin_geometry("klein", 3), (1.0, 0.0, 0.0))
