@@ -607,7 +607,8 @@ def jet_function(
         raise ValueError(f"unknown jet function {f!r}") from None
     a0 = dense[..., 0]
     series = [builder(float(v), space.order, param) for v in a0.flat]
-    return jet_compose(dense, np.reshape(series, a0.shape + (-1,)), space)
+    # the series length is explicit: an empty batch gives an empty list
+    return jet_compose(dense, np.reshape(series, a0.shape + (space.order + 1,)), space)
 
 
 def _check_pivots(a0: np.ndarray) -> None:

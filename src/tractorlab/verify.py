@@ -151,17 +151,45 @@ class Check:
     facet_tolerances: dict[str, float] = field(default_factory=dict)
 
 
+#: The checks that integrate geodetic transversals: a suite running more
+#: than one integrates all their curves together (:meth:`_Session.transversals`).
+_TRANSVERSAL_CHECKS = ("lem-2.4-transversal", "prop-2.5-mu")
+
+
+def _check_rng(plan: SamplingPlan, index: int) -> np.random.Generator:
+    """The generator of the check at registry ``index``.  Seeded by the
+    index, so a check samples the same points alone as in the full suite,
+    and a session can draw a later check's points before that check runs."""
+    return np.random.default_rng([plan.seed, index])
+
+
 class _Session:
     """Per-geometry state shared between checks of one suite run: the placed
-    ladders, the probe verdicts and ``calc``, the :class:`TractorCalculus` of
-    the running check (:func:`run_suite` gives each check its own)."""
+    ladders, the probe verdicts, ``calc``, the :class:`TractorCalculus` of
+    the running check (:func:`run_suite` gives each check its own), and the
+    transversals integrated ahead for later checks.
 
-    def __init__(self, geom: Geometry, plan: SamplingPlan):
+    ``transversal_checks`` holds the ``(registry index, check)`` of the
+    transversal checks the suite runs, and ``index`` the registry index of
+    the running check; both are set by :func:`run_suite`.  A session built
+    without them integrates each check's transversals alone.  The curves
+    integrated ahead live until their check reads them, within one suite:
+    8 curves of 201 samples take about 0.1 MB."""
+
+    def __init__(
+        self,
+        geom: Geometry,
+        plan: SamplingPlan,
+        transversal_checks: Sequence[tuple[int, Check]] = (),
+    ):
         self.geom = geom
         self.plan = plan
         self.calc = self._probe_calc = TractorCalculus(geom)
+        self.index: int | None = None
         self._probe: dict[str, tuple[bool, str]] = {}
         self._ladders: dict[tuple, Ladder] = {}
+        self._transversal_checks = list(transversal_checks)
+        self._curves: dict[tuple, bd.TransversalCurve] = {}
 
     def interior(self, rng, count=None) -> np.ndarray:
         """Sample interior points as one ``(N, d)`` batch: an interior
@@ -186,6 +214,46 @@ class _Session:
             )
             self._ladders[y] = hit
         return hit
+
+    def transversals(self, rng) -> tuple[list[Ladder], list[bd.TransversalCurve]]:
+        """The ladders of a transversal check, its generator ``rng``'s first
+        draw, and the geodetic transversals launched from them.
+
+        A row of a batch of curves gets the bits it gets alone, so the first
+        transversal check of a suite also draws the ladders of the later
+        applicable ones, each from the generator :func:`run_suite` will give
+        it, and integrates every curve in one batch; a later check reads its
+        rows.  When that batch raises, each check integrates its own curves
+        alone, so every error is the one the check meets alone.
+        """
+        ladders = self._transversal_ladders(rng)
+        if all(ladder.y in self._curves for ladder in ladders):
+            return ladders, [self._curves.pop(ladder.y) for ladder in ladders]
+        try:
+            later = [
+                lad for i, check in self._transversal_checks
+                if i > self.index and check.applicable(self.geom, self)[0]
+                for lad in self._transversal_ladders(_check_rng(self.plan, i))
+            ]
+            curves = self._integrate(ladders + later) if later else None
+        except Exception:
+            # run_suite makes any exception a check's error, so whatever the
+            # batch raises is left for the check that meets it alone
+            curves = None
+        if curves is None:
+            return ladders, self._integrate(ladders)
+        own = len(ladders)
+        self._curves.update((lad.y, curve) for lad, curve in zip(later, curves[own:]))
+        return ladders, curves[:own]
+
+    def _transversal_ladders(self, rng) -> list[Ladder]:
+        return self.ladders(rng, min(self.plan.boundary_points, 4))
+
+    def _integrate(self, ladders) -> list[bd.TransversalCurve]:
+        plan = self.plan
+        return bd.geodetic_transversals(
+            self.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
+        )
 
     def probe_nondegenerate(self) -> tuple[bool, str]:
         hit = self._probe.get("nondegenerate")
@@ -375,10 +443,7 @@ def _run_prop23_h(geom, plan, rng, session):
 
 
 def _run_transversal(geom, plan, rng, session):
-    ladders = session.ladders(rng, min(plan.boundary_points, 4))
-    curves = bd.geodetic_transversals(
-        session.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
-    )
+    ladders, curves = session.transversals(rng)
     grads = geom.rho_and_drho(np.array([curve.y for curve in curves]))[1].T
     details = [{
         "point": list(curve.y),
@@ -412,11 +477,8 @@ def _run_mu(geom, plan, rng, session):
     n = geom.dim - 1
     calc = session.calc
     gfield = geom.metric_field()
-    ladders = session.ladders(rng, min(plan.boundary_points, 4))
+    ladders, curves = session.transversals(rng)
     diverged, errors, defects, extrapolated, details = False, [], [], [], []
-    curves = bd.geodetic_transversals(
-        calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
-    )
 
     # rho^2 g(mu, mu) at every tenth RK4 sample of each curve and at the
     # points where it meets its ladder's levels, all curves in one batch
@@ -575,9 +637,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         # limit is judged
         judged = [k for k, est in enumerate(ests) if not est.diverged]
         gammas = bd.extended_christoffels(session.calc.hat, [ladders[k] for k in judged])
-        hessians = dict(zip(
-            judged, bd.hessian_of_rho(geom, ys[judged], gammas) if judged else []
-        ))
+        hessians = dict(zip(judged, bd.hessian_of_rho(geom, ys[judged], gammas)))
     else:
         grads = geom.rho_and_drho(ys)[1].T
 
@@ -1379,7 +1439,10 @@ def run_suite(
     unknown = [i for i in wanted if i not in {c.id for c in checks}]
     if unknown:
         raise KeyError(f"unknown check id(s): {unknown}")
-    session = _Session(geom, plan)
+    session = _Session(geom, plan, [
+        (index, check) for index, check in enumerate(checks)
+        if check.id in wanted and check.id in _TRANSVERSAL_CHECKS
+    ])
     reports = []
     for index, check in enumerate(checks):
         if check.id not in wanted:
@@ -1390,9 +1453,8 @@ def run_suite(
         ok, reason = check.applicable(geom, session)
         try:
             if ok:
-                # seeded by the registry index, so a check samples the same
-                # points alone as in the full suite
-                rng = np.random.default_rng([plan.seed, index])
+                rng = _check_rng(plan, index)
+                session.index = index
                 session.calc = TractorCalculus(geom)  # its memos end with the check
                 facets, n_points, details = check.run(geom, plan, rng, session)
                 # each facet's worst value in units of its own tolerance,

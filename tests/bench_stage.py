@@ -1,4 +1,5 @@
-"""Time the pieces of one RK4 stage of ``boundary.geodetic_transversals``.
+"""Time the pieces of one RK4 stage of ``boundary.geodetic_transversals``,
+and the two checks that integrate transversals.
 
 Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
 in, and pytest does not collect it)::
@@ -6,8 +7,9 @@ in, and pytest does not collect it)::
     python tests/bench_stage.py                       # print the table
     python tests/bench_stage.py --column after --out BENCH_rk4_stage.json
 
-Each layer runs on a 4-row batch of collar points (the states of four
-transversals, 50 steps in) of klein-3 and of af2_generic-4:
+Each layer runs on klein-3 and on af2_generic-4; the stage layers on a
+4-row batch of collar points (the states of four transversals, 50 steps
+in):
 
 * ``rho_tape.o0`` / ``rho_tape.o1``: ``Geometry.rho_dense`` at order 0 / 1;
 * ``metric_tape.o1``: the metric jets at order 1 (the Levi-Civita input);
@@ -16,7 +18,10 @@ transversals, 50 steps in) of klein-3 and of af2_generic-4:
 * ``jet_inverse.o0``: the order-0 inverse of the metric values;
 * ``hat.christoffel_values``: the rho-modified connection's values;
 * ``stage``: one stage of the integrator, as the time of a 0.2-long run
-  minus that of a 0.05-long run, over the 600 stages between them.
+  minus that of a 0.05-long run, over the 600 stages between them;
+* ``ode_pair``: ``run_suite`` of ``lem-2.4-transversal`` and ``prop-2.5-mu``
+  with the default plan, per suite (both checks' ladders, curves and
+  limits).
 
 Times are medians of ``--repeat`` blocks, in reference microseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -30,6 +35,9 @@ alternating::
       python before/tests/bench_stage.py --column before --out BENCH_rk4_stage.json
       python after/tests/bench_stage.py --column after --out BENCH_rk4_stage.json
     done
+
+``BENCH_ode_pair.json`` holds such runs of the parent and the change of
+the suite-level sharing of transversals, read from its ``ode_pair`` rows.
 """
 
 from __future__ import annotations
@@ -55,12 +63,13 @@ from tractorlab.extrapolate import boundary_ladder  # noqa: E402
 from tractorlab.fields import builtin_geometry  # noqa: E402
 from tractorlab.jets import jet_inverse, jet_space  # noqa: E402
 from tractorlab.tractor import TractorCalculus  # noqa: E402
-from tractorlab.verify import SamplingPlan  # noqa: E402
+from tractorlab.verify import SamplingPlan, run_suite  # noqa: E402
 
 GEOMETRIES = (("klein", 3), ("af2_generic", 4))
 ROWS = 4
 STEP = 1e-3
 SHORT, LONG = 0.05, 0.2
+ODE_PAIR = ("lem-2.4-transversal", "prop-2.5-mu")
 UNIT = "reference us per call, median block"
 
 
@@ -103,6 +112,7 @@ def measure(
         "jet_inverse.o0": per_call_us(lambda: jet_inverse(g0, space0)),
         "hat.christoffel_values": per_call_us(lambda: calc.hat.christoffel_values(x)),
         "stage": (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages,
+        "ode_pair": per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1),
     }
 
 

@@ -137,19 +137,20 @@ def test_singular_row_in_a_batch_raises(klein3):
     jet_inverse(np.delete(g, 2, axis=2), space)
 
 
-def test_batched_transversals_match_single_runs(klein3):
-    ys = klein3.boundary_points(4, np.random.default_rng(3))
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1", "klein5"])
+def test_batched_transversals_match_single_runs(request, name):
+    # bit for bit: a suite integrates its checks' curves in one batch, and
+    # each check reads its rows as if it had integrated them alone
+    geom = request.getfixturevalue(name)
+    ys = geom.boundary_points(4, np.random.default_rng(3))
     opts = dict(step=1e-3, horizon=0.05)
-    calc = TractorCalculus(klein3)
-    batch = bd.geodetic_transversals(calc, ladders(klein3, ys), **opts)
-    assert len(batch) == 4
-    for y, curve in zip(ys, batch):
-        single = bd.geodetic_transversals(calc, [ladder(klein3, y)], **opts)[0]
-        assert curve.y == single.y
+    calc = TractorCalculus(geom)
+    batch = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
+    singles = [bd.geodetic_transversals(calc, [ladder(geom, y)], **opts)[0] for y in ys]
+    assert [curve.y for curve in batch] == [curve.y for curve in singles] == list(ys)
+    for curve, single in zip(batch, singles):
         assert np.array_equal(curve.ts, single.ts)
-        for got, ref in [(curve.points, single.points), (curve.mus, single.mus),
-                         (curve.accs, single.accs), (curve.rhos, single.rhos)]:
-            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    _assert_same_curves(batch, singles)
 
 
 def test_batched_transversals_poincare_point_raises(poincare3):

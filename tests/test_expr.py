@@ -328,6 +328,19 @@ def test_tape_runs_on_a_batch_of_points_only():
             tape.run(bad, space)
 
 
+@pytest.mark.parametrize(
+    "src", ["exp(x)", "log(x)", "sqrt(x)", "x^1.5", "sin(x)", "cos(x)", "tan(x)", "atan(x)"]
+)
+@pytest.mark.parametrize("order", [0, 2])
+def test_every_elementary_function_runs_on_an_empty_batch(src, order):
+    # an empty batch gives the empty shape of a rational tape, not a reshape error
+    space = jet_space(1, order)
+    empty = np.zeros((0, 1))
+    expected = ex.compile_tape([ex.parse_expr("1/x")], ("x",)).run(empty, space).shape
+    assert expected == (1, 0, space.ncoeff)
+    assert ex.compile_tape([ex.parse_expr(src)], ("x",)).run(empty, space).shape == expected
+
+
 @pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
 def test_direct_evaluation_at_boundary_raises_pole(name, dim):
     geom = builtin_geometry(name, dim)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import at_boundary_points
 from tractorlab import verify
+from tractorlab.extrapolate import boundary_ladder
 from tractorlab.fields import builtin_geometry
 from tractorlab.jets import jet_space
 from tractorlab.verify import SamplingPlan, registry, run_suite
@@ -380,3 +381,84 @@ def test_sampling_plan_needs_four_rk4_steps(step, horizon, valid):
         return
     with pytest.raises(ValueError, match=r"invalid sampling plan \(ode_horizon / ode_step"):
         SamplingPlan(ode_step=step, ode_horizon=horizon)
+
+
+#: the checks that integrate geodetic transversals
+TRANSVERSAL_IDS = ("lem-2.4-transversal", "prop-2.5-mu")
+
+
+def _counting_transversals(monkeypatch) -> list[int]:
+    """Record the number of ladders of each ``geodetic_transversals`` call."""
+    from tractorlab import boundary as bd
+
+    real, calls = bd.geodetic_transversals, []
+
+    def counting(calc, ladders, *args, **kw):
+        calls.append(len(ladders))
+        return real(calc, ladders, *args, **kw)
+
+    monkeypatch.setattr(bd, "geodetic_transversals", counting)
+    return calls
+
+
+def _doc(report) -> str:
+    return json.dumps(report.to_doc(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name,dim,ids,calls", [
+    ("klein", 3, "all", [8]),
+    ("af2_generic", 4, "all", [8]),
+    ("klein", 3, ["lem-2.4-transversal"], [4]),
+    ("klein", 3, ["prop-2.5-mu"], [4]),
+    ("af1_generic", 4, "all", [4]),  # prop-2.5-mu needs alpha = 2
+])
+def test_a_suite_integrates_its_transversals_in_one_call(name, dim, ids, calls, monkeypatch):
+    counted = _counting_transversals(monkeypatch)
+    run_suite(builtin_geometry(name, dim), ids, SamplingPlan(seed=0))
+    assert counted == calls
+
+
+@pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
+def test_shared_transversals_give_each_check_its_report_alone(name, dim, monkeypatch):
+    geom, plan = builtin_geometry(name, dim), SamplingPlan(seed=1)
+    counted = _counting_transversals(monkeypatch)
+    pair = run_suite(geom, TRANSVERSAL_IDS, plan)
+    assert counted == [8]
+    assert [r.status for r in pair] == ["pass", "pass"]
+    for report in pair:
+        (alone,) = run_suite(geom, [report.check_id], plan)
+        assert _doc(alone) == _doc(report), report.check_id
+    assert counted == [8, 4, 4]
+
+
+@pytest.mark.parametrize("leaving", TRANSVERSAL_IDS)
+def test_a_curve_leaving_the_domain_fails_only_its_own_check(klein3, monkeypatch, leaving):
+    # the Klein rho-connection's geodesics are chords; tilting one ladder's
+    # launch direction sideways (d(rho) still pairs it to one) takes its
+    # chord out of the ball at t = 1/4.25, inside the horizon
+    plan = SamplingPlan(seed=1, ode_horizon=0.3)
+    index = [c.id for c in registry()].index(leaving)
+    y = np.array(klein3.boundary_points(4, verify._check_rng(plan, index))[0])
+    side = np.cross(y, [0.0, 0.0, 1.0])
+    tilted = -y / 2 + 2.0 * side / np.linalg.norm(side)
+    real = verify._Session.ladder
+
+    def ladder(self, point):
+        if point != tuple(y):
+            return real(self, point)
+        return boundary_ladder(self.geom, y, tilted, eps0=plan.eps0, levels=plan.levels)
+
+    monkeypatch.setattr(verify._Session, "ladder", ladder)
+    counted = _counting_transversals(monkeypatch)
+    pair = run_suite(klein3, TRANSVERSAL_IDS, plan)
+    assert counted == [8, 4, 4]  # the joint call raised: each check ran alone
+    for report in pair:
+        (alone,) = run_suite(klein3, [report.check_id], plan)
+        assert _doc(alone) == _doc(report), report.check_id
+        if report.check_id == leaving:
+            assert report.status == "error"
+            assert report.reason.startswith(
+                f"GeometryError: transversal from {tuple(y.tolist())} left the chart domain"
+            )
+        else:
+            assert report.status == "pass"
