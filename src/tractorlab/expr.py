@@ -531,46 +531,71 @@ class _TapeBuilder:
 class Tape:
     """Expressions compiled to one flat instruction list over jet slots.
 
-    Slots ``0 .. len(variables) - 1`` hold the coordinate jets, then come
-    constants and instruction results.  Identical subtrees share a slot,
-    integer powers are products (or the reciprocal of products), and
-    constant subtrees are folded to floats.  Instructions are grouped by
-    dependency level and operation, so :meth:`run` makes one call of a
-    ``jets`` kernel per group on a dense ``(k, ncoeff)`` block of slots.
+    Identical subtrees share a slot, integer powers are products (or the
+    reciprocal of products), and constant subtrees are folded to floats.
+    Instructions are grouped by dependency level and operation, so
+    :meth:`run` makes one call of a ``jets`` kernel per group on a dense
+    ``(k, B, ncoeff)`` block of slots.
+
+    Slots are numbered in step order: the coordinate jets ``0 .. n - 1``,
+    then every constant as one block (``const_slots``), then each step's
+    outputs as one contiguous block, step by step.  ``code``, ``steps``,
+    ``outputs`` and ``const_slots`` share this numbering.  A step's ``out``
+    is a basic slice, and so is an operand whose slots are consecutive and
+    ascending; other operands are index arrays.  :meth:`run` indexes the
+    slot array with either, so a slice reads a view and writes a block.
     """
 
     def __init__(self, builder: _TapeBuilder, outputs: list[int]):
-        self.outputs = np.array(outputs, dtype=np.intp)
         self.variables = builder.variables
-        self.code = tuple(builder.code)
         self.n_slots = builder.n_slots
-        self.const_slots = np.array(list(builder.consts.values()), dtype=np.intp)
-        # slot blocks carry a batch axis: (n_slots, B, ncoeff), B = 1 for a point
+        n, k = len(self.variables), len(builder.consts)
+        self.const_slots = slice(n, n + k)
         self.const_values = np.array(list(builder.consts), dtype=float)[:, None]
-        self.steps = self._schedule()
-        self._eye = np.eye(len(self.variables))[:, None, :]
+        new = list(range(self.n_slots))  # builder slot -> slot in step order
+        for slot, old in enumerate(builder.consts.values(), n):
+            new[old] = slot
+        slot = n + k
+        self.steps = []
+        for members in self._schedule(builder.code):
+            # operands come from earlier steps, so they are renumbered already
+            op, _, _, b, param = members[0]
+            a = _block([new[ins[2]] for ins in members])
+            if b is not None:
+                b = _block([new[ins[3]] for ins in members])
+            if op == "scale":  # factors broadcast over the batch and coefficients
+                param = np.array([ins[4] for ins in members])[:, None, None]
+            for ins in members:
+                new[ins[1]] = slot
+                slot += 1
+            self.steps.append((op, slice(slot - len(members), slot), a, b, param))
+        self.code = tuple(
+            (op, new[out], new[a], None if b is None else new[b], param)
+            for op, out, a, b, param in builder.code
+        )
+        self.outputs = np.array([new[s] for s in outputs], dtype=np.intp)
+        self._eye = np.eye(n)[:, None, :]
 
-    def _schedule(self) -> list[tuple]:
-        """Group the instructions into steps and order the steps.
+    def _schedule(self, code: Sequence[tuple]) -> list[list[tuple]]:
+        """Group the instructions into steps and order the steps; each step
+        is returned as its instructions, in row order.
 
         A step is the instructions of one ``(op, param)`` at one dependency
-        level, run as ``(op, out, a, b, param)`` with index arrays (the
-        scale factors of a ``scale`` step broadcast over the batch and
-        coefficient axes).  Each instruction starts at its ASAP level, one
-        above its deepest operand.  Its window reaches up to one below its
-        shallowest consumer (for an instruction nothing consumes, the
-        deepest level of the tape).  A group whose every member fits the
-        window of another level holding the same ``(op, param)`` moves there
-        whole, and the moves repeat until none fits.  Each move removes a
-        step and keeps every operand on an earlier level, so the tape gets no
-        deeper.  Steps run by level; inside a level, steps and the rows of a
-        step run by ASAP level, then in code order, the order in which
-        grouping by ASAP level alone would run them.
+        level.  Each instruction starts at its ASAP level, one above its
+        deepest operand.  Its window reaches up to one below its shallowest
+        consumer (for an instruction nothing consumes, the deepest level of
+        the tape).  A group whose every member fits the window of another
+        level holding the same ``(op, param)`` moves there whole, and the
+        moves repeat until none fits.  Each move removes a step and keeps
+        every operand on an earlier level, so the tape gets no deeper.
+        Steps run by level; inside a level, steps and the rows of a step run
+        by ASAP level, then in code order, the order in which grouping by
+        ASAP level alone would run them.
         """
         level = [0] * self.n_slots  # of each slot; 0 for inputs and constants
         users: list[list[int]] = [[] for _ in range(self.n_slots)]  # reader slots
         groups: dict[tuple, list[tuple]] = {}  # (op, param, level) -> instructions
-        for ins in self.code:
+        for ins in code:
             op, out, a, b, param = ins
             level[out] = 1 + (level[a] if b is None else max(level[a], level[b]))
             users[a].append(out)
@@ -582,7 +607,7 @@ class Tape:
         # all have slack can move
         depth = max(level, default=0)
         alap = [depth] * self.n_slots
-        for _, out, a, b, _ in reversed(self.code):
+        for _, out, a, b, _ in reversed(code):
             if alap[out] <= alap[a]:
                 alap[a] = alap[out] - 1
             if b is not None and alap[out] <= alap[b]:
@@ -615,19 +640,9 @@ class Tape:
                             level[ins[1]] = t
                         moved = True
                         break
-        steps = []
-        for (op, param, _), members in sorted(
+        return [members for _, members in sorted(
             groups.items(), key=lambda kv: (kv[0][2], asap[kv[1][0][1]], kv[1][0][1])
-        ):
-            _, out, a, b, params = zip(*members)
-            steps.append((
-                op,
-                np.array(out, dtype=np.intp),
-                np.array(a, dtype=np.intp),
-                None if b[0] is None else np.array(b, dtype=np.intp),
-                np.array(params)[:, None, None] if op == "scale" else param,
-            ))
-        return steps
+        )]
 
     def __len__(self) -> int:
         """Number of instructions."""
@@ -663,6 +678,15 @@ class Tape:
             else:
                 slots[out] = jet_function(op, x, space, param)
         return slots[self.outputs]
+
+
+def _block(slots: list[int]) -> slice | np.ndarray:
+    """The slots as a basic slice when they are consecutive and ascending,
+    else as an index array."""
+    lo = slots[0]
+    if slots == list(range(lo, lo + len(slots))):
+        return slice(lo, lo + len(slots))
+    return np.array(slots, dtype=np.intp)
 
 
 def compile_tape(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:

@@ -334,13 +334,13 @@ class Geometry:
 
     # -- sampling -------------------------------------------------------
 
-    def interior_points(self, count: int, rng: np.random.Generator) -> list[tuple]:
-        """``count`` points of the interior box with ``rho > 0.05``, each
-        candidate drawn alone and evaluated as a batch of one."""
+    def interior_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` points ``(count, dim)`` of the interior box with ``rho >
+        0.05``, each candidate drawn alone and evaluated as a batch of one."""
         if self.interior_box is None:
             raise GeometryError(f"geometry {self.name!r} has no interior box")
         lo, hi = self.interior_box
-        pts: list[tuple] = []
+        pts: list[np.ndarray] = []
         attempts = 0
         while len(pts) < count:
             attempts += 1
@@ -350,16 +350,17 @@ class Geometry:
                 )
             x = rng.uniform(lo, hi)
             if self.rho_value(x[None])[0] > 0.05:
-                pts.append(tuple(float(v) for v in x))
-        return pts
+                pts.append(x)
+        return np.array(pts, dtype=float).reshape(count, self.dim)
 
-    def boundary_points(self, count: int, rng: np.random.Generator) -> list[tuple]:
+    def boundary_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` points ``(count, dim)`` from the boundary sampler."""
         if self.boundary_sampler is None:
             raise GeometryError(
                 f"geometry {self.name!r} has no boundary sampler"
             )
-        return [tuple(float(v) for v in self.boundary_sampler(rng))
-                for _ in range(count)]
+        pts = [self.boundary_sampler(rng) for _ in range(count)]
+        return np.array(pts, dtype=float).reshape(count, self.dim)
 
 
 # -- built-in catalog ------------------------------------------------------
@@ -423,9 +424,9 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     d = geom.dim
     gfield = geom.metric_field()
     pts = geom.interior_points(3, rng)
-    rows = gfield.tape.run(np.array(pts), jet_space(d, 0))[: d * d]  # (d * d, 3, 1)
+    rows = gfield.tape.run(pts, jet_space(d, 0))[: d * d]  # (d * d, 3, 1)
     gvals = rows[..., 0].T.reshape(len(pts), d, d)
-    for p, gval in zip(pts, gvals):
+    for p, gval in zip(map(tuple, pts.tolist()), gvals):
         if np.max(np.abs(gval - gval.T)) > 1e-12 * (1 + np.max(np.abs(gval))):
             raise GeometryError(f"metric of {geom.name!r} is asymmetric at {p}")
         if abs(np.linalg.det(gval)) < 1e-12:
@@ -435,9 +436,9 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     if geom.boundary_sampler is not None:
         ys = geom.boundary_points(3, rng)
         drho = _row_reader(
-            lambda p: np.ascontiguousarray(geom.rho_and_drho(p)[1].T), np.array(ys)
+            lambda p: np.ascontiguousarray(geom.rho_and_drho(p)[1].T), ys
         )
-        for k, y in enumerate(ys):
+        for k, y in enumerate(map(tuple, ys.tolist())):
             grad = drho(k)
             if math.sqrt(float(grad @ grad)) < 1e-8:
                 raise GeometryError(
@@ -451,9 +452,9 @@ def _tangential_h_check(geom: Geometry, h: np.ndarray,
     hfield = TensorField.from_exprs(geom.chart, h, "dd", name="h", sym=((0, 1),))
     ys = geom.boundary_points(3, rng)
     tangential = _row_reader(
-        lambda p: np.moveaxis(hfield.dense(p, 0)[1:, 1:, :, 0], -1, 0), np.array(ys)
+        lambda p: np.moveaxis(hfield.dense(p, 0)[1:, 1:, :, 0], -1, 0), ys
     )
-    for k, y in enumerate(ys):
+    for k, y in enumerate(map(tuple, ys.tolist())):
         tang = tangential(k)
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(

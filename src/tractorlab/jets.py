@@ -504,7 +504,13 @@ def jet_gradient(dense: np.ndarray, space: JetSpace) -> np.ndarray:
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.ndarray:
-    """Componentwise jet product of two dense arrays (numpy broadcasting)."""
+    """Componentwise jet product of two dense arrays (numpy broadcasting).
+
+    An operand may carry more coefficient columns than ``space`` has (a jet
+    of higher order); the product reads only the first ``space.ncoeff``, so
+    it truncates such an operand to ``space``."""
+    if space.order == 0:  # the product table pairs the value columns alone
+        return a[..., :1] * b[..., :1]
     ii, jj, _ = space.mul_table
     return np.add.reduceat(a[..., ii] * b[..., jj], space.mul_starts, axis=-1)
 
@@ -518,18 +524,23 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, space: JetSpace) -> np.n
     both operands, runs row by row: numpy sums such a contraction of one
     row with a dot-product kernel, in another order than the rows of a
     larger batch, and a row must get the same bits whether it sits in an
-    eval's batch of one or in a check's stacked rows."""
-    ii, jj, _ = space.mul_table
+    eval's batch of one or in a check's stacked rows.  An empty batch
+    skips the row loop.
+
+    Operands are truncated to ``space`` as in :func:`jet_mul`."""
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
     dot = not out or (sa[-1:] == sb[-1:] and sa[-1:] not in out)
-    if dot and a.ndim == len(sa) + 2 and b.ndim == len(sb) + 2:
+    if dot and a.ndim == len(sa) + 2 and b.ndim == len(sb) + 2 and a.shape[-2]:
         return np.stack([
             jet_einsum(spec, a[..., k, :], b[..., k, :], space)
             for k in range(a.shape[-2])
         ], axis=-2)
-    prod = np.einsum(f"{sa}...Z,{sb}...Z->{out}...Z", a[..., ii], b[..., jj])
-    return np.add.reduceat(prod, space.mul_starts, axis=-1)
+    spec = f"{sa}...Z,{sb}...Z->{out}...Z"
+    if space.order == 0:  # the value columns, in the memory order a gather gives them
+        return np.einsum(spec, a[..., :1].copy(order="K"), b[..., :1].copy(order="K"))
+    ii, jj, _ = space.mul_table
+    return np.add.reduceat(np.einsum(spec, a[..., ii], b[..., jj]), space.mul_starts, axis=-1)
 
 
 def jet_compose(dense: np.ndarray, series: np.ndarray, space: JetSpace) -> np.ndarray:

@@ -194,25 +194,24 @@ class _Session:
     def interior(self, rng, count=None) -> np.ndarray:
         """Sample interior points as one ``(N, d)`` batch: an interior
         check evaluates each quantity once, on all its points together."""
-        return np.array(
-            self.geom.interior_points(count or self.plan.interior_points, rng)
-        )
+        return self.geom.interior_points(count or self.plan.interior_points, rng)
 
     def ladders(self, rng, count=None):
         """Sample boundary points and return the plan's ladder at each."""
         return [self.ladder(y) for y in self.geom.boundary_points(
             count or self.plan.boundary_points, rng)]
 
-    def ladder(self, y: tuple):
-        """The plan's ladder at a boundary point, placed once per session:
-        every limit taken at the point runs on it, whichever check (or
-        probe) samples the point."""
-        hit = self._ladders.get(y)
+    def ladder(self, y: np.ndarray):
+        """The plan's ladder at a boundary point ``(d,)``, placed once per
+        session: every limit taken at the point runs on it, whichever check
+        (or probe) samples the point."""
+        key = tuple(y.tolist())
+        hit = self._ladders.get(key)
         if hit is None:
             hit = boundary_ladder(
                 self.geom, y, eps0=self.plan.eps0, levels=self.plan.levels
             )
-            self._ladders[y] = hit
+            self._ladders[key] = hit
         return hit
 
     def transversals(self, rng) -> tuple[list[Ladder], list[bd.TransversalCurve]]:
@@ -259,7 +258,7 @@ class _Session:
         hit = self._probe.get("nondegenerate")
         if hit is None:
             rng = np.random.default_rng(self.plan.seed)
-            p = np.array(self.geom.interior_points(1, rng))  # a batch of one
+            p = self.geom.interior_points(1, rng)  # a batch of one
             calc = self._probe_calc
             Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0, 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30

@@ -47,7 +47,7 @@ def geom(request):
 
 
 def _points(geom, count=4):
-    return np.array(geom.interior_points(count, np.random.default_rng(5)))
+    return geom.interior_points(count, np.random.default_rng(5))
 
 
 def _per_point(fn, pts, axis=-2):
@@ -122,7 +122,7 @@ def test_hat_values_from_given_rho_jets_match_the_connection(request, name):
     # of the metric tape to the calculus
     geom = request.getfixturevalue(name)
     calc = TractorCalculus(geom)
-    pts = np.array(geom.interior_points(6, np.random.default_rng(11)))
+    pts = geom.interior_points(6, np.random.default_rng(11))
     got = calc.hat_christoffel_values(*geom.rho_and_metric(pts, 1))
     assert np.array_equal(got, calc.hat.christoffel_values(pts))
 
@@ -147,7 +147,9 @@ def test_batched_transversals_match_single_runs(request, name):
     calc = TractorCalculus(geom)
     batch = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
     singles = [bd.geodetic_transversals(calc, [ladder(geom, y)], **opts)[0] for y in ys]
-    assert [curve.y for curve in batch] == [curve.y for curve in singles] == list(ys)
+    assert [curve.y for curve in batch] == [curve.y for curve in singles] == list(
+        map(tuple, ys.tolist())
+    )
     for curve, single in zip(batch, singles):
         assert np.array_equal(curve.ts, single.ts)
     _assert_same_curves(batch, singles)
@@ -328,6 +330,27 @@ def test_point_functions_batch_match_points(any_geom):
         _assert_rows_match(name, lambda b: f(calc, b), pts, axis=-1)
 
 
+@pytest.mark.parametrize("name", sorted(bd.POINT_QUANTITIES))
+def test_point_functions_run_on_an_empty_batch(geom, name):
+    # the values at no points are those of a batch of one with no rows; a
+    # full contraction's row loop stacked no rows and raised before
+    calc = TractorCalculus(geom)
+    f = bd.POINT_QUANTITIES[name]
+    one_row = np.asarray(f(calc, _points(geom, 1)))
+    got = np.asarray(f(calc, np.zeros((0, geom.dim))))
+    assert got.shape == one_row.shape[:-1] + (0,)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_curvature_pack_runs_on_an_empty_batch(geom, order):
+    calc = TractorCalculus(geom)
+    pack = calc.pack_of(calc.levi_civita_splitting)
+    for name in PACK_NAMES:
+        one_row = pack.dense(name, _points(geom, 1), order)
+        got = pack.dense(name, np.zeros((0, geom.dim)), order)
+        assert got.shape == one_row.shape[:-2] + (0, one_row.shape[-1]), name
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_tractor_layer_batch_matches_points(any_geom, order):
     calc = TractorCalculus(any_geom)
@@ -371,7 +394,7 @@ def test_every_contraction_batch_matches_points(spec, order):
 
 
 def _interior_batch(geom):
-    return np.array(geom.interior_points(3, np.random.default_rng(9)))
+    return geom.interior_points(3, np.random.default_rng(9))
 
 
 @pytest.mark.parametrize("order", [0, 1])

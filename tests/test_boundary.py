@@ -155,7 +155,7 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
 def test_order_one_rho_values_equal_the_order_zero_run(name, dim):
     # the integrator reads rho's values from its order-1 run
     geom = builtin_geometry(name, dim)
-    pts = np.array(geom.interior_points(50, np.random.default_rng(dim)))
+    pts = geom.interior_points(50, np.random.default_rng(dim))
     assert np.array_equal(geom.rho_dense(pts, 1)[..., 0], geom.rho_dense(pts, 0)[..., 0])
 
 

@@ -232,6 +232,39 @@ def _grow(kids):
 _EXPRS = st.recursive(_LEAVES, _grow, max_leaves=10)
 
 
+def _slots(tape, idx):
+    """The slot numbers a step index of ``tape`` (a slice or an index
+    array) names, in order."""
+    return np.arange(tape.n_slots)[idx].tolist()
+
+
+def _assert_step_order_layout(tape):
+    """The slots are numbered in step order: the variables, one block of
+    constants, then each step's outputs as one slice, step after step; an
+    operand is a slice wherever its slots are consecutive and ascending;
+    and ``code``, ``steps``, ``outputs`` and ``const_slots`` agree."""
+    n = len(tape.variables)
+    assert tape.const_slots == slice(n, n + len(tape.const_values))
+    start = tape.const_slots.stop
+    rows = []
+    for op, out, a, b, param in tape.steps:
+        assert isinstance(out, slice) and out.step is None and out.start == start, op
+        start = out.stop
+        for idx in (a, b):
+            if isinstance(idx, np.ndarray):
+                assert idx.dtype == np.intp
+                assert not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))), op
+        params = param[:, 0, 0].tolist() if op == "scale" else [param] * (out.stop - out.start)
+        rows += zip([op] * len(params), _slots(tape, out), _slots(tape, a),
+                    [None] * len(params) if b is None else _slots(tape, b), params)
+    assert start == tape.n_slots == n + len(tape.const_values) + len(tape.code)
+    assert sorted(rows, key=repr) == sorted(tape.code, key=repr)
+    operands = {s for _, _, a, b, _ in tape.code for s in (a, b) if s is not None}
+    consts = set(_slots(tape, tape.const_slots))
+    assert consts <= operands | set(tape.outputs.tolist())
+    assert set(tape.outputs.tolist()) <= set(range(tape.n_slots))
+
+
 def _asap_groups(tape):
     """Number of steps of a schedule that groups instructions by ASAP level
     and ``(op, param)``."""
@@ -252,15 +285,16 @@ def test_the_schedule_keeps_dependencies_and_values(roots):
         assume(False)
     # each step reads only inputs, constants and slots of earlier steps, and
     # each instruction runs in exactly one step
-    written = set(range(len(_NAMES))) | set(tape.const_slots.tolist())
+    written = set(range(len(_NAMES))) | set(_slots(tape, tape.const_slots))
     for op, out, a, b, param in tape.steps:
-        reads = set(a.tolist()) | (set() if b is None else set(b.tolist()))
+        reads = set(_slots(tape, a)) | (set() if b is None else set(_slots(tape, b)))
         assert reads <= written, op
-        written |= set(out.tolist())
+        written |= set(_slots(tape, out))
     assert set(tape.outputs.tolist()) <= written
-    outs = np.concatenate([step[1] for step in tape.steps] or [np.array([], int)])
-    assert sorted(outs.tolist()) == sorted(out for _, out, *_ in tape.code)
+    outs = [slot for step in tape.steps for slot in _slots(tape, step[1])]
+    assert sorted(outs) == sorted(out for _, out, *_ in tape.code)
     assert len(tape.steps) <= _asap_groups(tape)
+    _assert_step_order_layout(tape)
     # and the values are the reference interpreter's
     space = jet_space(len(_NAMES), 2)
     point = (0.31, -0.47, 0.23)
@@ -274,6 +308,20 @@ def test_the_schedule_keeps_dependencies_and_values(roots):
     got = tape.run(one(point), space)[:, 0]
     for k, ref in enumerate(refs):
         assert np.max(np.abs(got[k] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), k
+
+
+@pytest.mark.parametrize("name", ["flat", "klein", "af2_generic", "af1_generic",
+                                  "poincare_control"])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_the_slots_of_catalog_tapes_are_numbered_in_step_order(name, dim):
+    geom = builtin_geometry(name, dim)
+    for tape in (geom.metric_field().tape, geom._rho_tape):
+        _assert_step_order_layout(tape)
+    # the klein-3 metric tape reads most operands as views
+    if (name, dim) == ("klein", 3):
+        tape = geom.metric_field().tape
+        operands = [idx for step in tape.steps for idx in step[2:4] if idx is not None]
+        assert sum(isinstance(idx, slice) for idx in operands) > len(operands) // 2
 
 
 @pytest.mark.parametrize("name, dim, steps", [

@@ -60,7 +60,7 @@ def test_chart_coords_take_a_batch_of_points(klein3):
 def test_symmetry_is_exact(af2, rng):
     # the declared symmetry holds bit for bit, at every jet coefficient of
     # every point of a batch
-    pts = np.array(af2.interior_points(4, rng))
+    pts = af2.interior_points(4, rng)
     g = af2.metric_field().dense(pts, 1)
     assert np.array_equal(g, g.transpose(1, 0, 2, 3))
 
@@ -402,6 +402,21 @@ def _reference_ray_point(geom, rng):
         return center + 0.5 * (s_in + s_out) * v
 
 
+@pytest.mark.parametrize("name", ["flat", "klein", "af2_generic", "poincare_control"])
+def test_sampled_points_are_a_batch(name):
+    # a (count, dim) float array, like every other point list of the package,
+    # holding the sampler's draws in order
+    geom = builtin_geometry(name, 3)
+    for count in (0, 1, 4):
+        for sample in (geom.interior_points, geom.boundary_points):
+            pts = sample(count, np.random.default_rng(2))
+            assert isinstance(pts, np.ndarray) and pts.dtype == float, sample
+            assert pts.shape == (count, 3), sample
+    rng = np.random.default_rng(2)
+    draws = [geom.boundary_sampler(rng) for _ in range(4)]
+    assert np.array_equal(geom.boundary_points(4, np.random.default_rng(2)), draws)
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_ray_sampler_matches_full_bisection(monkeypatch, dim):
     geom = load_geometry(_klein_doc(dim))
@@ -412,7 +427,7 @@ def test_ray_sampler_matches_full_bisection(monkeypatch, dim):
     n_calls = len(calls)
     rng = np.random.default_rng(7)
     want = [_reference_ray_point(geom, rng) for _ in range(5)]
-    assert np.array_equal(np.array(got), np.array(want))
+    assert np.array_equal(got, np.array(want))
     # the search stops once the interval is two adjacent floats
     assert n_calls < len(calls) - n_calls
 
@@ -650,7 +665,7 @@ def test_the_rho_row_leaves_the_metric_bits_alone(build):
     # at the orders the integrator reads
     geom = build()
     alone = TensorField.from_exprs(geom.chart, geom.metric, "dd", sym=((0, 1),))
-    pts = np.array(geom.interior_points(5, np.random.default_rng(3)))
+    pts = geom.interior_points(5, np.random.default_rng(3))
     for order in range(4):
         rho, g = geom.rho_and_metric(pts, order)
         assert np.array_equal(g, alone.dense(pts, order)), order

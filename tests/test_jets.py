@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -252,6 +253,58 @@ def test_dense_kernel_matches_scalar_jets():
             for e in range(3):
                 assert np.array_equal(grad[e, i, j].coeffs, a[i, j].partial(e).coeffs)
     assert np.array_equal(jet_values(a), [[j.value for j in row] for row in a])
+
+
+def _table_mul(a, b, space):
+    """The jet product through the coefficient tables."""
+    ii, jj, _ = space.mul_table
+    return np.add.reduceat(a[..., ii] * b[..., jj], space.mul_starts, axis=-1)
+
+
+def _table_einsum(spec, a, b, space):
+    """``jet_einsum`` through the coefficient tables, with its row loop."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    dot = not out or (sa[-1:] == sb[-1:] and sa[-1:] not in out)
+    if dot and a.ndim == len(sa) + 2 and b.ndim == len(sb) + 2:
+        return np.stack([
+            _table_einsum(spec, a[..., k, :], b[..., k, :], space)
+            for k in range(a.shape[-2])
+        ], axis=-2)
+    ii, jj, _ = space.mul_table
+    prod = np.einsum(f"{sa}...Z,{sb}...Z->{out}...Z", a[..., ii], b[..., jj])
+    return np.add.reduceat(prod, space.mul_starts, axis=-1)
+
+
+def _same_bits(got, want):
+    """Equal bits, and equal memory order (the strides of the axes longer
+    than 1), which sets the order in which a later einsum sums."""
+    def order(x):
+        return [stride for stride, n in zip(x.strides, x.shape) if n > 1]
+
+    return got.shape == want.shape and got.tobytes() == want.tobytes() and order(got) == order(want)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_order_zero_products_equal_the_table_formula_bit_for_bit(dim):
+    # at order 0 the table pairs the value columns alone; operands that
+    # carry a higher order's coefficients are truncated to their values, and
+    # strided or transposed views give what the table's gathers give
+    space = jet_space(dim, 0)
+    rng = np.random.default_rng(dim)
+    for order in (0, 1, 2):
+        width = jet_space(dim, order).ncoeff
+        a = rng.normal(size=(3, 3, 3, width)) * np.exp(rng.uniform(-20, 20, size=(3, 3, 3, 1)))
+        b = rng.normal(size=(3, 3, 3, width))
+        a[0, 0, 0, 0] = -0.0
+        xs = [a, a[::-1], a[:, :, ::-1], a.transpose(1, 0, 2, 3), a.transpose(2, 1, 0, 3)]
+        for x, y in itertools.product(xs, [b, b[:, ::-1], b.transpose(1, 0, 2, 3)]):
+            assert _same_bits(jet_mul(x, y, space), _table_mul(x, y, space))
+            assert _same_bits(jet_mul(x[0, 0], y, space), _table_mul(x[0, 0], y, space))
+            for spec in ("ij,jk->ik", "ij,jk->ijk", "ij,ij->", "ij,kj->ik", "ij,ji->i",
+                         "ij,kl->ijkl"):
+                got = jet_einsum(spec, x, y, space)
+                assert _same_bits(got, _table_einsum(spec, x, y, space)), spec
 
 
 def test_dense_inverse_is_exact_through_the_order():

@@ -438,13 +438,13 @@ def test_a_curve_leaving_the_domain_fails_only_its_own_check(klein3, monkeypatch
     # chord out of the ball at t = 1/4.25, inside the horizon
     plan = SamplingPlan(seed=1, ode_horizon=0.3)
     index = [c.id for c in registry()].index(leaving)
-    y = np.array(klein3.boundary_points(4, verify._check_rng(plan, index))[0])
+    y = klein3.boundary_points(4, verify._check_rng(plan, index))[0]
     side = np.cross(y, [0.0, 0.0, 1.0])
     tilted = -y / 2 + 2.0 * side / np.linalg.norm(side)
     real = verify._Session.ladder
 
     def ladder(self, point):
-        if point != tuple(y):
+        if not np.array_equal(point, y):
             return real(self, point)
         return boundary_ladder(self.geom, y, tilted, eps0=plan.eps0, levels=plan.levels)
 
