@@ -70,15 +70,11 @@ class Connection:
     ``jets``).
     """
 
-    def __init__(
-        self,
-        chart: Chart,
-        evaluator: Callable[[np.ndarray, int], np.ndarray],
-        exact_boundary: Callable[[np.ndarray, int], np.ndarray] | None = None,
-    ):
+    def __init__(self, chart: Chart, evaluator: Callable[[np.ndarray, int], np.ndarray]):
         self.chart = chart
         self._evaluator = evaluator
-        self.exact_boundary = exact_boundary
+        # closed-form boundary Christoffels, set by rho_connection
+        self.exact_boundary: Callable[[np.ndarray, int], np.ndarray] | None = None
         self._cache: dict = {}
 
     @property

@@ -784,7 +784,7 @@ class NormalizationReport:
 
 def normalize_boundary_connection(
     blocks: CurvatureBlocks,
-    w_perturbation: np.ndarray | float = 0.0,
+    w_perturbation: float = 0.0,
 ) -> NormalizationReport:
     """Normalize the restricted metric tractor connection.
 
@@ -794,8 +794,8 @@ def normalize_boundary_connection(
     normalization: the contorsion is skew for the boundary tractor metric
     (so the connection stays metric), the distinguished line stays
     preserved, and the Ricci-type contraction of the induced quotient
-    action vanishes.  ``w_perturbation`` injects a fault into W to prove
-    the detector fires.
+    action vanishes.  ``w_perturbation`` injects a fault of that size into
+    W to prove the detector fires.
     """
     frame = blocks.frame
     n = frame.n
@@ -811,12 +811,9 @@ def normalize_boundary_connection(
     # The fault injection perturbs the curvature *after* phi is fixed, so a
     # wrong W is visible in the residual instead of being renormalized away.
     W = blocks.W.copy()
-    if np.ndim(w_perturbation) == 0:
-        if float(w_perturbation) != 0.0:
-            W[0, 1, 0, 1] += float(w_perturbation)
-            W[1, 0, 0, 1] -= float(w_perturbation)
-    else:
-        W = W + np.asarray(w_perturbation)
+    if w_perturbation:
+        W[0, 1, 0, 1] += w_perturbation
+        W[1, 0, 0, 1] -= w_perturbation
 
     psi_tilde = np.zeros((n, m, m))
     for i in range(n):

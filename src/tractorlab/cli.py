@@ -274,6 +274,9 @@ def _eval_quantity(geom, args, plan):
         if quantity == "phi":
             raise ConfigError("phi lives on the boundary; use --boundary-point")
         try:
+            (rho,) = geom.rho_value(np.array([p]))
+            if rho < -1e-8:
+                raise ConfigError(f"{p} is not an interior point (rho = {rho:g})")
             return pointwise(np.array([p]))[..., 0], None
         except JetError as err:
             raise ConfigError(
@@ -294,15 +297,21 @@ def _eval_quantity(geom, args, plan):
         )
     if quantity == "phi" and d < 4:
         raise ConfigError("phi needs a boundary of dimension >= 3 (--dim >= 4)")
-    ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
-    if quantity == "phi":
-        try:
-            (blocks,) = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, [ladder]))
-        except bdy.BoundaryExtensionError as err:
-            raise ConfigError(f"phi has no boundary value: {err}") from None
-        rep = bdy.normalize_boundary_connection(blocks)
-        return rep.phi, blocks.extrapolation_error
-    (est,) = boundary_limit(pointwise, [ladder])
+    try:
+        ladder = boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels)
+        if quantity == "phi":
+            try:
+                (blocks,) = bdy.curvature_blocks(calc, bdy.boundary_frame(calc, [ladder]))
+            except bdy.BoundaryExtensionError as err:
+                raise ConfigError(f"phi has no boundary value: {err}") from None
+            rep = bdy.normalize_boundary_connection(blocks)
+            return rep.phi, blocks.extrapolation_error
+        (est,) = boundary_limit(pointwise, [ladder])
+    except (GeometryError, JetError) as err:
+        raise ConfigError(
+            f"no boundary value of {quantity} at {y} on the ladder eps0={plan.eps0:g}, "
+            f"levels={plan.levels}: {err}"
+        ) from None
     if est.diverged:
         raise ConfigError(
             f"{quantity} diverges along the ray into {y}; no boundary value"

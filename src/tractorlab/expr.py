@@ -28,6 +28,7 @@ evaluated this way, the last as an order-0 jet.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -544,6 +545,9 @@ class Tape:
     is a basic slice, and so is an operand whose slots are consecutive and
     ascending; other operands are index arrays.  :meth:`run` indexes the
     slot array with either, so a slice reads a view and writes a block.
+
+    :meth:`select` gives a view that runs only the instructions some of
+    the outputs depend on.
     """
 
     def __init__(self, builder: _TapeBuilder, outputs: list[int]):
@@ -557,6 +561,8 @@ class Tape:
             new[old] = slot
         slot = n + k
         self.steps = []
+        # of each slot: a bit per slot that its value is computed from, itself included
+        self._needs = [0] * self.n_slots
         for members in self._schedule(builder.code):
             # operands come from earlier steps, so they are renumbered already
             op, _, _, b, param = members[0]
@@ -565,8 +571,10 @@ class Tape:
                 b = _block([new[ins[3]] for ins in members])
             if op == "scale":  # factors broadcast over the batch and coefficients
                 param = np.array([ins[4] for ins in members])[:, None, None]
-            for ins in members:
-                new[ins[1]] = slot
+            for _, out, x, y, _ in members:
+                new[out] = slot
+                self._needs[slot] = (1 << slot | self._needs[new[x]]
+                                     | (0 if y is None else self._needs[new[y]]))
                 slot += 1
             self.steps.append((op, slice(slot - len(members), slot), a, b, param))
         self.code = tuple(
@@ -647,6 +655,30 @@ class Tape:
     def __len__(self) -> int:
         """Number of instructions."""
         return len(self.code)
+
+    def select(self, rows) -> Tape:
+        """A view whose outputs are ``rows`` of this tape's outputs (an index
+        of them) and that runs only the instructions they depend on: each
+        step restricted to those of its rows, and no step that has none.
+        The view shares the slot numbering, the constants and ``code``, and
+        every kernel works row by row, so its rows are bit for bit this
+        tape's; an error of a row it does not run is not raised."""
+        view = copy.copy(self)
+        view.outputs = self.outputs[rows]
+        needs = 0
+        for slot in view.outputs.tolist():
+            needs |= self._needs[slot]
+        view.steps = []
+        slots = np.arange(self.n_slots)
+        for op, out, a, b, param in self.steps:
+            keep = [k for k in range(out.stop - out.start) if needs >> (out.start + k) & 1]
+            if keep:
+                view.steps.append((
+                    op, _block([out.start + k for k in keep]), _block(slots[a][keep].tolist()),
+                    None if b is None else _block(slots[b][keep].tolist()),
+                    param[keep] if op == "scale" else param,
+                ))
+        return view
 
     def run(self, points: np.ndarray, space: JetSpace) -> np.ndarray:
         """Dense jets ``(n_outputs, B, ncoeff)`` of the outputs at a batch of

@@ -178,10 +178,10 @@ def boundary_ladder(
         k = failed[0]
         if tangent[k]:
             raise GeometryError(
-                f"ray from {tuple(y)} became tangent to the rho levels"
+                f"ray from {tuple(y.tolist())} became tangent to the rho levels"
             )
         raise GeometryError(
-            f"could not place a ladder point at rho={eps[k]:g} from {tuple(y)}"
+            f"could not place a ladder point at rho={eps[k]:g} from {tuple(y.tolist())}"
         )
     points = y + s[:, None] * direction
     points.flags.writeable = False

@@ -210,12 +210,12 @@ class TensorField:
         (kept as ``field.tape``, one row per component in index order, then
         one row per expression of ``extra``, which the field never reads);
         the tape shares identical subexpressions, so a symmetric pair
-        written alike costs one row of work, and so does an extra row that
-        is already a subexpression.  Evaluation runs the tape and copies the
-        canonical row of each symmetric orbit to its members
-        (``field.read_rows`` maps the rows of a run to the dense component
-        array).  String components are parsed against the chart coordinates;
-        AST components are checked for unknown names.
+        written alike costs one row of work.  Evaluation runs the component
+        rows' view (``Tape.select``: an extra row is not run unless they
+        share it) and copies the canonical row of each symmetric orbit to its
+        members (``field.read_rows`` maps the component rows to the array).
+        String components are parsed against the chart coordinates; AST
+        components are checked for unknown names.
         """
         shape = (chart.dim,) * len(variance)
         symt = tuple(tuple(p) for p in sym)
@@ -233,6 +233,7 @@ class TensorField:
                     )
             nodes.append(node)
         tape = ex.compile_tape(nodes + list(extra), chart.coord_names)
+        own_rows = tape.select(slice(0, len(nodes)))
         flat = np.arange(len(nodes)).reshape(shape)
         scatter = [flat[_canonical_index(idx, symt)] for idx in np.ndindex(shape)]
 
@@ -241,7 +242,7 @@ class TensorField:
             return out.reshape(shape + out.shape[1:])
 
         def evaluator(points: np.ndarray, order: int) -> np.ndarray:
-            return read_rows(tape.run(chart.coords(points), jet_space(chart.dim, order)))
+            return read_rows(own_rows.run(chart.coords(points), jet_space(chart.dim, order)))
 
         field = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
         field.tape = tape
@@ -274,7 +275,6 @@ class Geometry:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise GeometryError(f"alpha must lie in (0, 2], got {self.alpha}")
-        self._rho_tape = ex.compile_tape([self.rho], self.chart.coord_names)
 
     @property
     def dim(self) -> int:
@@ -284,8 +284,7 @@ class Geometry:
 
     def rho_dense(self, points: np.ndarray, order: int) -> np.ndarray:
         """Dense rho jets ``(B, ncoeff)`` at a batch of points ``(B, dim)``."""
-        space = jet_space(self.dim, order)
-        return self._rho_tape.run(self.chart.coords(points), space)[0]
+        return self._rho_row.run(self.chart.coords(points), jet_space(self.dim, order))[0]
 
     def rho_value(self, points: np.ndarray) -> np.ndarray:
         """rho at a batch of points ``(B, dim)``: the values ``(B,)``."""
@@ -312,22 +311,23 @@ class Geometry:
     # -- metric --------------------------------------------------------
 
     def metric_field(self) -> TensorField:
-        """The metric, compiled once into a tape whose last row is rho (free
-        where rho is a subexpression of the metric or a coordinate), so one
-        run gives both (:meth:`rho_and_metric`); the field reads the metric
-        rows."""
+        """The metric, compiled once into a tape whose last row is rho, the
+        one compile of rho: one run gives both (:meth:`rho_and_metric`), the
+        field runs the metric rows and :meth:`rho_dense` the rho row."""
         if not hasattr(self, "_metric_field"):
             self._metric_field = TensorField.from_exprs(
                 self.chart, self.metric, "dd", name="g", sym=((0, 1),), extra=(self.rho,)
             )
         return self._metric_field
 
+    @functools.cached_property
+    def _rho_row(self) -> ex.Tape:
+        return self.metric_field().tape.select([-1])
+
     def rho_and_metric(self, points: np.ndarray, order: int) -> tuple:
         """One run of the metric tape at a batch of points ``(B, dim)``: the
         rho jets ``(B, ncoeff)`` and the metric jets ``(dim, dim, B,
-        ncoeff)``.  The metric rows are bit for bit ``metric_field()``'s;
-        up to order 1 the rho row is bit for bit :meth:`rho_dense`'s (above
-        order 1 a jet product may sum its terms in another order)."""
+        ncoeff)``, bit for bit :meth:`rho_dense`'s and ``metric_field()``'s."""
         gfield = self.metric_field()
         rows = gfield.tape.run(self.chart.coords(points), jet_space(self.dim, order))
         return rows[-1], gfield.read_rows(rows)
@@ -380,9 +380,9 @@ def _ball_sampler(dim: int):
     return sample
 
 
-def _half_space_sampler(dim: int, first_value: float, spread: float = 0.6):
+def _half_space_sampler(dim: int, first_value: float):
     def sample(rng: np.random.Generator) -> np.ndarray:
-        y = rng.uniform(-spread, spread, size=dim)
+        y = rng.uniform(-0.6, 0.6, size=dim)
         y[0] = first_value
         return y
 

@@ -40,7 +40,6 @@ derived view with offset ``-d(rho)/(alpha rho)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -222,7 +221,6 @@ class TractorCalculus:
             "levi_civita": self.lc,
         }
         self._packs: dict[str, CurvaturePack] = {}
-        self._counter = itertools.count()
 
     # -- splittings -----------------------------------------------------
 
@@ -234,11 +232,9 @@ class TractorCalculus:
     def splitting(
         self,
         upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField,
-        label: str | None = None,
+        label: str,
     ) -> Splitting:
         """A splitting with the given offset one-form from the reference."""
-        if label is None:
-            label = f"custom-{next(self._counter)}"
         ups = self._one_form(upsilon)
         self._connections[label] = projective_modify(self.hat, ups)
         return Splitting(label, ups)
@@ -653,7 +649,6 @@ def polynomial_tractor_section(
     order: int,
     rng: np.random.Generator,
     s: Splitting | None = None,
-    degree: int = 2,
 ) -> TractorValue:
     """A random polynomial section of T, as jets at each point of a batch
     ``(B, d)``.
@@ -666,7 +661,7 @@ def polynomial_tractor_section(
     """
     d = calc.dim
     space = jet_space(d, order)
-    iu, ju = np.triu_indices(d if degree >= 2 else 0)
+    iu, ju = np.triu_indices(d)
     draws = rng.random((len(points), d + 1, 1 + d + len(iu)))
     coef = np.concatenate(
         [-1.0 + 2.0 * draws[..., : 1 + d], -0.5 + draws[..., 1 + d :]], axis=-1

@@ -30,12 +30,12 @@ def place_levels(geom, y, direction, eps0, levels):
             slope = float(grad[:, 0] @ direction)
             if abs(slope) < 1e-12:
                 raise GeometryError(
-                    f"ray from {tuple(y)} became tangent to the rho levels"
+                    f"ray from {tuple(y.tolist())} became tangent to the rho levels"
                 )
             s -= val / slope
         else:
             raise GeometryError(
-                f"could not place a ladder point at rho={target:g} from {tuple(y)}"
+                f"could not place a ladder point at rho={target:g} from {tuple(y.tolist())}"
             )
         points.append(y + s * direction)
     return np.array(points)

@@ -615,11 +615,20 @@ def test_batched_at_rho_raises_the_lowest_failing_levels_error(flat3):
 ])
 def test_a_failing_ladder_raises_the_first_failing_levels_error(rho, direction):
     coords = ("x0", "x1")
+    # rho is a row of the metric tape, so the stub needs a metric
     geom = Geometry("stub", Chart(coords), ex.parse_expr(rho, coords), 2.0,
-                    np.empty((2, 2), dtype=object))
+                    np.array([["1", "0"], ["0", "1"]], dtype=object))
     y = (0.0, 0.0)
     with pytest.raises(GeometryError) as ref:
         place_levels(geom, y, direction, PLAN.eps0, PLAN.levels)
     with pytest.raises(GeometryError) as got:
         boundary_ladder(geom, y, direction, eps0=PLAN.eps0, levels=PLAN.levels)
-    assert str(got.value) == str(ref.value)
+    # both rays turn tangent; the point prints as plain floats, not np.float64(...)
+    assert str(got.value) == str(ref.value) == "ray from (0.0, 0.0) became tangent to the rho levels"
+
+
+def test_an_unreachable_ladder_level_names_the_level_and_the_point(klein3):
+    # rho <= 1 on the Klein ball, so no point has rho = 5
+    with pytest.raises(GeometryError) as got:
+        boundary_ladder(klein3, np.array([1.0, 0.0, 0.0]), eps0=5.0, levels=3)
+    assert str(got.value) == "could not place a ladder point at rho=5 from (1.0, 0.0, 0.0)"

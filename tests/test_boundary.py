@@ -123,7 +123,8 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     ys = klein3.boundary_points(3, np.random.default_rng(5))
     calc = TractorCalculus(klein3)
     lads = ladders(klein3, ys)
-    rho_tape, metric_tape = klein3._rho_tape, klein3.metric_field().tape
+    # rho_dense runs the rho row's view of the metric tape
+    rho_view, metric_tape = klein3._rho_row, klein3.metric_field().tape
     runs = {"rho": 0, "metric": 0}
     real = Tape.run
 
@@ -131,7 +132,7 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
         # the integrator's state has one row per curve; ladder evaluations
         # have a row per level
         if len(points) <= len(ys):
-            if self is rho_tape:
+            if self is rho_view:
                 runs["rho"] += 1
             elif self is metric_tape:
                 runs["metric"] += 1
@@ -144,7 +145,7 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     # four evaluations per step, each one run of the metric tape, whose last
     # row is rho; the pairing test of the launch directions runs rho once at
     # all the boundary points, and the launch, where every row is on the
-    # boundary and takes its extended value, runs rho alone
+    # boundary and takes its extended value, runs the rho view alone
     assert runs == {"rho": 2, "metric": 4 * n_steps}
 
 

@@ -52,6 +52,38 @@ def test_eval_pole_without_extrapolate():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["klein", "--dim", "3", "--point", "2,0,0"],
+     "(2.0, 0.0, 0.0) is not an interior point (rho = -3)"),
+    (["af2_generic", "--dim", "4", "--point", "-0.1,0,0,0"],
+     "(-0.1, 0.0, 0.0, 0.0) is not an interior point (rho = -0.1)"),
+    # within 1e-8 of the boundary the point is evaluated, and meets the pole
+    (["klein", "--dim", "3", "--point", "1,0,0"], "pole at (1.0, 0.0, 0.0)"),
+])
+def test_eval_rejects_a_point_outside_the_manifold(capsys, argv, text):
+    assert main(["eval", "--quantity", "schouten", "--geometry"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {text}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("quantity, y, plan, text", [
+    ("scalar_curvature", "1,0,0", ["--eps0", "5"],
+     "eps0=5, levels=6: could not place a ladder point at rho=5 from (1.0, 0.0, 0.0)"),
+    ("scalar_curvature", "1,0,0", ["--eps0", "1e-30"], "eps0=1e-30, levels=6: reciprocal"),
+    ("scalar_curvature", "1,0,0", ["--levels", "40"], "eps0=0.05, levels=40: reciprocal"),
+    ("phi", "1,0,0,0", ["--levels", "40"], "eps0=0.05, levels=40: reciprocal"),
+    ("phi", "1,0,0,0", ["--eps0", "1e-30"], "eps0=1e-30, levels=6: reciprocal"),
+])
+def test_a_ladder_that_cannot_be_placed_or_meets_a_pole_exits_two(capsys, quantity, y, plan, text):
+    argv = ["eval", "--geometry", "klein", "--dim", str(y.count(",") + 1), "--quantity",
+            quantity, "--boundary-point", y, "--extrapolate"] + plan
+    assert main(argv) == 2
+    point = str(tuple(float(c) for c in y.split(",")))
+    assert capsys.readouterr().err.startswith(
+        f"error: no boundary value of {quantity} at {point} on the ladder {text}"
+    )
+
+
 @pytest.mark.parametrize("option, coords, extra", [
     ("--point", "-0.1,0.2,0", ["--quantity", "schouten"]),
     ("--point", "-1e-1,-0.2,-0", ["--quantity", "scalar_curvature"]),

@@ -92,8 +92,8 @@ BINARY = "binary.json"  # not UTF-8
 
 #: Plan option -> (valid values, invalid values).
 PLAN_OPTIONS = {
-    "--eps0": (["0.05", "0.1", "0.5"], ["0", "-0.05", "nan", "inf", "x"]),
-    "--levels": (["2", "3", "30"], ["1", "0", "-3", "2.5"]),
+    "--eps0": (["0.05", "0.1", "0.5", "1e-30", "5"], ["0", "-0.05", "nan", "inf", "x"]),
+    "--levels": (["2", "3", "30", "40"], ["1", "0", "-3", "2.5"]),
     "--points": (["1", "2"], ["0", "-1"]),
     "--boundary-points": (["1", "2"], ["0", "-2"]),
     "--ode-step": (["0.01"], ["0", "-1e-3", "nan", "inf"]),

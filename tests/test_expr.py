@@ -310,16 +310,108 @@ def test_the_schedule_keeps_dependencies_and_values(roots):
         assert np.max(np.abs(got[k] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), k
 
 
+def _restricted_steps(tape, rows):
+    """The steps of ``tape`` restricted to the instructions that the outputs
+    ``rows`` depend on (found by walking ``code`` back from them), each as
+    ``(op, out, a, b, params)`` slot lists; steps left empty are dropped."""
+    writer = {out: (a, b) for _, out, a, b, _ in tape.code}
+    needed, stack = set(), tape.outputs[rows].tolist()
+    while stack:
+        slot = stack.pop()
+        if slot in writer and slot not in needed:
+            needed.add(slot)
+            stack += [s for s in writer[slot] if s is not None]
+    steps = []
+    for op, out, a, b, param in _listed_steps(tape):
+        keep = [k for k, slot in enumerate(out) if slot in needed]
+        if keep:
+            steps.append((op, [out[k] for k in keep], [a[k] for k in keep],
+                          None if b is None else [b[k] for k in keep], [param[k] for k in keep]))
+    return steps
+
+
+def _listed_steps(tape):
+    """The steps of ``tape`` with their slots and parameters as lists."""
+    return [
+        (op, _slots(tape, out), _slots(tape, a), None if b is None else _slots(tape, b),
+         param[:, 0, 0].tolist() if op == "scale" else [param] * len(_slots(tape, out)))
+        for op, out, a, b, param in tape.steps
+    ]
+
+
+def _assert_view_of(view, tape, rows):
+    """``view`` is ``tape``'s selection of ``rows``: the same slots and
+    constants, those outputs, and each step cut to the instructions they
+    depend on."""
+    assert (view.n_slots, view.const_slots) == (tape.n_slots, tape.const_slots)
+    assert view.code is tape.code
+    assert view.const_values is tape.const_values
+    assert np.array_equal(view.outputs, tape.outputs[rows])
+    assert _listed_steps(view) == _restricted_steps(tape, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(_EXPRS, min_size=1, max_size=4), data=st.data())
+def test_a_selection_runs_its_rows_instructions_and_gives_the_full_runs_bits(roots, data):
+    try:
+        tape = ex.compile_tape(roots, _NAMES)
+    except ex.ExprError:  # a constant subtree without a finite value
+        assume(False)
+    rows = data.draw(st.lists(st.integers(0, len(roots) - 1), min_size=1, max_size=4))
+    view = tape.select(rows)
+    _assert_view_of(view, tape, rows)
+    space = jet_space(len(_NAMES), 2)
+    for points in (np.array([[0.31, -0.47, 0.23], [-0.2, 0.1, 0.4]]), np.empty((0, 3))):
+        with np.errstate(all="ignore"):  # large products may overflow alike
+            full, got = tape.run(points, space), view.run(points, space)
+        assert got.shape == (len(rows), len(points), space.ncoeff)
+        assert np.array_equal(got, full[rows], equal_nan=True)
+
+
+def test_a_selection_skips_the_other_rows_of_a_shared_step():
+    # 1/exp(x) and 1/log(y) share one recip step; the view of the first row
+    # runs exp and that row of the reciprocals, so at y < 0, where log
+    # raises, the first row still evaluates, to the full run's bits at y > 0
+    tape = ex.compile_tape([ex.parse_expr("1/exp(x)"), ex.parse_expr("1/log(y)")], _NAMES)
+    assert [(op, step[1].stop - step[1].start) for op, *step in tape.steps] == [
+        ("exp", 1), ("log", 1), ("recip", 2)]
+    view = tape.select([0])
+    assert [op for op, *_ in view.steps] == ["exp", "recip"]
+    space = jet_space(len(_NAMES), 1)
+    inside, outside = one((0.3, 0.5, 0.7)), one((0.3, -0.5, 0.7))
+    assert np.array_equal(view.run(inside, space), tape.run(inside, space)[:1])
+    with pytest.raises(DomainError):
+        tape.run(outside, space)
+    assert np.array_equal(view.run(outside, space), view.run(inside, space))
+
+
+def test_the_metric_rows_of_flat_run_no_step(monkeypatch):
+    # flat's metric is constant and rho is no subexpression of it: only a
+    # run of the whole tape computes rho
+    geom = builtin_geometry("flat", 3)
+    pts = geom.interior_points(2, np.random.default_rng(0))
+    steps = []
+    real = ex.Tape.run
+    monkeypatch.setattr(
+        ex.Tape, "run", lambda self, p, space: steps.append(len(self.steps)) or real(self, p, space)
+    )
+    geom.metric_field().dense(pts, 1)
+    geom.rho_and_metric(pts, 1)
+    geom.rho_dense(pts, 1)
+    assert steps == [0, 1, 1]
+
+
 @pytest.mark.parametrize("name", ["flat", "klein", "af2_generic", "af1_generic",
                                   "poincare_control"])
 @pytest.mark.parametrize("dim", [3, 4])
 def test_the_slots_of_catalog_tapes_are_numbered_in_step_order(name, dim):
     geom = builtin_geometry(name, dim)
-    for tape in (geom.metric_field().tape, geom._rho_tape):
-        _assert_step_order_layout(tape)
+    tape = geom.metric_field().tape
+    _assert_step_order_layout(tape)
+    # rho is the tape's last row, and rho_dense runs its view
+    _assert_view_of(geom._rho_row, tape, [-1])
     # the klein-3 metric tape reads most operands as views
     if (name, dim) == ("klein", 3):
-        tape = geom.metric_field().tape
         operands = [idx for step in tape.steps for idx in step[2:4] if idx is not None]
         assert sum(isinstance(idx, slice) for idx in operands) > len(operands) // 2
 

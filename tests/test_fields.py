@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,9 +359,9 @@ def test_cli_rejects_bad_asymptotic_form_documents(tmp_path, capsys, changes):
 
 
 @pytest.mark.parametrize("build, sizes", [
-    (lambda: builtin_geometry("klein", 4), [1, 17]),            # rho, (g, rho)
-    (lambda: builtin_geometry("af2_generic", 4), [1, 1, 16, 17]),  # C, rho, h, (g, rho)
-    (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [1, 10]),
+    (lambda: builtin_geometry("klein", 4), [17]),            # (g, rho)
+    (lambda: builtin_geometry("af2_generic", 4), [1, 16, 17]),  # C, h, (g, rho)
+    (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [10]),
 ])
 def test_one_metric_compile_per_build(monkeypatch, build, sizes):
     compiled = []
@@ -508,7 +510,8 @@ def test_ray_search_matches_the_sequential_search(rho, box):
     coords = ("u1", "u2", "u3")
     lo, hi = np.array(box if box else [[-0.55] * 3, [0.55] * 3], dtype=float)
     geom = Geometry(name="ball", chart=Chart(coords), rho=ex.parse_expr(rho, coords),
-                    alpha=2.0, metric=np.eye(3), interior_box=(lo, hi))
+                    alpha=2.0, metric=np.where(np.eye(3), "1", "0").astype(object),
+                    interior_box=(lo, hi))
     search = _make_ray_boundary_sampler(geom)
     for seed in range(6):
         got = _search_outcome(search, seed)
@@ -645,24 +648,38 @@ def _off_centre_document():
             "metric": [["1 + u1^2", "0", "0"], ["0", "1", "0"], ["0", "0", "exp(u2)"]]}
 
 
-@pytest.mark.parametrize("build", [
-    lambda: builtin_geometry("klein", 3),
-    lambda: builtin_geometry("klein", 4),
-    lambda: builtin_geometry("klein", 5),
-    lambda: builtin_geometry("af2_generic", 4),
-    lambda: builtin_geometry("af2_generic", 5),
-    lambda: builtin_geometry("af1_generic", 4),
-    lambda: builtin_geometry("flat", 3),
-    lambda: builtin_geometry("poincare_control", 3),
-    lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))),
-    lambda: load_geometry(_off_centre_document()),
-], ids=["klein-3", "klein-4", "klein-5", "af2_generic-4", "af2_generic-5",
-        "af1_generic-4", "flat-3", "poincare_control-3", "klein-document",
-        "off-centre-document"])
+def _benchmark_klein_document(dim):
+    """The benchmark's explicit-metric klein document, from
+    ``perfbench/workloads.py`` imported unchanged."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.append(path)
+    import workloads
+
+    return workloads.klein_document(dim)
+
+
+#: Every catalog pair and four documents, by id.
+BUILDS = {
+    "klein-3": lambda: builtin_geometry("klein", 3),
+    "klein-4": lambda: builtin_geometry("klein", 4),
+    "klein-5": lambda: builtin_geometry("klein", 5),
+    "af2_generic-4": lambda: builtin_geometry("af2_generic", 4),
+    "af2_generic-5": lambda: builtin_geometry("af2_generic", 5),
+    "af1_generic-4": lambda: builtin_geometry("af1_generic", 4),
+    "flat-3": lambda: builtin_geometry("flat", 3),
+    "poincare_control-3": lambda: builtin_geometry("poincare_control", 3),
+    "klein-document": lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))),
+    "off-centre-document": lambda: load_geometry(_off_centre_document()),
+    "benchmark-klein-3": lambda: load_geometry(_benchmark_klein_document(3)),
+    "benchmark-klein-4": lambda: load_geometry(_benchmark_klein_document(4)),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
 def test_the_rho_row_leaves_the_metric_bits_alone(build):
     # the metric tape carries rho as its last row: its metric rows are a
-    # metric-only tape's at every order, and its rho row is the rho tape's
-    # at the orders the integrator reads
+    # metric-only tape's, and its rho row is rho_dense's, at every order
     geom = build()
     alone = TensorField.from_exprs(geom.chart, geom.metric, "dd", sym=((0, 1),))
     pts = geom.interior_points(5, np.random.default_rng(3))
@@ -670,5 +687,25 @@ def test_the_rho_row_leaves_the_metric_bits_alone(build):
         rho, g = geom.rho_and_metric(pts, order)
         assert np.array_equal(g, alone.dense(pts, order)), order
         assert np.array_equal(g, geom.metric_field().dense(pts, order)), order
-        if order <= 1:
-            assert np.array_equal(rho, geom.rho_dense(pts, order)), order
+        assert np.array_equal(rho, geom.rho_dense(pts, order)), order
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_rho_is_compiled_once_per_geometry(monkeypatch, build):
+    compiled = []
+    real = ex.compile_tape
+
+    def counting(exprs, variables):
+        compiled.append(exprs)
+        return real(exprs, variables)
+
+    monkeypatch.setattr(ex, "compile_tape", counting)
+    geom = build()
+    pts = geom.interior_points(2, np.random.default_rng(0))
+    for order in range(3):
+        geom.rho_dense(pts, order)
+        geom.metric_field().dense(pts, order)
+        geom.rho_and_metric(pts, order)
+    assert sum(any(e is geom.rho for e in exprs) for exprs in compiled) == 1
+    tape = geom.metric_field().tape
+    assert tape.outputs[-1:].tolist() == geom._rho_row.outputs.tolist()
