@@ -27,7 +27,7 @@ from . import boundary as bdy
 from .expr import ExprError
 from .extrapolate import boundary_ladder, boundary_limit
 from .fields import BUILTIN_NAMES, Geometry, GeometryError, builtin_geometry, load_geometry
-from .jets import JetError
+from .jets import DomainError, JetError
 from .tractor import TractorCalculus
 from .verify import SamplingPlan, run_suite
 
@@ -269,15 +269,28 @@ def _eval_quantity(geom, args, plan):
                 f"the Schouten tensor is singular at {where}, so {quantity} is undefined"
             ) from None
 
+    def rho_at(p):
+        try:
+            (rho,) = geom.rho_value(np.array([p]))
+        except DomainError as err:
+            raise ConfigError(f"{p} is outside the domain of rho ({err})") from None
+        except JetError as err:
+            raise ConfigError(f"rho has no value at {p} ({err})") from None
+        return rho
+
     if args.point is not None:
         p = _parse_point(args.point, d)
         if quantity == "phi":
             raise ConfigError("phi lives on the boundary; use --boundary-point")
+        rho = rho_at(p)
+        if rho < -1e-8:
+            raise ConfigError(f"{p} is not an interior point (rho = {rho:g})")
         try:
-            (rho,) = geom.rho_value(np.array([p]))
-            if rho < -1e-8:
-                raise ConfigError(f"{p} is not an interior point (rho = {rho:g})")
             return pointwise(np.array([p]))[..., 0], None
+        except DomainError as err:
+            raise ConfigError(
+                f"{p} is outside the domain of the geometry's expressions ({err})"
+            ) from err
         except JetError as err:
             raise ConfigError(
                 f"pole at {p}; evaluate at a boundary point with --extrapolate "
@@ -287,7 +300,7 @@ def _eval_quantity(geom, args, plan):
     if args.boundary_point is None:
         raise ConfigError("need --point or --boundary-point")
     y = _parse_point(args.boundary_point, d)
-    (rho,) = geom.rho_value(np.array([y]))
+    rho = rho_at(y)
     if not abs(rho) <= 1e-8:
         raise ConfigError(f"{y} is not on the boundary (rho = {rho:g})")
     if not args.extrapolate:

@@ -14,7 +14,9 @@ numeric literals, so every expression is smooth on its domain by
 construction -- there are no conditionals or piecewise definitions.
 
 ``parse_expr`` and ``expr_to_source`` are mutually inverse on ASTs, which is
-what makes geometry files diffable.
+what makes geometry files diffable.  ``parse_exprs`` parses several sources
+into one DAG: inside one call every distinct subexpression is one node
+(hash-consing), so walks over the result and its compile visit each once.
 
 Expressions are evaluated only through a compiled :class:`Tape`:
 ``compile_tape`` turns a list of ASTs into one flat instruction list in
@@ -51,6 +53,7 @@ __all__ = [
     "ExprError",
     "FUNCTION_NAMES",
     "parse_expr",
+    "parse_exprs",
     "expr_to_source",
     "expr_variables",
     "Tape",
@@ -185,11 +188,26 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]]):
+    def __init__(self, tokens: list[tuple[str, object, int]], table: dict):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.names: set[str] = set()  # variables met so far
+        self.table = table  # node key -> node, shared by one parse_exprs call
+
+    def node(self, key: tuple, *fields) -> Expr:
+        """The one node of type ``key[0]`` with ``fields`` in this parse.
+        ``key`` is the type, then per field the identity of a child node or
+        the value of a literal, a float as ``float.hex`` so that ``-0.0``
+        and ``0.0`` stay apart.  The table holds every node, so no identity
+        is reused while it lives."""
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = key[0](*fields)
+        return node
+
+    def _num(self, value: float) -> Expr:
+        return self.node((Num, value.hex()), value)
 
     def nested(self, parse, offset: int) -> Expr:
         """Run ``parse`` one nesting level deeper."""
@@ -223,7 +241,8 @@ class _Parser:
             if kind == "sym" and value in "+-":
                 self.next()
                 rhs = self.parse_term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+                op = Add if value == "+" else Sub
+                node = self.node((op, id(node), id(rhs)), node, rhs)
             else:
                 return node
 
@@ -234,7 +253,8 @@ class _Parser:
             if kind == "sym" and value in "*/":
                 self.next()
                 rhs = self.parse_factor()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
+                op = Mul if value == "*" else Div
+                node = self.node((op, id(node), id(rhs)), node, rhs)
             else:
                 return node
 
@@ -245,8 +265,8 @@ class _Parser:
             arg = self.nested(self.parse_factor, offset)
             # Fold unary minus into literals so printing round trips.
             if isinstance(arg, Num):
-                return Num(-arg.value)
-            return Neg(arg)
+                return self._num(-arg.value)
+            return self.node((Neg, id(arg)), arg)
         node = self.parse_atom()
         kind, value, offset = self.peek()
         if kind == "sym" and value == "^":
@@ -254,13 +274,14 @@ class _Parser:
             ekind, evalue, eoffset = self.next()
             if ekind != "num":
                 raise ExprError("exponent must be a numeric literal", eoffset)
-            return Pow(node, float(evalue))
+            p = float(evalue)
+            return self.node((Pow, id(node), p.hex()), node, p)
         return node
 
     def parse_atom(self) -> Expr:
         kind, value, offset = self.next()
         if kind == "num":
-            return Num(float(value))
+            return self._num(float(value))
         if kind == "sym" and value == "(":
             inner = self.nested(self.parse_expr, offset)
             self.expect_sym(")")
@@ -285,31 +306,49 @@ class _Parser:
                         f"function {value!r} takes 1 argument, got {len(args)}",
                         offset,
                     )
-                return Call(str(value), args[0])
+                return self.node((Call, value, id(args[0])), value, args[0])
             if value == "pi":
-                return Num(math.pi)
+                return self._num(math.pi)
             self.names.add(value)
-            return Var(str(value))
+            return self.node((Var, value), value)
         raise ExprError("expected a number, name or parenthesized expression", offset)
 
 
+def parse_exprs(
+    sources: Sequence[str], variables: tuple[str, ...] | None = None
+) -> list[Expr]:
+    """Parse source texts into ASTs, one per source, that share one node per
+    distinct subexpression: equal subtrees of any of the sources are one
+    object.  The sharing lives only for this call; nothing is kept for the
+    next.
+
+    Each source is checked alone, with the same errors and offsets as
+    :func:`parse_expr`, and the first bad source raises.
+    """
+    table: dict[tuple, Expr] = {}
+    nodes = []
+    for src in sources:
+        parser = _Parser(_tokenize(src), table)
+        node = parser.parse_expr()
+        kind, _, offset = parser.peek()
+        if kind != "end":
+            raise ExprError("trailing input after expression", offset)
+        if variables is not None:
+            unknown = parser.names.difference(variables)
+            if unknown:
+                raise ExprError(f"unknown identifier(s) {sorted(unknown)}")
+        nodes.append(node)
+    return nodes
+
+
 def parse_expr(src: str, variables: tuple[str, ...] | None = None) -> Expr:
-    """Parse source text into an AST.
+    """Parse source text into an AST (:func:`parse_exprs` of one source).
 
     When ``variables`` is given, any variable outside it raises
     :class:`ExprError`; otherwise variable validation is deferred to the
     chart that binds the expression.
     """
-    parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ExprError("trailing input after expression", offset)
-    if variables is not None:
-        unknown = parser.names.difference(variables)
-        if unknown:
-            raise ExprError(f"unknown identifier(s) {sorted(unknown)}")
-    return node
+    return parse_exprs([src], variables)[0]
 
 
 # -- printing ------------------------------------------------------------
@@ -382,13 +421,18 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def expr_variables(e: Expr) -> set[str]:
-    """Names of the variables an expression uses (iterative, so a sum of
-    thousands of terms is fine)."""
+def expr_variables(*exprs: Expr) -> set[str]:
+    """Names of the variables the expressions use.  The walk is iterative, so
+    a sum of thousands of terms is fine, and visits a node shared by several
+    parents or expressions once."""
     names: set[str] = set()
-    stack = [e]
+    seen: set[int] = set()  # ids of visited nodes, all alive under ``exprs``
+    stack = list(exprs)
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Var):
             names.add(node.name)
         stack.extend(_children(node))

@@ -214,24 +214,28 @@ class TensorField:
         rows' view (``Tape.select``: an extra row is not run unless they
         share it) and copies the canonical row of each symmetric orbit to its
         members (``field.read_rows`` maps the component rows to the array).
-        String components are parsed against the chart coordinates; AST
-        components are checked for unknown names.
+        String components are parsed against the chart coordinates by one
+        :func:`~tractorlab.expr.parse_exprs` call, so they share their equal
+        subexpressions; AST components are then checked for unknown names.
         """
         shape = (chart.dim,) * len(variance)
         symt = tuple(tuple(p) for p in sym)
-        nodes = []
-        for idx in np.ndindex(shape):
-            node = exprs[idx] if shape else exprs
-            if isinstance(node, str):
-                node = ex.parse_expr(node, variables=chart.coord_names)
-            else:
-                unknown = ex.expr_variables(node) - set(chart.coord_names)
+        nodes = [exprs[idx] if shape else exprs for idx in np.ndindex(shape)]
+        texts = [k for k, node in enumerate(nodes) if isinstance(node, str)]
+        parsed = ex.parse_exprs([nodes[k] for k in texts], chart.coord_names)
+        asts = [(idx, node) for idx, node in zip(np.ndindex(shape), nodes)
+                if not isinstance(node, str)]
+        known = set(chart.coord_names)
+        if not ex.expr_variables(*(node for _, node in asts)) <= known:
+            for idx, node in asts:  # name the first component with one
+                unknown = ex.expr_variables(node) - known
                 if unknown:
                     raise GeometryError(
                         f"component {idx} of {name!r} uses unknown names "
                         f"{sorted(unknown)}"
                     )
-            nodes.append(node)
+        for k, node in zip(texts, parsed):
+            nodes[k] = node
         tape = ex.compile_tape(nodes + list(extra), chart.coord_names)
         own_rows = tape.select(slice(0, len(nodes)))
         flat = np.arange(len(nodes)).reshape(shape)
@@ -389,10 +393,6 @@ def _half_space_sampler(dim: int, first_value: float):
     return sample
 
 
-def _delta_src(i: int, j: int) -> str:
-    return "1" if i == j else "0"
-
-
 def _row_reader(f: Callable, points: np.ndarray) -> Callable[[int], object]:
     """``f`` at the rows of a batch of points ``(B, dim)``, read by row index;
     ``f`` maps a batch to its values with the batch axis first.
@@ -465,12 +465,14 @@ def _tangential_h_check(geom: Geometry, h: np.ndarray,
 def _make_klein(dim: int) -> Geometry:
     coords = _coords(dim)
     r2 = " + ".join(f"{c}^2" for c in coords)
-    rho = f"1 - ({r2})"
+    # rho, and the literal and coordinates it shares with the metric
+    rho, one, *xs = ex.parse_exprs([f"1 - ({r2})", "1", *coords], coords)
+    rho2, one_over_rho = ex.Pow(rho, 2.0), ex.Div(one, rho)
     g = np.empty((dim, dim), dtype=object)
     for i in range(dim):
         for j in range(dim):
-            cross = f"{coords[i]}*{coords[j]}/({rho})^2"
-            g[i, j] = f"1/({rho}) + {cross}" if i == j else cross
+            cross = ex.Div(ex.Mul(xs[i], xs[j]), rho2)  # x_i x_j / rho^2
+            g[i, j] = ex.Add(one_over_rho, cross) if i == j else cross
     chart = Chart(coords)
 
     def flat_hats(points, order):
@@ -480,7 +482,7 @@ def _make_klein(dim: int) -> Geometry:
     return Geometry(
         name="klein",
         chart=chart,
-        rho=ex.parse_expr(rho, coords),
+        rho=rho,
         alpha=2.0,
         metric=g,
         interior_box=(np.full(dim, -0.55), np.full(dim, 0.55)),
@@ -491,17 +493,18 @@ def _make_klein(dim: int) -> Geometry:
 
 def _make_flat(dim: int) -> Geometry:
     coords = _coords(dim)
+    rho, one, zero = ex.parse_exprs([f"1 - {coords[0]}", "1", "0"], coords)
     g = np.empty((dim, dim), dtype=object)
     for i in range(dim):
         for j in range(dim):
-            g[i, j] = _delta_src(i, j)
+            g[i, j] = one if i == j else zero
     lo = np.full(dim, -0.6)
     hi = np.full(dim, 0.6)
     hi[0] = 0.85
     return Geometry(
         name="flat",
         chart=Chart(coords),
-        rho=ex.parse_expr(f"1 - {coords[0]}", coords),
+        rho=rho,
         alpha=2.0,
         metric=g,
         interior_box=(lo, hi),
@@ -512,15 +515,16 @@ def _make_flat(dim: int) -> Geometry:
 def _make_poincare(dim: int) -> Geometry:
     coords = _coords(dim)
     r2 = " + ".join(f"{c}^2" for c in coords)
-    rho = f"1 - ({r2})"
+    rho, four, zero = ex.parse_exprs([f"1 - ({r2})", "4", "0"], coords)
+    diagonal = ex.Div(four, ex.Pow(rho, 2.0))  # 4 / rho^2
     g = np.empty((dim, dim), dtype=object)
     for i in range(dim):
         for j in range(dim):
-            g[i, j] = f"4/({rho})^2" if i == j else "0"
+            g[i, j] = diagonal if i == j else zero
     return Geometry(
         name="poincare_control",
         chart=Chart(coords),
-        rho=ex.parse_expr(rho, coords),
+        rho=rho,
         alpha=2.0,
         metric=g,
         interior_box=(np.full(dim, -0.55), np.full(dim, 0.55)),
@@ -540,20 +544,28 @@ def _default_h_exprs(dim: int, coords: tuple[str, ...]) -> np.ndarray:
     return h
 
 
-def _source_expr(source, coords: tuple[str, ...], what: str) -> ex.Expr:
-    """One asymptotic-form source as an AST in the chart coordinates: text
-    is parsed, a number is a literal and an AST is checked for unknown
-    names."""
-    if isinstance(source, str):
-        return ex.parse_expr(source, coords)
-    if isinstance(source, (int, float)):
-        return ex.Num(float(source))
-    if isinstance(source, ex.Expr):
-        unknown = ex.expr_variables(source) - set(coords)
-        if unknown:
-            raise ex.ExprError(f"unknown identifier(s) {sorted(unknown)}")
-        return source
-    raise GeometryError(f"{what} must be an expression, got {source!r}")
+def _source_exprs(sources: Mapping[str, object], coords: tuple[str, ...]) -> list[ex.Expr]:
+    """Asymptotic-form sources, keyed by the name errors give them, as ASTs
+    in the chart coordinates, then the coordinate ``rho`` as a node they
+    share: the texts are parsed by one :func:`~tractorlab.expr.parse_exprs`
+    call, a number is a literal and an AST is checked for unknown names."""
+    nodes = list(sources.values())
+    texts = []
+    for k, (what, source) in enumerate(sources.items()):
+        if isinstance(source, str):
+            texts.append(k)
+        elif isinstance(source, (int, float)):
+            nodes[k] = ex.Num(float(source))
+        elif isinstance(source, ex.Expr):
+            unknown = ex.expr_variables(source) - set(coords)
+            if unknown:
+                raise ex.ExprError(f"unknown identifier(s) {sorted(unknown)}")
+        else:
+            raise GeometryError(f"{what} must be an expression, got {source!r}")
+    *parsed, rho = ex.parse_exprs([nodes[k] for k in texts] + [coords[0]], coords)
+    for k, node in zip(texts, parsed):
+        nodes[k] = node
+    return nodes + [rho]
 
 
 def _make_asymptotic_form(
@@ -569,10 +581,11 @@ def _make_asymptotic_form(
 
     ``C`` and the entries of the ``dim x dim`` matrix ``h`` (default
     ``h_00 = 1``, ``h_ii = 1 + rho y_i^2``) are source text, numbers or
-    ASTs; each is parsed once, and the metric is built from the parsed
-    ASTs.  ``C`` must have a finite nonzero value at the chart origin, kept
-    as ``constructor_C``, and ``h`` must be nondegenerate tangentially at
-    ``rho = 0``.
+    ASTs; the texts are parsed together, once, and the metric is built from
+    the parsed ASTs, with ``rho^p``, ``rho^(2p)`` and each distinct
+    ``h_ij/rho^p`` made once.  ``C`` must have a finite nonzero value at the
+    chart origin, kept as ``constructor_C``, and ``h`` must be nondegenerate
+    tangentially at ``rho = 0``.
     """
     if coords is None:
         coords = _af_coords(dim)
@@ -583,7 +596,10 @@ def _make_asymptotic_form(
         raise GeometryError(
             f"asymptotic form needs 2/alpha integral, got alpha={alpha}"
         )
-    c_node = _source_expr(C, coords, "C")
+    indices = list(np.ndindex(h.shape))
+    c_node, *h_nodes, rho = _source_exprs(
+        {"C": C, **{f"h{list(idx)}": h[idx] for idx in indices}}, coords
+    )
     try:
         tape = ex.compile_tape([c_node], coords)
         c_val = float(tape.run(np.zeros((1, dim)), jet_space(dim, 0))[0, 0, 0])
@@ -595,13 +611,12 @@ def _make_asymptotic_form(
         raise GeometryError(
             f"asymptotic-form constant C must be finite and nonzero, got {c_val}"
         )
-    for idx in np.ndindex(h.shape):
-        h[idx] = _source_expr(h[idx], coords, f"h{list(idx)}")
     p = 2.0 / alpha  # rho power of the tangential part; transversal uses 2p
-    rho = ex.Var(coords[0])
+    rho_p = ex.Pow(rho, p)
+    over_rho_p = {id(node): ex.Div(node, rho_p) for node in h_nodes}  # by distinct h_ij
     g = np.empty((dim, dim), dtype=object)
-    for idx in np.ndindex(g.shape):
-        g[idx] = ex.Div(h[idx], ex.Pow(rho, p))
+    for idx, node in zip(indices, h_nodes):
+        h[idx], g[idx] = node, over_rho_p[id(node)]
     g[0, 0] = ex.Add(g[0, 0], ex.Div(c_node, ex.Pow(rho, 2 * p)))
     lo = np.full(dim, -0.6)
     hi = np.full(dim, 0.6)
@@ -757,10 +772,13 @@ def load_geometry(doc: Mapping) -> Geometry:
                 f"metric must be {dim}x{dim}, got {metric_doc.shape}"
             )
         chart = Chart(coords)
+        indices = list(np.ndindex(dim, dim))
+        *entries, rho = ex.parse_exprs(
+            [str(metric_doc[idx]) for idx in indices] + [str(doc["rho"])], coords
+        )
         metric = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                metric[i, j] = ex.parse_expr(str(metric_doc[i, j]), coords)
+        for idx, node in zip(indices, entries):
+            metric[idx] = node
         if "interior_box" in doc:
             interior_box = _interior_box(doc["interior_box"], dim)
         else:
@@ -768,7 +786,7 @@ def load_geometry(doc: Mapping) -> Geometry:
         geom = Geometry(
             name=doc.get("name", "custom"),
             chart=chart,
-            rho=ex.parse_expr(str(doc["rho"]), coords),
+            rho=rho,
             alpha=float(doc["alpha"]),
             metric=metric,
             interior_box=interior_box,

@@ -4,7 +4,7 @@ Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
 in, and pytest does not collect it)::
 
     python tests/bench_build.py                       # print the table
-    python tests/bench_build.py --column after --out BENCH_cold_build.json
+    python tests/bench_build.py --column after --out BENCH_shared_exprs.json
 
 Layers:
 
@@ -15,8 +15,14 @@ Layers:
   (closed-form boundary samplers, no search);
 * ``boundary_points.klein-3-document``: ``boundary_points(3, rng)`` on the
   loaded document geometry, the ray search alone;
+* ``parse_compile.*``: the part of one build of each geometry spent inside
+  the parse and compile entry points of module ``expr`` (``parse_expr``,
+  ``parse_exprs`` where the tree has it, and ``compile_tape``; a call made
+  from inside another is counted once);
 * ``tape_runs.*``: ``expr.Tape.run`` calls made by one build of each
-  geometry (a count, the same on every run).
+  geometry (a count, the same on every run);
+* ``nodes_compiled.*``: ``_TapeBuilder.emit`` calls made by one build of each
+  geometry, one per expression node a compile visits (a count).
 
 Times are medians of ``--repeat`` blocks, in reference milliseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -27,8 +33,8 @@ its runs is refreshed; so two trees fill one file, best with their runs
 alternating::
 
     for i in 1 2 3 4 5; do
-      python before/tests/bench_build.py --column before --out BENCH_cold_build.json
-      python after/tests/bench_build.py --column after --out BENCH_cold_build.json
+      python before/tests/bench_build.py --column before --out BENCH_shared_exprs.json
+      python after/tests/bench_build.py --column after --out BENCH_shared_exprs.json
     done
 """
 
@@ -74,7 +80,11 @@ BUILDS = {
 }
 
 
-UNIT = "reference ms per call, median block; tape_runs.* are counts per build"
+UNIT = ("reference ms per call, median block; tape_runs.* and nodes_compiled.* "
+        "are counts per build")
+#: The entry points of module ``expr`` that ``parse_compile.*`` times.
+PARSE_COMPILE = ("parse_expr", "parse_exprs", "compile_tape")
+COUNTS = ("tape_runs.", "nodes_compiled.")
 
 
 def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
@@ -87,20 +97,57 @@ def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
     return statistics.median(blocks) * 1e3
 
 
-def _tape_runs(build) -> int:
-    runs = []
-    real = ex.Tape.run
+def _parse_compile_ms(clock: SpeedClock, build, calls: int, repeat: int) -> float:
+    """Reference ms per build spent inside the :data:`PARSE_COMPILE` entry
+    points, median block."""
+    spent, depth = 0.0, 0
+    reals = {name: getattr(ex, name) for name in PARSE_COMPILE if hasattr(ex, name)}
 
-    def counted(self, point, space):
-        runs.append(1)
-        return real(self, point, space)
+    def timed(real):
+        def wrapper(*args, **kwargs):
+            nonlocal spent, depth
+            if depth:  # inside another entry point, which is timed already
+                return real(*args, **kwargs)
+            depth += 1
+            start = clock.now()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                spent += clock.now() - start
+                depth -= 1
+        return wrapper
 
-    ex.Tape.run = counted
+    blocks = []
+    for name, real in reals.items():
+        setattr(ex, name, timed(real))
+    try:
+        for _ in range(repeat):
+            spent = 0.0
+            for _ in range(calls):
+                build()
+            blocks.append(spent / calls)
+    finally:
+        for name, real in reals.items():
+            setattr(ex, name, real)
+    return statistics.median(blocks) * 1e3
+
+
+def _calls(build, owner, attr: str) -> int:
+    """Calls of ``owner.attr`` made by one build."""
+    calls = 0
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    setattr(owner, attr, counted)
     try:
         build()
     finally:
-        ex.Tape.run = real
-    return len(runs)
+        setattr(owner, attr, real)
+    return calls
 
 
 def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
@@ -110,7 +157,10 @@ def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
     out["boundary_points.klein-3-document"] = _per_call_ms(
         clock, lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
     )
-    out.update({f"tape_runs.{name}": _tape_runs(build) for name, build in BUILDS.items()})
+    for name, build in BUILDS.items():
+        out[f"parse_compile.{name}"] = _parse_compile_ms(clock, build, calls, repeat)
+        out[f"tape_runs.{name}"] = _calls(build, ex.Tape, "run")
+        out[f"nodes_compiled.{name}"] = _calls(build, ex._TapeBuilder, "emit")
     return out
 
 
@@ -124,7 +174,7 @@ def main(argv=None) -> int:
     with SpeedClock() as clock:
         column = measure(clock, args.calls, args.repeat)
     for layer, value in column.items():
-        unit = "runs" if layer.startswith("tape_runs.") else "reference ms"
+        unit = "count" if layer.startswith(COUNTS) else "reference ms"
         print(f"{layer:36s} {value:9.3f} {unit}")
     if args.out:
         path = Path(args.out)

@@ -66,6 +66,38 @@ def test_eval_rejects_a_point_outside_the_manifold(capsys, argv, text):
     assert err.startswith(f"error: {text}") and "Traceback" not in err
 
 
+def _flat_document(rho, g00="1"):
+    """A flat metric (its first entry replaced by ``g00``) on the set where
+    ``rho`` is positive."""
+    return {"name": "flat-ball", "dim": 3, "coords": ["x0", "x1", "x2"], "rho": rho,
+            "alpha": 2.0, "metric": [[g00, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("where", [
+    ["--boundary-point", "2,0,0", "--extrapolate"],
+    ["--point", "2,0,0"],
+])
+def test_a_point_outside_the_domain_of_rho_exits_two(tmp_path, capsys, where):
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps(_flat_document("sqrt(1 - (x0^2 + x1^2 + x2^2)) - 0.5")))
+    argv = ["eval", "--geometry", str(path), "--quantity", "scalar_curvature"] + where
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: (2.0, 0.0, 0.0) is outside the domain of rho "
+                   "(sqrt of non-positive value -3.000e+00)\n")
+
+
+def test_an_interior_point_outside_the_domain_of_the_metric_is_no_pole(tmp_path, capsys):
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps(_flat_document("1 - (x0^2 + x1^2 + x2^2)", "sqrt(0.9 - x0)")))
+    argv = ["eval", "--geometry", str(path), "--quantity", "schouten", "--point", "0.95,0,0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: (0.95, 0.0, 0.0) is outside the domain of the "
+                          "geometry's expressions (sqrt of non-positive value")
+    assert "pole" not in err
+
+
 @pytest.mark.parametrize("quantity, y, plan, text", [
     ("scalar_curvature", "1,0,0", ["--eps0", "5"],
      "eps0=5, levels=6: could not place a ladder point at rho=5 from (1.0, 0.0, 0.0)"),

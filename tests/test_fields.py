@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -603,18 +604,19 @@ def test_c_is_read_from_the_tape_at_the_chart_origin():
 
 def test_asymptotic_form_sources_are_parsed_once(monkeypatch):
     parsed = []
-    real = ex.parse_expr
+    real = ex.parse_exprs
 
-    def counting(src, variables=None):
-        parsed.append(src)
-        return real(src, variables)
+    def counting(sources, variables=None):
+        parsed.extend(sources)
+        return real(sources, variables)
 
-    monkeypatch.setattr(ex, "parse_expr", counting)
+    monkeypatch.setattr(ex, "parse_exprs", counting)
     geom = builtin_geometry("af2_generic", 4, C="0.25 + y1")
     assert parsed.count("0.25 + y1") == 1
-    assert len(parsed) == 1 + 16  # C and each entry of h; no metric text
+    # C, each entry of h and the coordinate rho, in one call; no metric text
+    assert len(parsed) == 1 + 16 + 1
     geom.metric_field()
-    assert len(parsed) == 17
+    assert len(parsed) == 18
 
 
 @pytest.mark.parametrize("name, dim", [
@@ -709,3 +711,98 @@ def test_rho_is_compiled_once_per_geometry(monkeypatch, build):
     assert sum(any(e is geom.rho for e in exprs) for exprs in compiled) == 1
     tape = geom.metric_field().tape
     assert tape.outputs[-1:].tolist() == geom._rho_row.outputs.tolist()
+
+
+def _distinct_subexpressions(roots) -> int:
+    """How many structurally distinct subexpressions the roots have, a
+    literal told apart by ``float.hex``: the node count of their DAG when each
+    distinct subexpression is one node."""
+    canon: dict[tuple, int] = {}
+    number: dict[int, int] = {}  # node id -> canonical number
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in number:
+            stack.pop()
+            continue
+        values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+        pending = [v for v in values if not isinstance(v, (str, float)) and id(v) not in number]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        key = (type(node),) + tuple(
+            v.hex() if isinstance(v, float) else v if isinstance(v, str) else number[id(v)]
+            for v in values
+        )
+        number[id(node)] = canon.setdefault(key, len(canon))
+    return len(canon)
+
+
+def _tape_layout(tape):
+    """``code``, ``steps``, ``outputs`` and ``const_values`` of a tape as plain
+    lists, slices and index arrays alike."""
+    def slots(x):
+        return None if x is None else np.arange(tape.n_slots)[x].tolist()
+
+    steps = [(op, slots(out), slots(a), slots(b),
+              param.tolist() if isinstance(param, np.ndarray) else param)
+             for op, out, a, b, param in tape.steps]
+    return tape.code, steps, tape.outputs.tolist(), tape.const_values.tolist()
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_the_metric_tape_is_that_of_its_components_parsed_one_at_a_time(monkeypatch, build):
+    # the shared-node DAG of a build compiles to the tape of the components
+    # parsed one string at a time, and its compile emits each distinct node
+    # once; a second build repeats the first build's work exactly
+    emits = []
+    real_emit, real_compile = ex._TapeBuilder.emit, ex.compile_tape
+    compiled = []  # (expressions, emit calls) of each compile
+
+    def counting_emit(self, e, args):
+        emits.append(e)
+        return real_emit(self, e, args)
+
+    def counting_compile(exprs, variables):
+        start = len(emits)
+        tape = real_compile(exprs, variables)
+        compiled.append((exprs, len(emits) - start))
+        return tape
+
+    monkeypatch.setattr(ex._TapeBuilder, "emit", counting_emit)
+    monkeypatch.setattr(ex, "compile_tape", counting_compile)
+    per_build = []
+    for _ in range(2):
+        emits.clear()
+        compiled.clear()
+        geom = build()
+        tape = geom.metric_field().tape
+        per_build.append([n for _, n in compiled])
+    roots = list(geom.metric.flat) + [geom.rho]
+    (metric_emits,) = [n for exprs, n in compiled if exprs[-1] is geom.rho]
+    assert metric_emits == _distinct_subexpressions(roots)
+    assert per_build[0] == per_build[1]
+    coords = geom.chart.coord_names
+    alone = real_compile([ex.parse_expr(ex.expr_to_source(e), coords) for e in roots], coords)
+    got, want = _tape_layout(tape), _tape_layout(alone)
+    assert got[0] == want[0]  # code
+    assert got[1] == want[1]  # steps
+    assert got[2] == want[2]  # outputs
+    assert got[3] == want[3]  # const_values
+
+
+@pytest.mark.parametrize("component, message", [
+    ("x0*x1 + w", "unknown identifier(s) ['w']"),
+    ("x0*x1 + 1)", "trailing input after expression (at offset 9)"),
+    ("(" * 101 + "x0" + ")" * 101, "expression nested deeper than 100 levels (at offset 100)"),
+])
+def test_a_bad_document_component_keeps_its_parse_error(component, message):
+    doc = json.loads(json.dumps(KLEIN3_DOC))
+    doc["metric"][1][2] = doc["metric"][2][1] = component
+    with pytest.raises(ex.ExprError) as alone:
+        ex.parse_expr(component, tuple(doc["coords"]))
+    with pytest.raises(ex.ExprError) as err:
+        load_geometry(doc)
+    assert str(err.value) == str(alone.value) == message
+    assert err.value.offset == alone.value.offset
