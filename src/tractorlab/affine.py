@@ -73,8 +73,6 @@ class Connection:
     def __init__(self, chart: Chart, evaluator: Callable[[np.ndarray, int], np.ndarray]):
         self.chart = chart
         self._evaluator = evaluator
-        # closed-form boundary Christoffels, set by rho_connection
-        self.exact_boundary: Callable[[np.ndarray, int], np.ndarray] | None = None
         self._cache: dict = {}
 
     @property
@@ -99,10 +97,10 @@ class Connection:
         hit = self._cache.get((point_key(points), order))
         return self._evaluator(points, order) if hit is None else hit
 
-    def christoffel_values(self, points: np.ndarray, order: int = 0) -> np.ndarray:
+    def christoffel_values(self, points: np.ndarray) -> np.ndarray:
         """Christoffel values ``(d, d, d, B)`` (the ``[..., 0]`` slice) at a
         batch of points ``(B, d)``, never memoized."""
-        return np.array(self._peek(points, order)[..., 0])
+        return np.array(self._peek(points, 0)[..., 0])
 
     def trace_gamma(self, points: np.ndarray, order: int) -> np.ndarray:
         """Dense jets ``(d, B, ncoeff)`` of the one-form ``Gamma^e_ea``
@@ -141,19 +139,13 @@ def levi_civita(geom_or_field) -> Connection:
     return Connection(gfield.chart, evaluator)
 
 
-def projective_modify(
-    conn: Connection,
-    upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField,
-) -> Connection:
-    """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a``.
+def projective_modify(conn: Connection, upsilon: TensorField) -> Connection:
+    """Projective change ``Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a`` by
+    the one-form field ``upsilon``.
 
-    ``upsilon(points, order)`` returns the one-form at a batch of points as
-    a dense ``(d, B, ncoeff)`` jet array (or is a :class:`TensorField`).  The change keeps a
-    torsion-free base torsion free, and a special one (preserving a volume
-    density) special when the one-form is closed.
+    The change keeps a torsion-free base torsion free, and a special one
+    (preserving a volume density) special when the one-form is closed.
     """
-    if not isinstance(upsilon, TensorField):
-        upsilon = TensorField(conn.chart, "d", upsilon)
 
     def evaluator(points: np.ndarray, order: int) -> np.ndarray:
         return projective_change(conn._peek(points, order), upsilon.dense(points, order))
@@ -195,12 +187,10 @@ def rho_connection(geom: Geometry, base: Connection) -> Connection:
     For a projectively compact geometry of order alpha this connection is
     smooth up to the boundary; its Christoffel evaluator raises a pole error
     at ``rho = 0``, where boundary values must come from the extension
-    machinery in module ``boundary`` (or from an exact closed form attached
-    to the geometry, as for the Klein model).
+    machinery in module ``boundary`` (or from the geometry's exact closed
+    form ``exact_hat_christoffels``, as for the Klein model).
     """
-    conn = projective_modify(base, rho_one_form(geom))
-    conn.exact_boundary = geom.exact_hat_christoffels
-    return conn
+    return projective_modify(base, rho_one_form(geom))
 
 
 # -- curvature -------------------------------------------------------------
@@ -351,7 +341,6 @@ def covariant_derivative(
         evaluator,
         weight=w,
         name=f"D({field.name})" if field.name else "D(.)",
-        sym=tuple((a + 1, b + 1) for a, b in field.sym),
     )
 
 

@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .affine import projective_change
 from .extrapolate import Ladder, boundary_limit, ladder_samples, richardson_limit
 from .fields import (
     Geometry,
@@ -52,7 +53,7 @@ from .fields import (
     value_trace_product,
 )
 from .jets import jet_function, jet_gradient, jet_mul, jet_space
-from .tractor import TractorCalculus, l_tau, metricity_contorsion
+from .tractor import TractorCalculus, curvature_of, l_tau, metric_tractor_omega
 
 __all__ = [
     "BoundaryExtensionError",
@@ -88,20 +89,25 @@ class DegenerateBoundaryError(RuntimeError):
 # -- connection extension ----------------------------------------------------
 
 
-def extended_christoffels(conn, ladders: Sequence[Ladder]) -> list[np.ndarray]:
-    """Boundary values at the ladders' points of a connection that extends
-    smoothly to ``rho = 0``, one per ladder.
+def extended_christoffels(
+    calc: TractorCalculus, ladders: Sequence[Ladder]
+) -> list[np.ndarray]:
+    """Boundary values at the ladders' points of the rho-modified connection
+    ``calc.hat``, which extends smoothly to ``rho = 0`` on a projectively
+    compact geometry, one per ladder.
 
-    Uses the exact closed-form extension when the geometry provides one,
-    evaluated once at the ladders' boundary points, otherwise Richardson
-    extrapolation along the ladders.  Divergence raises
-    :class:`BoundaryExtensionError` for the first diverged ladder (the
-    projectively-noncompact controls end up here).
+    Uses the geometry's exact closed-form extension
+    (``exact_hat_christoffels``) when it has one, evaluated once at the
+    ladders' boundary points, otherwise Richardson extrapolation along the
+    ladders.  Divergence raises :class:`BoundaryExtensionError` for the
+    first diverged ladder (the projectively-noncompact controls end up
+    here).
     """
-    if conn.exact_boundary is not None:
-        ys = np.array([ladder.y for ladder in ladders]).reshape(-1, conn.dim)
-        return list(np.moveaxis(conn.exact_boundary(ys, 0)[..., 0], -1, 0))
-    ests = boundary_limit(lambda p: conn.christoffel_values(p, 0), ladders)
+    exact = calc.geom.exact_hat_christoffels
+    if exact is not None:
+        ys = np.array([ladder.y for ladder in ladders]).reshape(-1, calc.dim)
+        return list(np.moveaxis(exact(ys, 0)[..., 0], -1, 0))
+    ests = boundary_limit(calc.hat.christoffel_values, ladders)
     for ladder, est in zip(ladders, ests):
         if est.diverged:
             raise BoundaryExtensionError(
@@ -223,7 +229,7 @@ def geodetic_transversals(
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
     # (d, d, d, B), the layout of a batched christoffel_values
-    gamma_boundary = np.stack(extended_christoffels(calc.hat, ladders), axis=-1)
+    gamma_boundary = np.stack(extended_christoffels(calc, ladders), axis=-1)
     n_steps = int(round(horizon / step))
     ts = np.arange(n_steps + 1) * step
 
@@ -378,15 +384,7 @@ def second_fundamental_form(
     geom = calc.geom
     d = geom.dim
     rng = rng or np.random.default_rng(11)
-
-    def modified(gamma0, one_form):
-        # Gamma^c_ab + delta^c_a Y_b + delta^c_b Y_a
-        eye = np.eye(d)
-        return gamma0 + (
-            np.einsum("ca,b->cab", eye, one_form) + np.einsum("cb,a->cab", eye, one_form)
-        )
-
-    gammas = extended_christoffels(calc.hat, ladders)
+    gammas = extended_christoffels(calc, ladders)
     ys = np.array([ladder.y for ladder in ladders])
     rho2s = geom.rho_dense(ys, 2)
     forms = []
@@ -398,7 +396,7 @@ def second_fundamental_form(
 
         # (a) projective invariance of the tangential restriction
         ups = rng.uniform(-0.8, 0.8, size=d)
-        tang_proj = E.T @ _covariant_hessian(rho2, modified(gamma0, ups)) @ E
+        tang_proj = E.T @ _covariant_hessian(rho2, projective_change(gamma0, ups)) @ E
         proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
 
         # (b) conformal covariance under rho -> exp(f) rho with linear f; the
@@ -409,7 +407,8 @@ def second_fundamental_form(
         f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
         f[1 : 1 + d] = fcoef[1:]
         rho_new = jet_mul(jet_function("exp", f, space2), rho2, space2)
-        hess_new = _covariant_hessian(rho_new, modified(gamma0, fcoef[1:] / geom.alpha))
+        gamma_new = projective_change(gamma0, fcoef[1:] / geom.alpha)
+        hess_new = _covariant_hessian(rho_new, gamma_new)
         tang_new = E.T @ hess_new @ E
         factor = math.exp(f[0])
         conf_defect = float(np.max(np.abs(tang_new - factor * tang))) / (
@@ -436,13 +435,13 @@ def second_fundamental_form(
 
 def scalar_curvature(calc: TractorCalculus, p) -> np.ndarray:
     """The scalar curvature of the metric (Thm 2.5)."""
-    return calc.pack_of(calc.levi_civita_splitting).dense("scalar", p, 0)[..., 0]
+    return calc.levi_civita_splitting.pack.dense("scalar", p, 0)[..., 0]
 
 
 def schouten_trace(calc: TractorCalculus, p) -> np.ndarray:
     """``g^ij P_ij``, the metric trace of the Schouten tensor."""
     gv = calc.geom.metric_field().dense(p, 0)[..., 0]
-    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    Pv = calc.levi_civita_splitting.pack.dense("schouten", p, 0)[..., 0]
     return value_trace_product(value_inv(gv), Pv)
 
 
@@ -450,14 +449,14 @@ def tracefree_ricci(calc: TractorCalculus, p) -> np.ndarray:
     """``Ric - (S/(n+1)) g`` with the scalar curvature ``S`` at the point
     itself."""
     g = calc.geom.metric_field().dense(p, 0)[..., 0]
-    ricci = calc.pack_of(calc.levi_civita_splitting).dense("ricci", p, 0)[..., 0]
+    ricci = calc.levi_civita_splitting.pack.dense("ricci", p, 0)[..., 0]
     return ricci - scalar_curvature(calc, p) / (calc.n + 1) * g
 
 
 def gamma_form(calc: TractorCalculus, p) -> np.ndarray:
     """``gamma = rho P + d(rho)^2 / (4 rho)`` (Prop 4.2); its tangential
     boundary value is the metric of the conformal infinity."""
-    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    Pv = calc.levi_civita_splitting.pack.dense("schouten", p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
     return rho * Pv + value_outer(grad) / (4.0 * rho)
 
@@ -465,7 +464,7 @@ def gamma_form(calc: TractorCalculus, p) -> np.ndarray:
 def t_vector(calc: TractorCalculus, p) -> np.ndarray:
     """``t^a = -P^ab rho_b / (4 rho^2)`` (Prop 4.2); raises
     ``numpy.linalg.LinAlgError`` where the Schouten tensor is singular."""
-    Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0]
+    Pv = calc.levi_civita_splitting.pack.dense("schouten", p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
     return value_matvec(-value_inv(Pv), grad) / (4.0 * np.float_power(rho, 2))
 
@@ -480,7 +479,7 @@ def h_form(calc: TractorCalculus, C: float, p) -> np.ndarray:
 
 def _lc_curvature(name: str) -> Callable:
     def value(calc: TractorCalculus, p) -> np.ndarray:
-        return calc.pack_of(calc.levi_civita_splitting).dense(name, p, 0)[..., 0]
+        return calc.levi_civita_splitting.pack.dense(name, p, 0)[..., 0]
 
     return value
 
@@ -728,9 +727,9 @@ def curvature_blocks(
     gamma-skewness of W, and that the bottom-middle block is
     ``-2 tauhat V_ij^k gamma_kl``.
     """
-    tc = metricity_contorsion(calc, calc.reference)
     ests = boundary_limit(
-        lambda p: tc.curvature(p, 0).values(), [frame.ladder for frame in frames]
+        lambda p: curvature_of(metric_tractor_omega(calc, p, 1), 0)[..., 0],
+        [frame.ladder for frame in frames],
     )
     out = []
     for frame, est in zip(frames, ests):

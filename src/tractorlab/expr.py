@@ -481,20 +481,21 @@ class _TapeBuilder:
 
     A compiled subtree is either a ``float`` (a constant, folded at compile
     time and given a slot only where a jet operation needs one) or an
-    ``int`` slot index.
+    ``int`` slot index.  Constants and literals are keyed by ``float.hex``,
+    as the parser keys them, so ``-0.0`` and ``0.0`` stay apart.
     """
 
     def __init__(self, variables: Sequence[str]):
         self.variables = tuple(variables)
         self.code: list[tuple] = []
-        self.consts: dict[float, int] = {}
+        self.consts: dict[str, int] = {}  # float.hex of a constant -> slot
         self.memo: dict[tuple, int] = {}
         self.n_slots = len(self.variables)
 
     def op(self, op: str, a: int, b: int | None = None, param=None) -> int:
         if op in ("add", "mul") and b < a:
             a, b = b, a
-        key = (op, a, b, param)
+        key = (op, a, b, None if param is None else param.hex())
         slot = self.memo.get(key)
         if slot is None:
             slot = self.memo[key] = self.n_slots
@@ -505,9 +506,9 @@ class _TapeBuilder:
     def slot(self, v: float | int) -> int:
         if isinstance(v, int):
             return v
-        slot = self.consts.get(v)
+        slot = self.consts.get(v.hex())
         if slot is None:
-            slot = self.consts[v] = self.n_slots
+            slot = self.consts[v.hex()] = self.n_slots
             self.n_slots += 1
         return slot
 
@@ -599,7 +600,9 @@ class Tape:
         self.n_slots = builder.n_slots
         n, k = len(self.variables), len(builder.consts)
         self.const_slots = slice(n, n + k)
-        self.const_values = np.array(list(builder.consts), dtype=float)[:, None]
+        self.const_values = np.array(
+            [float.fromhex(h) for h in builder.consts], dtype=float
+        )[:, None]
         new = list(range(self.n_slots))  # builder slot -> slot in step order
         for slot, old in enumerate(builder.consts.values(), n):
             new[old] = slot

@@ -147,9 +147,7 @@ class TensorField:
 
     ``variance`` is one letter per index: ``"u"`` upper, ``"d"`` lower; the
     component array axes follow the same order.  ``weight`` is the projective
-    density weight.  ``sym`` lists axis pairs in which the field is declared
-    symmetric; evaluation only touches a canonical representative per orbit,
-    so declared symmetries hold exactly.  ``evaluator(points, order)`` takes
+    density weight.  ``evaluator(points, order)`` takes
     a batch of points ``(B, dim)`` and returns the dense jet array of shape
     ``(dim,) * rank + (B, ncoeff)`` (module ``jets``), which :meth:`dense`
     passes through.
@@ -162,13 +160,11 @@ class TensorField:
         evaluator: Callable[[np.ndarray, int], np.ndarray],
         weight: float = 0.0,
         name: str = "",
-        sym: tuple[tuple[int, int], ...] = (),
     ):
         self.chart = chart
         self.variance = variance
         self.weight = float(weight)
         self.name = name
-        self.sym = tuple(tuple(p) for p in sym)
         self._evaluator = evaluator
         # set by from_exprs: the compiled tape, and the map from its rows
         # to the dense component array
@@ -210,10 +206,12 @@ class TensorField:
         (kept as ``field.tape``, one row per component in index order, then
         one row per expression of ``extra``, which the field never reads);
         the tape shares identical subexpressions, so a symmetric pair
-        written alike costs one row of work.  Evaluation runs the component
-        rows' view (``Tape.select``: an extra row is not run unless they
-        share it) and copies the canonical row of each symmetric orbit to its
-        members (``field.read_rows`` maps the component rows to the array).
+        written alike costs one row of work.  ``sym`` lists axis pairs in
+        which the components are declared symmetric.  Evaluation runs the
+        component rows' view (``Tape.select``: an extra row is not run unless
+        they share it) and copies the canonical row of each symmetric orbit
+        to its members (``field.read_rows`` maps the component rows to the
+        array), so the declared symmetries hold exactly.
         String components are parsed against the chart coordinates by one
         :func:`~tractorlab.expr.parse_exprs` call, so they share their equal
         subexpressions; AST components are then checked for unknown names.
@@ -248,7 +246,7 @@ class TensorField:
         def evaluator(points: np.ndarray, order: int) -> np.ndarray:
             return read_rows(own_rows.run(chart.coords(points), jet_space(chart.dim, order)))
 
-        field = cls(chart, variance, evaluator, weight=weight, name=name, sym=sym)
+        field = cls(chart, variance, evaluator, weight=weight, name=name)
         field.tape = tape
         field.read_rows = read_rows
         return field

@@ -33,15 +33,20 @@ the batch axis and the Taylor coefficients.  The connection matrices are
 ``(d, n+2, n+2, B, ncoeff)`` arrays indexed ``[a, i, j]``; curvatures are
 ``(d, d, n+2, n+2, B, ncoeff)``.
 
-The reference splitting of a geometry is the one of the rho-modified
-connection (smooth up to the boundary); the Levi-Civita splitting is the
-derived view with offset ``-d(rho)/(alpha rho)``.
+A splitting is the connection that makes it: a :class:`Splitting` carries
+that connection, its curvature pack and its offset one-form from the
+reference.  The reference splitting of a geometry is the one of the
+rho-modified connection (smooth up to the boundary); the Levi-Civita
+splitting has offset ``-d(rho)/(alpha rho)``.  The metric tractor
+connection is the standard one of the reference splitting plus the
+metricity contorsion, as connection matrices
+(:func:`metric_tractor_omega`); :func:`curvature_of` gives the curvature of
+either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -73,16 +78,17 @@ __all__ = [
     "Splitting",
     "TractorValue",
     "TractorCalculus",
-    "TractorConnection",
     "change_splitting",
     "std_tractor_derivative",
     "bgg_split_metricity",
     "l_tau",
     "tractor_metric_inverse",
     "s2t_slots",
+    "curvature_of",
     "tractor_curvature",
     "standard_curvature_blocks",
     "metricity_contorsion",
+    "metric_tractor_omega",
     "metric_tractor_curvature_blocks",
     "polynomial_tractor_section",
 ]
@@ -91,23 +97,20 @@ __all__ = [
 _AXES = "bcdefghijk"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Splitting:
-    """A splitting of the tractor bundle, tagged by its offset one-form.
+    """The splitting of the tractor bundle by a connection in the projective
+    class, with that connection's curvature pack.
 
-    ``upsilon`` is the offset of the splitting connection from the
-    geometry's reference connection (the rho-modified one) as a one-form
-    field; ``None`` denotes the reference splitting itself.
+    ``upsilon`` is the offset of ``connection`` from the geometry's
+    reference connection (the rho-modified one) as a one-form field;
+    ``None`` denotes the reference splitting itself.  Two splittings are
+    equal only when they are the same object.
     """
 
-    label: str
+    connection: Connection
+    pack: CurvaturePack
     upsilon: TensorField | None = None
-
-    def __hash__(self):
-        return hash(self.label)
-
-    def __eq__(self, other):
-        return isinstance(other, Splitting) and self.label == other.label
 
 
 @dataclass
@@ -189,55 +192,41 @@ def change_splitting(
 class TractorCalculus:
     """Tractor-calculus context for one geometry.
 
-    Owns the Levi-Civita and rho-modified connections (``lc``, ``hat``) with
-    their curvature packs (:meth:`pack_of`), the canonical density ``tau``,
-    the named splittings, and the splitting-dependent tractor connection
-    matrices (:meth:`omega`, built on each call).  It is the only builder of
-    these objects: a suite session makes one for each check it runs and one
-    for its probes, and a CLI evaluation makes one, so each memo has one
-    owner and ends with it.  Nothing caches a calculus on its ``Geometry``.
+    Owns the reference and Levi-Civita splittings (``reference``,
+    ``levi_civita_splitting``) with their connections and curvature packs,
+    the rho-modified connection ``hat`` (the reference one), the canonical
+    density ``tau``, and the splitting-dependent tractor connection matrices
+    (:meth:`omega`, built on each call).  It is the only builder of these
+    objects: a suite session makes one for each check it runs and one for
+    its probes, and a CLI evaluation makes one, so each memo has one owner
+    and ends with it.  Nothing caches a calculus on its ``Geometry``.
     """
 
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.dim = geom.dim
         self.n = geom.dim - 1
-        self.lc = levi_civita(geom)
-        self.hat = rho_connection(geom, base=self.lc)
+        lc = levi_civita(geom)
+        self.hat = rho_connection(geom, base=lc)
         self.tau = canonical_tau(geom)
-        self.reference = Splitting("reference", None)
+        self.reference = self._split(self.hat, None)
         # Closures here capture locals, never ``self``: a reference cycle
         # would keep every calculus and its memoized arrays alive until a
         # full garbage collection.
         rho_form = rho_one_form(geom)
-        self.levi_civita_splitting = Splitting(
-            "levi_civita",
-            TensorField(
-                geom.chart, "d", lambda points, order: -rho_form.dense(points, order)
-            ),
-        )
-        self._connections: dict[str, Connection] = {
-            "reference": self.hat,
-            "levi_civita": self.lc,
-        }
-        self._packs: dict[str, CurvaturePack] = {}
+        self.levi_civita_splitting = self._split(lc, TensorField(
+            geom.chart, "d", lambda points, order: -rho_form.dense(points, order)
+        ))
 
     # -- splittings -----------------------------------------------------
 
-    def _one_form(self, upsilon) -> TensorField:
-        if isinstance(upsilon, TensorField):
-            return upsilon
-        return TensorField(self.geom.chart, "d", upsilon)
+    def _split(self, conn: Connection, upsilon: TensorField | None) -> Splitting:
+        return Splitting(conn, CurvaturePack(conn, self.geom.metric_field()), upsilon)
 
-    def splitting(
-        self,
-        upsilon: Callable[[np.ndarray, int], np.ndarray] | TensorField,
-        label: str,
-    ) -> Splitting:
-        """A splitting with the given offset one-form from the reference."""
-        ups = self._one_form(upsilon)
-        self._connections[label] = projective_modify(self.hat, ups)
-        return Splitting(label, ups)
+    def splitting(self, upsilon: TensorField) -> Splitting:
+        """A new splitting with the given offset one-form from the
+        reference."""
+        return self._split(projective_modify(self.hat, upsilon), upsilon)
 
     def hat_christoffel_values(self, rho: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Christoffel values ``(d, d, d, B)`` of ``hat`` at a batch of
@@ -249,36 +238,16 @@ class TractorCalculus:
         u = rho_log_gradient(rho, self.geom.alpha, jet_space(self.dim, 0))
         return projective_change(levi_civita_jets(g, 0)[..., 0], u[..., 0])
 
-    def connection_of(self, s: Splitting) -> Connection:
-        return self._connections[s.label]
-
-    def pack_of(self, s: Splitting) -> CurvaturePack:
-        pack = self._packs.get(s.label)
-        if pack is None:
-            pack = self._packs[s.label] = CurvaturePack(
-                self.connection_of(s), self.geom.metric_field()
-            )
-        return pack
-
-    def upsilon_jets(self, s: Splitting, points: np.ndarray, order: int) -> np.ndarray:
-        """Dense ``(d, B, ncoeff)`` offset of ``s`` from the reference at a
-        batch of points."""
-        if s.upsilon is None:
-            return np.zeros((self.dim, len(points), jet_space(self.dim, order).ncoeff))
-        return s.upsilon.dense(points, order)
-
-    def change_upsilon(
-        self, source: Splitting, target: Splitting, points: np.ndarray, order: int
-    ) -> np.ndarray:
-        return self.upsilon_jets(target, points, order) - self.upsilon_jets(
-            source, points, order
-        )
-
     def in_splitting(self, tv: TractorValue, target: Splitting, points: np.ndarray):
-        if tv.splitting == target:
+        """``tv`` re-expressed in the splitting ``target``, changed by the
+        difference of the two offsets (the reference's is zero)."""
+        if tv.splitting is target:
             return tv
-        ups = self.change_upsilon(tv.splitting, target, points, tv.order)
-        return change_splitting(tv, ups, target)
+        to, frm = (
+            0.0 if s.upsilon is None else s.upsilon.dense(points, tv.order)
+            for s in (target, tv.splitting)
+        )
+        return change_splitting(tv, to - frm, target)
 
     # -- scalar data ------------------------------------------------------
 
@@ -302,8 +271,7 @@ class TractorCalculus:
                 return jet_mul(ginv, inv_tau, space)
 
             self._sigma_field = TensorField(
-                self.geom.chart, "uu", evaluator, weight=-2.0,
-                name="metricity", sym=((0, 1),),
+                self.geom.chart, "uu", evaluator, weight=-2.0, name="metricity"
             )
         return self._sigma_field
 
@@ -313,9 +281,9 @@ class TractorCalculus:
         """``Omega_a`` of the standard tractor connection in splitting ``s``
         at a batch of points, a ``(d, n+2, n+2, B, ncoeff)`` array."""
         d = self.dim
-        conn = self.connection_of(s)
+        conn = s.connection
         G = conn.dense(points, order)
-        P = self.pack_of(s).dense("schouten", points, order)
+        P = s.pack.dense("schouten", points, order)
         gamma = conn.trace_gamma(points, order) / (d + 1.0)
         eye = np.eye(d)
         omega = np.zeros((d, d + 1, d + 1) + G.shape[3:])
@@ -348,8 +316,8 @@ def std_tractor_derivative(
     along uncoupled, which is the right bookkeeping for curvature by
     commutators along coordinate directions.  The new form axis is axis 0
     and the output order drops by one.  ``omega`` gives the connection
-    matrices at the value's order minus one, e.g. a contorsioned
-    connection's :meth:`TractorConnection.matrices` built once for several
+    matrices at the value's order minus one, e.g. the metric tractor
+    connection's (:func:`metric_tractor_omega`) built once for several
     values; by default they are the standard ones of the value's splitting.
     """
     k = tv.order
@@ -386,7 +354,7 @@ def bgg_split_metricity(
     """
     n = calc.n
     space = jet_space(calc.dim, order)
-    conn = calc.connection_of(s)
+    conn = s.connection
     sigma = sigma_field.dense(points, order)
     dsig_field = covariant_derivative(sigma_field, conn)
     trace_field = TensorField(
@@ -395,7 +363,7 @@ def bgg_split_metricity(
         weight=sigma_field.weight, name="div(sigma)",
     )
     ddiv = covariant_derivative(trace_field, conn).dense(points, order)
-    P = calc.pack_of(s).dense("schouten", points, order)
+    P = s.pack.dense("schouten", points, order)
 
     middle = np.einsum("eec...->c...", dsig_field.dense(points, order)) * (
         -1.0 / (n + 2)
@@ -425,12 +393,12 @@ def l_tau(
     """
     space = jet_space(calc.dim, order)
     tau = calc.tau.dense(points, order)
-    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", points, order)
+    P = calc.levi_civita_splitting.pack.dense("schouten", points, order)
     G = np.zeros((calc.dim + 1,) * 2 + tau.shape)
     G[0, 0] = tau
     G[1:, 1:] = jet_mul(P, tau, space)
     tv = TractorValue(G, space, "dd", 0, calc.levi_civita_splitting)
-    if s is not None and s != calc.levi_civita_splitting:
+    if s is not None:
         tv = calc.in_splitting(tv, s, points)
     return tv
 
@@ -466,30 +434,30 @@ def _skew(x: np.ndarray) -> np.ndarray:
     return x - x.swapaxes(0, 1)
 
 
-def tractor_curvature(
-    calc: TractorCalculus,
-    s: Splitting,
-    points: np.ndarray,
-    order: int,
-    contorsion: "TractorConnection | None" = None,
-) -> TractorValue:
-    """Curvature of the (possibly contorsioned) tractor connection.
+def curvature_of(omega: np.ndarray, order: int) -> np.ndarray:
+    """Curvature of the tractor connection with matrices ``omega`` (a dense
+    ``(d, n+2, n+2, B, ncoeff)`` array at jet order ``order + 1``).
 
     Computed as the commutator of coupled derivatives along coordinate
     directions (whose brackets vanish):
     ``kappa_ab = d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b]``.
-    The result is an End(T)-valued two-form, antisymmetric in the form
+    The result, a dense ``(d, d, n+2, n+2, B, ncoeff)`` array at jet order
+    ``order``, is an End(T)-valued two-form, antisymmetric in the form
     indices by construction.
     """
-    d = calc.dim
-    if contorsion is not None:
-        omega = contorsion.matrices(points, order + 1)
-    else:
-        omega = calc.omega(s, points, order + 1)
+    d = omega.shape[0]
     space = jet_space(d, order)
     domega = jet_gradient(omega, jet_space(d, order + 1))  # d_a Omega_b
     prod = jet_einsum("aij,bjk->abik", omega, omega, space)  # Omega_a Omega_b
-    return TractorValue(_skew(domega) + _skew(prod), space, "ud", 2, s)
+    return _skew(domega) + _skew(prod)
+
+
+def tractor_curvature(
+    calc: TractorCalculus, s: Splitting, points: np.ndarray, order: int
+) -> TractorValue:
+    """Curvature of the standard tractor connection in splitting ``s``."""
+    kappa = curvature_of(calc.omega(s, points, order + 1), order)
+    return TractorValue(kappa, jet_space(calc.dim, order), "ud", 2, s)
 
 
 def standard_curvature_blocks(
@@ -504,7 +472,7 @@ def standard_curvature_blocks(
     ``(d, d, n+2, n+2, B, ncoeff)`` array.
     """
     d = calc.dim
-    pack = calc.pack_of(s)
+    pack = s.pack
     beta = pack.dense("beta", points, order)
     kappa = np.zeros((d, d, d + 1, d + 1) + beta.shape[2:])
     kappa[:, :, 0, 0] = beta
@@ -514,30 +482,6 @@ def standard_curvature_blocks(
 
 
 # -- the metric tractor connection (contorsion) ------------------------------
-
-
-@dataclass
-class TractorConnection:
-    """The standard tractor connection of a splitting modified by a
-    contorsion ``Psi``.
-
-    ``matrices(points, order)`` returns the full connection matrices
-    ``Omega + Psi`` in the base splitting at a batch of points.
-    """
-
-    calc: TractorCalculus
-    splitting: Splitting
-    contorsion: Callable[[np.ndarray, int], np.ndarray]
-
-    def matrices(self, points: np.ndarray, order: int) -> np.ndarray:
-        return self.calc.omega(self.splitting, points, order) + self.contorsion(
-            points, order
-        )
-
-    def curvature(self, points: np.ndarray, order: int) -> TractorValue:
-        return tractor_curvature(
-            self.calc, self.splitting, points, order, contorsion=self
-        )
 
 
 def contorsion_slots_lc(
@@ -554,7 +498,7 @@ def contorsion_slots_lc(
     Returns the dense ``(d, d, d, B, ncoeff)`` array ``A[a, b, c]``.
     """
     space = jet_space(calc.dim, order)
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     Pinv = jet_inverse(pack.dense("schouten", points, order), space)
     dP = pack.dense("schouten_derivative", points, order)  # dP[a, e, c] = D_a P_ec
     combo = dP + dP.swapaxes(0, 2) - dP.swapaxes(0, 1)
@@ -563,29 +507,33 @@ def contorsion_slots_lc(
 
 
 def metricity_contorsion(
-    calc: TractorCalculus, s: Splitting | None = None
-) -> TractorConnection:
-    """The torsion-free modification making the tractor connection metric
-    for L(tau).
+    calc: TractorCalculus, points: np.ndarray, order: int
+) -> np.ndarray:
+    """The contorsion ``Psi`` whose torsion-free modification of the
+    standard tractor connection is metric for L(tau), in the reference
+    splitting: a dense ``(d, n+2, n+2, B, ncoeff)`` array.
 
-    The contorsion has only the endomorphism slot in the Levi-Civita
-    splitting; other splittings are reached through the endomorphism change
-    law (conjugation by the fiber change map), which populates the
-    bottom-left slot with ``-A_a^d_c Y_d``.
+    It has only the endomorphism slot in the Levi-Civita splitting; the
+    endomorphism change law (conjugation by the fiber change map) carries it
+    to the reference splitting and populates the bottom-left slot with
+    ``-A_a^d_c Y_d``.
     """
-    if s is None:
-        s = calc.reference
     d = calc.dim
+    A = contorsion_slots_lc(calc, points, order)
+    psi = np.zeros((d, d + 1, d + 1) + A.shape[3:])
+    psi[:, 1:, 1:] = A
+    tv = TractorValue(psi, jet_space(d, order), "ud", 1, calc.levi_civita_splitting)
+    return calc.in_splitting(tv, calc.reference, points).data
 
-    def psi_matrices(points: np.ndarray, order: int) -> np.ndarray:
-        space = jet_space(d, order)
-        A = contorsion_slots_lc(calc, points, order)
-        psi = np.zeros((d, d + 1, d + 1) + A.shape[3:])
-        psi[:, 1:, 1:] = A
-        tv = TractorValue(psi, space, "ud", 1, calc.levi_civita_splitting)
-        return calc.in_splitting(tv, s, points).data
 
-    return TractorConnection(calc, s, psi_matrices)
+def metric_tractor_omega(
+    calc: TractorCalculus, points: np.ndarray, order: int
+) -> np.ndarray:
+    """Connection matrices ``Omega + Psi`` of the metric tractor connection
+    in the reference splitting at a batch of points."""
+    return calc.omega(calc.reference, points, order) + metricity_contorsion(
+        calc, points, order
+    )
 
 
 def metric_tractor_curvature_blocks(
@@ -603,12 +551,11 @@ def metric_tractor_curvature_blocks(
     ``(d, d, n+2, n+2, B, ncoeff)`` array.
     """
     d = calc.dim
-    s = calc.reference
     space, upper = jet_space(d, order), jet_space(d, order + 1)
-    pack = calc.pack_of(s)
-    G = calc.connection_of(s).dense(points, order)
+    pack = calc.reference.pack
+    G = calc.hat.dense(points, order)
 
-    psi_raw = metricity_contorsion(calc, s).contorsion(points, order + 1)
+    psi_raw = metricity_contorsion(calc, points, order + 1)
     A = psi_raw[:, 1:, 1:]  # A[a, b, c]
     psi = psi_raw[:, 0, 1:]  # psi[a, c]
 

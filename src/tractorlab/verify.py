@@ -56,9 +56,10 @@ from .tractor import (
     TractorCalculus,
     TractorValue,
     bgg_split_metricity,
+    curvature_of,
     l_tau,
     metric_tractor_curvature_blocks,
-    metricity_contorsion,
+    metric_tractor_omega,
     polynomial_tractor_section,
     s2t_slots,
     standard_curvature_blocks,
@@ -260,7 +261,7 @@ class _Session:
             rng = np.random.default_rng(self.plan.seed)
             p = self.geom.interior_points(1, rng)  # a batch of one
             calc = self._probe_calc
-            Pv = calc.pack_of(calc.levi_civita_splitting).dense("schouten", p, 0)[..., 0, 0]
+            Pv = calc.levi_civita_splitting.pack.dense("schouten", p, 0)[..., 0, 0]
             scale = float(np.max(np.abs(Pv))) + 1e-30
             ok = abs(np.linalg.det(Pv / scale)) > 1e-8
             hit = (ok, "" if ok else "degenerate boundary geometry")
@@ -276,7 +277,7 @@ class _Session:
             calc = self._probe_calc
             try:
                 ladders = [self.ladder(y)]
-                (est,) = boundary_limit(lambda p: calc.hat.christoffel_values(p, 0), ladders)
+                (est,) = boundary_limit(calc.hat.christoffel_values, ladders)
                 facets, _ = _defining_density(calc, ladders)
                 ok = (not est.diverged) and not facets["not_a_defining_density"]
             except Exception as err:  # any failure means "not compact"
@@ -564,7 +565,7 @@ def _run_thm25_c(geom, plan, rng, session):
 
 def _run_pff(geom, plan, rng, session):
     alpha = geom.alpha
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    pack = session.calc.levi_civita_splitting.pack
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     # every form draws from rng before any limit, diverged ladders included
     sffs = bd.second_fundamental_form(session.calc, ladders, rng=rng)
@@ -621,7 +622,7 @@ def _run_h_vs_sff(geom, plan, rng, session):
 
 def _run_prop33(geom, plan, rng, session, *, order_one: bool):
     alpha = geom.alpha
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    pack = session.calc.levi_civita_splitting.pack
     power = 1 if order_one else 2
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
 
@@ -635,7 +636,7 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         # the Hessian with the extended connection at the ladders whose
         # limit is judged
         judged = [k for k, est in enumerate(ests) if not est.diverged]
-        gammas = bd.extended_christoffels(session.calc.hat, [ladders[k] for k in judged])
+        gammas = bd.extended_christoffels(session.calc, [ladders[k] for k in judged])
         hessians = dict(zip(judged, bd.hessian_of_rho(geom, ys[judged], gammas)))
     else:
         grads = geom.rho_and_drho(ys)[1].T
@@ -669,7 +670,7 @@ def _run_einstein(geom, plan, rng, session):
     """
     calc = session.calc
     n = geom.dim - 1
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     hrep = bd.asymptotic_h(calc, ladders)
     if hrep.status != "ok":
@@ -759,7 +760,7 @@ def _run_bundle(geom, plan, rng, session):
 def _run_splitids(geom, plan, rng, session):
     calc = session.calc
     pts = session.interior(rng, min(plan.interior_points, 10))
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     # The identities compare values, so the tractor quantities are
     # evaluated at jet order 0; only rho needs its gradient.
     Pinv = jet_inverse(pack.dense("schouten", pts, 0), jet_space(geom.dim, 0))[..., 0]
@@ -830,9 +831,9 @@ def _run_prop43(geom, plan, rng, session):
     d = geom.dim
     n = d - 1
     pts = session.interior(rng, plan.interior_points)
-    lc_pack = calc.pack_of(calc.levi_civita_splitting)
-    hat_pack = calc.pack_of(calc.reference)
-    hat_conn = calc.connection_of(calc.reference)
+    lc_pack = calc.levi_civita_splitting.pack
+    hat_pack = calc.reference.pack
+    hat_conn = calc.hat
     gfield = geom.metric_field()
 
     def drho_eval(pt, k):
@@ -844,7 +845,7 @@ def _run_prop43(geom, plan, rng, session):
 
     drho_field = TensorField(geom.chart, "d", drho_eval, name="drho")
     hess2_field = covariant_derivative(covariant_derivative(drho_field, hat_conn), hat_conn)
-    phi_field = TensorField(geom.chart, "dd", phi_eval, name="phi", sym=((0, 1),))
+    phi_field = TensorField(geom.chart, "dd", phi_eval, name="phi")
     dphi_field = covariant_derivative(phi_field, hat_conn)
 
     rho, grad = geom.rho_and_drho(pts)
@@ -887,7 +888,7 @@ def _run_thm41a(geom, plan, rng, session):
     """
     calc = session.calc
     n = geom.dim - 1
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     ladders = session.ladders(rng, 2)
 
     def bottom_slot(p):
@@ -933,7 +934,6 @@ def _run_thm41a(geom, plan, rng, session):
 
 def _run_thm43_metric(geom, plan, rng, session):
     calc = session.calc
-    tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
     # seven section pairs (s1, s2) at each point, drawn point by point: a
     # section does not depend on its point, so they come from one batch that
@@ -946,9 +946,9 @@ def _run_thm43_metric(geom, plan, rng, session):
     L = l_tau(calc, pts, 3, calc.reference)
     G = L.data
     lower = jet_space(geom.dim, 2)
-    # the contorsioned connection matrices at the order the derivatives
+    # the metric tractor connection matrices at the order the derivatives
     # need, built once for all fourteen sections
-    omega = tc.matrices(pts, 2)
+    omega = metric_tractor_omega(calc, pts, 2)
     gap = 0.0
     for pair in pairs:
         s1, s2 = (TractorValue(x, L.space, "u", 0, calc.reference) for x in pair)
@@ -968,9 +968,8 @@ def _run_thm43_metric(geom, plan, rng, session):
 
 def _run_thm43_torsion(geom, plan, rng, session):
     calc = session.calc
-    tc = metricity_contorsion(calc, calc.reference)
     pts = session.interior(rng, 3)
-    kap = tc.curvature(pts, 0).values()
+    kap = curvature_of(metric_tractor_omega(calc, pts, 1), 0)[..., 0]
     blocks = metric_tractor_curvature_blocks(calc, pts, 0)[..., 0]
     scale = _row_max(kap)
     torsion = _row_max(kap[:, :, 1:, 0])
@@ -1015,7 +1014,7 @@ def _run_thm44(geom, plan, rng, session):
 
 
 def _run_weyl_traces(geom, plan, rng, session):
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    pack = session.calc.levi_civita_splitting.pack
     eye = np.eye(geom.dim)
     pts = session.interior(rng, plan.interior_points)
     C, R, P, beta = (
@@ -1034,7 +1033,7 @@ def _run_weyl_traces(geom, plan, rng, session):
 
 
 def _run_bianchi(geom, plan, rng, session):
-    pack = session.calc.pack_of(session.calc.levi_civita_splitting)
+    pack = session.calc.levi_civita_splitting.pack
     pts = session.interior(rng, plan.interior_points)
     R = pack.dense("riemann", pts, 0)[..., 0]
     cyc = R + np.einsum("beca...->abce...", R) + np.einsum("eacb...->abce...", R)
@@ -1057,7 +1056,7 @@ def _run_equivariance(geom, plan, rng, session):
             out[..., 1 : 1 + d] = coef[:, None, 1:]
         return out
 
-    s3 = calc.splitting(ups, "equivariance-probe")
+    s3 = calc.splitting(TensorField(geom.chart, "d", ups))
     nondegenerate, _ = session.probe_nondegenerate()
     tv = polynomial_tractor_section(calc, pts, 3, rng, s=calc.reference)
     gap = 0.0
@@ -1087,7 +1086,7 @@ def _instance_matches(calc: TractorCalculus, pts: np.ndarray) -> np.ndarray:
     rho, grad = geom.rho_and_drho(pts)
     tau_hat = calc.tau_hat_dense(pts, order)[..., 0]
     tau = calc.tau.dense(pts, order)[..., 0]
-    P = calc.pack_of(calc.levi_civita_splitting).dense("schouten", pts, order)[..., 0]
+    P = calc.levi_civita_splitting.pack.dense("schouten", pts, order)[..., 0]
     g_jets = geom.metric_field().dense(pts, order)
     g = g_jets[..., 0]
     ginv = jet_inverse(g_jets, jet_space(geom.dim, order))[..., 0]
@@ -1192,10 +1191,10 @@ def _run_rho_extends(geom, plan, rng, session):
     compactification) and has no limit to judge; where the geometry has an
     exact closed-form extension, the gap between the two paths is a facet.
     """
-    hat = session.calc.hat
+    exact_hat = geom.exact_hat_christoffels
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     # the samples stay at hand for the divergence slope
-    samples = ladder_samples(lambda p: hat.christoffel_values(p, 0), ladders)
+    samples = ladder_samples(session.calc.hat.christoffel_values, ladders)
     details = []
     for ladder, values in zip(ladders, samples):
         est = richardson_limit(values)
@@ -1203,8 +1202,8 @@ def _run_rho_extends(geom, plan, rng, session):
         if est.diverged:
             norms = np.abs(values).reshape(len(values), -1).max(axis=1)
             slope = float(np.polyfit(np.log(ladder.eps), np.log(norms + 1e-300), 1)[0])
-        elif hat.exact_boundary is not None:
-            exact = hat.exact_boundary(np.array([ladder.y]), 0)[..., 0, 0]
+        elif exact_hat is not None:
+            exact = exact_hat(np.array([ladder.y]), 0)[..., 0, 0]
             gap = float(np.max(np.abs(exact - est.value)))
         details.append({
             "point": list(ladder.y),

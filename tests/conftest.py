@@ -79,4 +79,4 @@ def at_boundary_points(geom, *ys):
 def lc_pack(geom):
     """The Levi-Civita curvature pack of a geometry, from a calculus."""
     calc = TractorCalculus(geom)
-    return calc.pack_of(calc.levi_civita_splitting)
+    return calc.levi_civita_splitting.pack

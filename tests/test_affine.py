@@ -21,8 +21,7 @@ from tractorlab.verify import SamplingPlan, _defining_density, run_suite
 
 
 def linear_one_form(chart, coeffs):
-    """Upsilon_a = c_a0 + sum_i c_ai x^i as a dense evaluator at a batch of
-    points."""
+    """Upsilon_a = c_a0 + sum_i c_ai x^i as a one-form field."""
     d = chart.dim
     coeffs = np.asarray(coeffs, dtype=float)
 
@@ -33,7 +32,7 @@ def linear_one_form(chart, coeffs):
             out[..., 1 : 1 + d] = coeffs[:, None, 1:]
         return out
 
-    return ups
+    return TensorField(chart, "d", ups)
 
 
 # -- Levi-Civita -----------------------------------------------------------
@@ -113,7 +112,7 @@ def _integrate_geodesic(conn, x0, v0, step, n_steps):
     out = [x.copy()]
 
     def acc(x_, v_):
-        G = conn.christoffel_values(one(x_), 0)[..., 0]
+        G = conn.christoffel_values(one(x_))[..., 0]
         return -np.einsum("cab,a,b->c", G, v_, v_)
 
     for _ in range(n_steps):
@@ -352,13 +351,12 @@ def test_schouten_change_law(klein3, rng):
     hat = projective_modify(conn, ups)
     pack = CurvaturePack(levi_civita(geom), geom.metric_field())
     pack_hat = CurvaturePack(hat, geom.metric_field())
-    ups_field = TensorField(geom.chart, "d", lambda p, k: ups(p, k), name="Y")
-    dups = covariant_derivative(ups_field, hat)
+    dups = covariant_derivative(ups, hat)
     for p in map(one, geom.interior_points(3, rng)):
         P = pack.dense("schouten", p, 0)[..., 0, 0]
         Ph = pack_hat.dense("schouten", p, 0)[..., 0, 0]
         du = dups.dense(p, 0)[..., 0, 0]
-        u = ups(p, 0)[:, 0, 0]
+        u = ups.dense(p, 0)[:, 0, 0]
         assert np.max(np.abs(P - (Ph + du + np.outer(u, u)))) < 1e-8
 
 

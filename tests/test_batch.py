@@ -31,9 +31,10 @@ from tractorlab.jets import DomainError, PoleError, jet_einsum, jet_inverse, jet
 from tractorlab.tractor import (
     TractorCalculus,
     bgg_split_metricity,
+    curvature_of,
     l_tau,
     metric_tractor_curvature_blocks,
-    metricity_contorsion,
+    metric_tractor_omega,
     polynomial_tractor_section,
     standard_curvature_blocks,
     std_tractor_derivative,
@@ -313,7 +314,7 @@ def _assert_rows_match(name, fn, pts, axis=-2):
 @pytest.mark.parametrize("order", [0, 1])
 def test_curvature_pack_batch_matches_points(any_geom, order):
     calc = TractorCalculus(any_geom)
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     pts = _ladder_batch(any_geom)
     for name in PACK_NAMES:
         _assert_rows_match(name, lambda b: pack.dense(name, b, order), pts)
@@ -344,7 +345,7 @@ def test_point_functions_run_on_an_empty_batch(geom, name):
 @pytest.mark.parametrize("order", [0, 1])
 def test_curvature_pack_runs_on_an_empty_batch(geom, order):
     calc = TractorCalculus(geom)
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     for name in PACK_NAMES:
         one_row = pack.dense(name, _points(geom, 1), order)
         got = pack.dense(name, np.zeros((0, geom.dim)), order)
@@ -407,9 +408,9 @@ def test_curvature_blocks_batch_match_points(any_geom, order):
         "metric_tractor_curvature_blocks": lambda p: metric_tractor_curvature_blocks(
             calc, p, order
         ),
-        "metric tractor curvature": lambda p: metricity_contorsion(calc).curvature(
-            p, order
-        ).data,
+        "metric tractor curvature": lambda p: curvature_of(
+            metric_tractor_omega(calc, p, order + 1), order
+        ),
     }
     for name, f in blocks.items():
         _assert_rows_match(name, f, _interior_batch(any_geom))
@@ -422,11 +423,10 @@ def test_sections_and_their_derivatives_batch_match_points(any_geom):
     rng = np.random.default_rng(2)
     each = [polynomial_tractor_section(calc, pts[k : k + 1], 3, rng) for k in range(len(pts))]
     assert np.array_equal(sections.data, np.concatenate([s.data for s in each], axis=-2))
-    tc = metricity_contorsion(calc)
     derivatives = {
         "std_tractor_derivative": lambda tv, p: std_tractor_derivative(calc, tv, p),
         "metric tractor derivative": lambda tv, p: std_tractor_derivative(
-            calc, tv, p, tc.matrices(p, tv.order - 1)
+            calc, tv, p, metric_tractor_omega(calc, p, tv.order - 1)
         ),
     }
     # the section of each batch, looked up by its rows
@@ -494,14 +494,14 @@ LADDER_QUANTITIES = {
     "bgg_split_metricity": lambda calc, p, eps: bgg_split_metricity(
         calc, calc.metricity_field(), calc.reference, p, 0
     ).values(),
-    "rho-connection Christoffels": lambda calc, p, eps: calc.hat.christoffel_values(p, 0),
+    "rho-connection Christoffels": lambda calc, p, eps: calc.hat.christoffel_values(p),
     "tau/eps": lambda calc, p, eps: calc.tau.dense(p, 0)[..., 0] / eps,
     "standard tractor curvature": lambda calc, p, eps: tractor_curvature(
         calc, calc.reference, p, 0
     ).values(),
-    "metric tractor curvature": lambda calc, p, eps: metricity_contorsion(
-        calc, calc.reference
-    ).curvature(p, 0).values(),
+    "metric tractor curvature": lambda calc, p, eps: curvature_of(
+        metric_tractor_omega(calc, p, 1), 0
+    )[..., 0],
 }
 
 

@@ -409,7 +409,7 @@ def test_klein_rho2_riemann_limit(klein3):
 
 def test_af1_rho_riemann_limit(af1):
     pack = lc_pack(af1)
-    conn = TractorCalculus(af1).hat
+    calc = TractorCalculus(af1)
     y = (0.0, 0.3, -0.2, 0.4)
     d = 4
 
@@ -418,7 +418,7 @@ def test_af1_rho_riemann_limit(af1):
 
     lad = ladder(af1, y)
     (est,) = boundary_limit(scaled, [lad])
-    (gamma,) = bd.extended_christoffels(conn, [lad])
+    (gamma,) = bd.extended_christoffels(calc, [lad])
     (hess,) = bd.hessian_of_rho(af1, one(y), [gamma])
     expected = np.zeros((d, d, d, d))
     for a in range(d):
@@ -482,10 +482,8 @@ def test_af2_boundary_frame_and_gram(calc_af2, af2_frame):
 
 def test_af2_contorsion_bounded_at_boundary(calc_af2, af2_frame):
     # the contorsion slots extend: extrapolate their values along the ray
-    tc = metricity_contorsion(calc_af2, calc_af2.reference)
-
     def psi_values(p):
-        return tc.contorsion(p, 0)[..., 0]
+        return metricity_contorsion(calc_af2, p, 0)[..., 0]
 
     (est,) = boundary_limit(psi_values, [af2_frame.ladder])
     assert not est.diverged
@@ -554,7 +552,7 @@ def test_asymptotically_parallel_af2_skips(calc_af2):
     # both sides of the equivalence nonzero: the limits of tau grad P and of
     # the trace-free Ricci tensor
     calc = calc_af2
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     (hyp,) = boundary_limit(
         lambda p: calc.tau.dense(p, 0)[..., 0] * pack.dense("schouten_derivative", p, 0)[..., 0],
         [ladder(calc.geom, y)],

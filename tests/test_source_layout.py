@@ -42,8 +42,9 @@ MODULES = sorted(SRC.glob("*.py"))
 #: ladder options of the transversal integrator, the builders that bypassed
 #: the calculus, the second expression evaluator, the single-use boundary
 #: routines and report classes that the verify runners absorbed, the two
-#: lem-2.4 facets that could not fire, and unused names, that left the
-#: package.
+#: lem-2.4 facets that could not fire, unused names, and the splitting
+#: registries and contorsion class that a splitting object replaced, that
+#: left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -62,6 +63,8 @@ REMOVED = {
     "defining_density_check", "metricity_residual", "splitting_from_lc", "is_finite",
     "h_diverged", "t0_row_defect", "collar_not_injective",
     "symmetry_defect", "is_boundary_point",
+    "TractorConnection", "connection_of", "pack_of", "upsilon_jets", "change_upsilon",
+    "exact_boundary",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;
@@ -69,7 +72,7 @@ REMOVED = {
 BUILDERS = {"levi_civita", "rho_connection", "canonical_tau", "CurvaturePack"}
 
 #: Calls ``cli.py`` leaves to the point functions of ``boundary``.
-CLI_FORBIDDEN = {"dense", "pack_of", "np.linalg.inv"}
+CLI_FORBIDDEN = {"dense", "np.linalg.inv"}
 
 #: The modules that place ladders or set their sampling plan.
 LADDER_SETTINGS = {"eps0", "levels"}

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import max_value, one
 from jet_reference import jet_stack, jet_views
+from tractorlab.affine import CurvaturePack, projective_change, projective_modify
+from tractorlab.fields import TensorField
 from tractorlab.jets import Jet, PoleError, jet_inverse, jet_space
 from tractorlab.tractor import (
     TractorCalculus,
@@ -10,8 +12,10 @@ from tractorlab.tractor import (
     bgg_split_metricity,
     change_splitting,
     contorsion_slots_lc,
+    curvature_of,
     l_tau,
     metric_tractor_curvature_blocks,
+    metric_tractor_omega,
     metricity_contorsion,
     polynomial_tractor_section,
     s2t_slots,
@@ -140,6 +144,32 @@ def test_change_splitting_identity_and_group_action(calc3, rng):
     assert tv_gap(two, once) < 1e-10
 
 
+def test_splittings_compare_by_identity_and_carry_their_own_pack(calc_af2, rng):
+    calc = calc_af2
+    d = calc.dim
+    offset = TensorField(
+        calc.geom.chart, "d", linear_upsilon(d, rng.uniform(-0.5, 0.5, (d, d + 1)))
+    )
+    s1, s2 = calc.splitting(offset), calc.splitting(offset)
+    assert s1 == s1 and s1 != s2
+    assert s1 != calc.reference and calc.reference != calc.levi_civita_splitting
+    assert len({s1, s2, calc.reference, calc.levi_civita_splitting}) == 4
+    assert s1.upsilon is offset and calc.reference.upsilon is None
+    # the connection is the reference one changed by the offset, and the
+    # pack reads it: its Schouten tensor is that of an independent pack of
+    # the same change
+    pts = calc.geom.interior_points(2, rng)
+    assert s1.pack.conn is s1.connection
+    assert np.array_equal(
+        s1.connection.dense(pts, 1),
+        projective_change(calc.hat.dense(pts, 1), offset.dense(pts, 1)),
+    )
+    fresh = CurvaturePack(projective_modify(calc.hat, offset))
+    P = s1.pack.dense("schouten", pts, 1)
+    assert np.array_equal(P, fresh.dense("schouten", pts, 1))
+    assert not np.allclose(P, calc.reference.pack.dense("schouten", pts, 1))
+
+
 def test_endomorphism_change_is_conjugation(calc3, rng):
     # pushing an endomorphism through the fiber change map reproduces the
     # slot change law: xi fixed, A += xi Y, lambda -= Y.xi,
@@ -176,7 +206,7 @@ def test_l_tau_hatform_instance(calc3, klein3):
     grad = [rho_full.partial(a) for a in range(3)]
     rho = rho_full.truncate(order)
     tau_hat = Jet(jet_space(3, order), calc3.tau_hat_dense(p, order)[0])
-    P = pack_jets(calc3.pack_of(calc3.levi_civita_splitting), "schouten", p, order)
+    P = pack_jets(calc3.levi_civita_splitting.pack, "schouten", p, order)
     G = jets_of(Lh)
     gap = np.max(np.abs((G[0, 0] - rho * tau_hat).coeffs))
     for a in range(3):
@@ -220,8 +250,8 @@ def test_end_connection_block_formula(calc_af2, rng):
     tv = TractorValue(batch_of_one(jet_stack(M, space)), space, "ud", 0, calc.reference)
     D = std_tractor_derivative(calc, tv, one(p))
 
-    conn = calc.connection_of(calc.reference)
-    pack = calc.pack_of(calc.reference)
+    conn = calc.reference.connection
+    pack = calc.reference.pack
     P = pack_jets(pack, "schouten", one(p), order)
     G = conn_jets(conn, one(p), order)
     A = M[1:, 1:]
@@ -311,7 +341,7 @@ def test_derivative_of_l_tau_slot_structure(calc_af2):
     # slot only; in the Levi-Civita splitting that slot is tau grad_a P_bc
     p = one((0.4, 0.2, -0.3, 0.1))
     d = 4
-    pack = calc_af2.pack_of(calc_af2.levi_civita_splitting)
+    pack = calc_af2.levi_civita_splitting.pack
     dP = pack_jets(pack, "schouten_derivative", p, 2)
     tau = Jet(jet_space(d, 2), calc_af2.tau.dense(p, 2)[0])
     for s in (calc_af2.levi_civita_splitting, calc_af2.reference):
@@ -334,7 +364,7 @@ def test_derivative_of_l_tau_slot_structure(calc_af2):
 def test_einstein_trace_adjusted_schouten_vanishes(calc3, rng):
     # P - S g/(n(n+1)) is identically zero for the hyperbolic ball
     geom = calc3.geom
-    pack = calc3.pack_of(calc3.levi_civita_splitting)
+    pack = calc3.levi_civita_splitting.pack
     p = one(geom.interior_points(1, rng)[0])
     P = pack_jets(pack, "schouten", p, 0)
     S = Jet(jet_space(3, 0), pack.dense("scalar", p, 0)[0])
@@ -454,15 +484,16 @@ def test_curvature_by_repeated_derivative(calc_af2, rng):
 
 def test_metric_tractor_connection_properties(calc_af2, rng):
     p = one((0.4, 0.2, -0.3, 0.1))
-    tc = metricity_contorsion(calc_af2, calc_af2.reference)
+    omega = metric_tractor_omega(calc_af2, p, 2)
     L = l_tau(calc_af2, p, 3, calc_af2.reference)
-    DL = std_tractor_derivative(calc_af2, L, p, tc.matrices(p, 2))
+    DL = std_tractor_derivative(calc_af2, L, p, omega)
     assert max_value(DL.data) < 1e-10
-    kap = tc.curvature(p, 1)
+    kap = curvature_of(omega, 1)
     blocks = metric_tractor_curvature_blocks(calc_af2, p, 1)
-    assert np.max(np.abs(kap.values() - blocks[..., 0])) < 1e-12
+    assert np.max(np.abs(kap[..., 0] - blocks[..., 0])) < 1e-12
+    views = jet_views(row(kap), jet_space(4, 1))
     torsion = max(
-        abs(jets_of(kap)[a, b, 1 + c, 0].value)
+        abs(views[a, b, 1 + c, 0].value)
         for a in range(4) for b in range(4) for c in range(4)
     )
     assert torsion < 1e-13
@@ -470,9 +501,8 @@ def test_metric_tractor_connection_properties(calc_af2, rng):
 
 def test_klein_contorsion_vanishes(calc3, rng):
     # Einstein: grad P = 0 so A = 0 identically
-    tc = metricity_contorsion(calc3, calc3.reference)
     p = one(calc3.geom.interior_points(1, rng)[0])
-    psi = tc.contorsion(p, 1)
+    psi = metricity_contorsion(calc3, p, 1)
     assert np.max(np.abs(psi[..., 0])) < 1e-10
 
 
@@ -482,10 +512,10 @@ def test_klein_contorsion_vanishes(calc3, rng):
 def omega_reference(calc, s, point, order):
     """Connection matrices assembled component by component."""
     d = calc.dim
-    conn = calc.connection_of(s)
+    conn = s.connection
     space = jet_space(d, order)
     G = conn_jets(conn, point, order)
-    P = pack_jets(calc.pack_of(s), "schouten", point, order)
+    P = pack_jets(s.pack, "schouten", point, order)
     tg = jet_views(row(conn.trace_gamma(point, order)), space)
     omega = np.empty((d, d + 1, d + 1), dtype=object)
     for a in range(d):
@@ -545,7 +575,7 @@ def contorsion_reference(calc, point, order):
     """``A_a^b_c = P^be (D_a P_ec + D_c P_ea - D_e P_ac) / 2``."""
     d = calc.dim
     space = jet_space(d, order)
-    pack = calc.pack_of(calc.levi_civita_splitting)
+    pack = calc.levi_civita_splitting.pack
     P = pack_jets(pack, "schouten", point, order)
     dP = pack_jets(pack, "schouten_derivative", point, order)
     Pinv = jet_views(jet_inverse(jet_stack(P, space), space), space)
@@ -565,12 +595,12 @@ def metric_blocks_reference(calc, point, order):
     from the contorsion matrices of the reference splitting."""
     d = calc.dim
     s = calc.reference
-    pack = calc.pack_of(s)
+    pack = s.pack
     C = pack_jets(pack, "weyl", point, order)
     Y = pack_jets(pack, "cotton", point, order)
     Phat = pack_jets(pack, "schouten", point, order)
-    G = conn_jets(calc.connection_of(s), point, order)
-    raw = row(metricity_contorsion(calc, s).contorsion(point, order + 1))
+    G = conn_jets(s.connection, point, order)
+    raw = row(metricity_contorsion(calc, point, order + 1))
     psi_raw = jet_views(raw, jet_space(d, order + 1))
     A = psi_raw[:, 1:, 1:]
     psi = psi_raw[:, 0, 1:]

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -219,21 +221,31 @@ def test_each_boundary_point_gets_one_ladder(name, dim, monkeypatch):
 @pytest.mark.parametrize("name,dim", [("klein", 3), ("af2_generic", 4)])
 def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
     # every check run reads a calculus of its own and the probes share one
-    # more, so a check's memos end with it; each calculus owns the
+    # more, so a check's memos end with it; each calculus builds the
     # Levi-Civita and rho-modified connections, the splitting of
-    # splitting-equivariance, and one curvature pack for each
-    from tractorlab.affine import Connection
+    # splitting-equivariance, and one curvature pack for each, and no
+    # connection or pack is built outside a calculus
+    from tractorlab.affine import Connection, CurvaturePack
     from tractorlab.tractor import TractorCalculus
 
+    def building_calculus():
+        frame = inspect.currentframe()
+        while frame is not None:
+            owner = frame.f_locals.get("self")
+            if isinstance(owner, TractorCalculus):
+                return id(owner)
+            frame = frame.f_back
+        return None
+
     built, used = [], []
-    connections = [0]
-    for cls, record in ((TractorCalculus, built.append), (Connection, None)):
-        def recording(self, *args, _init=cls.__init__, _record=record, **kw):
+    made = {Connection: collections.Counter(), CurvaturePack: collections.Counter()}
+    for cls in (TractorCalculus, Connection, CurvaturePack):
+        def recording(self, *args, _init=cls.__init__, _cls=cls, **kw):
             _init(self, *args, **kw)
-            if _record is None:
-                connections[0] += 1
+            if _cls is TractorCalculus:
+                built.append(self)
             else:
-                _record(self)
+                made[_cls][building_calculus()] += 1
 
         monkeypatch.setattr(cls, "__init__", recording)
 
@@ -251,9 +263,10 @@ def test_one_calculus_owns_the_connections_and_packs(name, dim, monkeypatch):
     assert len(built) == len(used) + 1
     assert len({id(calc) for calc in used}) == len(used)
     assert built[0] not in used  # the probes' calculus
-    assert connections[0] == sum(len(calc._connections) for calc in built)
-    assert all(len(calc._connections) <= 3 for calc in built)
-    assert all(len(calc._packs) <= 3 for calc in built)
+    for counts in made.values():
+        assert set(counts) == {id(calc) for calc in built}
+        assert all(2 <= k <= 3 for k in counts.values())
+        assert max(counts.values()) == 3  # splitting-equivariance
 
 
 @pytest.mark.parametrize("terms", sorted(PROP43_FACETS))
