@@ -92,15 +92,11 @@ class Connection:
 
     def _peek(self, points: np.ndarray, order: int) -> np.ndarray:
         """Dense Christoffel jets at a batch of points, reusing a memoized
-        array but never storing a new one: values-only callers, such as a
-        ladder's limit, evaluate at points no one revisits."""
+        array but never storing a new one: a projective modification
+        (:func:`projective_modify`) memoizes its own jets, so its base's
+        would be stored twice."""
         hit = self._cache.get((point_key(points), order))
         return self._evaluator(points, order) if hit is None else hit
-
-    def christoffel_values(self, points: np.ndarray) -> np.ndarray:
-        """Christoffel values ``(d, d, d, B)`` (the ``[..., 0]`` slice) at a
-        batch of points ``(B, d)``, never memoized."""
-        return np.array(self._peek(points, 0)[..., 0])
 
     def trace_gamma(self, points: np.ndarray, order: int) -> np.ndarray:
         """Dense jets ``(d, B, ncoeff)`` of the one-form ``Gamma^e_ea``

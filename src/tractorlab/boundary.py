@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .affine import projective_change
 from .extrapolate import Ladder, boundary_limit, ladder_samples, richardson_limit
 from .fields import (
     Geometry,
@@ -52,7 +51,7 @@ from .fields import (
     value_outer,
     value_trace_product,
 )
-from .jets import jet_function, jet_gradient, jet_mul, jet_space
+from .jets import jet_gradient, jet_space
 from .tractor import TractorCalculus, curvature_of, l_tau, metric_tractor_omega
 
 __all__ = [
@@ -68,6 +67,7 @@ __all__ = [
     "gamma_form",
     "t_vector",
     "h_form",
+    "hat_christoffels",
     "extended_christoffels",
     "geodetic_transversals",
     "second_fundamental_form",
@@ -89,6 +89,13 @@ class DegenerateBoundaryError(RuntimeError):
 # -- connection extension ----------------------------------------------------
 
 
+def hat_christoffels(calc: TractorCalculus, p) -> np.ndarray:
+    """Values ``(d, d, d, B)`` of the rho-modified connection ``calc.hat``
+    at a batch of interior points, from one order-1 run of the metric tape
+    there (its rho row and its metric rows)."""
+    return calc.hat_christoffel_values(*calc.geom.rho_and_metric(p, 1))
+
+
 def extended_christoffels(
     calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> list[np.ndarray]:
@@ -107,7 +114,7 @@ def extended_christoffels(
     if exact is not None:
         ys = np.array([ladder.y for ladder in ladders]).reshape(-1, calc.dim)
         return list(np.moveaxis(exact(ys, 0)[..., 0], -1, 0))
-    ests = boundary_limit(calc.hat.christoffel_values, ladders)
+    ests = boundary_limit(lambda p: hat_christoffels(calc, p), ladders)
     for ladder, est in zip(ladders, ests):
         if est.diverged:
             raise BoundaryExtensionError(
@@ -204,31 +211,31 @@ def geodetic_transversals(
     direction ``mu0``, which must satisfy ``d(rho)(mu0) = 1``; one curve per
     ladder, in order.
 
-    The boundary value of the connection comes from its smooth extension
-    along each ladder, computed for every point before integration starts.
-    The curves are then integrated together by classical fixed-step RK4 on
-    one ``(B, d)`` state (the curves are short, collar scale).  Each stage
-    makes one batched order-1 run of the metric tape
-    (``Geometry.rho_and_metric``): its rho row gives the domain exit test at
-    a step's end and the rho one-form of ``calc.hat``, its metric rows the
-    Levi-Civita part.  When that run raises, or puts some row on the
-    boundary (``|rho| <= 1e-12``, as at the launch), the stage takes the
-    path that gives those rows their meaning: an order-1 rho run, the exit
-    test, then the metric on the rows off the boundary, while the rows on
-    it take their own point's extended value; so the values and every error
-    are those of that path.  When curves leave the chart domain,
-    :class:`GeometryError` names the one that leaves at the earliest step;
-    among curves leaving at the same step, the one with the lowest index.
+    The curves are integrated together by classical fixed-step RK4 on one
+    ``(B, d)`` state (the curves are short, collar scale).  The launch
+    points lie on the boundary, where the connection has only its smooth
+    extension: their acceleration is ``-Gamma(mu0, mu0)`` with the extended
+    value along each ladder, and their rho comes from the one rho run that
+    also checks the pairing.  Every later stage makes one batched order-1
+    run of the metric tape (``Geometry.rho_and_metric``), whose rho row and
+    metric rows give the connection's values (one formula,
+    ``TractorCalculus.hat_christoffel_values``) and, at a step's end, the
+    rho of the domain exit test.  When a step's end run raises, rho alone
+    is run there for the exit test, so a curve that left the domain is
+    named; otherwise the run's own error propagates.  When curves leave the
+    chart domain, :class:`GeometryError` names the one that leaves at the
+    earliest step; among curves leaving at the same step, the one with the
+    lowest index.
     """
     geom = calc.geom
-    gfield = geom.metric_field()
     ys = np.array([ladder.y for ladder in ladders])
     directions = np.array([ladder.direction for ladder in ladders])
-    for grad, mu0 in zip(geom.rho_and_drho(ys)[1].T, directions):
+    rho0, grads = geom.rho_and_drho(ys)
+    for grad, mu0 in zip(grads.T, directions):
         pairing = float(grad @ mu0)  # the 1-D dot, row by row
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
-    # (d, d, d, B), the layout of a batched christoffel_values
+    # (d, d, d, B), the layout of hat_christoffel_values
     gamma_boundary = np.stack(extended_christoffels(calc, ladders), axis=-1)
     n_steps = int(round(horizon / step))
     ts = np.arange(n_steps + 1) * step
@@ -242,34 +249,22 @@ def geodetic_transversals(
                 f"at t={ts[k]:g}"
             )
 
-    def acc_rows_on_boundary(x: np.ndarray, v: np.ndarray, k: int | None = None):
-        """The acceleration at the state ``(x, v)`` and the order-1 rho jets
-        at ``x``, where rows may lie on the boundary; at the end of step
-        ``k``, after the exit test."""
-        rho = geom.rho_dense(x, 1)
-        if k is not None:
-            exit_test(x, rho, k)
-        inside = np.abs(rho[:, 0]) > 1e-12
-        G = gamma_boundary.copy()
-        if inside.any():
-            G[..., inside] = calc.hat_christoffel_values(
-                rho[inside], gfield.dense(x[inside], 1)
-            )
-        return -np.einsum("cabn,na,nb->nc", G, v, v), rho
-
     def acc(x: np.ndarray, v: np.ndarray, k: int | None = None):
-        """:func:`acc_rows_on_boundary` from one run of the metric tape."""
+        """The acceleration at the state ``(x, v)`` and the order-1 rho jets
+        at ``x``; at the end of step ``k``, after the exit test."""
         try:
             rho, g = geom.rho_and_metric(x, 1)
-        except (ArithmeticError, ValueError):  # jet errors, math domain
-            rho = None
-        # the other path runs outside the handler, so its errors carry no context
-        if rho is None or not (np.abs(rho[:, 0]) > 1e-12).all():
-            return acc_rows_on_boundary(x, v, k)
+        except (ArithmeticError, ValueError) as err:  # jet errors, math domain
+            failure = err
+        else:
+            if k is not None:
+                exit_test(x, rho, k)
+            G = calc.hat_christoffel_values(rho, g)
+            return -np.einsum("cabn,na,nb->nc", G, v, v), rho
+        # outside the handler, so neither error carries the other as context
         if k is not None:
-            exit_test(x, rho, k)
-        G = calc.hat_christoffel_values(rho, g)
-        return -np.einsum("cabn,na,nb->nc", G, v, v), rho
+            exit_test(x, geom.rho_dense(x, 1), k)
+        raise failure
 
     n_curves, d = ys.shape
     xs = np.zeros((n_curves, n_steps + 1, d))
@@ -277,8 +272,8 @@ def geodetic_transversals(
     accs = np.zeros((n_curves, n_steps + 1, d))
     rhos = np.zeros((n_curves, n_steps + 1))
     x, v = ys.copy(), directions.copy()
-    a, rho = acc_rows_on_boundary(x, v)
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho[:, 0]
+    a = -np.einsum("cabn,na,nb->nc", gamma_boundary, v, v)
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho0
     for k in range(n_steps):
         # the acceleration at the step's start is the previous step's end
         k1x, k1v = v, a
@@ -356,69 +351,31 @@ def _covariant_hessian(rho2: np.ndarray, gamma_values: np.ndarray) -> np.ndarray
 
 @dataclass
 class SecondFundamentalForm:
-    """A representative of the projective second fundamental form at y."""
+    """A representative of the projective second fundamental form at y: the
+    covariant Hessian of rho, from its order-2 dense jet ``rho2`` at y, with
+    respect to the connection values ``gamma`` extended to y."""
 
     point: tuple
     full: np.ndarray  # covariant Hessian of rho w.r.t. the extended connection
     tangential: np.ndarray  # restricted to the tangential basis
     basis: np.ndarray
-    conformal_factor_defect: float
-    projective_change_defect: float
-    min_abs_eigenvalue: float
+    gamma: np.ndarray  # (d, d, d)
+    rho2: np.ndarray  # (ncoeff,) at order 2
 
 
 def second_fundamental_form(
-    calc: TractorCalculus,
-    ladders: Sequence[Ladder],
-    rng: np.random.Generator | None = None,
+    calc: TractorCalculus, ladders: Sequence[Ladder]
 ) -> list[SecondFundamentalForm]:
     """The tangential Hessian of rho at each ladder's point w.r.t. the class
-    connection ``calc.hat`` extended along the ladders, one form per ladder.
-
-    Also verifies the two well-definedness properties numerically: a
-    projective change of the connection leaves the tangential restriction
-    unchanged, and replacing rho by ``exp(f) rho`` rescales it by the
-    conformal factor ``exp(f(y))``.  The forms draw their test changes from
-    ``rng`` in ladder order.
-    """
+    connection ``calc.hat`` extended along the ladders, one form per ladder."""
     geom = calc.geom
-    d = geom.dim
-    rng = rng or np.random.default_rng(11)
     gammas = extended_christoffels(calc, ladders)
     ys = np.array([ladder.y for ladder in ladders])
     rho2s = geom.rho_dense(ys, 2)
     forms = []
     for ladder, rho2, gamma0, E in zip(ladders, rho2s, gammas, tangential_basis(geom, ys)):
-        y = ladder.y
         full = _covariant_hessian(rho2, gamma0)
-        tang = E.T @ full @ E
-        scale = float(np.max(np.abs(tang))) + 1e-30
-
-        # (a) projective invariance of the tangential restriction
-        ups = rng.uniform(-0.8, 0.8, size=d)
-        tang_proj = E.T @ _covariant_hessian(rho2, projective_change(gamma0, ups)) @ E
-        proj_defect = float(np.max(np.abs(tang_proj - tang))) / scale
-
-        # (b) conformal covariance under rho -> exp(f) rho with linear f; the
-        # class connection changes by df/alpha
-        fcoef = rng.uniform(-0.4, 0.4, size=d + 1)
-        space2 = jet_space(d, 2)
-        f = np.zeros(space2.ncoeff)
-        f[0] = fcoef[0] + fcoef[1:] @ np.asarray(y)
-        f[1 : 1 + d] = fcoef[1:]
-        rho_new = jet_mul(jet_function("exp", f, space2), rho2, space2)
-        gamma_new = projective_change(gamma0, fcoef[1:] / geom.alpha)
-        hess_new = _covariant_hessian(rho_new, gamma_new)
-        tang_new = E.T @ hess_new @ E
-        factor = math.exp(f[0])
-        conf_defect = float(np.max(np.abs(tang_new - factor * tang))) / (
-            scale * max(factor, 1.0)
-        )
-
-        eigs = np.linalg.eigvalsh(0.5 * (tang + tang.T))
-        forms.append(SecondFundamentalForm(
-            y, full, tang, E, conf_defect, proj_defect, float(np.min(np.abs(eigs)))
-        ))
+        forms.append(SecondFundamentalForm(ladder.y, full, E.T @ full @ E, E, gamma0, rho2))
     return forms
 
 

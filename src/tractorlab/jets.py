@@ -622,28 +622,6 @@ def jet_function(
     return jet_compose(dense, np.reshape(series, a0.shape + (space.order + 1,)), space)
 
 
-def _check_pivots(a0: np.ndarray) -> None:
-    """Raise :class:`PoleError` when partial-pivot elimination of a value
-    matrix ``(m, m)``, or of any matrix of a batch ``(m, m, B)``, meets a
-    pivot below the pole tolerance (relative to that matrix's size)."""
-    m = a0.shape[0]
-    u = a0.reshape(m, m, -1).astype(float)
-    tol = POLE_TOL * abs(u).max(axis=(0, 1))
-    batch = np.arange(u.shape[2])
-    for col in range(m):
-        piv = abs(u[col:, col]).argmax(axis=0)
-        piv += col
-        prow = u[piv, :, batch].T  # pivot row of each matrix
-        if (abs(prow[col]) <= tol).any():
-            raise PoleError("singular jet matrix (no usable pivot)")
-        if col == m - 1:  # the last pivot has no rows below it
-            break
-        # swap: row col is finished, so only the pivot row's slot is written
-        u[piv, :, batch] = u[col].T
-        below = u[col + 1 :, col:]
-        below -= (below[:, 0] / prow[col])[:, None] * prow[col:]
-
-
 def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     """Inverse of a dense ``(m, m, ncoeff)`` jet matrix, or of each matrix
     of a batch ``(m, m, B, ncoeff)``.
@@ -651,8 +629,8 @@ def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     With ``A = A0 + N`` (``N`` without constant term) the Neumann series
     ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
     Raises :class:`PoleError` when a value matrix is singular: when partial
-    pivot elimination meets a pivot ``|u_kk| <= POLE_TOL * max|A0|``
-    (:func:`_check_pivots`).
+    pivot elimination meets a pivot ``|u_kk| <= POLE_TOL * max|A0|`` (the
+    mask of :func:`_pivoted_elimination`, run on the values).
 
     The values are inverted first, and the exact pivot loop runs only when
     ``np.linalg.inv`` raises, or when some matrix of the batch fails the
@@ -670,11 +648,15 @@ def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     try:
         inv = np.linalg.inv(stacked)
     except np.linalg.LinAlgError:
-        _check_pivots(a0)
-        raise
-    bound = abs(stacked).max(axis=(1, 2)) * abs(inv).sum(axis=2).max(axis=1)
-    if not (bound < 1.0 / (m * POLE_TOL * PIVOT_MARGIN)).all():
-        _check_pivots(a0)
+        inv = None
+    if inv is None or not (
+        abs(stacked).max(axis=(1, 2)) * abs(inv).sum(axis=2).max(axis=1)
+        < 1.0 / (m * POLE_TOL * PIVOT_MARGIN)
+    ).all():
+        if _pivoted_elimination(a0[..., None], jet_space(m, 0))[1].any():
+            raise PoleError("singular jet matrix (no usable pivot)")
+        if inv is None:
+            inv = np.linalg.inv(stacked)  # raises its LinAlgError again
     inv0 = np.zeros(a0.shape + (space.ncoeff,))
     inv0[..., 0] = inv.transpose(1, 2, 0).reshape(a0.shape)
     if space.order == 0:
@@ -692,10 +674,22 @@ def jet_determinant(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     matrix of a batch ``(m, m, B, ncoeff)``, as ``(ncoeff,)`` or
     ``(B, ncoeff)``.
 
-    LU elimination with partial pivoting on the values; each column
-    eliminates all rows below its pivot at once.  A matrix whose pivot value
-    falls to ``POLE_TOL`` times its largest value entry is numerically
-    singular and gets the zero jet.
+    A numerically singular matrix (:func:`_pivoted_elimination`) gets the
+    zero jet.
+    """
+    det = _pivoted_elimination(dense, space)[0]
+    return det.reshape(dense.shape[2:-1] + (space.ncoeff,))
+
+
+def _pivoted_elimination(dense: np.ndarray, space: JetSpace) -> tuple:
+    """LU elimination with partial pivoting on the values of each jet
+    matrix of a batch ``(m, m, ..., ncoeff)``; each column eliminates all
+    rows below its pivot at once.
+
+    Returns the determinant jets ``(B, ncoeff)`` over the flattened batch
+    and the mask ``(B,)`` of the numerically singular matrices: those whose
+    elimination meets a pivot value at most ``POLE_TOL`` times their
+    largest value entry, whose determinant is the zero jet.
     """
     m = dense.shape[0]
     n = space.ncoeff
@@ -722,5 +716,4 @@ def jet_determinant(dense: np.ndarray, space: JetSpace) -> np.ndarray:
             a[col + 1 :, col + 1 :] -= jet_mul(
                 factor[:, None], a[col, None, col + 1 :], space
             )
-    det = np.where(singular[:, None], 0.0, det * sign[:, None])
-    return det.reshape(dense.shape[2:-1] + (n,))
+    return np.where(singular[:, None], 0.0, det * sign[:, None]), singular

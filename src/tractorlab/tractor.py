@@ -232,9 +232,11 @@ class TractorCalculus:
         """Christoffel values ``(d, d, d, B)`` of ``hat`` at a batch of
         interior points, from the order-1 rho jets ``(B, ncoeff)`` and
         metric jets ``(d, d, B, ncoeff)`` of one run there
-        (``Geometry.rho_and_metric``): bit for bit
-        ``hat.christoffel_values(points)``, without its runs of the rho and
-        metric tapes."""
+        (``Geometry.rho_and_metric``): the value slice of
+        ``hat.dense(points, 0)``, bit for bit.  It is the package's one
+        formula for the values of ``hat``: the RK4 stages of the geodetic
+        transversals and every boundary limit of the connection take
+        them from here."""
         u = rho_log_gradient(rho, self.geom.alpha, jet_space(self.dim, 0))
         return projective_change(levi_civita_jets(g, 0)[..., 0], u[..., 0])
 

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import boundary as bd
-from .affine import covariant_derivative
+from .affine import covariant_derivative, projective_change
 from .extrapolate import (
     Ladder,
     boundary_ladder,
@@ -51,7 +51,15 @@ from .fields import (
     value_outer,
     value_vecmat,
 )
-from .jets import PoleError, jet_einsum, jet_gradient, jet_inverse, jet_mul, jet_space
+from .jets import (
+    PoleError,
+    jet_einsum,
+    jet_function,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_space,
+)
 from .tractor import (
     TractorCalculus,
     TractorValue,
@@ -277,7 +285,7 @@ class _Session:
             calc = self._probe_calc
             try:
                 ladders = [self.ladder(y)]
-                (est,) = boundary_limit(calc.hat.christoffel_values, ladders)
+                (est,) = boundary_limit(lambda p: bd.hat_christoffels(calc, p), ladders)
                 facets, _ = _defining_density(calc, ladders)
                 ok = (not est.diverged) and not facets["not_a_defining_density"]
             except Exception as err:  # any failure means "not compact"
@@ -563,12 +571,43 @@ def _run_thm25_c(geom, plan, rng, session):
     return facets, len(ladders), details
 
 
+def _sff_defects(geom: Geometry, sff: bd.SecondFundamentalForm, rng) -> dict:
+    """The two well-definedness defects of the representative ``sff``,
+    relative to its size: a projective change of the connection by a
+    constant one-form ``ups`` leaves its tangential restriction unchanged,
+    and replacing rho by ``exp(f) rho`` with linear ``f`` (coefficients
+    ``fcoef``, which change the class connection by ``df/alpha``) rescales
+    it by the conformal factor ``exp(f(y))``.  Draws ``ups``, then
+    ``fcoef``, from ``rng``."""
+    d = geom.dim
+    E, tang, gamma0, rho2 = sff.basis, sff.tangential, sff.gamma, sff.rho2
+    scale = float(np.max(np.abs(tang))) + 1e-30
+    ups = rng.uniform(-0.8, 0.8, size=d)
+    tang_proj = E.T @ bd._covariant_hessian(rho2, projective_change(gamma0, ups)) @ E
+    fcoef = rng.uniform(-0.4, 0.4, size=d + 1)
+    space2 = jet_space(d, 2)
+    f = np.zeros(space2.ncoeff)
+    f[0] = fcoef[0] + fcoef[1:] @ np.asarray(sff.point)
+    f[1 : 1 + d] = fcoef[1:]
+    rho_new = jet_mul(jet_function("exp", f, space2), rho2, space2)
+    gamma_new = projective_change(gamma0, fcoef[1:] / geom.alpha)
+    tang_new = E.T @ bd._covariant_hessian(rho_new, gamma_new) @ E
+    factor = math.exp(f[0])
+    return {
+        "conformal_factor_defect": float(np.max(np.abs(tang_new - factor * tang)))
+        / (scale * max(factor, 1.0)),
+        "projective_change_defect": float(np.max(np.abs(tang_proj - tang))) / scale,
+    }
+
+
 def _run_pff(geom, plan, rng, session):
     alpha = geom.alpha
     pack = session.calc.levi_civita_splitting.pack
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    # every form draws from rng before any limit, diverged ladders included
-    sffs = bd.second_fundamental_form(session.calc, ladders, rng=rng)
+    sffs = bd.second_fundamental_form(session.calc, ladders)
+    # every form draws from rng in ladder order before any limit, diverged
+    # ladders included
+    sff_defects = [_sff_defects(geom, sff, rng) for sff in sffs]
 
     def lhs(p):
         Pv = pack.dense("schouten", p, 0)[..., 0]
@@ -580,14 +619,12 @@ def _run_pff(geom, plan, rng, session):
         target = sff.full / alpha
         scale = float(np.max(np.abs(target)))
         gap = float(np.max(np.abs(np.asarray(est.value) - target)))
-        defects = {
-            "conformal_factor_defect": sff.conformal_factor_defect,
-            "projective_change_defect": sff.projective_change_defect,
-        }
+        defects = sff_defects[k]
+        eigs = np.linalg.eigvalsh(0.5 * (sff.tangential + sff.tangential.T))
         return {"schouten_asymptotics_gap": _scaled(gap, scale), **defects}, {
             "schouten_asymptotics_gap": gap,
             **defects,
-            "tangential_min_abs_eig": sff.min_abs_eigenvalue,
+            "tangential_min_abs_eig": float(np.min(np.abs(eigs))),
         }
 
     facets, details = _per_ladder(ladders, boundary_limit(lhs, ladders), judge)
@@ -596,7 +633,7 @@ def _run_pff(geom, plan, rng, session):
 
 def _run_totally_geodesic(geom, plan, rng, session):
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
-    sffs = bd.second_fundamental_form(session.calc, ladders, rng)
+    sffs = bd.second_fundamental_form(session.calc, ladders)
     details = [
         {"point": list(lad.y), "tangential_sff_norm": float(np.abs(sff.tangential).max())}
         for lad, sff in zip(ladders, sffs)
@@ -610,7 +647,7 @@ def _run_h_vs_sff(geom, plan, rng, session):
     if rep.status != "ok":
         return {"asymptotic_form_fails": True}, len(ladders), [{"status": rep.status}]
     gaps, details = [], []
-    sffs = bd.second_fundamental_form(session.calc, ladders, rng)
+    sffs = bd.second_fundamental_form(session.calc, ladders)
     for ladder, h_lim, sff in zip(ladders, rep.h_limits, sffs):
         target = -2.0 * rep.C * sff.full
         scale = float(np.max(np.abs(target)))
@@ -939,16 +976,17 @@ def _run_thm43_metric(geom, plan, rng, session):
     # section does not depend on its point, so they come from one batch that
     # repeats each point 14 times, whose row 14 i + 2 j + k is section k of
     # pair j at point i
-    drawn = polynomial_tractor_section(calc, np.repeat(pts, 14, axis=0), 3, rng).data
+    drawn = polynomial_tractor_section(calc, np.repeat(pts, 14, axis=0), 1, rng).data
     pairs = np.ascontiguousarray(
         drawn.reshape(drawn.shape[:1] + (len(pts), 7, 2, -1)).transpose(2, 3, 0, 1, 4)
     )
-    L = l_tau(calc, pts, 3, calc.reference)
+    # the identity compares values of first derivatives, so the sections
+    # and L(tau) are built at jet order 1, and the metric tractor
+    # connection matrices, built once for all fourteen sections, at order 0
+    L = l_tau(calc, pts, 1, calc.reference)
     G = L.data
-    lower = jet_space(geom.dim, 2)
-    # the metric tractor connection matrices at the order the derivatives
-    # need, built once for all fourteen sections
-    omega = metric_tractor_omega(calc, pts, 2)
+    lower = jet_space(geom.dim, 0)
+    omega = metric_tractor_omega(calc, pts, 0)
     gap = 0.0
     for pair in pairs:
         s1, s2 = (TractorValue(x, L.space, "u", 0, calc.reference) for x in pair)
@@ -1058,7 +1096,8 @@ def _run_equivariance(geom, plan, rng, session):
 
     s3 = calc.splitting(TensorField(geom.chart, "d", ups))
     nondegenerate, _ = session.probe_nondegenerate()
-    tv = polynomial_tractor_section(calc, pts, 3, rng, s=calc.reference)
+    # the routes compare values of a derivative: the section at jet order 1
+    tv = polynomial_tractor_section(calc, pts, 1, rng, s=calc.reference)
     gap = 0.0
     for target in (calc.levi_civita_splitting, s3):
         route1 = calc.in_splitting(std_tractor_derivative(calc, tv, pts), target, pts)
@@ -1194,7 +1233,8 @@ def _run_rho_extends(geom, plan, rng, session):
     exact_hat = geom.exact_hat_christoffels
     ladders = session.ladders(rng, min(plan.boundary_points, 3))
     # the samples stay at hand for the divergence slope
-    samples = ladder_samples(session.calc.hat.christoffel_values, ladders)
+    calc = session.calc
+    samples = ladder_samples(lambda p: bd.hat_christoffels(calc, p), ladders)
     details = []
     for ladder, values in zip(ladders, samples):
         est = richardson_limit(values)

@@ -14,9 +14,12 @@ in):
 * ``rho_tape.o0`` / ``rho_tape.o1``: ``Geometry.rho_dense`` at order 0 / 1;
 * ``metric_tape.o1``: the metric jets at order 1 (the Levi-Civita input);
 * ``stage_tape.o1``: ``Geometry.rho_and_metric`` at order 1, the one tape
-  run of a stage (rho and the metric); a tree without it skips the layer;
+  run of a stage (rho and the metric); a tree without it skips this layer
+  and the next;
 * ``jet_inverse.o0``: the order-0 inverse of the metric values;
-* ``hat.christoffel_values``: the rho-modified connection's values;
+* ``hat_christoffel_values``: ``TractorCalculus.hat_christoffel_values``,
+  the rho-modified connection's values from the rho and metric jets of one
+  run of the stage tape (not timed here);
 * ``stage``: one stage of the integrator, as the time of a 0.2-long run
   minus that of a 0.05-long run, over the 600 stages between them;
 * ``ode_pair``: ``run_suite`` of ``lem-2.4-transversal`` and ``prop-2.5-mu``
@@ -107,10 +110,13 @@ def measure(
     }
     if hasattr(geom, "rho_and_metric"):
         layers["stage_tape.o1"] = per_call_us(lambda: geom.rho_and_metric(x, 1))
+        rho1, g1 = geom.rho_and_metric(x, 1)
+        layers["hat_christoffel_values"] = per_call_us(
+            lambda: calc.hat_christoffel_values(rho1, g1)
+        )
     return {
         **layers,
         "jet_inverse.o0": per_call_us(lambda: jet_inverse(g0, space0)),
-        "hat.christoffel_values": per_call_us(lambda: calc.hat.christoffel_values(x)),
         "stage": (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages,
         "ode_pair": per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1),
     }

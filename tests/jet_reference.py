@@ -5,14 +5,15 @@ The tests compare those kernels against :class:`~tractorlab.jets.Jet`
 arithmetic on one scalar jet at a time.  This module holds what that
 comparison needs beyond ``Jet`` itself: conversion between dense arrays and
 object arrays of jets, jet constructors, elementary functions of one jet,
-and the object-array LU determinant the dense ``jet_determinant`` replaced.
+the object-array LU determinant the dense ``jet_determinant`` replaced, and
+the pivot loop that the gated ``jet_inverse`` is tested against.
 """
 
 import math
 
 import numpy as np
 
-from tractorlab.jets import POLE_TOL, DomainError, Jet, jet_function, jet_space
+from tractorlab.jets import POLE_TOL, DomainError, Jet, PoleError, jet_function, jet_space
 
 
 def jet_constant(value, dim, order):
@@ -80,6 +81,29 @@ def jet_det(mat):
     for p in pivots[1:]:
         det = det * p
     return det * sign if sign < 0 else det
+
+
+def check_pivots(a0):
+    """Raise :class:`PoleError` when partial-pivot elimination of a value
+    matrix ``(m, m)``, or of any matrix of a batch ``(m, m, B)``, meets a
+    pivot below the pole tolerance (relative to that matrix's size): the
+    exact test of a singular value matrix, by division."""
+    m = a0.shape[0]
+    u = a0.reshape(m, m, -1).astype(float)
+    tol = POLE_TOL * abs(u).max(axis=(0, 1))
+    batch = np.arange(u.shape[2])
+    for col in range(m):
+        piv = abs(u[col:, col]).argmax(axis=0)
+        piv += col
+        prow = u[piv, :, batch].T  # pivot row of each matrix
+        if (abs(prow[col]) <= tol).any():
+            raise PoleError("singular jet matrix (no usable pivot)")
+        if col == m - 1:  # the last pivot has no rows below it
+            break
+        # swap: row col is finished, so only the pivot row's slot is written
+        u[piv, :, batch] = u[col].T
+        below = u[col + 1 :, col:]
+        below -= (below[:, 0] / prow[col])[:, None] * prow[col:]
 
 
 def jet_values(arr):

@@ -97,11 +97,11 @@ def test_einsum_and_inverse_batch_match_points(geom, order):
 
 
 def test_christoffel_values_batch_matches_points(geom):
-    conn = TractorCalculus(geom).hat
+    calc = TractorCalculus(geom)
     pts = _points(geom)
-    got = conn.christoffel_values(pts)
+    got = bd.hat_christoffels(calc, pts)
     assert got.shape == (geom.dim,) * 3 + (len(pts),)
-    ref = _per_point(conn.christoffel_values, pts, axis=-1)
+    ref = _per_point(lambda p: bd.hat_christoffels(calc, p), pts, axis=-1)
     assert np.array_equal(got, ref)
 
 
@@ -119,13 +119,14 @@ def af2_5():
     "name", ["klein3", "af2", "af1", "flat3", "poincare3", "klein4", "klein5", "af2_5"]
 )
 def test_hat_values_from_given_rho_jets_match_the_connection(request, name):
-    # each integrator stage hands the order-1 rho and metric jets of one run
-    # of the metric tape to the calculus
+    # the values every stage and boundary limit takes, from the order-1 rho
+    # and metric jets of one run of the metric tape, are the value slice of
+    # the connection's own jets
     geom = request.getfixturevalue(name)
     calc = TractorCalculus(geom)
     pts = geom.interior_points(6, np.random.default_rng(11))
     got = calc.hat_christoffel_values(*geom.rho_and_metric(pts, 1))
-    assert np.array_equal(got, calc.hat.christoffel_values(pts))
+    assert np.array_equal(got, calc.hat.dense(pts, 0)[..., 0])
 
 
 def test_singular_row_in_a_batch_raises(klein3):
@@ -193,61 +194,91 @@ def test_domain_exit_names_the_earliest_curve(klein3):
         assert str(err.value) == str(alone.value)
 
 
-def _rho_first_stages(monkeypatch):
-    """Make every joint run of the metric tape raise, so each integrator
-    stage takes its rho-first path; returns the list of the errors raised."""
-    raised = []
-
-    def refuse(self, points, order):
-        raised.append(PoleError("refused"))
-        raise raised[-1]
-
-    monkeypatch.setattr(Geometry, "rho_and_metric", refuse)
-    return raised
-
-
 def _assert_same_curves(got, want):
     for a, b in zip(got, want, strict=True):
         for field in ("points", "mus", "accs", "rhos"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def _counted_stage_runs(monkeypatch, fail=lambda call, rho: False):
+    """Count the joint runs of the metric tape; the run of 1-based number
+    ``call`` raises a fresh ``PoleError`` where ``fail(call, rho)`` holds.
+    The launch makes no joint run, so on a geometry with a closed-form
+    extension (no ladder limit runs first) step ``k`` makes calls ``4 k +
+    1`` to ``4 k + 4``, the last of them at the step's end.  Returns the
+    list of the errors raised and the batch size of each call."""
+    real, raised, calls = Geometry.rho_and_metric, [], []
+
+    def counted(self, points, order):
+        calls.append(len(points))
+        rho, g = real(self, points, order)
+        if fail(len(calls), rho):
+            raised.append(PoleError(f"refused at run {len(calls)}"))
+            raise raised[-1]
+        return rho, g
+
+    monkeypatch.setattr(Geometry, "rho_and_metric", counted)
+    return raised, calls
+
+
 @pytest.mark.parametrize("name", ["klein3", "af2", "af1", "klein5"])
-def test_joint_stage_runs_give_the_rho_first_paths_bits(request, monkeypatch, name):
+def test_the_launch_acceleration_is_the_extended_value(request, monkeypatch, name):
+    # the launch points lie on the boundary: their acceleration is
+    # -Gamma(mu0, mu0) with the connection's extended values, their rho is
+    # one rho run's, and every stage after them makes one joint run (after
+    # the one joint run of the stacked ladders' limit, where the geometry
+    # has no closed form)
     geom = request.getfixturevalue(name)
     ys = geom.boundary_points(3, np.random.default_rng(4))
     calc = TractorCalculus(geom)
-    opts = dict(step=1e-3, horizon=0.03)
-    joint = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
-    raised = _rho_first_stages(monkeypatch)
-    rho_first = bd.geodetic_transversals(calc, ladders(geom, ys), **opts)
-    assert len(raised) == 4 * 30
-    _assert_same_curves(joint, rho_first)
+    lads = ladders(geom, ys)
+    gamma = np.stack(bd.extended_christoffels(calc, lads), axis=-1)
+    mu0 = np.array([lad.direction for lad in lads])
+    _, calls = _counted_stage_runs(monkeypatch)
+    curves = bd.geodetic_transversals(calc, lads, step=1e-3, horizon=0.01)
+    limit = [] if geom.exact_hat_christoffels else [sum(len(lad.points) for lad in lads)]
+    assert calls == limit + [len(ys)] * 4 * 10
+    launch = np.array([curve.accs[0] for curve in curves])
+    assert np.array_equal(launch, -np.einsum("cabn,na,nb->nc", gamma, mu0, mu0))
+    rho0 = np.array([curve.rhos[0] for curve in curves])
+    assert np.array_equal(rho0, geom.rho_dense(ys, 1)[:, 0])
 
 
-def test_a_joint_run_with_a_row_on_the_boundary_is_not_used(klein3, monkeypatch):
-    # a stage whose joint run puts a row on the boundary takes the rho-first
-    # path, which gives that row its extended value or, off the boundary,
-    # its own rho and metric runs
+def test_a_raising_step_end_run_names_the_curve_that_left(klein3, monkeypatch):
+    # a step's end run that raises once a curve is past the boundary: rho
+    # alone gives the exit test, which names the curve as the run without
+    # the error does (the chord from (1, 0, 0) leaves at t = 2.95)
+    radial = ladder(klein3, (0.0, 1.0, 0.0))
+    oblique = ladder(klein3, (1.0, 0.0, 0.0), direction=(-0.5, 0.3, 0.0))
+    calc = TractorCalculus(klein3)
+    opts = dict(step=0.01, horizon=5.0)
+    with pytest.raises(GeometryError) as want:
+        bd.geodetic_transversals(calc, [radial, oblique], **opts)
+    raised, _ = _counted_stage_runs(
+        monkeypatch, lambda call, rho: call % 4 == 0 and (rho[:, 0] < -1e-8).any()
+    )
+    with pytest.raises(GeometryError) as got:
+        bd.geodetic_transversals(calc, [radial, oblique], **opts)
+    assert len(raised) == 1
+    assert str(got.value) == str(want.value)
+    assert got.value.__context__ is None
+
+
+@pytest.mark.parametrize("run", [6, 8], ids=["mid-step", "step-end"])
+def test_any_other_raising_run_propagates_its_own_error(klein3, monkeypatch, run):
+    # run 6 is a stage inside step 1, run 8 its end, where no curve has left
     ys = klein3.boundary_points(3, np.random.default_rng(4))
     calc = TractorCalculus(klein3)
-    opts = dict(step=1e-3, horizon=0.01)
-    want = bd.geodetic_transversals(calc, ladders(klein3, ys), **opts)
-    real = Geometry.rho_and_metric
-
-    def on_the_boundary(self, points, order):
-        rho, g = real(self, points, order)
-        rho = rho.copy()
-        rho[1, 0] = 1e-13
-        return rho, g
-
-    monkeypatch.setattr(Geometry, "rho_and_metric", on_the_boundary)
-    _assert_same_curves(bd.geodetic_transversals(calc, ladders(klein3, ys), **opts), want)
+    raised, calls = _counted_stage_runs(monkeypatch, lambda call, rho: call == run)
+    with pytest.raises(PoleError) as got:
+        bd.geodetic_transversals(calc, ladders(klein3, ys), step=1e-3, horizon=0.01)
+    assert raised == [got.value] and len(calls) == run
+    assert got.value.__context__ is None
 
 
-def test_a_metric_that_raises_outside_the_domain_raises_the_rho_first_error(monkeypatch):
+def test_a_metric_that_raises_outside_the_domain_raises_its_own_error():
     # Klein's metric plus 0*sqrt(rho): the same values inside, a DomainError
-    # past the boundary, where the joint run raises and the stage falls back
+    # past the boundary, which the first stage run there raises
     rho = "(1 - (x0^2 + x1^2 + x2^2))"
     metric = [[(f"1/{rho} + 0*sqrt({rho}) + " if i == j else "") + f"x{i}*x{j}/{rho}^2"
                for j in range(3)] for i in range(3)]
@@ -255,24 +286,8 @@ def test_a_metric_that_raises_outside_the_domain_raises_the_rho_first_error(monk
                           "rho": rho, "alpha": 2.0, "metric": metric})
     calc = TractorCalculus(geom)
     lads = ladders(geom, [(0.0, 1.0, 0.0), (0.6, 0.0, 0.8)])
-    real, raised = Geometry.rho_and_metric, []
-
-    def recording(self, points, order):
-        try:
-            return real(self, points, order)
-        except DomainError as err:
-            raised.append(err)
-            raise
-
-    monkeypatch.setattr(Geometry, "rho_and_metric", recording)
-    with pytest.raises(Exception) as got:
+    with pytest.raises(DomainError, match="sqrt of non-positive value") as got:
         bd.geodetic_transversals(calc, lads, step=0.01, horizon=5.0)
-    assert raised  # the joint run raised, and the stage fell back
-    _rho_first_stages(monkeypatch)
-    with pytest.raises(Exception) as want:
-        bd.geodetic_transversals(calc, lads, step=0.01, horizon=5.0)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
     assert got.value.__context__ is None
 
 
@@ -494,7 +509,7 @@ LADDER_QUANTITIES = {
     "bgg_split_metricity": lambda calc, p, eps: bgg_split_metricity(
         calc, calc.metricity_field(), calc.reference, p, 0
     ).values(),
-    "rho-connection Christoffels": lambda calc, p, eps: calc.hat.christoffel_values(p),
+    "rho-connection Christoffels": lambda calc, p, eps: bd.hat_christoffels(calc, p),
     "tau/eps": lambda calc, p, eps: calc.tau.dense(p, 0)[..., 0] / eps,
     "standard tractor curvature": lambda calc, p, eps: tractor_curvature(
         calc, calc.reference, p, 0

@@ -143,10 +143,10 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
     n_steps = round(horizon / step)
     # four evaluations per step, each one run of the metric tape, whose last
-    # row is rho; the pairing test of the launch directions runs rho once at
-    # all the boundary points, and the launch, where every row is on the
-    # boundary and takes its extended value, runs the rho view alone
-    assert runs == {"rho": 2, "metric": 4 * n_steps}
+    # row is rho; the launch, where every row is on the boundary and takes
+    # its extended value, runs the rho view once at all the boundary points,
+    # for the pairing test of the launch directions and the launch's rho
+    assert runs == {"rho": 1, "metric": 4 * n_steps}
 
 
 @pytest.mark.parametrize("name, dim", [
@@ -237,9 +237,11 @@ def test_collar_duplicate_grid_collides(klein3):
 def test_klein_sff(calc3):
     (sff,) = bd.second_fundamental_form(calc3, [ladder(calc3.geom, (1.0, 0.0, 0.0))])
     assert np.allclose(sff.tangential, -2 * np.eye(2), atol=1e-9)
-    assert sff.conformal_factor_defect < 1e-6
-    assert sff.projective_change_defect < 1e-6
-    assert sff.min_abs_eigenvalue > 0.1
+    assert np.allclose(sff.full, bd._covariant_hessian(sff.rho2, sff.gamma))
+    defects = verify._sff_defects(calc3.geom, sff, np.random.default_rng(11))
+    assert defects["conformal_factor_defect"] < 1e-6
+    assert defects["projective_change_defect"] < 1e-6
+    assert np.min(np.abs(np.linalg.eigvalsh(sff.tangential))) > 0.1
 
 
 def test_klein_sff_vs_schouten_asymptotics(klein3):

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tractorlab
 from tractorlab.boundary import POINT_QUANTITIES
 from tractorlab.cli import EVAL_QUANTITIES, main
 from tractorlab.extrapolate import boundary_ladder, boundary_limit
@@ -508,3 +513,17 @@ def test_asymptotic_form_document_without_a_finite_c_exits_2(tmp_path, capsys, C
     assert code == 2
     assert "asymptotic-form constant C" in err and "Traceback" not in err
 
+
+
+def test_python_dash_m_tractorlab_runs_the_command_line(tmp_path):
+    src = str(Path(tractorlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tractorlab", "verify", "--geometry", "klein",
+         "--dim", "3", "--checks", "bianchi"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    (report,) = json.loads(done.stdout)
+    assert (report["id"], report["status"]) == ("bianchi", "pass")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jet_reference import (
+    check_pivots,
     jet_apply,
     jet_constant,
     jet_det,
@@ -400,15 +401,21 @@ def _nearly_singular(m, rng, factor=0.5):
     return mixed(factor * jets.POLE_TOL / per_delta)
 
 
+def _singular(a0):
+    """Whether some value matrix of ``a0`` (``(m, m)`` or ``(m, m, B)``) is
+    singular by the exact test the gated inverse falls back on."""
+    return bool(jets._pivoted_elimination(a0[..., None], jet_space(1, 0))[1].any())
+
+
 def _count_exact_runs(monkeypatch):
     calls = []
-    real = jets._check_pivots
+    real = jets._pivoted_elimination
 
-    def counted(a0):
-        calls.append(a0.shape)
-        return real(a0)
+    def counted(dense, space):
+        calls.append(dense.shape)
+        return real(dense, space)
 
-    monkeypatch.setattr(jets, "_check_pivots", counted)
+    monkeypatch.setattr(jets, "_pivoted_elimination", counted)
     return calls
 
 
@@ -421,9 +428,9 @@ def test_singular_and_nearly_singular_matrices_in_a_batch_raise(order):
     singular[2] = singular[0] * 2.0
     nearly = _nearly_singular(3, rng, factor=0.9)
     # the pivot sits just under the tolerance: just over it, none raises
-    assert _raises_pole(lambda: jets._check_pivots(nearly))
-    assert not _raises_pole(lambda: jets._check_pivots(_nearly_singular(3, rng, 1.1)))
-    assert not _raises_pole(lambda: jets._check_pivots(regular))
+    assert _singular(nearly)
+    assert not _singular(_nearly_singular(3, rng, 1.1))
+    assert not _singular(regular)
     for mats in ([singular, nearly, regular], [regular, nearly], [singular, regular]):
         with pytest.raises(PoleError, match="singular jet matrix"):
             jet_inverse(_jet_batch(mats, s, rng), s)
@@ -445,6 +452,9 @@ def test_a_well_conditioned_batch_skips_the_exact_pivot_loop(monkeypatch):
     assert calls == []
 
 
+# the elimination runs through every column, so an infinite entry meets a
+# zero multiplier (inf * 0 = nan, flagged singular all the same)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_nan_or_inf_entry_takes_the_exact_path(monkeypatch, bad):
     calls = _count_exact_runs(monkeypatch)
@@ -453,7 +463,7 @@ def test_a_nan_or_inf_entry_takes_the_exact_path(monkeypatch, bad):
     mats = np.stack([np.eye(3) * 2.0, np.eye(3) * 3.0])
     mats[1, 0, 2] = bad
     dense = _jet_batch(mats, s, rng)
-    expect_pole = _raises_pole(lambda: jets._check_pivots(dense[..., 0]))
+    expect_pole = _singular(dense[..., 0])
     calls.clear()
     try:
         jet_inverse(dense, s)
@@ -479,12 +489,43 @@ def test_the_gated_inverse_raises_exactly_when_the_pivot_loop_does(m, seed, log_
     a = _nearly_singular(m, rng, factor=10.0**log_factor) * 10.0**log_scale
     mats = np.stack([a, _orthogonal(m, rng)])
     dense = _jet_batch(mats, s, rng)
-    exact = _raises_pole(lambda: jets._check_pivots(dense[..., 0]))
+    exact = _singular(dense[..., 0])
     try:
         gated = _raises_pole(lambda: jet_inverse(dense, s))
     except np.linalg.LinAlgError:
         gated = False
     assert gated == exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_elimination_finds_the_singular_matrices_the_pivot_loop_does(m, count, seed):
+    # regular, exactly singular, nearly singular (the last pivot from 1e-3
+    # to 1e3 times the tolerance) and zero-row matrices, at scales 1e-6 to
+    # 1e6: the determinant's elimination, which the gated inverse runs on
+    # the values, flags each matrix exactly when the reference loop raises
+    rng = np.random.default_rng(seed)
+    mats = []
+    for kind in rng.integers(4, size=count):
+        a = rng.standard_normal((m, m))
+        if kind == 0:
+            a = _orthogonal(m, rng) @ np.diag(rng.uniform(0.5, 2.0, m)) @ _orthogonal(m, rng)
+        elif kind == 1:
+            a[-1] = a[0] * rng.uniform(-2.0, 2.0)
+        elif kind == 2:
+            a = _nearly_singular(m, rng, factor=10.0 ** rng.uniform(-3.0, 3.0))
+        else:
+            a[rng.integers(m)] = 0.0
+        mats.append(a * 10.0 ** rng.uniform(-6.0, 6.0))
+    a0 = np.stack(mats, axis=-1)
+    singular = jets._pivoted_elimination(a0[..., None], jet_space(m, 0))[1]
+    assert singular.tolist() == [
+        _raises_pole(lambda k=k: check_pivots(a0[..., k])) for k in range(count)
+    ]
 
 
 # -- the pole gate of jet_reciprocal ----------------------------------------

@@ -42,9 +42,10 @@ MODULES = sorted(SRC.glob("*.py"))
 #: ladder options of the transversal integrator, the builders that bypassed
 #: the calculus, the second expression evaluator, the single-use boundary
 #: routines and report classes that the verify runners absorbed, the two
-#: lem-2.4 facets that could not fire, unused names, and the splitting
-#: registries and contorsion class that a splitting object replaced, that
-#: left the package.
+#: lem-2.4 facets that could not fire, unused names, the splitting
+#: registries and contorsion class that a splitting object replaced, and the
+#: second value path of the rho-modified connection, the rho-first stage
+#: path and the second pivot loop, that left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -65,6 +66,7 @@ REMOVED = {
     "symmetry_defect", "is_boundary_point",
     "TractorConnection", "connection_of", "pack_of", "upsilon_jets", "change_upsilon",
     "exact_boundary",
+    "christoffel_values", "acc_rows_on_boundary", "_check_pivots",
 }
 
 #: The builders of the connections, curvature packs and tau of a geometry;

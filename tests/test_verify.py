@@ -475,3 +475,80 @@ def test_a_curve_leaving_the_domain_fails_only_its_own_check(klein3, monkeypatch
             )
         else:
             assert report.status == "pass"
+
+
+#: The highest jet order each check requests from the builders of its jets,
+#: on af2_generic-4, af1_generic-4 and klein-4 (each check run alone).  A
+#: check reads values or first derivatives, so an order above what it reads
+#: is work that nothing uses: raising one must show here.
+JET_ORDERS = {
+    "prop-2.1-extend": {"CurvaturePack.dense": 0},
+    "prop-2.2-dense": {"CurvaturePack.dense": 0},
+    "prop-2.3-h": {"CurvaturePack.dense": 0},
+    "lem-2.4-transversal": {},
+    "prop-2.5-mu": {"CurvaturePack.dense": 0},
+    "thm-2.5-S-const": {"CurvaturePack.dense": 0},
+    "thm-2.5-C": {"CurvaturePack.dense": 0},
+    "prop-3.1-pff": {"CurvaturePack.dense": 0},
+    "prop-3.2-i": {},
+    "prop-3.2-ii": {"CurvaturePack.dense": 0},
+    "prop-3.3-i": {"CurvaturePack.dense": 0},
+    "prop-3.3-ii": {"CurvaturePack.dense": 0},
+    "thm-3.3-einstein": {"CurvaturePack.dense": 0},
+    "prop-4.1-bundle": {"CurvaturePack.dense": 0, "l_tau": 0},
+    "prop-4.2-splitids": {"CurvaturePack.dense": 0, "l_tau": 0},
+    "prop-4.3-identity": {"CurvaturePack.dense": 1},
+    "thm-4.1a-normal": {"CurvaturePack.dense": 1, "l_tau": 0},
+    "thm-4.3-metric": {
+        "CurvaturePack.dense": 1, "l_tau": 1, "metric_tractor_omega": 0,
+        "polynomial_tractor_section": 1,
+    },
+    "thm-4.3-torsionfree": {"CurvaturePack.dense": 2, "metric_tractor_omega": 1},
+    "thm-4.4-normality": {
+        "CurvaturePack.dense": 2, "l_tau": 0, "metric_tractor_omega": 1,
+    },
+    "weyl-traces": {"CurvaturePack.dense": 0},
+    "bianchi": {"CurvaturePack.dense": 0},
+    "splitting-equivariance": {
+        "CurvaturePack.dense": 0, "l_tau": 0, "polynomial_tractor_section": 1,
+    },
+    "tractor-curv-consistency": {"CurvaturePack.dense": 1},
+    "defining-density": {},
+    "rho-connection-extends": {},
+}
+
+
+def test_each_check_requests_only_the_jet_orders_it_reads(monkeypatch):
+    from tractorlab import affine, boundary, tractor
+
+    seen = collections.defaultdict(dict)
+    current = []
+
+    def record(name, order):
+        orders = seen[current[-1]]
+        orders[name] = max(orders.get(name, -1), order)
+
+    real_dense = affine.CurvaturePack.dense
+
+    def dense(self, name, points, order):
+        record("CurvaturePack.dense", order)
+        return real_dense(self, name, points, order)
+
+    monkeypatch.setattr(affine.CurvaturePack, "dense", dense)
+    for fname in ("l_tau", "polynomial_tractor_section", "metric_tractor_omega"):
+        real = getattr(tractor, fname)
+        order_of = inspect.signature(real).bind_partial
+
+        def recorded(*args, _real=real, _name=fname, _order_of=order_of, **kwargs):
+            record(_name, _order_of(*args, **kwargs).arguments["order"])
+            return _real(*args, **kwargs)
+
+        for module in (tractor, verify, boundary):
+            if getattr(module, fname, None) is real:
+                monkeypatch.setattr(module, fname, recorded)
+    for name, dim in (("af2_generic", 4), ("af1_generic", 4), ("klein", 4)):
+        geom = builtin_geometry(name, dim)
+        for check in registry():
+            current.append(check.id)
+            run_suite(geom, [check.id], SamplingPlan())
+    assert {check.id: seen[check.id] for check in registry()} == JET_ORDERS
