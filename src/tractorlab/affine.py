@@ -18,9 +18,9 @@ Conventions (fixed here and used everywhere downstream):
   the bottom-left slot of the standard tractor curvature in a splitting,
   which is the consistency test that pins its sign.
 * A density of weight w is transported by
-  ``nabla_a s = d_a s + (w/(n+2)) Gamma^e_ea s`` (sign switchable through
-  ``density_sign`` and pinned by the requirement that the canonical tau of
-  a metric is parallel for its Levi-Civita connection).
+  ``nabla_a s = d_a s + (w/(n+2)) Gamma^e_ea s`` (the sign is
+  ``DENSITY_SIGN``, pinned by the requirement that the canonical tau of a
+  metric is parallel for its Levi-Civita connection).
 """
 
 from __future__ import annotations
@@ -296,19 +296,14 @@ class CurvaturePack:
 # -- weighted covariant derivative ------------------------------------------
 
 
-def covariant_derivative(
-    field: TensorField,
-    conn: Connection,
-    density_sign: float | None = None,
-) -> TensorField:
+def covariant_derivative(field: TensorField, conn: Connection) -> TensorField:
     """Covariant derivative of a weighted tensor field.
 
     The result has one extra lower index in axis 0 (``out[a, ...] =
     nabla_a T[...]``).  Upper and lower indices get the usual Christoffel
     corrections; the projective weight w adds
-    ``density_sign * (w/(n+2)) * Gamma^e_ea * T``.
+    ``DENSITY_SIGN * (w/(n+2)) * Gamma^e_ea * T``.
     """
-    sign = DENSITY_SIGN if density_sign is None else float(density_sign)
     chart = field.chart
     d = chart.dim
     variance = field.variance
@@ -327,7 +322,7 @@ def covariant_derivative(
             else:
                 out = out - jet_einsum(f"ea{idx[slot]},{moved}->a{idx}", G, comps, space)
         if w != 0.0:
-            tg = conn.trace_gamma(points, order) * (sign * w / (d + 1))
+            tg = conn.trace_gamma(points, order) * (DENSITY_SIGN * w / (d + 1))
             out = out + jet_einsum(f"a,{idx}->a{idx}", tg, comps, space)
         return out
 

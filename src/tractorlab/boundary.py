@@ -36,12 +36,18 @@ gamma_ij xi1^i xi2^j - (psi/(4 tauhat)) beta1 beta2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .extrapolate import Ladder, boundary_limit, ladder_samples, richardson_limit
+from .extrapolate import (
+    Ladder,
+    LimitEstimate,
+    boundary_limit,
+    ladder_samples,
+    richardson_limit,
+)
 from .fields import (
     Geometry,
     GeometryError,
@@ -203,8 +209,8 @@ class TransversalCurve:
 def geodetic_transversals(
     calc: TractorCalculus,
     ladders: Sequence[Ladder],
-    step: float = 1e-3,
-    horizon: float = 0.2,
+    step: float,
+    horizon: float,
 ) -> list[TransversalCurve]:
     """Integrate the geodesics of the rho-modified connection ``calc.hat``
     from the ladders' boundary points, each launched along its ladder's
@@ -329,16 +335,6 @@ def tangential_basis(geom: Geometry, ys: np.ndarray) -> list[np.ndarray]:
     return bases
 
 
-def hessian_of_rho(
-    geom: Geometry, ys: np.ndarray, gamma_values: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Value matrices of the covariant Hessian of rho at a batch of boundary
-    points ``(B, d)``, with ``gamma_values[k]`` the connection values at
-    point ``k``; one order-2 rho run serves every point."""
-    rho2 = geom.rho_dense(ys, 2)
-    return [_covariant_hessian(r, gamma) for r, gamma in zip(rho2, gamma_values)]
-
-
 def _covariant_hessian(rho2: np.ndarray, gamma_values: np.ndarray) -> np.ndarray:
     """``d_a d_b rho - Gamma^e_ab d_e rho`` (values) at one point from its
     order-2 dense rho jet ``(ncoeff,)`` and connection values ``(d, d,
@@ -370,7 +366,7 @@ def second_fundamental_form(
     connection ``calc.hat`` extended along the ladders, one form per ladder."""
     geom = calc.geom
     gammas = extended_christoffels(calc, ladders)
-    ys = np.array([ladder.y for ladder in ladders])
+    ys = np.array([ladder.y for ladder in ladders]).reshape(-1, calc.dim)
     rho2s = geom.rho_dense(ys, 2)
     forms = []
     for ladder, rho2, gamma0, E in zip(ladders, rho2s, gammas, tangential_basis(geom, ys)):
@@ -463,10 +459,7 @@ class AsymptoticHReport:
     scalar_limits: list[float]
     scalar_spread: float
     C: float
-    constructor_C: float | None
-    h_limits: list[np.ndarray]
-    h_errors: list[float]
-    tangential_min_eigs: list[float]
+    h_estimates: list[LimitEstimate]  # one per ladder; empty without a C
     status: str
 
 
@@ -478,51 +471,29 @@ def asymptotic_h(
 
     The constant is ``C = -n(n+1)/(4 S_0)`` with ``S_0`` the extrapolated
     boundary scalar curvature (required locally constant and nonzero); the
-    report carries the extrapolated ``h = rho g - (C/rho) d(rho) d(rho)``
-    with its tangential nondegeneracy, and flags divergence for geometries
-    that are not projectively compact of order two.
+    report carries the estimates of ``h = rho g - (C/rho) d(rho) d(rho)``
+    along the ladders, and flags divergence for geometries that are not
+    projectively compact of order two.
     """
-    geom = calc.geom
-    n = geom.dim - 1
+    n = calc.n
     s_ests = boundary_limit(lambda p: scalar_curvature(calc, p), ladders)
     if any(est.diverged for est in s_ests):
         return AsymptoticHReport(
-            [], math.inf, math.nan, _constructor_c(geom),
-            [], [], [], "scalar curvature diverges at the boundary",
+            [], math.inf, math.nan, [], "scalar curvature diverges at the boundary"
         )
     s_limits = [float(est.value) for est in s_ests]
     spread = max(s_limits) - min(s_limits)
     s0 = float(np.mean(s_limits))
     if abs(s0) < 1e-6:
         return AsymptoticHReport(
-            s_limits, spread, math.nan, _constructor_c(geom), [], [], [],
+            s_limits, spread, math.nan, [],
             "boundary scalar curvature vanishes; no order-2 metric form",
         )
     C = -n * (n + 1) / (4.0 * s0)
-
     h_ests = boundary_limit(lambda p: h_form(calc, C, p), ladders)
-    h_limits = [np.asarray(est.value) for est in h_ests]
-    judged = [(ladder, est) for ladder, est in zip(ladders, h_ests) if not est.diverged]
-    min_eigs = []
-    if judged:
-        ys = np.array([ladder.y for ladder, _ in judged])
-        for (_, est), E in zip(judged, tangential_basis(geom, ys)):
-            tang = E.T @ np.asarray(est.value) @ E
-            min_eigs.append(float(np.min(np.abs(np.linalg.eigvalsh(tang)))))
-    h_errors = [est.error for est in h_ests]
     diverged = any(est.diverged for est in h_ests)
     status = "h does not extend to the boundary" if diverged else "ok"
-    return AsymptoticHReport(
-        s_limits, spread, C, _constructor_c(geom), h_limits, h_errors, min_eigs, status,
-    )
-
-
-def _constructor_c(geom: Geometry) -> float | None:
-    """The constant C the geometry was built with, at the origin of the
-    chart (1/4 for the Klein model, by name); None when it has none."""
-    if geom.constructor_C is None and geom.name == "klein":
-        return 0.25
-    return geom.constructor_C
+    return AsymptoticHReport(s_limits, spread, C, h_ests, status)
 
 
 def _delta_wedge(x: np.ndarray) -> np.ndarray:
@@ -555,7 +526,7 @@ class BoundaryFrame:
     split_map: np.ndarray  # fiber map (sigma; nu) -> (beta; xi; sigma)
     split_map_inv: np.ndarray
     gram_split: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    isotropy_T1: float  # |L(tau)_00| / tauhat: the distinguished line is null
 
     @property
     def point(self) -> tuple:
@@ -588,22 +559,23 @@ def boundary_frame(
 ) -> list[BoundaryFrame]:
     """Assemble the boundary tractor data at the ladders' points by
     extrapolation along the ladders, one frame per ladder; d(rho) and the
-    tangential bases come from rho runs at all the points together."""
+    tangential bases come from rho runs at all the points together.  tauhat
+    is the limit of tau / rho: each ladder's tau samples divided by its own
+    rho levels."""
     geom = calc.geom
-    d = geom.dim
-    n = d - 1
-    m = d + 1
+    n = geom.dim - 1
+    m = n + 2
     samples = ladder_samples(lambda p: l_tau(calc, p, 0, calc.reference).values(), ladders)
-    eps = np.concatenate([ladder.eps for ladder in ladders])
-    est_taus = boundary_limit(lambda p: calc.tau.dense(p, 0)[..., 0] / eps, ladders)
+    taus = ladder_samples(lambda p: calc.tau.dense(p, 0)[..., 0], ladders)
     ys = np.array([ladder.y for ladder in ladders])
     drhos = geom.rho_and_drho(ys)[1].T
     frames = []
-    for ladder, grams, est_tau, drho, E in zip(
-        ladders, samples, est_taus, drhos, tangential_basis(geom, ys)
+    for ladder, grams, tau, drho, E in zip(
+        ladders, samples, taus, drhos, tangential_basis(geom, ys)
     ):
         y = ladder.y
         est_gram = richardson_limit(grams)
+        est_tau = richardson_limit(tau / np.asarray(ladder.eps))
         if est_gram.diverged or est_tau.diverged:
             raise BoundaryExtensionError(
                 f"tractor metric data diverges at boundary point {y}"
@@ -636,20 +608,9 @@ def boundary_frame(
         B[n + 1, 0] = 1.0
         Binv = np.linalg.inv(B)
         gram_split = Binv.T @ gram @ Binv
-
-        # the boundary value of P^ab / rho is tau_hat times the gram_inv block
-        dual = (tau_hat * gram_inv[1:, 1:]) @ gamma_full + np.outer(t_vec, drho)
-        diagnostics = {
-            "isotropy_T1": abs(gram[0, 0]) / tau_hat,
-            "t_dot_drho": float(t_vec @ drho),
-            "dual_gamma_defect": float(np.max(np.abs(dual - np.eye(d)))),
-            "gamma_min_singular_value": float(
-                np.min(np.abs(np.linalg.svd(gamma_t, compute_uv=False)))
-            ),
-        }
         frames.append(BoundaryFrame(
             ladder, E, tau_hat, psi, gamma_t, gamma_t_inv, B, Binv, gram_split,
-            diagnostics,
+            abs(gram[0, 0]) / tau_hat,
         ))
     return frames
 

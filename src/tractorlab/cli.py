@@ -31,17 +31,9 @@ from .jets import DomainError, JetError
 from .tractor import TractorCalculus
 from .verify import SamplingPlan, run_suite
 
-EVAL_QUANTITIES = (
-    "scalar_curvature",
-    "schouten",
-    "weyl",
-    "cotton",
-    "h_asymptotic",
-    "l_tau",
-    "gamma",
-    "phi",
-    "t_vector",
-)
+#: Every point quantity of ``boundary``, then the two that need more: the
+#: asymptotic ``h`` its constant, and ``phi`` the boundary frame.
+EVAL_QUANTITIES = (*bdy.POINT_QUANTITIES, "h_asymptotic", "phi")
 
 
 class ConfigError(Exception):
@@ -249,18 +241,14 @@ def _eval_quantity(geom, args, plan):
     quantity = args.quantity
     calc = TractorCalculus(geom)
 
-    def constructor_c():
-        c = bdy._constructor_c(geom)
-        if c is None:
-            raise ConfigError(
-                "this geometry has no known asymptotic constant; evaluate "
-                "h_asymptotic at a boundary point with --extrapolate instead"
-            )
-        return c
-
     def pointwise(points):
         if quantity == "h_asymptotic":
-            return bdy.h_form(calc, constructor_c(), points)
+            if geom.constructor_C is None:
+                raise ConfigError(
+                    "this geometry has no known asymptotic constant; evaluate "
+                    "h_asymptotic at a boundary point with --extrapolate instead"
+                )
+            return bdy.h_form(calc, geom.constructor_C, points)
         try:
             return bdy.POINT_QUANTITIES[quantity](calc, points)
         except np.linalg.LinAlgError:

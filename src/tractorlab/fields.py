@@ -483,6 +483,7 @@ def _make_klein(dim: int) -> Geometry:
         rho=rho,
         alpha=2.0,
         metric=g,
+        constructor_C=0.25,  # g = h/rho + d(rho)^2/(4 rho^2), h the chart metric dx^2
         interior_box=(np.full(dim, -0.55), np.full(dim, 0.55)),
         boundary_sampler=_ball_sampler(dim),
         exact_hat_christoffels=flat_hats,
@@ -546,7 +547,7 @@ def _source_exprs(sources: Mapping[str, object], coords: tuple[str, ...]) -> lis
     """Asymptotic-form sources, keyed by the name errors give them, as ASTs
     in the chart coordinates, then the coordinate ``rho`` as a node they
     share: the texts are parsed by one :func:`~tractorlab.expr.parse_exprs`
-    call, a number is a literal and an AST is checked for unknown names."""
+    call and a number is a literal."""
     nodes = list(sources.values())
     texts = []
     for k, (what, source) in enumerate(sources.items()):
@@ -554,10 +555,6 @@ def _source_exprs(sources: Mapping[str, object], coords: tuple[str, ...]) -> lis
             texts.append(k)
         elif isinstance(source, (int, float)):
             nodes[k] = ex.Num(float(source))
-        elif isinstance(source, ex.Expr):
-            unknown = ex.expr_variables(source) - set(coords)
-            if unknown:
-                raise ex.ExprError(f"unknown identifier(s) {sorted(unknown)}")
         else:
             raise GeometryError(f"{what} must be an expression, got {source!r}")
     *parsed, rho = ex.parse_exprs([nodes[k] for k in texts] + [coords[0]], coords)
@@ -578,9 +575,9 @@ def _make_asymptotic_form(
     """``g = h/rho^p + C d(rho)^2/rho^(2p)`` with ``p = 2/alpha``.
 
     ``C`` and the entries of the ``dim x dim`` matrix ``h`` (default
-    ``h_00 = 1``, ``h_ii = 1 + rho y_i^2``) are source text, numbers or
-    ASTs; the texts are parsed together, once, and the metric is built from
-    the parsed ASTs, with ``rho^p``, ``rho^(2p)`` and each distinct
+    ``h_00 = 1``, ``h_ii = 1 + rho y_i^2``) are source text or numbers; the
+    texts are parsed together, once, and the metric is built from the
+    parsed ASTs, with ``rho^p``, ``rho^(2p)`` and each distinct
     ``h_ij/rho^p`` made once.  ``C`` must have a finite nonzero value at the
     chart origin, kept as ``constructor_C``, and ``h`` must be nondegenerate
     tangentially at ``rho = 0``.
@@ -781,12 +778,16 @@ def load_geometry(doc: Mapping) -> Geometry:
             interior_box = _interior_box(doc["interior_box"], dim)
         else:
             interior_box = (np.full(dim, -0.55), np.full(dim, 0.55))
+        name = doc.get("name", "custom")
         geom = Geometry(
-            name=doc.get("name", "custom"),
+            name=name,
             chart=chart,
             rho=rho,
             alpha=float(doc["alpha"]),
             metric=metric,
+            # a document cannot state its constant; one named klein is
+            # taken to be the Klein model's
+            constructor_C=0.25 if name == "klein" else None,
             interior_box=interior_box,
         )
         geom.boundary_sampler = _make_ray_boundary_sampler(geom)

@@ -45,6 +45,7 @@ distinct points may proceed concurrently without shared state.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
@@ -128,82 +129,65 @@ class JetSpace:
         m = np.arange(order + 1)
         #: signs and powers of the reciprocal series sum_m (-1)^m t^m / a0^(m+1)
         self.reciprocal_terms = ((-1.0) ** m, m + 1)
-        self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._mul_starts: np.ndarray | None = None
-        self._partial_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._gradient_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JetSpace(dim={self.dim}, order={self.order})"
 
-    @property
+    @functools.cached_property
     def mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index triples (i, j, k) with multis[i] + multis[j] = multis[k],
         sorted by k (stably, so each k keeps its pairs in (i, j) order)."""
-        if self._mul_table is None:
-            ii: list[int] = []
-            jj: list[int] = []
-            kk: list[int] = []
-            for i, mi in enumerate(self.multis):
-                di = self.degrees[i]
-                for j, mj in enumerate(self.multis):
-                    if di + self.degrees[j] > self.order:
-                        continue
-                    k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(k)
-            perm = np.argsort(kk, kind="stable")
-            self._mul_table = (
-                np.array(ii, dtype=np.intp)[perm],
-                np.array(jj, dtype=np.intp)[perm],
-                np.array(kk, dtype=np.intp)[perm],
-            )
-        return self._mul_table
+        ii: list[int] = []
+        jj: list[int] = []
+        kk: list[int] = []
+        for i, mi in enumerate(self.multis):
+            di = self.degrees[i]
+            for j, mj in enumerate(self.multis):
+                if di + self.degrees[j] > self.order:
+                    continue
+                k = self.index[tuple(a + b for a, b in zip(mi, mj))]
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+        perm = np.argsort(kk, kind="stable")
+        return (
+            np.array(ii, dtype=np.intp)[perm],
+            np.array(jj, dtype=np.intp)[perm],
+            np.array(kk, dtype=np.intp)[perm],
+        )
 
-    @property
+    @functools.cached_property
     def mul_starts(self) -> np.ndarray:
         """Start of each output coefficient's segment in ``mul_table``."""
-        if self._mul_starts is None:
-            kk = self.mul_table[2]
-            self._mul_starts = np.searchsorted(kk, np.arange(self.ncoeff))
-        return self._mul_starts
+        return np.searchsorted(self.mul_table[2], np.arange(self.ncoeff))
 
-    @property
+    @functools.cached_property
     def partial_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-variable (source index, factor) tables for differentiation.
 
         Entry ``i`` maps this space onto the order ``K-1`` space:
         ``out[m] = (m_i + 1) * in[m + e_i]``.
         """
-        if self._partial_tables is None:
-            lower = jet_space(self.dim, self.order - 1) if self.order > 0 else None
-            tables = []
-            for i in range(self.dim):
-                src: list[int] = []
-                fac: list[float] = []
-                if lower is not None:
-                    for m in lower.multis:
-                        shifted = list(m)
-                        shifted[i] += 1
-                        src.append(self.index[tuple(shifted)])
-                        fac.append(float(m[i] + 1))
-                tables.append(
-                    (np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64))
-                )
-            self._partial_tables = tables
-        return self._partial_tables
+        lower = jet_space(self.dim, self.order - 1) if self.order > 0 else None
+        tables = []
+        for i in range(self.dim):
+            src: list[int] = []
+            fac: list[float] = []
+            if lower is not None:
+                for m in lower.multis:
+                    shifted = list(m)
+                    shifted[i] += 1
+                    src.append(self.index[tuple(shifted)])
+                    fac.append(float(m[i] + 1))
+            tables.append((np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)))
+        return tables
 
-    @property
+    @functools.cached_property
     def gradient_table(self) -> tuple[np.ndarray, np.ndarray]:
         """``partial_tables`` stacked over the variables: (source, factor)
         arrays of shape ``(dim, ncoeff of order K-1)``."""
-        if self._gradient_table is None:
-            tables = self.partial_tables
-            self._gradient_table = (
-                np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
-            )
-        return self._gradient_table
+        tables = self.partial_tables
+        return np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
 
     def constant(self, value: float) -> "Jet":
         coeffs = np.zeros(self.ncoeff)

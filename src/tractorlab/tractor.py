@@ -40,8 +40,9 @@ rho-modified connection (smooth up to the boundary); the Levi-Civita
 splitting has offset ``-d(rho)/(alpha rho)``.  The metric tractor
 connection is the standard one of the reference splitting plus the
 metricity contorsion, as connection matrices
-(:func:`metric_tractor_omega`); :func:`curvature_of` gives the curvature of
-either.
+(:func:`metric_tractor_omega`); :func:`curvature_of` is the one entry point
+for the curvature of either, e.g. ``curvature_of(calc.omega(s, points,
+order + 1), order)`` for the standard one in splitting ``s``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ __all__ = [
     "tractor_metric_inverse",
     "s2t_slots",
     "curvature_of",
-    "tractor_curvature",
     "standard_curvature_blocks",
     "metricity_contorsion",
     "metric_tractor_omega",
@@ -452,14 +452,6 @@ def curvature_of(omega: np.ndarray, order: int) -> np.ndarray:
     domega = jet_gradient(omega, jet_space(d, order + 1))  # d_a Omega_b
     prod = jet_einsum("aij,bjk->abik", omega, omega, space)  # Omega_a Omega_b
     return _skew(domega) + _skew(prod)
-
-
-def tractor_curvature(
-    calc: TractorCalculus, s: Splitting, points: np.ndarray, order: int
-) -> TractorValue:
-    """Curvature of the standard tractor connection in splitting ``s``."""
-    kappa = curvature_of(calc.omega(s, points, order + 1), order)
-    return TractorValue(kappa, jet_space(calc.dim, order), "ud", 2, s)
 
 
 def standard_curvature_blocks(

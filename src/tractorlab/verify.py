@@ -72,7 +72,6 @@ from .tractor import (
     s2t_slots,
     standard_curvature_blocks,
     std_tractor_derivative,
-    tractor_curvature,
     tractor_metric_inverse,
 )
 
@@ -550,22 +549,31 @@ def _run_s_const(geom, plan, rng, session):
 def _run_thm25_c(geom, plan, rng, session):
     ladders = session.ladders(rng, max(plan.boundary_points, 3))
     rep = bd.asymptotic_h(session.calc, ladders)
+    # the smallest |eigenvalue| of h restricted to ker d(rho), at the ladders
+    # whose h extends
+    judged = [(lad, est) for lad, est in zip(ladders, rep.h_estimates) if not est.diverged]
+    min_eigs = []
+    if judged:
+        ys = np.array([lad.y for lad, _ in judged])
+        for (_, est), E in zip(judged, bd.tangential_basis(geom, ys)):
+            tang = E.T @ np.asarray(est.value) @ E
+            min_eigs.append(float(np.min(np.abs(np.linalg.eigvalsh(tang)))))
     details = [{
         "C": rep.C,
-        "constructor_C": rep.constructor_C,
+        "constructor_C": geom.constructor_C,
         "scalar_spread": rep.scalar_spread,
-        "tangential_min_eigs": rep.tangential_min_eigs,
+        "tangential_min_eigs": min_eigs,
         "status": rep.status,
     }]
     if rep.status != "ok":  # a diverged h sets the status too
         return {"asymptotic_form_fails": True}, len(ladders), details
     facets = {
-        "h_extrapolation_error": rep.h_errors,
+        "h_extrapolation_error": [est.error for est in rep.h_estimates],
         "scalar_spread": rep.scalar_spread,
-        "tangentially_degenerate": min(rep.tangential_min_eigs) < 0.5,
+        "tangentially_degenerate": min(min_eigs) < 0.5,
     }
-    if rep.constructor_C is not None:
-        facets["C_recovery"] = abs(rep.C - rep.constructor_C)
+    if geom.constructor_C is not None:
+        facets["C_recovery"] = abs(rep.C - geom.constructor_C)
     if facets["tangentially_degenerate"]:
         details.append({"reason": "tangential h below the nondegeneracy floor"})
     return facets, len(ladders), details
@@ -648,10 +656,10 @@ def _run_h_vs_sff(geom, plan, rng, session):
         return {"asymptotic_form_fails": True}, len(ladders), [{"status": rep.status}]
     gaps, details = [], []
     sffs = bd.second_fundamental_form(session.calc, ladders)
-    for ladder, h_lim, sff in zip(ladders, rep.h_limits, sffs):
+    for ladder, h_est, sff in zip(ladders, rep.h_estimates, sffs):
         target = -2.0 * rep.C * sff.full
         scale = float(np.max(np.abs(target)))
-        gap = float(np.max(np.abs(h_lim - target)))
+        gap = float(np.max(np.abs(np.asarray(h_est.value) - target)))
         gaps.append(_scaled(gap, scale))
         details.append({"point": list(ladder.y), "h_vs_minus_2C_hessian": gap})
     return {"h_vs_minus_2C_hessian": gaps}, len(ladders), details
@@ -668,15 +676,14 @@ def _run_prop33(geom, plan, rng, session, *, order_one: bool):
         return rho_power * pack.dense("riemann", p, 0)[..., 0]
 
     ests = boundary_limit(scaled_riemann, ladders)
-    ys = np.array([ladder.y for ladder in ladders])
     if order_one:
         # the Hessian with the extended connection at the ladders whose
         # limit is judged
         judged = [k for k, est in enumerate(ests) if not est.diverged]
-        gammas = bd.extended_christoffels(session.calc, [ladders[k] for k in judged])
-        hessians = dict(zip(judged, bd.hessian_of_rho(geom, ys[judged], gammas)))
+        sffs = bd.second_fundamental_form(session.calc, [ladders[k] for k in judged])
+        hessians = {k: sff.full for k, sff in zip(judged, sffs)}
     else:
-        grads = geom.rho_and_drho(ys)[1].T
+        grads = geom.rho_and_drho(np.array([ladder.y for ladder in ladders]))[1].T
 
     def judge(k, est):
         if order_one:
@@ -781,13 +788,14 @@ def _run_bundle(geom, plan, rng, session):
         scale = 1.0 + float(np.max(np.abs(half_hess)))
         sff_gap = float(np.max(np.abs(frame.gamma_t - half_hess))) / scale
         pos, neg = _signature(frame.gamma_t)
+        singular_values = np.linalg.svd(frame.gamma_t, compute_uv=False)
         details.append({
             "point": list(frame.point),
-            "isotropy_T1": frame.diagnostics["isotropy_T1"],
+            "isotropy_T1": frame.isotropy_T1,
             "tract_met_split_defect": gram_defect,
             "quotient_vs_sff": sff_gap,
             "signature_ok": _signature(frame.gram_split) == (pos + 1, neg + 1),
-            "gamma_min_singular_value": frame.diagnostics["gamma_min_singular_value"],
+            "gamma_min_singular_value": float(np.min(np.abs(singular_values))),
         })
     facets = _columns(details, "isotropy_T1", "tract_met_split_defect", "quotient_vs_sff")
     facets["signature_wrong"] = not all(d["signature_ok"] for d in details)
@@ -940,7 +948,7 @@ def _run_thm41a(geom, plan, rng, session):
         raise _SkipCheck(_not_parallel(hyps[0]))
     frames = bd.boundary_frame(calc, held)
     kappas = boundary_limit(
-        lambda p: tractor_curvature(calc, calc.reference, p, 0).values(), held
+        lambda p: curvature_of(calc.omega(calc.reference, p, 1), 0)[..., 0], held
     )
     normal = {}
     for frame, est in zip(frames, kappas):
@@ -1097,7 +1105,7 @@ def _run_equivariance(geom, plan, rng, session):
     s3 = calc.splitting(TensorField(geom.chart, "d", ups))
     nondegenerate, _ = session.probe_nondegenerate()
     # the routes compare values of a derivative: the section at jet order 1
-    tv = polynomial_tractor_section(calc, pts, 1, rng, s=calc.reference)
+    tv = polynomial_tractor_section(calc, pts, 1, rng)
     gap = 0.0
     for target in (calc.levi_civita_splitting, s3):
         route1 = calc.in_splitting(std_tractor_derivative(calc, tv, pts), target, pts)
@@ -1166,7 +1174,7 @@ def _run_curv_consistency(geom, plan, rng, session):
     pts = session.interior(rng, 3)
     gap = 0.0
     for s in (calc.reference, calc.levi_civita_splitting):
-        kap = tractor_curvature(calc, s, pts, 0).values()
+        kap = curvature_of(calc.omega(s, pts, 1), 0)[..., 0]
         blocks = standard_curvature_blocks(calc, s, pts, 0)[..., 0]
         scale = _row_max(kap) + _row_max(blocks)
         gap = np.maximum(gap, _scaled(_row_max(kap - blocks), scale))
@@ -1183,19 +1191,17 @@ def _defining_density(calc: TractorCalculus, ladders) -> tuple[dict, list]:
     extrapolation (the conformally compact control, on the default plan)
     and a zero limit set the flag ``not_a_defining_density``, and so does a
     pole on any ladder, which leaves every limit and error NaN; the detail's
-    reason names the last such fault."""
-    scale = np.float_power(
-        np.concatenate([lad.eps for lad in ladders]), 2.0 / calc.geom.alpha
-    )
+    reason names the last such fault.  Each ladder's tau samples are divided
+    by its own levels' ``rho^(2/alpha)``."""
     limits, errors, reason = [], [], ""
     try:
-        samples = ladder_samples(lambda p: calc.tau.dense(p, 0)[..., 0] / scale, ladders)
+        samples = ladder_samples(lambda p: calc.tau.dense(p, 0)[..., 0], ladders)
     except PoleError:
         samples = []
         limits = errors = [float("nan")] * len(ladders)
         reason = "pole while approaching the boundary"
-    for values in samples:
-        est = richardson_limit(values)
+    for lad, taus in zip(ladders, samples):
+        est = richardson_limit(taus / np.float_power(lad.eps, 2.0 / calc.geom.alpha))
         limits.append(float(est.value))
         errors.append(est.error)
         if est.diverged:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import at_boundary_points, ladders, max_value, one
 from jet_reference import jet_apply, jet_det, jet_views
+from tractorlab import affine
 from tractorlab import expr as ex
 from tractorlab.affine import (
     CurvaturePack,
@@ -316,12 +317,12 @@ def test_canonical_tau_of_singular_metric_raises(metric):
             tau.dense(p, order)
 
 
-def test_density_sign_is_pinned(klein3, rng):
+def test_density_sign_is_pinned(klein3, rng, monkeypatch):
     # the opposite transport sign does not preserve tau
     tau = canonical_tau(klein3)
     p = one(klein3.interior_points(1, rng)[0])
-    wrong = covariant_derivative(tau, levi_civita(klein3),
-                                 density_sign=-1.0)
+    monkeypatch.setattr(affine, "DENSITY_SIGN", -1.0)
+    wrong = covariant_derivative(tau, levi_civita(klein3))
     assert max_value(wrong.dense(p, 0)) > 1e-2
 
 

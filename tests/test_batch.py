@@ -38,7 +38,6 @@ from tractorlab.tractor import (
     polynomial_tractor_section,
     standard_curvature_blocks,
     std_tractor_derivative,
-    tractor_curvature,
 )
 
 
@@ -160,7 +159,9 @@ def test_batched_transversals_match_single_runs(request, name):
 def test_batched_transversals_poincare_point_raises(poincare3):
     ys = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     with pytest.raises(bd.BoundaryExtensionError):
-        bd.geodetic_transversals(TractorCalculus(poincare3), ladders(poincare3, ys))
+        bd.geodetic_transversals(
+            TractorCalculus(poincare3), ladders(poincare3, ys), step=1e-3, horizon=0.2
+        )
 
 
 def test_domain_exit_names_the_lowest_index_among_ties(klein3):
@@ -377,9 +378,9 @@ def test_tractor_layer_batch_matches_points(any_geom, order):
         "bgg_split_metricity": lambda p: bgg_split_metricity(
             calc, sigma, calc.reference, p, order
         ).data,
-        "tractor_curvature": lambda p: tractor_curvature(
-            calc, calc.reference, p, order
-        ).data,
+        "standard tractor curvature": lambda p: curvature_of(
+            calc.omega(calc.reference, p, order + 1), order
+        ),
     }
     for name, f in tractor.items():
         _assert_rows_match(name, f, pts)
@@ -511,9 +512,9 @@ LADDER_QUANTITIES = {
     ).values(),
     "rho-connection Christoffels": lambda calc, p, eps: bd.hat_christoffels(calc, p),
     "tau/eps": lambda calc, p, eps: calc.tau.dense(p, 0)[..., 0] / eps,
-    "standard tractor curvature": lambda calc, p, eps: tractor_curvature(
-        calc, calc.reference, p, 0
-    ).values(),
+    "standard tractor curvature": lambda calc, p, eps: curvature_of(
+        calc.omega(calc.reference, p, 1), 0
+    )[..., 0],
     "metric tractor curvature": lambda calc, p, eps: curvature_of(
         metric_tractor_omega(calc, p, 1), 0
     )[..., 0],
@@ -593,7 +594,7 @@ def test_batched_newton_places_the_per_level_points(any_geom, eps0, levels):
 def test_batched_at_rho_locates_the_per_level_points(geom):
     y = geom.boundary_points(1, np.random.default_rng(6))[0]
     lad = ladder(geom, y)
-    curve = bd.geodetic_transversals(TractorCalculus(geom), [lad])[0]
+    curve = bd.geodetic_transversals(TractorCalculus(geom), [lad], step=1e-3, horizon=0.2)[0]
     x, v = curve.at_rho(np.array(lad.eps))
     ref = [locate_on_curve(curve, eps) for eps in lad.eps]
     assert np.array_equal(x, np.array([r[0] for r in ref]))

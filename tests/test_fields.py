@@ -602,6 +602,18 @@ def test_c_is_read_from_the_tape_at_the_chart_origin():
     assert builtin_geometry("af1_generic", 3, C=-1.0, h=h).constructor_C == -1.0
 
 
+def test_only_a_document_named_klein_carries_the_klein_constant():
+    # an explicit-metric document states no asymptotic constant; the
+    # benchmark's klein document relies on its name for the Klein model's
+    assert load_geometry({**_klein_doc(3), "name": "klein"}).constructor_C == 0.25
+    assert load_geometry(_klein_doc(3)).constructor_C is None  # named custom
+
+
+def test_an_asymptotic_form_source_is_text_or_a_number():
+    with pytest.raises(GeometryError, match="C must be an expression"):
+        builtin_geometry("af2_generic", 3, C=ex.Num(0.25))
+
+
 def test_asymptotic_form_sources_are_parsed_once(monkeypatch):
     parsed = []
     real = ex.parse_exprs

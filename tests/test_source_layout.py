@@ -17,6 +17,9 @@ interpreter ``evaluate`` is a test reference (``tests/expr_reference.py``).
 A ladder is evaluated as one batch of points, so only ``extrapolate``
 iterates a ladder's levels, and a check's ladders are evaluated as one
 stacked batch, so no routine calls a ladder evaluator in a loop over them;
+how the ladders are stacked is known to ``extrapolate`` alone, so no other
+module concatenates their ``eps`` or ``points``, and a point function
+depends on its points only;
 likewise an interior check evaluates its sample points as one batch, so no
 ``verify`` runner loops over them.  A
 runner returns its facets by name and ``run_suite`` alone turns them into a
@@ -43,9 +46,11 @@ MODULES = sorted(SRC.glob("*.py"))
 #: the calculus, the second expression evaluator, the single-use boundary
 #: routines and report classes that the verify runners absorbed, the two
 #: lem-2.4 facets that could not fire, unused names, the splitting
-#: registries and contorsion class that a splitting object replaced, and the
+#: registries and contorsion class that a splitting object replaced, the
 #: second value path of the rho-modified connection, the rho-first stage
-#: path and the second pivot loop, that left the package.
+#: path and the second pivot loop, and the second producers of the standard
+#: tractor curvature, the Hessian of rho and the constant C, with the report
+#: fields and options that nothing read, that left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -67,7 +72,14 @@ REMOVED = {
     "TractorConnection", "connection_of", "pack_of", "upsilon_jets", "change_upsilon",
     "exact_boundary",
     "christoffel_values", "acc_rows_on_boundary", "_check_pivots",
+    "tractor_curvature", "hessian_of_rho", "_constructor_c", "h_limits", "h_errors",
+    "dual_gamma_defect", "density_sign",
 }
+
+#: Removed names that a report still uses as a key: no code binds, reads or
+#: passes them, but a string may name them (``thm-2.5-C`` keeps its
+#: ``tangential_min_eigs`` detail, computed by its runner).
+REMOVED_FIELDS = {"tangential_min_eigs"}
 
 #: The builders of the connections, curvature packs and tau of a geometry;
 #: only the calculus (``tractor.py``) calls them.
@@ -81,9 +93,9 @@ LADDER_SETTINGS = {"eps0", "levels"}
 LADDER_MODULES = {"extrapolate.py", "verify.py", "cli.py"}
 
 
-def _names(tree):
-    """Every identifier a module binds, reads, imports or quotes, including
-    parameters and keyword arguments."""
+def _names(tree, strings=True):
+    """Every identifier a module binds, reads, imports or quotes (unless
+    ``strings`` is false), including parameters and keyword arguments."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -97,7 +109,7 @@ def _names(tree):
             yield node.name.rsplit(".", 1)[-1], node.lineno
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():  # string annotations, __all__
                 yield node.value, node.lineno
 
@@ -118,7 +130,10 @@ def test_only_jets_names_the_scalar_jet(module):
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_scalar_path_helpers_stay_removed(module):
     tree = ast.parse(module.read_text(), filename=str(module))
-    found = sorted({(name, line) for name, line in _names(tree) if name in REMOVED})
+    found = sorted(
+        {(name, line) for name, line in _names(tree) if name in REMOVED}
+        | {(name, line) for name, line in _names(tree, strings=False) if name in REMOVED_FIELDS}
+    )
     assert not found, f"{module.name} uses {found}"
 
 
@@ -199,6 +214,62 @@ def test_the_ladder_loop_rule_sees_per_level_loops():
     ):
         assert list(_iterates_ladder_levels(ast.parse(src))), src
     assert not list(_iterates_ladder_levels(ast.parse("ys = [y for y in rep.points]")))
+
+
+#: The ``numpy`` and builtin joiners of sequences.
+JOINERS = {"concatenate", "hstack", "vstack", "stack", "column_stack", "append",
+           "chain", "sum"}
+
+
+def _stacks_ladders(tree):
+    """Lines of calls of a joiner whose arguments read ``.eps`` or
+    ``.points`` of a value named like a ladder (``ladder``, ``lad``,
+    ``frame.ladder``): the stacking of the ladders' levels into one batch."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).rsplit(".", 1)[-1] in JOINERS
+        ):
+            for arg in node.args:
+                for sub in ast.walk(arg):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and sub.attr in ("eps", "points")
+                        and "lad" in ast.unparse(sub.value)
+                    ):
+                        yield node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_extrapolate_stacks_ladders(module):
+    if module.name == "extrapolate.py":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = sorted(set(_stacks_ladders(tree)))
+    assert not found, f"{module.name} stacks ladders' levels on lines {found}"
+
+
+def test_the_ladder_stacking_rule_sees_stacked_levels():
+    for src in (
+        # the forms of boundary_frame and _defining_density
+        "eps = np.concatenate([ladder.eps for ladder in ladders])",
+        "scale = np.float_power(\n"
+        "    np.concatenate([lad.eps for lad in ladders]), 2.0 / alpha\n)",
+        "batch = np.concatenate([lad.points for lad in ladders])",
+        "rows = np.vstack([frame.ladder.points for frame in frames])",
+        "eps = np.hstack(tuple(lad.eps for lad in lads))",
+        "eps = sum((ladder.eps for ladder in ladders), ())",
+        "eps = list(itertools.chain(*(lad.eps for lad in ladders)))",
+    ):
+        assert list(_stacks_ladders(ast.parse(src))), src
+    for src in (
+        "ys = np.array([ladder.y for ladder in ladders])",
+        "directions = np.stack([ladder.direction for ladder in ladders])",
+        "est = richardson_limit(tau / np.asarray(ladder.eps))",
+        "rows = np.concatenate([curve.points[ks] for curve in curves])",
+        "total = sum(len(lad.y) for lad in ladders)",
+    ):
+        assert not list(_stacks_ladders(ast.parse(src))), src
 
 
 #: The routines that evaluate all the ladders (or frames) of a check at once.

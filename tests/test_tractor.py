@@ -21,7 +21,6 @@ from tractorlab.tractor import (
     s2t_slots,
     standard_curvature_blocks,
     std_tractor_derivative,
-    tractor_curvature,
     tractor_metric_inverse,
 )
 
@@ -448,18 +447,18 @@ def test_klein_t_vector_and_psi(calc3, klein3):
 def test_flat_and_klein_curvature_vanish(flat3, calc3):
     calcf = TractorCalculus(flat3)
     p = one((0.2, 0.1, -0.1))
-    assert max_value(tractor_curvature(calcf, calcf.reference, p, 0).data) < 1e-12
-    assert max_value(tractor_curvature(calc3, calc3.reference, p, 0).data) < 1e-8
+    assert max_value(curvature_of(calcf.omega(calcf.reference, p, 1), 0)) < 1e-12
+    assert max_value(curvature_of(calc3.omega(calc3.reference, p, 1), 0)) < 1e-8
     lc = calc3.levi_civita_splitting
-    assert max_value(tractor_curvature(calc3, lc, p, 0).data) < 1e-8
+    assert max_value(curvature_of(calc3.omega(lc, p, 1), 0)) < 1e-8
 
 
 def test_af2_curvature_consistency(calc_af2):
     p = one((0.4, 0.2, -0.3, 0.1))
     for s in (calc_af2.reference, calc_af2.levi_civita_splitting):
-        kap = tractor_curvature(calc_af2, s, p, 0)
+        kap = curvature_of(calc_af2.omega(s, p, 1), 0)
         blocks = standard_curvature_blocks(calc_af2, s, p, 0)
-        assert np.max(np.abs(kap.values() - blocks[..., 0])) < 1e-7
+        assert np.max(np.abs(kap[..., 0] - blocks[..., 0])) < 1e-7
 
 
 def test_curvature_by_repeated_derivative(calc_af2, rng):
@@ -468,7 +467,8 @@ def test_curvature_by_repeated_derivative(calc_af2, rng):
     s = polynomial_tractor_section(calc_af2, p, 3, rng)
     Ds = std_tractor_derivative(calc_af2, s, p)
     DDs = std_tractor_derivative(calc_af2, Ds, p)
-    kap = tractor_curvature(calc_af2, calc_af2.reference, p, 1)
+    kap = jet_views(row(curvature_of(calc_af2.omega(calc_af2.reference, p, 2), 1)),
+                    jet_space(4, 1))
     gap = 0.0
     for a in range(4):
         for b in range(4):
@@ -476,7 +476,7 @@ def test_curvature_by_repeated_derivative(calc_af2, rng):
                 acc = jets_of(DDs)[a, b, i] - jets_of(DDs)[b, a, i]
                 kap_s = None
                 for j in range(5):
-                    term = jets_of(kap)[a, b, i, j] * jets_of(s)[j].truncate(1)
+                    term = kap[a, b, i, j] * jets_of(s)[j].truncate(1)
                     kap_s = term if kap_s is None else kap_s + term
                 gap = max(gap, abs((acc - kap_s).value))
     assert gap < 1e-9
@@ -666,12 +666,15 @@ def test_dense_kernels_match_scalar_jet_reference(calc_name, point, order, reque
     for s in (calc.reference, calc.levi_civita_splitting):
         omega = calc.connection_matrices(s, point, order)
         assert_close(omega, omega_reference(calc, s, point, order), space)
-        kappa = tractor_curvature(calc, s, point, order)
+        kappa = curvature_of(calc.omega(s, point, order + 1), order)
         ref = curvature_reference(omega_reference(calc, s, point, order + 1), d, order)
-        assert_close(kappa.data, ref, space)
+        assert_close(kappa, ref, space)
 
     ups = linear_upsilon(d, rng.uniform(-0.5, 0.5, (d, d + 1)))(point, order)
-    kappa = tractor_curvature(calc, calc.reference, point, order)
+    kappa = TractorValue(
+        curvature_of(calc.omega(calc.reference, point, order + 1), order),
+        space, "ud", 2, calc.reference,
+    )
     for tv in (
         l_tau(calc, point, order),
         polynomial_tractor_section(calc, point, order, rng),
