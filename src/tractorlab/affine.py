@@ -40,6 +40,7 @@ from .jets import (
     jet_mul,
     jet_reciprocal,
     jet_space,
+    value_inverse,
 )
 
 __all__ = [
@@ -110,11 +111,21 @@ def levi_civita_jets(g: np.ndarray, order: int) -> np.ndarray:
     of points one order higher, ``(d, d, B, ncoeff')``.
 
     ``Gamma^c_ab = (1/2) g^cd (d_a g_db + d_b g_da - d_d g_ab)``.
+
+    At order 0 (every RK4 stage of the transversals) the inverse and the
+    derivatives are read off the values as ``jet_inverse`` and
+    ``jet_gradient`` lay them out: the value inverse in C order, and the
+    metric's first-derivative columns as ``d_a g_ij``.
     """
     d = g.shape[0]
     space, upper = jet_space(d, order), jet_space(d, order + 1)
-    ginv = jet_inverse(g[..., : space.ncoeff], space)
-    dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
+    if order == 0:
+        inv = value_inverse(g[..., 0]).transpose(1, 2, 0).reshape(g.shape[:-1])
+        ginv = np.ascontiguousarray(inv)[..., None]
+        dg = g[..., 1 : 1 + d, None].transpose(3, 0, 1, 2, 4)
+    else:
+        ginv = jet_inverse(g[..., : space.ncoeff], space)
+        dg = jet_gradient(g, upper)  # dg[a, i, j] = d_a g_ij
     core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
     return 0.5 * jet_einsum("ce,eab->cab", ginv, core, space)
 
@@ -152,18 +163,21 @@ def projective_modify(conn: Connection, upsilon: TensorField) -> Connection:
 def projective_change(G: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``G^c_ab + delta^c_a u_b + delta^c_b u_a`` for Christoffel jets
     ``G`` and one-form jets ``u`` with the same trailing axes (or the value
-    slices of both)."""
-    eye = np.eye(G.shape[0])
-    return G + np.einsum("ca,b...->cab...", eye, u) + np.einsum("cb,a...->cab...", eye, u)
+    slices of both); each delta term is one product, the delta broadcast
+    over the trailing axes."""
+    eye = np.eye(G.shape[0]).reshape(G.shape[:2] + (1,) * u.ndim)
+    return G + eye * u + eye.swapaxes(1, 2) * u[:, None]
 
 
 def rho_log_gradient(rho: np.ndarray, alpha: float, space: JetSpace) -> np.ndarray:
     """Dense jets ``(d, B, ncoeff)`` over ``space`` of the one-form
     ``d(rho)/(alpha rho)``, from the dense rho jets at a batch of points one
-    order higher, ``(B, ncoeff')``."""
-    upper = jet_space(space.dim, space.order + 1)
+    order higher, ``(B, ncoeff')``; at order 0 the derivatives are rho's
+    first-derivative columns."""
     inv = jet_reciprocal(rho[..., : space.ncoeff] * alpha, space)
-    return jet_mul(jet_gradient(rho, upper), inv, space)
+    if space.order == 0:
+        return rho[:, 1 : 1 + space.dim, None].transpose(1, 0, 2) * inv
+    return jet_mul(jet_gradient(rho, jet_space(space.dim, space.order + 1)), inv, space)
 
 
 def rho_one_form(geom: Geometry) -> TensorField:

@@ -280,14 +280,19 @@ def geodetic_transversals(
     x, v = ys.copy(), directions.copy()
     a = -np.einsum("cabn,na,nb->nc", gamma_boundary, v, v)
     xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho0
+    half, sixth = 0.5 * step, step / 6.0
     for k in range(n_steps):
-        # the acceleration at the step's start is the previous step's end
+        # the acceleration at the step's start is the previous step's end;
+        # a stage's velocity is the next stage's position slope
         k1x, k1v = v, a
-        k2x, k2v = v + 0.5 * step * k1v, acc(x + 0.5 * step * k1x, v + 0.5 * step * k1v)[0]
-        k3x, k3v = v + 0.5 * step * k2v, acc(x + 0.5 * step * k2x, v + 0.5 * step * k2v)[0]
-        k4x, k4v = v + step * k3v, acc(x + step * k3x, v + step * k3v)[0]
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k2x = v + half * k1v
+        k2v = acc(x + half * k1x, k2x)[0]
+        k3x = v + half * k2v
+        k3v = acc(x + half * k2x, k3x)[0]
+        k4x = v + step * k3v
+        k4v = acc(x + step * k3x, k4x)[0]
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         a, rho = acc(x, v, k + 1)
         xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho[:, 0]
     return [

@@ -33,7 +33,9 @@ and tensor contractions pair coefficients through ``mul_table`` and sum
 each output coefficient's segment (``jet_mul``, ``jet_einsum``).
 Reciprocals (with the pole test) and elementary functions compose a
 univariate series with each jet (``jet_reciprocal``, ``jet_function``,
-``jet_compose``).
+``jet_compose``).  The value matrices of a batch are inverted, with the
+one singularity test for matrices, by ``value_inverse``, on which
+``jet_inverse`` builds.
 
 :class:`Jet` is one scalar jet with operator arithmetic on the same
 kernels.  The package itself never builds one: it is the scalar reference
@@ -65,6 +67,7 @@ __all__ = [
     "jet_compose",
     "jet_reciprocal",
     "jet_function",
+    "value_inverse",
     "jet_inverse",
     "jet_determinant",
 ]
@@ -74,9 +77,15 @@ __all__ = [
 #: points; legitimate interior divisors in this package stay above ~1e-3.
 POLE_TOL = 1e-13
 
-#: Safety factor of the condition bound that lets :func:`jet_inverse` skip
+#: Safety factor of the condition bound that lets :func:`value_inverse` skip
 #: its exact pivot loop (see there).
 PIVOT_MARGIN = 1e3
+
+#: Rank level of a singular matrix: an ``(m, m)`` matrix within a rounding
+#: or two of each entry of a singular one has a computed smallest singular
+#: value ``<= m * RANK_TOL * max|A|``, whatever its pivots (see
+#: :func:`_pivoted_elimination`).
+RANK_TOL = 4.0 * np.finfo(float).eps
 
 
 class JetError(ArithmeticError):
@@ -582,6 +591,8 @@ def jet_reciprocal(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     mag = np.abs(dense)
     if not (mag[..., 0] > POLE_TOL * mag.max(axis=-1)).all():
         _check_poles(dense, space)
+    if space.order == 0:  # the series is the value's reciprocal alone
+        return 1.0 / dense[..., :1]
     signs, powers = space.reciprocal_terms
     return jet_compose(dense, signs / a0[..., None] ** powers, space)
 
@@ -606,27 +617,29 @@ def jet_function(
     return jet_compose(dense, np.reshape(series, a0.shape + (space.order + 1,)), space)
 
 
-def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
-    """Inverse of a dense ``(m, m, ncoeff)`` jet matrix, or of each matrix
-    of a batch ``(m, m, B, ncoeff)``.
+def value_inverse(a0: np.ndarray) -> np.ndarray:
+    """Inverses ``(B, m, m)`` of the value matrices ``a0`` of a jet matrix
+    ``(m, m)`` or of a batch ``(m, m, B)``, over the flattened batch.
 
-    With ``A = A0 + N`` (``N`` without constant term) the Neumann series
-    ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
-    Raises :class:`PoleError` when a value matrix is singular: when partial
-    pivot elimination meets a pivot ``|u_kk| <= POLE_TOL * max|A0|`` (the
-    mask of :func:`_pivoted_elimination`, run on the values).
-
-    The values are inverted first, and the exact pivot loop runs only when
-    ``np.linalg.inv`` raises, or when some matrix of the batch fails the
-    gate ``max|A0| * ||A0^-1||_inf < 1 / (m * POLE_TOL * PIVOT_MARGIN)``
-    (a NaN or inf bound fails it too).  The gate is sound: partial pivoting
-    gives ``P A0 = L U`` with ``|l_ij| <= 1``, so ``||L||_inf <= m``, and
-    ``U^-1 = A0^-1 P^T L`` bounds ``1/|u_kk| <= ||U^-1||_inf <= m
-    ||A0^-1||_inf``; a pivot at the tolerance therefore forces the product
-    to at least ``1/(m * POLE_TOL)``.  ``PIVOT_MARGIN`` covers the rounding
-    of both the computed inverse and the loop's own elimination.
+    Raises :class:`PoleError` when a matrix is singular (the mask of
+    :func:`_pivoted_elimination`): when partial pivot elimination meets a
+    pivot ``|u_kk| <= POLE_TOL * max|A0|``, or when its smallest singular
+    value is at the rounding level.  The matrices are inverted first, and
+    that elimination runs only when ``np.linalg.inv`` raises, or when the
+    batch fails the gate ``max|A0| * max||A0^-1||_inf < 1 / (m * POLE_TOL *
+    PIVOT_MARGIN)``, both maxima over the batch (a NaN or inf bound fails it
+    too).  The batch's product bounds each matrix's ``max|A0| *
+    ||A0^-1||_inf``, which is sound: partial pivoting gives ``P A0 = L U``
+    with ``|l_ij| <= 1``, so ``||L||_inf <= m``, and ``U^-1 = A0^-1 P^T L``
+    bounds ``1/|u_kk| <= ||U^-1||_inf <= m ||A0^-1||_inf``; a pivot at the
+    tolerance therefore forces the product to at least ``1/(m *
+    POLE_TOL)``.  Likewise ``sigma_min >= 1/(sqrt(m) ||A0^-1||_inf)`` stays
+    far above the rounding level of the rank test.  ``PIVOT_MARGIN`` covers
+    the rounding of both the computed inverse and the elimination.  A batch
+    that mixes scales may run the elimination where each matrix alone would
+    pass, at a cost in time only.  A batch on which ``np.linalg.inv`` raises
+    and the elimination flags nothing raises that ``LinAlgError`` again.
     """
-    a0 = dense[..., 0]
     m = a0.shape[0]
     stacked = a0.reshape(m, m, -1).transpose(2, 0, 1)
     try:
@@ -634,15 +647,28 @@ def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not (
-        abs(stacked).max(axis=(1, 2)) * abs(inv).sum(axis=2).max(axis=1)
+        abs(stacked).max(initial=0.0) * abs(inv).sum(axis=2).max(initial=0.0)
         < 1.0 / (m * POLE_TOL * PIVOT_MARGIN)
-    ).all():
+    ):
         if _pivoted_elimination(a0[..., None], jet_space(m, 0))[1].any():
             raise PoleError("singular jet matrix (no usable pivot)")
         if inv is None:
             inv = np.linalg.inv(stacked)  # raises its LinAlgError again
+    return inv
+
+
+def jet_inverse(dense: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Inverse of a dense ``(m, m, ncoeff)`` jet matrix, or of each matrix
+    of a batch ``(m, m, B, ncoeff)``.
+
+    With ``A = A0 + N`` (``N`` without constant term) the Neumann series
+    ``sum_k (-A0^-1 N)^k A0^-1`` ends after ``order`` terms and is exact.
+    The values ``A0`` are inverted by :func:`value_inverse`, which raises
+    :class:`PoleError` when one of them is singular.
+    """
+    a0 = dense[..., 0]
     inv0 = np.zeros(a0.shape + (space.ncoeff,))
-    inv0[..., 0] = inv.transpose(1, 2, 0).reshape(a0.shape)
+    inv0[..., 0] = value_inverse(a0).transpose(1, 2, 0).reshape(a0.shape)
     if space.order == 0:
         return inv0
     step = np.einsum("ij...,jk...z->ik...z", -inv0[..., 0], dense[..., : space.ncoeff])
@@ -658,8 +684,8 @@ def jet_determinant(dense: np.ndarray, space: JetSpace) -> np.ndarray:
     matrix of a batch ``(m, m, B, ncoeff)``, as ``(ncoeff,)`` or
     ``(B, ncoeff)``.
 
-    A numerically singular matrix (:func:`_pivoted_elimination`) gets the
-    zero jet.
+    A numerically singular matrix (the mask of :func:`_pivoted_elimination`)
+    gets the zero jet.
     """
     det = _pivoted_elimination(dense, space)[0]
     return det.reshape(dense.shape[2:-1] + (space.ncoeff,))
@@ -671,15 +697,26 @@ def _pivoted_elimination(dense: np.ndarray, space: JetSpace) -> tuple:
     rows below its pivot at once.
 
     Returns the determinant jets ``(B, ncoeff)`` over the flattened batch
-    and the mask ``(B,)`` of the numerically singular matrices: those whose
-    elimination meets a pivot value at most ``POLE_TOL`` times their
-    largest value entry, whose determinant is the zero jet.
+    and the mask ``(B,)`` of the numerically singular matrices, whose
+    determinant is the zero jet: those whose elimination meets a pivot
+    value at most ``POLE_TOL`` times their largest value entry, and the
+    finite ones whose smallest singular value is at most ``m * RANK_TOL``
+    times it.  The last pivot of an exactly singular matrix is rounding
+    noise, which a small earlier pivot can amplify past the tolerance
+    (a copy of row 0 below rows with relative pivots 0.41, 0.89 and 4.6e-5
+    does); its smallest singular value stays at the rounding level.  The
+    SVD runs only on the matrices the pivots leave unflagged whose pivot
+    product leaves room for that: ``|det| <= sigma_min sigma_max^(m-1)``
+    and ``sigma_max <= m max|A|``, so a product larger than that bound
+    (with a factor 2 for its rounding) rules it out.
     """
     m = dense.shape[0]
     n = space.ncoeff
+    values = dense[..., 0].reshape(m, m, -1).transpose(2, 0, 1)
     a = dense[..., :n].reshape(m, m, -1, n).copy()
     batch = np.arange(a.shape[2])
-    tol = POLE_TOL * abs(a[..., 0]).max(axis=(0, 1))
+    big = abs(a[..., 0]).max(axis=(0, 1))
+    tol = POLE_TOL * big
     singular = np.zeros(len(batch), dtype=bool)
     sign = np.ones(len(batch))
     unit = np.eye(1, n)[0]
@@ -700,4 +737,9 @@ def _pivoted_elimination(dense: np.ndarray, space: JetSpace) -> tuple:
             a[col + 1 :, col + 1 :] -= jet_mul(
                 factor[:, None], a[col, None, col + 1 :], space
             )
+    level = m * RANK_TOL * big
+    # a NaN or inf matrix takes no SVD (it raises there)
+    room = ~singular & np.isfinite(big) & ~(abs(det[:, 0]) > 2.0 * level * (m * big) ** (m - 1))
+    if room.any():
+        singular[room] = np.linalg.svd(values[room], compute_uv=False)[:, -1] <= level[room]
     return np.where(singular[:, None], 0.0, det * sign[:, None]), singular

@@ -6,10 +6,13 @@ in, and pytest does not collect it)::
 
     python tests/bench_stage.py                       # print the table
     python tests/bench_stage.py --column after --out BENCH_rk4_stage.json
+    python tests/bench_stage.py --geometry klein-3    # one geometry, as JSON
 
-Each layer runs on klein-3 and on af2_generic-4; the stage layers on a
-4-row batch of collar points (the states of four transversals, 50 steps
-in):
+Each layer runs on klein-3 and on af2_generic-4, each geometry in a fresh
+child process (``--geometry``) that builds only that geometry: a layer timed
+after another geometry's runs in the same process read up to 15% apart on
+the same code.  The stage layers run on a 4-row batch of collar points (the
+states of four transversals, 50 steps in):
 
 * ``rho_tape.o0`` / ``rho_tape.o1``: ``Geometry.rho_dense`` at order 0 / 1;
 * ``metric_tape.o1``: the metric jets at order 1 (the Levi-Civita input);
@@ -17,6 +20,9 @@ in):
   run of a stage (rho and the metric); a tree without it skips this layer
   and the next;
 * ``jet_inverse.o0``: the order-0 inverse of the metric values;
+* ``value_inverse``: ``jets.value_inverse`` of the same values, the
+  inverse and its pole gate that ``hat_christoffel_values`` runs (a tree
+  without it skips this layer);
 * ``hat_christoffel_values``: ``TractorCalculus.hat_christoffel_values``,
   the rho-modified connection's values from the rho and metric jets of one
   run of the stage tape (not timed here);
@@ -29,8 +35,9 @@ in):
 Times are medians of ``--repeat`` blocks, in reference microseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
 host's measured speed, which on a shared host moves in steps for seconds at
-a time.  With ``--out`` the run is appended to one named column of a JSON
-file, next to the columns already there, and the column's ``median`` over
+a time; each child runs its own clock, and a column records the mean of
+their speeds.  With ``--out`` the run is appended to one named column of a
+JSON file, next to the columns already there, and the column's ``median`` over
 its runs is refreshed; so two trees fill one file, best with their runs
 alternating::
 
@@ -50,6 +57,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,9 +70,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from speed import SpeedClock  # noqa: E402
 
 from tractorlab import boundary as bd  # noqa: E402
+from tractorlab import jets  # noqa: E402
 from tractorlab.extrapolate import boundary_ladder  # noqa: E402
 from tractorlab.fields import builtin_geometry  # noqa: E402
-from tractorlab.jets import jet_inverse, jet_space  # noqa: E402
 from tractorlab.tractor import TractorCalculus  # noqa: E402
 from tractorlab.verify import SamplingPlan, run_suite  # noqa: E402
 
@@ -97,7 +105,7 @@ def measure(
     x = np.array([curve.points[-1] for curve in curves])
     gfield = geom.metric_field()
     g0 = gfield.dense(x, 1)[..., :1]
-    space0 = jet_space(dim, 0)
+    space0 = jets.jet_space(dim, 0)
 
     def run(horizon):
         return lambda: bd.geodetic_transversals(calc, lads, step=STEP, horizon=horizon)
@@ -114,12 +122,22 @@ def measure(
         layers["hat_christoffel_values"] = per_call_us(
             lambda: calc.hat_christoffel_values(rho1, g1)
         )
+    layers["jet_inverse.o0"] = per_call_us(lambda: jets.jet_inverse(g0, space0))
+    if hasattr(jets, "value_inverse"):
+        layers["value_inverse"] = per_call_us(lambda: jets.value_inverse(g0[..., 0]))
     return {
         **layers,
-        "jet_inverse.o0": per_call_us(lambda: jet_inverse(g0, space0)),
         "stage": (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages,
         "ode_pair": per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1),
     }
+
+
+def child(spec: str, calls: int, repeat: int) -> dict:
+    """The layers of the geometry ``spec`` (``NAME-DIM``), timed by a fresh
+    process that builds only that geometry, and the host speed it saw."""
+    argv = [sys.executable, __file__, "--geometry", spec,
+            "--calls", str(calls), "--repeat", str(repeat)]
+    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
 
 
 def main(argv=None) -> int:
@@ -128,12 +146,18 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=7, help="blocks per layer")
     parser.add_argument("--column", default="this tree", help="column of --out to add the run to")
     parser.add_argument("--out", default=None, help="JSON file of columns")
+    parser.add_argument("--geometry", default=None,
+                        help="time this one geometry (NAME-DIM) in this process, print JSON")
     args = parser.parse_args(argv)
-    with SpeedClock() as clock:
-        column = {
-            f"{name}-{dim}": measure(clock, name, dim, args.calls, args.repeat)
-            for name, dim in GEOMETRIES
-        }
+    if args.geometry:
+        name, dim = args.geometry.rsplit("-", 1)
+        with SpeedClock() as clock:
+            layers = measure(clock, name, int(dim), args.calls, args.repeat)
+        print(json.dumps({"layers": layers, "host_speed": clock.mean_speed()}))
+        return 0
+    runs = {f"{name}-{dim}": child(f"{name}-{dim}", args.calls, args.repeat)
+            for name, dim in GEOMETRIES}
+    column = {geom: run["layers"] for geom, run in runs.items()}
     for geom, layers in column.items():
         for layer, us in layers.items():
             print(f"{geom:16s} {layer:24s} {us:9.1f} reference us")
@@ -153,7 +177,7 @@ def main(argv=None) -> int:
             for geom, layers in column.items()
         }
         entry["environment"] = {
-            "host_speed": clock.mean_speed(),
+            "host_speed": statistics.mean(run["host_speed"] for run in runs.values()),
             "nproc": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(),

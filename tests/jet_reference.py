@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from tractorlab.jets import POLE_TOL, DomainError, Jet, PoleError, jet_function, jet_space
+from tractorlab.jets import POLE_TOL, RANK_TOL, DomainError, Jet, PoleError, jet_function, jet_space
 
 
 def jet_constant(value, dim, order):
@@ -86,11 +86,17 @@ def jet_det(mat):
 def check_pivots(a0):
     """Raise :class:`PoleError` when partial-pivot elimination of a value
     matrix ``(m, m)``, or of any matrix of a batch ``(m, m, B)``, meets a
-    pivot below the pole tolerance (relative to that matrix's size): the
-    exact test of a singular value matrix, by division."""
+    pivot below the pole tolerance (relative to that matrix's size), or
+    when a finite matrix's smallest singular value is at the rounding level
+    (``m * RANK_TOL`` times its size): the exact test of a singular value
+    matrix, by division."""
     m = a0.shape[0]
     u = a0.reshape(m, m, -1).astype(float)
-    tol = POLE_TOL * abs(u).max(axis=(0, 1))
+    big = abs(u).max(axis=(0, 1))
+    tol = POLE_TOL * big
+    for k in np.flatnonzero(np.isfinite(big)):
+        if np.linalg.svd(u[..., k], compute_uv=False)[-1] <= m * RANK_TOL * big[k]:
+            raise PoleError("singular jet matrix (no usable pivot)")
     batch = np.arange(u.shape[2])
     for col in range(m):
         piv = abs(u[col:, col]).argmax(axis=0)

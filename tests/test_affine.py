@@ -12,11 +12,23 @@ from tractorlab.affine import (
     canonical_tau,
     covariant_derivative,
     levi_civita,
+    levi_civita_jets,
+    projective_change,
     projective_modify,
     rho_connection,
+    rho_log_gradient,
 )
 from tractorlab.fields import Chart, Geometry, TensorField, builtin_geometry
-from tractorlab.jets import DomainError, PoleError, jet_mul, jet_reciprocal, jet_space
+from tractorlab.jets import (
+    DomainError,
+    PoleError,
+    jet_einsum,
+    jet_gradient,
+    jet_inverse,
+    jet_mul,
+    jet_reciprocal,
+    jet_space,
+)
 from tractorlab.tractor import TractorCalculus
 from tractorlab.verify import SamplingPlan, _defining_density, run_suite
 
@@ -43,6 +55,36 @@ def test_flat_christoffels_vanish(flat3):
     conn = levi_civita(flat3)
     G = conn.dense(one((0.3, 0.2, 0.1)), 1)
     assert max_value(G) == 0.0
+
+
+@pytest.mark.parametrize("count", [1, 6, 50])
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1", "poincare3", "flat3", "klein4"])
+def test_order_0_short_paths_keep_the_bits_of_the_jet_kernels(request, name, count):
+    # levi_civita_jets and rho_log_gradient at order 0 read the values as
+    # the jet kernels lay them out, and give those kernels' bits
+    geom = request.getfixturevalue(name)
+    d = geom.dim
+    rho, g = geom.rho_and_metric(geom.interior_points(count, np.random.default_rng(count)), 1)
+    s0, s1 = jet_space(d, 0), jet_space(d, 1)
+    dg = jet_gradient(g, s1)
+    core = dg.swapaxes(0, 1) + dg.swapaxes(0, 1).swapaxes(1, 2) - dg
+    kernels = 0.5 * jet_einsum("ce,eab->cab", jet_inverse(g[..., :1], s0), core, s0)
+    assert np.array_equal(levi_civita_jets(g, 0), kernels)
+    inv = jet_reciprocal(rho[..., :1] * geom.alpha, s0)
+    kernels = jet_mul(jet_gradient(rho, s1), inv, s0)
+    assert np.array_equal(rho_log_gradient(rho, geom.alpha, s0), kernels)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_projective_change_is_the_delta_formula(rng, order):
+    # each delta term is one product, as the einsum of the delta formed it
+    G = rng.standard_normal((3, 3, 3, 5, jet_space(3, order).ncoeff))
+    u = rng.standard_normal((3, 5, jet_space(3, order).ncoeff))
+    u[1, 2] = -0.0
+    eye = np.eye(3)
+    want = G + np.einsum("ca,b...->cab...", eye, u) + np.einsum("cb,a...->cab...", eye, u)
+    assert np.array_equal(projective_change(G, u), want)
+    assert np.array_equal(projective_change(G[..., 0], u[..., 0]), want[..., 0])
 
 
 def test_koszul_against_finite_differences():

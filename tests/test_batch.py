@@ -16,6 +16,8 @@ below pin that every contraction shape gives each row the bits of its batch
 of one.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from ladder_reference import locate_on_curve, place_levels
 from tractorlab import boundary as bd
 from tractorlab import cli
 from tractorlab import expr as ex
+from tractorlab import jets
 from tractorlab.affine import CurvaturePack
 from tractorlab.extrapolate import boundary_ladder, boundary_limit, ladder_samples
 from tractorlab.fields import Chart, Geometry, GeometryError, builtin_geometry, load_geometry
@@ -114,18 +117,100 @@ def af2_5():
     return builtin_geometry("af2_generic", 5)
 
 
-@pytest.mark.parametrize(
-    "name", ["klein3", "af2", "af1", "flat3", "poincare3", "klein4", "klein5", "af2_5"]
-)
+HAT_GEOMETRIES = ["klein3", "af2", "af1", "flat3", "poincare3", "klein4", "klein5", "af2_5"]
+
+
+def _assert_hat_values_match_the_connection(geom, pts):
+    calc = TractorCalculus(geom)
+    got = calc.hat_christoffel_values(*geom.rho_and_metric(pts, 1))
+    assert got.shape == (geom.dim,) * 3 + (len(pts),)
+    assert np.array_equal(got, calc.hat.dense(pts, 0)[..., 0])
+
+
+@pytest.mark.parametrize("name", HAT_GEOMETRIES)
 def test_hat_values_from_given_rho_jets_match_the_connection(request, name):
     # the values every stage and boundary limit takes, from the order-1 rho
     # and metric jets of one run of the metric tape, are the value slice of
     # the connection's own jets
     geom = request.getfixturevalue(name)
-    calc = TractorCalculus(geom)
-    pts = geom.interior_points(6, np.random.default_rng(11))
-    got = calc.hat_christoffel_values(*geom.rho_and_metric(pts, 1))
-    assert np.array_equal(got, calc.hat.dense(pts, 0)[..., 0])
+    _assert_hat_values_match_the_connection(
+        geom, geom.interior_points(6, np.random.default_rng(11))
+    )
+
+
+@pytest.mark.parametrize("name", HAT_GEOMETRIES)
+def test_hat_values_at_one_point_and_at_stacked_ladders_match_the_connection(request, name):
+    # a batch of one (an eval) and the 50 stacked ladder rows of a
+    # boundary limit
+    geom = request.getfixturevalue(name)
+    _assert_hat_values_match_the_connection(
+        geom, geom.interior_points(1, np.random.default_rng(12))
+    )
+    ys = geom.boundary_points(-(-50 // PLAN.levels), np.random.default_rng(11))
+    rows = np.concatenate([lad.points for lad in ladders(geom, ys)])[:50]
+    _assert_hat_values_match_the_connection(geom, rows)
+
+
+SINGULAR_VALUES = "singular jet matrix (no usable pivot)"
+VANISHING_RHO = "reciprocal of a jet with vanishing value"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("singular row", SINGULAR_VALUES),
+        ("singular batch", SINGULAR_VALUES),
+        ("zero rho", VANISHING_RHO),
+        ("infinite rho", VANISHING_RHO),
+        ("zero rho and singular row", VANISHING_RHO),
+    ],
+)
+def test_hat_values_raise_the_pole_errors_of_the_jet_kernels(klein3, bad, message):
+    # a singular metric value in one row (it fails the value inverse's
+    # gate), a batch of exactly singular ones (np.linalg.inv raises) and a
+    # zero or infinite rho raise the jet kernels' pole errors; rho is
+    # tested first, as the connection's jets test it
+    calc = TractorCalculus(klein3)
+    rho, g = klein3.rho_and_metric(_points(klein3), 1)
+    rho, g = rho.copy(), g.copy()
+    if "singular row" in bad:
+        g[1, :, 2] = g[0, :, 2]
+    if bad == "singular batch":
+        g[..., 0] = 1.0
+    if "zero rho" in bad:
+        rho[3, 0] = 0.0
+    if bad == "infinite rho":
+        rho[3, 0] = np.inf
+    with pytest.raises(PoleError, match=re.escape(message)):
+        calc.hat_christoffel_values(rho, g)
+
+
+def test_a_nan_metric_row_gives_nan_hat_values_in_that_row(klein3):
+    calc = TractorCalculus(klein3)
+    rho, g = klein3.rho_and_metric(_points(klein3), 1)
+    g = g.copy()
+    g[0, 0, 1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = calc.hat_christoffel_values(rho, g)
+    assert np.isnan(got[..., 1]).any() and not np.isnan(got[..., [0, 2, 3]]).any()
+
+
+def test_an_ill_conditioned_regular_batch_keeps_its_bits(klein3, monkeypatch):
+    # one row's metric values scaled to D g D, D = diag(1e5, 1, 1): the
+    # matrix is regular but fails the value inverse's condition gate, so
+    # the elimination runs, flags nothing, and numpy's inverse stands
+    calc = TractorCalculus(klein3)
+    rho, g = klein3.rho_and_metric(_points(klein3), 1)
+    g = g.copy()
+    scale = np.array([1e5, 1.0, 1.0])
+    g[:, :, 2] *= np.outer(scale, scale)[..., None]
+    calls = []
+    real = jets._pivoted_elimination
+    monkeypatch.setattr(jets, "_pivoted_elimination", lambda *a: calls.append(1) or real(*a))
+    assert np.isfinite(calc.hat_christoffel_values(rho, g)).all()
+    assert calls == [1]
+    stacked = g[..., 0].transpose(2, 0, 1)
+    assert np.array_equal(jets.value_inverse(g[..., 0]), np.linalg.inv(stacked))
 
 
 def test_singular_row_in_a_batch_raises(klein3):

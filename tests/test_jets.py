@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jet_reference import (
@@ -503,13 +503,19 @@ def test_the_gated_inverse_raises_exactly_when_the_pivot_loop_does(m, seed, log_
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(m=3, count=3, seed=4301)
 def test_the_elimination_finds_the_singular_matrices_the_pivot_loop_does(m, count, seed):
     # regular, exactly singular, nearly singular (the last pivot from 1e-3
     # to 1e3 times the tolerance) and zero-row matrices, at scales 1e-6 to
     # 1e6: the determinant's elimination, which the gated inverse runs on
-    # the values, flags each matrix exactly when the reference loop raises
+    # the values, flags each exactly singular matrix, and each other matrix
+    # exactly when the reference loop raises.  The last pivot of an exactly
+    # singular matrix is rounding noise, which the two loops round apart
+    # (at the pinned draw, a copy of row 0 below a small middle pivot, the
+    # reference's pivot alone is over the tolerance), so it is judged by
+    # its ground truth.
     rng = np.random.default_rng(seed)
-    mats = []
+    mats, exact = [], []
     for kind in rng.integers(4, size=count):
         a = rng.standard_normal((m, m))
         if kind == 0:
@@ -521,11 +527,32 @@ def test_the_elimination_finds_the_singular_matrices_the_pivot_loop_does(m, coun
         else:
             a[rng.integers(m)] = 0.0
         mats.append(a * 10.0 ** rng.uniform(-6.0, 6.0))
+        exact.append(kind == 1)
     a0 = np.stack(mats, axis=-1)
     singular = jets._pivoted_elimination(a0[..., None], jet_space(m, 0))[1]
     assert singular.tolist() == [
-        _raises_pole(lambda k=k: check_pivots(a0[..., k])) for k in range(count)
+        singular_by_construction or _raises_pole(lambda k=k: check_pivots(a0[..., k]))
+        for k, singular_by_construction in enumerate(exact)
     ]
+
+
+@pytest.mark.parametrize("seed", [2306, 4718])
+def test_a_copied_row_below_a_small_pivot_is_singular(seed):
+    # a scaled copy of row 0 below standard normal rows whose third pivot
+    # is small (4.6e-5 of the largest entry at seed 2306): the last pivot's
+    # rounding noise exceeds the pole tolerance, and the rank test flags
+    # the matrix all the same
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4))
+    a[-1] = a[0] * rng.uniform(-2.0, 2.0)
+    a = a * 10.0 ** rng.uniform(-6.0, 6.0)
+    assert _last_pivot(a) > jets.POLE_TOL
+    s = jet_space(2, 1)
+    dense = _jet_batch(a[None], s, rng)
+    assert _singular(a)
+    with pytest.raises(PoleError, match="singular jet matrix"):
+        jet_inverse(dense, s)
+    assert not jet_determinant(dense, s).any()
 
 
 # -- the pole gate of jet_reciprocal ----------------------------------------

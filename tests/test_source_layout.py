@@ -6,8 +6,11 @@ other module may use it or the helpers of the removed scalar path.  Boundary
 ladders are placed once per boundary point and passed as values, so the
 ladder settings ``eps0`` and ``levels`` are named only where a ladder is
 placed (``extrapolate``) and where a sampling plan sets them (``verify``,
-``cli``).  A run's connections, curvature packs and tau are built by its
-``TractorCalculus`` alone, so only ``tractor`` calls their builders.  The
+``cli``).  The pole tolerance, the rank test of a singular matrix and
+the value inverse's condition gate live in ``jets`` alone, so no other
+module names ``POLE_TOL``, ``RANK_TOL`` or ``PIVOT_MARGIN``.  A run's connections, curvature packs and tau are built
+by its ``TractorCalculus`` alone, so only ``tractor`` calls their
+builders.  The
 point functions of the boundary quantities live in ``boundary``, so the
 command line evaluates no tensor, curvature pack or inverse of its own.
 A check's own computation lives in its ``verify`` runner, so the boundary
@@ -158,6 +161,43 @@ def test_only_the_calculus_builds_connections_packs_and_tau(module):
             if name in BUILDERS:
                 found.append((name, node.lineno))
     assert not found, f"{module.name} calls {sorted(found)}"
+
+
+#: The pole tolerance of the jets, the rank level of a singular matrix and
+#: the margin of the value inverse's condition gate; the pole tests and that
+#: gate live in ``jets`` alone.
+POLE_CONSTANTS = {"POLE_TOL", "RANK_TOL", "PIVOT_MARGIN"}
+
+
+def _names_pole_constants(tree):
+    return sorted({(name, line) for name, line in _names(tree) if name in POLE_CONSTANTS})
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_jets_names_the_pole_constants(module):
+    if module.name == "jets.py":
+        return
+    found = _names_pole_constants(ast.parse(module.read_text(), filename=str(module)))
+    assert not found, f"{module.name} names {found}"
+
+
+def test_the_pole_constant_rule_sees_a_copied_gate():
+    for src in (
+        "from .jets import POLE_TOL",
+        "from .jets import PIVOT_MARGIN as margin",
+        "ok = big * norm < 1.0 / (m * jets.POLE_TOL * jets.PIVOT_MARGIN)",
+        "tol = getattr(jets, 'POLE_TOL') * scale",
+        "rank = smallest <= m * RANK_TOL * big",
+        "def gate(a, tol=POLE_TOL):\n    return abs(a) > tol",
+    ):
+        assert _names_pole_constants(ast.parse(src)), src
+    for src in (
+        "ginv = value_inverse(g[..., 0])",
+        "inv = jet_reciprocal(scaled, jet_space(d, 0))",
+        "pole_tol = 1e-13",
+        "raise PoleError('singular jet matrix (no usable pivot)')",
+    ):
+        assert not _names_pole_constants(ast.parse(src)), src
 
 
 def test_every_export_resolves():
