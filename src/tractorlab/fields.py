@@ -821,26 +821,6 @@ def _interior_box(doc_box, dim: int) -> tuple[np.ndarray, np.ndarray]:
 #: later run of the same ray takes twice as many, so a march evaluates at
 #: most about twice as far as the boundary lies.
 _MARCH_ROWS = 8
-#: Bisection steps per batched run of the boundary ray search: one run
-#: evaluates every midpoint the next ``_TREE_DEPTH`` steps can reach, a tree
-#: of ``2**_TREE_DEPTH - 1`` rows.
-_TREE_DEPTH = 6
-
-
-def _bisection_tree(s_in: float, s_out: float, depth: int) -> list[list[float]]:
-    """The midpoints ``depth`` bisection steps from ``(s_in, s_out)`` can
-    reach, one ascending list per step.  Step ``l`` splits ``[s_in, s_out]``
-    into ``2**l`` brackets, whose ends are the earlier steps' midpoints, and
-    takes ``0.5 * (lo + hi)`` of each: the bracket of entry ``j`` of step
-    ``l`` halves into entries ``2j`` (below its midpoint) and ``2j + 1``
-    (above it) of step ``l + 1``."""
-    ends = [s_in, s_out]
-    tree = []
-    for _ in range(depth):
-        mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
-        tree.append(mids)
-        ends = [s for pair in zip(ends, mids) for s in pair] + [s_out]
-    return tree
 
 
 def _make_ray_boundary_sampler(geom: Geometry):
@@ -853,67 +833,101 @@ def _make_ray_boundary_sampler(geom: Geometry):
     the search raises :class:`GeometryError`.
 
     The search makes a few batched rho evaluations per ray instead of one
-    per probe: the march evaluates its steps in runs of ``_MARCH_ROWS``,
-    doubling, and the bisection evaluates a tree of every midpoint the next
-    ``_TREE_DEPTH`` steps can reach (:func:`_bisection_tree`) and then walks
-    down it.  The march values and each tree midpoint are computed by the
-    same float operations as in a search that probes one point at a time,
-    each as a batch of one, and a row gets the same bits in a larger batch,
-    so the points returned and the RNG draws are that search's.  A batch holds points the one-at-a-time
-    search never evaluates; when its run raises, its rows are evaluated one
-    at a time in the search's order (:func:`_row_reader`), so the search
-    returns, or raises, what the one-at-a-time search does.
+    per probe.  The march evaluates its steps in runs of ``_MARCH_ROWS``,
+    doubling.  The bisection predicts its own decisions: the secant through
+    rho at the bracket's ends crosses zero at a predicted root, and a
+    midpoint below it is predicted inside.  One run evaluates every midpoint
+    the bisection visits if each decision matches the prediction, up to the
+    80-step cap or the adjacent-floats stop; the walk then takes the true
+    sign at each midpoint and stops after the first that differs from its
+    prediction (that step counts, its midpoint was the true one), and the
+    next run predicts again from the new bracket and its values.  Without a
+    value at the inside end (the first march step is already outside) every
+    midpoint is predicted outside; a secant that is not finite predicts the
+    bracket's midpoint.  A failed prediction costs one more run and the
+    rows after it, never a different point: a prediction only chooses which
+    midpoints a run evaluates.
+
+    The march values and each midpoint are computed by the same float
+    operations as in a search that probes one point at a time, each as a
+    batch of one, and a row gets the same bits in a larger batch, so the
+    points returned and the RNG draws are that search's.  A batch holds
+    points the one-at-a-time search never evaluates; when its run raises,
+    its rows are evaluated one at a time in the search's order
+    (:func:`_row_reader`), so the search returns, or raises, what the
+    one-at-a-time search does.
     """
     lo, hi = geom.interior_box
     center = (np.asarray(lo) + np.asarray(hi)) / 2.0
 
-    def rho_along(v: np.ndarray, s: np.ndarray) -> Callable[[int], float]:
-        return _row_reader(geom.rho_value, center + s[:, None] * v)
+    def rho_along(v: np.ndarray, s: list[float]) -> Callable[[int], float]:
+        rho = _row_reader(geom.rho_value, center + np.array(s)[:, None] * v)
+        return lambda k: float(rho(k))
 
-    def march(v: np.ndarray) -> tuple[float, float | None]:
-        s_in, s = 0.0, 0.05
+    def march(v: np.ndarray) -> tuple[float, float, float | None, float] | None:
+        """The last bracket ``(s_in, s_out, rho_in, rho_out)`` of the march,
+        ``rho_in`` None when ``s_in`` is the center; None past 400 steps."""
+        s_in, r_in, s = 0.0, None, 0.05
         left, rows = 400, _MARCH_ROWS
         while left:
             steps = []
             for _ in range(min(rows, left)):
                 steps.append(s)
                 s += 0.05
-            rho = rho_along(v, np.array(steps))
+            rho = rho_along(v, steps)
             for k, s_k in enumerate(steps):
-                if rho(k) <= 0:
-                    return s_in, s_k
-                s_in = s_k
+                r = rho(k)
+                if r <= 0:
+                    return s_in, s_k, r_in, r
+                s_in, r_in = s_k, r
             left -= len(steps)
             rows *= 2
-        return s_in, None
+        return None
 
-    def bisect(v: np.ndarray, s_in: float, s_out: float) -> tuple[float, float]:
+    def predicted_root(s_in: float, s_out: float, r_in: float | None,
+                       r_out: float) -> float:
+        """Where the bisection is predicted to change sides: midpoints
+        below it inside, the others outside."""
+        if r_in is None:
+            return s_in  # every midpoint predicted outside
+        # r_in > 0 >= r_out, so the secant falls unless a value is NaN or inf
+        root = s_in + (s_out - s_in) * (r_in / (r_in - r_out))
+        return root if math.isfinite(root) else 0.5 * (s_in + s_out)
+
+    def bisect(v: np.ndarray, s_in: float, s_out: float, r_in: float | None,
+               r_out: float) -> tuple[float, float]:
         left = 80
         while left:
-            if 0.5 * (s_in + s_out) in (s_in, s_out):
-                break  # adjacent floats: no later step changes either end
-            tree = _bisection_tree(s_in, s_out, min(_TREE_DEPTH, left))
-            rho = rho_along(v, np.concatenate(tree))
-            j = 0
-            for step, mids in enumerate(tree):
-                mid = mids[j]
-                if mid == s_in or mid == s_out:
-                    return s_in, s_out
-                if rho(2**step - 1 + j) > 0:  # the row of entry j of this step
-                    s_in, j = mid, 2 * j + 1
+            root = predicted_root(s_in, s_out, r_in, r_out)
+            path, a, b = [], s_in, s_out
+            while len(path) < left:
+                mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break  # adjacent floats: no later step changes either end
+                path.append(mid)
+                a, b = (mid, b) if mid < root else (a, mid)
+            if not path:
+                break
+            rho = rho_along(v, path)
+            for k, mid in enumerate(path):
+                left -= 1
+                r = rho(k)
+                if r > 0:
+                    s_in, r_in = mid, r
                 else:
-                    s_out, j = mid, 2 * j
-            left -= len(tree)
+                    s_out, r_out = mid, r
+                if (r > 0) != (mid < root):
+                    break  # a failed prediction: the next run predicts again
         return s_in, s_out
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         for _ in range(64):
             v = rng.normal(size=geom.dim)
             v /= math.sqrt(float(v @ v))
-            s_in, s_out = march(v)
-            if s_out is None:
+            bracket = march(v)
+            if bracket is None:
                 continue
-            s_in, s_out = bisect(v, s_in, s_out)
+            s_in, s_out = bisect(v, *bracket)
             return center + 0.5 * (s_in + s_out) * v
         raise GeometryError(
             f"could not find boundary points for {geom.name!r} by ray search"

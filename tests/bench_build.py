@@ -15,6 +15,11 @@ Layers:
   (closed-form boundary samplers, no search);
 * ``boundary_points.klein-3-document``: ``boundary_points(3, rng)`` on the
   loaded document geometry, the ray search alone;
+* ``boundary_points.noise-3-document``: the same on a unit-ball document
+  whose rho cancels a term ``1e8*u1``, so that its sign flips across a zone
+  about 1e-8 wide, where the bisection's predicted paths fail;
+* ``runs_per_point.*``: ``expr.Tape.run`` calls per point of the ray search
+  of each document, over ``boundary_points(20, rng)`` (a count);
 * ``parse_compile.*``: the part of one build of each geometry spent inside
   the parse and compile entry points of module ``expr`` (``parse_expr``,
   ``parse_exprs`` where the tree has it, and ``compile_tape``; a call made
@@ -73,18 +78,35 @@ def klein_document(dim: int) -> dict:
             "alpha": 2.0, "metric": metric}
 
 
+def noise_document() -> dict:
+    """A flat unit ball whose rho carries cancellation noise near its
+    boundary."""
+    doc = klein_document(3)
+    doc["name"] = "noise"
+    doc["rho"] = "(1 + 1e8*u1) - (1e8*u1 + u1^2 + u2^2 + u3^2)"
+    doc["metric"] = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    return doc
+
+
 BUILDS = {
     "klein-3-document": lambda: load_geometry(klein_document(3)),
     "klein-4": lambda: builtin_geometry("klein", 4),
     "af2_generic-4": lambda: builtin_geometry("af2_generic", 4),
 }
+#: Documents whose boundary points come from the ray search.
+SEARCHES = {
+    "klein-3-document": BUILDS["klein-3-document"],
+    "noise-3-document": lambda: load_geometry(noise_document()),
+}
+#: Points over which ``runs_per_point.*`` counts.
+SEARCH_POINTS = 20
 
 
 UNIT = ("reference ms per call, median block; tape_runs.* and nodes_compiled.* "
-        "are counts per build")
+        "are counts per build, runs_per_point.* tape runs per point searched")
 #: The entry points of module ``expr`` that ``parse_compile.*`` times.
 PARSE_COMPILE = ("parse_expr", "parse_exprs", "compile_tape")
-COUNTS = ("tape_runs.", "nodes_compiled.")
+COUNTS = ("tape_runs.", "nodes_compiled.", "runs_per_point.")
 
 
 def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
@@ -153,10 +175,14 @@ def _calls(build, owner, attr: str) -> int:
 def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
     out = {f"build.{name}": _per_call_ms(clock, build, calls, repeat)
            for name, build in BUILDS.items()}
-    geom = BUILDS["klein-3-document"]()
-    out["boundary_points.klein-3-document"] = _per_call_ms(
-        clock, lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
-    )
+    for name, build in SEARCHES.items():
+        geom = build()
+        out[f"boundary_points.{name}"] = _per_call_ms(
+            clock, lambda: geom.boundary_points(3, np.random.default_rng(0)), calls, repeat
+        )
+        runs = _calls(lambda: geom.boundary_points(SEARCH_POINTS, np.random.default_rng(0)),
+                      ex.Tape, "run")
+        out[f"runs_per_point.{name}"] = runs / SEARCH_POINTS
     for name, build in BUILDS.items():
         out[f"parse_compile.{name}"] = _parse_compile_ms(clock, build, calls, repeat)
         out[f"tape_runs.{name}"] = _calls(build, ex.Tape, "run")

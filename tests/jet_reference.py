@@ -89,7 +89,9 @@ def check_pivots(a0):
     pivot below the pole tolerance (relative to that matrix's size), or
     when a finite matrix's smallest singular value is at the rounding level
     (``m * RANK_TOL`` times its size): the exact test of a singular value
-    matrix, by division."""
+    matrix.  It eliminates as the package's kernel does, multiplying by the
+    pivot's reciprocal, so a last pivot at the tolerance rounds to the same
+    side in both."""
     m = a0.shape[0]
     u = a0.reshape(m, m, -1).astype(float)
     big = abs(u).max(axis=(0, 1))
@@ -109,7 +111,7 @@ def check_pivots(a0):
         # swap: row col is finished, so only the pivot row's slot is written
         u[piv, :, batch] = u[col].T
         below = u[col + 1 :, col:]
-        below -= (below[:, 0] / prow[col])[:, None] * prow[col:]
+        below -= (below[:, 0] * (1.0 / prow[col]))[:, None] * prow[col:]
 
 
 def jet_values(arr):
