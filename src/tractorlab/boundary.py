@@ -46,7 +46,7 @@ from .extrapolate import (
     LimitEstimate,
     boundary_limit,
     ladder_samples,
-    richardson_limit,
+    richardson_limits,
 )
 from .fields import (
     Geometry,
@@ -574,13 +574,18 @@ def boundary_frame(
     taus = ladder_samples(lambda p: calc.tau.dense(p, 0)[..., 0], ladders)
     ys = np.array([ladder.y for ladder in ladders])
     drhos = geom.rho_and_drho(ys)[1].T
+    gram_ests = richardson_limits(samples)
+    tau_ests = richardson_limits(np.asarray(taus) / np.array([lad.eps for lad in ladders]))
+    try:
+        inv_ests = richardson_limits(np.linalg.inv(samples))
+    except np.linalg.LinAlgError:
+        inv_ests = None  # the singular ladder raises below, after the earlier checks
     frames = []
-    for ladder, grams, tau, drho, E in zip(
-        ladders, samples, taus, drhos, tangential_basis(geom, ys)
+    for i, (ladder, grams, drho, E) in enumerate(
+        zip(ladders, samples, drhos, tangential_basis(geom, ys))
     ):
         y = ladder.y
-        est_gram = richardson_limit(grams)
-        est_tau = richardson_limit(tau / np.asarray(ladder.eps))
+        est_gram, est_tau = gram_ests[i], tau_ests[i]
         if est_gram.diverged or est_tau.diverged:
             raise BoundaryExtensionError(
                 f"tractor metric data diverges at boundary point {y}"
@@ -593,7 +598,10 @@ def boundary_frame(
                 f"degenerate boundary geometry at {y}: "
                 f"|det L(tau)| = {abs(det_scaled):.2e}"
             )
-        est_inv = richardson_limit(np.linalg.inv(grams))
+        if inv_ests is None:
+            (est_inv,) = richardson_limits(np.linalg.inv(grams)[None])
+        else:
+            est_inv = inv_ests[i]
         if est_inv.diverged:
             raise BoundaryExtensionError(
                 f"inverse tractor metric diverges at boundary point {y}"

@@ -6,18 +6,22 @@ points with ``rho = eps0 / RATIO^k`` on a ray hitting a boundary point, and the
 limit is extrapolated assuming smoothness in rho.  Divergent ladders are
 flagged instead of extrapolated -- the negative controls rely on that.
 
-A ladder is placed once per boundary point (:func:`boundary_ladder`, with
-``eps0`` and ``levels`` from the sampling plan) and the resulting
-:class:`Ladder` value is passed to every boundary routine that extrapolates
-at that point.
+A ladder is placed once per boundary point (with ``eps0`` and ``levels``
+from the sampling plan) and the resulting :class:`Ladder` value is passed to
+every boundary routine that extrapolates at that point.  A check's new
+points are placed together, by one Newton over their stacked levels
+(:func:`boundary_ladders`; :func:`boundary_ladder` is a stack of one).
 
 A check's ladders are evaluated as one batch: a point function takes their
 ``Ladder.points`` rows stacked in order, ``(L·levels, d)``, and returns its
 values with the batch axis last, as the dense jet arrays of the curvature
-and tractor layers carry it; samples and limits come back one per ladder
-(:func:`ladder_samples`, :func:`boundary_limit`).  This module is the only
-one that iterates a ladder's levels: to place them, and to name the failing
-level when a stacked evaluation raises.
+and tractor layers carry it; samples come back one per ladder
+(:func:`ladder_samples`), and the limits of a stack ``(L, levels, *shape)``
+from one Richardson table built of whole-array stages
+(:func:`richardson_limits`, :func:`boundary_limit`); :func:`richardson_limit`
+is the table of one ladder.  This module is the only one that iterates a
+ladder's levels: to place them, and to name the failing level when a
+stacked evaluation raises.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ __all__ = [
     "Ladder",
     "LimitEstimate",
     "richardson_limit",
+    "richardson_limits",
     "boundary_ladder",
+    "boundary_ladders",
     "boundary_limit",
     "ladder_samples",
 ]
@@ -78,43 +84,55 @@ class LimitEstimate:
         return self.error / (1.0 + self.norm())
 
 
-def richardson_limit(samples: Sequence) -> LimitEstimate:
-    """Extrapolate ``f(eps_k) -> f(0)`` for a ladder ``eps_k = eps0 /
-    RATIO^k``.
+def richardson_limits(stack: np.ndarray | Sequence) -> list[LimitEstimate]:
+    """Extrapolate ``f(eps_k) -> f(0)`` along ladders ``eps_k = eps0 /
+    RATIO^k``, one estimate per ladder.
 
-    ``samples[k]`` is ``f(eps_k)`` (scalars or arrays).  Assumes a
+    ``stack[l, k]`` is ladder ``l``'s ``f(eps_k)``, so ``stack`` is an
+    ``(L, levels, *shape)`` array (or what ``np.asarray`` makes one of);
+    every ladder of a stack has the same number of levels.  Assumes a
     polynomial model ``f(eps) = c0 + c1 eps + c2 eps^2 + ...``; each
-    Richardson stage removes one power.  Ladders whose magnitudes grow by
-    more than a decade are flagged divergent; magnitudes below
+    Richardson stage removes one power, and is one whole-array operation on
+    every ladder and component at once.  A ladder whose magnitudes grow by
+    more than a decade is flagged divergent; magnitudes below
     ``DIVERGENCE_FLOOR`` never trip the flag (growing rounding noise in a
-    quantity that is identically zero is not a divergence).
+    quantity that is identically zero is not a divergence).  Magnitudes,
+    divergence and errors are reductions over a ladder's component axes,
+    which give the bits of reducing each level's array alone.
     """
-    vals = [np.asarray(s, dtype=float) for s in samples]
-    if len(vals) < 2:
+    stack = np.asarray(stack, dtype=float)
+    if not len(stack):
+        return []
+    if stack.ndim < 2 or stack.shape[1] < 2:
         raise ValueError("need at least two ladder samples")
-    mags = [float(np.max(np.abs(v))) for v in vals]
-    finite = all(np.all(np.isfinite(v)) for v in vals)
-    half = len(mags) // 2
-    growing = all(mags[k + 1] > mags[k] for k in range(half, len(mags) - 1))
-    diverged = (not finite) or (
+    ladders, levels = stack.shape[:2]
+    mags = np.abs(stack).reshape(ladders, levels, -1).max(axis=2)
+    finite = np.isfinite(stack).reshape(ladders, -1).all(axis=1)
+    half = levels // 2
+    growing = np.all(mags[:, half + 1 :] > mags[:, half:-1], axis=1)
+    diverged = ~finite | (
         growing
-        and mags[-1] > 10.0 * max(mags[0], 1e-12)
-        and mags[-1] > DIVERGENCE_FLOOR
+        & (mags[:, -1] > 10.0 * np.maximum(mags[:, 0], 1e-12))
+        & (mags[:, -1] > DIVERGENCE_FLOOR)
     )
-    rows = [vals]
-    for j in range(1, len(vals)):
-        prev = rows[-1]
+    prev = last = stack
+    for j in range(1, levels):
         factor = RATIO**j
-        rows.append(
-            [
-                (factor * prev[k + 1] - prev[k]) / (factor - 1.0)
-                for k in range(len(prev) - 1)
-            ]
-        )
-    best = rows[-1][0]
-    error = float(np.max(np.abs(best - rows[-2][-1])))
-    value = best if best.shape else float(best)
-    return LimitEstimate(value, error, diverged)
+        last = prev
+        prev = (factor * prev[:, 1:] - prev[:, :-1]) / (factor - 1.0)
+    best = prev[:, 0]
+    errors = np.abs(best - last[:, -1]).reshape(ladders, -1).max(axis=1)
+    return [
+        LimitEstimate(value if value.shape else float(value), float(error), bool(flag))
+        for value, error, flag in zip(best, errors, diverged)
+    ]
+
+
+def richardson_limit(samples: Sequence) -> LimitEstimate:
+    """The Richardson limit of one ladder, ``samples[k] = f(eps_k)``
+    (scalars or arrays): :func:`richardson_limits` of a stack of one."""
+    (est,) = richardson_limits(np.asarray(samples, dtype=float)[None])
+    return est
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,37 +156,76 @@ def boundary_ladder(
     eps0: float,
     levels: int,
 ) -> Ladder:
-    """Place the interior points on the inward ray from the boundary point
-    ``y`` (its ``d`` coordinates) with ``rho`` exactly on the dyadic ladder
-    ``eps0 / RATIO^k``, ``k < levels``.
+    """The ladder at one boundary point ``y`` (its ``d`` coordinates):
+    :func:`boundary_ladders` of a stack of one."""
+    directions = None if direction is None else [direction]
+    (ladder,) = boundary_ladders(geom, [y], directions, eps0=eps0, levels=levels)
+    return ladder
 
-    The ray leaves ``y`` along ``direction`` (default: the chart gradient
-    direction normalized so ``d(rho) = 1``); every level is Newton
-    corrected along the ray until its rho value matches the target.  The
-    levels share one Newton: each iteration evaluates rho on the levels
-    still open, and a level is frozen once it converges, so it takes the
-    same steps it would take alone.  A level that fails raises the error of
-    the lowest such level.
+
+def boundary_ladders(
+    geom: Geometry,
+    ys: Sequence[Sequence[float]],
+    directions: Sequence[np.ndarray] | None = None,
+    *,
+    eps0: float,
+    levels: int,
+) -> list[Ladder]:
+    """Place the interior points on the inward rays from the boundary
+    points ``ys`` (``(L, d)``) with ``rho`` exactly on the dyadic ladder
+    ``eps0 / RATIO^k``, ``k < levels``: one ladder per point, in order.
+
+    Each ray leaves its point along its direction (default: the chart
+    gradient direction normalized so ``d(rho) = 1``, from one rho run at
+    all the points); every level is Newton corrected along its ray until
+    its rho value matches the target.  All ``L·levels`` levels share one
+    Newton: each iteration evaluates rho on the levels still open, and a
+    level is frozen once it converges, so it takes the same steps it would
+    take alone.  A ladder alone raises the error of its lowest failing
+    level.  When the stacked placement raises, or a level of it turns
+    tangent or does not converge, the ladders are placed again one at a
+    time in order, so the error is the one that placing them one after the
+    other raises.
     """
-    y = np.asarray(y, dtype=float)
-    if direction is None:
-        direction = geom.inward_direction(y[None])[0]
-    direction = np.asarray(direction, dtype=float)
+    if not len(ys):
+        return []
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    try:
+        return _place(geom, ys, directions, eps0, levels)
+    except Exception:
+        if len(ys) == 1:
+            raise
+    # one at a time, in order: the first ladder that fails alone raises
+    return [
+        _place(geom, ys[i : i + 1], None if directions is None else directions[i : i + 1],
+               eps0, levels)[0]
+        for i in range(len(ys))
+    ]
+
+
+def _place(geom, ys, directions, eps0, levels) -> list[Ladder]:
+    """The Newton of :func:`boundary_ladders` over the stacked levels of the
+    ladders at ``ys``; raises the error of the lowest failing level."""
+    if directions is None:
+        directions = geom.inward_direction(ys)
+    directions = np.asarray(directions, dtype=float).reshape(ys.shape)
     eps = tuple(eps0 / RATIO**k for k in range(levels))
-    target = np.array(eps)
+    origin = np.repeat(ys, levels, axis=0)
+    ray = np.repeat(directions, levels, axis=0)
+    target = np.tile(eps, len(ys))
     s = target.copy()  # first guess: d(rho)(direction) ~ 1 near the boundary
-    open_ = np.ones(levels, dtype=bool)
-    tangent = np.zeros(levels, dtype=bool)
+    open_ = np.ones(len(s), dtype=bool)
+    tangent = np.zeros(len(s), dtype=bool)
     for _ in range(60):
         rows = np.flatnonzero(open_)
         if not rows.size:
             break
-        rho, grad = geom.rho_and_drho(y + s[rows, None] * direction)
+        rho, grad = geom.rho_and_drho(origin[rows] + s[rows, None] * ray[rows])
         val = rho - target[rows]
         done = np.abs(val) <= 1e-14 * (1.0 + target[rows])
         open_[rows[done]] = False
         for k, v, g in zip(rows[~done], val[~done], grad.T[~done]):
-            slope = float(g @ direction)  # the 1-D dot a single level makes
+            slope = float(g @ ray[k])  # the 1-D dot a single level makes
             if abs(slope) < 1e-12:
                 tangent[k], open_[k] = True, False
                 continue
@@ -176,16 +233,18 @@ def boundary_ladder(
     failed = np.flatnonzero(open_ | tangent)
     if failed.size:
         k = failed[0]
+        y = tuple(ys[k // levels].tolist())
         if tangent[k]:
-            raise GeometryError(
-                f"ray from {tuple(y.tolist())} became tangent to the rho levels"
-            )
+            raise GeometryError(f"ray from {y} became tangent to the rho levels")
         raise GeometryError(
-            f"could not place a ladder point at rho={eps[k]:g} from {tuple(y.tolist())}"
+            f"could not place a ladder point at rho={target[k]:g} from {y}"
         )
-    points = y + s[:, None] * direction
+    points = origin + s[:, None] * ray
     points.flags.writeable = False
-    return Ladder(tuple(float(v) for v in y), direction, eps, points)
+    return [
+        Ladder(tuple(y.tolist()), direction, eps, points[i * levels : (i + 1) * levels])
+        for i, (y, direction) in enumerate(zip(ys, directions))
+    ]
 
 
 def ladder_samples(f: PointFunction, ladders: Sequence[Ladder]) -> list[np.ndarray]:
@@ -219,7 +278,9 @@ def boundary_limit(f: PointFunction, ladders: Sequence[Ladder]) -> list[LimitEst
 
     ``f`` maps a batch of interior points ``(B, d)`` to its values with the
     batch axis last, ``(*shape, B)`` (see :func:`ladder_samples`); it is
-    evaluated once, on the levels of all ladders together, and divergence
-    along a ladder is reported in its estimate rather than raised.
+    evaluated once, on the levels of all ladders together, and extrapolated
+    in one Richardson table (:func:`richardson_limits`), so the ladders share
+    their number of levels; divergence along a ladder is reported in its
+    estimate rather than raised.
     """
-    return [richardson_limit(samples) for samples in ladder_samples(f, ladders)]
+    return richardson_limits(ladder_samples(f, ladders))

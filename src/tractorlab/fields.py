@@ -306,7 +306,7 @@ class Geometry:
         for k, grad in enumerate(grads):
             norm2 = float(grad @ grad)  # the 1-D dot, row by row
             if norm2 <= 1e-16:
-                raise GeometryError(f"d(rho) vanishes at {tuple(points[k])}")
+                raise GeometryError(f"d(rho) vanishes at {tuple(points[k].tolist())}")
             out[k] = grad / norm2
         return out
 
@@ -338,21 +338,30 @@ class Geometry:
 
     def interior_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` points ``(count, dim)`` of the interior box with ``rho >
-        0.05``, each candidate drawn alone and evaluated as a batch of one."""
+        0.05``.
+
+        Candidates are drawn in rounds of as many as are still missing, and
+        each round's rho values come from one run.  A round draws exactly
+        the candidates that drawing one at a time would draw next, so the
+        points and the RNG stream are those of the one-at-a-time draw, as is
+        the error after ``200 * count`` candidates.  When a round's run
+        raises, its rows are evaluated one at a time in order
+        (:func:`_row_reader`), so the error is the one-at-a-time error.
+        """
         if self.interior_box is None:
             raise GeometryError(f"geometry {self.name!r} has no interior box")
         lo, hi = self.interior_box
         pts: list[np.ndarray] = []
-        attempts = 0
+        attempts, cap = 0, 200 * max(count, 1)
         while len(pts) < count:
-            attempts += 1
-            if attempts > 200 * max(count, 1):
+            if attempts == cap:
                 raise GeometryError(
                     f"could not sample {count} interior points of {self.name!r}"
                 )
-            x = rng.uniform(lo, hi)
-            if self.rho_value(x[None])[0] > 0.05:
-                pts.append(x)
+            xs = rng.uniform(lo, hi, size=(min(count - len(pts), cap - attempts), self.dim))
+            attempts += len(xs)
+            rho = _row_reader(self.rho_value, xs)
+            pts.extend(x for k, x in enumerate(xs) if rho(k) > 0.05)
         return np.array(pts, dtype=float).reshape(count, self.dim)
 
     def boundary_points(self, count: int, rng: np.random.Generator) -> np.ndarray:

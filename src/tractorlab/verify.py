@@ -36,9 +36,11 @@ from .affine import covariant_derivative, projective_change
 from .extrapolate import (
     Ladder,
     boundary_ladder,
+    boundary_ladders,
     boundary_limit,
     ladder_samples,
     richardson_limit,
+    richardson_limits,
 )
 from .fields import (
     Geometry,
@@ -205,9 +207,21 @@ class _Session:
         return self.geom.interior_points(count or self.plan.interior_points, rng)
 
     def ladders(self, rng, count=None):
-        """Sample boundary points and return the plan's ladder at each."""
-        return [self.ladder(y) for y in self.geom.boundary_points(
-            count or self.plan.boundary_points, rng)]
+        """Sample boundary points and return the plan's ladder at each; the
+        points not placed yet in this session are placed together
+        (:func:`boundary_ladders`)."""
+        ys = self.geom.boundary_points(count or self.plan.boundary_points, rng)
+        new = {}
+        for y in ys:
+            key = tuple(y.tolist())
+            if key not in self._ladders:
+                new.setdefault(key, y)
+        if new:
+            placed = boundary_ladders(
+                self.geom, list(new.values()), eps0=self.plan.eps0, levels=self.plan.levels
+            )
+            self._ladders.update(zip(new, placed))
+        return [self.ladder(y) for y in ys]
 
     def ladder(self, y: np.ndarray):
         """The plan's ladder at a boundary point ``(d,)``, placed once per
@@ -1200,8 +1214,10 @@ def _defining_density(calc: TractorCalculus, ladders) -> tuple[dict, list]:
         samples = []
         limits = errors = [float("nan")] * len(ladders)
         reason = "pole while approaching the boundary"
-    for lad, taus in zip(ladders, samples):
-        est = richardson_limit(taus / np.float_power(lad.eps, 2.0 / calc.geom.alpha))
+    if samples:
+        eps = np.array([lad.eps for lad in ladders])
+        samples = np.asarray(samples) / np.float_power(eps, 2.0 / calc.geom.alpha)
+    for est in richardson_limits(samples):
         limits.append(float(est.value))
         errors.append(est.error)
         if est.diverged:
@@ -1242,8 +1258,7 @@ def _run_rho_extends(geom, plan, rng, session):
     calc = session.calc
     samples = ladder_samples(lambda p: bd.hat_christoffels(calc, p), ladders)
     details = []
-    for ladder, values in zip(ladders, samples):
-        est = richardson_limit(values)
+    for ladder, values, est in zip(ladders, samples, richardson_limits(samples)):
         slope = gap = None
         if est.diverged:
             norms = np.abs(values).reshape(len(values), -1).max(axis=1)

@@ -1,15 +1,18 @@
-"""Reference placement of ladder levels, one level at a time.
+"""Reference placement of ladder levels, one level at a time, and the
+Richardson table of one ladder, one level array at a time.
 
-``tractorlab.extrapolate.boundary_ladder`` runs one Newton over all levels
-of a ladder at once, and ``TransversalCurve.at_rho`` one Newton over all the
-levels it locates on a transversal.  The tests compare them against these
-per-level Newtons, which evaluate rho at one point, as a batch of one, per
-iteration.
+``tractorlab.extrapolate.boundary_ladders`` runs one Newton over all levels
+of a check's ladders at once, and ``TransversalCurve.at_rho`` one Newton
+over all the levels it locates on a transversal.  The tests compare them
+against these per-level Newtons, which evaluate rho at one point, as a
+batch of one, per iteration.  ``richardson_limits`` builds one table of
+whole-array stages for a stack of ladders; :func:`richardson_table` builds
+one ladder's table from a list of level arrays.
 """
 
 import numpy as np
 
-from tractorlab.extrapolate import RATIO
+from tractorlab.extrapolate import DIVERGENCE_FLOOR, RATIO, LimitEstimate
 from tractorlab.fields import GeometryError
 
 
@@ -70,3 +73,31 @@ def locate_on_curve(curve, eps):
     raise GeometryError(
         f"could not locate rho={eps:g} on the transversal from {curve.y}"
     )
+
+
+def richardson_table(samples):
+    """The Richardson limit of one ladder ``samples[k] = f(eps0 / RATIO^k)``,
+    its magnitudes, divergence flag and error taken level by level."""
+    vals = [np.asarray(s, dtype=float) for s in samples]
+    if len(vals) < 2:
+        raise ValueError("need at least two ladder samples")
+    mags = [float(np.max(np.abs(v))) for v in vals]
+    finite = all(np.all(np.isfinite(v)) for v in vals)
+    half = len(mags) // 2
+    growing = all(mags[k + 1] > mags[k] for k in range(half, len(mags) - 1))
+    diverged = (not finite) or (
+        growing
+        and mags[-1] > 10.0 * max(mags[0], 1e-12)
+        and mags[-1] > DIVERGENCE_FLOOR
+    )
+    rows = [vals]
+    for j in range(1, len(vals)):
+        prev = rows[-1]
+        factor = RATIO**j
+        rows.append(
+            [(factor * prev[k + 1] - prev[k]) / (factor - 1.0) for k in range(len(prev) - 1)]
+        )
+    best = rows[-1][0]
+    error = float(np.max(np.abs(best - rows[-2][-1])))
+    return LimitEstimate(best if best.shape else float(best), error, diverged)
+

@@ -121,6 +121,24 @@ def test_a_ladder_that_cannot_be_placed_or_meets_a_pole_exits_two(capsys, quanti
     )
 
 
+def test_a_boundary_point_where_drho_vanishes_prints_plain_floats(tmp_path, capsys):
+    # the apex of the light cone c^2 = a^2 + b^2 is on rho = 0 with d(rho) = 0
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({
+        "name": "cone", "dim": 3, "coords": ["a", "b", "c"], "alpha": 2.0,
+        "rho": "c^2 - (a^2 + b^2)",
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "interior_box": [[-0.1, -0.1, 0.4], [0.1, 0.1, 0.6]],
+    }))
+    argv = ["eval", "--geometry", str(path), "--quantity", "scalar_curvature",
+            "--boundary-point", "0,0,0", "--extrapolate"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no boundary value of scalar_curvature at (0.0, 0.0, 0.0) on the ladder "
+        "eps0=0.05, levels=6: d(rho) vanishes at (0.0, 0.0, 0.0)\n"
+    )
+
+
 @pytest.mark.parametrize("option, coords, extra", [
     ("--point", "-0.1,0.2,0", ["--quantity", "schouten"]),
     ("--point", "-1e-1,-0.2,-0", ["--quantity", "scalar_curvature"]),

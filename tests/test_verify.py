@@ -202,17 +202,19 @@ def test_each_boundary_point_gets_one_ladder(name, dim, monkeypatch):
     import tractorlab
     from tractorlab import extrapolate
 
-    original = extrapolate.boundary_ladder
+    # every ladder, alone or in a check's stack, is placed by one function;
+    # count the points it places
+    original = extrapolate.boundary_ladders
     placed = []
 
-    def counting(geom, y, direction=None, *, eps0, levels):
-        placed.append((tuple(y), eps0, levels))
-        return original(geom, y, direction, eps0=eps0, levels=levels)
+    def counting(geom, ys, directions=None, *, eps0, levels):
+        placed.extend((tuple(np.asarray(y).tolist()), eps0, levels) for y in ys)
+        return original(geom, ys, directions, eps0=eps0, levels=levels)
 
     for info in pkgutil.iter_modules(tractorlab.__path__):
         module = importlib.import_module(f"tractorlab.{info.name}")
-        if getattr(module, "boundary_ladder", None) is original:
-            monkeypatch.setattr(module, "boundary_ladder", counting)
+        if getattr(module, "boundary_ladders", None) is original:
+            monkeypatch.setattr(module, "boundary_ladders", counting)
     run_suite(builtin_geometry(name, dim), "all", SamplingPlan(seed=0))
     assert placed
     assert len(placed) == len(set(placed))
