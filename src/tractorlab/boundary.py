@@ -21,7 +21,10 @@ the checks and ``tractorlab eval`` extrapolate alike.
 Geodetic transversals are integrated by fixed-step RK4.  All curves of one
 call share one ``(B, d)`` state, so each RK4 stage is one batched run of the
 metric tape, whose last row is rho, over the point axis of the dense jet
-kernels (module ``jets``) rather than one evaluation per curve.
+kernels (module ``jets``) rather than one evaluation per curve.  The same
+curves at twice the step ride as extra rows in those runs, and the two
+compared at their shared nodes give each curve's integration error (step
+doubling).
 
 The conformal data at a boundary point lives in the fiber splitting
 
@@ -139,7 +142,9 @@ class TransversalCurve:
     Samples are stored at fixed RK4 steps together with velocities and
     accelerations, so positions interpolate to fourth order (cubic Hermite)
     and points with prescribed rho values can be Newton-located on the
-    curve.
+    curve.  ``integration_error`` estimates the RK4 error of the samples by
+    step doubling (see :func:`geodetic_transversals`); a curve built without
+    an estimate has an unbounded one.
     """
 
     geom: Geometry
@@ -150,6 +155,7 @@ class TransversalCurve:
     mus: np.ndarray  # (N, d)
     accs: np.ndarray  # (N, d)
     rhos: np.ndarray  # (N,)
+    integration_error: float = math.inf
 
     def _hermite(self, k: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interpolate (x, mu) between samples k and k+1, s in [0, 1], for
@@ -198,12 +204,26 @@ class TransversalCurve:
             f"from {self.y}"
         )
 
-    def geodesic_residual(self) -> float:
-        """Max norm of d(mu)/dt + Gamma(mu, mu) via 4th-order differences."""
-        h = self.ts[1] - self.ts[0]
-        mu = self.mus
-        dmu = (-mu[4:] + 8 * mu[3:-1] - 8 * mu[1:-3] + mu[:-4]) / (12 * h)
-        return float(np.max(np.abs(dmu - self.accs[2:-2]), initial=0.0))
+
+def _rk4(x: np.ndarray, v: np.ndarray, a: np.ndarray, step: float):
+    """Classical RK4 for ``x'' = f(x, x')`` from the rows ``(x, v)`` with
+    ``f = a`` there, step after step without end, as a coroutine: it yields
+    the rows ``(position, velocity)`` of each evaluation of ``f`` (the three
+    stages of a step, then its end) and is sent ``f`` there."""
+    half, sixth = 0.5 * step, step / 6.0
+    while True:
+        # the acceleration at the step's start is the previous step's end;
+        # a stage's velocity is the next stage's position slope
+        k1x, k1v = v, a
+        k2x = v + half * k1v
+        k2v = yield x + half * k1x, k2x
+        k3x = v + half * k2v
+        k3v = yield x + half * k2x, k3x
+        k4x = v + step * k3v
+        k4v = yield x + step * k3x, k4x
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+        a = yield x, v
 
 
 def geodetic_transversals(
@@ -222,16 +242,31 @@ def geodetic_transversals(
     points lie on the boundary, where the connection has only its smooth
     extension: their acceleration is ``-Gamma(mu0, mu0)`` with the extended
     value along each ladder, and their rho comes from the one rho run that
-    also checks the pairing.  Every later stage makes one batched order-1
-    run of the metric tape (``Geometry.rho_and_metric``), whose rho row and
-    metric rows give the connection's values (one formula,
+    also checks the pairing.  Every later evaluation makes one batched
+    order-1 run of the metric tape (``Geometry.rho_and_metric``), whose rho
+    row and metric rows give the connection's values (one formula,
     ``TractorCalculus.hat_christoffel_values``) and, at a step's end, the
-    rho of the domain exit test.  When a step's end run raises, rho alone
-    is run there for the exit test, so a curve that left the domain is
-    named; otherwise the run's own error propagates.  When curves leave the
-    chart domain, :class:`GeometryError` names the one that leaves at the
-    earliest step; among curves leaving at the same step, the one with the
-    lowest index.
+    rho of the domain exit test.
+
+    Each curve's ``integration_error`` comes from step doubling: the curves
+    are integrated at step ``2 step`` too, and the largest difference of
+    position and velocity between the two runs at their shared nodes
+    ``t = 2 j step``, divided by ``2^4 - 1``, estimates the error of the
+    samples (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4).  The
+    doubled run makes no tape run of its own: its evaluations ride as extra
+    rows in the third and fourth runs of each step, which are at its own
+    parameter (the end of a step at ``step`` is the midpoint or the end of a
+    step at ``2 step``), so it never runs ahead of the curves.  Every kernel
+    works row by row, so the samples keep the bits of a run without it, and
+    its rows those of a run at ``2 step``.
+
+    The exit test covers the rows at a node: every curve's row at each
+    step's end, and its doubled row at the end of each doubled step.  When
+    a step's end run raises, rho alone is run at those rows for the exit
+    test, so a curve that left the domain is named; otherwise the run's own
+    error propagates.  When curves leave the chart domain,
+    :class:`GeometryError` names the one that leaves at the earliest step;
+    among curves leaving at the same step, the one with the lowest index.
     """
     geom = calc.geom
     ys = np.array([ladder.y for ladder in ladders])
@@ -245,59 +280,76 @@ def geodetic_transversals(
     gamma_boundary = np.stack(extended_christoffels(calc, ladders), axis=-1)
     n_steps = int(round(horizon / step))
     ts = np.arange(n_steps + 1) * step
+    n_curves, d = ys.shape
 
     def exit_test(x: np.ndarray, rho: np.ndarray, k: int) -> None:
         left = (rho[:, 0] < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
         if left.any():
-            i = int(np.argmax(left))
+            # row i + n_curves is curve i's doubled row
+            i = int(np.argmax(left.reshape(-1, n_curves).any(axis=0)))
             raise GeometryError(
                 f"transversal from {tuple(ys[i].tolist())} left the chart domain "
                 f"at t={ts[k]:g}"
             )
 
-    def acc(x: np.ndarray, v: np.ndarray, k: int | None = None):
-        """The acceleration at the state ``(x, v)`` and the order-1 rho jets
-        at ``x``; at the end of step ``k``, after the exit test."""
+    def acc(x: np.ndarray, v: np.ndarray, k: int | None, nodes: int):
+        """The acceleration at the states ``(x, v)`` and the order-1 rho jets
+        at ``x``; at the end of step ``k``, after the exit test of the first
+        ``nodes`` rows."""
         try:
             rho, g = geom.rho_and_metric(x, 1)
         except (ArithmeticError, ValueError) as err:  # jet errors, math domain
             failure = err
         else:
             if k is not None:
-                exit_test(x, rho, k)
+                exit_test(x[:nodes], rho[:nodes], k)
             G = calc.hat_christoffel_values(rho, g)
             return -np.einsum("cabn,na,nb->nc", G, v, v), rho
         # outside the handler, so neither error carries the other as context
         if k is not None:
-            exit_test(x, geom.rho_dense(x, 1), k)
+            exit_test(x[:nodes], geom.rho_dense(x[:nodes], 1), k)
         raise failure
 
-    n_curves, d = ys.shape
+    n_doubled = n_steps // 2
     xs = np.zeros((n_curves, n_steps + 1, d))
     vs = np.zeros((n_curves, n_steps + 1, d))
     accs = np.zeros((n_curves, n_steps + 1, d))
     rhos = np.zeros((n_curves, n_steps + 1))
-    x, v = ys.copy(), directions.copy()
-    a = -np.einsum("cabn,na,nb->nc", gamma_boundary, v, v)
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x, v, a, rho0
-    half, sixth = 0.5 * step, step / 6.0
+    doubled = np.zeros((2, n_curves, n_doubled + 1, d))  # positions, velocities
+    a = -np.einsum("cabn,na,nb->nc", gamma_boundary, directions, directions)
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = ys, directions, a, rho0
+    doubled[:, :, 0] = ys, directions
+    stepper = _rk4(ys, directions, a, step)
+    doubled_stepper = _rk4(ys, directions, a, 2 * step)
+    rows, rows2 = next(stepper), next(doubled_stepper)
     for k in range(n_steps):
-        # the acceleration at the step's start is the previous step's end;
-        # a stage's velocity is the next stage's position slope
-        k1x, k1v = v, a
-        k2x = v + half * k1v
-        k2v = acc(x + half * k1x, k2x)[0]
-        k3x = v + half * k2v
-        k3v = acc(x + half * k2x, k3x)[0]
-        k4x = v + step * k3v
-        k4v = acc(x + step * k3x, k4x)[0]
-        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-        a, rho = acc(x, v, k + 1)
-        xs[:, k + 1], vs[:, k + 1], accs[:, k + 1], rhos[:, k + 1] = x, v, a, rho[:, 0]
+        # the doubled run rides the last two evaluations of each step, which
+        # are at parameters of its own, until its n_doubled steps are done
+        ride = k < 2 * n_doubled
+        for stage in range(4):
+            end = k + 1 if stage == 3 else None
+            if ride and stage >= 2:
+                x, v = (np.concatenate(pair) for pair in zip(rows, rows2))
+                nodes = 2 * n_curves if end and k % 2 else n_curves
+            else:
+                (x, v), nodes = rows, n_curves
+            a, rho = acc(x, v, end, nodes)
+            if end:
+                xs[:, end], vs[:, end] = rows
+                accs[:, end], rhos[:, end] = a[:n_curves], rho[:n_curves, 0]
+                if nodes > n_curves:
+                    doubled[:, :, end // 2] = rows2
+            rows = stepper.send(a[:n_curves])
+            if len(a) > n_curves:
+                rows2 = doubled_stepper.send(a[n_curves:])
+    errors = np.maximum(
+        np.abs(xs[:, : 2 * n_doubled + 1 : 2] - doubled[0]),
+        np.abs(vs[:, : 2 * n_doubled + 1 : 2] - doubled[1]),
+    ).reshape(n_curves, -1).max(axis=1) / (2**4 - 1)
     return [
         TransversalCurve(
-            geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i]
+            geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i],
+            float(errors[i]),
         )
         for i, ladder in enumerate(ladders)
     ]

@@ -39,7 +39,6 @@ from .extrapolate import (
     boundary_ladders,
     boundary_limit,
     ladder_samples,
-    richardson_limit,
     richardson_limits,
 )
 from .fields import (
@@ -89,7 +88,7 @@ class SamplingPlan:
     boundary_points: int = 5
     eps0: float = 0.05
     levels: int = 6
-    ode_step: float = 1e-3
+    ode_step: float = 2e-3
     ode_horizon: float = 0.2
 
     def __post_init__(self):
@@ -104,8 +103,7 @@ class SamplingPlan:
         }
         bad = [f"{k} = {getattr(self, k)!r}" for k, ok in valid.items() if not ok]
         if valid["ode_step"] and valid["ode_horizon"]:
-            # the 4th-order differences of geodesic_residual and the five
-            # collar parameters of lem-2.4 need 4 RK4 steps
+            # the five collar parameters of lem-2.4 need 4 RK4 steps
             steps = self.ode_horizon / self.ode_step
             if not (math.isfinite(steps) and round(steps) >= 4):
                 bad.append(f"ode_horizon / ode_step = {steps!r}")
@@ -469,7 +467,7 @@ def _run_transversal(geom, plan, rng, session):
     details = [{
         "point": list(curve.y),
         "drho_pairing_defect": abs(float(grad @ curve.mu0) - 1.0),
-        "geodesic_residual": curve.geodesic_residual(),
+        "integration_error": curve.integration_error,
     } for curve, grad in zip(curves, grads)]
     # the collar map (boundary point, t) -> point at five parameters across
     # the curves, each at its nearest RK4 sample, must be injective on them
@@ -490,8 +488,9 @@ def _run_transversal(geom, plan, rng, session):
             f"collar is not injective: rows {row(pairs[0][first])} and "
             f"{row(pairs[1][first])} collide"
         )
-    details.append({"collar_min_separation": separation})
-    return _columns(details, "drho_pairing_defect", "geodesic_residual"), len(ladders), details
+    details.append({"collar_min_separation": separation, "ode_step": plan.ode_step})
+    facets = _columns(details, "drho_pairing_defect", "integration_error")
+    return facets, len(ladders), details
 
 
 def _run_mu(geom, plan, rng, session):
@@ -511,15 +510,12 @@ def _run_mu(geom, plan, rng, session):
     rho2 = np.float_power(geom.rho_value(points), 2)
     values = rho2 * value_dot(value_vecmat(mus.T, gv), mus.T)
     along = values[: len(curves) * len(ks)].reshape(len(curves), len(ks))
-    located_values = np.split(values[len(curves) * len(ks):], len(curves))
+    limits = richardson_limits(values[len(curves) * len(ks):].reshape(len(curves), -1))
     predictions = boundary_limit(
         lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladders
     )
-    for ladder, samples, at_levels, est_rhs in zip(
-        ladders, along, located_values, predictions
-    ):
+    for ladder, samples, est, est_rhs in zip(ladders, along, limits, predictions):
         variation = float(samples.max() - samples.min())
-        est = richardson_limit(at_levels)
         if est.diverged or est_rhs.diverged:
             diverged = True
             details.append({"point": list(ladder.y), "diverged": True})

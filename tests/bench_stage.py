@@ -12,7 +12,7 @@ Each layer runs on klein-3 and on af2_generic-4, each geometry in a fresh
 child process (``--geometry``) that builds only that geometry: a layer timed
 after another geometry's runs in the same process read up to 15% apart on
 the same code.  The stage layers run on a 4-row batch of collar points (the
-states of four transversals, 50 steps in):
+states of four transversals at t = 0.05):
 
 * ``rho_tape.o0`` / ``rho_tape.o1``: ``Geometry.rho_dense`` at order 0 / 1;
 * ``metric_tape.o1``: the metric jets at order 1 (the Levi-Civita input);
@@ -27,10 +27,19 @@ states of four transversals, 50 steps in):
   the rho-modified connection's values from the rho and metric jets of one
   run of the stage tape (not timed here);
 * ``stage``: one stage of the integrator, as the time of a 0.2-long run
-  minus that of a 0.05-long run, over the 600 stages between them;
+  minus that of a 0.05-long run, over the stages between them (four a
+  step, the last two of which also carry the rows of the run at twice the
+  step where the tree has one);
+* ``transversals``: one joint run of 8 curves, the size of the run that
+  the two checks below share in a suite, at the default plan's step and
+  horizon; ``transversals.integration_error`` is the largest step-doubling
+  estimate of its curves (a number, not a time; a tree without the
+  estimate skips it);
 * ``ode_pair``: ``run_suite`` of ``lem-2.4-transversal`` and ``prop-2.5-mu``
   with the default plan, per suite (both checks' ladders, curves and
   limits).
+
+The RK4 step is the default plan's, so each tree runs at its own default.
 
 Times are medians of ``--repeat`` blocks, in reference microseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -47,7 +56,10 @@ alternating::
     done
 
 ``BENCH_ode_pair.json`` holds such runs of the parent and the change of
-the suite-level sharing of transversals, read from its ``ode_pair`` rows.
+the suite-level sharing of transversals, read from its ``ode_pair`` rows;
+``BENCH_ode_step.json`` those of the default step 1e-3 and of the step
+2e-3 with its integration error estimate, read from the ``transversals``
+and ``ode_pair`` rows.
 """
 
 from __future__ import annotations
@@ -78,7 +90,8 @@ from tractorlab.verify import SamplingPlan, run_suite  # noqa: E402
 
 GEOMETRIES = (("klein", 3), ("af2_generic", 4))
 ROWS = 4
-STEP = 1e-3
+JOINT = 8
+STEP = SamplingPlan().ode_step
 SHORT, LONG = 0.05, 0.2
 ODE_PAIR = ("lem-2.4-transversal", "prop-2.5-mu")
 UNIT = "reference us per call, median block"
@@ -125,11 +138,20 @@ def measure(
     layers["jet_inverse.o0"] = per_call_us(lambda: jets.jet_inverse(g0, space0))
     if hasattr(jets, "value_inverse"):
         layers["value_inverse"] = per_call_us(lambda: jets.value_inverse(g0[..., 0]))
-    return {
-        **layers,
-        "stage": (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages,
-        "ode_pair": per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1),
-    }
+    layers["stage"] = (per_call_us(run(LONG), 1) - per_call_us(run(SHORT), 1)) / stages
+    ys8 = geom.boundary_points(JOINT, np.random.default_rng(0))
+    lads8 = [boundary_ladder(geom, y, eps0=plan.eps0, levels=plan.levels) for y in ys8]
+
+    def joint():
+        return bd.geodetic_transversals(calc, lads8, step=STEP, horizon=plan.ode_horizon)
+
+    layers["transversals"] = per_call_us(joint, 1)
+    if hasattr(bd.TransversalCurve, "integration_error"):
+        layers["transversals.integration_error"] = max(
+            curve.integration_error for curve in joint()
+        )
+    layers["ode_pair"] = per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1)
+    return layers
 
 
 def child(spec: str, calls: int, repeat: int) -> dict:
@@ -160,7 +182,7 @@ def main(argv=None) -> int:
     column = {geom: run["layers"] for geom, run in runs.items()}
     for geom, layers in column.items():
         for layer, us in layers.items():
-            print(f"{geom:16s} {layer:24s} {us:9.1f} reference us")
+            print(f"{geom:16s} {layer:32s} {us:9.3g}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}

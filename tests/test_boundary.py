@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import at_boundary_points, ladder, ladders, lc_pack, one
+from conftest import PLAN, at_boundary_points, ladder, ladders, lc_pack, one
 from tractorlab import boundary as bd
 from tractorlab import verify
 from tractorlab.expr import ExprError, Tape
@@ -97,20 +97,138 @@ def test_klein_transversal_is_radial(klein3):
     assert np.allclose(curve.mu0, [-0.5, 0.0, 0.0])
     # straight radius: x1 = x2 = 0 along the whole curve
     assert np.max(np.abs(curve.points[:, 1:])) < 1e-12
-    assert curve.geodesic_residual() < 1e-8
+    assert curve.integration_error < 1e-8
 
 
-def test_geodesic_residual_matches_stepwise_differences(klein3):
-    curve = _transversal(klein3, (0.0, 0.6, 0.8), horizon=0.05)
-    h = curve.ts[1] - curve.ts[0]
-    worst = 0.0
-    for k in range(2, len(curve.ts) - 2):
-        dmu = (
-            -curve.mus[k + 2] + 8 * curve.mus[k + 1]
-            - 8 * curve.mus[k - 1] + curve.mus[k - 2]
-        ) / (12 * h)
-        worst = max(worst, float(np.max(np.abs(dmu - curve.accs[k]))))
-    assert curve.geodesic_residual() == worst
+def _plain_rk4(calc, lads, step, horizon):
+    """The samples ``(points, mus, accs, rhos)``, curve first, of a plain
+    RK4 loop over the curves of ``geodetic_transversals``, without the run
+    at twice the step: one run of the metric tape per evaluation, at the
+    curves' rows only."""
+    geom = calc.geom
+    ys = np.array([lad.y for lad in lads])
+    v = np.array([lad.direction for lad in lads])
+    rho0 = geom.rho_and_drho(ys)[0]
+    gamma = np.stack(bd.extended_christoffels(calc, lads), axis=-1)
+
+    def acc(x, v):
+        rho, g = geom.rho_and_metric(x, 1)
+        return -np.einsum("cabn,na,nb->nc", calc.hat_christoffel_values(rho, g), v, v), rho
+
+    n_steps = int(round(horizon / step))
+    x, a = ys.copy(), -np.einsum("cabn,na,nb->nc", gamma, v, v)
+    rows = [(x, v, a, rho0)]
+    half, sixth = 0.5 * step, step / 6.0
+    for _ in range(n_steps):
+        k1x, k1v = v, a
+        k2x = v + half * k1v
+        k2v = acc(x + half * k1x, k2x)[0]
+        k3x = v + half * k2v
+        k3v = acc(x + half * k2x, k3x)[0]
+        k4x = v + step * k3v
+        k4v = acc(x + step * k3x, k4x)[0]
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+        a, rho = acc(x, v)
+        rows.append((x, v, a, rho[:, 0]))
+    return [np.stack(column, axis=1) for column in zip(*rows)]
+
+
+def _recorded_rk4(monkeypatch):
+    """Record the rows each RK4 run of ``geodetic_transversals`` yields: a
+    list of ``(step, rows)``, one per run, in the order they start."""
+    real, runs = bd._rk4, []
+
+    def recording(x, v, a, step):
+        rows = []
+        runs.append((step, rows))
+        run, f = real(x, v, a, step), None
+        while True:
+            rows.append(run.send(f))
+            f = yield rows[-1]
+
+    monkeypatch.setattr(bd, "_rk4", recording)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1"])
+@pytest.mark.parametrize("horizon", [PLAN.ode_horizon, 7 * PLAN.ode_step])
+def test_the_samples_keep_the_bits_of_the_plain_rk4_loop(request, name, horizon):
+    # the doubled run's rows ride in the same tape runs, which work row by row
+    geom = request.getfixturevalue(name)
+    calc = TractorCalculus(geom)
+    lads = ladders(geom, geom.boundary_points(4, np.random.default_rng(2)))
+    curves = bd.geodetic_transversals(calc, lads, step=PLAN.ode_step, horizon=horizon)
+    want = _plain_rk4(calc, lads, PLAN.ode_step, horizon)
+    for field, column in zip(("points", "mus", "accs", "rhos"), want):
+        assert np.array_equal(np.stack([getattr(c, field) for c in curves]), column), field
+
+
+@pytest.mark.parametrize("name", ["klein3", "af2"])
+def test_the_doubled_rows_are_a_run_at_twice_the_step(request, monkeypatch, name):
+    geom = request.getfixturevalue(name)
+    calc = TractorCalculus(geom)
+    lads = ladders(geom, geom.boundary_points(3, np.random.default_rng(7)))
+    h, horizon = PLAN.ode_step, PLAN.ode_horizon
+    runs = _recorded_rk4(monkeypatch)
+    curves = bd.geodetic_transversals(calc, lads, step=h, horizon=horizon)
+    doubled = bd.geodetic_transversals(calc, lads, step=2 * h, horizon=horizon)
+    # the run at h, its doubled run, then those of the run at 2h
+    assert [step for step, _ in runs] == [h, 2 * h, 2 * h, 4 * h]
+    riding, alone = runs[1][1], runs[2][1]
+    assert len(riding) == len(alone) == 4 * round(horizon / (2 * h)) + 1
+    for (x, v), (x2, v2) in zip(riding, alone):
+        assert np.array_equal(x, x2) and np.array_equal(v, v2)
+    for curve, coarse in zip(curves, doubled):
+        gap = max(np.max(np.abs(curve.points[::2] - coarse.points)),
+                  np.max(np.abs(curve.mus[::2] - coarse.mus)))
+        assert curve.integration_error == gap / 15
+
+
+def test_an_odd_step_count_compares_only_the_shared_nodes(klein3, monkeypatch):
+    # 7 steps at h: the doubled run takes 3 steps, to t = 6h, and the last
+    # sample at t = 7h has no partner
+    calc = TractorCalculus(klein3)
+    lads = ladders(klein3, klein3.boundary_points(2, np.random.default_rng(1)))
+    h = 0.01
+    runs = _recorded_rk4(monkeypatch)
+    (curve, _) = bd.geodetic_transversals(calc, lads, step=h, horizon=7 * h)
+    (coarse, _) = bd.geodetic_transversals(calc, lads, step=2 * h, horizon=6 * h)
+    assert len(curve.ts) == 8 and len(coarse.ts) == 4
+    assert len(runs[1][1]) == 4 * 3 + 1  # no stage of a fourth doubled step
+    gap = max(np.max(np.abs(curve.points[:7:2] - coarse.points)),
+              np.max(np.abs(curve.mus[:7:2] - coarse.mus)))
+    assert curve.integration_error == gap / 15
+
+
+def _rk4_weights_1131(x, v, a, step):
+    """``bd._rk4`` with the weights (1, 1, 3, 1) / 6: they still sum to one
+    and meet the second-order condition, but break the third-order one
+    (``sum b_i a_ij c_j = 5/24``, not 1/6), so the method is of order 2."""
+    half, sixth = 0.5 * step, step / 6.0
+    while True:
+        k1x, k1v = v, a
+        k2x = v + half * k1v
+        k2v = yield x + half * k1x, k2x
+        k3x = v + half * k2v
+        k3v = yield x + half * k2x, k3x
+        k4x = v + step * k3v
+        k4v = yield x + step * k3x, k4x
+        x = x + sixth * (k1x + k2x + 3 * k3x + k4x)
+        v = v + sixth * (k1v + k2v + 3 * k3v + k4v)
+        a = yield x, v
+
+
+def test_a_wrong_rk4_weight_fails_the_integration_error(af2, monkeypatch):
+    # at the default step the mutant reads about 1e-7, the RK4 1.3e-11
+    calc = TractorCalculus(af2)
+    lads = ladders(af2, af2.boundary_points(4, np.random.default_rng(0)))
+    opts = dict(step=PLAN.ode_step, horizon=PLAN.ode_horizon)
+    good = bd.geodetic_transversals(calc, lads, **opts)
+    assert max(curve.integration_error for curve in good) < 1e-8
+    monkeypatch.setattr(bd, "_rk4", _rk4_weights_1131)
+    bad = bd.geodetic_transversals(calc, lads, **opts)
+    assert min(curve.integration_error for curve in bad) > 1e-8
 
 
 def test_transversal_requires_normalized_mu(klein3):
@@ -129,9 +247,9 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     real = Tape.run
 
     def counted(self, points, space):
-        # the integrator's state has one row per curve; ladder evaluations
-        # have a row per level
-        if len(points) <= len(ys):
+        # the integrator's state has one row per curve, and one more in the
+        # runs the doubled run rides; ladder evaluations have a row per level
+        if len(points) <= 2 * len(ys):
             if self is rho_view:
                 runs["rho"] += 1
             elif self is metric_tape:
@@ -204,7 +322,7 @@ def test_collar_rows_and_injectivity(calc3, rng):
     # its nearest RK4 sample, and their smallest separation pair by pair
     rows = []
     curves = bd.geodetic_transversals(
-        calc3, ladders(calc3.geom, grid), step=1e-3, horizon=0.2
+        calc3, ladders(calc3.geom, grid), step=PLAN.ode_step, horizon=PLAN.ode_horizon
     )
     for curve in curves:
         assert np.allclose(curve.points[0], curve.y)  # the t = 0 row

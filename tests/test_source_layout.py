@@ -389,30 +389,14 @@ def test_the_ladder_evaluator_rule_sees_per_ladder_evaluation():
         assert not list(_evaluates_ladders_in_a_loop(ast.parse(src))), src
 
 
-#: The one call of ``richardson_limit`` outside ``extrapolate``: the curve
-#: limit of ``prop-2.5-mu``, whose samples are the values where each
-#: transversal meets its ladder's levels, not a point function's ladder
-#: samples; ``test_mu_check_never_uses_a_diverged_curve_limit`` substitutes
-#: ``verify.richardson_limit`` there, one curve at a time.
-RICHARDSON_EXEMPT = {("verify.py", "_run_mu")}
-
-
-def _calls_richardson_limit(module, tree):
-    """Lines of the calls of ``richardson_limit``, the table of one ladder,
-    outside the exempt functions of ``module``; a ladder stack's limits
-    come from ``richardson_limits``."""
-    calls, exempt = set(), set()
-    for func in ast.walk(tree):
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and ast.unparse(node.func).rsplit(".", 1)[-1] == "richardson_limit"
-                ):
-                    calls.add(node.lineno)
-                    if (module, getattr(func, "name", None)) in RICHARDSON_EXEMPT:
-                        exempt.add(node.lineno)
-    return sorted(calls - exempt)
+def _calls_richardson_limit(tree):
+    """Lines of the calls of ``richardson_limit``, the table of one ladder;
+    a ladder stack's limits come from ``richardson_limits``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "richardson_limit"
+    )
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
@@ -420,13 +404,13 @@ def test_only_extrapolate_calls_the_one_ladder_richardson(module):
     if module.name == "extrapolate.py":
         return
     tree = ast.parse(module.read_text(), filename=str(module))
-    found = _calls_richardson_limit(module.name, tree)
+    found = _calls_richardson_limit(tree)
     assert not found, f"{module.name} calls richardson_limit on lines {found}"
 
 
 def test_the_richardson_rule_sees_a_copied_call():
-    def found(module, src):
-        return _calls_richardson_limit(module, ast.parse(src))
+    def found(src):
+        return _calls_richardson_limit(ast.parse(src))
 
     for src in (
         # the per-ladder loops that one stacked table replaced
@@ -439,18 +423,16 @@ def test_the_richardson_rule_sees_a_copied_call():
         "def _run_rho_extends(geom, plan, rng, session):\n"
         "    def limit(values):\n"
         "        return richardson_limit(values)",
+        # the curve limit of prop-2.5-mu, one transversal at a time
+        "def _run_mu(geom, plan, rng, session):\n    est = richardson_limit(at_levels)",
     ):
-        assert found("verify.py", src), src
-    # the curve limit is exempt in verify's _run_mu, and only there
-    mu = "def _run_mu(geom, plan, rng, session):\n    est = richardson_limit(at_levels)"
-    assert not found("verify.py", mu)
-    assert found("boundary.py", mu)
+        assert found(src), src
     for src in (
         "ests = richardson_limits(samples)",
         "from .extrapolate import richardson_limit",
         "limit = richardson_limit",
     ):
-        assert not found("verify.py", src), src
+        assert not found(src), src
 
 
 def _is_interior_call(node):

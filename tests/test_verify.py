@@ -358,12 +358,17 @@ def test_mu_check_never_uses_a_diverged_prediction(klein3, monkeypatch):
 
 
 def test_mu_check_never_uses_a_diverged_curve_limit(klein3, monkeypatch):
-    # the along-curve samples grow a thousandfold per ladder level
-    real = verify.richardson_limit
-    monkeypatch.setattr(
-        verify, "richardson_limit",
-        lambda samples: real([s * 1e3**k for k, s in enumerate(samples)]),
-    )
+    # the velocities located at the ladder's levels grow by sqrt(1e3) per
+    # level, so rho^2 g(mu, mu) there grows a thousandfold per level
+    from tractorlab import boundary as bd
+
+    real = bd.TransversalCurve.at_rho
+
+    def growing(self, eps):
+        x, v = real(self, eps)
+        return x, v * np.sqrt(1e3) ** np.arange(len(eps))[:, None]
+
+    monkeypatch.setattr(bd.TransversalCurve, "at_rho", growing)
     facets, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
     assert facets["diverged"] is True
     assert details[0] == {"point": details[0]["point"], "diverged": True}
