@@ -54,6 +54,7 @@ from .extrapolate import (
 from .fields import (
     Geometry,
     GeometryError,
+    first_failure,
     value_dot,
     value_inv,
     value_matvec,
@@ -618,7 +619,8 @@ def boundary_frame(
     extrapolation along the ladders, one frame per ladder; d(rho) and the
     tangential bases come from rho runs at all the points together.  tauhat
     is the limit of tau / rho: each ladder's tau samples divided by its own
-    rho levels."""
+    rho levels.  A singular Gram raises its ``LinAlgError`` at its ladder's
+    turn (:func:`~tractorlab.fields.first_failure`)."""
     geom = calc.geom
     n = geom.dim - 1
     m = n + 2
@@ -628,14 +630,11 @@ def boundary_frame(
     drhos = geom.rho_and_drho(ys)[1].T
     gram_ests = richardson_limits(samples)
     tau_ests = richardson_limits(np.asarray(taus) / np.array([lad.eps for lad in ladders]))
-    try:
-        inv_ests = richardson_limits(np.linalg.inv(samples))
-    except np.linalg.LinAlgError:
-        inv_ests = None  # the singular ladder raises below, after the earlier checks
+    inv_ests, good, inv_error = first_failure(
+        lambda rows: richardson_limits(np.linalg.inv(samples[rows])), len(ladders)
+    )
     frames = []
-    for i, (ladder, grams, drho, E) in enumerate(
-        zip(ladders, samples, drhos, tangential_basis(geom, ys))
-    ):
+    for i, (ladder, drho, E) in enumerate(zip(ladders, drhos, tangential_basis(geom, ys))):
         y = ladder.y
         est_gram, est_tau = gram_ests[i], tau_ests[i]
         if est_gram.diverged or est_tau.diverged:
@@ -650,10 +649,9 @@ def boundary_frame(
                 f"degenerate boundary geometry at {y}: "
                 f"|det L(tau)| = {abs(det_scaled):.2e}"
             )
-        if inv_ests is None:
-            (est_inv,) = richardson_limits(np.linalg.inv(grams)[None])
-        else:
-            est_inv = inv_ests[i]
+        if i == good:
+            raise inv_error
+        est_inv = inv_ests[i]
         if est_inv.diverged:
             raise BoundaryExtensionError(
                 f"inverse tractor metric diverges at boundary point {y}"

@@ -20,8 +20,7 @@ and tractor layers carry it; samples come back one per ladder
 from one Richardson table built of whole-array stages
 (:func:`richardson_limits`, :func:`boundary_limit`); :func:`richardson_limit`
 is the table of one ladder.  This module is the only one that iterates a
-ladder's levels: to place them, and to name the failing level when a
-stacked evaluation raises.
+ladder's levels, to place them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import Geometry, GeometryError
+from .fields import Geometry, GeometryError, first_failure
 
 __all__ = [
     "Ladder",
@@ -182,25 +181,20 @@ def boundary_ladders(
     Newton: each iteration evaluates rho on the levels still open, and a
     level is frozen once it converges, so it takes the same steps it would
     take alone.  A ladder alone raises the error of its lowest failing
-    level.  When the stacked placement raises, or a level of it turns
-    tangent or does not converge, the ladders are placed again one at a
-    time in order, so the error is the one that placing them one after the
-    other raises.
+    level (tangent, not converging or raised), and a stack that of its
+    first ladder that fails alone (:func:`~tractorlab.fields.first_failure`).
     """
     if not len(ys):
         return []
     ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
-    try:
-        return _place(geom, ys, directions, eps0, levels)
-    except Exception:
-        if len(ys) == 1:
-            raise
-    # one at a time, in order: the first ladder that fails alone raises
-    return [
-        _place(geom, ys[i : i + 1], None if directions is None else directions[i : i + 1],
-               eps0, levels)[0]
-        for i in range(len(ys))
-    ]
+    ladders, _, error = first_failure(
+        lambda s: _place(geom, ys[s], None if directions is None else directions[s],
+                         eps0, levels),
+        len(ys),
+    )
+    if error is not None:
+        raise error
+    return ladders
 
 
 def _place(geom, ys, directions, eps0, levels) -> list[Ladder]:
@@ -254,23 +248,18 @@ def ladder_samples(f: PointFunction, ladders: Sequence[Ladder]) -> list[np.ndarr
     ``f`` is called once, on the ladders' ``points`` rows stacked in order,
     and returns its values with the batch axis last (the layout of a dense
     jet array's ``[..., 0]`` slice); the batch axis is moved to the front
-    and split at the ladders.  When the stacked call raises, the ladders
-    are rerun one at a time, level by level, each level as a batch of one,
-    only to raise the first failing level's own error, which names that
-    level's point where the point function names one.
+    and split at the ladders.  When the stacked call raises, the error is
+    the first failing level's alone (:func:`~tractorlab.fields.first_failure`),
+    which names that level's point where the point function names one.
     """
     if not ladders:
         return []
     batch = np.concatenate([lad.points for lad in ladders])
-    try:
-        values = np.asarray(f(batch), dtype=float)
-    except Exception:
-        for ladder in ladders:
-            for k in range(len(ladder.points)):
-                f(ladder.points[k : k + 1])
-        raise
+    values, _, error = first_failure(lambda rows: f(batch[rows]), len(batch))
+    if error is not None:
+        raise error
     ends = np.cumsum([len(lad.points) for lad in ladders])[:-1]
-    return np.split(np.moveaxis(values, -1, 0), ends)
+    return np.split(np.moveaxis(np.asarray(values, dtype=float), -1, 0), ends)
 
 
 def boundary_limit(f: PointFunction, ladders: Sequence[Ladder]) -> list[LimitEstimate]:

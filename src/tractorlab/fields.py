@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -344,9 +344,8 @@ class Geometry:
         each round's rho values come from one run.  A round draws exactly
         the candidates that drawing one at a time would draw next, so the
         points and the RNG stream are those of the one-at-a-time draw, as is
-        the error after ``200 * count`` candidates.  When a round's run
-        raises, its rows are evaluated one at a time in order
-        (:func:`_row_reader`), so the error is the one-at-a-time error.
+        the error after ``200 * count`` candidates, or the error of a
+        round's first failing row (:func:`first_failure`).
         """
         if self.interior_box is None:
             raise GeometryError(f"geometry {self.name!r} has no interior box")
@@ -360,8 +359,10 @@ class Geometry:
                 )
             xs = rng.uniform(lo, hi, size=(min(count - len(pts), cap - attempts), self.dim))
             attempts += len(xs)
-            rho = _row_reader(self.rho_value, xs)
-            pts.extend(x for k, x in enumerate(xs) if rho(k) > 0.05)
+            rho, good, error = first_failure(lambda rows: self.rho_value(xs[rows]), len(xs))
+            pts.extend(x for x, r in zip(xs[:good], rho if good else ()) if r > 0.05)
+            if error is not None:
+                raise error
         return np.array(pts, dtype=float).reshape(count, self.dim)
 
     def boundary_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -400,22 +401,28 @@ def _half_space_sampler(dim: int, first_value: float):
     return sample
 
 
-def _row_reader(f: Callable, points: np.ndarray) -> Callable[[int], object]:
-    """``f`` at the rows of a batch of points ``(B, dim)``, read by row index;
-    ``f`` maps a batch to its values with the batch axis first.
-
-    One batched call gives every row.  When it raises (a row the caller
-    never reads may lie outside the domain of rho), each row is evaluated
-    only when read, alone, as a batch of one; so a caller that reads rows
-    in order and stops early raises, or returns, exactly what evaluating
-    its points one at a time would.  A row gets the same bits in a batch of
-    one as in the whole batch, so either way the values are the same.
-    """
-    try:
-        values = f(points)
-    except (ArithmeticError, ValueError):  # jet errors, float overflow, math domain
-        return lambda i: f(points[i : i + 1])[0]
-    return values.__getitem__
+def first_failure(f: Callable[[slice], object], count: int) -> tuple[object, int, Exception | None]:
+    """``(values, good, error)`` of ``f``, which maps a ``slice`` of
+    ``count`` independent rows (a row gets the same bits, or error, in any
+    batch as alone) to their values.  One call over all rows gives
+    ``(f(slice(0, count)), count, None)``.  When it raises, a bisection over
+    prefixes finds the first failing row ``good``; ``values`` is
+    ``f(slice(0, good))``, None when ``good`` is 0, and ``error`` is row
+    ``good``'s alone, as a batch of one: the error that working the rows
+    one at a time meets first, even where ``f`` names its whole batch."""
+    values, good, bad, error, mid = None, 0, count, None, count
+    while mid > good:  # prefix good passes, prefix bad raises
+        try:
+            values, good = f(slice(0, mid)), mid
+        except Exception as err:  # any error: the bisection finds whose it is
+            error, bad = err, mid
+        mid = (good + bad) // 2
+    if 0 < good < count:  # the shortest failing prefix held more than row good
+        try:
+            f(slice(good, good + 1))
+        except Exception as err:
+            error = err
+    return values, good, error
 
 
 def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
@@ -442,15 +449,16 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     geom.signature = (int(np.sum(evals > 0)), int(np.sum(evals < 0)))
     if geom.boundary_sampler is not None:
         ys = geom.boundary_points(3, rng)
-        drho = _row_reader(
-            lambda p: np.ascontiguousarray(geom.rho_and_drho(p)[1].T), ys
+        drho, good, error = first_failure(
+            lambda rows: np.ascontiguousarray(geom.rho_and_drho(ys[rows])[1].T), len(ys)
         )
-        for k, y in enumerate(map(tuple, ys.tolist())):
-            grad = drho(k)
+        for y, grad in zip(map(tuple, ys.tolist()), drho if good else ()):
             if math.sqrt(float(grad @ grad)) < 1e-8:
                 raise GeometryError(
                     f"d(rho) of {geom.name!r} degenerate at boundary point {y}"
                 )
+        if error is not None:
+            raise error
 
 
 def _tangential_h_check(geom: Geometry, h: np.ndarray,
@@ -458,15 +466,16 @@ def _tangential_h_check(geom: Geometry, h: np.ndarray,
     """The asymptotic-form data h must be nondegenerate tangentially at rho=0."""
     hfield = TensorField.from_exprs(geom.chart, h, "dd", name="h", sym=((0, 1),))
     ys = geom.boundary_points(3, rng)
-    tangential = _row_reader(
-        lambda p: np.moveaxis(hfield.dense(p, 0)[1:, 1:, :, 0], -1, 0), ys
+    tangential, good, error = first_failure(
+        lambda rows: np.moveaxis(hfield.dense(ys[rows], 0)[1:, 1:, :, 0], -1, 0), len(ys)
     )
-    for k, y in enumerate(map(tuple, ys.tolist())):
-        tang = tangential(k)
+    for y, tang in zip(map(tuple, ys.tolist()), tangential if good else ()):
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(
                 f"boundary data h of {geom.name!r} degenerate tangentially at {y}"
             )
+    if error is not None:
+        raise error
 
 
 def _make_klein(dim: int) -> Geometry:
@@ -859,19 +868,20 @@ def _make_ray_boundary_sampler(geom: Geometry):
 
     The march values and each midpoint are computed by the same float
     operations as in a search that probes one point at a time, each as a
-    batch of one, and a row gets the same bits in a larger batch, so the
-    points returned and the RNG draws are that search's.  A batch holds
-    points the one-at-a-time search never evaluates; when its run raises,
-    its rows are evaluated one at a time in the search's order
-    (:func:`_row_reader`), so the search returns, or raises, what the
-    one-at-a-time search does.
+    batch of one, and a row gets the same bits in a larger batch; reading a
+    batch's first failing row raises that row's own error
+    (:func:`first_failure`).  So the search returns, or raises, what the
+    one-at-a-time search does, and makes the same RNG draws.
     """
     lo, hi = geom.interior_box
     center = (np.asarray(lo) + np.asarray(hi)) / 2.0
 
-    def rho_along(v: np.ndarray, s: list[float]) -> Callable[[int], float]:
-        rho = _row_reader(geom.rho_value, center + np.array(s)[:, None] * v)
-        return lambda k: float(rho(k))
+    def rho_along(v: np.ndarray, s: list[float]) -> Iterator[float]:
+        points = center + np.array(s)[:, None] * v
+        rho, good, error = first_failure(lambda rows: geom.rho_value(points[rows]), len(s))
+        yield from map(float, rho if good else ())
+        if error is not None:
+            raise error
 
     def march(v: np.ndarray) -> tuple[float, float, float | None, float] | None:
         """The last bracket ``(s_in, s_out, rho_in, rho_out)`` of the march,
@@ -883,9 +893,7 @@ def _make_ray_boundary_sampler(geom: Geometry):
             for _ in range(min(rows, left)):
                 steps.append(s)
                 s += 0.05
-            rho = rho_along(v, steps)
-            for k, s_k in enumerate(steps):
-                r = rho(k)
+            for s_k, r in zip(steps, rho_along(v, steps)):
                 if r <= 0:
                     return s_in, s_k, r_in, r
                 s_in, r_in = s_k, r
@@ -917,10 +925,8 @@ def _make_ray_boundary_sampler(geom: Geometry):
                 a, b = (mid, b) if mid < root else (a, mid)
             if not path:
                 break
-            rho = rho_along(v, path)
-            for k, mid in enumerate(path):
+            for mid, r in zip(path, rho_along(v, path)):
                 left -= 1
-                r = rho(k)
                 if r > 0:
                     s_in, r_in = mid, r
                 else:

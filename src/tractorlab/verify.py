@@ -45,6 +45,7 @@ from .fields import (
     Geometry,
     GeometryError,
     TensorField,
+    first_failure,
     value_dot,
     value_inv,
     value_matmul,
@@ -198,6 +199,7 @@ class _Session:
         self._ladders: dict[tuple, Ladder] = {}
         self._transversal_checks = list(transversal_checks)
         self._curves: dict[tuple, bd.TransversalCurve] = {}
+        self._errors: dict[int, Exception] = {}
 
     def interior(self, rng, count=None) -> np.ndarray:
         """Sample interior points as one ``(N, d)`` batch: an interior
@@ -242,37 +244,40 @@ class _Session:
         transversal check of a suite also draws the ladders of the later
         applicable ones, each from the generator :func:`run_suite` will give
         it, and integrates every curve in one batch; a later check reads its
-        rows.  When that batch raises, each check integrates its own curves
-        alone, so every error is the one the check meets alone.
+        rows.  A check's error is the one it meets alone
+        (:func:`~tractorlab.fields.first_failure`), raised when it runs.
         """
+        if self.index in self._errors:
+            raise self._errors.pop(self.index)
         ladders = self._transversal_ladders(rng)
         if all(ladder.y in self._curves for ladder in ladders):
             return ladders, [self._curves.pop(ladder.y) for ladder in ladders]
-        try:
-            later = [
-                lad for i, check in self._transversal_checks
-                if i > self.index and check.applicable(self.geom, self)[0]
-                for lad in self._transversal_ladders(_check_rng(self.plan, i))
+        units = [self.index] + [
+            i for i, check in self._transversal_checks
+            if i > self.index and check.applicable(self.geom, self)[0]
+        ]
+
+        def integrate(rows: slice) -> list[bd.TransversalCurve]:
+            # a later check's ladders are placed here: their errors are its own
+            drawn = [
+                lad for i in units[rows]
+                for lad in (ladders if i == self.index
+                            else self._transversal_ladders(_check_rng(self.plan, i)))
             ]
-            curves = self._integrate(ladders + later) if later else None
-        except Exception:
-            # run_suite makes any exception a check's error, so whatever the
-            # batch raises is left for the check that meets it alone
-            curves = None
-        if curves is None:
-            return ladders, self._integrate(ladders)
-        own = len(ladders)
-        self._curves.update((lad.y, curve) for lad, curve in zip(later, curves[own:]))
-        return ladders, curves[:own]
+            return bd.geodetic_transversals(
+                self.calc, drawn, step=self.plan.ode_step, horizon=self.plan.ode_horizon
+            )
+
+        curves, good, error = first_failure(integrate, len(units))
+        if not good:
+            raise error
+        if error is not None:
+            self._errors[units[good]] = error
+        self._curves.update((curve.y, curve) for curve in curves[len(ladders):])
+        return ladders, curves[: len(ladders)]
 
     def _transversal_ladders(self, rng) -> list[Ladder]:
         return self.ladders(rng, min(self.plan.boundary_points, 4))
-
-    def _integrate(self, ladders) -> list[bd.TransversalCurve]:
-        plan = self.plan
-        return bd.geodetic_transversals(
-            self.calc, ladders, step=plan.ode_step, horizon=plan.ode_horizon
-        )
 
     def probe_nondegenerate(self) -> tuple[bool, str]:
         hit = self._probe.get("nondegenerate")

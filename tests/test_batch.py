@@ -16,10 +16,13 @@ below pin that every contraction shape gives each row the bits of its batch
 of one.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import PLAN, ladder, ladders
 from ladder_reference import locate_on_curve, place_levels
@@ -29,7 +32,14 @@ from tractorlab import expr as ex
 from tractorlab import jets
 from tractorlab.affine import CurvaturePack
 from tractorlab.extrapolate import boundary_ladder, boundary_limit, ladder_samples
-from tractorlab.fields import Chart, Geometry, GeometryError, builtin_geometry, load_geometry
+from tractorlab.fields import (
+    Chart,
+    Geometry,
+    GeometryError,
+    builtin_geometry,
+    first_failure,
+    load_geometry,
+)
 from tractorlab.jets import DomainError, PoleError, jet_einsum, jet_inverse, jet_space
 from tractorlab.tractor import (
     TractorCalculus,
@@ -651,9 +661,58 @@ def test_a_raise_on_one_ladder_names_that_ladders_first_failing_level(klein3):
     with pytest.raises(PoleError) as err:
         boundary_limit(f, lads)
     assert str(err.value) == f"pole at {bad[0]}"
-    # one stacked call, then ladder 1's levels and ladder 2's up to the pole,
-    # each level as a batch of one
-    assert calls == [3 * PLAN.levels] + [1] * (len(lads[0].points) + 3)
+    # one stacked call, a bisection over its prefixes down to the first
+    # pole level (row 8 of 18), then that level alone as a batch of one
+    assert calls == [18, 9, 4, 6, 7, 8, 1]
+
+
+def _instruction_rows(fail_at, calls):
+    """A batched function over rows that each fail at an instruction index
+    below 5 (None: never): it runs the instructions in order over its
+    slice and raises at the first one where any of its rows fails, naming
+    the batch when it has more than one row and the row when alone."""
+
+    def f(rows):
+        ks = range(len(fail_at))[rows]
+        calls.append((ks.start, len(ks)))
+        for step in range(5):
+            failing = [k for k in ks if fail_at[k] == step]
+            if failing and len(ks) > 1:
+                raise ArithmeticError(f"a batch fails at instruction {step}")
+            if failing:
+                raise ArithmeticError(f"row {ks[0]} fails at instruction {step}")
+        return [10 * k for k in ks]
+
+    return f
+
+
+def _one_at_a_time(f, count):
+    """``first_failure``'s result from working the rows one at a time."""
+    for k in range(count):
+        try:
+            f(slice(k, k + 1))
+        except ArithmeticError as err:
+            return (f(slice(0, k)) if k else None), k, str(err)
+    return (f(slice(0, count)) if count else None), count, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fail_at=st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=40))
+@example(fail_at=[])
+@example(fail_at=[None])
+@example(fail_at=[3])
+@example(fail_at=[4, 0, None])  # the batch's first failing instruction is row 1's
+def test_first_failure_matches_the_one_at_a_time_reference(fail_at):
+    calls = []
+    values, good, error = first_failure(_instruction_rows(fail_at, calls), len(fail_at))
+    assert (values, good, error and str(error)) == _one_at_a_time(
+        _instruction_rows(fail_at, []), len(fail_at)
+    )
+    if error is None:
+        assert len(calls) == (1 if fail_at else 0)
+    else:
+        assert len(calls) <= 2 + math.ceil(math.log2(len(fail_at)))
+        assert calls[-1] == (good, 1)  # the error is the failing row's alone
 
 
 def test_a_ladder_list_gives_one_estimate_per_ladder(klein3):

@@ -526,20 +526,39 @@ def test_ray_search_matches_the_sequential_search(rho, box):
         assert got == want
 
 
-def test_a_batch_past_the_domain_of_rho_falls_back_to_single_points(monkeypatch):
+def test_a_batch_past_the_domain_of_rho_bisects_to_its_first_failing_point(monkeypatch):
     doc = _ball_doc(f"sqrt(1 - {R2}) - 0.5")
     geom = load_geometry(doc)
-    rows = []
+    runs = []  # (points, raised) of each rho run, in order
     real = ex.Tape.run
 
     def run(self, points, space):
-        rows.append(len(points))
-        return real(self, points, space)
+        runs.append((np.array(points), True))
+        values = real(self, points, space)
+        runs[-1] = (runs[-1][0], False)
+        return values
 
     monkeypatch.setattr(ex.Tape, "run", run)
     got = _search_outcome(geom.boundary_sampler, 3)
-    assert rows.count(1) > 10  # the march runs that raised were rerun point by point
     monkeypatch.setattr(ex.Tape, "run", real)
+    # a run of a prefix of the last batch, or of one of its points, goes on
+    # that batch's search for its first failing point
+    batches = []
+    for points, raised in runs:
+        lead = batches[-1][0] if batches else np.zeros((0, 3))
+        n = len(points)
+        if n < len(lead) and (
+            np.array_equal(lead[:n], points)
+            or (n == 1 and (lead == points).all(axis=1).any())
+        ):
+            batches[-1][2] += 1
+        else:
+            batches.append([points, raised, 0])
+    raising = [(len(lead), after) for lead, raised, after in batches if raised]
+    assert raising  # the march runs past |u| = 1, where sqrt is undefined
+    for size, after in raising:
+        assert after <= math.ceil(math.log2(size)) + 1
+    assert all(after == 0 for _, raised, after in batches if not raised)
     assert got == _search_outcome(functools.partial(_sequential_ray_point, geom), 3)
 
 

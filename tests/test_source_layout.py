@@ -32,7 +32,10 @@ verdict, so no other code of ``verify`` writes an infinite residual or
 rescales a residual by a tolerance ratio.  Every layer takes a batch of
 points ``(B, d)`` and one point is a batch of one, so no code keeps a
 single-point path beside the batch one: none tests ``is_batch``, annotates
-a ``Point | np.ndarray`` union or branches on the ``ndim`` of a point."""
+a ``Point | np.ndarray`` union or branches on the ``ndim`` of a point.  A
+batch that raises has one failure path, ``fields.first_failure``, so no
+other code catches ``Exception`` but the boundaries that must keep
+running."""
 
 import ast
 import importlib
@@ -625,3 +628,81 @@ def test_the_single_point_rule_sees_the_point_paths():
         "nd = out.ndim",
     ):
         assert not list(_single_point_paths(ast.parse(src))), src
+
+
+#: The functions that may catch ``Exception``: the one failure path of a
+#: batch, which finds whose error a batch raised, and the boundaries that
+#: must keep running (a suite completes whatever a check raises, and any
+#: failure of the compactness probe means "not compact").
+BROAD_EXCEPT_ALLOWED = {
+    "fields.first_failure", "verify.run_suite", "verify._Session.probe_compact",
+}
+
+
+def _broad_excepts(tree, module):
+    """``(function, line)`` of each handler of ``module`` (a file's stem)
+    outside ``BROAD_EXCEPT_ALLOWED`` that catches ``Exception`` or broader
+    (``BaseException``, a bare ``except``), alone or in a tuple; the
+    function is named with its enclosing classes and functions."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                kinds = getattr(child.type, "elts", [child.type])
+                if child.type is None or any(
+                    ast.unparse(kind).rsplit(".", 1)[-1] in ("Exception", "BaseException")
+                    for kind in kinds
+                ):
+                    name = ".".join(scope)
+                    if f"{module}.{name}" not in BROAD_EXCEPT_ALLOWED:
+                        yield name, child.lineno
+            yield from visit(child, scope)
+
+    return list(visit(tree, ()))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_the_failure_path_and_the_suite_catch_every_exception(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = _broad_excepts(tree, module.stem)
+    assert not found, f"{module.name} catches Exception in {found}"
+
+
+def test_the_broad_except_rule_sees_a_copied_fallback():
+    for module, src in (
+        # the level-by-level rerun that first_failure replaced
+        ("extrapolate",
+         "def ladder_samples(f, ladders):\n"
+         "    batch = np.concatenate([lad.points for lad in ladders])\n"
+         "    try:\n"
+         "        values = np.asarray(f(batch), dtype=float)\n"
+         "    except Exception:\n"
+         "        for ladder in ladders:\n"
+         "            for k in range(len(ladder.points)):\n"
+         "                f(ladder.points[k : k + 1])\n"
+         "        raise"),
+        ("verify",
+         "class _Session:\n"
+         "    def transversals(self, rng):\n"
+         "        try:\n"
+         "            curves = self._integrate(ladders + later)\n"
+         "        except Exception:\n"
+         "            curves = None"),
+        ("fields", "def f():\n    try:\n        pass\n    except (ValueError, Exception):\n        pass"),
+        ("fields", "def first_failure(f, count):\n    def g():\n"
+                   "        try:\n            pass\n        except:\n            pass"),
+        ("cli", "try:\n    main()\nexcept BaseException:\n    pass"),
+    ):
+        assert _broad_excepts(ast.parse(src), module), src
+    for module, src in (
+        ("fields", "def first_failure(f, count):\n"
+                   "    try:\n        pass\n    except Exception as err:\n        error = err"),
+        ("verify", "class _Session:\n    def probe_compact(self):\n"
+                   "        try:\n            pass\n        except Exception as err:\n            ok = False"),
+        ("boundary", "def acc(x):\n    try:\n        pass\n"
+                     "    except (ArithmeticError, ValueError) as err:\n        failure = err"),
+    ):
+        assert not _broad_excepts(ast.parse(src), module), src

@@ -9,7 +9,7 @@ import pytest
 from conftest import at_boundary_points
 from tractorlab import verify
 from tractorlab.extrapolate import boundary_ladder
-from tractorlab.fields import builtin_geometry
+from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import jet_space
 from tractorlab.verify import SamplingPlan, registry, run_suite
 
@@ -482,6 +482,29 @@ def test_a_curve_leaving_the_domain_fails_only_its_own_check(klein3, monkeypatch
             )
         else:
             assert report.status == "pass"
+
+
+def test_a_later_checks_placement_error_is_its_own(monkeypatch):
+    # the boundary points of prop-2.5-mu's draw raise: the joint run of
+    # lem-2.4-transversal places them, and leaves the error to prop-2.5-mu
+    geom, plan = builtin_geometry("klein", 3), SamplingPlan(seed=1)
+    fresh = verify._check_rng(plan, [c.id for c in registry()].index("prop-2.5-mu"))
+    real = type(geom).boundary_points
+
+    def boundary_points(self, count, rng):
+        if rng.bit_generator.state == fresh.bit_generator.state:
+            raise GeometryError("no boundary points on this draw")
+        return real(self, count, rng)
+
+    monkeypatch.setattr(type(geom), "boundary_points", boundary_points)
+    counted = _counting_transversals(monkeypatch)
+    pair = run_suite(geom, TRANSVERSAL_IDS, plan)
+    assert counted == [4]  # only lem-2.4-transversal's curves were integrated
+    for report in pair:
+        (alone,) = run_suite(geom, [report.check_id], plan)
+        assert _doc(alone) == _doc(report), report.check_id
+    assert [r.status for r in pair] == ["pass", "error"]
+    assert pair[1].reason == "GeometryError: no boundary points on this draw"
 
 
 #: The highest jet order each check requests from the builders of its jets,
