@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Chart, Geometry, TensorField, point_key
+from .fields import Chart, Geometry, TensorField, row_memo
 from .jets import (
     JetSpace,
     jet_determinant,
@@ -74,30 +74,17 @@ class Connection:
     def __init__(self, chart: Chart, evaluator: Callable[[np.ndarray, int], np.ndarray]):
         self.chart = chart
         self._evaluator = evaluator
-        self._cache: dict = {}
+        self._memo: dict = {}
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
     def dense(self, points: np.ndarray, order: int) -> np.ndarray:
-        """Memoized (read-only) dense Christoffel jets at a batch of points
-        (keyed by its rows)."""
-        key = (point_key(points), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._evaluator(points, order)
-            hit.flags.writeable = False
-            self._cache[key] = hit
-        return hit
-
-    def _peek(self, points: np.ndarray, order: int) -> np.ndarray:
-        """Dense Christoffel jets at a batch of points, reusing a memoized
-        array but never storing a new one: a projective modification
-        (:func:`projective_modify`) memoizes its own jets, so its base's
-        would be stored twice."""
-        hit = self._cache.get((point_key(points), order))
-        return self._evaluator(points, order) if hit is None else hit
+        """Memoized (read-only) dense Christoffel jets at a batch of points,
+        one evaluation per batch of rows at the highest order asked
+        (:func:`~tractorlab.fields.row_memo`)."""
+        return row_memo(self._memo, points, order, self._evaluator)
 
     def trace_gamma(self, points: np.ndarray, order: int) -> np.ndarray:
         """Dense jets ``(d, B, ncoeff)`` of the one-form ``Gamma^e_ea``
@@ -135,10 +122,7 @@ def levi_civita(geom_or_field) -> Connection:
     evaluated by :func:`levi_civita_jets`; the result is torsion free and
     preserves the metric volume density.
     """
-    if isinstance(geom_or_field, Geometry):
-        gfield = geom_or_field.metric_field()
-    else:
-        gfield = geom_or_field
+    gfield = geom_or_field.metric_field() if isinstance(geom_or_field, Geometry) else geom_or_field
 
     def evaluator(points: np.ndarray, order: int) -> np.ndarray:
         return levi_civita_jets(gfield.dense(points, order + 1), order)
@@ -155,7 +139,7 @@ def projective_modify(conn: Connection, upsilon: TensorField) -> Connection:
     """
 
     def evaluator(points: np.ndarray, order: int) -> np.ndarray:
-        return projective_change(conn._peek(points, order), upsilon.dense(points, order))
+        return projective_change(conn.dense(points, order), upsilon.dense(points, order))
 
     return Connection(conn.chart, evaluator)
 
@@ -231,14 +215,11 @@ class CurvaturePack:
 
     def dense(self, name: str, points: np.ndarray, order: int) -> np.ndarray:
         """Memoized (read-only) dense jets of the tensor ``name`` (``riemann``,
-        ``ricci``, ``schouten``, ...) at a batch of points."""
-        key = (name, point_key(points), order)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = getattr(self, "_build_" + name)(points, order)
-            hit.flags.writeable = False
-            self._memo[key] = hit
-        return hit
+        ``ricci``, ``schouten``, ...) at a batch of points, one evaluation
+        per tensor and batch of rows at the highest order asked
+        (:func:`~tractorlab.fields.row_memo`)."""
+        memo = self._memo.setdefault(name, {})
+        return row_memo(memo, points, order, getattr(self, "_build_" + name))
 
     def _build_riemann(self, points: np.ndarray, order: int) -> np.ndarray:
         d = self.dim
@@ -352,9 +333,9 @@ def covariant_derivative(field: TensorField, conn: Connection) -> TensorField:
 # -- densities ---------------------------------------------------------------
 
 
-def canonical_tau(geom: Geometry) -> TensorField:
-    """The canonical weight-2 density of a metric: ``|det g|^(-1/(n+2))``,
-    a rank-0 field of weight 2.
+def canonical_tau(geom_or_field) -> TensorField:
+    """The canonical weight-2 density of a metric geometry (or bare metric
+    field): ``|det g|^(-1/(n+2))``, a rank-0 field of weight 2.
 
     It is parallel for the Levi-Civita connection and satisfies
     ``|tau^(-n-2) det(g^ab)| = 1`` identically.  For a geometry that really
@@ -363,12 +344,13 @@ def canonical_tau(geom: Geometry) -> TensorField:
     numerically singular metric has a zero determinant, and its power
     raises :class:`~tractorlab.jets.DomainError`.
     """
-    gfield = geom.metric_field()
-    power = -1.0 / (geom.dim + 1)
+    gfield = geom_or_field.metric_field() if isinstance(geom_or_field, Geometry) else geom_or_field
+    dim = gfield.chart.dim
+    power = -1.0 / (dim + 1)
 
     def component(points: np.ndarray, order: int) -> np.ndarray:
-        space = jet_space(geom.dim, order)
+        space = jet_space(dim, order)
         det = jet_determinant(gfield.dense(points, order), space)
         return jet_function("pow", det * np.sign(det[..., :1]), space, power)
 
-    return TensorField(geom.chart, "", component, weight=2.0, name="tau")
+    return TensorField(gfield.chart, "", component, weight=2.0, name="tau")

@@ -451,7 +451,7 @@ def scalar_curvature(calc: TractorCalculus, p) -> np.ndarray:
 
 def schouten_trace(calc: TractorCalculus, p) -> np.ndarray:
     """``g^ij P_ij``, the metric trace of the Schouten tensor."""
-    gv = calc.geom.metric_field().dense(p, 0)[..., 0]
+    gv = calc.metric.dense(p, 0)[..., 0]
     Pv = calc.levi_civita_splitting.pack.dense("schouten", p, 0)[..., 0]
     return value_trace_product(value_inv(gv), Pv)
 
@@ -459,7 +459,7 @@ def schouten_trace(calc: TractorCalculus, p) -> np.ndarray:
 def tracefree_ricci(calc: TractorCalculus, p) -> np.ndarray:
     """``Ric - (S/(n+1)) g`` with the scalar curvature ``S`` at the point
     itself."""
-    g = calc.geom.metric_field().dense(p, 0)[..., 0]
+    g = calc.metric.dense(p, 0)[..., 0]
     ricci = calc.levi_civita_splitting.pack.dense("ricci", p, 0)[..., 0]
     return ricci - scalar_curvature(calc, p) / (calc.n + 1) * g
 
@@ -483,7 +483,7 @@ def t_vector(calc: TractorCalculus, p) -> np.ndarray:
 def h_form(calc: TractorCalculus, C: float, p) -> np.ndarray:
     """``h = rho g - (C/rho) d(rho) d(rho)``: the tensor ``h`` of the
     asymptotic form ``g = h/rho + C d(rho)^2/rho^2`` (Thm 2.5)."""
-    gv = calc.geom.metric_field().dense(p, 0)[..., 0]
+    gv = calc.metric.dense(p, 0)[..., 0]
     rho, grad = calc.geom.rho_and_drho(p)
     return rho * gv - (C / rho) * value_outer(grad)
 

@@ -44,6 +44,23 @@ def point_key(points: np.ndarray) -> bytes:
     return np.ascontiguousarray(points, dtype=float).tobytes()
 
 
+def row_memo(memo: dict, points: np.ndarray, order: int, evaluator: Callable) -> np.ndarray:
+    """Read-only dense jets of ``evaluator(points, order)`` through ``memo``,
+    the one memo rule of the package: one entry per batch of rows
+    (:func:`point_key`) holding the highest order evaluated there.  A
+    request at that order or below is the entry's leading coefficients (a
+    jet truncates by its leading coefficients, module ``jets``, and they
+    never depend on the higher ones); one above it evaluates and replaces
+    the entry."""
+    key = point_key(points)
+    ncoeff = jet_space(np.shape(points)[-1], order).ncoeff
+    hit = memo.get(key)
+    if hit is None or hit.shape[-1] < ncoeff:
+        hit = memo[key] = evaluator(points, order)
+        hit.flags.writeable = False
+    return hit[..., :ncoeff]
+
+
 # -- values at a batch of points -----------------------------------------------
 #
 # A value array is the ``[..., 0]`` slice of a dense jet array: the tensor
@@ -150,7 +167,7 @@ class TensorField:
     density weight.  ``evaluator(points, order)`` takes
     a batch of points ``(B, dim)`` and returns the dense jet array of shape
     ``(dim,) * rank + (B, ncoeff)`` (module ``jets``), which :meth:`dense`
-    passes through.
+    memoizes by its rows (:func:`row_memo`) for as long as the field lives.
     """
 
     def __init__(
@@ -166,6 +183,7 @@ class TensorField:
         self.weight = float(weight)
         self.name = name
         self._evaluator = evaluator
+        self._memo: dict = {}
         # set by from_exprs: the compiled tape, and the map from its rows
         # to the dense component array
         self.tape: ex.Tape | None = None
@@ -176,8 +194,11 @@ class TensorField:
         return len(self.variance)
 
     def dense(self, points: np.ndarray, order: int) -> np.ndarray:
-        """Every component at a batch of points ``(B, dim)`` as one dense jet
-        array, shape ``(dim,) * rank + (B, ncoeff)``."""
+        """Every component at a batch of points ``(B, dim)`` as one memoized,
+        read-only dense jet array, shape ``(dim,) * rank + (B, ncoeff)``."""
+        return row_memo(self._memo, points, order, self._checked)
+
+    def _checked(self, points: np.ndarray, order: int) -> np.ndarray:
         out = np.asarray(self._evaluator(points, order))
         expected = (self.chart.dim,) * self.rank + (
             len(points), jet_space(self.chart.dim, order).ncoeff,
@@ -315,24 +336,30 @@ class Geometry:
     def metric_field(self) -> TensorField:
         """The metric, compiled once into a tape whose last row is rho, the
         one compile of rho: one run gives both (:meth:`rho_and_metric`), the
-        field runs the metric rows and :meth:`rho_dense` the rho row."""
-        if not hasattr(self, "_metric_field"):
-            self._metric_field = TensorField.from_exprs(
-                self.chart, self.metric, "dd", name="g", sym=((0, 1),), extra=(self.rho,)
-            )
-        return self._metric_field
+        field runs the metric rows and :meth:`rho_dense` the rho row.  Only
+        the tape and its ``read_rows`` are kept here: each call returns a new
+        field over them, whose memo lives as long as its caller holds it."""
+        compiled = self._metric
+        field = TensorField(self.chart, "dd", compiled._evaluator, name="g")
+        field.tape, field.read_rows = compiled.tape, compiled.read_rows
+        return field
+
+    @functools.cached_property
+    def _metric(self) -> TensorField:  # never evaluated: its memo stays empty
+        return TensorField.from_exprs(
+            self.chart, self.metric, "dd", name="g", sym=((0, 1),), extra=(self.rho,)
+        )
 
     @functools.cached_property
     def _rho_row(self) -> ex.Tape:
-        return self.metric_field().tape.select([-1])
+        return self._metric.tape.select([-1])
 
     def rho_and_metric(self, points: np.ndarray, order: int) -> tuple:
         """One run of the metric tape at a batch of points ``(B, dim)``: the
         rho jets ``(B, ncoeff)`` and the metric jets ``(dim, dim, B,
         ncoeff)``, bit for bit :meth:`rho_dense`'s and ``metric_field()``'s."""
-        gfield = self.metric_field()
-        rows = gfield.tape.run(self.chart.coords(points), jet_space(self.dim, order))
-        return rows[-1], gfield.read_rows(rows)
+        rows = self._metric.tape.run(self.chart.coords(points), jet_space(self.dim, order))
+        return rows[-1], self._metric.read_rows(rows)
 
     # -- sampling -------------------------------------------------------
 

@@ -60,7 +60,6 @@ from .affine import (
     levi_civita_jets,
     projective_change,
     projective_modify,
-    rho_connection,
     rho_log_gradient,
     rho_one_form,
 )
@@ -192,28 +191,32 @@ def change_splitting(
 class TractorCalculus:
     """Tractor-calculus context for one geometry.
 
-    Owns the reference and Levi-Civita splittings (``reference``,
-    ``levi_civita_splitting``) with their connections and curvature packs,
-    the rho-modified connection ``hat`` (the reference one), the canonical
-    density ``tau``, and the splitting-dependent tractor connection matrices
-    (:meth:`omega`, built on each call).  It is the only builder of these
-    objects: a suite session makes one for each check it runs and one for
-    its probes, and a CLI evaluation makes one, so each memo has one owner
-    and ends with it.  Nothing caches a calculus on its ``Geometry``.
+    Owns the metric field ``metric`` (one for its lifetime, read by every
+    quantity of the calculus and by the check that holds it), the reference
+    and Levi-Civita splittings (``reference``, ``levi_civita_splitting``)
+    with their connections and curvature packs, the rho-modified connection
+    ``hat`` (the reference one), the canonical density ``tau``, and the
+    splitting-dependent tractor connection matrices (:meth:`omega`, built on
+    each call).  It is the only builder of these objects: a suite session
+    makes one for each check it runs and one for its probes, and a CLI
+    evaluation makes one, so each memo has one owner and ends with the
+    check.  Nothing caches a calculus, or anything evaluated, on its
+    ``Geometry``.
     """
 
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.dim = geom.dim
         self.n = geom.dim - 1
-        lc = levi_civita(geom)
-        self.hat = rho_connection(geom, base=lc)
-        self.tau = canonical_tau(geom)
+        self.metric = geom.metric_field()
+        lc = levi_civita(self.metric)
+        rho_form = rho_one_form(geom)  # one memo for hat and the Levi-Civita offset
+        self.hat = projective_modify(lc, rho_form)
+        self.tau = canonical_tau(self.metric)
         self.reference = self._split(self.hat, None)
         # Closures here capture locals, never ``self``: a reference cycle
         # would keep every calculus and its memoized arrays alive until a
         # full garbage collection.
-        rho_form = rho_one_form(geom)
         self.levi_civita_splitting = self._split(lc, TensorField(
             geom.chart, "d", lambda points, order: -rho_form.dense(points, order)
         ))
@@ -221,7 +224,7 @@ class TractorCalculus:
     # -- splittings -----------------------------------------------------
 
     def _split(self, conn: Connection, upsilon: TensorField | None) -> Splitting:
-        return Splitting(conn, CurvaturePack(conn, self.geom.metric_field()), upsilon)
+        return Splitting(conn, CurvaturePack(conn, self.metric), upsilon)
 
     def splitting(self, upsilon: TensorField) -> Splitting:
         """A new splitting with the given offset one-form from the
@@ -263,8 +266,7 @@ class TractorCalculus:
     def metricity_field(self) -> TensorField:
         """The metricity-equation candidate ``tau^-1 g^ab`` (weight -2)."""
         if not hasattr(self, "_sigma_field"):
-            gfield = self.geom.metric_field()
-            dim, tau = self.dim, self.tau
+            gfield, dim, tau = self.metric, self.dim, self.tau
 
             def evaluator(points, order):
                 space = jet_space(dim, order)

@@ -415,7 +415,7 @@ def _run_extend(geom, plan, rng, session):
 def _run_dense(geom, plan, rng, session):
     n = geom.dim - 1
     calc = session.calc
-    gfield = geom.metric_field()
+    gfield = calc.metric
 
     def slots(p):
         ginv = value_inv(gfield.dense(p, 0)[..., 0])
@@ -443,7 +443,7 @@ def _run_dense(geom, plan, rng, session):
 def _run_prop23_h(geom, plan, rng, session):
     n = geom.dim - 1
     calc = session.calc
-    gfield = geom.metric_field()
+    gfield = calc.metric
 
     def h23(p):
         gv = gfield.dense(p, 0)[..., 0]
@@ -501,7 +501,7 @@ def _run_transversal(geom, plan, rng, session):
 def _run_mu(geom, plan, rng, session):
     n = geom.dim - 1
     calc = session.calc
-    gfield = geom.metric_field()
+    gfield = calc.metric
     ladders, curves = session.transversals(rng)
     diverged, errors, defects, extrapolated, details = False, [], [], [], []
 
@@ -739,7 +739,7 @@ def _run_einstein(geom, plan, rng, session):
         }]
     C = hrep.C
     s_boundary = float(np.mean(hrep.scalar_limits))
-    gfield = geom.metric_field()
+    gfield = calc.metric
 
     def adjusted_ricci(p):
         g = gfield.dense(p, 0)[..., 0]
@@ -894,7 +894,7 @@ def _run_prop43(geom, plan, rng, session):
     lc_pack = calc.levi_civita_splitting.pack
     hat_pack = calc.reference.pack
     hat_conn = calc.hat
-    gfield = geom.metric_field()
+    gfield = calc.metric
 
     def drho_eval(pt, k):
         return jet_gradient(geom.rho_dense(pt, k + 1), jet_space(d, k + 1))
@@ -1149,7 +1149,7 @@ def _instance_matches(calc: TractorCalculus, pts: np.ndarray) -> np.ndarray:
     tau_hat = calc.tau_hat_dense(pts, order)[..., 0]
     tau = calc.tau.dense(pts, order)[..., 0]
     P = calc.levi_civita_splitting.pack.dense("schouten", pts, order)[..., 0]
-    g_jets = geom.metric_field().dense(pts, order)
+    g_jets = calc.metric.dense(pts, order)
     g = g_jets[..., 0]
     ginv = jet_inverse(g_jets, jet_space(geom.dim, order))[..., 0]
     grad2 = value_outer(grad)

@@ -1,5 +1,7 @@
 """Time the sampling layer of the checks: Richardson tables, ladder
-placement and interior draws, and count the tape runs of two suites.
+placement and interior draws, time two suites of the benchmark's
+``interior`` workload, and count the tape runs of three suites and the
+connection evaluations of two.
 
 Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
 in, and pytest does not collect it)::
@@ -21,9 +23,17 @@ Layers:
 * ``interior_points.klein-4``: ``interior_points(50, rng)`` on klein-4,
   whose box holds candidates with ``rho <= 0.05`` (about 1 in 460); at this
   seed one is rejected and drawn again;
-* ``tape_runs.*``: ``expr.Tape.run`` calls of the full klein-3 suite and of
-  the af2_generic-4 suite without the two transversal checks, at seed 1,
-  and of the interior draw above (counts, the same on every run).
+* ``suite.interior.af2_generic-4`` / ``suite.interior.klein-4``: one
+  ``run_suite`` of the ``interior`` workload's checks on two of its
+  geometries, af2_generic-4 without the two transversal checks at seed 1,
+  and klein-4's ``thm-4.1a-normal`` and ``thm-4.4-normality`` at seed 0;
+  their memos of evaluated jets end with each check's calculus;
+* ``tape_runs.*``: ``expr.Tape.run`` calls of the full klein-3 suite at
+  seed 1, of the interior draw above and of the two ``interior`` suites
+  (``tape_runs.interior.af2_generic-4`` was ``tape_runs.no-ode-af2_generic-4``
+  in ``BENCH_limits.json``), and ``conn_evals.*``: the Christoffel
+  evaluations (calls of a ``Connection``'s evaluator) of the two
+  ``interior`` suites (counts, the same on every run).
 
 Times are medians of ``--repeat`` blocks, in reference microseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -57,15 +67,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speed import SpeedClock  # noqa: E402
 
+from tractorlab import affine  # noqa: E402
 from tractorlab import expr as ex  # noqa: E402
 from tractorlab import extrapolate as ext  # noqa: E402
 from tractorlab.fields import builtin_geometry  # noqa: E402
 from tractorlab.verify import SamplingPlan, registry, run_suite  # noqa: E402
 
 PLAN = SamplingPlan()
-UNIT = "reference us per call, median block; tape_runs.* are counts"
+UNIT = "reference us per call, median block; tape_runs.* and conn_evals.* are counts"
 #: The two checks that integrate geodetic transversals.
 ODE_CHECKS = ("lem-2.4-transversal", "prop-2.5-mu")
+#: The ``interior`` workload's checks on klein-4, at its plan seed 0.
+KLEIN4_CHECKS = ("thm-4.1a-normal", "thm-4.4-normality")
+COUNTS = ("tape_runs.", "conn_evals.")
 
 
 def _limits(stack):
@@ -90,21 +104,35 @@ def _per_call_us(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
     return statistics.median(blocks) * 1e6
 
 
-def _tape_runs(fn) -> int:
-    runs = 0
-    real = ex.Tape.run
+def _counts(fn) -> tuple[int, int]:
+    """The ``expr.Tape.run`` calls and the Christoffel evaluations of
+    ``fn()``."""
+    runs = evals = 0
+    real_run, real_init = ex.Tape.run, affine.Connection.__init__
 
-    def counted(self, points, space):
+    def counted_run(self, points, space):
         nonlocal runs
         runs += 1
-        return real(self, points, space)
+        return real_run(self, points, space)
 
-    ex.Tape.run = counted
+    def counted_init(self, chart, evaluator):
+        def counted(points, order):
+            nonlocal evals
+            evals += 1
+            return evaluator(points, order)
+
+        real_init(self, chart, counted)
+
+    ex.Tape.run, affine.Connection.__init__ = counted_run, counted_init
     try:
         fn()
     finally:
-        ex.Tape.run = real
-    return runs
+        ex.Tape.run, affine.Connection.__init__ = real_run, real_init
+    return runs, evals
+
+
+def _tape_runs(fn) -> int:
+    return _counts(fn)[0]
 
 
 def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
@@ -134,10 +162,18 @@ def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
     out["tape_runs.suite-klein-3"] = _tape_runs(
         lambda: run_suite(klein3, "all", SamplingPlan(seed=1))
     )
-    out["tape_runs.no-ode-af2_generic-4"] = _tape_runs(
-        lambda: run_suite(af2, no_ode, SamplingPlan(seed=1))
-    )
     out["tape_runs.interior_points.klein-4"] = _tape_runs(draw)
+    suites = {
+        "af2_generic-4": lambda: run_suite(af2, no_ode, SamplingPlan(seed=1)),
+        "klein-4": lambda: run_suite(klein4, KLEIN4_CHECKS, SamplingPlan(seed=0)),
+    }
+    for label, suite in suites.items():
+        out[f"suite.interior.{label}"] = _per_call_us(
+            clock, suite, max(calls // 10, 1), repeat
+        )
+        runs, evals = _counts(suite)
+        out[f"tape_runs.interior.{label}"] = runs
+        out[f"conn_evals.interior.{label}"] = evals
     return out
 
 
@@ -151,7 +187,7 @@ def main(argv=None) -> int:
     with SpeedClock() as clock:
         column = measure(clock, args.calls, args.repeat)
     for layer, value in column.items():
-        unit = "count" if layer.startswith("tape_runs.") else "reference us"
+        unit = "count" if layer.startswith(COUNTS) else "reference us"
         print(f"{layer:36s} {value:10.2f} {unit}")
     if args.out:
         path = Path(args.out)

@@ -35,7 +35,10 @@ single-point path beside the batch one: none tests ``is_batch``, annotates
 a ``Point | np.ndarray`` union or branches on the ``ndim`` of a point.  A
 batch that raises has one failure path, ``fields.first_failure``, so no
 other code catches ``Exception`` but the boundaries that must keep
-running."""
+running.  Every memo of evaluated jets is keyed by its batch's rows alone
+and read through ``fields.row_memo``, which serves lower orders by
+truncation, so no code but that helper builds a row key, and no key holds a
+jet order."""
 
 import ast
 import importlib
@@ -58,7 +61,8 @@ MODULES = sorted(SRC.glob("*.py"))
 #: second value path of the rho-modified connection, the rho-first stage
 #: path and the second pivot loop, and the second producers of the standard
 #: tractor curvature, the Hessian of rho and the constant C, with the report
-#: fields and options that nothing read, that left the package.
+#: fields and options that nothing read, and the memo read that stored
+#: nothing, that left the package.
 REMOVED = {
     "jet_views", "jet_stack", "jet_values", "jet_det", "jet_apply",
     "jet_partial", "jet_constant", "jet_variable", "APPLY_FUNCTIONS",
@@ -81,7 +85,7 @@ REMOVED = {
     "exact_boundary",
     "christoffel_values", "acc_rows_on_boundary", "_check_pivots",
     "tractor_curvature", "hessian_of_rho", "_constructor_c", "h_limits", "h_errors",
-    "dual_gamma_defect", "density_sign",
+    "dual_gamma_defect", "density_sign", "_peek",
 }
 
 #: Removed names that a report still uses as a key: no code binds, reads or
@@ -706,3 +710,88 @@ def test_the_broad_except_rule_sees_a_copied_fallback():
                      "    except (ArithmeticError, ValueError) as err:\n        failure = err"),
     ):
         assert not _broad_excepts(ast.parse(src), module), src
+
+
+#: The functions that may key by a batch's rows: ``point_key`` makes the key
+#: (the only ``tobytes`` of the package), and ``row_memo`` alone uses it.
+ROW_KEY_ALLOWED = {"fields.point_key": "tobytes", "fields.row_memo": "point_key"}
+
+#: Expressions that would join a row key with something else, such as a jet
+#: order or a tensor name.
+COMPOSITE = (ast.Tuple, ast.List, ast.Set, ast.BinOp, ast.JoinedStr)
+
+
+def _row_keys(tree, module):
+    """``(function, line)`` of each row key made outside ``ROW_KEY_ALLOWED``
+    (a call of ``point_key``, or of ``tobytes``), and of each one joined
+    into a composite key anywhere."""
+
+    def called(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            name = ".".join(scope)
+            if called(child) in ("point_key", "tobytes"):
+                if ROW_KEY_ALLOWED.get(f"{module}.{name}") != called(child):
+                    yield name, child.lineno
+            if isinstance(child, COMPOSITE) and any(
+                called(sub) in ("point_key", "tobytes") for sub in ast.walk(child)
+            ):
+                yield name, child.lineno
+            yield from visit(child, scope)
+
+    return list(visit(tree, ()))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_every_memo_is_keyed_by_rows_through_the_one_helper(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = _row_keys(tree, module.stem)
+    assert not found, f"{module.name} makes a row key in {found}"
+
+
+def test_the_row_key_rule_sees_a_copied_order_key():
+    for module, src in (
+        # the memo of a connection before it served lower orders
+        ("affine",
+         "class Connection:\n"
+         "    def dense(self, points, order):\n"
+         "        key = (point_key(points), order)\n"
+         "        hit = self._cache.get(key)"),
+        ("affine",
+         "class Connection:\n"
+         "    def _peek(self, points, order):\n"
+         "        hit = self._cache.get((point_key(points), order))"),
+        ("affine",
+         "class CurvaturePack:\n"
+         "    def dense(self, name, points, order):\n"
+         "        key = (name, point_key(points), order)"),
+        ("fields", "def row_memo(memo, points, order, evaluator):\n"
+                   "    key = (point_key(points), order)"),
+        ("fields", "def row_memo(memo, points, order, evaluator):\n"
+                   "    key = point_key(points) + bytes([order])"),
+        ("fields", "def row_memo(memo, points, order, evaluator):\n"
+                   "    key = f'{point_key(points)}:{order}'"),
+        ("tractor", "def omega(self, s, points, order):\n"
+                    "    memo[fields.point_key(points)] = order"),
+        ("verify", "def _run(geom, plan, rng, session):\n"
+                   "    seen[points.tobytes(), order] = True"),
+    ):
+        assert _row_keys(ast.parse(src), module), src
+    for module, src in (
+        ("fields", "def point_key(points):\n"
+                   "    return np.ascontiguousarray(points, dtype=float).tobytes()"),
+        ("fields", "def row_memo(memo, points, order, evaluator):\n"
+                   "    key = point_key(points)\n"
+                   "    hit = memo.get(key)"),
+        ("affine",
+         "class Connection:\n"
+         "    def dense(self, points, order):\n"
+         "        return row_memo(self._memo, points, order, self._evaluator)"),
+    ):
+        assert not _row_keys(ast.parse(src), module), src
