@@ -485,6 +485,9 @@ class _TapeBuilder:
     as the parser keys them, so ``-0.0`` and ``0.0`` stay apart.
     """
 
+    #: the operation of each binary node type, which :meth:`emit` dispatches on
+    BINARY_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+
     def __init__(self, variables: Sequence[str]):
         self.variables = tuple(variables)
         self.code: list[tuple] = []
@@ -528,6 +531,24 @@ class _TapeBuilder:
 
     def emit(self, e: Expr, args: list) -> float | int:
         """Compile one node whose operands are already compiled."""
+        name = self.BINARY_OPS.get(type(e))
+        if name is not None:
+            a, b = args
+            if isinstance(a, float) and isinstance(b, float):
+                return _fold(name, a, b)
+            if name == "add" or name == "sub":
+                return self.op(name, self.slot(a), self.slot(b))
+            if name == "mul":
+                if isinstance(a, float):
+                    return self.scale(b, a)
+                if isinstance(b, float):
+                    return self.scale(a, b)
+                return self.op("mul", a, b)
+            # division
+            if isinstance(b, float):
+                return self.scale(a, _fold("div", 1.0, b))
+            inv = self.op("recip", b)
+            return self.scale(inv, a) if isinstance(a, float) else self.op("mul", a, inv)
         if isinstance(e, Num):
             return float(e.value)
         if isinstance(e, Var):
@@ -535,30 +556,11 @@ class _TapeBuilder:
                 return self.variables.index(e.name)
             except ValueError:
                 raise ExprError(f"unknown identifier {e.name!r}") from None
-        consts = all(isinstance(v, float) for v in args)
-        if isinstance(e, Neg):
-            return _fold("neg", *args) if consts else self.op("neg", args[0])
+        (a,) = args  # of a Neg, Pow or Call
         if isinstance(e, Pow):
-            return self.emit_pow(args[0], e.exponent)
-        if isinstance(e, Call):
-            return _fold(e.func, *args) if consts else self.op(e.func, args[0])
-        a, b = args
-        name = type(e).__name__.lower()
-        if consts:
-            return _fold(name, a, b)
-        if isinstance(e, (Add, Sub)):
-            return self.op(name, self.slot(a), self.slot(b))
-        if isinstance(e, Mul):
-            if isinstance(a, float):
-                return self.scale(b, a)
-            if isinstance(b, float):
-                return self.scale(a, b)
-            return self.op("mul", a, b)
-        # division
-        if isinstance(b, float):
-            return self.scale(a, _fold("div", 1.0, b))
-        inv = self.op("recip", b)
-        return self.scale(inv, a) if isinstance(a, float) else self.op("mul", a, inv)
+            return self.emit_pow(a, e.exponent)
+        op = "neg" if isinstance(e, Neg) else e.func
+        return _fold(op, a) if isinstance(a, float) else self.op(op, a)
 
     def emit_pow(self, a: float | int, p: float) -> float | int:
         p = float(p)
@@ -608,14 +610,15 @@ class Tape:
             new[old] = slot
         slot = n + k
         self.steps = []
+        self._step_slots = []  # of each step: its out, a and b slots as lists
         # of each slot: a bit per slot that its value is computed from, itself included
         self._needs = [0] * self.n_slots
         for members in self._schedule(builder.code):
             # operands come from earlier steps, so they are renumbered already
             op, _, _, b, param = members[0]
-            a = _block([new[ins[2]] for ins in members])
+            a = [new[ins[2]] for ins in members]
             if b is not None:
-                b = _block([new[ins[3]] for ins in members])
+                b = [new[ins[3]] for ins in members]
             if op == "scale":  # factors broadcast over the batch and coefficients
                 param = np.array([ins[4] for ins in members])[:, None, None]
             for _, out, x, y, _ in members:
@@ -623,7 +626,9 @@ class Tape:
                 self._needs[slot] = (1 << slot | self._needs[new[x]]
                                      | (0 if y is None else self._needs[new[y]]))
                 slot += 1
-            self.steps.append((op, slice(slot - len(members), slot), a, b, param))
+            out = slice(slot - len(members), slot)
+            self.steps.append((op, out, _block(a), None if b is None else _block(b), param))
+            self._step_slots.append((list(range(out.start, slot)), a, b))
         self.code = tuple(
             (op, new[out], new[a], None if b is None else new[b], param)
             for op, out, a, b, param in builder.code
@@ -715,16 +720,18 @@ class Tape:
         needs = 0
         for slot in view.outputs.tolist():
             needs |= self._needs[slot]
-        view.steps = []
-        slots = np.arange(self.n_slots)
-        for op, out, a, b, param in self.steps:
-            keep = [k for k in range(out.stop - out.start) if needs >> (out.start + k) & 1]
+        view.steps, view._step_slots = [], []
+        for step, (outs, a, b) in zip(self.steps, self._step_slots):
+            keep = [k for k, slot in enumerate(outs) if needs >> slot & 1]
+            if 0 < len(keep) < len(outs):  # a step kept whole stays as it is
+                outs, a = [outs[k] for k in keep], [a[k] for k in keep]
+                b = None if b is None else [b[k] for k in keep]
+                op, param = step[0], step[4]
+                step = (op, _block(outs), _block(a), None if b is None else _block(b),
+                        param[keep] if op == "scale" else param)
             if keep:
-                view.steps.append((
-                    op, _block([out.start + k for k in keep]), _block(slots[a][keep].tolist()),
-                    None if b is None else _block(slots[b][keep].tolist()),
-                    param[keep] if op == "scale" else param,
-                ))
+                view.steps.append(step)
+                view._step_slots.append((outs, a, b))
         return view
 
     def run(self, points: np.ndarray, space: JetSpace) -> np.ndarray:
@@ -778,19 +785,19 @@ def compile_tape(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
     builder = _TapeBuilder(variables)
     done: dict[int, float | int] = {}
     for root in exprs:
-        # iterative post-order walk, so deep trees never hit the recursion
-        # limit; ``done`` is keyed by node identity
-        stack = [root]
+        # iterative post-order walk (no recursion limit); ``done`` is keyed by
+        # node identity, and a node waits on the stack with its children
+        stack = [(root, None)]
         while stack:
-            node = stack[-1]
+            node, kids = stack.pop()
             if id(node) in done:
-                stack.pop()
                 continue
-            kids = _children(node)
-            pending = [k for k in kids if id(k) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
+            if kids is None:
+                kids = _children(node)
+                pending = [(k, None) for k in kids if id(k) not in done]
+                if pending:
+                    stack.append((node, kids))
+                    stack += pending
+                    continue
             done[id(node)] = builder.emit(node, [done[id(k)] for k in kids])
     return Tape(builder, [builder.slot(done[id(root)]) for root in exprs])

@@ -235,27 +235,26 @@ class TensorField:
         array), so the declared symmetries hold exactly.
         String components are parsed against the chart coordinates by one
         :func:`~tractorlab.expr.parse_exprs` call, so they share their equal
-        subexpressions; AST components are then checked for unknown names.
+        subexpressions; when the compile raises, an unknown name is named.
         """
         shape = (chart.dim,) * len(variance)
         symt = tuple(tuple(p) for p in sym)
         nodes = [exprs[idx] if shape else exprs for idx in np.ndindex(shape)]
         texts = [k for k, node in enumerate(nodes) if isinstance(node, str)]
         parsed = ex.parse_exprs([nodes[k] for k in texts], chart.coord_names)
-        asts = [(idx, node) for idx, node in zip(np.ndindex(shape), nodes)
-                if not isinstance(node, str)]
-        known = set(chart.coord_names)
-        if not ex.expr_variables(*(node for _, node in asts)) <= known:
-            for idx, node in asts:  # name the first component with one
-                unknown = ex.expr_variables(node) - known
+        for k, node in zip(texts, parsed):
+            nodes[k] = node
+        try:
+            tape = ex.compile_tape(nodes + list(extra), chart.coord_names)
+        except ex.ExprError:
+            for idx, node in zip(np.ndindex(shape), nodes):
+                unknown = ex.expr_variables(node) - set(chart.coord_names)
                 if unknown:
                     raise GeometryError(
                         f"component {idx} of {name!r} uses unknown names "
                         f"{sorted(unknown)}"
-                    )
-        for k, node in zip(texts, parsed):
-            nodes[k] = node
-        tape = ex.compile_tape(nodes + list(extra), chart.coord_names)
+                    ) from None
+            raise
         own_rows = tape.select(slice(0, len(nodes)))
         flat = np.arange(len(nodes)).reshape(shape)
         scatter = [flat[_canonical_index(idx, symt)] for idx in np.ndindex(shape)]
@@ -335,8 +334,9 @@ class Geometry:
 
     def metric_field(self) -> TensorField:
         """The metric, compiled once into a tape whose last row is rho, the
-        one compile of rho: one run gives both (:meth:`rho_and_metric`), the
-        field runs the metric rows and :meth:`rho_dense` the rho row.  Only
+        one compile of rho (an asymptotic form's build puts its C and h rows
+        before it): one run gives both (:meth:`rho_and_metric`), the field
+        runs the metric rows and :meth:`rho_dense` the rho row.  Only
         the tape and its ``read_rows`` are kept here: each call returns a new
         field over them, whose memo lives as long as its caller holds it."""
         compiled = self._metric
@@ -456,7 +456,7 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
     """Shared construction checks: symmetry, invertibility, d(rho) != 0.
 
     The metric is compiled once: ``metric_field().tape`` has one row per
-    declared component, ``g[i, j]`` and ``g[j, i]`` alike, then rho, and
+    declared component, ``g[i, j]`` and ``g[j, i]`` alike, last rho, and
     the field copies the upper row of each pair to both.  The checks read
     the component rows, in one order-0 run at the sample points, so an
     asymmetric document is caught; a pair written alike shares one row and
@@ -488,14 +488,25 @@ def _validate_metric_geometry(geom: Geometry, rng: np.random.Generator) -> None:
             raise error
 
 
-def _tangential_h_check(geom: Geometry, h: np.ndarray,
-                        rng: np.random.Generator) -> None:
-    """The asymptotic-form data h must be nondegenerate tangentially at rho=0."""
-    hfield = TensorField.from_exprs(geom.chart, h, "dd", name="h", sym=((0, 1),))
+def _own_run(view: ex.Tape, roots: list, points: np.ndarray) -> np.ndarray:
+    """Order-0 run of ``view``, rows of a tape that are ``roots``, raising the
+    error of the roots' own compile (its steps may run in another order)."""
+    try:
+        return view.run(points, jet_space(len(view.variables), 0))
+    except JetError:
+        ex.compile_tape(roots, view.variables).run(points, jet_space(len(view.variables), 0))
+        raise
+
+
+def _tangential_h_check(geom: Geometry, h: list, rng: np.random.Generator) -> None:
+    """The asymptotic-form data h, its rows of the metric tape made symmetric
+    as the metric's, must be nondegenerate tangentially at rho=0."""
+    d, metric = geom.dim, geom._metric
+    h_rows = metric.tape.select(slice(d * d + 1, 2 * d * d + 1))
     ys = geom.boundary_points(3, rng)
-    tangential, good, error = first_failure(
-        lambda rows: np.moveaxis(hfield.dense(ys[rows], 0)[1:, 1:, :, 0], -1, 0), len(ys)
-    )
+    tangential, good, error = first_failure(lambda rows: np.moveaxis(
+        metric.read_rows(_own_run(h_rows, h, ys[rows]))[1:, 1:, :, 0], -1, 0
+    ), len(ys))
     for y, tang in zip(map(tuple, ys.tolist()), tangential if good else ()):
         if np.min(np.abs(np.linalg.eigvalsh(tang))) < 1e-8:
             raise GeometryError(
@@ -513,9 +524,9 @@ def _make_klein(dim: int) -> Geometry:
     rho2, one_over_rho = ex.Pow(rho, 2.0), ex.Div(one, rho)
     g = np.empty((dim, dim), dtype=object)
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):  # g[j, i] is the node g[i, j]
             cross = ex.Div(ex.Mul(xs[i], xs[j]), rho2)  # x_i x_j / rho^2
-            g[i, j] = ex.Add(one_over_rho, cross) if i == j else cross
+            g[i, j] = g[j, i] = ex.Add(one_over_rho, cross) if i == j else cross
     chart = Chart(coords)
 
     def flat_hats(points, order):
@@ -626,6 +637,10 @@ def _make_asymptotic_form(
     ``h_ij/rho^p`` made once.  ``C`` must have a finite nonzero value at the
     chart origin, kept as ``constructor_C``, and ``h`` must be nondegenerate
     tangentially at ``rho = 0``.
+
+    The build compiles once: ``C`` and ``h``, subexpressions of the metric,
+    are rows of its tape before rho's, read by both checks.  When the compile
+    raises, ``C`` is compiled alone, so its error comes first, as before.
     """
     if coords is None:
         coords = _af_coords(dim)
@@ -640,9 +655,21 @@ def _make_asymptotic_form(
     c_node, *h_nodes, rho = _source_exprs(
         {"C": C, **{f"h{list(idx)}": h[idx] for idx in indices}}, coords
     )
+    p = 2.0 / alpha  # rho power of the tangential part; transversal uses 2p
+    rho_p = ex.Pow(rho, p)
+    over_rho_p = {id(node): ex.Div(node, rho_p) for node in h_nodes}  # by distinct h_ij
+    g = np.empty((dim, dim), dtype=object)
+    for idx, node in zip(indices, h_nodes):
+        g[idx] = over_rho_p[id(node)]
+    g[0, 0] = ex.Add(g[0, 0], ex.Div(c_node, ex.Pow(rho, 2 * p)))
     try:
-        tape = ex.compile_tape([c_node], coords)
-        c_val = float(tape.run(np.zeros((1, dim)), jet_space(dim, 0))[0, 0, 0])
+        metric = TensorField.from_exprs(Chart(coords), g, "dd", name="g", sym=((0, 1),),
+                                        extra=(c_node, *h_nodes, rho))
+    except (GeometryError, ex.ExprError) as err:  # raised below, after C's and alpha's
+        metric, failure = None, err
+    try:
+        row = metric.tape.select([dim * dim]) if metric else ex.compile_tape([c_node], coords)
+        c_val = float(_own_run(row, [c_node], np.zeros((1, dim)))[0, 0, 0])
     except (ex.ExprError, JetError) as err:
         raise GeometryError(
             f"asymptotic-form constant C has no value at the chart origin: {err}"
@@ -651,13 +678,6 @@ def _make_asymptotic_form(
         raise GeometryError(
             f"asymptotic-form constant C must be finite and nonzero, got {c_val}"
         )
-    p = 2.0 / alpha  # rho power of the tangential part; transversal uses 2p
-    rho_p = ex.Pow(rho, p)
-    over_rho_p = {id(node): ex.Div(node, rho_p) for node in h_nodes}  # by distinct h_ij
-    g = np.empty((dim, dim), dtype=object)
-    for idx, node in zip(indices, h_nodes):
-        h[idx], g[idx] = node, over_rho_p[id(node)]
-    g[0, 0] = ex.Add(g[0, 0], ex.Div(c_node, ex.Pow(rho, 2 * p)))
     lo = np.full(dim, -0.6)
     hi = np.full(dim, 0.6)
     lo[0], hi[0] = 0.15, 0.85
@@ -671,7 +691,10 @@ def _make_asymptotic_form(
         interior_box=(lo, hi),
         boundary_sampler=_half_space_sampler(dim, 0.0),
     )
-    _tangential_h_check(geom, h, rng)
+    if metric is None:
+        raise failure
+    geom._metric = metric
+    _tangential_h_check(geom, h_nodes, rng)
     return geom
 
 

@@ -27,7 +27,9 @@ Layers:
 * ``tape_runs.*``: ``expr.Tape.run`` calls made by one build of each
   geometry (a count, the same on every run);
 * ``nodes_compiled.*``: ``_TapeBuilder.emit`` calls made by one build of each
-  geometry, one per expression node a compile visits (a count).
+  geometry, one per expression node a compile visits (a count);
+* ``compiles.*``: ``expr.compile_tape`` calls made by one build of each
+  geometry (a count).
 
 Times are medians of ``--repeat`` blocks, in reference milliseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -102,11 +104,11 @@ SEARCHES = {
 SEARCH_POINTS = 20
 
 
-UNIT = ("reference ms per call, median block; tape_runs.* and nodes_compiled.* "
-        "are counts per build, runs_per_point.* tape runs per point searched")
+UNIT = ("reference ms per call, median block; tape_runs.*, nodes_compiled.* and "
+        "compiles.* are counts per build, runs_per_point.* tape runs per point searched")
 #: The entry points of module ``expr`` that ``parse_compile.*`` times.
 PARSE_COMPILE = ("parse_expr", "parse_exprs", "compile_tape")
-COUNTS = ("tape_runs.", "nodes_compiled.", "runs_per_point.")
+COUNTS = ("tape_runs.", "nodes_compiled.", "compiles.", "runs_per_point.")
 
 
 def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
@@ -187,6 +189,7 @@ def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
         out[f"parse_compile.{name}"] = _parse_compile_ms(clock, build, calls, repeat)
         out[f"tape_runs.{name}"] = _calls(build, ex.Tape, "run")
         out[f"nodes_compiled.{name}"] = _calls(build, ex._TapeBuilder, "emit")
+        out[f"compiles.{name}"] = _calls(build, ex, "compile_tape")
     return out
 
 

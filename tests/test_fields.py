@@ -22,7 +22,7 @@ from tractorlab.fields import (
     builtin_geometry,
     load_geometry,
 )
-from tractorlab.jets import JetError, PoleError, jet_space
+from tractorlab.jets import DomainError, JetError, PoleError, jet_space
 
 
 def test_flat_metric_is_identity(flat3):
@@ -361,23 +361,53 @@ def test_cli_rejects_bad_asymptotic_form_documents(tmp_path, capsys, changes):
 
 @pytest.mark.parametrize("build, sizes", [
     (lambda: builtin_geometry("klein", 4), [17]),            # (g, rho)
-    (lambda: builtin_geometry("af2_generic", 4), [1, 16, 17]),  # C, h, (g, rho)
+    (lambda: builtin_geometry("af2_generic", 4), [34]),  # (g, C, h, rho)
     (lambda: load_geometry(json.loads(json.dumps(KLEIN3_DOC))), [10]),
 ])
 def test_one_metric_compile_per_build(monkeypatch, build, sizes):
+    # an asymptotic form's C and h are rows of its metric tape, the one
+    # compile of a build, between the metric's rows and rho's
     compiled = []
     real = ex.compile_tape
 
     def counting(exprs, variables):
         tape = real(exprs, variables)
-        compiled.append((len(exprs), tape))
+        compiled.append((list(exprs), tape))
         return tape
 
     monkeypatch.setattr(ex, "compile_tape", counting)
     geom = build()
-    assert [n for n, _ in compiled] == sizes
-    assert geom.metric_field().tape is compiled[-1][1]
+    assert [len(exprs) for exprs, _ in compiled] == sizes
+    (roots, tape), d = compiled[-1], geom.dim
+    assert geom.metric_field().tape is tape
+    assert all(a is b for a, b in zip(roots, geom.metric.flat)) and roots[-1] is geom.rho
     assert len(compiled) == len(sizes)  # reading the field compiles nothing
+    # each row is its root's, as compiled one at a time
+    pts = geom.interior_points(2, np.random.default_rng(0))
+    rows, space = tape.run(pts, jet_space(d, 1)), jet_space(d, 1)
+    for k, root in enumerate(roots):
+        alone = real([root], geom.chart.coord_names).run(pts, space)[0]
+        assert np.array_equal(rows[k], alone), k
+
+
+@pytest.mark.parametrize("dim, emits", [(3, 27), (4, 39), (5, 53)])
+def test_a_klein_entry_and_its_transpose_are_one_node(monkeypatch, dim, emits):
+    # g[j, i] is the node g[i, j], so the compile visits it once; the tape is
+    # that of the entries built apart, x_i x_j / rho^2 below the diagonal
+    geom = builtin_geometry("klein", dim)
+    g = geom.metric
+    assert all(g[i, j] is g[j, i] for i in range(dim) for j in range(dim))
+    apart = g.copy()
+    for i, j in zip(*np.tril_indices(dim, -1)):
+        div = g[j, i]  # x_j x_i / rho^2
+        apart[i, j] = ex.Div(ex.Mul(div.left.right, div.left.left), div.right)
+    calls = []
+    real = ex._TapeBuilder.emit
+    monkeypatch.setattr(ex._TapeBuilder, "emit", lambda *a: calls.append(1) or real(*a))
+    shared = _tape_layout(dataclasses.replace(geom, metric=g).metric_field().tape)
+    assert len(calls) == emits
+    assert shared == _tape_layout(dataclasses.replace(geom, metric=apart).metric_field().tape)
+    assert len(calls) == 2 * emits + 2 * (dim * (dim - 1) // 2)  # the apart Mul and Div
 
 
 def _reference_ray_point(geom, rng):
@@ -639,6 +669,68 @@ def test_an_asymptotic_form_source_is_text_or_a_number():
         builtin_geometry("af2_generic", 3, C=ex.Num(0.25))
 
 
+def _bad_h(**entries):
+    """The 3x3 identity as asymptotic-form text, with ``entries`` (keyed
+    ``"ij"``) replaced."""
+    h = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    for key, text in entries.items():
+        h[int(key[0])][int(key[1])] = text
+    return h
+
+
+_NO_C = "asymptotic-form constant C has no value at the chart origin: "
+_ZERO_C = "asymptotic-form constant C must be finite and nonzero, got "
+
+
+@pytest.mark.parametrize("params, kind, message", [
+    ({"C": "1/0"}, GeometryError,
+     _NO_C + "constant subexpression div(1, 0): float division by zero"),
+    ({"C": "(0-1)^0.5"}, GeometryError,
+     _NO_C + "constant subexpression pow(-1, 0.5): not a finite real number"),
+    ({"C": "log(rho-1)"}, GeometryError, _NO_C + "log of non-positive value -1.000e+00"),
+    ({"C": 0}, GeometryError, _ZERO_C + "0.0"),
+    ({"C": 1e-13}, GeometryError, _ZERO_C + "1e-13"),
+    ({"C": 0, "h": _bad_h(**{"00": "1/0"})}, GeometryError, _ZERO_C + "0.0"),  # C first
+    ({"h": _bad_h(**{"01": "log(0-1)"})}, ex.ExprError,
+     "constant subexpression log(-1): math domain error"),
+    ({"h": _bad_h(**{"12": "1/0", "21": "log(0-1)"})}, ex.ExprError,
+     "constant subexpression div(1, 0): float division by zero"),  # row order
+    ({"h": _bad_h(**{"12": "log(0-1)", "21": "1/0"})}, ex.ExprError,
+     "constant subexpression log(-1): math domain error"),
+    # two entries that fail at the boundary: the error of h's tape alone
+    ({"h": _bad_h(**{"02": "sqrt(rho-1)", "20": "1/(rho*rho)"})}, DomainError,
+     "sqrt of non-positive value -1.000e+00"),
+    ({"h": _bad_h(**{"12": "rho^0.5", "21": "1/rho"})}, DomainError,
+     "non-integer power of non-positive value 0.000e+00"),
+    ({"h": _bad_h(**{"11": "rho"})}, GeometryError,  # the same boundary draws
+     "boundary data h of 'af2_generic' degenerate tangentially at "
+     "(0.0, -0.10658479365456647, -0.3607796038979285)"),
+    ({"h": _bad_h(**{"12": "1", "21": "0"})}, GeometryError,  # h[1, 2] read as both
+     "boundary data h of 'af2_generic' degenerate tangentially at "
+     "(0.0, -0.10658479365456647, -0.3607796038979285)"),
+])
+def test_an_asymptotic_form_build_error_keeps_its_type_message_and_precedence(
+        params, kind, message):
+    with pytest.raises(Exception) as err:
+        builtin_geometry("af2_generic", 3, **params)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def test_an_ast_component_with_an_unknown_name_is_named_before_a_compile_error():
+    # an earlier component that cannot compile does not hide the name
+    geom = builtin_geometry("klein", 3)
+    metric = geom.metric.copy()
+    metric[0, 1] = ex.Div(ex.Num(1.0), ex.Num(0.0))
+    metric[1, 2] = ex.Add(ex.Var("x0"), ex.Var("w"))
+    for g in (metric, geom.metric.copy()):
+        g[1, 2] = metric[1, 2]
+        with pytest.raises(Exception) as err:
+            dataclasses.replace(geom, metric=g).metric_field()
+        assert type(err.value) is GeometryError
+        assert str(err.value) == "component (1, 2) of 'g' uses unknown names ['w']"
+
+
 def test_asymptotic_form_sources_are_parsed_once(monkeypatch):
     parsed = []
     real = ex.parse_exprs
@@ -665,13 +757,15 @@ def test_asymptotic_form_metric_compiles_as_its_source_text(name, dim):
     geom = builtin_geometry(name, dim)
     p = round(2.0 / geom.alpha)
     coords = geom.chart.coord_names
-    text = np.empty((dim, dim), dtype=object)
+    text, h = np.empty((dim, dim), dtype=object), []
     for i in range(dim):
         for j in range(dim):
-            h = "0" if i != j else "1" if i == 0 else f"1 + rho*{coords[i]}^2"
-            text[i, j] = f"({h})/rho^{p}" + (f" + (0.25)/rho^{2 * p}" if i == j == 0 else "")
+            h.append("0" if i != j else "1" if i == 0 else f"1 + rho*{coords[i]}^2")
+            text[i, j] = f"({h[-1]})/rho^{p}" + (f" + (0.25)/rho^{2 * p}" if i == j == 0 else "")
+    # then the rows of C and of h, and rho's last
+    extra = ex.parse_exprs(["0.25", *h], coords)
     want = TensorField.from_exprs(
-        geom.chart, text, "dd", sym=((0, 1),), extra=(geom.rho,)
+        geom.chart, text, "dd", sym=((0, 1),), extra=(*extra, geom.rho)
     ).tape
     got = geom.metric_field().tape
     assert got.code == want.code
@@ -816,10 +910,13 @@ def test_the_metric_tape_is_that_of_its_components_parsed_one_at_a_time(monkeypa
         geom = build()
         tape = geom.metric_field().tape
         per_build.append([n for _, n in compiled])
-    roots = list(geom.metric.flat) + [geom.rho]
-    (metric_emits,) = [n for exprs, n in compiled if exprs[-1] is geom.rho]
+    # the roots: the metric's, then an asymptotic form's C and h, then rho
+    ((roots, metric_emits),) = [(exprs, n) for exprs, n in compiled if exprs[-1] is geom.rho]
+    d = geom.dim
+    assert len(roots) == (2 * d * d + 2 if geom.name.startswith("af") else d * d + 1)
+    assert all(a is b for a, b in zip(roots, geom.metric.flat))
     assert metric_emits == _distinct_subexpressions(roots)
-    assert per_build[0] == per_build[1]
+    assert per_build[0] == per_build[1] and len(per_build[0]) == 1  # one compile per build
     coords = geom.chart.coord_names
     alone = real_compile([ex.parse_expr(ex.expr_to_source(e), coords) for e in roots], coords)
     got, want = _tape_layout(tape), _tape_layout(alone)
