@@ -52,6 +52,8 @@ __all__ = [
     "Call",
     "ExprError",
     "FUNCTION_NAMES",
+    "CONSTANTS",
+    "is_identifier",
     "parse_expr",
     "parse_exprs",
     "expr_to_source",
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 FUNCTION_NAMES = ("exp", "log", "sqrt", "sin", "cos", "tan", "atan")
+#: Identifiers that denote a constant, never a variable.
+CONSTANTS = {"pi": math.pi}
 
 
 class ExprError(ValueError):
@@ -177,6 +181,16 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
         raise ExprError(f"unexpected character {c!r}", i)
     tokens.append(("end", None, n))
     return tokens
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is read as exactly one identifier token, as a
+    variable must be to be written in a source."""
+    try:
+        tokens = _tokenize(name)
+    except ExprError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("ident", name)
 
 
 # -- recursive-descent parser --------------------------------------------
@@ -307,8 +321,8 @@ class _Parser:
                         offset,
                     )
                 return self.node((Call, value, id(args[0])), value, args[0])
-            if value == "pi":
-                return self._num(math.pi)
+            if value in CONSTANTS:
+                return self._num(CONSTANTS[value])
             self.names.add(value)
             return self.node((Var, value), value)
         raise ExprError("expected a number, name or parenthesized expression", offset)

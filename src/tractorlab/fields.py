@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -119,6 +120,11 @@ class GeometryError(ValueError):
     """Schema violations, parse errors and geometry validation failures."""
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 2:  # NaN too
+        raise GeometryError(f"alpha must lie in (0, 2], got {alpha}")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single coordinate chart; ``dim`` is the manifold dimension n+1."""
@@ -130,6 +136,11 @@ class Chart:
             raise GeometryError("charts need dimension >= 2")
         if len(set(self.coord_names)) != len(self.coord_names):
             raise GeometryError("duplicate coordinate names")
+        for name in self.coord_names:
+            if not ex.is_identifier(name):
+                raise GeometryError(f"coordinate name {name!r} is not one identifier")
+            if name in ex.CONSTANTS:
+                raise GeometryError(f"coordinate name {name!r} is a constant")
 
     @property
     def dim(self) -> int:
@@ -295,8 +306,7 @@ class Geometry:
     signature: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 2:
-            raise GeometryError(f"alpha must lie in (0, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def dim(self) -> int:
@@ -647,6 +657,8 @@ def _make_asymptotic_form(
     h = _default_h_exprs(dim, coords) if h is None else np.array(h, dtype=object)
     if h.shape != (dim, dim):
         raise GeometryError(f"h must be {dim}x{dim}, got {h.shape}")
+    chart = Chart(coords)
+    _check_alpha(alpha)  # before 2/alpha, which alpha 0 or NaN cannot give
     if abs(round(2.0 / alpha) - 2.0 / alpha) > 1e-12:
         raise GeometryError(
             f"asymptotic form needs 2/alpha integral, got alpha={alpha}"
@@ -663,9 +675,9 @@ def _make_asymptotic_form(
         g[idx] = over_rho_p[id(node)]
     g[0, 0] = ex.Add(g[0, 0], ex.Div(c_node, ex.Pow(rho, 2 * p)))
     try:
-        metric = TensorField.from_exprs(Chart(coords), g, "dd", name="g", sym=((0, 1),),
+        metric = TensorField.from_exprs(chart, g, "dd", name="g", sym=((0, 1),),
                                         extra=(c_node, *h_nodes, rho))
-    except (GeometryError, ex.ExprError) as err:  # raised below, after C's and alpha's
+    except (GeometryError, ex.ExprError) as err:  # raised below, after C's checks
         metric, failure = None, err
     try:
         row = metric.tape.select([dim * dim]) if metric else ex.compile_tape([c_node], coords)
@@ -683,7 +695,7 @@ def _make_asymptotic_form(
     lo[0], hi[0] = 0.15, 0.85
     geom = Geometry(
         name=name,
-        chart=Chart(coords),
+        chart=chart,
         rho=rho,
         alpha=alpha,
         metric=g,
@@ -790,11 +802,61 @@ GEOMETRY_DOC_SCHEMA = {
 }
 
 
+#: The JSON Schema 2020-12 types the schema names, as jsonschema's
+#: ``Draft202012Validator`` tells them: a bool is no number, and an integer
+#: is an ``int`` or an integral ``float``.
+_SCHEMA_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_SCHEMA_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+                    "items", "const", "minimum", "oneOf"}
+
+
+def _conforms(value, schema: Mapping) -> bool:
+    """Whether ``value`` is valid under ``schema``, with the semantics of
+    JSON Schema 2020-12 as jsonschema's ``Draft202012Validator`` applies
+    them, for exactly the keywords :data:`GEOMETRY_DOC_SCHEMA` uses: ``type``
+    (one name), ``properties``, ``required``, ``additionalProperties:
+    false``, ``items`` (one schema), ``const`` (a string), ``minimum`` and
+    ``oneOf``.  Any other keyword or form raises ``ValueError``, so an edit
+    of the schema cannot widen what it accepts unnoticed."""
+    kind = schema.get("type", "object")
+    if not (schema.keys() <= _SCHEMA_KEYWORDS
+            and isinstance(kind, str) and kind in _SCHEMA_TYPES
+            and isinstance(schema.get("const", ""), str)
+            and schema.get("additionalProperties", False) is False):
+        raise ValueError(f"schema keyword or form not implemented in {schema!r}")
+    if "type" in schema and not _SCHEMA_TYPES[kind](value):
+        return False
+    if "const" in schema and value != schema["const"]:
+        return False
+    if "minimum" in schema and _SCHEMA_TYPES["number"](value) and value < schema["minimum"]:
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if any(key not in value for key in schema.get("required", ())):
+            return False
+        if "additionalProperties" in schema and any(key not in properties for key in value):
+            return False
+        if not all(_conforms(value[key], sub) for key, sub in properties.items() if key in value):
+            return False
+    if isinstance(value, list) and "items" in schema:
+        if not all(_conforms(item, schema["items"]) for item in value):
+            return False
+    return "oneOf" not in schema or sum(_conforms(value, sub) for sub in schema["oneOf"]) == 1
+
+
 @functools.cache
 def _doc_validator():
-    """The validator of :data:`GEOMETRY_DOC_SCHEMA`, built on first use (the
-    schema is constant, so it is not checked against the metaschema per
-    document; a test does that once)."""
+    """jsonschema's validator of :data:`GEOMETRY_DOC_SCHEMA`, built on first
+    use: only a document that :func:`_conforms` rejects needs it, for the
+    message that says why.  The schema is constant, so it is not checked
+    against the metaschema per document; a test does that once."""
     from jsonschema.validators import validator_for
 
     return validator_for(GEOMETRY_DOC_SCHEMA)(GEOMETRY_DOC_SCHEMA)
@@ -805,13 +867,16 @@ def load_geometry(doc: Mapping) -> Geometry:
 
     Runs the same validation as :func:`builtin_geometry`: schema first, then
     expression parsing (errors carry source offsets), then numeric checks at
-    sampled points.
+    sampled points.  The schema check is :func:`_conforms`, which imports
+    nothing; a document it rejects is rejected with jsonschema's message of
+    its best-matching error, so jsonschema is imported for rejections only.
     """
-    from jsonschema.exceptions import best_match
+    if not _conforms(doc, GEOMETRY_DOC_SCHEMA):
+        from jsonschema.exceptions import best_match
 
-    err = best_match(_doc_validator().iter_errors(doc))
-    if err is not None:
-        raise GeometryError(f"geometry document rejected: {err.message}") from err
+        err = best_match(_doc_validator().iter_errors(doc))
+        if err is not None:
+            raise GeometryError(f"geometry document rejected: {err.message}") from err
 
     dim = int(doc["dim"])
     rng = np.random.default_rng(20260809)

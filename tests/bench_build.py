@@ -29,15 +29,23 @@ Layers:
 * ``nodes_compiled.*``: ``_TapeBuilder.emit`` calls made by one build of each
   geometry, one per expression node a compile visits (a count);
 * ``compiles.*``: ``expr.compile_tape`` calls made by one build of each
-  geometry (a count).
+  geometry (a count);
+* ``cold_start.klein-3-document``: a one-shot start in a fresh process,
+  from after ``import numpy`` until the Klein document is loaded: importing
+  ``tractorlab.cli`` and ``tractorlab.verify``, then ``load_geometry``, as
+  the set-up child of ``perfbench/run.py`` times it;
+* ``cold_start_modules.jsonschema``: 1 when jsonschema is loaded at the end
+  of that start, else 0.
 
-Times are medians of ``--repeat`` blocks, in reference milliseconds per
-call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
-host's measured speed, which on a shared host moves in steps for seconds at
-a time.  With ``--out`` the run is appended to one named column of a JSON
-file, next to the columns already there, and the column's ``median`` over
-its runs is refreshed; so two trees fill one file, best with their runs
-alternating::
+Times are in reference milliseconds per call, ``perfbench/speed.py``'s
+``SpeedClock`` scaling elapsed time by the host's measured speed, which on a
+shared host moves in steps for seconds at a time.  Each timed layer is
+measured in ``--repeat`` blocks (``cold_start.*`` in as many fresh
+processes), and a run keeps the ``median`` and the ``min`` over them.  With
+``--out`` the run is appended to one named column of a JSON file, next to
+the columns already there, and the column's ``median`` and ``min`` (each
+the median over its runs) are refreshed; so two trees fill one file, best
+with their runs alternating::
 
     for i in 1 2 3 4 5; do
       python before/tests/bench_build.py --column before --out BENCH_shared_exprs.json
@@ -52,6 +60,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -104,26 +113,59 @@ SEARCHES = {
 SEARCH_POINTS = 20
 
 
-UNIT = ("reference ms per call, median block; tape_runs.*, nodes_compiled.* and "
-        "compiles.* are counts per build, runs_per_point.* tape runs per point searched")
+UNIT = ("reference ms per call, median and min block (cold_start.*: per fresh process); "
+        "tape_runs.*, nodes_compiled.* and compiles.* are counts per build, "
+        "runs_per_point.* tape runs per point searched, cold_start_modules.* 1 if loaded")
 #: The entry points of module ``expr`` that ``parse_compile.*`` times.
 PARSE_COMPILE = ("parse_expr", "parse_exprs", "compile_tape")
-COUNTS = ("tape_runs.", "nodes_compiled.", "compiles.", "runs_per_point.")
+COUNTS = ("tape_runs.", "nodes_compiled.", "compiles.", "runs_per_point.",
+          "cold_start_modules.")
+
+#: A fresh process's start: reference seconds from after ``import numpy``
+#: (which ``speed`` makes) until the document in ``argv[1]`` is loaded, and
+#: whether jsonschema is loaded then.
+_COLD_START = """
+import json, sys
+from speed import SpeedClock
+with SpeedClock() as clock:
+    import tractorlab.cli, tractorlab.verify
+    from tractorlab.fields import load_geometry
+    load_geometry(json.loads(sys.argv[1]))
+    print(repr(clock.now()), int("jsonschema" in sys.modules))
+"""
 
 
-def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> float:
+def _per_call_ms(clock: SpeedClock, fn, calls: int, repeat: int) -> list[float]:
+    """Reference ms per call of each of ``repeat`` blocks."""
     blocks = []
     for _ in range(repeat):
         start = clock.now()
         for _ in range(calls):
             fn()
-        blocks.append((clock.now() - start) / calls)
-    return statistics.median(blocks) * 1e3
+        blocks.append((clock.now() - start) / calls * 1e3)
+    return blocks
 
 
-def _parse_compile_ms(clock: SpeedClock, build, calls: int, repeat: int) -> float:
+def _cold_starts(doc: dict, repeat: int) -> tuple[list[float], list[int]]:
+    """Reference ms of ``repeat`` fresh-process starts that load ``doc``
+    (:data:`_COLD_START`), and whether each had jsonschema loaded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"  # as perfbench/run.py pins them
+    times, loaded = [], []
+    for _ in range(repeat):
+        out = subprocess.run(
+            [sys.executable, "-c", _COLD_START, json.dumps(doc)], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        times.append(float(out[-2]) * 1e3)
+        loaded.append(int(out[-1]))
+    return times, loaded
+
+
+def _parse_compile_ms(clock: SpeedClock, build, calls: int, repeat: int) -> list[float]:
     """Reference ms per build spent inside the :data:`PARSE_COMPILE` entry
-    points, median block."""
+    points, one value per block."""
     spent, depth = 0.0, 0
     reals = {name: getattr(ex, name) for name in PARSE_COMPILE if hasattr(ex, name)}
 
@@ -149,11 +191,11 @@ def _parse_compile_ms(clock: SpeedClock, build, calls: int, repeat: int) -> floa
             spent = 0.0
             for _ in range(calls):
                 build()
-            blocks.append(spent / calls)
+            blocks.append(spent / calls * 1e3)
     finally:
         for name, real in reals.items():
             setattr(ex, name, real)
-    return statistics.median(blocks) * 1e3
+    return blocks
 
 
 def _calls(build, owner, attr: str) -> int:
@@ -174,7 +216,8 @@ def _calls(build, owner, attr: str) -> int:
     return calls
 
 
-def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
+def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, list[float]]:
+    """Each layer's values: one per block of a timed layer, one for a count."""
     out = {f"build.{name}": _per_call_ms(clock, build, calls, repeat)
            for name, build in BUILDS.items()}
     for name, build in SEARCHES.items():
@@ -184,12 +227,15 @@ def measure(clock: SpeedClock, calls: int, repeat: int) -> dict[str, float]:
         )
         runs = _calls(lambda: geom.boundary_points(SEARCH_POINTS, np.random.default_rng(0)),
                       ex.Tape, "run")
-        out[f"runs_per_point.{name}"] = runs / SEARCH_POINTS
+        out[f"runs_per_point.{name}"] = [runs / SEARCH_POINTS]
     for name, build in BUILDS.items():
         out[f"parse_compile.{name}"] = _parse_compile_ms(clock, build, calls, repeat)
-        out[f"tape_runs.{name}"] = _calls(build, ex.Tape, "run")
-        out[f"nodes_compiled.{name}"] = _calls(build, ex._TapeBuilder, "emit")
-        out[f"compiles.{name}"] = _calls(build, ex, "compile_tape")
+        out[f"tape_runs.{name}"] = [_calls(build, ex.Tape, "run")]
+        out[f"nodes_compiled.{name}"] = [_calls(build, ex._TapeBuilder, "emit")]
+        out[f"compiles.{name}"] = [_calls(build, ex, "compile_tape")]
+    starts, loaded = _cold_starts(klein_document(3), repeat)
+    out["cold_start.klein-3-document"] = starts
+    out["cold_start_modules.jsonschema"] = [max(loaded)]
     return out
 
 
@@ -201,21 +247,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="JSON file of columns")
     args = parser.parse_args(argv)
     with SpeedClock() as clock:
-        column = measure(clock, args.calls, args.repeat)
-    for layer, value in column.items():
+        values = measure(clock, args.calls, args.repeat)
+    run = {stat: {layer: float(reduce(v)) for layer, v in values.items()}
+           for stat, reduce in (("median", statistics.median), ("min", min))}
+    print(f"{'':36s} {'median':>9s} {'min':>9s}")
+    for layer in values:
         unit = "count" if layer.startswith(COUNTS) else "reference ms"
-        print(f"{layer:36s} {value:9.3f} {unit}")
+        print(f"{layer:36s} {run['median'][layer]:9.3f} {run['min'][layer]:9.3f} {unit}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
         entry = doc.setdefault("columns", {}).setdefault(
             args.column, {"runs": [], "unit": UNIT}
         )
-        entry["runs"].append(column)
-        entry["median"] = {
-            layer: float(np.median([run[layer] for run in entry["runs"]]))
-            for layer in column
-        }
+        entry["runs"].append(run)
+        for stat in run:
+            entry[stat] = {
+                layer: float(np.median([each[stat][layer] for each in entry["runs"]]))
+                for layer in values
+            }
         entry["environment"] = {
             "host_speed": clock.mean_speed(),
             "nproc": os.cpu_count(),

@@ -298,6 +298,23 @@ def test_a_document_rejects_builtin_flags(flags, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("pi", "is a constant"),
+    ("a b", "is not one identifier"),
+    ("", "is not one identifier"),
+])
+def test_a_coordinate_name_that_is_no_variable_exits_two_naming_it(tmp_path, capsys, name,
+                                                                   reason):
+    doc = _flat_document("1 - (x1^2 + x2^2)")
+    doc["coords"][0] = name
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps(doc))
+    argv = ["eval", "--geometry", str(path), "--quantity", "schouten", "--point", "0.1,0.2,0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": coordinate name {name!r} {reason}\n") and "Traceback" not in err
+
+
 def test_a_document_takes_its_own_dim(tmp_path, capsys):
     path = tmp_path / "geom.json"
     path.write_text(json.dumps(_klein_doc()))

@@ -52,12 +52,21 @@ def _metric_entry(i, j, text):
     return json.dumps(doc)
 
 
-def _af_doc(C=0.25, h=None):
+def _renamed(name):
+    """The Klein document with its coordinate ``x0`` named ``name``."""
+    doc = _klein_doc()
+    doc["coords"][0] = name
+    doc["rho"] = doc["rho"].replace("x0", name)
+    doc["metric"] = [[text.replace("x0", name) for text in row] for row in doc["metric"]]
+    return json.dumps(doc)
+
+
+def _af_doc(C=0.25, h=None, alpha=2.0):
     """An asymptotic-form document, ``g = h/rho + C d(rho)^2/rho^2``."""
     if h is None:
         h = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
     return json.dumps({"kind": "asymptotic_form", "name": "af-doc", "dim": 3,
-                       "alpha": 2.0, "C": C, "h": h})
+                       "alpha": alpha, "C": C, "h": h})
 
 
 #: File name -> (content, valid).
@@ -83,6 +92,12 @@ DOCUMENTS = {
     "af-c-log.json": (_af_doc(C="log(y1)"), False),
     "af-c-complex.json": (_af_doc(C="(0-1)^0.5"), False),
     "af-h-shape.json": (_af_doc(h=[["1", "0", "0"], ["0", "1", "0"]]), False),
+    "af-alpha-zero.json": (_af_doc(alpha=0), False),
+    "af-alpha-nan.json": (_af_doc(alpha=float("nan")), False),
+    "coord-pi.json": (_renamed("pi"), False),
+    "coord-two-words.json": (_renamed("a b"), False),
+    "coord-empty.json": (_renamed(""), False),
+    "coord-digit.json": (_renamed("1x"), False),
     "list.json": ("[1, 2]", False),
     "truncated.json": ('{"dim": 3', False),
     "empty.json": ("", False),

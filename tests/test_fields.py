@@ -1,12 +1,17 @@
+import copy
 import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ladder, one
 from jet_reference import jet_views
@@ -18,6 +23,7 @@ from tractorlab.fields import (
     Geometry,
     GeometryError,
     TensorField,
+    _conforms,
     _make_ray_boundary_sampler,
     builtin_geometry,
     load_geometry,
@@ -302,6 +308,202 @@ def test_load_geometry_schema_messages_match_jsonschema():
                 load_geometry(doc)
             assert str(err.value) == f"geometry document rejected: {expected.message}"
     assert rejected >= 12
+
+
+#: Values a mutated document takes: what JSON can hold, and the Python and
+#: numpy numbers whose types the schema tells apart.
+#: Values a changed document takes: what JSON can hold, the Python and
+#: numpy numbers whose types the schema tells apart, and integers below a
+#: ``dim`` minimum.
+ODD_VALUES = [
+    None, True, 1, 2, 3, 3.0, 2.5, math.nan, math.inf, np.float64(3.0), np.int64(3),
+    "x", "asymptotic_form", "1 + u1", ("x",), [1], [["x"], [None]],
+]
+#: Keys a changed document gains, the schema's among them.
+ODD_KEYS = ["name", "dim", "coords", "rho", "alpha", "metric", "interior_box",
+            "kind", "C", "h", "extra", 1, None, 2.5, True]
+_VALUES = st.recursive(
+    st.sampled_from(ODD_VALUES).map(copy.deepcopy),  # a mutation may change it
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+def _schema_docs():
+    return [
+        _klein_doc(3),
+        _af_doc(name="af", coords=["rho", "y1", "y2"], interior_box=[[0.1] * 3, [0.9] * 3]),
+    ]
+
+
+def _containers(doc):
+    """The document's dicts and lists, the document first."""
+    found = [doc] if isinstance(doc, (dict, list)) else []
+    for node in found:
+        inner = node.values() if isinstance(node, dict) else node
+        found += [v for v in inner if isinstance(v, (dict, list))]
+    return found
+
+
+def _single_changes():
+    """Each document with one value replaced by each odd value, one key or
+    element dropped, or one odd key added, at every depth."""
+    for base in _schema_docs():
+        for k in range(len(_containers(base))):
+            node = _containers(base)[k]
+            for key in list(node) if isinstance(node, dict) else range(len(node)):
+                for value in ODD_VALUES:
+                    doc = json.loads(json.dumps(base))
+                    _containers(doc)[k][key] = value
+                    yield doc
+                doc = json.loads(json.dumps(base))
+                del _containers(doc)[k][key]
+                yield doc
+        for key in ODD_KEYS:
+            for value in ("x", 3):
+                yield {**base, key: value}
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A Klein or asymptotic-form document with some of its dicts and lists,
+    or the whole of it, changed: keys dropped or added, values replaced."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_schema_docs()))))
+    for _ in range(draw(st.integers(1, 4))):
+        containers = _containers(doc)
+        if not containers or draw(st.integers(0, 9)) == 0:
+            doc = draw(_VALUES)
+            continue
+        node = draw(st.sampled_from(containers))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if keys and draw(st.booleans()):
+            del node[draw(st.sampled_from(keys))]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(ODD_KEYS + keys))] = draw(_VALUES)
+        elif keys:
+            node[draw(st.sampled_from(keys))] = draw(_VALUES)
+        else:
+            node.append(draw(_VALUES))
+    return doc
+
+
+def _schema_validator():
+    from jsonschema.validators import validator_for
+
+    return validator_for(GEOMETRY_DOC_SCHEMA)(GEOMETRY_DOC_SCHEMA)
+
+
+def test_the_schema_check_agrees_with_jsonschema_on_each_single_change():
+    validator, seen = _schema_validator(), [0, 0]
+    for doc in _single_changes():
+        valid = validator.is_valid(doc)
+        assert _conforms(doc, GEOMETRY_DOC_SCHEMA) == valid, doc
+        seen[valid] += 1
+    assert min(seen) > 50, seen  # both verdicts are well represented
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_mutated_documents())
+def test_the_schema_check_agrees_with_jsonschema(doc):
+    assert _conforms(doc, GEOMETRY_DOC_SCHEMA) == _schema_validator().is_valid(doc)
+
+
+@pytest.mark.parametrize("value, schema, valid", [
+    (True, {"type": "number"}, False),
+    (True, {"type": "integer"}, False),
+    (3.0, {"type": "integer"}, True),
+    (np.float64(3.0), {"type": "integer"}, True),
+    (np.int64(3), {"type": "integer"}, False),
+    (np.int64(3), {"type": "number"}, True),
+    (math.nan, {"type": "number", "minimum": 2}, True),
+    ("1", {"type": "string", "minimum": 2}, True),
+    (1, {"minimum": 2}, False),
+    (("a",), {"type": "array"}, False),
+    ((1,), {"items": {"type": "string"}}, True),
+    ({1: "a"}, {"properties": {"a": {}}, "additionalProperties": False}, False),
+    (2.5, {"oneOf": [{"type": "number"}, {"minimum": 2}]}, False),
+])
+def test_the_schema_check_reads_types_as_jsonschema_does(value, schema, valid):
+    from jsonschema.validators import validator_for
+
+    assert validator_for(schema)(schema).is_valid(value) == valid
+    assert _conforms(value, schema) == valid
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "maxLength": 3},
+    {"type": "boolean"},
+    {"type": ["string", "null"]},
+    {"const": 3},
+    {"additionalProperties": {"type": "string"}},
+    {"oneOf": [{"type": "string"}, {"type": "null"}]},
+])
+def test_the_schema_check_raises_on_a_keyword_it_does_not_implement(schema):
+    # whatever the value, also one that an implemented keyword rejects
+    for value in (None, 3, "x", {"name": "b"}):
+        with pytest.raises(ValueError, match="not implemented"):
+            _conforms(value, schema)
+    # a subschema is read when its value is
+    nested = {"type": "object", "properties": {"name": schema}}
+    assert _conforms({}, nested)
+    with pytest.raises(ValueError, match="not implemented"):
+        _conforms({"name": "b"}, nested)
+
+
+def test_a_valid_document_loads_without_importing_jsonschema():
+    script = (
+        "import json, sys\n"
+        "from tractorlab.fields import GeometryError, load_geometry\n"
+        "load_geometry(json.loads(sys.argv[1]))\n"
+        "print('jsonschema' in sys.modules)\n"
+        "try:\n"
+        "    load_geometry(dict(json.loads(sys.argv[1]), dim='3'))\n"
+        "except GeometryError as err:\n"
+        "    print(err)\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    src = str(Path(ex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(dict(_klein_doc(3), name="klein"))],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    loaded, rejected, after = done.stdout.splitlines()
+    assert loaded == "False"
+    assert rejected.startswith("geometry document rejected: ")
+    assert after == "True"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("pi", "coordinate name 'pi' is a constant"),
+    ("a b", "coordinate name 'a b' is not one identifier"),
+    ("", "coordinate name '' is not one identifier"),
+    ("1x", "coordinate name '1x' is not one identifier"),
+    ("u1 ", "coordinate name 'u1 ' is not one identifier"),
+])
+def test_a_coordinate_name_must_be_one_variable(name, message):
+    klein = _klein_doc(3)
+    klein["coords"][0] = name
+    af = _af_doc(coords=["rho", name, "y2"])
+    for doc in (klein, af):
+        with pytest.raises(GeometryError) as err:
+            load_geometry(doc)
+        assert str(err.value) == message
+    # a flat document whose first coordinate is pi: the metric it writes,
+    # not one with the constant in place of the coordinate
+    flat = {"dim": 3, "coords": ["pi", "b", "c"], "rho": "1 - b", "alpha": 2.0,
+            "metric": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}
+    flat["metric"][2][2] = "1 + pi^2"
+    with pytest.raises(GeometryError, match="'pi' is a constant"):
+        load_geometry(flat)
+
+
+@pytest.mark.parametrize("alpha", [0, -0.0, math.nan, math.inf, -1.0, 3.0])
+def test_an_asymptotic_form_alpha_outside_its_range_is_rejected_first(alpha):
+    with pytest.raises(GeometryError) as err:
+        load_geometry(_af_doc(alpha=alpha, C="1/0"))
+    assert str(err.value) == f"alpha must lie in (0, 2], got {float(alpha)}"
 
 
 def test_load_geometry_symmetric_pair_written_differently():

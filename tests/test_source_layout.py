@@ -38,7 +38,8 @@ other code catches ``Exception`` but the boundaries that must keep
 running.  Every memo of evaluated jets is keyed by its batch's rows alone
 and read through ``fields.row_memo``, which serves lower orders by
 truncation, so no code but that helper builds a row key, and no key holds a
-jet order."""
+jet order.  A valid geometry document is decided without jsonschema, so only
+the branch of ``load_geometry`` that a rejected document takes imports it."""
 
 import ast
 import importlib
@@ -795,3 +796,81 @@ def test_the_row_key_rule_sees_a_copied_order_key():
          "        return row_memo(self._memo, points, order, self._evaluator)"),
     ):
         assert not _row_keys(ast.parse(src), module), src
+
+
+#: The rejection path of a geometry document: ``load_geometry`` imports
+#: jsonschema only in the branch that ``_conforms`` sends a rejected document
+#: down, and ``_doc_validator`` builds jsonschema's validator there.
+JSONSCHEMA_BRANCH = "not _conforms("
+
+
+def _jsonschema_imports(tree, module):
+    """``(function, line)`` of each import of jsonschema in ``module`` (a
+    file's stem) outside ``fields._doc_validator`` and the branch of
+    ``fields.load_geometry`` whose test is ``not _conforms(...)``."""
+
+    def imports(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            return False
+        return any(name.split(".")[0] == "jsonschema" for name in names)
+
+    def visit(nodes, scope, rejecting):
+        for child in nodes:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child.body, scope + (child.name,), False)
+                continue
+            where = f"{module}.{'.'.join(scope)}"
+            if imports(child) and not (
+                where == "fields._doc_validator" or where == "fields.load_geometry" and rejecting
+            ):
+                yield ".".join(scope), child.lineno
+            if isinstance(child, ast.If) and ast.unparse(child.test).startswith(JSONSCHEMA_BRANCH):
+                yield from visit(child.body, scope, True)
+                yield from visit(child.orelse, scope, rejecting)
+                continue
+            yield from visit(ast.iter_child_nodes(child), scope, rejecting)
+
+    return list(visit(tree.body, (), False))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_only_a_rejected_document_imports_jsonschema(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    found = _jsonschema_imports(tree, module.stem)
+    assert not found, f"{module.name} imports jsonschema in {found}"
+
+
+def test_the_jsonschema_rule_sees_an_import_on_the_valid_path():
+    for module, src in (
+        # the load that validated every document with jsonschema
+        ("fields", "def load_geometry(doc):\n"
+                   "    from jsonschema.exceptions import best_match\n"
+                   "    err = best_match(_doc_validator().iter_errors(doc))"),
+        ("fields", "import jsonschema"),
+        ("fields", "def load_geometry(doc):\n"
+                   "    if not _conforms(doc, GEOMETRY_DOC_SCHEMA):\n"
+                   "        pass\n"
+                   "    else:\n"
+                   "        import jsonschema"),
+        ("fields", "def load_geometry(doc):\n"
+                   "    if not _conforms(doc, GEOMETRY_DOC_SCHEMA):\n"
+                   "        def explain():\n"
+                   "            import jsonschema"),
+        ("cli", "def main():\n"
+                "    if not _conforms(doc, GEOMETRY_DOC_SCHEMA):\n"
+                "        from jsonschema import validate"),
+    ):
+        assert _jsonschema_imports(ast.parse(src), module), src
+    for module, src in (
+        ("fields", "def load_geometry(doc):\n"
+                   "    if not _conforms(doc, GEOMETRY_DOC_SCHEMA):\n"
+                   "        from jsonschema.exceptions import best_match\n"
+                   "        err = best_match(_doc_validator().iter_errors(doc))"),
+        ("fields", "def _doc_validator():\n"
+                   "    from jsonschema.validators import validator_for"),
+    ):
+        assert not _jsonschema_imports(ast.parse(src), module), src
