@@ -99,7 +99,7 @@ def levi_civita_jets(g: np.ndarray, order: int) -> np.ndarray:
 
     ``Gamma^c_ab = (1/2) g^cd (d_a g_db + d_b g_da - d_d g_ab)``.
 
-    At order 0 (every RK4 stage of the transversals) the inverse and the
+    At order 0 (every stage of the transversals) the inverse and the
     derivatives are read off the values as ``jet_inverse`` and
     ``jet_gradient`` lay them out: the value inverse in C order, and the
     metric's first-derivative columns as ``d_a g_ij``.

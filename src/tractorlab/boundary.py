@@ -18,13 +18,14 @@ serves one check is part of that check's runner in ``verify``.  Each
 boundary quantity has one point function here (``POINT_QUANTITIES``), which
 the checks and ``tractorlab eval`` extrapolate alike.
 
-Geodetic transversals are integrated by fixed-step RK4.  All curves of one
-call share one ``(B, d)`` state, so each RK4 stage is one batched run of the
-metric tape, whose last row is rho, over the point axis of the dense jet
-kernels (module ``jets``) rather than one evaluation per curve.  The same
-curves at twice the step ride as extra rows in those runs, and the two
-compared at their shared nodes give each curve's integration error (step
-doubling).
+Geodetic transversals are integrated by fixed-step Dormand-Prince 5.  All
+curves of one call share one ``(B, d)`` state, so each evaluation of a step
+is one batched run of the metric tape, whose last row is rho, over the point
+axis of the dense jet kernels (module ``jets``) rather than one evaluation
+per curve.  The same curves at twice the step, and the curves launched from
+a moved value of the extended connection, ride as extra rows in those runs:
+compared with the curves at their shared nodes, they give each curve's
+integration error (step doubling) and launch error.
 
 The conformal data at a boundary point lives in the fiber splitting
 
@@ -108,29 +109,30 @@ def hat_christoffels(calc: TractorCalculus, p) -> np.ndarray:
 
 def extended_christoffels(
     calc: TractorCalculus, ladders: Sequence[Ladder]
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], list[float]]:
     """Boundary values at the ladders' points of the rho-modified connection
     ``calc.hat``, which extends smoothly to ``rho = 0`` on a projectively
-    compact geometry, one per ladder.
+    compact geometry, one per ladder, and the error of each.
 
     Uses the geometry's exact closed-form extension
     (``exact_hat_christoffels``) when it has one, evaluated once at the
-    ladders' boundary points, otherwise Richardson extrapolation along the
-    ladders.  Divergence raises :class:`BoundaryExtensionError` for the
+    ladders' boundary points, with error 0; otherwise Richardson
+    extrapolation along the ladders, with each ladder's Richardson
+    ``error``.  Divergence raises :class:`BoundaryExtensionError` for the
     first diverged ladder (the projectively-noncompact controls end up
     here).
     """
     exact = calc.geom.exact_hat_christoffels
     if exact is not None:
         ys = np.array([ladder.y for ladder in ladders]).reshape(-1, calc.dim)
-        return list(np.moveaxis(exact(ys, 0)[..., 0], -1, 0))
+        return list(np.moveaxis(exact(ys, 0)[..., 0], -1, 0)), [0.0] * len(ladders)
     ests = boundary_limit(lambda p: hat_christoffels(calc, p), ladders)
     for ladder, est in zip(ladders, ests):
         if est.diverged:
             raise BoundaryExtensionError(
                 f"connection does not extend to the boundary at {ladder.y}"
             )
-    return [np.asarray(est.value) for est in ests]
+    return [np.asarray(est.value) for est in ests], [est.error for est in ests]
 
 
 # -- geodetic transversals -----------------------------------------------------
@@ -140,12 +142,14 @@ def extended_christoffels(
 class TransversalCurve:
     """A rho-connection geodesic launched inward from a boundary point.
 
-    Samples are stored at fixed RK4 steps together with velocities and
-    accelerations, so positions interpolate to fourth order (cubic Hermite)
-    and points with prescribed rho values can be Newton-located on the
-    curve.  ``integration_error`` estimates the RK4 error of the samples by
-    step doubling (see :func:`geodetic_transversals`); a curve built without
-    an estimate has an unbounded one.
+    Samples are stored at fixed steps together with velocities and
+    accelerations, so positions interpolate to sixth order (quintic
+    Hermite) and points with prescribed rho values can be Newton-located on
+    the curve.  ``integration_error`` estimates the integrator's error of
+    the samples by step doubling, and ``launch_error`` the error that the
+    launch's extended connection value carries into them (see
+    :func:`geodetic_transversals`); a curve built without an estimate has an
+    unbounded one.
     """
 
     geom: Geometry
@@ -157,21 +161,37 @@ class TransversalCurve:
     accs: np.ndarray  # (N, d)
     rhos: np.ndarray  # (N,)
     integration_error: float = math.inf
+    launch_error: float = math.inf
 
     def _hermite(self, k: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interpolate (x, mu) between samples k and k+1, s in [0, 1], for
-        each entry of the arrays ``k`` and ``s``: ``(len(k), d)`` each."""
+        each entry of the arrays ``k`` and ``s``: ``(len(k), d)`` each.  The
+        position is the quintic that matches position, velocity and
+        acceleration at both samples, and the velocity its derivative."""
         h = (self.ts[k + 1] - self.ts[k])[:, None]
         x0, x1 = self.points[k], self.points[k + 1]
         v0, v1 = self.mus[k], self.mus[k + 1]
         a0, a1 = self.accs[k], self.accs[k + 1]
-        s2, s3 = np.float_power(s, 2)[:, None], np.float_power(s, 3)[:, None]
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s[:, None]
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        x = h00 * x0 + h10 * h * v0 + h01 * x1 + h11 * h * v1
-        v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
+        s = s[:, None]
+        s2 = s * s
+        s3 = s2 * s
+        s4 = s3 * s
+        s5 = s4 * s
+        # the weights of x1 - x0, h v0, h v1, h^2 a0 and h^2 a1, and their
+        # derivatives in s
+        p01 = 10 * s3 - 15 * s4 + 6 * s5
+        p10 = s - 6 * s3 + 8 * s4 - 3 * s5
+        p11 = -4 * s3 + 7 * s4 - 3 * s5
+        p20 = 0.5 * (s2 - 3 * s3 + 3 * s4 - s5)
+        p21 = 0.5 * (s3 - 2 * s4 + s5)
+        d01 = 30 * s2 - 60 * s3 + 30 * s4
+        d10 = 1 - 18 * s2 + 32 * s3 - 15 * s4
+        d11 = -12 * s2 + 28 * s3 - 15 * s4
+        d20 = 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4)
+        d21 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
+        dx = x1 - x0
+        x = x0 + p01 * dx + h * (p10 * v0 + p11 * v1) + h * h * (p20 * a0 + p21 * a1)
+        v = d01 * dx / h + d10 * v0 + d11 * v1 + h * (d20 * a0 + d21 * a1)
         return x, v
 
     def at_rho(self, eps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -206,25 +226,40 @@ class TransversalCurve:
         )
 
 
-def _rk4(x: np.ndarray, v: np.ndarray, a: np.ndarray, step: float):
-    """Classical RK4 for ``x'' = f(x, x')`` from the rows ``(x, v)`` with
-    ``f = a`` there, step after step without end, as a coroutine: it yields
-    the rows ``(position, velocity)`` of each evaluation of ``f`` (the three
-    stages of a step, then its end) and is sent ``f`` there."""
-    half, sixth = 0.5 * step, step / 6.0
+#: The Dormand-Prince 5(4) tableau (Dormand and Prince, *J. Comput. Appl.
+#: Math.* 6 (1980)) below its first row: the coefficients of each evaluation
+#: of a step on the slopes before it, at the fractions 1/5, 3/10, 4/5, 8/9,
+#: 1 and 1 of the step.  The last row is the 5th-order weights, so the last
+#: evaluation is at the step's end and is the next step's first (FSAL).
+DP5_TABLEAU = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+
+
+def _dp5(x: np.ndarray, v: np.ndarray, a: np.ndarray, step: float):
+    """Fixed-step Dormand-Prince 5 for ``x'' = f(x, x')`` from the rows
+    ``(x, v)`` with ``f = a`` there, step after step without end, as a
+    coroutine: it yields the rows ``(position, velocity)`` of each of the
+    six evaluations of ``f`` in a step, the last at its end, and is sent
+    ``f`` there."""
+    rows = [[step * c for c in row] for row in DP5_TABLEAU]
     while True:
-        # the acceleration at the step's start is the previous step's end;
-        # a stage's velocity is the next stage's position slope
-        k1x, k1v = v, a
-        k2x = v + half * k1v
-        k2v = yield x + half * k1x, k2x
-        k3x = v + half * k2v
-        k3v = yield x + half * k2x, k3x
-        k4x = v + step * k3v
-        k4v = yield x + step * k3x, k4x
-        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-        a = yield x, v
+        # a stage's slope is its (velocity, acceleration); the first stage
+        # is the step's start, whose acceleration the previous step's end
+        # evaluated
+        slopes = [(v, a)]
+        for row in rows:
+            xi, vi = x, v
+            for c, (kx, kv) in zip(row, slopes):
+                if c:
+                    xi, vi = xi + c * kx, vi + c * kv
+            slopes.append((vi, (yield xi, vi)))
+        x, (v, a) = xi, slopes[-1]
 
 
 def geodetic_transversals(
@@ -238,36 +273,47 @@ def geodetic_transversals(
     direction ``mu0``, which must satisfy ``d(rho)(mu0) = 1``; one curve per
     ladder, in order.
 
-    The curves are integrated together by classical fixed-step RK4 on one
-    ``(B, d)`` state (the curves are short, collar scale).  The launch
-    points lie on the boundary, where the connection has only its smooth
-    extension: their acceleration is ``-Gamma(mu0, mu0)`` with the extended
-    value along each ladder, and their rho comes from the one rho run that
-    also checks the pairing.  Every later evaluation makes one batched
-    order-1 run of the metric tape (``Geometry.rho_and_metric``), whose rho
-    row and metric rows give the connection's values (one formula,
+    The curves are integrated together by fixed-step Dormand-Prince 5 on one
+    ``(B, d)`` state (the curves are short, collar scale): six evaluations
+    a step, the last of which, at the step's end, is the next step's first.
+    The launch points lie on the boundary, where the connection has only its
+    smooth extension: their acceleration is ``-Gamma(mu0, mu0)`` with the
+    extended value along each ladder, and their rho comes from the one rho
+    run that also checks the pairing.  Every later evaluation makes one
+    batched order-1 run of the metric tape (``Geometry.rho_and_metric``),
+    whose rho row and metric rows give the connection's values (one formula,
     ``TractorCalculus.hat_christoffel_values``) and, at a step's end, the
     rho of the domain exit test.
 
     Each curve's ``integration_error`` comes from step doubling: the curves
     are integrated at step ``2 step`` too, and the largest difference of
     position and velocity between the two runs at their shared nodes
-    ``t = 2 j step``, divided by ``2^4 - 1``, estimates the error of the
+    ``t = 2 j step``, divided by ``2^5 - 1``, estimates the error of the
     samples (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4).  The
     doubled run makes no tape run of its own: its evaluations ride as extra
-    rows in the third and fourth runs of each step, which are at its own
-    parameter (the end of a step at ``step`` is the midpoint or the end of a
-    step at ``2 step``), so it never runs ahead of the curves.  Every kernel
-    works row by row, so the samples keep the bits of a run without it, and
-    its rows those of a run at ``2 step``.
+    rows in runs of the curves at or beyond their own parameter, so it
+    never runs ahead of the curves.  Over the steps ``2j`` and ``2j + 1``
+    of the curves, its evaluations at ``0.4 step`` and ``0.6 step`` ride
+    the curves' runs at ``0.8 step`` and ``8/9 step``, and those at ``1.6
+    step``, ``16/9 step``, ``2 step`` and its step's end ride the curves'
+    runs at ``1.8 step``, ``17/9 step``, ``2 step`` and their step's end.
 
-    The exit test covers the rows at a node: every curve's row at each
-    step's end, and its doubled row at the end of each doubled step.  When
-    a step's end run raises, rho alone is run at those rows for the exit
-    test, so a curve that left the domain is named; otherwise the run's own
-    error propagates.  When curves leave the chart domain,
-    :class:`GeometryError` names the one that leaves at the earliest step;
-    among curves leaving at the same step, the one with the lowest index.
+    Each curve's ``launch_error`` is the largest difference of position
+    and velocity, at every node, between the curve and the same curve
+    launched with every component of its extended connection value moved
+    by that value's error (:func:`extended_christoffels`).  Those curves
+    ride as extra rows in every run of the curves; where every launch is
+    exact, there are none and each ``launch_error`` is 0.  Every kernel
+    works row by row, so the samples keep the bits of a run without the
+    extra rows, and the doubled rows those of a run at ``2 step``.
+
+    The exit test covers every row at each step's end, which is a node of
+    every run it carries.  When a step's end run raises, rho alone is run at
+    those rows for the exit test, so a curve that left the domain is named;
+    otherwise the run's own error propagates.  When curves leave the chart
+    domain, :class:`GeometryError` names the one that leaves at the
+    earliest step; among curves leaving at the same step, the one with the
+    lowest index.
     """
     geom = calc.geom
     ys = np.array([ladder.y for ladder in ladders])
@@ -277,80 +323,91 @@ def geodetic_transversals(
         pairing = float(grad @ mu0)  # the 1-D dot, row by row
         if abs(pairing - 1.0) > 1e-10:
             raise ValueError(f"d(rho)(mu0) = {pairing!r}, expected 1 at the boundary")
+    gammas, gamma_errors = extended_christoffels(calc, ladders)
     # (d, d, d, B), the layout of hat_christoffel_values
-    gamma_boundary = np.stack(extended_christoffels(calc, ladders), axis=-1)
+    gamma_boundary = np.stack(gammas, axis=-1)
+    launches = [gamma_boundary]
+    if any(gamma_errors):
+        launches.append(gamma_boundary + np.array(gamma_errors))
     n_steps = int(round(horizon / step))
     ts = np.arange(n_steps + 1) * step
     n_curves, d = ys.shape
+    n_rows = n_curves * len(launches)  # the curves, then their moved launches
 
     def exit_test(x: np.ndarray, rho: np.ndarray, k: int) -> None:
         left = (rho[:, 0] < -1e-8) | (np.max(np.abs(x), axis=1) > 1e6)
         if left.any():
-            # row i + n_curves is curve i's doubled row
+            # rows i + j n_curves are curve i's rows in the other runs
             i = int(np.argmax(left.reshape(-1, n_curves).any(axis=0)))
             raise GeometryError(
                 f"transversal from {tuple(ys[i].tolist())} left the chart domain "
                 f"at t={ts[k]:g}"
             )
 
-    def acc(x: np.ndarray, v: np.ndarray, k: int | None, nodes: int):
+    def acc(x: np.ndarray, v: np.ndarray, k: int | None):
         """The acceleration at the states ``(x, v)`` and the order-1 rho jets
-        at ``x``; at the end of step ``k``, after the exit test of the first
-        ``nodes`` rows."""
+        at ``x``; at the end of step ``k``, after the exit test."""
         try:
             rho, g = geom.rho_and_metric(x, 1)
         except (ArithmeticError, ValueError) as err:  # jet errors, math domain
             failure = err
         else:
             if k is not None:
-                exit_test(x[:nodes], rho[:nodes], k)
+                exit_test(x, rho, k)
             G = calc.hat_christoffel_values(rho, g)
             return -np.einsum("cabn,na,nb->nc", G, v, v), rho
         # outside the handler, so neither error carries the other as context
         if k is not None:
-            exit_test(x[:nodes], geom.rho_dense(x[:nodes], 1), k)
+            exit_test(x, geom.rho_dense(x, 1), k)
         raise failure
 
     n_doubled = n_steps // 2
-    xs = np.zeros((n_curves, n_steps + 1, d))
-    vs = np.zeros((n_curves, n_steps + 1, d))
-    accs = np.zeros((n_curves, n_steps + 1, d))
-    rhos = np.zeros((n_curves, n_steps + 1))
+    xs = np.zeros((n_rows, n_steps + 1, d))
+    vs = np.zeros((n_rows, n_steps + 1, d))
+    accs = np.zeros((n_rows, n_steps + 1, d))
+    rhos = np.zeros((n_rows, n_steps + 1))
     doubled = np.zeros((2, n_curves, n_doubled + 1, d))  # positions, velocities
-    a = -np.einsum("cabn,na,nb->nc", gamma_boundary, directions, directions)
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = ys, directions, a, rho0
+    x0, v0 = np.tile(ys, (len(launches), 1)), np.tile(directions, (len(launches), 1))
+    a = np.concatenate([
+        -np.einsum("cabn,na,nb->nc", gamma, directions, directions) for gamma in launches
+    ])
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x0, v0, a, np.tile(rho0, len(launches))
     doubled[:, :, 0] = ys, directions
-    stepper = _rk4(ys, directions, a, step)
-    doubled_stepper = _rk4(ys, directions, a, 2 * step)
+    stepper = _dp5(x0, v0, a, step)
+    doubled_stepper = _dp5(ys, directions, a[:n_curves], 2 * step)
     rows, rows2 = next(stepper), next(doubled_stepper)
     for k in range(n_steps):
-        # the doubled run rides the last two evaluations of each step, which
-        # are at parameters of its own, until its n_doubled steps are done
-        ride = k < 2 * n_doubled
-        for stage in range(4):
-            end = k + 1 if stage == 3 else None
-            if ride and stage >= 2:
+        for stage in range(6):
+            end = k + 1 if stage == 5 else None
+            # the doubled run's schedule (see above), until its n_doubled
+            # steps are done
+            ride = k < 2 * n_doubled and (stage in (2, 3) or (k % 2 and stage > 3))
+            if ride:
                 x, v = (np.concatenate(pair) for pair in zip(rows, rows2))
-                nodes = 2 * n_curves if end and k % 2 else n_curves
             else:
-                (x, v), nodes = rows, n_curves
-            a, rho = acc(x, v, end, nodes)
+                x, v = rows
+            a, rho = acc(x, v, end)
             if end:
                 xs[:, end], vs[:, end] = rows
-                accs[:, end], rhos[:, end] = a[:n_curves], rho[:n_curves, 0]
-                if nodes > n_curves:
+                accs[:, end], rhos[:, end] = a[:n_rows], rho[:n_rows, 0]
+                if ride:
                     doubled[:, :, end // 2] = rows2
-            rows = stepper.send(a[:n_curves])
-            if len(a) > n_curves:
-                rows2 = doubled_stepper.send(a[n_curves:])
+            rows = stepper.send(a[:n_rows])
+            if ride:
+                rows2 = doubled_stepper.send(a[n_rows:])
     errors = np.maximum(
-        np.abs(xs[:, : 2 * n_doubled + 1 : 2] - doubled[0]),
-        np.abs(vs[:, : 2 * n_doubled + 1 : 2] - doubled[1]),
-    ).reshape(n_curves, -1).max(axis=1) / (2**4 - 1)
+        np.abs(xs[:n_curves, : 2 * n_doubled + 1 : 2] - doubled[0]),
+        np.abs(vs[:n_curves, : 2 * n_doubled + 1 : 2] - doubled[1]),
+    ).reshape(n_curves, -1).max(axis=1) / (2**5 - 1)
+    launch_errors = np.zeros(n_curves)
+    if n_rows > n_curves:
+        launch_errors = np.maximum(
+            np.abs(xs[n_curves:] - xs[:n_curves]), np.abs(vs[n_curves:] - vs[:n_curves])
+        ).reshape(n_curves, -1).max(axis=1)
     return [
         TransversalCurve(
             geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i],
-            float(errors[i]),
+            float(errors[i]), float(launch_errors[i]),
         )
         for i, ladder in enumerate(ladders)
     ]
@@ -423,7 +480,7 @@ def second_fundamental_form(
     """The tangential Hessian of rho at each ladder's point w.r.t. the class
     connection ``calc.hat`` extended along the ladders, one form per ladder."""
     geom = calc.geom
-    gammas = extended_christoffels(calc, ladders)
+    gammas, _ = extended_christoffels(calc, ladders)
     ys = np.array([ladder.y for ladder in ladders]).reshape(-1, calc.dim)
     rho2s = geom.rho_dense(ys, 2)
     forms = []

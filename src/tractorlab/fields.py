@@ -732,6 +732,8 @@ def builtin_geometry(name: str, dim: int, **params) -> Geometry:
     """
     if dim < 3:
         raise GeometryError(f"builtin geometries need dim >= 3, got {dim}")
+    if dim > MAX_DIM:
+        raise GeometryError(f"builtin geometries need dim <= {MAX_DIM}, got {dim}")
     if name not in BUILTIN_NAMES:
         raise GeometryError(
             f"unknown geometry {name!r}; builtins are {BUILTIN_NAMES}"
@@ -761,6 +763,12 @@ def builtin_geometry(name: str, dim: int, **params) -> Geometry:
 
 # -- document loading ------------------------------------------------------
 
+#: The largest chart dimension of a geometry, builtin or document: klein-16
+#: runs its checks, and klein-32 cannot sample its interior points, whose box
+#: the ball fills less and less of.  A document's ``dim`` is bounded before
+#: any work scales with it.
+MAX_DIM = 16
+
 _EXPR_SCHEMA = {"type": "string"}
 _EXPR_MATRIX_SCHEMA = {
     "type": "array",
@@ -773,7 +781,7 @@ GEOMETRY_DOC_SCHEMA = {
             "type": "object",
             "properties": {
                 "name": {"type": "string"},
-                "dim": {"type": "integer", "minimum": 2},
+                "dim": {"type": "integer", "minimum": 2, "maximum": MAX_DIM},
                 "coords": {"type": "array", "items": {"type": "string"}},
                 "rho": _EXPR_SCHEMA,
                 "alpha": {"type": "number"},
@@ -788,7 +796,7 @@ GEOMETRY_DOC_SCHEMA = {
             "properties": {
                 "kind": {"const": "asymptotic_form"},
                 "name": {"type": "string"},
-                "dim": {"type": "integer", "minimum": 3},
+                "dim": {"type": "integer", "minimum": 3, "maximum": MAX_DIM},
                 "coords": {"type": "array", "items": {"type": "string"}},
                 "alpha": {"type": "number"},
                 "C": {"oneOf": [{"type": "number"}, _EXPR_SCHEMA]},
@@ -814,7 +822,7 @@ _SCHEMA_TYPES = {
         isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
 _SCHEMA_KEYWORDS = {"type", "properties", "required", "additionalProperties",
-                    "items", "const", "minimum", "oneOf"}
+                    "items", "const", "minimum", "maximum", "oneOf"}
 
 
 def _conforms(value, schema: Mapping) -> bool:
@@ -822,9 +830,10 @@ def _conforms(value, schema: Mapping) -> bool:
     JSON Schema 2020-12 as jsonschema's ``Draft202012Validator`` applies
     them, for exactly the keywords :data:`GEOMETRY_DOC_SCHEMA` uses: ``type``
     (one name), ``properties``, ``required``, ``additionalProperties:
-    false``, ``items`` (one schema), ``const`` (a string), ``minimum`` and
-    ``oneOf``.  Any other keyword or form raises ``ValueError``, so an edit
-    of the schema cannot widen what it accepts unnoticed."""
+    false``, ``items`` (one schema), ``const`` (a string), ``minimum``,
+    ``maximum`` and ``oneOf``.  Any other keyword or form raises
+    ``ValueError``, so an edit of the schema cannot widen what it accepts
+    unnoticed."""
     kind = schema.get("type", "object")
     if not (schema.keys() <= _SCHEMA_KEYWORDS
             and isinstance(kind, str) and kind in _SCHEMA_TYPES
@@ -836,6 +845,8 @@ def _conforms(value, schema: Mapping) -> bool:
     if "const" in schema and value != schema["const"]:
         return False
     if "minimum" in schema and _SCHEMA_TYPES["number"](value) and value < schema["minimum"]:
+        return False
+    if "maximum" in schema and _SCHEMA_TYPES["number"](value) and value > schema["maximum"]:
         return False
     if isinstance(value, dict):
         properties = schema.get("properties", {})
@@ -881,7 +892,7 @@ def load_geometry(doc: Mapping) -> Geometry:
     dim = int(doc["dim"])
     rng = np.random.default_rng(20260809)
     if doc.get("kind") == "asymptotic_form":
-        coords = _doc_coords(doc.get("coords", _af_coords(dim)), dim)
+        coords = _doc_coords(doc["coords"], dim) if "coords" in doc else _af_coords(dim)
         if coords[0] != "rho":
             raise GeometryError(
                 f"asymptotic-form coords must start with 'rho', got {coords[0]!r}"

@@ -237,7 +237,7 @@ class TractorCalculus:
         metric jets ``(d, d, B, ncoeff)`` of one run there
         (``Geometry.rho_and_metric``): the value slice of
         ``hat.dense(points, 0)``, bit for bit.  It is the package's one
-        formula for the values of ``hat``: the RK4 stages of the geodetic
+        formula for the values of ``hat``: the stages of the geodetic
         transversals and every boundary limit of the connection take
         them from here."""
         u = rho_log_gradient(rho, self.geom.alpha, jet_space(self.dim, 0))

@@ -89,7 +89,7 @@ class SamplingPlan:
     boundary_points: int = 5
     eps0: float = 0.05
     levels: int = 6
-    ode_step: float = 2e-3
+    ode_step: float = 5e-3
     ode_horizon: float = 0.2
 
     def __post_init__(self):
@@ -104,7 +104,7 @@ class SamplingPlan:
         }
         bad = [f"{k} = {getattr(self, k)!r}" for k, ok in valid.items() if not ok]
         if valid["ode_step"] and valid["ode_horizon"]:
-            # the five collar parameters of lem-2.4 need 4 RK4 steps
+            # the five collar parameters of lem-2.4 need 4 steps
             steps = self.ode_horizon / self.ode_step
             if not (math.isfinite(steps) and round(steps) >= 4):
                 bad.append(f"ode_horizon / ode_step = {steps!r}")
@@ -112,7 +112,7 @@ class SamplingPlan:
             raise ValueError(
                 "invalid sampling plan (" + ", ".join(bad) + "): eps0, ode_step "
                 "and ode_horizon must be finite and > 0, ode_horizon / ode_step "
-                "finite and rounding to at least 4 RK4 steps, levels >= 2, the "
+                "finite and rounding to at least 4 steps, levels >= 2, the "
                 "point counts >= 1 and the seed >= 0"
             )
 
@@ -473,9 +473,10 @@ def _run_transversal(geom, plan, rng, session):
         "point": list(curve.y),
         "drho_pairing_defect": abs(float(grad @ curve.mu0) - 1.0),
         "integration_error": curve.integration_error,
+        "launch_error": curve.launch_error,
     } for curve, grad in zip(curves, grads)]
     # the collar map (boundary point, t) -> point at five parameters across
-    # the curves, each at its nearest RK4 sample, must be injective on them
+    # the curves, each at its nearest sample, must be injective on them
     ts = curves[0].ts
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * ts[-1]
     ks = [min(int(round(t / (ts[1] - ts[0]))), len(ts) - 1) for t in grid]
@@ -494,8 +495,17 @@ def _run_transversal(geom, plan, rng, session):
             f"{row(pairs[1][first])} collide"
         )
     details.append({"collar_min_separation": separation, "ode_step": plan.ode_step})
-    facets = _columns(details, "drho_pairing_defect", "integration_error")
+    facets = _columns(details, "drho_pairing_defect", "integration_error", "launch_error")
     return facets, len(ladders), details
+
+
+def _mu_samples(ts: np.ndarray) -> np.ndarray:
+    """The indices of the samples at the parameters ``ts`` (from 0, at one
+    step) that ``prop-2.5-mu`` judges along a curve: those nearest ``t =
+    0.01 + 0.02 j`` up to the horizon ``ts[-1]``, each once, whatever the
+    step; past a horizon below 0.01, the last."""
+    targets = 0.01 + 0.02 * np.arange(int((ts[-1] - 0.01) / 0.02 + 1e-9) + 1)
+    return np.unique(np.minimum(np.rint(targets / ts[1]).astype(int), len(ts) - 1))
 
 
 def _run_mu(geom, plan, rng, session):
@@ -505,10 +515,10 @@ def _run_mu(geom, plan, rng, session):
     ladders, curves = session.transversals(rng)
     diverged, errors, defects, extrapolated, details = False, [], [], [], []
 
-    # rho^2 g(mu, mu) at every tenth RK4 sample of each curve and at the
-    # points where it meets its ladder's levels, all curves in one batch
+    # rho^2 g(mu, mu) at the samples of each curve judged along it and at
+    # the points where it meets its ladder's levels, all curves in one batch
     located = [curve.at_rho(lad.eps) for lad, curve in zip(ladders, curves)]
-    ks = np.arange(5, len(curves[0].ts), 10)
+    ks = _mu_samples(curves[0].ts)
     points = np.concatenate([c.points[ks] for c in curves] + [x for x, _ in located])
     mus = np.concatenate([c.mus[ks] for c in curves] + [v for _, v in located])
     gv = gfield.dense(points, 0)[..., 0]

@@ -1,11 +1,12 @@
-"""Time the pieces of one RK4 stage of ``boundary.geodetic_transversals``,
-and the two checks that integrate transversals.
+"""Time the pieces of one stage (one evaluation of the integrator) of
+``boundary.geodetic_transversals``, and the two checks that integrate
+transversals.
 
 Usage (from any directory; it imports ``src/tractorlab`` of the tree it sits
 in, and pytest does not collect it)::
 
     python tests/bench_stage.py                       # print the table
-    python tests/bench_stage.py --column after --out BENCH_rk4_stage.json
+    python tests/bench_stage.py --column after --out BENCH_dp5.json
     python tests/bench_stage.py --geometry klein-3    # one geometry, as JSON
 
 Each layer runs on klein-3 and on af2_generic-4, each geometry in a fresh
@@ -27,9 +28,10 @@ states of four transversals at t = 0.05):
   the rho-modified connection's values from the rho and metric jets of one
   run of the stage tape (not timed here);
 * ``stage``: one stage of the integrator, as the time of a 0.2-long run
-  minus that of a 0.05-long run, over the stages between them (four a
-  step, the last two of which also carry the rows of the run at twice the
-  step where the tree has one);
+  minus that of a 0.05-long run, over the stages between them, counted as
+  the runs of the stage tape they make (six a step for Dormand-Prince 5,
+  four for RK4; some also carry the rows of the run at twice the step, and
+  of the moved launches, where the tree has them);
 * ``transversals``: one joint run of 8 curves, the size of the run that
   the two checks below share in a suite, at the default plan's step and
   horizon; ``transversals.integration_error`` is the largest step-doubling
@@ -39,7 +41,7 @@ states of four transversals at t = 0.05):
   with the default plan, per suite (both checks' ladders, curves and
   limits).
 
-The RK4 step is the default plan's, so each tree runs at its own default.
+The step is the default plan's, so each tree runs at its own default.
 
 Times are medians of ``--repeat`` blocks, in reference microseconds per
 call: ``perfbench/speed.py``'s ``SpeedClock`` scales elapsed time by the
@@ -59,7 +61,9 @@ alternating::
 the suite-level sharing of transversals, read from its ``ode_pair`` rows;
 ``BENCH_ode_step.json`` those of the default step 1e-3 and of the step
 2e-3 with its integration error estimate, read from the ``transversals``
-and ``ode_pair`` rows.
+and ``ode_pair`` rows; ``BENCH_dp5.json`` those of RK4 at 2e-3 and of
+Dormand-Prince 5 at 5e-3, read from the ``stage``, ``transversals``,
+``transversals.integration_error`` and ``ode_pair`` rows.
 """
 
 from __future__ import annotations
@@ -97,6 +101,19 @@ ODE_PAIR = ("lem-2.4-transversal", "prop-2.5-mu")
 UNIT = "reference us per call, median block"
 
 
+def stage_runs(geom, fn) -> int:
+    """The runs of the stage tape, ``Geometry.rho_and_metric``, that
+    ``fn()`` makes: one per evaluation of the integrator, whatever its
+    method."""
+    real, calls = geom.rho_and_metric, []
+    geom.rho_and_metric = lambda *args: calls.append(1) or real(*args)
+    try:
+        fn()
+    finally:
+        del geom.rho_and_metric
+    return len(calls)
+
+
 def measure(
     clock: SpeedClock, name: str, dim: int, calls: int, repeat: int
 ) -> dict[str, float]:
@@ -123,7 +140,7 @@ def measure(
     def run(horizon):
         return lambda: bd.geodetic_transversals(calc, lads, step=STEP, horizon=horizon)
 
-    stages = 4 * round((LONG - SHORT) / STEP)
+    stages = stage_runs(geom, run(LONG)) - stage_runs(geom, run(SHORT))
     layers = {
         "rho_tape.o0": per_call_us(lambda: geom.rho_dense(x, 0)),
         "rho_tape.o1": per_call_us(lambda: geom.rho_dense(x, 1)),

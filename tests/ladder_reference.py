@@ -46,8 +46,10 @@ def place_levels(geom, y, direction, eps0, levels):
 
 def locate_on_curve(curve, eps):
     """The point and velocity on a transversal where rho equals ``eps``:
-    a Newton of its own on the cubic Hermite step that brackets the level,
-    with one rho evaluation at a batch of one point per iteration."""
+    a Newton of its own on the quintic Hermite step that brackets the level
+    (position, velocity and acceleration matched at both ends; the velocity
+    is the quintic's derivative), with one rho evaluation at a batch of one
+    point per iteration."""
     if eps <= 0 or eps > float(curve.rhos.max()):
         raise ValueError(f"rho={eps:g} is not reached by this transversal")
     k = int(np.searchsorted(curve.rhos, eps)) - 1
@@ -58,12 +60,18 @@ def locate_on_curve(curve, eps):
     a0, a1 = curve.accs[k], curve.accs[k + 1]
     s = 0.5
     for _ in range(60):
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        x = h00 * x0 + h10 * h * v0 + h01 * x1 + h11 * h * v1
-        v = h00 * v0 + h10 * h * a0 + h01 * v1 + h11 * h * a1
+        s2 = s * s
+        s3 = s2 * s
+        s4 = s3 * s
+        s5 = s4 * s
+        x = (x0 + (10 * s3 - 15 * s4 + 6 * s5) * (x1 - x0)
+             + h * ((s - 6 * s3 + 8 * s4 - 3 * s5) * v0 + (-4 * s3 + 7 * s4 - 3 * s5) * v1)
+             + h * h * (0.5 * (s2 - 3 * s3 + 3 * s4 - s5) * a0
+                        + 0.5 * (s3 - 2 * s4 + s5) * a1))
+        v = ((30 * s2 - 60 * s3 + 30 * s4) * (x1 - x0) / h
+             + (1 - 18 * s2 + 32 * s3 - 15 * s4) * v0 + (-12 * s2 + 28 * s3 - 15 * s4) * v1
+             + h * (0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4) * a0
+                    + 0.5 * (3 * s2 - 8 * s3 + 5 * s4) * a1))
         rho, grad = curve.geom.rho_and_drho(x[None])
         val = rho[0] - eps
         if abs(val) <= 1e-14 * (1 + eps):

@@ -100,16 +100,29 @@ def test_klein_transversal_is_radial(klein3):
     assert curve.integration_error < 1e-8
 
 
+#: Dormand and Prince's tableau below its first row (Hairer, Norsett and
+#: Wanner, *Solving ODEs I*, Table II.5.2): the last row is the 5th-order
+#: weights, so the last evaluation of a step is at its end.
+DP5 = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+
+
 def _plain_rk4(calc, lads, step, horizon):
     """The samples ``(points, mus, accs, rhos)``, curve first, of a plain
-    RK4 loop over the curves of ``geodetic_transversals``, without the run
-    at twice the step: one run of the metric tape per evaluation, at the
-    curves' rows only."""
+    Dormand-Prince 5 loop over the curves of ``geodetic_transversals``,
+    without the run at twice the step or the moved launches: one run of the
+    metric tape per evaluation, at the curves' rows only."""
     geom = calc.geom
     ys = np.array([lad.y for lad in lads])
     v = np.array([lad.direction for lad in lads])
     rho0 = geom.rho_and_drho(ys)[0]
-    gamma = np.stack(bd.extended_christoffels(calc, lads), axis=-1)
+    gamma = np.stack(bd.extended_christoffels(calc, lads)[0], axis=-1)
 
     def acc(x, v):
         rho, g = geom.rho_and_metric(x, 1)
@@ -118,26 +131,28 @@ def _plain_rk4(calc, lads, step, horizon):
     n_steps = int(round(horizon / step))
     x, a = ys.copy(), -np.einsum("cabn,na,nb->nc", gamma, v, v)
     rows = [(x, v, a, rho0)]
-    half, sixth = 0.5 * step, step / 6.0
     for _ in range(n_steps):
-        k1x, k1v = v, a
-        k2x = v + half * k1v
-        k2v = acc(x + half * k1x, k2x)[0]
-        k3x = v + half * k2v
-        k3v = acc(x + half * k2x, k3x)[0]
-        k4x = v + step * k3v
-        k4v = acc(x + step * k3x, k4x)[0]
-        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-        a, rho = acc(x, v)
+        # stage i at x + h sum_j a_ij V_j, v + h sum_j a_ij F_j, whose
+        # velocity is V_i and acceleration F_i; the first stage is the start
+        velocities, accelerations = [v], [a]
+        for coefficients in DP5:
+            xi, vi = x, v
+            for c, vj, fj in zip(coefficients, velocities, accelerations):
+                if c:
+                    xi, vi = xi + step * c * vj, vi + step * c * fj
+            fi, rho = acc(xi, vi)
+            velocities.append(vi)
+            accelerations.append(fi)
+        x, v, a = xi, vi, fi
         rows.append((x, v, a, rho[:, 0]))
     return [np.stack(column, axis=1) for column in zip(*rows)]
 
 
-def _recorded_rk4(monkeypatch):
-    """Record the rows each RK4 run of ``geodetic_transversals`` yields: a
-    list of ``(step, rows)``, one per run, in the order they start."""
-    real, runs = bd._rk4, []
+def _recorded_dp5(monkeypatch):
+    """Record the rows each Dormand-Prince run of ``geodetic_transversals``
+    yields: a list of ``(step, rows)``, one per run, in the order they
+    start."""
+    real, runs = bd._dp5, []
 
     def recording(x, v, a, step):
         rows = []
@@ -147,14 +162,15 @@ def _recorded_rk4(monkeypatch):
             rows.append(run.send(f))
             f = yield rows[-1]
 
-    monkeypatch.setattr(bd, "_rk4", recording)
+    monkeypatch.setattr(bd, "_dp5", recording)
     return runs
 
 
 @pytest.mark.parametrize("name", ["klein3", "af2", "af1"])
 @pytest.mark.parametrize("horizon", [PLAN.ode_horizon, 7 * PLAN.ode_step])
 def test_the_samples_keep_the_bits_of_the_plain_rk4_loop(request, name, horizon):
-    # the doubled run's rows ride in the same tape runs, which work row by row
+    # the doubled run's rows and the moved launches ride in the same tape
+    # runs, which work row by row
     geom = request.getfixturevalue(name)
     calc = TractorCalculus(geom)
     lads = ladders(geom, geom.boundary_points(4, np.random.default_rng(2)))
@@ -170,19 +186,20 @@ def test_the_doubled_rows_are_a_run_at_twice_the_step(request, monkeypatch, name
     calc = TractorCalculus(geom)
     lads = ladders(geom, geom.boundary_points(3, np.random.default_rng(7)))
     h, horizon = PLAN.ode_step, PLAN.ode_horizon
-    runs = _recorded_rk4(monkeypatch)
+    runs = _recorded_dp5(monkeypatch)
     curves = bd.geodetic_transversals(calc, lads, step=h, horizon=horizon)
     doubled = bd.geodetic_transversals(calc, lads, step=2 * h, horizon=horizon)
     # the run at h, its doubled run, then those of the run at 2h
     assert [step for step, _ in runs] == [h, 2 * h, 2 * h, 4 * h]
     riding, alone = runs[1][1], runs[2][1]
-    assert len(riding) == len(alone) == 4 * round(horizon / (2 * h)) + 1
+    assert len(riding) == len(alone) == 6 * round(horizon / (2 * h)) + 1
     for (x, v), (x2, v2) in zip(riding, alone):
-        assert np.array_equal(x, x2) and np.array_equal(v, v2)
+        # the run at 2h carries the moved launches after the curves
+        assert np.array_equal(x, x2[: len(lads)]) and np.array_equal(v, v2[: len(lads)])
     for curve, coarse in zip(curves, doubled):
         gap = max(np.max(np.abs(curve.points[::2] - coarse.points)),
                   np.max(np.abs(curve.mus[::2] - coarse.mus)))
-        assert curve.integration_error == gap / 15
+        assert curve.integration_error == gap / 31
 
 
 def test_an_odd_step_count_compares_only_the_shared_nodes(klein3, monkeypatch):
@@ -191,44 +208,77 @@ def test_an_odd_step_count_compares_only_the_shared_nodes(klein3, monkeypatch):
     calc = TractorCalculus(klein3)
     lads = ladders(klein3, klein3.boundary_points(2, np.random.default_rng(1)))
     h = 0.01
-    runs = _recorded_rk4(monkeypatch)
+    runs = _recorded_dp5(monkeypatch)
     (curve, _) = bd.geodetic_transversals(calc, lads, step=h, horizon=7 * h)
     (coarse, _) = bd.geodetic_transversals(calc, lads, step=2 * h, horizon=6 * h)
     assert len(curve.ts) == 8 and len(coarse.ts) == 4
-    assert len(runs[1][1]) == 4 * 3 + 1  # no stage of a fourth doubled step
+    assert len(runs[1][1]) == 6 * 3 + 1  # no evaluation of a fourth doubled step
     gap = max(np.max(np.abs(curve.points[:7:2] - coarse.points)),
               np.max(np.abs(curve.mus[:7:2] - coarse.mus)))
-    assert curve.integration_error == gap / 15
+    assert curve.integration_error == gap / 31
 
 
-def _rk4_weights_1131(x, v, a, step):
-    """``bd._rk4`` with the weights (1, 1, 3, 1) / 6: they still sum to one
-    and meet the second-order condition, but break the third-order one
-    (``sum b_i a_ij c_j = 5/24``, not 1/6), so the method is of order 2."""
-    half, sixth = 0.5 * step, step / 6.0
-    while True:
-        k1x, k1v = v, a
-        k2x = v + half * k1v
-        k2v = yield x + half * k1x, k2x
-        k3x = v + half * k2v
-        k3v = yield x + half * k2x, k3x
-        k4x = v + step * k3v
-        k4v = yield x + step * k3x, k4x
-        x = x + sixth * (k1x + k2x + 3 * k3x + k4x)
-        v = v + sixth * (k1v + k2v + 3 * k3v + k4v)
-        a = yield x, v
+#: Wrong last rows of :data:`DP5`: the weights of its third and fourth
+#: stages swapped, which still sum to one but break the second-order
+#: condition ``sum b_i c_i = 1/2``; and the embedded 4th-order weights
+#: without their seventh, on the evaluation at the 5th-order end that the
+#: step does not make, which sum to 39/40.
+WRONG_WEIGHTS = (
+    (35 / 384, 0, 125 / 192, 500 / 1113, -2187 / 6784, 11 / 84),
+    (5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100),
+)
 
 
 def test_a_wrong_rk4_weight_fails_the_integration_error(af2, monkeypatch):
-    # at the default step the mutant reads about 1e-7, the RK4 1.3e-11
+    # at the default step the mutants read about 1.5e-5 and 4.5e-8, the
+    # method 1.6e-13
     calc = TractorCalculus(af2)
     lads = ladders(af2, af2.boundary_points(4, np.random.default_rng(0)))
     opts = dict(step=PLAN.ode_step, horizon=PLAN.ode_horizon)
     good = bd.geodetic_transversals(calc, lads, **opts)
     assert max(curve.integration_error for curve in good) < 1e-8
-    monkeypatch.setattr(bd, "_rk4", _rk4_weights_1131)
-    bad = bd.geodetic_transversals(calc, lads, **opts)
-    assert min(curve.integration_error for curve in bad) > 1e-8
+    for weights in WRONG_WEIGHTS:
+        monkeypatch.setattr(bd, "DP5_TABLEAU", DP5[:-1] + (weights,))
+        bad = bd.geodetic_transversals(calc, lads, **opts)
+        assert min(curve.integration_error for curve in bad) > 1e-8
+
+
+@pytest.mark.parametrize("name", ["klein3", "af2", "af1"])
+def test_the_launch_error_is_the_gap_to_the_curves_from_the_moved_launch(
+    request, monkeypatch, name
+):
+    geom = request.getfixturevalue(name)
+    calc = TractorCalculus(geom)
+    lads = ladders(geom, geom.boundary_points(3, np.random.default_rng(9)))
+    opts = dict(step=PLAN.ode_step, horizon=PLAN.ode_horizon)
+    curves = bd.geodetic_transversals(calc, lads, **opts)
+    gammas, errors = bd.extended_christoffels(calc, lads)
+    if geom.exact_hat_christoffels is not None:
+        # an exact launch: no moved curves, and no launch error
+        assert errors == [0.0] * len(lads)
+        assert [curve.launch_error for curve in curves] == [0.0] * len(lads)
+        return
+    assert min(errors) > 0
+    moved = [gamma + error for gamma, error in zip(gammas, errors)]
+    monkeypatch.setattr(bd, "extended_christoffels", lambda calc, lads: (moved, [0.0] * 3))
+    launched = bd.geodetic_transversals(calc, lads, **opts)
+    for curve, other in zip(curves, launched):
+        gap = max(np.max(np.abs(curve.points - other.points)),
+                  np.max(np.abs(curve.mus - other.mus)))
+        assert curve.launch_error == gap > 0
+
+
+def test_located_points_lie_within_1e_10_of_a_run_at_an_eighth_of_the_step(af2):
+    # measured on these ladders: 7.9e-15 for the points (and 2.9e-11 for
+    # their velocities)
+    calc = TractorCalculus(af2)
+    lads = ladders(af2, af2.boundary_points(4, np.random.default_rng(0)))
+    h, horizon = PLAN.ode_step, PLAN.ode_horizon
+    curves = bd.geodetic_transversals(calc, lads, step=h, horizon=horizon)
+    fine = bd.geodetic_transversals(calc, lads, step=h / 8, horizon=horizon)
+    for curve, reference, lad in zip(curves, fine, lads):
+        gap = np.max(np.abs(curve.at_rho(lad.eps)[0] - reference.at_rho(lad.eps)[0]))
+        assert gap < 1e-10
 
 
 def test_transversal_requires_normalized_mu(klein3):
@@ -260,11 +310,11 @@ def test_each_transversal_stage_runs_rho_and_the_metric_once(klein3, monkeypatch
     step, horizon = 1e-3, 0.01
     bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
     n_steps = round(horizon / step)
-    # four evaluations per step, each one run of the metric tape, whose last
+    # six evaluations per step, each one run of the metric tape, whose last
     # row is rho; the launch, where every row is on the boundary and takes
     # its extended value, runs the rho view once at all the boundary points,
     # for the pairing test of the launch directions and the launch's rho
-    assert runs == {"rho": 1, "metric": 4 * n_steps}
+    assert runs == {"rho": 1, "metric": 6 * n_steps}
 
 
 @pytest.mark.parametrize("name, dim", [
@@ -319,7 +369,7 @@ def test_poincare_transversal_fails(poincare3):
 def test_collar_rows_and_injectivity(calc3, rng):
     grid = calc3.geom.boundary_points(3, rng)
     # reference: the collar rows at five parameters across each curve, each
-    # its nearest RK4 sample, and their smallest separation pair by pair
+    # its nearest sample, and their smallest separation pair by pair
     rows = []
     curves = bd.geodetic_transversals(
         calc3, ladders(calc3.geom, grid), step=PLAN.ode_step, horizon=PLAN.ode_horizon

@@ -13,7 +13,7 @@ import tractorlab
 from tractorlab.boundary import POINT_QUANTITIES
 from tractorlab.cli import EVAL_QUANTITIES, main
 from tractorlab.extrapolate import boundary_ladder, boundary_limit
-from tractorlab.fields import builtin_geometry
+from tractorlab.fields import MAX_DIM, builtin_geometry
 from tractorlab.tractor import TractorCalculus
 from tractorlab.verify import SamplingPlan
 
@@ -332,6 +332,62 @@ def test_a_document_takes_its_own_dim(tmp_path, capsys):
     assert strict_loads(capsys.readouterr().out)["dim"] == 4
 
 
+def test_a_builtin_dim_above_the_largest_exits_two(capsys):
+    assert main(["verify", "--geometry", "klein", "--dim", str(MAX_DIM),
+                 "--checks", "weyl-traces"]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--geometry", "klein", "--dim", str(MAX_DIM + 1), "--checks", "weyl-traces"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"builtin geometries need dim <= {MAX_DIM}, got {MAX_DIM + 1}\n")
+
+
+#: A child that warms jsonschema up on a rejected document, limits its
+#: address space to what it maps then plus 256 MB, and times ``main`` on the
+#: document ``argv[1]``; a billion coordinate names would need tens of GB,
+#: so building them fails there instead of exhausting the host's memory.
+_BOUNDED_CHILD = """
+import resource, sys, time
+from tractorlab.cli import main
+from tractorlab.fields import GeometryError, load_geometry
+try:
+    load_geometry({})
+except GeometryError:
+    pass
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+start = time.perf_counter()
+code = main(["eval", "--geometry", sys.argv[1], "--quantity", "schouten",
+             "--point", "0.5,0,0"])
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("doc", [
+    {"kind": "asymptotic_form", "dim": 10**9, "coords": ["rho", "y1", "y2"],
+     "alpha": 2.0, "C": 1, "h": [["1"]]},
+    {"kind": "asymptotic_form", "dim": 10**9, "alpha": 2.0, "C": 1, "h": [["1"]]},
+    {"dim": 10**9, "coords": ["x0", "x1", "x2"], "rho": "1 - x0", "alpha": 2.0,
+     "metric": [["1"]]},
+], ids=["af-coords", "af", "metric"])
+def test_a_document_of_a_huge_dim_exits_two_at_once(tmp_path, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(tractorlab.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD, str(path)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": env_path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, seconds = done.stdout.split()
+    assert code == "2" and float(seconds) < 0.05
+    assert "geometry document rejected: " in done.stderr and "Traceback" not in done.stderr
+
+
 def test_skipped_check_residual_is_null(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -352,7 +408,7 @@ def test_skipped_check_residual_is_null(tmp_path):
     ["verify", "--ode-horizon", "0"],
     ["eval", "--levels", "1", "--quantity", "gamma",
      "--boundary-point", "1,0,0", "--extrapolate"],
-    # fewer than 4 RK4 steps: 2.5 rounds to 2 (two collar parameters would
+    # fewer than 4 steps: 2.5 rounds to 2 (two collar parameters would
     # share a sample), 0.4 to 0 (a transversal of one sample)
     ["verify", "--ode-step", "0.02", "--ode-horizon", "0.05"],
     ["verify", "--ode-step", "0.5"],

@@ -19,6 +19,7 @@ from tractorlab import expr as ex
 from tractorlab.extrapolate import boundary_limit
 from tractorlab.fields import (
     GEOMETRY_DOC_SCHEMA,
+    MAX_DIM,
     Chart,
     Geometry,
     GeometryError,
@@ -314,9 +315,10 @@ def test_load_geometry_schema_messages_match_jsonschema():
 #: numpy numbers whose types the schema tells apart.
 #: Values a changed document takes: what JSON can hold, the Python and
 #: numpy numbers whose types the schema tells apart, and integers below a
-#: ``dim`` minimum.
+#: ``dim`` minimum, at its maximum and above it.
 ODD_VALUES = [
     None, True, 1, 2, 3, 3.0, 2.5, math.nan, math.inf, np.float64(3.0), np.int64(3),
+    MAX_DIM, MAX_DIM + 1, float(MAX_DIM + 1), 10**9,
     "x", "asymptotic_form", "1 + u1", ("x",), [1], [["x"], [None]],
 ]
 #: Keys a changed document gains, the schema's among them.
@@ -422,6 +424,12 @@ def test_the_schema_check_agrees_with_jsonschema(doc):
     ((1,), {"items": {"type": "string"}}, True),
     ({1: "a"}, {"properties": {"a": {}}, "additionalProperties": False}, False),
     (2.5, {"oneOf": [{"type": "number"}, {"minimum": 2}]}, False),
+    (3, {"maximum": 3}, True),
+    (3.5, {"type": "number", "maximum": 3}, False),
+    (math.inf, {"type": "number", "maximum": 3}, False),
+    (math.nan, {"type": "number", "maximum": 3}, True),
+    ("4", {"type": "string", "maximum": 3}, True),
+    (10**9, {"type": "integer", "minimum": 3, "maximum": 16}, False),
 ])
 def test_the_schema_check_reads_types_as_jsonschema_does(value, schema, valid):
     from jsonschema.validators import validator_for

@@ -308,10 +308,11 @@ def test_a_frame_raises_the_first_ladders_error_before_a_later_singular_gram(
 
 
 @pytest.mark.parametrize("name, dim, ode, budget", [
-    # 566 runs, 400 of them in the RK4 of the two transversal checks, whose
-    # run at twice the step rides in them, and which no memo serves; 628
-    # while the memos were keyed by jet order, 1028 at the step 1e-3
-    ("klein", 3, True, 600),
+    # 413 runs, 240 of them the Dormand-Prince 5 evaluations of the two
+    # transversal checks at the step 5e-3, whose run at twice the step rides
+    # in them, and which no memo serves; 566 with 400 RK4 stages at 2e-3,
+    # 628 while the memos were keyed by jet order, 1028 at the step 1e-3
+    ("klein", 3, True, 420),
     # 132 runs; 201 while the memos were keyed by jet order, 339 while each
     # candidate, ladder and direction took its own
     ("af2_generic", 4, False, 160),

@@ -403,6 +403,31 @@ def test_sampling_plan_needs_four_rk4_steps(step, horizon, valid):
         SamplingPlan(ode_step=step, ode_horizon=horizon)
 
 
+@pytest.mark.parametrize("step, horizon, rows", [
+    (2e-3, 0.2, range(5, 100, 10)),  # t = 0.01, 0.03, ..., 0.19
+    (1e-3, 0.2, range(10, 200, 20)),
+    (5e-3, 0.2, range(2, 40, 4)),
+    (1e-2, 0.2, range(1, 20, 2)),
+    (5e-2, 0.2, [0, 1, 2, 3, 4]),  # each nearest sample once
+    (1e-3, 0.005, [5]),  # past a short horizon, the last sample
+])
+def test_prop25_judges_the_same_parameters_at_any_step(step, horizon, rows):
+    ts = np.arange(round(horizon / step) + 1) * step
+    assert verify._mu_samples(ts).tolist() == list(rows)
+
+
+def test_the_launch_error_fails_lem24_where_the_launch_value_is_coarse():
+    # at C = 0.05 the extended connection at the launch carries an error
+    # that moves the curves by about 3e-8, which step doubling does not see
+    geom = builtin_geometry("af2_generic", 4, C=0.05)
+    (report,) = verify.run_suite(geom, ["lem-2.4-transversal"], SamplingPlan(seed=0))
+    curves = report.details[:-1]
+    assert max(d["integration_error"] for d in curves) < 1e-8
+    assert report.status == "fail"
+    assert report.reason.startswith("launch_error: residual")
+    assert report.max_residual == max(d["launch_error"] for d in curves) > 1e-8
+
+
 #: the checks that integrate geodetic transversals
 TRANSVERSAL_IDS = ("lem-2.4-transversal", "prop-2.5-mu")
 
