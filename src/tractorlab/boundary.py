@@ -364,14 +364,14 @@ def geodetic_transversals(
     n_doubled = n_steps // 2
     xs = np.zeros((n_rows, n_steps + 1, d))
     vs = np.zeros((n_rows, n_steps + 1, d))
-    accs = np.zeros((n_rows, n_steps + 1, d))
-    rhos = np.zeros((n_rows, n_steps + 1))
+    accs = np.zeros((n_curves, n_steps + 1, d))
+    rhos = np.zeros((n_curves, n_steps + 1))
     doubled = np.zeros((2, n_curves, n_doubled + 1, d))  # positions, velocities
     x0, v0 = np.tile(ys, (len(launches), 1)), np.tile(directions, (len(launches), 1))
     a = np.concatenate([
         -np.einsum("cabn,na,nb->nc", gamma, directions, directions) for gamma in launches
     ])
-    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x0, v0, a, np.tile(rho0, len(launches))
+    xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x0, v0, a[:n_curves], rho0
     doubled[:, :, 0] = ys, directions
     stepper = _dp5(x0, v0, a, step)
     doubled_stepper = _dp5(ys, directions, a[:n_curves], 2 * step)
@@ -389,7 +389,7 @@ def geodetic_transversals(
             a, rho = acc(x, v, end)
             if end:
                 xs[:, end], vs[:, end] = rows
-                accs[:, end], rhos[:, end] = a[:n_rows], rho[:n_rows, 0]
+                accs[:, end], rhos[:, end] = a[:n_curves], rho[:n_curves, 0]
                 if ride:
                     doubled[:, :, end // 2] = rows2
             rows = stepper.send(a[:n_rows])
