@@ -25,7 +25,10 @@ axis of the dense jet kernels (module ``jets``) rather than one evaluation
 per curve.  The same curves at twice the step, and the curves launched from
 a moved value of the extended connection, ride as extra rows in those runs:
 compared with the curves at their shared nodes, they give each curve's
-integration error (step doubling) and launch error.
+integration error (step doubling) and launch error.  The doubled run is kept
+as a curve too, so the points located on a curve where rho takes given
+values (one batched Newton over all curves, :func:`locate_levels`) carry a
+step-doubling estimate of their own.
 
 The conformal data at a boundary point lives in the fiber splitting
 
@@ -69,6 +72,7 @@ __all__ = [
     "BoundaryExtensionError",
     "DegenerateBoundaryError",
     "TransversalCurve",
+    "locate_levels",
     "BoundaryFrame",
     "POINT_QUANTITIES",
     "boundary_limit",
@@ -145,11 +149,13 @@ class TransversalCurve:
     Samples are stored at fixed steps together with velocities and
     accelerations, so positions interpolate to sixth order (quintic
     Hermite) and points with prescribed rho values can be Newton-located on
-    the curve.  ``integration_error`` estimates the integrator's error of
-    the samples by step doubling, and ``launch_error`` the error that the
-    launch's extended connection value carries into them (see
-    :func:`geodetic_transversals`); a curve built without an estimate has an
-    unbounded one.
+    the curve (:func:`locate_levels`).  ``integration_error`` estimates the
+    integrator's error of the samples by step doubling, and
+    ``launch_error`` the error that the launch's extended connection value
+    carries into them (see :func:`geodetic_transversals`); a curve built
+    without an estimate has an unbounded one.  ``doubled`` is the same curve
+    integrated at twice the step, whose located points estimate the error of
+    this curve's by step doubling too.
     """
 
     geom: Geometry
@@ -162,68 +168,109 @@ class TransversalCurve:
     rhos: np.ndarray  # (N,)
     integration_error: float = math.inf
     launch_error: float = math.inf
+    doubled: TransversalCurve | None = None
 
-    def _hermite(self, k: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolate (x, mu) between samples k and k+1, s in [0, 1], for
-        each entry of the arrays ``k`` and ``s``: ``(len(k), d)`` each.  The
-        position is the quintic that matches position, velocity and
-        acceleration at both samples, and the velocity its derivative."""
-        h = (self.ts[k + 1] - self.ts[k])[:, None]
-        x0, x1 = self.points[k], self.points[k + 1]
-        v0, v1 = self.mus[k], self.mus[k + 1]
-        a0, a1 = self.accs[k], self.accs[k + 1]
-        s = s[:, None]
-        s2 = s * s
-        s3 = s2 * s
-        s4 = s3 * s
-        s5 = s4 * s
-        # the weights of x1 - x0, h v0, h v1, h^2 a0 and h^2 a1, and their
-        # derivatives in s
-        p01 = 10 * s3 - 15 * s4 + 6 * s5
-        p10 = s - 6 * s3 + 8 * s4 - 3 * s5
-        p11 = -4 * s3 + 7 * s4 - 3 * s5
-        p20 = 0.5 * (s2 - 3 * s3 + 3 * s4 - s5)
-        p21 = 0.5 * (s3 - 2 * s4 + s5)
-        d01 = 30 * s2 - 60 * s3 + 30 * s4
-        d10 = 1 - 18 * s2 + 32 * s3 - 15 * s4
-        d11 = -12 * s2 + 28 * s3 - 15 * s4
-        d20 = 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4)
-        d21 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
-        dx = x1 - x0
-        x = x0 + p01 * dx + h * (p10 * v0 + p11 * v1) + h * h * (p20 * a0 + p21 * a1)
-        v = d01 * dx / h + d10 * v0 + d11 * v1 + h * (d20 * a0 + d21 * a1)
-        return x, v
 
-    def at_rho(self, eps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Points and velocities ``(len(eps), d)`` on the curve where rho
-        equals each level of ``eps``.
+def _hermite(
+    ts: np.ndarray, xs: np.ndarray, vs: np.ndarray, accs: np.ndarray,
+    k: np.ndarray, s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate (x, mu) between the samples ``k`` and ``k + 1`` of the
+    sample table ``(ts, xs, vs, accs)``, ``s`` in [0, 1], for each entry of
+    the arrays ``k`` and ``s``: ``(len(k), d)`` each.  The position is the
+    quintic that matches position, velocity and acceleration at both
+    samples, and the velocity its derivative."""
+    h = (ts[k + 1] - ts[k])[:, None]
+    x0, x1 = xs[k], xs[k + 1]
+    v0, v1 = vs[k], vs[k + 1]
+    a0, a1 = accs[k], accs[k + 1]
+    s = s[:, None]
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    # the weights of x1 - x0, h v0, h v1, h^2 a0 and h^2 a1, and their
+    # derivatives in s
+    p01 = 10 * s3 - 15 * s4 + 6 * s5
+    p10 = s - 6 * s3 + 8 * s4 - 3 * s5
+    p11 = -4 * s3 + 7 * s4 - 3 * s5
+    p20 = 0.5 * (s2 - 3 * s3 + 3 * s4 - s5)
+    p21 = 0.5 * (s3 - 2 * s4 + s5)
+    d01 = 30 * s2 - 60 * s3 + 30 * s4
+    d10 = 1 - 18 * s2 + 32 * s3 - 15 * s4
+    d11 = -12 * s2 + 28 * s3 - 15 * s4
+    d20 = 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4)
+    d21 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
+    dx = x1 - x0
+    x = x0 + p01 * dx + h * (p10 * v0 + p11 * v1) + h * h * (p20 * a0 + p21 * a1)
+    v = d01 * dx / h + d10 * v0 + d11 * v1 + h * (d20 * a0 + d21 * a1)
+    return x, v
 
-        The levels share one Newton, each on its own Hermite step, and a
-        level keeps its parameter once it converges, so it takes the steps
-        it would take alone.  Raises :class:`GeometryError` when Newton does
-        not bring rho within tolerance of a level (naming the lowest)."""
-        targets = np.asarray(eps, dtype=float)
-        unreached = (targets <= 0) | (targets > float(self.rhos.max()))
-        if unreached.any():
-            raise ValueError(
-                f"rho={targets[unreached][0]:g} is not reached by this transversal"
-            )
-        k = np.clip(np.searchsorted(self.rhos, targets) - 1, 0, len(self.ts) - 2)
-        h = self.ts[k + 1] - self.ts[k]
-        s = np.full(len(targets), 0.5)
-        for _ in range(60):
-            x, v = self._hermite(k, s)
-            rho, grad = self.geom.rho_and_drho(x)
-            val = rho - targets
-            open_ = ~(np.abs(val) <= 1e-14 * (1 + targets))
-            if not open_.any():
-                return x, v
-            slope = value_dot(grad, v.T) * h
-            s[open_] = np.clip(s[open_] - val[open_] / slope[open_], -0.5, 1.5)
-        raise GeometryError(
-            f"could not locate rho={targets[open_][0]:g} on the transversal "
-            f"from {self.y}"
+
+def locate_levels(
+    curves: Sequence[TransversalCurve], eps: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and velocities on the curves where rho equals each of their
+    levels, ``eps[i]`` on ``curves[i]``: ``(L, d)`` each, the curves' levels
+    one curve after another.
+
+    One Newton locates every level, each on its own Hermite step (see
+    :func:`_hermite`), with one rho run at the open levels per iteration;
+    a level keeps its parameter once it converges, so it takes the steps it
+    would take alone.  The curves must share one geometry.  The error is
+    the one the first failing curve meets alone: :class:`ValueError` for a
+    level it does not reach, :class:`GeometryError` when Newton does not
+    bring rho within tolerance of a level (naming its first open level).
+    """
+    targets = [np.asarray(row, dtype=float) for row in eps]
+    unreached = [
+        (t <= 0) | (t > float(curve.rhos.max())) for curve, t in zip(curves, targets)
+    ]
+    first = next((i for i, bad in enumerate(unreached) if bad.any()), len(curves))
+    unreached_error = None
+    if first < len(curves):
+        unreached_error = ValueError(
+            f"rho={targets[first][unreached[first]][0]:g} is not reached by this transversal"
         )
+        if first == 0:
+            raise unreached_error
+    # the levels of the curves before the first unreached one, on one table
+    # of their samples laid end to end
+    curves, targets = curves[:first], targets[:first]
+    table = [
+        np.concatenate([getattr(curve, name) for curve in curves])
+        for name in ("ts", "points", "mus", "accs")
+    ]
+    offsets = np.cumsum([0] + [len(curve.ts) for curve in curves[:-1]])
+    k = np.concatenate([
+        np.clip(np.searchsorted(curve.rhos, t) - 1, 0, len(curve.ts) - 2) + offset
+        for curve, t, offset in zip(curves, targets, offsets)
+    ])
+    goal = np.concatenate(targets)
+    h = table[0][k + 1] - table[0][k]
+    s = np.full(len(goal), 0.5)
+    open_ = np.ones(len(goal), dtype=bool)
+    for _ in range(60):
+        rows = np.flatnonzero(open_)
+        if not len(rows):
+            break
+        x, v = _hermite(*table, k[rows], s[rows])
+        rho, grad = curves[0].geom.rho_and_drho(x)
+        val = rho - goal[rows]
+        moving = ~(np.abs(val) <= 1e-14 * (1 + goal[rows]))
+        open_[rows[~moving]] = False
+        step = val[moving] / (value_dot(grad, v.T)[moving] * h[rows[moving]])
+        s[rows[moving]] = np.clip(s[rows[moving]] - step, -0.5, 1.5)
+    if open_.any():
+        row = int(np.argmax(open_))
+        owner = int(np.searchsorted(np.cumsum([len(t) for t in targets]), row, "right"))
+        raise GeometryError(
+            f"could not locate rho={goal[row]:g} on the transversal "
+            f"from {curves[owner].y}"
+        )
+    if unreached_error is not None:
+        raise unreached_error
+    return _hermite(*table, k, s)
 
 
 #: The Dormand-Prince 5(4) tableau (Dormand and Prince, *J. Comput. Appl.
@@ -297,6 +344,9 @@ def geodetic_transversals(
     the curves' runs at ``0.8 step`` and ``8/9 step``, and those at ``1.6
     step``, ``16/9 step``, ``2 step`` and its step's end ride the curves'
     runs at ``1.8 step``, ``17/9 step``, ``2 step`` and their step's end.
+    Those end runs give its accelerations and rho at its nodes too, so each
+    curve's doubled run is a curve of its own, its ``doubled``, on which
+    :func:`locate_levels` places points as on the curve.
 
     Each curve's ``launch_error`` is the largest difference of position
     and velocity, at every node, between the curve and the same curve
@@ -366,13 +416,15 @@ def geodetic_transversals(
     vs = np.zeros((n_rows, n_steps + 1, d))
     accs = np.zeros((n_curves, n_steps + 1, d))
     rhos = np.zeros((n_curves, n_steps + 1))
-    doubled = np.zeros((2, n_curves, n_doubled + 1, d))  # positions, velocities
+    # the doubled run's positions, velocities and accelerations, and its rho
+    doubled = np.zeros((3, n_curves, n_doubled + 1, d))
+    doubled_rhos = np.zeros((n_curves, n_doubled + 1))
     x0, v0 = np.tile(ys, (len(launches), 1)), np.tile(directions, (len(launches), 1))
     a = np.concatenate([
         -np.einsum("cabn,na,nb->nc", gamma, directions, directions) for gamma in launches
     ])
     xs[:, 0], vs[:, 0], accs[:, 0], rhos[:, 0] = x0, v0, a[:n_curves], rho0
-    doubled[:, :, 0] = ys, directions
+    doubled[:, :, 0], doubled_rhos[:, 0] = (ys, directions, a[:n_curves]), rho0
     stepper = _dp5(x0, v0, a, step)
     doubled_stepper = _dp5(ys, directions, a[:n_curves], 2 * step)
     rows, rows2 = next(stepper), next(doubled_stepper)
@@ -391,7 +443,9 @@ def geodetic_transversals(
                 xs[:, end], vs[:, end] = rows
                 accs[:, end], rhos[:, end] = a[:n_curves], rho[:n_curves, 0]
                 if ride:
-                    doubled[:, :, end // 2] = rows2
+                    doubled[:2, :, end // 2] = rows2
+                    doubled[2, :, end // 2] = a[n_rows:]
+                    doubled_rhos[:, end // 2] = rho[n_rows:, 0]
             rows = stepper.send(a[:n_rows])
             if ride:
                 rows2 = doubled_stepper.send(a[n_rows:])
@@ -404,10 +458,13 @@ def geodetic_transversals(
         launch_errors = np.maximum(
             np.abs(xs[n_curves:] - xs[:n_curves]), np.abs(vs[n_curves:] - vs[:n_curves])
         ).reshape(n_curves, -1).max(axis=1)
+    ts2 = np.arange(n_doubled + 1) * (2 * step)
     return [
         TransversalCurve(
             geom, ladder.y, ladder.direction, ts, xs[i], vs[i], accs[i], rhos[i],
             float(errors[i]), float(launch_errors[i]),
+            TransversalCurve(geom, ladder.y, ladder.direction, ts2, *doubled[:, i],
+                             doubled_rhos[i]),
         )
         for i, ladder in enumerate(ladders)
     ]

@@ -286,8 +286,10 @@ class TractorCalculus:
         at a batch of points, a ``(d, n+2, n+2, B, ncoeff)`` array."""
         d = self.dim
         conn = s.connection
-        G = conn.dense(points, order)
+        # the Schouten tensor first: it evaluates the connection one order
+        # higher, whose memo entry then serves G
         P = s.pack.dense("schouten", points, order)
+        G = conn.dense(points, order)
         gamma = conn.trace_gamma(points, order) / (d + 1.0)
         eye = np.eye(d)
         omega = np.zeros((d, d + 1, d + 1) + G.shape[3:])
@@ -359,14 +361,16 @@ def bgg_split_metricity(
     n = calc.n
     space = jet_space(calc.dim, order)
     conn = s.connection
-    sigma = sigma_field.dense(points, order)
     dsig_field = covariant_derivative(sigma_field, conn)
     trace_field = TensorField(
         sigma_field.chart, "u",
         lambda pt, k: np.einsum("eec...->c...", dsig_field.dense(pt, k)),
         weight=sigma_field.weight, name="div(sigma)",
     )
+    # the second derivative first: the memo entries it leaves at higher
+    # orders serve sigma and its first derivative
     ddiv = covariant_derivative(trace_field, conn).dense(points, order)
+    sigma = sigma_field.dense(points, order)
     P = s.pack.dense("schouten", points, order)
 
     middle = np.einsum("eec...->c...", dsig_field.dense(points, order)) * (
@@ -495,8 +499,9 @@ def contorsion_slots_lc(
     """
     space = jet_space(calc.dim, order)
     pack = calc.levi_civita_splitting.pack
-    Pinv = jet_inverse(pack.dense("schouten", points, order), space)
+    # the derivative first: its Schouten entry one order higher serves Pinv's
     dP = pack.dense("schouten_derivative", points, order)  # dP[a, e, c] = D_a P_ec
+    Pinv = jet_inverse(pack.dense("schouten", points, order), space)
     combo = dP + dP.swapaxes(0, 2) - dP.swapaxes(0, 1)
     A = jet_einsum("be,aec->abc", Pinv, combo, space)
     return 0.25 * (A + A.swapaxes(0, 2))

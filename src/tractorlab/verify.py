@@ -89,7 +89,7 @@ class SamplingPlan:
     boundary_points: int = 5
     eps0: float = 0.05
     levels: int = 6
-    ode_step: float = 5e-3
+    ode_step: float = 1e-2
     ode_horizon: float = 0.2
 
     def __post_init__(self):
@@ -505,7 +505,10 @@ def _mu_samples(ts: np.ndarray) -> np.ndarray:
     0.01 + 0.02 j`` up to the horizon ``ts[-1]``, each once, whatever the
     step; past a horizon below 0.01, the last."""
     targets = 0.01 + 0.02 * np.arange(int((ts[-1] - 0.01) / 0.02 + 1e-9) + 1)
-    return np.unique(np.minimum(np.rint(targets / ts[1]).astype(int), len(ts) - 1))
+    ks = np.minimum(np.rint(targets / ts[1]).astype(int), len(ts) - 1)
+    # ks is sorted: drop repeats without np.unique, which imports numpy.ma
+    # (1.3 MB resident) for this one call
+    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
 def _run_mu(geom, plan, rng, session):
@@ -516,20 +519,37 @@ def _run_mu(geom, plan, rng, session):
     diverged, errors, defects, extrapolated, details = False, [], [], [], []
 
     # rho^2 g(mu, mu) at the samples of each curve judged along it and at
-    # the points where it meets its ladder's levels, all curves in one batch
-    located = [curve.at_rho(lad.eps) for lad, curve in zip(ladders, curves)]
+    # the points where it and its run at twice the step meet its ladder's
+    # levels, all curves in one batch; with an odd step count the doubled
+    # run ends a step short of the horizon, and meets only the levels it
+    # reaches
+    eps = np.array([lad.eps for lad in ladders])
+    doubled_curves = [curve.doubled for curve in curves]
+    reached = eps <= np.array([twin.rhos.max() for twin in doubled_curves])[:, None]
+    located, velocities = bd.locate_levels(
+        curves + doubled_curves, list(eps) + [e[r] for e, r in zip(eps, reached)]
+    )
     ks = _mu_samples(curves[0].ts)
-    points = np.concatenate([c.points[ks] for c in curves] + [x for x, _ in located])
-    mus = np.concatenate([c.mus[ks] for c in curves] + [v for _, v in located])
+    points = np.concatenate([c.points[ks] for c in curves] + [located])
+    mus = np.concatenate([c.mus[ks] for c in curves] + [velocities])
     gv = gfield.dense(points, 0)[..., 0]
     rho2 = np.float_power(geom.rho_value(points), 2)
     values = rho2 * value_dot(value_vecmat(mus.T, gv), mus.T)
-    along = values[: len(curves) * len(ks)].reshape(len(curves), len(ks))
-    limits = richardson_limits(values[len(curves) * len(ks):].reshape(len(curves), -1))
+    along, values = np.split(values, [len(curves) * len(ks)])
+    along = along.reshape(len(curves), len(ks))
+    at_levels = values[: reached.size].reshape(reached.shape)
+    limits = richardson_limits(at_levels)
+    # step doubling at the located samples, as for the curves' nodes; a
+    # level the doubled run does not reach reads no gap
+    doubled = at_levels.copy()
+    doubled[reached] = values[reached.size:]
+    sample_errors = np.max(np.abs(at_levels - doubled), axis=1) / (2**5 - 1)
     predictions = boundary_limit(
         lambda p: -(n + 1) / (4.0 * bd.schouten_trace(calc, p)), ladders
     )
-    for ladder, samples, est, est_rhs in zip(ladders, along, limits, predictions):
+    for ladder, samples, est, est_rhs, sample_error in zip(
+        ladders, along, limits, predictions, sample_errors
+    ):
         variation = float(samples.max() - samples.min())
         if est.diverged or est_rhs.diverged:
             diverged = True
@@ -541,13 +561,15 @@ def _run_mu(geom, plan, rng, session):
         details.append({
             "point": list(ladder.y),
             "variation_along_curve": variation,
+            "sample_error": float(sample_error),
             "extrapolated_value": float(est.value),
             "schouten_trace_prediction": float(est_rhs.value),
         })
     cross = (max(extrapolated) - min(extrapolated)) if extrapolated else 0.0
     facets = {
         "diverged": diverged, "curve_limit_error": errors, "prediction_defect": defects,
-        **_columns(details, "variation_along_curve"), "cross_transversal_variation": cross,
+        **_columns(details, "variation_along_curve", "sample_error"),
+        "cross_transversal_variation": cross,
     }
     details.append({"cross_transversal_variation": cross})
     return facets, len(ladders), details

@@ -37,6 +37,12 @@ states of four transversals at t = 0.05):
   horizon; ``transversals.integration_error`` is the largest step-doubling
   estimate of its curves (a number, not a time; a tree without the
   estimate skips it);
+* ``locate``: the points where the 8 curves of ``transversals`` meet their
+  ladders' levels, located by one Newton over all of them
+  (``boundary.locate_levels``; a tree without it skips this layer and the
+  next); ``locate.doubled``: the same with the curves' doubled runs, as
+  ``prop-2.5-mu`` locates them; ``locate.per_curve``: one Newton per curve
+  (``TransversalCurve.at_rho`` in a tree that has it);
 * ``ode_pair``: ``run_suite`` of ``lem-2.4-transversal`` and ``prop-2.5-mu``
   with the default plan, per suite (both checks' ladders, curves and
   limits).
@@ -63,7 +69,9 @@ the suite-level sharing of transversals, read from its ``ode_pair`` rows;
 2e-3 with its integration error estimate, read from the ``transversals``
 and ``ode_pair`` rows; ``BENCH_dp5.json`` those of RK4 at 2e-3 and of
 Dormand-Prince 5 at 5e-3, read from the ``stage``, ``transversals``,
-``transversals.integration_error`` and ``ode_pair`` rows.
+``transversals.integration_error`` and ``ode_pair`` rows; ``BENCH_dp10.json``
+those of Dormand-Prince 5 at 5e-3 and at 1e-2, with the located samples'
+own estimate, read from the same rows and the ``locate`` rows.
 """
 
 from __future__ import annotations
@@ -167,6 +175,21 @@ def measure(
         layers["transversals.integration_error"] = max(
             curve.integration_error for curve in joint()
         )
+    curves8 = joint()
+    eps8 = [lad.eps for lad in lads8]
+    if hasattr(bd, "locate_levels"):
+        layers["locate"] = per_call_us(lambda: bd.locate_levels(curves8, eps8), 20)
+        twins = curves8 + [curve.doubled for curve in curves8]
+        layers["locate.doubled"] = per_call_us(lambda: bd.locate_levels(twins, eps8 * 2), 20)
+
+        def per_curve():
+            return [bd.locate_levels([curve], [eps]) for curve, eps in zip(curves8, eps8)]
+    else:
+
+        def per_curve():
+            return [curve.at_rho(eps) for curve, eps in zip(curves8, eps8)]
+
+    layers["locate.per_curve"] = per_call_us(per_curve, 20)
     layers["ode_pair"] = per_call_us(lambda: run_suite(geom, ODE_PAIR, plan), 1)
     return layers
 

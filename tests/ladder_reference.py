@@ -2,8 +2,8 @@
 Richardson table of one ladder, one level array at a time.
 
 ``tractorlab.extrapolate.boundary_ladders`` runs one Newton over all levels
-of a check's ladders at once, and ``TransversalCurve.at_rho`` one Newton
-over all the levels it locates on a transversal.  The tests compare them
+of a check's ladders at once, and ``boundary.locate_levels`` one Newton
+over all the levels it locates on transversals.  The tests compare them
 against these per-level Newtons, which evaluate rho at one point, as a
 batch of one, per iteration.  ``richardson_limits`` builds one table of
 whole-array stages for a stack of ladders; :func:`richardson_table` builds

@@ -16,6 +16,7 @@ below pin that every contraction shape gives each row the bits of its batch
 of one.
 """
 
+import dataclasses
 import math
 import re
 
@@ -739,23 +740,29 @@ def test_batched_newton_places_the_per_level_points(any_geom, eps0, levels):
         assert not lad.points.flags.writeable
 
 
-def test_batched_at_rho_locates_the_per_level_points(geom):
-    y = geom.boundary_points(1, np.random.default_rng(6))[0]
-    lad = ladder(geom, y)
-    curve = bd.geodetic_transversals(TractorCalculus(geom), [lad], step=1e-3, horizon=0.2)[0]
-    x, v = curve.at_rho(np.array(lad.eps))
-    ref = [locate_on_curve(curve, eps) for eps in lad.eps]
+def test_batched_locate_levels_places_the_per_level_points(geom):
+    # two curves and their runs at twice the step in one Newton: each level
+    # gets the bits of its own Newton on its own curve
+    ys = geom.boundary_points(2, np.random.default_rng(6))
+    lads = ladders(geom, ys)
+    curves = bd.geodetic_transversals(TractorCalculus(geom), lads, step=1e-3, horizon=0.2)
+    curves += [curve.doubled for curve in curves]
+    eps = [lad.eps for lad in lads] * 2
+    x, v = bd.locate_levels(curves, eps)
+    ref = [locate_on_curve(curve, e) for curve, levels in zip(curves, eps) for e in levels]
+    assert x.shape == v.shape == (4 * len(lads[0].eps), geom.dim)
     assert np.array_equal(x, np.array([r[0] for r in ref]))
     assert np.array_equal(v, np.array([r[1] for r in ref]))
-    xs, vs = curve.at_rho(lad.eps[2:3])  # one level
+    xs, vs = bd.locate_levels(curves[1:2], [lads[1].eps[2:3]])  # one level
     assert xs.shape == (1, geom.dim)
-    assert np.array_equal(xs[0], ref[2][0]) and np.array_equal(vs[0], ref[2][1])
+    k = len(lads[0].eps) + 2
+    assert np.array_equal(xs[0], ref[k][0]) and np.array_equal(vs[0], ref[k][1])
 
 
-def test_batched_at_rho_raises_the_lowest_failing_levels_error(flat3):
-    # the stored rhos claim rho in [0, 0.1] while the positions have rho in
-    # [0.5, 0.6]: no level below 0.1 is reachable
-    curve = bd.TransversalCurve(
+def _unreachable_curve(flat3):
+    """A curve on flat3 whose stored rhos claim rho in [0, 0.1] while its
+    positions have rho in [0.5, 0.6]: no level below 0.1 is reachable."""
+    return bd.TransversalCurve(
         flat3, (1.0, 0.2, 0.1), np.array([-1.0, 0.0, 0.0]),
         ts=np.array([0.0, 0.1]),
         points=np.array([[0.5, 0.2, 0.1], [0.4, 0.2, 0.1]]),
@@ -763,14 +770,30 @@ def test_batched_at_rho_raises_the_lowest_failing_levels_error(flat3):
         accs=np.zeros((2, 3)),
         rhos=np.array([0.0, 0.1]),
     )
+
+
+def test_batched_locate_levels_raises_the_first_failing_curves_error(flat3):
+    curve = _unreachable_curve(flat3)
     with pytest.raises(GeometryError) as ref:
         locate_on_curve(curve, 0.04)
     with pytest.raises(GeometryError) as got:
-        curve.at_rho(np.array([0.08, 0.04, 0.02]))
+        bd.locate_levels([curve], [np.array([0.08, 0.04, 0.02])])
     assert "rho=0.08" in str(got.value)
     with pytest.raises(GeometryError) as got:
-        curve.at_rho(np.array([0.04, 0.02]))
+        bd.locate_levels([curve], [np.array([0.04, 0.02])])
     assert str(got.value) == str(ref.value)
+    # a good curve first, then the failing one: the failing one's error
+    good = dataclasses.replace(curve, rhos=np.array([0.5, 0.6]))
+    with pytest.raises(GeometryError) as got:
+        bd.locate_levels([good, curve], [[0.55], [0.04, 0.02]])
+    assert str(got.value) == str(ref.value)
+    # a level the next curve does not reach: the Newton's error comes first,
+    # as it does curve by curve, and the unreached level's without it
+    with pytest.raises(GeometryError) as got:
+        bd.locate_levels([curve, good], [[0.04], [0.7]])
+    assert str(got.value) == str(ref.value)
+    with pytest.raises(ValueError, match="rho=0.7 is not reached"):
+        bd.locate_levels([good, good], [[0.55], [0.7]])
 
 
 @pytest.mark.parametrize("rho, direction", [

@@ -166,16 +166,22 @@ def _recorded_dp5(monkeypatch):
     return runs
 
 
+#: A horizon of 7 steps of 5e-3: an odd step count, whose last sample has
+#: no partner in the doubled run.
+SHORT = 0.035
+
+
 @pytest.mark.parametrize("name", ["klein3", "af2", "af1"])
-@pytest.mark.parametrize("horizon", [PLAN.ode_horizon, 7 * PLAN.ode_step])
+@pytest.mark.parametrize("horizon", [PLAN.ode_horizon, SHORT])
 def test_the_samples_keep_the_bits_of_the_plain_rk4_loop(request, name, horizon):
     # the doubled run's rows and the moved launches ride in the same tape
     # runs, which work row by row
     geom = request.getfixturevalue(name)
     calc = TractorCalculus(geom)
     lads = ladders(geom, geom.boundary_points(4, np.random.default_rng(2)))
-    curves = bd.geodetic_transversals(calc, lads, step=PLAN.ode_step, horizon=horizon)
-    want = _plain_rk4(calc, lads, PLAN.ode_step, horizon)
+    step = PLAN.ode_step if horizon == PLAN.ode_horizon else SHORT / 7
+    curves = bd.geodetic_transversals(calc, lads, step=step, horizon=horizon)
+    want = _plain_rk4(calc, lads, step, horizon)
     for field, column in zip(("points", "mus", "accs", "rhos"), want):
         assert np.array_equal(np.stack([getattr(c, field) for c in curves]), column), field
 
@@ -200,6 +206,10 @@ def test_the_doubled_rows_are_a_run_at_twice_the_step(request, monkeypatch, name
         gap = max(np.max(np.abs(curve.points[::2] - coarse.points)),
                   np.max(np.abs(curve.mus[::2] - coarse.mus)))
         assert curve.integration_error == gap / 31
+        # the doubled run kept as a curve: its accelerations and rho come
+        # from the curves' step-end runs it rides
+        for field in ("ts", "points", "mus", "accs", "rhos"):
+            assert np.array_equal(getattr(curve.doubled, field), getattr(coarse, field)), field
 
 
 def test_an_odd_step_count_compares_only_the_shared_nodes(klein3, monkeypatch):
@@ -216,6 +226,8 @@ def test_an_odd_step_count_compares_only_the_shared_nodes(klein3, monkeypatch):
     gap = max(np.max(np.abs(curve.points[:7:2] - coarse.points)),
               np.max(np.abs(curve.mus[:7:2] - coarse.mus)))
     assert curve.integration_error == gap / 31
+    for field in ("ts", "points", "mus", "accs", "rhos"):
+        assert np.array_equal(getattr(curve.doubled, field), getattr(coarse, field)), field
 
 
 #: Wrong last rows of :data:`DP5`: the weights of its third and fourth
@@ -269,16 +281,64 @@ def test_the_launch_error_is_the_gap_to_the_curves_from_the_moved_launch(
 
 
 def test_located_points_lie_within_1e_10_of_a_run_at_an_eighth_of_the_step(af2):
-    # measured on these ladders: 7.9e-15 for the points (and 2.9e-11 for
-    # their velocities)
+    # measured on these ladders at the default step: 8.9e-15 for the
+    # points, and 8.9e-10 for their velocities
     calc = TractorCalculus(af2)
     lads = ladders(af2, af2.boundary_points(4, np.random.default_rng(0)))
     h, horizon = PLAN.ode_step, PLAN.ode_horizon
     curves = bd.geodetic_transversals(calc, lads, step=h, horizon=horizon)
     fine = bd.geodetic_transversals(calc, lads, step=h / 8, horizon=horizon)
-    for curve, reference, lad in zip(curves, fine, lads):
-        gap = np.max(np.abs(curve.at_rho(lad.eps)[0] - reference.at_rho(lad.eps)[0]))
-        assert gap < 1e-10
+    eps = [lad.eps for lad in lads]
+    gap = np.max(np.abs(bd.locate_levels(curves, eps)[0] - bd.locate_levels(fine, eps)[0]))
+    assert gap < 1e-10
+
+
+def _mu_at_levels(calc, curves, lads):
+    """rho^2 g(mu, mu) where each curve meets its ladder's levels, a row
+    per curve: what ``prop-2.5-mu`` extrapolates."""
+    x, v = bd.locate_levels(curves, [lad.eps for lad in lads])
+    g = calc.metric.dense(x, 0)[..., 0]
+    values = calc.geom.rho_value(x) ** 2 * np.einsum("ni,ijn,nj->n", v, g, v)
+    return values.reshape(len(curves), -1)
+
+
+@pytest.mark.parametrize("C", [0.1, 0.25])
+def test_the_sample_error_tracks_the_gap_to_a_run_at_an_eighth_of_the_step(C):
+    # measured at seeds 0-2: the estimate over the gap reads 0.83 at
+    # C = 0.1, 0.93 at C = 0.25 (and 0.76 at C = 0.05)
+    geom = builtin_geometry("af2_generic", 4, C=C)
+    (report,) = run_suite(geom, ["prop-2.5-mu"], SamplingPlan(seed=0))
+    judged = report.details[:-1]
+    lads = [ladder(geom, d["point"]) for d in judged]
+    calc = TractorCalculus(geom)
+    h, horizon = PLAN.ode_step, PLAN.ode_horizon
+    curves = bd.geodetic_transversals(calc, lads, step=h, horizon=horizon)
+    fine = bd.geodetic_transversals(calc, lads, step=h / 8, horizon=horizon)
+    gaps = np.max(np.abs(_mu_at_levels(calc, curves, lads) - _mu_at_levels(calc, fine, lads)),
+                  axis=1)
+    for detail, gap in zip(judged, gaps):
+        assert gap / 2 < detail["sample_error"] < 2 * gap
+
+
+def test_a_cubic_position_weight_fails_the_sample_error(af2, monkeypatch):
+    # the quintic's weight 10 s^3 - 15 s^4 + 6 s^5 of x1 - x0 replaced by the
+    # cubic's 3 s^2 - 2 s^3: the located samples move by a fraction of a
+    # step, and those of the run at twice the step twice as far; measured
+    # 4.9e-5 at seed 0 (4.2e-10 without the fault)
+    real = bd._hermite
+
+    def cubic(ts, xs, vs, accs, k, s):
+        x, v = real(ts, xs, vs, accs, k, s)
+        w = s[:, None]
+        wrong = 3 * w**2 - 2 * w**3 - (10 * w**3 - 15 * w**4 + 6 * w**5)
+        return x + wrong * (xs[k + 1] - xs[k]), v
+
+    (good,) = run_suite(af2, ["prop-2.5-mu"], SamplingPlan(seed=0))
+    monkeypatch.setattr(bd, "_hermite", cubic)
+    (bad,) = run_suite(af2, ["prop-2.5-mu"], SamplingPlan(seed=0))
+    assert good.status == "pass" and bad.status == "fail"
+    assert max(d["sample_error"] for d in good.details[:-1]) < 1e-9
+    assert min(d["sample_error"] for d in bad.details[:-1]) > bad.tolerance
 
 
 def test_transversal_requires_normalized_mu(klein3):
@@ -341,7 +401,7 @@ def test_rho2_g_mu_mu_constant_and_quarter(klein3):
     assert vals.mean() == pytest.approx(0.25, abs=1e-5)
 
 
-def test_at_rho_raises_when_newton_cannot_reach_the_level(flat3):
+def test_locate_levels_raises_when_newton_cannot_reach_the_level(flat3):
     # rho = 1 - x0 on flat3; the stored rhos claim the step spans rho in
     # [0, 0.1], but the positions run along x0 from 0.5 to 0.4, where rho is
     # 0.5..0.6, and the clamped Hermite parameter keeps Newton above 0.45
@@ -354,10 +414,10 @@ def test_at_rho_raises_when_newton_cannot_reach_the_level(flat3):
         rhos=np.array([0.0, 0.1]),
     )
     with pytest.raises(GeometryError, match="rho=0.05"):
-        curve.at_rho([0.05])
+        bd.locate_levels([curve], [[0.05]])
     # the same step with consistent rhos locates the level
     curve.rhos = np.array([0.5, 0.6])
-    x, _ = curve.at_rho([0.55])
+    x, _ = bd.locate_levels([curve], [[0.55]])
     assert flat3.rho_value(x)[0] == pytest.approx(0.55, abs=1e-14)
 
 

@@ -308,13 +308,16 @@ def test_a_frame_raises_the_first_ladders_error_before_a_later_singular_gram(
 
 
 @pytest.mark.parametrize("name, dim, ode, budget", [
-    # 413 runs, 240 of them the Dormand-Prince 5 evaluations of the two
-    # transversal checks at the step 5e-3, whose run at twice the step rides
-    # in them, and which no memo serves; 566 with 400 RK4 stages at 2e-3,
-    # 628 while the memos were keyed by jet order, 1028 at the step 1e-3
-    ("klein", 3, True, 420),
-    # 132 runs; 201 while the memos were keyed by jet order, 339 while each
-    # candidate, ladder and direction took its own
+    # 272 runs, 120 of them the Dormand-Prince 5 evaluations of the two
+    # transversal checks at the step 1e-2, whose run at twice the step rides
+    # in them, and which no memo serves, and 4 the rho runs of the one
+    # Newton that locates the levels on every curve and its doubled run;
+    # 410 at the step 5e-3, 566 with 400 RK4 stages at 2e-3, 628 while the
+    # memos were keyed by jet order, 1028 at the step 1e-3
+    ("klein", 3, True, 300),
+    # 125 runs; 132 while the calculus asked for lower orders first, 201
+    # while the memos were keyed by jet order, 339 while each candidate,
+    # ladder and direction took its own
     ("af2_generic", 4, False, 160),
 ])
 def test_a_suite_makes_few_tape_runs(monkeypatch, name, dim, ode, budget):

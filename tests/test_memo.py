@@ -17,7 +17,7 @@ from tractorlab import expr as ex
 from tractorlab.affine import Connection, CurvaturePack, rho_one_form
 from tractorlab.fields import Chart, TensorField, builtin_geometry, row_memo
 from tractorlab.jets import jet_space
-from tractorlab.tractor import TractorCalculus
+from tractorlab.tractor import TractorCalculus, bgg_split_metricity, contorsion_slots_lc
 
 CATALOG = (
     ("klein", 3), ("klein", 4), ("klein", 5), ("af2_generic", 4),
@@ -151,6 +151,41 @@ def test_row_memo_keeps_one_entry_per_batch_of_rows():
     assert calls == [(1, 0), (1, 2), (1, 3)]
     assert len(memo) == 1
     assert next(iter(memo.values())).shape[-1] == jet_space(2, 3).ncoeff
+
+
+def _count_evaluations(monkeypatch, owner, attribute):
+    """Record the ``(rows, order)`` of each evaluation behind ``owner``'s
+    memo, whose evaluator is its attribute ``attribute``."""
+    real, calls = getattr(owner, attribute), []
+
+    def counted(points, order):
+        calls.append((len(points), order))
+        return real(points, order)
+
+    monkeypatch.setattr(owner, attribute, counted)
+    return calls
+
+
+def test_the_calculus_asks_for_the_highest_order_first(af2, monkeypatch):
+    # each lower-order request is served by the memo's higher-order entry,
+    # so each quantity is evaluated once per batch of rows
+    pts = af2.interior_points(3, np.random.default_rng(4))
+    calc = TractorCalculus(af2)
+    calls = _count_evaluations(monkeypatch, calc.reference.connection, "_evaluator")
+    calc.omega(calc.reference, pts, 1)
+    assert calls == [(3, 2)]  # the Schouten tensor's order, then G's served
+
+    calc = TractorCalculus(af2)
+    pack = calc.levi_civita_splitting.pack
+    calls = _count_evaluations(monkeypatch, pack, "_build_schouten")
+    contorsion_slots_lc(calc, pts, 1)
+    assert calls == [(3, 2)]  # the derivative's Schouten, then Pinv's served
+
+    calc = TractorCalculus(af2)
+    sigma = calc.metricity_field()
+    calls = _count_evaluations(monkeypatch, sigma, "_checked")
+    bgg_split_metricity(calc, sigma, calc.reference, pts, 1)
+    assert calls == [(3, 3)]  # the second derivative's sigma, then sigma's served
 
 
 # -- how long a memo lives --------------------------------------------------------

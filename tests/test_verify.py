@@ -11,6 +11,7 @@ from tractorlab import verify
 from tractorlab.extrapolate import boundary_ladder
 from tractorlab.fields import GeometryError, builtin_geometry
 from tractorlab.jets import jet_space
+from tractorlab.tractor import TractorCalculus
 from tractorlab.verify import SamplingPlan, registry, run_suite
 
 FAST_PLAN = SamplingPlan(seed=3, interior_points=4, boundary_points=2)
@@ -362,13 +363,14 @@ def test_mu_check_never_uses_a_diverged_curve_limit(klein3, monkeypatch):
     # level, so rho^2 g(mu, mu) there grows a thousandfold per level
     from tractorlab import boundary as bd
 
-    real = bd.TransversalCurve.at_rho
+    real = bd.locate_levels
 
-    def growing(self, eps):
-        x, v = real(self, eps)
-        return x, v * np.sqrt(1e3) ** np.arange(len(eps))[:, None]
+    def growing(curves, eps):
+        x, v = real(curves, eps)
+        levels = np.concatenate([np.arange(len(row)) for row in eps])
+        return x, v * np.sqrt(1e3) ** levels[:, None]
 
-    monkeypatch.setattr(bd.TransversalCurve, "at_rho", growing)
+    monkeypatch.setattr(bd, "locate_levels", growing)
     facets, _, details = _run_check("prop-2.5-mu", klein3, SamplingPlan(boundary_points=1))
     assert facets["diverged"] is True
     assert details[0] == {"point": details[0]["point"], "diverged": True}
@@ -418,9 +420,12 @@ def test_prop25_judges_the_same_parameters_at_any_step(step, horizon, rows):
 
 def test_the_launch_error_fails_lem24_where_the_launch_value_is_coarse():
     # at C = 0.05 the extended connection at the launch carries an error
-    # that moves the curves by about 3e-8, which step doubling does not see
+    # that moves the curves by about 3e-8, which step doubling does not see;
+    # at the step 5e-3 the integration error is 6.5e-9, so the launch term
+    # fails alone (at the default 1e-2 it reads 6.2e-7 and fails too)
     geom = builtin_geometry("af2_generic", 4, C=0.05)
-    (report,) = verify.run_suite(geom, ["lem-2.4-transversal"], SamplingPlan(seed=0))
+    plan = SamplingPlan(seed=0, ode_step=5e-3)
+    (report,) = verify.run_suite(geom, ["lem-2.4-transversal"], plan)
     curves = report.details[:-1]
     assert max(d["integration_error"] for d in curves) < 1e-8
     assert report.status == "fail"
@@ -430,6 +435,35 @@ def test_the_launch_error_fails_lem24_where_the_launch_value_is_coarse():
 
 #: the checks that integrate geodetic transversals
 TRANSVERSAL_IDS = ("lem-2.4-transversal", "prop-2.5-mu")
+
+
+def test_prop25_judges_the_levels_the_doubled_run_of_an_odd_step_count_reaches():
+    # 5 steps: the curves reach rho = 0.05, the top level, near their
+    # horizon 0.055, and their doubled runs end at t = 0.044, below it
+    geom = builtin_geometry("af2_generic", 4)
+    plan = SamplingPlan(seed=0, ode_horizon=0.055, ode_step=0.011)
+    (report,) = verify.run_suite(geom, ["prop-2.5-mu"], plan)
+    assert report.status == "pass"
+    assert all(0 < d["sample_error"] < 1e-6 for d in report.details[:-1])
+
+
+@pytest.mark.parametrize("name, dim", [("af2_generic", 4), ("af1_generic", 4), ("klein", 3)])
+def test_prop25_kills_a_wrong_sign_transversal_acceleration(monkeypatch, name, dim):
+    # step doubling compares a curve with itself, so lem-2.4 passes a
+    # geodesic of the negated connection; the invariant rho^2 g(mu, mu)
+    # varies along it (0.636 on af2_generic-4), except where the connection
+    # is flat (klein) or the check does not apply (af1)
+    real = TractorCalculus.hat_christoffel_values
+    monkeypatch.setattr(
+        TractorCalculus, "hat_christoffel_values", lambda self, rho, g: -real(self, rho, g)
+    )
+    lem, mu = verify.run_suite(builtin_geometry(name, dim), TRANSVERSAL_IDS, SamplingPlan(seed=0))
+    assert lem.status == "pass"
+    want = {"af2_generic": "fail", "af1_generic": "skip", "klein": "pass"}[name]
+    assert mu.status == want
+    if want == "fail":
+        assert mu.reason.startswith("variation_along_curve: residual")
+        assert max(d["variation_along_curve"] for d in mu.details[:-1]) > 0.1
 
 
 def _counting_transversals(monkeypatch) -> list[int]:
